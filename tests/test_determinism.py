@@ -280,3 +280,94 @@ def test_completion_order_is_stable_across_runs():
         return [record.batch_id for record in cluster.completions()]
 
     assert batch_ids(_config("poe-mac")) == batch_ids(_config("poe-mac"))
+
+
+# ------------------------------------------------------------ golden pins
+# "Refactors move no events" as a test: each row's whole-run fingerprint,
+# hashed.  A row moves only when behaviour moves; the commit that moves one
+# updates it here and says why in CHANGES.md.
+
+def _fingerprint_digest(fingerprint) -> str:
+    import hashlib
+
+    return hashlib.sha256(repr(fingerprint).encode("utf-8")).hexdigest()[:16]
+
+
+def _poebench_fingerprint(workload: str) -> str:
+    """One poebench workload's deployments at 1/20 budget, seed 3."""
+    import sys
+    from pathlib import Path
+
+    from repro.fabric.sharding import ShardedClusterConfig, sharded_fingerprint
+
+    poebench = str(Path(__file__).resolve().parent.parent / "poebench")
+    if poebench not in sys.path:
+        sys.path.insert(0, poebench)
+    from workloads import WORKLOADS
+
+    return _fingerprint_digest(tuple(
+        sharded_fingerprint(config) if isinstance(config, ShardedClusterConfig)
+        else run_fingerprint(config)
+        for config in WORKLOADS[workload].configs(3, 0.05)))
+
+
+GOLDEN_POEBENCH = {
+    "mac_flood_n32": "3260d6a535eb6e9e",
+    "ts_linear_n32": "333f2f8c034b80b1",
+    "ycsb_exec_n4": "37ab5b6ca5d410a3",
+    "primary_crash_n16": "ee1e0c0fd5afe0f6",
+    "xshard_2sh_x20": "16830dff5e26ce66",
+    "six_protocols_n16": "fbc01123b36b86a2",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_POEBENCH))
+def test_golden_poebench_shapes(workload):
+    assert _poebench_fingerprint(workload) == GOLDEN_POEBENCH[workload]
+
+
+GOLDEN_SCENARIOS = {
+    # One view-change row per leader-based protocol, the equivocation row
+    # that exercises the MAC-mode vote rule, and an epoch row on HotStuff.
+    ("poe-mac", "primary-crash"): "559299d01658ba38",
+    ("poe-ts", "primary-crash"): "ac93120a12ccad55",
+    ("pbft", "primary-crash"): "acef397bc13acd8d",
+    ("sbft", "primary-crash"): "18e2e353bb6987d7",
+    ("zyzzyva", "primary-crash"): "b5533676743b779e",
+    ("poe-mac", "equivocate"): "2dc480aa394c3ee0",
+    ("hotstuff", "epoch-shrink"): "5da95872ff48b06d",
+}
+
+
+@pytest.mark.parametrize("protocol,scenario", sorted(GOLDEN_SCENARIOS))
+def test_golden_scenario_rows(protocol, scenario):
+    fingerprint = run_fingerprint(_scenario_config_ex(protocol, scenario))
+    assert _fingerprint_digest(fingerprint) == GOLDEN_SCENARIOS[(protocol, scenario)]
+
+
+def _xshard_scenario_config(protocol: str, scenario: str, seed: int = 11):
+    """A sharded config mirroring one xshard fault-matrix cell."""
+    from repro.fabric.scenarios import SHARDED_SCENARIOS
+    from repro.fabric.sharding import ShardedClusterConfig, coordinator_id
+
+    sdef = SHARDED_SCENARIOS[scenario]
+    hub_faults = FaultSchedule().add_crash(
+        coordinator_id(), at_ms=sdef.coordinator_crash_at_ms)
+    return ShardedClusterConfig(
+        num_shards=sdef.num_shards, protocols=protocol, num_replicas=4,
+        batch_size=10, client_outstanding=4, total_batches=20,
+        cross_shard_fraction=sdef.cross_shard_fraction,
+        request_timeout_ms=100.0, checkpoint_interval=5,
+        hub_faults=hub_faults, seed=seed,
+    )
+
+
+GOLDEN_XSHARD_CRASH_2PC = "0b0c7db90d254b75"
+
+
+def test_golden_xshard_crash_2pc():
+    from repro.fabric.sharding import sharded_fingerprint
+
+    fingerprint = sharded_fingerprint(
+        _xshard_scenario_config("poe-mac", "xshard-crash-2pc"))
+    assert _fingerprint_digest(fingerprint) == GOLDEN_XSHARD_CRASH_2PC
