@@ -56,7 +56,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.fabric.scenarios import (
     MATRIX_PROTOCOLS,
-    SCENARIOS,
+    SCENARIO_DEFS,
     SHARDED_MATRIX_PROTOCOLS,
     SHARDED_SCENARIOS,
     ScenarioParams,
@@ -232,10 +232,10 @@ def main(argv=None) -> int:
         if protocol not in args.protocols:
             parser.error(unknown_name_message("protocol", protocol,
                                               args.protocols))
-        if scenario not in SCENARIOS and scenario not in SHARDED_SCENARIOS:
+        if scenario not in SCENARIO_DEFS and scenario not in SHARDED_SCENARIOS:
             parser.error(unknown_name_message(
                 "scenario", scenario,
-                list(SCENARIOS) + list(SHARDED_SCENARIOS)))
+                list(SCENARIO_DEFS) + list(SHARDED_SCENARIOS)))
         if scenario in SHARDED_SCENARIOS \
                 and protocol not in SHARDED_MATRIX_PROTOCOLS:
             parser.error(
@@ -248,11 +248,11 @@ def main(argv=None) -> int:
         args.scenarios = ["no-fault"] if args.soak is not None \
             else list(default_matrix_scenarios())
     unknown = [s for s in args.scenarios
-               if s not in SCENARIOS and s not in SHARDED_SCENARIOS]
+               if s not in SCENARIO_DEFS and s not in SHARDED_SCENARIOS]
     if unknown:
         parser.error(unknown_name_message(
             "scenario", " ".join(unknown),
-            list(SCENARIOS) + list(SHARDED_SCENARIOS)))
+            list(SCENARIO_DEFS) + list(SHARDED_SCENARIOS)))
     sharded_picked = [s for s in args.scenarios if s in SHARDED_SCENARIOS]
     if args.soak is not None and sharded_picked:
         parser.error(f"--soak is single-group only; drop the sharded "

@@ -128,15 +128,6 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
         self._accepted_proposal: Dict[Tuple[int, int], bytes] = {}
         self._certified_log: Dict[int, CertifiedEntry] = {}
         self.init_view_change()
-        # Install the fused MAC SUPPORT handler unless a subclass or a
-        # monkeypatch overrides any of the methods it collapses (compared
-        # against the originals captured at import time, so patching
-        # PoeReplica itself is detected too — see the fused docstring).
-        cls = type(self)
-        if (not self._is_threshold
-                and (cls.handle_support, cls._handle_mac_support,
-                     cls._check_mac_commit) == _SUPPORT_PATH_ORIGINALS):
-            self._dispatch[PoeSupport] = self._handle_support_mac_fast
 
     # ------------------------------------------------------------------ slots
     def _slot(self, view: int, sequence: int) -> _SlotState:
@@ -223,37 +214,22 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
 
     # -- SUPPORT -----------------------------------------------------------------
     def handle_support(self, sender: str, message: PoeSupport, now_ms: float) -> None:
-        view = message.view
-        if view > self.view:
-            self.defer_message(view, sender, message)
-            return
-        if view != self.view:
-            return
-        slot = self._slot(view, message.sequence)
-        if self._is_threshold:
-            self._handle_threshold_support(sender, message, slot, now_ms)
-        else:
-            self._handle_mac_support(sender, message, slot, now_ms)
+        """Count one SUPPORT: a share at the primary, a vote in MAC mode.
 
-    def _handle_support_mac_fast(self, sender: str, message: PoeSupport,
-                                 now_ms: float) -> None:
-        """Fused MAC-mode SUPPORT path: one frame per delivered vote.
-
-        Behaviourally identical to ``handle_support`` →
-        ``_handle_mac_support`` → quorum check; installed into the
-        dispatch table at construction only when none of those methods is
-        overridden (tests monkeypatch ``_handle_mac_support`` to
-        demonstrate the spoofed-vote bug — the guard keeps that working).
+        In MAC mode this is the n²-per-slot path, so the whole vote is
+        handled in this one frame.
         """
         view = message.view
         if view != self.view:
             if view > self.view:
                 self.defer_message(view, sender, message)
             return
-        key = (view << 32) | message.sequence
-        slot = self._slots.get(key)
+        slot = self._slots.get((view << 32) | message.sequence)
         if slot is None:
             slot = self._slot(view, message.sequence)
+        if self._is_threshold:
+            self._handle_threshold_support(sender, message, slot, now_ms)
+            return
         self._pending_cpu_ms += self._mac_verify_ms  # charge(MAC_VERIFY)
         if slot.certified:
             # Late vote after quorum: the proof was frozen at certification
@@ -262,14 +238,15 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
             return
         if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
             return
-        # Transport-level sender, never the claimed message.replica_id.
+        # Vote identity is the transport-level sender, never the claimed
+        # ``message.replica_id``: a MAC authenticates the link, so a Byzantine
+        # replica can lie about who it is inside the payload but cannot forge
+        # the channel it sends on.  Counting the claimed id would let one
+        # faulty replica vote once per forged identity.
         slot.support_votes.add(sender)
-        if (not slot.supported or slot.batch is None
-                or slot.support_votes.count < self._nf_quorum):
-            return
-        slot.certified = True
-        proof = frozenset(slot.support_votes)
-        self._view_commit(view, message.sequence, slot, proof, now_ms)
+        # Below nf nothing can change; skip the call on most of the flood.
+        if slot.support_votes.count >= self._nf_quorum:
+            self._check_mac_commit(view, message.sequence, slot, now_ms)
 
     def _handle_threshold_support(self, sender: str, message: PoeSupport,
                                   slot: _SlotState, now_ms: float) -> None:
@@ -299,33 +276,12 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
         self.broadcast(certify)
         self._view_commit(message.view, message.sequence, slot, certificate, now_ms)
 
-    def _handle_mac_support(self, sender: str, message: PoeSupport,
-                            slot: _SlotState, now_ms: float) -> None:
-        """MAC mode: every replica counts matching SUPPORT broadcasts."""
-        self._pending_cpu_ms += self._mac_verify_ms  # charge(MAC_VERIFY)
-        if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
-            return
-        # Vote identity is the transport-level sender, never the claimed
-        # ``message.replica_id``: a MAC authenticates the link, so a Byzantine
-        # replica can lie about who it is inside the payload but cannot forge
-        # the channel it sends on.  Counting the claimed id would let one
-        # faulty replica vote once per forged identity.
-        slot.support_votes.add(sender)
-        # Inline quorum check (same rule as _check_mac_commit, which stays
-        # for the PROPOSE path): most supports arrive on already-certified
-        # slots, and this is the n²-per-slot hot path.
-        if (slot.certified or not slot.supported or slot.batch is None
-                or slot.support_votes.count < self._nf_quorum):
-            return
-        slot.certified = True
-        proof = frozenset(slot.support_votes)
-        self._view_commit(message.view, message.sequence, slot, proof, now_ms)
-
     def _check_mac_commit(self, view: int, sequence: int, slot: _SlotState,
                           now_ms: float) -> None:
-        if slot.certified or not slot.supported or slot.batch is None:
-            return
-        if slot.support_votes.count < self._nf_quorum:
+        """The MAC-mode vote rule (Appendix A), after a vote was recorded:
+        view-commit a supported slot once ``nf`` matching SUPPORTs are in."""
+        if (slot.certified or not slot.supported or slot.batch is None
+                or slot.support_votes.count < self._nf_quorum):
             return
         slot.certified = True
         proof = frozenset(slot.support_votes)
@@ -515,12 +471,3 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
     def on_rolled_back(self, record) -> None:
         self._certified_log.pop(record.sequence, None)
 
-
-#: The un-overridden SUPPORT-path methods, captured at import time; the
-#: constructor only installs the fused MAC handler when the class still
-#: carries exactly these (see PoeReplica.__init__).
-_SUPPORT_PATH_ORIGINALS = (
-    PoeReplica.handle_support,
-    PoeReplica._handle_mac_support,
-    PoeReplica._check_mac_commit,
-)

@@ -18,7 +18,7 @@ from repro.fabric.audit import (
 )
 from repro.fabric.scenarios import (
     MATRIX_PROTOCOLS,
-    SCENARIOS,
+    SCENARIO_DEFS,
     ScenarioOutcome,
     ScenarioParams,
     format_matrix,
@@ -49,7 +49,7 @@ __all__ = [
     "SafetyViolation",
     "audit_cluster",
     "MATRIX_PROTOCOLS",
-    "SCENARIOS",
+    "SCENARIO_DEFS",
     "ScenarioOutcome",
     "ScenarioParams",
     "format_matrix",

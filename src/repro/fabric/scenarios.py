@@ -81,11 +81,29 @@ class ScenarioParams:
         return self.namespace + replica_id(index)
 
 
-#: A scenario recipe returns (fault schedule, byzantine spec) or
-#: (fault schedule, byzantine spec, network conditions); any element may
-#: be ``None``.  The two-tuple form predates the topology column and
-#: remains valid so external recipes keep working.
-ScenarioRecipe = Callable[[ScenarioParams], Tuple]
+@dataclass
+class ScenarioPlan:
+    """What one scenario asks of a deployment; every field is optional.
+
+    ``num_replicas`` and ``total_batches`` override the
+    :class:`ScenarioParams` values: the colluding scenarios need n = 7 so
+    a two-member cabal stays within f, and the reconfiguration scenarios
+    need enough batches left *after* the record lands for the activation
+    boundary to be reached on every protocol (Zyzzyva speculatively orders
+    the default 20 in under 10 ms).
+    """
+
+    faults: Optional[FaultSchedule] = None
+    byzantine: Optional[ByzantineSpec] = None
+    conditions: Optional[NetworkConditions] = None
+    #: Cabal co-conspirators beyond the ``byzantine`` column.
+    extra_byzantine: Tuple[ByzantineSpec, ...] = ()
+    reconfig: Optional[ReconfigPlan] = None
+    num_replicas: Optional[int] = None
+    total_batches: Optional[int] = None
+
+
+ScenarioRecipe = Callable[[ScenarioParams], ScenarioPlan]
 
 
 @dataclass(frozen=True)
@@ -102,9 +120,6 @@ class ScenarioDef:
 #: definition order (which is the matrix's column order).
 SCENARIO_DEFS: Dict[str, ScenarioDef] = {}
 
-#: Backward-compatible name -> recipe view of :data:`SCENARIO_DEFS`.
-SCENARIOS: Dict[str, ScenarioRecipe] = {}
-
 
 def register_scenario(name: str, description: str = "",
                       tier: str = "core") -> Callable[[ScenarioRecipe], ScenarioRecipe]:
@@ -113,70 +128,30 @@ def register_scenario(name: str, description: str = "",
     def wrap(recipe: ScenarioRecipe) -> ScenarioRecipe:
         SCENARIO_DEFS[name] = ScenarioDef(
             name=name, recipe=recipe, description=description, tier=tier)
-        SCENARIOS[name] = recipe
         return recipe
 
     return wrap
 
 
-def unpack_recipe(result: Tuple) -> Tuple[Optional[FaultSchedule],
-                                          Optional[ByzantineSpec],
-                                          Optional[NetworkConditions]]:
-    """Normalise a recipe result onto (faults, byzantine, conditions)."""
-    if len(result) == 2:
-        faults, byzantine = result
-        return faults, byzantine, None
-    faults, byzantine = result[0], result[1]
-    return faults, byzantine, result[2]
-
-
-def unpack_recipe_ex(result: Tuple) -> Tuple[Optional[FaultSchedule],
-                                             Optional[ByzantineSpec],
-                                             Optional[NetworkConditions],
-                                             Dict[str, object]]:
-    """Normalise a recipe result onto (faults, byzantine, conditions, extras).
-
-    ``extras`` is the reconfiguration-era side channel: recipes that need
-    deployment shape beyond the classic three columns return a *fourth*
-    element, a dict carrying any of:
-
-    - ``"num_replicas"``: override the cluster size (colluding scenarios
-      need n = 7 so a two-member cabal stays within f);
-    - ``"total_batches"``: override the workload length (reconfiguration
-      scenarios need enough batches left *after* the record lands for the
-      activation boundary to be reached on every protocol — Zyzzyva
-      speculatively orders the default 20 in under 10 ms);
-    - ``"reconfig"``: a :class:`ReconfigPlan` of epoch steps;
-    - ``"extra_byzantine"``: additional :class:`ByzantineSpec` entries
-      beyond the primary ``byzantine`` column (cabal co-conspirators).
-
-    The 2- and 3-tuple forms stay valid, so the pre-epoch scenario
-    library and external recipes keep working unchanged.
-    """
-    if len(result) == 4:
-        faults, byzantine, conditions, extras = result
-        return faults, byzantine, conditions, dict(extras or {})
-    faults, byzantine, conditions = unpack_recipe(result)
-    return faults, byzantine, conditions, {}
-
-
 @register_scenario("no-fault", "clean run, LAN conditions", tier="core")
 def _no_fault(params: ScenarioParams):
-    return None, None
+    return ScenarioPlan()
 
 
 @register_scenario("backup-crash", "one backup crashes at start", tier="core")
 def _backup_crash(params: ScenarioParams):
     # The paper's standard single-backup-failure configuration.
     victim = params.replica(params.num_replicas - 1)
-    return FaultSchedule.single_backup_crash(victim, at_ms=0.0), None
+    return ScenarioPlan(
+        faults=FaultSchedule.single_backup_crash(victim, at_ms=0.0))
 
 
 @register_scenario("primary-crash", "primary crashes mid-workload; view change required", tier="core")
 def _primary_crash(params: ScenarioParams):
     # Crash the primary with most of the workload still outstanding, so
     # recovery requires a view change (paper, Figure 10).
-    return FaultSchedule.primary_crash(params.replica(0), at_ms=2.0), None
+    return ScenarioPlan(
+        faults=FaultSchedule.primary_crash(params.replica(0), at_ms=2.0))
 
 
 @register_scenario("dark-replicas", "malicious primary keeps f replicas in the dark", tier="core")
@@ -185,14 +160,16 @@ def _dark_replicas(params: ScenarioParams):
     # case 2); they must catch up through checkpoint state transfer.
     dark = [params.replica(i) for i in
             range(params.num_replicas - params.f, params.num_replicas)]
-    return FaultSchedule().add_dark_replicas(params.replica(0), dark), None
+    return ScenarioPlan(
+        faults=FaultSchedule().add_dark_replicas(params.replica(0), dark))
 
 
 @register_scenario("equivocate", "primary equivocates with forged votes", tier="core")
 def _equivocate(params: ScenarioParams):
     # The primary proposes conflicting batches to disjoint halves and
     # fabricates the dark half's votes under forged identities.
-    return None, ByzantineSpec(behavior="equivocate-spoof", replica_index=0)
+    return ScenarioPlan(
+        byzantine=ByzantineSpec(behavior="equivocate-spoof", replica_index=0))
 
 
 @register_scenario("partition-heal", "f replicas partitioned away, then healed", tier="core")
@@ -205,7 +182,7 @@ def _partition_heal(params: ScenarioParams):
                 range(params.num_replicas - params.f)]
     faults = FaultSchedule().add_partition(majority, minority,
                                            at_ms=50.0, until_ms=600.0)
-    return faults, None
+    return ScenarioPlan(faults=faults)
 
 
 @register_scenario("forge-history", "backup forges view-change histories below the anchor", tier="core")
@@ -225,10 +202,10 @@ def _forge_history(params: ScenarioParams):
     window_ms = params.request_timeout_ms * 1.5
     faults = FaultSchedule().add_partition(rest, lagging,
                                            at_ms=0.0, until_ms=window_ms)
-    return faults, ByzantineSpec(
+    return ScenarioPlan(faults=faults, byzantine=ByzantineSpec(
         behavior="forge-history", replica_index=2,
         options={"pom_at_ms": window_ms},
-    )
+    ))
 
 
 @register_scenario("lying-checkpoint", "backup poisons state transfers and fabricates checkpoints", tier="core")
@@ -238,7 +215,8 @@ def _lying_checkpoint(params: ScenarioParams):
     # dark replica guarantees real transfer traffic exists to poison.
     dark = [params.replica(params.num_replicas - 1)]
     faults = FaultSchedule().add_dark_replicas(params.replica(0), dark)
-    return faults, ByzantineSpec(behavior="lying-checkpoint", replica_index=1)
+    return ScenarioPlan(faults=faults, byzantine=ByzantineSpec(
+        behavior="lying-checkpoint", replica_index=1))
 
 
 @register_scenario("wrong-exec", "backup executes a fabricated batch and must resync", tier="core")
@@ -246,7 +224,8 @@ def _wrong_exec(params: ScenarioParams):
     # Replica-level: one backup executes a fabricated batch at one slot —
     # same height as the quorum, divergent state — and must detect the
     # stable checkpoint contradicting its own digest and resync.
-    return None, ByzantineSpec(behavior="wrong-exec", replica_index=2)
+    return ScenarioPlan(
+        byzantine=ByzantineSpec(behavior="wrong-exec", replica_index=2))
 
 
 @register_scenario("adaptive-primary", "adversary re-targets whoever is primary now", tier="adaptive")
@@ -257,12 +236,12 @@ def _adaptive_primary(params: ScenarioParams):
     # honest replicas suspect the isolated primary, short enough that the
     # deposed primary rejoins as a backup), and the attack budget is two
     # primaries, so the third view's primary runs unmolested.
-    return None, ByzantineSpec(
+    return ScenarioPlan(byzantine=ByzantineSpec(
         behavior="adaptive-primary", replica_index=2,
         options={"mode": "partition",
                  "window_ms": params.request_timeout_ms * 1.5,
                  "max_targets": 2},
-    )
+    ))
 
 
 @register_scenario("checkpoint-equivocate", "equivocation aimed at checkpoint boundaries", tier="adaptive")
@@ -271,8 +250,9 @@ def _checkpoint_equivocate(params: ScenarioParams):
     # each checkpoint boundary — the exact window where a divergent batch
     # would be laundered into a stable checkpoint if checkpoint votes did
     # not require f + 1 matching digests.
-    return None, ByzantineSpec(behavior="checkpoint-equivocate",
-                               replica_index=0, options={"window": 2})
+    return ScenarioPlan(byzantine=ByzantineSpec(
+        behavior="checkpoint-equivocate", replica_index=0,
+        options={"window": 2}))
 
 
 @register_scenario("timeout-stall", "quorum-critical view-change vote withheld to the deadline", tier="adaptive")
@@ -284,7 +264,8 @@ def _timeout_stall(params: ScenarioParams):
     # recovery is delayed by almost a full retry period but must still
     # complete (the stall budget is bounded).
     faults = FaultSchedule.primary_crash(params.replica(0), at_ms=2.0)
-    return faults, ByzantineSpec(behavior="timeout-stall", replica_index=2)
+    return ScenarioPlan(faults=faults, byzantine=ByzantineSpec(
+        behavior="timeout-stall", replica_index=2))
 
 
 @register_scenario("churn", "bounded leave/rejoin membership churn", tier="reconfig")
@@ -301,7 +282,7 @@ def _churn(params: ScenarioParams):
                          at_ms=5.0, until_ms=5.0 + 0.9 * timeout)
               .add_crash(params.replica(0), at_ms=2.0,
                          until_ms=2.0 + 1.6 * timeout))
-    return faults, None
+    return ScenarioPlan(faults=faults)
 
 
 GEO_REGIONS: Tuple[str, ...] = ("us-east", "eu-west", "ap-south")
@@ -348,7 +329,7 @@ def _geo_drift(params: ScenarioParams):
         latency_ms=0.5, jitter_ms=0.05, bandwidth_mbps=2000.0,
         topology=geo_topology(params), seed=params.seed,
     )
-    return None, None, conditions
+    return ScenarioPlan(conditions=conditions)
 
 
 @register_scenario("forge-history-vc", "forged history competing inside a real view change", tier="core")
@@ -367,10 +348,10 @@ def _forge_history_vc(params: ScenarioParams):
     faults = (FaultSchedule()
               .add_partition(rest, lagging, at_ms=0.0, until_ms=window_ms)
               .add_crash(params.replica(0), at_ms=window_ms))
-    return faults, ByzantineSpec(
+    return ScenarioPlan(faults=faults, byzantine=ByzantineSpec(
         behavior="forge-history", replica_index=2,
         options={"pom_at_ms": window_ms},
-    )
+    ))
 
 
 
@@ -385,7 +366,7 @@ def _epoch_grow(params: ScenarioParams):
     # in under 10 ms — still has batches left to cross the boundary.
     n = params.num_replicas
     plan = ReconfigPlan(steps=(ReconfigStep(at_ms=2.0, add=(n, n + 1)),))
-    return None, None, None, {"reconfig": plan, "total_batches": 30}
+    return ScenarioPlan(reconfig=plan, total_batches=30)
 
 
 @register_scenario("epoch-shrink", "grow then shrink back: evicted replicas self-halt at the boundary", tier="reconfig")
@@ -400,7 +381,7 @@ def _epoch_shrink(params: ScenarioParams):
         ReconfigStep(at_ms=2.0, add=(n, n + 1)),
         ReconfigStep(at_ms=8.0, remove=(n + 1, n - 1)),
     ))
-    return None, None, None, {"reconfig": plan, "total_batches": 30}
+    return ScenarioPlan(reconfig=plan, total_batches=30)
 
 
 @register_scenario("epoch-under-vc", "primary crashes while a membership change is in flight", tier="reconfig")
@@ -413,7 +394,7 @@ def _epoch_under_vc(params: ScenarioParams):
     n = params.num_replicas
     faults = FaultSchedule.primary_crash(params.replica(0), at_ms=2.0)
     plan = ReconfigPlan(steps=(ReconfigStep(at_ms=50.0, add=(n, n + 1)),))
-    return faults, None, None, {"reconfig": plan, "total_batches": 40}
+    return ScenarioPlan(faults=faults, reconfig=plan, total_batches=40)
 
 
 @register_scenario("epoch-cycle", "repeated grow/shrink cycles; per-epoch bookkeeping must plateau", tier="reconfig")
@@ -430,7 +411,7 @@ def _epoch_cycle(params: ScenarioParams):
         ReconfigStep(at_ms=120.0, add=(n + 2, n + 3)),
         ReconfigStep(at_ms=180.0, remove=(n + 2, n + 3)),
     ))
-    return None, None, None, {"reconfig": plan, "total_batches": 60}
+    return ScenarioPlan(reconfig=plan, total_batches=60)
 
 
 @register_scenario("colluding-equivocate", "cabal equivocates only while a co-conspirator holds the seat", tier="adaptive")
@@ -441,14 +422,13 @@ def _colluding_equivocate(params: ScenarioParams):
     # checkpoint votes over the same windows to starve the boundary the
     # forked slot would have to be laundered through.  n = 7 keeps the
     # two-member cabal within f = 2.
-    byz = ByzantineSpec(behavior="colluding-equivocate", replica_index=0)
-    extras = {
-        "num_replicas": max(params.num_replicas, 7),
-        "extra_byzantine": (
+    return ScenarioPlan(
+        byzantine=ByzantineSpec(behavior="colluding-equivocate", replica_index=0),
+        extra_byzantine=(
             ByzantineSpec(behavior="colluding-parker", replica_index=2),
         ),
-    }
-    return None, byz, None, extras
+        num_replicas=max(params.num_replicas, 7),
+    )
 
 
 @register_scenario("colluding-reconfig-abuse", "Byzantine proposer's unsafe membership change must be refused", tier="reconfig")
@@ -463,15 +443,15 @@ def _colluding_reconfig_abuse(params: ScenarioParams):
     byz = ByzantineSpec(behavior="colluding-reconfig-abuse", replica_index=0,
                         options={"at_ms": 4.0})
     plan = ReconfigPlan(steps=(ReconfigStep(at_ms=10.0, add=(n, n + 1)),))
-    extras = {
-        "num_replicas": n,
-        "reconfig": plan,
-        "extra_byzantine": (
+    return ScenarioPlan(
+        byzantine=byz,
+        extra_byzantine=(
             ByzantineSpec(behavior="colluding-parker", replica_index=2,
                           options={"poison": True}),
         ),
-    }
-    return None, byz, None, extras
+        reconfig=plan,
+        num_replicas=n,
+    )
 
 
 #: (protocol family, scenario) combinations that are *expected* to violate
@@ -605,6 +585,27 @@ class ScenarioOutcome:
         return f"{liveness}/{safety}{marker}"
 
 
+def _cluster_config(protocol: str, plan: ScenarioPlan, params: ScenarioParams,
+                    total_batches: int) -> ClusterConfig:
+    """The single-group deployment *plan* describes under *params*."""
+    return ClusterConfig(
+        protocol=protocol,
+        num_replicas=plan.num_replicas or params.num_replicas,
+        batch_size=params.batch_size,
+        num_clients=1,
+        client_outstanding=params.client_outstanding,
+        total_batches=total_batches,
+        request_timeout_ms=params.request_timeout_ms,
+        checkpoint_interval=params.checkpoint_interval,
+        conditions=plan.conditions,
+        faults=plan.faults,
+        byzantine=plan.byzantine,
+        extra_byzantine=plan.extra_byzantine,
+        reconfig=plan.reconfig,
+        seed=params.seed,
+    )
+
+
 def run_scenario(protocol: str, scenario: str,
                  params: Optional[ScenarioParams] = None,
                  driver: str = "sequential") -> ScenarioOutcome:
@@ -623,29 +624,13 @@ def run_scenario(protocol: str, scenario: str,
             f"scenario {scenario!r} is single-group and sequential-only; "
             f"driver={driver!r} applies to sharded scenarios")
     try:
-        recipe = SCENARIOS[scenario]
+        sdef = SCENARIO_DEFS[scenario]
     except KeyError:
         raise KeyError(f"unknown scenario {scenario!r}; "
-                       f"known: {sorted(SCENARIOS) + sorted(SHARDED_SCENARIOS)}") from None
-    faults, byzantine, conditions, extras = unpack_recipe_ex(recipe(params))
-    num_replicas = int(extras.get("num_replicas", params.num_replicas))
-    total_batches = int(extras.get("total_batches", params.total_batches))
-    config = ClusterConfig(
-        protocol=protocol,
-        num_replicas=num_replicas,
-        batch_size=params.batch_size,
-        num_clients=1,
-        client_outstanding=params.client_outstanding,
-        total_batches=total_batches,
-        request_timeout_ms=params.request_timeout_ms,
-        checkpoint_interval=params.checkpoint_interval,
-        conditions=conditions,
-        faults=faults,
-        byzantine=byzantine,
-        extra_byzantine=tuple(extras.get("extra_byzantine", ())),
-        reconfig=extras.get("reconfig"),
-        seed=params.seed,
-    )
+                       f"known: {sorted(SCENARIO_DEFS) + sorted(SHARDED_SCENARIOS)}") from None
+    plan = sdef.recipe(params)
+    total_batches = plan.total_batches or params.total_batches
+    config = _cluster_config(protocol, plan, params, total_batches)
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()
@@ -661,7 +646,7 @@ def run_scenario(protocol: str, scenario: str,
     return ScenarioOutcome(
         protocol=protocol,
         scenario=scenario,
-        n=num_replicas,
+        n=config.num_replicas,
         completed_batches=sum(pool.completed_batches for pool in cluster.pools),
         expected_batches=total_batches * config.num_clients,
         live=live,
@@ -700,12 +685,11 @@ def run_sharded_scenario(protocol: str, scenario: str,
     shard_byzantine: Dict[int, ByzantineSpec] = {}
     for shard, recipe_name in sdef.per_shard:
         shard_params = dataclasses.replace(params, namespace=f"s{shard}/")
-        faults, byzantine, _ = unpack_recipe(
-            SCENARIO_DEFS[recipe_name].recipe(shard_params))
-        if faults is not None:
-            shard_faults[shard] = faults
-        if byzantine is not None:
-            shard_byzantine[shard] = byzantine
+        plan = SCENARIO_DEFS[recipe_name].recipe(shard_params)
+        if plan.faults is not None:
+            shard_faults[shard] = plan.faults
+        if plan.byzantine is not None:
+            shard_byzantine[shard] = plan.byzantine
     hub_faults = None
     if sdef.coordinator_crash_at_ms is not None:
         hub_faults = FaultSchedule().add_crash(
@@ -764,7 +748,7 @@ def run_sharded_scenario(protocol: str, scenario: str,
 
 def default_matrix_scenarios() -> Tuple[str, ...]:
     """The default column list: single-group scenarios, then sharded ones."""
-    return tuple(SCENARIOS) + tuple(SHARDED_SCENARIOS)
+    return tuple(SCENARIO_DEFS) + tuple(SHARDED_SCENARIOS)
 
 
 def run_matrix(protocols: Sequence[str] = MATRIX_PROTOCOLS,
@@ -906,27 +890,10 @@ def run_soak(protocol: str, scenario: str = "no-fault", steps: int = 2000,
     if scenario in SHARDED_SCENARIOS:
         raise ValueError(f"soak runs are single-group only; {scenario!r} "
                          f"is a sharded scenario")
-    faults, byzantine, conditions, extras = unpack_recipe_ex(
-        SCENARIOS[scenario](params))
-    config = ClusterConfig(
-        protocol=protocol,
-        # extras may resize the deployment, but the soak horizon always
-        # wins over a recipe's total_batches override: *steps* is the
-        # point of the run.
-        num_replicas=int(extras.get("num_replicas", params.num_replicas)),
-        batch_size=params.batch_size,
-        num_clients=1,
-        client_outstanding=params.client_outstanding,
-        total_batches=steps,
-        request_timeout_ms=params.request_timeout_ms,
-        checkpoint_interval=params.checkpoint_interval,
-        conditions=conditions,
-        faults=faults,
-        byzantine=byzantine,
-        extra_byzantine=tuple(extras.get("extra_byzantine", ())),
-        reconfig=extras.get("reconfig"),
-        seed=params.seed,
-    )
+    # A recipe may resize the deployment, but the soak horizon always wins
+    # over its total_batches override: *steps* is the point of the run.
+    config = _cluster_config(protocol, SCENARIO_DEFS[scenario].recipe(params),
+                             params, total_batches=steps)
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()

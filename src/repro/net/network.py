@@ -31,7 +31,6 @@ from repro.protocols.base import (
     ProtocolNode,
     Send,
     SetTimer,
-    StepOutput,
 )
 
 AnyNode = Union[ProtocolNode, ClientNode]
@@ -42,7 +41,7 @@ MessageObserver = Callable[[str, str, Message, float], None]
 
 @dataclass(slots=True)
 class DeliveredMessage:
-    """Record of one delivered message (kept only when tracing is enabled)."""
+    """Record of one delivered message (kept only with ``trace=True``)."""
 
     sender: str
     receiver: str
@@ -80,11 +79,7 @@ class SimNetwork:
         self.sim = simulator
         self.conditions = conditions or NetworkConditions.lan()
         self.faults = faults or FaultSchedule.none()
-        # One combined "anything watching deliveries?" flag so the hot
-        # delivery path pays a single check for tracing + observers; the
-        # `trace` property keeps it in sync with late `net.trace = True`.
-        self._watching = trace
-        self._trace = trace
+        #: Every delivery, in order — filled only with ``trace=True``.
         self.delivered: List[DeliveredMessage] = []
         self.dropped_count = 0
         self.sent_count = 0
@@ -95,6 +90,8 @@ class SimNetwork:
         #: dict lookups.
         self._replica_handles: List[Tuple[str, NodeHandle]] = []
         self._observers: List[MessageObserver] = []
+        if trace:
+            self.add_observer(self._record_delivery)
         self._uplink_free_at: Dict[str, float] = {}
         self._byzantine: Dict[str, ByzantineBehavior] = {}
         #: Optional shard-boundary hook for multi-network (sharded)
@@ -108,10 +105,10 @@ class SimNetwork:
         #: network.  ``None`` (the single-network default) costs one
         #: attribute load per transmit.
         self.boundary: Optional[object] = None
-        # Driver-owned scratch buffer for the zero-allocation step path:
-        # deliveries and timer expiries append their actions here instead of
-        # allocating a StepOutput + list per step.  Taken (set to None) while
-        # a step runs so re-entrant use falls back to a fresh list.
+        # Driver-owned action buffer, reused across delivery and timer
+        # steps so a step that produces nothing allocates nothing.  Taken
+        # (set to None) while a step runs so re-entrant use falls back to a
+        # fresh list.
         self._action_buffer: Optional[List[object]] = []
 
     # -- registration ----------------------------------------------------------
@@ -131,7 +128,11 @@ class SimNetwork:
     def add_observer(self, observer: MessageObserver) -> None:
         """Register a callback invoked for every delivered message."""
         self._observers.append(observer)
-        self._watching = True
+
+    def _record_delivery(self, sender: str, receiver: str, message: Message,
+                         time_ms: float) -> None:
+        self.delivered.append(DeliveredMessage(
+            sender=sender, receiver=receiver, message=message, time_ms=time_ms))
 
     def set_byzantine(self, node_id: str, behavior: ByzantineBehavior,
                       seed: object = 0) -> None:
@@ -147,16 +148,6 @@ class SimNetwork:
         behavior.bind(node_id, self._replica_ids, seed)
         behavior.attach_network(self)
         self._byzantine[node_id] = behavior
-
-    @property
-    def trace(self) -> bool:
-        """Whether delivered messages are recorded to ``self.delivered``."""
-        return self._trace
-
-    @trace.setter
-    def trace(self, value: bool) -> None:
-        self._trace = value
-        self._watching = value or bool(self._observers)
 
     @property
     def replica_ids(self) -> List[str]:
@@ -176,10 +167,16 @@ class SimNetwork:
             if self.faults.crashed_at(node_id, self.sim.now):
                 handle.node.crashed = True
                 continue
-            handle.started = True
-            output = handle.node.start(self.sim.now)
-            self._apply_output(node_id, output)
+            self._boot(node_id, handle)
         self._schedule_fault_transitions()
+
+    def _boot(self, node_id: str, handle: NodeHandle) -> None:
+        """Run the node's ``start`` step and apply what it produced."""
+        handle.started = True
+        output = handle.node.start(self.sim.now)
+        ready_at = self.sim.charge_cpu(node_id, output.cpu_ms)
+        if output.actions:
+            self._apply_actions(node_id, output.actions, ready_at)
 
     def crash(self, node_id: str, at_ms: Optional[float] = None) -> None:
         """Crash a node immediately or at a future time."""
@@ -247,9 +244,7 @@ class SimNetwork:
             return
         handle.node.crashed = False
         if not handle.started:
-            handle.started = True
-            output = handle.node.start(self.sim.now)
-            self._apply_output(node_id, output)
+            self._boot(node_id, handle)
 
     # -- message plumbing --------------------------------------------------------
     def inject(self, sender: str, receiver: str, message: Message,
@@ -260,36 +255,37 @@ class SimNetwork:
         """
         self._transmit(sender, receiver, message, ready_at=self.sim.now + delay_ms)
 
-    def _apply_output(self, node_id: str, output: StepOutput) -> None:
-        """Apply a step's actions, honouring its CPU cost.
-
-        Compatibility entry point for boot (:meth:`start_all`) and ad-hoc
-        drivers; deliveries and timers go through the buffer-based path in
-        :meth:`_deliver` / :meth:`_arm_timer` instead.
-        """
-        ready_at = self.sim.charge_cpu(node_id, output.cpu_ms)
-        if output.actions:
-            self._apply_actions(node_id, output.actions, ready_at)
-
     def _apply_actions(self, node_id: str, actions: List[object],
                        ready_at: float) -> None:
-        """Apply one step's actions (caller has already charged the CPU)."""
-        if self._byzantine:
-            behavior = self._byzantine.get(node_id)
-            if behavior is not None:
-                self._apply_output_byzantine(node_id, actions, behavior, ready_at)
-                return
+        """Apply one step's actions (caller has already charged the CPU).
+
+        The one place actions are interpreted.  The four action types are
+        final, so they are matched by exact class; this loop runs once per
+        protocol step.  A Byzantine sender differs only in that what it
+        sends passes through its behaviour first; its timers are its own.
+        """
         handle = self._nodes[node_id]
+        behavior = self._byzantine.get(node_id) if self._byzantine else None
         for action in actions:
-            # Exact-type tests instead of isinstance: the four action types
-            # are final in practice, and this loop runs once per protocol
-            # step.  Unknown subclasses fall back to the isinstance chain.
             cls = action.__class__
             if cls is Send:
-                self._transmit(node_id, action.to, action.message, ready_at)
+                if behavior is None:
+                    self._transmit(node_id, action.to, action.message, ready_at)
+                else:
+                    self._transmit_transformed(
+                        behavior, node_id,
+                        [Delivery(action.to, action.message)], ready_at)
             elif cls is Broadcast:
-                self._transmit_broadcast(node_id, action.message,
-                                         action.include_self, ready_at)
+                if behavior is None:
+                    self._transmit_broadcast(node_id, action.message,
+                                             action.include_self, ready_at)
+                else:
+                    self._transmit_transformed(
+                        behavior, node_id,
+                        [Delivery(receiver, action.message)
+                         for receiver in self._replica_ids
+                         if receiver != node_id or action.include_self],
+                        ready_at)
             elif cls is SetTimer:
                 self._arm_timer(handle, node_id, action, ready_at)
             elif cls is CancelTimer:
@@ -297,53 +293,13 @@ class SimNetwork:
                 if timer is not None:
                     timer.cancel()
             else:
-                self._apply_action_slow(handle, node_id, action, ready_at)
+                raise TypeError(f"{node_id} produced an unknown action: {action!r}")
 
-    def _apply_output_byzantine(self, node_id: str, actions: List[object],
-                                behavior: ByzantineBehavior,
-                                ready_at: float) -> None:
-        """Slow path for Byzantine senders: filter fan-outs through the
-        behaviour before transmitting.  Timers are unaffected."""
-        handle = self._nodes[node_id]
-        for action in actions:
-            if isinstance(action, Send):
-                deliveries = [Delivery(action.to, action.message)]
-            elif isinstance(action, Broadcast):
-                deliveries = [
-                    Delivery(receiver, action.message)
-                    for receiver in self._replica_ids
-                    if receiver != node_id or action.include_self
-                ]
-            elif isinstance(action, SetTimer):
-                self._arm_timer(handle, node_id, action, ready_at)
-                continue
-            elif isinstance(action, CancelTimer):
-                timer = handle.timers.pop(action.name, None)
-                if timer is not None:
-                    timer.cancel()
-                continue
-            else:
-                continue
-            for delivery in behavior.transform(deliveries, self.sim.now):
-                self._transmit(node_id, delivery.receiver, delivery.message,
-                               ready_at + delivery.delay_ms)
-
-    def _apply_action_slow(self, handle: NodeHandle, node_id: str,
-                           action: object, ready_at: float) -> None:
-        """isinstance-based fallback for subclassed action types."""
-        if isinstance(action, Send):
-            self._transmit(node_id, action.to, action.message, ready_at)
-        elif isinstance(action, Broadcast):
-            for receiver in self._replica_ids:
-                if receiver == node_id and not action.include_self:
-                    continue
-                self._transmit(node_id, receiver, action.message, ready_at)
-        elif isinstance(action, SetTimer):
-            self._arm_timer(handle, node_id, action, ready_at)
-        elif isinstance(action, CancelTimer):
-            timer = handle.timers.pop(action.name, None)
-            if timer is not None:
-                timer.cancel()
+    def _transmit_transformed(self, behavior: ByzantineBehavior, node_id: str,
+                              deliveries: List[Delivery], ready_at: float) -> None:
+        for delivery in behavior.transform(deliveries, self.sim.now):
+            self._transmit(node_id, delivery.receiver, delivery.message,
+                           ready_at + delivery.delay_ms)
 
     def _arm_timer(self, handle: NodeHandle, node_id: str, action: SetTimer,
                    ready_at: float) -> None:
@@ -515,13 +471,9 @@ class SimNetwork:
             handle.node.crashed = True
             self.dropped_count += 1
             return
-        if self._watching:
-            if self._trace:
-                self.delivered.append(
-                    DeliveredMessage(sender=sender, receiver=receiver,
-                                     message=message, time_ms=now)
-                )
-            for observer in self._observers:
+        observers = self._observers
+        if observers:
+            for observer in observers:
                 observer(sender, receiver, message, now)
         buffer = self._action_buffer
         if buffer is None:

@@ -21,7 +21,6 @@ from repro.protocols.base import (
     ProtocolNode,
     Send,
     SetTimer,
-    StepOutput,
 )
 
 AnyNode = Union[ProtocolNode, ClientNode]
@@ -67,7 +66,8 @@ class AsyncTransport:
             wrapper.task = asyncio.create_task(self._pump(node_id))
         for node_id, wrapper in self._nodes.items():
             output = wrapper.node.start(self._now_ms())
-            self._apply_output(node_id, output)
+            if output.actions:
+                self._apply_actions(node_id, wrapper, output.actions)
 
     async def stop(self) -> None:
         """Cancel message pumps and timers."""
@@ -107,10 +107,6 @@ class AsyncTransport:
             if buffer:
                 self._apply_actions(node_id, wrapper, buffer)
                 buffer.clear()
-
-    def _apply_output(self, node_id: str, output: StepOutput) -> None:
-        if output.actions:
-            self._apply_actions(node_id, self._nodes[node_id], output.actions)
 
     def _apply_actions(self, node_id: str, wrapper: AsyncNode,
                        actions: List[object]) -> None:

@@ -1,21 +1,36 @@
-"""Sans-IO protocol framework shared by PoE and all baseline protocols.
+"""Sans-IO protocol framework: the contract between a node and its driver.
 
-Every protocol participant (replica or client) is a *state machine* that
-never touches the network directly.  A driver — the discrete-event
-:class:`~repro.net.network.SimNetwork` or the live asyncio transport —
-feeds it three kinds of stimuli and collects the resulting
-:class:`StepOutput`:
+Every protocol participant (replica, client or client pool) is a state
+machine that never touches the network.  A driver — the discrete-event
+:class:`~repro.net.network.SimNetwork`, the asyncio
+:class:`~repro.net.transport.AsyncTransport`, or a test — reaches a node
+through exactly three entry points, all defined once on :class:`Node`:
 
-* :meth:`ProtocolNode.start` when the node boots,
-* :meth:`ProtocolNode.deliver` when a message arrives,
-* :meth:`ProtocolNode.timer_fired` when a previously requested timer expires.
+``start(now_ms) -> StepOutput``
+    boot; called once (again only after a crash that preceded the boot);
+``deliver_into(sender, message, now_ms, actions) -> cpu_ms``
+    one message arrived from the transport-level *sender*;
+``timer_fired_into(name, payload, now_ms, actions) -> cpu_ms``
+    a timer the node armed earlier expired.
 
-Handlers express their effects through helper methods (``send``,
-``broadcast``, ``set_timer``, ``charge`` …) which append *actions* to the
-step and accumulate modelled CPU cost.  Keeping protocols sans-IO is what
-lets the same PoE/PBFT/Zyzzyva/SBFT/HotStuff code run deterministically in
-benchmarks and live in the asyncio examples, and makes unit-testing a
-single replica trivial.
+The ``*_into`` forms append the step's actions to a list the driver owns
+and return the modelled CPU milliseconds the step consumed, so a step
+that does nothing allocates nothing.  ``deliver`` / ``timer_fired`` wrap
+them into a fresh :class:`StepOutput` for tests and ad-hoc drivers.  A
+crashed node produces no actions and no CPU time.
+
+A step leaves the node as a sequence of four action types, which are
+final (a driver may match them by exact class; a subclass is an error):
+:class:`Send`, :class:`Broadcast` (to every registered replica),
+:class:`SetTimer` (arming a name again replaces the earlier timer) and
+:class:`CancelTimer`.
+
+CPU is charged by the node and spent by the driver.  A delivery to a
+replica starts at ``NodeConfig.base_processing_ms`` (clients start at
+zero, the one difference between the two kinds of node); handlers add to
+it through ``charge`` / ``add_cpu``; the driver serialises each node's
+steps on one virtual worker thread and releases the step's actions when
+that CPU time has elapsed.
 """
 
 from __future__ import annotations
@@ -91,10 +106,9 @@ class CancelTimer(Action):
 class StepOutput:
     """Everything one protocol step produced.
 
-    Drivers on the hot path use the allocation-free buffer protocol
-    (:meth:`ProtocolNode.deliver_into`) instead; ``StepOutput`` remains
-    the convenience envelope returned by :meth:`ProtocolNode.deliver` for
-    tests, examples and ad-hoc drivers.
+    Returned by :meth:`Node.start`, and by :meth:`Node.deliver` /
+    :meth:`Node.timer_fired` for callers that do not bring their own
+    action buffer.
 
     Attributes:
         actions: ordered network/timer actions.
@@ -126,18 +140,22 @@ class ProtocolInfo:
     requirements: str
 
 
-class _ActionCollector:
-    """Mixin implementing the action/CPU accumulation helpers.
+class Node(abc.ABC):
+    """A sans-IO state machine: action helpers plus the driver entry points.
 
-    The helpers append to ``self._pending_actions``, which is normally the
-    node's own list (drained by :meth:`_collect` into a
-    :class:`StepOutput`).  The zero-allocation step path swaps in a
-    driver-owned buffer for the duration of one step instead, so the
-    common no-op delivery (duplicate vote, late vote after quorum)
-    allocates nothing at all.
+    Handlers express their effects through ``send`` / ``broadcast`` /
+    ``set_timer`` / ``cancel_timer`` and ``add_cpu``, which accumulate
+    into the step in progress.  During a delivery or timer step that is
+    the driver's buffer, swapped in for the duration of the step;
+    outside one (boot, or a test calling a handler directly) it is the
+    node's own list, drained by :meth:`_collect`.
     """
 
+    #: CPU charged to every delivery before its handler runs.
+    _base_processing_ms = 0.0
+
     def __init__(self) -> None:
+        self.crashed = False
         self._pending_actions: List[Action] = []
         self._pending_cpu_ms = 0.0
 
@@ -162,6 +180,63 @@ class _ActionCollector:
         self._pending_actions = []
         self._pending_cpu_ms = 0.0
         return output
+
+    # -- driver entry points ---------------------------------------------------
+    def start(self, now_ms: float) -> StepOutput:
+        """Boot the node."""
+        self.on_start(now_ms)
+        return self._collect()
+
+    def deliver_into(self, sender: str, message: Message, now_ms: float,
+                     actions: List[Action]) -> float:
+        """Deliver *message* from *sender*: append actions, return CPU ms."""
+        if self.crashed:
+            return 0.0
+        own = self._pending_actions
+        self._pending_actions = actions
+        self._pending_cpu_ms = self._base_processing_ms
+        try:
+            self.on_message(sender, message, now_ms)
+            return self._pending_cpu_ms
+        finally:
+            self._pending_actions = own
+            self._pending_cpu_ms = 0.0
+
+    def timer_fired_into(self, name: str, payload: Any, now_ms: float,
+                         actions: List[Action]) -> float:
+        """A previously armed timer expired: append actions, return CPU ms."""
+        if self.crashed:
+            return 0.0
+        own = self._pending_actions
+        self._pending_actions = actions
+        self._pending_cpu_ms = 0.0
+        try:
+            self.on_timer(name, payload, now_ms)
+            return self._pending_cpu_ms
+        finally:
+            self._pending_actions = own
+            self._pending_cpu_ms = 0.0
+
+    def deliver(self, sender: str, message: Message, now_ms: float) -> StepOutput:
+        output = StepOutput()
+        output.cpu_ms = self.deliver_into(sender, message, now_ms, output.actions)
+        return output
+
+    def timer_fired(self, name: str, payload: Any, now_ms: float) -> StepOutput:
+        output = StepOutput()
+        output.cpu_ms = self.timer_fired_into(name, payload, now_ms, output.actions)
+        return output
+
+    # -- protocol hooks --------------------------------------------------------
+    def on_start(self, now_ms: float) -> None:  # pragma: no cover - default no-op
+        """Hook invoked once when the node boots."""
+
+    @abc.abstractmethod
+    def on_message(self, sender: str, message: Message, now_ms: float) -> None:
+        """Handle one delivered message."""
+
+    def on_timer(self, name: str, payload: Any, now_ms: float) -> None:  # pragma: no cover
+        """Handle a timer expiry (default: ignore)."""
 
 
 @dataclass
@@ -326,7 +401,7 @@ class NodeConfig:
         return int(BASE_MESSAGE_SIZE + self.reply_bytes_per_txn * num_txns)
 
 
-class ProtocolNode(_ActionCollector, abc.ABC):
+class ProtocolNode(Node):
     """Base class for replica state machines."""
 
     #: Subclasses override with their Figure-1 metadata.
@@ -346,7 +421,6 @@ class ProtocolNode(_ActionCollector, abc.ABC):
         self.config = config
         self.auth = authenticator
         self.costs = cost_model or CryptoCostModel()
-        self.crashed = False
         # The cost model is immutable for the lifetime of a node; flatten it
         # to plain floats so charging (done several times per message) is a
         # dict lookup and a multiply instead of two method calls.
@@ -367,79 +441,11 @@ class ProtocolNode(_ActionCollector, abc.ABC):
         if cost > 0.0:
             self._pending_cpu_ms += cost
 
-    def charge_base_processing(self) -> None:
-        self._pending_cpu_ms += self._base_processing_ms
-
     def charge_execution(self, num_txns: int) -> None:
         self.add_cpu(self.config.execution_ms_per_txn * num_txns)
 
-    # -- framework-facing entry points ----------------------------------------
-    def start(self, now_ms: float) -> StepOutput:
-        """Boot the node."""
-        self.on_start(now_ms)
-        return self._collect()
 
-    def deliver_into(self, sender: str, message: Message, now_ms: float,
-                     actions: List[Action]) -> float:
-        """Hot-path delivery: append actions to *actions*, return CPU ms.
-
-        The driver owns (and reuses) the *actions* buffer, so a delivery
-        that produces no actions — the dominant case under the MAC-mode
-        n² vote floods — allocates nothing.  Semantically identical to
-        :meth:`deliver`, which wraps this.
-        """
-        if self.crashed:
-            return 0.0
-        own = self._pending_actions
-        self._pending_actions = actions
-        self._pending_cpu_ms = self._base_processing_ms
-        try:
-            self.on_message(sender, message, now_ms)
-            return self._pending_cpu_ms
-        finally:
-            self._pending_actions = own
-            self._pending_cpu_ms = 0.0
-
-    def timer_fired_into(self, name: str, payload: Any, now_ms: float,
-                         actions: List[Action]) -> float:
-        """Hot-path timer expiry: append actions to *actions*, return CPU ms."""
-        if self.crashed:
-            return 0.0
-        own = self._pending_actions
-        self._pending_actions = actions
-        self._pending_cpu_ms = 0.0
-        try:
-            self.on_timer(name, payload, now_ms)
-            return self._pending_cpu_ms
-        finally:
-            self._pending_actions = own
-            self._pending_cpu_ms = 0.0
-
-    def deliver(self, sender: str, message: Message, now_ms: float) -> StepOutput:
-        """Deliver *message* from *sender*."""
-        output = StepOutput()
-        output.cpu_ms = self.deliver_into(sender, message, now_ms, output.actions)
-        return output
-
-    def timer_fired(self, name: str, payload: Any, now_ms: float) -> StepOutput:
-        """Notify the node that a previously armed timer expired."""
-        output = StepOutput()
-        output.cpu_ms = self.timer_fired_into(name, payload, now_ms, output.actions)
-        return output
-
-    # -- protocol hooks --------------------------------------------------------
-    def on_start(self, now_ms: float) -> None:  # pragma: no cover - default no-op
-        """Hook invoked once when the node boots."""
-
-    @abc.abstractmethod
-    def on_message(self, sender: str, message: Message, now_ms: float) -> None:
-        """Handle one delivered message."""
-
-    def on_timer(self, name: str, payload: Any, now_ms: float) -> None:  # pragma: no cover
-        """Handle a timer expiry (default: ignore)."""
-
-
-class ClientNode(_ActionCollector, abc.ABC):
+class ClientNode(Node):
     """Base class for client state machines (single clients and pools)."""
 
     def __init__(self, node_id: str, config: NodeConfig,
@@ -448,61 +454,6 @@ class ClientNode(_ActionCollector, abc.ABC):
         self.node_id = node_id
         self.config = config
         self.auth = authenticator
-        self.crashed = False
-
-    def start(self, now_ms: float) -> StepOutput:
-        self.on_start(now_ms)
-        return self._collect()
-
-    def deliver_into(self, sender: str, message: Message, now_ms: float,
-                     actions: List[Action]) -> float:
-        """Hot-path delivery into a driver-owned buffer (clients charge no
-        base processing; see :meth:`ProtocolNode.deliver_into`)."""
-        if self.crashed:
-            return 0.0
-        own = self._pending_actions
-        self._pending_actions = actions
-        self._pending_cpu_ms = 0.0
-        try:
-            self.on_message(sender, message, now_ms)
-            return self._pending_cpu_ms
-        finally:
-            self._pending_actions = own
-            self._pending_cpu_ms = 0.0
-
-    def timer_fired_into(self, name: str, payload: Any, now_ms: float,
-                         actions: List[Action]) -> float:
-        if self.crashed:
-            return 0.0
-        own = self._pending_actions
-        self._pending_actions = actions
-        self._pending_cpu_ms = 0.0
-        try:
-            self.on_timer(name, payload, now_ms)
-            return self._pending_cpu_ms
-        finally:
-            self._pending_actions = own
-            self._pending_cpu_ms = 0.0
-
-    def deliver(self, sender: str, message: Message, now_ms: float) -> StepOutput:
-        output = StepOutput()
-        output.cpu_ms = self.deliver_into(sender, message, now_ms, output.actions)
-        return output
-
-    def timer_fired(self, name: str, payload: Any, now_ms: float) -> StepOutput:
-        output = StepOutput()
-        output.cpu_ms = self.timer_fired_into(name, payload, now_ms, output.actions)
-        return output
-
-    def on_start(self, now_ms: float) -> None:  # pragma: no cover - default no-op
-        """Hook invoked once when the client boots."""
-
-    @abc.abstractmethod
-    def on_message(self, sender: str, message: Message, now_ms: float) -> None:
-        """Handle one delivered message."""
-
-    def on_timer(self, name: str, payload: Any, now_ms: float) -> None:  # pragma: no cover
-        """Handle a timer expiry (default: ignore)."""
 
 
 def quorum_2f_plus_1(config: NodeConfig) -> int:

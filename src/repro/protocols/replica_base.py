@@ -16,8 +16,8 @@ same replica skeleton, which mirrors RESILIENTDB's pipeline
 * a per-request progress timer lets backups detect a faulty primary.
 
 Concrete protocols implement :meth:`create_proposal` (primary side),
-:meth:`on_protocol_message` (consensus messages) and, when they support
-it, the view-change hooks.
+map their consensus messages to handlers in ``MESSAGE_HANDLERS`` and,
+when they support it, supply the view-change hooks.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     ``MESSAGE_HANDLERS`` mapping from message type to handler-method name.
     ``__init_subclass__`` merges the tables along the MRO once per class,
     and each instance binds the handlers once at construction, so routing
-    one message is a single dict lookup instead of an isinstance chain.
+    one message is a single dict lookup on its exact type.  A message of a
+    type the table does not name is ignored.
     """
 
     #: Message-type -> handler-method-name table.  Concrete protocols extend
@@ -209,19 +210,12 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         self._f_plus_1 = config.f + 1
         self._nf_quorum = config.nf
         self._fanout = config.n - 1
-        # Bind the merged handler table once; `on_message` then routes each
-        # delivery with one dict lookup on the message's exact type.
+        # Bind the merged handler table once; routing a delivery is then
+        # one dict lookup on the message's exact type.
         self._dispatch = {
             message_cls: getattr(self, handler_name)
             for message_cls, handler_name in self._DISPATCH_TABLE.items()
         }
-        # The fused deliver_into below routes past on_message; if a
-        # subclass customises that virtual dispatch point, honour it by
-        # restoring the generic (on_message-calling) step path.  Compared
-        # against the original captured at import time so patching
-        # BatchingReplica itself is detected too.
-        if type(self).on_message is not _BATCHING_ON_MESSAGE:
-            self.deliver_into = ProtocolNode.deliver_into.__get__(self)
 
     # ------------------------------------------------------------------ utils
     @property
@@ -246,12 +240,10 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     # ---------------------------------------------------------------- dispatch
     def deliver_into(self, sender: str, message: Message, now_ms: float,
                      actions) -> float:
-        """Fused hot path: buffer swap and table dispatch in one frame.
+        """:meth:`Node.deliver_into` with the handler looked up in place.
 
-        Overrides :meth:`ProtocolNode.deliver_into` to route the message
-        through ``self._dispatch`` directly instead of the virtual
-        :meth:`on_message` call — one Python frame fewer on every
-        delivery.  Behaviour is identical.
+        Same step, one Python frame fewer on every delivery than going
+        through :meth:`on_message`.
         """
         if self.crashed:
             return 0.0
@@ -262,43 +254,20 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             handler = self._dispatch.get(message.__class__)
             if handler is not None:
                 handler(sender, message, now_ms)
-            else:
-                self._dispatch_miss(sender, message, now_ms)
             return self._pending_cpu_ms
         finally:
             self._pending_actions = own
             self._pending_cpu_ms = 0.0
 
     def on_message(self, sender: str, message: Message, now_ms: float) -> None:
+        """Route *message* inside the step already in progress.
+
+        Deliveries do not come through here (see :meth:`deliver_into`);
+        this is for handlers re-dispatching a message they parked earlier.
+        """
         handler = self._dispatch.get(message.__class__)
         if handler is not None:
             handler(sender, message, now_ms)
-        else:
-            self._dispatch_miss(sender, message, now_ms)
-
-    def _dispatch_miss(self, sender: str, message: Message, now_ms: float) -> None:
-        """Resolve a message type absent from the bound table.
-
-        Subclasses of registered message types dispatch to the base type's
-        handler (preserving the old isinstance semantics); the resolution is
-        cached so the miss path runs once per concrete type.  Anything else
-        falls through to :meth:`on_protocol_message`.
-        """
-        for base in type(message).__mro__[1:]:
-            handler_name = self._DISPATCH_TABLE.get(base)
-            if handler_name is not None:
-                handler = getattr(self, handler_name)
-                self._dispatch[message.__class__] = handler
-                handler(sender, message, now_ms)
-                return
-        self.on_protocol_message(sender, message, now_ms)
-
-    def on_protocol_message(self, sender: str, message: Message, now_ms: float) -> None:
-        """Fallback for consensus messages not in ``MESSAGE_HANDLERS``.
-
-        Table-driven protocols never reach this; it remains overridable for
-        ad-hoc protocol nodes (tests, examples) that predate the table.
-        """
 
     # ------------------------------------------------------- deferred messages
     #: Views ahead of the current one a message may be deferred for.  A
@@ -1135,7 +1104,3 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     def on_protocol_timer(self, name: str, payload, now_ms: float) -> None:
         """Hook for protocol-specific timers."""
 
-
-#: ``BatchingReplica.on_message`` as defined at import time; the fused
-#: ``deliver_into`` is only used when a subclass leaves it untouched.
-_BATCHING_ON_MESSAGE = BatchingReplica.on_message

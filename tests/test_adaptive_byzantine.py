@@ -32,10 +32,9 @@ from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.scenarios import (
     MATRIX_PROTOCOLS,
-    SCENARIOS,
+    SCENARIO_DEFS,
     ScenarioParams,
     geo_topology,
-    unpack_recipe,
 )
 from repro.net.byzantine import (
     ByzantineSpec,
@@ -61,7 +60,7 @@ def run_cell(protocol, scenario, total_batches=20, seed=11, num_replicas=4,
     """Run one fault-matrix cell and return (cluster, auditor)."""
     params = ScenarioParams(num_replicas=num_replicas,
                             total_batches=total_batches, seed=seed)
-    faults, byzantine, conditions = unpack_recipe(SCENARIOS[scenario](params))
+    plan = SCENARIO_DEFS[scenario].recipe(params)
     config = ClusterConfig(
         protocol=protocol, num_replicas=params.num_replicas,
         batch_size=params.batch_size, num_clients=1,
@@ -69,7 +68,8 @@ def run_cell(protocol, scenario, total_batches=20, seed=11, num_replicas=4,
         total_batches=total_batches,
         request_timeout_ms=params.request_timeout_ms,
         checkpoint_interval=params.checkpoint_interval,
-        conditions=conditions, faults=faults, byzantine=byzantine, seed=seed,
+        conditions=plan.conditions, faults=plan.faults,
+        byzantine=plan.byzantine, seed=seed,
     )
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)

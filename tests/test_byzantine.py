@@ -21,7 +21,7 @@ from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.scenarios import (
     MATRIX_PROTOCOLS,
-    SCENARIOS,
+    SCENARIO_DEFS,
     ScenarioParams,
     run_matrix,
     run_scenario,
@@ -51,6 +51,21 @@ def run_byzantine_cluster(protocol, behavior="equivocate-spoof", num_replicas=4,
     cluster.start()
     cluster.run_until_done(max_ms=60_000)
     return cluster, auditor
+
+
+def spoofable_handle_support(self, sender, message, now_ms):
+    """``PoeReplica.handle_support`` (MAC mode) with the PR-2 fix reverted:
+    the voter is whoever the payload claims to be."""
+    if message.view != self.view:
+        if message.view > self.view:
+            self.defer_message(message.view, sender, message)
+        return
+    slot = self._slot(message.view, message.sequence)
+    self.charge(CryptoOp.MAC_VERIFY)
+    if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
+        return
+    slot.support_votes.add(message.replica_id or sender)  # the bug
+    self._check_mac_commit(message.view, message.sequence, slot, now_ms)
 
 
 class TestBehaviorLayer:
@@ -143,14 +158,7 @@ class TestEquivocatingPrimary:
         assert all(replica.rolled_back_batches == 0
                    for replica in cluster.replicas)
 
-        def buggy_mac_support(self, sender, message, slot, now_ms):
-            self.charge(CryptoOp.MAC_VERIFY)
-            if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
-                return
-            slot.support_votes.add(message.replica_id or sender)  # the bug
-            self._check_mac_commit(message.view, message.sequence, slot, now_ms)
-
-        monkeypatch.setattr(PoeReplica, "_handle_mac_support", buggy_mac_support)
+        monkeypatch.setattr(PoeReplica, "handle_support", spoofable_handle_support)
         cluster, auditor = run_byzantine_cluster("poe-mac")
         victims = [replica for replica in cluster.replicas
                    if replica.rolled_back_batches > 0]
@@ -172,13 +180,6 @@ class TestEquivocatingPrimary:
         from repro.core.view_change import longest_consecutive_prefix
         from repro.protocols.replica_base import BatchingReplica
 
-        def buggy_mac_support(self, sender, message, slot, now_ms):
-            self.charge(CryptoOp.MAC_VERIFY)
-            if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
-                return
-            slot.support_votes.add(message.replica_id or sender)  # the bug
-            self._check_mac_commit(message.view, message.sequence, slot, now_ms)
-
         def old_adopt(self, proposal, requests, now_ms):
             # PR-3-era adoption: no divergence scan, rollback only beyond kmax.
             prefix, kmax = longest_consecutive_prefix(requests)
@@ -196,7 +197,7 @@ class TestEquivocatingPrimary:
                                  now_ms=now_ms, speculative=False)
             return kmax
 
-        monkeypatch.setattr(PoeReplica, "_handle_mac_support", buggy_mac_support)
+        monkeypatch.setattr(PoeReplica, "handle_support", spoofable_handle_support)
         monkeypatch.setattr(PoeReplica, "adopt_new_view", old_adopt)
         monkeypatch.setattr(BatchingReplica, "_begin_divergence_repair",
                             lambda self, stable, now_ms: None)
@@ -252,7 +253,7 @@ class TestScenarioMatrix:
         outcomes = run_matrix(params=ScenarioParams(total_batches=10))
         # The sharded columns only run for the shard-capable protocols.
         assert len(outcomes) == (
-            len(MATRIX_PROTOCOLS) * len(SCENARIOS)
+            len(MATRIX_PROTOCOLS) * len(SCENARIO_DEFS)
             + len(SHARDED_MATRIX_PROTOCOLS) * len(SHARDED_SCENARIOS))
         deviations = unexpected_outcomes(outcomes)
         assert not deviations, "\n".join(

@@ -105,15 +105,15 @@ def test_byzantine_scenarios_are_deterministic(protocol, behavior):
 
 def _scenario_config(protocol: str, scenario: str, seed: int = 11) -> ClusterConfig:
     """A cluster config mirroring one fault-matrix cell (faults + spec +
-    network conditions — recipes may return two- or three-tuples)."""
-    from repro.fabric.scenarios import SCENARIOS, ScenarioParams, unpack_recipe
+    network conditions)."""
+    from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams
 
-    params = ScenarioParams(seed=seed)
-    faults, byzantine, conditions = unpack_recipe(SCENARIOS[scenario](params))
+    plan = SCENARIO_DEFS[scenario].recipe(ScenarioParams(seed=seed))
     return ClusterConfig(
         protocol=protocol, num_replicas=4, batch_size=10,
         total_batches=10, request_timeout_ms=100.0, checkpoint_interval=5,
-        conditions=conditions, faults=faults, byzantine=byzantine, seed=seed,
+        conditions=plan.conditions, faults=plan.faults,
+        byzantine=plan.byzantine, seed=seed,
     )
 
 
@@ -161,23 +161,22 @@ def test_adaptive_churn_and_drift_runs_are_deterministic(protocol, scenario):
 
 
 def _scenario_config_ex(protocol: str, scenario: str, seed: int = 11) -> ClusterConfig:
-    """Like :func:`_scenario_config`, honouring the extras channel —
-    reconfiguration plans, extra Byzantine specs and deployment resizes
-    carried by four-tuple recipes."""
-    from repro.fabric.scenarios import SCENARIOS, ScenarioParams, unpack_recipe_ex
+    """Like :func:`_scenario_config`, also honouring the plan's
+    reconfiguration steps, extra Byzantine specs and deployment resizes."""
+    from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams
 
     params = ScenarioParams(seed=seed)
-    faults, byzantine, conditions, extras = unpack_recipe_ex(
-        SCENARIOS[scenario](params))
+    plan = SCENARIO_DEFS[scenario].recipe(params)
     return ClusterConfig(
         protocol=protocol,
-        num_replicas=int(extras.get("num_replicas", params.num_replicas)),
+        num_replicas=plan.num_replicas or params.num_replicas,
         batch_size=10,
-        total_batches=int(extras.get("total_batches", 10)),
+        total_batches=plan.total_batches or 10,
         request_timeout_ms=100.0, checkpoint_interval=5,
-        conditions=conditions, faults=faults, byzantine=byzantine,
-        extra_byzantine=tuple(extras.get("extra_byzantine", ())),
-        reconfig=extras.get("reconfig"),
+        conditions=plan.conditions, faults=plan.faults,
+        byzantine=plan.byzantine,
+        extra_byzantine=plan.extra_byzantine,
+        reconfig=plan.reconfig,
         seed=seed,
     )
 

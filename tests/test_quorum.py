@@ -143,31 +143,6 @@ class TestPoeMacSupportCounting:
         assert replica.executed_batches == executed_before
         assert output.actions == []  # a pure no-op delivery
 
-    def test_fused_fast_path_is_installed_only_when_unpatched(self, auths):
-        fast = PoeReplica("replica:1", make_config(), auths["replica:1"],
-                          scheme=SchemeKind.MACS)
-        assert fast._dispatch[PoeSupport].__func__ is \
-            PoeReplica._handle_support_mac_fast
-        threshold = PoeReplica("replica:1", make_config(), auths["replica:1"],
-                               scheme=SchemeKind.THRESHOLD)
-        assert threshold._dispatch[PoeSupport].__func__ is \
-            PoeReplica.handle_support
-
-    def test_fused_fast_path_steps_aside_for_monkeypatches(self, auths, monkeypatch):
-        recorded = []
-
-        def patched(self, sender, message, slot, now_ms):
-            recorded.append(sender)
-
-        monkeypatch.setattr(PoeReplica, "_handle_mac_support", patched)
-        replica = PoeReplica("replica:1", make_config(), auths["replica:1"],
-                             scheme=SchemeKind.MACS)
-        assert replica._dispatch[PoeSupport].__func__ is PoeReplica.handle_support
-        slot = self._supported_slot(replica)
-        replica.deliver("replica:2", PoeSupport(
-            view=0, sequence=0, proposal_digest=slot.proposal_digest), 1.0)
-        assert recorded == ["replica:2"]
-
 
 class TestPbftVoteCounting:
     def _prepared_replica(self, auths, node_id="replica:1"):

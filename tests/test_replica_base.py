@@ -202,28 +202,3 @@ class TestNonSpeculativeAblation:
         assert replies
         assert all(not reply.speculative for reply in replies)
         assert pool.is_done()
-
-
-class TestOnMessageOverrideGuard:
-    def test_subclass_on_message_override_is_honoured_on_delivery(self, auths):
-        """The fused deliver_into must step aside when a subclass customises
-        the on_message virtual dispatch point."""
-        from repro.core.messages import PoePropose
-        from repro.core.replica import PoeReplica
-        from repro.workload.transactions import make_no_op_batch
-
-        seen = []
-
-        class ObservingReplica(PoeReplica):
-            def on_message(self, sender, message, now_ms):
-                seen.append(type(message).__name__)
-                super().on_message(sender, message, now_ms)
-
-        config = NodeConfig(replica_ids=list(REPLICAS), batch_size=3)
-        replica = ObservingReplica("replica:1", config, auths["replica:1"],
-                                   scheme=SchemeKind.MACS)
-        batch = make_no_op_batch("b-0", "client:0", 3)
-        output = replica.deliver("replica:0",
-                                 PoePropose(view=0, sequence=0, batch=batch), 0.0)
-        assert seen == ["PoePropose"]
-        assert output.actions, "the override must still reach the handler"

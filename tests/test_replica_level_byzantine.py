@@ -20,7 +20,7 @@ from repro.crypto.authenticator import make_authenticators
 from repro.crypto.hashing import digest
 from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
-from repro.fabric.scenarios import SCENARIOS, ScenarioParams, run_scenario
+from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams, run_scenario
 from repro.net.byzantine import (
     ForgedHistoryReplica,
     LyingCheckpointer,
@@ -57,7 +57,7 @@ REPLICAS = [f"replica:{i}" for i in range(4)]
 def run_cell(protocol, scenario, total_batches=10, seed=11, max_ms=60_000.0):
     """Run one fault-matrix cell and return (cluster, auditor)."""
     params = ScenarioParams(total_batches=total_batches, seed=seed)
-    faults, byzantine = SCENARIOS[scenario](params)
+    plan = SCENARIO_DEFS[scenario].recipe(params)
     config = ClusterConfig(
         protocol=protocol, num_replicas=params.num_replicas,
         batch_size=params.batch_size, num_clients=1,
@@ -65,7 +65,7 @@ def run_cell(protocol, scenario, total_batches=10, seed=11, max_ms=60_000.0):
         total_batches=total_batches,
         request_timeout_ms=params.request_timeout_ms,
         checkpoint_interval=params.checkpoint_interval,
-        faults=faults, byzantine=byzantine, seed=seed,
+        faults=plan.faults, byzantine=plan.byzantine, seed=seed,
     )
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)

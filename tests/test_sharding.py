@@ -23,7 +23,6 @@ import pytest
 from repro.fabric.audit import ShardedSafetyAuditor, audit_sharded_cluster
 from repro.fabric.scenarios import (
     SCENARIO_DEFS,
-    SCENARIOS,
     SHARDED_MATRIX_PROTOCOLS,
     SHARDED_SCENARIOS,
     ScenarioParams,
@@ -184,17 +183,13 @@ def test_equivocating_coordinator_is_contained_by_validation():
 
 
 # ---------------------------------------------------------------- registry
-def test_scenario_registry_backs_the_legacy_dict():
-    """Satellite guard: the data-driven registry must expose exactly the
-    recipes the old literal dict did, in the same order, and the sharded
-    registry must extend — not overlap — the single-group names."""
-    assert list(SCENARIOS) == [name for name in SCENARIO_DEFS]
-    assert all(SCENARIO_DEFS[name].recipe is SCENARIOS[name]
-               for name in SCENARIOS)
+def test_sharded_registry_extends_the_single_group_one():
+    """Every scenario is catalogued, and the sharded registry extends —
+    does not overlap — the single-group names."""
     assert all(SCENARIO_DEFS[name].description for name in SCENARIO_DEFS)
-    assert not set(SCENARIOS) & set(SHARDED_SCENARIOS)
+    assert not set(SCENARIO_DEFS) & set(SHARDED_SCENARIOS)
     assert default_matrix_scenarios() == \
-        tuple(SCENARIOS) + tuple(SHARDED_SCENARIOS)
+        tuple(SCENARIO_DEFS) + tuple(SHARDED_SCENARIOS)
 
 
 def test_sharded_auditor_attaches_like_the_single_group_one():
