@@ -101,6 +101,9 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
     #: cheap" (ingredient I3).
     MAC_SCHEME_MAX_REPLICAS = 16
 
+    VIEW_CHANGE_REQUEST = PoeViewChangeRequest
+    VIEW_CHANGE_LOG = "_certified_log"
+
     def __init__(
         self,
         node_id: str,
@@ -371,8 +374,6 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
             del self._slots[key]
         for key in [k for k in self._accepted_proposal if k[1] <= sequence]:
             del self._accepted_proposal[key]
-        for seq in [s for s in self._certified_log if s <= sequence]:
-            del self._certified_log[seq]
 
     # ------------------------------------------------------------------ epochs
     def on_epoch_activated(self, entry, evicted, now_ms: float) -> None:
@@ -399,23 +400,6 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
         reconfiguration activates.
         """
         return self._nf_quorum
-
-    def build_view_change_request(self, view: int) -> PoeViewChangeRequest:
-        executed = tuple(
-            self._certified_log[seq]
-            for seq in sorted(self._certified_log)
-            if seq > self.checkpoints.stable_sequence
-            and seq <= self.last_executed_sequence
-        )
-        return PoeViewChangeRequest(
-            view=view,
-            replica_id=self.node_id,
-            stable_checkpoint=self.checkpoints.stable_sequence,
-            executed=executed,
-            size_bytes=self.config.proposal_size_bytes(
-                sum(len(entry.batch) for entry in executed)
-            ),
-        )
 
     def validate_view_change_request_message(self, request: PoeViewChangeRequest,
                                              view: int) -> bool:

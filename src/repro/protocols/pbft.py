@@ -123,6 +123,9 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
         PbftNewView: "handle_new_view_message",
     }
 
+    VIEW_CHANGE_REQUEST = PbftViewChange
+    VIEW_CHANGE_LOG = "_executed_log"
+
     def __init__(
         self,
         node_id: str,
@@ -308,22 +311,6 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
     def view_change_quorum(self) -> int:
         return self._quorum()
 
-    def build_view_change_request(self, view: int) -> PbftViewChange:
-        executed = tuple(
-            self._executed_log[seq]
-            for seq in sorted(self._executed_log)
-            if seq > self.checkpoints.stable_sequence
-            and seq <= self.last_executed_sequence
-        )
-        return PbftViewChange(
-            view=view, replica_id=self.node_id,
-            stable_checkpoint=self.checkpoints.stable_sequence,
-            executed=executed,
-            size_bytes=self.config.proposal_size_bytes(
-                sum(len(entry.batch) for entry in executed)
-            ),
-        )
-
     def make_new_view(self, new_view: int, requests) -> PbftNewView:
         return PbftNewView(new_view=new_view, requests=requests)
 
@@ -384,9 +371,6 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
         accepted = self._accepted_preprepare
         for key in [k for k in accepted if k[1] <= stable]:
             del accepted[key]
-        executed = self._executed_log
-        for sequence in [s for s in executed if s <= stable]:
-            del executed[sequence]
 
 
 class PbftClientPool(ClientPool):

@@ -22,10 +22,12 @@ small set of protocol hooks:
 ``view_change_quorum``
     how many valid requests the next primary needs (``nf`` for PoE,
     ``2f + 1`` for PBFT/SBFT/Zyzzyva);
-``build_view_change_request`` / ``validate_view_change_request_message``
-    the protocol's request payload (certified entries for PoE/SBFT,
-    committed entries for PBFT, speculative histories plus the highest
-    commit certificate for Zyzzyva) and its admission check;
+``VIEW_CHANGE_REQUEST`` / ``VIEW_CHANGE_LOG`` / ``validate_view_change_request_message``
+    the protocol's request class, the per-sequence entry log its requests
+    carry (certified entries for PoE/SBFT, committed entries for PBFT;
+    Zyzzyva overrides ``build_view_change_request`` to add the highest
+    commit certificate to its speculative history) and the admission
+    check;
 ``make_new_view`` / ``validate_new_view``
     the NEW-VIEW envelope and the receiver-side re-validation;
 ``adopt_new_view``
@@ -66,6 +68,13 @@ class ViewChangeRecovery:
     #: Name of the retry timer armed by :meth:`initiate_view_change`.
     VIEW_CHANGE_TIMER = "view-change"
 
+    #: The protocol's VIEW-CHANGE message class.
+    VIEW_CHANGE_REQUEST: type = None
+
+    #: Name of the ``sequence -> entry`` log VIEW-CHANGE requests are built
+    #: from; entries at or below a stable checkpoint are pruned from it.
+    VIEW_CHANGE_LOG: str = ""
+
     def init_view_change(self) -> None:
         """Initialise the recovery state; call once from ``__init__``."""
         self._vc_votes: Dict[int, Set[str]] = {}
@@ -90,8 +99,23 @@ class ViewChangeRecovery:
         return 2 * self._f_plus_1 - 1
 
     def build_view_change_request(self, view: int) -> Message:
-        """Build this replica's VIEW-CHANGE request for replacing *view*."""
-        raise NotImplementedError
+        """This replica's VIEW-CHANGE request for replacing *view*: every
+        logged entry it executed above its stable checkpoint."""
+        log = getattr(self, self.VIEW_CHANGE_LOG)
+        stable = self.checkpoints.stable_sequence
+        executed = tuple(
+            log[seq] for seq in sorted(log)
+            if stable < seq <= self.last_executed_sequence
+        )
+        return self.VIEW_CHANGE_REQUEST(
+            view=view,
+            replica_id=self.node_id,
+            stable_checkpoint=stable,
+            executed=executed,
+            size_bytes=self.config.proposal_size_bytes(
+                sum(len(entry.batch) for entry in executed)
+            ),
+        )
 
     def validate_view_change_request_message(self, request: Message,
                                              view: int) -> bool:
@@ -274,6 +298,13 @@ class ViewChangeRecovery:
         """
         self._entered_views.add(view)
         self.cancel_timer(self.VIEW_CHANGE_TIMER)
+
+    def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
+        """Entries the stable checkpoint covers never ride in a request again."""
+        super().on_stable_checkpoint(sequence, now_ms)
+        log = getattr(self, self.VIEW_CHANGE_LOG)
+        for stale in [s for s in log if s <= sequence]:
+            del log[stale]
 
     def on_epoch_activated(self, entry, evicted, now_ms: float) -> None:
         """An epoch activated mid-recovery: no quorum may mix epochs.

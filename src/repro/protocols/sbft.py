@@ -174,6 +174,9 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
         SbftNewView: "handle_new_view_message",
     }
 
+    VIEW_CHANGE_REQUEST = SbftViewChange
+    VIEW_CHANGE_LOG = "_certified_log"
+
     def __init__(
         self,
         node_id: str,
@@ -440,22 +443,6 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
     # threshold-certified slots, and entering a view rotates the collector
     # and executor (both derive from the view number).
 
-    def build_view_change_request(self, view: int) -> SbftViewChange:
-        executed = tuple(
-            self._certified_log[seq]
-            for seq in sorted(self._certified_log)
-            if seq > self.checkpoints.stable_sequence
-            and seq <= self.last_executed_sequence
-        )
-        return SbftViewChange(
-            view=view, replica_id=self.node_id,
-            stable_checkpoint=self.checkpoints.stable_sequence,
-            executed=executed,
-            size_bytes=self.config.proposal_size_bytes(
-                sum(len(entry.batch) for entry in executed)
-            ),
-        )
-
     def validate_view_change_request_message(self, request: SbftViewChange,
                                              view: int) -> bool:
         """Certified slots are threshold signatures: re-verify every one.
@@ -524,8 +511,6 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
             del self._slots[key]
         for key in [k for k in self._accepted if k[1] <= sequence]:
             del self._accepted[key]
-        for seq in [s for s in self._certified_log if s <= sequence]:
-            del self._certified_log[seq]
 
     def on_view_entered(self, view: int, now_ms: float) -> None:
         """Rotation epilogue: disarm the previous views' collector timers.

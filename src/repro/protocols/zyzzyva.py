@@ -167,6 +167,8 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
         ZyzzyvaNewView: "handle_new_view_message",
     }
 
+    VIEW_CHANGE_LOG = "_spec_history"
+
     def __init__(
         self,
         node_id: str,
@@ -341,10 +343,9 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
         )
 
     def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
-        """Durable slots need no speculative journal entries any more."""
+        """Durable slots need no commit certificates or accepted digests any
+        more (the shared recovery prunes ``_spec_history``)."""
         super().on_stable_checkpoint(sequence, now_ms)
-        for seq in [s for s in self._spec_history if s <= sequence]:
-            del self._spec_history[seq]
         best = max(self._commit_certs, default=None)
         for seq in [s for s in self._commit_certs
                     if s <= sequence and s != best]:
