@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set
 
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
@@ -165,9 +165,6 @@ class HotStuffReplica(BatchingReplica):
         #: Round below which per-round bookkeeping was pruned (everything
         #: below the stable checkpoint's round is durable and settled).
         self._pruned_below_round = -1
-        #: Audit trail mirroring the view-change protocols' rollback log:
-        #: one (target_sequence, stable_checkpoint) pair per chain resync.
-        self.rollback_log: List[Tuple[int, int]] = []
         self.rounds_started = 0
         self.pacemaker_timeouts = 0
         self.proposals_fetched = 0
@@ -586,11 +583,7 @@ class HotStuffReplica(BatchingReplica):
                 break
         if target_sequence < floor:
             return
-        self.rollback_log.append((target_sequence,
-                                  self.checkpoints.stable_sequence))
-        reverted = self.executor.rollback_to(target_sequence)
-        for record in reverted:
-            self._replied.pop(record.batch.batch_id, None)
+        self.rollback_speculation(target_sequence, now_ms)
         self.chain_resyncs += 1
         self._committed_round = round_number - 1
         self._next_execute_sequence = target_sequence + 1

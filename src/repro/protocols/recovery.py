@@ -15,9 +15,9 @@ baselines that *needed* it most — SBFT and Zyzzyva, whose matrix cells
 were documented as expected-stall/expected-unsafe — had none.
 :class:`ViewChangeRecovery` is the extraction: a mixin over
 :class:`~repro.protocols.replica_base.BatchingReplica` that owns the
-generic vote bookkeeping, the join rule, the new-view quorum, the retry
-back-off and the speculative-rollback audit trail, parameterised by a
-small set of protocol hooks:
+generic vote bookkeeping, the join rule, the new-view quorum and the retry
+back-off, parameterised by a small set of protocol hooks (the rollback
+itself, with its audit trail, is ``BatchingReplica.rollback_speculation``):
 
 ``view_change_quorum``
     how many valid requests the next primary needs (``nf`` for PoE,
@@ -43,12 +43,10 @@ writes the part of recovery that is actually protocol-specific.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.crypto.cost import CryptoOp
-from repro.ledger.execution import ExecutedBatch
 from repro.protocols.base import Message
-from repro.protocols.epoch import RECONFIG_PHASE
 
 
 class ViewChangeRecovery:
@@ -82,11 +80,6 @@ class ViewChangeRecovery:
         self._entered_views: Set[int] = {0}
         self._vc_failed_attempts = 0
         self.view_changes_completed = 0
-        self.rolled_back_batches = 0
-        #: Audit trail: one ``(rollback_target, stable_checkpoint)`` pair per
-        #: view-change rollback, checked by the safety auditor against the
-        #: invariant that rollbacks never cross a stable checkpoint.
-        self.rollback_log: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------ protocol hooks
     def view_change_quorum(self) -> int:
@@ -151,9 +144,6 @@ class ViewChangeRecovery:
 
     def on_view_entered(self, view: int, now_ms: float) -> None:
         """Hook invoked right after the view advanced (timers, role rotation)."""
-
-    def on_rolled_back(self, record: ExecutedBatch) -> None:
-        """Hook invoked per batch reverted by :meth:`rollback_speculation`."""
 
     # ---------------------------------------------------------------- triggers
     def on_progress_timeout(self, batch_id: str, now_ms: float) -> None:
@@ -324,41 +314,6 @@ class ViewChangeRecovery:
         for requests in self._vc_requests.values():
             for rid in evicted:
                 requests.pop(rid, None)
-
-    # ---------------------------------------------------------------- rollback
-    def rollback_speculation(self, kmax: int, now_ms: float) -> List[ExecutedBatch]:
-        """Roll speculative execution back to *kmax*, keeping the audit trail.
-
-        Clears reply/dedup bookkeeping for every reverted batch so clients
-        can get the batch re-proposed in the new view, and gives the
-        protocol a per-record hook for its own log cleanup.
-        """
-        if self.last_executed_sequence <= kmax:
-            return []
-        self.rollback_log.append((kmax, self.checkpoints.stable_sequence))
-        reverted = self.executor.rollback_to(kmax)
-        self.rolled_back_batches += len(reverted)
-        for record in reverted:
-            self._replied.pop(record.batch.batch_id, None)
-            # A rolled-back batch must be acceptable again when the client
-            # retransmits it in the new view.
-            self._seen_batch_ids.discard(record.batch.batch_id)
-            self._batch_sequence.pop(record.batch.batch_id, None)
-            self.on_rolled_back(record)
-            if (record.batch.control_phase == RECONFIG_PHASE
-                    and self._pending_epochs):
-                # A speculatively executed reconfiguration that did not
-                # survive the view change must not activate; the shared
-                # registry entry stays (it is idempotent and the record
-                # re-registers identically when re-ordered).
-                pending = self._pending_epochs
-                for epoch in [e for e, entry in pending.items()
-                              if entry.committed_at == record.sequence]:
-                    del pending[epoch]
-                self._epoch_gate = (
-                    min(e.activation_sequence for e in pending.values())
-                    if pending else None)
-        return reverted
 
     # ------------------------------------------------------------------ timers
     def handle_view_change_timer(self, name: str, payload, now_ms: float) -> bool:

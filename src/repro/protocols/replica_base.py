@@ -178,6 +178,12 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         self.state_transfer_rejections = 0
         self.executed_batches = 0
         self.executed_txns = 0
+        self.rolled_back_batches = 0
+        #: Audit trail: one ``(rollback_target, stable_checkpoint)`` pair per
+        #: :meth:`rollback_speculation`, checked by the safety auditor
+        #: against the invariant that rollbacks never cross a stable
+        #: checkpoint.
+        self.rollback_log: List[Tuple[int, int]] = []
         # -- epoch / reconfiguration state ------------------------------
         #: The epoch whose quorum arithmetic currently governs this
         #: replica.  0 until a reconfiguration record both commits and
@@ -473,6 +479,44 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         if explicit:
             return [explicit]
         return list(batch.client_ids)
+
+    # ----------------------------------------------------------------- rollback
+    def rollback_speculation(self, kmax: int, now_ms: float) -> List[ExecutedBatch]:
+        """Roll execution back to *kmax*, keeping the audit trail.
+
+        Clears reply/dedup bookkeeping for every reverted batch so it can
+        be ordered and executed again, and gives the protocol a per-record
+        hook for its own log cleanup.
+        """
+        if self.last_executed_sequence <= kmax:
+            return []
+        self.rollback_log.append((kmax, self.checkpoints.stable_sequence))
+        reverted = self.executor.rollback_to(kmax)
+        self.rolled_back_batches += len(reverted)
+        for record in reverted:
+            self._replied.pop(record.batch.batch_id, None)
+            # A rolled-back batch must be acceptable again when the client
+            # retransmits it.
+            self._seen_batch_ids.discard(record.batch.batch_id)
+            self._batch_sequence.pop(record.batch.batch_id, None)
+            self.on_rolled_back(record)
+            if (record.batch.control_phase == RECONFIG_PHASE
+                    and self._pending_epochs):
+                # An executed reconfiguration that did not survive must
+                # not activate; the shared registry entry stays (it is
+                # idempotent and the record re-registers identically when
+                # re-ordered).
+                pending = self._pending_epochs
+                for epoch in [e for e, entry in pending.items()
+                              if entry.committed_at == record.sequence]:
+                    del pending[epoch]
+                self._epoch_gate = (
+                    min(e.activation_sequence for e in pending.values())
+                    if pending else None)
+        return reverted
+
+    def on_rolled_back(self, record: ExecutedBatch) -> None:
+        """Hook invoked per batch reverted by :meth:`rollback_speculation`."""
 
     # --------------------------------------------------------------- checkpoints
     def maybe_checkpoint(self, sequence: int, now_ms: float) -> None:

@@ -579,6 +579,58 @@ class TestHotStuffChainSync:
                   and isinstance(action.message, HotStuffFetchResponse)]
         assert len(served) == 1 and served[0].proposal.batch is batch
 
+    def test_chain_resync_unwinds_a_reverted_reconfiguration(self, auths):
+        """A chain resync that reverts an executed ``ReconfigRecord`` must
+        take its pending epoch, the epoch gate and the dedup entries of
+        every reverted batch with it: re-executing the record is then a
+        plain admission, not a refusal against an epoch the replica itself
+        registered."""
+        from repro.protocols.epoch import make_reconfig_record
+
+        replica = _hotstuff_replica(auths)
+        record = make_reconfig_record(1, add=("replica:4", "replica:5"))
+        batch = make_no_op_batch("after-record", "client:0", 2)
+        parent = QuorumCertificate(round_number=1, block_digest=b"skipped")
+        for round_number, content in ((2, record), (3, batch)):
+            block_digest = digest("hotstuff-block", round_number,
+                                  content.digest(), parent.block_digest)
+            replica._qc_digests[round_number] = block_digest
+            replica._proposals[round_number] = HotStuffProposal(
+                round_number=round_number, batch=content,
+                block_digest=block_digest, justify=parent,
+                leader_id="replica:1")
+            parent = QuorumCertificate(round_number=round_number,
+                                       block_digest=block_digest)
+        # Rounds 0 and 1 settle as skipped (no signed QC known), then the
+        # record executes at sequence 0 and the batch at sequence 1.
+        replica._commit_upto(3, 1.0)
+        assert replica.last_executed_sequence == 1
+        assert list(replica._pending_epochs) == [1]
+        assert replica._epoch_gate == 4
+
+        # The signed QC for round 1 surfaces late: the chain rolls back to
+        # just before it.
+        replica._check_late_certificate(1, b"late-certified", 2.0)
+        assert replica.chain_resyncs == 1
+        assert replica.last_executed_sequence == -1
+        assert replica.rollback_log == [(-1, -1)]
+        assert replica.rolled_back_batches == 2
+        assert replica._pending_epochs == {}
+        assert replica._epoch_gate is None
+        assert record.batch_id not in replica._batch_sequence
+        assert batch.batch_id not in replica._batch_sequence
+
+        # Round 1's block turns out empty; the settle walk re-executes the
+        # record, which is admitted again rather than refused.
+        replica._qc_digests[1] = b"late-certified"
+        replica._proposals[1] = HotStuffProposal(
+            round_number=1, batch=None, block_digest=b"late-certified",
+            justify=QuorumCertificate(round_number=0), leader_id="replica:1")
+        replica._commit_upto(3, 3.0)
+        assert replica.last_executed_sequence == 1
+        assert replica.reconfig_refusals == []
+        assert list(replica._pending_epochs) == [1]
+
     def test_bookkeeping_is_pruned_below_the_stable_checkpoint(self):
         """Satellite: ``_proposals``/``_rounds``/``_voted_rounds``/
         ``_qc_digests`` no longer grow for the lifetime of the run."""
