@@ -265,7 +265,7 @@ class SimNetwork:
         sends passes through its behaviour first; its timers are its own.
         """
         handle = self._nodes[node_id]
-        behavior = self._byzantine.get(node_id) if self._byzantine else None
+        behavior = self._byzantine.get(node_id)
         for action in actions:
             cls = action.__class__
             if cls is Send:

@@ -510,9 +510,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
                 for epoch in [e for e, entry in pending.items()
                               if entry.committed_at == record.sequence]:
                     del pending[epoch]
-                self._epoch_gate = (
-                    min(e.activation_sequence for e in pending.values())
-                    if pending else None)
+                self._reset_epoch_gate()
         return reverted
 
     def on_rolled_back(self, record: ExecutedBatch) -> None:
@@ -781,6 +779,10 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         else:
             self.reconfig_refusals.append(
                 (slot.sequence, record.batch_id, reason))
+        self._reset_epoch_gate()
+
+    def _reset_epoch_gate(self) -> None:
+        """Point the gate at the smallest pending activation boundary."""
         pending = self._pending_epochs
         self._epoch_gate = (min(e.activation_sequence for e in pending.values())
                             if pending else None)
@@ -824,8 +826,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             if self.node_id in evicted:
                 self.crashed = True
                 break
-        self._epoch_gate = (min(e.activation_sequence for e in pending.values())
-                            if pending else None)
+        self._reset_epoch_gate()
 
     def _refresh_epoch_caches(self, members: Tuple[str, ...]) -> None:
         """Re-derive every cached quorum size from the active membership."""
@@ -891,9 +892,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             known = entry.epoch
             adopted = True
         if adopted:
-            pending = self._pending_epochs
-            self._epoch_gate = min(e.activation_sequence
-                                   for e in pending.values())
+            self._reset_epoch_gate()
             self._activate_epochs(upto_sequence, now_ms)
 
     # ------------------------------------------------------------ state transfer

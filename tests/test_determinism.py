@@ -7,6 +7,8 @@ identical seeded deployments twice and demanding byte-identical outcomes
 Any hot-path rewrite that silently perturbs tie-breaking fails here.
 """
 
+import hashlib
+
 import pytest
 
 from repro.bench.perf import check_determinism
@@ -287,8 +289,6 @@ def test_completion_order_is_stable_across_runs():
 # updates it here and says why in CHANGES.md.
 
 def _fingerprint_digest(fingerprint) -> str:
-    import hashlib
-
     return hashlib.sha256(repr(fingerprint).encode("utf-8")).hexdigest()[:16]
 
 
