@@ -154,11 +154,7 @@ class Node(abc.ABC):
     #: CPU charged to every delivery before its handler runs.
     _base_processing_ms = 0.0
 
-    def __init__(self, node_id: str, config: "NodeConfig",
-                 authenticator: Optional[Authenticator]) -> None:
-        self.node_id = node_id
-        self.config = config
-        self.auth = authenticator
+    def __init__(self) -> None:
         self.crashed = False
         self._pending_actions: List[Action] = []
         self._pending_cpu_ms = 0.0
@@ -420,7 +416,10 @@ class ProtocolNode(Node):
         authenticator: Authenticator,
         cost_model: Optional[CryptoCostModel] = None,
     ) -> None:
-        super().__init__(node_id, config, authenticator)
+        super().__init__()
+        self.node_id = node_id
+        self.config = config
+        self.auth = authenticator
         self.costs = cost_model or CryptoCostModel()
         # The cost model is immutable for the lifetime of a node; flatten it
         # to plain floats so charging (done several times per message) is a
@@ -451,7 +450,10 @@ class ClientNode(Node):
 
     def __init__(self, node_id: str, config: NodeConfig,
                  authenticator: Optional[Authenticator] = None) -> None:
-        super().__init__(node_id, config, authenticator)
+        super().__init__()
+        self.node_id = node_id
+        self.config = config
+        self.auth = authenticator
 
 
 def quorum_2f_plus_1(config: NodeConfig) -> int:
