@@ -346,18 +346,33 @@ def test_golden_scenario_rows(protocol, scenario):
 
 def _xshard_scenario_config(protocol: str, scenario: str, seed: int = 11):
     """A sharded config mirroring one xshard fault-matrix cell."""
-    from repro.fabric.scenarios import SHARDED_SCENARIOS
+    import dataclasses
+
+    from repro.fabric.scenarios import (
+        SCENARIO_DEFS,
+        SHARDED_SCENARIOS,
+        ScenarioParams,
+    )
     from repro.fabric.sharding import ShardedClusterConfig, coordinator_id
 
     sdef = SHARDED_SCENARIOS[scenario]
-    hub_faults = FaultSchedule().add_crash(
-        coordinator_id(), at_ms=sdef.coordinator_crash_at_ms)
+    params = ScenarioParams(seed=seed)
+    shard_faults = {}
+    for shard, recipe_name in sdef.per_shard:
+        plan = SCENARIO_DEFS[recipe_name].recipe(
+            dataclasses.replace(params, namespace=f"s{shard}/"))
+        shard_faults[shard] = plan.faults
+    hub_faults = None
+    if sdef.coordinator_crash_at_ms is not None:
+        hub_faults = FaultSchedule().add_crash(
+            coordinator_id(), at_ms=sdef.coordinator_crash_at_ms)
     return ShardedClusterConfig(
         num_shards=sdef.num_shards, protocols=protocol, num_replicas=4,
         batch_size=10, client_outstanding=4, total_batches=20,
         cross_shard_fraction=sdef.cross_shard_fraction,
         request_timeout_ms=100.0, checkpoint_interval=5,
-        hub_faults=hub_faults, seed=seed,
+        shard_faults=shard_faults, hub_faults=hub_faults,
+        coordinator_behavior=sdef.coordinator_behavior, seed=seed,
     )
 
 
@@ -370,3 +385,24 @@ def test_golden_xshard_crash_2pc():
     fingerprint = sharded_fingerprint(
         _xshard_scenario_config("poe-mac", "xshard-crash-2pc"))
     assert _fingerprint_digest(fingerprint) == GOLDEN_XSHARD_CRASH_2PC
+
+
+GOLDEN_XSHARD = {
+    # The rows that run the pool's probe -> decide path (a forged abort is
+    # rejected, a stalled coordinator is suspected) and the coordinator's
+    # retransmit path (a shard primary is dark while prepares are out).
+    ("poe-mac", "xshard-coordinator-equivocate"): "2797c7d5d6a25431",
+    ("pbft", "xshard-coordinator-equivocate"): "9e8b896a2684feb4",
+    ("poe-mac", "xshard-coordinator-stall"): "852230f1c299d60a",
+    ("pbft", "xshard-coordinator-stall"): "461d708118119908",
+    ("poe-mac", "xshard-shard-primary-crash"): "3faa07fd36e341a1",
+    ("pbft", "xshard-shard-primary-crash"): "d89e160741a89c6e",
+}
+
+
+@pytest.mark.parametrize("protocol,scenario", sorted(GOLDEN_XSHARD))
+def test_golden_xshard_rows(protocol, scenario):
+    from repro.fabric.sharding import sharded_fingerprint
+
+    fingerprint = sharded_fingerprint(_xshard_scenario_config(protocol, scenario))
+    assert _fingerprint_digest(fingerprint) == GOLDEN_XSHARD[(protocol, scenario)]
