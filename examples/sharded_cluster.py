@@ -77,9 +77,8 @@ def main() -> None:
           f"({single} single-shard, {cross} cross-shard)")
     print(f"cross-shard decisions:  {committed} committed, "
           f"{len(outcomes) - committed} aborted — uniform on every shard")
-    if cluster.coordinator is not None:
-        print(f"coordinator journal:    {len(cluster.coordinator.journal)} "
-              f"certified 2PC decisions")
+    print(f"coordinator journal:    {len(cluster.coordinator.journal)} "
+          f"certified 2PC decisions")
     print(f"virtual duration:       {cluster.now:,.0f} ms "
           f"({summary.throughput_txn_per_s:,.0f} txn/s virtual)")
 

@@ -209,13 +209,14 @@ def check_replica_state(honest: List[object],
 
 
 class WireRecord:
-    """Picklable wire observations backing :class:`SafetyAuditor`.
+    """Picklable wire observations: the auditors' only view of the wire.
 
-    The recording logic lives here — not on the auditor — so a worker
-    process can attach a bare recorder to its shard network, ship it back
-    as part of the run artifacts, and have the parent construct an
-    auditor *around* the recorded dicts (``SafetyAuditor(..., wire=...)``)
-    that audits exactly as if it had observed the run live.
+    One recorder observes one network — a shard's, or a sharded
+    deployment's hub — through :func:`attach_recorder`.  The recording logic
+    lives here, not on the auditor, so a worker process can attach a bare
+    recorder, ship it back with the run artifacts, and have the parent
+    build the auditor around it: a live attach and a recorded run audit
+    the exact same input.
     """
 
     def __init__(self, pool_ids: Iterable[str] = ()) -> None:
@@ -248,30 +249,29 @@ class WireRecord:
                 (receiver, message.batch_id), set()).add(sender)
 
 
+def attach_recorder(network, pools: Iterable[object] = ()) -> WireRecord:
+    """Start recording *network*'s deliveries (call before the run starts)."""
+    wire = WireRecord(pool.node_id for pool in pools)
+    network.add_observer(wire.observe)
+    return wire
+
+
 class SafetyAuditor:
-    """Audits one cluster run; attach before ``cluster.start()``.
+    """Audits one cluster run from its final state and a :class:`WireRecord`.
 
-    The auditor records every client-bound reply the network delivers
-    (via a message observer) so the inform-quorum check is grounded in
-    what actually crossed the wire, not in client bookkeeping.
-
-    With ``wire=`` the auditor instead adopts a :class:`WireRecord`
-    collected elsewhere (a parallel worker) and runs the wire-grounded
-    checks over it; *cluster* may then be any object exposing the same
-    attributes (``replicas``, ``pools``, ``spec``, ``node_config``,
-    ``byzantine_ids``).
+    The recorder holds every client-bound reply the network delivered, so
+    the inform-quorum check is grounded in what actually crossed the
+    wire, not in client bookkeeping.  :meth:`attach` starts one on a live
+    cluster (before ``cluster.start()``); a parallel worker records its
+    own and ships it back, and *cluster* may then be any object exposing
+    the same attributes (``replicas``, ``pools``, ``spec``,
+    ``node_config``, ``byzantine_ids``).  Without a recorder only the
+    replica-state invariants run.
     """
 
-    def __init__(self, cluster, observe: bool = True,
-                 wire: Optional[WireRecord] = None) -> None:
+    def __init__(self, cluster, wire: Optional[WireRecord] = None) -> None:
         self.cluster = cluster
-        self._wire = wire if wire is not None else WireRecord(
-            pool.node_id for pool in cluster.pools)
-        # Aliases onto the recorder's dicts (shared objects, not copies).
-        self._reply_votes = self._wire.reply_votes
-        self._commit_acks = self._wire.commit_acks
-        self._checkpoint_votes = self._wire.checkpoint_votes
-        self._pool_ids = self._wire.pool_ids
+        self.wire = wire
         #: Per-pool completion rule captured at attach time (base quorum
         #: plus the per-epoch quorum function): the auditor re-derives
         #: per-epoch inform quorums itself, so reverting the pools'
@@ -280,18 +280,11 @@ class SafetyAuditor:
             pool.node_id: (pool.completion_quorum,
                            getattr(pool, "completion_quorum_fn", None))
             for pool in cluster.pools}
-        self._observing = observe or wire is not None
-        if observe:
-            cluster.network.add_observer(self._observe)
 
     @classmethod
     def attach(cls, cluster) -> "SafetyAuditor":
-        """Create an auditor observing *cluster* (call before ``start``)."""
-        return cls(cluster)
-
-    # ----------------------------------------------------------- observation
-    def _observe(self, sender: str, receiver: str, message, time_ms: float) -> None:
-        self._wire.observe(sender, receiver, message, time_ms)
+        """Create an auditor recording *cluster* (call before ``start``)."""
+        return cls(cluster, attach_recorder(cluster.network, cluster.pools))
 
     # ----------------------------------------------------------------- audit
     def _honest_live_replicas(self) -> List[object]:
@@ -315,7 +308,7 @@ class SafetyAuditor:
         self._check_ledgers(honest, report)
         self._check_rollbacks(honest, report)
         self._check_epochs(honest, report)
-        if self._observing:
+        if self.wire is not None:
             self._check_inform_quorum(report)
             self._check_state_transfers(honest, report)
         return report
@@ -386,7 +379,7 @@ class SafetyAuditor:
                     kind="epoch-divergence",
                     detail=f"epoch {epoch} diverges: {placement}",
                 ))
-        if not self._observing:
+        if self.wire is None:
             return
         checked: Set[Tuple[int, bytes]] = set()
         for replica in honest:
@@ -399,7 +392,7 @@ class SafetyAuditor:
                 epoch = config.epoch_of_sequence(sequence)
                 members = set(config.membership(epoch))
                 quorum = config.quorum_of(epoch)
-                senders = self._checkpoint_votes.get(key, set())
+                senders = self.wire.checkpoint_votes.get(key, set())
                 eligible = senders & members
                 if len(eligible) < quorum:
                     report.violations.append(AuditViolation(
@@ -431,7 +424,7 @@ class SafetyAuditor:
                     continue
                 f = (config.f_of(config.epoch_of_sequence(block.sequence))
                      if config.reconfigured else config.f)
-                voters = self._checkpoint_votes.get(
+                voters = self.wire.checkpoint_votes.get(
                     (block.sequence, block.batch_digest), set())
                 if len(voters) < f + 1:
                     report.violations.append(AuditViolation(
@@ -462,7 +455,7 @@ class SafetyAuditor:
                 fallback_fn = pool._slot_quorum
             for record in pool.completions:
                 report.completions_checked += 1
-                votes = self._reply_votes.get((pool.node_id, record.batch_id), {})
+                votes = self.wire.reply_votes.get((pool.node_id, record.batch_id), {})
                 # Matching keys are (batch_id, view, sequence, digest):
                 # after a reconfiguration the required quorum depends on
                 # the epoch the replied sequence belongs to.
@@ -478,7 +471,7 @@ class SafetyAuditor:
                         best, needed = count, quorum
                 if satisfied:
                     continue
-                acks = self._commit_acks.get((pool.node_id, record.batch_id), set())
+                acks = self.wire.commit_acks.get((pool.node_id, record.batch_id), set())
                 if fallback_fn is not None:
                     fallback_quorum = fallback_fn(record.sequence)
                     if best >= fallback_quorum and len(acks) >= fallback_quorum:
@@ -494,11 +487,11 @@ class SafetyAuditor:
 def audit_cluster(cluster) -> AuditReport:
     """One-shot audit of an already-finished run.
 
-    Without an observer attached before the run the inform-quorum check
+    Without a recorder attached before the run the inform-quorum check
     has no reply trace to ground itself in, so this convenience wrapper
     only runs the replica-state invariants.
     """
-    return SafetyAuditor(cluster, observe=False).report()
+    return SafetyAuditor(cluster).report()
 
 
 #: Within one shard, every honest replica's 2PC status for a transaction
@@ -506,27 +499,6 @@ def audit_cluster(cluster) -> AuditReport:
 #: None -> refused -> aborted); a lagging replica sits earlier on the same
 #: chain.  These pairs can never coexist among honest shard members.
 _CONFLICTING_STATUS = (("committed", "aborted"), ("committed", "refused"))
-
-
-class HubWireRecord:
-    """Picklable hub-network observations backing :class:`ShardedSafetyAuditor`.
-
-    The hub-side twin of :class:`WireRecord`: it counts distinct
-    transport-level senders of matching client replies per
-    ``(pool, batch)``, which grounds the cross-shard decide-quorum check.
-    Workers attach one to the home runtime's hub network and ship it back
-    with the run artifacts.
-    """
-
-    def __init__(self, pool_ids: Iterable[str] = ()) -> None:
-        self.pool_ids: Set[str] = set(pool_ids)
-        #: (pool_id, batch_id) -> matching_key -> distinct transport senders.
-        self.reply_votes: Dict[Tuple[str, str], Dict[tuple, Set[str]]] = {}
-
-    def observe(self, sender: str, receiver: str, message, time_ms: float) -> None:
-        if receiver in self.pool_ids and isinstance(message, ClientReplyMessage):
-            votes = self.reply_votes.setdefault((receiver, message.batch_id), {})
-            votes.setdefault(message.matching_key(), set()).add(sender)
 
 
 class ShardedSafetyAuditor:
@@ -551,37 +523,34 @@ class ShardedSafetyAuditor:
       even before a split decision materialises.
     * **Decide quorum** — for every completed cross-shard transaction the
       network really delivered the pool a quorum of matching decide
-      replies from each touched shard's members (counted on the wire).
+      replies from each touched shard's members — counted on the wire,
+      and only those delivered by the time the pool completed.
 
     The coordinator's journal is cross-checked too, unless the coordinator
     itself is configured Byzantine (its journal is then meaningless).
     """
 
-    def __init__(self, cluster, observe: bool = True,
+    def __init__(self, cluster,
                  shard_wires: Optional[List[WireRecord]] = None,
-                 hub_wire: Optional["HubWireRecord"] = None) -> None:
+                 hub_wire: Optional[WireRecord] = None) -> None:
         self.cluster = cluster
         self._shard_auditors = [
-            SafetyAuditor(shard_cluster, observe=observe,
-                          wire=shard_wires[index] if shard_wires else None)
+            SafetyAuditor(shard_cluster, shard_wires[index] if shard_wires else None)
             for index, shard_cluster in enumerate(cluster.shard_clusters)]
-        self._hub_wire = hub_wire if hub_wire is not None else HubWireRecord(
-            pool.node_id for pool in cluster.pools)
-        self._pool_ids = self._hub_wire.pool_ids
-        #: (pool_id, batch_id) -> matching_key -> distinct transport senders.
-        self._reply_votes = self._hub_wire.reply_votes
+        #: The hub network's recorder: the replies delivered to the pools.
+        self.hub_wire = hub_wire
         self._shard_of: Dict[str, int] = {}
         for index, members in enumerate(cluster.layout.members):
             for rid in members:
                 self._shard_of[rid] = index
-        self._observing = observe or hub_wire is not None
-        if observe:
-            cluster.hub.add_observer(self._observe)
 
     @classmethod
     def attach(cls, cluster) -> "ShardedSafetyAuditor":
-        """Create an auditor observing *cluster* (call before ``start``)."""
-        return cls(cluster)
+        """Create an auditor recording *cluster* (call before ``start``)."""
+        return cls(cluster,
+                   [attach_recorder(shard_cluster.network)
+                    for shard_cluster in cluster.shard_clusters],
+                   attach_recorder(cluster.hub, cluster.pools))
 
     @classmethod
     def from_recorded(cls, run) -> "ShardedSafetyAuditor":
@@ -596,12 +565,7 @@ class ShardedSafetyAuditor:
         same invariants run over the exact same ground truth as a live
         attach.
         """
-        return cls(run, observe=False,
-                   shard_wires=list(run.shard_wires), hub_wire=run.hub_wire)
-
-    # ----------------------------------------------------------- observation
-    def _observe(self, sender: str, receiver: str, message, time_ms: float) -> None:
-        self._hub_wire.observe(sender, receiver, message, time_ms)
+        return cls(run, list(run.shard_wires), run.hub_wire)
 
     # ----------------------------------------------------------------- audit
     def _honest_managers(self) -> List[List[Tuple[str, object]]]:
@@ -632,7 +596,7 @@ class ShardedSafetyAuditor:
         self._check_decide_certificates(managers, report)
         self._check_pool_atomicity(statuses, report)
         self._check_coordinator_journal(report)
-        if self._observing:
+        if self.hub_wire is not None:
             self._check_reply_quorums(report)
         return report
 
@@ -735,8 +699,8 @@ class ShardedSafetyAuditor:
 
     def _check_coordinator_journal(self, report: AuditReport) -> None:
         """An honest coordinator's journalled decisions must be certified."""
-        coordinator = getattr(self.cluster, "coordinator", None)
-        if coordinator is None or coordinator.node_id in self.cluster.byzantine_ids:
+        coordinator = self.cluster.coordinator
+        if coordinator.node_id in self.cluster.byzantine_ids:
             return
         layout = self.cluster.layout
         for txn, entry in sorted(coordinator.journal.items()):
@@ -752,17 +716,23 @@ class ShardedSafetyAuditor:
                 ))
 
     def _check_reply_quorums(self, report: AuditReport) -> None:
-        """Ground every completion in wire-delivered reply quorums."""
+        """Ground every completion in wire-delivered reply quorums.
+
+        Like the single-group inform-quorum check, only replies delivered
+        by ``completed_at_ms`` count: replies that keep trickling in after
+        a completion must not retroactively justify it.
+        """
         layout = self.cluster.layout
         for pool in self.cluster.pools:
             for record in pool.completions:
                 report.completions_checked += 1
                 plan = pool.xshard_plans.get(record.batch_id)
                 if plan is None:
-                    votes = self._reply_votes.get(
+                    votes = self.hub_wire.reply_votes.get(
                         (pool.node_id, record.batch_id), {})
-                    if not any(self._quorate(senders, layout)
-                               for senders in votes.values()):
+                    if not any(count >= layout.reply_quorum(shard)
+                               for senders in votes.values()
+                               for shard, count in self._timely(senders, record).items()):
                         report.violations.append(AuditViolation(
                             kind="inform-quorum",
                             detail=(f"{pool.node_id}: batch {record.batch_id} "
@@ -772,7 +742,7 @@ class ShardedSafetyAuditor:
                     continue
                 for shard in plan.shards:
                     if self._shard_decide_quorate(pool.node_id, plan.txn,
-                                                  shard, layout):
+                                                  shard, record):
                         continue
                     report.violations.append(AuditViolation(
                         kind="inform-quorum",
@@ -782,27 +752,27 @@ class ShardedSafetyAuditor:
                     ))
 
     def _shard_decide_quorate(self, pool_id: str, txn: str, shard: int,
-                              layout) -> bool:
-        members = set(layout.replicas(shard))
-        quorum = layout.reply_quorum(shard)
+                              record) -> bool:
+        quorum = self.cluster.layout.reply_quorum(shard)
         for phase in _DECIDE_PHASES:
-            votes = self._reply_votes.get(
+            votes = self.hub_wire.reply_votes.get(
                 (pool_id, _control_batch_id(txn, phase, shard)), {})
             for senders in votes.values():
-                if len({s for s in senders if s in members}) >= quorum:
+                if self._timely(senders, record).get(shard, 0) >= quorum:
                     return True
         return False
 
-    def _quorate(self, senders: Set[str], layout) -> bool:
+    def _timely(self, senders: Dict[str, float], record) -> Dict[int, int]:
+        """Per shard, how many of its members' matching replies had reached
+        the pool when it completed *record*."""
         counts: Dict[int, int] = {}
-        for sender in senders:
+        for sender, at_ms in senders.items():
             shard = self._shard_of.get(sender)
-            if shard is not None:
+            if shard is not None and at_ms <= record.completed_at_ms:
                 counts[shard] = counts.get(shard, 0) + 1
-        return any(count >= layout.reply_quorum(shard)
-                   for shard, count in counts.items())
+        return counts
 
 
 def audit_sharded_cluster(cluster) -> AuditReport:
     """One-shot replica-state audit of a finished sharded run (no wire trace)."""
-    return ShardedSafetyAuditor(cluster, observe=False).report()
+    return ShardedSafetyAuditor(cluster).report()

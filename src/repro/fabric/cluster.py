@@ -14,9 +14,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.authenticator import Authenticator, make_authenticators
 from repro.crypto.cost import CryptoCostModel
-from repro.fabric.metrics import MetricsWindow, RunResult, summarize
+from repro.fabric.metrics import (
+    MetricsWindow,
+    RunResult,
+    merged_completions,
+    summarize,
+    warmup_window,
+)
 from repro.fabric.registry import ProtocolSpec, get_spec
-from repro.net.byzantine import ByzantineSpec, make_behavior
+from repro.net.byzantine import ByzantineBehavior, ByzantineSpec, make_behavior
 from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.net.network import SimNetwork
@@ -66,6 +72,19 @@ def client_id(index: int) -> str:
     return f"client:{index}"
 
 
+def attach_byzantine(network: SimNetwork, node_id: str, behavior_name: str,
+                     seed: int, **options) -> ByzantineBehavior:
+    """Make *node_id* on *network* Byzantine: its outgoing traffic is
+    routed through a fresh *behavior_name* behaviour seeded with *seed*."""
+    behavior = make_behavior(behavior_name, **options)
+    network.set_byzantine(node_id, behavior, seed=seed)
+    # Replica-level behaviours additionally corrupt the state machine
+    # itself (wrong execution, forged histories); the default install
+    # hook is a no-op for network-boundary behaviours.
+    behavior.install(network.node(node_id))
+    return behavior
+
+
 @dataclass
 class ClusterConfig:
     """Parameters of one cluster deployment.
@@ -103,9 +122,10 @@ class ClusterConfig:
         cost_model: crypto cost model (defaults to the CMAC configuration).
         seed: base RNG seed.
         namespace: prefix applied to every node id (e.g. ``"s0/"``), so
-            several clusters — the shards of a
-            :class:`~repro.fabric.sharding.ShardedCluster` — can coexist
-            on one simulator without id collisions.
+            the shards of a :class:`~repro.fabric.sharding.ShardedCluster`
+            have disjoint ids: cross-shard messages are routed to their
+            home runtime by that prefix, and shard 0 shares its simulator
+            with the hub network.
     """
 
     protocol: str = "poe"
@@ -142,11 +162,12 @@ class Cluster:
 
     Args:
         config: the deployment parameters.
-        simulator: optional externally owned simulator.  A sharded
-            deployment builds one :class:`~repro.net.simulator.Simulator`
-            and passes it to every per-shard cluster, so all shards (and
-            the cross-shard coordinator) advance on one deterministic
-            virtual clock.  Defaults to a private simulator.
+        simulator: optional externally owned simulator.  Each
+            :class:`~repro.fabric.sharding.ShardRuntime` builds one
+            :class:`~repro.net.simulator.Simulator` and passes it to its
+            shard's cluster; on the home shard the hub network (client
+            pools, 2PC coordinator) advances on the same one.  Defaults
+            to a private simulator.
         authenticators: optional pre-provisioned authenticator map.  The
             trusted setup (:func:`make_authenticators`) is deterministic
             in the config and its products are immutable, so callers that
@@ -311,18 +332,13 @@ class Cluster:
         behaviors = []
         for offset, spec in enumerate(specs):
             node_id = replica_order[spec.replica_index]
-            behavior = make_behavior(spec.behavior, **spec.options)
             # The first spec keeps the historical seed so single-adversary
             # rows reproduce byte-identically; extras get distinct streams.
             seed = self.config.seed if offset == 0 \
                 else self.config.seed + 7919 * offset
-            self.network.set_byzantine(node_id, behavior, seed=seed)
-            # Replica-level behaviours additionally corrupt the state machine
-            # itself (wrong execution, forged histories); the default install
-            # hook is a no-op for network-boundary behaviours.
-            behavior.install(self.network.node(node_id))
+            behaviors.append(attach_byzantine(
+                self.network, node_id, spec.behavior, seed, **spec.options))
             self.byzantine_ids.append(node_id)
-            behaviors.append(behavior)
         conspirators = [b for b in behaviors
                         if getattr(b, "wants_playbook", False)]
         if conspirators:
@@ -396,29 +412,15 @@ class Cluster:
 
     # ------------------------------------------------------------------ results
     def completions(self) -> List[CompletionRecord]:
-        records: List[CompletionRecord] = []
-        for pool in self.pools:
-            records.extend(pool.completions)
-        records.sort(key=lambda record: record.completed_at_ms)
-        return records
+        return merged_completions(self.pools)
 
     def result(self, window: Optional[MetricsWindow] = None,
                warmup_fraction: float = 0.1,
                metadata: Optional[Dict[str, object]] = None) -> RunResult:
         """Summarise the run, excluding an initial warm-up fraction."""
         records = self.completions()
-        if window is None and records:
-            start_index = int(len(records) * warmup_fraction)
-            start_index = min(start_index, len(records) - 1)
-            measured = records[start_index:]
-            # Steady-state runs measure completion-to-completion; bursty runs
-            # (e.g. every batch blocked on the same timeout) would yield a
-            # near-zero window that way, so fall back to submission time.
-            last_submission = max(record.submitted_at_ms for record in measured)
-            window = MetricsWindow(
-                start_ms=min(measured[0].completed_at_ms, last_submission),
-                end_ms=measured[-1].completed_at_ms,
-            )
+        if window is None:
+            window = warmup_window(records, warmup_fraction)
         info = {
             "batch_size": self.config.batch_size,
             "zero_payload": self.config.zero_payload,

@@ -32,6 +32,31 @@ class MetricsWindow:
         return self.start_ms <= record.completed_at_ms <= self.end_ms
 
 
+def merged_completions(pools: Iterable[object]) -> List[CompletionRecord]:
+    """Every pool's completion records, in completion order."""
+    records = [record for pool in pools for record in pool.completions]
+    records.sort(key=lambda record: record.completed_at_ms)
+    return records
+
+
+def warmup_window(records: Sequence[CompletionRecord],
+                  warmup_fraction: float) -> Optional[MetricsWindow]:
+    """The window left after dropping the first *warmup_fraction* of
+    *records* (sorted by completion time); ``None`` without records."""
+    if not records:
+        return None
+    start_index = min(int(len(records) * warmup_fraction), len(records) - 1)
+    measured = records[start_index:]
+    # Steady-state runs measure completion-to-completion; bursty runs
+    # (e.g. every batch blocked on the same timeout) would yield a
+    # near-zero window that way, so fall back to submission time.
+    last_submission = max(record.submitted_at_ms for record in measured)
+    return MetricsWindow(
+        start_ms=min(measured[0].completed_at_ms, last_submission),
+        end_ms=measured[-1].completed_at_ms,
+    )
+
+
 @dataclass
 class RunResult:
     """Aggregated outcome of one experiment run.

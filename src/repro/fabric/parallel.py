@@ -33,33 +33,35 @@ shard counts, seeds and fault shapes and writes a JSON artifact.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.fabric.audit import HubWireRecord, WireRecord
-from repro.fabric.metrics import MetricsWindow, RunResult
+from repro.fabric.audit import WireRecord, attach_recorder
 from repro.fabric.registry import get_spec
+from repro.fabric.scenarios import (
+    SHARDED_SCENARIOS,
+    ScenarioParams,
+    sharded_cluster_config,
+)
 from repro.fabric.sharding import (
     HOME_SHARD,
     ShardRuntime,
-    ShardedCluster,
     ShardedClusterConfig,
+    ShardedRunView,
     WindowResult,
     _hub_conditions,
     _validate_config,
-    coordinator_id,
     fingerprint_state,
     layout_for_config,
     run_windows,
-    summarize_sharded,
+    sharded_fingerprint,
 )
-from repro.net.faults import FaultSchedule
-from repro.workload.clients import CompletionRecord
 
 
 class WorkerCrash(RuntimeError):
@@ -82,7 +84,7 @@ class ShardArtifacts:
     # Home shard only:
     pools: List[object] = field(default_factory=list)
     coordinator: Optional[object] = None
-    hub_wire: Optional[HubWireRecord] = None
+    hub_wire: Optional[WireRecord] = None
 
 
 class _RecordedShardCluster:
@@ -109,10 +111,10 @@ class _RecordedShardConfig:
     protocol: str
 
 
-class ParallelShardedRun:
+class ParallelShardedRun(ShardedRunView):
     """A finished parallel run, assembled from per-worker artifacts.
 
-    Duck-types enough of a finished :class:`ShardedCluster` for
+    Stands in for a finished :class:`ShardedCluster` for
     :func:`~repro.fabric.sharding.fingerprint_state`,
     :meth:`~repro.fabric.audit.ShardedSafetyAuditor.from_recorded`,
     scenario outcome assembly and the bench plumbing.
@@ -131,8 +133,6 @@ class ParallelShardedRun:
         self.shard_wires = [a.wire for a in artifacts]
         self.byzantine_ids: List[str] = [
             rid for a in artifacts for rid in a.byzantine_ids]
-        if self.coordinator is not None and config.coordinator_behavior:
-            self.byzantine_ids.append(self.coordinator.node_id)
 
     # -- the fingerprint/bench surface -------------------------------------------
     @property
@@ -143,36 +143,12 @@ class ParallelShardedRun:
     def shard_clocks(self) -> List[float]:
         return [a.now_ms for a in self.artifacts]
 
-    @property
-    def processed_events(self) -> int:
-        return sum(a.processed_events for a in self.artifacts)
-
-    @property
-    def now(self) -> float:
-        return max(a.now_ms for a in self.artifacts)
-
-    def completions(self) -> List[CompletionRecord]:
-        records: List[CompletionRecord] = []
-        for pool in self.pools:
-            records.extend(pool.completions)
-        records.sort(key=lambda record: record.completed_at_ms)
-        return records
-
-    def result(self, window: Optional[MetricsWindow] = None,
-               warmup_fraction: float = 0.1,
-               metadata: Optional[Dict[str, object]] = None) -> RunResult:
-        return summarize_sharded(
-            self.config, self.completions(),
-            [a.protocol for a in self.artifacts],
-            window=window, warmup_fraction=warmup_fraction,
-            metadata=metadata)
-
 
 # -- worker ------------------------------------------------------------------------
 
 def _collect_artifacts(runtime: ShardRuntime,
                        wire: Optional[WireRecord],
-                       hub_wire: Optional[HubWireRecord]) -> ShardArtifacts:
+                       hub_wire: Optional[WireRecord]) -> ShardArtifacts:
     for pool in runtime.pools:
         # The batch source is a closure (unpicklable) and the run is over:
         # the pool will never draw another batch.
@@ -181,7 +157,7 @@ def _collect_artifacts(runtime: ShardRuntime,
         shard=runtime.shard,
         protocol=runtime.cluster.config.protocol,
         replicas=runtime.cluster.replicas,
-        byzantine_ids=list(runtime.cluster.byzantine_ids),
+        byzantine_ids=runtime.byzantine_ids,
         processed_events=runtime.simulator.processed_events,
         now_ms=runtime.simulator.now,
         wire=wire,
@@ -202,13 +178,11 @@ def _worker_main(conn, config: ShardedClusterConfig, shard: int,
     try:
         runtime = ShardRuntime(config, shard)
         wire: Optional[WireRecord] = None
-        hub_wire: Optional[HubWireRecord] = None
+        hub_wire: Optional[WireRecord] = None
         if record_wire:
-            wire = WireRecord()
-            runtime.cluster.network.add_observer(wire.observe)
+            wire = attach_recorder(runtime.cluster.network)
             if runtime.hub is not None:
-                hub_wire = HubWireRecord(pool.node_id for pool in runtime.pools)
-                runtime.hub.add_observer(hub_wire.observe)
+                hub_wire = attach_recorder(runtime.hub, runtime.pools)
         conn.send(("ok", runtime.start()))
         while True:
             command = conn.recv()
@@ -300,26 +274,24 @@ def run_parallel(config: ShardedClusterConfig,
 
 # -- CI smoke ----------------------------------------------------------------------
 
-def _smoke_config(num_shards: int, seed: int, total_batches: int,
-                  cross_shard_fraction: float,
-                  crash_coordinator: bool) -> ShardedClusterConfig:
-    hub_faults = None
-    if crash_coordinator:
-        hub_faults = FaultSchedule()
-        hub_faults.add_crash(coordinator_id(), at_ms=3.0)
-    return ShardedClusterConfig(
-        num_shards=num_shards, protocols="poe-mac", num_replicas=4,
-        batch_size=16, total_batches=total_batches,
-        cross_shard_fraction=cross_shard_fraction,
-        request_timeout_ms=100.0, hub_faults=hub_faults, seed=seed,
-    )
+#: The matrix rows the smoke cross-checks, with their row-label suffix:
+#: the clean and crash-mid-2PC rows, and the two Byzantine-coordinator
+#: rows that put the pools on their probe -> decide path.
+SMOKE_SCENARIOS = (
+    ("xshard-no-fault", ""),
+    ("xshard-crash-2pc", "-crash2pc"),
+    ("xshard-coordinator-equivocate", "-equivocate"),
+    ("xshard-coordinator-stall", "-stall"),
+)
 
 
-def _sequential_fingerprint(config: ShardedClusterConfig, max_ms: float) -> str:
-    cluster = ShardedCluster(config)
-    cluster.start()
-    cluster.run_until_done(max_ms=max_ms)
-    return fingerprint_state(cluster)
+def _smoke_config(scenario: str, num_shards: int, seed: int, total_batches: int,
+                  cross_shard_fraction: float) -> ShardedClusterConfig:
+    sdef = dataclasses.replace(
+        SHARDED_SCENARIOS[scenario], num_shards=num_shards,
+        cross_shard_fraction=cross_shard_fraction)
+    return sharded_cluster_config(
+        "poe-mac", sdef, ScenarioParams(total_batches=total_batches, seed=seed))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -342,11 +314,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     ok = True
     for num_shards in (int(s) for s in args.shards.split(",")):
         for seed in (int(s) for s in args.seeds.split(",")):
-            for crash in (False, True):
-                config = _smoke_config(num_shards, seed, args.batches,
-                                       args.cross, crash)
+            for scenario, suffix in SMOKE_SCENARIOS:
+                config = _smoke_config(scenario, num_shards, seed,
+                                       args.batches, args.cross)
                 started = time.perf_counter()
-                sequential = _sequential_fingerprint(config, args.max_ms)
+                sequential = sharded_fingerprint(config, max_ms=args.max_ms)
                 seq_s = time.perf_counter() - started
                 started = time.perf_counter()
                 parallel = fingerprint_state(
@@ -354,11 +326,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 par_s = time.perf_counter() - started
                 match = sequential == parallel
                 ok = ok and match
-                label = (f"poe-mac-{num_shards}sh-s{seed}"
-                         + ("-crash2pc" if crash else ""))
+                label = f"poe-mac-{num_shards}sh-s{seed}{suffix}"
                 rows.append({
                     "row": label, "num_shards": num_shards, "seed": seed,
-                    "crash_coordinator": crash,
+                    "scenario": scenario,
                     "sequential_fingerprint": sequential,
                     "parallel_fingerprint": parallel,
                     "match": match,

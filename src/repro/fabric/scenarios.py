@@ -32,7 +32,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.fabric.audit import AuditReport, SafetyAuditor
+from repro.fabric.audit import AuditReport, SafetyAuditor, ShardedSafetyAuditor
 from repro.fabric.cluster import (
     Cluster,
     ClusterConfig,
@@ -40,6 +40,7 @@ from repro.fabric.cluster import (
     ReconfigStep,
     replica_id,
 )
+from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig, coordinator_id
 from repro.net.byzantine import ByzantineSpec
 from repro.net.conditions import DriftPhase, LatencyTopology, NetworkConditions
 from repro.net.faults import FaultSchedule
@@ -606,6 +607,79 @@ def _cluster_config(protocol: str, plan: ScenarioPlan, params: ScenarioParams,
     )
 
 
+def sharded_cluster_config(protocol: str, sdef: ShardedScenarioDef,
+                           params: ScenarioParams) -> ShardedClusterConfig:
+    """The sharded deployment *sdef* describes under *params*.
+
+    Every shard runs *protocol*; per-shard recipes come from the
+    single-group registry, re-run under the shard's namespace.  A shard
+    takes a recipe's fault schedule and its one Byzantine spec; a recipe
+    that asks for anything else is rejected rather than run truncated.
+    """
+    shard_faults: Dict[int, FaultSchedule] = {}
+    shard_byzantine: Dict[int, ByzantineSpec] = {}
+    for shard, recipe_name in sdef.per_shard:
+        shard_params = dataclasses.replace(params, namespace=f"s{shard}/")
+        plan = SCENARIO_DEFS[recipe_name].recipe(shard_params)
+        for unsupported in ("conditions", "extra_byzantine", "reconfig",
+                            "num_replicas", "total_batches"):
+            if getattr(plan, unsupported):
+                raise ValueError(
+                    f"sharded scenario {sdef.name!r}: per-shard recipe "
+                    f"{recipe_name!r} sets {unsupported}, which a shard cannot "
+                    f"take (only faults and byzantine apply per shard)")
+        if plan.faults is not None:
+            shard_faults[shard] = plan.faults
+        if plan.byzantine is not None:
+            shard_byzantine[shard] = plan.byzantine
+    hub_faults = None
+    if sdef.coordinator_crash_at_ms is not None:
+        hub_faults = FaultSchedule().add_crash(
+            coordinator_id(), at_ms=sdef.coordinator_crash_at_ms)
+    return ShardedClusterConfig(
+        num_shards=sdef.num_shards,
+        protocols=protocol,
+        num_replicas=params.num_replicas,
+        batch_size=params.batch_size,
+        client_outstanding=params.client_outstanding,
+        total_batches=params.total_batches,
+        cross_shard_fraction=sdef.cross_shard_fraction,
+        request_timeout_ms=params.request_timeout_ms,
+        checkpoint_interval=params.checkpoint_interval,
+        shard_faults=shard_faults,
+        shard_byzantine=shard_byzantine,
+        hub_faults=hub_faults,
+        coordinator_behavior=sdef.coordinator_behavior,
+        seed=params.seed,
+    )
+
+
+def _outcome(protocol: str, scenario: str, n: int, expected_batches: int,
+             replicas: Sequence[object], pools: Sequence[object],
+             report: AuditReport) -> ScenarioOutcome:
+    """Classify one finished, audited run (single-group or sharded)."""
+    family = protocol_family(protocol)
+    return ScenarioOutcome(
+        protocol=protocol,
+        scenario=scenario,
+        n=n,
+        completed_batches=sum(pool.completed_batches for pool in pools),
+        expected_batches=expected_batches,
+        live=all(pool.is_done() for pool in pools),
+        safe=report.ok,
+        expected_live=(family, scenario) not in EXPECTED_STALLED,
+        expected_safe=(family, scenario) not in EXPECTED_UNSAFE,
+        view_changes=max(
+            (getattr(replica, "view_changes_completed", 0)
+             for replica in replicas if not replica.crashed),
+            default=0,
+        ),
+        epochs=max((getattr(replica, "epoch", 0) for replica in replicas),
+                   default=0),
+        audit=report,
+    )
+
+
 def run_scenario(protocol: str, scenario: str,
                  params: Optional[ScenarioParams] = None,
                  driver: str = "sequential") -> ScenarioOutcome:
@@ -635,29 +709,9 @@ def run_scenario(protocol: str, scenario: str,
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()
     cluster.run_until_done(max_ms=params.max_ms)
-    report = auditor.report()
-    live = all(pool.is_done() for pool in cluster.pools)
-    family = protocol_family(protocol)
-    view_changes = max(
-        (getattr(replica, "view_changes_completed", 0)
-         for replica in cluster.replicas if not replica.crashed),
-        default=0,
-    )
-    return ScenarioOutcome(
-        protocol=protocol,
-        scenario=scenario,
-        n=config.num_replicas,
-        completed_batches=sum(pool.completed_batches for pool in cluster.pools),
-        expected_batches=total_batches * config.num_clients,
-        live=live,
-        safe=report.ok,
-        expected_live=(family, scenario) not in EXPECTED_STALLED,
-        expected_safe=(family, scenario) not in EXPECTED_UNSAFE,
-        view_changes=view_changes,
-        epochs=max((getattr(replica, "epoch", 0)
-                    for replica in cluster.replicas), default=0),
-        audit=report,
-    )
+    return _outcome(protocol, scenario, config.num_replicas,
+                    total_batches * config.num_clients,
+                    cluster.replicas, cluster.pools, auditor.report())
 
 
 def run_sharded_scenario(protocol: str, scenario: str,
@@ -665,51 +719,19 @@ def run_sharded_scenario(protocol: str, scenario: str,
                          driver: str = "sequential") -> ScenarioOutcome:
     """Run one audited (shard protocol, sharded scenario) cell.
 
-    Every shard runs *protocol*; per-shard fault recipes come from the
-    single-group registry, re-run under the shard's namespace.  With
+    The deployment is :func:`sharded_cluster_config`'s.  With
     ``driver="parallel"`` the shards execute on forked worker processes
     and the auditor runs over the recorded wire artifacts; the outcome
     (completions, liveness, audit verdict, view changes) is identical to
     the sequential reference for the same params.
     """
-    from repro.fabric.audit import ShardedSafetyAuditor
-    from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig, coordinator_id
-
     params = params or ScenarioParams()
     try:
         sdef = SHARDED_SCENARIOS[scenario]
     except KeyError:
         raise KeyError(f"unknown sharded scenario {scenario!r}; "
                        f"known: {sorted(SHARDED_SCENARIOS)}") from None
-    shard_faults: Dict[int, FaultSchedule] = {}
-    shard_byzantine: Dict[int, ByzantineSpec] = {}
-    for shard, recipe_name in sdef.per_shard:
-        shard_params = dataclasses.replace(params, namespace=f"s{shard}/")
-        plan = SCENARIO_DEFS[recipe_name].recipe(shard_params)
-        if plan.faults is not None:
-            shard_faults[shard] = plan.faults
-        if plan.byzantine is not None:
-            shard_byzantine[shard] = plan.byzantine
-    hub_faults = None
-    if sdef.coordinator_crash_at_ms is not None:
-        hub_faults = FaultSchedule().add_crash(
-            coordinator_id(), at_ms=sdef.coordinator_crash_at_ms)
-    config = ShardedClusterConfig(
-        num_shards=sdef.num_shards,
-        protocols=protocol,
-        num_replicas=params.num_replicas,
-        batch_size=params.batch_size,
-        client_outstanding=params.client_outstanding,
-        total_batches=params.total_batches,
-        cross_shard_fraction=sdef.cross_shard_fraction,
-        request_timeout_ms=params.request_timeout_ms,
-        checkpoint_interval=params.checkpoint_interval,
-        shard_faults=shard_faults,
-        shard_byzantine=shard_byzantine,
-        hub_faults=hub_faults,
-        coordinator_behavior=sdef.coordinator_behavior,
-        seed=params.seed,
-    )
+    config = sharded_cluster_config(protocol, sdef, params)
     if driver == "parallel":
         from repro.fabric.parallel import run_parallel
 
@@ -724,26 +746,11 @@ def run_sharded_scenario(protocol: str, scenario: str,
     else:
         raise ValueError(f"unknown driver {driver!r}; "
                          f"expected 'sequential' or 'parallel'")
-    family = protocol_family(protocol)
-    view_changes = max(
-        (getattr(replica, "view_changes_completed", 0)
-         for shard_cluster in run.shard_clusters
-         for replica in shard_cluster.replicas if not replica.crashed),
-        default=0,
-    )
-    return ScenarioOutcome(
-        protocol=protocol,
-        scenario=scenario,
-        n=sdef.num_shards * params.num_replicas,
-        completed_batches=sum(pool.completed_batches for pool in run.pools),
-        expected_batches=params.total_batches * config.num_pools,
-        live=all(pool.is_done() for pool in run.pools),
-        safe=report.ok,
-        expected_live=(family, scenario) not in EXPECTED_STALLED,
-        expected_safe=(family, scenario) not in EXPECTED_UNSAFE,
-        view_changes=view_changes,
-        audit=report,
-    )
+    replicas = [replica for shard_cluster in run.shard_clusters
+                for replica in shard_cluster.replicas]
+    return _outcome(protocol, scenario, sdef.num_shards * params.num_replicas,
+                    params.total_batches * config.num_pools,
+                    replicas, run.pools, report)
 
 
 def default_matrix_scenarios() -> Tuple[str, ...]:

@@ -2,10 +2,10 @@
 
 A :class:`ShardedCluster` partitions the keyspace across ``S`` independent
 consensus groups ("shards"), each running any of the registered protocols
-over its own namespaced replica set, all advancing on **one** deterministic
-:class:`~repro.net.simulator.Simulator`.  Single-shard batches follow the
-ordinary client path inside their shard.  Cross-shard transactions run
-two-phase commit over the shards' consensus instances:
+over its own namespaced replica set and advancing on its own
+deterministic :class:`~repro.net.simulator.Simulator`.  Single-shard
+batches follow the ordinary client path inside their shard.  Cross-shard
+transactions run two-phase commit over the shards' consensus instances:
 
 * **prepare** — the coordinator consensus-commits a PREPARE record in every
   touched shard; the shard's replicas transition the transaction to
@@ -21,13 +21,14 @@ two-phase commit over the shards' consensus instances:
 Coordinator failure is survived by the submitting client pool: after two
 request timeouts it PROBEs every touched shard (unprepared shards refuse —
 presumed abort), derives the only certificate-consistent decision, and
-writes the decide records itself.
+writes the decide records itself.  Coordinator and pool run the same
+round, :class:`~repro.workload.xshard.TwoPhaseDriver`; what is here is the
+coordinator's own part (journal, acknowledgements, bounded retries).
 
-Since the parallel-simulation refactor each shard owns its **own**
-:class:`~repro.net.simulator.Simulator` (a :class:`ShardRuntime`); the
-client pools and the coordinator live on a hub network hosted by the home
-runtime (shard 0).  All cross-runtime traffic crosses an explicit
-:class:`ShardBoundary` with deterministic, RNG-free send→deliver
+Each shard's simulator lives in a :class:`ShardRuntime`; the client pools
+and the coordinator live on a hub network hosted by the home runtime
+(shard 0, sharing its simulator).  All cross-runtime traffic crosses an
+explicit :class:`ShardBoundary` with deterministic, RNG-free send→deliver
 timestamps, and every driver — the in-process sequential reference here,
 the multiprocessing driver in :mod:`repro.fabric.parallel` — advances the
 runtimes through the same conservative time windows
@@ -40,29 +41,31 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
-from repro.fabric.metrics import MetricsWindow, RunResult, summarize
+from repro.fabric.cluster import Cluster, ClusterConfig, attach_byzantine, replica_id
+from repro.fabric.metrics import (
+    MetricsWindow,
+    RunResult,
+    merged_completions,
+    summarize,
+    warmup_window,
+)
 from repro.fabric.registry import ProtocolSpec, get_spec
-from repro.net.byzantine import ByzantineSpec, make_behavior
+from repro.net.byzantine import ByzantineSpec
 from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.net.network import SimNetwork
 from repro.net.simulator import Simulator
 from repro.protocols.base import ClientNode, NodeConfig
 from repro.protocols.client_messages import ClientReplyMessage
-from repro.protocols.quorum import VoteSet
 from repro.workload.clients import CompletionRecord, ShardedClientPool
 from repro.workload.xshard import (
-    ABORT,
-    COMMIT,
     PREPARE,
     CoordAck,
     CoordSubmit,
-    CrossShardPlan,
     ShardLayout,
     ShardTxnManager,
-    decode_outcome,
-    make_control_batch,
+    TwoPhaseDriver,
+    TwoPhaseRound,
     parse_control_batch_id,
     synthetic_sharded_source,
     ycsb_sharded_source,
@@ -83,21 +86,13 @@ def pool_id(index: int) -> str:
 # -- coordinator -------------------------------------------------------------------
 
 @dataclass(slots=True)
-class _CoordTxn:
+class _CoordTxn(TwoPhaseRound):
     """Coordinator-side book-keeping for one in-flight 2PC."""
 
-    plan: CrossShardPlan
-    reply_pool: str
-    submitted_at_ms: float
-    mode: str = "prepare"  # "prepare" | "decide"
-    votes: Dict[Tuple, VoteSet] = field(default_factory=dict)
-    phase_results: Dict[int, Tuple[str, Tuple[str, ...]]] = field(default_factory=dict)
-    decision: str = ""
-    cert: Tuple = ()
-    retries: int = 0
+    reply_pool: str = ""
 
 
-class ShardCoordinator(ClientNode):
+class ShardCoordinator(TwoPhaseDriver, ClientNode):
     """Drives two-phase commit for cross-shard transactions.
 
     The coordinator is an ordinary client of every shard: the PREPARE
@@ -119,12 +114,10 @@ class ShardCoordinator(ClientNode):
 
     def __init__(self, node_id: str, config: NodeConfig, layout: ShardLayout,
                  timeout_ms: Optional[float] = None) -> None:
-        super().__init__(node_id, config)
-        self.layout = layout
+        super().__init__(node_id, config, layout)
         self.timeout_ms = timeout_ms if timeout_ms is not None else config.request_timeout_ms
         #: txn -> {"decision", "cert", "shards", "decided_at_ms"}.
         self.journal: Dict[str, Dict[str, object]] = {}
-        self._views = [0] * layout.num_shards
         self._pending: Dict[str, _CoordTxn] = {}
 
     # -- messages ----------------------------------------------------------------
@@ -140,8 +133,8 @@ class ShardCoordinator(ClientNode):
         plan = message.plan
         if plan is None or plan.txn in self._pending:
             return
-        pending = _CoordTxn(plan=plan, reply_pool=message.reply_to,
-                            submitted_at_ms=now_ms)
+        pending = _CoordTxn(plan=plan, submitted_at_ms=now_ms,
+                            reply_pool=message.reply_to)
         self._pending[plan.txn] = pending
         entry = self.journal.get(plan.txn)
         if entry is not None:
@@ -150,9 +143,7 @@ class ShardCoordinator(ClientNode):
             pending.mode = "decide"
             pending.decision = str(entry["decision"])
             pending.cert = tuple(entry["cert"])  # type: ignore[arg-type]
-            self._send_decides(pending, now_ms, retransmission=True)
-        else:
-            self._send_prepares(pending, now_ms, retransmission=False)
+        self._send(pending, now_ms, retransmission=entry is not None)
         self.set_timer(f"txn:{plan.txn}", self.timeout_ms, payload=plan.txn)
 
     def _on_ack(self, txn: str) -> None:
@@ -166,83 +157,25 @@ class ShardCoordinator(ClientNode):
             return
         txn, phase, shard = parsed
         pending = self._pending.get(txn)
-        if (pending is None or pending.mode != "prepare" or phase != PREPARE
+        if (pending is None or pending.mode != PREPARE or phase != PREPARE
                 or not 0 <= shard < self.layout.num_shards):
             return
-        key = message.matching_key()
-        votes = pending.votes.get(key)
-        if votes is None:
-            votes = pending.votes[key] = VoteSet(self.layout.index_map(shard))
-        votes.add(sender)
-        if message.view > self._views[shard]:
-            self._views[shard] = message.view
-        if votes.count < self.layout.reply_quorum(shard):
+        counted = self.count_control_reply(pending, sender, message, phase, shard)
+        if counted is None or not self.record_vote(pending, shard, *counted):
             return
-        outcome = decode_outcome(message.result_digest, txn, phase, shard)
-        if outcome is None or shard in pending.phase_results:
-            return
-        pending.phase_results[shard] = (outcome, tuple(sorted(votes)))
-        if all(s in pending.phase_results for s in pending.plan.shards):
-            self._decide(txn, pending, now_ms)
-
-    # -- 2PC phases --------------------------------------------------------------
-    def _send_prepares(self, pending: _CoordTxn, now_ms: float,
-                       retransmission: bool) -> None:
-        for shard in pending.plan.shards:
-            if shard in pending.phase_results:
-                continue
-            batch = make_control_batch(
-                pending.plan.txn, PREPARE, shard, pending.plan.shards,
-                reply_to=self.node_id, created_at_ms=now_ms)
-            self._send_control(shard, batch, self.node_id, retransmission)
-
-    def _decide(self, txn: str, pending: _CoordTxn, now_ms: float) -> None:
-        outcomes = [pending.phase_results[s][0] for s in pending.plan.shards]
-        if any(o == "committed" for o in outcomes):
-            decision = COMMIT
-        elif any(o in ("refused", "aborted") for o in outcomes):
-            decision = ABORT
-        else:
-            decision = COMMIT
-        pending.decision = decision
-        pending.cert = tuple(
-            (shard,) + pending.phase_results[shard]
-            for shard in pending.plan.shards)
-        pending.mode = "decide"
         self.journal[txn] = {
-            "decision": decision,
+            "decision": pending.decision,
             "cert": pending.cert,
             "shards": pending.plan.shards,
             "decided_at_ms": now_ms,
         }
-        self._send_decides(pending, now_ms, retransmission=False)
+        self._send(pending, now_ms, retransmission=False)
 
-    def _send_decides(self, pending: _CoordTxn, now_ms: float,
-                      retransmission: bool) -> None:
-        for shard in pending.plan.shards:
-            payload = (pending.plan.slice_for(shard)
-                       if pending.decision == COMMIT else ())
-            batch = make_control_batch(
-                pending.plan.txn, pending.decision, shard, pending.plan.shards,
-                cert=pending.cert, payload_txns=payload,
-                reply_to=pending.reply_pool, created_at_ms=now_ms)
-            self._send_control(shard, batch, pending.reply_pool, retransmission)
-
-    def _send_control(self, shard: int, batch, reply_to: str,
-                      retransmission: bool) -> None:
-        from repro.protocols.client_messages import ClientRequestMessage
-
-        message = ClientRequestMessage(
-            batch=batch,
-            reply_to=reply_to,
-            retransmission=retransmission,
-            size_bytes=self.config.proposal_size_bytes(1),
-        )
-        if retransmission or self.layout.wants_broadcast(shard):
-            for rid in self.layout.replicas(shard):
-                self.send(rid, message)
-        else:
-            self.send(self.layout.primary(shard, self._views[shard]), message)
+    def _send(self, pending: _CoordTxn, now_ms: float, retransmission: bool) -> None:
+        """(Re)send the records of the phase *pending* is in: prepares
+        answer to the coordinator, decides to the submitting pool."""
+        reply_to = self.node_id if pending.mode == PREPARE else pending.reply_pool
+        self.send_phase(pending, now_ms, reply_to, retransmission)
 
     # -- timeouts ----------------------------------------------------------------
     def on_timer(self, name: str, payload, now_ms: float) -> None:
@@ -251,17 +184,14 @@ class ShardCoordinator(ClientNode):
         pending = self._pending.get(payload)
         if pending is None:
             return
-        pending.retries += 1
-        if pending.retries > self.MAX_RETRIES:
+        pending.retransmissions += 1
+        if pending.retransmissions > self.MAX_RETRIES:
             # Hand the transaction over to the pool's probe-based recovery
             # rather than retrying forever; the journal keeps the decision.
             del self._pending[payload]
             return
-        if pending.mode == "prepare":
-            self._send_prepares(pending, now_ms, retransmission=True)
-        else:
-            self._send_decides(pending, now_ms, retransmission=True)
-        backoff = self.timeout_ms * (2 ** min(pending.retries, 4))
+        self._send(pending, now_ms, retransmission=True)
+        backoff = self.timeout_ms * (2 ** min(pending.retransmissions, 4))
         self.set_timer(f"txn:{payload}", backoff, payload=payload)
 
 
@@ -280,8 +210,6 @@ class ShardedClusterConfig:
         num_replicas: replicas per shard.
         cross_shard_fraction: probability that a generated request is a
             two-shard transaction instead of a single-shard batch.
-        use_coordinator: drive 2PC through a dedicated coordinator node
-            (``False`` = the pools always self-drive).
         shard_faults / shard_byzantine: per-shard fault schedule and
             Byzantine replica spec, keyed by shard index.
         hub_faults: fault schedule of the client/coordinator network —
@@ -299,7 +227,6 @@ class ShardedClusterConfig:
     client_outstanding: int = 4
     total_batches: Optional[int] = 40
     cross_shard_fraction: float = 0.2
-    use_coordinator: bool = True
     execute_operations: bool = False
     use_ycsb_payload: bool = False
     out_of_order: bool = True
@@ -310,7 +237,6 @@ class ShardedClusterConfig:
     shard_byzantine: Dict[int, ByzantineSpec] = field(default_factory=dict)
     hub_faults: Optional[FaultSchedule] = None
     coordinator_behavior: Optional[str] = None
-    coordinator_behavior_options: Dict[str, object] = field(default_factory=dict)
     ycsb: Optional[YcsbConfig] = None
     seed: int = 1
 
@@ -615,35 +541,27 @@ class ShardRuntime:
             faults=config.hub_faults or FaultSchedule.none(),
         )
         self.boundary.attach(self.hub)
-        if config.use_coordinator:
-            self.coordinator = ShardCoordinator(
-                coordinator_id(), self.node_config, self.layout,
-                timeout_ms=config.request_timeout_ms)
-            self.hub.add_client(self.coordinator)
-            self._attach_coordinator_behavior()
+        self.coordinator = ShardCoordinator(
+            coordinator_id(), self.node_config, self.layout,
+            timeout_ms=config.request_timeout_ms)
+        self.hub.add_client(self.coordinator)
+        if config.coordinator_behavior:
+            attach_byzantine(self.hub, self.coordinator.node_id,
+                             config.coordinator_behavior, config.seed)
+            self.byzantine_ids.append(self.coordinator.node_id)
         for pid in config.pool_ids():
             pool = ShardedClientPool(
                 node_id=pid,
                 config=self.node_config,
                 layout=self.layout,
                 batch_source=_pool_source(config, pid),
+                coordinator_id=self.coordinator.node_id,
                 target_outstanding=config.client_outstanding,
                 total_batches=config.total_batches,
                 timeout_ms=config.request_timeout_ms,
-                coordinator_id=self.coordinator.node_id if self.coordinator else "",
             )
             self.pools.append(pool)
             self.hub.add_client(pool)
-
-    def _attach_coordinator_behavior(self) -> None:
-        name = self.config.coordinator_behavior
-        if not name or self.coordinator is None:
-            return
-        behavior = make_behavior(name, **self.config.coordinator_behavior_options)
-        self.hub.set_byzantine(self.coordinator.node_id, behavior,
-                               seed=self.config.seed)
-        behavior.install(self.hub.node(self.coordinator.node_id))
-        self.byzantine_ids.append(self.coordinator.node_id)
 
     # -- windowed execution ------------------------------------------------------
     @property
@@ -731,7 +649,53 @@ def run_windows(results: List[WindowResult], window_all,
 
 # -- the sharded cluster (sequential reference driver) -----------------------------
 
-class ShardedCluster:
+class ShardedRunView:
+    """The results surface of a sharded run, shared by both drivers.
+
+    The sequential :class:`ShardedCluster` and the parallel driver's
+    :class:`~repro.fabric.parallel.ParallelShardedRun` provide ``config``,
+    ``pools``, ``shard_clusters``, ``shard_processed_events`` and
+    ``shard_clocks``; the totals and the summary derive from those.
+    """
+
+    @property
+    def now(self) -> float:
+        """Virtual time (all runtimes share each window edge)."""
+        return max(self.shard_clocks)
+
+    @property
+    def processed_events(self) -> int:
+        """Total events executed across every runtime's simulator."""
+        return sum(self.shard_processed_events)
+
+    def completions(self) -> List[CompletionRecord]:
+        return merged_completions(self.pools)
+
+    def result(self, window: Optional[MetricsWindow] = None,
+               warmup_fraction: float = 0.1,
+               metadata: Optional[Dict[str, object]] = None) -> RunResult:
+        """Summarise the run, excluding an initial warm-up fraction."""
+        config = self.config
+        records = self.completions()
+        if window is None:
+            window = warmup_window(records, warmup_fraction)
+        info = {
+            "batch_size": config.batch_size,
+            "num_shards": config.num_shards,
+            "cross_shard_fraction": config.cross_shard_fraction,
+        }
+        info.update(metadata or {})
+        protocols = [cluster.config.protocol for cluster in self.shard_clusters]
+        return summarize(
+            protocol=f"sharded[{'+'.join(protocols)}]",
+            n=config.num_shards * config.num_replicas,
+            completions=records,
+            window=window,
+            metadata=info,
+        )
+
+
+class ShardedCluster(ShardedRunView):
     """S per-shard runtimes, a coordinator and sharded client pools.
 
     Each shard advances on its **own** :class:`Simulator` inside a
@@ -759,26 +723,13 @@ class ShardedCluster:
         self.coordinator = home.coordinator
         self.pools = home.pools
         self.byzantine_ids: List[str] = [
-            rid for cluster in self.shard_clusters for rid in cluster.byzantine_ids]
-        if self.coordinator is not None and config.coordinator_behavior:
-            self.byzantine_ids.append(self.coordinator.node_id)
+            rid for runtime in self.runtimes for rid in runtime.byzantine_ids]
         self._results: Optional[List[WindowResult]] = None
 
     # -- introspection -----------------------------------------------------------
     @property
     def lookahead_ms(self) -> float:
         return self.runtimes[0].lookahead_ms
-
-    @property
-    def now(self) -> float:
-        """Virtual time (all runtimes share each window edge)."""
-        return max(runtime.simulator.now for runtime in self.runtimes)
-
-    @property
-    def processed_events(self) -> int:
-        """Total events executed across every runtime's simulator."""
-        return sum(runtime.simulator.processed_events
-                   for runtime in self.runtimes)
 
     @property
     def shard_processed_events(self) -> List[int]:
@@ -812,63 +763,16 @@ class ShardedCluster:
             self.lookahead_ms, self.now + max_ms)
         return self.now
 
-    # -- results -----------------------------------------------------------------
-    def completions(self) -> List[CompletionRecord]:
-        records: List[CompletionRecord] = []
-        for pool in self.pools:
-            records.extend(pool.completions)
-        records.sort(key=lambda record: record.completed_at_ms)
-        return records
-
-    def result(self, window: Optional[MetricsWindow] = None,
-               warmup_fraction: float = 0.1,
-               metadata: Optional[Dict[str, object]] = None) -> RunResult:
-        return summarize_sharded(
-            self.config, self.completions(),
-            [cluster.config.protocol for cluster in self.shard_clusters],
-            window=window, warmup_fraction=warmup_fraction,
-            metadata=metadata)
-
-
-def summarize_sharded(config: ShardedClusterConfig,
-                      records: List[CompletionRecord],
-                      protocols: List[str],
-                      window: Optional[MetricsWindow] = None,
-                      warmup_fraction: float = 0.1,
-                      metadata: Optional[Dict[str, object]] = None) -> RunResult:
-    """Summarise a sharded run's completions (shared by both drivers)."""
-    if window is None and records:
-        start_index = int(len(records) * warmup_fraction)
-        start_index = min(start_index, len(records) - 1)
-        measured = records[start_index:]
-        last_submission = max(record.submitted_at_ms for record in measured)
-        window = MetricsWindow(
-            start_ms=min(measured[0].completed_at_ms, last_submission),
-            end_ms=measured[-1].completed_at_ms,
-        )
-    info = {
-        "batch_size": config.batch_size,
-        "num_shards": config.num_shards,
-        "cross_shard_fraction": config.cross_shard_fraction,
-    }
-    info.update(metadata or {})
-    return summarize(
-        protocol=f"sharded[{'+'.join(protocols)}]",
-        n=config.num_shards * config.num_replicas,
-        completions=records,
-        window=window,
-        metadata=info,
-    )
-
 
 def fingerprint_state(run) -> str:
     """Hash everything observable about a finished sharded run.
 
-    *run* is either a :class:`ShardedCluster` or the parallel driver's
-    artifact view — anything exposing ``shard_processed_events``,
-    ``shard_clocks``, ``shard_clusters`` (each with ``replicas``),
-    ``pools`` and ``coordinator``.  Both drivers fold the exact same
-    state, which is what the byte-identical acceptance test compares.
+    *run* is a :class:`ShardedRunView` — a :class:`ShardedCluster` or the
+    parallel driver's artifact view — read through
+    ``shard_processed_events``, ``shard_clocks``, ``shard_clusters`` (each
+    with ``replicas``), ``pools`` and ``coordinator``.  Both drivers fold
+    the exact same state, which is what the byte-identical acceptance test
+    compares.
     """
     hasher = hashlib.sha256()
 
@@ -897,9 +801,8 @@ def fingerprint_state(run) -> str:
               for r in pool.completions],
              sorted((txn, sorted(outcomes.items()))
                     for txn, outcomes in pool.xshard_outcomes.items()))
-    if run.coordinator is not None:
-        fold(sorted((txn, entry["decision"], entry["shards"])
-                    for txn, entry in run.coordinator.journal.items()))
+    fold(sorted((txn, entry["decision"], entry["shards"])
+                for txn, entry in run.coordinator.journal.items()))
     return hasher.hexdigest()
 
 

@@ -19,7 +19,6 @@ from repro.workload.zipfian import ZipfianGenerator
 from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 from repro.workload.clients import (
     ClientPool,
-    ClosedLoopClient,
     CompletionRecord,
     synthetic_batch_source,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "YcsbConfig",
     "YcsbWorkload",
     "ClientPool",
-    "ClosedLoopClient",
     "CompletionRecord",
     "synthetic_batch_source",
 ]

@@ -26,17 +26,23 @@ several commits atomically through two-phase commit *over consensus*:
 Everything here is pure data + deterministic state transitions — no
 network, no simulator — so the same code serves the coordinator, the
 recovering client pool, the per-replica :class:`ShardTxnManager` and the
-safety auditor's independent re-validation.
+safety auditor's independent re-validation.  The round itself — reply
+counting, the commit/abort rule, certificate assembly, control-request
+construction and routing — is :class:`TwoPhaseDriver`, which both the
+coordinator and the client pool mix in: whoever currently owns a
+transaction runs the same code.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.hashing import digest
 from repro.protocols.base import Message
+from repro.protocols.client_messages import ClientReplyMessage, ClientRequestMessage
+from repro.protocols.quorum import VoteSet
 from repro.workload.transactions import (
     RequestBatch,
     Transaction,
@@ -61,6 +67,9 @@ OUTCOMES = ("prepared", "refused", "committed", "aborted", "rejected")
 #: One certificate claim: (shard, outcome, attesting replica ids).  Plain
 #: tuples keep control batches hashable and cheaply comparable.
 ShardClaim = Tuple[int, str, Tuple[str, ...]]
+
+#: What one shard attested in a round: (outcome, attesting replica ids).
+ShardVote = Tuple[str, Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -383,6 +392,174 @@ class CoordAck(Message):
     """Client pool -> coordinator: *txn* is decided everywhere; stop retrying."""
 
     txn: str = ""
+
+
+# -- the 2PC round ----------------------------------------------------------------
+
+def decide_round(shards: Sequence[int], phase_results: Dict[int, ShardVote],
+                 decided_claims: Dict[int, ShardVote],
+                 ) -> Tuple[str, Tuple[ShardClaim, ...]]:
+    """The one commit/abort rule, with the certificate that justifies it.
+
+    Any *committed* shard forces commit (a valid commit certificate once
+    existed, so every shard prepared); otherwise any refusal or abort
+    forces abort (presumed abort); otherwise every shard stands prepared
+    and the transaction commits.  A shard that already reached a terminal
+    decide quorum attests through its decide voters (*decided_claims*);
+    the others through this round's votes (*phase_results*).
+    """
+    outcomes = [phase_results[shard][0] for shard in shards if shard in phase_results]
+    outcomes.extend(vote[0] for vote in decided_claims.values())
+    if any(o == "committed" for o in outcomes):
+        decision = COMMIT
+    elif any(o in ("refused", "aborted") for o in outcomes):
+        decision = ABORT
+    else:
+        decision = COMMIT
+    claims = []
+    for shard in shards:
+        vote = phase_results.get(shard) or decided_claims.get(shard)
+        if vote is not None:
+            claims.append((shard,) + vote)
+    return decision, tuple(claims)
+
+
+@dataclass(slots=True)
+class TwoPhaseRound:
+    """One cross-shard transaction as its current driver sees it.
+
+    ``mode`` is the phase whose votes are being collected (``PREPARE`` or
+    ``PROBE``), or ``"decide"`` once a certified decision is being written
+    to every shard; a driver may add modes of its own.
+    """
+
+    plan: CrossShardPlan
+    submitted_at_ms: float
+    mode: str = PREPARE
+    votes: Dict[Tuple, VoteSet] = field(default_factory=dict)
+    phase_results: Dict[int, ShardVote] = field(default_factory=dict)
+    #: shard -> vote for shards that reached a terminal decide quorum;
+    #: recovery certificates for the remaining shards are built from these
+    #: claims plus fresh probe results.
+    decided_claims: Dict[int, ShardVote] = field(default_factory=dict)
+    decision: str = ""
+    cert: Tuple[ShardClaim, ...] = ()
+    retransmissions: int = 0
+
+    @property
+    def phase(self) -> str:
+        """The phase whose control records are out: the vote being
+        collected, or the decision once there is one."""
+        return self.decision if self.mode == "decide" else self.mode
+
+
+class TwoPhaseDriver:
+    """The 2PC round, mixed into whichever client node drives a transaction.
+
+    The coordinator and the client pool (its fallback once it suspects the
+    coordinator) are both ordinary clients of every shard; this mixin is
+    everything they do identically.  It goes in front of a
+    :class:`~repro.protocols.base.ClientNode` base and uses its ``send``,
+    ``config`` and ``node_id``.
+    """
+
+    def __init__(self, node_id: str, config, layout: ShardLayout, **kwargs) -> None:
+        super().__init__(node_id, config, **kwargs)
+        self.layout = layout
+        self._views = [0] * layout.num_shards
+
+    def route(self, shard: int, message: ClientRequestMessage,
+              retransmission: bool) -> None:
+        """Send to the shard primary, or every shard member on retransmit.
+
+        Retransmission broadcasts are what let shard backups notice a dead
+        primary and drive a view change — same mechanism as the
+        single-group client pool, scoped to the shard's members.
+        """
+        if retransmission or self.layout.wants_broadcast(shard):
+            for rid in self.layout.replicas(shard):
+                self.send(rid, message)
+        else:
+            self.send(self.layout.primary(shard, self._views[shard]), message)
+
+    def count_reply(self, tally: Dict[Tuple, VoteSet], sender: str,
+                    message: ClientReplyMessage, shard: int) -> Optional[VoteSet]:
+        """Count *sender*'s reply; the voter set once it is a reply quorum.
+
+        Reply identity is the transport-level sender, and quorums only form
+        over identical replies (same view, sequence and result digest).
+        """
+        key = message.matching_key()
+        voters = tally.get(key)
+        if voters is None:
+            voters = tally[key] = VoteSet(self.layout.index_map(shard))
+        voters.add(sender)
+        if message.view > self._views[shard]:
+            self._views[shard] = message.view
+        if voters.count < self.layout.reply_quorum(shard):
+            return None
+        return voters
+
+    def count_control_reply(self, round: TwoPhaseRound, sender: str,
+                            message: ClientReplyMessage, phase: str,
+                            shard: int) -> Optional[Tuple[str, VoteSet]]:
+        """Count a control-record reply; (outcome, voters) at a quorum."""
+        voters = self.count_reply(round.votes, sender, message, shard)
+        if voters is None:
+            return None
+        outcome = decode_outcome(message.result_digest, round.plan.txn, phase, shard)
+        if outcome is None:
+            return None
+        return outcome, voters
+
+    def record_vote(self, round: TwoPhaseRound, shard: int, outcome: str,
+                    voters: VoteSet) -> bool:
+        """Record *shard*'s quorum-backed vote for the running phase.
+
+        Returns ``True`` when that was the last shard outstanding: the
+        round then holds its decision and certificate (``mode`` is
+        ``"decide"``) and the caller writes the decide records.
+        """
+        if shard in round.phase_results:
+            return False
+        round.phase_results[shard] = (outcome, tuple(sorted(voters)))
+        shards = round.plan.shards
+        if not all(s in round.phase_results or s in round.decided_claims
+                   for s in shards):
+            return False
+        round.decision, round.cert = decide_round(
+            shards, round.phase_results, round.decided_claims)
+        round.mode = "decide"
+        return True
+
+    def send_phase(self, round: TwoPhaseRound, now_ms: float,
+                   reply_to: str, retransmission: bool) -> None:
+        """Send the round's current phase to every shard still owing an answer.
+
+        A vote phase (PREPARE, PROBE) skips shards that already voted in
+        this round or are terminally decided; a decide phase carries the
+        round's certificate (and, for COMMIT, the shard's slice of the
+        transaction) and skips only the decided shards.  Replicas answer
+        *reply_to*.
+        """
+        plan = round.plan
+        phase = round.phase
+        decide = phase in DECIDE_PHASES
+        for shard in plan.shards:
+            if shard in round.decided_claims or (
+                    not decide and shard in round.phase_results):
+                continue
+            batch = make_control_batch(
+                plan.txn, phase, shard, plan.shards,
+                cert=round.cert if decide else (),
+                payload_txns=plan.slice_for(shard) if phase == COMMIT else (),
+                reply_to=reply_to, created_at_ms=now_ms)
+            self.route(shard, ClientRequestMessage(
+                batch=batch,
+                reply_to=reply_to,
+                retransmission=retransmission,
+                size_bytes=self.config.proposal_size_bytes(1),
+            ), retransmission)
 
 
 #: Factory signature: (request_index, now_ms) -> SingleShardBatch | CrossShardPlan.

@@ -136,7 +136,7 @@ class TestInformQuorumInvariant:
         pool = cluster.pools[0]
         batch_id = pool.completions[0].batch_id
         # Pretend the network only ever delivered one matching reply.
-        votes = auditor._reply_votes[(pool.node_id, batch_id)]
+        votes = auditor.wire.reply_votes[(pool.node_id, batch_id)]
         for senders in votes.values():
             single, at_ms = next(iter(senders.items()))
             senders.clear()

@@ -4,11 +4,7 @@ import pytest
 
 from repro.protocols.base import NodeConfig
 from repro.protocols.client_messages import ClientReplyMessage, ClientRequestMessage
-from repro.workload.clients import (
-    ClientPool,
-    ClosedLoopClient,
-    synthetic_batch_source,
-)
+from repro.workload.clients import ClientPool, synthetic_batch_source
 
 REPLICAS = [f"replica:{i}" for i in range(4)]
 
@@ -67,12 +63,18 @@ class TestLoadGeneration:
         pool.start(0.0)
         assert not pool.is_done()
 
-    def test_closed_loop_client_keeps_one_outstanding(self):
-        config = NodeConfig(replica_ids=list(REPLICAS), batch_size=10)
-        client = ClosedLoopClient("client:0", config, completion_quorum=1,
-                                  total_batches=5)
-        client.start(0.0)
-        assert client.outstanding == 1
+    def test_closed_loop_pool_keeps_one_outstanding(self):
+        """``target_outstanding=1`` is the closed-loop client of the
+        out-of-order-disabled experiments: the next request goes out only
+        when the previous one was accepted."""
+        pool, _ = make_pool(completion_quorum=1, target_outstanding=1)
+        pool.start(0.0)
+        assert pool.outstanding == 1
+        first = list(pool._pending)[0]
+        output = pool.deliver("replica:0", reply(first, "replica:0"), 1.0)
+        assert pool.completed_batches == 1
+        assert pool.outstanding == 1
+        assert len(output.sends()) == 1
 
 
 class TestCompletionRules:

@@ -346,34 +346,14 @@ def test_golden_scenario_rows(protocol, scenario):
 
 def _xshard_scenario_config(protocol: str, scenario: str, seed: int = 11):
     """A sharded config mirroring one xshard fault-matrix cell."""
-    import dataclasses
-
     from repro.fabric.scenarios import (
-        SCENARIO_DEFS,
         SHARDED_SCENARIOS,
         ScenarioParams,
+        sharded_cluster_config,
     )
-    from repro.fabric.sharding import ShardedClusterConfig, coordinator_id
 
-    sdef = SHARDED_SCENARIOS[scenario]
-    params = ScenarioParams(seed=seed)
-    shard_faults = {}
-    for shard, recipe_name in sdef.per_shard:
-        plan = SCENARIO_DEFS[recipe_name].recipe(
-            dataclasses.replace(params, namespace=f"s{shard}/"))
-        shard_faults[shard] = plan.faults
-    hub_faults = None
-    if sdef.coordinator_crash_at_ms is not None:
-        hub_faults = FaultSchedule().add_crash(
-            coordinator_id(), at_ms=sdef.coordinator_crash_at_ms)
-    return ShardedClusterConfig(
-        num_shards=sdef.num_shards, protocols=protocol, num_replicas=4,
-        batch_size=10, client_outstanding=4, total_batches=20,
-        cross_shard_fraction=sdef.cross_shard_fraction,
-        request_timeout_ms=100.0, checkpoint_interval=5,
-        shard_faults=shard_faults, hub_faults=hub_faults,
-        coordinator_behavior=sdef.coordinator_behavior, seed=seed,
-    )
+    return sharded_cluster_config(
+        protocol, SHARDED_SCENARIOS[scenario], ScenarioParams(seed=seed))
 
 
 GOLDEN_XSHARD_CRASH_2PC = "0b0c7db90d254b75"

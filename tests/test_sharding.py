@@ -26,15 +26,34 @@ from repro.fabric.scenarios import (
     SHARDED_MATRIX_PROTOCOLS,
     SHARDED_SCENARIOS,
     ScenarioParams,
+    ShardedScenarioDef,
     default_matrix_scenarios,
     run_scenario,
 )
 from repro.fabric.sharding import (
+    ShardCoordinator,
     ShardedCluster,
     ShardedClusterConfig,
     coordinator_id,
+    hub_node_config,
+    layout_for_config,
+    pool_id,
 )
 from repro.net.faults import FaultSchedule
+from repro.protocols.client_messages import ClientReplyMessage
+from repro.workload.clients import ShardedClientPool
+from repro.workload.xshard import (
+    ABORT,
+    COMMIT,
+    PREPARE,
+    CoordSubmit,
+    CrossShardPlan,
+    control_batch_id,
+    control_result_digest,
+    decide_record_valid,
+    decide_round,
+    make_control_batch,
+)
 
 #: The acceptance seeds every sharded matrix cell must pass on.
 ACCEPTANCE_SEEDS = (3, 7, 42, 99)
@@ -203,3 +222,143 @@ def test_sharded_auditor_attaches_like_the_single_group_one():
     cluster.run_until_done(max_ms=600_000.0)
     report = auditor.check()  # raises on violation
     assert report.ok
+
+
+# ------------------------------------------------------- the shared 2PC round
+A, B, C = ("s0/replica:0", "s0/replica:1"), ("s1/replica:0", "s1/replica:1"), \
+    ("s2/replica:0", "s2/replica:1")
+
+
+@pytest.mark.parametrize("phase_results,decided_claims,decision,cert", [
+    # every shard prepared -> commit, certified by the prepare votes
+    ({0: ("prepared", A), 1: ("prepared", B)}, {},
+     COMMIT, ((0, "prepared", A), (1, "prepared", B))),
+    # any refusal -> abort (presumed abort)
+    ({0: ("prepared", A), 1: ("refused", B)}, {},
+     ABORT, ((0, "prepared", A), (1, "refused", B))),
+    ({0: ("aborted", A), 1: ("prepared", B)}, {},
+     ABORT, ((0, "aborted", A), (1, "prepared", B))),
+    # a committed shard outranks a refusal: a commit certificate existed
+    ({0: ("committed", A), 1: ("refused", B)}, {},
+     COMMIT, ((0, "committed", A), (1, "refused", B))),
+    # a shard already in ``decided`` attests through its decide voters
+    ({1: ("prepared", B)}, {0: ("committed", A)},
+     COMMIT, ((0, "committed", A), (1, "prepared", B))),
+    ({0: ("prepared", A), 2: ("prepared", C)}, {1: ("aborted", B)},
+     ABORT, ((0, "prepared", A), (1, "aborted", B), (2, "prepared", C))),
+    # a fresh vote is preferred over the decide claim of the same shard
+    ({0: ("prepared", A), 1: ("prepared", B)}, {1: ("committed", B)},
+     COMMIT, ((0, "prepared", A), (1, "prepared", B))),
+])
+def test_decide_round_rule_and_certificate(phase_results, decided_claims,
+                                           decision, cert):
+    shards = tuple(sorted(set(phase_results) | set(decided_claims)))
+    assert decide_round(shards, phase_results, decided_claims) == (decision, cert)
+
+
+def test_decide_round_certificates_validate():
+    """Whatever the rule decides, the certificate it assembles is the one
+    the replicas' validator accepts for that decision."""
+    layout = layout_for_config(ShardedClusterConfig(num_shards=2))
+    for outcomes in (("prepared", "prepared"), ("prepared", "refused"),
+                     ("committed", "prepared"), ("aborted", "refused")):
+        results = {shard: (outcome, layout.replicas(shard)[:2])
+                   for shard, outcome in enumerate(outcomes)}
+        decision, cert = decide_round((0, 1), results, {})
+        record = make_control_batch("t", decision, 0, (0, 1), cert=cert)
+        assert decide_record_valid(record, layout), (outcomes, decision)
+
+
+def test_both_drivers_decide_through_the_shared_round(monkeypatch):
+    """The coordinator and a self-driving pool reach their decision in the
+    same code: one call each to ``decide_round``, and the decide records
+    they send carry exactly the certificate it returned."""
+    import repro.workload.xshard as xshard
+
+    config = ShardedClusterConfig(num_shards=2, request_timeout_ms=100.0)
+    layout = layout_for_config(config)
+    node_config = hub_node_config(config, layout)
+    plan = CrossShardPlan(txn="pool:0:x:0", shards=(0, 1))
+    calls = []
+
+    def spy(shards, phase_results, decided_claims):
+        calls.append(xshard_decide_round(shards, phase_results, decided_claims))
+        return calls[-1]
+
+    xshard_decide_round = xshard.decide_round
+    monkeypatch.setattr(xshard, "decide_round", spy)
+
+    def prepare_quorums(driver):
+        """Deliver a prepared-quorum from every shard; the last step's output."""
+        for shard in plan.shards:
+            for rid in layout.replicas(shard)[:layout.reply_quorum(shard)]:
+                output = driver.deliver(rid, ClientReplyMessage(
+                    batch_id=control_batch_id(plan.txn, PREPARE, shard),
+                    sequence=1, replica_id=rid,
+                    result_digest=control_result_digest(
+                        plan.txn, PREPARE, shard, "prepared")), 1.0)
+        return output
+
+    coordinator = ShardCoordinator(coordinator_id(), node_config, layout)
+    coordinator.deliver(pool_id(0), CoordSubmit(plan=plan, reply_to=pool_id(0)), 0.0)
+    pool = ShardedClientPool(pool_id(0), node_config, layout,
+                             batch_source=lambda index, now_ms: plan,
+                             coordinator_id=coordinator_id(),
+                             target_outstanding=1, total_batches=1)
+    pool.coordinator_suspect = True   # the pool drives its own prepares
+    pool.start(0.0)
+    for driver in (coordinator, pool):
+        del calls[:]
+        decides = [send.message.batch for send in prepare_quorums(driver).sends()]
+        assert len(calls) == 1
+        decision, cert = calls[0]
+        assert decision == COMMIT
+        assert sorted(batch.shard for batch in decides) == [0, 1]
+        assert all(batch.control_phase == COMMIT and batch.cert == cert
+                   and batch.reply_to == pool_id(0) for batch in decides)
+        if driver is coordinator:
+            assert coordinator.journal[plan.txn]["cert"] == cert
+
+
+# ------------------------------------------------- per-shard recipe coverage
+def test_per_shard_recipe_asking_for_more_than_a_shard_takes_is_rejected(monkeypatch):
+    """A per-shard recipe may set ``faults`` and ``byzantine``; one that
+    also wants co-conspirators, a resize, a reconfiguration or its own
+    network used to run silently truncated."""
+    monkeypatch.setitem(SHARDED_SCENARIOS, "xshard-throwaway", ShardedScenarioDef(
+        name="xshard-throwaway", per_shard=((0, "colluding-equivocate"),)))
+    with pytest.raises(ValueError, match="extra_byzantine"):
+        run_scenario("poe-mac", "xshard-throwaway")
+    monkeypatch.setitem(SHARDED_SCENARIOS, "xshard-throwaway", ShardedScenarioDef(
+        name="xshard-throwaway", per_shard=((1, "epoch-grow"),)))
+    with pytest.raises(ValueError, match="reconfig"):
+        run_scenario("poe-mac", "xshard-throwaway")
+
+
+# ------------------------------------------------ recorded input, timestamped
+def test_completion_stamped_before_its_reply_quorum_is_flagged():
+    """The auditor reads one recorder, and it is timestamped: replies that
+    reach the pool after ``completed_at_ms`` cannot justify a completion —
+    for single-shard batches and for cross-shard decide quorums alike."""
+    import dataclasses
+
+    cluster = ShardedCluster(ShardedClusterConfig(
+        num_shards=2, protocols="poe-mac", num_replicas=4, batch_size=10,
+        total_batches=10, cross_shard_fraction=0.3, seed=5))
+    auditor = ShardedSafetyAuditor.attach(cluster)
+    cluster.start()
+    cluster.run_until_done(max_ms=600_000.0)
+    assert auditor.report().ok
+    pool = cluster.pools[0]
+    for wanted_xshard in (False, True):
+        index, record = next(
+            (i, r) for i, r in enumerate(pool.completions)
+            if (r.batch_id in pool.xshard_plans) == wanted_xshard)
+        honest = list(pool.completions)
+        # As if the pool had completed the request the moment it sent it.
+        pool.completions[index] = dataclasses.replace(
+            record, completed_at_ms=record.submitted_at_ms)
+        report = auditor.report()
+        pool.completions[:] = honest
+        assert {v.kind for v in report.violations} == {"inform-quorum"}
+        assert all(record.batch_id in v.detail for v in report.violations)
