@@ -32,8 +32,10 @@ or through pytest like the figure benchmarks.  Standalone extras:
   and do **not** overwrite it (wall-clock numbers are host-relative, so
   re-recording on a different/noisy host would poison the baseline);
 * ``--check-events EXPECTATIONS.json`` — behaviour guard for CI: fail if
-  ``processed_events`` deviates from the checked-in expectations on any
-  row (see ``benchmarks/PERF_EXPECTATIONS.json``).
+  ``processed_events`` or ``digest_memo_misses`` (distinct consensus
+  values hashed — per value, not per replica) deviates from the
+  checked-in expectations on any row (see
+  ``benchmarks/PERF_EXPECTATIONS.json``).
 """
 
 import argparse
@@ -59,7 +61,8 @@ from repro.bench.report import print_results
 #: Columns reported for the per-cluster rows.
 _CLUSTER_COLUMNS = (
     "protocol", "n", "total_batches", "wall_s", "processed_events",
-    "events_per_wall_sec", "txns_per_wall_sec", "virtual_throughput_txn_per_s",
+    "digest_memo_misses", "events_per_wall_sec", "txns_per_wall_sec",
+    "virtual_throughput_txn_per_s",
 )
 
 
@@ -144,8 +147,9 @@ def main(argv=None) -> int:
                              "BENCH_simperf.json at the repo root; with "
                              "--compare the default is to not write)")
     parser.add_argument("--check-events", metavar="EXPECTATIONS.json",
-                        help="fail unless per-row processed_events matches "
-                             "the expectations file (behaviour guard)")
+                        help="fail unless per-row processed_events and "
+                             "digest_memo_misses match the expectations "
+                             "file (behaviour guard)")
     args = parser.parse_args(argv)
 
     if args.profile:
@@ -214,12 +218,13 @@ def main(argv=None) -> int:
             expectations = json.load(handle)
         problems = check_processed_events(results, expectations)
         if problems:
-            print("processed_events expectations FAILED:")
+            print("processed_events / digest_memo_misses expectations FAILED:")
             for problem in problems:
                 print(f"  - {problem}")
             exit_code = 1
         else:
-            print(f"processed_events match {args.check_events} "
+            print(f"processed_events and digest_memo_misses match "
+                  f"{args.check_events} "
                   f"({len(expectations.get('rows', {}))} rows)")
 
     # A same-seed divergence must fail the smoke run, not just be recorded.

@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.crypto.hashing import shared_digest
 from repro.fabric.cluster import Cluster, ClusterConfig
 
 # Re-exported: the run fingerprint lives with the other canonical state
@@ -53,7 +54,12 @@ from repro.net.simulator import Simulator
 #: it (``sequential`` in-process vs ``parallel`` worker processes) and the
 #: per-shard ``shard_processed_events`` breakdown; the parallel compare
 #: mode (``measure_parallel_speedup``) emits rows of both drivers.
-SCHEMA_VERSION = 4
+#: Version 5 adds the first deterministic work counters next to
+#: ``processed_events``: ``digest_memo_misses`` / ``digest_memo_hits`` of
+#: the shared digest memo (``repro.crypto.hashing.shared_digest``), read
+#: over one in-process run that starts from an empty memo.  Misses count
+#: the distinct consensus values hashed, so they do not grow with n.
+SCHEMA_VERSION = 5
 
 #: Default output file name; the benchmark driver writes it at the repo root.
 DEFAULT_REPORT_NAME = "BENCH_simperf.json"
@@ -190,15 +196,24 @@ def _noop() -> None:
     return None
 
 
+def _digest_memo_counters() -> Dict[str, int]:
+    """Row fields: the shared digest memo's counters since its last clear."""
+    info = shared_digest.cache_info()
+    return {"digest_memo_misses": info.misses, "digest_memo_hits": info.hits}
+
+
 # ------------------------------------------------------------------ clusters
 def measure_cluster(protocol: str, num_replicas: int, total_batches: int,
                     batch_size: int = 100, seed: int = 3,
                     repeats: int = 2) -> Dict[str, object]:
     """Wall-clock cost of one full cluster run (best of *repeats*)."""
     best_wall = float("inf")
-    reference: Optional[Tuple[int, int, float]] = None
+    reference: Optional[Tuple[int, int, float, Dict[str, int]]] = None
     throughput = 0.0
     for _ in range(max(1, repeats)):
+        # Every repeat starts from an empty memo, so its counters (and its
+        # wall time) are those of one cluster run, whatever ran before.
+        shared_digest.cache_clear()
         cluster = Cluster(ClusterConfig(
             protocol=protocol, num_replicas=num_replicas,
             batch_size=batch_size, total_batches=total_batches, seed=seed,
@@ -210,7 +225,7 @@ def measure_cluster(protocol: str, num_replicas: int, total_batches: int,
         events = cluster.simulator.processed_events
         completed = sum(pool.completed_txns for pool in cluster.pools)
         virtual_ms = cluster.simulator.now
-        signature = (events, completed, virtual_ms)
+        signature = (events, completed, virtual_ms, _digest_memo_counters())
         if reference is None:
             reference = signature
             throughput = cluster.result().throughput_txn_per_s
@@ -220,7 +235,7 @@ def measure_cluster(protocol: str, num_replicas: int, total_batches: int,
                 f"{signature} != {reference}")
         if wall < best_wall:
             best_wall = wall
-    events, completed_txns, virtual_ms = reference
+    events, completed_txns, virtual_ms, memo_counters = reference
     return {
         "protocol": protocol,
         "n": num_replicas,
@@ -229,6 +244,7 @@ def measure_cluster(protocol: str, num_replicas: int, total_batches: int,
         "seed": seed,
         "wall_s": round(best_wall, 4),
         "processed_events": events,
+        **memo_counters,
         "events_per_wall_sec": round(events / best_wall, 1),
         "completed_txns": completed_txns,
         "txns_per_wall_sec": round(completed_txns / best_wall, 1),
@@ -287,9 +303,11 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
     from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig
 
     best_wall = float("inf")
-    reference: Optional[Tuple[Tuple[int, ...], int, float]] = None
+    reference: Optional[Tuple[Tuple[int, ...], int, float,
+                              Dict[str, int]]] = None
     throughput = 0.0
     for _ in range(max(1, repeats)):
+        shared_digest.cache_clear()
         config = ShardedClusterConfig(
             num_shards=num_shards, protocols=protocol,
             num_replicas=num_replicas, batch_size=batch_size,
@@ -314,7 +332,8 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
         shard_events = tuple(run.shard_processed_events)
         completed = sum(pool.completed_txns for pool in run.pools)
         virtual_ms = run.now
-        signature = (shard_events, completed, virtual_ms)
+        signature = (shard_events, completed, virtual_ms,
+                     _digest_memo_counters())
         if reference is None:
             reference = signature
             throughput = run.result().throughput_txn_per_s
@@ -325,8 +344,11 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
                 f"{signature} != {reference}")
         if wall < best_wall:
             best_wall = wall
-    shard_events, completed_txns, virtual_ms = reference
+    shard_events, completed_txns, virtual_ms, memo_counters = reference
     events = sum(shard_events)
+    if driver == "parallel":
+        # The workers hash, each with a memo this process cannot read.
+        memo_counters = {}
     return {
         "protocol": sharded_row_label(protocol, num_shards,
                                       cross_shard_fraction),
@@ -340,6 +362,7 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
         "wall_s": round(best_wall, 4),
         "processed_events": events,
         "shard_processed_events": list(shard_events),
+        **memo_counters,
         "events_per_wall_sec": round(events / best_wall, 1),
         "completed_txns": completed_txns,
         "txns_per_wall_sec": round(completed_txns / best_wall, 1),
@@ -512,7 +535,9 @@ def check_processed_events(
     deliberately not checked — CI runners are too noisy for that — but a
     drifted event count on a no-fault row means the refactor changed what
     the cluster *does*, which must be an explicit, reviewed update to the
-    expectations file.
+    expectations file.  ``digest_memo_misses`` is pinned the same way:
+    it is the number of distinct consensus values a row hashes, so a rise
+    means some digest went back to being computed once per replica.
     """
     expected_scale = expectations.get("scale")
     run_scale = results.get("scale")
@@ -522,6 +547,7 @@ def check_processed_events(
         return [f"scale mismatch: expectations are for {expected_scale!r}, "
                 f"run is {run_scale!r}"]
     expected_rows: Dict[str, int] = expectations.get("rows", {})
+    expected_misses: Dict[str, int] = expectations.get("digest_memo_misses", {})
     problems: List[str] = []
     seen = set()
     for row in results.get("clusters", []):
@@ -534,6 +560,10 @@ def check_processed_events(
         elif expected != row["processed_events"]:
             problems.append(f"{key}: processed_events {row['processed_events']} "
                             f"!= expected {expected}")
+        misses = row.get("digest_memo_misses")
+        if expected_misses and expected_misses.get(key) != misses:
+            problems.append(f"{key}: digest_memo_misses {misses} "
+                            f"!= expected {expected_misses.get(key)}")
     for key in sorted(set(expected_rows) - seen):
         problems.append(f"{key}: expected row missing from the suite")
     return problems

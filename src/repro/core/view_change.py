@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.crypto.authenticator import Authenticator
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import shared_digest
 
 if TYPE_CHECKING:  # imported lazily: protocols import this module at load time
     from repro.core.messages import CertifiedEntry, PoeNewView, PoeViewChangeRequest
@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # imported lazily: protocols import this module at load time
 
 def proposal_digest(sequence: int, view: int, batch_digest: bytes) -> bytes:
     """The digest ``h = D(k || v || <T>_c)`` signed by SUPPORT messages."""
-    return digest("poe-proposal", sequence, view, batch_digest)
+    return shared_digest("poe-proposal", sequence, view, batch_digest)
 
 
 def validate_view_change_request(

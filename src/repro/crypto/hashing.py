@@ -16,11 +16,47 @@ ledger block goes through it), so the common cases — bytes, str, small
 ints, tuples — dispatch through a per-type table instead of an isinstance
 cascade, with precomputed length prefixes and small-integer encodings.
 The produced bytes are identical to the original cascade's.
+
+Two entry points, one encoding
+------------------------------
+:func:`digest` always canonicalises and hashes.  :func:`shared_digest`
+returns the same 32 bytes through one bounded, process-wide LRU memo,
+because a consensus value is hashed by every replica of a cluster: at
+n=32 the proposal digest, the threshold payload digest, the block hash
+and the result digest of one batch are each computed 32 times over one
+identical flat tuple.  A call site may use ``shared_digest`` when the
+digest is
+
+* *pure* — a function of the arguments alone (it is: nothing here reads
+  replica state);
+* *flat* — its arguments are ``bytes``/``str``/``int``/``bool``/``None``
+  or tuples of ``bytes``/``str``/``None`` (anything else is hashed
+  unmemoised, so routing it through the memo buys nothing);
+* *identical across replicas* — all n replicas ask for the same values,
+  so n-1 of the n calls are hits.  A digest only one node computes (the
+  Zyzzyva primary's history chain, a client's transaction digest) or one
+  that embeds the caller's identity stays on ``digest``: it would only
+  evict entries that are shared.
+
+The memo is keyed on the values themselves, never on who asks or on a
+slot number alone, so a replica that executes a different batch at the
+same sequence — Byzantine or merely diverged — asks for a different key
+and gets its own digest.  Only host time is saved: the simulated cost of
+hashing is charged by the caller (``charge(CryptoOp.HASH)``) whether or
+not the memo hits, so virtual time and every fingerprint are those of
+the unmemoised code.
+
+``digest`` itself is left raw because most of its callers hash a value
+once (``Transaction``/``RequestBatch`` keep their digest on the object,
+MACs and signatures bind the sender) and a miss costs half again as much
+as a plain call; memoising it would also hide the cost the hashing
+microbenchmarks exist to measure.
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Any, Callable, Dict
 
 #: Precomputed 8-byte big-endian length prefixes for short payloads.
@@ -62,11 +98,16 @@ def _canon_none(value: None) -> bytes:
 
 
 def _canon_sequence(value: Any) -> bytes:
+    # The per-element dispatch of ``_canonical_bytes`` is repeated here so
+    # an element costs one Python frame, not two: this loop is what the
+    # unmemoisable ``Transaction``/``RequestBatch`` digests spend time in.
     parts = [b"T", _len_prefix(len(value))]
     append = parts.append
-    canonical = _canonical_bytes
+    handlers = _DISPATCH
     for item in value:
-        append(canonical(item))
+        handler = handlers.get(item.__class__)
+        append(handler(item) if handler is not None
+               else _canonical_bytes_slow(item))
     return b"".join(parts)
 
 
@@ -150,6 +191,68 @@ def digest(*values: Any) -> bytes:
     ``D(k || v || <T>_c)`` concatenation notation.
     """
     return hashlib.sha256(_canon_sequence(values)).digest()
+
+
+#: Entries the :func:`shared_digest` memo holds before the least recently
+#: used one is evicted.  A value is asked for by every replica within a
+#: few virtual milliseconds and then never again, so the working set is
+#: the client pipeline (16 outstanding batches x ~100 results at most),
+#: not the run.
+SHARED_DIGEST_MEMO_SIZE = 4096
+
+#: Classes whose equal values always canonicalise to the same bytes.
+#: Numbers qualify only as immediate arguments, where ``typed=True`` keys
+#: the memo on their class: inside a tuple ``1``, ``True`` and ``1.0``
+#: would share a key.  ``float`` never does (``0.0 == -0.0``, but their
+#: ``repr`` differs), nor does a custom object, whose equality need not
+#: cover its ``canonical_bytes()``/``repr``.
+_MEMO_NESTED = frozenset({bytes, str, type(None)})
+_MEMO_ARGUMENTS = _MEMO_NESTED | {bool, int}
+
+
+def _memo_safe(values: tuple, leaves: frozenset = _MEMO_ARGUMENTS) -> bool:
+    for value in values:
+        cls = value.__class__
+        if cls is tuple:
+            if not _memo_safe(value, _MEMO_NESTED):
+                return False
+        elif cls not in leaves:
+            return False
+    return True
+
+
+@lru_cache(maxsize=SHARED_DIGEST_MEMO_SIZE, typed=True)
+def _memoised_digest(*values: Any) -> bytes:
+    # Runs on a miss only.  A hit is a call whose arguments equal, class
+    # for class, arguments that passed this check, and the check admits
+    # only values whose equals canonicalise identically - so a hit never
+    # returns another value's digest.  A raise is not cached.
+    if not _memo_safe(values):
+        raise TypeError("not memoisable")
+    return digest(*values)
+
+
+def shared_digest(*values: Any) -> bytes:
+    """:func:`digest`, byte for byte, memoised across the whole process.
+
+    For digests every replica of a cluster computes over the same flat
+    values (see the module docstring for which call sites qualify).
+    Arguments are memoised when each is ``bytes``, ``str``, ``bool``,
+    ``int``, ``None`` or a tuple of ``bytes``/``str``/``None``/such
+    tuples; any other call - every unhashable argument included - falls
+    through to :func:`digest`.
+    """
+    try:
+        return _memoised_digest(*values)
+    except TypeError:
+        return digest(*values)
+
+
+#: ``functools`` statistics and reset of the one memo.  ``misses`` counts
+#: the distinct values hashed since the last clear: a host-independent
+#: work counter (``repro.bench.perf`` records it per row).
+shared_digest.cache_info = _memoised_digest.cache_info
+shared_digest.cache_clear = _memoised_digest.cache_clear
 
 
 def digest_hex(*values: Any) -> str:

@@ -27,9 +27,10 @@ with public keys.  DESIGN.md documents this substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, Iterable, Optional, Sequence
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, shared_digest
 
 # secp256k1's field prime: any 256-bit prime works, this one is well known.
 _PRIME = 2**256 - 2**32 - 977
@@ -80,23 +81,15 @@ class ThresholdSignature:
         )
 
 
-#: Memo of digest -> field element; signing and verifying the same payload
-#: recurs once per replica per slot, and the map is tiny relative to runs.
-_FIELD_ELEMENT_CACHE: Dict[bytes, int] = {}
-_FIELD_ELEMENT_CACHE_MAX = 8192
-
-
+@lru_cache(maxsize=8192)
 def _field_element(payload_digest: bytes) -> int:
-    """Map a digest to a non-zero field element."""
-    cached = _FIELD_ELEMENT_CACHE.get(payload_digest)
-    if cached is not None:
-        return cached
+    """Map a digest to a non-zero field element.
+
+    Memoised: signing and verifying the same payload recurs once per
+    replica per slot.
+    """
     value = int.from_bytes(digest("threshold-message", payload_digest), "big") % _PRIME
-    value = value or 1
-    if len(_FIELD_ELEMENT_CACHE) >= _FIELD_ELEMENT_CACHE_MAX:
-        _FIELD_ELEMENT_CACHE.clear()
-    _FIELD_ELEMENT_CACHE[payload_digest] = value
-    return value
+    return value or 1
 
 
 def _lagrange_coefficient_at_zero(index: int, indices: Sequence[int]) -> int:
@@ -111,24 +104,18 @@ def _lagrange_coefficient_at_zero(index: int, indices: Sequence[int]) -> int:
     return (numerator * pow(denominator, _PRIME - 2, _PRIME)) % _PRIME
 
 
-#: Memo of share-index tuple -> Lagrange coefficient vector.  The primary
-#: aggregates the same quorum subsets over and over (the first ``nf``
-#: responders are stable within a run), and each vector otherwise costs one
-#: 256-bit modular exponentiation per share.
-_LAGRANGE_CACHE: Dict[tuple, tuple] = {}
-_LAGRANGE_CACHE_MAX = 4096
-
-
+@lru_cache(maxsize=4096)
 def _lagrange_coefficients_at_zero(indices: tuple) -> tuple:
     """Coefficient vector ``(l_i(0) for i in indices)``, memoised.
+
+    The primary aggregates the same quorum subsets over and over (the
+    first ``nf`` responders are stable within a run), and each vector
+    otherwise costs one 256-bit modular exponentiation per share.
 
     Uses Montgomery batch inversion so the whole vector needs a single
     modular exponentiation; the result is identical to calling
     :func:`_lagrange_coefficient_at_zero` per index.
     """
-    cached = _LAGRANGE_CACHE.get(indices)
-    if cached is not None:
-        return cached
     numerators = []
     denominators = []
     for index in indices:
@@ -151,11 +138,7 @@ def _lagrange_coefficients_at_zero(indices: tuple) -> tuple:
         inv_denominator = (prefix[i] * inv_running) % _PRIME
         inv_running = (inv_running * denominators[i]) % _PRIME
         coefficients[i] = (numerators[i] * inv_denominator) % _PRIME
-    result = tuple(coefficients)
-    if len(_LAGRANGE_CACHE) >= _LAGRANGE_CACHE_MAX:
-        _LAGRANGE_CACHE.clear()
-    _LAGRANGE_CACHE[indices] = result
-    return result
+    return tuple(coefficients)
 
 
 class ThresholdScheme:
@@ -213,7 +196,7 @@ class ThresholdScheme:
 
     def sign_share(self, index: int, *values: Any) -> SignatureShare:
         """Produce replica *index*'s signature share over *values*."""
-        payload_digest = digest(*values)
+        payload_digest = shared_digest(*values)
         message_element = _field_element(payload_digest)
         value = (self.share_value(index) * message_element) % _PRIME
         return SignatureShare(index=index, payload_digest=payload_digest, value=value)
@@ -222,7 +205,7 @@ class ThresholdScheme:
         """Check that *share* is a valid share over *values*."""
         if not 1 <= share.index <= self._num_shares:
             return False
-        payload_digest = digest(*values)
+        payload_digest = shared_digest(*values)
         if payload_digest != share.payload_digest:
             return False
         message_element = _field_element(payload_digest)
@@ -270,7 +253,7 @@ class ThresholdScheme:
 
     def verify(self, signature: ThresholdSignature, *values: Any) -> bool:
         """Return ``True`` iff *signature* is a valid aggregate over *values*."""
-        if digest(*values) != signature.payload_digest:
+        if shared_digest(*values) != signature.payload_digest:
             return False
         return self._verify_value(signature)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, shared_digest
 
 #: Parent hash used by the genesis block.
 GENESIS_PARENT = b"\x00" * 32
@@ -52,8 +52,8 @@ class Block:
         """Hash chaining this block to its parent."""
         if self.adopted_hash is not None:
             return self.adopted_hash
-        return digest("block", self.sequence, self.batch_digest, self.view,
-                      self.parent_hash)
+        return shared_digest("block", self.sequence, self.batch_digest,
+                             self.view, self.parent_hash)
 
     @classmethod
     def genesis(cls, initial_primary: str) -> "Block":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, shared_digest
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.store import ExecutionResult, KeyValueStore, UndoEntry
 from repro.workload.transactions import RequestBatch
@@ -26,7 +26,7 @@ def modelled_result_digest(sequence: int, batch: RequestBatch) -> bytes:
     check) can re-derive what executing *batch* at *sequence* must have
     produced when operations are not really applied.
     """
-    return digest("results-modelled", sequence, batch.digest())
+    return shared_digest("results-modelled", sequence, batch.digest())
 
 
 @dataclass
@@ -70,6 +70,12 @@ class SpeculativeExecutor:
         self.apply_operations = apply_operations
         self._executed: Dict[int, ExecutedBatch] = {}
         self.last_executed_sequence = -1
+        #: Every record at or below this sequence has an empty undo log:
+        #: ``prune_before`` resumes above it, so it visits each record
+        #: once over a whole run.  Never above ``last_executed_sequence``,
+        #: and lowered whenever records at or below it are removed, so a
+        #: batch executed later is never skipped.
+        self._pruned_through = -1
 
     # -- inspection --------------------------------------------------------------
     @property
@@ -106,7 +112,8 @@ class SpeculativeExecutor:
                 result, txn_undo = self.store.apply(txn)
                 results.append(result)
                 undo.extend(txn_undo)
-            result_digest = digest("results", [r.digest() for r in results])
+            result_digest = shared_digest(
+                "results", tuple([r.digest() for r in results]))
         else:
             result_digest = modelled_result_digest(sequence, batch)
         block = self.blockchain.append(
@@ -162,6 +169,7 @@ class SpeculativeExecutor:
         """
         for stale in [s for s in self._executed if s >= divergent_from]:
             del self._executed[stale]
+        self._pruned_through = min(self._pruned_through, divergent_from - 1)
         self.blockchain.truncate_after(divergent_from - 1)
         if self.apply_operations and table_snapshot is not None:
             self.store.replace_all(table_snapshot)
@@ -187,6 +195,7 @@ class SpeculativeExecutor:
             reverted.append(record)
         self.blockchain.truncate_after(sequence)
         self.last_executed_sequence = min(self.last_executed_sequence, sequence)
+        self._pruned_through = min(self._pruned_through, sequence)
         return reverted
 
     # -- checkpointing --------------------------------------------------------------
@@ -197,5 +206,9 @@ class SpeculativeExecutor:
         rolled back (they are durable system-wide), so their undo logs are
         garbage-collected — this is what keeps view-change messages small.
         """
-        for seq in [s for s in self._executed if s <= sequence]:
-            self._executed[seq].undo = []
+        through = min(sequence, self.last_executed_sequence)
+        for seq in range(self._pruned_through + 1, through + 1):
+            record = self._executed.get(seq)
+            if record is not None:
+                record.undo = []
+        self._pruned_through = max(self._pruned_through, through)

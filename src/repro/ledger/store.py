@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, shared_digest
 from repro.workload.transactions import OpType, Transaction
 
 
@@ -32,7 +32,9 @@ class ExecutionResult:
     writes_applied: int = 0
 
     def digest(self) -> bytes:
-        return digest("result", self.txn_id, list(self.reads), self.writes_applied)
+        # ``reads`` goes in as the tuple it is: hashable, so memoisable.
+        return shared_digest("result", self.txn_id, self.reads,
+                             self.writes_applied)
 
 
 @dataclass

@@ -23,7 +23,7 @@ from typing import Deque, Dict, Optional, Set
 
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, shared_digest
 from repro.crypto.threshold import ThresholdError
 from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.client_messages import ClientRequestMessage
@@ -237,9 +237,10 @@ class HotStuffReplica(BatchingReplica):
         batch = self._next_batch_to_propose()
         if batch is None and not self._unexecuted_rounds_pending():
             return  # Nothing to order and nothing in the pipeline to flush.
-        block_digest = digest("hotstuff-block", round_number,
-                              batch.digest() if batch is not None else b"empty",
-                              self.high_qc.block_digest)
+        block_digest = shared_digest(
+            "hotstuff-block", round_number,
+            batch.digest() if batch is not None else b"empty",
+            self.high_qc.block_digest)
         self.charge(CryptoOp.HASH)
         proposal = HotStuffProposal(
             round_number=round_number, batch=batch, block_digest=block_digest,
@@ -508,7 +509,7 @@ class HotStuffReplica(BatchingReplica):
         justify = proposal.justify
         if justify is None:
             return
-        content_digest = digest(
+        content_digest = shared_digest(
             "hotstuff-block", round_number,
             proposal.batch.digest() if proposal.batch is not None else b"empty",
             justify.block_digest)

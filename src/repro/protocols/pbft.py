@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.view_change import longest_consecutive_prefix
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import shared_digest
 from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.quorum import VoteSet
 from repro.protocols.recovery import ViewChangeRecovery
@@ -161,7 +161,7 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
     # ---------------------------------------------------------------- proposing
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
         """Primary: broadcast PRE-PREPARE and cast its own PREPARE vote."""
-        batch_digest = digest("pbft", self.view, sequence, batch.digest())
+        batch_digest = shared_digest("pbft", self.view, sequence, batch.digest())
         self.charge(CryptoOp.HASH)
         self.charge(CryptoOp.MAC_SIGN, self._fanout)
         slot = self._slot(self.view, sequence)
@@ -189,8 +189,8 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
             return
         self.charge(CryptoOp.MAC_VERIFY)
         self.charge(CryptoOp.HASH)
-        batch_digest = digest("pbft", message.view, message.sequence,
-                              message.batch.digest())
+        batch_digest = shared_digest("pbft", message.view, message.sequence,
+                                     message.batch.digest())
         self._accepted_preprepare[key] = batch_digest
         slot = self._slot(message.view, message.sequence)
         slot.batch = message.batch
@@ -335,8 +335,8 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
             expected_sequence += 1
             if entry.batch is None:
                 return False
-            if entry.batch_digest != digest("pbft", entry.view, entry.sequence,
-                                            entry.batch.digest()):
+            if entry.batch_digest != shared_digest(
+                    "pbft", entry.view, entry.sequence, entry.batch.digest()):
                 return False
         return True
 

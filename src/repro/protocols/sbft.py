@@ -36,7 +36,7 @@ from typing import Dict, Optional, Set, Tuple
 from repro.core.view_change import longest_consecutive_prefix
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import shared_digest
 from repro.crypto.threshold import ThresholdError
 from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.client_messages import ClientReplyMessage
@@ -48,7 +48,7 @@ from repro.workload.transactions import RequestBatch
 
 def sbft_proposal_digest(view: int, sequence: int, batch: RequestBatch) -> bytes:
     """The digest replicas sign shares over for slot (*view*, *sequence*)."""
-    return digest("sbft", view, sequence, batch.digest())
+    return shared_digest("sbft", view, sequence, batch.digest())
 
 
 @dataclass

@@ -39,7 +39,7 @@ from repro.core.view_change import (
 from repro.ledger.execution import modelled_result_digest
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, shared_digest
 from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.checkpoint import StateTransferRequest
 from repro.protocols.client_messages import ClientReplyMessage
@@ -178,7 +178,7 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
         initial_table: Optional[Dict[str, str]] = None,
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model, initial_table)
-        self._history_digest = digest("zyzzyva-history", "genesis")
+        self._history_digest = shared_digest("zyzzyva-history", "genesis")
         self._accepted: Dict[Tuple[int, int], bytes] = {}
         #: Speculative history journal: the payload of view-change requests.
         self._spec_history: Dict[int, ZyzzyvaHistoryEntry] = {}
@@ -192,6 +192,7 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
     # ---------------------------------------------------------------- proposing
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
         """Primary: extend the speculative history and broadcast the ordering."""
+        # Plain ``digest``: only the primary computes this, once per slot.
         self._history_digest = digest("zyzzyva-history", self._history_digest,
                                       sequence, batch.digest())
         self.charge(CryptoOp.HASH)
@@ -543,8 +544,8 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
         # History reconciliation: every replica re-bases the speculative
         # history chain at the same deterministic value, so the new
         # primary's ORDER-REQs extend a chain all replicas share.
-        self._history_digest = digest("zyzzyva-history", "new-view",
-                                      proposal.new_view, kmax)
+        self._history_digest = shared_digest("zyzzyva-history", "new-view",
+                                             proposal.new_view, kmax)
         return kmax
 
     def on_rolled_back(self, record) -> None:

@@ -39,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import shared_digest
 from repro.protocols.base import Message
 from repro.protocols.client_messages import ClientReplyMessage, ClientRequestMessage
 from repro.protocols.quorum import VoteSet
@@ -135,7 +135,7 @@ def control_result_digest(txn: str, phase: str, shard: int, outcome: str) -> byt
     replica of a shard produces the same digest for the same decision and
     clients can decode the outcome by matching against the candidates.
     """
-    return digest("xshard", txn, phase, shard, outcome)
+    return shared_digest("xshard", txn, phase, shard, outcome)
 
 
 def decode_outcome(result_digest: bytes, txn: str, phase: str,

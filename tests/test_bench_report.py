@@ -110,6 +110,17 @@ class TestPerfDeltaMode:
         assert any("no expectation recorded" in p for p in problems)
         assert any("missing from the suite" in p for p in problems)
 
+    def test_check_processed_events_pins_digest_memo_misses(self):
+        from repro.bench.perf import check_processed_events, row_key
+        row = dict(self._row(events=1234), digest_memo_misses=40)
+        key = row_key(row)
+        pinned = {"rows": {key: 1234}, "digest_memo_misses": {key: 40}}
+        assert check_processed_events({"clusters": [row]}, pinned) == []
+        per_replica_again = dict(row, digest_memo_misses=160)
+        problems = check_processed_events({"clusters": [per_replica_again]},
+                                          pinned)
+        assert problems == [f"{key}: digest_memo_misses 160 != expected 40"]
+
     def test_compare_flags_baseline_rows_missing_from_current(self):
         from repro.bench.perf import compare_reports
         baseline = {"clusters": [self._row(), self._row(protocol="pbft")]}

@@ -211,6 +211,74 @@ class TestSpeculativeExecutor:
         executor.prune_before(0)
         assert executor.executed(0).undo == []
 
+    def _write_batches(self, executor, sequences):
+        for seq in sequences:
+            executor.execute(seq, 0, make_batch(
+                f"b{seq}", [make_txn(f"t{seq}", writes=[("x", str(seq))])]))
+
+    def test_prune_visits_each_record_once_over_a_run(self):
+        """GC at every stable checkpoint is linear in the run, not quadratic."""
+        class CountingDict(dict):
+            visited = 0
+
+            def __iter__(self):
+                for key in super().__iter__():
+                    CountingDict.visited += 1
+                    yield key
+
+            def get(self, key, default=None):
+                CountingDict.visited += 1
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                CountingDict.visited += 1
+                return super().__getitem__(key)
+
+        executor, _, _ = self._executor()
+        executor._executed = CountingDict()
+        interval, checkpoints = 10, 20
+        length = interval * checkpoints
+        visited_by_prune = 0
+        for stable in range(interval - 1, length, interval):
+            self._write_batches(executor, range(stable - interval + 1, stable + 1))
+            before = CountingDict.visited
+            executor.prune_before(stable)
+            visited_by_prune += CountingDict.visited - before
+            assert all(executor.executed(seq).undo == []
+                       for seq in range(stable + 1))
+        assert visited_by_prune == length  # was ~ checkpoints * length / 2
+
+    def test_prune_resumes_correctly_after_rollback_resync_and_fast_forward(self):
+        executor, _, _ = self._executor()
+        self._write_batches(executor, range(6))
+        executor.prune_before(3)
+        # A rollback below the pruned mark re-executes 2..3: their new undo
+        # logs must be collected by the next checkpoint, not skipped.
+        executor.rollback_to(1)
+        self._write_batches(executor, range(2, 8))
+        assert executor.executed(2).undo and executor.executed(3).undo
+        executor.prune_before(5)
+        assert all(executor.executed(seq).undo == [] for seq in range(6))
+        assert executor.executed(6).undo and executor.executed(7).undo
+        # A checkpoint ahead of execution prunes only what exists; batches
+        # executed afterwards below it are still collected later.
+        executor.prune_before(20)
+        self._write_batches(executor, range(8, 10))
+        assert executor.executed(8).undo
+        executor.prune_before(20)
+        assert executor.executed(8).undo == [] == executor.executed(9).undo
+        # Resync excises 5.. and installs a checkpoint at 12; fast-forward
+        # jumps to 30.  Execution and pruning continue from each.
+        executor.resync(12, view=1, state_digest=b"d", divergent_from=5)
+        self._write_batches(executor, range(13, 15))
+        executor.prune_before(13)
+        assert executor.executed(13).undo == [] and executor.executed(14).undo
+        assert executor.fast_forward(30, view=1, state_digest=b"d")
+        self._write_batches(executor, range(31, 33))
+        executor.prune_before(31)
+        assert executor.executed(14).undo == [] == executor.executed(31).undo
+        assert executor.executed(32).undo
+
     def test_state_digest_identical_across_replicas(self):
         exec_a, _, _ = self._executor()
         exec_b, _, _ = self._executor()
