@@ -32,10 +32,11 @@ or through pytest like the figure benchmarks.  Standalone extras:
   and do **not** overwrite it (wall-clock numbers are host-relative, so
   re-recording on a different/noisy host would poison the baseline);
 * ``--check-events EXPECTATIONS.json`` — behaviour guard for CI: fail if
-  ``processed_events`` or ``digest_memo_misses`` (distinct consensus
-  values hashed — per value, not per replica) deviates from the
-  checked-in expectations on any row (see
-  ``benchmarks/PERF_EXPECTATIONS.json``).
+  ``processed_events``, ``digest_memo_misses`` (distinct consensus
+  values hashed — per value, not per replica) or ``peak_heap_entries``
+  (most event-heap entries alive at once on the n >= 32 rows — per
+  broadcast in flight, not per receiver) deviates from the checked-in
+  expectations on any row (see ``benchmarks/PERF_EXPECTATIONS.json``).
 """
 
 import argparse
@@ -61,8 +62,9 @@ from repro.bench.report import print_results
 #: Columns reported for the per-cluster rows.
 _CLUSTER_COLUMNS = (
     "protocol", "n", "total_batches", "wall_s", "processed_events",
-    "digest_memo_misses", "events_per_wall_sec", "txns_per_wall_sec",
-    "virtual_throughput_txn_per_s",
+    "digest_memo_misses", "peak_heap_entries", "events_per_wall_sec",
+    "txns_per_wall_sec", "virtual_throughput_txn_per_s", "gc_collections",
+    "gc_pause_s",
 )
 
 
@@ -147,9 +149,9 @@ def main(argv=None) -> int:
                              "BENCH_simperf.json at the repo root; with "
                              "--compare the default is to not write)")
     parser.add_argument("--check-events", metavar="EXPECTATIONS.json",
-                        help="fail unless per-row processed_events and "
-                             "digest_memo_misses match the expectations "
-                             "file (behaviour guard)")
+                        help="fail unless per-row processed_events, "
+                             "digest_memo_misses and peak_heap_entries "
+                             "match the expectations file (behaviour guard)")
     args = parser.parse_args(argv)
 
     if args.profile:
@@ -218,13 +220,14 @@ def main(argv=None) -> int:
             expectations = json.load(handle)
         problems = check_processed_events(results, expectations)
         if problems:
-            print("processed_events / digest_memo_misses expectations FAILED:")
+            print("processed_events / digest_memo_misses / "
+                  "peak_heap_entries expectations FAILED:")
             for problem in problems:
                 print(f"  - {problem}")
             exit_code = 1
         else:
-            print(f"processed_events and digest_memo_misses match "
-                  f"{args.check_events} "
+            print(f"processed_events, digest_memo_misses and "
+                  f"peak_heap_entries match {args.check_events} "
                   f"({len(expectations.get('rows', {}))} rows)")
 
     # A same-seed divergence must fail the smoke run, not just be recorded.

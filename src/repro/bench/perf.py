@@ -24,6 +24,7 @@ recorded baseline rather than folklore.  Scale is selected with the same
 from __future__ import annotations
 
 import cProfile
+import gc
 import io
 import json
 import os
@@ -31,8 +32,9 @@ import platform
 import pstats
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import shared_digest
 from repro.fabric.cluster import Cluster, ClusterConfig
@@ -59,7 +61,18 @@ from repro.net.simulator import Simulator
 #: the shared digest memo (``repro.crypto.hashing.shared_digest``), read
 #: over one in-process run that starts from an empty memo.  Misses count
 #: the distinct consensus values hashed, so they do not grow with n.
-SCHEMA_VERSION = 5
+#: Version 6 makes the cyclic collector and the event heap visible on the
+#: single-group rows: ``gc_collections`` (per generation) and
+#: ``gc_pause_s`` inside the timed region of the best repeat — host-side
+#: readings from a ``gc.callbacks`` hook, nothing in ``src/`` counts them —
+#: and, on rows with n >= 32, the deterministic ``peak_heap_entries``: the
+#: most entries the event heap held at once, read over one extra untimed
+#: ``step()``-driven pass.  One entry per broadcast in flight keeps it
+#: O(n x outstanding), not O(n² x outstanding).
+SCHEMA_VERSION = 6
+
+#: Rows at or above this replica count record ``peak_heap_entries``.
+PEAK_HEAP_MIN_REPLICAS = 32
 
 #: Default output file name; the benchmark driver writes it at the repo root.
 DEFAULT_REPORT_NAME = "BENCH_simperf.json"
@@ -202,26 +215,76 @@ def _digest_memo_counters() -> Dict[str, int]:
     return {"digest_memo_misses": info.misses, "digest_memo_hits": info.hits}
 
 
+@contextmanager
+def _gc_metered() -> Iterator[Dict[str, object]]:
+    """Row fields for the collector's work while the block runs.
+
+    ``gc_collections`` counts cyclic-collector passes per generation and
+    ``gc_pause_s`` sums their wall time, both read from a ``gc.callbacks``
+    hook that is installed only for the duration of the block.
+    """
+    readings: Dict[str, object] = {"gc_collections": [0, 0, 0],
+                                   "gc_pause_s": 0.0}
+    started = 0.0
+
+    def hook(phase: str, info: Dict[str, int]) -> None:
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            readings["gc_pause_s"] += time.perf_counter() - started
+            readings["gc_collections"][info["generation"]] += 1
+
+    gc.callbacks.append(hook)
+    try:
+        yield readings
+    finally:
+        gc.callbacks.remove(hook)
+
+
+def _peak_heap_entries(config: ClusterConfig) -> int:
+    """Most entries the event heap holds at once over a run of *config*.
+
+    Driven one ``step()`` at a time so the heap is read after every
+    event; deterministic, like ``processed_events``.
+    """
+    cluster = Cluster(config)
+    cluster.start()
+    simulator = cluster.simulator
+    peak = simulator.pending_events
+    while (not all(pool.is_done() for pool in cluster.pools)
+           and simulator.step()):
+        if simulator.pending_events > peak:
+            peak = simulator.pending_events
+    return peak
+
+
 # ------------------------------------------------------------------ clusters
 def measure_cluster(protocol: str, num_replicas: int, total_batches: int,
                     batch_size: int = 100, seed: int = 3,
                     repeats: int = 2) -> Dict[str, object]:
     """Wall-clock cost of one full cluster run (best of *repeats*)."""
+    def config() -> ClusterConfig:
+        return ClusterConfig(
+            protocol=protocol, num_replicas=num_replicas,
+            batch_size=batch_size, total_batches=total_batches, seed=seed)
+
     best_wall = float("inf")
+    best_gc: Dict[str, object] = {}
     reference: Optional[Tuple[int, int, float, Dict[str, int]]] = None
     throughput = 0.0
     for _ in range(max(1, repeats)):
         # Every repeat starts from an empty memo, so its counters (and its
         # wall time) are those of one cluster run, whatever ran before.
         shared_digest.cache_clear()
-        cluster = Cluster(ClusterConfig(
-            protocol=protocol, num_replicas=num_replicas,
-            batch_size=batch_size, total_batches=total_batches, seed=seed,
-        ))
+        cluster = Cluster(config())
         cluster.start()
-        start = time.perf_counter()
-        cluster.run_until_done()
-        wall = time.perf_counter() - start
+        # The previous repeat's teardown garbage is not this run's cost.
+        gc.collect()
+        with _gc_metered() as gc_readings:
+            start = time.perf_counter()
+            cluster.run_until_done()
+            wall = time.perf_counter() - start
         events = cluster.simulator.processed_events
         completed = sum(pool.completed_txns for pool in cluster.pools)
         virtual_ms = cluster.simulator.now
@@ -235,7 +298,10 @@ def measure_cluster(protocol: str, num_replicas: int, total_batches: int,
                 f"{signature} != {reference}")
         if wall < best_wall:
             best_wall = wall
+            best_gc = gc_readings
     events, completed_txns, virtual_ms, memo_counters = reference
+    heap_counters = ({"peak_heap_entries": _peak_heap_entries(config())}
+                     if num_replicas >= PEAK_HEAP_MIN_REPLICAS else {})
     return {
         "protocol": protocol,
         "n": num_replicas,
@@ -245,11 +311,14 @@ def measure_cluster(protocol: str, num_replicas: int, total_batches: int,
         "wall_s": round(best_wall, 4),
         "processed_events": events,
         **memo_counters,
+        **heap_counters,
         "events_per_wall_sec": round(events / best_wall, 1),
         "completed_txns": completed_txns,
         "txns_per_wall_sec": round(completed_txns / best_wall, 1),
         "virtual_ms": round(virtual_ms, 3),
         "virtual_throughput_txn_per_s": round(throughput, 1),
+        "gc_collections": best_gc["gc_collections"],
+        "gc_pause_s": round(best_gc["gc_pause_s"], 4),
     }
 
 
@@ -526,6 +595,12 @@ def compare_reports(baseline: Dict[str, object],
     }
 
 
+#: Deterministic per-row counters pinned next to ``processed_events``,
+#: each under its own table in the expectations file.  A row the table
+#: does not list must not report the counter either.
+PINNED_COUNTERS = ("digest_memo_misses", "peak_heap_entries")
+
+
 def check_processed_events(
         results: Dict[str, object],
         expectations: Dict[str, object]) -> List[str]:
@@ -537,7 +612,10 @@ def check_processed_events(
     the cluster *does*, which must be an explicit, reviewed update to the
     expectations file.  ``digest_memo_misses`` is pinned the same way:
     it is the number of distinct consensus values a row hashes, so a rise
-    means some digest went back to being computed once per replica.
+    means some digest went back to being computed once per replica.  So
+    is ``peak_heap_entries`` on the rows that record it: a rise by a
+    factor of n means broadcasts went back to one live heap entry per
+    receiver.
     """
     expected_scale = expectations.get("scale")
     run_scale = results.get("scale")
@@ -547,7 +625,6 @@ def check_processed_events(
         return [f"scale mismatch: expectations are for {expected_scale!r}, "
                 f"run is {run_scale!r}"]
     expected_rows: Dict[str, int] = expectations.get("rows", {})
-    expected_misses: Dict[str, int] = expectations.get("digest_memo_misses", {})
     problems: List[str] = []
     seen = set()
     for row in results.get("clusters", []):
@@ -560,10 +637,11 @@ def check_processed_events(
         elif expected != row["processed_events"]:
             problems.append(f"{key}: processed_events {row['processed_events']} "
                             f"!= expected {expected}")
-        misses = row.get("digest_memo_misses")
-        if expected_misses and expected_misses.get(key) != misses:
-            problems.append(f"{key}: digest_memo_misses {misses} "
-                            f"!= expected {expected_misses.get(key)}")
+        for counter in PINNED_COUNTERS:
+            pinned: Dict[str, int] = expectations.get(counter, {})
+            if pinned and pinned.get(key) != row.get(counter):
+                problems.append(f"{key}: {counter} {row.get(counter)} "
+                                f"!= expected {pinned.get(key)}")
     for key in sorted(set(expected_rows) - seen):
         problems.append(f"{key}: expected row missing from the suite")
     return problems

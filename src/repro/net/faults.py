@@ -15,7 +15,7 @@ the messages a sender addresses to a set of receivers (dark replicas).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ class FaultSchedule:
     ``active`` and ``has_crashes`` are maintained attributes rather than
     properties: the network reads them once per transmitted/delivered
     message, and every mutation funnels through the ``add_*`` methods,
-    which refresh them.
+    which refresh them — together with the per-node crash index the
+    queries below read instead of scanning ``crashes``.
     """
 
     crashes: List[CrashFault] = field(default_factory=list)
@@ -78,6 +79,11 @@ class FaultSchedule:
         self.active = bool(self.crashes or self.partitions or self.dark_replicas)
         #: Whether any crash fault is configured (gate for ``crashed_at``).
         self.has_crashes = bool(self.crashes)
+        #: node id -> that node's crash windows.  Most nodes never crash,
+        #: so most ``crashed_at`` queries end at one dict miss.
+        self._crashes_by_node: Dict[str, List[CrashFault]] = {}
+        for crash in self.crashes:
+            self._crashes_by_node.setdefault(crash.node_id, []).append(crash)
 
     @classmethod
     def none(cls) -> "FaultSchedule":
@@ -122,9 +128,10 @@ class FaultSchedule:
     # -- queries used by SimNetwork ------------------------------------------
     def crashed_at(self, node_id: str, now_ms: float) -> bool:
         """Is *node_id* crashed at *now_ms*?"""
-        for crash in self.crashes:
-            if crash.node_id != node_id:
-                continue
+        windows = self._crashes_by_node.get(node_id)
+        if windows is None:
+            return False
+        for crash in windows:
             if now_ms < crash.at_ms:
                 continue
             if crash.until_ms is not None and now_ms >= crash.until_ms:
@@ -134,12 +141,15 @@ class FaultSchedule:
 
     def crashed_nodes(self, now_ms: float) -> Set[str]:
         """All nodes crashed at *now_ms*."""
-        return {c.node_id for c in self.crashes if self.crashed_at(c.node_id, now_ms)}
+        return {node_id for node_id in self._crashes_by_node
+                if self.crashed_at(node_id, now_ms)}
 
     def drops(self, sender: str, receiver: str, now_ms: float) -> bool:
         """Should a message from *sender* to *receiver* be dropped at *now_ms*?"""
         if self.crashed_at(sender, now_ms) or self.crashed_at(receiver, now_ms):
             return True
+        if not (self.dark_replicas or self.partitions):
+            return False
         for dark in self.dark_replicas:
             if dark.sender != sender or receiver not in dark.receivers:
                 continue

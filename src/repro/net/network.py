@@ -394,6 +394,14 @@ class SimNetwork:
         fast path for the jitter draw.  RNG draw order — one ``random()``
         per non-self receiver, in membership order — matches the generic
         path exactly, so delivery timestamps are bit-identical.
+
+        The loop decides *who* receives the message and *when*; the
+        deliveries themselves are handed to the scheduler once, as one
+        :meth:`~repro.net.simulator.Simulator.post_fanout` — one live heap
+        entry per broadcast, not one per receiver.  Dropped and
+        self-skipped receivers are simply not in the lists, so they
+        consume no sequence number, exactly as if each surviving receiver
+        were posted on its own.
         """
         conditions = self.conditions
         serialization = conditions.serialization_delay_ms(message.size_bytes)
@@ -411,11 +419,14 @@ class SimNetwork:
         jitter = conditions.jitter_ms
         random = conditions._rng.random
         local_ms = conditions.local_delivery_ms
-        post = self.sim.post_at
-        deliver = self._deliver
+        times: List[float] = []
+        targets: List[Tuple[str, NodeHandle]] = []
+        add_time = times.append
+        add_target = targets.append
         sent = 0
         dropped = 0
-        for receiver, receiver_handle in self._replica_handles:
+        for target in self._replica_handles:
+            receiver = target[0]
             if receiver == sender:
                 if not include_self:
                     continue
@@ -447,8 +458,9 @@ class SimNetwork:
                         dropped += 1
                         continue
                     propagation = sampled
-            post(send_time + propagation,
-                 partial(deliver, sender, receiver, receiver_handle, message))
+            add_time(send_time + propagation)
+            add_target(target)
+        self.sim.post_fanout(times, targets, self._deliver, sender, message)
         self.sent_count += sent
         self.dropped_count += dropped
         if pays_uplink:

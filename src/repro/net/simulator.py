@@ -15,11 +15,26 @@ comparable event objects: tuple comparison happens entirely in C, which is
 what makes ``heappush``/``heappop`` the cheap part of the hot loop.
 Cancellation uses a side table of sequence numbers (lazy deletion): a
 cancelled entry stays in the heap and is skipped when it surfaces.
+
+A heap entry is one timer, one unicast delivery, or one *broadcast*
+(:meth:`Simulator.post_fanout`).  A broadcast to k receivers reserves k
+consecutive sequence numbers but keeps a single live entry, keyed by the
+smallest ``(time_ms, seq)`` among its deliveries not yet made; popping it
+makes that delivery and re-pushes the entry under the key of the next.
+So the heap — and what the cyclic collector walks — holds one entry per
+broadcast in flight instead of one per receiver (n² of them per consensus
+slot in the MAC-mode protocols).  Firing order is provably that of k
+separate entries: ``(time_ms, seq)`` is a total order, every broadcast's
+entry sits at the minimum of its own remaining keys, so the heap minimum
+is the minimum over *all* pending deliveries, and each delivery is still
+popped under its own key — which is all that ``run``'s horizon and event
+budget, ``next_event_time`` and ``processed_events`` ever look at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -74,6 +89,45 @@ class Timer:
         return not self.event.cancelled
 
 
+class _FanOut:
+    """The heap callback behind one broadcast (:meth:`Simulator.post_fanout`).
+
+    Calling it makes the delivery the entry was popped for.  The entry
+    for the next delivery is pushed *first*, so the heap already describes
+    everything still pending — to ``next_event_time`` or to an exception
+    handler — while the delivery's handlers run.
+    """
+
+    __slots__ = ("_queue", "_times", "_first_seq", "_remaining",
+                 "_targets", "_deliver", "_sender", "_message")
+
+    def __init__(self, queue: List[Tuple[float, int, Callable[[], None]]],
+                 times: List[float], first_seq: int, remaining: List[int],
+                 targets: List[Tuple], deliver: Callable[..., None],
+                 sender: str, message: object) -> None:
+        self._queue = queue
+        self._times = times
+        self._first_seq = first_seq
+        #: Indices into ``times``/``targets`` of the deliveries not yet
+        #: made, latest ``(time, seq)`` first: the next one is popped off
+        #: the end.  The only state that changes after construction.
+        self._remaining = remaining
+        self._targets = targets
+        self._deliver = deliver
+        self._sender = sender
+        self._message = message
+
+    def __call__(self) -> None:
+        remaining = self._remaining
+        index = remaining.pop()
+        if remaining:
+            following = remaining[-1]
+            heappush(self._queue, (self._times[following],
+                                   self._first_seq + following, self))
+        receiver, handle = self._targets[index]
+        self._deliver(self._sender, receiver, handle, self._message)
+
+
 class Simulator:
     """Virtual-time event loop.
 
@@ -107,7 +161,12 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Heap entries not yet popped (cancelled entries included)."""
+        """Live heap entries (cancelled entries included).
+
+        A broadcast in flight is one entry however many of its deliveries
+        are still to come, so this is a lower bound on the number of
+        callbacks yet to run, not a count of them.
+        """
         return len(self._queue)
 
     # -- scheduling ----------------------------------------------------------
@@ -142,6 +201,43 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._queue, (self._now + delay, seq, callback))
+
+    def post_fanout(self, times: List[float], targets: List[Tuple],
+                    deliver: Callable[..., None], sender: str,
+                    message: object) -> None:
+        """Schedule ``deliver(sender, *targets[i], message)`` at ``times[i]``.
+
+        Equivalent, event for event, to one :meth:`post_at` per target in
+        list order — the same consecutive sequence numbers, the same clamp
+        arithmetic, every delivery popped under its own ``(time, seq)`` —
+        but with one live heap entry for the whole broadcast (see the
+        module docstring).  *times* need not be sorted; ties fire in list
+        order.  Each target is a ``(receiver, handle)`` pair.
+        """
+        count = len(times)
+        if not count:
+            return
+        now = self._now
+        first_seq = self._seq
+        self._seq = first_seq + count
+        # post_at's clamp, bit for bit: ``now + max(t - now, 0)``, not ``t``.
+        clamped: List[float] = []
+        add = clamped.append
+        for time_ms in times:
+            delay = time_ms - now
+            add(now + (0.0 if delay < 0.0 else delay))
+        if count > 1:
+            # sorted() is stable: equal times stay in index (= seq) order.
+            # Reversed, the next delivery is always the last element.
+            remaining = sorted(range(count), key=clamped.__getitem__)
+            remaining.reverse()
+        else:
+            remaining = [0]
+        head = remaining[-1]
+        heappush(self._queue, (
+            clamped[head], first_seq + head,
+            _FanOut(self._queue, clamped, first_seq, remaining, targets,
+                    deliver, sender, message)))
 
     def set_timer(self, owner: str, name: str, delay_ms: float,
                   callback: Callable[[], None]) -> Timer:
@@ -266,14 +362,17 @@ class ControlledScheduler(Simulator):
     * message deliveries are recognised by their
       ``partial(SimNetwork._deliver, sender, receiver, handle, message)``
       callback shape and labelled with sender, receiver, message type and
-      a content tag;
+      a content tag.  :meth:`post_fanout` is overridden to expand every
+      broadcast into that shape, one heap entry per receiver, so each
+      pending delivery is its own choice;
     * anything else (crash/recover transitions) is labelled explicitly by
       its scheduler via :meth:`note_label`, falling back to the
       callback's qualified name.
 
     The base class is untouched: none of this bookkeeping runs when a
-    plain :class:`Simulator` drives a benchmark (``post_at``/``step``
-    keep their hot-path shape), so the perf-smoke event pins cannot move.
+    plain :class:`Simulator` drives a benchmark (``post_at``/
+    ``post_fanout``/``step`` keep their hot-path shape), so the
+    perf-smoke event pins cannot move.
     """
 
     __slots__ = ("_labels",)
@@ -294,6 +393,19 @@ class ControlledScheduler(Simulator):
     def note_label(self, event: Event, label: Tuple) -> None:
         """Attach an explicit label to a scheduled event (fault hooks)."""
         self._labels[event.seq] = label
+
+    def post_fanout(self, times: List[float], targets: List[Tuple],
+                    deliver: Callable[..., None], sender: str,
+                    message: object) -> None:
+        """One labelled heap entry per delivery instead of one per broadcast.
+
+        Exactly what the base method is specified to be equivalent to, so
+        a run of this scheduler in timestamp order doubles as the
+        differential oracle for it (``tests/test_fanout_equivalence.py``).
+        """
+        for time_ms, (receiver, handle) in zip(times, targets):
+            self.post_at(time_ms, partial(deliver, sender, receiver, handle,
+                                          message))
 
     @staticmethod
     def _message_tag(message: object) -> object:

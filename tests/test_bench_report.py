@@ -121,6 +121,22 @@ class TestPerfDeltaMode:
                                           pinned)
         assert problems == [f"{key}: digest_memo_misses 160 != expected 40"]
 
+    def test_check_processed_events_pins_peak_heap_entries(self):
+        from repro.bench.perf import check_processed_events, row_key
+        large = dict(self._row(events=1234), peak_heap_entries=274)
+        small = self._row(n=4, events=50)  # rows under n=32 record no peak
+        pinned = {"rows": {row_key(large): 1234, row_key(small): 50},
+                  "peak_heap_entries": {row_key(large): 274}}
+        assert check_processed_events({"clusters": [large, small]},
+                                      pinned) == []
+        per_receiver_again = dict(large, peak_heap_entries=3637)
+        unpinned = dict(small, peak_heap_entries=12)
+        problems = check_processed_events(
+            {"clusters": [per_receiver_again, unpinned]}, pinned)
+        assert problems == [
+            f"{row_key(large)}: peak_heap_entries 3637 != expected 274",
+            f"{row_key(small)}: peak_heap_entries 12 != expected None"]
+
     def test_compare_flags_baseline_rows_missing_from_current(self):
         from repro.bench.perf import compare_reports
         baseline = {"clusters": [self._row(), self._row(protocol="pbft")]}
@@ -142,3 +158,40 @@ class TestPerfDeltaMode:
         problems = check_processed_events(results, expectations)
         assert problems == ["scale mismatch: expectations are for 'quick', "
                             "run is 'paper'"]
+
+
+class TestCollectorAndHeapVisibility:
+    """Schema 6: ``gc_collections``/``gc_pause_s``/``peak_heap_entries``."""
+
+    def test_cluster_row_records_the_collector(self):
+        from repro.bench.perf import measure_cluster
+        row = measure_cluster("poe-mac", 4, total_batches=6, repeats=1)
+        assert len(row["gc_collections"]) == 3
+        assert all(count >= 0 for count in row["gc_collections"])
+        assert row["gc_pause_s"] >= 0.0
+        assert "peak_heap_entries" not in row  # recorded from n=32 up
+
+    def test_peak_heap_is_per_broadcast_not_per_receiver(self, monkeypatch):
+        from repro.bench import perf
+        monkeypatch.setattr(perf, "PEAK_HEAP_MIN_REPLICAS", 16)
+        row = perf.measure_cluster("pbft", 16, total_batches=6, repeats=1)
+        again = perf.measure_cluster("pbft", 16, total_batches=6, repeats=1)
+        assert row["peak_heap_entries"] == again["peak_heap_entries"]
+        # 16 outstanding slots x 16 senders x 15 receivers would be 3840
+        # live deliveries; entries are per broadcast (plus timers).
+        assert 0 < row["peak_heap_entries"] < 16 * 16 * 2
+
+    def test_gc_hook_is_removed_even_when_the_block_raises(self):
+        import gc
+
+        from repro.bench.perf import _gc_metered
+        before = list(gc.callbacks)
+        try:
+            with _gc_metered() as readings:
+                gc.collect()
+                raise RuntimeError("run failed")
+        except RuntimeError:
+            pass
+        assert gc.callbacks == before
+        assert readings["gc_collections"][2] == 1
+        assert readings["gc_pause_s"] > 0.0

@@ -1,10 +1,11 @@
 """Tests for the discrete-event simulator and network condition models."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.net.conditions import LinkOverride, NetworkConditions
-from repro.net.faults import FaultSchedule
-from repro.net.simulator import Simulator
+from repro.net.faults import CrashFault, FaultSchedule
+from repro.net.simulator import ControlledScheduler, Simulator
 
 
 class TestSimulatorScheduling:
@@ -152,6 +153,187 @@ class TestSimulatorScheduling:
         assert sim.processed_events == 0
 
 
+class _Recorder:
+    """Delivery target for fan-out tests: logs (label, virtual time)."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.log = []
+
+    def deliver(self, sender, receiver, handle, message):
+        self.log.append((f"{sender}>{receiver}", self.sim.now))
+
+    def note(self, label):
+        return lambda: self.log.append((label, self.sim.now))
+
+
+def _targets(*names):
+    return [(name, None) for name in names]
+
+
+class TestFanOut:
+    """``post_fanout``: one heap entry per broadcast, same firing order."""
+
+    def test_unsorted_and_tied_times_fire_in_time_then_seq_order(self):
+        sim = Simulator()
+        rec = _Recorder(sim)
+        sim.schedule(2.0, rec.note("timer@2"))            # seq 0
+        dead = sim.schedule(1.0, rec.note("cancelled"))   # seq 1
+        sim.post_fanout([3.0, 1.0, 2.0, 1.0], _targets("a", "b", "c", "d"),
+                        rec.deliver, "x", "m")            # seqs 2..5
+        sim.post_at(1.0, rec.note("post@1"))              # seq 6
+        sim.post_fanout([2.0, 0.5], _targets("e", "f"),
+                        rec.deliver, "y", "m")            # seqs 7, 8
+        after = sim.schedule(2.0, rec.note("timer@2b"))   # seq 9
+        dead.cancel()
+        assert after.seq == 9  # a fan-out reserves one seq per delivery
+        sim.run_until_idle()
+        assert rec.log == [
+            ("y>f", 0.5),
+            ("x>b", 1.0), ("x>d", 1.0), ("post@1", 1.0),
+            ("timer@2", 2.0), ("x>c", 2.0), ("y>e", 2.0), ("timer@2b", 2.0),
+            ("x>a", 3.0),
+        ]
+        assert sim.processed_events == 9  # once per delivery, not per entry
+
+    def test_one_live_heap_entry_per_broadcast(self):
+        sim = Simulator()
+        rec = _Recorder(sim)
+        sim.post_fanout([1.0, 2.0, 3.0], _targets("a", "b", "c"),
+                        rec.deliver, "x", "m")
+        sim.post_fanout([1.5], _targets("d"), rec.deliver, "y", "m")
+        assert sim.pending_events == 2
+        assert sim.step() and sim.step()
+        assert sim.pending_events == 1  # y is done, x has two to go
+        sim.run_until_idle()
+        assert sim.pending_events == 0
+        assert [label for label, _ in rec.log] == ["x>a", "y>d", "x>b", "x>c"]
+
+    def test_empty_fanout_reserves_nothing(self):
+        sim = Simulator()
+        sim.post_fanout([], [], lambda *args: None, "x", "m")
+        assert sim.pending_events == 0
+        assert sim.schedule(1.0, lambda: None).seq == 0
+
+    def test_past_times_clamp_to_now_like_post_at(self):
+        sim = Simulator()
+        rec = _Recorder(sim)
+        sim.schedule(10.0, lambda: None)
+        sim.run_until_idle()
+        sim.post_fanout([12.0, 3.0, 10.0], _targets("a", "b", "c"),
+                        rec.deliver, "x", "m")
+        sim.run_until_idle()
+        # b and c both clamp to now=10 and tie; seq (list) order decides.
+        assert rec.log == [("x>b", 10.0), ("x>c", 10.0), ("x>a", 12.0)]
+
+    def test_run_until_stops_between_two_deliveries_and_resumes(self):
+        sim = Simulator()
+        rec = _Recorder(sim)
+        sim.post_fanout([1.0, 5.0, 3.0], _targets("a", "b", "c"),
+                        rec.deliver, "x", "m")
+        assert sim.run(until_ms=2.0) == 2.0
+        assert rec.log == [("x>a", 1.0)]
+        assert sim.processed_events == 1
+        assert sim.next_event_time() == 3.0
+        assert sim.run(until_ms=4.0) == 4.0
+        assert rec.log == [("x>a", 1.0), ("x>c", 3.0)]
+        sim.run_until_idle()
+        assert rec.log == [("x>a", 1.0), ("x>c", 3.0), ("x>b", 5.0)]
+        assert sim.now == 5.0
+
+    def test_max_events_cuts_mid_fanout(self):
+        sim = Simulator()
+        rec = _Recorder(sim)
+        sim.post_fanout([1.0, 2.0, 3.0, 4.0], _targets("a", "b", "c", "d"),
+                        rec.deliver, "x", "m")
+        sim.run(max_events=2)
+        assert [label for label, _ in rec.log] == ["x>a", "x>b"]
+        assert sim.now == 2.0
+        sim.run(max_events=1)
+        assert [label for label, _ in rec.log] == ["x>a", "x>b", "x>c"]
+        sim.run_until_idle()
+        assert sim.processed_events == 4
+
+    def test_next_event_time_is_the_true_minimum_throughout(self):
+        sim = Simulator()
+        seen = []
+        pending = [1.0, 1.0, 2.5, 3.0, 4.0, 6.0]
+
+        def deliver(sender, receiver, handle, message):
+            # Asked from inside a delivery, the heap must already show the
+            # same broadcast's next delivery.
+            seen.append((sim.now, sim.next_event_time()))
+
+        sim.post_fanout([4.0, 1.0, 6.0], _targets("a", "b", "c"),
+                        deliver, "x", "m")
+        sim.post_fanout([2.5, 1.0], _targets("d", "e"), deliver, "y", "m")
+        sim.schedule(3.0, lambda: seen.append((sim.now, sim.next_event_time())))
+        assert sim.next_event_time() == 1.0
+        sim.run_until_idle()
+        upcoming = pending[1:] + [None]
+        assert seen == list(zip(pending, upcoming))
+        assert sim.next_event_time() is None
+
+    def test_exception_in_one_delivery_leaves_the_rest_scheduled(self):
+        sim = Simulator()
+        log = []
+
+        def deliver(sender, receiver, handle, message):
+            if receiver == "b":
+                raise RuntimeError("handler bug")
+            log.append(receiver)
+
+        sim.post_fanout([1.0, 2.0, 3.0], _targets("a", "b", "c"),
+                        deliver, "x", "m")
+        sim.post_at(2.5, lambda: log.append("other"))
+        with pytest.raises(RuntimeError):
+            sim.run_until_idle()
+        assert log == ["a"]
+        assert sim.next_event_time() == 2.5
+        sim.run_until_idle()
+        assert log == ["a", "other", "c"]
+        assert sim.processed_events == 4  # the failed delivery was popped
+        assert sim.pending_events == 0
+
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("fanout"),
+                      st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0, 1.1,
+                                                2.0, 2.05]),
+                               max_size=6)),
+            st.tuples(st.just("post"), st.sampled_from([0.0, 0.3, 1.0, 2.0])),
+            st.tuples(st.just("timer"), st.sampled_from([0.0, 0.3, 1.0])),
+            st.tuples(st.just("cancelled"), st.sampled_from([0.3, 1.0])),
+            st.tuples(st.just("run"), st.sampled_from([0.2, 0.7, 1.05]))),
+        max_size=12))
+    def test_fires_like_one_post_at_per_delivery(self, program):
+        """The plain simulator's fan-out entries against the controlled
+        scheduler's expansion into one ``post_at`` per delivery: same
+        firing log, same clock, same event count, same next seq — over
+        ties, past (clamped) times and partial runs in between."""
+        outcomes = []
+        for sim in (Simulator(), ControlledScheduler()):
+            rec = _Recorder(sim)
+            for step, (kind, arg) in enumerate(program):
+                if kind == "fanout":
+                    sim.post_fanout(
+                        list(arg), _targets(*(f"r{i}" for i in range(len(arg)))),
+                        rec.deliver, f"b{step}", "m")
+                elif kind == "post":
+                    sim.post_at(arg, rec.note(f"post{step}"))
+                elif kind == "timer":
+                    sim.schedule(arg, rec.note(f"timer{step}"))
+                elif kind == "cancelled":
+                    sim.schedule(arg, rec.note(f"dead{step}")).cancel()
+                else:
+                    sim.run(until_ms=sim.now + arg)
+                    rec.log.append(("horizon", sim.now, sim.next_event_time()))
+            sim.run_until_idle()
+            outcomes.append((rec.log, sim.now, sim.processed_events,
+                             sim.schedule(0.0, lambda: None).seq))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestSimulatorCpuAccounting:
     def test_cpu_work_is_serialised_per_node(self):
         sim = Simulator()
@@ -281,3 +463,81 @@ class TestFaultSchedule:
         faults.add_crash("y", at_ms=100.0)
         assert faults.crashed_nodes(50.0) == {"x"}
         assert faults.crashed_nodes(150.0) == {"x", "y"}
+
+
+def _scan_crashed_at(faults, node_id, now_ms):
+    """``crashed_at`` as the whole-list scan it was before the index."""
+    for crash in faults.crashes:
+        if crash.node_id != node_id:
+            continue
+        if now_ms < crash.at_ms:
+            continue
+        if crash.until_ms is not None and now_ms >= crash.until_ms:
+            continue
+        return True
+    return False
+
+
+def _scan_drops(faults, sender, receiver, now_ms):
+    """``drops`` over the scan above, with no early return."""
+    if (_scan_crashed_at(faults, sender, now_ms)
+            or _scan_crashed_at(faults, receiver, now_ms)):
+        return True
+    for dark in faults.dark_replicas:
+        if (dark.sender == sender and receiver in dark.receivers
+                and now_ms >= dark.at_ms
+                and (dark.until_ms is None or now_ms < dark.until_ms)):
+            return True
+    for partition in faults.partitions:
+        if (partition.separates(sender, receiver) and now_ms >= partition.at_ms
+                and (partition.until_ms is None
+                     or now_ms < partition.until_ms)):
+            return True
+    return False
+
+
+_NODES = ["n0", "n1", "n2", "n3"]
+_TIMES = st.sampled_from([0.0, 5.0, 10.0, 15.0, 20.0, 30.0])
+_WINDOWS = st.tuples(_TIMES, st.one_of(st.none(), _TIMES))
+
+
+class TestFaultScheduleIndex:
+    @given(crashes=st.lists(st.tuples(st.sampled_from(_NODES), _WINDOWS),
+                            max_size=6),
+           dark=st.lists(st.tuples(st.sampled_from(_NODES),
+                                   st.lists(st.sampled_from(_NODES),
+                                            max_size=3), _WINDOWS),
+                         max_size=2),
+           partitions=st.lists(st.tuples(st.sampled_from(_NODES),
+                                         st.sampled_from(_NODES), _WINDOWS),
+                               max_size=2),
+           via_constructor=st.booleans())
+    def test_queries_match_the_linear_scan(self, crashes, dark, partitions,
+                                           via_constructor):
+        """Random schedules, bounded and unbounded windows, built through
+        the constructor or the ``add_*`` methods in any mix."""
+        if via_constructor:
+            faults = FaultSchedule(crashes=[
+                CrashFault(node_id=node, at_ms=at_ms, until_ms=until_ms)
+                for node, (at_ms, until_ms) in crashes])
+        else:
+            faults = FaultSchedule()
+            for node, (at_ms, until_ms) in crashes:
+                faults.add_crash(node, at_ms=at_ms, until_ms=until_ms)
+        for sender, receivers, (at_ms, until_ms) in dark:
+            faults.add_dark_replicas(sender, receivers, at_ms=at_ms,
+                                     until_ms=until_ms)
+        for side_a, side_b, (at_ms, until_ms) in partitions:
+            faults.add_partition([side_a], [side_b], at_ms=at_ms,
+                                 until_ms=until_ms)
+        assert faults.has_crashes == bool(crashes)
+        for now_ms in (0.0, 4.9, 5.0, 12.0, 19.9, 20.0, 50.0):
+            crashed = {node for node in _NODES
+                       if _scan_crashed_at(faults, node, now_ms)}
+            assert faults.crashed_nodes(now_ms) == crashed
+            for node in _NODES + ["stranger"]:
+                assert faults.crashed_at(node, now_ms) == (node in crashed)
+            for sender in _NODES:
+                for receiver in _NODES:
+                    assert (faults.drops(sender, receiver, now_ms)
+                            == _scan_drops(faults, sender, receiver, now_ms))
