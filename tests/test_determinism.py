@@ -335,6 +335,38 @@ GOLDEN_SCENARIOS = {
     ("zyzzyva", "primary-crash"): "b5533676743b779e",
     ("poe-mac", "equivocate"): "2dc480aa394c3ee0",
     ("hotstuff", "epoch-shrink"): "5da95872ff48b06d",
+    # The primary-backup layer's shared paths, one row per protocol that
+    # runs them.  Evicted-voter purge at an epoch boundary, alone and
+    # racing a view change:
+    ("poe-mac", "epoch-shrink"): "a3f57a6c7033701c",
+    ("poe-ts", "epoch-shrink"): "f5e222e01acdc871",
+    ("pbft", "epoch-shrink"): "3dbb9610abaaffff",
+    ("sbft", "epoch-shrink"): "8286213a1a525ac0",
+    ("zyzzyva", "epoch-shrink"): "0f50f659c11aa453",
+    ("poe-mac", "epoch-under-vc"): "842bd1fe9a998f3a",
+    ("poe-ts", "epoch-under-vc"): "c963996a565d6b4b",
+    ("pbft", "epoch-under-vc"): "0a951335f814440c",
+    ("sbft", "epoch-under-vc"): "695f7aa98da2f333",
+    ("zyzzyva", "epoch-under-vc"): "82fb1a1924a9af5f",
+    # Proposal admission under a forger and an equivocating primary; new-view
+    # adoption with rollback to the last agreement (Zyzzyva rolls back 12
+    # and 14 batches on its equivocate rows, PoE-TS one on churn).  At this
+    # batch budget the forge-history-vc rows finish before the primary
+    # crashes; GOLDEN_MATRIX_CELLS below pins the cells that reach it.
+    ("poe-ts", "forge-history-vc"): "61a6ac637628ac50",
+    ("pbft", "forge-history-vc"): "1c10169497cd1ce6",
+    ("sbft", "forge-history-vc"): "ba1c7ef5d2ed8b92",
+    ("zyzzyva", "forge-history-vc"): "3462b68aef5ee897",
+    ("pbft", "equivocate"): "65eaa3ea484f1dc9",
+    ("sbft", "equivocate"): "614e84d9352c20f3",
+    ("zyzzyva", "equivocate"): "ebc4a79c29aa078b",
+    ("zyzzyva", "checkpoint-equivocate"): "0b744000e226201b",
+    ("poe-ts", "churn"): "5d49422c2f5b19db",
+    # Stable-checkpoint pruning at a contested boundary.
+    ("poe-mac", "checkpoint-equivocate"): "6dd08cd611950ef4",
+    ("pbft", "checkpoint-equivocate"): "74d010585e9c8aa1",
+    # The non-speculative ablation's commit_votes tally.
+    ("poe-nospec", "no-fault"): "07eebc407c261178",
 }
 
 
@@ -342,6 +374,27 @@ GOLDEN_SCENARIOS = {
 def test_golden_scenario_rows(protocol, scenario):
     fingerprint = run_fingerprint(_scenario_config_ex(protocol, scenario))
     assert _fingerprint_digest(fingerprint) == GOLDEN_SCENARIOS[(protocol, scenario)]
+
+
+GOLDEN_MATRIX_CELLS = {
+    # The fault matrix's own deployment of a cell (one client, four
+    # outstanding, 20 batches): slow enough on these two protocols that the
+    # primary crash lands mid-run, so the view change adopts a history a
+    # forger contested while one replica lags (Zyzzyva rolls back 6).
+    ("sbft", "forge-history-vc"): "c5ca38ddf538070f",
+    ("zyzzyva", "forge-history-vc"): "504ed922ec7b2f2f",
+}
+
+
+@pytest.mark.parametrize("protocol,scenario", sorted(GOLDEN_MATRIX_CELLS))
+def test_golden_matrix_cells(protocol, scenario):
+    from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams, _cluster_config
+
+    params = ScenarioParams(seed=11)
+    plan = SCENARIO_DEFS[scenario].recipe(params)
+    fingerprint = run_fingerprint(_cluster_config(
+        protocol, plan, params, plan.total_batches or params.total_batches))
+    assert _fingerprint_digest(fingerprint) == GOLDEN_MATRIX_CELLS[(protocol, scenario)]
 
 
 def _xshard_scenario_config(protocol: str, scenario: str, seed: int = 11):
