@@ -12,31 +12,10 @@ timers.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.protocols.base import NodeConfig
-from repro.workload.clients import BatchSource, ClientPool
+from repro.workload.clients import ClientPool
 
 
 class PoeClientPool(ClientPool):
-    """Client pool configured with PoE's completion rule (nf matching replies)."""
+    """Client pool with PoE's completion rule (``nf`` matching replies)."""
 
-    def __init__(
-        self,
-        node_id: str,
-        config: NodeConfig,
-        batch_source: Optional[BatchSource] = None,
-        target_outstanding: int = 8,
-        total_batches: Optional[int] = None,
-        timeout_ms: Optional[float] = None,
-    ) -> None:
-        super().__init__(
-            node_id=node_id,
-            config=config,
-            batch_source=batch_source,
-            completion_quorum=config.nf,
-            target_outstanding=target_outstanding,
-            total_batches=total_batches,
-            timeout_ms=timeout_ms,
-            completion_quorum_fn=config.nf_of,
-        )
+    QUORUM_RULE = "nf"

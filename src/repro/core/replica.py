@@ -22,6 +22,10 @@ View-change (Section II-C): replicas that suspect the primary broadcast
 next primary combines ``nf`` of them into ``NV-PROPOSE``; replicas adopt
 the longest consecutive prefix, rolling back any speculative execution
 beyond it.
+
+Everything around those phases — the slot table, first-proposal admission,
+checkpoint pruning, the generic view-change machinery — is
+:class:`~repro.protocols.recovery.PrimaryBackupReplica`'s.
 """
 
 from __future__ import annotations
@@ -48,8 +52,7 @@ from repro.crypto.cost import CryptoCostModel, CryptoOp
 from repro.crypto.threshold import ThresholdError
 from repro.protocols.base import NodeConfig, ProtocolInfo
 from repro.protocols.quorum import VoteSet
-from repro.protocols.recovery import ViewChangeRecovery
-from repro.protocols.replica_base import BatchingReplica
+from repro.protocols.recovery import PrimaryBackupReplica
 from repro.workload.transactions import RequestBatch
 
 
@@ -59,8 +62,8 @@ class _SlotState:
 
     ``support_votes`` / ``commit_votes`` are aggregated
     :class:`~repro.protocols.quorum.VoteSet` bitsets (constructed by
-    :meth:`PoeReplica._slot` with the deployment's index map) rather than
-    per-slot ``set`` objects: in MAC mode every replica counts the n²
+    :meth:`PoeReplica.new_slot` with the deployment's index map) rather
+    than per-slot ``set`` objects: in MAC mode every replica counts the n²
     SUPPORT flood, and the bitset makes each counted vote integer work.
     """
 
@@ -73,8 +76,11 @@ class _SlotState:
     commit_votes: VoteSet = None
     commit_vote_sent: bool = False
 
+    def open_tallies(self) -> Tuple[VoteSet, ...]:
+        return () if self.certified else (self.support_votes, self.commit_votes)
 
-class PoeReplica(ViewChangeRecovery, BatchingReplica):
+
+class PoeReplica(PrimaryBackupReplica):
     """A PoE replica (primary or backup, depending on the view)."""
 
     PROTOCOL_INFO = ProtocolInfo(
@@ -90,8 +96,6 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
         PoeSupport: "handle_support",
         PoeCertify: "handle_certify",
         PoeCommitVote: "handle_commit_vote",
-        PoeViewChangeRequest: "handle_view_change_message",
-        PoeNewView: "handle_new_view_message",
     }
 
     #: Deployments at or below this size default to MAC authentication,
@@ -102,6 +106,7 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
     MAC_SCHEME_MAX_REPLICAS = 16
 
     VIEW_CHANGE_REQUEST = PoeViewChangeRequest
+    NEW_VIEW = PoeNewView
     VIEW_CHANGE_LOG = "_certified_log"
 
     def __init__(
@@ -126,26 +131,12 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
         #: Ablation switch: ``False`` re-introduces a PBFT-style commit phase
         #: after view-commit instead of executing speculatively.
         self.speculative = speculative
-        #: Keyed by ``(view << 32) | sequence`` (see :meth:`_slot`).
-        self._slots: Dict[int, _SlotState] = {}
-        self._accepted_proposal: Dict[Tuple[int, int], bytes] = {}
         self._certified_log: Dict[int, CertifiedEntry] = {}
-        self.init_view_change()
 
-    # ------------------------------------------------------------------ slots
-    def _slot(self, view: int, sequence: int) -> _SlotState:
-        # get-then-insert instead of setdefault: the lookup runs once per
-        # delivered vote, and setdefault would construct a throwaway
-        # _SlotState (plus its vote sets) on every hit.  Keys are packed
-        # ints — hashing a small int is cheaper than hashing a fresh tuple
-        # on the n² vote flood.
-        key = (view << 32) | sequence
-        slot = self._slots.get(key)
-        if slot is None:
-            index_map = self._vote_index
-            slot = self._slots[key] = _SlotState(
-                support_votes=VoteSet(index_map), commit_votes=VoteSet(index_map))
-        return slot
+    def new_slot(self) -> _SlotState:
+        index_map = self._vote_index
+        return _SlotState(support_votes=VoteSet(index_map),
+                          commit_votes=VoteSet(index_map))
 
     # -------------------------------------------------------------- proposing
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
@@ -155,7 +146,7 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
         slot = self._slot(self.view, sequence)
         slot.batch = batch
         slot.proposal_digest = digest_h
-        self._accepted_proposal[(self.view, sequence)] = digest_h
+        self._accepted[(self.view, sequence)] = digest_h
         proposal = PoePropose(
             view=self.view, sequence=sequence, batch=batch,
             size_bytes=self.config.proposal_size_bytes(len(batch)),
@@ -174,26 +165,17 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
     # -- PROPOSE -----------------------------------------------------------------
     def handle_propose(self, sender: str, message: PoePropose, now_ms: float) -> None:
         """Backup: support the first k-th proposal of the current view."""
-        if message.view > self.view:
-            self.defer_message(message.view, sender, message)
+        key = self.admit_proposal(sender, message)
+        if key is None:
             return
-        if self.view_change_in_progress:
-            return
-        if message.view != self.view or sender != self.primary_id:
-            return
-        key = (message.view, message.sequence)
-        if key in self._accepted_proposal:
-            return  # Already supported a k-th proposal in this view.
         digest_h = proposal_digest(message.sequence, message.view,
                                    message.batch.digest())
         self.charge(CryptoOp.HASH)
-        self._accepted_proposal[key] = digest_h
+        self._accepted[key] = digest_h
         slot = self._slot(message.view, message.sequence)
         slot.batch = message.batch
         slot.proposal_digest = digest_h
         slot.supported = True
-        if message.batch.reply_to:
-            self._reply_targets.setdefault(message.batch.batch_id, message.batch.reply_to)
         if self.scheme is SchemeKind.THRESHOLD:
             self.charge(CryptoOp.THRESHOLD_SHARE)
             share = self.auth.threshold_share(digest_h)
@@ -366,31 +348,9 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
                          proof=self._certified_log.get(sequence),
                          now_ms=now_ms, speculative=False)
 
-    # ------------------------------------------------------------- checkpoints
-    def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
-        """Prune per-slot consensus state the stable checkpoint supersedes."""
-        super().on_stable_checkpoint(sequence, now_ms)
-        for key in [k for k in self._slots if (k & 0xFFFFFFFF) <= sequence]:
-            del self._slots[key]
-        for key in [k for k in self._accepted_proposal if k[1] <= sequence]:
-            del self._accepted_proposal[key]
-
-    # ------------------------------------------------------------------ epochs
-    def on_epoch_activated(self, entry, evicted, now_ms: float) -> None:
-        """Purge evicted voters from every not-yet-certified slot quorum."""
-        super().on_epoch_activated(entry, evicted, now_ms)
-        if not evicted:
-            return
-        for slot in self._slots.values():
-            if slot.certified:
-                continue
-            for rid in evicted:
-                slot.support_votes.discard(rid)
-                slot.commit_votes.discard(rid)
-
     # ------------------------------------------------------------- view change
     # The generic machinery (join rule, retry back-off, NEW-VIEW quorum,
-    # view-entry epilogue) lives in ViewChangeRecovery; the hooks below
+    # view-entry epilogue) lives in PrimaryBackupReplica; the hooks below
     # supply PoE's payloads (paper, Figure 5).
 
     def view_change_quorum(self) -> int:
@@ -407,50 +367,23 @@ class PoeReplica(ViewChangeRecovery, BatchingReplica):
             request, self.auth, expected_view=view,
             verify_certificates=self.scheme is SchemeKind.THRESHOLD)
 
-    def make_new_view(self, new_view: int, requests) -> PoeNewView:
-        return PoeNewView(new_view=new_view, requests=requests)
-
     def adopt_new_view(self, proposal: PoeNewView, requests, now_ms: float) -> int:
         """Adopt the new view: execute/roll back per the NV-PROPOSE (Figure 5, L11-16)."""
         prefix, kmax = longest_consecutive_prefix(
             requests, f=self._f_plus_1 - 1,
             trust_certificates=self.scheme is SchemeKind.THRESHOLD)
         # Roll back to the last slot where this replica's execution agrees
-        # with the adopted prefix: a forged or equivocated history may have
-        # put a *different* certified batch at a slot this replica already
-        # executed, and keeping it would fork the ledgers.  The rollback
-        # never crosses the stable checkpoint — divergence below it is
-        # durable locally and is repaired by the checkpoint layer's
-        # state-digest comparison instead.
-        rollback_target = kmax
-        for sequence in sorted(prefix):
-            if sequence > self.last_executed_sequence:
-                break
-            mine = self.executor.executed(sequence)
-            if mine is not None and (mine.batch.digest()
-                                     != prefix[sequence].batch.digest()):
-                rollback_target = max(sequence - 1,
-                                      self.checkpoints.stable_sequence)
-                break
-        # Roll back speculative execution beyond the adopted prefix.
-        self.rollback_speculation(min(kmax, rollback_target), now_ms)
-        # Drop pending (view-committed but not yet executed) slots that the
-        # adopted prefix does not cover, *before* executing it: once the
-        # prefix fills the gap in front of a stale speculative slot,
-        # in-order execution would otherwise drain the stale slot right
-        # behind it and diverge from the rest of the cluster.  Slots the
-        # prefix does cover are re-adopted from the NV-PROPOSE entries.
-        for sequence in [s for s in self._committed if s > kmax or s in prefix]:
-            del self._committed[sequence]
-        # Execute adopted entries this replica has not executed yet.
-        for sequence in sorted(prefix):
-            if sequence <= self.last_executed_sequence:
-                continue
-            entry = prefix[sequence]
-            self._certified_log[sequence] = entry
-            self.commit_slot(sequence=sequence, view=entry.view, batch=entry.batch,
-                             proof=entry.certificate, now_ms=now_ms, speculative=False)
+        # with the adopted prefix, and never keep speculation beyond it.
+        self.rollback_speculation(
+            min(kmax, self.rollback_target(prefix, kmax)), now_ms)
+        self.evict_uncovered(prefix, kmax)
+        self.commit_adopted(prefix, now_ms)
         return kmax
+
+    def adopt_entry(self, entry: CertifiedEntry, now_ms: float) -> None:
+        self._certified_log[entry.sequence] = entry
+        self.commit_slot(sequence=entry.sequence, view=entry.view, batch=entry.batch,
+                         proof=entry.certificate, now_ms=now_ms, speculative=False)
 
     def on_rolled_back(self, record) -> None:
         self._certified_log.pop(record.sequence, None)

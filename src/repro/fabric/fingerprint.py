@@ -69,7 +69,7 @@ def replica_fingerprint(replica) -> Tuple:
     the executed prefix (ledger head hash commits to every executed
     batch), checkpoint stability, the rollback audit trail and the
     in-flight view-change bookkeeping of
-    :class:`~repro.protocols.recovery.ViewChangeRecovery`.  Per-slot vote
+    :class:`~repro.protocols.recovery.PrimaryBackupReplica`.  Per-slot vote
     tallies and message buffers are *not* included: two states that
     differ only in partially-collected votes behave identically for the
     invariants, and folding them in would defeat deduplication.

@@ -10,12 +10,12 @@ constructor arguments.  This mirrors the paper's selection of protocols
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.client import PoeClientPool
 from repro.core.replica import PoeReplica
 from repro.crypto.authenticator import SchemeKind
-from repro.protocols.base import NodeConfig, ProtocolInfo
+from repro.protocols.base import ProtocolInfo
 from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.pbft import PbftClientPool, PbftReplica
 from repro.protocols.sbft import SbftClientPool, SbftReplica
@@ -30,32 +30,27 @@ class ProtocolSpec:
     name: str
     replica_cls: type
     client_pool_cls: type
-    broadcast_requests: bool = False
     replica_kwargs: Dict[str, object] = field(default_factory=dict)
-    client_quorum: Optional[str] = None  # "nf", "f+1", "n", "1" (informational)
 
     @property
     def info(self) -> ProtocolInfo:
         return self.replica_cls.PROTOCOL_INFO
 
+    @property
+    def client_quorum(self) -> str:
+        """The pool's completion rule, a key of ``clients.QUORUM_RULES``."""
+        return self.client_pool_cls.QUORUM_RULE
+
+    @property
+    def broadcast_requests(self) -> bool:
+        return self.client_pool_cls.BROADCAST_REQUESTS
+
 
 class HotStuffClientPool(ClientPool):
     """HotStuff clients broadcast requests and need ``f + 1`` matching replies."""
 
-    def __init__(self, node_id: str, config: NodeConfig, batch_source=None,
-                 target_outstanding: int = 8, total_batches=None,
-                 timeout_ms=None) -> None:
-        super().__init__(
-            node_id=node_id,
-            config=config,
-            batch_source=batch_source,
-            completion_quorum=config.f + 1,
-            target_outstanding=target_outstanding,
-            total_batches=total_batches,
-            timeout_ms=timeout_ms,
-            broadcast_requests=True,
-            completion_quorum_fn=lambda epoch: config.f_of(epoch) + 1,
-        )
+    QUORUM_RULE = "f+1"
+    BROADCAST_REQUESTS = True
 
 
 PROTOCOLS: Dict[str, ProtocolSpec] = {
@@ -66,21 +61,18 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
         # scheme=None lets PoE pick MACs for small deployments and
         # threshold signatures for large ones (paper, ingredient I3).
         replica_kwargs={"scheme": None},
-        client_quorum="nf",
     ),
     "poe-ts": ProtocolSpec(
         name="PoE-TS",
         replica_cls=PoeReplica,
         client_pool_cls=PoeClientPool,
         replica_kwargs={"scheme": SchemeKind.THRESHOLD},
-        client_quorum="nf",
     ),
     "poe-mac": ProtocolSpec(
         name="PoE-MAC",
         replica_cls=PoeReplica,
         client_pool_cls=PoeClientPool,
         replica_kwargs={"scheme": SchemeKind.MACS},
-        client_quorum="nf",
     ),
     "poe-nospec": ProtocolSpec(
         name="PoE-NoSpec",
@@ -89,32 +81,26 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
         # Ablation: disable speculative execution (ingredient I1) by adding a
         # PBFT-style commit phase after the view-commit.
         replica_kwargs={"scheme": None, "speculative": False},
-        client_quorum="nf",
     ),
     "pbft": ProtocolSpec(
         name="PBFT",
         replica_cls=PbftReplica,
         client_pool_cls=PbftClientPool,
-        client_quorum="f+1",
     ),
     "zyzzyva": ProtocolSpec(
         name="Zyzzyva",
         replica_cls=ZyzzyvaReplica,
         client_pool_cls=ZyzzyvaClientPool,
-        client_quorum="n",
     ),
     "sbft": ProtocolSpec(
         name="SBFT",
         replica_cls=SbftReplica,
         client_pool_cls=SbftClientPool,
-        client_quorum="1",
     ),
     "hotstuff": ProtocolSpec(
         name="HotStuff",
         replica_cls=HotStuffReplica,
         client_pool_cls=HotStuffClientPool,
-        broadcast_requests=True,
-        client_quorum="f+1",
     ),
 }
 

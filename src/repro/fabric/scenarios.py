@@ -18,7 +18,7 @@ liveness/safety table.
 Outcomes are judged against *expectations*: every combination must be
 safe and live except the documented ones.  Since the baseline recovery
 subsystem landed (SBFT and Zyzzyva view changes over
-:class:`~repro.protocols.recovery.ViewChangeRecovery`, including
+:class:`~repro.protocols.recovery.PrimaryBackupReplica`, including
 Zyzzyva's client proof-of-misbehaviour path), there are none: the cells
 that used to be expected-stall (``sbft``/``zyzzyva`` × faulty primary)
 and expected-unsafe (``zyzzyva × equivocate``) now recover and must pass
@@ -807,8 +807,7 @@ def unexpected_outcomes(outcomes: Sequence[ScenarioOutcome]) -> List[ScenarioOut
 #: run — an entry that grows with run length is a leak.
 TRACKED_STATE: Tuple[str, ...] = (
     # per-slot consensus state
-    "_slots", "_accepted", "_accepted_proposal", "_accepted_preprepare",
-    "_certified_log", "_executed_log", "_committed",
+    "_slots", "_accepted", "_certified_log", "_executed_log", "_committed",
     # reply/dedup bookkeeping
     "_replied", "_reply_targets", "_seen_batch_ids", "_batch_sequence",
     "_forwarded_requests", "_completed_ids",

@@ -57,7 +57,7 @@ from repro.net.network import SimNetwork
 from repro.net.simulator import Simulator
 from repro.protocols.base import ClientNode, NodeConfig
 from repro.protocols.client_messages import ClientReplyMessage
-from repro.workload.clients import CompletionRecord, ShardedClientPool
+from repro.workload.clients import QUORUM_RULES, CompletionRecord, ShardedClientPool
 from repro.workload.xshard import (
     PREPARE,
     CoordAck,
@@ -442,18 +442,6 @@ def _shard_cluster_config(config: ShardedClusterConfig, shard: int) -> ClusterCo
     )
 
 
-def _reply_quorum(rule: Optional[str], n: int) -> int:
-    f = (n - 1) // 3
-    rule = rule or "f+1"
-    if rule == "nf":
-        return n - f
-    if rule == "f+1":
-        return f + 1
-    if rule == "n":
-        return n
-    raise ValueError(f"unsupported client quorum {rule!r} for sharding")
-
-
 def layout_for_config(config: ShardedClusterConfig) -> ShardLayout:
     """The shard layout implied by a config, computed without building
     any cluster — every runtime (in-process or worker) derives the same
@@ -466,8 +454,8 @@ def layout_for_config(config: ShardedClusterConfig) -> ShardLayout:
         n = config.num_replicas
         members.append(tuple(
             f"s{shard}/" + replica_id(i) for i in range(n)))
-        quorums.append(_reply_quorum(spec.client_quorum, n))
-        broadcast.append(bool(spec.broadcast_requests))
+        quorums.append(QUORUM_RULES[spec.client_quorum](n, (n - 1) // 3))
+        broadcast.append(spec.broadcast_requests)
     return ShardLayout(
         members=tuple(members),
         reply_quorums=tuple(quorums),

@@ -85,7 +85,7 @@ def run_upper_bound(
                                                       jitter_ms=0.05, seed=seed))
     replica = EchoReplica("replica:0", config, auth["replica:0"],
                           CryptoCostModel.cmac(), execute=execute)
-    pool = ClientPool(pool_id, config, completion_quorum=1,
+    pool = ClientPool(pool_id, config, quorum_rule="1",
                       target_outstanding=client_outstanding,
                       total_batches=num_batches)
     network.add_replica(replica)

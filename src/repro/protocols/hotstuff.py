@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set
+from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
@@ -104,6 +104,9 @@ class _RoundState:
     batch: Optional[RequestBatch] = None
     votes: Dict[int, object] = field(default_factory=dict)
     qc_formed: bool = False
+
+    def open_tallies(self) -> Tuple[Dict[int, object], ...]:
+        return () if self.qc_formed else (self.votes,)
 
 
 class HotStuffReplica(BatchingReplica):
@@ -592,20 +595,10 @@ class HotStuffReplica(BatchingReplica):
 
     # ----------------------------------------------------------------- epochs
     def on_epoch_activated(self, entry, evicted, now_ms: float) -> None:
+        """Purge evicted replicas' vote shares from rounds whose QC has not
+        formed yet."""
         super().on_epoch_activated(entry, evicted, now_ms)
-        if not evicted:
-            return
-        # Purge evicted replicas' vote shares from rounds whose QC has not
-        # formed yet (share index = membership position + 1; no threshold
-        # re-keying, so the share itself would still aggregate).
-        config = self.config
-        dead = {config.replica_index(rid) + 1 for rid in evicted
-                if rid in config.replica_index_map}
-        for state in self._rounds.values():
-            if state.qc_formed:
-                continue
-            for index in dead:
-                state.votes.pop(index, None)
+        self.purge_evicted(self._rounds.values(), evicted)
 
     # ------------------------------------------------------------- checkpoints
     def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:

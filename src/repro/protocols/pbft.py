@@ -7,7 +7,8 @@ a linear PRE-PREPARE followed by two all-to-all phases (PREPARE and
 COMMIT); replicas authenticate with MACs and clients wait for ``f + 1``
 matching replies.  The quadratic message complexity — and the matching
 quadratic MAC signing/verification cost — is what PoE's three linear
-phases avoid.
+phases avoid.  Everything around the three phases is
+:class:`~repro.protocols.recovery.PrimaryBackupReplica`'s.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from repro.crypto.cost import CryptoCostModel, CryptoOp
 from repro.crypto.hashing import shared_digest
 from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.quorum import VoteSet
-from repro.protocols.recovery import ViewChangeRecovery
-from repro.protocols.replica_base import BatchingReplica
-from repro.workload.clients import BatchSource, ClientPool
+from repro.protocols.recovery import PrimaryBackupReplica
+from repro.workload.clients import ClientPool
 from repro.workload.transactions import RequestBatch
 
 
@@ -92,7 +92,7 @@ class _PbftSlot:
     The PREPARE/COMMIT phases are all-to-all: at n replicas each slot
     absorbs ~2n² vote deliveries, so the vote sets are aggregated
     :class:`~repro.protocols.quorum.VoteSet` bitsets built by
-    :meth:`PbftReplica._slot` with the deployment's index map.
+    :meth:`PbftReplica.new_slot` with the deployment's index map.
     """
 
     batch: Optional[RequestBatch] = None
@@ -103,8 +103,15 @@ class _PbftSlot:
     committed: bool = False
     commit_sent: bool = False
 
+    def open_tallies(self) -> Tuple[VoteSet, ...]:
+        # Commit votes accumulate before the slot prepares; committed
+        # implies prepared.
+        if not self.prepared:
+            return (self.prepare_votes, self.commit_votes)
+        return () if self.committed else (self.commit_votes,)
 
-class PbftReplica(ViewChangeRecovery, BatchingReplica):
+
+class PbftReplica(PrimaryBackupReplica):
     """A PBFT replica with out-of-order pre-prepares and MAC authentication."""
 
     PROTOCOL_INFO = ProtocolInfo(
@@ -119,11 +126,10 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
         PbftPrePrepare: "handle_preprepare",
         PbftPrepare: "handle_prepare",
         PbftCommit: "handle_commit",
-        PbftViewChange: "handle_view_change_message",
-        PbftNewView: "handle_new_view_message",
     }
 
     VIEW_CHANGE_REQUEST = PbftViewChange
+    NEW_VIEW = PbftNewView
     VIEW_CHANGE_LOG = "_executed_log"
 
     def __init__(
@@ -135,28 +141,12 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
         initial_table: Optional[Dict[str, str]] = None,
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model, initial_table)
-        #: Keyed by ``(view << 32) | sequence`` (see :meth:`_slot`).
-        self._slots: Dict[int, _PbftSlot] = {}
-        self._accepted_preprepare: Dict[Tuple[int, int], bytes] = {}
         self._executed_log: Dict[int, PbftExecutedEntry] = {}
-        self._quorum_size = 2 * config.f + 1
-        self.init_view_change()
 
-    # ------------------------------------------------------------------ helpers
-    def _slot(self, view: int, sequence: int) -> _PbftSlot:
-        # get-then-insert: setdefault would construct a throwaway slot
-        # (plus two vote sets) on every one of the ~2n² votes per slot.
-        # Keys are packed ints — cheaper to hash than a fresh tuple.
-        key = (view << 32) | sequence
-        slot = self._slots.get(key)
-        if slot is None:
-            index_map = self._vote_index
-            slot = self._slots[key] = _PbftSlot(
-                prepare_votes=VoteSet(index_map), commit_votes=VoteSet(index_map))
-        return slot
-
-    def _quorum(self) -> int:
-        return self._quorum_size
+    def new_slot(self) -> _PbftSlot:
+        index_map = self._vote_index
+        return _PbftSlot(prepare_votes=VoteSet(index_map),
+                         commit_votes=VoteSet(index_map))
 
     # ---------------------------------------------------------------- proposing
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
@@ -167,7 +157,7 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
         slot = self._slot(self.view, sequence)
         slot.batch = batch
         slot.batch_digest = batch_digest
-        self._accepted_preprepare[(self.view, sequence)] = batch_digest
+        self._accepted[(self.view, sequence)] = batch_digest
         self.broadcast(PbftPrePrepare(
             view=self.view, sequence=sequence, batch=batch,
             size_bytes=self.config.proposal_size_bytes(len(batch)),
@@ -177,27 +167,17 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
     # ---------------------------------------------------------------- messages
     def handle_preprepare(self, sender: str, message: PbftPrePrepare,
                           now_ms: float) -> None:
-        if message.view > self.view:
-            self.defer_message(message.view, sender, message)
-            return
-        if self.view_change_in_progress:
-            return
-        if message.view != self.view or sender != self.primary_id:
-            return
-        key = (message.view, message.sequence)
-        if key in self._accepted_preprepare:
+        key = self.admit_proposal(sender, message)
+        if key is None:
             return
         self.charge(CryptoOp.MAC_VERIFY)
         self.charge(CryptoOp.HASH)
         batch_digest = shared_digest("pbft", message.view, message.sequence,
                                      message.batch.digest())
-        self._accepted_preprepare[key] = batch_digest
+        self._accepted[key] = batch_digest
         slot = self._slot(message.view, message.sequence)
         slot.batch = message.batch
         slot.batch_digest = batch_digest
-        if message.batch.reply_to:
-            self._reply_targets.setdefault(message.batch.batch_id,
-                                           message.batch.reply_to)
         self._cast_prepare(message.view, message.sequence, slot, now_ms)
 
     def _cast_prepare(self, view: int, sequence: int, slot: _PbftSlot,
@@ -232,7 +212,7 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
         # ``message.replica_id`` is spoofable, and counting it would let one
         # Byzantine replica cast a PREPARE vote per forged identity.
         slot.prepare_votes.add(sender)
-        if slot.batch is None or slot.prepare_votes.count < self._quorum_size:
+        if slot.batch is None or slot.prepare_votes.count < self._2f_plus_1:
             return
         self._check_prepared(message.view, message.sequence, slot, now_ms)
 
@@ -240,7 +220,7 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
                         now_ms: float) -> None:
         if slot.prepared or slot.batch is None:
             return
-        if slot.prepare_votes.count < self._quorum_size:
+        if slot.prepare_votes.count < self._2f_plus_1:
             return
         slot.prepared = True
         self.charge(CryptoOp.MAC_SIGN, self._fanout)
@@ -273,7 +253,7 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
         # Commit votes accumulate even before the slot prepares locally.
         slot.commit_votes.add(sender)
         if (not slot.prepared or slot.batch is None
-                or slot.commit_votes.count < self._quorum_size):
+                or slot.commit_votes.count < self._2f_plus_1):
             return
         self._check_committed(message.view, message.sequence, slot, now_ms)
 
@@ -281,7 +261,7 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
                          now_ms: float) -> None:
         if slot.committed or not slot.prepared or slot.batch is None:
             return
-        if slot.commit_votes.count < self._quorum_size:
+        if slot.commit_votes.count < self._2f_plus_1:
             return
         slot.committed = True
         committers = tuple(sorted(slot.commit_votes))
@@ -292,53 +272,19 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
         self.commit_slot(sequence=sequence, view=view, batch=slot.batch,
                          proof=committers, now_ms=now_ms, speculative=False)
 
-    # ----------------------------------------------------------------- epochs
-    def on_epoch_activated(self, entry, evicted, now_ms: float) -> None:
-        super().on_epoch_activated(entry, evicted, now_ms)
-        self._quorum_size = self.config.quorum_of(entry.epoch)
-        if not evicted:
-            return
-        for slot in self._slots.values():
-            for replica_id in evicted:
-                if not slot.prepared:
-                    slot.prepare_votes.discard(replica_id)
-                if not slot.committed:
-                    slot.commit_votes.discard(replica_id)
-
     # ------------------------------------------------------------- view change
-    # Generic machinery in ViewChangeRecovery; PBFT supplies its payloads.
+    # Generic machinery in PrimaryBackupReplica; PBFT supplies its payloads.
 
-    def view_change_quorum(self) -> int:
-        return self._quorum()
+    def view_change_entry_valid(self, entry: PbftExecutedEntry) -> bool:
+        """An honest entry carries the digest the PRE-PREPARE bound to its slot.
 
-    def make_new_view(self, new_view: int, requests) -> PbftNewView:
-        return PbftNewView(new_view=new_view, requests=requests)
-
-    def validate_view_change_request_message(self, request: PbftViewChange,
-                                             view: int) -> bool:
-        """Structural admission for one VIEW-CHANGE request.
-
-        Honest requests carry a consecutive run of executed entries
-        starting right after the sender's stable checkpoint, each with the
-        digest the PRE-PREPARE bound to the slot.  Without this check a
-        forged request could park arbitrary garbage in the per-view
-        request pool; the digest recomputation also forces a forger to at
-        least fabricate *self-consistent* entries, which support-ranked
-        selection then outvotes.
+        Without this check a forged request could park arbitrary garbage
+        in the per-view request pool; the digest recomputation also forces
+        a forger to at least fabricate *self-consistent* entries, which
+        support-ranked selection then outvotes.
         """
-        if request.view != view:
-            return False
-        expected_sequence = request.stable_checkpoint + 1
-        for entry in request.executed:
-            if entry.sequence != expected_sequence:
-                return False
-            expected_sequence += 1
-            if entry.batch is None:
-                return False
-            if entry.batch_digest != shared_digest(
-                    "pbft", entry.view, entry.sequence, entry.batch.digest()):
-                return False
-        return True
+        return entry.batch is not None and entry.batch_digest == shared_digest(
+            "pbft", entry.view, entry.sequence, entry.batch.digest())
 
     def adopt_new_view(self, proposal: PbftNewView, requests, now_ms: float) -> int:
         # Support-ranked selection (shared with PoE): below the durable
@@ -351,47 +297,17 @@ class PbftReplica(ViewChangeRecovery, BatchingReplica):
         # nobody corroborates are left to checkpoint state transfer.
         prefix, kmax = longest_consecutive_prefix(requests, f=self._f_plus_1 - 1)
         kmax = max(kmax, self.last_executed_sequence)
-        for sequence in sorted(prefix):
-            if sequence <= self.last_executed_sequence:
-                continue
-            entry = prefix[sequence]
-            self._executed_log[sequence] = entry
-            self.commit_slot(sequence=sequence, view=entry.view, batch=entry.batch,
-                             proof=entry.committers, now_ms=now_ms)
+        # No eviction: a committed PBFT slot is final.
+        self.commit_adopted(prefix, now_ms)
         return kmax
 
-    # ------------------------------------------------------------- checkpoints
-    def on_stable_checkpoint(self, stable: int, now_ms: float) -> None:
-        """Prune per-slot consensus state the stable checkpoint supersedes."""
-        super().on_stable_checkpoint(stable, now_ms)
-        slots = self._slots
-        # Packed keys: sequence lives in the low 32 bits (see _slot).
-        for key in [k for k in slots if (k & 0xFFFFFFFF) <= stable]:
-            del slots[key]
-        accepted = self._accepted_preprepare
-        for key in [k for k in accepted if k[1] <= stable]:
-            del accepted[key]
+    def adopt_entry(self, entry: PbftExecutedEntry, now_ms: float) -> None:
+        self._executed_log[entry.sequence] = entry
+        self.commit_slot(sequence=entry.sequence, view=entry.view, batch=entry.batch,
+                         proof=entry.committers, now_ms=now_ms)
 
 
 class PbftClientPool(ClientPool):
     """PBFT client pool: a request completes after ``f + 1`` matching replies."""
 
-    def __init__(
-        self,
-        node_id: str,
-        config: NodeConfig,
-        batch_source: Optional[BatchSource] = None,
-        target_outstanding: int = 8,
-        total_batches: Optional[int] = None,
-        timeout_ms: Optional[float] = None,
-    ) -> None:
-        super().__init__(
-            node_id=node_id,
-            config=config,
-            batch_source=batch_source,
-            completion_quorum=config.f + 1,
-            target_outstanding=target_outstanding,
-            total_batches=total_batches,
-            timeout_ms=timeout_ms,
-            completion_quorum_fn=lambda epoch: config.f_of(epoch) + 1,
-        )
+    QUORUM_RULE = "f+1"

@@ -1,63 +1,74 @@
-"""Shared view-change recovery subsystem for primary-backup protocols.
+"""The primary-backup ordering layer shared by PoE, PBFT, SBFT and Zyzzyva.
 
-Every primary-backup protocol in this repository recovers from a faulty
-primary the same way (paper, Section II-C): replicas that suspect the
-primary broadcast a VIEW-CHANGE request, any replica joins once ``f + 1``
-requests prove a non-faulty replica detected the failure, the primary of
-the next view combines a quorum of requests into a NEW-VIEW message, and
-replicas adopt the state it certifies — executing what they missed and
-rolling back speculation it does not cover.  A retry timer with
-exponential back-off moves past a chain of faulty primaries.
+The paper's comparison (Section IV-A, Figures 1 and 9) holds only if the
+leader-based protocols differ in their *phases* and in nothing else.
+:class:`PrimaryBackupReplica` is everything around the phases, written
+once: a primary orders batches into ``(view, sequence)`` slots, backups
+act on the first proposal they see for a slot, a stable checkpoint prunes
+what it supersedes, an epoch change purges evicted voters, and a faulty
+primary is replaced through the view-change algorithm of Section II-C
+(``f + 1`` requests make any replica join, the next primary combines a
+quorum of them into a NEW-VIEW, replicas adopt the state it certifies,
+a retry timer with exponential back-off moves past a chain of faulty
+primaries).  HotStuff rotates leaders per round and has no such layer; it
+sits directly on :class:`~repro.protocols.replica_base.BatchingReplica`.
 
-Until this module existed the machinery lived twice (PoE in
-``repro.core.replica``, PBFT in ``repro.protocols.pbft``) and the two
-baselines that *needed* it most — SBFT and Zyzzyva, whose matrix cells
-were documented as expected-stall/expected-unsafe — had none.
-:class:`ViewChangeRecovery` is the extraction: a mixin over
-:class:`~repro.protocols.replica_base.BatchingReplica` that owns the
-generic vote bookkeeping, the join rule, the new-view quorum and the retry
-back-off, parameterised by a small set of protocol hooks (the rollback
-itself, with its audit trail, is ``BatchingReplica.rollback_speculation``):
+What a protocol declares
+    ``VIEW_CHANGE_REQUEST`` / ``NEW_VIEW``
+        its two recovery message classes.  Both are routed here — a
+        protocol lists neither in ``MESSAGE_HANDLERS`` — and the NEW-VIEW
+        is built as ``NEW_VIEW(new_view=..., requests=...)``.
+    ``VIEW_CHANGE_LOG``
+        the name of the ``sequence -> entry`` dict its requests are built
+        from (certified entries for PoE/SBFT, committed entries for PBFT,
+        the speculative history for Zyzzyva, which also overrides
+        :meth:`build_view_change_request` to attach commit certificates).
+    :meth:`new_slot`
+        a fresh instance of its slot dataclass, for :meth:`_slot`.  The
+        dataclass defines ``open_tallies()``: the vote sets or share dicts
+        an evicted replica must still be purged from.
+    :meth:`view_change_quorum`
+        requests the next primary needs: ``2f + 1`` unless overridden
+        (``nf`` for PoE).
+    :meth:`view_change_entry_valid` / :meth:`adopt_entry`
+        the per-entry hooks: is one entry of a received request well
+        formed, and how is one adopted entry logged and committed.
+    :meth:`adopt_new_view`
+        state selection, composed from :meth:`rollback_target`,
+        :meth:`evict_uncovered` and :meth:`commit_adopted`; it runs
+        *before* the view advances and returns ``kmax``, the last sequence
+        number of the adopted prefix.
 
-``view_change_quorum``
-    how many valid requests the next primary needs (``nf`` for PoE,
-    ``2f + 1`` for PBFT/SBFT/Zyzzyva);
-``VIEW_CHANGE_REQUEST`` / ``VIEW_CHANGE_LOG`` / ``validate_view_change_request_message``
-    the protocol's request class, the per-sequence entry log its requests
-    carry (certified entries for PoE/SBFT, committed entries for PBFT;
-    Zyzzyva overrides ``build_view_change_request`` to add the highest
-    commit certificate to its speculative history) and the admission
-    check;
-``make_new_view`` / ``validate_new_view``
-    the NEW-VIEW envelope and the receiver-side re-validation;
-``adopt_new_view``
-    the protocol-specific state selection — it runs *before* the view
-    advances and returns ``kmax``, the last sequence number of the
-    adopted prefix.
+What a protocol must never re-implement
+    the slot table and its key (:meth:`_slot`); the admission guards
+    (:meth:`admit_proposal` — a handler only stores its digest in
+    ``_accepted`` under the key it is handed, as ``create_proposal`` does
+    for the primary); stable-checkpoint pruning of slots, accepted
+    proposals and the view-change log (:meth:`on_stable_checkpoint` — an
+    override may only prune state of its own, after ``super()``); the
+    evicted-voter purge (:meth:`on_epoch_activated`); the consecutive-run
+    check on requests (PoE routes it through its pure, separately tested
+    ``validate_view_change_request``); the NEW-VIEW envelope; the join
+    rule, the quorum count, the retry back-off and the view-entry
+    epilogue.  Each is the one place its class of bug can live.
 
-The mixin performs the shared epilogue (advance the view, reset the
-back-off streak, re-base ``next_sequence``, re-propose pending client
-requests, replay deferred new-view-era messages) so a protocol only
-writes the part of recovery that is actually protocol-specific.
+The vote handlers stay hand-written in the protocols: they *are* the
+phases, and on the n² paths they read ``self._slots`` and the view
+inline.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.crypto.cost import CryptoOp
-from repro.protocols.base import Message
+from repro.crypto.authenticator import Authenticator
+from repro.crypto.cost import CryptoCostModel, CryptoOp
+from repro.protocols.base import Message, NodeConfig
+from repro.protocols.replica_base import BatchingReplica
 
 
-class ViewChangeRecovery:
-    """Mixin implementing the protocol-agnostic view-change state machine.
-
-    Use by listing it *before* ``BatchingReplica`` in the base-class list
-    and calling :meth:`init_view_change` at the end of ``__init__``.  Map
-    the protocol's VIEW-CHANGE and NEW-VIEW message types to
-    ``handle_view_change_message`` / ``handle_new_view_message`` in
-    ``MESSAGE_HANDLERS``.
-    """
+class PrimaryBackupReplica(BatchingReplica):
+    """A replica of a leader-based protocol; see the module docstring."""
 
     #: Consecutive failed view changes double the retry timer up to a factor
     #: of ``2 ** VC_BACKOFF_CAP`` over the base ``2 * request_timeout_ms``.
@@ -66,30 +77,91 @@ class ViewChangeRecovery:
     #: Name of the retry timer armed by :meth:`initiate_view_change`.
     VIEW_CHANGE_TIMER = "view-change"
 
-    #: The protocol's VIEW-CHANGE message class.
+    #: The protocol's VIEW-CHANGE and NEW-VIEW message classes.
     VIEW_CHANGE_REQUEST: type = None
+    NEW_VIEW: type = None
 
     #: Name of the ``sequence -> entry`` log VIEW-CHANGE requests are built
     #: from; entries at or below a stable checkpoint are pruned from it.
     VIEW_CHANGE_LOG: str = ""
 
-    def init_view_change(self) -> None:
-        """Initialise the recovery state; call once from ``__init__``."""
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._DISPATCH_TABLE[cls.VIEW_CHANGE_REQUEST] = "handle_view_change_message"
+        cls._DISPATCH_TABLE[cls.NEW_VIEW] = "handle_new_view_message"
+
+    def __init__(
+        self,
+        node_id: str,
+        config: NodeConfig,
+        authenticator: Authenticator,
+        cost_model: Optional[CryptoCostModel] = None,
+        initial_table: Optional[Dict[str, str]] = None,
+    ) -> None:
+        super().__init__(node_id, config, authenticator, cost_model, initial_table)
+        #: Per-slot consensus state, keyed ``(view << 32) | sequence``.
+        self._slots: Dict[int, object] = {}
+        #: ``(view, sequence) -> digest`` of the first proposal accepted.
+        self._accepted: Dict[Tuple[int, int], bytes] = {}
         self._vc_votes: Dict[int, Set[str]] = {}
         self._vc_requests: Dict[int, Dict[str, Message]] = {}
         self._entered_views: Set[int] = {0}
         self._vc_failed_attempts = 0
         self.view_changes_completed = 0
 
+    # ------------------------------------------------------------------ slots
+    def new_slot(self):
+        """A fresh instance of the protocol's slot dataclass."""
+        raise NotImplementedError
+
+    def _slot(self, view: int, sequence: int):
+        # get-then-insert instead of setdefault, which would build a
+        # throwaway slot (and its vote sets) on every hit.  Keys are packed
+        # ints: hashing a small int is cheaper than hashing a fresh tuple.
+        key = (view << 32) | sequence
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = self.new_slot()
+        return slot
+
+    # -------------------------------------------------------------- admission
+    def admit_proposal(self, sender: str,
+                       message: Message) -> Optional[Tuple[int, int]]:
+        """May this backup act on the primary's proposal *message*?
+
+        A proposal for a view not entered yet is deferred (it can overtake
+        the NEW-VIEW on the wire); one arriving during a view change, for
+        another view, from anyone but the primary, or for a slot that
+        already accepted a proposal in this view is dropped.  Both return
+        ``None``.  An admitted proposal returns its ``(view, sequence)``
+        key: the caller charges for and computes the proposal's digest and
+        stores it under that key in ``_accepted``, which is what makes the
+        proposal the first of its slot.
+        """
+        if message.view > self.view:
+            self.defer_message(message.view, sender, message)
+            return None
+        if self.view_change_in_progress:
+            return None
+        if message.view != self.view or sender != self.primary_id:
+            return None
+        key = (message.view, message.sequence)
+        if key in self._accepted:
+            return None
+        batch = message.batch
+        if batch.reply_to:
+            self._reply_targets.setdefault(batch.batch_id, batch.reply_to)
+        return key
+
     # ------------------------------------------------------------ protocol hooks
     def view_change_quorum(self) -> int:
         """Valid requests the next primary needs before proposing a NEW-VIEW.
 
-        Reads the epoch-refreshed ``f + 1`` cache rather than the boot
+        Reads the epoch-refreshed cache rather than the boot
         configuration: after a reconfiguration activates, view-change
         quorums are counted against the epoch the view belongs to.
         """
-        return 2 * self._f_plus_1 - 1
+        return self._2f_plus_1
 
     def build_view_change_request(self, view: int) -> Message:
         """This replica's VIEW-CHANGE request for replacing *view*: every
@@ -112,12 +184,28 @@ class ViewChangeRecovery:
 
     def validate_view_change_request_message(self, request: Message,
                                              view: int) -> bool:
-        """Admission check for one received VIEW-CHANGE request."""
+        """Admission check for one received VIEW-CHANGE request: it targets
+        *view* and carries a strictly consecutive run of entries starting
+        right after the sender's stable checkpoint, each passing
+        :meth:`view_change_entry_valid`."""
+        if request.view != view:
+            return False
+        expected_sequence = request.stable_checkpoint + 1
+        for entry in request.executed:
+            if entry.sequence != expected_sequence:
+                return False
+            expected_sequence += 1
+            if not self.view_change_entry_valid(entry):
+                return False
+        return True
+
+    def view_change_entry_valid(self, entry) -> bool:
+        """Is one executed entry of a received request well formed?"""
         return True
 
     def make_new_view(self, new_view: int, requests: Tuple[Message, ...]) -> Message:
         """Build the NEW-VIEW message from a quorum of *requests*."""
-        raise NotImplementedError
+        return self.NEW_VIEW(new_view=new_view, requests=requests)
 
     def accept_new_view(self, proposal: Message,
                         admissible: Tuple[Message, ...]) -> bool:
@@ -144,6 +232,47 @@ class ViewChangeRecovery:
 
     def on_view_entered(self, view: int, now_ms: float) -> None:
         """Hook invoked right after the view advanced (timers, role rotation)."""
+
+    # ------------------------------------------------------ adoption helpers
+    def rollback_target(self, prefix: Dict[int, object], kmax: int) -> int:
+        """Where execution must roll back to before adopting *prefix*.
+
+        ``kmax`` when this replica executed nothing the prefix contradicts;
+        otherwise the slot before the first one it executed differently —
+        a forged or equivocated history may have put another batch there,
+        and keeping it would fork the ledgers.  Never below the stable
+        checkpoint: divergence under it is durable locally and belongs to
+        the checkpoint layer's state-digest repair.
+        """
+        for sequence in sorted(prefix):
+            if sequence > self.last_executed_sequence:
+                break
+            mine = self.executor.executed(sequence)
+            if mine is not None and (mine.batch.digest()
+                                     != prefix[sequence].batch.digest()):
+                return max(sequence - 1, self.checkpoints.stable_sequence)
+        return kmax
+
+    def evict_uncovered(self, prefix: Dict[int, object], kmax: int) -> None:
+        """Drop pending slots the adopted prefix does not vouch for.
+
+        Run *before* :meth:`commit_adopted`: once the prefix fills the gap
+        in front of a stale pending slot, in-order execution would drain
+        the stale slot right behind it and diverge from the cluster.  Slots
+        the prefix covers are re-adopted from its entries.
+        """
+        for sequence in [s for s in self._committed if s > kmax or s in prefix]:
+            del self._committed[sequence]
+
+    def commit_adopted(self, prefix: Dict[int, object], now_ms: float) -> None:
+        """:meth:`adopt_entry` every adopted entry not executed yet, in order."""
+        for sequence in sorted(prefix):
+            if sequence > self.last_executed_sequence:
+                self.adopt_entry(prefix[sequence], now_ms)
+
+    def adopt_entry(self, entry, now_ms: float) -> None:
+        """Log one adopted entry and hand it to ``commit_slot``."""
+        raise NotImplementedError
 
     # ---------------------------------------------------------------- triggers
     def on_progress_timeout(self, batch_id: str, now_ms: float) -> None:
@@ -290,11 +419,18 @@ class ViewChangeRecovery:
         self.cancel_timer(self.VIEW_CHANGE_TIMER)
 
     def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
-        """Entries the stable checkpoint covers never ride in a request again."""
+        """Prune what the stable checkpoint at *sequence* supersedes: slots,
+        accepted proposals and view-change log entries at or below it."""
         super().on_stable_checkpoint(sequence, now_ms)
         log = getattr(self, self.VIEW_CHANGE_LOG)
         for stale in [s for s in log if s <= sequence]:
             del log[stale]
+        slots = self._slots
+        for key in [k for k in slots if (k & 0xFFFFFFFF) <= sequence]:
+            del slots[key]
+        accepted = self._accepted
+        for key in [k for k in accepted if k[1] <= sequence]:
+            del accepted[key]
 
     def on_epoch_activated(self, entry, evicted, now_ms: float) -> None:
         """An epoch activated mid-recovery: no quorum may mix epochs.
@@ -303,7 +439,8 @@ class ViewChangeRecovery:
         epoch evicted are purged — a view change straddling the boundary
         completes with the new epoch's quorum counted over the new
         epoch's membership only, never with a stale evicted vote topping
-        up the count.
+        up the count — and so are their votes and shares in every slot
+        tally that is still open.
         """
         super().on_epoch_activated(entry, evicted, now_ms)
         if not evicted:
@@ -314,6 +451,7 @@ class ViewChangeRecovery:
         for requests in self._vc_requests.values():
             for rid in evicted:
                 requests.pop(rid, None)
+        self.purge_evicted(self._slots.values(), evicted)
 
     # ------------------------------------------------------------------ timers
     def handle_view_change_timer(self, name: str, payload, now_ms: float) -> bool:

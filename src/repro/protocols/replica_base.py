@@ -1,8 +1,7 @@
-"""Shared replica machinery for primary-backup BFT protocols.
+"""Shared replica machinery for every BFT protocol in this repository.
 
-All protocols in this repository (PoE and the four baselines) share the
-same replica skeleton, which mirrors RESILIENTDB's pipeline
-(paper, Figure 6):
+PoE and the four baselines share the same replica skeleton, which mirrors
+RESILIENTDB's pipeline (paper, Figure 6):
 
 * client requests arrive, are batched (or pass through pre-batched) and
   queued for proposal by the primary;
@@ -15,9 +14,12 @@ same replica skeleton, which mirrors RESILIENTDB's pipeline
 * periodic checkpoints make state durable and garbage-collect undo logs;
 * a per-request progress timer lets backups detect a faulty primary.
 
-Concrete protocols implement :meth:`create_proposal` (primary side),
-map their consensus messages to handlers in ``MESSAGE_HANDLERS`` and,
-when they support it, supply the view-change hooks.
+Concrete protocols implement :meth:`create_proposal` (primary side) and
+map their consensus messages to handlers in ``MESSAGE_HANDLERS``.  The
+four leader-based ones do so on top of
+:class:`~repro.protocols.recovery.PrimaryBackupReplica`, which adds the
+slot table, proposal admission, slot pruning and the view change;
+HotStuff, with a leader per round, builds on this class directly.
 """
 
 from __future__ import annotations
@@ -214,6 +216,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         # (n -> len(replica_ids)) on every delivered vote.
         self._vote_index = config.replica_index_map
         self._f_plus_1 = config.f + 1
+        self._2f_plus_1 = 2 * config.f + 1
         self._nf_quorum = config.nf
         self._fanout = config.n - 1
         # Bind the merged handler table once; routing a delivery is then
@@ -832,10 +835,11 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         """Re-derive every cached quorum size from the active membership."""
         f_e = (len(members) - 1) // 3
         self._f_plus_1 = f_e + 1
+        self._2f_plus_1 = 2 * f_e + 1
         self._nf_quorum = len(members) - f_e
         self._fanout = len(members) - 1
         checkpoints = self.checkpoints
-        checkpoints.quorum = 2 * f_e + 1
+        checkpoints.quorum = self._2f_plus_1
         if checkpoints.quorum_fn is None:
             # From now on checkpoint stability is judged per-sequence:
             # votes for an old-epoch boundary stay held to the old
@@ -850,10 +854,31 @@ class BatchingReplica(ProtocolNode, abc.ABC):
                            now_ms: float) -> None:
         """Hook: a new epoch's membership just took effect.
 
-        Protocol subclasses refresh their own cached quorum sizes and
-        purge evicted voters from protocol-level vote sets; cooperative
-        overrides must call ``super()``.
+        The quorum caches are already refreshed; overrides purge evicted
+        voters from their own tallies (:meth:`purge_evicted`) and must
+        call ``super()``.
         """
+
+    def purge_evicted(self, states, evicted: Tuple[str, ...]) -> None:
+        """Remove *evicted* replicas from every tally *states* hold open.
+
+        Each state (a consensus slot, a HotStuff round) names the tallies
+        that can still complete through ``open_tallies()``: vote sets are
+        keyed by replica id, share dicts by share index (membership
+        position + 1 — without threshold re-keying an evicted replica's
+        share would still aggregate into a valid certificate).  A closed
+        tally froze its proof when it completed and is left alone.
+        """
+        index_map = self.config.replica_index_map
+        dead = {index_map[rid] + 1 for rid in evicted if rid in index_map}
+        for state in states:
+            for tally in state.open_tallies():
+                if tally.__class__ is VoteSet:
+                    for rid in evicted:
+                        tally.discard(rid)
+                else:
+                    for index in dead:
+                        tally.pop(index, None)
 
     def _epoch_log_wire(self, sequence: int) -> Tuple[Tuple, ...]:
         """Wire form of every non-genesis epoch committed by *sequence*."""
@@ -1055,9 +1080,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     def on_transfer_view_adopted(self, view: int, now_ms: float) -> None:
         """Hook invoked when a state transfer advanced this replica's view.
 
-        Protocols with a view-change engine override this to mark *view*
-        entered and disarm any pending view-change retry timer (see
-        :class:`~repro.protocols.recovery.ViewChangeRecovery`).
+        The primary-backup layer overrides this to mark *view* entered
+        and disarm any pending view-change retry timer (see
+        :class:`~repro.protocols.recovery.PrimaryBackupReplica`).
         """
 
     # ------------------------------------------------------------ progress timers

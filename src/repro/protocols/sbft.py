@@ -18,8 +18,8 @@ slot, which is why SBFT loses throughput under failures — though less
 dramatically than Zyzzyva, because the primary keeps proposing
 out-of-order while collectors wait.
 
-A faulty *primary* is recovered from through the shared view-change
-engine (:class:`~repro.protocols.recovery.ViewChangeRecovery`): replicas
+A faulty *primary* is recovered from through the shared primary-backup
+layer (:class:`~repro.protocols.recovery.PrimaryBackupReplica`): replicas
 broadcast VIEW-CHANGE requests carrying their commit-proof-certified
 slots, the primary of the next view combines ``2f + 1`` of them into a
 NEW-VIEW, and entering the view rotates collector and executor along with
@@ -40,9 +40,9 @@ from repro.crypto.hashing import shared_digest
 from repro.crypto.threshold import ThresholdError
 from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.client_messages import ClientReplyMessage
-from repro.protocols.recovery import ViewChangeRecovery
-from repro.protocols.replica_base import BatchingReplica, CommittedSlot
-from repro.workload.clients import BatchSource, ClientPool
+from repro.protocols.recovery import PrimaryBackupReplica
+from repro.protocols.replica_base import CommittedSlot
+from repro.workload.clients import ClientPool
 from repro.workload.transactions import RequestBatch
 
 
@@ -152,8 +152,12 @@ class _SbftSlot:
     slow_path: bool = False
     result_digest: bytes = b""
 
+    def open_tallies(self) -> Tuple[Dict[int, object], ...]:
+        return ((() if self.commit_proof_sent else (self.commit_shares,))
+                + (() if self.execute_ack_sent else (self.state_shares,)))
 
-class SbftReplica(ViewChangeRecovery, BatchingReplica):
+
+class SbftReplica(PrimaryBackupReplica):
     """An SBFT replica; the primary doubles as collector, the next replica as executor."""
 
     PROTOCOL_INFO = ProtocolInfo(
@@ -170,11 +174,10 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
         SbftCommitProof: "handle_commit_proof",
         SbftSignState: "handle_sign_state",
         SbftExecuteAck: "handle_execute_ack",
-        SbftViewChange: "handle_view_change_message",
-        SbftNewView: "handle_new_view_message",
     }
 
     VIEW_CHANGE_REQUEST = SbftViewChange
+    NEW_VIEW = SbftNewView
     VIEW_CHANGE_LOG = "_certified_log"
 
     def __init__(
@@ -188,8 +191,6 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model, initial_table)
         self.collector_timeout_ms = collector_timeout_ms
-        self._slots: Dict[Tuple[int, int], _SbftSlot] = {}
-        self._accepted: Dict[Tuple[int, int], bytes] = {}
         #: Slots this replica holds a verified commit proof for; the payload
         #: of its view-change requests.
         self._certified_log: Dict[int, SbftCertifiedSlot] = {}
@@ -198,7 +199,6 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
         #: letting stale collector timeouts fire after rotation.
         self._collector_timers: Set[Tuple[int, int]] = set()
         self.slow_path_slots = 0
-        self.init_view_change()
 
     # ------------------------------------------------------------------ roles
     @property
@@ -211,14 +211,7 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
         """The executor of the current view (the replica after the primary)."""
         return self.primary_for_view(self.view + 1)
 
-    def _slot(self, view: int, sequence: int) -> _SbftSlot:
-        # get-then-insert: setdefault would construct a throwaway slot
-        # (plus two share dicts) on every share/proof delivery.
-        key = (view, sequence)
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = self._slots[key] = _SbftSlot()
-        return slot
+    new_slot = _SbftSlot
 
     # ---------------------------------------------------------------- proposing
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
@@ -244,17 +237,8 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
     # ---------------------------------------------------------------- messages
     def handle_preprepare(self, sender: str, message: SbftPrePrepare,
                           now_ms: float) -> None:
-        if message.view > self.view:
-            # The new primary's first proposals can overtake the NEW-VIEW
-            # message on the wire; buffer them until this replica catches up.
-            self.defer_message(message.view, sender, message)
-            return
-        if self.view_change_in_progress:
-            return
-        if message.view != self.view or sender != self.primary_id:
-            return
-        key = (message.view, message.sequence)
-        if key in self._accepted:
+        key = self.admit_proposal(sender, message)
+        if key is None:
             return
         self.charge(CryptoOp.MAC_VERIFY)
         self.charge(CryptoOp.HASH)
@@ -264,9 +248,6 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
         slot = self._slot(message.view, message.sequence)
         slot.batch = message.batch
         slot.proposal_digest = proposal_digest
-        if message.batch.reply_to:
-            self._reply_targets.setdefault(message.batch.batch_id,
-                                           message.batch.reply_to)
         self.charge(CryptoOp.THRESHOLD_SHARE)
         share = self.auth.threshold_share(proposal_digest)
         self.send(self.collector_id, SbftSignShare(
@@ -419,57 +400,24 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
                            now_ms: float) -> None:
         self.charge(CryptoOp.THRESHOLD_VERIFY)
 
-    # ----------------------------------------------------------------- epochs
-    def on_epoch_activated(self, entry, evicted, now_ms: float) -> None:
-        super().on_epoch_activated(entry, evicted, now_ms)
-        if not evicted:
-            return
-        # Without threshold re-keying an evicted replica's share would still
-        # aggregate into a valid certificate; purge its shares from slots
-        # that have not certified yet (share index = membership position + 1).
-        config = self.config
-        dead = {config.replica_index(rid) + 1 for rid in evicted
-                if rid in config.replica_index_map}
-        for slot in self._slots.values():
-            if not slot.commit_proof_sent:
-                for index in dead:
-                    slot.commit_shares.pop(index, None)
-            if not slot.execute_ack_sent:
-                for index in dead:
-                    slot.state_shares.pop(index, None)
-
     # ------------------------------------------------------------- view change
-    # Generic machinery in ViewChangeRecovery; SBFT's requests carry its
+    # Generic machinery in PrimaryBackupReplica; SBFT's requests carry its
     # threshold-certified slots, and entering a view rotates the collector
     # and executor (both derive from the view number).
 
-    def validate_view_change_request_message(self, request: SbftViewChange,
-                                             view: int) -> bool:
+    def view_change_entry_valid(self, entry: SbftCertifiedSlot) -> bool:
         """Certified slots are threshold signatures: re-verify every one.
 
-        Entries must form a consecutive run starting right after the
-        sender's stable checkpoint, each carrying a commit proof for the
-        recomputed proposal digest — the same admission rule PoE applies
-        to its VC-REQUESTs (paper, Figure 5 preconditions).
+        Each entry must carry a commit proof for the recomputed proposal
+        digest — the same admission rule PoE applies to its VC-REQUESTs
+        (paper, Figure 5 preconditions).
         """
-        if request.view != view:
+        expected = sbft_proposal_digest(entry.view, entry.sequence, entry.batch)
+        if entry.proposal_digest != expected:
             return False
-        expected_sequence = request.stable_checkpoint + 1
-        for entry in request.executed:
-            if entry.sequence != expected_sequence:
-                return False
-            expected_sequence += 1
-            expected = sbft_proposal_digest(entry.view, entry.sequence, entry.batch)
-            if entry.proposal_digest != expected:
-                return False
-            self.charge(CryptoOp.THRESHOLD_VERIFY)
-            if entry.certificate is None or not self.auth.threshold_verify(
-                    entry.certificate, expected):
-                return False
-        return True
-
-    def make_new_view(self, new_view: int, requests) -> SbftNewView:
-        return SbftNewView(new_view=new_view, requests=requests)
+        self.charge(CryptoOp.THRESHOLD_VERIFY)
+        return entry.certificate is not None and self.auth.threshold_verify(
+            entry.certificate, expected)
 
     def adopt_new_view(self, proposal: SbftNewView, requests, now_ms: float) -> int:
         """Adopt the longest certified prefix; commit the slots this replica missed.
@@ -485,32 +433,17 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
         prefix, kmax = longest_consecutive_prefix(requests, f=self._f_plus_1 - 1,
                                                   trust_certificates=True)
         kmax = max(kmax, self.last_executed_sequence)
-        # Evict pending slots the adopted prefix does not cover *before*
-        # executing it: a certified-but-unexecuted slot from the old view
-        # would otherwise drain right behind the prefix and diverge (the
-        # same stale-slot hazard PoE's view change guards against).
-        for sequence in [s for s in self._committed if s > kmax or s in prefix]:
-            del self._committed[sequence]
-        for sequence in sorted(prefix):
-            if sequence <= self.last_executed_sequence:
-                continue
-            entry = prefix[sequence]
-            self._certified_log[sequence] = entry
-            slot = self._slot(entry.view, entry.sequence)
-            slot.batch = entry.batch
-            slot.proposal_digest = entry.proposal_digest
-            self.commit_slot(sequence=sequence, view=entry.view, batch=entry.batch,
-                             proof=entry.certificate, now_ms=now_ms,
-                             speculative=False)
+        self.evict_uncovered(prefix, kmax)
+        self.commit_adopted(prefix, now_ms)
         return kmax
 
-    def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
-        """Prune per-slot consensus state the stable checkpoint supersedes."""
-        super().on_stable_checkpoint(sequence, now_ms)
-        for key in [k for k in self._slots if k[1] <= sequence]:
-            del self._slots[key]
-        for key in [k for k in self._accepted if k[1] <= sequence]:
-            del self._accepted[key]
+    def adopt_entry(self, entry: SbftCertifiedSlot, now_ms: float) -> None:
+        self._certified_log[entry.sequence] = entry
+        slot = self._slot(entry.view, entry.sequence)
+        slot.batch = entry.batch
+        slot.proposal_digest = entry.proposal_digest
+        self.commit_slot(sequence=entry.sequence, view=entry.view, batch=entry.batch,
+                         proof=entry.certificate, now_ms=now_ms, speculative=False)
 
     def on_view_entered(self, view: int, now_ms: float) -> None:
         """Rotation epilogue: disarm the previous views' collector timers.
@@ -546,21 +479,4 @@ class SbftReplica(ViewChangeRecovery, BatchingReplica):
 class SbftClientPool(ClientPool):
     """SBFT client pool: one aggregated execute-ack completes a request."""
 
-    def __init__(
-        self,
-        node_id: str,
-        config: NodeConfig,
-        batch_source: Optional[BatchSource] = None,
-        target_outstanding: int = 8,
-        total_batches: Optional[int] = None,
-        timeout_ms: Optional[float] = None,
-    ) -> None:
-        super().__init__(
-            node_id=node_id,
-            config=config,
-            batch_source=batch_source,
-            completion_quorum=1,
-            target_outstanding=target_outstanding,
-            total_batches=total_batches,
-            timeout_ms=timeout_ms,
-        )
+    QUORUM_RULE = "1"

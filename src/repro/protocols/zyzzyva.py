@@ -15,8 +15,8 @@ Recovery from a faulty primary is *client-triggered*: a client that
 collects conflicting speculative responses for the same (view, sequence)
 slot holds evidence that the primary equivocated its ORDER-REQs and
 broadcasts a proof of misbehaviour; replicas receiving it — or timing
-out on a forwarded request — start the shared view-change engine
-(:class:`~repro.protocols.recovery.ViewChangeRecovery`).  Because
+out on a forwarded request — start the view change of the shared layer
+(:class:`~repro.protocols.recovery.PrimaryBackupReplica`).  Because
 execution is purely speculative, view-change requests carry unverifiable
 speculative histories plus the highest *commit certificate* the replica
 acknowledged; the new view reconciles them from the highest commit
@@ -43,9 +43,9 @@ from repro.crypto.hashing import digest, shared_digest
 from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.checkpoint import StateTransferRequest
 from repro.protocols.client_messages import ClientReplyMessage
-from repro.protocols.recovery import ViewChangeRecovery
-from repro.protocols.replica_base import BatchingReplica, CommittedSlot
-from repro.workload.clients import BatchSource, ClientPool, _PendingBatch
+from repro.protocols.recovery import PrimaryBackupReplica
+from repro.protocols.replica_base import CommittedSlot
+from repro.workload.clients import ClientPool, _PendingBatch
 from repro.workload.transactions import RequestBatch
 
 
@@ -145,8 +145,12 @@ class ZyzzyvaNewView(Message):
     requests: Tuple[ZyzzyvaViewChange, ...] = ()
 
 
-class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
-    """A Zyzzyva replica: execute speculatively straight from the ordering."""
+class ZyzzyvaReplica(PrimaryBackupReplica):
+    """A Zyzzyva replica: execute speculatively straight from the ordering.
+
+    There is no vote phase between replicas, so the slot table stays empty;
+    ``_accepted`` maps each ordered slot to its history digest.
+    """
 
     # Figure 1 reproduces the paper's table, which characterises *published*
     # Zyzzyva ("reliable clients and unsafe"); this implementation adds the
@@ -163,10 +167,10 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
         ZyzzyvaOrderRequest: "handle_order_request",
         ZyzzyvaCommitCertificate: "handle_commit_certificate",
         ZyzzyvaProofOfMisbehaviour: "handle_proof_of_misbehaviour",
-        ZyzzyvaViewChange: "handle_view_change_message",
-        ZyzzyvaNewView: "handle_new_view_message",
     }
 
+    VIEW_CHANGE_REQUEST = ZyzzyvaViewChange
+    NEW_VIEW = ZyzzyvaNewView
     VIEW_CHANGE_LOG = "_spec_history"
 
     def __init__(
@@ -179,7 +183,6 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model, initial_table)
         self._history_digest = shared_digest("zyzzyva-history", "genesis")
-        self._accepted: Dict[Tuple[int, int], bytes] = {}
         #: Speculative history journal: the payload of view-change requests.
         self._spec_history: Dict[int, ZyzzyvaHistoryEntry] = {}
         #: Validated client commit certificates, by sequence; the highest one
@@ -187,7 +190,6 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
         self._commit_certs: Dict[int, ZyzzyvaCommitCertificate] = {}
         self.local_commits_sent = 0
         self.proofs_of_misbehaviour_accepted = 0
-        self.init_view_change()
 
     # ---------------------------------------------------------------- proposing
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
@@ -211,24 +213,12 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
     # ---------------------------------------------------------------- messages
     def handle_order_request(self, sender: str, message: ZyzzyvaOrderRequest,
                              now_ms: float) -> None:
-        if message.view > self.view:
-            # The new primary's first orderings can overtake the NEW-VIEW
-            # message on the wire; buffer them until this replica catches up.
-            self.defer_message(message.view, sender, message)
-            return
-        if self.view_change_in_progress:
-            return
-        if message.view != self.view or sender != self.primary_id:
-            return
-        key = (message.view, message.sequence)
-        if key in self._accepted:
+        key = self.admit_proposal(sender, message)
+        if key is None:
             return
         self.charge(CryptoOp.MAC_VERIFY)
         self.charge(CryptoOp.HASH)
         self._accepted[key] = message.history_digest
-        if message.batch.reply_to:
-            self._reply_targets.setdefault(message.batch.batch_id,
-                                           message.batch.reply_to)
         self.commit_slot(sequence=message.sequence, view=message.view,
                          batch=message.batch, proof=message.history_digest,
                          now_ms=now_ms, speculative=True)
@@ -344,18 +334,16 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
         )
 
     def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
-        """Durable slots need no commit certificates or accepted digests any
-        more (the shared recovery prunes ``_spec_history``)."""
+        """Durable slots need no commit certificates any more, except the
+        highest one, which anchors the next view change."""
         super().on_stable_checkpoint(sequence, now_ms)
         best = max(self._commit_certs, default=None)
         for seq in [s for s in self._commit_certs
                     if s <= sequence and s != best]:
             del self._commit_certs[seq]
-        for key in [k for k in self._accepted if k[1] <= sequence]:
-            del self._accepted[key]
 
     # ------------------------------------------------------------- view change
-    # Generic machinery in ViewChangeRecovery.  Zyzzyva's requests carry an
+    # Generic machinery in PrimaryBackupReplica.  Zyzzyva's requests carry an
     # unverifiable speculative history plus the highest client commit
     # certificate; reconciliation anchors on the certificates and adopts
     # speculative entries with f+1 matching support (see
@@ -396,22 +384,15 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
         re-derivable) the result digest the certified responders must have
         produced.
         """
-        if request.view != view:
+        if not super().validate_view_change_request_message(request, view):
             return False
-        expected_sequence = request.stable_checkpoint + 1
-        for entry in request.executed:
-            if entry.sequence != expected_sequence:
-                return False
-            expected_sequence += 1
-            certificate = entry.commit_certificate
-            if certificate is not None and not self._certificate_admissible(
-                    certificate, sequence=entry.sequence, batch=entry.batch):
-                return False
         certificate = request.commit_certificate
-        if certificate is not None and not self._certificate_admissible(
-                certificate):
-            return False
-        return True
+        return certificate is None or self._certificate_admissible(certificate)
+
+    def view_change_entry_valid(self, entry: ZyzzyvaHistoryEntry) -> bool:
+        certificate = entry.commit_certificate
+        return certificate is None or self._certificate_admissible(
+            certificate, sequence=entry.sequence, batch=entry.batch)
 
     def _certificate_rules(self, sequence: int):
         """(members, 2f+1) of the epoch governing *sequence*'s slot.
@@ -470,9 +451,6 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
                 return False
         return True
 
-    def make_new_view(self, new_view: int, requests) -> ZyzzyvaNewView:
-        return ZyzzyvaNewView(new_view=new_view, requests=requests)
-
     def adopt_new_view(self, proposal: ZyzzyvaNewView, requests,
                        now_ms: float) -> int:
         """Reconcile speculative histories and converge on the adopted one.
@@ -492,35 +470,9 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
         prefix, kmax = reconcile_speculative_histories(requests,
                                                        self._f_plus_1 - 1)
         anchor_info = speculative_anchor(requests, self._f_plus_1 - 1)
-        # Find the first adopted slot this replica executed differently.
-        rollback_target = min(kmax, self.last_executed_sequence)
-        for sequence in sorted(prefix):
-            if sequence > self.last_executed_sequence:
-                break
-            mine = self.executor.executed(sequence)
-            if mine is not None and (mine.batch.digest()
-                                     != prefix[sequence].batch.digest()):
-                # Never roll back past the stable checkpoint: divergence
-                # below it is durable either way, and the checkpoint
-                # layer's state-digest repair owns that case.
-                rollback_target = max(sequence - 1,
-                                      self.checkpoints.stable_sequence)
-                break
-        self.rollback_speculation(rollback_target, now_ms)
-        # Evict pending uncovered slots before executing the prefix (the
-        # same stale-slot hazard PoE's view change guards against).
-        for sequence in [s for s in self._committed if s > kmax or s in prefix]:
-            del self._committed[sequence]
-        for sequence in sorted(prefix):
-            if sequence <= self.last_executed_sequence:
-                continue
-            entry = prefix[sequence]
-            self._accepted[(entry.view, entry.sequence)] = entry.history_digest
-            if entry.commit_certificate is not None:
-                self._commit_certs.setdefault(sequence, entry.commit_certificate)
-            self.commit_slot(sequence=sequence, view=entry.view, batch=entry.batch,
-                             proof=entry.history_digest, now_ms=now_ms,
-                             speculative=False)
+        self.rollback_speculation(self.rollback_target(prefix, kmax), now_ms)
+        self.evict_uncovered(prefix, kmax)
+        self.commit_adopted(prefix, now_ms)
         checkpoint = anchor_info.checkpoint
         checkpoint_digest = anchor_info.checkpoint_digest
         if checkpoint_digest is not None and checkpoint >= 0:
@@ -548,6 +500,13 @@ class ZyzzyvaReplica(ViewChangeRecovery, BatchingReplica):
                                              proposal.new_view, kmax)
         return kmax
 
+    def adopt_entry(self, entry: ZyzzyvaHistoryEntry, now_ms: float) -> None:
+        self._accepted[(entry.view, entry.sequence)] = entry.history_digest
+        if entry.commit_certificate is not None:
+            self._commit_certs.setdefault(entry.sequence, entry.commit_certificate)
+        self.commit_slot(sequence=entry.sequence, view=entry.view, batch=entry.batch,
+                         proof=entry.history_digest, now_ms=now_ms, speculative=False)
+
     def on_rolled_back(self, record) -> None:
         self._spec_history.pop(record.sequence, None)
         self._commit_certs.pop(record.sequence, None)
@@ -570,25 +529,10 @@ class ZyzzyvaClientPool(ClientPool):
     replace the primary.
     """
 
-    def __init__(
-        self,
-        node_id: str,
-        config: NodeConfig,
-        batch_source: Optional[BatchSource] = None,
-        target_outstanding: int = 8,
-        total_batches: Optional[int] = None,
-        timeout_ms: Optional[float] = None,
-    ) -> None:
-        super().__init__(
-            node_id=node_id,
-            config=config,
-            batch_source=batch_source,
-            completion_quorum=config.n,
-            target_outstanding=target_outstanding,
-            total_batches=total_batches,
-            timeout_ms=timeout_ms,
-            completion_quorum_fn=config.n_of,
-        )
+    QUORUM_RULE = "n"
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._commit_phase: Dict[str, Set[str]] = {}
         self._commit_reply: Dict[str, ClientReplyMessage] = {}
         #: batch_id -> reply key a commit certificate was already built

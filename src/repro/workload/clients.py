@@ -35,6 +35,17 @@ from repro.workload.xshard import (
 #: Factory signature: (batch_index, now_ms) -> RequestBatch.
 BatchSource = Callable[[int, float], RequestBatch]
 
+#: The client completion rules: matching replies that complete a batch in
+#: a group of ``n`` replicas tolerating ``f`` faults.  ``nf`` is PoE's,
+#: ``f+1`` PBFT's and HotStuff's, ``n`` Zyzzyva's fast path, ``1`` SBFT's
+#: single aggregated reply.
+QUORUM_RULES: Dict[str, Callable[[int, int], int]] = {
+    "nf": lambda n, f: n - f,
+    "f+1": lambda n, f: f + 1,
+    "n": lambda n, f: n,
+    "1": lambda n, f: 1,
+}
+
 
 @dataclass(frozen=True, slots=True)
 class CompletionRecord:
@@ -192,13 +203,16 @@ class _PoolBase(ClientNode):
 class ClientPool(_PoolBase):
     """Open/closed-loop client population submitting batches to the primary.
 
+    A protocol's pool is a subclass naming its completion rule
+    (``QUORUM_RULE``, a key of :data:`QUORUM_RULES`) and whether requests
+    go to every replica instead of only the current primary
+    (``BROADCAST_REQUESTS`` — rotating-leader protocols such as HotStuff,
+    where any replica may end up proposing the batch).
+
     Args:
         node_id: identifier of the pool.
         config: the shared deployment configuration.
         batch_source: factory producing the next batch to submit.
-        completion_quorum: number of matching replies that complete a batch
-            (``nf`` for PoE, ``f + 1`` for PBFT/HotStuff, ``n`` for
-            Zyzzyva's fast path, 1 for SBFT's aggregated reply).
         target_outstanding: batches kept in flight concurrently; 1 gives
             the closed-loop behaviour of the out-of-order-disabled
             experiments (Figures 9(k), 9(l)), where the paper requires
@@ -208,39 +222,36 @@ class ClientPool(_PoolBase):
             (``None`` = unbounded, for timed runs).
         timeout_ms: retransmission timeout (defaults to the config's
             request timeout, 3 s in the paper).
-        broadcast_requests: send every request to all replicas instead of
-            only the current primary (needed by rotating-leader protocols
-            such as HotStuff, where any replica may end up proposing it).
-        completion_quorum_fn: per-epoch quorum rule for reconfigured
-            deployments — called with the epoch that governs a reply's
-            sequence and returns the quorum that completes the batch
-            (``nf_of`` for PoE, ``f_of + 1`` for PBFT/HotStuff, ``n_of``
-            for Zyzzyva).  Ignored while the deployment has not
-            reconfigured, so fixed-membership runs keep the single
-            attribute read.
+        quorum_rule: overrides the class's ``QUORUM_RULE``.
+
+    ``completion_quorum`` is the rule applied to the boot membership;
+    ``completion_quorum_fn`` applies it to the epoch that governs a
+    reply's sequence, so a batch committed under a grown (or shrunk) epoch
+    is completed against that epoch's quorum.
     """
+
+    QUORUM_RULE = "nf"
+    BROADCAST_REQUESTS = False
 
     def __init__(
         self,
         node_id: str,
         config: NodeConfig,
         batch_source: Optional[BatchSource] = None,
-        completion_quorum: Optional[int] = None,
         target_outstanding: int = 8,
         total_batches: Optional[int] = None,
         timeout_ms: Optional[float] = None,
-        broadcast_requests: bool = False,
-        completion_quorum_fn: Optional[Callable[[int], int]] = None,
+        quorum_rule: Optional[str] = None,
     ) -> None:
         super().__init__(
             node_id, config,
             batch_source or synthetic_batch_source(node_id, config.batch_size),
             target_outstanding, total_batches, timeout_ms)
-        self.completion_quorum = completion_quorum if completion_quorum is not None else config.nf
-        if completion_quorum_fn is None and completion_quorum is None:
-            completion_quorum_fn = config.nf_of
-        self.completion_quorum_fn = completion_quorum_fn
-        self.broadcast_requests = broadcast_requests
+        rule = QUORUM_RULES[quorum_rule or self.QUORUM_RULE]
+        self.completion_quorum = rule(config.n, config.f)
+        self.completion_quorum_fn = lambda epoch: rule(config.n_of(epoch),
+                                                       config.f_of(epoch))
+        self.broadcast_requests = self.BROADCAST_REQUESTS
         self.current_view = 0
         # Reply voters resolve to replica indices through the shared
         # membership map; replies from senders outside the membership
@@ -297,7 +308,7 @@ class ClientPool(_PoolBase):
         against that epoch's quorum.
         """
         config = self.config
-        if not config.reconfigured or self.completion_quorum_fn is None:
+        if not config.reconfigured:
             return self.completion_quorum
         return self.completion_quorum_fn(config.epoch_of_sequence(sequence))
 

@@ -4,17 +4,18 @@ import pytest
 
 from repro.protocols.base import NodeConfig
 from repro.protocols.client_messages import ClientReplyMessage, ClientRequestMessage
-from repro.workload.clients import ClientPool, synthetic_batch_source
+from repro.workload.clients import QUORUM_RULES, ClientPool, synthetic_batch_source
 
 REPLICAS = [f"replica:{i}" for i in range(4)]
 
 
-def make_pool(**kwargs):
+def make_pool(pool_cls=ClientPool, **kwargs):
     config = NodeConfig(replica_ids=list(REPLICAS), batch_size=10,
                         request_timeout_ms=100.0)
-    defaults = dict(completion_quorum=3, target_outstanding=2, total_batches=5)
+    # The default rule, "nf", is 3 of these 4 replicas.
+    defaults = dict(target_outstanding=2, total_batches=5)
     defaults.update(kwargs)
-    return ClientPool("client:0", config, **defaults), config
+    return pool_cls("client:0", config, **defaults), config
 
 
 def reply(batch_id, replica, digest=b"r", view=0, sequence=0):
@@ -36,7 +37,10 @@ class TestLoadGeneration:
         assert all(send.to == "replica:0" for send in output.sends())
 
     def test_broadcast_mode_sends_to_all_replicas(self):
-        pool, _ = make_pool(broadcast_requests=True, target_outstanding=1)
+        class BroadcastingPool(ClientPool):
+            BROADCAST_REQUESTS = True
+
+        pool, _ = make_pool(BroadcastingPool, target_outstanding=1)
         output = pool.start(0.0)
         assert len(output.broadcasts()) == 1
 
@@ -67,7 +71,7 @@ class TestLoadGeneration:
         """``target_outstanding=1`` is the closed-loop client of the
         out-of-order-disabled experiments: the next request goes out only
         when the previous one was accepted."""
-        pool, _ = make_pool(completion_quorum=1, target_outstanding=1)
+        pool, _ = make_pool(quorum_rule="1", target_outstanding=1)
         pool.start(0.0)
         assert pool.outstanding == 1
         first = list(pool._pending)[0]
@@ -134,13 +138,58 @@ class TestCompletionRules:
         """Senders outside the replica membership (e.g. an SBFT executor
         answering from a fresh id in tests) go through the bitset's
         overflow path rather than being dropped."""
-        pool, _ = make_pool(target_outstanding=1, completion_quorum=3)
+        pool, _ = make_pool(target_outstanding=1)
         pool.start(0.0)
         batch_id = list(pool._pending)[0]
         pool.deliver("replica:1", reply(batch_id, "replica:1"), 1.0)
         pool.deliver("stranger:a", reply(batch_id, "stranger:a"), 1.0)
         pool.deliver("stranger:b", reply(batch_id, "stranger:b"), 1.0)
         assert pool.completed_batches == 1
+
+
+class TestCompletionRuleTable:
+    """The completion rule is written once: ``QUORUM_RULES``."""
+
+    @pytest.mark.parametrize("rule,by_n", [
+        ("nf", {4: 3, 7: 5, 16: 11}),
+        ("f+1", {4: 2, 7: 3, 16: 6}),
+        ("n", {4: 4, 7: 7, 16: 16}),
+        ("1", {4: 1, 7: 1, 16: 1}),
+    ])
+    def test_rules(self, rule, by_n):
+        assert {n: QUORUM_RULES[rule](n, (n - 1) // 3) for n in by_n} == by_n
+
+    def test_the_table_has_exactly_the_four_rules(self):
+        assert sorted(QUORUM_RULES) == ["1", "f+1", "n", "nf"]
+
+    def test_every_protocol_states_its_rule_on_the_pool_class(self):
+        from repro.fabric.registry import PROTOCOLS
+        from repro.fabric.sharding import ShardedClusterConfig, layout_for_config
+
+        expected = {"poe": "nf", "poe-ts": "nf", "poe-mac": "nf", "poe-nospec": "nf",
+                    "pbft": "f+1", "hotstuff": "f+1", "zyzzyva": "n", "sbft": "1"}
+        assert {name: spec.client_quorum for name, spec in PROTOCOLS.items()} == expected
+        config = NodeConfig(replica_ids=[f"replica:{i}" for i in range(7)])
+        for name, spec in PROTOCOLS.items():
+            pool_cls = spec.client_pool_cls
+            pool = pool_cls("client:0", config)
+            assert pool.completion_quorum == QUORUM_RULES[spec.client_quorum](7, 2)
+            assert pool.broadcast_requests is spec.broadcast_requests
+            assert spec.broadcast_requests is (name == "hotstuff")
+            # A protocol's pool only names its rule; Zyzzyva's adds state.
+            assert ("__init__" in vars(pool_cls)) is (name == "zyzzyva")
+            if name != "sbft":  # rejected by the sharded config validation
+                layout = layout_for_config(ShardedClusterConfig(
+                    num_shards=1, protocols=name, num_replicas=7))
+                assert layout.reply_quorum(0) == pool.completion_quorum
+                assert layout.wants_broadcast(0) is spec.broadcast_requests
+
+    def test_quorum_rule_overrides_the_class_rule(self):
+        pool, config = make_pool(quorum_rule="f+1")
+        assert pool.completion_quorum == config.f + 1
+        assert pool.completion_quorum_fn(0) == config.f + 1
+        with pytest.raises(KeyError):
+            make_pool(quorum_rule="2f+1")
 
 
 class TestRetransmission:

@@ -1,10 +1,13 @@
-"""Tests for the shared replica machinery: deferral, state transfer, replies."""
+"""Tests for the shared replica machinery: deferral, state transfer, replies,
+and the primary-backup layer's slot table, admission, pruning and purge."""
 
 import pytest
 
+from repro.core.messages import PoePropose
 from repro.core.replica import PoeReplica
 from repro.crypto.authenticator import SchemeKind, make_authenticators
 from repro.fabric.cluster import Cluster, ClusterConfig
+from repro.fabric.registry import get_spec
 from repro.protocols.base import NodeConfig
 from repro.protocols.checkpoint import (
     CheckpointMessage,
@@ -12,6 +15,11 @@ from repro.protocols.checkpoint import (
     StateTransferResponse,
 )
 from repro.protocols.client_messages import ClientRequestMessage
+from repro.protocols.epoch import EpochEntry
+from repro.protocols.pbft import PbftPrePrepare
+from repro.protocols.quorum import VoteSet
+from repro.protocols.sbft import SbftPrePrepare
+from repro.protocols.zyzzyva import ZyzzyvaOrderRequest
 from repro.workload.transactions import make_no_op_batch
 
 REPLICAS = [f"replica:{i}" for i in range(4)]
@@ -32,16 +40,15 @@ def make_replica(auths, rid="replica:1", **config_kwargs):
 class TestDeferredMessages:
     def test_future_view_messages_are_buffered_and_replayed(self, auths):
         replica = make_replica(auths)
-        from repro.core.messages import PoePropose
         batch = make_no_op_batch("future", "client:0", 2)
         future = PoePropose(view=1, sequence=0, batch=batch)
         replica.deliver("replica:1", future, 1.0)
-        assert replica._accepted_proposal == {}
+        assert replica._accepted == {}
         assert 1 in replica._deferred_messages
         # Entering view 1 replays the buffered proposal.
         replica.view = 1
         replica.replay_deferred(2.0)
-        assert (1, 0) in replica._accepted_proposal
+        assert (1, 0) in replica._accepted
 
     def test_replay_only_covers_entered_views(self, auths):
         replica = make_replica(auths)
@@ -49,6 +56,142 @@ class TestDeferredMessages:
         replica.view = 1
         replica.replay_deferred(1.0)
         assert 3 in replica._deferred_messages
+
+
+#: protocol -> (proposal message class, [(slot tally, flags that close it)]).
+_POE_LAYER = (PoePropose, [("support_votes", ("certified",)),
+                           ("commit_votes", ("certified",))])
+PRIMARY_BACKUP_LAYER = {
+    "poe-mac": _POE_LAYER,
+    "poe-ts": _POE_LAYER,
+    "pbft": (PbftPrePrepare, [("prepare_votes", ("prepared",)),
+                              ("commit_votes", ("prepared", "committed"))]),
+    "sbft": (SbftPrePrepare, [("commit_shares", ("commit_proof_sent",)),
+                              ("state_shares", ("execute_ack_sent",))]),
+    # No votes between replicas: the slot table stays empty.
+    "zyzzyva": (ZyzzyvaOrderRequest, []),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(PRIMARY_BACKUP_LAYER))
+class TestPrimaryBackupLayer:
+    """What PoE, PBFT, SBFT and Zyzzyva inherit instead of re-writing."""
+
+    @staticmethod
+    def build(auths, protocol, rid="replica:2"):
+        spec = get_spec(protocol)
+        config = NodeConfig(replica_ids=list(REPLICAS), batch_size=2,
+                            checkpoint_interval=4)
+        return spec.replica_cls(rid, config, auths[rid], **spec.replica_kwargs)
+
+    @staticmethod
+    def proposal(protocol, view, sequence, label="b"):
+        message_cls = PRIMARY_BACKUP_LAYER[protocol][0]
+        extra = ({"history_digest": b"h-" + label.encode()}
+                 if message_cls is ZyzzyvaOrderRequest else {})
+        return message_cls(view=view, sequence=sequence, **extra,
+                           batch=make_no_op_batch(label, "client:0", 2))
+
+    @staticmethod
+    def snapshot(replica):
+        return (dict(replica._accepted), sorted(replica._slots),
+                dict(replica._reply_targets), dict(replica._deferred_messages),
+                replica.last_executed_sequence)
+
+    def test_future_view_proposal_is_deferred_and_replayed(self, auths, protocol):
+        replica = self.build(auths, protocol)
+        output = replica.deliver("replica:1", self.proposal(protocol, 1, 0), 1.0)
+        assert output.actions == []
+        assert replica._accepted == {} and not replica._slots
+        assert len(replica._deferred_messages[1]) == 1
+        replica.view = 1  # replica:1 is its primary
+        replica.replay_deferred(2.0)
+        assert list(replica._accepted) == [(1, 0)]
+        assert not replica._deferred_messages
+
+    def test_inadmissible_proposals_change_nothing(self, auths, protocol):
+        replica = self.build(auths, protocol)
+        before = self.snapshot(replica)
+        # Not from the primary of view 0.
+        output = replica.deliver("replica:3", self.proposal(protocol, 0, 0), 1.0)
+        assert output.actions == [] and self.snapshot(replica) == before
+        # From the primary, but during a view change.
+        replica.view_change_in_progress = True
+        output = replica.deliver("replica:0", self.proposal(protocol, 0, 0), 1.0)
+        assert output.actions == [] and self.snapshot(replica) == before
+        replica.view_change_in_progress = False
+        # The first proposal of a slot is accepted; a second one is not.
+        output = replica.deliver("replica:0", self.proposal(protocol, 0, 0), 1.0)
+        assert output.actions and list(replica._accepted) == [(0, 0)]
+        accepted = self.snapshot(replica)
+        output = replica.deliver("replica:0",
+                                 self.proposal(protocol, 0, 0, label="other"), 2.0)
+        assert output.actions == [] and self.snapshot(replica) == accepted
+        # Neither is one for a view this replica left behind.
+        replica.view = 1
+        output = replica.deliver("replica:0", self.proposal(protocol, 0, 1), 3.0)
+        assert output.actions == [] and self.snapshot(replica) == accepted
+
+    def test_stable_checkpoint_prunes_slots_accepted_and_log(self, auths, protocol):
+        replica = self.build(auths, protocol)
+        has_slots = bool(PRIMARY_BACKUP_LAYER[protocol][1])
+        log = getattr(replica, replica.VIEW_CHANGE_LOG)
+        for sequence in range(10):
+            log[sequence] = object()
+            for view in (0, 1):
+                replica._accepted[(view, sequence)] = b"digest"
+                if has_slots:
+                    replica._slot(view, sequence)
+        replica.on_stable_checkpoint(4, now_ms=1.0)
+        assert sorted(log) == list(range(5, 10))
+        assert sorted(replica._accepted) == [
+            (view, sequence) for view in (0, 1) for sequence in range(5, 10)]
+        assert sorted(replica._slots) == ([
+            (view << 32) | sequence
+            for view in (0, 1) for sequence in range(5, 10)] if has_slots else [])
+
+    def test_epoch_activation_purges_open_tallies_only(self, auths, protocol):
+        replica = self.build(auths, protocol)
+        evicted = "replica:3"
+        share_index = REPLICAS.index(evicted) + 1
+
+        def vote(slot, tally_name):
+            tally = getattr(slot, tally_name)
+            if isinstance(tally, VoteSet):
+                tally.add(evicted)
+                tally.add("replica:1")
+            else:
+                tally[share_index] = tally[2] = object()
+
+        def voted(slot, tally_name):
+            tally = getattr(slot, tally_name)
+            return (evicted if isinstance(tally, VoteSet) else share_index) in tally
+
+        tallies = PRIMARY_BACKUP_LAYER[protocol][1]
+        for number, (tally_name, closing_flags) in enumerate(tallies):
+            vote(replica._slot(0, number), tally_name)
+            closed = replica._slot(0, 10 + number)
+            vote(closed, tally_name)
+            for flag in closing_flags:
+                setattr(closed, flag, True)
+        replica._vc_votes[0] = {evicted, "replica:1"}
+        replica._vc_requests[0] = {evicted: object(), "replica:1": object()}
+        members = tuple(REPLICAS[:3])
+        replica._refresh_epoch_caches(members)
+        replica.on_epoch_activated(
+            EpochEntry(epoch=1, activation_sequence=3, members=members,
+                       removed=(evicted,), committed_at=1),
+            (evicted,), now_ms=1.0)
+        for number, (tally_name, _flags) in enumerate(tallies):
+            open_slot, closed = replica._slot(0, number), replica._slot(0, 10 + number)
+            assert not voted(open_slot, tally_name)
+            assert len(getattr(open_slot, tally_name)) == 1
+            assert voted(closed, tally_name)
+        assert replica._vc_votes[0] == {"replica:1"}
+        assert list(replica._vc_requests[0]) == ["replica:1"]
+        # n = 3 tolerates no fault: every quorum cache followed the epoch.
+        assert (replica._f_plus_1, replica._2f_plus_1, replica._nf_quorum) == (1, 1, 3)
+        assert replica.view_change_quorum() == (3 if protocol.startswith("poe") else 1)
 
 
 class TestStateTransfer:
