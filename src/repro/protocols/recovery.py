@@ -419,14 +419,22 @@ class PrimaryBackupReplica(BatchingReplica):
         self.cancel_timer(self.VIEW_CHANGE_TIMER)
 
     def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
-        """Prune what the stable checkpoint at *sequence* supersedes: slots,
-        accepted proposals and view-change log entries at or below it."""
+        """Prune what the stable checkpoint at *sequence* supersedes.
+
+        Accepted proposals and view-change log entries go at or below it.
+        The slot table keeps the boundary slot itself for one more
+        interval: ``2f + 1`` checkpoint votes can land while a phase that
+        runs *after* execution is still collecting for that slot (SBFT's
+        executor gathering state shares for its execute-ack), and deleting
+        the tally under it leaves the batch to the client's retransmission
+        timer.  A finished slot kept that long only swallows late votes.
+        """
         super().on_stable_checkpoint(sequence, now_ms)
         log = getattr(self, self.VIEW_CHANGE_LOG)
         for stale in [s for s in log if s <= sequence]:
             del log[stale]
         slots = self._slots
-        for key in [k for k in slots if (k & 0xFFFFFFFF) <= sequence]:
+        for key in [k for k in slots if (k & 0xFFFFFFFF) < sequence]:
             del slots[key]
         accepted = self._accepted
         for key in [k for k in accepted if k[1] <= sequence]:

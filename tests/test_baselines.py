@@ -1,5 +1,6 @@
 """Tests for the baseline protocols: PBFT, Zyzzyva, SBFT and HotStuff."""
 
+import pytest
 
 from repro.crypto.authenticator import make_authenticators
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
@@ -320,3 +321,39 @@ class TestHotStuff:
         assert all(pool.is_done() for pool in cluster.pools)
         live = [replica for replica in cluster.replicas if not replica.crashed]
         assert any(replica.pacemaker_timeouts > 0 for replica in live)
+
+
+class TestNoFaultRunsNeverNeedTheRetransmitTimer:
+    """A no-fault run completes every batch below the client timeout.
+
+    Checkpoint boundaries are where this broke: SBFT used to delete the
+    boundary slot — and the executor's partly collected state shares — the
+    moment the checkpoint stabilised, and the batch then completed only
+    through the client's retransmission.  The fault matrix called that
+    live, because the batch did complete.
+    """
+
+    PROTOCOLS = ("poe-mac", "poe-ts", "pbft", "sbft", "zyzzyva", "hotstuff")
+
+    @staticmethod
+    def slow_batches(protocol, num_replicas, checkpoint_interval, seed):
+        config = ClusterConfig(
+            protocol=protocol, num_replicas=num_replicas, batch_size=10,
+            total_batches=60, checkpoint_interval=checkpoint_interval, seed=seed)
+        cluster = Cluster(config)
+        cluster.start()
+        cluster.run_until_done(max_ms=600_000.0)
+        completions = cluster.completions()
+        assert len(completions) == 60
+        return sorted(record.sequence for record in completions
+                      if record.latency_ms >= config.request_timeout_ms)
+
+    @pytest.mark.parametrize("checkpoint_interval", [1, 2, 10, 50])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_n4_across_checkpoint_intervals(self, protocol, checkpoint_interval):
+        for seed in (3, 7, 11):
+            assert self.slow_batches(protocol, 4, checkpoint_interval, seed) == []
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_n16(self, protocol):
+        assert self.slow_batches(protocol, 16, 10, seed=3) == []

@@ -328,10 +328,16 @@ def test_golden_poebench_shapes(workload):
 GOLDEN_SCENARIOS = {
     # One view-change row per leader-based protocol, the equivocation row
     # that exercises the MAC-mode vote rule, and an epoch row on HotStuff.
+    # Every sbft row here and in GOLDEN_MATRIX_CELLS was re-pinned by the
+    # checkpoint-boundary fix: a stable checkpoint no longer deletes the
+    # boundary slot under the executor's state shares, so the batches at
+    # sequences 4, 9, 14, ... stopped completing through the client's
+    # 100 ms retransmission (epoch-shrink: last completion 108.7 -> 28.7 ms,
+    # none slow; forge-history-vc: 101.2 -> 61.0 ms).
     ("poe-mac", "primary-crash"): "559299d01658ba38",
     ("poe-ts", "primary-crash"): "ac93120a12ccad55",
     ("pbft", "primary-crash"): "acef397bc13acd8d",
-    ("sbft", "primary-crash"): "18e2e353bb6987d7",
+    ("sbft", "primary-crash"): "b9afde6c7b30eba7",
     ("zyzzyva", "primary-crash"): "b5533676743b779e",
     ("poe-mac", "equivocate"): "2dc480aa394c3ee0",
     ("hotstuff", "epoch-shrink"): "5da95872ff48b06d",
@@ -341,12 +347,12 @@ GOLDEN_SCENARIOS = {
     ("poe-mac", "epoch-shrink"): "a3f57a6c7033701c",
     ("poe-ts", "epoch-shrink"): "f5e222e01acdc871",
     ("pbft", "epoch-shrink"): "3dbb9610abaaffff",
-    ("sbft", "epoch-shrink"): "8286213a1a525ac0",
+    ("sbft", "epoch-shrink"): "47777a3d16dd7611",
     ("zyzzyva", "epoch-shrink"): "0f50f659c11aa453",
     ("poe-mac", "epoch-under-vc"): "842bd1fe9a998f3a",
     ("poe-ts", "epoch-under-vc"): "c963996a565d6b4b",
     ("pbft", "epoch-under-vc"): "0a951335f814440c",
-    ("sbft", "epoch-under-vc"): "695f7aa98da2f333",
+    ("sbft", "epoch-under-vc"): "f060999ece4e81b4",
     ("zyzzyva", "epoch-under-vc"): "82fb1a1924a9af5f",
     # Proposal admission under a forger and an equivocating primary; new-view
     # adoption with rollback to the last agreement (Zyzzyva rolls back 12
@@ -355,10 +361,10 @@ GOLDEN_SCENARIOS = {
     # crashes; GOLDEN_MATRIX_CELLS below pins the cells that reach it.
     ("poe-ts", "forge-history-vc"): "61a6ac637628ac50",
     ("pbft", "forge-history-vc"): "1c10169497cd1ce6",
-    ("sbft", "forge-history-vc"): "ba1c7ef5d2ed8b92",
+    ("sbft", "forge-history-vc"): "d86625a794367df8",
     ("zyzzyva", "forge-history-vc"): "3462b68aef5ee897",
     ("pbft", "equivocate"): "65eaa3ea484f1dc9",
-    ("sbft", "equivocate"): "614e84d9352c20f3",
+    ("sbft", "equivocate"): "eff3ef29ec5b8275",
     ("zyzzyva", "equivocate"): "ebc4a79c29aa078b",
     ("zyzzyva", "checkpoint-equivocate"): "0b744000e226201b",
     ("poe-ts", "churn"): "5d49422c2f5b19db",
@@ -381,7 +387,7 @@ GOLDEN_MATRIX_CELLS = {
     # outstanding, 20 batches): slow enough on these two protocols that the
     # primary crash lands mid-run, so the view change adopts a history a
     # forger contested while one replica lags (Zyzzyva rolls back 6).
-    ("sbft", "forge-history-vc"): "c5ca38ddf538070f",
+    ("sbft", "forge-history-vc"): "b374f601e6a7e7ad",
     ("zyzzyva", "forge-history-vc"): "504ed922ec7b2f2f",
 }
 
