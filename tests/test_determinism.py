@@ -389,6 +389,31 @@ GOLDEN_MATRIX_CELLS = {
     # forger contested while one replica lags (Zyzzyva rolls back 6).
     ("sbft", "forge-history-vc"): "b374f601e6a7e7ad",
     ("zyzzyva", "forge-history-vc"): "504ed922ec7b2f2f",
+    # On these three the 20-batch cell ends before the 150 ms crash, so the
+    # forger never sees a request to rewrite (0 forged, view_changes 0 in
+    # MATRIX_EXPECTATIONS.json).  At the budgets in MATRIX_CELL_BUDGETS the
+    # crash lands mid-run and the forger rewrites 3 / 6 / 3 requests inside
+    # one real view change (counted, seeds 3 and 11) — the only rows that
+    # run the PoE and PBFT request forgers.
+    ("poe-mac", "forge-history-vc"): "9a9c67dae4bb7095",
+    ("poe-ts", "forge-history-vc"): "f7a99e8d9461b55e",
+    ("pbft", "forge-history-vc"): "f61259c8f031e426",
+    # TimeoutStaller recognises a view-change request of each leader-based
+    # protocol by its type; every row stalls exactly one request.
+    ("poe-mac", "timeout-stall"): "d18b5a9e2d8e4ef3",
+    ("pbft", "timeout-stall"): "8e8965920eed1d00",
+    ("sbft", "timeout-stall"): "485476a08a6f6d9c",
+    ("zyzzyva", "timeout-stall"): "29bd48e0811b7a79",
+    # A view change under the non-speculative ablation: the slot's log
+    # entry is the proof its commit phase hands to execution.
+    ("poe-nospec", "primary-crash"): "4543665701255b0f",
+}
+
+#: Per-pool batch budget of a pinned cell where the matrix's 20 is too few.
+MATRIX_CELL_BUDGETS = {
+    ("poe-mac", "forge-history-vc"): 480,
+    ("poe-ts", "forge-history-vc"): 240,
+    ("pbft", "forge-history-vc"): 240,
 }
 
 
@@ -396,7 +421,8 @@ GOLDEN_MATRIX_CELLS = {
 def test_golden_matrix_cells(protocol, scenario):
     from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams, _cluster_config
 
-    params = ScenarioParams(seed=11)
+    params = ScenarioParams(
+        seed=11, total_batches=MATRIX_CELL_BUDGETS.get((protocol, scenario), 20))
     plan = SCENARIO_DEFS[scenario].recipe(params)
     fingerprint = run_fingerprint(_cluster_config(
         protocol, plan, params, plan.total_batches or params.total_batches))
