@@ -4,8 +4,9 @@ PoE reaches consensus in three linear phases by executing transactions
 *speculatively* once they are view-committed, and makes that speculation
 safe through rollback during view-changes:
 
-* :mod:`repro.core.messages` -- PROPOSE, SUPPORT, CERTIFY, INFORM,
-  VC-REQUEST and NV-PROPOSE message types (paper, Figures 3 and 5).
+* :mod:`repro.core.messages` -- PROPOSE, SUPPORT, CERTIFY and INFORM
+  message types (paper, Figure 3); VC-REQUEST and NV-PROPOSE (Figure 5)
+  are the primary-backup layer's, in :mod:`repro.protocols.recovery`.
 * :mod:`repro.core.replica` -- the PoE replica state machine, covering the
   threshold-signature and MAC instantiations of the normal case.
 * :mod:`repro.core.view_change` -- validation and new-view computation
@@ -19,15 +20,11 @@ from repro.core.messages import (
     PoeSupport,
     PoeCertify,
     PoeCommitVote,
-    PoeViewChangeRequest,
-    PoeNewView,
-    CertifiedEntry,
 )
 from repro.core.replica import PoeReplica
 from repro.core.client import PoeClientPool
 from repro.core.view_change import (
     longest_consecutive_prefix,
-    select_new_view_state,
     validate_view_change_request,
 )
 
@@ -36,12 +33,8 @@ __all__ = [
     "PoeSupport",
     "PoeCertify",
     "PoeCommitVote",
-    "PoeViewChangeRequest",
-    "PoeNewView",
-    "CertifiedEntry",
     "PoeReplica",
     "PoeClientPool",
     "longest_consecutive_prefix",
-    "select_new_view_state",
     "validate_view_change_request",
 ]

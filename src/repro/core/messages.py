@@ -1,15 +1,18 @@
-"""PoE protocol messages (paper, Figures 3 and 5).
+"""PoE's normal-case messages (paper, Figure 3).
 
 The INFORM message of the paper is represented by the shared
 :class:`~repro.protocols.client_messages.ClientReplyMessage` envelope with
 ``speculative=True``, since every protocol in this repository informs
-clients through the same envelope.
+clients through the same envelope.  VC-REQUEST and NV-PROPOSE (Figure 5)
+are the primary-backup layer's
+:class:`~repro.protocols.recovery.ViewChangeRequest` and
+:class:`~repro.protocols.recovery.NewView`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Optional
 
 from repro.crypto.threshold import SignatureShare, ThresholdSignature
 from repro.protocols.base import Message
@@ -65,36 +68,3 @@ class PoeCommitVote(Message):
     sequence: int = 0
     proposal_digest: bytes = b""
     replica_id: str = ""
-
-
-@dataclass(frozen=True)
-class CertifiedEntry:
-    """One executed slot reported in a view-change request.
-
-    Corresponds to the paper's ``(CERTIFY(<h>, w, k), <T>_c)`` pairs in
-    the set ``E`` of a VC-REQUEST (Figure 5, Line 4).
-    """
-
-    sequence: int
-    view: int
-    proposal_digest: bytes
-    batch: RequestBatch
-    certificate: Any = None
-
-
-@dataclass
-class PoeViewChangeRequest(Message):
-    """VC-REQUEST(v, E): a replica requesting replacement of view *view*'s primary."""
-
-    view: int = 0
-    replica_id: str = ""
-    stable_checkpoint: int = -1
-    executed: Tuple[CertifiedEntry, ...] = ()
-
-
-@dataclass
-class PoeNewView(Message):
-    """NV-PROPOSE(v+1, m_1..m_nf): the new primary's new-view proposal."""
-
-    new_view: int = 0
-    requests: Tuple[PoeViewChangeRequest, ...] = ()

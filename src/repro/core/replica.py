@@ -24,7 +24,8 @@ the longest consecutive prefix, rolling back any speculative execution
 beyond it.
 
 Everything around those phases — the slot table, first-proposal admission,
-checkpoint pruning, the generic view-change machinery — is
+checkpoint pruning, the view-change machinery, its messages and the log
+they are built from — is
 :class:`~repro.protocols.recovery.PrimaryBackupReplica`'s.
 """
 
@@ -33,15 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.core.messages import (
-    CertifiedEntry,
-    PoeCertify,
-    PoeCommitVote,
-    PoeNewView,
-    PoePropose,
-    PoeSupport,
-    PoeViewChangeRequest,
-)
+from repro.core.messages import PoeCertify, PoeCommitVote, PoePropose, PoeSupport
 from repro.core.view_change import (
     longest_consecutive_prefix,
     proposal_digest,
@@ -52,7 +45,12 @@ from repro.crypto.cost import CryptoCostModel, CryptoOp
 from repro.crypto.threshold import ThresholdError
 from repro.protocols.base import NodeConfig, ProtocolInfo
 from repro.protocols.quorum import VoteSet
-from repro.protocols.recovery import PrimaryBackupReplica
+from repro.protocols.recovery import (
+    LogEntry,
+    NewView,
+    PrimaryBackupReplica,
+    ViewChangeRequest,
+)
 from repro.workload.transactions import RequestBatch
 
 
@@ -105,10 +103,6 @@ class PoeReplica(PrimaryBackupReplica):
     #: cheap" (ingredient I3).
     MAC_SCHEME_MAX_REPLICAS = 16
 
-    VIEW_CHANGE_REQUEST = PoeViewChangeRequest
-    NEW_VIEW = PoeNewView
-    VIEW_CHANGE_LOG = "_certified_log"
-
     def __init__(
         self,
         node_id: str,
@@ -131,7 +125,6 @@ class PoeReplica(PrimaryBackupReplica):
         #: Ablation switch: ``False`` re-introduces a PBFT-style commit phase
         #: after view-commit instead of executing speculatively.
         self.speculative = speculative
-        self._certified_log: Dict[int, CertifiedEntry] = {}
 
     def new_slot(self) -> _SlotState:
         index_map = self._vote_index
@@ -296,9 +289,9 @@ class PoeReplica(PrimaryBackupReplica):
     def _view_commit(self, view: int, sequence: int, slot: _SlotState,
                      proof: object, now_ms: float) -> None:
         """Log VCommit and schedule speculative execution (Figure 3, L18-23)."""
-        self._certified_log[sequence] = CertifiedEntry(
-            sequence=sequence, view=view, proposal_digest=slot.proposal_digest,
-            batch=slot.batch, certificate=proof,
+        self._log[sequence] = LogEntry(
+            sequence=sequence, view=view, digest=slot.proposal_digest,
+            batch=slot.batch, proof=proof,
         )
         if not self.speculative:
             # Ablation of ingredient I1: wait for an extra commit phase
@@ -345,7 +338,7 @@ class PoeReplica(PrimaryBackupReplica):
         if slot.commit_votes.count < self._nf_quorum:
             return
         self.commit_slot(sequence=sequence, view=view, batch=slot.batch,
-                         proof=self._certified_log.get(sequence),
+                         proof=self._log.get(sequence),
                          now_ms=now_ms, speculative=False)
 
     # ------------------------------------------------------------- view change
@@ -361,13 +354,13 @@ class PoeReplica(PrimaryBackupReplica):
         """
         return self._nf_quorum
 
-    def validate_view_change_request_message(self, request: PoeViewChangeRequest,
+    def validate_view_change_request_message(self, request: ViewChangeRequest,
                                              view: int) -> bool:
         return validate_view_change_request(
             request, self.auth, expected_view=view,
             verify_certificates=self.scheme is SchemeKind.THRESHOLD)
 
-    def adopt_new_view(self, proposal: PoeNewView, requests, now_ms: float) -> int:
+    def adopt_new_view(self, proposal: NewView, requests, now_ms: float) -> int:
         """Adopt the new view: execute/roll back per the NV-PROPOSE (Figure 5, L11-16)."""
         prefix, kmax = longest_consecutive_prefix(
             requests, f=self._f_plus_1 - 1,
@@ -379,12 +372,3 @@ class PoeReplica(PrimaryBackupReplica):
         self.evict_uncovered(prefix, kmax)
         self.commit_adopted(prefix, now_ms)
         return kmax
-
-    def adopt_entry(self, entry: CertifiedEntry, now_ms: float) -> None:
-        self._certified_log[entry.sequence] = entry
-        self.commit_slot(sequence=entry.sequence, view=entry.view, batch=entry.batch,
-                         proof=entry.certificate, now_ms=now_ms, speculative=False)
-
-    def on_rolled_back(self, record) -> None:
-        self._certified_log.pop(record.sequence, None)
-

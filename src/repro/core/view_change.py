@@ -19,7 +19,7 @@ from repro.crypto.authenticator import Authenticator
 from repro.crypto.hashing import shared_digest
 
 if TYPE_CHECKING:  # imported lazily: protocols import this module at load time
-    from repro.core.messages import CertifiedEntry, PoeNewView, PoeViewChangeRequest
+    from repro.protocols.recovery import LogEntry, ViewChangeRequest
 
 
 def proposal_digest(sequence: int, view: int, batch_digest: bytes) -> bytes:
@@ -28,7 +28,7 @@ def proposal_digest(sequence: int, view: int, batch_digest: bytes) -> bytes:
 
 
 def validate_view_change_request(
-    request: PoeViewChangeRequest,
+    request: ViewChangeRequest,
     auth: Authenticator,
     expected_view: int,
     verify_certificates: bool = True,
@@ -59,21 +59,21 @@ def validate_view_change_request(
         expected_sequence += 1
         expected_digest = proposal_digest(entry.sequence, entry.view,
                                           entry.batch.digest())
-        if entry.proposal_digest != expected_digest:
+        if entry.digest != expected_digest:
             return False
         if verify_certificates:
-            if entry.certificate is None:
+            if entry.proof is None:
                 return False
-            if not auth.threshold_verify(entry.certificate, expected_digest):
+            if not auth.threshold_verify(entry.proof, expected_digest):
                 return False
     return True
 
 
 def longest_consecutive_prefix(
-    requests: Sequence[PoeViewChangeRequest],
+    requests: Sequence[ViewChangeRequest],
     f: int = 0,
     trust_certificates: bool = False,
-) -> Tuple[Dict[int, CertifiedEntry], int]:
+) -> Tuple[Dict[int, LogEntry], int]:
     """Select the new-view execution state from a set of VC-REQUESTs.
 
     Returns the union of executed entries restricted to the longest
@@ -105,17 +105,17 @@ def longest_consecutive_prefix(
     that have no fault bound to enforce).
     """
     max_checkpoint = max((r.stable_checkpoint for r in requests), default=-1)
-    support: Dict[int, Dict[bytes, List[CertifiedEntry]]] = {}
+    support: Dict[int, Dict[bytes, List[LogEntry]]] = {}
     certified: Dict[int, Dict[bytes, bool]] = {}
     for request in requests:
         for entry in request.executed:
             batch_digest = entry.batch.digest()
             by_digest = support.setdefault(entry.sequence, {})
             by_digest.setdefault(batch_digest, []).append(entry)
-            if trust_certificates and entry.certificate is not None:
+            if trust_certificates and entry.proof is not None:
                 certified.setdefault(entry.sequence, {})[batch_digest] = True
 
-    prefix: Dict[int, CertifiedEntry] = {}
+    prefix: Dict[int, LogEntry] = {}
     for sequence in sorted(s for s in support if s <= max_checkpoint):
         entry = _best_supported_entry(support, certified, sequence, f + 1)
         if entry is not None:
@@ -143,19 +143,22 @@ def longest_consecutive_prefix(
 
 
 def _best_supported_entry(
-    support: Dict[int, Dict[bytes, List[object]]],
+    support: Dict[int, Dict[bytes, List[LogEntry]]],
     certified: Dict[int, Dict[bytes, bool]],
     sequence: int,
     minimum: int,
-) -> Optional[object]:
+    prefer_proof: bool = False,
+) -> Optional[LogEntry]:
     """The quorum-selection core shared by both prefix selectors.
 
     Certified digests form the candidate pool when any exist (certificates
     beat plurality); otherwise the best-supported digest wins and must
     reach *minimum* matching requests.  Ties break on the smallest digest
-    so every replica selects identically.  Among the winning digest's
-    entries, one carrying a per-slot commit certificate is preferred so
-    adopters can store the certificate alongside the re-executed slot.
+    so every replica selects identically.  With *prefer_proof* (Zyzzyva,
+    whose speculative entries mostly carry none) the first of the winning
+    digest's entries that has a proof is returned, so adopters can store
+    the commit certificate alongside the re-executed slot; elsewhere every
+    honest entry has a proof and the first entry is as good as any.
     """
     candidates = support.get(sequence)
     if not candidates:
@@ -167,17 +170,11 @@ def _best_supported_entry(
                               key=lambda item: (-len(item[1]), item[0]))
     if digest_key not in certified_digests and len(entries) < minimum:
         return None
-    for entry in entries:
-        if getattr(entry, "commit_certificate", None) is not None:
-            return entry
+    if prefer_proof:
+        for entry in entries:
+            if entry.proof is not None:
+                return entry
     return entries[0]
-
-
-def select_new_view_state(
-    new_view: PoeNewView,
-) -> Tuple[Dict[int, CertifiedEntry], int]:
-    """Convenience wrapper applying :func:`longest_consecutive_prefix` to a NV-PROPOSE."""
-    return longest_consecutive_prefix(new_view.requests)
 
 
 class SpeculativeAnchor(NamedTuple):
@@ -203,7 +200,7 @@ class SpeculativeAnchor(NamedTuple):
 
 
 def corroborated_certificates(
-    requests: Sequence[object],
+    requests: Sequence[ViewChangeRequest],
     f: int,
 ) -> Dict[int, Tuple[str, bytes]]:
     """Commit certificates carried by at least ``f + 1`` distinct requests.
@@ -224,12 +221,12 @@ def corroborated_certificates(
     carriers: Dict[Tuple[int, str, bytes], int] = {}
     for request in requests:
         carried: set = set()
-        certificate = getattr(request, "commit_certificate", None)
+        certificate = request.certificate
         if certificate is not None:
             carried.add((certificate.sequence, certificate.batch_id,
                          certificate.result_digest))
         for entry in request.executed:
-            entry_cert = getattr(entry, "commit_certificate", None)
+            entry_cert = entry.proof
             if entry_cert is not None:
                 carried.add((entry_cert.sequence, entry_cert.batch_id,
                              entry_cert.result_digest))
@@ -243,7 +240,7 @@ def corroborated_certificates(
 
 
 def speculative_anchor(
-    requests: Sequence[object],
+    requests: Sequence[ViewChangeRequest],
     f: int,
 ) -> SpeculativeAnchor:
     """Compute the :class:`SpeculativeAnchor` of a set of VC requests."""
@@ -255,9 +252,9 @@ def speculative_anchor(
         stable = request.stable_checkpoint
         if stable > anchor:
             anchor = stable
-            witness = getattr(request, "replica_id", None) or witness
+            witness = request.replica_id or witness
         best_checkpoint = max(best_checkpoint, stable)
-        digest_claim = getattr(request, "checkpoint_digest", b"")
+        digest_claim = request.checkpoint_digest
         if stable >= 0 and digest_claim:
             key = (stable, digest_claim)
             checkpoint_digests[key] = checkpoint_digests.get(key, 0) + 1
@@ -269,17 +266,16 @@ def speculative_anchor(
         if sequence > anchor:
             anchor = sequence
             for request in requests:
-                certificate = getattr(request, "commit_certificate", None)
+                certificate = request.certificate
                 if certificate is not None and certificate.sequence == sequence:
-                    witness = getattr(request, "replica_id", None) or witness
+                    witness = request.replica_id or witness
                     break
             else:
                 for request in requests:
-                    if any(getattr(entry, "commit_certificate", None) is not None
+                    if any(entry.proof is not None
                            and entry.sequence == sequence
                            for entry in request.executed):
-                        witness = getattr(request, "replica_id",
-                                          None) or witness
+                        witness = request.replica_id or witness
                         break
     checkpoint_digest: Optional[bytes] = None
     if best_checkpoint >= 0:
@@ -291,9 +287,9 @@ def speculative_anchor(
 
 
 def reconcile_speculative_histories(
-    requests: Sequence[object],
+    requests: Sequence[ViewChangeRequest],
     f: int,
-) -> Tuple[Dict[int, object], int]:
+) -> Tuple[Dict[int, LogEntry], int]:
     """Select the new-view history from speculative VC requests (Zyzzyva).
 
     Zyzzyva's execution is speculative, so the new view cannot adopt any
@@ -319,15 +315,13 @@ def reconcile_speculative_histories(
       slots the quorum already settled (the Hellings & Rahnama corner);
       a slot **above** the anchor with no adoptable entry ends the prefix.
 
-    Each request must expose ``stable_checkpoint``, an optional
-    ``commit_certificate`` (with a ``sequence`` attribute) and ``executed``
-    entries with ``sequence``, ``batch`` and an optional per-entry
-    ``commit_certificate``.  Returns the adopted prefix and ``kmax``, its
-    last sequence number.
+    A request's ``certificate`` is its anchor commit certificate and an
+    entry's ``proof`` its per-slot one, either may be ``None``.  Returns
+    the adopted prefix and ``kmax``, its last sequence number.
     """
     anchor = speculative_anchor(requests, f).anchor
     certificates = corroborated_certificates(requests, f)
-    support: Dict[int, Dict[bytes, List[object]]] = {}
+    support: Dict[int, Dict[bytes, List[LogEntry]]] = {}
     certified: Dict[int, Dict[bytes, bool]] = {}
     for request in requests:
         for entry in request.executed:
@@ -339,14 +333,16 @@ def reconcile_speculative_histories(
                     corroborated[0] == entry.batch.batch_id:
                 certified.setdefault(entry.sequence, {})[batch_digest] = True
 
-    prefix: Dict[int, object] = {}
+    prefix: Dict[int, LogEntry] = {}
     for sequence in sorted(s for s in support if s <= anchor):
-        entry = _best_supported_entry(support, certified, sequence, f + 1)
+        entry = _best_supported_entry(support, certified, sequence, f + 1,
+                                      prefer_proof=True)
         if entry is not None:
             prefix[sequence] = entry
     kmax = anchor
     while True:
-        entry = _best_supported_entry(support, certified, kmax + 1, f + 1)
+        entry = _best_supported_entry(support, certified, kmax + 1, f + 1,
+                                      prefer_proof=True)
         if entry is None:
             break
         kmax += 1

@@ -84,9 +84,9 @@ def buggy_adopt_new_view(self, proposal, requests, now_ms):
         if sequence <= self.last_executed_sequence:
             continue
         entry = prefix[sequence]
-        self._certified_log[sequence] = entry
+        self._log[sequence] = entry
         self.commit_slot(sequence=sequence, view=entry.view, batch=entry.batch,
-                         proof=entry.certificate, now_ms=now_ms,
+                         proof=entry.proof, now_ms=now_ms,
                          speculative=False)
     return kmax
 

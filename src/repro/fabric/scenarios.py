@@ -807,7 +807,7 @@ def unexpected_outcomes(outcomes: Sequence[ScenarioOutcome]) -> List[ScenarioOut
 #: run — an entry that grows with run length is a leak.
 TRACKED_STATE: Tuple[str, ...] = (
     # per-slot consensus state
-    "_slots", "_accepted", "_certified_log", "_executed_log", "_committed",
+    "_slots", "_accepted", "_log", "_committed",
     # reply/dedup bookkeeping
     "_replied", "_reply_targets", "_seen_batch_ids", "_batch_sequence",
     "_forwarded_requests", "_completed_ids",
@@ -819,7 +819,7 @@ TRACKED_STATE: Tuple[str, ...] = (
     # reconfiguration — bounded by the plan, not by run length)
     "_pending_epochs", "epoch_log",
     # protocol-specific journals
-    "_spec_history", "_commit_certs", "_proposals", "_rounds",
+    "_commit_certs", "_proposals", "_rounds",
     "_qc_digests", "_voted_rounds",
 )
 

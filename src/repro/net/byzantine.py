@@ -32,33 +32,21 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.messages import (
-    CertifiedEntry,
-    PoeCertify,
-    PoePropose,
-    PoeSupport,
-    PoeViewChangeRequest,
-)
+from repro.core.messages import PoeCertify, PoePropose, PoeSupport
 from repro.core.view_change import proposal_digest as poe_proposal_digest
 from repro.crypto.hashing import digest
 from repro.ledger.execution import modelled_result_digest
 from repro.protocols.base import Message
 from repro.protocols.checkpoint import CheckpointMessage, StateTransferResponse
 from repro.protocols.hotstuff import HotStuffProposal
-from repro.protocols.pbft import (
-    PbftCommit,
-    PbftExecutedEntry,
-    PbftPrePrepare,
-    PbftPrepare,
-    PbftViewChange,
-)
-from repro.protocols.sbft import SbftPrePrepare, SbftViewChange
+from repro.protocols.pbft import PbftCommit, PbftPrePrepare, PbftPrepare, PbftReplica
+from repro.protocols.recovery import LogEntry, ViewChangeRequest
+from repro.protocols.sbft import SbftPrePrepare, SbftReplica
 from repro.protocols.zyzzyva import (
     ZyzzyvaCommitCertificate,
-    ZyzzyvaHistoryEntry,
     ZyzzyvaOrderRequest,
     ZyzzyvaProofOfMisbehaviour,
-    ZyzzyvaViewChange,
+    ZyzzyvaReplica,
 )
 from repro.workload.transactions import RequestBatch, Transaction
 
@@ -470,9 +458,6 @@ class TimeoutStaller(AdaptiveBehavior):
     recovery protocol, so the behaviour is a no-op there.
     """
 
-    VC_REQUEST_TYPES = (PoeViewChangeRequest, PbftViewChange,
-                        SbftViewChange, ZyzzyvaViewChange)
-
     def __init__(self, lead_ms: float = 10.0, max_stalls: int = 2) -> None:
         super().__init__()
         self.lead_ms = lead_ms
@@ -491,9 +476,9 @@ class TimeoutStaller(AdaptiveBehavior):
         if self.replica is None or not deliveries:
             return deliveries
         message = deliveries[0].message
-        if not isinstance(message, self.VC_REQUEST_TYPES):
+        if not isinstance(message, ViewChangeRequest):
             return deliveries
-        view = getattr(message, "view", 0)
+        view = message.view
         if view in self._stalled_views or self.stalls >= self.max_stalls:
             return deliveries
         self._stalled_views.add(view)
@@ -871,8 +856,6 @@ class ForgedHistoryReplica(ByzantineBehavior):
     slot), so certificate-carrying admission rejects the whole request.
     """
 
-    FORGE_TYPES = (ZyzzyvaViewChange, PoeViewChangeRequest, PbftViewChange)
-
     def __init__(self, forge_certificates: bool = False,
                  pom_at_ms: float = 40.0, depth: int = 64) -> None:
         super().__init__()
@@ -896,66 +879,48 @@ class ForgedHistoryReplica(ByzantineBehavior):
             responders=responders, client_id=f"byz:{self.node_id}",
         )
 
-    def _forge_zyzzyva_request(self, message: ZyzzyvaViewChange) -> ZyzzyvaViewChange:
+    def _forge_request(self, message: ViewChangeRequest) -> ViewChangeRequest:
+        """Replace the request's history with a fabricated run from slot 0.
+
+        Honest requests only carry entries *above* their own stable
+        checkpoint, so a request claiming ``stable_checkpoint = -1`` with a
+        consecutive run from slot 0 is the unique witness for every
+        sub-anchor slot — a first-writer-wins new-view union would adopt
+        it wholesale; support-ranked selection must not.  Each forged
+        entry binds its batch to its slot the way the replica's protocol
+        does (Zyzzyva's history chain, PBFT's PRE-PREPARE digest, PoE's
+        proposal digest), so it passes the digest recomputation on
+        admission.  An SBFT entry needs a threshold commit proof no lone
+        replica can fabricate: its requests go out as they are.
+        """
+        replica = self.replica
+        if isinstance(replica, SbftReplica):
+            return message
         top = min(self.depth,
                   max(message.stable_checkpoint + len(message.executed), 0))
         entries = []
         history = digest("zyzzyva-history", "genesis")
         for sequence in range(top + 1):
             batch = _forged_vc_batch(self.node_id, sequence)
-            history = digest("zyzzyva-history", history, sequence, batch.digest())
-            entries.append(ZyzzyvaHistoryEntry(
-                sequence=sequence, view=message.view, batch=batch,
-                history_digest=history,
-                commit_certificate=(self._forged_commit_certificate(sequence, batch)
-                                    if self.forge_certificates else None),
-            ))
+            view, proof = message.view, None
+            if isinstance(replica, ZyzzyvaReplica):
+                history = slot_digest = digest("zyzzyva-history", history,
+                                               sequence, batch.digest())
+                if self.forge_certificates:
+                    proof = self._forged_commit_certificate(sequence, batch)
+            elif isinstance(replica, PbftReplica):
+                view, proof = 0, ()
+                slot_digest = digest("pbft", 0, sequence, batch.digest())
+            else:
+                slot_digest = poe_proposal_digest(sequence, view, batch.digest())
+            entries.append(LogEntry(sequence, view, slot_digest, batch, proof))
         return dataclasses.replace(
             message, stable_checkpoint=-1, checkpoint_digest=b"",
-            commit_certificate=None, executed=tuple(entries),
-        )
-
-    def _forge_pbft_request(self, message: PbftViewChange) -> PbftViewChange:
-        """Forge a PBFT VIEW-CHANGE claiming a fabricated executed prefix.
-
-        Honest PBFT requests only carry entries *above* their own stable
-        checkpoint, so a forged request claiming ``stable_checkpoint = -1``
-        with a consecutive run from slot 0 is the unique witness for every
-        sub-anchor slot — the first-writer-wins new-view union would adopt
-        it wholesale (the PR-5 residual this PR closes with support-ranked
-        selection).
-        """
-        top = min(self.depth,
-                  max(message.stable_checkpoint + len(message.executed), 0))
-        entries = []
-        for sequence in range(top + 1):
-            batch = _forged_vc_batch(self.node_id, sequence)
-            entries.append(PbftExecutedEntry(
-                sequence=sequence, view=0,
-                batch_digest=digest("pbft", 0, sequence, batch.digest()),
-                batch=batch, committers=(),
-            ))
-        return dataclasses.replace(
-            message, stable_checkpoint=-1, executed=tuple(entries))
-
-    def _forge_poe_request(self, message: PoeViewChangeRequest) -> PoeViewChangeRequest:
-        top = min(self.depth,
-                  max(message.stable_checkpoint + len(message.executed), 0))
-        entries = []
-        for sequence in range(top + 1):
-            batch = _forged_vc_batch(self.node_id, sequence)
-            entries.append(CertifiedEntry(
-                sequence=sequence, view=message.view,
-                proposal_digest=poe_proposal_digest(sequence, message.view,
-                                                    batch.digest()),
-                batch=batch, certificate=None,
-            ))
-        return dataclasses.replace(
-            message, stable_checkpoint=-1, executed=tuple(entries))
+            certificate=None, executed=tuple(entries))
 
     def _fabricated_pom(self) -> Optional[ZyzzyvaProofOfMisbehaviour]:
         replica = self.replica
-        if replica is None or not hasattr(replica, "_spec_history"):
+        if not isinstance(replica, ZyzzyvaReplica):
             return None  # only Zyzzyva replicas have a POM to forge
         if replica.checkpoints.stable_sequence < 0:
             # The forgery targets slots *below* the durable anchor; firing
@@ -975,12 +940,8 @@ class ForgedHistoryReplica(ByzantineBehavior):
         out: List[Delivery] = []
         for delivery in deliveries:
             message = delivery.message
-            if isinstance(message, ZyzzyvaViewChange):
-                message = self._forge_zyzzyva_request(message)
-            elif isinstance(message, PoeViewChangeRequest):
-                message = self._forge_poe_request(message)
-            elif isinstance(message, PbftViewChange):
-                message = self._forge_pbft_request(message)
+            if isinstance(message, ViewChangeRequest):
+                message = self._forge_request(message)
             out.append(Delivery(delivery.receiver, message, delivery.delay_ms))
         if not self._pom_sent and now_ms >= self.pom_at_ms:
             pom = self._fabricated_pom()

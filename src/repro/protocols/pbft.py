@@ -14,15 +14,14 @@ phases avoid.  Everything around the three phases is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.view_change import longest_consecutive_prefix
-from repro.crypto.authenticator import Authenticator
-from repro.crypto.cost import CryptoCostModel, CryptoOp
+from repro.crypto.cost import CryptoOp
 from repro.crypto.hashing import shared_digest
-from repro.protocols.base import Message, NodeConfig, ProtocolInfo
+from repro.protocols.base import Message, ProtocolInfo
 from repro.protocols.quorum import VoteSet
-from repro.protocols.recovery import PrimaryBackupReplica
+from repro.protocols.recovery import LogEntry, NewView, PrimaryBackupReplica
 from repro.workload.clients import ClientPool
 from repro.workload.transactions import RequestBatch
 
@@ -54,35 +53,6 @@ class PbftCommit(Message):
     sequence: int = 0
     batch_digest: bytes = b""
     replica_id: str = ""
-
-
-@dataclass(frozen=True)
-class PbftExecutedEntry:
-    """One executed slot carried in a view-change message."""
-
-    sequence: int
-    view: int
-    batch_digest: bytes
-    batch: RequestBatch
-    committers: Tuple[str, ...] = ()
-
-
-@dataclass
-class PbftViewChange(Message):
-    """VIEW-CHANGE(v, C): a replica asking to replace the primary of view v."""
-
-    view: int = 0
-    replica_id: str = ""
-    stable_checkpoint: int = -1
-    executed: Tuple[PbftExecutedEntry, ...] = ()
-
-
-@dataclass
-class PbftNewView(Message):
-    """NEW-VIEW(v+1, V): the next primary's new-view message."""
-
-    new_view: int = 0
-    requests: Tuple[PbftViewChange, ...] = ()
 
 
 @dataclass(slots=True)
@@ -127,21 +97,6 @@ class PbftReplica(PrimaryBackupReplica):
         PbftPrepare: "handle_prepare",
         PbftCommit: "handle_commit",
     }
-
-    VIEW_CHANGE_REQUEST = PbftViewChange
-    NEW_VIEW = PbftNewView
-    VIEW_CHANGE_LOG = "_executed_log"
-
-    def __init__(
-        self,
-        node_id: str,
-        config: NodeConfig,
-        authenticator: Authenticator,
-        cost_model: Optional[CryptoCostModel] = None,
-        initial_table: Optional[Dict[str, str]] = None,
-    ) -> None:
-        super().__init__(node_id, config, authenticator, cost_model, initial_table)
-        self._executed_log: Dict[int, PbftExecutedEntry] = {}
 
     def new_slot(self) -> _PbftSlot:
         index_map = self._vote_index
@@ -265,9 +220,9 @@ class PbftReplica(PrimaryBackupReplica):
             return
         slot.committed = True
         committers = tuple(sorted(slot.commit_votes))
-        self._executed_log[sequence] = PbftExecutedEntry(
-            sequence=sequence, view=view, batch_digest=slot.batch_digest,
-            batch=slot.batch, committers=committers,
+        self._log[sequence] = LogEntry(
+            sequence=sequence, view=view, digest=slot.batch_digest,
+            batch=slot.batch, proof=committers,
         )
         self.commit_slot(sequence=sequence, view=view, batch=slot.batch,
                          proof=committers, now_ms=now_ms, speculative=False)
@@ -275,7 +230,7 @@ class PbftReplica(PrimaryBackupReplica):
     # ------------------------------------------------------------- view change
     # Generic machinery in PrimaryBackupReplica; PBFT supplies its payloads.
 
-    def view_change_entry_valid(self, entry: PbftExecutedEntry) -> bool:
+    def view_change_entry_valid(self, entry: LogEntry) -> bool:
         """An honest entry carries the digest the PRE-PREPARE bound to its slot.
 
         Without this check a forged request could park arbitrary garbage
@@ -283,10 +238,10 @@ class PbftReplica(PrimaryBackupReplica):
         a forger to at least fabricate *self-consistent* entries, which
         support-ranked selection then outvotes.
         """
-        return entry.batch is not None and entry.batch_digest == shared_digest(
+        return entry.batch is not None and entry.digest == shared_digest(
             "pbft", entry.view, entry.sequence, entry.batch.digest())
 
-    def adopt_new_view(self, proposal: PbftNewView, requests, now_ms: float) -> int:
+    def adopt_new_view(self, proposal: NewView, requests, now_ms: float) -> int:
         # Support-ranked selection (shared with PoE): below the durable
         # anchor — the highest stable checkpoint any request proves — a
         # slot needs f + 1 matching requests, because honest requests only
@@ -300,11 +255,6 @@ class PbftReplica(PrimaryBackupReplica):
         # No eviction: a committed PBFT slot is final.
         self.commit_adopted(prefix, now_ms)
         return kmax
-
-    def adopt_entry(self, entry: PbftExecutedEntry, now_ms: float) -> None:
-        self._executed_log[entry.sequence] = entry
-        self.commit_slot(sequence=entry.sequence, view=entry.view, batch=entry.batch,
-                         proof=entry.committers, now_ms=now_ms)
 
 
 class PbftClientPool(ClientPool):

@@ -13,44 +13,52 @@ a retry timer with exponential back-off moves past a chain of faulty
 primaries).  HotStuff rotates leaders per round and has no such layer; it
 sits directly on :class:`~repro.protocols.replica_base.BatchingReplica`.
 
+The wire format of recovery is the layer's too.  :class:`LogEntry` is one
+ordered slot, :class:`ViewChangeRequest` carries the sender's entries above
+its stable checkpoint, :class:`NewView` carries a quorum of requests; the
+layer routes the two messages to its own handlers, and keeps the log the
+entries come from (``_log``: pruned at a stable checkpoint, popped on
+rollback).  No protocol defines a recovery message or a log of its own.
+
 What a protocol declares
-    ``VIEW_CHANGE_REQUEST`` / ``NEW_VIEW``
-        its two recovery message classes.  Both are routed here — a
-        protocol lists neither in ``MESSAGE_HANDLERS`` — and the NEW-VIEW
-        is built as ``NEW_VIEW(new_view=..., requests=...)``.
-    ``VIEW_CHANGE_LOG``
-        the name of the ``sequence -> entry`` dict its requests are built
-        from (certified entries for PoE/SBFT, committed entries for PBFT,
-        the speculative history for Zyzzyva, which also overrides
-        :meth:`build_view_change_request` to attach commit certificates).
     :meth:`new_slot`
         a fresh instance of its slot dataclass, for :meth:`_slot`.  The
         dataclass defines ``open_tallies()``: the vote sets or share dicts
         an evicted replica must still be purged from.
+    one write to ``_log``
+        ``self._log[sequence] = LogEntry(...)`` at the point the slot is
+        certified (PoE, SBFT), committed (PBFT) or speculatively executed
+        (Zyzzyva); ``digest`` is whatever the protocol's proposal bound
+        to the slot, ``proof`` what made it final there.
     :meth:`view_change_quorum`
         requests the next primary needs: ``2f + 1`` unless overridden
         (``nf`` for PoE).
-    :meth:`view_change_entry_valid` / :meth:`adopt_entry`
-        the per-entry hooks: is one entry of a received request well
-        formed, and how is one adopted entry logged and committed.
+    :meth:`view_change_entry_valid`
+        is one entry of a received request well formed (its digest
+        recomputes, its proof verifies).
     :meth:`adopt_new_view`
         state selection, composed from :meth:`rollback_target`,
         :meth:`evict_uncovered` and :meth:`commit_adopted`; it runs
         *before* the view advances and returns ``kmax``, the last sequence
         number of the adopted prefix.
+    optionally :meth:`adopt_entry` / :meth:`build_view_change_request`
+        when adopting one entry is more than logging it and handing it to
+        ``commit_slot`` (SBFT fills its slot, Zyzzyva re-bases its
+        history), or when a request reports evidence about the sender's
+        stable point (Zyzzyva's ``checkpoint_digest`` and ``certificate``).
 
 What a protocol must never re-implement
     the slot table and its key (:meth:`_slot`); the admission guards
     (:meth:`admit_proposal` — a handler only stores its digest in
     ``_accepted`` under the key it is handed, as ``create_proposal`` does
     for the primary); stable-checkpoint pruning of slots, accepted
-    proposals and the view-change log (:meth:`on_stable_checkpoint` — an
-    override may only prune state of its own, after ``super()``); the
-    evicted-voter purge (:meth:`on_epoch_activated`); the consecutive-run
-    check on requests (PoE routes it through its pure, separately tested
-    ``validate_view_change_request``); the NEW-VIEW envelope; the join
-    rule, the quorum count, the retry back-off and the view-entry
-    epilogue.  Each is the one place its class of bug can live.
+    proposals and the log (:meth:`on_stable_checkpoint` — an override may
+    only prune state of its own, after ``super()``); the evicted-voter
+    purge (:meth:`on_epoch_activated`); the consecutive-run check on
+    requests (PoE routes it through its pure, separately tested
+    ``validate_view_change_request``); the join rule, the quorum count,
+    the retry back-off and the view-entry epilogue.  Each is the one place
+    its class of bug can live.
 
 The vote handlers stay hand-written in the protocols: they *are* the
 phases, and on the n² paths they read ``self._slots`` and the view
@@ -59,12 +67,63 @@ inline.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
+from repro.ledger.execution import ExecutedBatch
 from repro.protocols.base import Message, NodeConfig
 from repro.protocols.replica_base import BatchingReplica
+from repro.workload.transactions import RequestBatch
+
+
+@dataclass(frozen=True)
+class LogEntry:
+    """One ordered slot, as the log holds it and a view-change request
+    reports it: the paper's ``(CERTIFY(<h>, w, k), <T>_c)`` pair (Figure 5,
+    Line 4).
+
+    ``digest`` is what the protocol's proposal bound to the slot (PoE and
+    SBFT: the proposal digest shares are signed over; PBFT: the
+    PRE-PREPARE digest; Zyzzyva: the history digest).  ``proof`` is what
+    made the slot final at the sender: a threshold certificate (PoE-TS,
+    SBFT), the supporter set (PoE-MAC), the committers (PBFT), or the
+    client commit certificate the sender acknowledged for it (Zyzzyva).
+    """
+
+    sequence: int
+    view: int
+    digest: bytes
+    batch: RequestBatch
+    proof: Any = None
+
+
+@dataclass
+class ViewChangeRequest(Message):
+    """VC-REQUEST(v, E): a replica asking to replace the primary of *view*.
+
+    ``checkpoint_digest`` and ``certificate`` are evidence about the
+    sender's stable point, for protocols whose entries cannot be verified
+    one by one (only Zyzzyva fills them: the quorum-vouched state digest
+    at ``stable_checkpoint``, and the highest client commit certificate
+    it acknowledged).
+    """
+
+    view: int = 0
+    replica_id: str = ""
+    stable_checkpoint: int = -1
+    executed: Tuple[LogEntry, ...] = ()
+    checkpoint_digest: bytes = b""
+    certificate: Any = None
+
+
+@dataclass
+class NewView(Message):
+    """NV-PROPOSE(v+1, m_1..m_q): the next primary's quorum of requests."""
+
+    new_view: int = 0
+    requests: Tuple[ViewChangeRequest, ...] = ()
 
 
 class PrimaryBackupReplica(BatchingReplica):
@@ -77,18 +136,10 @@ class PrimaryBackupReplica(BatchingReplica):
     #: Name of the retry timer armed by :meth:`initiate_view_change`.
     VIEW_CHANGE_TIMER = "view-change"
 
-    #: The protocol's VIEW-CHANGE and NEW-VIEW message classes.
-    VIEW_CHANGE_REQUEST: type = None
-    NEW_VIEW: type = None
-
-    #: Name of the ``sequence -> entry`` log VIEW-CHANGE requests are built
-    #: from; entries at or below a stable checkpoint are pruned from it.
-    VIEW_CHANGE_LOG: str = ""
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._DISPATCH_TABLE[cls.VIEW_CHANGE_REQUEST] = "handle_view_change_message"
-        cls._DISPATCH_TABLE[cls.NEW_VIEW] = "handle_new_view_message"
+    MESSAGE_HANDLERS = {
+        ViewChangeRequest: "handle_view_change_message",
+        NewView: "handle_new_view_message",
+    }
 
     def __init__(
         self,
@@ -103,8 +154,11 @@ class PrimaryBackupReplica(BatchingReplica):
         self._slots: Dict[int, object] = {}
         #: ``(view, sequence) -> digest`` of the first proposal accepted.
         self._accepted: Dict[Tuple[int, int], bytes] = {}
+        #: ``sequence -> entry`` of every slot final here above the stable
+        #: checkpoint: what this replica's view-change requests report.
+        self._log: Dict[int, LogEntry] = {}
         self._vc_votes: Dict[int, Set[str]] = {}
-        self._vc_requests: Dict[int, Dict[str, Message]] = {}
+        self._vc_requests: Dict[int, Dict[str, ViewChangeRequest]] = {}
         self._entered_views: Set[int] = {0}
         self._vc_failed_attempts = 0
         self.view_changes_completed = 0
@@ -163,16 +217,16 @@ class PrimaryBackupReplica(BatchingReplica):
         """
         return self._2f_plus_1
 
-    def build_view_change_request(self, view: int) -> Message:
+    def build_view_change_request(self, view: int) -> ViewChangeRequest:
         """This replica's VIEW-CHANGE request for replacing *view*: every
         logged entry it executed above its stable checkpoint."""
-        log = getattr(self, self.VIEW_CHANGE_LOG)
+        log = self._log
         stable = self.checkpoints.stable_sequence
         executed = tuple(
             log[seq] for seq in sorted(log)
             if stable < seq <= self.last_executed_sequence
         )
-        return self.VIEW_CHANGE_REQUEST(
+        return ViewChangeRequest(
             view=view,
             replica_id=self.node_id,
             stable_checkpoint=stable,
@@ -182,7 +236,7 @@ class PrimaryBackupReplica(BatchingReplica):
             ),
         )
 
-    def validate_view_change_request_message(self, request: Message,
+    def validate_view_change_request_message(self, request: ViewChangeRequest,
                                              view: int) -> bool:
         """Admission check for one received VIEW-CHANGE request: it targets
         *view* and carries a strictly consecutive run of entries starting
@@ -199,16 +253,12 @@ class PrimaryBackupReplica(BatchingReplica):
                 return False
         return True
 
-    def view_change_entry_valid(self, entry) -> bool:
+    def view_change_entry_valid(self, entry: LogEntry) -> bool:
         """Is one executed entry of a received request well formed?"""
         return True
 
-    def make_new_view(self, new_view: int, requests: Tuple[Message, ...]) -> Message:
-        """Build the NEW-VIEW message from a quorum of *requests*."""
-        return self.NEW_VIEW(new_view=new_view, requests=requests)
-
-    def accept_new_view(self, proposal: Message,
-                        admissible: Tuple[Message, ...]) -> bool:
+    def accept_new_view(self, proposal: NewView,
+                        admissible: Tuple[ViewChangeRequest, ...]) -> bool:
         """Receiver-side acceptance rule for a NEW-VIEW message.
 
         *admissible* is the subset of the proposal's requests that passed
@@ -218,8 +268,8 @@ class PrimaryBackupReplica(BatchingReplica):
         """
         return len(admissible) >= self.view_change_quorum()
 
-    def adopt_new_view(self, proposal: Message,
-                       requests: Tuple[Message, ...], now_ms: float) -> int:
+    def adopt_new_view(self, proposal: NewView,
+                       requests: Tuple[ViewChangeRequest, ...], now_ms: float) -> int:
         """Adopt the state a NEW-VIEW certifies; return the adopted ``kmax``.
 
         *requests* holds only the admissible view-change requests — a
@@ -234,7 +284,7 @@ class PrimaryBackupReplica(BatchingReplica):
         """Hook invoked right after the view advanced (timers, role rotation)."""
 
     # ------------------------------------------------------ adoption helpers
-    def rollback_target(self, prefix: Dict[int, object], kmax: int) -> int:
+    def rollback_target(self, prefix: Dict[int, LogEntry], kmax: int) -> int:
         """Where execution must roll back to before adopting *prefix*.
 
         ``kmax`` when this replica executed nothing the prefix contradicts;
@@ -253,7 +303,7 @@ class PrimaryBackupReplica(BatchingReplica):
                 return max(sequence - 1, self.checkpoints.stable_sequence)
         return kmax
 
-    def evict_uncovered(self, prefix: Dict[int, object], kmax: int) -> None:
+    def evict_uncovered(self, prefix: Dict[int, LogEntry], kmax: int) -> None:
         """Drop pending slots the adopted prefix does not vouch for.
 
         Run *before* :meth:`commit_adopted`: once the prefix fills the gap
@@ -264,15 +314,20 @@ class PrimaryBackupReplica(BatchingReplica):
         for sequence in [s for s in self._committed if s > kmax or s in prefix]:
             del self._committed[sequence]
 
-    def commit_adopted(self, prefix: Dict[int, object], now_ms: float) -> None:
+    def commit_adopted(self, prefix: Dict[int, LogEntry], now_ms: float) -> None:
         """:meth:`adopt_entry` every adopted entry not executed yet, in order."""
         for sequence in sorted(prefix):
             if sequence > self.last_executed_sequence:
                 self.adopt_entry(prefix[sequence], now_ms)
 
-    def adopt_entry(self, entry, now_ms: float) -> None:
+    def adopt_entry(self, entry: LogEntry, now_ms: float) -> None:
         """Log one adopted entry and hand it to ``commit_slot``."""
-        raise NotImplementedError
+        self._log[entry.sequence] = entry
+        self.commit_slot(sequence=entry.sequence, view=entry.view, batch=entry.batch,
+                         proof=entry.proof, now_ms=now_ms)
+
+    def on_rolled_back(self, record: ExecutedBatch) -> None:
+        self._log.pop(record.sequence, None)
 
     # ---------------------------------------------------------------- triggers
     def on_progress_timeout(self, batch_id: str, now_ms: float) -> None:
@@ -296,7 +351,7 @@ class PrimaryBackupReplica(BatchingReplica):
         self.set_timer(self.VIEW_CHANGE_TIMER, delay, payload=self.view + 1)
 
     # ------------------------------------------------------------ vote counting
-    def handle_view_change_message(self, sender: str, message: Message,
+    def handle_view_change_message(self, sender: str, message: ViewChangeRequest,
                                    now_ms: float) -> None:
         self.charge(CryptoOp.VERIFY)
         if message.view < self.view:
@@ -306,7 +361,7 @@ class PrimaryBackupReplica(BatchingReplica):
         self.record_view_change_vote(message.view, sender, message, now_ms)
 
     def record_view_change_vote(self, view: int, replica_id: str,
-                                request: Message, now_ms: float) -> None:
+                                request: ViewChangeRequest, now_ms: float) -> None:
         votes = self._vc_votes.setdefault(view, set())
         votes.add(replica_id)
         requests = self._vc_requests.setdefault(view, {})
@@ -331,13 +386,13 @@ class PrimaryBackupReplica(BatchingReplica):
         if len(requests) < quorum:
             return
         chosen = tuple(requests[r] for r in sorted(requests)[:quorum])
-        proposal = self.make_new_view(new_view, chosen)
+        proposal = NewView(new_view=new_view, requests=chosen)
         self.charge(CryptoOp.SIGN)
         self.broadcast(proposal)
         # The chosen requests were validated at vote admission.
         self._enter_new_view(proposal, chosen, now_ms)
 
-    def handle_new_view_message(self, sender: str, message: Message,
+    def handle_new_view_message(self, sender: str, message: NewView,
                                 now_ms: float) -> None:
         if message.new_view <= self.view or message.new_view in self._entered_views:
             return
@@ -352,7 +407,7 @@ class PrimaryBackupReplica(BatchingReplica):
         admissible_list = []
         claimed_ids = set()
         for request in message.requests:
-            claimed = getattr(request, "replica_id", None)
+            claimed = request.replica_id
             if claimed in claimed_ids:
                 continue
             if self.validate_view_change_request_message(
@@ -386,8 +441,8 @@ class PrimaryBackupReplica(BatchingReplica):
         # `new_view <= self.view` guard, so only future entries matter.
         self._entered_views = {v for v in self._entered_views if v >= view}
 
-    def _enter_new_view(self, proposal: Message,
-                        requests: Tuple[Message, ...], now_ms: float) -> None:
+    def _enter_new_view(self, proposal: NewView,
+                        requests: Tuple[ViewChangeRequest, ...], now_ms: float) -> None:
         kmax = self.adopt_new_view(proposal, requests, now_ms)
         self.view = proposal.new_view
         self._entered_views.add(proposal.new_view)
@@ -421,7 +476,7 @@ class PrimaryBackupReplica(BatchingReplica):
     def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
         """Prune what the stable checkpoint at *sequence* supersedes.
 
-        Accepted proposals and view-change log entries go at or below it.
+        Accepted proposals and log entries go at or below it.
         The slot table keeps the boundary slot itself for one more
         interval: ``2f + 1`` checkpoint votes can land while a phase that
         runs *after* execution is still collecting for that slot (SBFT's
@@ -430,7 +485,7 @@ class PrimaryBackupReplica(BatchingReplica):
         timer.  A finished slot kept that long only swallows late votes.
         """
         super().on_stable_checkpoint(sequence, now_ms)
-        log = getattr(self, self.VIEW_CHANGE_LOG)
+        log = self._log
         for stale in [s for s in log if s <= sequence]:
             del log[stale]
         slots = self._slots

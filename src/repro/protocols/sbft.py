@@ -40,7 +40,7 @@ from repro.crypto.hashing import shared_digest
 from repro.crypto.threshold import ThresholdError
 from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.client_messages import ClientReplyMessage
-from repro.protocols.recovery import PrimaryBackupReplica
+from repro.protocols.recovery import LogEntry, NewView, PrimaryBackupReplica
 from repro.protocols.replica_base import CommittedSlot
 from repro.workload.clients import ClientPool
 from repro.workload.transactions import RequestBatch
@@ -105,40 +105,6 @@ class SbftExecuteAck(Message):
     certificate: object = None
 
 
-@dataclass(frozen=True)
-class SbftCertifiedSlot:
-    """One commit-proof-certified slot carried in a view-change request.
-
-    The certificate is the collector's aggregated threshold signature over
-    the slot's proposal digest, so any third party can re-verify it —
-    view-change requests need no trust in their sender.
-    """
-
-    sequence: int
-    view: int
-    proposal_digest: bytes
-    batch: RequestBatch
-    certificate: object = None
-
-
-@dataclass
-class SbftViewChange(Message):
-    """VIEW-CHANGE(v, C): a replica asking to replace the primary of view v."""
-
-    view: int = 0
-    replica_id: str = ""
-    stable_checkpoint: int = -1
-    executed: Tuple[SbftCertifiedSlot, ...] = ()
-
-
-@dataclass
-class SbftNewView(Message):
-    """NEW-VIEW(v+1, V): the next primary's certified view-change summary."""
-
-    new_view: int = 0
-    requests: Tuple[SbftViewChange, ...] = ()
-
-
 @dataclass(slots=True)
 class _SbftSlot:
     """Per (view, sequence) bookkeeping at the collector/executor."""
@@ -176,10 +142,6 @@ class SbftReplica(PrimaryBackupReplica):
         SbftExecuteAck: "handle_execute_ack",
     }
 
-    VIEW_CHANGE_REQUEST = SbftViewChange
-    NEW_VIEW = SbftNewView
-    VIEW_CHANGE_LOG = "_certified_log"
-
     def __init__(
         self,
         node_id: str,
@@ -191,9 +153,6 @@ class SbftReplica(PrimaryBackupReplica):
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model, initial_table)
         self.collector_timeout_ms = collector_timeout_ms
-        #: Slots this replica holds a verified commit proof for; the payload
-        #: of its view-change requests.
-        self._certified_log: Dict[int, SbftCertifiedSlot] = {}
         #: Collector timers currently armed, by (view, sequence).  Tracked so
         #: advancing the view can cancel the old view's timers instead of
         #: letting stale collector timeouts fire after rotation.
@@ -324,11 +283,12 @@ class SbftReplica(PrimaryBackupReplica):
                 message.certificate, slot.proposal_digest):
             return
         # The verified commit proof makes this slot certifiable to third
-        # parties: log it for view-change requests.
-        self._certified_log[message.sequence] = SbftCertifiedSlot(
+        # parties — the collector's threshold signature over the proposal
+        # digest — so view-change requests need no trust in their sender.
+        self._log[message.sequence] = LogEntry(
             sequence=message.sequence, view=message.view,
-            proposal_digest=slot.proposal_digest, batch=slot.batch,
-            certificate=message.certificate,
+            digest=slot.proposal_digest, batch=slot.batch,
+            proof=message.certificate,
         )
         self.commit_slot(sequence=message.sequence, view=message.view,
                          batch=slot.batch, proof=message.certificate,
@@ -405,7 +365,7 @@ class SbftReplica(PrimaryBackupReplica):
     # threshold-certified slots, and entering a view rotates the collector
     # and executor (both derive from the view number).
 
-    def view_change_entry_valid(self, entry: SbftCertifiedSlot) -> bool:
+    def view_change_entry_valid(self, entry: LogEntry) -> bool:
         """Certified slots are threshold signatures: re-verify every one.
 
         Each entry must carry a commit proof for the recomputed proposal
@@ -413,13 +373,13 @@ class SbftReplica(PrimaryBackupReplica):
         (paper, Figure 5 preconditions).
         """
         expected = sbft_proposal_digest(entry.view, entry.sequence, entry.batch)
-        if entry.proposal_digest != expected:
+        if entry.digest != expected:
             return False
         self.charge(CryptoOp.THRESHOLD_VERIFY)
-        return entry.certificate is not None and self.auth.threshold_verify(
-            entry.certificate, expected)
+        return entry.proof is not None and self.auth.threshold_verify(
+            entry.proof, expected)
 
-    def adopt_new_view(self, proposal: SbftNewView, requests, now_ms: float) -> int:
+    def adopt_new_view(self, proposal: NewView, requests, now_ms: float) -> int:
         """Adopt the longest certified prefix; commit the slots this replica missed.
 
         SBFT never executes speculatively, so there is nothing to roll
@@ -437,13 +397,11 @@ class SbftReplica(PrimaryBackupReplica):
         self.commit_adopted(prefix, now_ms)
         return kmax
 
-    def adopt_entry(self, entry: SbftCertifiedSlot, now_ms: float) -> None:
-        self._certified_log[entry.sequence] = entry
+    def adopt_entry(self, entry: LogEntry, now_ms: float) -> None:
         slot = self._slot(entry.view, entry.sequence)
         slot.batch = entry.batch
-        slot.proposal_digest = entry.proposal_digest
-        self.commit_slot(sequence=entry.sequence, view=entry.view, batch=entry.batch,
-                         proof=entry.certificate, now_ms=now_ms, speculative=False)
+        slot.proposal_digest = entry.digest
+        super().adopt_entry(entry, now_ms)
 
     def on_view_entered(self, view: int, now_ms: float) -> None:
         """Rotation epilogue: disarm the previous views' collector timers.

@@ -43,7 +43,12 @@ from repro.crypto.hashing import digest, shared_digest
 from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.checkpoint import StateTransferRequest
 from repro.protocols.client_messages import ClientReplyMessage
-from repro.protocols.recovery import PrimaryBackupReplica
+from repro.protocols.recovery import (
+    LogEntry,
+    NewView,
+    PrimaryBackupReplica,
+    ViewChangeRequest,
+)
 from repro.protocols.replica_base import CommittedSlot
 from repro.workload.clients import ClientPool, _PendingBatch
 from repro.workload.transactions import RequestBatch
@@ -101,50 +106,6 @@ class ZyzzyvaProofOfMisbehaviour(Message):
     client_id: str = ""
 
 
-@dataclass(frozen=True)
-class ZyzzyvaHistoryEntry:
-    """One speculatively executed slot carried in a view-change request.
-
-    ``commit_certificate`` is the per-slot client commit certificate this
-    replica acknowledged for the slot, when it holds one: certified
-    entries beat support plurality in history reconciliation, which is
-    what stops a Byzantine replica's forged history from biasing the
-    sub-anchor choice.
-    """
-
-    sequence: int
-    view: int
-    batch: RequestBatch
-    history_digest: bytes
-    commit_certificate: Optional[ZyzzyvaCommitCertificate] = None
-
-
-@dataclass
-class ZyzzyvaViewChange(Message):
-    """VIEW-CHANGE(v, CC, O): a replica's speculative history and best certificate.
-
-    ``checkpoint_digest`` is the quorum-vouched state digest at the
-    reported stable checkpoint: with ``f + 1`` requests agreeing on it,
-    the new view can detect (and repair) a replica whose same-height state
-    contradicts the durable prefix — not just replicas that are behind.
-    """
-
-    view: int = 0
-    replica_id: str = ""
-    stable_checkpoint: int = -1
-    checkpoint_digest: bytes = b""
-    commit_certificate: Optional[ZyzzyvaCommitCertificate] = None
-    executed: Tuple[ZyzzyvaHistoryEntry, ...] = ()
-
-
-@dataclass
-class ZyzzyvaNewView(Message):
-    """NEW-VIEW(v+1, V): the next primary's view-change summary."""
-
-    new_view: int = 0
-    requests: Tuple[ZyzzyvaViewChange, ...] = ()
-
-
 class ZyzzyvaReplica(PrimaryBackupReplica):
     """A Zyzzyva replica: execute speculatively straight from the ordering.
 
@@ -169,10 +130,6 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         ZyzzyvaProofOfMisbehaviour: "handle_proof_of_misbehaviour",
     }
 
-    VIEW_CHANGE_REQUEST = ZyzzyvaViewChange
-    NEW_VIEW = ZyzzyvaNewView
-    VIEW_CHANGE_LOG = "_spec_history"
-
     def __init__(
         self,
         node_id: str,
@@ -183,8 +140,6 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model, initial_table)
         self._history_digest = shared_digest("zyzzyva-history", "genesis")
-        #: Speculative history journal: the payload of view-change requests.
-        self._spec_history: Dict[int, ZyzzyvaHistoryEntry] = {}
         #: Validated client commit certificates, by sequence; the highest one
         #: anchors history reconciliation in a view change.
         self._commit_certs: Dict[int, ZyzzyvaCommitCertificate] = {}
@@ -327,10 +282,13 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
 
     # ----------------------------------------------------------- history journal
     def after_execution(self, slot: CommittedSlot, record, now_ms: float) -> None:
-        """Journal the executed slot for view-change requests."""
-        self._spec_history[slot.sequence] = ZyzzyvaHistoryEntry(
-            sequence=slot.sequence, view=slot.view, batch=slot.batch,
-            history_digest=self._accepted.get((slot.view, slot.sequence), b""),
+        """Log the speculatively executed slot.  Its proof, the client's
+        commit certificate, arrives later if at all and is attached when a
+        request is built."""
+        self._log[slot.sequence] = LogEntry(
+            sequence=slot.sequence, view=slot.view,
+            digest=self._accepted.get((slot.view, slot.sequence), b""),
+            batch=slot.batch,
         )
 
     def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
@@ -349,28 +307,28 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
     # speculative entries with f+1 matching support (see
     # reconcile_speculative_histories).
 
-    def build_view_change_request(self, view: int) -> ZyzzyvaViewChange:
-        stable = self.checkpoints.stable_sequence
-        executed = tuple(
-            dataclasses.replace(self._spec_history[seq],
-                                commit_certificate=self._commit_certs.get(seq))
-            for seq in sorted(self._spec_history)
-            if seq > stable and seq <= self.last_executed_sequence
-        )
-        best_cc = max(self._commit_certs, default=None)
-        return ZyzzyvaViewChange(
-            view=view, replica_id=self.node_id,
-            stable_checkpoint=stable,
-            checkpoint_digest=self.checkpoints.stable_digest(stable) or b"",
-            commit_certificate=(self._commit_certs[best_cc]
-                                if best_cc is not None else None),
-            executed=executed,
-            size_bytes=self.config.proposal_size_bytes(
-                sum(len(entry.batch) for entry in executed)
-            ),
+    def build_view_change_request(self, view: int) -> ViewChangeRequest:
+        """The speculative history with each slot's commit certificate
+        attached where this replica acknowledged one, the highest such
+        certificate as the request's anchor, and the quorum-vouched state
+        digest at the stable checkpoint: with ``f + 1`` requests agreeing
+        on it the new view can detect (and repair) a replica whose
+        same-height state contradicts the durable prefix — not just
+        replicas that are behind."""
+        request = super().build_view_change_request(view)
+        certificates = self._commit_certs
+        best = max(certificates, default=None)
+        return dataclasses.replace(
+            request,
+            executed=tuple(
+                dataclasses.replace(entry, proof=certificates.get(entry.sequence))
+                for entry in request.executed),
+            checkpoint_digest=self.checkpoints.stable_digest(
+                request.stable_checkpoint) or b"",
+            certificate=certificates[best] if best is not None else None,
         )
 
-    def validate_view_change_request_message(self, request: ZyzzyvaViewChange,
+    def validate_view_change_request_message(self, request: ViewChangeRequest,
                                              view: int) -> bool:
         """Admit a VIEW-CHANGE: consecutive history, verified certificates.
 
@@ -386,11 +344,11 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         """
         if not super().validate_view_change_request_message(request, view):
             return False
-        certificate = request.commit_certificate
+        certificate = request.certificate
         return certificate is None or self._certificate_admissible(certificate)
 
-    def view_change_entry_valid(self, entry: ZyzzyvaHistoryEntry) -> bool:
-        certificate = entry.commit_certificate
+    def view_change_entry_valid(self, entry: LogEntry) -> bool:
+        certificate = entry.proof
         return certificate is None or self._certificate_admissible(
             certificate, sequence=entry.sequence, batch=entry.batch)
 
@@ -451,7 +409,7 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
                 return False
         return True
 
-    def adopt_new_view(self, proposal: ZyzzyvaNewView, requests,
+    def adopt_new_view(self, proposal: NewView, requests,
                        now_ms: float) -> int:
         """Reconcile speculative histories and converge on the adopted one.
 
@@ -500,15 +458,17 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
                                              proposal.new_view, kmax)
         return kmax
 
-    def adopt_entry(self, entry: ZyzzyvaHistoryEntry, now_ms: float) -> None:
-        self._accepted[(entry.view, entry.sequence)] = entry.history_digest
-        if entry.commit_certificate is not None:
-            self._commit_certs.setdefault(entry.sequence, entry.commit_certificate)
+    def adopt_entry(self, entry: LogEntry, now_ms: float) -> None:
+        """Execution logs the slot (:meth:`after_execution`), under the
+        history digest, which is also what its block stores as proof."""
+        self._accepted[(entry.view, entry.sequence)] = entry.digest
+        if entry.proof is not None:
+            self._commit_certs.setdefault(entry.sequence, entry.proof)
         self.commit_slot(sequence=entry.sequence, view=entry.view, batch=entry.batch,
-                         proof=entry.history_digest, now_ms=now_ms, speculative=False)
+                         proof=entry.digest, now_ms=now_ms)
 
     def on_rolled_back(self, record) -> None:
-        self._spec_history.pop(record.sequence, None)
+        super().on_rolled_back(record)
         self._commit_certs.pop(record.sequence, None)
 
 

@@ -26,7 +26,6 @@ import pytest
 
 import repro.protocols.pbft as pbft_module
 import repro.protocols.sbft as sbft_module
-from repro.core.messages import PoeViewChangeRequest
 from repro.core.view_change import _best_supported_entry
 from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
@@ -49,6 +48,7 @@ from repro.net.conditions import DriftPhase, LatencyTopology, NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.protocols.checkpoint import CheckpointTracker
 from repro.protocols.hotstuff import HotStuffReplica
+from repro.protocols.recovery import ViewChangeRequest
 from repro.protocols.replica_base import BatchingReplica
 
 NEW_SCENARIOS = ("adaptive-primary", "checkpoint-equivocate", "timeout-stall",
@@ -119,7 +119,7 @@ def _old_prefix_selector(requests, f=0, trust_certificates=False):
             batch_digest = entry.batch.digest()
             by_digest = support.setdefault(entry.sequence, {})
             by_digest.setdefault(batch_digest, []).append(entry)
-            if trust_certificates and entry.certificate is not None:
+            if trust_certificates and entry.proof is not None:
                 certified.setdefault(entry.sequence, {})[batch_digest] = True
     prefix = {}
     for sequence in sorted(s for s in support if s <= max_checkpoint):
@@ -173,7 +173,7 @@ class TestAdaptiveBehaviourLayer:
         behavior.replica = SimpleNamespace(
             config=SimpleNamespace(request_timeout_ms=100.0),
             _vc_failed_attempts=0, VC_BACKOFF_CAP=5)
-        request = PoeViewChangeRequest(view=0, replica_id="replica:2")
+        request = ViewChangeRequest(view=0, replica_id="replica:2")
         out = behavior.transform([Delivery("replica:1", request)], 50.0)
         # First failed attempt retries after 2 * timeout = 200ms; the
         # stalled vote lands lead_ms before that deadline.
@@ -185,9 +185,9 @@ class TestAdaptiveBehaviourLayer:
         behavior.replica = SimpleNamespace(
             config=SimpleNamespace(request_timeout_ms=100.0),
             _vc_failed_attempts=0, VC_BACKOFF_CAP=5)
-        v0 = PoeViewChangeRequest(view=0, replica_id="replica:2")
-        v1 = PoeViewChangeRequest(view=1, replica_id="replica:2")
-        v2 = PoeViewChangeRequest(view=2, replica_id="replica:2")
+        v0 = ViewChangeRequest(view=0, replica_id="replica:2")
+        v1 = ViewChangeRequest(view=1, replica_id="replica:2")
+        v2 = ViewChangeRequest(view=2, replica_id="replica:2")
         assert behavior.transform([Delivery("replica:1", v0)], 0.0)[0].delay_ms > 0
         # Same view again: already stalled, passes through untouched.
         assert behavior.transform([Delivery("replica:1", v0)], 0.0)[0].delay_ms == 0

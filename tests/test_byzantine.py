@@ -191,9 +191,9 @@ class TestEquivocatingPrimary:
                 if sequence <= self.last_executed_sequence:
                     continue
                 entry = prefix[sequence]
-                self._certified_log[sequence] = entry
+                self._log[sequence] = entry
                 self.commit_slot(sequence=sequence, view=entry.view,
-                                 batch=entry.batch, proof=entry.certificate,
+                                 batch=entry.batch, proof=entry.proof,
                                  now_ms=now_ms, speculative=False)
             return kmax
 

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.messages import CertifiedEntry, PoeNewView, PoeViewChangeRequest
 from repro.core.replica import PoeReplica
 from repro.core.view_change import (
     longest_consecutive_prefix,
@@ -14,6 +13,7 @@ from repro.crypto.authenticator import SchemeKind, make_authenticators
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.net.faults import FaultSchedule
 from repro.protocols.base import NodeConfig
+from repro.protocols.recovery import LogEntry, NewView, ViewChangeRequest
 from repro.workload.transactions import make_no_op_batch
 
 REPLICAS = [f"replica:{i}" for i in range(4)]
@@ -24,8 +24,8 @@ def make_entry(auths, sequence, view=0, label=None):
     digest_h = proposal_digest(sequence, view, batch.digest())
     shares = [auths[rid].threshold_share(digest_h) for rid in REPLICAS[:3]]
     certificate = auths[REPLICAS[0]].threshold_aggregate(shares)
-    return CertifiedEntry(sequence=sequence, view=view, proposal_digest=digest_h,
-                          batch=batch, certificate=certificate)
+    return LogEntry(sequence=sequence, view=view, digest=digest_h,
+                    batch=batch, proof=certificate)
 
 
 @pytest.fixture(scope="module")
@@ -36,35 +36,35 @@ def auths():
 class TestViewChangeRequestValidation:
     def test_valid_request_accepted(self, auths):
         entries = tuple(make_entry(auths, seq) for seq in range(3))
-        request = PoeViewChangeRequest(view=0, replica_id="replica:1",
-                                       stable_checkpoint=-1, executed=entries)
+        request = ViewChangeRequest(view=0, replica_id="replica:1",
+                                    stable_checkpoint=-1, executed=entries)
         assert validate_view_change_request(request, auths["replica:0"], 0)
 
     def test_wrong_view_rejected(self, auths):
-        request = PoeViewChangeRequest(view=2, replica_id="replica:1",
-                                       stable_checkpoint=-1, executed=())
+        request = ViewChangeRequest(view=2, replica_id="replica:1",
+                                    stable_checkpoint=-1, executed=())
         assert not validate_view_change_request(request, auths["replica:0"], 0)
 
     def test_non_consecutive_entries_rejected(self, auths):
         entries = (make_entry(auths, 0), make_entry(auths, 2))
-        request = PoeViewChangeRequest(view=0, replica_id="replica:1",
-                                       stable_checkpoint=-1, executed=entries)
+        request = ViewChangeRequest(view=0, replica_id="replica:1",
+                                    stable_checkpoint=-1, executed=entries)
         assert not validate_view_change_request(request, auths["replica:0"], 0)
 
     def test_entries_must_start_after_checkpoint(self, auths):
         entries = (make_entry(auths, 5),)
-        request = PoeViewChangeRequest(view=0, replica_id="replica:1",
-                                       stable_checkpoint=3, executed=entries)
+        request = ViewChangeRequest(view=0, replica_id="replica:1",
+                                    stable_checkpoint=3, executed=entries)
         assert not validate_view_change_request(request, auths["replica:0"], 0)
 
     def test_forged_certificate_rejected(self, auths):
         good = make_entry(auths, 0)
         other = make_entry(auths, 0, label="other-batch")
-        forged = CertifiedEntry(sequence=0, view=0,
-                                proposal_digest=good.proposal_digest,
-                                batch=good.batch, certificate=other.certificate)
-        request = PoeViewChangeRequest(view=0, replica_id="replica:1",
-                                       stable_checkpoint=-1, executed=(forged,))
+        forged = LogEntry(sequence=0, view=0,
+                          digest=good.digest,
+                          batch=good.batch, proof=other.proof)
+        request = ViewChangeRequest(view=0, replica_id="replica:1",
+                                    stable_checkpoint=-1, executed=(forged,))
         assert not validate_view_change_request(request, auths["replica:0"], 0)
 
     def test_certificate_stripped_entry_rejected_in_threshold_mode(self, auths):
@@ -73,21 +73,21 @@ class TestViewChangeRequestValidation:
         replica could strip the certificates off fabricated entries and
         have a forged history admitted into new-view selection."""
         good = make_entry(auths, 0)
-        stripped = CertifiedEntry(sequence=0, view=0,
-                                  proposal_digest=good.proposal_digest,
-                                  batch=good.batch, certificate=None)
-        request = PoeViewChangeRequest(view=0, replica_id="replica:1",
-                                       stable_checkpoint=-1, executed=(stripped,))
+        stripped = LogEntry(sequence=0, view=0,
+                            digest=good.digest,
+                            batch=good.batch, proof=None)
+        request = ViewChangeRequest(view=0, replica_id="replica:1",
+                                    stable_checkpoint=-1, executed=(stripped,))
         assert not validate_view_change_request(request, auths["replica:0"], 0,
                                                 verify_certificates=True)
 
     def test_certificate_check_can_be_skipped_for_mac_mode(self, auths):
         good = make_entry(auths, 0)
-        forged = CertifiedEntry(sequence=0, view=0,
-                                proposal_digest=good.proposal_digest,
-                                batch=good.batch, certificate=None)
-        request = PoeViewChangeRequest(view=0, replica_id="replica:1",
-                                       stable_checkpoint=-1, executed=(forged,))
+        forged = LogEntry(sequence=0, view=0,
+                          digest=good.digest,
+                          batch=good.batch, proof=None)
+        request = ViewChangeRequest(view=0, replica_id="replica:1",
+                                    stable_checkpoint=-1, executed=(forged,))
         assert validate_view_change_request(request, auths["replica:0"], 0,
                                             verify_certificates=False)
 
@@ -95,17 +95,17 @@ class TestViewChangeRequestValidation:
 class TestNewViewSelection:
     def test_longest_prefix_from_single_request(self, auths):
         entries = tuple(make_entry(auths, seq) for seq in range(3))
-        request = PoeViewChangeRequest(view=0, replica_id="r", stable_checkpoint=-1,
-                                       executed=entries)
+        request = ViewChangeRequest(view=0, replica_id="r", stable_checkpoint=-1,
+                                    executed=entries)
         prefix, kmax = longest_consecutive_prefix([request])
         assert kmax == 2
         assert sorted(prefix) == [0, 1, 2]
 
     def test_union_extends_shorter_requests(self, auths):
-        short = PoeViewChangeRequest(
+        short = ViewChangeRequest(
             view=0, replica_id="a", stable_checkpoint=-1,
             executed=tuple(make_entry(auths, seq) for seq in range(2)))
-        long = PoeViewChangeRequest(
+        long = ViewChangeRequest(
             view=0, replica_id="b", stable_checkpoint=-1,
             executed=tuple(make_entry(auths, seq) for seq in range(4)))
         prefix, kmax = longest_consecutive_prefix([short, long])
@@ -113,8 +113,8 @@ class TestNewViewSelection:
         assert sorted(prefix) == [0, 1, 2, 3]
 
     def test_empty_requests_yield_checkpoint(self, auths):
-        request = PoeViewChangeRequest(view=0, replica_id="a", stable_checkpoint=7,
-                                       executed=())
+        request = ViewChangeRequest(view=0, replica_id="a", stable_checkpoint=7,
+                                    executed=())
         prefix, kmax = longest_consecutive_prefix([request])
         assert prefix == {}
         assert kmax == 7
@@ -124,11 +124,11 @@ class TestNewViewSelection:
         entries must anchor kmax at 10 even when another request carries
         executed entries 0..3 — otherwise the new view would start (and
         roll replicas back) below a stable checkpoint."""
-        with_entries = PoeViewChangeRequest(
+        with_entries = ViewChangeRequest(
             view=0, replica_id="a", stable_checkpoint=-1,
             executed=tuple(make_entry(auths, seq) for seq in range(4)))
-        checkpointed = PoeViewChangeRequest(view=0, replica_id="b",
-                                            stable_checkpoint=10, executed=())
+        checkpointed = ViewChangeRequest(view=0, replica_id="b",
+                                         stable_checkpoint=10, executed=())
         prefix, kmax = longest_consecutive_prefix([with_entries, checkpointed])
         assert kmax == 10
         # The durable-but-reported entries stay available for lagging
@@ -139,13 +139,13 @@ class TestNewViewSelection:
         """Entries beyond the anchor must extend kmax, not be discarded: a
         request completed by nf replicas after the checkpoint would
         otherwise vanish from the new view (Proposition 5)."""
-        lagging = PoeViewChangeRequest(
+        lagging = ViewChangeRequest(
             view=0, replica_id="a", stable_checkpoint=-1,
             executed=tuple(make_entry(auths, seq) for seq in range(4)))
         ahead = tuple(make_entry(auths, seq) for seq in (11, 12))
         checkpointed = tuple(
-            PoeViewChangeRequest(view=0, replica_id=f"replica:{i}",
-                                 stable_checkpoint=10, executed=ahead)
+            ViewChangeRequest(view=0, replica_id=f"replica:{i}",
+                              stable_checkpoint=10, executed=ahead)
             for i in (1, 2)
         )
         prefix, kmax = longest_consecutive_prefix([lagging, *checkpointed])
@@ -155,11 +155,11 @@ class TestNewViewSelection:
 
     def test_checkpoint_anchor_does_not_shrink_longer_prefixes(self, auths):
         """Entries reaching beyond every stable checkpoint stay adopted."""
-        with_entries = PoeViewChangeRequest(
+        with_entries = ViewChangeRequest(
             view=0, replica_id="a", stable_checkpoint=-1,
             executed=tuple(make_entry(auths, seq) for seq in range(6)))
-        checkpointed = PoeViewChangeRequest(view=0, replica_id="b",
-                                            stable_checkpoint=2, executed=())
+        checkpointed = ViewChangeRequest(view=0, replica_id="b",
+                                         stable_checkpoint=2, executed=())
         prefix, kmax = longest_consecutive_prefix([with_entries, checkpointed])
         assert kmax == 5
         assert sorted(prefix) == [0, 1, 2, 3, 4, 5]
@@ -171,21 +171,21 @@ class TestNewViewSelection:
         entries = [make_entry(auths, seq) for seq in range(12)]
         for entry in entries:
             replica.commit_slot(entry.sequence, 0, entry.batch,
-                                proof=entry.certificate, now_ms=1.0,
+                                proof=entry.proof, now_ms=1.0,
                                 speculative=True)
-            replica._certified_log[entry.sequence] = entry
+            replica._log[entry.sequence] = entry
         assert replica.last_executed_sequence == 11
         requests = (
-            PoeViewChangeRequest(view=0, replica_id="replica:0",
-                                 stable_checkpoint=9, executed=()),
-            PoeViewChangeRequest(view=0, replica_id="replica:1",
-                                 stable_checkpoint=-1,
-                                 executed=tuple(entries[:2])),
-            PoeViewChangeRequest(view=0, replica_id="replica:2",
-                                 stable_checkpoint=-1,
-                                 executed=tuple(entries[:2])),
+            ViewChangeRequest(view=0, replica_id="replica:0",
+                              stable_checkpoint=9, executed=()),
+            ViewChangeRequest(view=0, replica_id="replica:1",
+                              stable_checkpoint=-1,
+                              executed=tuple(entries[:2])),
+            ViewChangeRequest(view=0, replica_id="replica:2",
+                              stable_checkpoint=-1,
+                              executed=tuple(entries[:2])),
         )
-        replica.deliver("replica:1", PoeNewView(new_view=1, requests=requests), 5.0)
+        replica.deliver("replica:1", NewView(new_view=1, requests=requests), 5.0)
         # Anchored at checkpoint 9: rolled back 11 -> 9, never to 1.
         assert replica.last_executed_sequence == 9
         assert replica.rollback_log == [(9, -1)]
@@ -195,8 +195,8 @@ class TestNewViewSelection:
         nf-sized set of view-change requests, so it is never lost."""
         executed_entries = tuple(make_entry(auths, seq) for seq in range(2))
         requests = [
-            PoeViewChangeRequest(view=0, replica_id=f"replica:{i}",
-                                 stable_checkpoint=-1, executed=executed_entries)
+            ViewChangeRequest(view=0, replica_id=f"replica:{i}",
+                              stable_checkpoint=-1, executed=executed_entries)
             for i in range(3)  # nf = 3 replicas executed and reported it
         ]
         prefix, kmax = longest_consecutive_prefix(requests)
@@ -213,9 +213,9 @@ def test_longest_prefix_property(lengths):
     requests = []
     for i, length in enumerate(lengths):
         entries = tuple(make_entry(auths, seq) for seq in range(length))
-        requests.append(PoeViewChangeRequest(view=0, replica_id=f"r{i}",
-                                             stable_checkpoint=-1,
-                                             executed=entries))
+        requests.append(ViewChangeRequest(view=0, replica_id=f"r{i}",
+                                          stable_checkpoint=-1,
+                                          executed=entries))
     prefix, kmax = longest_consecutive_prefix(requests)
     assert kmax == max(lengths) - 1
     assert sorted(prefix) == list(range(max(lengths)))
@@ -233,17 +233,17 @@ class TestRollback:
         entries = [make_entry(auths, seq) for seq in range(3)]
         for entry in entries:
             replica.commit_slot(entry.sequence, 0, entry.batch,
-                                proof=entry.certificate, now_ms=1.0, speculative=True)
-            replica._certified_log[entry.sequence] = entry
+                                proof=entry.proof, now_ms=1.0, speculative=True)
+            replica._log[entry.sequence] = entry
         assert replica.executed_batches == 3
         # The new view only covers sequences 0 and 1.
         requests = tuple(
-            PoeViewChangeRequest(view=0, replica_id=f"replica:{i}",
-                                 stable_checkpoint=-1,
-                                 executed=tuple(entries[:2]))
+            ViewChangeRequest(view=0, replica_id=f"replica:{i}",
+                              stable_checkpoint=-1,
+                              executed=tuple(entries[:2]))
             for i in range(3)
         )
-        new_view = PoeNewView(new_view=1, requests=requests)
+        new_view = NewView(new_view=1, requests=requests)
         replica.deliver("replica:1", new_view, 10.0)
         assert replica.view == 1
         assert replica.last_executed_sequence == 1
@@ -254,21 +254,21 @@ class TestRollback:
         """A replica that missed slots executes them from the NV-PROPOSE."""
         replica = self._replica(auths)
         entries = [make_entry(auths, seq) for seq in range(3)]
-        replica.commit_slot(0, 0, entries[0].batch, proof=entries[0].certificate,
+        replica.commit_slot(0, 0, entries[0].batch, proof=entries[0].proof,
                             now_ms=1.0, speculative=True)
         assert replica.executed_batches == 1
         requests = tuple(
-            PoeViewChangeRequest(view=0, replica_id=f"replica:{i}",
-                                 stable_checkpoint=-1, executed=tuple(entries))
+            ViewChangeRequest(view=0, replica_id=f"replica:{i}",
+                              stable_checkpoint=-1, executed=tuple(entries))
             for i in range(3)
         )
-        replica.deliver("replica:1", PoeNewView(new_view=1, requests=requests), 5.0)
+        replica.deliver("replica:1", NewView(new_view=1, requests=requests), 5.0)
         assert replica.last_executed_sequence == 2
         assert replica.executed_batches == 3
 
     def test_new_view_from_wrong_sender_ignored(self, auths):
         replica = self._replica(auths)
-        new_view = PoeNewView(new_view=1, requests=())
+        new_view = NewView(new_view=1, requests=())
         replica.deliver("replica:2", new_view, 1.0)  # primary of view 1 is replica:1
         assert replica.view == 0
 
@@ -282,15 +282,15 @@ class TestRollback:
         stale = make_entry(auths, 1, label="stale-view0-batch")
         # Slot 1 view-committed in view 0 but stuck behind the gap at 0.
         replica.commit_slot(stale.sequence, 0, stale.batch,
-                            proof=stale.certificate, now_ms=1.0, speculative=True)
+                            proof=stale.proof, now_ms=1.0, speculative=True)
         assert replica.last_executed_sequence == -1
         # The new view adopts a different slot-1 batch.
         requests = tuple(
-            PoeViewChangeRequest(view=0, replica_id=f"replica:{i}",
-                                 stable_checkpoint=-1, executed=tuple(entries))
+            ViewChangeRequest(view=0, replica_id=f"replica:{i}",
+                              stable_checkpoint=-1, executed=tuple(entries))
             for i in range(3)
         )
-        replica.deliver("replica:1", PoeNewView(new_view=1, requests=requests), 5.0)
+        replica.deliver("replica:1", NewView(new_view=1, requests=requests), 5.0)
         assert replica.last_executed_sequence == 1
         block = replica.blockchain.block_at(1)
         assert block.payload == entries[1].batch.batch_id
@@ -359,13 +359,13 @@ class TestViewChangeBackoff:
         # A successful view change resets the failure streak.
         entries = tuple(make_entry(auths, seq) for seq in range(1))
         requests = tuple(
-            PoeViewChangeRequest(view=replica.view, replica_id=f"replica:{i}",
-                                 stable_checkpoint=-1, executed=entries)
+            ViewChangeRequest(view=replica.view, replica_id=f"replica:{i}",
+                              stable_checkpoint=-1, executed=entries)
             for i in range(3)
         )
         new_view = replica.view + 1
         primary = f"replica:{new_view % 4}"
-        replica.deliver(primary, PoeNewView(new_view=new_view, requests=requests), 1.0)
+        replica.deliver(primary, NewView(new_view=new_view, requests=requests), 1.0)
         assert replica.view == new_view
         assert replica._vc_failed_attempts == 0
 

@@ -9,31 +9,35 @@ view-change request validation, collector-timer cancellation on
 rotation, commit-certificate anchoring — are unit-tested directly.
 """
 
+import ast
+import dataclasses
+import pickle
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core.view_change import reconcile_speculative_histories
 from repro.crypto.authenticator import make_authenticators
 from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
+from repro.fabric.registry import PROTOCOLS
 from repro.fabric.scenarios import ScenarioParams, run_scenario
 from repro.net.byzantine import ByzantineSpec
 from repro.protocols.base import NodeConfig
 from repro.protocols.client_messages import ClientReplyMessage
-from repro.protocols.sbft import (
-    SbftCertifiedSlot,
-    SbftNewView,
-    SbftReplica,
-    SbftViewChange,
-    sbft_proposal_digest,
+from repro.protocols.recovery import (
+    LogEntry,
+    NewView,
+    PrimaryBackupReplica,
+    ViewChangeRequest,
 )
+from repro.protocols.sbft import SbftReplica, sbft_proposal_digest
 from repro.protocols.zyzzyva import (
     ZyzzyvaCommitCertificate,
-    ZyzzyvaHistoryEntry,
-    ZyzzyvaNewView,
     ZyzzyvaOrderRequest,
     ZyzzyvaProofOfMisbehaviour,
     ZyzzyvaReplica,
-    ZyzzyvaViewChange,
     ZyzzyvaClientPool,
 )
 from repro.workload.transactions import make_no_op_batch
@@ -103,19 +107,127 @@ class TestFlippedMatrixCells:
 
 
 # --------------------------------------------------------------------------
+# The recovery wire format and the log behind it, as a layer property.
+# --------------------------------------------------------------------------
+
+#: Every registered protocol on the primary-backup layer (PoE in its three
+#: variants, PBFT, SBFT, Zyzzyva); a new one is covered by being registered.
+LAYER_PROTOCOLS = sorted(
+    name for name, spec in PROTOCOLS.items()
+    if issubclass(spec.replica_cls, PrimaryBackupReplica))
+
+
+@pytest.fixture(scope="module", params=LAYER_PROTOCOLS)
+def logged_cluster(request):
+    """A finished seven-batch run with a checkpoint every four slots: each
+    replica holds a stable checkpoint at 3 and three logged slots above it,
+    written by its own protocol's phases."""
+    cluster = Cluster(ClusterConfig(
+        protocol=request.param, num_replicas=4, batch_size=2, total_batches=7,
+        client_outstanding=1, checkpoint_interval=4, seed=5))
+    cluster.start()
+    cluster.run_until_done(max_ms=10_000.0)
+    cluster.run_for(20.0)  # let the last checkpoint votes land
+    return cluster
+
+
+class TestRecoveryWireFormat:
+    def test_the_two_recovery_rows_route_to_the_layer(self, logged_cluster):
+        table = type(logged_cluster.replicas[0])._DISPATCH_TABLE
+        recovery_rows = {message_cls: handler for message_cls, handler in table.items()
+                         if handler in ("handle_view_change_message",
+                                        "handle_new_view_message")}
+        assert recovery_rows == {ViewChangeRequest: "handle_view_change_message",
+                                 NewView: "handle_new_view_message"}
+        for handler in recovery_rows.values():
+            assert getattr(PrimaryBackupReplica, handler) is getattr(
+                type(logged_cluster.replicas[0]), handler)
+
+    def test_a_stable_checkpoint_leaves_only_the_slots_above_it(self, logged_cluster):
+        for replica in logged_cluster.replicas:
+            assert replica.checkpoints.stable_sequence == 3
+            assert sorted(replica._log) == [4, 5, 6]
+
+    def test_request_reports_the_log_above_the_stable_checkpoint(self, logged_cluster):
+        sender, receiver = logged_cluster.replicas[1], logged_cluster.replicas[2]
+        request = sender.build_view_change_request(0)
+        assert type(request) is ViewChangeRequest
+        assert (request.view, request.replica_id, request.stable_checkpoint) == (
+            0, sender.node_id, 3)
+        assert all(type(entry) is LogEntry for entry in request.executed)
+        assert [entry.sequence for entry in request.executed] == [4, 5, 6]
+        assert [entry.batch for entry in request.executed] == [
+            sender.executor.executed(sequence).batch for sequence in (4, 5, 6)]
+        # The protocol's own admission rule takes it as it is, and refuses
+        # it for another view or with a hole in the run.
+        assert receiver.validate_view_change_request_message(request, 0)
+        assert not receiver.validate_view_change_request_message(request, 1)
+        holed = dataclasses.replace(
+            request, executed=(request.executed[0], request.executed[2]))
+        assert not receiver.validate_view_change_request_message(holed, 0)
+
+    def test_messages_and_a_logging_replica_survive_pickling(self, logged_cluster):
+        replica = logged_cluster.replicas[1]
+        request = replica.build_view_change_request(0)
+        new_view = NewView(new_view=1, requests=(request,))
+        assert pickle.loads(pickle.dumps(request)) == request
+        assert pickle.loads(pickle.dumps(new_view)) == new_view
+        clone = pickle.loads(pickle.dumps(replica))
+        assert clone._log == replica._log and len(clone._log) == 3
+        assert clone.build_view_change_request(0) == request
+
+    def test_rollback_pops_the_reverted_slots(self, logged_cluster):
+        # On a copy: the fixture's cluster is shared by the whole class.
+        replica = pickle.loads(pickle.dumps(logged_cluster.replicas[3]))
+        replica.rollback_speculation(4, now_ms=100.0)
+        assert replica.last_executed_sequence == 4
+        assert sorted(replica._log) == [4]
+        assert [entry.sequence for entry in
+                replica.build_view_change_request(0).executed] == [4]
+
+
+def test_recovery_types_are_defined_only_by_the_layer():
+    """The fork must not quietly come back: no module but
+    ``protocols/recovery.py`` defines a class named like a view-change
+    request, a new-view or a log entry, or with the fields of one of the
+    two messages."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    named = re.compile(r"ViewChange|NewView|CertifiedEntry|ExecutedEntry"
+                       r"|CertifiedSlot|HistoryEntry|LogEntry")
+    shapes = ({"stable_checkpoint", "executed"}, {"new_view", "requests"})
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = {stmt.target.id for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)}
+            if named.search(node.name) or any(shape <= fields for shape in shapes):
+                found.add((path.relative_to(src).as_posix(), node.name))
+    assert found == {
+        ("repro/protocols/recovery.py", "LogEntry"),
+        ("repro/protocols/recovery.py", "ViewChangeRequest"),
+        ("repro/protocols/recovery.py", "NewView"),
+        # Figure 10's result record: a timeline, not a message.
+        ("repro/fabric/timeline.py", "ViewChangeTimeline"),
+    }
+
+
+# --------------------------------------------------------------------------
 # Zyzzyva history reconciliation (pure function).
 # --------------------------------------------------------------------------
 
 def _entry(sequence, label, view=0):
     batch = make_no_op_batch(label, "client:0", 2)
-    return ZyzzyvaHistoryEntry(sequence=sequence, view=view, batch=batch,
-                               history_digest=b"h%d" % sequence)
+    return LogEntry(sequence=sequence, view=view, batch=batch,
+                    digest=b"h%d" % sequence)
 
 
 def _request(replica, entries, checkpoint=-1, cc=None):
-    return ZyzzyvaViewChange(view=0, replica_id=replica,
+    return ViewChangeRequest(view=0, replica_id=replica,
                              stable_checkpoint=checkpoint,
-                             commit_certificate=cc, executed=tuple(entries))
+                             certificate=cc, executed=tuple(entries))
 
 
 class TestReconcileSpeculativeHistories:
@@ -212,9 +324,9 @@ class TestReconcileSpeculativeHistories:
         cc = ZyzzyvaCommitCertificate(
             batch_id="forged-b1", view=0, sequence=1, result_digest=b"r",
             responders=("replica:0", "replica:1", "replica:2"))
-        doubled = ZyzzyvaHistoryEntry(
+        doubled = LogEntry(
             sequence=1, view=0, batch=forged_entry.batch,
-            history_digest=b"h1", commit_certificate=cc)
+            digest=b"h1", proof=cc)
         requests = [_request("replica:1", [_entry(0, "b0"), doubled], cc=cc),
                     _request("replica:2", []), _request("replica:3", [])]
         from repro.core.view_change import (
@@ -249,9 +361,9 @@ class TestReconcileSpeculativeHistories:
         cc = ZyzzyvaCommitCertificate(
             batch_id="certified-b0", view=0, sequence=0, result_digest=b"r",
             responders=("replica:0", "replica:1", "replica:2"))
-        certified = ZyzzyvaHistoryEntry(
+        certified = LogEntry(
             sequence=0, view=0, batch=certified_batch.batch,
-            history_digest=b"h0", commit_certificate=cc)
+            digest=b"h0", proof=cc)
         conflicting = [_entry(0, "conflicting-b0")]
         requests = [_request("replica:0", [certified]),
                     _request("replica:1", [certified]),
@@ -261,7 +373,7 @@ class TestReconcileSpeculativeHistories:
         prefix, kmax = reconcile_speculative_histories(requests, f=1)
         assert kmax == 0
         assert prefix[0].batch.batch_id == "certified-b0"
-        assert prefix[0].commit_certificate is not None
+        assert prefix[0].proof is not None
 
     def test_forged_sub_anchor_entry_needs_certificate_or_support(self):
         """The Hellings & Rahnama corner: below the anchor a single forged
@@ -371,8 +483,7 @@ class TestZyzzyvaViewChange:
         assert replica.last_executed_sequence == 0
         adopted = [_entry(0, "forged-b0"), _entry(1, "forged-b1")]
         requests = tuple(_request(f"replica:{i}", adopted) for i in (1, 2, 3))
-        replica.deliver("replica:1", ZyzzyvaNewView(new_view=1, requests=requests),
-                        5.0)
+        replica.deliver("replica:1", NewView(new_view=1, requests=requests), 5.0)
         assert replica.view == 1
         assert replica.last_executed_sequence == 1
         assert replica.rolled_back_batches == 1
@@ -387,11 +498,9 @@ class TestZyzzyvaViewChange:
         batch = make_no_op_batch("b0", "client:0", 2)
         replica.deliver("replica:0", ZyzzyvaOrderRequest(
             view=0, sequence=0, batch=batch, history_digest=b"h0"), 1.0)
-        entry = ZyzzyvaHistoryEntry(sequence=0, view=0, batch=batch,
-                                    history_digest=b"h0")
+        entry = LogEntry(sequence=0, view=0, batch=batch, digest=b"h0")
         requests = tuple(_request(f"replica:{i}", [entry]) for i in (1, 2, 3))
-        replica.deliver("replica:1", ZyzzyvaNewView(new_view=1, requests=requests),
-                        5.0)
+        replica.deliver("replica:1", NewView(new_view=1, requests=requests), 5.0)
         assert replica.view == 1
         assert replica.rolled_back_batches == 0
         assert replica.rollback_log == []
@@ -405,7 +514,7 @@ class TestZyzzyvaViewChange:
         batch = make_no_op_batch("b0", "client:0", 2)
         replica.deliver("replica:0", ZyzzyvaOrderRequest(
             view=0, sequence=0, batch=batch, history_digest=b"h0"), 1.0)
-        replica.deliver("replica:1", ZyzzyvaNewView(new_view=1, requests=()), 5.0)
+        replica.deliver("replica:1", NewView(new_view=1, requests=()), 5.0)
         assert replica.view == 0
         assert replica.last_executed_sequence == 0
         assert replica.rolled_back_batches == 0
@@ -422,7 +531,7 @@ class TestZyzzyvaViewChange:
                           checkpoint=3)  # non-consecutive: inadmissible
         requests = tuple(_request(f"replica:{i}", shared) for i in (1, 2, 3))
         replica.deliver("replica:1",
-                        ZyzzyvaNewView(new_view=1, requests=requests + (forged,)),
+                        NewView(new_view=1, requests=requests + (forged,)),
                         5.0)
         assert replica.view == 1
         assert replica.last_executed_sequence == 0
@@ -438,7 +547,7 @@ class TestZyzzyvaViewChange:
         replica.deliver("replica:0", ZyzzyvaOrderRequest(
             view=0, sequence=0, batch=batch, history_digest=b"h0"), 1.0)
         forged = _request("replica:1", [_entry(0, "forged-b0")])
-        replica.deliver("replica:1", ZyzzyvaNewView(
+        replica.deliver("replica:1", NewView(
             new_view=1, requests=(forged, forged, forged)), 5.0)
         assert replica.view == 0                      # proposal rejected
         assert replica.rolled_back_batches == 0
@@ -453,7 +562,7 @@ class TestZyzzyvaViewChange:
         output = replica.deliver("client:0", pom, 1.0)
         assert replica.view_change_in_progress
         assert replica.proofs_of_misbehaviour_accepted == 1
-        assert any(isinstance(action.message, ZyzzyvaViewChange)
+        assert any(isinstance(action.message, ViewChangeRequest)
                    for action in output.broadcasts())
 
     @pytest.mark.parametrize("evidence", [
@@ -535,9 +644,8 @@ def _certified_slot(auths, sequence, view=0, label=None, certificate=None):
     if certificate is None:
         shares = [auths[rid].threshold_share(digest_h) for rid in REPLICAS[:3]]
         certificate = auths[REPLICAS[0]].threshold_aggregate(shares)
-    return SbftCertifiedSlot(sequence=sequence, view=view,
-                             proposal_digest=digest_h, batch=batch,
-                             certificate=certificate)
+    return LogEntry(sequence=sequence, view=view, digest=digest_h, batch=batch,
+                    proof=certificate)
 
 
 @pytest.fixture(scope="module")
@@ -546,44 +654,28 @@ def auths():
 
 
 class TestSbftViewChangeValidation:
-    def test_valid_request_accepted(self, auths):
-        replica = _sbft_replica(auths)
-        entries = tuple(_certified_slot(auths, seq) for seq in range(3))
-        request = SbftViewChange(view=0, replica_id="replica:1",
-                                 stable_checkpoint=-1, executed=entries)
-        assert replica.validate_view_change_request_message(request, 0)
-
-    def test_wrong_view_rejected(self, auths):
-        replica = _sbft_replica(auths)
-        request = SbftViewChange(view=2, replica_id="replica:1")
-        assert not replica.validate_view_change_request_message(request, 0)
-
-    def test_non_consecutive_entries_rejected(self, auths):
-        replica = _sbft_replica(auths)
-        entries = (_certified_slot(auths, 0), _certified_slot(auths, 2))
-        request = SbftViewChange(view=0, replica_id="replica:1",
-                                 stable_checkpoint=-1, executed=entries)
-        assert not replica.validate_view_change_request_message(request, 0)
+    """SBFT's per-entry rule; the walk around it is the layer's
+    (:class:`TestRecoveryWireFormat`)."""
 
     def test_forged_certificate_rejected(self, auths):
         """A commit proof from a different slot does not certify this one —
         the per-slot threshold signature is re-verified on admission."""
         replica = _sbft_replica(auths)
         other = _certified_slot(auths, 0, label="other-batch")
-        forged = _certified_slot(auths, 0, certificate=other.certificate,
+        forged = _certified_slot(auths, 0, certificate=other.proof,
                                  label="victim-batch")
-        request = SbftViewChange(view=0, replica_id="replica:1",
-                                 stable_checkpoint=-1, executed=(forged,))
+        request = ViewChangeRequest(view=0, replica_id="replica:1",
+                                    stable_checkpoint=-1, executed=(forged,))
         assert not replica.validate_view_change_request_message(request, 0)
 
     def test_missing_certificate_rejected(self, auths):
         replica = _sbft_replica(auths)
         entry = _certified_slot(auths, 0)
-        stripped = SbftCertifiedSlot(
-            sequence=0, view=0, proposal_digest=entry.proposal_digest,
-            batch=entry.batch, certificate=None)
-        request = SbftViewChange(view=0, replica_id="replica:1",
-                                 stable_checkpoint=-1, executed=(stripped,))
+        stripped = LogEntry(
+            sequence=0, view=0, digest=entry.digest,
+            batch=entry.batch, proof=None)
+        request = ViewChangeRequest(view=0, replica_id="replica:1",
+                                    stable_checkpoint=-1, executed=(stripped,))
         assert not replica.validate_view_change_request_message(request, 0)
 
 
@@ -597,16 +689,15 @@ class TestSbftViewChangeAdoption:
         stale = _certified_slot(auths, 1, label="stale-view0-batch")
         # Slot 1 committed in view 0 but stuck behind the gap at 0.
         replica.commit_slot(sequence=1, view=0, batch=stale.batch,
-                            proof=stale.certificate, now_ms=1.0)
+                            proof=stale.proof, now_ms=1.0)
         assert replica.last_executed_sequence == -1
         adopted = (_certified_slot(auths, 0, label="adopted-b0"),)
         requests = tuple(
-            SbftViewChange(view=0, replica_id=f"replica:{i}",
-                           stable_checkpoint=-1, executed=adopted)
+            ViewChangeRequest(view=0, replica_id=f"replica:{i}",
+                              stable_checkpoint=-1, executed=adopted)
             for i in (0, 1, 2)
         )
-        replica.deliver("replica:1", SbftNewView(new_view=1, requests=requests),
-                        5.0)
+        replica.deliver("replica:1", NewView(new_view=1, requests=requests), 5.0)
         assert replica.view == 1
         assert replica.last_executed_sequence == 0
         assert replica.blockchain.block_at(0).payload == "adopted-b0"
@@ -618,19 +709,19 @@ class TestSbftViewChangeAdoption:
         replica = _sbft_replica(auths, rid="replica:3")
         adopted = (_certified_slot(auths, 0, label="adopted-b0"),)
         other = _certified_slot(auths, 1, label="other-batch")
-        forged = SbftViewChange(
+        forged = ViewChangeRequest(
             view=0, replica_id="replica:0", stable_checkpoint=-1,
-            executed=adopted + (SbftCertifiedSlot(
-                sequence=1, view=0, proposal_digest=other.proposal_digest,
+            executed=adopted + (LogEntry(
+                sequence=1, view=0, digest=other.digest,
                 batch=make_no_op_batch("victim-batch", "client:0", 2),
-                certificate=other.certificate),))
+                proof=other.proof),))
         requests = tuple(
-            SbftViewChange(view=0, replica_id=f"replica:{i}",
-                           stable_checkpoint=-1, executed=adopted)
+            ViewChangeRequest(view=0, replica_id=f"replica:{i}",
+                              stable_checkpoint=-1, executed=adopted)
             for i in (1, 2, 3)
         )
         replica.deliver("replica:1",
-                        SbftNewView(new_view=1, requests=requests + (forged,)),
+                        NewView(new_view=1, requests=requests + (forged,)),
                         5.0)
         assert replica.view == 1
         assert replica.last_executed_sequence == 0
@@ -652,12 +743,12 @@ class TestSbftCollectorTimers:
         collector role rotated away."""
         replica = self._propose_one(auths)
         requests = tuple(
-            SbftViewChange(view=0, replica_id=f"replica:{i}",
-                           stable_checkpoint=-1, executed=())
+            ViewChangeRequest(view=0, replica_id=f"replica:{i}",
+                              stable_checkpoint=-1, executed=())
             for i in (1, 2, 3)
         )
         output = replica.deliver(
-            "replica:1", SbftNewView(new_view=1, requests=requests), 5.0)
+            "replica:1", NewView(new_view=1, requests=requests), 5.0)
         assert replica.view == 1
         assert replica._collector_timers == set()
         from repro.protocols.base import CancelTimer

@@ -135,7 +135,7 @@ class TestPrimaryBackupLayer:
     def test_stable_checkpoint_prunes_slots_accepted_and_log(self, auths, protocol):
         replica = self.build(auths, protocol)
         has_slots = bool(PRIMARY_BACKUP_LAYER[protocol][1])
-        log = getattr(replica, replica.VIEW_CHANGE_LOG)
+        log = replica._log
         for sequence in range(10):
             log[sequence] = object()
             for view in (0, 1):

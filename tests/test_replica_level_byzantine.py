@@ -20,8 +20,10 @@ from repro.crypto.authenticator import make_authenticators
 from repro.crypto.hashing import digest
 from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
+from repro.fabric.registry import get_spec
 from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams, run_scenario
 from repro.net.byzantine import (
+    Delivery,
     ForgedHistoryReplica,
     LyingCheckpointer,
     WrongExecutionReplica,
@@ -41,13 +43,13 @@ from repro.protocols.hotstuff import (
     HotStuffReplica,
     QuorumCertificate,
 )
+from repro.protocols.recovery import ViewChangeRequest
 from repro.protocols.replica_base import BatchingReplica
 from repro.protocols.zyzzyva import (
     ZyzzyvaCommitCertificate,
     ZyzzyvaLocalCommit,
     ZyzzyvaOrderRequest,
     ZyzzyvaReplica,
-    ZyzzyvaViewChange,
 )
 from repro.workload.transactions import make_no_op_batch
 
@@ -74,12 +76,26 @@ def run_cell(protocol, scenario, total_batches=10, seed=11, max_ms=60_000.0):
     return cluster, auditor
 
 
+def forger_on(auths, protocol, **options):
+    """A forger installed in replica 2 of a *protocol* deployment, and an
+    honest peer to judge what it sends."""
+    spec = get_spec(protocol)
+    config = NodeConfig(replica_ids=list(REPLICAS), batch_size=2)
+    forging, honest = (
+        spec.replica_cls(rid, config, auths[rid], **spec.replica_kwargs)
+        for rid in ("replica:2", "replica:1"))
+    behavior = ForgedHistoryReplica(**options)
+    behavior.bind("replica:2", REPLICAS, seed=5)
+    behavior.install(forging)
+    return behavior, honest
+
+
 def _old_reconcile(requests, f):
     """The pre-certificate reconciliation: bare plurality below the anchor."""
     anchor = -1
     for request in requests:
         anchor = max(anchor, request.stable_checkpoint)
-        certificate = getattr(request, "commit_certificate", None)
+        certificate = request.certificate
         if certificate is not None:
             anchor = max(anchor, certificate.sequence)
     support = {}
@@ -156,24 +172,32 @@ class TestBehaviourLayer:
         replica = cluster.network.node(replica_id(2))
         assert replica.commit_slot.__name__ == "wrong_commit_slot"
 
-    def test_forged_request_is_structurally_valid_and_deterministic(self):
-        def forge():
-            behavior = ForgedHistoryReplica()
-            behavior.bind("replica:2", REPLICAS, seed=5)
-            original = ZyzzyvaViewChange(
-                view=1, replica_id="replica:2", stable_checkpoint=4,
-                checkpoint_digest=b"d", executed=(),
-            )
-            return behavior._forge_zyzzyva_request(original)
-
-        first, second = forge(), forge()
-        assert first.stable_checkpoint == -1
-        assert first.commit_certificate is None
-        sequences = [entry.sequence for entry in first.executed]
-        assert sequences == list(range(len(sequences)))  # consecutive from 0
+    @pytest.mark.parametrize("protocol", ["poe-mac", "pbft", "zyzzyva"])
+    def test_forged_request_is_admissible_and_deterministic(self, auths, protocol):
+        """The forgery claims no checkpoint and a consecutive run from slot
+        0 whose entries carry the digest the replica's protocol recomputes
+        on admission: selection, not admission, has to defuse it."""
+        original = ViewChangeRequest(
+            view=1, replica_id="replica:2", stable_checkpoint=4,
+            checkpoint_digest=b"d", executed=())
+        behavior, honest = forger_on(auths, protocol)
+        first = behavior._forge_request(original)
+        second = forger_on(auths, protocol)[0]._forge_request(original)
+        assert first == second
+        assert (first.stable_checkpoint, first.checkpoint_digest,
+                first.certificate) == (-1, b"", None)
+        assert [entry.sequence for entry in first.executed] == [0, 1, 2, 3, 4]
         assert all(e.batch.batch_id.startswith("byzvc:") for e in first.executed)
-        assert [e.batch.digest() for e in first.executed] == \
-            [e.batch.digest() for e in second.executed]
+        assert honest.validate_view_change_request_message(first, 1)
+
+    def test_sbft_requests_go_out_as_they_are(self, auths):
+        """An SBFT entry needs a threshold commit proof a lone replica
+        cannot fabricate, so the forger leaves SBFT requests alone."""
+        original = ViewChangeRequest(view=0, replica_id="replica:2",
+                                     stable_checkpoint=4, executed=())
+        behavior, _ = forger_on(auths, "sbft")
+        out = behavior.transform([Delivery("replica:1", original)], 1.0)
+        assert [delivery.message for delivery in out] == [original]
 
     def test_wrong_execution_forges_exactly_one_slot(self):
         cluster, _ = run_cell("poe-mac", "wrong-exec")
@@ -394,17 +418,15 @@ class TestForgedHistory:
                 sequence=1, state_digest=replica._own_checkpoint_digests[1],
                 replica_id=voter), 2.0)
         assert replica.checkpoints.stable_sequence == 1
-        behavior = ForgedHistoryReplica(forge_certificates=True)
-        behavior.bind("replica:2", REPLICAS, seed=5)
-        forged = behavior._forge_zyzzyva_request(ZyzzyvaViewChange(
+        behavior, _ = forger_on(auths, "zyzzyva", forge_certificates=True)
+        forged = behavior._forge_request(ViewChangeRequest(
             view=0, replica_id="replica:2", stable_checkpoint=1, executed=()))
-        assert forged.executed[0].commit_certificate is not None
+        assert forged.executed[0].proof is not None
         assert not replica.validate_view_change_request_message(forged, 0)
         # Without the fabricated certificates the request is structurally
         # admissible — the sub-anchor support rule defuses it instead.
-        uncertified = ForgedHistoryReplica(forge_certificates=False)
-        uncertified.bind("replica:2", REPLICAS, seed=5)
-        plain = uncertified._forge_zyzzyva_request(ZyzzyvaViewChange(
+        uncertified, _ = forger_on(auths, "zyzzyva")
+        plain = uncertified._forge_request(ViewChangeRequest(
             view=0, replica_id="replica:2", stable_checkpoint=1, executed=()))
         assert replica.validate_view_change_request_message(plain, 0)
 
@@ -445,9 +467,9 @@ class TestZyzzyvaCertificateCarrying:
         replica.deliver("client:0", certificate, 2.0)
         request = replica.build_view_change_request(0)
         by_sequence = {entry.sequence: entry for entry in request.executed}
-        assert by_sequence[1].commit_certificate is not None
-        assert by_sequence[1].commit_certificate.batch_id == batches[1].batch_id
-        assert by_sequence[0].commit_certificate is None
+        assert by_sequence[1].proof is not None
+        assert by_sequence[1].proof.batch_id == batches[1].batch_id
+        assert by_sequence[0].proof is None
 
     def test_old_view_certificate_still_earns_local_commit(self, auths):
         """Regression (flushed out by the forge-history scenario): a view
