@@ -366,9 +366,14 @@ class PoeReplica(PrimaryBackupReplica):
             requests, f=self._f_plus_1 - 1,
             trust_certificates=self.scheme is SchemeKind.THRESHOLD)
         # Roll back to the last slot where this replica's execution agrees
-        # with the adopted prefix, and never keep speculation beyond it.
+        # with the adopted prefix, and never keep speculation beyond it —
+        # but never below the local stable checkpoint either: kmax is
+        # anchored at the *requests'* checkpoints, and under this replica's
+        # own the undo logs are pruned, so the ledger would be truncated
+        # over a store that cannot be reverted.
         self.rollback_speculation(
-            min(kmax, self.rollback_target(prefix, kmax)), now_ms)
+            max(self.checkpoints.stable_sequence,
+                min(kmax, self.rollback_target(prefix, kmax))), now_ms)
         self.evict_uncovered(prefix, kmax)
         self.commit_adopted(prefix, now_ms)
         return kmax

@@ -78,7 +78,8 @@ def buggy_adopt_new_view(self, proposal, requests, now_ms):
             rollback_target = max(sequence - 1,
                                   self.checkpoints.stable_sequence)
             break
-    self.rollback_speculation(min(kmax, rollback_target), now_ms)
+    self.rollback_speculation(
+        max(self.checkpoints.stable_sequence, min(kmax, rollback_target)), now_ms)
     # BUG (reverted fix): stale _committed slots are NOT evicted here.
     for sequence in sorted(prefix):
         if sequence <= self.last_executed_sequence:

@@ -13,6 +13,7 @@ from repro.crypto.authenticator import SchemeKind, make_authenticators
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.net.faults import FaultSchedule
 from repro.protocols.base import NodeConfig
+from repro.protocols.checkpoint import CheckpointMessage
 from repro.protocols.recovery import LogEntry, NewView, ViewChangeRequest
 from repro.workload.transactions import make_no_op_batch
 
@@ -189,6 +190,39 @@ class TestNewViewSelection:
         # Anchored at checkpoint 9: rolled back 11 -> 9, never to 1.
         assert replica.last_executed_sequence == 9
         assert replica.rollback_log == [(9, -1)]
+
+    def test_adoption_never_rolls_back_below_the_local_stable_checkpoint(self, auths):
+        """Regression: ``kmax`` is anchored at the *requests'* checkpoints,
+        so when this replica's own stable checkpoint is above all of them
+        the rollback target used to land under it — where the undo logs
+        are already pruned, so the ledger was truncated over a store that
+        could no longer be reverted."""
+        config = NodeConfig(replica_ids=list(REPLICAS), batch_size=2,
+                            execute_operations=True, checkpoint_interval=5)
+        replica = PoeReplica("replica:3", config, auths["replica:3"],
+                             scheme=SchemeKind.THRESHOLD)
+        entries = [make_entry(auths, seq) for seq in range(12)]
+        for entry in entries:
+            replica.commit_slot(entry.sequence, 0, entry.batch, proof=entry.proof,
+                                now_ms=1.0, speculative=True)
+            replica._log[entry.sequence] = entry
+        for voter in ("replica:0", "replica:1", "replica:2"):
+            replica.deliver(voter, CheckpointMessage(
+                sequence=9, state_digest=replica._own_checkpoint_digests[9],
+                replica_id=voter), 2.0)
+        assert replica.checkpoints.stable_sequence == 9
+        assert replica.executor.executed(9).undo == []  # pruned: irreversible
+        requests = tuple(
+            ViewChangeRequest(view=0, replica_id=f"replica:{i}",
+                              stable_checkpoint=-1, executed=tuple(entries[:2]))
+            for i in range(3)
+        )
+        replica.deliver("replica:1", NewView(new_view=1, requests=requests), 5.0)
+        assert replica.view == 1
+        assert replica.rollback_log == [(9, 9)]
+        assert all(target >= stable for target, stable in replica.rollback_log)
+        assert replica.last_executed_sequence == 9
+        assert replica.blockchain.head.sequence == 9
 
     def test_client_completed_request_always_survives(self, auths):
         """Proposition 5: a request executed by nf replicas appears in any
