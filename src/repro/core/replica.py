@@ -73,9 +73,15 @@ class _SlotState:
     certified: bool = False
     commit_votes: VoteSet = None
     commit_vote_sent: bool = False
+    committed: bool = False
 
     def open_tallies(self) -> Tuple[VoteSet, ...]:
-        return () if self.certified else (self.support_votes, self.commit_votes)
+        if not self.certified:
+            return (self.support_votes, self.commit_votes)
+        # Without speculation a certified slot casts its commit vote and
+        # goes on counting until it commits.
+        return ((self.commit_votes,)
+                if self.commit_vote_sent and not self.committed else ())
 
 
 class PoeReplica(PrimaryBackupReplica):
@@ -337,6 +343,7 @@ class PoeReplica(PrimaryBackupReplica):
             return
         if slot.commit_votes.count < self._nf_quorum:
             return
+        slot.committed = True
         self.commit_slot(sequence=sequence, view=view, batch=slot.batch,
                          proof=self._log.get(sequence),
                          now_ms=now_ms, speculative=False)

@@ -59,11 +59,17 @@ class TestDeferredMessages:
 
 
 #: protocol -> (proposal message class, [(slot tally, flags that close it)]).
+#: A tally stays open until the last of its flags is set.
 _POE_LAYER = (PoePropose, [("support_votes", ("certified",)),
                            ("commit_votes", ("certified",))])
 PRIMARY_BACKUP_LAYER = {
     "poe-mac": _POE_LAYER,
     "poe-ts": _POE_LAYER,
+    # Without speculation a certified slot votes to commit and keeps
+    # counting commit votes until it does.
+    "poe-nospec": (PoePropose, [
+        ("support_votes", ("certified",)),
+        ("commit_votes", ("certified", "commit_vote_sent", "committed"))]),
     "pbft": (PbftPrePrepare, [("prepare_votes", ("prepared",)),
                               ("commit_votes", ("prepared", "committed"))]),
     "sbft": (SbftPrePrepare, [("commit_shares", ("commit_proof_sent",)),
@@ -175,8 +181,11 @@ class TestPrimaryBackupLayer:
         tallies = PRIMARY_BACKUP_LAYER[protocol][1]
         for number, (tally_name, closing_flags) in enumerate(tallies):
             vote(replica._slot(0, number), tally_name)
-            closed = replica._slot(0, 10 + number)
+            closing, closed = replica._slot(0, 10 + number), replica._slot(0, 20 + number)
+            vote(closing, tally_name)
             vote(closed, tally_name)
+            for flag in closing_flags[:-1]:
+                setattr(closing, flag, True)
             for flag in closing_flags:
                 setattr(closed, flag, True)
         replica._vc_votes[0] = {evicted, "replica:1"}
@@ -188,10 +197,10 @@ class TestPrimaryBackupLayer:
                        removed=(evicted,), committed_at=1),
             (evicted,), now_ms=1.0)
         for number, (tally_name, _flags) in enumerate(tallies):
-            open_slot, closed = replica._slot(0, number), replica._slot(0, 10 + number)
-            assert not voted(open_slot, tally_name)
-            assert len(getattr(open_slot, tally_name)) == 1
-            assert voted(closed, tally_name)
+            for still_open in (replica._slot(0, number), replica._slot(0, 10 + number)):
+                assert not voted(still_open, tally_name)
+                assert len(getattr(still_open, tally_name)) == 1
+            assert voted(replica._slot(0, 20 + number), tally_name)
         assert replica._vc_votes[0] == {"replica:1"}
         assert list(replica._vc_requests[0]) == ["replica:1"]
         # n = 3 tolerates no fault: every quorum cache followed the epoch.
