@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional
 
-from repro.crypto.keys import KeyStore, generate_system_keys
+from repro.crypto.keys import generate_system_keys
 from repro.crypto.mac import MacAuthenticator, MacTag
 from repro.crypto.signatures import Signature, SignatureScheme, build_registry
 from repro.crypto.threshold import (
@@ -133,16 +133,3 @@ def make_authenticators(
             threshold_index=store.threshold_index,
         )
     return authenticators
-
-
-def make_keystore_authenticator(
-    keystore: KeyStore, registry: Dict[str, bytes]
-) -> Authenticator:
-    """Wrap an existing keystore into an :class:`Authenticator`."""
-    return Authenticator(
-        owner=keystore.owner,
-        mac=MacAuthenticator(keystore),
-        signatures=SignatureScheme(keystore, registry),
-        threshold=keystore.threshold,
-        threshold_index=keystore.threshold_index,
-    )

@@ -107,13 +107,12 @@ class ClusterConfig:
         checkpoint_interval: slots between checkpoints.
         conditions: network conditions (defaults to LAN).
         faults: fault schedule (defaults to none).
-        byzantine: optional active-misbehaviour spec: one replica whose
-            outgoing traffic is routed through a
-            :class:`~repro.net.byzantine.ByzantineBehavior`.
-        extra_byzantine: additional misbehaviour specs beyond ``byzantine``
-            (colluding adversaries need up to ``f`` corrupted replicas);
-            behaviours that declare ``wants_playbook`` are linked through
-            one shared :class:`~repro.net.byzantine.ColludingPlaybook`.
+        byzantine: active-misbehaviour specs, one per corrupted replica:
+            its outgoing traffic is routed through a
+            :class:`~repro.net.byzantine.ByzantineBehavior`.  A colluding
+            adversary lists up to ``f`` of them; behaviours that declare
+            ``wants_playbook`` are linked through one shared
+            :class:`~repro.net.byzantine.ColludingPlaybook`.
         reconfig: optional epoch-reconfiguration plan.  Each step injects
             a signed :class:`~repro.protocols.epoch.ReconfigRecord` into
             the ordering path at its scheduled time; joiner replicas are
@@ -142,8 +141,7 @@ class ClusterConfig:
     checkpoint_interval: int = 50
     conditions: Optional[NetworkConditions] = None
     faults: Optional[FaultSchedule] = None
-    byzantine: Optional[ByzantineSpec] = None
-    extra_byzantine: Tuple[ByzantineSpec, ...] = ()
+    byzantine: Tuple[ByzantineSpec, ...] = ()
     reconfig: Optional[ReconfigPlan] = None
     cost_model: Optional[CryptoCostModel] = None
     ycsb: Optional[YcsbConfig] = None
@@ -322,18 +320,12 @@ class Cluster:
             self.network.add_replica(replica)
 
     def _attach_byzantine(self) -> None:
-        specs: List[ByzantineSpec] = []
-        if self.config.byzantine is not None:
-            specs.append(self.config.byzantine)
-        specs.extend(self.config.extra_byzantine)
-        if not specs:
-            return
         replica_order = self.config.replica_ids() + self._joiner_ids
         behaviors = []
-        for offset, spec in enumerate(specs):
+        for offset, spec in enumerate(self.config.byzantine):
             node_id = replica_order[spec.replica_index]
             # The first spec keeps the historical seed so single-adversary
-            # rows reproduce byte-identically; extras get distinct streams.
+            # rows reproduce byte-identically; the others get distinct streams.
             seed = self.config.seed if offset == 0 \
                 else self.config.seed + 7919 * offset
             behaviors.append(attach_byzantine(
@@ -385,8 +377,10 @@ class Cluster:
         """Run the cluster for *duration_ms* of virtual time."""
         return self.network.run(until_ms=self.simulator.now + duration_ms)
 
-    def run_until_done(self, max_ms: float = 600_000.0,
-                       chunk_ms: float = 1_000.0) -> float:
+    #: Virtual time :meth:`run_until_done` runs between completion checks.
+    RUN_CHUNK_MS = 1_000.0
+
+    def run_until_done(self, max_ms: float = 600_000.0) -> float:
         """Run until every client pool completed its batch budget.
 
         Completion is only re-checked after a chunk that actually processed
@@ -401,7 +395,7 @@ class Cluster:
         while self.simulator.now < deadline:
             if check_completion and all(pool.is_done() for pool in self.pools):
                 break
-            next_stop = min(deadline, self.simulator.now + chunk_ms)
+            next_stop = min(deadline, self.simulator.now + self.RUN_CHUNK_MS)
             before = self.simulator.processed_events
             self.network.run(until_ms=next_stop)
             check_completion = self.simulator.processed_events != before

@@ -43,7 +43,6 @@ class ExperimentConfig:
         bandwidth_mbps: effective per-node uplink goodput; the primary's
             broadcast of standard-payload proposals is charged against it.
         request_timeout_ms: client/replica timeout.
-        cost_scale: global multiplier on crypto CPU costs.
         seed: RNG seed.
     """
 
@@ -58,7 +57,6 @@ class ExperimentConfig:
     latency_ms: float = 1.0
     bandwidth_mbps: float = 2000.0
     request_timeout_ms: float = 3000.0
-    cost_scale: float = 1.0
     seed: int = 1
 
     def describe(self) -> str:
@@ -85,7 +83,7 @@ def build_cluster(config: ExperimentConfig,
         bandwidth_mbps=config.bandwidth_mbps,
         seed=config.seed,
     )
-    model = cost_model or CryptoCostModel.cmac().scaled(config.cost_scale)
+    model = cost_model or CryptoCostModel.cmac()
     outstanding = config.client_outstanding if config.out_of_order else 1
     if not config.out_of_order and config.protocol == "hotstuff":
         # The paper allows HotStuff four outstanding requests because its

@@ -84,10 +84,6 @@ class RunResult:
     duration_ms: float
     metadata: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def avg_latency_s(self) -> float:
-        return self.avg_latency_ms / 1000.0
-
     def row(self) -> Dict[str, object]:
         """Flat dictionary for tabular reporting."""
         row = {

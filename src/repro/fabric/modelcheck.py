@@ -65,6 +65,13 @@ from repro.protocols.hotstuff import HotStuffReplica
 #: Version tag of the counterexample-trace JSON format.
 TRACE_SCHEMA = 1
 
+#: An exploration stops (``state bound hit``) after this many distinct states.
+MAX_STATES = 120_000
+
+#: Probability that an unordered hunt step prefers an enabled timer/crash
+#: transition over a delivery.
+HUNT_FAULT_BIAS = 0.5
+
 
 @dataclass(frozen=True)
 class ModelCheckConfig:
@@ -104,7 +111,6 @@ class ModelCheckConfig:
     byzantine_replica: int = 0
     seed: int = 11
     max_depth: int = 240
-    max_states: int = 120_000
     #: States where any replica's view exceeds this become leaves.  Timer
     #: chains make the view dimension unbounded (every timeout round can
     #: start another view change); real recovery needs at most a couple
@@ -224,10 +230,10 @@ def build_cluster(config: ModelCheckConfig) -> Tuple[Cluster, ControlledSchedule
     if config.crash_replica is not None:
         faults.add_crash(replica_id(config.crash_replica),
                          at_ms=config.crash_at_ms)
-    byzantine = None
+    byzantine = ()
     if config.byzantine_behavior is not None:
-        byzantine = ByzantineSpec(behavior=config.byzantine_behavior,
-                                  replica_index=config.byzantine_replica)
+        byzantine = (ByzantineSpec(behavior=config.byzantine_behavior,
+                                   replica_index=config.byzantine_replica),)
     scheduler = ControlledScheduler()
     cluster_config = ClusterConfig(
         protocol=config.protocol,
@@ -361,7 +367,7 @@ def explore(config: ModelCheckConfig, order: str = "dfs") -> ExploreResult:
         fingerprint = _state_fingerprint(cluster, choices)
         if fingerprint in visited:
             continue
-        if result.states_explored >= config.max_states:
+        if result.states_explored >= MAX_STATES:
             result.hit_state_bound = True
             break
         visited.add(fingerprint)
@@ -425,7 +431,7 @@ def explore(config: ModelCheckConfig, order: str = "dfs") -> ExploreResult:
     return result
 
 
-def check(config: ModelCheckConfig, minimize: bool = True) -> ExploreResult:
+def check(config: ModelCheckConfig) -> ExploreResult:
     """Explore depth-first; on violation, minimise the counterexample.
 
     Minimisation re-explores breadth-first with the depth capped at the
@@ -434,7 +440,7 @@ def check(config: ModelCheckConfig, minimize: bool = True) -> ExploreResult:
     cut short by the state bound, the DFS trace is kept.
     """
     result = explore(config, order="dfs")
-    if result.counterexample is None or not minimize:
+    if result.counterexample is None:
         return result
     found = result.counterexample
     if len(found.trace) > 1:
@@ -483,7 +489,7 @@ def _defer_key(label: Tuple) -> Optional[Tuple]:
 
 
 def hunt(config: ModelCheckConfig, walks: int = 500, walk_seed: int = 1,
-         fault_bias: float = 0.5, defer_p: float = 0.0, ordered: bool = False,
+         defer_p: float = 0.0, ordered: bool = False,
          max_steps: int = 400) -> HuntResult:
     """Randomized schedule exploration: seeded walks instead of DFS.
 
@@ -505,7 +511,7 @@ def hunt(config: ModelCheckConfig, walks: int = 500, walk_seed: int = 1,
       only by the deferral set — all randomness goes into *which* events
       are late, none into unrealistic shuffling of the rest;
     * with ``ordered=False`` events are sampled uniformly, preferring a
-      timer/crash transition with probability *fault_bias* whenever one
+      timer/crash transition with probability ``HUNT_FAULT_BIAS`` whenever one
       is enabled (bugs in recovery logic live where timeouts preempt
       deliveries).
 
@@ -555,7 +561,7 @@ def hunt(config: ModelCheckConfig, walks: int = 500, walk_seed: int = 1,
             else:
                 faults = [entry for entry in eligible
                           if entry[2][0] in ("timer", "crash", "recover")]
-                pool = faults if faults and rng.random() < fault_bias else eligible
+                pool = faults if faults and rng.random() < HUNT_FAULT_BIAS else eligible
                 seq, _time, label = pool[rng.randrange(len(pool))]
             trace.append((seq, label))
             scheduler.fire(seq)

@@ -105,12 +105,9 @@ PROTOCOLS: Dict[str, ProtocolSpec] = {
 }
 
 
-def protocol_names(include_mac_variant: bool = False) -> List[str]:
+def protocol_names() -> List[str]:
     """The protocol keys in the order the paper's figures list them."""
-    names = ["poe", "pbft", "sbft", "hotstuff", "zyzzyva"]
-    if include_mac_variant:
-        names.insert(1, "poe-mac")
-    return names
+    return ["poe", "pbft", "sbft", "hotstuff", "zyzzyva"]
 
 
 def get_spec(name: str) -> ProtocolSpec:

@@ -95,10 +95,9 @@ class ScenarioPlan:
     """
 
     faults: Optional[FaultSchedule] = None
-    byzantine: Optional[ByzantineSpec] = None
+    #: One spec per corrupted replica; a cabal lists its co-conspirators.
+    byzantine: Tuple[ByzantineSpec, ...] = ()
     conditions: Optional[NetworkConditions] = None
-    #: Cabal co-conspirators beyond the ``byzantine`` column.
-    extra_byzantine: Tuple[ByzantineSpec, ...] = ()
     reconfig: Optional[ReconfigPlan] = None
     num_replicas: Optional[int] = None
     total_batches: Optional[int] = None
@@ -170,7 +169,7 @@ def _equivocate(params: ScenarioParams):
     # The primary proposes conflicting batches to disjoint halves and
     # fabricates the dark half's votes under forged identities.
     return ScenarioPlan(
-        byzantine=ByzantineSpec(behavior="equivocate-spoof", replica_index=0))
+        byzantine=(ByzantineSpec(behavior="equivocate-spoof", replica_index=0),))
 
 
 @register_scenario("partition-heal", "f replicas partitioned away, then healed", tier="core")
@@ -203,10 +202,10 @@ def _forge_history(params: ScenarioParams):
     window_ms = params.request_timeout_ms * 1.5
     faults = FaultSchedule().add_partition(rest, lagging,
                                            at_ms=0.0, until_ms=window_ms)
-    return ScenarioPlan(faults=faults, byzantine=ByzantineSpec(
+    return ScenarioPlan(faults=faults, byzantine=(ByzantineSpec(
         behavior="forge-history", replica_index=2,
         options={"pom_at_ms": window_ms},
-    ))
+    ),))
 
 
 @register_scenario("lying-checkpoint", "backup poisons state transfers and fabricates checkpoints", tier="core")
@@ -216,8 +215,8 @@ def _lying_checkpoint(params: ScenarioParams):
     # dark replica guarantees real transfer traffic exists to poison.
     dark = [params.replica(params.num_replicas - 1)]
     faults = FaultSchedule().add_dark_replicas(params.replica(0), dark)
-    return ScenarioPlan(faults=faults, byzantine=ByzantineSpec(
-        behavior="lying-checkpoint", replica_index=1))
+    return ScenarioPlan(faults=faults, byzantine=(ByzantineSpec(
+        behavior="lying-checkpoint", replica_index=1),))
 
 
 @register_scenario("wrong-exec", "backup executes a fabricated batch and must resync", tier="core")
@@ -226,7 +225,7 @@ def _wrong_exec(params: ScenarioParams):
     # same height as the quorum, divergent state — and must detect the
     # stable checkpoint contradicting its own digest and resync.
     return ScenarioPlan(
-        byzantine=ByzantineSpec(behavior="wrong-exec", replica_index=2))
+        byzantine=(ByzantineSpec(behavior="wrong-exec", replica_index=2),))
 
 
 @register_scenario("adaptive-primary", "adversary re-targets whoever is primary now", tier="adaptive")
@@ -237,12 +236,12 @@ def _adaptive_primary(params: ScenarioParams):
     # honest replicas suspect the isolated primary, short enough that the
     # deposed primary rejoins as a backup), and the attack budget is two
     # primaries, so the third view's primary runs unmolested.
-    return ScenarioPlan(byzantine=ByzantineSpec(
+    return ScenarioPlan(byzantine=(ByzantineSpec(
         behavior="adaptive-primary", replica_index=2,
         options={"mode": "partition",
                  "window_ms": params.request_timeout_ms * 1.5,
                  "max_targets": 2},
-    ))
+    ),))
 
 
 @register_scenario("checkpoint-equivocate", "equivocation aimed at checkpoint boundaries", tier="adaptive")
@@ -251,9 +250,9 @@ def _checkpoint_equivocate(params: ScenarioParams):
     # each checkpoint boundary — the exact window where a divergent batch
     # would be laundered into a stable checkpoint if checkpoint votes did
     # not require f + 1 matching digests.
-    return ScenarioPlan(byzantine=ByzantineSpec(
+    return ScenarioPlan(byzantine=(ByzantineSpec(
         behavior="checkpoint-equivocate", replica_index=0,
-        options={"window": 2}))
+        options={"window": 2}),))
 
 
 @register_scenario("timeout-stall", "quorum-critical view-change vote withheld to the deadline", tier="adaptive")
@@ -265,8 +264,8 @@ def _timeout_stall(params: ScenarioParams):
     # recovery is delayed by almost a full retry period but must still
     # complete (the stall budget is bounded).
     faults = FaultSchedule.primary_crash(params.replica(0), at_ms=2.0)
-    return ScenarioPlan(faults=faults, byzantine=ByzantineSpec(
-        behavior="timeout-stall", replica_index=2))
+    return ScenarioPlan(faults=faults, byzantine=(ByzantineSpec(
+        behavior="timeout-stall", replica_index=2),))
 
 
 @register_scenario("churn", "bounded leave/rejoin membership churn", tier="reconfig")
@@ -349,10 +348,10 @@ def _forge_history_vc(params: ScenarioParams):
     faults = (FaultSchedule()
               .add_partition(rest, lagging, at_ms=0.0, until_ms=window_ms)
               .add_crash(params.replica(0), at_ms=window_ms))
-    return ScenarioPlan(faults=faults, byzantine=ByzantineSpec(
+    return ScenarioPlan(faults=faults, byzantine=(ByzantineSpec(
         behavior="forge-history", replica_index=2,
         options={"pom_at_ms": window_ms},
-    ))
+    ),))
 
 
 
@@ -424,8 +423,8 @@ def _colluding_equivocate(params: ScenarioParams):
     # forked slot would have to be laundered through.  n = 7 keeps the
     # two-member cabal within f = 2.
     return ScenarioPlan(
-        byzantine=ByzantineSpec(behavior="colluding-equivocate", replica_index=0),
-        extra_byzantine=(
+        byzantine=(
+            ByzantineSpec(behavior="colluding-equivocate", replica_index=0),
             ByzantineSpec(behavior="colluding-parker", replica_index=2),
         ),
         num_replicas=max(params.num_replicas, 7),
@@ -441,12 +440,11 @@ def _colluding_reconfig_abuse(params: ScenarioParams):
     # the unsafe record (journalling why) yet still order and activate
     # the legitimate grow that follows.
     n = max(params.num_replicas, 7)
-    byz = ByzantineSpec(behavior="colluding-reconfig-abuse", replica_index=0,
-                        options={"at_ms": 4.0})
     plan = ReconfigPlan(steps=(ReconfigStep(at_ms=10.0, add=(n, n + 1)),))
     return ScenarioPlan(
-        byzantine=byz,
-        extra_byzantine=(
+        byzantine=(
+            ByzantineSpec(behavior="colluding-reconfig-abuse", replica_index=0,
+                          options={"at_ms": 4.0}),
             ByzantineSpec(behavior="colluding-parker", replica_index=2,
                           options={"poison": True}),
         ),
@@ -601,7 +599,6 @@ def _cluster_config(protocol: str, plan: ScenarioPlan, params: ScenarioParams,
         conditions=plan.conditions,
         faults=plan.faults,
         byzantine=plan.byzantine,
-        extra_byzantine=plan.extra_byzantine,
         reconfig=plan.reconfig,
         seed=params.seed,
     )
@@ -613,25 +610,28 @@ def sharded_cluster_config(protocol: str, sdef: ShardedScenarioDef,
 
     Every shard runs *protocol*; per-shard recipes come from the
     single-group registry, re-run under the shard's namespace.  A shard
-    takes a recipe's fault schedule and its one Byzantine spec; a recipe
-    that asks for anything else is rejected rather than run truncated.
+    takes a recipe's fault schedule and one Byzantine spec; a recipe that
+    asks for anything else is rejected rather than run truncated.
     """
     shard_faults: Dict[int, FaultSchedule] = {}
     shard_byzantine: Dict[int, ByzantineSpec] = {}
     for shard, recipe_name in sdef.per_shard:
         shard_params = dataclasses.replace(params, namespace=f"s{shard}/")
         plan = SCENARIO_DEFS[recipe_name].recipe(shard_params)
-        for unsupported in ("conditions", "extra_byzantine", "reconfig",
-                            "num_replicas", "total_batches"):
-            if getattr(plan, unsupported):
-                raise ValueError(
-                    f"sharded scenario {sdef.name!r}: per-shard recipe "
-                    f"{recipe_name!r} sets {unsupported}, which a shard cannot "
-                    f"take (only faults and byzantine apply per shard)")
+        unsupported = ("more than one byzantine spec"
+                       if len(plan.byzantine) > 1 else next(
+                           (name for name in ("conditions", "reconfig",
+                                              "num_replicas", "total_batches")
+                            if getattr(plan, name)), None))
+        if unsupported:
+            raise ValueError(
+                f"sharded scenario {sdef.name!r}: per-shard recipe "
+                f"{recipe_name!r} sets {unsupported}, which a shard cannot "
+                f"take (only faults and one byzantine spec apply per shard)")
         if plan.faults is not None:
             shard_faults[shard] = plan.faults
-        if plan.byzantine is not None:
-            shard_byzantine[shard] = plan.byzantine
+        if plan.byzantine:
+            shard_byzantine[shard] = plan.byzantine[0]
     hub_faults = None
     if sdef.coordinator_crash_at_ms is not None:
         hub_faults = FaultSchedule().add_crash(
@@ -881,9 +881,12 @@ def soak_params(steps: int, seed: int = 11) -> ScenarioParams:
                           max_ms=600_000.0, seed=seed)
 
 
+#: Snapshots a soak run takes, evenly spaced over its batch budget.
+SOAK_SAMPLES = 5
+
+
 def run_soak(protocol: str, scenario: str = "no-fault", steps: int = 2000,
-             params: Optional[ScenarioParams] = None,
-             num_samples: int = 5) -> SoakReport:
+             params: Optional[ScenarioParams] = None) -> SoakReport:
     """Run *steps* batches, sampling bookkeeping sizes along the way.
 
     The samples let callers assert that every tracked map is bounded by
@@ -903,7 +906,7 @@ def run_soak(protocol: str, scenario: str = "no-fault", steps: int = 2000,
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()
-    marks = [steps * (i + 1) // num_samples for i in range(num_samples)]
+    marks = [steps * (i + 1) // SOAK_SAMPLES for i in range(SOAK_SAMPLES)]
     samples: List[SoakSample] = []
 
     def snapshot() -> None:

@@ -423,6 +423,7 @@ def _pool_source(config: ShardedClusterConfig, pid: str):
 
 
 def _shard_cluster_config(config: ShardedClusterConfig, shard: int) -> ClusterConfig:
+    byzantine = config.shard_byzantine.get(shard)
     return ClusterConfig(
         protocol=config.protocol_for(shard),
         num_replicas=config.num_replicas,
@@ -435,7 +436,7 @@ def _shard_cluster_config(config: ShardedClusterConfig, shard: int) -> ClusterCo
         checkpoint_interval=config.checkpoint_interval,
         conditions=_shard_conditions(config, shard),
         faults=config.shard_faults.get(shard),
-        byzantine=config.shard_byzantine.get(shard),
+        byzantine=(byzantine,) if byzantine else (),
         ycsb=_ycsb_config(config),
         seed=config.seed,
         namespace=f"s{shard}/",

@@ -78,10 +78,6 @@ class SpeculativeExecutor:
         self._pruned_through = -1
 
     # -- inspection --------------------------------------------------------------
-    @property
-    def executed_sequences(self) -> List[int]:
-        return sorted(self._executed)
-
     def executed(self, sequence: int) -> Optional[ExecutedBatch]:
         return self._executed.get(sequence)
 

@@ -371,15 +371,17 @@ class PrimaryTargeter(AdaptiveBehavior):
     primary makes progress.
     """
 
+    #: No attack before this much virtual time has passed.
+    INITIAL_DELAY_MS = 10.0
+
     def __init__(self, mode: str = "partition", window_ms: float = 60.0,
-                 max_targets: int = 2, initial_delay_ms: float = 10.0) -> None:
+                 max_targets: int = 2) -> None:
         super().__init__()
         if mode not in ("partition", "crash"):
             raise ValueError(f"unknown PrimaryTargeter mode {mode!r}")
         self.mode = mode
         self.window_ms = window_ms
         self.max_targets = max_targets
-        self.initial_delay_ms = initial_delay_ms
         self.attacked: List[str] = []
 
     def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
@@ -389,7 +391,7 @@ class PrimaryTargeter(AdaptiveBehavior):
     def _maybe_attack(self, now_ms: float) -> None:
         if self.network is None or len(self.attacked) >= self.max_targets:
             return
-        if now_ms < self.initial_delay_ms:
+        if now_ms < self.INITIAL_DELAY_MS:
             return
         primary = self.observed_primary()
         if not primary or primary == self.node_id or primary in self.attacked:
@@ -467,9 +469,8 @@ class TimeoutStaller(AdaptiveBehavior):
 
     def _stall_delay(self) -> float:
         replica = self.replica
-        attempts = getattr(replica, "_vc_failed_attempts", 0)
-        cap = getattr(replica, "VC_BACKOFF_CAP", 5)
-        backoff = replica.config.request_timeout_ms * 2 * (2 ** min(attempts, cap))
+        backoff = replica.config.request_timeout_ms * 2 * (
+            2 ** min(replica._vc_failed_attempts, replica.VC_BACKOFF_CAP))
         return max(0.0, backoff - self.lead_ms)
 
     def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
@@ -478,10 +479,9 @@ class TimeoutStaller(AdaptiveBehavior):
         message = deliveries[0].message
         if not isinstance(message, ViewChangeRequest):
             return deliveries
-        view = message.view
-        if view in self._stalled_views or self.stalls >= self.max_stalls:
+        if message.view in self._stalled_views or self.stalls >= self.max_stalls:
             return deliveries
-        self._stalled_views.add(view)
+        self._stalled_views.add(message.view)
         self.stalls += 1
         extra = self._stall_delay()
         if extra <= 0.0:
@@ -566,7 +566,7 @@ class ColludingEquivocator(EquivocatingPrimary, ColludingBehavior):
     change strips it of the seat, so its forged traffic is pure noise
     that unmasks it.  The playbook rule is tighter: fork a slot only
     while the primary this conspirator's own replica observes is a
-    cabal member (usually itself), and only for the first ``max_slots``
+    cabal member (usually itself), and only for the first ``MAX_SLOTS``
     forged slots — after the budget the cabal goes permanently covert
     and the cell terminates with honest progress.  A slot already forged
     stays forked for its retransmissions; flipping back mid-slot would
@@ -574,9 +574,10 @@ class ColludingEquivocator(EquivocatingPrimary, ColludingBehavior):
     message.
     """
 
-    def __init__(self, spoof_votes: bool = False, max_slots: int = 6) -> None:
+    MAX_SLOTS = 6
+
+    def __init__(self, spoof_votes: bool = False) -> None:
         super().__init__(spoof_votes=spoof_votes)
-        self.max_slots = max_slots
 
     def _slot_key(self, message: Message) -> Tuple[int, int]:
         if isinstance(message, HotStuffProposal):
@@ -586,7 +587,7 @@ class ColludingEquivocator(EquivocatingPrimary, ColludingBehavior):
     def _equivocation_active(self, message: Message) -> bool:
         if self._slot_key(message) in self._forged:
             return True
-        if len(self._forged) >= self.max_slots:
+        if len(self._forged) >= self.MAX_SLOTS:
             return False
         return self.cabal_holds_seat()
 
@@ -602,7 +603,7 @@ class ColludingVoteParker(ColludingBehavior):
     when (a) the replica's own epoch machinery arms a pending activation
     — the epoch-activation window, where a stale boundary vote is most
     likely to be miscounted against the wrong membership — (b) the cabal
-    loses the seat (staying covert), or (c) ``max_park_ms`` passes,
+    loses the seat (staying covert), or (c) ``MAX_PARK_MS`` passes,
     bounding the stall so every cell terminates.
 
     With ``poison=True`` each release also fabricates a corrupted
@@ -612,12 +613,12 @@ class ColludingVoteParker(ColludingBehavior):
     re-validation, not a liveness attack.
     """
 
-    def __init__(self, poison: bool = False, max_park_ms: float = 120.0,
-                 max_parked: int = 12) -> None:
+    MAX_PARK_MS = 120.0
+    MAX_PARKED = 12
+
+    def __init__(self, poison: bool = False) -> None:
         super().__init__()
         self.poison = poison
-        self.max_park_ms = max_park_ms
-        self.max_parked = max_parked
         self.released = 0
         self._parked: List[Tuple[float, Delivery]] = []
 
@@ -628,7 +629,7 @@ class ColludingVoteParker(ColludingBehavior):
             return True  # the epoch-activation window is open
         if not self.cabal_holds_seat():
             return True
-        return now_ms - self._parked[0][0] >= self.max_park_ms
+        return now_ms - self._parked[0][0] >= self.MAX_PARK_MS
 
     def _poisoned(self, message: CheckpointMessage) -> CheckpointMessage:
         return dataclasses.replace(
@@ -648,7 +649,7 @@ class ColludingVoteParker(ColludingBehavior):
             self.released += len(self._parked)
             self._parked.clear()
         parking = (self.cabal_holds_seat()
-                   and len(self._parked) < self.max_parked)
+                   and len(self._parked) < self.MAX_PARKED)
         for delivery in deliveries:
             if parking and isinstance(delivery.message, CheckpointMessage):
                 self._parked.append((now_ms, delivery))
@@ -743,32 +744,32 @@ class MessageDelayer(ByzantineBehavior):
 class MessageReplayer(ByzantineBehavior):
     """Replays previously sent messages alongside the live traffic.
 
-    Every ``replay_every``-th fan-out additionally re-sends one message
+    Every ``REPLAY_EVERY``-th fan-out additionally re-sends one message
     drawn deterministically from a bounded history.  Honest protocols must
     treat duplicates idempotently (vote sets, seen-batch sets), so replay
     alone should never violate safety — the auditor verifies that.
     """
 
-    def __init__(self, replay_every: int = 4, history: int = 64,
-                 replay_delay_ms: float = 5.0) -> None:
+    REPLAY_EVERY = 4
+    REPLAY_DELAY_MS = 5.0
+    HISTORY = 64
+
+    def __init__(self) -> None:
         super().__init__()
-        self.replay_every = max(1, replay_every)
-        self.history = max(1, history)
-        self.replay_delay_ms = replay_delay_ms
         self._sent: List[Delivery] = []
         self._fanouts = 0
 
     def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
         out = list(deliveries)
         self._fanouts += 1
-        if self._sent and self._fanouts % self.replay_every == 0:
+        if self._sent and self._fanouts % self.REPLAY_EVERY == 0:
             victim = self._sent[self.rng.randrange(len(self._sent))]
             out.append(Delivery(victim.receiver, victim.message,
-                                self.replay_delay_ms))
+                                self.REPLAY_DELAY_MS))
         for delivery in deliveries:
             self._sent.append(delivery)
-        if len(self._sent) > self.history:
-            del self._sent[: len(self._sent) - self.history]
+        if len(self._sent) > self.HISTORY:
+            del self._sent[: len(self._sent) - self.HISTORY]
         return out
 
 
@@ -856,12 +857,14 @@ class ForgedHistoryReplica(ByzantineBehavior):
     slot), so certificate-carrying admission rejects the whole request.
     """
 
+    #: Longest fabricated run, in slots.
+    DEPTH = 64
+
     def __init__(self, forge_certificates: bool = False,
-                 pom_at_ms: float = 40.0, depth: int = 64) -> None:
+                 pom_at_ms: float = 40.0) -> None:
         super().__init__()
         self.forge_certificates = forge_certificates
         self.pom_at_ms = pom_at_ms
-        self.depth = depth
         self.replica = None
         self._pom_sent = False
 
@@ -880,23 +883,19 @@ class ForgedHistoryReplica(ByzantineBehavior):
         )
 
     def _forge_request(self, message: ViewChangeRequest) -> ViewChangeRequest:
-        """Replace the request's history with a fabricated run from slot 0.
+        """*message* with a fabricated run from slot 0 in place of its history.
 
-        Honest requests only carry entries *above* their own stable
-        checkpoint, so a request claiming ``stable_checkpoint = -1`` with a
-        consecutive run from slot 0 is the unique witness for every
-        sub-anchor slot — a first-writer-wins new-view union would adopt
-        it wholesale; support-ranked selection must not.  Each forged
-        entry binds its batch to its slot the way the replica's protocol
-        does (Zyzzyva's history chain, PBFT's PRE-PREPARE digest, PoE's
-        proposal digest), so it passes the digest recomputation on
-        admission.  An SBFT entry needs a threshold commit proof no lone
-        replica can fabricate: its requests go out as they are.
+        Each forged entry binds its batch to its slot the way the replica's
+        protocol does (Zyzzyva's history chain, PBFT's PRE-PREPARE digest,
+        PoE's proposal digest), so it passes the digest recomputation on
+        admission and it is selection that has to outvote it.  An SBFT
+        entry needs a threshold commit proof no lone replica can fabricate:
+        SBFT requests go out as they are.
         """
         replica = self.replica
         if isinstance(replica, SbftReplica):
             return message
-        top = min(self.depth,
+        top = min(self.DEPTH,
                   max(message.stable_checkpoint + len(message.executed), 0))
         entries = []
         history = digest("zyzzyva-history", "genesis")
@@ -966,7 +965,7 @@ class LyingCheckpointer(ByzantineBehavior):
       request with fabricated state;
     * alongside each of its own checkpoint broadcasts it pushes an
       **unsolicited** fabricated response to every peer, claiming a
-      checkpoint ``lie_ahead`` slots in the future: a receiver that
+      checkpoint ``LIE_AHEAD`` slots in the future: a receiver that
       installs unvalidated transfers fast-forwards onto a state the
       system never reached and silently skips the real slots in between
       (the auditor's ``unvouched-state-transfer`` check pins this down).
@@ -976,9 +975,10 @@ class LyingCheckpointer(ByzantineBehavior):
     the victim re-requests from the honest membership.
     """
 
-    def __init__(self, lie_ahead: int = 10) -> None:
+    LIE_AHEAD = 10
+
+    def __init__(self) -> None:
         super().__init__()
-        self.lie_ahead = lie_ahead
         self._poisoned_sequences: Set[int] = set()
 
     def _poison(self, message: StateTransferResponse) -> StateTransferResponse:
@@ -1005,7 +1005,7 @@ class LyingCheckpointer(ByzantineBehavior):
             if isinstance(message, StateTransferResponse):
                 message = self._poison(message)
             elif isinstance(message, CheckpointMessage):
-                claimed = message.sequence + self.lie_ahead
+                claimed = message.sequence + self.LIE_AHEAD
                 if claimed not in self._poisoned_sequences:
                     self._poisoned_sequences.add(claimed)
                     for receiver in sorted(r for r in self.replica_ids
@@ -1021,7 +1021,7 @@ class WrongExecutionReplica(ByzantineBehavior):
     """A replica that executes a divergent batch at one consensus slot.
 
     The replica's network behaviour stays honest; :meth:`install` wraps
-    its ``commit_slot`` so that exactly one slot (``target_slot``) commits
+    its ``commit_slot`` so that exactly one slot (``TARGET_SLOT``) commits
     a fabricated batch in place of the agreed one.  From then on its
     ledger, replies and checkpoint digests diverge while its *height*
     matches the quorum — the case the checkpoint layer historically could
@@ -1031,9 +1031,10 @@ class WrongExecutionReplica(ByzantineBehavior):
     the divergent suffix and resyncs onto the quorum state.
     """
 
-    def __init__(self, target_slot: int = 2) -> None:
+    TARGET_SLOT = 2
+
+    def __init__(self) -> None:
         super().__init__()
-        self.target_slot = target_slot
         self.forged_executions = 0
 
     def install(self, replica) -> None:
@@ -1042,7 +1043,7 @@ class WrongExecutionReplica(ByzantineBehavior):
 
         def wrong_commit_slot(sequence, view, batch, proof=None, now_ms=0.0,
                               speculative=False):
-            if (sequence == behavior.target_slot and batch is not None
+            if (sequence == behavior.TARGET_SLOT and batch is not None
                     and behavior.forged_executions == 0
                     and sequence > replica.last_executed_sequence):
                 behavior.forged_executions += 1

@@ -164,11 +164,6 @@ class NetworkConditions:
         return cls(latency_ms=0.5, jitter_ms=0.05, bandwidth_mbps=2000.0, seed=seed)
 
     @classmethod
-    def wan(cls, latency_ms: float = 40.0, seed: int = 1) -> "NetworkConditions":
-        """Wide-area conditions used by the Figure 11 style experiments."""
-        return cls(latency_ms=latency_ms, jitter_ms=0.5, bandwidth_mbps=1000.0, seed=seed)
-
-    @classmethod
     def uniform_delay(cls, delay_ms: float, seed: int = 1) -> "NetworkConditions":
         """Fixed delay, no jitter, no bandwidth limit (pure Figure 11 model)."""
         return cls(latency_ms=delay_ms, jitter_ms=0.0, bandwidth_mbps=None,

@@ -249,35 +249,36 @@ class NodeConfig:
         request_timeout_ms: client/replica timeout before suspecting the
             primary (the paper uses 3 s in the cloud experiments).
         checkpoint_interval: consensus slots between checkpoints.
-        base_processing_ms: fixed CPU cost for handling any message
-            (queueing, deserialisation) — models the RESILIENTDB pipeline.
-        execution_ms_per_txn: modelled CPU cost of executing one YCSB
-            transaction.
         execute_operations: if ``True`` the replica really applies
             transactions to its key-value store (tests, examples); if
             ``False`` execution is cost-modelled only (large benchmarks).
         out_of_order: whether the primary may propose slot ``k+1`` before
             slot ``k`` finished (the paper's out-of-order processing).
-        max_in_flight: cap on concurrently open slots when out-of-order
-            processing is enabled (PBFT's watermark window).
-        payload_bytes_per_txn: serialized size contribution of one request
-            in a PROPOSE-like message.
-        reply_bytes_per_txn: serialized size contribution of one request
-            in an INFORM/REPLY-like message.
+
+    The cost model's constants are class attributes, not fields: no
+    deployment sets them.
     """
 
     replica_ids: Sequence[str]
     batch_size: int = 100
     request_timeout_ms: float = 3000.0
     checkpoint_interval: int = 100
-    base_processing_ms: float = 0.008
-    execution_ms_per_txn: float = 0.002
     execute_operations: bool = False
     out_of_order: bool = True
-    max_in_flight: int = 128
-    payload_bytes_per_txn: float = 51.5
-    reply_bytes_per_txn: float = 15.0
     zero_payload: bool = False
+
+    #: Fixed CPU cost of handling any message (queueing, deserialisation):
+    #: models the RESILIENTDB pipeline.
+    base_processing_ms = 0.008
+    #: Modelled CPU cost of executing one YCSB transaction.
+    execution_ms_per_txn = 0.002
+    #: Cap on concurrently open slots under out-of-order processing
+    #: (PBFT's watermark window).
+    max_in_flight = 128
+    #: Serialized size one request adds to a PROPOSE-like message, and to an
+    #: INFORM/REPLY-like one.
+    payload_bytes_per_txn = 51.5
+    reply_bytes_per_txn = 15.0
 
     def __post_init__(self) -> None:
         # The id -> index map (quorum bitsets key votes by it) makes
@@ -332,10 +333,6 @@ class NodeConfig:
 
     def f_of(self, epoch: int) -> int:
         return (len(self.epoch_memberships[epoch]) - 1) // 3
-
-    def nf_of(self, epoch: int) -> int:
-        members = self.epoch_memberships[epoch]
-        return len(members) - (len(members) - 1) // 3
 
     def quorum_of(self, epoch: int) -> int:
         """The ``2 f + 1`` quorum of *epoch*."""

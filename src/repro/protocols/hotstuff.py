@@ -120,6 +120,9 @@ class HotStuffReplica(BatchingReplica):
         requirements="Sequential Consensuses",
     )
 
+    #: A round without a certified proposal is abandoned after this long.
+    PACEMAKER_TIMEOUT_MS = 250.0
+
     MESSAGE_HANDLERS = {
         HotStuffProposal: "handle_proposal",
         HotStuffVote: "handle_vote",
@@ -134,10 +137,8 @@ class HotStuffReplica(BatchingReplica):
         authenticator: Authenticator,
         cost_model: Optional[CryptoCostModel] = None,
         initial_table: Optional[Dict[str, str]] = None,
-        pacemaker_timeout_ms: float = 250.0,
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model, initial_table)
-        self.pacemaker_timeout_ms = pacemaker_timeout_ms
         self.current_round = 0
         self.high_qc = QuorumCertificate(round_number=-1,
                                          block_digest=digest("hotstuff-genesis"))
@@ -656,7 +657,7 @@ class HotStuffReplica(BatchingReplica):
     def _arm_pacemaker(self, now_ms: float) -> None:
         """(Re-)arm the round timer while there is work the chain should make."""
         if self._pending_batches or self._unexecuted_rounds_pending():
-            self.set_timer("pacemaker", self.pacemaker_timeout_ms,
+            self.set_timer("pacemaker", self.PACEMAKER_TIMEOUT_MS,
                            payload=self.current_round)
 
     def on_protocol_timer(self, name: str, payload, now_ms: float) -> None:

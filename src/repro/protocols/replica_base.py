@@ -351,13 +351,6 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         else:
             self._batch_queue.append(batch)
 
-    def flush_partial_batch(self, now_ms: float) -> None:
-        """Propose whatever the batcher holds, even if undersized."""
-        partial = self.batcher.flush(now_ms)
-        if partial is not None:
-            self._batch_queue.append(partial)
-            self.maybe_propose(now_ms)
-
     # ---------------------------------------------------------------- proposing
     def in_flight(self) -> int:
         """Slots proposed by this primary but not yet executed locally."""

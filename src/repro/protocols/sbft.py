@@ -134,6 +134,9 @@ class SbftReplica(PrimaryBackupReplica):
         requirements="Twin paths",
     )
 
+    #: How long the collector waits for all n shares before the slow path.
+    COLLECTOR_TIMEOUT_MS = 50.0
+
     MESSAGE_HANDLERS = {
         SbftPrePrepare: "handle_preprepare",
         SbftSignShare: "handle_sign_share",
@@ -149,10 +152,8 @@ class SbftReplica(PrimaryBackupReplica):
         authenticator: Authenticator,
         cost_model: Optional[CryptoCostModel] = None,
         initial_table: Optional[Dict[str, str]] = None,
-        collector_timeout_ms: float = 50.0,
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model, initial_table)
-        self.collector_timeout_ms = collector_timeout_ms
         #: Collector timers currently armed, by (view, sequence).  Tracked so
         #: advancing the view can cancel the old view's timers instead of
         #: letting stale collector timeouts fire after rotation.
@@ -190,7 +191,7 @@ class SbftReplica(PrimaryBackupReplica):
         share = self.auth.threshold_share(proposal_digest)
         slot.commit_shares[share.index] = share
         self._collector_timers.add((self.view, sequence))
-        self.set_timer(f"collector:{self.view}:{sequence}", self.collector_timeout_ms,
+        self.set_timer(f"collector:{self.view}:{sequence}", self.COLLECTOR_TIMEOUT_MS,
                        payload=(self.view, sequence))
 
     # ---------------------------------------------------------------- messages

@@ -31,17 +31,18 @@ class YcsbConfig:
         num_records: rows in the replicated table (paper: 500 000).
         write_fraction: fraction of operations that are writes (paper: 0.9).
         zipf_theta: Zipfian skew factor (paper: 0.9).
-        operations_per_txn: read/write operations per client transaction.
-        value_size: size in characters of written values.
         seed: RNG seed for reproducible workloads.
     """
 
     num_records: int = 500_000
     write_fraction: float = 0.9
     zipf_theta: float = 0.9
-    operations_per_txn: int = 1
-    value_size: int = 16
     seed: int = 42
+
+    #: Read/write operations per client transaction, and the size in
+    #: characters of a written value.  Constants, not fields.
+    operations_per_txn = 1
+    value_size = 16
 
     @classmethod
     def small(cls, seed: int = 42) -> "YcsbConfig":
@@ -126,10 +127,6 @@ class YcsbWorkload:
             yield self.next_batch(batch_size)
 
     # -- sharded generation ---------------------------------------------------------
-    def shard_of(self, key: str, num_shards: int) -> int:
-        """Where *key* routes in an *num_shards*-group deployment."""
-        return shard_of_key(key, num_shards)
-
     def next_transaction_in_shard(self, shard: int, num_shards: int,
                                   created_at_ms: float = 0.0) -> Transaction:
         """Generate a transaction whose every key routes to *shard*.

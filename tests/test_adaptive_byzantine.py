@@ -93,8 +93,8 @@ def run_early_crash_forged_vc(protocol, seed=11, total_batches=20):
         client_outstanding=4, total_batches=total_batches,
         request_timeout_ms=100.0, checkpoint_interval=5,
         faults=faults,
-        byzantine=ByzantineSpec(behavior="forge-history", replica_index=2,
-                                options={"pom_at_ms": 150.0}),
+        byzantine=(ByzantineSpec(behavior="forge-history", replica_index=2,
+                                 options={"pom_at_ms": 150.0}),),
         seed=seed,
     )
     cluster = Cluster(config)

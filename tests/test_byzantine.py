@@ -43,7 +43,7 @@ def run_byzantine_cluster(protocol, behavior="equivocate-spoof", num_replicas=4,
         protocol=protocol, num_replicas=num_replicas, batch_size=10,
         total_batches=total_batches, request_timeout_ms=100.0,
         checkpoint_interval=5, seed=seed,
-        byzantine=ByzantineSpec(behavior=behavior, replica_index=0),
+        byzantine=(ByzantineSpec(behavior=behavior, replica_index=0),),
         **overrides,
     )
     cluster = Cluster(config)

@@ -29,7 +29,7 @@ def _byzantine_config(protocol: str, behavior: str, seed: int = 13) -> ClusterCo
     return ClusterConfig(
         protocol=protocol, num_replicas=4, batch_size=10,
         total_batches=10, request_timeout_ms=100.0, checkpoint_interval=5,
-        byzantine=ByzantineSpec(behavior=behavior, replica_index=0), seed=seed,
+        byzantine=(ByzantineSpec(behavior=behavior, replica_index=0),), seed=seed,
     )
 
 
@@ -164,7 +164,7 @@ def test_adaptive_churn_and_drift_runs_are_deterministic(protocol, scenario):
 
 def _scenario_config_ex(protocol: str, scenario: str, seed: int = 11) -> ClusterConfig:
     """Like :func:`_scenario_config`, also honouring the plan's
-    reconfiguration steps, extra Byzantine specs and deployment resizes."""
+    reconfiguration steps and deployment resizes."""
     from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams
 
     params = ScenarioParams(seed=seed)
@@ -177,7 +177,6 @@ def _scenario_config_ex(protocol: str, scenario: str, seed: int = 11) -> Cluster
         request_timeout_ms=100.0, checkpoint_interval=5,
         conditions=plan.conditions, faults=plan.faults,
         byzantine=plan.byzantine,
-        extra_byzantine=plan.extra_byzantine,
         reconfig=plan.reconfig,
         seed=seed,
     )

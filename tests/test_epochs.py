@@ -199,12 +199,12 @@ def test_new_matrix_rows_survive_a_seed_sweep(scenario, protocol, seed):
 
 
 def run_plan(protocol, num_replicas, plan, total_batches=30, seed=11,
-             byzantine=None, extra_byzantine=()):
+             byzantine=()):
     config = ClusterConfig(
         protocol=protocol, num_replicas=num_replicas, batch_size=10,
         client_outstanding=4, total_batches=total_batches,
         request_timeout_ms=100.0, checkpoint_interval=5,
-        byzantine=byzantine, extra_byzantine=tuple(extra_byzantine),
+        byzantine=tuple(byzantine),
         reconfig=plan, seed=seed)
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)
@@ -270,7 +270,7 @@ def test_unsafe_record_is_refused_and_journaled():
     byz = ByzantineSpec(behavior="colluding-reconfig-abuse",
                         replica_index=0, options={"at_ms": 4.0})
     cluster, report = run_plan("poe-mac", 7, plan, total_batches=20,
-                               byzantine=byz)
+                               byzantine=(byz,))
     assert report.ok, report.summary()
     honest = [r for r in cluster.replicas
               if r.node_id not in cluster.byzantine_ids and not r.crashed]

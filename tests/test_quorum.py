@@ -220,7 +220,7 @@ class TestAuditorBackedRegressions:
         config = ClusterConfig(
             protocol=protocol, num_replicas=4, batch_size=10,
             total_batches=8, request_timeout_ms=100.0, checkpoint_interval=5,
-            byzantine=ByzantineSpec(behavior=behavior, replica_index=0),
+            byzantine=(ByzantineSpec(behavior=behavior, replica_index=0),),
             seed=7, **overrides,
         )
         cluster = Cluster(config)

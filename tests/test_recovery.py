@@ -85,7 +85,7 @@ class TestFlippedMatrixCells:
         config = ClusterConfig(
             protocol="zyzzyva", num_replicas=4, batch_size=10,
             total_batches=10, request_timeout_ms=100.0, checkpoint_interval=5,
-            byzantine=ByzantineSpec(behavior="equivocate", replica_index=0),
+            byzantine=(ByzantineSpec(behavior="equivocate", replica_index=0),),
             seed=7,
         )
         cluster = Cluster(config)

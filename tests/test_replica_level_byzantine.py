@@ -159,13 +159,12 @@ class TestBehaviourLayer:
         assert isinstance(make_behavior("wrong-exec"), WrongExecutionReplica)
 
     def test_cluster_installs_replica_level_behavior(self):
-        config = ClusterConfig(
-            protocol="poe-mac", num_replicas=4, batch_size=10, total_batches=2,
-            byzantine=None, seed=3,
-        )
         from repro.net.byzantine import ByzantineSpec
-        config.byzantine = ByzantineSpec(behavior="wrong-exec", replica_index=2)
-        cluster = Cluster(config)
+        cluster = Cluster(ClusterConfig(
+            protocol="poe-mac", num_replicas=4, batch_size=10, total_batches=2,
+            byzantine=(ByzantineSpec(behavior="wrong-exec", replica_index=2),),
+            seed=3,
+        ))
         behavior = cluster.network._byzantine[replica_id(2)]
         assert isinstance(behavior, WrongExecutionReplica)
         # install() wrapped the replica's commit_slot with the forging shim.

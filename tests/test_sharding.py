@@ -322,12 +322,12 @@ def test_both_drivers_decide_through_the_shared_round(monkeypatch):
 
 # ------------------------------------------------- per-shard recipe coverage
 def test_per_shard_recipe_asking_for_more_than_a_shard_takes_is_rejected(monkeypatch):
-    """A per-shard recipe may set ``faults`` and ``byzantine``; one that
-    also wants co-conspirators, a resize, a reconfiguration or its own
+    """A per-shard recipe may set ``faults`` and one ``byzantine`` spec; one
+    that also wants co-conspirators, a resize, a reconfiguration or its own
     network used to run silently truncated."""
     monkeypatch.setitem(SHARDED_SCENARIOS, "xshard-throwaway", ShardedScenarioDef(
         name="xshard-throwaway", per_shard=((0, "colluding-equivocate"),)))
-    with pytest.raises(ValueError, match="extra_byzantine"):
+    with pytest.raises(ValueError, match="more than one byzantine spec"):
         run_scenario("poe-mac", "xshard-throwaway")
     monkeypatch.setitem(SHARDED_SCENARIOS, "xshard-throwaway", ShardedScenarioDef(
         name="xshard-throwaway", per_shard=((1, "epoch-grow"),)))
