@@ -178,6 +178,9 @@ class Cluster:
     #: :meth:`_schedule_reconfig`).
     RECONFIG_RETRANSMITS = 3
 
+    #: Virtual time :meth:`run_until_done` runs between completion checks.
+    RUN_CHUNK_MS = 1_000.0
+
     def __init__(self, config: ClusterConfig,
                  simulator: Optional[Simulator] = None,
                  authenticators: Optional[Dict[str, Authenticator]] = None) -> None:
@@ -376,9 +379,6 @@ class Cluster:
     def run_for(self, duration_ms: float) -> float:
         """Run the cluster for *duration_ms* of virtual time."""
         return self.network.run(until_ms=self.simulator.now + duration_ms)
-
-    #: Virtual time :meth:`run_until_done` runs between completion checks.
-    RUN_CHUNK_MS = 1_000.0
 
     def run_until_done(self, max_ms: float = 600_000.0) -> float:
         """Run until every client pool completed its batch budget.

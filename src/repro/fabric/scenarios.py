@@ -618,16 +618,17 @@ def sharded_cluster_config(protocol: str, sdef: ShardedScenarioDef,
     for shard, recipe_name in sdef.per_shard:
         shard_params = dataclasses.replace(params, namespace=f"s{shard}/")
         plan = SCENARIO_DEFS[recipe_name].recipe(shard_params)
-        unsupported = ("more than one byzantine spec"
-                       if len(plan.byzantine) > 1 else next(
-                           (name for name in ("conditions", "reconfig",
-                                              "num_replicas", "total_batches")
-                            if getattr(plan, name)), None))
-        if unsupported:
-            raise ValueError(
-                f"sharded scenario {sdef.name!r}: per-shard recipe "
-                f"{recipe_name!r} sets {unsupported}, which a shard cannot "
-                f"take (only faults and one byzantine spec apply per shard)")
+        for unsupported, asked in (
+                ("conditions", plan.conditions),
+                ("more than one byzantine spec", plan.byzantine[1:]),
+                ("reconfig", plan.reconfig),
+                ("num_replicas", plan.num_replicas),
+                ("total_batches", plan.total_batches)):
+            if asked:
+                raise ValueError(
+                    f"sharded scenario {sdef.name!r}: per-shard recipe "
+                    f"{recipe_name!r} sets {unsupported}, which a shard cannot "
+                    f"take (only faults and one byzantine spec apply per shard)")
         if plan.faults is not None:
             shard_faults[shard] = plan.faults
         if plan.byzantine:

@@ -3,10 +3,12 @@
 The flipped fault-matrix cells are each pinned by an auditor-backed
 regression (SBFT and Zyzzyva recovering from a crashed and from an
 equivocating primary, including the n=32 threshold-scheme SBFT view
-change and the Zyzzyva proof-of-misbehaviour path), and the new pure and
-replica-level pieces — speculative-history reconciliation, SBFT
-view-change request validation, collector-timer cancellation on
-rotation, commit-certificate anchoring — are unit-tested directly.
+change and the Zyzzyva proof-of-misbehaviour path); the recovery wire
+format and the log behind it are checked as a property of the layer, on
+every registered protocol that sits on it; and the pure and
+replica-level pieces — speculative-history reconciliation, SBFT's
+per-entry rule, collector-timer cancellation on rotation,
+commit-certificate anchoring — are unit-tested directly.
 """
 
 import ast
@@ -110,8 +112,8 @@ class TestFlippedMatrixCells:
 # The recovery wire format and the log behind it, as a layer property.
 # --------------------------------------------------------------------------
 
-#: Every registered protocol on the primary-backup layer (PoE in its three
-#: variants, PBFT, SBFT, Zyzzyva); a new one is covered by being registered.
+#: Every registered protocol on the primary-backup layer (PoE under its
+#: four keys, PBFT, SBFT, Zyzzyva); a new one is covered by being registered.
 LAYER_PROTOCOLS = sorted(
     name for name, spec in PROTOCOLS.items()
     if issubclass(spec.replica_cls, PrimaryBackupReplica))
