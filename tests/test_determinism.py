@@ -406,6 +406,40 @@ GOLDEN_MATRIX_CELLS = {
     # A view change under the non-speculative ablation: the slot's log
     # entry is the proof its commit phase hands to execution.
     ("poe-nospec", "primary-crash"): "4543665701255b0f",
+    # Checkpoint votes, the f+1 vouching rule and state transfer: a dark
+    # replica catches up through 4 installed transfers per run (HotStuff
+    # instead fetches 7 proposals and resyncs its chain once) ...
+    ("poe-mac", "dark-replicas"): "1eb61c788ab841ff",
+    ("poe-ts", "dark-replicas"): "d364ea7d6acf8635",
+    ("pbft", "dark-replicas"): "ecbaff66784b1474",
+    ("sbft", "dark-replicas"): "607a29eca2cc85d3",
+    ("zyzzyva", "dark-replicas"): "dd0062da6a622a6f",
+    ("hotstuff", "dark-replicas"): "1db083d7f53e44fb",
+    # ... while a liar fabricates boundaries and poisons responses: the same
+    # 4 installs plus 6 / 8 / 4 / 5 / 4 rejected responses (HotStuff: 7
+    # fetched, 1 resync) ...
+    ("poe-mac", "lying-checkpoint"): "84d928efcd287cd2",
+    ("poe-ts", "lying-checkpoint"): "075ab74c810e7494",
+    ("pbft", "lying-checkpoint"): "d1b7d27b955f76d1",
+    ("sbft", "lying-checkpoint"): "2bb0db2cb5967ecf",
+    ("zyzzyva", "lying-checkpoint"): "5565c7172de68399",
+    ("hotstuff", "lying-checkpoint"): "6dd17df72c00a241",
+    # ... and after executing a fabricated batch: one same-height repair out
+    # of 2 installs, read from the boundary journal.
+    ("poe-mac", "wrong-exec"): "b6360219fb642b09",
+    ("pbft", "wrong-exec"): "38303386bdcbc7a0",
+    ("sbft", "wrong-exec"): "4e6b9bbecde619d6",
+    ("hotstuff", "wrong-exec"): "b930d8316d51d010",
+    # HotStuff's per-round record under fetch, late-certificate resync and
+    # the pacemaker: 2 fetched / 3 resyncs / 8 timeouts, 2 / 2 / 8, and 60
+    # timeouts each with a crashed replica in the rotation.
+    ("hotstuff", "churn"): "3097b3eadf4e61f7",
+    ("hotstuff", "forge-history"): "4285c5db357f92e9",
+    ("hotstuff", "backup-crash"): "c29fbdd1baee05db",
+    ("hotstuff", "primary-crash"): "5b689130a9f8047c",
+    # The paper's failure configuration on Zyzzyva: every one of the 20
+    # batches completes through a client commit certificate.
+    ("zyzzyva", "backup-crash"): "09e79faab2370a85",
 }
 
 #: Per-pool batch budget of a pinned cell where the matrix's 20 is too few.
