@@ -6,11 +6,16 @@ every step output it
 
 * charges the step's CPU cost to the node's (single) worker thread, so a
   busy replica delays its own subsequent sends — this models the
-  RESILIENTDB pipeline bottleneck;
+  RESILIENTDB pipeline bottleneck (Section III / Figure 6 of the paper);
 * expands ``Broadcast`` actions to per-receiver sends;
 * samples a delivery delay from the :class:`NetworkConditions` and applies
   the :class:`FaultSchedule` (crashes, partitions, dark replicas);
 * materialises and cancels named timers.
+
+What the network keeps per node — its timers, when its CPU and uplink are
+next free, the Byzantine behaviour its traffic passes through — is one
+:class:`NodeHandle` in ``_nodes``.  Registration only grows, so nothing is
+pruned; a crash resets the handle's timers and CPU in place.
 """
 
 from __future__ import annotations
@@ -64,6 +69,12 @@ class NodeHandle:
     #: Whether the node's ``start`` hook has run — a node crashed at boot
     #: has not started, and a later recovery must boot it first.
     started: bool = False
+    #: Virtual times at which the node's single worker thread, and a
+    #: replica's uplink, are done with everything booked on them so far.
+    cpu_free_at: float = 0.0
+    uplink_free_at: float = 0.0
+    #: What the node sends passes through this (:meth:`SimNetwork.set_byzantine`).
+    behavior: Optional[ByzantineBehavior] = None
 
 
 class SimNetwork:
@@ -92,8 +103,6 @@ class SimNetwork:
         self._observers: List[MessageObserver] = []
         if trace:
             self.add_observer(self._record_delivery)
-        self._uplink_free_at: Dict[str, float] = {}
-        self._byzantine: Dict[str, ByzantineBehavior] = {}
         #: Optional shard-boundary hook for multi-network (sharded)
         #: deployments.  A send whose receiver is not registered here is
         #: offered to ``boundary.transmit(origin, sender, receiver,
@@ -147,7 +156,7 @@ class SimNetwork:
         """
         behavior.bind(node_id, self._replica_ids, seed)
         behavior.attach_network(self)
-        self._byzantine[node_id] = behavior
+        self._nodes[node_id].behavior = behavior
 
     @property
     def replica_ids(self) -> List[str]:
@@ -174,9 +183,21 @@ class SimNetwork:
         """Run the node's ``start`` step and apply what it produced."""
         handle.started = True
         output = handle.node.start(self.sim.now)
-        ready_at = self.sim.charge_cpu(node_id, output.cpu_ms)
-        if output.actions:
-            self._apply_actions(node_id, output.actions, ready_at)
+        self._finish_step(handle, node_id, output.cpu_ms, output.actions)
+
+    def _finish_step(self, handle: NodeHandle, node_id: str, cpu_ms: float,
+                     actions: List[object]) -> None:
+        """Book a step's CPU on the node's worker and apply its actions as of
+        the time the work is done.  Work is serialised per node: one busy
+        until ``t`` runs the step over ``[t, t + cpu_ms]``.  (:meth:`_deliver`
+        inlines this.)"""
+        now = self.sim.now
+        free_at = handle.cpu_free_at
+        start = now if now > free_at else free_at
+        ready_at = start + cpu_ms if cpu_ms > 0.0 else start
+        handle.cpu_free_at = ready_at
+        if actions:
+            self._apply_actions(node_id, actions, ready_at)
 
     def crash(self, node_id: str, at_ms: Optional[float] = None) -> None:
         """Crash a node immediately or at a future time."""
@@ -207,7 +228,7 @@ class SimNetwork:
         for timer in handle.timers.values():
             timer.cancel()
         handle.timers.clear()
-        self.sim.reset_cpu(node_id)
+        handle.cpu_free_at = 0.0
 
     def _schedule_fault_transitions(self) -> None:
         for crash in self.faults.crashes:
@@ -265,7 +286,7 @@ class SimNetwork:
         sends passes through its behaviour first; its timers are its own.
         """
         handle = self._nodes[node_id]
-        behavior = self._byzantine.get(node_id)
+        behavior = handle.behavior
         for action in actions:
             cls = action.__class__
             if cls is Send:
@@ -320,10 +341,8 @@ class SimNetwork:
                 self._action_buffer = None
             cpu_ms = node.timer_fired_into(action.name, action.payload,
                                            self.sim.now, buffer)
-            ready_at = self.sim.charge_cpu(node_id, cpu_ms)
-            if buffer:
-                self._apply_actions(node_id, buffer, ready_at)
-                buffer.clear()
+            self._finish_step(handle, node_id, cpu_ms, buffer)
+            buffer.clear()
             self._action_buffer = buffer
 
         handle.timers[action.name] = self.sim.set_timer(node_id, action.name, fire_delay, fire)
@@ -360,12 +379,11 @@ class SimNetwork:
                 serialization_ms = self.conditions.serialization_delay_ms(
                     message.size_bytes)
             if serialization_ms > 0:
-                uplink = self._uplink_free_at
-                start = uplink.get(sender, 0.0)
+                start = sender_handle.uplink_free_at
                 if send_time > start:
                     start = send_time
                 send_time = start + serialization_ms
-                uplink[sender] = send_time
+                sender_handle.uplink_free_at = send_time
         faults = self.faults
         if faults.active and faults.drops(sender, receiver, send_time):
             self.dropped_count += 1
@@ -410,7 +428,7 @@ class SimNetwork:
         sender_handle = self._nodes.get(sender)
         pays_uplink = (sender_handle is not None and sender_handle.is_replica
                        and serialization > 0)
-        uplink_free = self._uplink_free_at.get(sender, 0.0) if pays_uplink else 0.0
+        uplink_free = sender_handle.uplink_free_at if pays_uplink else 0.0
         faults = self.faults
         faults_active = faults.active
         fast_conditions = (not conditions.overrides and conditions.loss_rate == 0.0
@@ -464,7 +482,7 @@ class SimNetwork:
         self.sent_count += sent
         self.dropped_count += dropped
         if pays_uplink:
-            self._uplink_free_at[sender] = uplink_free
+            sender_handle.uplink_free_at = uplink_free
 
     def _deliver(self, sender: str, receiver: str, handle: NodeHandle,
                  message: Message) -> None:
@@ -476,8 +494,7 @@ class SimNetwork:
         if handle.node.crashed:
             self.dropped_count += 1
             return
-        sim = self.sim
-        now = sim._now
+        now = self.sim._now
         faults = self.faults
         if faults.has_crashes and faults.crashed_at(receiver, now):
             handle.node.crashed = True
@@ -493,12 +510,11 @@ class SimNetwork:
         else:
             self._action_buffer = None
         cpu_ms = handle.deliver_into(sender, message, now, buffer)
-        # Inline of Simulator.charge_cpu (one call per delivery).
-        cpu_free = sim._cpu_free_at
-        free_at = cpu_free.get(receiver, 0.0)
+        # Inline of _finish_step (one call per delivery).
+        free_at = handle.cpu_free_at
         start = now if now > free_at else free_at
         ready_at = start + cpu_ms if cpu_ms > 0.0 else start
-        cpu_free[receiver] = ready_at
+        handle.cpu_free_at = ready_at
         if buffer:
             self._apply_actions(receiver, buffer, ready_at)
             buffer.clear()

@@ -1,9 +1,11 @@
 """Deterministic discrete-event simulator.
 
 Everything in the evaluation fabric runs on top of this scheduler: message
-deliveries, protocol timers, client request injection and per-replica CPU
-accounting.  Time is virtual and measured in milliseconds (floats).  Two
-properties matter for reproducibility:
+deliveries, protocol timers and client request injection.  It is an event
+heap and a clock, nothing more — what a node's CPU or uplink is busy with
+is the network driver's book-keeping (:mod:`repro.net.network`).  Time is
+virtual and measured in milliseconds (floats).  Two properties matter for
+reproducibility:
 
 * events scheduled for the same instant fire in insertion order (the heap
   key includes a monotonically increasing sequence number);
@@ -129,22 +131,14 @@ class _FanOut:
 
 
 class Simulator:
-    """Virtual-time event loop.
+    """Virtual-time event loop."""
 
-    The simulator also tracks per-node CPU availability: charging CPU time
-    to a node models the single worker-thread bottleneck of the
-    RESILIENTDB pipeline (Section III / Figure 6 of the paper).  A node's
-    next CPU-bound step cannot start before its previous one finished.
-    """
-
-    __slots__ = ("_queue", "_seq", "_now", "_cpu_free_at",
-                 "_processed_events", "_cancelled")
+    __slots__ = ("_queue", "_seq", "_now", "_processed_events", "_cancelled")
 
     def __init__(self) -> None:
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._now = 0.0
-        self._cpu_free_at: Dict[str, float] = {}
         self._processed_events = 0
         self._cancelled: Set[int] = set()
 
@@ -244,28 +238,6 @@ class Simulator:
         """Create a named timer for a node."""
         event = self.schedule(delay_ms, callback)
         return Timer(owner=owner, name=name, event=event)
-
-    # -- CPU accounting --------------------------------------------------------
-    def charge_cpu(self, node: str, cost_ms: float) -> float:
-        """Reserve *cost_ms* of CPU time on *node*.
-
-        Returns the virtual time at which the work completes.  Work is
-        serialised per node: if the node is already busy until ``t``, the
-        new work occupies ``[t, t + cost_ms]``.
-        """
-        free_at = self._cpu_free_at.get(node, 0.0)
-        start = self._now if self._now > free_at else free_at
-        finish = start + (cost_ms if cost_ms > 0.0 else 0.0)
-        self._cpu_free_at[node] = finish
-        return finish
-
-    def cpu_free_at(self, node: str) -> float:
-        """Virtual time at which *node*'s CPU becomes idle."""
-        return max(self._now, self._cpu_free_at.get(node, 0.0))
-
-    def reset_cpu(self, node: str) -> None:
-        """Clear CPU accounting for a node (used when a node crashes)."""
-        self._cpu_free_at.pop(node, None)
 
     # -- execution -------------------------------------------------------------
     def step(self) -> bool:

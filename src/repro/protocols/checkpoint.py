@@ -7,13 +7,19 @@ slots a replica broadcasts a digest of its state; once it has ``2f + 1``
 matching digests for a sequence number the checkpoint is *stable*: undo
 logs below it can be pruned and view-change messages only need to describe
 what happened after it.
+
+Two records, one key each.  Per ``(sequence, digest)``, one vote tally in
+:class:`CheckpointTracker`, which answers both rules asked of it — stable
+at ``2f + 1`` voters, vouched at ``f + 1`` voters other than the replica
+itself — and which the tracker deletes once its sequence is stable.  Per
+boundary sequence, one :class:`BoundaryState`, written and pruned by
+``BatchingReplica._journal_boundary_state``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
-
 
 from repro.protocols.base import Message
 from repro.protocols.quorum import VoteSet
@@ -23,8 +29,8 @@ def prune_to_last(journal: Dict[int, object], keep: int) -> None:
     """Drop the oldest entries of a sequence-keyed journal beyond *keep*.
 
     The checkpoint machinery keeps several bounded journals (stable
-    digests, own boundary digests, boundary snapshots, verified transfer
-    digests); this is the one retention policy they all share.
+    digests, boundary states, verified transfer digests); this is the one
+    retention policy they all share.
     """
     if len(journal) > keep:
         for stale in sorted(journal)[: len(journal) - keep]:
@@ -86,6 +92,21 @@ class StateTransferResponse(Message):
     epoch_log: Tuple[Tuple, ...] = ()
 
 
+@dataclass(slots=True)
+class BoundaryState:
+    """A replica's own state at a boundary it executed through or installed.
+
+    Its digest is held against the quorum's stable one (a mismatch means
+    *this* replica executed a wrong batch), and all three fields are what
+    a state transfer ships: the state *at* the shipped sequence, not the
+    live one.  ``snapshot`` is set only when operations are really applied.
+    """
+
+    state_digest: bytes
+    head_hash: bytes
+    snapshot: Optional[dict] = None
+
+
 class CheckpointTracker:
     """Collects checkpoint votes and reports stable checkpoints.
 
@@ -124,8 +145,11 @@ class CheckpointTracker:
             voters.discard(replica_id)
 
     def record_vote(self, sequence: int, state_digest: bytes,
-                    replica_id: str) -> Optional[int]:
-        """Record one vote; return the sequence if it just became stable."""
+                    replica_id: str) -> Optional[VoteSet]:
+        """Record one vote and return the tally it joined (``None`` for a
+        vote at or below the stable checkpoint, which is ignored).  The vote
+        made *sequence* stable iff ``stable_sequence`` equals it afterwards.
+        """
         if sequence <= self.stable_sequence:
             return None
         key = (sequence, state_digest)
@@ -139,12 +163,7 @@ class CheckpointTracker:
             self.stable_sequence = sequence
             self.stable_digests[sequence] = state_digest
             self._garbage_collect()
-            return sequence
-        return None
-
-    def stable_digest(self, sequence: int) -> Optional[bytes]:
-        """The quorum-vouched state digest of a (retained) stable checkpoint."""
-        return self.stable_digests.get(sequence)
+        return voters
 
     def _garbage_collect(self) -> None:
         for key in [k for k in self._votes if k[0] <= self.stable_sequence]:

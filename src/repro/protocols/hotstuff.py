@@ -98,15 +98,35 @@ class HotStuffFetchResponse(Message):
 
 @dataclass(slots=True)
 class _RoundState:
-    """Bookkeeping for one round at its (next) leader."""
+    """Everything this replica holds about one round: one record per round
+    number in ``HotStuffReplica._rounds``, created by the round's first
+    write and deleted whole once the round sinks below a stable checkpoint.
+    """
 
-    block_digest: bytes = b""
-    batch: Optional[RequestBatch] = None
+    #: The round's first proposal from its leader, or the fetched one.
+    proposal: Optional[HotStuffProposal] = None
+    #: Whether this replica already voted in the round.
+    voted: bool = False
+    #: Vote shares by share index, collected by the next round's leader.
     votes: Dict[int, object] = field(default_factory=dict)
     qc_formed: bool = False
+    #: The round's verified *signed* quorum certificate.  Only a round that
+    #: has one may execute, and its ``block_digest`` is the block that does;
+    #: pacemaker timeout QCs are unsigned, certify nothing and never land
+    #: here.  Kept whole so a fetch *query* can be answered with evidence.
+    certificate: Optional[QuorumCertificate] = None
+    #: Digest the round's block was already fetched for (``b""`` = blind
+    #: query, ``None`` = never): one fetch broadcast per gap, upgradeable
+    #: from a blind query to a targeted fetch once the QC digest is known.
+    fetch_asked: Optional[bytes] = None
 
     def open_tallies(self) -> Tuple[Dict[int, object], ...]:
         return () if self.qc_formed else (self.votes,)
+
+
+#: What a probe reads for a round nothing was written for yet: paths that
+#: only look (``self._rounds.get(r, _UNSEEN)``) leave no empty record behind.
+_UNSEEN = _RoundState()
 
 
 class HotStuffReplica(BatchingReplica):
@@ -143,30 +163,13 @@ class HotStuffReplica(BatchingReplica):
         self.high_qc = QuorumCertificate(round_number=-1,
                                          block_digest=digest("hotstuff-genesis"))
         self._rounds: Dict[int, _RoundState] = {}
-        self._proposals: Dict[int, HotStuffProposal] = {}
-        self._voted_rounds: Set[int] = set()
         self._pending_batches: Deque[RequestBatch] = deque()
         self._queued_batch_ids: Set[str] = set()
         self._next_execute_sequence = 0
-        #: Rounds certified by a *signed* quorum certificate, mapped to the
-        #: certified block digest.  Only these rounds may execute; pacemaker
-        #: timeout QCs are unsigned and certify nothing.
-        self._qc_digests: Dict[int, bytes] = {}
         #: Highest round already settled (executed or skipped) by
         #: :meth:`_commit_upto`; rounds are settled strictly in order.
         self._committed_round = -1
-        #: Signed quorum certificates by round, kept so fetch *queries*
-        #: ("did this round certify anything?") can be answered with
-        #: third-party-verifiable evidence.  Pruned with the rest of the
-        #: per-round bookkeeping.
-        self._qc_certificates: Dict[int, QuorumCertificate] = {}
-        #: Round -> digest it was already asked for (``b""`` = blind
-        #: query); one fetch broadcast per gap, upgradeable from a blind
-        #: query to a targeted fetch once the QC digest is known.  State
-        #: transfer remains the fallback when no peer still holds the
-        #: block.
-        self._fetch_requested: Dict[int, bytes] = {}
-        #: Round below which per-round bookkeeping was pruned (everything
+        #: Round below which the per-round records were pruned (everything
         #: below the stable checkpoint's round is durable and settled).
         self._pruned_below_round = -1
         self.rounds_started = 0
@@ -186,12 +189,35 @@ class HotStuffReplica(BatchingReplica):
         return self.leader_of(round_number) == self.node_id
 
     def _round(self, round_number: int) -> _RoundState:
+        """The round's record, created on first use: for paths that write."""
         # get-then-insert: setdefault would construct a throwaway
         # _RoundState on every vote/proposal for an existing round.
         state = self._rounds.get(round_number)
         if state is None:
             state = self._rounds[round_number] = _RoundState()
         return state
+
+    def _store_proposal(self, proposal: HotStuffProposal) -> _RoundState:
+        """Put a proposal, live or fetched, on its round's record and stop
+        queueing its batch here: another leader already proposed it."""
+        state = self._round(proposal.round_number)
+        state.proposal = proposal
+        batch = proposal.batch
+        if batch is not None:
+            self._queued_batch_ids.add(batch.batch_id)
+            if batch.reply_to:
+                self._reply_targets.setdefault(batch.batch_id, batch.reply_to)
+            self._pending_batches = deque(
+                b for b in self._pending_batches if b.batch_id != batch.batch_id)
+        return state
+
+    def _learn_certificate(self, certificate: QuorumCertificate,
+                           now_ms: float) -> None:
+        """Record a verified signed QC that arrived from elsewhere, and
+        resync if its round was already settled as skipped."""
+        self._round(certificate.round_number).certificate = certificate
+        self._check_late_certificate(certificate.round_number,
+                                     certificate.block_digest, now_ms)
 
     # -------------------------------------------------------------- client path
     def handle_client_request(self, sender: str, message: ClientRequestMessage,
@@ -234,7 +260,7 @@ class HotStuffReplica(BatchingReplica):
         """Propose the block for *round_number* if this replica leads it."""
         if not self.is_leader_of(round_number):
             return
-        if round_number in self._proposals:
+        if self._rounds.get(round_number, _UNSEEN).proposal is not None:
             return
         if round_number != self.high_qc.round_number + 1:
             return
@@ -265,9 +291,10 @@ class HotStuffReplica(BatchingReplica):
     def _unexecuted_rounds_pending(self) -> bool:
         """Are there proposed-but-unexecuted real blocks that need flushing?"""
         return any(
-            proposal.batch is not None
-            and proposal.batch.batch_id not in self._replied
-            for proposal in self._proposals.values()
+            state.proposal is not None
+            and state.proposal.batch is not None
+            and state.proposal.batch.batch_id not in self._replied
+            for state in self._rounds.values()
         )
 
     # ---------------------------------------------------------------- messages
@@ -278,7 +305,7 @@ class HotStuffReplica(BatchingReplica):
         # ``leader_id`` field is a spoofable payload claim.
         if sender != self.leader_of(round_number):
             return
-        if round_number in self._proposals:
+        if self._rounds.get(round_number, _UNSEEN).proposal is not None:
             return
         justify = message.justify
         if justify is None or round_number != justify.round_number + 1:
@@ -292,21 +319,10 @@ class HotStuffReplica(BatchingReplica):
                 # A verified signed QC certifies its round's block: record it
                 # so the commit rule can tell certified rounds from rounds
                 # the pacemaker skipped with an unsigned timeout QC.
-                self._qc_digests[justify.round_number] = justify.block_digest
-                self._qc_certificates[justify.round_number] = justify
-                self._check_late_certificate(justify.round_number,
-                                             justify.block_digest, now_ms)
-        self._proposals[round_number] = message
-        if message.batch is not None:
-            self._queued_batch_ids.add(message.batch.batch_id)
-            if message.batch.reply_to:
-                self._reply_targets.setdefault(message.batch.batch_id,
-                                               message.batch.reply_to)
-            # Another leader already proposed this batch: drop our local copy.
-            self._pending_batches = deque(
-                b for b in self._pending_batches
-                if b.batch_id != message.batch.batch_id
-            )
+                self._learn_certificate(justify, now_ms)
+        # Fetched only now: the resync above can execute through a stable
+        # checkpoint, which prunes round records.
+        state = self._store_proposal(message)
         if justify.round_number > self.high_qc.round_number or (
                 justify.round_number == self.high_qc.round_number
                 and self.high_qc.signature is None
@@ -316,8 +332,8 @@ class HotStuffReplica(BatchingReplica):
             self.high_qc = justify
         self.current_round = max(self.current_round, round_number)
         # Vote: send a share over the block digest to the next round's leader.
-        if round_number not in self._voted_rounds:
-            self._voted_rounds.add(round_number)
+        if not state.voted:
+            state.voted = True
             self.charge(CryptoOp.THRESHOLD_SHARE)
             share = self.auth.threshold_share(message.block_digest)
             vote = HotStuffVote(
@@ -343,7 +359,6 @@ class HotStuffReplica(BatchingReplica):
         # Share verification is deferred to aggregation (see PoeReplica).
         if not self.auth.threshold_verify_share(message.share, message.block_digest):
             return
-        state.block_digest = message.block_digest
         state.votes[message.share.index] = message.share
         if len(state.votes) < self._nf_quorum:
             return
@@ -363,8 +378,7 @@ class HotStuffReplica(BatchingReplica):
         qc = QuorumCertificate(round_number=round_number,
                                block_digest=message.block_digest,
                                signature=signature)
-        self._qc_digests[round_number] = message.block_digest
-        self._qc_certificates[round_number] = qc
+        state.certificate = qc
         if qc.round_number > self.high_qc.round_number or (
                 qc.round_number == self.high_qc.round_number
                 and self.high_qc.signature is None):
@@ -381,8 +395,8 @@ class HotStuffReplica(BatchingReplica):
         certified ones.
 
         A round executes only when a *signed* quorum certificate for its
-        exact block is known (``_qc_digests``) and the block's content is
-        held locally.  Rounds without a signed QC by the time the chain is
+        exact block is known (the round's ``certificate``) and the block's
+        content is held locally.  Rounds without a signed QC by the time the chain is
         three rounds past them were skipped by the pacemaker (or poisoned by
         an equivocating leader) and settle without executing — their batches
         return via client retransmission.  A round whose QC is known but
@@ -405,8 +419,8 @@ class HotStuffReplica(BatchingReplica):
         """
         settle = self._committed_round + 1
         while settle <= round_number:
-            certified_digest = self._qc_digests.get(settle)
-            if certified_digest is None:
+            state = self._rounds.get(settle, _UNSEEN)
+            if state.certificate is None:
                 # Settling without a signed QC is sound only if no signed
                 # QC exists for the round *anywhere* — and this replica
                 # cannot know that.  Holding the proposal does not help:
@@ -421,7 +435,8 @@ class HotStuffReplica(BatchingReplica):
                 self._committed_round = settle
                 settle += 1
                 continue
-            proposal = self._proposals.get(settle)
+            certified_digest = state.certificate.block_digest
+            proposal = state.proposal
             if proposal is None or proposal.block_digest != certified_digest:
                 # Certified content this replica never received: fetch it
                 # from the peers and stall the settle walk until it lands.
@@ -445,10 +460,11 @@ class HotStuffReplica(BatchingReplica):
         One broadcast per round, except that a blind query upgrades to a
         targeted fetch once the certified digest becomes known.
         """
-        asked = self._fetch_requested.get(round_number)
+        state = self._round(round_number)
+        asked = state.fetch_asked
         if asked is not None and (asked == block_digest or asked != b""):
             return
-        self._fetch_requested[round_number] = block_digest
+        state.fetch_asked = block_digest
         self.broadcast(HotStuffFetchRequest(
             round_number=round_number, block_digest=block_digest,
             replica_id=self.node_id,
@@ -457,14 +473,15 @@ class HotStuffReplica(BatchingReplica):
     def handle_fetch_request(self, sender: str, message: HotStuffFetchRequest,
                              now_ms: float) -> None:
         """Serve a stored proposal (with its signed QC, for queries)."""
-        proposal = self._proposals.get(message.round_number)
+        state = self._rounds.get(message.round_number, _UNSEEN)
+        proposal = state.proposal
         if proposal is None:
             return
         if not message.block_digest:
             # Query: only answer with third-party-verifiable evidence that
             # the round certified this exact block.
-            certificate = self._qc_certificates.get(message.round_number)
-            if certificate is None or certificate.signature is None \
+            certificate = state.certificate
+            if certificate is None \
                     or proposal.block_digest != certificate.block_digest:
                 return
             self.send(sender, HotStuffFetchResponse(
@@ -490,8 +507,8 @@ class HotStuffReplica(BatchingReplica):
         if proposal is None:
             return
         round_number = proposal.round_number
-        certified_digest = self._qc_digests.get(round_number)
-        if certified_digest is None and message.certificate is not None:
+        certificate = self._rounds.get(round_number, _UNSEEN).certificate
+        if certificate is None and message.certificate is not None:
             # A query answer: the carried signed QC is the evidence this
             # replica lacked.  Verify the threshold signature before
             # trusting the digest it certifies.
@@ -504,12 +521,10 @@ class HotStuffReplica(BatchingReplica):
             if not self.auth.threshold_verify(certificate.signature,
                                               certificate.block_digest):
                 return
-            self._qc_digests[round_number] = certificate.block_digest
-            self._qc_certificates[round_number] = certificate
-            certified_digest = certificate.block_digest
-            self._check_late_certificate(round_number, certified_digest, now_ms)
-        if certified_digest is None or proposal.block_digest != certified_digest:
+            self._learn_certificate(certificate, now_ms)
+        if certificate is None or proposal.block_digest != certificate.block_digest:
             return
+        certified_digest = certificate.block_digest
         justify = proposal.justify
         if justify is None:
             return
@@ -520,34 +535,23 @@ class HotStuffReplica(BatchingReplica):
         self.charge(CryptoOp.HASH)
         if content_digest != certified_digest:
             return
-        existing = self._proposals.get(round_number)
+        existing = self._rounds.get(round_number, _UNSEEN).proposal
         if existing is not None and existing.block_digest == certified_digest:
             return
         # The fetched justify may certify a round this replica never saw a
         # signed QC for (consecutive missed rounds): process it like a
         # live proposal's justify so the settle walk can recover it too.
         # Already-known digests skip the (modelled-expensive) re-verify.
+        known = self._rounds.get(justify.round_number, _UNSEEN).certificate
         if justify.round_number >= 0 and justify.signature is not None \
-                and self._qc_digests.get(justify.round_number) \
-                != justify.block_digest:
+                and (known is None
+                     or known.block_digest != justify.block_digest):
             self.charge(CryptoOp.THRESHOLD_VERIFY)
             if self.auth.threshold_verify(justify.signature,
                                           justify.block_digest):
-                self._qc_digests[justify.round_number] = justify.block_digest
-                self._qc_certificates[justify.round_number] = justify
-                self._check_late_certificate(justify.round_number,
-                                             justify.block_digest, now_ms)
-        self._proposals[round_number] = proposal
+                self._learn_certificate(justify, now_ms)
+        self._store_proposal(proposal)
         self.proposals_fetched += 1
-        batch = proposal.batch
-        if batch is not None:
-            self._queued_batch_ids.add(batch.batch_id)
-            if batch.reply_to:
-                self._reply_targets.setdefault(batch.batch_id, batch.reply_to)
-            self._pending_batches = deque(
-                b for b in self._pending_batches
-                if b.batch_id != batch.batch_id
-            )
         self._commit_upto(self.current_round - 3, now_ms)
         self._arm_pacemaker(now_ms)
 
@@ -567,7 +571,7 @@ class HotStuffReplica(BatchingReplica):
             return
         if round_number < self._pruned_below_round:
             return
-        proposal = self._proposals.get(round_number)
+        proposal = self._rounds.get(round_number, _UNSEEN).proposal
         if proposal is not None and proposal.block_digest == block_digest \
                 and (proposal.batch is None
                      or proposal.batch.batch_id in self._replied):
@@ -603,14 +607,12 @@ class HotStuffReplica(BatchingReplica):
 
     # ------------------------------------------------------------- checkpoints
     def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
-        """Prune per-round bookkeeping below the stable checkpoint's round.
+        """Prune the round records below the stable checkpoint's round.
 
-        ``_proposals``, ``_rounds``, ``_voted_rounds``, ``_qc_digests`` and
-        the fetch dedup set used to grow for the lifetime of the run; every
-        round that produced a block at or below a stable checkpoint is
-        durable system-wide and can never be rolled back, re-voted or
-        fetched from this replica again, so the journals are bounded by the
-        checkpoint interval instead.
+        Every round that produced a block at or below a stable checkpoint
+        is durable system-wide and can never be rolled back, re-voted or
+        fetched from this replica again, so ``_rounds`` is bounded by the
+        checkpoint interval instead of the length of the run.
         """
         super().on_stable_checkpoint(sequence, now_ms)
         block = self.blockchain.block_at(sequence)
@@ -620,19 +622,9 @@ class HotStuffReplica(BatchingReplica):
         if stable_round <= self._pruned_below_round:
             return
         self._pruned_below_round = stable_round
-        for round_number in [r for r in self._proposals if r < stable_round]:
-            del self._proposals[round_number]
-        for round_number in [r for r in self._rounds if r < stable_round]:
-            del self._rounds[round_number]
-        for round_number in [r for r in self._qc_digests if r < stable_round]:
-            del self._qc_digests[round_number]
-        for round_number in [r for r in self._qc_certificates
-                             if r < stable_round]:
-            del self._qc_certificates[round_number]
-        self._voted_rounds = {r for r in self._voted_rounds
-                              if r >= stable_round}
-        self._fetch_requested = {r: d for r, d in self._fetch_requested.items()
-                                 if r >= stable_round}
+        rounds = self._rounds
+        for round_number in [r for r in rounds if r < stable_round]:
+            del rounds[round_number]
 
     # ------------------------------------------------------------ state transfer
     def transfer_view(self, sequence: int) -> int:

@@ -157,8 +157,10 @@ class PrimaryBackupReplica(BatchingReplica):
         #: ``sequence -> entry`` of every slot final here above the stable
         #: checkpoint: what this replica's view-change requests report.
         self._log: Dict[int, LogEntry] = {}
-        self._vc_votes: Dict[int, Set[str]] = {}
-        self._vc_requests: Dict[int, Dict[str, ViewChangeRequest]] = {}
+        #: ``view being replaced -> {sender: its admissible request or None}``:
+        #: the senders are the join rule's voters, the requests what a
+        #: NEW-VIEW is built from; :meth:`_prune_view_change_state` drops it.
+        self._vc_votes: Dict[int, Dict[str, Optional[ViewChangeRequest]]] = {}
         self._entered_views: Set[int] = {0}
         self._vc_failed_attempts = 0
         self.view_changes_completed = 0
@@ -362,11 +364,11 @@ class PrimaryBackupReplica(BatchingReplica):
 
     def record_view_change_vote(self, view: int, replica_id: str,
                                 request: ViewChangeRequest, now_ms: float) -> None:
-        votes = self._vc_votes.setdefault(view, set())
-        votes.add(replica_id)
-        requests = self._vc_requests.setdefault(view, {})
+        votes = self._vc_votes.setdefault(view, {})
         if self.validate_view_change_request_message(request, view):
-            requests[replica_id] = request
+            votes[replica_id] = request
+        else:  # still a voter, and an earlier admissible request stays
+            votes.setdefault(replica_id, None)
         # Join rule: f + 1 view-change requests prove a non-faulty replica
         # detected a failure (paper, Figure 5, Line 8).
         if (not self.view_change_in_progress and view == self.view
@@ -381,7 +383,9 @@ class PrimaryBackupReplica(BatchingReplica):
             return
         if new_view in self._entered_views:
             return
-        requests = self._vc_requests.get(view, {})
+        requests = {sender: request
+                    for sender, request in self._vc_votes.get(view, {}).items()
+                    if request is not None}
         quorum = self.view_change_quorum()
         if len(requests) < quorum:
             return
@@ -424,19 +428,17 @@ class PrimaryBackupReplica(BatchingReplica):
 
     # ------------------------------------------------------------- view entry
     def _prune_view_change_state(self) -> None:
-        """Drop vote/request/dedup state for views the replica moved past.
+        """Drop vote/dedup state for views the replica moved past.
 
-        Votes and requests are keyed by the view being *replaced*; once
-        this replica runs a later view, no quorum for an older one can
-        still form that it would act on.  Without the prune, every
-        completed or abandoned view change leaks its request pool for the
-        rest of the run (flushed out by the soak recipe).
+        Votes (and the requests they carry) are keyed by the view being
+        *replaced*; once this replica runs a later view, no quorum for an
+        older one can still form that it would act on.  Without the prune,
+        every completed or abandoned view change leaks its request pool
+        for the rest of the run (flushed out by the soak recipe).
         """
         view = self.view
         for stale in [v for v in self._vc_votes if v < view]:
             del self._vc_votes[stale]
-        for stale in [v for v in self._vc_requests if v < view]:
-            del self._vc_requests[stale]
         # NEW-VIEW dedup for views <= self.view is already handled by the
         # `new_view <= self.view` guard, so only future entries matter.
         self._entered_views = {v for v in self._entered_views if v >= view}
@@ -510,10 +512,7 @@ class PrimaryBackupReplica(BatchingReplica):
             return
         for votes in self._vc_votes.values():
             for rid in evicted:
-                votes.discard(rid)
-        for requests in self._vc_requests.values():
-            for rid in evicted:
-                requests.pop(rid, None)
+                votes.pop(rid, None)
         self.purge_evicted(self._slots.values(), evicted)
 
     # ------------------------------------------------------------------ timers

@@ -11,7 +11,9 @@ RESILIENTDB's pipeline (paper, Figure 6):
 * committed slots are executed strictly in sequence order against the
   replicated key-value store, blocks are appended to the ledger, and
   replies are sent to clients;
-* periodic checkpoints make state durable and garbage-collect undo logs;
+* periodic checkpoints make state durable and garbage-collect undo logs
+  (one vote tally per ``(sequence, digest)`` in the tracker, one
+  ``BoundaryState`` per boundary here — see :mod:`~repro.protocols.checkpoint`);
 * a per-request progress timer lets backups detect a faulty primary.
 
 Concrete protocols implement :meth:`create_proposal` (primary side) and
@@ -38,6 +40,7 @@ from repro.protocols.base import Message, NodeConfig, ProtocolNode
 from repro.protocols.batching import Batcher
 from repro.crypto.hashing import digest
 from repro.protocols.checkpoint import (
+    BoundaryState,
     CheckpointMessage,
     CheckpointTracker,
     StateTransferRequest,
@@ -145,7 +148,8 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         #: decision made against complete execution knowledge.
         self._refresh_parked = False
         self._deferred_messages: Dict[int, List[Tuple[str, Message]]] = {}
-        self._remote_checkpoint_votes: Dict[Tuple[int, bytes], VoteSet] = {}
+        #: Highest boundary a transfer was requested for on ``f + 1``
+        #: vouching votes: one request each, however many more votes arrive.
         self._state_transfer_requested_upto = -1
         #: Sequence -> state digest vouched by f+1 distinct checkpoint
         #: senders (or by local stability): the only digests a state
@@ -157,20 +161,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         #: Sequences a rejected transfer was already re-requested for (one
         #: broadcast retry per height keeps the liar from driving a loop).
         self._transfer_rerequested: Set[int] = set()
-        #: This replica's own state digest at each checkpoint boundary it
-        #: executed through — compared against the quorum's stable digest
-        #: to detect that *this* replica executed a wrong batch, and served
-        #: in state-transfer responses so the shipped digest really is the
-        #: digest *at* the shipped sequence (the current state digest keeps
-        #: moving past the stable checkpoint).
-        self._own_checkpoint_digests: Dict[int, bytes] = {}
-        #: Table snapshots journaled at checkpoint boundaries (only when
-        #: operations are really applied), so state-transfer responses ship
-        #: state consistent with the boundary they claim.
-        self._checkpoint_snapshots: Dict[int, dict] = {}
-        #: Ledger head hashes journaled at checkpoint boundaries, shipped
-        #: with state transfers so receivers rejoin the canonical chain.
-        self._checkpoint_head_hashes: Dict[int, bytes] = {}
+        #: Boundary sequence -> this replica's own state there; written and
+        #: pruned by :meth:`_journal_boundary_state`.
+        self._boundaries: Dict[int, BoundaryState] = {}
         #: First divergent sequence while a same-height repair is in
         #: flight (``None`` when state matches the quorum).
         self._repair_divergent_from: Optional[int] = None
@@ -551,29 +544,44 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         # Byzantine replica must not push a checkpoint to stability alone.
         self._record_checkpoint_vote(message.sequence, message.state_digest,
                                      sender, now_ms)
-        self._track_remote_checkpoint(message.sequence, message.state_digest,
-                                      sender, now_ms)
 
-    def _track_remote_checkpoint(self, sequence: int, state_digest: bytes,
-                                 voter: str, now_ms: float) -> None:
-        """Detect that this replica has fallen behind the rest of the system.
-
-        ``f + 1`` matching checkpoint votes from other replicas prove that
-        at least one non-faulty replica reached *sequence*; a replica that
-        is behind that point (e.g. kept in the dark by the primary)
-        requests a state transfer from one of the voters.
-        """
-        if voter == self.node_id or sequence <= self.checkpoints.stable_sequence:
-            return
-        key = (sequence, state_digest)
-        voters = self._remote_checkpoint_votes.get(key)
+    def _record_checkpoint_vote(self, sequence: int, state_digest: bytes,
+                                replica_id: str, now_ms: float) -> None:
+        """Count one vote, a peer's or this replica's own, in the one tally
+        and act on whichever rule it completed."""
+        checkpoints = self.checkpoints
+        voters = checkpoints.record_vote(sequence, state_digest, replica_id)
         if voters is None:
-            voters = self._remote_checkpoint_votes[key] = VoteSet(self._vote_index)
-        voters.add(voter)
-        if voters.count < self._f_plus_1:
             return
-        # f + 1 distinct senders vouch for (sequence, digest): at least one
-        # non-faulty replica computed it, so it is safe to install.
+        if checkpoints.stable_sequence != sequence:
+            # Not stable yet: the vouching rule, in which this replica's
+            # own vote never counts.
+            if (replica_id != self.node_id and voters.count
+                    - (self.node_id in voters) >= self._f_plus_1):
+                self._on_checkpoint_vouched(sequence, state_digest,
+                                            replica_id, now_ms)
+            return
+        # This vote made (sequence, state_digest) the stable checkpoint.
+        self.executor.prune_before(sequence)
+        self._mark_checkpoint_digest_verified(sequence, state_digest, now_ms)
+        own_digest = self._own_digest_at(sequence)
+        if sequence > self.last_executed_sequence and replica_id != self.node_id:
+            # The system proved progress this replica has not made (it was
+            # kept in the dark): ask an up-to-date peer for the state.
+            self.send(replica_id, StateTransferRequest(
+                sequence=sequence, replica_id=self.node_id))
+        elif own_digest is not None and own_digest != state_digest:
+            # Same height, different state: this replica executed a wrong
+            # batch behind the checkpoint.  Start a same-height repair.
+            self._begin_divergence_repair(sequence, now_ms)
+        self.on_stable_checkpoint(sequence, now_ms)
+
+    def _on_checkpoint_vouched(self, sequence: int, state_digest: bytes,
+                               voter: str, now_ms: float) -> None:
+        """``f + 1`` *other* replicas vouch for ``(sequence, digest)``: one
+        of them is non-faulty, so the digest is safe to install, and a
+        replica behind that point (kept in the dark by the primary, say)
+        requests a state transfer from the latest voter."""
         self._mark_checkpoint_digest_verified(sequence, state_digest, now_ms)
         if sequence <= self.last_executed_sequence:
             return
@@ -582,11 +590,8 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         self._state_transfer_requested_upto = sequence
         self.send(voter, StateTransferRequest(sequence=sequence,
                                               replica_id=self.node_id))
-        for key in [k for k in self._remote_checkpoint_votes if k[0] <= sequence]:
-            del self._remote_checkpoint_votes[key]
 
-    def _mark_checkpoint_digest_verified(self, sequence: int,
-                                         state_digest: bytes,
+    def _mark_checkpoint_digest_verified(self, sequence: int, state_digest: bytes,
                                          now_ms: float) -> None:
         """Record a vouched digest and drain any transfer parked on it."""
         if sequence not in self._verified_checkpoint_digests:
@@ -596,33 +601,6 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         pending = self._pending_state_transfers.pop(sequence, None)
         if pending is not None:
             self.handle_state_transfer_response("", pending, now_ms)
-
-    def _record_checkpoint_vote(self, sequence: int, state_digest: bytes,
-                                replica_id: str, now_ms: float) -> None:
-        stable = self.checkpoints.record_vote(sequence, state_digest, replica_id)
-        if stable is not None:
-            self.executor.prune_before(stable)
-            for key in [k for k in self._remote_checkpoint_votes
-                        if k[0] <= stable]:
-                del self._remote_checkpoint_votes[key]
-            stable_digest = self.checkpoints.stable_digest(stable)
-            if stable_digest is not None:
-                self._mark_checkpoint_digest_verified(stable, stable_digest,
-                                                      now_ms)
-            own_digest = self._own_checkpoint_digests.get(stable)
-            if stable > self.last_executed_sequence and replica_id != self.node_id:
-                # The system proved progress this replica has not made: it
-                # was kept in the dark (or lost messages) and needs the
-                # checkpointed state from an up-to-date peer.
-                self.send(replica_id, StateTransferRequest(
-                    sequence=stable, replica_id=self.node_id))
-            elif (own_digest is not None and stable_digest is not None
-                    and own_digest != stable_digest):
-                # Same height, different state: this replica executed a
-                # wrong batch somewhere behind the stable checkpoint.  Being
-                # "caught up" is no defence — start a same-height repair.
-                self._begin_divergence_repair(stable, now_ms)
-            self.on_stable_checkpoint(stable, now_ms)
 
     def readvertise_stable_checkpoint(self) -> None:
         """Re-broadcast this replica's vote for its stable checkpoint.
@@ -639,7 +617,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         stable = self.checkpoints.stable_sequence
         if stable < 0:
             return
-        state_digest = self._own_checkpoint_digests.get(stable)
+        state_digest = self._own_digest_at(stable)
         if state_digest is None:
             return
         self.charge(CryptoOp.MAC_SIGN, self._fanout)
@@ -648,16 +626,22 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             replica_id=self.node_id))
 
     def _journal_boundary_state(self, sequence: int, state_digest: bytes) -> None:
-        """Journal digest (and, when applying, table state) at a boundary."""
-        self._own_checkpoint_digests[sequence] = state_digest
-        prune_to_last(self._own_checkpoint_digests,
-                      CheckpointTracker.STABLE_DIGEST_HISTORY)
-        self._checkpoint_head_hashes[sequence] = self.blockchain.head.block_hash
-        prune_to_last(self._checkpoint_head_hashes,
-                      CheckpointTracker.STABLE_DIGEST_HISTORY)
-        if self.config.execute_operations:
-            self._checkpoint_snapshots[sequence] = self.store.snapshot()
-            prune_to_last(self._checkpoint_snapshots, 4)
+        """Journal this replica's state at the boundary it just reached."""
+        boundaries = self._boundaries
+        applying = self.config.execute_operations
+        boundaries[sequence] = BoundaryState(
+            state_digest, self.blockchain.head.block_hash,
+            self.store.snapshot() if applying else None)
+        prune_to_last(boundaries, CheckpointTracker.STABLE_DIGEST_HISTORY)
+        if applying:
+            # Table snapshots are the heavy part: the newest 4 keep theirs.
+            for stale in sorted(boundaries)[:-4]:
+                boundaries[stale].snapshot = None
+
+    def _own_digest_at(self, sequence: int) -> Optional[bytes]:
+        """The state digest this replica journaled at boundary *sequence*."""
+        boundary = self._boundaries.get(sequence)
+        return boundary.state_digest if boundary is not None else None
 
     def _begin_divergence_repair(self, stable: int, now_ms: float) -> None:
         """This replica's state at *stable* contradicts the quorum: repair.
@@ -674,7 +658,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         for sequence in sorted(self.checkpoints.stable_digests, reverse=True):
             if sequence >= stable:
                 continue
-            own = self._own_checkpoint_digests.get(sequence)
+            own = self._own_digest_at(sequence)
             if own is not None and own == self.checkpoints.stable_digests[sequence]:
                 last_agreed = sequence
                 break
@@ -809,8 +793,6 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             evicted = tuple(rid for rid in prev_members if rid not in members)
             for rid in evicted:
                 self.checkpoints.discard_voter(rid)
-                for votes in self._remote_checkpoint_votes.values():
-                    votes.discard(rid)
             if self.join_epoch is not None and self.epoch >= self.join_epoch:
                 self.join_epoch = None
             self.on_epoch_activated(entry, evicted, now_ms)
@@ -931,19 +913,17 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             return
         if self.last_executed_sequence < sequence:
             return  # knows of the checkpoint but cannot produce its state
-        state_digest = self._own_checkpoint_digests.get(sequence)
-        if state_digest is None:
+        boundary = self._boundaries.get(sequence)
+        if boundary is None:
             return
-        snapshot = (self._checkpoint_snapshots.get(sequence)
-                    if self.config.execute_operations else None)
         size = self.config.proposal_size_bytes(
             self.config.batch_size * self.config.checkpoint_interval)
         self.charge(CryptoOp.HASH)
         self.send(sender, StateTransferResponse(
             sequence=sequence, view=self.transfer_view(sequence),
-            state_digest=state_digest,
-            table_snapshot=snapshot, size_bytes=size,
-            head_hash=self._checkpoint_head_hashes.get(sequence, b""),
+            state_digest=boundary.state_digest,
+            table_snapshot=boundary.snapshot, size_bytes=size,
+            head_hash=boundary.head_hash,
             executed_batch_ids=tuple(
                 (batch_id, seq)
                 for batch_id, (seq, _) in self._batch_sequence.items()
@@ -995,11 +975,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             self._repair_divergent_from = None
             self.divergence_repairs += 1
             # Excised boundaries reflected wrong state; the installed
-            # checkpoint is this replica's state at its height now.
-            for stale in [s for s in self._own_checkpoint_digests
-                          if s >= divergent_from]:
-                del self._own_checkpoint_digests[stale]
-            self._own_checkpoint_digests[message.sequence] = message.state_digest
+            # checkpoint, journaled below, is this replica's state now.
+            for stale in [s for s in self._boundaries if s >= divergent_from]:
+                del self._boundaries[stale]
             self.executor.resync(
                 sequence=message.sequence, view=message.view,
                 state_digest=message.state_digest,
@@ -1046,7 +1024,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         """The vouched state digest for *sequence*, if any is known."""
         expected = self._verified_checkpoint_digests.get(sequence)
         if expected is None:
-            expected = self.checkpoints.stable_digest(sequence)
+            expected = self.checkpoints.stable_digests.get(sequence)
         return expected
 
     def _transfer_commitment_holds(self, message: StateTransferResponse,

@@ -323,8 +323,8 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
             executed=tuple(
                 dataclasses.replace(entry, proof=certificates.get(entry.sequence))
                 for entry in request.executed),
-            checkpoint_digest=self.checkpoints.stable_digest(
-                request.stable_checkpoint) or b"",
+            checkpoint_digest=self.checkpoints.stable_digests.get(
+                request.stable_checkpoint, b""),
             certificate=certificates[best] if best is not None else None,
         )
 
@@ -440,7 +440,7 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
             # votes themselves).
             self._mark_checkpoint_digest_verified(checkpoint,
                                                   checkpoint_digest, now_ms)
-            own_digest = self._own_checkpoint_digests.get(checkpoint)
+            own_digest = self._own_digest_at(checkpoint)
             if self.last_executed_sequence >= checkpoint:
                 if own_digest is not None and own_digest != checkpoint_digest:
                     self._begin_divergence_repair(checkpoint, now_ms)
@@ -472,6 +472,21 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         self._commit_certs.pop(record.sequence, None)
 
 
+@dataclass(slots=True)
+class _PendingCommit(_PendingBatch):
+    """An outstanding batch plus the state of its second phase, which dies
+    with the request when the pool retires it."""
+
+    #: Reply key the last commit certificate was built from, so a
+    #: certificate round that passes a full timeout without 2f+1 local
+    #: commits is recognised as failed instead of looped.
+    cert_attempted: Optional[Tuple] = None
+    #: Replicas that acknowledged a certificate (``None`` until one is sent)
+    #: and the reply the batch completes with once ``2f + 1`` did.
+    commit_acks: Optional[Set[str]] = None
+    commit_reply: Optional[ClientReplyMessage] = None
+
+
 class ZyzzyvaClientPool(ClientPool):
     """Zyzzyva client: waits for all ``n`` replicas, falls back to commit certs.
 
@@ -490,15 +505,10 @@ class ZyzzyvaClientPool(ClientPool):
     """
 
     QUORUM_RULE = "n"
+    PENDING_RECORD = _PendingCommit
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._commit_phase: Dict[str, Set[str]] = {}
-        self._commit_reply: Dict[str, ClientReplyMessage] = {}
-        #: batch_id -> reply key a commit certificate was already built
-        #: from, so a certificate round that passes a full timeout without
-        #: 2f+1 local commits is recognised as failed instead of looped.
-        self._cert_attempted: Dict[str, Tuple] = {}
         #: (view, sequence) -> (batch_id, result_digest) -> distinct senders.
         self._slot_observations: Dict[Tuple[int, int],
                                       Dict[Tuple[str, bytes], Set[str]]] = {}
@@ -537,7 +547,6 @@ class ZyzzyvaClientPool(ClientPool):
     def _complete(self, reply: ClientReplyMessage, pending, now_ms: float) -> None:
         # A completed slot needs no equivocation evidence any more.
         self._slot_observations.pop((reply.view, reply.sequence), None)
-        self._cert_attempted.pop(reply.batch_id, None)
         super()._complete(reply, pending, now_ms)
 
     def _conflicting_slot_evidence(
@@ -565,7 +574,7 @@ class ZyzzyvaClientPool(ClientPool):
             view=view, evidence=evidence, client_id=self.node_id,
         ))
 
-    def on_request_timeout(self, pending: _PendingBatch, now_ms: float) -> None:
+    def on_request_timeout(self, pending: _PendingCommit, now_ms: float) -> None:
         self._maybe_send_proof_of_misbehaviour(now_ms)
         batch_id = pending.batch.batch_id
         # Most voters wins; on a tie, the higher view.  Evidence is never
@@ -582,7 +591,7 @@ class ZyzzyvaClientPool(ClientPool):
                 best_key, best_voters = key, voters
         if best_key is not None and len(best_voters) >= self._slot_quorum(
                 best_key[2]):
-            if self._cert_attempted.get(batch_id) == best_key:
+            if pending.cert_attempted == best_key:
                 # The previous certificate round built from this same
                 # evidence passed a full timeout without 2f+1 local
                 # commits — either the certified slot was rolled back, or
@@ -591,15 +600,16 @@ class ZyzzyvaClientPool(ClientPool):
                 # fresh responses then overtake this evidence) and keeps
                 # progress timers running on the replicas, while the
                 # certificate stays retryable for the catching-up case.
-                del self._cert_attempted[batch_id]
+                pending.cert_attempted = None
                 super().on_request_timeout(pending, now_ms)
                 return
             # Second phase: distribute the commit certificate.
-            self._cert_attempted[batch_id] = best_key
+            pending.cert_attempted = best_key
             _, view, sequence, result_digest = best_key
             self.commit_certificates_sent += 1
-            self._commit_phase.setdefault(batch_id, set())
-            self._commit_reply[batch_id] = ClientReplyMessage(
+            if pending.commit_acks is None:
+                pending.commit_acks = set()
+            pending.commit_reply = ClientReplyMessage(
                 batch_id=batch_id, view=view, sequence=sequence,
                 result_digest=result_digest, replica_id="",
             )
@@ -615,15 +625,12 @@ class ZyzzyvaClientPool(ClientPool):
     def on_other_message(self, sender: str, message, now_ms: float) -> None:
         if not isinstance(message, ZyzzyvaLocalCommit):
             return
-        acks = self._commit_phase.get(message.batch_id)
         pending = self._pending.get(message.batch_id)
-        if acks is None or pending is None:
+        if pending is None or pending.commit_acks is None:
             return
         # Transport-level sender, not the spoofable message.replica_id: one
         # Byzantine replica must not acknowledge a commit certificate 2f+1
         # times under forged identities.
-        acks.add(sender)
-        if len(acks) >= self._slot_quorum(message.sequence):
-            reply = self._commit_reply.get(message.batch_id)
-            if reply is not None:
-                self._complete(reply, pending, now_ms)
+        pending.commit_acks.add(sender)
+        if len(pending.commit_acks) >= self._slot_quorum(message.sequence):
+            self._complete(pending.commit_reply, pending, now_ms)

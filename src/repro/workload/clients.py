@@ -232,6 +232,8 @@ class ClientPool(_PoolBase):
 
     QUORUM_RULE = "nf"
     BROADCAST_REQUESTS = False
+    #: The per-request record (Zyzzyva's adds its second phase's state).
+    PENDING_RECORD = _PendingBatch
 
     def __init__(
         self,
@@ -259,7 +261,8 @@ class ClientPool(_PoolBase):
         self._replica_index = config.replica_index_map
 
     def _submit(self, batch: RequestBatch, now_ms: float) -> None:
-        self._pending[batch.batch_id] = _PendingBatch(batch=batch, submitted_at_ms=now_ms)
+        self._pending[batch.batch_id] = self.PENDING_RECORD(
+            batch=batch, submitted_at_ms=now_ms)
         self._send_request(batch, now_ms, retransmission=False)
         self.set_timer(f"request:{batch.batch_id}", self.timeout_ms, payload=batch.batch_id)
 

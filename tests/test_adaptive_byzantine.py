@@ -216,7 +216,7 @@ class TestAdaptiveEngagement:
         # change) fires before the clients drain.
         cluster, auditor = run_cell("poe-mac", "adaptive-primary",
                                     total_batches=40)
-        behavior = cluster.network._byzantine[replica_id(2)]
+        behavior = cluster.network._nodes[replica_id(2)].behavior
         assert completed(cluster) == 40
         assert auditor.report().ok
         # The campaign attacked two *distinct* primaries: view 0's, then —
@@ -247,7 +247,7 @@ class TestAdaptiveEngagement:
 
     def test_timeout_staller_spends_its_stall_budget(self):
         cluster, auditor = run_cell("sbft", "timeout-stall")
-        behavior = cluster.network._byzantine[replica_id(2)]
+        behavior = cluster.network._nodes[replica_id(2)].behavior
         assert completed(cluster) == 20
         assert auditor.report().ok
         assert behavior.stalls >= 1
@@ -417,7 +417,8 @@ class TestRevertDemos:
         original = HotStuffReplica._request_missing_proposal
 
         def only_when_proposal_missing(self, round_number, block_digest):
-            if round_number in self._proposals:
+            state = self._rounds.get(round_number)
+            if state is not None and state.proposal is not None:
                 return
             original(self, round_number, block_digest)
 
@@ -544,9 +545,9 @@ class TestRevertDemos:
         # A lax tracker counting votes per sequence alone — the revert —
         # stabilises the forked boundary from the same vote stream.
         tracker = CheckpointTracker(quorum=3)
-        assert tracker.record_vote(4, b"digest-a", "replica:0") is None
-        assert tracker.record_vote(4, b"digest-a", "replica:1") is None
-        assert tracker.record_vote(4, b"digest-b", "replica:2") is None
+        tracker.record_vote(4, b"digest-a", "replica:0")
+        tracker.record_vote(4, b"digest-a", "replica:1")
+        tracker.record_vote(4, b"digest-b", "replica:2")
         assert tracker.stable_sequence == -1
 
         class LaxTracker(CheckpointTracker):
@@ -556,4 +557,5 @@ class TestRevertDemos:
         lax = LaxTracker(quorum=3)
         lax.record_vote(4, b"digest-a", "replica:0")
         lax.record_vote(4, b"digest-a", "replica:1")
-        assert lax.record_vote(4, b"digest-b", "replica:2") == 4
+        lax.record_vote(4, b"digest-b", "replica:2")
+        assert lax.stable_sequence == 4

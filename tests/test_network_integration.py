@@ -141,6 +141,94 @@ class TestSimNetwork:
                    for record in network.delivered)
 
 
+class BusyNode(PingNode):
+    """Every delivery costs at least 10 ms of this node's CPU."""
+
+    def on_message(self, sender, message, now_ms):
+        super().on_message(sender, message, now_ms)
+        self.add_cpu(10.0)
+
+
+def build_busy_network(simulator, node_ids, faults=None):
+    config = NodeConfig(replica_ids=list(REPLICAS))
+    auths = make_authenticators(REPLICAS, seed=b"net-busy")
+    network = SimNetwork(simulator, faults=faults, conditions=NetworkConditions(
+        latency_ms=1.0, jitter_ms=0.0, bandwidth_mbps=None))
+    for node_id in node_ids:
+        network.add_replica(BusyNode(node_id, config, auths[node_id]))
+    return network
+
+
+def pong_arrivals(network, node_id):
+    return [at for _, kind, at in network.node(node_id).received
+            if kind == "PongMessage"]
+
+
+class TestCpuAccounting:
+    """A node's CPU is one field of its handle on the network that hosts it
+    (these properties were ``Simulator.charge_cpu``'s until the simulator
+    became a pure event heap)."""
+
+    def test_steps_on_one_node_serialise(self):
+        network = build_busy_network(Simulator(), REPLICAS[:3])
+        network.start_all()
+        # Two pings reach replica:0 at t=1; it answers them one after the
+        # other, each answer leaving when its step's CPU work is done.
+        network.inject("replica:1", "replica:0", PingMessage())
+        network.inject("replica:2", "replica:0", PingMessage())
+        network.run_until_idle()
+        step_ms = pong_arrivals(network, "replica:1")[0] - 2.0
+        assert step_ms >= 10.0
+        assert pong_arrivals(network, "replica:2") == [
+            pytest.approx(2.0 + 2 * step_ms)]
+        assert network._nodes["replica:0"].cpu_free_at == pytest.approx(
+            1.0 + 2 * step_ms)
+
+    def test_nodes_do_not_share_a_cpu_and_a_backlog_expires(self):
+        network = build_busy_network(Simulator(), REPLICAS[:3])
+        network.start_all()
+        network.inject("replica:2", "replica:0", PingMessage())
+        network.inject("replica:2", "replica:1", PingMessage())
+        # Long after the first backlog drained, new work starts on arrival.
+        network.inject("replica:2", "replica:0", PingMessage(), delay_ms=100.0)
+        network.run_until_idle()
+        first, second, late = pong_arrivals(network, "replica:2")
+        assert first == second
+        assert late == pytest.approx(first + 100.0)
+
+    def test_crash_resets_the_cpu_backlog(self):
+        faults = FaultSchedule.none()
+        faults.add_crash("replica:0", at_ms=2.0, until_ms=4.0)
+        network = build_busy_network(Simulator(), REPLICAS[:2], faults=faults)
+        network.start_all()
+        network.inject("replica:1", "replica:0", PingMessage())
+        network.run(until_ms=3.0)
+        handle = network._nodes["replica:0"]
+        assert handle.node.crashed and handle.cpu_free_at == 0.0
+        # Back up at t=4: the step at t=5 does not queue behind work the
+        # crashed incarnation had booked until t>=11.
+        network.inject("replica:1", "replica:0", PingMessage(), delay_ms=1.0)
+        network.run_until_idle()
+        first, second = pong_arrivals(network, "replica:1")
+        assert second == pytest.approx(5.0 + (first - 1.0))
+
+    def test_networks_sharing_a_simulator_account_on_their_own_handles(self):
+        # The sharded fabric's home runtime: a hub network beside shard 0
+        # on one simulator.  Work on one does not occupy the other.
+        simulator = Simulator()
+        shard = build_busy_network(simulator, REPLICAS[:2])
+        hub = build_busy_network(simulator, REPLICAS[2:])
+        shard.start_all()
+        hub.start_all()
+        shard.inject("replica:1", "replica:0", PingMessage())
+        hub.inject("replica:3", "replica:2", PingMessage())
+        simulator.run_until_idle()
+        assert pong_arrivals(shard, "replica:1") == pong_arrivals(hub, "replica:3")
+        assert (shard._nodes["replica:0"].cpu_free_at
+                == hub._nodes["replica:2"].cpu_free_at > 10.0)
+        assert "replica:2" not in shard._nodes and "replica:0" not in hub._nodes
+
+
 class TestAsyncTransport:
     def test_poe_cluster_runs_on_asyncio(self):
         """The same sans-IO PoE replicas complete batches on a live event loop."""

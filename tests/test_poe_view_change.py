@@ -208,7 +208,7 @@ class TestNewViewSelection:
             replica._log[entry.sequence] = entry
         for voter in ("replica:0", "replica:1", "replica:2"):
             replica.deliver(voter, CheckpointMessage(
-                sequence=9, state_digest=replica._own_checkpoint_digests[9],
+                sequence=9, state_digest=replica._own_digest_at(9),
                 replica_id=voter), 2.0)
         assert replica.checkpoints.stable_sequence == 9
         assert replica.executor.executed(9).undo == []  # pruned: irreversible

@@ -116,22 +116,24 @@ class TestBatcher:
 class TestCheckpointTracker:
     def test_becomes_stable_at_quorum(self):
         tracker = CheckpointTracker(quorum=3)
-        assert tracker.record_vote(9, b"d", "r0") is None
-        assert tracker.record_vote(9, b"d", "r1") is None
-        assert tracker.record_vote(9, b"d", "r2") == 9
+        tracker.record_vote(9, b"d", "r0")
+        tracker.record_vote(9, b"d", "r1")
+        assert tracker.stable_sequence == -1
+        tracker.record_vote(9, b"d", "r2")
         assert tracker.stable_sequence == 9
 
     def test_duplicate_votes_do_not_count(self):
         tracker = CheckpointTracker(quorum=3)
         tracker.record_vote(9, b"d", "r0")
         tracker.record_vote(9, b"d", "r0")
-        assert tracker.record_vote(9, b"d", "r0") is None
+        assert tracker.record_vote(9, b"d", "r0").count == 1
         assert tracker.stable_sequence == -1
 
     def test_mismatched_digests_do_not_combine(self):
         tracker = CheckpointTracker(quorum=2)
         tracker.record_vote(9, b"a", "r0")
-        assert tracker.record_vote(9, b"b", "r1") is None
+        tracker.record_vote(9, b"b", "r1")
+        assert tracker.stable_sequence == -1
 
     def test_old_checkpoints_ignored_after_stability(self):
         tracker = CheckpointTracker(quorum=2)
@@ -145,5 +147,6 @@ class TestCheckpointTracker:
         tracker.record_vote(9, b"d", "r0")
         tracker.record_vote(9, b"d", "r1")
         tracker.record_vote(19, b"d", "r0")
-        assert tracker.record_vote(19, b"d", "r1") == 19
+        assert tracker.stable_sequence == 9
+        tracker.record_vote(19, b"d", "r1")
         assert tracker.stable_sequence == 19

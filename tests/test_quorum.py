@@ -20,7 +20,11 @@ from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.net.byzantine import ByzantineSpec
 from repro.protocols.base import NodeConfig
-from repro.protocols.checkpoint import CheckpointTracker
+from repro.protocols.checkpoint import (
+    CheckpointMessage,
+    CheckpointTracker,
+    StateTransferRequest,
+)
 from repro.protocols.pbft import PbftCommit, PbftPrepare, PbftReplica
 from repro.protocols.quorum import VoteSet, build_index_map
 from repro.workload.transactions import make_no_op_batch
@@ -199,18 +203,93 @@ class TestPbftVoteCounting:
 class TestCheckpointVoteCounting:
     def test_duplicate_checkpoint_votes_do_not_stabilise(self):
         tracker = CheckpointTracker(quorum=3, index_map=build_index_map(REPLICAS))
-        assert tracker.record_vote(9, b"d", "replica:0") is None
-        assert tracker.record_vote(9, b"d", "replica:0") is None
-        assert tracker.record_vote(9, b"d", "replica:1") is None
+        tracker.record_vote(9, b"d", "replica:0")
+        tracker.record_vote(9, b"d", "replica:0")
+        assert tracker.record_vote(9, b"d", "replica:1").count == 2
         assert tracker.stable_sequence == -1
-        assert tracker.record_vote(9, b"d", "replica:2") == 9
+        assert tracker.record_vote(9, b"d", "replica:2").count == 3
         assert tracker.stable_sequence == 9
 
     def test_votes_split_by_digest(self):
         tracker = CheckpointTracker(quorum=2, index_map=build_index_map(REPLICAS))
         tracker.record_vote(9, b"one", "replica:0")
-        assert tracker.record_vote(9, b"two", "replica:1") is None
-        assert tracker.record_vote(9, b"one", "replica:2") == 9
+        assert tracker.record_vote(9, b"two", "replica:1").count == 1
+        assert tracker.stable_sequence == -1
+        tracker.record_vote(9, b"one", "replica:2")
+        assert tracker.stable_sequence == 9
+
+
+class TestCheckpointTally:
+    """One tally per ``(sequence, digest)`` answers both checkpoint rules:
+    stability at ``2f + 1`` voters and "vouched" at ``f + 1`` voters other
+    than the replica itself.  n = 7, so f + 1 = 3 and 2f + 1 = 5."""
+
+    MEMBERS = [f"replica:{i}" for i in range(7)]
+    ME = "replica:3"
+
+    @pytest.fixture
+    def replica(self):
+        auths = make_authenticators(self.MEMBERS, ["client:0"], seed=b"tally")
+        config = NodeConfig(replica_ids=self.MEMBERS, batch_size=3,
+                            checkpoint_interval=10)
+        return PoeReplica(self.ME, config, auths[self.ME])
+
+    @staticmethod
+    def vote(replica, sender, sequence=9, state_digest=b"d"):
+        """Deliver one checkpoint vote; return the transfer requests sent."""
+        output = replica.deliver(sender, CheckpointMessage(
+            sequence=sequence, state_digest=state_digest, replica_id=sender), 1.0)
+        return [send.message for send in output.sends()
+                if isinstance(send.message, StateTransferRequest)]
+
+    def test_own_vote_never_counts_toward_vouching(self, replica):
+        replica._record_checkpoint_vote(9, b"d", self.ME, 1.0)
+        assert self.vote(replica, "replica:0") == []
+        assert self.vote(replica, "replica:1") == []
+        # Three voters, one of them this replica: not vouched.
+        assert replica.checkpoints._votes[(9, b"d")].count == 3
+        assert 9 not in replica._verified_checkpoint_digests
+        # The third *other* sender completes f + 1.
+        assert [r.sequence for r in self.vote(replica, "replica:2")] == [9]
+        assert replica._verified_checkpoint_digests[9] == b"d"
+
+    def test_one_transfer_request_per_boundary(self, replica):
+        requests = [self.vote(replica, f"replica:{i}") for i in (0, 1, 2, 4)]
+        # The tally is not reset by the request; the votes after it find
+        # the boundary already asked for.
+        assert [len(sent) for sent in requests] == [0, 0, 1, 0]
+        assert replica.checkpoints._votes[(9, b"d")].count == 4
+        assert replica._state_transfer_requested_upto == 9
+
+    def test_votes_at_or_below_stable_are_ignored_by_both_rules(self, replica):
+        for sender in ("replica:0", "replica:1", "replica:2", "replica:4",
+                       "replica:5"):
+            self.vote(replica, sender, sequence=19)
+        assert replica.checkpoints.stable_sequence == 19
+        assert replica.checkpoints._votes == {}
+        for sender in ("replica:0", "replica:1", "replica:2"):
+            assert self.vote(replica, sender, sequence=9) == []
+            assert self.vote(replica, sender, sequence=19,
+                             state_digest=b"other") == []
+        assert replica.checkpoints._votes == {}
+        assert set(replica._verified_checkpoint_digests) == {19}
+        assert replica.checkpoints.stable_digests == {19: b"d"}
+
+    def test_evicted_voter_is_purged_from_the_one_tally(self, replica):
+        for sender in ("replica:0", "replica:1"):
+            self.vote(replica, sender)
+        replica.checkpoints.discard_voter("replica:1")
+        # Neither rule counts the evicted vote any more: two other voters
+        # are not f + 1 ...
+        assert self.vote(replica, "replica:2") == []
+        assert 9 not in replica._verified_checkpoint_digests
+        # ... and four voters, once a third other sender vouches, are not
+        # 2f + 1.
+        assert len(self.vote(replica, "replica:4")) == 1
+        self.vote(replica, "replica:5")
+        assert replica.checkpoints.stable_sequence == -1
+        self.vote(replica, "replica:6")
+        assert replica.checkpoints.stable_sequence == 9
 
 
 class TestAuditorBackedRegressions:

@@ -23,6 +23,7 @@ from repro.core.view_change import reconcile_speculative_histories
 from repro.crypto.authenticator import make_authenticators
 from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
+from repro.fabric.fingerprint import replica_fingerprint
 from repro.fabric.registry import PROTOCOLS
 from repro.fabric.scenarios import ScenarioParams, run_scenario
 from repro.net.byzantine import ByzantineSpec
@@ -186,6 +187,43 @@ class TestRecoveryWireFormat:
         assert sorted(replica._log) == [4]
         assert [entry.sequence for entry in
                 replica.build_view_change_request(0).executed] == [4]
+
+
+    def test_one_tally_per_view_holds_voters_and_their_requests(self, logged_cluster):
+        """``_vc_votes[view]`` maps every sender to its admissible request or
+        ``None``: its keys are the voters of the join rule (and what the
+        model checker's fingerprint counts), its non-``None`` values what
+        the next primary builds a NEW-VIEW from."""
+        # On a copy of replica:1, the primary of view 1.
+        replica = pickle.loads(pickle.dumps(logged_cluster.replicas[1]))
+        good = {peer.node_id: peer.build_view_change_request(0)
+                for peer in logged_cluster.replicas}
+        holed = {sender: dataclasses.replace(request, executed=request.executed[1:])
+                 for sender, request in good.items()}
+        replica.deliver("replica:2", holed["replica:2"], 100.0)
+        assert replica._vc_votes == {0: {"replica:2": None}}
+        assert not replica.view_change_in_progress
+        # A second voter is f + 1: the replica joins with its own request.
+        replica.deliver("replica:3", good["replica:3"], 101.0)
+        assert replica.view_change_in_progress
+        # An inadmissible repeat does not displace the request already held.
+        replica.deliver("replica:3", holed["replica:3"], 102.0)
+        assert replica._vc_votes == {0: {
+            "replica:2": None, "replica:3": good["replica:3"],
+            "replica:1": good["replica:1"]}}
+        assert replica_fingerprint(replica)[-2] == ((0, 3),)
+        # Three voters but two usable requests: no NEW-VIEW yet.  The third
+        # admissible request completes the quorum, and entering view 1
+        # prunes the tally of view 0.
+        assert replica.view == 0
+        output = replica.deliver("replica:2", good["replica:2"], 103.0)
+        proposals = [action.message for action in output.broadcasts()
+                     if isinstance(action.message, NewView)]
+        assert [[request.replica_id for request in proposal.requests]
+                for proposal in proposals] == [
+                    ["replica:1", "replica:2", "replica:3"]]
+        assert replica.view == 1 and replica._vc_votes == {}
+        assert replica_fingerprint(replica)[-2] == ()
 
 
 def test_recovery_types_are_defined_only_by_the_layer():

@@ -188,8 +188,11 @@ class TestPrimaryBackupLayer:
                 setattr(closing, flag, True)
             for flag in closing_flags:
                 setattr(closed, flag, True)
-        replica._vc_votes[0] = {evicted, "replica:1"}
-        replica._vc_requests[0] = {evicted: object(), "replica:1": object()}
+        # The per-view tally: one voter with an admissible request, one
+        # without, and the evicted replica with one.
+        kept = object()
+        replica._vc_votes[0] = {evicted: object(), "replica:1": kept,
+                                "replica:2": None}
         members = tuple(REPLICAS[:3])
         replica._refresh_epoch_caches(members)
         replica.on_epoch_activated(
@@ -201,8 +204,7 @@ class TestPrimaryBackupLayer:
                 assert not voted(still_open, tally_name)
                 assert len(getattr(still_open, tally_name)) == 1
             assert voted(replica._slot(0, 20 + number), tally_name)
-        assert replica._vc_votes[0] == {"replica:1"}
-        assert list(replica._vc_requests[0]) == ["replica:1"]
+        assert replica._vc_votes[0] == {"replica:1": kept, "replica:2": None}
         # n = 3 tolerates no fault: every quorum cache followed the epoch.
         assert (replica._f_plus_1, replica._2f_plus_1, replica._nf_quorum) == (1, 1, 3)
         assert replica.view_change_quorum() == (3 if protocol.startswith("poe") else 1)

@@ -35,12 +35,16 @@ from repro.protocols.checkpoint import (
     StateTransferRequest,
     StateTransferResponse,
 )
-from repro.protocols.client_messages import ClientReplyMessage
+from repro.protocols.client_messages import (
+    ClientReplyMessage,
+    ClientRequestMessage,
+)
 from repro.protocols.hotstuff import (
     HotStuffFetchRequest,
     HotStuffFetchResponse,
     HotStuffProposal,
     HotStuffReplica,
+    HotStuffVote,
     QuorumCertificate,
 )
 from repro.protocols.recovery import ViewChangeRequest
@@ -165,7 +169,7 @@ class TestBehaviourLayer:
             byzantine=(ByzantineSpec(behavior="wrong-exec", replica_index=2),),
             seed=3,
         ))
-        behavior = cluster.network._byzantine[replica_id(2)]
+        behavior = cluster.network._nodes[replica_id(2)].behavior
         assert isinstance(behavior, WrongExecutionReplica)
         # install() wrapped the replica's commit_slot with the forging shim.
         replica = cluster.network.node(replica_id(2))
@@ -200,7 +204,7 @@ class TestBehaviourLayer:
 
     def test_wrong_execution_forges_exactly_one_slot(self):
         cluster, _ = run_cell("poe-mac", "wrong-exec")
-        behavior = cluster.network._byzantine[replica_id(2)]
+        behavior = cluster.network._nodes[replica_id(2)].behavior
         assert behavior.forged_executions == 1
 
 
@@ -271,7 +275,7 @@ class TestLyingCheckpointer:
 
     def test_fabricated_responses_are_never_installed(self):
         cluster, auditor = run_cell("pbft", "lying-checkpoint")
-        behavior = cluster.network._byzantine[replica_id(1)]
+        behavior = cluster.network._nodes[replica_id(1)].behavior
         assert behavior._poisoned_sequences, "the liar must actually lie"
         honest = [replica for replica in cluster.replicas
                   if replica.node_id != replica_id(1)]
@@ -414,7 +418,7 @@ class TestForgedHistory:
         assert replica.last_executed_sequence == 3
         for voter in ["replica:0", "replica:2", "replica:3"]:
             replica.deliver(voter, CheckpointMessage(
-                sequence=1, state_digest=replica._own_checkpoint_digests[1],
+                sequence=1, state_digest=replica._own_digest_at(1),
                 replica_id=voter), 2.0)
         assert replica.checkpoints.stable_sequence == 1
         behavior, _ = forger_on(auths, "zyzzyva", forge_certificates=True)
@@ -566,7 +570,8 @@ class TestHotStuffChainSync:
         parent = QuorumCertificate(round_number=4, block_digest=b"parent")
         block_digest = digest("hotstuff-block", 5, batch.digest(),
                               parent.block_digest)
-        replica._qc_digests[5] = block_digest
+        replica._round(5).certificate = QuorumCertificate(
+            round_number=5, block_digest=block_digest)
         proposal = HotStuffProposal(round_number=5, batch=batch,
                                     block_digest=block_digest, justify=parent,
                                     leader_id="replica:1")
@@ -574,14 +579,14 @@ class TestHotStuffChainSync:
         forged = dataclasses.replace(
             proposal, batch=make_no_op_batch("tampered", "client:0", 2))
         replica.deliver("replica:1", HotStuffFetchResponse(proposal=forged), 1.0)
-        assert 5 not in replica._proposals
+        assert replica._rounds[5].proposal is None
         # A proposal whose claimed digest differs from the QC is dropped too.
         mislabelled = dataclasses.replace(proposal, block_digest=b"other")
         replica.deliver("replica:1",
                         HotStuffFetchResponse(proposal=mislabelled), 1.0)
-        assert 5 not in replica._proposals
+        assert replica._rounds[5].proposal is None
         replica.deliver("replica:1", HotStuffFetchResponse(proposal=proposal), 2.0)
-        assert replica._proposals[5] is proposal
+        assert replica._rounds[5].proposal is proposal
         assert replica.proposals_fetched == 1
 
     def test_fetch_request_served_from_stored_proposals(self, auths):
@@ -589,7 +594,7 @@ class TestHotStuffChainSync:
         batch = make_no_op_batch("held", "client:0", 2)
         parent = QuorumCertificate(round_number=2, block_digest=b"p")
         block_digest = digest("hotstuff-block", 3, batch.digest(), b"p")
-        replica._proposals[3] = HotStuffProposal(
+        replica._round(3).proposal = HotStuffProposal(
             round_number=3, batch=batch, block_digest=block_digest,
             justify=parent, leader_id="replica:3")
         output = replica.deliver("replica:2", HotStuffFetchRequest(
@@ -599,6 +604,47 @@ class TestHotStuffChainSync:
                   if isinstance(action, Send)
                   and isinstance(action.message, HotStuffFetchResponse)]
         assert len(served) == 1 and served[0].proposal.batch is batch
+
+    def test_blind_query_upgrades_to_a_targeted_fetch_once(self, auths):
+        """One fetch broadcast per round, except that a blind query is
+        followed by one targeted fetch once the certified digest is known;
+        the round's record remembers which was asked."""
+        replica = _hotstuff_replica(auths)
+        for asked in (b"", b"", b"certified", b"certified", b"", b"other"):
+            replica._request_missing_proposal(2, asked)
+        fetches = [(action.message.round_number, action.message.block_digest)
+                   for action in replica._pending_actions
+                   if isinstance(action, Broadcast)
+                   and isinstance(action.message, HotStuffFetchRequest)]
+        assert fetches == [(2, b""), (2, b"certified")]
+        assert replica._rounds[2].fetch_asked == b"certified"
+        # A probe for a round nothing was written for leaves no record.
+        replica.deliver("replica:1", HotStuffFetchRequest(
+            round_number=7, block_digest=b"", replica_id="replica:1"), 1.0)
+        replica._committed_round = 9
+        replica._check_late_certificate(8, b"late", 1.0)
+        assert replica.chain_resyncs == 1 and list(replica._rounds) == [2]
+
+    def test_signed_certificate_replaces_the_timeout_certificate(self, auths):
+        """The pacemaker can beat vote aggregation to a round: the signed
+        QC the next leader forms moments later replaces the unsigned
+        placeholder of the same round, in ``high_qc`` and on the record."""
+        leader = _hotstuff_replica(auths, rid="replica:1")
+        leader.deliver("client:0", ClientRequestMessage(
+            batch=make_no_op_batch("queued", "client:0", 2)), 0.0)
+        leader.timer_fired("pacemaker", 0, 250.0)
+        assert leader.pacemaker_timeouts == 1
+        assert (leader.high_qc.round_number, leader.high_qc.signature) == (0, None)
+        block_digest = digest("hotstuff-block", 0, b"empty", b"genesis")
+        for voter in ("replica:0", "replica:2", "replica:3"):
+            leader.deliver(voter, HotStuffVote(
+                round_number=0, block_digest=block_digest,
+                share=auths[voter].threshold_share(block_digest),
+                replica_id=voter), 251.0)
+        record = leader._rounds[0]
+        assert record.qc_formed and record.certificate is leader.high_qc
+        assert leader.high_qc.round_number == 0
+        assert leader.auth.threshold_verify(leader.high_qc.signature, block_digest)
 
     def test_chain_resync_unwinds_a_reverted_reconfiguration(self, auths):
         """A chain resync that reverts an executed ``ReconfigRecord`` must
@@ -615,13 +661,13 @@ class TestHotStuffChainSync:
         for round_number, content in ((2, record), (3, batch)):
             block_digest = digest("hotstuff-block", round_number,
                                   content.digest(), parent.block_digest)
-            replica._qc_digests[round_number] = block_digest
-            replica._proposals[round_number] = HotStuffProposal(
+            replica._round(round_number).proposal = HotStuffProposal(
                 round_number=round_number, batch=content,
                 block_digest=block_digest, justify=parent,
                 leader_id="replica:1")
             parent = QuorumCertificate(round_number=round_number,
                                        block_digest=block_digest)
+            replica._round(round_number).certificate = parent
         # Rounds 0 and 1 settle as skipped (no signed QC known), then the
         # record executes at sequence 0 and the batch at sequence 1.
         replica._commit_upto(3, 1.0)
@@ -643,8 +689,9 @@ class TestHotStuffChainSync:
 
         # Round 1's block turns out empty; the settle walk re-executes the
         # record, which is admitted again rather than refused.
-        replica._qc_digests[1] = b"late-certified"
-        replica._proposals[1] = HotStuffProposal(
+        replica._round(1).certificate = QuorumCertificate(
+            round_number=1, block_digest=b"late-certified")
+        replica._round(1).proposal = HotStuffProposal(
             round_number=1, batch=None, block_digest=b"late-certified",
             justify=QuorumCertificate(round_number=0), leader_id="replica:1")
         replica._commit_upto(3, 3.0)
@@ -653,8 +700,8 @@ class TestHotStuffChainSync:
         assert list(replica._pending_epochs) == [1]
 
     def test_bookkeeping_is_pruned_below_the_stable_checkpoint(self):
-        """Satellite: ``_proposals``/``_rounds``/``_voted_rounds``/
-        ``_qc_digests`` no longer grow for the lifetime of the run."""
+        """No round record below the stable round survives a stable
+        checkpoint: ``_rounds`` does not grow for the lifetime of the run."""
         config = ClusterConfig(protocol="hotstuff", num_replicas=4,
                                batch_size=10, total_batches=30,
                                checkpoint_interval=5, seed=11)
@@ -665,10 +712,11 @@ class TestHotStuffChainSync:
             assert replica.checkpoints.stable_sequence > 0
             assert replica._pruned_below_round > 0
             floor = replica._pruned_below_round
-            assert all(r >= floor for r in replica._proposals)
-            assert all(r >= floor for r in replica._qc_digests)
-            assert all(r >= floor for r in replica._voted_rounds)
-            assert all(r >= floor for r in replica._rounds)
+            assert replica._rounds and min(replica._rounds) >= floor
+            # What is kept is in use: every surviving record was written.
+            assert all(state.proposal is not None or state.certificate is not None
+                       or state.votes or state.fetch_asked is not None
+                       for state in replica._rounds.values())
 
     @pytest.mark.parametrize("seed", [7, 99])
     def test_blindly_settled_rounds_are_recovered_by_query(self, seed):

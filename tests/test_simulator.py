@@ -334,41 +334,7 @@ class TestFanOut:
         assert outcomes[0] == outcomes[1]
 
 
-class TestSimulatorCpuAccounting:
-    def test_cpu_work_is_serialised_per_node(self):
-        sim = Simulator()
-        first_done = sim.charge_cpu("node-a", 10.0)
-        second_done = sim.charge_cpu("node-a", 5.0)
-        assert first_done == 10.0
-        assert second_done == 15.0
-
-    def test_cpu_accounts_are_independent_between_nodes(self):
-        sim = Simulator()
-        sim.charge_cpu("node-a", 10.0)
-        assert sim.charge_cpu("node-b", 5.0) == 5.0
-
-    def test_reset_cpu_clears_backlog(self):
-        sim = Simulator()
-        sim.charge_cpu("node-a", 10.0)
-        sim.reset_cpu("node-a")
-        assert sim.charge_cpu("node-a", 1.0) == 1.0
-
-    def test_charge_cpu_back_to_back_after_time_advance(self):
-        sim = Simulator()
-        sim.charge_cpu("node-a", 4.0)
-        sim.schedule(10.0, lambda: None)
-        sim.run_until_idle()
-        # The backlog from t=0 expired before t=10, so new work starts now.
-        assert sim.charge_cpu("node-a", 2.0) == 12.0
-        # ... and the follow-up work queues behind it.
-        assert sim.charge_cpu("node-a", 3.0) == 15.0
-        assert sim.cpu_free_at("node-a") == 15.0
-
-    def test_charge_cpu_zero_cost_keeps_clock(self):
-        sim = Simulator()
-        assert sim.charge_cpu("node-a", 0.0) == 0.0
-        assert sim.charge_cpu("node-a", -5.0) == 0.0
-
+class TestSimulatorTimers:
     def test_timers_belong_to_owner(self):
         sim = Simulator()
         fired = []
