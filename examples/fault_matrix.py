@@ -34,9 +34,10 @@ at the repository root), so an expectation flip shows up as a reviewable
 diff instead of being buried in an exit code.
 
 ``--soak STEPS`` switches to the bounded-horizon soak: thousands of
-batches per run with a shortened client timeout, sampling every tracked
-bookkeeping map along the way — a map still growing late in the run
-(past the checkpoint/retention plateau) is a leak and fails the run.
+batches per run with a shortened client timeout, sampling every container
+found on every node along the way — one still growing late in the run
+(past the checkpoint/retention plateau) is a leak and fails the run,
+unless ``BY_DESIGN_GROWTH`` names it with a reason.
 
 Run with::
 
@@ -55,6 +56,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.fabric.scenarios import (
+    BY_DESIGN_GROWTH,
     MATRIX_PROTOCOLS,
     SCENARIO_DEFS,
     SHARDED_MATRIX_PROTOCOLS,
@@ -67,12 +69,6 @@ from repro.fabric.scenarios import (
     unexpected_outcomes,
     unknown_name_message,
 )
-
-#: Soak growth bound: a tracked map may exceed its mid-run plateau by
-#: this factor plus the slack constant before it counts as a leak
-#: (mirrors tests/test_soak.py).
-SOAK_GROWTH_FACTOR = 1.5
-SOAK_GROWTH_SLACK = 64
 
 
 def run_soak_sweep(protocols, scenarios, steps: int, seed: int) -> int:
@@ -96,23 +92,19 @@ def run_soak_sweep(protocols, scenarios, steps: int, seed: int) -> int:
                       f"{final.now_ms:.0f}ms < two retention windows "
                       f"({2 * window_ms:.0f}ms) — raise STEPS")
                 continue
-            growers = []
-            for name in report.tracked_names():
-                plateau = baseline.max_size(name)
-                late = final.max_size(name)
-                if late > plateau * SOAK_GROWTH_FACTOR + SOAK_GROWTH_SLACK:
-                    growers.append((name, plateau, late))
-            ok = report.live and report.safe and not growers
+            leaks = {name for name, _, _ in report.growers()}
+            ok = report.live and report.safe and not leaks
             status = "ok" if ok else "FAIL"
             print(f"{protocol:>10} × {scenario:<22} {status:>4}  "
                   f"live={report.live} safe={report.safe} "
                   f"completed={report.completed_batches}/{steps} "
                   f"span={final.now_ms:.0f}ms")
-            print(f"{'':>12} {'map':<26} {'mid-run':>8} {'final':>8}")
+            print(f"{'':>12} {'container':<32} {'mid-run':>8} {'final':>8}")
             for name in report.tracked_names():
-                marker = " <-- LEAK" if any(g[0] == name for g in growers) else ""
-                print(f"{'':>12} {name:<26} {baseline.max_size(name):>8} "
-                      f"{final.max_size(name):>8}{marker}")
+                marker = (" <-- LEAK" if name in leaks
+                          else "  (by design)" if name in BY_DESIGN_GROWTH else "")
+                print(f"{'':>12} {name:<32} {baseline.sizes.get(name, 0):>8} "
+                      f"{final.sizes.get(name, 0):>8}{marker}")
             if not ok:
                 failures += 1
                 if not report.safe:
@@ -216,7 +208,7 @@ def main(argv=None) -> int:
     parser.add_argument("--soak", metavar="STEPS", type=int, default=None,
                         help="run bounded-horizon soaks of STEPS batches "
                              "instead of the matrix, checking that every "
-                             "tracked bookkeeping map plateaus (default "
+                             "container found on a node plateaus (default "
                              "scenario set: no-fault; combine with "
                              "--scenarios/--protocols or --only)")
     args = parser.parse_args(argv)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
@@ -164,7 +164,6 @@ class HotStuffReplica(BatchingReplica):
                                          block_digest=digest("hotstuff-genesis"))
         self._rounds: Dict[int, _RoundState] = {}
         self._pending_batches: Deque[RequestBatch] = deque()
-        self._queued_batch_ids: Set[str] = set()
         self._next_execute_sequence = 0
         #: Highest round already settled (executed or skipped) by
         #: :meth:`_commit_upto`; rounds are settled strictly in order.
@@ -204,7 +203,7 @@ class HotStuffReplica(BatchingReplica):
         state.proposal = proposal
         batch = proposal.batch
         if batch is not None:
-            self._queued_batch_ids.add(batch.batch_id)
+            self._seen_batch_ids.add(batch.batch_id)
             if batch.reply_to:
                 self._reply_targets.setdefault(batch.batch_id, batch.reply_to)
             self._pending_batches = deque(
@@ -231,8 +230,10 @@ class HotStuffReplica(BatchingReplica):
         if earlier_reply is not None:
             self.send(reply_to, earlier_reply)
             return
-        if batch.batch_id not in self._queued_batch_ids:
-            self._queued_batch_ids.add(batch.batch_id)
+        # The base's dedup set: it ages out with the reply state, so a
+        # duplicate that ``_replied`` can still answer is still recognised.
+        if batch.batch_id not in self._seen_batch_ids:
+            self._seen_batch_ids.add(batch.batch_id)
             self._pending_batches.append(batch)
         elif (message.retransmission
               and batch.batch_id not in self._replied

@@ -646,6 +646,26 @@ class TestHotStuffChainSync:
         assert leader.high_qc.round_number == 0
         assert leader.auth.threshold_verify(leader.high_qc.signature, block_digest)
 
+    def test_request_dedup_ages_out_with_the_reply_state(self, auths):
+        """The set that recognises an already queued request is the base's
+        ``_seen_batch_ids``: it loses a batch when ``_replied`` does, at the
+        reply-retention horizon, instead of growing for the whole run."""
+        replica = _hotstuff_replica(auths)
+        for name in ("old", "recent"):
+            replica.deliver("client:0", ClientRequestMessage(
+                batch=make_no_op_batch(name, "client:0", 2)), 0.0)
+        assert {"old", "recent"} <= replica._seen_batch_ids
+        assert len(replica._pending_batches) == 2
+        age_ms = (replica.config.request_timeout_ms
+                  * replica.REPLY_RETENTION_TIMEOUTS)
+        # Both executed at slot 0, two intervals below the checkpoint at
+        # 14; only "old" is also a full retention window old.
+        replica._batch_sequence["old"] = (0, 0.0)
+        replica._batch_sequence["recent"] = (0, 1.0)
+        replica.on_stable_checkpoint(14, now_ms=age_ms)
+        assert "old" not in replica._seen_batch_ids
+        assert "recent" in replica._seen_batch_ids
+
     def test_chain_resync_unwinds_a_reverted_reconfiguration(self, auths):
         """A chain resync that reverts an executed ``ReconfigRecord`` must
         take its pending epoch, the epoch gate and the dedup entries of
