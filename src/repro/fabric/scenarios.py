@@ -863,16 +863,16 @@ class SoakReport:
     def tracked_names(self) -> List[str]:
         return sorted(set().union(*(sample.sizes for sample in self.samples)))
 
-    def growers(self, factor: float = 1.5, slack: int = 64) -> List[Tuple[str, int, int]]:
+    def growers(self) -> List[Tuple[str, int, int]]:
         """``(name, plateau, final size)`` of every container outside
         :data:`BY_DESIGN_GROWTH` that outgrew its plateau — its size at the
         second sample, when every protocol is past the first reply-retention
-        window — by more than *factor* plus *slack* (the sampling phase
-        relative to checkpoint boundaries)."""
+        window — by more than half plus 64 (the sampling phase relative to
+        checkpoint boundaries)."""
         plateau, final = self.samples[min(1, len(self.samples) - 1)].sizes, self.samples[-1].sizes
         return [(name, plateau.get(name, 0), size) for name, size in sorted(final.items())
                 if name not in BY_DESIGN_GROWTH
-                and size > plateau.get(name, 0) * factor + slack]
+                and size > plateau.get(name, 0) * 1.5 + 64]
 
 
 def soak_params(steps: int, seed: int = 11) -> ScenarioParams:

@@ -29,7 +29,7 @@ expected-unsafe under equivocation.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core.view_change import (
@@ -481,10 +481,10 @@ class _PendingCommit(_PendingBatch):
     #: certificate round that passes a full timeout without 2f+1 local
     #: commits is recognised as failed instead of looped.
     cert_attempted: Optional[Tuple] = None
-    #: Replicas that acknowledged a certificate (``None`` until one is sent)
-    #: and the reply the batch completes with once ``2f + 1`` did.
-    commit_acks: Optional[Set[str]] = None
+    #: The reply the batch completes with once ``2f + 1`` replicas
+    #: acknowledged a certificate (``None`` until one is sent), and who did.
     commit_reply: Optional[ClientReplyMessage] = None
+    commit_acks: Set[str] = field(default_factory=set)
 
 
 class ZyzzyvaClientPool(ClientPool):
@@ -607,8 +607,6 @@ class ZyzzyvaClientPool(ClientPool):
             pending.cert_attempted = best_key
             _, view, sequence, result_digest = best_key
             self.commit_certificates_sent += 1
-            if pending.commit_acks is None:
-                pending.commit_acks = set()
             pending.commit_reply = ClientReplyMessage(
                 batch_id=batch_id, view=view, sequence=sequence,
                 result_digest=result_digest, replica_id="",
@@ -626,7 +624,7 @@ class ZyzzyvaClientPool(ClientPool):
         if not isinstance(message, ZyzzyvaLocalCommit):
             return
         pending = self._pending.get(message.batch_id)
-        if pending is None or pending.commit_acks is None:
+        if pending is None or pending.commit_reply is None:
             return
         # Transport-level sender, not the spoofable message.replica_id: one
         # Byzantine replica must not acknowledge a commit certificate 2f+1

@@ -165,9 +165,8 @@ def pong_arrivals(network, node_id):
 
 
 class TestCpuAccounting:
-    """A node's CPU is one field of its handle on the network that hosts it
-    (these properties were ``Simulator.charge_cpu``'s until the simulator
-    became a pure event heap)."""
+    """A node's CPU is one field of its handle on the network that hosts
+    it: the simulator under it is an event heap and keeps no accounts."""
 
     def test_steps_on_one_node_serialise(self):
         network = build_busy_network(Simulator(), REPLICAS[:3])

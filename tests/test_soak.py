@@ -52,17 +52,14 @@ def assert_bounded(report: SoakReport, timeout_ms: float = 25.0) -> None:
 
 @pytest.mark.parametrize("protocol", MATRIX_PROTOCOLS)
 def test_long_run_state_is_bounded(protocol):
-    # hotstuff: failed on ``_queued_batch_ids`` (2000 -> 4000, only ever
-    # added to) as soon as the harness discovered containers.
     assert_bounded(run_soak(protocol, "no-fault", steps=SOAK_STEPS))
 
 
 @pytest.mark.parametrize("protocol", ["poe-mac", "pbft", "zyzzyva"])
 def test_long_run_state_is_bounded_with_a_crashed_backup(protocol):
-    # The paper's failure configuration (Figure 9(a,b)).  zyzzyva: every
-    # request takes the commit-certificate path, whose per-request state
-    # the client pool never freed (``_commit_phase`` / ``_commit_reply``,
-    # 2000 -> 4000) until it moved onto the pending record.
+    # The paper's failure configuration (Figure 9(a,b)).  On zyzzyva every
+    # request then takes the commit-certificate path, so whatever the
+    # client pool keeps per certificate must die with the request.
     assert_bounded(run_soak(protocol, "backup-crash", steps=SOAK_STEPS))
 
 
