@@ -396,8 +396,8 @@ class HotStuffReplica(BatchingReplica):
         certified ones.
 
         A round executes only when a *signed* quorum certificate for its
-        exact block is known (the round's ``certificate``) and the block's
-        content is held locally.  Rounds without a signed QC by the time the chain is
+        exact block is known (its ``certificate``) and the block's content
+        is held locally.  Rounds without a signed QC by the time the chain is
         three rounds past them were skipped by the pacemaker (or poisoned by
         an equivocating leader) and settle without executing — their batches
         return via client retransmission.  A round whose QC is known but

@@ -556,8 +556,8 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         if checkpoints.stable_sequence != sequence:
             # Not stable yet: the vouching rule, in which this replica's
             # own vote never counts.
-            if (replica_id != self.node_id and voters.count
-                    - (self.node_id in voters) >= self._f_plus_1):
+            others = voters.count - (self.node_id in voters)
+            if replica_id != self.node_id and others >= self._f_plus_1:
                 self._on_checkpoint_vouched(sequence, state_digest,
                                             replica_id, now_ms)
             return
