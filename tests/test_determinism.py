@@ -504,3 +504,154 @@ def test_golden_xshard_rows(protocol, scenario):
 
     fingerprint = sharded_fingerprint(_xshard_scenario_config(protocol, scenario))
     assert _fingerprint_digest(fingerprint) == GOLDEN_XSHARD[(protocol, scenario)]
+
+
+# ------------------------------------------------- digest and state pins
+# ``run_fingerprint`` sees completion records, the event count, the clock
+# and two rates: no digest, no ledger hash, no store state.  A change to
+# how transactions are built, signed or executed is invisible to every
+# golden above, so the bytes themselves are pinned here.
+
+def _pinned_values():
+    from repro.crypto.keys import generate_system_keys
+    from repro.crypto.signatures import SignatureScheme, build_registry
+    from repro.ledger.store import ExecutionResult
+    from repro.workload.transactions import (
+        Operation,
+        OpType,
+        RequestBatch,
+        Transaction,
+    )
+    from repro.workload.ycsb import YcsbConfig, YcsbWorkload
+
+    read = Operation(OpType.READ, "user7")
+    write = Operation(OpType.WRITE, "user42", "w0-" + "x" * 16)
+    transactions = {
+        "txn.read": Transaction("c:txn:0", "c", (read,)),
+        "txn.write": Transaction("c:txn:1", "c", (write,)),
+        "txn.two_ops": Transaction("c:txn:2", "c", (write, read)),
+        "txn.no_ops": Transaction("c:txn:3", "c"),
+    }
+    keystores = generate_system_keys(["replica:0"], ["c"], seed=b"pin")
+    scheme = SignatureScheme(keystores["c"], build_registry(keystores))
+    over_txn = scheme.sign(transactions["txn.write"].digest())
+    over_values = scheme.sign("view-change", 3)
+    values = {name: txn.digest() for name, txn in transactions.items()}
+    values.update({
+        "batch": RequestBatch("c:batch:0", tuple(transactions.values())).digest(),
+        "batch.empty": RequestBatch("c:batch:1", ()).digest(),
+        "result.no_reads": ExecutionResult("c:txn:1", writes_applied=1).digest(),
+        "result.hit": ExecutionResult("c:txn:0", (("user7", "value-7"),)).digest(),
+        "result.miss": ExecutionResult("c:txn:0", (("user7", None),)).digest(),
+        "op.read": read.canonical_bytes(),
+        "op.write": write.canonical_bytes(),
+        "sign.txn.payload_digest": over_txn.payload_digest,
+        "sign.txn.tag": over_txn.tag,
+        "sign.values.payload_digest": over_values.payload_digest,
+        "sign.values.tag": over_values.tag,
+    })
+    # The generator's three entry points interleaved on one workload: the
+    # order of its Zipfian and write/read draws, and the value format.
+    workload = YcsbWorkload(YcsbConfig.small(seed=5), client_id="c")
+    drawn = []
+    for _ in range(20):
+        drawn.append(workload.next_transaction())
+        drawn.append(workload.next_transaction_in_shard(1, 2))
+        drawn.extend(workload.next_cross_shard_operations([0, 1], 2).values())
+    values["ycsb.draws"] = hashlib.sha256(repr(
+        [(txn.txn_id, txn.operations) for txn in drawn]).encode()).digest()
+    return {name: value.hex() for name, value in values.items()}
+
+
+GOLDEN_BYTES = {
+    "txn.read": "8ade3a6059535f98e5d3406b5e672d1ac84d3cb5066f8e4a4d43d7aa0faecdcc",
+    "txn.write": "2879cb400deb564648474e2f4619a8c2e1caf79b8778f9d955c459a2be62d01a",
+    "txn.two_ops": "dfa894c0ae2b310990d45e3d7fb3974366084746efb75c94092afaf31f56945e",
+    "txn.no_ops": "fd626ce278fdec887556248f22fd7f7a25f86f795aee20efce5a7044243f5b2c",
+    "batch": "c6789e5832c16b558491a1dd2387883608bb98e410cb857afad70bb173b6d2f3",
+    "batch.empty": "e11cb666bc5456e5f9fdd01f6a72a8f12a4e3af67e4ce0caeec6b3c1cfaa3d67",
+    "result.no_reads": "964bf60a3a1b769847dcfff5abf3f270032d18fb8cd2f50d89ff586a9c45323f",
+    "result.hit": "1c3bef4d3c73943ec158a19859548a37c9c9314ecc52e9de1cc69fcbf5f6b66a",
+    "result.miss": "c634f4bdaa6a4c69b1b9a7fe40777e79353dc25a2628e1ee3d3046392e715a6a",
+    "op.read": b"read|user7|".hex(),
+    "op.write": b"write|user42|w0-xxxxxxxxxxxxxxxx".hex(),
+    "sign.txn.payload_digest":
+        "1c5feae233959639cc84e9250a861819d49c9790e5b1b322225ababd1f6559d5",
+    "sign.txn.tag": "bb41dec1108497ae965be4ca5548a73ac87483d8692f36416e67aa4aed190c68",
+    "sign.values.payload_digest":
+        "edbaca944ece77cf78b76d175b60af2fe4f29edb2d4f8bb83ab5581be2867bce",
+    "sign.values.tag": "3ca969a9c2e24310de97a8aad334f053d8dcd3edb779aaaafe33d73f221e1a95",
+    "ycsb.draws": "8d31a86ed15aa2ededd62721421f66b70a24d05f4f8a1ce0de7c82144b21b01a",
+}
+
+
+def test_golden_digest_and_signature_bytes():
+    assert _pinned_values() == GOLDEN_BYTES
+
+
+def _real_execution_state(config: ClusterConfig) -> dict:
+    """What a real-execution run left on every replica, hashed by part:
+    ledger heads, tables, state digests, every executed slot's result
+    digest, and the signature tags of the first executed batch."""
+    cluster = Cluster(config)
+    cluster.start()
+    cluster.run_until_done(max_ms=60_000.0)
+    parts = {name: hashlib.sha256()
+             for name in ("heads", "stores", "states", "results", "tags")}
+    for replica in cluster.replicas:
+        executor = replica.executor
+        parts["heads"].update(replica.blockchain.head.block_hash)
+        parts["stores"].update(executor.store.snapshot_digest())
+        parts["states"].update(executor.state_digest())
+        for sequence in range(executor.last_executed_sequence + 1):
+            parts["results"].update(executor.executed(sequence).result_digest)
+    for txn in cluster.replicas[1].executor.executed(0).batch.transactions:
+        parts["tags"].update(txn.signature.tag)
+    state = {name: part.hexdigest()[:16] for name, part in parts.items()}
+    state["executed"] = [r.executor.last_executed_sequence for r in cluster.replicas]
+    state["view_changes"] = max(r.view_changes_completed for r in cluster.replicas)
+    return state
+
+
+def _ycsb_exec_config(seed: int, crash_primary: bool = False) -> ClusterConfig:
+    """poebench's ``ycsb_exec_n4`` deployment at 1/20 budget."""
+    import dataclasses
+
+    config = ClusterConfig(
+        protocol="poe-mac", num_replicas=4, batch_size=100, total_batches=16,
+        use_ycsb_payload=True, execute_operations=True, seed=seed)
+    if crash_primary:
+        # Four outstanding so the crash leaves batches unproposed, and a
+        # checkpoint every five so undo logs are pruned mid-run.
+        config = dataclasses.replace(
+            config, client_outstanding=4, request_timeout_ms=100.0,
+            checkpoint_interval=5,
+            faults=FaultSchedule.primary_crash(replica_id(0), at_ms=3.0))
+    return config
+
+
+GOLDEN_REAL_EXECUTION = {
+    (3, False): {
+        "heads": "8be3eac34f755960", "stores": "e498f2d0a5daf852",
+        "states": "1314dd75281d046a", "results": "2dabef7e507b5385",
+        "tags": "81ed805d0c2c1100",
+        "executed": [15, 15, 15, 15], "view_changes": 0},
+    (11, False): {
+        "heads": "d70e9f4e16e75951", "stores": "8313aee8699fcaa1",
+        "states": "2614d5986c96a314", "results": "5eceec3cbe7f5c45",
+        "tags": "d8d3cfe9d9a8228b",
+        "executed": [15, 15, 15, 15], "view_changes": 0},
+    # The primary dies with four batches executed; the others finish the
+    # run in view 1 and prune their undo logs at three checkpoints.
+    (3, True): {
+        "heads": "89ff540fd4a0b7f7", "stores": "4a119b2413597d29",
+        "states": "5aabd6c1094c6d34", "results": "838f547312213b43",
+        "tags": "ae17c9eeab5688f4",
+        "executed": [3, 15, 15, 15], "view_changes": 1},
+}
+
+
+@pytest.mark.parametrize("seed,crash_primary", sorted(GOLDEN_REAL_EXECUTION))
+def test_golden_real_execution_state(seed, crash_primary):
+    state = _real_execution_state(_ycsb_exec_config(seed, crash_primary))
+    assert state == GOLDEN_REAL_EXECUTION[(seed, crash_primary)]

@@ -329,3 +329,91 @@ def test_executor_rollback_property(num_batches, rollback_to):
     assert len(chain) == target + 1
     expected = "init" if target < 0 else str(target)
     assert store.get("x") == expected
+
+
+# ------------------------------------------- rollback on a real table
+# ``revert`` above is exercised on hand-made undo logs; these cells make a
+# cluster roll back while it applies real YCSB writes.  YCSB writes are
+# blind, so once the clients have retransmitted every reverted batch the
+# final table is the same whether or not ``revert`` restored anything: the
+# undo path is checked where it runs, by comparing the table right after
+# each rollback with the table journalled when that sequence was executed.
+
+def _journal_table_states(executor, checked):
+    """Wrap *executor* so every rollback is compared with the journalled
+    table of its target; appends ``(target, writes undone, matches)``."""
+    after = {-1: executor.store.snapshot_digest()}
+    execute, rollback_to = executor.execute, executor.rollback_to
+
+    def journalling_execute(sequence, view, batch, proof=None):
+        record = execute(sequence, view, batch, proof)
+        after[sequence] = executor.store.snapshot_digest()
+        return record
+
+    def checking_rollback(sequence):
+        reverted = rollback_to(sequence)
+        if reverted and sequence in after:
+            checked.append((sequence, sum(len(r.undo) for r in reverted),
+                            executor.store.snapshot_digest() == after[sequence]))
+        return reverted
+
+    executor.execute = journalling_execute
+    executor.rollback_to = checking_rollback
+
+
+@pytest.mark.parametrize("protocol,scenario", [
+    # A replica leaves, rolls back its speculation and rejoins.
+    ("poe-ts", "churn"),
+    # A forger contests the history a view change adopts: two honest
+    # replicas revert three batches and re-execute two of them swapped.
+    ("zyzzyva", "forge-history-vc"),
+    # A rollback that stops above a stable checkpoint, after the undo
+    # logs below it were pruned.
+    ("zyzzyva", "adaptive-primary"),
+])
+def test_real_execution_rollback_converges(protocol, scenario):
+    import dataclasses
+
+    from repro.fabric.audit import SafetyAuditor
+    from repro.fabric.cluster import Cluster
+    from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams, _cluster_config
+
+    params = ScenarioParams(seed=11, total_batches=60)
+    plan = SCENARIO_DEFS[scenario].recipe(params)
+    cluster = Cluster(dataclasses.replace(
+        _cluster_config(protocol, plan, params, params.total_batches),
+        use_ycsb_payload=True, execute_operations=True))
+    auditor = SafetyAuditor.attach(cluster)
+    honest = [replica for replica in cluster.replicas
+              if replica.node_id not in cluster.byzantine_ids]
+    rollbacks = []
+    for replica in honest:
+        _journal_table_states(replica.executor, rollbacks)
+    cluster.start()
+    cluster.run_until_done(max_ms=params.max_ms)
+
+    assert any(writes for _, writes, _ in rollbacks), \
+        "the cell must actually undo writes"
+    assert all(matches for _, _, matches in rollbacks), rollbacks
+    assert any(replica.rollback_log for replica in honest)
+    assert auditor.report().ok, auditor.report().summary()
+
+    height = max(replica.last_executed_sequence for replica in honest)
+    assert height >= params.total_batches - 1
+    at_height = [r for r in honest if r.last_executed_sequence == height]
+    assert len(at_height) >= 2
+    assert len({r.blockchain.head.block_hash for r in at_height}) == 1
+    assert len({r.executor.store.snapshot_digest() for r in at_height}) == 1
+
+    # Replay the agreed ledger onto a fresh table.  A replica that caught
+    # up by state transfer holds no record for the slots it skipped, so
+    # the batches come from one that executed every slot itself.
+    witness = next(r for r in at_height
+                   if all(r.executor.executed(k) for k in range(height + 1)))
+    replayed = KeyValueStore(cluster._initial_table())
+    for sequence in range(height + 1):
+        batch = witness.executor.executed(sequence).batch
+        assert batch.digest() == witness.blockchain.block_at(sequence).batch_digest
+        for txn in batch.transactions:
+            replayed.apply(txn)
+    assert replayed.snapshot() == witness.executor.store.snapshot()
