@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.crypto.hashing import digest
 from repro.crypto.signatures import Signature
@@ -63,6 +63,14 @@ class Operation:
         return shard_of_key(self.key, num_shards)
 
 
+def transaction_digest(txn_id: str, client_id: str,
+                       operations: Tuple[Operation, ...]) -> bytes:
+    """The bytes a client signs and every replica checks: the one
+    definition of a transaction's digest."""
+    return digest("txn", txn_id, client_id,
+                  [op.canonical_bytes() for op in operations])
+
+
 @dataclass(frozen=True)
 class Transaction:
     """A client transaction ``<T>_c``.
@@ -89,8 +97,8 @@ class Transaction:
         # sanctioned way to initialise a cache slot on a frozen dataclass.
         cached = self.__dict__.get("_digest")
         if cached is None:
-            cached = digest("txn", self.txn_id, self.client_id,
-                            [op.canonical_bytes() for op in self.operations])
+            cached = transaction_digest(self.txn_id, self.client_id,
+                                        self.operations)
             object.__setattr__(self, "_digest", cached)
         return cached
 
@@ -107,6 +115,24 @@ class Transaction:
             return (0,)
         return tuple(sorted({shard_of_key(op.key, num_shards)
                              for op in self.operations}))
+
+
+def signed_transaction(txn_id: str, client_id: str,
+                       operations: Tuple[Operation, ...],
+                       sign: Callable[[bytes], Signature],
+                       created_at_ms: float = 0.0) -> Transaction:
+    """Build ``<T>_c`` with one pass over its fields.
+
+    The digest *sign* is given is the digest of the transaction returned,
+    so it is kept as that transaction's memo: the primary's batch digest
+    and every replica after it find it ready instead of canonicalising
+    the operations a second time.
+    """
+    signed_over = transaction_digest(txn_id, client_id, operations)
+    transaction = Transaction(txn_id, client_id, operations,
+                              sign(signed_over), created_at_ms)
+    object.__setattr__(transaction, "_digest", signed_over)
+    return transaction
 
 
 @dataclass(frozen=True)

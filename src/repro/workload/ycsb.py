@@ -19,6 +19,7 @@ from repro.workload.transactions import (
     RequestBatch,
     Transaction,
     shard_of_key,
+    signed_transaction,
 )
 from repro.workload.zipfian import ZipfianGenerator
 
@@ -95,21 +96,15 @@ class YcsbWorkload:
                 operations.append(Operation(op_type=OpType.READ, key=key))
         txn_id = f"{self.client_id}:txn:{self._txn_counter}"
         self._txn_counter += 1
-        transaction = Transaction(
+        if self.auth is not None:
+            return signed_transaction(txn_id, self.client_id, tuple(operations),
+                                      self.auth.sign, created_at_ms)
+        return Transaction(
             txn_id=txn_id,
             client_id=self.client_id,
             operations=tuple(operations),
             created_at_ms=created_at_ms,
         )
-        if self.auth is not None:
-            transaction = Transaction(
-                txn_id=transaction.txn_id,
-                client_id=transaction.client_id,
-                operations=transaction.operations,
-                signature=self.auth.sign(transaction.digest()),
-                created_at_ms=created_at_ms,
-            )
-        return transaction
 
     def next_batch(self, batch_size: int, created_at_ms: float = 0.0) -> RequestBatch:
         """Generate a batch of *batch_size* transactions."""
