@@ -59,22 +59,17 @@ class SignatureScheme:
     """
 
     def __init__(self, keystore: KeyStore, registry: Dict[str, bytes]):
-        self._keys = keystore
+        self.owner = keystore.owner
         self._registry = registry
-
-    @property
-    def owner(self) -> str:
-        return self._keys.owner
+        # Derived once: a client signs every transaction it issues.
+        self._key = verification_key(keystore.signing_secret)
+        self._owner_bytes = keystore.owner.encode()
 
     def sign(self, *values: Any) -> Signature:
         """Sign *values* with the local principal's secret."""
         payload_digest = digest(*values)
-        tag = hmac.new(
-            verification_key(self._keys.signing_secret),
-            self._keys.owner.encode() + payload_digest,
-            hashlib.sha256,
-        ).digest()
-        return Signature(signer=self._keys.owner, payload_digest=payload_digest, tag=tag)
+        tag = hmac.digest(self._key, self._owner_bytes + payload_digest, "sha256")
+        return Signature(self.owner, payload_digest, tag)
 
     def verify(self, signature: Signature, *values: Any) -> bool:
         """Return ``True`` iff *signature* is valid for *values*."""
@@ -84,9 +79,8 @@ class SignatureScheme:
         payload_digest = digest(*values)
         if payload_digest != signature.payload_digest:
             return False
-        expected = hmac.new(
-            key, signature.signer.encode() + payload_digest, hashlib.sha256
-        ).digest()
+        expected = hmac.digest(
+            key, signature.signer.encode() + payload_digest, "sha256")
         return hmac.compare_digest(expected, signature.tag)
 
     def require_valid(self, signature: Signature, *values: Any) -> None:
