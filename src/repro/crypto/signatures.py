@@ -25,7 +25,7 @@ class InvalidSignature(Exception):
     """Raised when strict verification of a signature fails."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     """A digital signature over a message digest.
 

@@ -11,11 +11,11 @@ of any earlier sequence number (ingredient I2, "safe rollbacks").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.crypto.hashing import digest, shared_digest
 from repro.ledger.blockchain import Blockchain
-from repro.ledger.store import ExecutionResult, KeyValueStore, UndoEntry
+from repro.ledger.store import KeyValueStore, UndoEntry
 from repro.workload.transactions import RequestBatch
 
 
@@ -33,12 +33,19 @@ def modelled_result_digest(sequence: int, batch: RequestBatch) -> bytes:
 class ExecutedBatch:
     """Record of one speculatively executed batch.
 
+    A record holds what a later step reads: the batch (a view change
+    compares an adopted prefix with it), the digest the replies carried,
+    and the undo log a rollback replays, which ``prune_before`` empties
+    once a checkpoint at or above the sequence is stable.  The
+    per-transaction results are not in it: each is folded into
+    ``result_digest`` as the batch executes and nothing reads it again,
+    so keeping them held one object tree per transaction per replica
+    alive for the whole run.
+
     Attributes:
         sequence: consensus sequence number ``k``.
         view: view in which the batch was certified.
         batch: the executed request batch.
-        results: per-transaction execution results (empty if execution was
-            cost-modelled rather than applied).
         result_digest: digest of the results, included in INFORM messages.
         undo: undo entries needed to revert this batch.
     """
@@ -46,7 +53,6 @@ class ExecutedBatch:
     sequence: int
     view: int
     batch: RequestBatch
-    results: Tuple[ExecutionResult, ...]
     result_digest: bytes
     undo: List[UndoEntry] = field(default_factory=list)
 
@@ -101,15 +107,15 @@ class SpeculativeExecutor:
                 f"out-of-order execution: expected {self.last_executed_sequence + 1}, "
                 f"got {sequence}"
             )
-        results: List[ExecutionResult] = []
         undo: List[UndoEntry] = []
         if self.apply_operations:
+            apply = self.store.apply
+            result_digests: List[bytes] = []
             for txn in batch.transactions:
-                result, txn_undo = self.store.apply(txn)
-                results.append(result)
-                undo.extend(txn_undo)
-            result_digest = shared_digest(
-                "results", tuple([r.digest() for r in results]))
+                result, txn_undo = apply(txn)
+                result_digests.append(result.digest())
+                undo += txn_undo
+            result_digest = shared_digest("results", tuple(result_digests))
         else:
             result_digest = modelled_result_digest(sequence, batch)
         block = self.blockchain.append(
@@ -118,7 +124,7 @@ class SpeculativeExecutor:
         )
         record = ExecutedBatch(
             sequence=sequence, view=view, batch=batch,
-            results=tuple(results), result_digest=result_digest, undo=undo,
+            result_digest=result_digest, undo=undo,
         )
         self._executed[sequence] = record
         self.last_executed_sequence = sequence

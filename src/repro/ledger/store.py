@@ -17,7 +17,7 @@ from repro.crypto.hashing import digest, shared_digest
 from repro.workload.transactions import OpType, Transaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """Deterministic result of executing one transaction.
 
@@ -37,7 +37,7 @@ class ExecutionResult:
                              self.writes_applied)
 
 
-@dataclass
+@dataclass(slots=True)
 class UndoEntry:
     """Previous value of one key, captured before a write."""
 
@@ -78,27 +78,22 @@ class KeyValueStore:
     # -- transaction execution ----------------------------------------------------
     def apply(self, transaction: Transaction) -> Tuple[ExecutionResult, List[UndoEntry]]:
         """Apply *transaction* and return its result plus undo entries."""
+        table = self._table
+        read, write = OpType.READ, OpType.WRITE
         reads: List[Tuple[str, Optional[str]]] = []
         undo: List[UndoEntry] = []
-        writes = 0
         for op in transaction.operations:
-            if op.op_type is OpType.READ:
-                reads.append((op.key, self._table.get(op.key)))
-            elif op.op_type is OpType.WRITE:
-                undo.append(
-                    UndoEntry(
-                        key=op.key,
-                        previous_value=self._table.get(op.key),
-                        existed=op.key in self._table,
-                    )
-                )
-                self._table[op.key] = op.value if op.value is not None else ""
-                writes += 1
+            op_type, key = op.op_type, op.key
+            if op_type is read:
+                reads.append((key, table.get(key)))
+            elif op_type is write:
+                previous = table.get(key)
+                undo.append(UndoEntry(
+                    key, previous, previous is not None or key in table))
+                table[key] = op.value if op.value is not None else ""
         self.applied_transactions += 1
-        result = ExecutionResult(
-            txn_id=transaction.txn_id, reads=tuple(reads), writes_applied=writes
-        )
-        return result, undo
+        # One undo entry per write applied.
+        return ExecutionResult(transaction.txn_id, tuple(reads), len(undo)), undo
 
     def revert(self, undo_entries: List[UndoEntry]) -> None:
         """Revert previously applied writes (most recent first)."""

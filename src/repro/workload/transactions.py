@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 from repro.crypto.hashing import digest
@@ -46,7 +46,7 @@ class OpType(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """A single read or write against the replicated table."""
 
@@ -71,7 +71,7 @@ def transaction_digest(txn_id: str, client_id: str,
                   [op.canonical_bytes() for op in operations])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A client transaction ``<T>_c``.
 
@@ -90,12 +90,16 @@ class Transaction:
     operations: Tuple[Operation, ...] = ()
     signature: Optional[Signature] = None
     created_at_ms: float = 0.0
+    #: Memo of :meth:`digest`, a slot like the fields so a transaction
+    #: carries no instance dict; not part of its value.
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def digest(self) -> bytes:
         # Memoised: a transaction is immutable, but its digest is requested
         # once per replica per protocol phase.  ``object.__setattr__`` is the
         # sanctioned way to initialise a cache slot on a frozen dataclass.
-        cached = self.__dict__.get("_digest")
+        cached = self._digest
         if cached is None:
             cached = transaction_digest(self.txn_id, self.client_id,
                                         self.operations)
