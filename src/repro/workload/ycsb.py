@@ -8,9 +8,10 @@ Zipfian distribution (theta = 0.9), and request batches of 100.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.crypto.authenticator import Authenticator
 from repro.workload.transactions import (
@@ -66,8 +67,8 @@ class YcsbWorkload:
             seed=self.config.seed,
         )
         self._rng = random.Random(self.config.seed + 1)
-        self._txn_counter = 0
-        self._batch_counter = 0
+        self._txn_numbers = itertools.count()
+        self._batch_numbers = itertools.count()
 
     # -- table bootstrap -----------------------------------------------------------
     def initial_table(self, num_records: Optional[int] = None) -> Dict[str, str]:
@@ -84,37 +85,51 @@ class YcsbWorkload:
         return f"user{rank}"
 
     # -- transaction generation -------------------------------------------------------
-    def next_transaction(self, created_at_ms: float = 0.0) -> Transaction:
-        """Generate the next client transaction."""
+    def _draw_operations(self, tag: int, shard: Optional[int] = None,
+                         num_shards: int = 1) -> Tuple[Operation, ...]:
+        """Draw one transaction's operations; writes carry ``w{tag}-``.
+
+        With *shard* given every key routes to it and keeps its Zipfian
+        popularity *within* the shard: the draw is the normal skewed draw,
+        rejected until it lands there.
+        """
         operations: List[Operation] = []
         for _ in range(self.config.operations_per_txn):
-            key = self.key_for(self._zipf.sample())
-            if self._rng.random() < self.config.write_fraction:
-                value = f"w{self._txn_counter}-" + "x" * self.config.value_size
-                operations.append(Operation(op_type=OpType.WRITE, key=key, value=value))
+            if shard is None:
+                rank = self._zipf.sample()
             else:
-                operations.append(Operation(op_type=OpType.READ, key=key))
-        txn_id = f"{self.client_id}:txn:{self._txn_counter}"
-        self._txn_counter += 1
+                rank = self._zipf.sample_where(
+                    lambda r: shard_of_key(self.key_for(r), num_shards) == shard)
+            key = self.key_for(rank)
+            if self._rng.random() < self.config.write_fraction:
+                value = f"w{tag}-" + "x" * self.config.value_size
+                operations.append(Operation(OpType.WRITE, key, value))
+            else:
+                operations.append(Operation(OpType.READ, key))
+        return tuple(operations)
+
+    def next_transaction(self, created_at_ms: float = 0.0) -> Transaction:
+        """Generate the next client transaction."""
+        number = next(self._txn_numbers)
+        txn_id = f"{self.client_id}:txn:{number}"
+        operations = self._draw_operations(number)
         if self.auth is not None:
-            return signed_transaction(txn_id, self.client_id, tuple(operations),
+            return signed_transaction(txn_id, self.client_id, operations,
                                       self.auth.sign, created_at_ms)
-        return Transaction(
-            txn_id=txn_id,
-            client_id=self.client_id,
-            operations=tuple(operations),
-            created_at_ms=created_at_ms,
-        )
+        return Transaction(txn_id, self.client_id, operations,
+                           created_at_ms=created_at_ms)
+
+    def _batch_of(self, transactions: Iterator[Transaction],
+                  created_at_ms: float) -> RequestBatch:
+        return RequestBatch(
+            batch_id=f"{self.client_id}:batch:{next(self._batch_numbers)}",
+            transactions=tuple(transactions), created_at_ms=created_at_ms)
 
     def next_batch(self, batch_size: int, created_at_ms: float = 0.0) -> RequestBatch:
         """Generate a batch of *batch_size* transactions."""
-        transactions = tuple(
-            self.next_transaction(created_at_ms=created_at_ms) for _ in range(batch_size)
-        )
-        batch_id = f"{self.client_id}:batch:{self._batch_counter}"
-        self._batch_counter += 1
-        return RequestBatch(batch_id=batch_id, transactions=transactions,
-                            created_at_ms=created_at_ms)
+        return self._batch_of(
+            (self.next_transaction(created_at_ms) for _ in range(batch_size)),
+            created_at_ms)
 
     def batches(self, count: int, batch_size: int) -> Iterator[RequestBatch]:
         """Yield *count* consecutive batches."""
@@ -124,42 +139,19 @@ class YcsbWorkload:
     # -- sharded generation ---------------------------------------------------------
     def next_transaction_in_shard(self, shard: int, num_shards: int,
                                   created_at_ms: float = 0.0) -> Transaction:
-        """Generate a transaction whose every key routes to *shard*.
-
-        Keys keep their Zipfian popularity *within* the shard: the draw is
-        the normal skewed draw, rejected until it lands in the shard.
-        """
-        operations: List[Operation] = []
-        for _ in range(self.config.operations_per_txn):
-            rank = self._zipf.sample_where(
-                lambda r: shard_of_key(self.key_for(r), num_shards) == shard)
-            key = self.key_for(rank)
-            if self._rng.random() < self.config.write_fraction:
-                value = f"w{self._txn_counter}-" + "x" * self.config.value_size
-                operations.append(Operation(op_type=OpType.WRITE, key=key, value=value))
-            else:
-                operations.append(Operation(op_type=OpType.READ, key=key))
-        txn_id = f"{self.client_id}:txn:{self._txn_counter}"
-        self._txn_counter += 1
-        return Transaction(
-            txn_id=txn_id,
-            client_id=self.client_id,
-            operations=tuple(operations),
-            created_at_ms=created_at_ms,
-        )
+        """Generate a transaction whose every key routes to *shard*."""
+        number = next(self._txn_numbers)
+        return Transaction(f"{self.client_id}:txn:{number}", self.client_id,
+                           self._draw_operations(number, shard, num_shards),
+                           created_at_ms=created_at_ms)
 
     def next_batch_for_shard(self, shard: int, num_shards: int, batch_size: int,
                              created_at_ms: float = 0.0) -> RequestBatch:
         """Generate a single-shard batch: every key routes to *shard*."""
-        transactions = tuple(
-            self.next_transaction_in_shard(shard, num_shards,
-                                           created_at_ms=created_at_ms)
-            for _ in range(batch_size)
-        )
-        batch_id = f"{self.client_id}:batch:{self._batch_counter}"
-        self._batch_counter += 1
-        return RequestBatch(batch_id=batch_id, transactions=transactions,
-                            created_at_ms=created_at_ms)
+        return self._batch_of(
+            (self.next_transaction_in_shard(shard, num_shards, created_at_ms)
+             for _ in range(batch_size)),
+            created_at_ms)
 
     def next_cross_shard_operations(self, shards: List[int], num_shards: int,
                                     created_at_ms: float = 0.0) -> Dict[int, Transaction]:
@@ -170,25 +162,11 @@ class YcsbWorkload:
         own slice of the transaction.  The slices share a transaction
         counter so their ids correlate (``...:txn:N/s0``, ``...:txn:N/s1``).
         """
-        base = self._txn_counter
-        self._txn_counter += 1
-        slices: Dict[int, Transaction] = {}
-        for shard in shards:
-            operations: List[Operation] = []
-            for _ in range(self.config.operations_per_txn):
-                rank = self._zipf.sample_where(
-                    lambda r: shard_of_key(self.key_for(r), num_shards) == shard)
-                key = self.key_for(rank)
-                if self._rng.random() < self.config.write_fraction:
-                    value = f"w{base}-" + "x" * self.config.value_size
-                    operations.append(Operation(op_type=OpType.WRITE, key=key,
-                                                value=value))
-                else:
-                    operations.append(Operation(op_type=OpType.READ, key=key))
-            slices[shard] = Transaction(
-                txn_id=f"{self.client_id}:txn:{base}/s{shard}",
-                client_id=self.client_id,
-                operations=tuple(operations),
-                created_at_ms=created_at_ms,
-            )
-        return slices
+        base = next(self._txn_numbers)
+        return {
+            shard: Transaction(f"{self.client_id}:txn:{base}/s{shard}",
+                               self.client_id,
+                               self._draw_operations(base, shard, num_shards),
+                               created_at_ms=created_at_ms)
+            for shard in shards
+        }
