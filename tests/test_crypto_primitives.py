@@ -1,8 +1,13 @@
 """Tests for MACs, digital signatures, key generation and the cost model."""
 
+import hashlib
+import hmac
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.cost import CryptoCostModel, CryptoOp
+from repro.crypto.hashing import digest
 from repro.crypto.keys import generate_system_keys
 from repro.crypto.mac import MacAuthenticator
 from repro.crypto.signatures import (
@@ -10,6 +15,7 @@ from repro.crypto.signatures import (
     Signature,
     SignatureScheme,
     build_registry,
+    verification_key,
 )
 
 
@@ -121,6 +127,31 @@ class TestSignatures:
         signature = schemes["client:0"].sign("payload")
         with pytest.raises(InvalidSignature):
             schemes["replica:0"].require_valid(signature, "other payload")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["client:0", "replica:1", "replica:3"]),
+           st.lists(st.one_of(st.binary(max_size=40), st.text(max_size=20),
+                              st.integers()), max_size=4))
+    def test_matches_the_written_definition(self, schemes, keystores,
+                                            signer, values):
+        """``tag = HMAC-SHA256(verification_key(secret), owner || D(values))``:
+        the scheme derives the key once and uses the one-shot HMAC, which
+        must stay this construction byte for byte."""
+        signature = schemes[signer].sign(*values)
+        payload_digest = digest(*values)
+        tag = hmac.new(verification_key(keystores[signer].signing_secret),
+                       signer.encode() + payload_digest, hashlib.sha256).digest()
+        assert signature == Signature(signer, payload_digest, tag)
+        verifier = schemes["replica:0"]
+        assert verifier.verify(signature, *values)
+        flipped = bytes([tag[0] ^ 1]) + tag[1:]
+        assert not verifier.verify(Signature(signer, payload_digest, flipped),
+                                   *values)
+        assert not verifier.verify(Signature(signer, digest(*values, 0), tag),
+                                   *values)
+        assert not verifier.verify(signature, *values, 0)
+        assert not verifier.verify(Signature("replica:2", payload_digest, tag),
+                                   *values)
 
 
 class TestCostModel:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.authenticator import make_authenticators
+from repro.crypto.hashing import digest
 from repro.workload.transactions import (
     OpType,
     RequestBatch,
@@ -90,6 +91,78 @@ class TestYcsbWorkload:
         txn = workload.next_transaction()
         assert txn.signature is not None
         assert auths["replica:0"].verify(txn.signature, txn.digest())
+
+    def test_signed_transaction_keeps_the_digest_of_its_own_fields(self):
+        """The signer hands the transaction the digest it signed over; that
+        memo must be what the fields hash to without it."""
+        auths = make_authenticators(["replica:0"], ["client:0"], seed=b"ycsb")
+        workload = YcsbWorkload(YcsbConfig.small(), client_id="client:0",
+                                authenticator=auths["client:0"])
+        for txn in workload.next_batch(20).transactions:
+            by_hand = Transaction(txn.txn_id, txn.client_id, txn.operations,
+                                  txn.signature, txn.created_at_ms)
+            assert by_hand == txn
+            assert by_hand.digest() == txn.digest()
+            assert txn.signature.payload_digest == digest(txn.digest())
+            assert auths["replica:0"].verify(by_hand.signature, by_hand.digest())
+
+
+class TestRealExecutionPaysForEachTransactionOnce:
+    """Ten real batches of twenty through a four-replica PoE cluster."""
+
+    @pytest.fixture()
+    def counted_run(self, monkeypatch):
+        import gc
+        from collections import Counter
+
+        from repro.fabric.cluster import Cluster, ClusterConfig
+        from repro.workload import transactions
+
+        calls = Counter()
+        transaction_digest, raw_digest = \
+            transactions.transaction_digest, transactions.digest
+
+        def counting_transaction_digest(*fields):
+            calls["transaction_digest"] += 1
+            return transaction_digest(*fields)
+
+        def counting_digest(tag, *values):
+            calls[tag] += 1
+            return raw_digest(tag, *values)
+
+        monkeypatch.setattr(transactions, "transaction_digest",
+                            counting_transaction_digest)
+        monkeypatch.setattr(transactions, "digest", counting_digest)
+        gc.collect()
+        cluster = Cluster(ClusterConfig(
+            protocol="poe-mac", num_replicas=4, batch_size=20, total_batches=10,
+            use_ycsb_payload=True, execute_operations=True, seed=3))
+        cluster.start()
+        cluster.run_until_done(max_ms=60_000.0)
+        assert [r.last_executed_sequence for r in cluster.replicas] == [9] * 4
+        return cluster, calls
+
+    def test_one_canonicalisation_per_transaction_and_per_batch(self, counted_run):
+        _, calls = counted_run
+        assert calls == {"transaction_digest": 200, "txn": 200, "batch": 10}
+
+    def test_nothing_per_transaction_outlives_its_use(self, counted_run):
+        import dataclasses
+        import gc
+
+        from repro.ledger.execution import ExecutedBatch
+        from repro.ledger.store import ExecutionResult
+
+        cluster, _ = counted_run
+        record = cluster.replicas[0].executor.executed(0)
+        assert record.undo and len(record.batch.transactions) == 20
+        assert "results" not in {f.name for f in dataclasses.fields(ExecutedBatch)}
+        gc.collect()
+        assert not [o for o in gc.get_objects() if type(o) is ExecutionResult]
+        txn = record.batch.transactions[0]
+        for instance in (txn, txn.operations[0], txn.signature, record.undo[0],
+                         ExecutionResult("t")):
+            assert not hasattr(instance, "__dict__"), type(instance)
 
 
 class TestBatches:
