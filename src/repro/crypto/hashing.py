@@ -48,6 +48,7 @@ the unmemoised code.
 
 ``digest`` itself is left raw because most of its callers hash a value
 once (``Transaction``/``RequestBatch`` keep their digest on the object,
+including the signed copy, which is handed the digest it was signed over;
 MACs and signatures bind the sender) and a miss costs half again as much
 as a plain call; memoising it would also hide the cost the hashing
 microbenchmarks exist to measure.
