@@ -131,11 +131,6 @@ class YcsbWorkload:
             (self.next_transaction(created_at_ms) for _ in range(batch_size)),
             created_at_ms)
 
-    def batches(self, count: int, batch_size: int) -> Iterator[RequestBatch]:
-        """Yield *count* consecutive batches."""
-        for _ in range(count):
-            yield self.next_batch(batch_size)
-
     # -- sharded generation ---------------------------------------------------------
     def next_transaction_in_shard(self, shard: int, num_shards: int,
                                   created_at_ms: float = 0.0) -> Transaction:
