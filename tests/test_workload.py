@@ -112,7 +112,6 @@ class TestRealExecutionPaysForEachTransactionOnce:
 
     @pytest.fixture()
     def counted_run(self, monkeypatch):
-        import gc
         from collections import Counter
 
         from repro.fabric.cluster import Cluster, ClusterConfig
@@ -133,7 +132,6 @@ class TestRealExecutionPaysForEachTransactionOnce:
         monkeypatch.setattr(transactions, "transaction_digest",
                             counting_transaction_digest)
         monkeypatch.setattr(transactions, "digest", counting_digest)
-        gc.collect()
         cluster = Cluster(ClusterConfig(
             protocol="poe-mac", num_replicas=4, batch_size=20, total_batches=10,
             use_ycsb_payload=True, execute_operations=True, seed=3))
