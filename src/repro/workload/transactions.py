@@ -55,8 +55,11 @@ class Operation:
     value: Optional[str] = None
 
     def canonical_bytes(self) -> bytes:
-        value = self.value if self.value is not None else ""
-        return f"{self.op_type.value}|{self.key}|{value}".encode("utf-8")
+        # Injective, since a client's signature covers these bytes: the
+        # key's length says where the key ends, whatever separators key and
+        # value hold, and an absent value differs from an empty one.
+        value = "" if self.value is None else f"|{self.value}"
+        return f"{self.op_type.value}|{len(self.key)}|{self.key}{value}".encode("utf-8")
 
     def shard(self, num_shards: int) -> int:
         """The consensus group this operation's key routes to."""

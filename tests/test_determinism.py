@@ -563,21 +563,26 @@ def _pinned_values():
     return {name: value.hex() for name, value in values.items()}
 
 
+# The eight entries that contain an operation's bytes (``op.*``, the three
+# ``txn.*`` with operations, ``batch``, ``sign.txn.*``) were re-pinned when
+# ``Operation.canonical_bytes`` became injective; so were ``heads``,
+# ``states`` and ``tags`` of every GOLDEN_REAL_EXECUTION row, while their
+# ``stores`` and ``results`` (no operation bytes in either) stayed.
 GOLDEN_BYTES = {
-    "txn.read": "8ade3a6059535f98e5d3406b5e672d1ac84d3cb5066f8e4a4d43d7aa0faecdcc",
-    "txn.write": "2879cb400deb564648474e2f4619a8c2e1caf79b8778f9d955c459a2be62d01a",
-    "txn.two_ops": "dfa894c0ae2b310990d45e3d7fb3974366084746efb75c94092afaf31f56945e",
+    "txn.read": "cb70a0f1cf2f29423cc1b647eb4579d5dade1ed6d1987ced1d3f9466017fc43c",
+    "txn.write": "0a232aeba19cb61490735ef56c1fb9098cba6792587a5983915dba20562d60f5",
+    "txn.two_ops": "7fc0b4be4e789f3b297f66f42b07be08ef7eb468b5527fbdefcba1ab76ed3475",
     "txn.no_ops": "fd626ce278fdec887556248f22fd7f7a25f86f795aee20efce5a7044243f5b2c",
-    "batch": "c6789e5832c16b558491a1dd2387883608bb98e410cb857afad70bb173b6d2f3",
+    "batch": "0e96aace6b002d2da68561d337640b323436977e4d01e66505620ca517e720e9",
     "batch.empty": "e11cb666bc5456e5f9fdd01f6a72a8f12a4e3af67e4ce0caeec6b3c1cfaa3d67",
     "result.no_reads": "964bf60a3a1b769847dcfff5abf3f270032d18fb8cd2f50d89ff586a9c45323f",
     "result.hit": "1c3bef4d3c73943ec158a19859548a37c9c9314ecc52e9de1cc69fcbf5f6b66a",
     "result.miss": "c634f4bdaa6a4c69b1b9a7fe40777e79353dc25a2628e1ee3d3046392e715a6a",
-    "op.read": b"read|user7|".hex(),
-    "op.write": b"write|user42|w0-xxxxxxxxxxxxxxxx".hex(),
+    "op.read": b"read|5|user7".hex(),
+    "op.write": b"write|6|user42|w0-xxxxxxxxxxxxxxxx".hex(),
     "sign.txn.payload_digest":
-        "1c5feae233959639cc84e9250a861819d49c9790e5b1b322225ababd1f6559d5",
-    "sign.txn.tag": "bb41dec1108497ae965be4ca5548a73ac87483d8692f36416e67aa4aed190c68",
+        "9f66cbd4cde5219d05e676ec91303bd0611d6da74ff0165cfef977b0cc17b463",
+    "sign.txn.tag": "f8d0d8ba35ec9c636622273dd5523966afcd337aad5afec86f8ffb51730907b2",
     "sign.values.payload_digest":
         "edbaca944ece77cf78b76d175b60af2fe4f29edb2d4f8bb83ab5581be2867bce",
     "sign.values.tag": "3ca969a9c2e24310de97a8aad334f053d8dcd3edb779aaaafe33d73f221e1a95",
@@ -632,21 +637,21 @@ def _ycsb_exec_config(seed: int, crash_primary: bool = False) -> ClusterConfig:
 
 GOLDEN_REAL_EXECUTION = {
     (3, False): {
-        "heads": "8be3eac34f755960", "stores": "e498f2d0a5daf852",
-        "states": "1314dd75281d046a", "results": "2dabef7e507b5385",
-        "tags": "81ed805d0c2c1100",
+        "heads": "7aa74956382106a2", "stores": "e498f2d0a5daf852",
+        "states": "88de0b7505df06b4", "results": "2dabef7e507b5385",
+        "tags": "eccc3e2c7a37001c",
         "executed": [15, 15, 15, 15], "view_changes": 0},
     (11, False): {
-        "heads": "d70e9f4e16e75951", "stores": "8313aee8699fcaa1",
-        "states": "2614d5986c96a314", "results": "5eceec3cbe7f5c45",
-        "tags": "d8d3cfe9d9a8228b",
+        "heads": "0335bff55827f0ea", "stores": "8313aee8699fcaa1",
+        "states": "c99c386914ab6172", "results": "5eceec3cbe7f5c45",
+        "tags": "b396bf78d69c2aaf",
         "executed": [15, 15, 15, 15], "view_changes": 0},
     # The primary dies with four batches executed; the others finish the
     # run in view 1 and prune their undo logs at three checkpoints.
     (3, True): {
-        "heads": "89ff540fd4a0b7f7", "stores": "4a119b2413597d29",
-        "states": "5aabd6c1094c6d34", "results": "838f547312213b43",
-        "tags": "ae17c9eeab5688f4",
+        "heads": "53cae85088eda6f7", "stores": "4a119b2413597d29",
+        "states": "beaa453771dc1700", "results": "838f547312213b43",
+        "tags": "eb7abf3b275189e5",
         "executed": [3, 15, 15, 15], "view_changes": 1},
 }
 

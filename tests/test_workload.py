@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.authenticator import make_authenticators
 from repro.crypto.hashing import digest
 from repro.workload.transactions import (
+    Operation,
     OpType,
     RequestBatch,
     Transaction,
@@ -161,6 +162,37 @@ class TestRealExecutionPaysForEachTransactionOnce:
         for instance in (txn, txn.operations[0], txn.signature, record.undo[0],
                          ExecutionResult("t")):
             assert not hasattr(instance, "__dict__"), type(instance)
+
+
+class TestTransactionDigestIsInjective:
+    """One client signature must cover one transaction."""
+
+    def test_separator_in_key_or_value_does_not_collide(self):
+        # ``type|key|value`` read both of these as ``write|a|b|c``.
+        in_key = Transaction("t", "c", (Operation(OpType.WRITE, "a|b", "c"),))
+        in_value = Transaction("t", "c", (Operation(OpType.WRITE, "a", "b|c"),))
+        assert in_key != in_value
+        assert in_key.digest() != in_value.digest()
+
+    def test_absent_value_differs_from_empty_value(self):
+        absent = Operation(OpType.READ, "k")
+        empty = Operation(OpType.READ, "k", "")
+        assert absent.canonical_bytes() != empty.canonical_bytes()
+
+    _field = st.text(alphabet="a|1", max_size=3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(list(OpType)), _field,
+                              st.none() | _field),
+                    min_size=2, max_size=40, unique=True))
+    def test_distinct_operations_give_distinct_digests(self, operations):
+        """Drawn from a space small enough that the old encoding collides
+        in almost every example."""
+        digests = {Transaction("t", "c", (Operation(*fields),)).digest()
+                   for fields in operations}
+        assert len(digests) == len(operations)
+        assert Transaction("t", "c", tuple(
+            Operation(*fields) for fields in operations)).digest() not in digests
 
 
 class TestBatches:
