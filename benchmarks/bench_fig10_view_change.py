@@ -10,7 +10,7 @@ them, and HotStuff because it changes primaries every round).
 
 import pytest
 
-from repro.bench.report import print_series
+from repro.bench.report import print_results, print_series
 from repro.fabric.timeline import run_view_change_timeline
 
 
@@ -42,9 +42,14 @@ def test_figure10_view_change_timeline(benchmark, scale, protocol):
     assert timeline.new_view >= 1
     assert dip < before * 0.2, "throughput must dip during the view-change"
     assert after > before * 0.5, "throughput must recover under the new primary"
-    print_series(
-        f"Figure 10 — {timeline.protocol} throughput across a primary failure "
-        f"(crash at {timeline.primary_crash_ms / 1000.0:.2f}s, "
-        f"{timeline.view_changes_completed} view-change)",
-        timeline.series(),
-    )
+    title = f"Figure 10 — {timeline.protocol} throughput across a primary failure"
+    print_results(f"{title}: crash, dip, recovery", [{
+        "crash_at_s": timeline.primary_crash_ms / 1000.0,
+        "crash_bucket": crash_bucket,
+        "before_txn_per_s": round(before),
+        "dip_txn_per_s": round(dip),
+        "after_txn_per_s": round(after),
+        "view_changes": timeline.view_changes_completed,
+        "new_view": timeline.new_view,
+    }])
+    print_series(title, timeline.series())

@@ -10,14 +10,18 @@ counts (4-91) and batch counts — expect a run of tens of minutes.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Dict, List
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
 import pytest
+
+from repro.bench.report import RECORDED
 
 
 @dataclass(frozen=True)
@@ -60,16 +64,83 @@ def scale() -> BenchScale:
     return current_scale()
 
 
-@pytest.fixture(scope="session", autouse=True)
-def fresh_report_file() -> None:
-    """Start every benchmark session with an empty figure-report file.
+def pytest_addoption(parser) -> None:
+    """Same ``--json`` / ``--expected`` pair as ``examples/fault_matrix.py``."""
+    parser.addoption("--json", metavar="PATH", default=None,
+                     help="write every figure's rows printed by this session "
+                          "as one JSON file")
+    parser.addoption("--expected", metavar="PATH", default=None,
+                     help="diff the figure rows against a pinned file "
+                          "(benchmarks/FIGURE_EXPECTATIONS.json); any moved, "
+                          "missing or extra row fails the session")
 
-    The tables regenerated by the benchmarks are appended to this file by
-    :mod:`repro.bench.report` because pytest captures stdout by default.
-    """
-    path = os.environ.get("REPRO_BENCH_REPORT", "benchmark_results.txt")
-    scale_obj = current_scale()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("Regenerated paper tables and figures "
-                     f"(scale: {scale_obj.name})\n")
-        handle.write("=" * 60 + "\n")
+
+def figure_table() -> Dict[str, object]:
+    """The machine-readable form of every figure printed so far."""
+    titles = [title for title, _rows in RECORDED]
+    repeated = sorted({title for title in titles if titles.count(title) > 1})
+    if repeated:
+        raise ValueError(f"figure titles printed twice: {repeated}")
+    table = {"schema": 1, "scale": current_scale().name,
+             "figures": dict(RECORDED)}
+    # Through JSON once, so rows compare as the pinned file stores them.
+    return json.loads(json.dumps(table))
+
+
+def render_figure_table(table: Dict[str, object]) -> str:
+    """JSON with one row per line, so a moved value is a one-line diff."""
+    figures = ",\n".join(
+        f"  {json.dumps(title, ensure_ascii=False)}: [\n"
+        + ",\n".join(f"   {json.dumps(row)}" for row in rows) + "\n  ]"
+        for title, rows in table["figures"].items())
+    return (f'{{\n "schema": {table["schema"]},\n "scale": "{table["scale"]}",\n'
+            f' "figures": {{\n{figures}\n }}\n}}\n')
+
+
+def diff_against_expected(table: Dict[str, object],
+                          expected: Dict[str, object]) -> List[str]:
+    """Row-for-row differences; empty when the run reproduced every pin."""
+    for key in ("schema", "scale"):
+        if expected[key] != table[key]:
+            return [f"{key}: run is {table[key]!r}, expectations are for "
+                    f"{expected[key]!r} — rows are not comparable"]
+    observed, recorded = table["figures"], expected["figures"]
+    differences = []
+    for title in sorted(set(observed) | set(recorded)):
+        if title not in recorded:
+            differences.append(f"{title}: not in the expectations file")
+        elif title not in observed:
+            differences.append(f"{title}: pinned, but this run did not produce it")
+        else:
+            have, want = observed[title], recorded[title]
+            for index in range(max(len(have), len(want))):
+                had = have[index] if index < len(have) else "absent"
+                wanted = want[index] if index < len(want) else "absent"
+                if had != wanted:
+                    differences.append(f"{title}: row {index}: observed {had}, "
+                                       f"recorded {wanted}")
+    return differences
+
+
+def pytest_sessionfinish(session) -> None:
+    json_path = session.config.getoption("--json")
+    expected_path = session.config.getoption("--expected")
+    if not (json_path or expected_path):
+        return
+    table = figure_table()
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as handle:
+            handle.write(render_figure_table(table))
+    if expected_path:
+        with open(expected_path, "r", encoding="utf-8") as handle:
+            differences = diff_against_expected(table, json.load(handle))
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        reporter.write_line("")
+        if differences:
+            reporter.write_line(f"figure rows differ from {expected_path}:", red=True)
+            for line in differences:
+                reporter.write_line(f"  {line}", red=True)
+            session.exitstatus = session.exitstatus or pytest.ExitCode.TESTS_FAILED
+        else:
+            reporter.write_line(f"figure rows match {expected_path} "
+                                f"({len(table['figures'])} figures)")

@@ -2,32 +2,18 @@
 
 Each benchmark regenerates the rows/series of one paper table or figure;
 these helpers print them in a compact, aligned form so the output can be
-compared side by side with the paper (EXPERIMENTS.md records both).
-
-pytest captures stdout by default, so in addition to printing, every
-report is appended to a plain-text file (``benchmark_results.txt`` in the
-current working directory, overridable through the environment variable
-``REPRO_BENCH_REPORT``).  Running the benchmark suite therefore always
-leaves the regenerated tables on disk, even without ``-s``.
+compared side by side with the paper, and append ``(title, rows)`` to
+:data:`RECORDED`.  ``benchmarks/conftest.py`` writes that list as one JSON
+(``--json``) and diffs it row for row against the pinned
+``benchmarks/FIGURE_EXPECTATIONS.json`` (``--expected``).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-
-def _report_path() -> str:
-    return os.environ.get("REPRO_BENCH_REPORT", "benchmark_results.txt")
-
-
-def _append_to_report(text: str) -> None:
-    try:
-        with open(_report_path(), "a", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    except OSError:
-        # Reporting must never fail a benchmark run.
-        pass
+#: Every table and series printed by this process, in print order.
+RECORDED: List[Tuple[str, List[Dict[str, object]]]] = []
 
 
 def format_table(rows: Sequence[Dict[str, object]],
@@ -53,18 +39,18 @@ def format_table(rows: Sequence[Dict[str, object]],
 
 def print_results(title: str, rows: Iterable[Dict[str, object]],
                   columns: Sequence[str] = ()) -> None:
-    """Print one benchmark's result table and append it to the report file."""
-    text = f"\n=== {title} ===\n" + format_table(list(rows), columns=columns)
-    print(text)
-    _append_to_report(text)
+    """Print one benchmark's result table and record its rows."""
+    rows = list(rows)
+    print(f"\n=== {title} ===\n" + format_table(rows, columns=columns))
+    RECORDED.append((title, rows))
 
 
 def print_series(title: str, points: Iterable[Dict[str, object]]) -> None:
     """Print a (x, y) series (e.g. a throughput timeline) and record it."""
+    points = list(points)
     lines = [f"\n--- {title} ---"]
     for point in points:
         rendered = ", ".join(f"{key}={value}" for key, value in point.items())
         lines.append(f"  {rendered}")
-    text = "\n".join(lines)
-    print(text)
-    _append_to_report(text)
+    print("\n".join(lines))
+    RECORDED.append((title, points))

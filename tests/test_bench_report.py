@@ -1,7 +1,13 @@
 """Tests for the benchmark reporting helpers."""
 
+import importlib.util
+import json
+import os
+import sys
 
+import pytest
 
+from repro.bench import report
 from repro.bench.report import format_table, print_results, print_series
 
 
@@ -30,27 +36,80 @@ class TestFormatTable:
         assert format_table([]) == "(no rows)"
 
 
-class TestReportFile:
-    def test_print_results_appends_to_report_file(self, tmp_path, capsys, monkeypatch):
-        report = tmp_path / "report.txt"
-        monkeypatch.setenv("REPRO_BENCH_REPORT", str(report))
-        print_results("My Table", [{"x": 1}])
-        printed = capsys.readouterr().out
-        assert "My Table" in printed
-        assert report.exists()
-        assert "My Table" in report.read_text()
+class TestRecorder:
+    """``print_results`` / ``print_series`` record what they print."""
 
-    def test_print_series_appends_points(self, tmp_path, capsys, monkeypatch):
-        report = tmp_path / "report.txt"
-        monkeypatch.setenv("REPRO_BENCH_REPORT", str(report))
+    @pytest.fixture(autouse=True)
+    def fresh_recorder(self, monkeypatch):
+        monkeypatch.setattr(report, "RECORDED", [])
+
+    def test_print_results_records_title_and_rows(self, capsys):
+        print_results("My Table", iter([{"x": 1}, {"x": 2}]))
+        assert "My Table" in capsys.readouterr().out
+        assert report.RECORDED == [("My Table", [{"x": 1}, {"x": 2}])]
+
+    def test_print_series_records_points(self, capsys):
         print_series("My Series", [{"t": 1, "v": 2.5}])
-        assert "t=1" in report.read_text()
-        assert "v=2.5" in capsys.readouterr().out
+        assert "t=1, v=2.5" in capsys.readouterr().out
+        assert report.RECORDED == [("My Series", [{"t": 1, "v": 2.5}])]
 
-    def test_unwritable_report_path_does_not_raise(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_REPORT", "/nonexistent-dir/report.txt")
-        print_results("Still prints", [{"x": 1}])
-        assert "Still prints" in capsys.readouterr().out
+    def test_column_selection_prints_a_subset_and_records_whole_rows(self, capsys):
+        print_results("Narrow", [{"a": 1, "b": 2}], columns=["a"])
+        assert "b" not in capsys.readouterr().out.splitlines()[-2]
+        assert report.RECORDED == [("Narrow", [{"a": 1, "b": 2}])]
+
+
+class TestFigureExpectations:
+    """``benchmarks/conftest.py``: the ``--json`` table and the ``--expected`` diff."""
+
+    @pytest.fixture(scope="class")
+    def harness(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "conftest.py")
+        spec = importlib.util.spec_from_file_location("bench_conftest", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+        yield module
+        del sys.modules[spec.name]
+
+    @staticmethod
+    def _table(**figures):
+        return {"schema": 1, "scale": "quick", "figures": figures}
+
+    def test_table_holds_every_printed_figure_and_round_trips(self, harness, monkeypatch):
+        monkeypatch.setattr(harness, "RECORDED", [("Fig — a", [{"n": 4, "x": 1.5}])])
+        table = harness.figure_table()
+        assert table["figures"] == {"Fig — a": [{"n": 4, "x": 1.5}]}
+        assert json.loads(harness.render_figure_table(table)) == table
+        assert harness.diff_against_expected(table, table) == []
+
+    def test_a_title_printed_twice_is_an_error(self, harness, monkeypatch):
+        monkeypatch.setattr(harness, "RECORDED", [("Fig", []), ("Fig", [])])
+        with pytest.raises(ValueError, match="Fig"):
+            harness.figure_table()
+
+    def test_moved_missing_and_extra_rows_name_figure_and_row(self, harness):
+        pinned = self._table(fig8=[{"scheme": "None", "txn": 10}, {"scheme": "ED", "txn": 3}])
+        moved = self._table(fig8=[{"scheme": "None", "txn": 10}, {"scheme": "ED", "txn": 4}])
+        assert harness.diff_against_expected(moved, pinned) == [
+            "fig8: row 1: observed {'scheme': 'ED', 'txn': 4}, "
+            "recorded {'scheme': 'ED', 'txn': 3}"]
+        short = self._table(fig8=pinned["figures"]["fig8"][:1])
+        assert harness.diff_against_expected(short, pinned) == [
+            "fig8: row 1: observed absent, recorded {'scheme': 'ED', 'txn': 3}"]
+        assert harness.diff_against_expected(pinned, short) == [
+            "fig8: row 1: observed {'scheme': 'ED', 'txn': 3}, recorded absent"]
+
+    def test_missing_and_extra_figures_are_differences(self, harness):
+        differences = harness.diff_against_expected(
+            self._table(fig7=[], fig9=[]), self._table(fig7=[], fig8=[]))
+        assert differences == ["fig8: pinned, but this run did not produce it",
+                               "fig9: not in the expectations file"]
+
+    def test_another_scale_is_not_comparable(self, harness):
+        paper = dict(self._table(fig7=[{"x": 1}]), scale="paper")
+        differences = harness.diff_against_expected(paper, self._table(fig7=[{"x": 2}]))
+        assert len(differences) == 1 and differences[0].startswith("scale:")
 
 
 class TestPerfDeltaMode:
