@@ -9,7 +9,7 @@ reproduce: None > CMAC > ED in throughput, reversed for latency.
 
 from repro.bench.report import print_results
 from repro.crypto.cost import CryptoCostModel
-from repro.fabric.experiments import ExperimentConfig, build_cluster
+from repro.fabric.experiments import ExperimentConfig, run_experiment
 
 CONFIGURATIONS = {
     "None": CryptoCostModel.none(),
@@ -19,12 +19,9 @@ CONFIGURATIONS = {
 
 
 def run_pbft_with(cost_model, num_batches):
-    config = ExperimentConfig(protocol="pbft", num_replicas=16, batch_size=100,
-                              num_batches=num_batches)
-    cluster = build_cluster(config, cost_model=cost_model)
-    cluster.start()
-    cluster.run_until_done(max_ms=600_000)
-    return cluster.result(metadata={"signature_scheme": True})
+    return run_experiment(ExperimentConfig(
+        protocol="pbft", num_replicas=16, batch_size=100,
+        num_batches=num_batches, cost_model=cost_model))
 
 
 def test_figure8_signature_schemes(benchmark, scale):

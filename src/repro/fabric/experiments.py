@@ -10,7 +10,7 @@ fabric, returning a :class:`~repro.fabric.metrics.RunResult`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional
 
 from repro.crypto.cost import CryptoCostModel
@@ -43,6 +43,9 @@ class ExperimentConfig:
         bandwidth_mbps: effective per-node uplink goodput; the primary's
             broadcast of standard-payload proposals is charged against it.
         request_timeout_ms: client/replica timeout.
+        cost_model: CPU time charged per cryptographic operation; the
+            paper's default is CMAC between replicas (Figure 8 compares the
+            alternatives, Figure 11 charges nothing).
         seed: RNG seed.
     """
 
@@ -57,6 +60,7 @@ class ExperimentConfig:
     latency_ms: float = 1.0
     bandwidth_mbps: float = 2000.0
     request_timeout_ms: float = 3000.0
+    cost_model: CryptoCostModel = field(default_factory=CryptoCostModel.cmac)
     seed: int = 1
 
     def describe(self) -> str:
@@ -74,8 +78,7 @@ def _fault_schedule(config: ExperimentConfig) -> FaultSchedule:
     return FaultSchedule.single_backup_crash(crashed, at_ms=0.0)
 
 
-def build_cluster(config: ExperimentConfig,
-                  cost_model: Optional[CryptoCostModel] = None) -> Cluster:
+def build_cluster(config: ExperimentConfig) -> Cluster:
     """Build (but do not run) the cluster for one experiment point."""
     conditions = NetworkConditions(
         latency_ms=config.latency_ms,
@@ -83,7 +86,6 @@ def build_cluster(config: ExperimentConfig,
         bandwidth_mbps=config.bandwidth_mbps,
         seed=config.seed,
     )
-    model = cost_model or CryptoCostModel.cmac()
     outstanding = config.client_outstanding if config.out_of_order else 1
     if not config.out_of_order and config.protocol == "hotstuff":
         # The paper allows HotStuff four outstanding requests because its
@@ -102,7 +104,7 @@ def build_cluster(config: ExperimentConfig,
         request_timeout_ms=config.request_timeout_ms,
         conditions=conditions,
         faults=_fault_schedule(config),
-        cost_model=model,
+        cost_model=config.cost_model,
         seed=config.seed,
     )
     return Cluster(cluster_config)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.cost import CryptoCostModel
 from repro.fabric.cluster import Cluster, ClusterConfig, client_id, replica_id
 from repro.fabric.experiments import (
     ExperimentConfig,
@@ -178,6 +179,13 @@ class TestExperiments:
                                                   out_of_order=False,
                                                   num_batches=5))
         assert hotstuff.pools[0].target_outstanding == 4
+
+    def test_cost_model_is_part_of_the_experiment_point(self):
+        default = build_cluster(ExperimentConfig(num_replicas=4, num_batches=5))
+        assert default.config.cost_model == CryptoCostModel.cmac()
+        free = build_cluster(ExperimentConfig(num_replicas=4, num_batches=5,
+                                              cost_model=CryptoCostModel.none()))
+        assert free.config.cost_model.scale == 0.0
 
     def test_run_experiment_produces_result(self):
         result = run_experiment(ExperimentConfig(protocol="poe", num_replicas=4,
