@@ -1,64 +1,98 @@
-"""Figure 11: simulated consensus throughput as a function of message delay.
+"""Figure 11: consensus throughput as a function of message delay.
 
 The paper's simulation processes every message send/receive but replaces
-computation with a fixed message delay.  Shapes to reproduce:
+computation with a fixed message delay.  Here the engine itself runs it
+(no crypto cost, one-transaction batches, client to client), so every row
+is measured and none of the assertions compares two typed constants.
+Shapes the paper draws, and what the engine shows:
 
 * without out-of-order processing, throughput depends only on the number
-  of communication rounds and the delay — PoE and PBFT achieve roughly
-  two thirds of HotStuff's decisions/s at every replica count, and
-  doubling the delay halves throughput;
-* allowing up to 250 decisions in flight multiplies PoE/PBFT throughput by
-  roughly two orders of magnitude, even with 128 replicas.
+  of message delays per decision: doubling the delay halves it and the
+  number of replicas does not matter;
+* PoE in threshold mode (above 16 replicas) takes exactly PBFT's hops, as
+  the paper draws them; in MAC mode it is one hop ahead — the phase
+  Appendix A saves;
+* HotStuff, allowed the four outstanding requests its chained pipeline
+  spans, is ahead of every primary-backup protocol;
+* a window of decisions in flight multiplies PoE/PBFT throughput by
+  roughly its size.  The paper reports ~200x for 250 decisions; the window
+  here is ``NodeConfig.max_in_flight`` = 128, a constant, and reads ~125x
+  at n=16.  At n=128 the primary's ``base_processing_ms`` per SUPPORT caps
+  it at ~1 decision/ms (47.8x), whatever the window.
 """
 
 import pytest
 
 from repro.bench.report import print_results
-from repro.sim.delay_model import simulate_out_of_order, sweep_delays
+from repro.sim.delay_model import FIGURE_11_PROTOCOLS, delay_point, sweep_delays
 
 DELAYS_MS = (10.0, 20.0, 40.0)
 REPLICA_COUNTS = (4, 16, 128)
+WINDOW = 128
+PRIMARY_BACKUP = [name for name in FIGURE_11_PROTOCOLS if name != "hotstuff"]
 
 
 def run_sequential(decisions):
-    return sweep_delays(protocols=("poe", "pbft", "hotstuff"),
-                        replica_counts=REPLICA_COUNTS,
-                        delays_ms=DELAYS_MS, decisions=decisions)
+    return sweep_delays(replica_counts=REPLICA_COUNTS, delays_ms=DELAYS_MS,
+                        decisions=decisions)
 
 
-def run_out_of_order(decisions):
-    return sweep_delays(protocols=("poe", "pbft"), replica_counts=(128,),
-                        delays_ms=DELAYS_MS, decisions=decisions,
-                        out_of_order=True, window=250)
+def window_points(scale):
+    """PBFT n=128 with 128 in flight is 172 s a point: paper scale only."""
+    points = [("poe", 16), ("pbft", 16), ("poe", 128)]
+    if scale.name == "paper":
+        points.append(("pbft", 128))
+    return points
+
+
+def run_out_of_order(scale):
+    delays = DELAYS_MS if scale.name == "paper" else DELAYS_MS[:1]
+    return [(delay_point(protocol, n, delay, scale.delay_decisions),
+             delay_point(protocol, n, delay, 8 * WINDOW, window=WINDOW))
+            for protocol, n in window_points(scale) for delay in delays]
 
 
 def test_figure11_sequential_simulation(benchmark, scale):
     results = benchmark.pedantic(run_sequential, args=(scale.delay_decisions,),
                                  rounds=1, iterations=1)
-    indexed = {(r.protocol, r.num_replicas, r.message_delay_ms): r for r in results}
-    for n in REPLICA_COUNTS:
-        for delay in DELAYS_MS:
-            poe = indexed[("poe", n, delay)].throughput_decisions_per_s
-            pbft = indexed[("pbft", n, delay)].throughput_decisions_per_s
-            hotstuff = indexed[("hotstuff", n, delay)].throughput_decisions_per_s
-            assert poe == pytest.approx(pbft)
-            assert poe == pytest.approx(hotstuff * 2.0 / 3.0, rel=0.01)
-        # Doubling the delay halves throughput.
-        assert indexed[("poe", n, 20.0)].throughput_decisions_per_s == pytest.approx(
-            2 * indexed[("poe", n, 40.0)].throughput_decisions_per_s)
-    print_results("Figure 11 (plots 1-3) — simulated decisions/s, sequential",
+    rate = {(r.protocol, r.num_replicas, r.message_delay_ms):
+            r.throughput_decisions_per_s for r in results}
+    for protocol in FIGURE_11_PROTOCOLS:
+        # Doubling the delay halves throughput.  SBFT's 50 ms collector
+        # timeout does not scale with the delay and fires at 40 ms a hop.
+        tolerance = 0.02 if protocol == "sbft" else 0.005
+        for n in REPLICA_COUNTS:
+            for delay in DELAYS_MS[:-1]:
+                assert rate[protocol, n, delay] == pytest.approx(
+                    2 * rate[protocol, n, 2 * delay], rel=tolerance)
+    for delay in DELAYS_MS:
+        for protocol in ("poe-mac", "pbft", "zyzzyva"):
+            # The MAC protocols do not care how many replicas there are.
+            assert rate[protocol, 128, delay] == pytest.approx(
+                rate[protocol, 4, delay], rel=0.02)
+        assert rate["poe", 128, delay] == pytest.approx(
+            rate["pbft", 128, delay], rel=0.01)
+        for n in REPLICA_COUNTS:
+            assert rate["poe-mac", n, delay] >= 1.2 * rate["pbft", n, delay]
+            assert rate["hotstuff", n, delay] > max(
+                rate[protocol, n, delay] for protocol in PRIMARY_BACKUP)
+    print_results("Figure 11 (plots 1-3) — decisions/s, sequential",
                   [r.row() for r in results])
 
 
 def test_figure11_out_of_order_simulation(benchmark, scale):
-    results = benchmark.pedantic(run_out_of_order, args=(scale.delay_decisions,),
-                                 rounds=1, iterations=1)
-    sequential = simulate_out_of_order("poe", 128, 10.0,
-                                       decisions=scale.delay_decisions, window=1)
-    indexed = {(r.protocol, r.message_delay_ms): r for r in results}
-    speedup = (indexed[("poe", 10.0)].throughput_decisions_per_s
-               / sequential.throughput_decisions_per_s)
-    # The paper reports roughly a 200x improvement with a 250-decision window.
-    assert speedup > 100
-    print_results("Figure 11 (plot 4) — simulated decisions/s, out-of-order window 250",
-                  [r.row() for r in results])
+    pairs = benchmark.pedantic(run_out_of_order, args=(scale,),
+                               rounds=1, iterations=1)
+    rows = []
+    for sequential, windowed in pairs:
+        speedup = (windowed.throughput_decisions_per_s
+                   / sequential.throughput_decisions_per_s)
+        if windowed.num_replicas == 16:
+            assert WINDOW * 0.9 < speedup < WINDOW
+        else:
+            assert speedup > 40
+        row = dict(windowed.row(), speedup=round(speedup, 1))
+        del row["hops"]  # a per-decision reading; the window overlaps them
+        rows.append(row)
+    print_results(f"Figure 11 (plot 4) — decisions/s, out-of-order window {WINDOW}",
+                  rows)

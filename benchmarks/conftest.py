@@ -42,7 +42,7 @@ QUICK = BenchScale(
     num_batches=80,
     batch_sizes=(10, 50, 100, 200),
     view_change_duration_ms=3_000.0,
-    delay_decisions=200,
+    delay_decisions=60,
 )
 
 PAPER = BenchScale(
@@ -51,7 +51,7 @@ PAPER = BenchScale(
     num_batches=120,
     batch_sizes=(10, 50, 100, 200, 400),
     view_change_duration_ms=8_000.0,
-    delay_decisions=500,
+    delay_decisions=200,
 )
 
 

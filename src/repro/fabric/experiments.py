@@ -121,8 +121,13 @@ def run_experiment(config: ExperimentConfig,
         "single_backup_failure": config.single_backup_failure,
         "num_batches": config.num_batches,
         "description": config.describe(),
+        "messages_sent": cluster.network.sent_count,
     }
     return cluster.result(warmup_fraction=warmup_fraction, metadata=metadata)
+
+
+def _selected(protocols: Optional[Iterable[str]]) -> List[str]:
+    return list(protocols) if protocols is not None else protocol_names()
 
 
 def run_protocol_comparison(
@@ -131,11 +136,8 @@ def run_protocol_comparison(
     max_ms: float = 600_000.0,
 ) -> Dict[str, RunResult]:
     """Run the same experiment point for several protocols."""
-    selected = list(protocols) if protocols is not None else protocol_names()
-    results: Dict[str, RunResult] = {}
-    for name in selected:
-        results[name] = run_experiment(replace(base, protocol=name), max_ms=max_ms)
-    return results
+    return {name: run_experiment(replace(base, protocol=name), max_ms=max_ms)
+            for name in _selected(protocols)}
 
 
 def scaling_sweep(
@@ -145,12 +147,10 @@ def scaling_sweep(
     max_ms: float = 600_000.0,
 ) -> List[RunResult]:
     """Sweep the number of replicas for several protocols (Figure 9 style)."""
-    results: List[RunResult] = []
-    for n in replica_counts:
-        for name in (list(protocols) if protocols is not None else protocol_names()):
-            config = replace(base, protocol=name, num_replicas=n)
-            results.append(run_experiment(config, max_ms=max_ms))
-    return results
+    names = _selected(protocols)
+    return [run_experiment(replace(base, protocol=name, num_replicas=n),
+                           max_ms=max_ms)
+            for n in replica_counts for name in names]
 
 
 def batching_sweep(
@@ -160,9 +160,7 @@ def batching_sweep(
     max_ms: float = 600_000.0,
 ) -> List[RunResult]:
     """Sweep the batch size (Figures 9(i), 9(j))."""
-    results: List[RunResult] = []
-    for batch_size in batch_sizes:
-        for name in (list(protocols) if protocols is not None else protocol_names()):
-            config = replace(base, protocol=name, batch_size=batch_size)
-            results.append(run_experiment(config, max_ms=max_ms))
-    return results
+    names = _selected(protocols)
+    return [run_experiment(replace(base, protocol=name, batch_size=batch_size),
+                           max_ms=max_ms)
+            for batch_size in batch_sizes for name in names]

@@ -2,23 +2,16 @@
 
 The paper complements its cloud experiments with a simulation that
 processes every message send/receive step but replaces computation with a
-fixed message delay, to show that — without out-of-order processing —
-throughput is determined purely by the number of communication rounds and
-the message delay.  This package reproduces that study.
+fixed message delay.  :mod:`repro.sim.delay_model` runs that study on the
+engine itself; it holds no model of the protocols.
 """
 
 from repro.sim.delay_model import (
-    PROTOCOL_ROUNDS,
+    FIGURE_11_PROTOCOLS,
     DelaySimulationResult,
-    simulate_decisions,
-    simulate_out_of_order,
+    delay_point,
     sweep_delays,
 )
 
-__all__ = [
-    "PROTOCOL_ROUNDS",
-    "DelaySimulationResult",
-    "simulate_decisions",
-    "simulate_out_of_order",
-    "sweep_delays",
-]
+__all__ = ["FIGURE_11_PROTOCOLS", "DelaySimulationResult", "delay_point",
+           "sweep_delays"]

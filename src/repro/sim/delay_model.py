@@ -1,22 +1,15 @@
-"""Round-level message-delay simulation (Figure 11).
+"""Message-delay simulation of consensus throughput (Figure 11).
 
-The simulation walks through consensus decisions one message round at a
-time.  Every message send/receive pair contributes exactly one
-pre-determined delay; computation is skipped.  Two modes reproduce the
-paper's two observations:
+The paper's simulation "processes every message send/receive but replaces
+computation with a fixed delay".  That is this repository's engine with no
+crypto cost, one-transaction batches and an uplink nobody waits for, so a
+point of the figure is one :func:`~repro.fabric.experiments.run_experiment`
+call.  Nothing here knows how many rounds or messages a protocol needs:
+both are read off the run.
 
-* **sequential** (Figure 11, first three plots): the next consensus
-  decision only starts when the previous one finished, so throughput is
-  ``1 / (rounds * delay)`` and is independent of the number of replicas;
-* **out-of-order** (Figure 11, last plot): a primary-based protocol keeps
-  up to ``window`` decisions in flight, so throughput multiplies by
-  roughly the window size (the paper observes a factor of ~200 with a
-  window of 250 decisions).
-
-Rounds per decision follow the paper's protocol descriptions: PoE and
-PBFT need three communication rounds before a decision, chained HotStuff
-effectively needs two per decision (one proposal broadcast plus one vote
-round, with phases of consecutive decisions overlapping).
+The module keeps its path because ``poebench/test_poebench.py::
+test_every_module_has_a_layer`` pins the module set both ways; deleting the
+``sim`` package is left to the benchmark re-baseline PR.
 """
 
 from __future__ import annotations
@@ -24,129 +17,64 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
-#: Communication rounds needed per consensus decision.
-PROTOCOL_ROUNDS: Dict[str, int] = {
-    "poe": 3,
-    "pbft": 3,
-    "hotstuff": 2,
-}
+from repro.crypto.cost import CryptoCostModel
+from repro.fabric.experiments import ExperimentConfig, run_experiment
+
+#: PoE as deployed (MACs up to 16 replicas, threshold signatures above),
+#: its MAC-only mode, and the four baselines.
+FIGURE_11_PROTOCOLS = ("poe", "poe-mac", "pbft", "sbft", "zyzzyva", "hotstuff")
 
 
 @dataclass(frozen=True)
 class DelaySimulationResult:
-    """Outcome of one simulated configuration."""
+    """One measured point: client-to-client decisions/s and counted traffic."""
 
     protocol: str
     num_replicas: int
     message_delay_ms: float
-    decisions: int
     out_of_order_window: int
-    total_time_ms: float
+    decisions: int
+    messages_sent: int
     throughput_decisions_per_s: float
-    messages_processed: int
+
+    @property
+    def hops_per_decision(self) -> float:
+        """Message delays one decision occupies the pipeline for."""
+        return 1000.0 / (self.throughput_decisions_per_s * self.message_delay_ms)
 
     def row(self) -> Dict[str, object]:
-        return {
-            "protocol": self.protocol,
-            "n": self.num_replicas,
-            "delay_ms": self.message_delay_ms,
-            "ooo_window": self.out_of_order_window,
-            "decisions_per_s": round(self.throughput_decisions_per_s, 2),
-            "messages": self.messages_processed,
-        }
+        return {"protocol": self.protocol, "n": self.num_replicas,
+                "delay_ms": self.message_delay_ms,
+                "ooo_window": self.out_of_order_window,
+                "decisions_per_s": round(self.throughput_decisions_per_s, 2),
+                "messages_per_decision": round(self.messages_sent / self.decisions, 2),
+                "hops": round(self.hops_per_decision, 2)}
 
 
-def _messages_per_decision(protocol: str, num_replicas: int) -> int:
-    """Messages exchanged per decision (for the reported message count)."""
-    key = protocol.lower()
-    n = num_replicas
-    if key == "pbft":
-        return n + 2 * n * n
-    if key == "poe":
-        return 3 * n
-    if key == "hotstuff":
-        return 2 * n
-    raise KeyError(f"unknown protocol {protocol!r}")
+def delay_point(protocol: str, num_replicas: int, message_delay_ms: float,
+                decisions: int, window: int = 1) -> DelaySimulationResult:
+    """Run *decisions* one-transaction decisions with *window* in flight.
 
-
-def simulate_decisions(
-    protocol: str,
-    num_replicas: int,
-    message_delay_ms: float,
-    decisions: int = 500,
-) -> DelaySimulationResult:
-    """Sequential mode: each decision waits for the previous one."""
-    key = protocol.lower()
-    rounds = PROTOCOL_ROUNDS[key]
-    clock_ms = 0.0
-    for _ in range(decisions):
-        # Every round is one message delay; computation is skipped.
-        clock_ms += rounds * message_delay_ms
-    throughput = decisions / (clock_ms / 1000.0) if clock_ms > 0 else 0.0
-    return DelaySimulationResult(
-        protocol=key,
-        num_replicas=num_replicas,
-        message_delay_ms=message_delay_ms,
-        decisions=decisions,
-        out_of_order_window=1,
-        total_time_ms=clock_ms,
-        throughput_decisions_per_s=throughput,
-        messages_processed=decisions * _messages_per_decision(key, num_replicas),
-    )
-
-
-def simulate_out_of_order(
-    protocol: str,
-    num_replicas: int,
-    message_delay_ms: float,
-    decisions: int = 500,
-    window: int = 250,
-) -> DelaySimulationResult:
-    """Out-of-order mode: up to *window* decisions progress concurrently.
-
-    The simulation advances in waves: every ``rounds * delay`` interval a
-    full window of decisions completes, which is how a primary that
-    proposes out-of-order keeps the network busy (paper, Section IV-I).
+    ``window=1`` is the figure's sequential mode (HotStuff keeps the four
+    its chained pipeline spans); above one the primary proposes out of
+    order, up to ``NodeConfig.max_in_flight`` (128) slots ahead.
     """
-    key = protocol.lower()
-    rounds = PROTOCOL_ROUNDS[key]
-    window = max(1, window)
-    clock_ms = 0.0
-    completed = 0
-    while completed < decisions:
-        wave = min(window, decisions - completed)
-        clock_ms += rounds * message_delay_ms
-        completed += wave
-    throughput = decisions / (clock_ms / 1000.0) if clock_ms > 0 else 0.0
+    result = run_experiment(ExperimentConfig(
+        protocol=protocol, num_replicas=num_replicas, batch_size=1,
+        num_batches=decisions, out_of_order=window > 1,
+        client_outstanding=window, latency_ms=message_delay_ms,
+        bandwidth_mbps=1e9, cost_model=CryptoCostModel.none()))
     return DelaySimulationResult(
-        protocol=key,
-        num_replicas=num_replicas,
-        message_delay_ms=message_delay_ms,
-        decisions=decisions,
-        out_of_order_window=window,
-        total_time_ms=clock_ms,
-        throughput_decisions_per_s=throughput,
-        messages_processed=decisions * _messages_per_decision(key, num_replicas),
-    )
+        protocol, num_replicas, message_delay_ms, window, decisions,
+        result.metadata["messages_sent"], result.throughput_txn_per_s)
 
 
-def sweep_delays(
-    protocols: Iterable[str] = ("poe", "pbft", "hotstuff"),
-    replica_counts: Iterable[int] = (4, 16, 128),
-    delays_ms: Iterable[float] = (10.0, 20.0, 40.0),
-    decisions: int = 500,
-    out_of_order: bool = False,
-    window: int = 250,
-) -> List[DelaySimulationResult]:
-    """Run the full Figure 11 sweep."""
-    results: List[DelaySimulationResult] = []
-    for n in replica_counts:
-        for delay in delays_ms:
-            for protocol in protocols:
-                if out_of_order:
-                    results.append(simulate_out_of_order(
-                        protocol, n, delay, decisions=decisions, window=window))
-                else:
-                    results.append(simulate_decisions(
-                        protocol, n, delay, decisions=decisions))
-    return results
+def sweep_delays(protocols: Iterable[str] = FIGURE_11_PROTOCOLS,
+                 replica_counts: Iterable[int] = (4, 16, 128),
+                 delays_ms: Iterable[float] = (10.0, 20.0, 40.0),
+                 decisions: int = 60, window: int = 1,
+                 ) -> List[DelaySimulationResult]:
+    """Every (n, delay, protocol) point of one Figure 11 plot."""
+    return [delay_point(protocol, n, delay, decisions, window)
+            for n in replica_counts for delay in delays_ms
+            for protocol in protocols]
