@@ -5,13 +5,3 @@ processes every message send/receive step but replaces computation with a
 fixed message delay.  :mod:`repro.sim.delay_model` runs that study on the
 engine itself; it holds no model of the protocols.
 """
-
-from repro.sim.delay_model import (
-    FIGURE_11_PROTOCOLS,
-    DelaySimulationResult,
-    delay_point,
-    sweep_delays,
-)
-
-__all__ = ["FIGURE_11_PROTOCOLS", "DelaySimulationResult", "delay_point",
-           "sweep_delays"]
