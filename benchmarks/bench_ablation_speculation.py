@@ -38,6 +38,7 @@ def run_ablation(scale):
                 "n": n,
                 "throughput_txn_per_s": round(result.throughput_txn_per_s),
                 "latency_ms": round(result.avg_latency_ms, 2),
+                "budget_met": result.metadata["budget_met"],
             })
     return rows, results
 
@@ -45,6 +46,7 @@ def run_ablation(scale):
 def test_ablation_speculative_execution(benchmark, scale):
     rows, results = benchmark.pedantic(run_ablation, args=(scale,), rounds=1,
                                        iterations=1)
+    assert all(row["budget_met"] for row in rows), "unmet batch budget"
     for n in scale.replica_counts:
         poe = results[("poe", n)]
         nospec = results[("poe-nospec", n)]

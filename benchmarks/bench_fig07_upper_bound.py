@@ -28,12 +28,13 @@ def test_figure7_upper_bound(benchmark, scale):
     # Shape check: not executing is at least as fast as executing.
     assert no_exec.throughput_txn_per_s >= with_exec.throughput_txn_per_s
     assert with_exec.throughput_txn_per_s > 0
+    # run_upper_bound runs until idle and summarises every completion.
     rows = [
-        {"configuration": "No execution",
-         "throughput_txn_per_s": round(no_exec.throughput_txn_per_s),
-         "latency_ms": round(no_exec.avg_latency_ms, 3)},
-        {"configuration": "Execution",
-         "throughput_txn_per_s": round(with_exec.throughput_txn_per_s),
-         "latency_ms": round(with_exec.avg_latency_ms, 3)},
+        {"configuration": label,
+         "throughput_txn_per_s": round(result.throughput_txn_per_s),
+         "latency_ms": round(result.avg_latency_ms, 3),
+         "budget_met": result.completed_batches == scale.num_batches * 4}
+        for label, result in (("No execution", no_exec), ("Execution", with_exec))
     ]
+    assert all(row["budget_met"] for row in rows), "unmet batch budget"
     print_results("Figure 7 — Upper bound without consensus", rows)

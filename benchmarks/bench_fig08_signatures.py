@@ -37,7 +37,9 @@ def test_figure8_signature_schemes(benchmark, scale):
     rows = [
         {"scheme": name,
          "throughput_txn_per_s": round(result.throughput_txn_per_s),
-         "latency_ms": round(result.avg_latency_ms, 2)}
+         "latency_ms": round(result.avg_latency_ms, 2),
+         "budget_met": result.metadata["budget_met"]}
         for name, result in results.items()
     ]
+    assert all(row["budget_met"] for row in rows), "unmet batch budget"
     print_results("Figure 8 — PBFT (n=16) under different signature schemes", rows)

@@ -34,6 +34,7 @@ def run_sweep(scale):
                 "batch_size": batch_size,
                 "throughput_txn_per_s": round(result.throughput_txn_per_s),
                 "latency_ms": round(result.avg_latency_ms, 2),
+                "budget_met": result.metadata["budget_met"],
             })
     return rows, results
 
@@ -41,6 +42,7 @@ def run_sweep(scale):
 def test_figure9ij_batching_under_failure(benchmark, scale):
     rows, results = benchmark.pedantic(run_sweep, args=(scale,), rounds=1,
                                        iterations=1)
+    assert all(row["budget_met"] for row in rows), "unmet batch budget"
     sizes = sorted(scale.batch_sizes)
     # Larger batches give higher throughput for the out-of-order protocols.
     for protocol in ["poe", "pbft"]:

@@ -35,6 +35,7 @@ def run_sweep(scale):
                 "n": n,
                 "throughput_txn_per_s": round(result.throughput_txn_per_s),
                 "latency_ms": round(result.avg_latency_ms, 2),
+                "budget_met": result.metadata["budget_met"],
             })
     return rows, results
 
@@ -42,6 +43,7 @@ def run_sweep(scale):
 def test_figure9kl_out_of_order_disabled(benchmark, scale):
     rows, results = benchmark.pedantic(run_sweep, args=(scale,), rounds=1,
                                        iterations=1)
+    assert all(row["budget_met"] for row in rows), "unmet batch budget"
     for n in scale.replica_counts:
         poe_closed = results[("poe", n)].throughput_txn_per_s
         hotstuff_closed = results[("hotstuff", n)].throughput_txn_per_s

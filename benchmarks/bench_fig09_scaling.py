@@ -38,6 +38,7 @@ def run_sweep(scale, single_backup_failure: bool):
                 "n": n,
                 "throughput_txn_per_s": round(result.throughput_txn_per_s),
                 "latency_ms": round(result.avg_latency_ms, 2),
+                "budget_met": result.metadata["budget_met"],
             })
     return rows, results
 
@@ -68,6 +69,7 @@ def check_no_failure_shape(results, n):
 def test_figure9ab_scaling_single_backup_failure(benchmark, scale):
     rows, results = benchmark.pedantic(
         run_sweep, args=(scale, True), rounds=1, iterations=1)
+    assert all(row["budget_met"] for row in rows), "unmet batch budget"
     for n in scale.replica_counts:
         if n >= 16:
             check_failure_shape(results, n)
@@ -78,6 +80,7 @@ def test_figure9ab_scaling_single_backup_failure(benchmark, scale):
 def test_figure9cd_scaling_no_failures(benchmark, scale):
     rows, results = benchmark.pedantic(
         run_sweep, args=(scale, False), rounds=1, iterations=1)
+    assert all(row["budget_met"] for row in rows), "unmet batch budget"
     for n in scale.replica_counts:
         if n >= 16:
             check_no_failure_shape(results, n)

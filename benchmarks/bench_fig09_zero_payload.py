@@ -33,6 +33,7 @@ def run_sweep(scale, single_backup_failure: bool):
                 "n": n,
                 "throughput_txn_per_s": round(result.throughput_txn_per_s),
                 "latency_ms": round(result.avg_latency_ms, 2),
+                "budget_met": result.metadata["budget_met"],
             })
     return rows, results
 
@@ -40,6 +41,7 @@ def run_sweep(scale, single_backup_failure: bool):
 def test_figure9ef_zero_payload_single_failure(benchmark, scale):
     rows, results = benchmark.pedantic(
         run_sweep, args=(scale, True), rounds=1, iterations=1)
+    assert all(row["budget_met"] for row in rows), "unmet batch budget"
     for n in scale.replica_counts:
         if n < 16:
             continue
@@ -52,6 +54,7 @@ def test_figure9ef_zero_payload_single_failure(benchmark, scale):
 def test_figure9gh_zero_payload_no_failures(benchmark, scale):
     rows, results = benchmark.pedantic(
         run_sweep, args=(scale, False), rounds=1, iterations=1)
+    assert all(row["budget_met"] for row in rows), "unmet batch budget"
     for n in scale.replica_counts:
         if n < 16:
             continue

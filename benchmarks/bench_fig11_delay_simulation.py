@@ -55,6 +55,7 @@ def run_out_of_order(scale):
 def test_figure11_sequential_simulation(benchmark, scale):
     results = benchmark.pedantic(run_sequential, args=(scale.delay_decisions,),
                                  rounds=1, iterations=1)
+    assert all(r.budget_met for r in results), "unmet batch budget"
     rate = {(r.protocol, r.num_replicas, r.message_delay_ms):
             r.throughput_decisions_per_s for r in results}
     for protocol in FIGURE_11_PROTOCOLS:
@@ -85,6 +86,7 @@ def test_figure11_out_of_order_simulation(benchmark, scale):
                                rounds=1, iterations=1)
     rows = []
     for sequential, windowed in pairs:
+        assert sequential.budget_met and windowed.budget_met, "unmet batch budget"
         speedup = (windowed.throughput_decisions_per_s
                    / sequential.throughput_decisions_per_s)
         if windowed.num_replicas == 16:

@@ -122,6 +122,10 @@ def run_experiment(config: ExperimentConfig,
         "num_batches": config.num_batches,
         "description": config.describe(),
         "messages_sent": cluster.network.sent_count,
+        # False when max_ms ran out first: the rates then describe a run
+        # that never finished, which no figure may print as a row.
+        "budget_met": all(pool.is_done() for pool in cluster.pools),
+        "completed_batches": sum(pool.completed_batches for pool in cluster.pools),
     }
     return cluster.result(warmup_fraction=warmup_fraction, metadata=metadata)
 

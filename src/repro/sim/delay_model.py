@@ -36,6 +36,7 @@ class DelaySimulationResult:
     decisions: int
     messages_sent: int
     throughput_decisions_per_s: float
+    budget_met: bool
 
     @property
     def hops_per_decision(self) -> float:
@@ -48,7 +49,8 @@ class DelaySimulationResult:
                 "ooo_window": self.out_of_order_window,
                 "decisions_per_s": round(self.throughput_decisions_per_s, 2),
                 "messages_per_decision": round(self.messages_sent / self.decisions, 2),
-                "hops": round(self.hops_per_decision, 2)}
+                "hops": round(self.hops_per_decision, 2),
+                "budget_met": self.budget_met}
 
 
 def delay_point(protocol: str, num_replicas: int, message_delay_ms: float,
@@ -66,7 +68,8 @@ def delay_point(protocol: str, num_replicas: int, message_delay_ms: float,
         bandwidth_mbps=1e9, cost_model=CryptoCostModel.none()))
     return DelaySimulationResult(
         protocol, num_replicas, message_delay_ms, window, decisions,
-        result.metadata["messages_sent"], result.throughput_txn_per_s)
+        result.metadata["messages_sent"], result.throughput_txn_per_s,
+        result.metadata["budget_met"])
 
 
 def sweep_delays(protocols: Iterable[str] = FIGURE_11_PROTOCOLS,

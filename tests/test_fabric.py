@@ -194,6 +194,20 @@ class TestExperiments:
         assert result.completed_txns > 0
         assert result.throughput_txn_per_s > 0
 
+    def test_result_says_whether_the_batch_budget_was_met(self):
+        """Regression: a run cut short by ``max_ms`` read like a finished one."""
+        config = ExperimentConfig(protocol="poe", num_replicas=4, num_batches=50)
+        finished = run_experiment(config)
+        assert finished.metadata["budget_met"] is True
+        assert finished.metadata["completed_batches"] == 50
+        before_first_completion = run_experiment(config, max_ms=1.0)
+        assert before_first_completion.metadata["budget_met"] is False
+        assert before_first_completion.metadata["completed_batches"] == 0
+        midway = run_experiment(config, max_ms=10.0)
+        assert midway.throughput_txn_per_s > 0
+        assert midway.metadata["budget_met"] is False
+        assert 0 < midway.metadata["completed_batches"] < 50
+
     def test_protocol_comparison_shapes_under_failure(self):
         """The paper's headline: with one crashed backup PoE beats PBFT, and
         Zyzzyva collapses."""
