@@ -58,9 +58,12 @@ def check_no_failure_shape(results, n):
     pbft = results[("pbft", n)].throughput_txn_per_s
     zyzzyva = results[("zyzzyva", n)].throughput_txn_per_s
     hotstuff = results[("hotstuff", n)].throughput_txn_per_s
-    # The paper puts Zyzzyva ahead of PoE by 13-20% when nothing fails; the
-    # simulator reproduces "Zyzzyva at least on par" (small reversals fall
-    # within measurement noise of the count-based runs).
+    # The paper puts Zyzzyva ahead of PoE by 13-20% when nothing fails.  The
+    # seeded simulator has no noise: it reads Zyzzyva at 0.92x / 1.11x / 0.94x
+    # PoE for n = 4 / 16 / 32 (pinned in FIGURE_EXPECTATIONS.json).  At n=32
+    # both sit on the primary's uplink (5,400 B to 31 backups at 2,000 Mbit/s
+    # is 149.3k txn/s), so the check is "within 20 %", not "ahead"; the
+    # fidelity table in README.md carries the verdict.
     assert zyzzyva >= poe * 0.8, "Zyzzyva's fault-free fast path should lead"
     assert poe > pbft, "PoE should outperform PBFT without failures"
     assert poe > hotstuff, "sequential HotStuff should trail PoE"

@@ -6,6 +6,10 @@ CPU-bound Python; to keep the default run laptop-sized they use a reduced
 "quick" scale (fewer replicas, fewer batches).  Set the environment
 variable ``REPRO_BENCH_SCALE=paper`` to sweep the paper's full replica
 counts (4-91) and batch counts — expect a run of tens of minutes.
+
+The session's figure rows (``repro.bench.report.RECORDED``) are written
+with ``--json PATH`` and compared with ``--expected
+benchmarks/FIGURE_EXPECTATIONS.json``, which pins the quick scale.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Dict, List
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -112,13 +117,11 @@ def diff_against_expected(table: Dict[str, object],
         elif title not in observed:
             differences.append(f"{title}: pinned, but this run did not produce it")
         else:
-            have, want = observed[title], recorded[title]
-            for index in range(max(len(have), len(want))):
-                had = have[index] if index < len(have) else "absent"
-                wanted = want[index] if index < len(want) else "absent"
-                if had != wanted:
-                    differences.append(f"{title}: row {index}: observed {had}, "
-                                       f"recorded {wanted}")
+            for index, (have, want) in enumerate(zip_longest(
+                    observed[title], recorded[title], fillvalue="absent")):
+                if have != want:
+                    differences.append(f"{title}: row {index}: observed {have}, "
+                                       f"recorded {want}")
     return differences
 
 
