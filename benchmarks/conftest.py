@@ -82,12 +82,11 @@ def pytest_addoption(parser) -> None:
 
 def figure_table() -> Dict[str, object]:
     """The machine-readable form of every figure printed so far."""
-    titles = [title for title, _rows in RECORDED]
-    repeated = sorted({title for title in titles if titles.count(title) > 1})
-    if repeated:
-        raise ValueError(f"figure titles printed twice: {repeated}")
-    table = {"schema": 1, "scale": current_scale().name,
-             "figures": dict(RECORDED)}
+    figures = dict(RECORDED)
+    if len(figures) != len(RECORDED):
+        raise ValueError("a figure title was printed twice: "
+                         f"{[title for title, _rows in RECORDED]}")
+    table = {"schema": 1, "scale": current_scale().name, "figures": figures}
     # Through JSON once, so rows compare as the pinned file stores them.
     return json.loads(json.dumps(table))
 

@@ -43,9 +43,8 @@ class ExperimentConfig:
         bandwidth_mbps: effective per-node uplink goodput; the primary's
             broadcast of standard-payload proposals is charged against it.
         request_timeout_ms: client/replica timeout.
-        cost_model: CPU time charged per cryptographic operation; the
-            paper's default is CMAC between replicas (Figure 8 compares the
-            alternatives, Figure 11 charges nothing).
+        cost_model: CPU time charged per cryptographic operation (CMAC
+            by default; Figure 8 compares three, Figure 11 charges nothing).
         seed: RNG seed.
     """
 
@@ -122,8 +121,7 @@ def run_experiment(config: ExperimentConfig,
         "num_batches": config.num_batches,
         "description": config.describe(),
         "messages_sent": cluster.network.sent_count,
-        # False when max_ms ran out first: the rates then describe a run
-        # that never finished, which no figure may print as a row.
+        # False when max_ms ran out first: the rates of an unfinished run.
         "budget_met": all(pool.is_done() for pool in cluster.pools),
         "completed_batches": sum(pool.completed_batches for pool in cluster.pools),
     }

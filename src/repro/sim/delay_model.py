@@ -67,9 +67,11 @@ def delay_point(protocol: str, num_replicas: int, message_delay_ms: float,
         client_outstanding=window, latency_ms=message_delay_ms,
         bandwidth_mbps=1e9, cost_model=CryptoCostModel.none()))
     return DelaySimulationResult(
-        protocol, num_replicas, message_delay_ms, window, decisions,
-        result.metadata["messages_sent"], result.throughput_txn_per_s,
-        result.metadata["budget_met"])
+        protocol=protocol, num_replicas=num_replicas,
+        message_delay_ms=message_delay_ms, out_of_order_window=window,
+        decisions=decisions, messages_sent=result.metadata["messages_sent"],
+        throughput_decisions_per_s=result.throughput_txn_per_s,
+        budget_met=result.metadata["budget_met"])
 
 
 def sweep_delays(protocols: Iterable[str] = FIGURE_11_PROTOCOLS,
