@@ -21,23 +21,27 @@ cancelled entry stays in the heap and is skipped when it surfaces.
 A heap entry is one timer, one unicast delivery, or one *broadcast*
 (:meth:`Simulator.post_fanout`).  A broadcast to k receivers reserves k
 consecutive sequence numbers but keeps a single live entry, keyed by the
-smallest ``(time_ms, seq)`` among its deliveries not yet made; popping it
-makes that delivery and re-pushes the entry under the key of the next.
-So the heap — and what the cyclic collector walks — holds one entry per
-broadcast in flight instead of one per receiver (n² of them per consensus
-slot in the MAC-mode protocols).  Firing order is provably that of k
-separate entries: ``(time_ms, seq)`` is a total order, every broadcast's
-entry sits at the minimum of its own remaining keys, so the heap minimum
-is the minimum over *all* pending deliveries, and each delivery is still
-popped under its own key — which is all that ``run``'s horizon and event
-budget, ``next_event_time`` and ``processed_events`` ever look at.
+smallest ``(time_ms, seq)`` among its deliveries not yet made.  The run
+loop steps that entry itself: one ``heapreplace`` under the key of the
+next delivery (a ``heappop`` after the last), then the delivery callable
+``deliver(sender, receiver, handle, message)`` called directly — one heap
+sift and no frame of the simulator's own between the loop and the network.
+A timer or unicast entry costs one ``heappop`` and one call.  So the heap —
+and what the cyclic collector walks — holds one entry per broadcast in
+flight instead of one per receiver (n² of them per consensus slot in the
+MAC-mode protocols).  Firing order is provably that of k separate
+entries: ``(time_ms, seq)`` is a total order, every broadcast's entry sits
+at the minimum of its own remaining keys, so the heap minimum is the
+minimum over *all* pending deliveries, and each delivery is still stepped
+under its own key — which is all that ``run``'s horizon and event budget,
+``next_event_time`` and ``processed_events`` ever look at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 
@@ -92,42 +96,26 @@ class Timer:
 
 
 class _FanOut:
-    """The heap callback behind one broadcast (:meth:`Simulator.post_fanout`).
+    """One broadcast in flight (:meth:`Simulator.post_fanout`): a record,
+    stepped by :meth:`Simulator.run`, not a callable."""
 
-    Calling it makes the delivery the entry was popped for.  The entry
-    for the next delivery is pushed *first*, so the heap already describes
-    everything still pending — to ``next_event_time`` or to an exception
-    handler — while the delivery's handlers run.
-    """
+    __slots__ = ("times", "first_seq", "remaining", "targets", "deliver",
+                 "sender", "message")
 
-    __slots__ = ("_queue", "_times", "_first_seq", "_remaining",
-                 "_targets", "_deliver", "_sender", "_message")
-
-    def __init__(self, queue: List[Tuple[float, int, Callable[[], None]]],
-                 times: List[float], first_seq: int, remaining: List[int],
-                 targets: List[Tuple], deliver: Callable[..., None],
-                 sender: str, message: object) -> None:
-        self._queue = queue
-        self._times = times
-        self._first_seq = first_seq
+    def __init__(self, times: List[float], first_seq: int,
+                 remaining: List[int], targets: List[Tuple],
+                 deliver: Callable[..., None], sender: str,
+                 message: object) -> None:
+        self.times = times
+        self.first_seq = first_seq
         #: Indices into ``times``/``targets`` of the deliveries not yet
         #: made, latest ``(time, seq)`` first: the next one is popped off
         #: the end.  The only state that changes after construction.
-        self._remaining = remaining
-        self._targets = targets
-        self._deliver = deliver
-        self._sender = sender
-        self._message = message
-
-    def __call__(self) -> None:
-        remaining = self._remaining
-        index = remaining.pop()
-        if remaining:
-            following = remaining[-1]
-            heappush(self._queue, (self._times[following],
-                                   self._first_seq + following, self))
-        receiver, handle = self._targets[index]
-        self._deliver(self._sender, receiver, handle, self._message)
+        self.remaining = remaining
+        self.targets = targets
+        self.deliver = deliver
+        self.sender = sender
+        self.message = message
 
 
 class Simulator:
@@ -230,8 +218,8 @@ class Simulator:
         head = remaining[-1]
         heappush(self._queue, (
             clamped[head], first_seq + head,
-            _FanOut(self._queue, clamped, first_seq, remaining, targets,
-                    deliver, sender, message)))
+            _FanOut(clamped, first_seq, remaining, targets, deliver, sender,
+                    message)))
 
     def set_timer(self, owner: str, name: str, delay_ms: float,
                   callback: Callable[[], None]) -> Timer:
@@ -242,48 +230,56 @@ class Simulator:
     # -- execution -------------------------------------------------------------
     def step(self) -> bool:
         """Run the next pending event.  Returns ``False`` if none remain."""
-        queue = self._queue
-        cancelled = self._cancelled
-        while queue:
-            time_ms, seq, callback = heappop(queue)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            if time_ms > self._now:
-                self._now = time_ms
-            self._processed_events += 1
-            callback()
-            return True
-        return False
+        before = self._processed_events
+        self.run(max_events=1)
+        return self._processed_events != before
 
     def run(self, until_ms: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, *until_ms*, or *max_events*.
 
         Cancelled entries never count against *max_events*.  Returns the
         virtual time when the run stopped.
+
+        A broadcast's entry is stepped in place: ``heapreplace`` under the
+        key of its next delivery (``heappop`` after the last), *then* the
+        delivery — so while a delivery's handlers run, or after one raised,
+        the heap already describes everything still pending.
         """
         queue = self._queue
         cancelled = self._cancelled
+        fan_out = _FanOut
         executed = 0
         while queue:
             if max_events is not None and executed >= max_events:
                 break
-            # Pop first and push back in the rare beyond-the-horizon case:
-            # peeking then popping touches the heap head twice per event.
-            entry = heappop(queue)
-            time_ms, seq, callback = entry
+            time_ms, seq, callback = queue[0]
             if cancelled and seq in cancelled:
+                heappop(queue)
                 cancelled.discard(seq)
                 continue
             if until_ms is not None and time_ms > until_ms:
-                heappush(queue, entry)
                 self._now = until_ms
                 break
             if time_ms > self._now:
                 self._now = time_ms
             self._processed_events += 1
-            callback()
             executed += 1
+            if callback.__class__ is fan_out:
+                remaining = callback.remaining
+                index = remaining.pop()
+                if remaining:
+                    following = remaining[-1]
+                    heapreplace(queue, (callback.times[following],
+                                        callback.first_seq + following,
+                                        callback))
+                else:
+                    heappop(queue)
+                receiver, handle = callback.targets[index]
+                callback.deliver(callback.sender, receiver, handle,
+                                 callback.message)
+            else:
+                heappop(queue)
+                callback()
         if until_ms is not None and not queue:
             self._now = max(self._now, until_ms)
         return self._now
@@ -343,7 +339,7 @@ class ControlledScheduler(Simulator):
 
     The base class is untouched: none of this bookkeeping runs when a
     plain :class:`Simulator` drives a benchmark (``post_at``/
-    ``post_fanout``/``step`` keep their hot-path shape), so the
+    ``post_fanout``/``run`` keep their hot-path shape), so the
     perf-smoke event pins cannot move.
     """
 

@@ -9,7 +9,11 @@ sequence (who received what from whom, when, in which order), completion
 records, event count, send/drop counters and final clock.
 
 Each case picks a different way through ``SimNetwork._transmit_broadcast``
-or interleaves it with the paths that stay per-delivery.
+or interleaves it with the paths that stay per-delivery.  The run loop
+steps a broadcast's entry itself, so the same comparison is repeated with
+runs that stop in the middle of broadcasts — on a horizon, on an event
+budget, one ``step()`` at a time — and asks after every stop that both
+schedulers are at the same event and agree on what comes next.
 """
 
 import pytest
@@ -112,3 +116,46 @@ def test_fanout_entries_match_per_delivery_entries(case, n):
     records, _events, _sent, dropped, _now, _deliveries = fanned_out
     assert len(records) == 12
     assert (dropped > 0) == (case in DROPPING)
+
+
+def _until(simulator):
+    simulator.run(until_ms=simulator.now + 0.07)
+
+
+def _max_events(simulator):
+    simulator.run(max_events=3)
+
+
+def _step(simulator):
+    simulator.step()
+
+
+def _run_in_stops(case, stop, simulator):
+    config = ClusterConfig(num_replicas=4, batch_size=10, total_batches=6,
+                           client_outstanding=3, seed=7, **case(4))
+    cluster = Cluster(config, simulator=simulator)
+    log = []
+    cluster.network.add_observer(
+        lambda sender, receiver, message, time_ms: log.append(
+            (sender, receiver, type(message).__name__, time_ms)))
+    cluster.start()
+    while (not all(pool.is_done() for pool in cluster.pools)
+           and simulator.next_event_time() is not None):
+        stop(simulator)
+        log.append(("stop", simulator.now, simulator.processed_events,
+                    simulator.next_event_time()))
+    assert all(pool.is_done() for pool in cluster.pools)
+    return (completion_records(cluster), cluster.network.sent_count,
+            cluster.network.dropped_count, log)
+
+
+@pytest.mark.parametrize("stop", [_until, _max_events, _step],
+                         ids=lambda stop: stop.__name__[1:])
+@pytest.mark.parametrize("case", [_lan, _all_tied, _crash_window],
+                         ids=lambda case: case.__name__[1:])
+def test_runs_stopped_mid_broadcast_match_per_delivery_entries(case, stop):
+    fanned_out = _run_in_stops(case, stop, Simulator())
+    per_delivery = _run_in_stops(case, stop, ControlledScheduler())
+    assert fanned_out == per_delivery
+    stops = [entry for entry in fanned_out[3] if entry[0] == "stop"]
+    assert len(stops) > 20

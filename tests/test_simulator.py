@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.net.conditions import LinkOverride, NetworkConditions
 from repro.net.faults import CrashFault, FaultSchedule
-from repro.net.simulator import ControlledScheduler, Simulator
+from repro.net.simulator import ControlledScheduler, Simulator, _FanOut
 
 
 class TestSimulatorScheduling:
@@ -161,10 +161,27 @@ class _Recorder:
         self.log = []
 
     def deliver(self, sender, receiver, handle, message):
+        if message == "boom":
+            raise RuntimeError("handler bug")
         self.log.append((f"{sender}>{receiver}", self.sim.now))
 
     def note(self, label):
         return lambda: self.log.append((label, self.sim.now))
+
+
+def _pending_keys(sim):
+    """``(time, seq)`` of every live pending callback, read off the heap:
+    a broadcast's entry stands for all of its deliveries not yet made."""
+    keys = []
+    for time_ms, seq, callback in sim._queue:
+        if seq in sim._cancelled:
+            continue
+        if isinstance(callback, _FanOut):
+            keys.extend((callback.times[index], callback.first_seq + index)
+                        for index in callback.remaining)
+        else:
+            keys.append((time_ms, seq))
+    return sorted(keys)
 
 
 def _targets(*names):
@@ -295,6 +312,41 @@ class TestFanOut:
         assert sim.processed_events == 4  # the failed delivery was popped
         assert sim.pending_events == 0
 
+    def test_step_is_the_one_event_case_of_run(self):
+        sim = Simulator()
+        rec = _Recorder(sim)
+        dead = sim.schedule(1.5, rec.note("cancelled"))       # seq 0
+        sim.post_fanout([1.0, 3.0, 2.0], _targets("a", "b", "c"),
+                        rec.deliver, "x", "m")                # seqs 1..3
+        sim.schedule(2.0, rec.note("timer@2"))                # seq 4
+        dead.cancel()
+        assert sim.step()
+        assert rec.log == [("x>a", 1.0)]
+        # Mid-broadcast: the entry moved under its next key, nothing else.
+        assert _pending_keys(sim) == [(2.0, 3), (2.0, 4), (3.0, 2)]
+        assert sim.pending_events == 3  # cancelled timer, broadcast, timer
+        assert sim.step()  # skips the cancelled timer without counting it
+        assert sim.step() and sim.step()
+        assert rec.log == [("x>a", 1.0), ("x>c", 2.0), ("timer@2", 2.0),
+                           ("x>b", 3.0)]
+        assert not sim.step()
+        assert sim.processed_events == 4
+        assert sim.pending_events == 0
+
+    def test_step_that_raises_leaves_the_heap_complete(self):
+        sim = Simulator()
+        rec = _Recorder(sim)
+        sim.post_fanout([1.0, 2.0], _targets("a", "b"), rec.deliver, "x",
+                        "boom")
+        with pytest.raises(RuntimeError):
+            sim.step()
+        assert _pending_keys(sim) == [(2.0, 1)]
+        assert sim.processed_events == 1
+        with pytest.raises(RuntimeError):
+            sim.step()
+        assert _pending_keys(sim) == []
+        assert not sim.step()
+
     @given(st.lists(
         st.one_of(
             st.tuples(st.just("fanout"),
@@ -304,31 +356,52 @@ class TestFanOut:
             st.tuples(st.just("post"), st.sampled_from([0.0, 0.3, 1.0, 2.0])),
             st.tuples(st.just("timer"), st.sampled_from([0.0, 0.3, 1.0])),
             st.tuples(st.just("cancelled"), st.sampled_from([0.3, 1.0])),
-            st.tuples(st.just("run"), st.sampled_from([0.2, 0.7, 1.05]))),
+            st.tuples(st.just("boom"),
+                      st.lists(st.sampled_from([0.1, 0.7, 1.0]), min_size=1,
+                               max_size=3)),
+            st.tuples(st.just("run"), st.sampled_from([0.2, 0.7, 1.05])),
+            st.tuples(st.just("events"), st.sampled_from([1, 2, 5])),
+            st.tuples(st.just("step"), st.none())),
         max_size=12))
     def test_fires_like_one_post_at_per_delivery(self, program):
-        """The plain simulator's fan-out entries against the controlled
-        scheduler's expansion into one ``post_at`` per delivery: same
-        firing log, same clock, same event count, same next seq — over
-        ties, past (clamped) times and partial runs in between."""
+        """The plain simulator's natively stepped fan-out entries against
+        the controlled scheduler's expansion into one ``post_at`` per
+        delivery: same firing log, same clock, same event count, same next
+        seq — over ties, past (clamped) times, deliveries that raise, and
+        runs cut short by a horizon, an event budget or ``step()``.  After
+        every stop both heaps describe the same pending deliveries."""
         outcomes = []
         for sim in (Simulator(), ControlledScheduler()):
             rec = _Recorder(sim)
+
+            def drive(run):
+                try:
+                    run()
+                except RuntimeError:
+                    rec.log.append(("raised", sim.now))
+                rec.log.append(("stopped", sim.now, sim.next_event_time(),
+                                _pending_keys(sim)))
+
             for step, (kind, arg) in enumerate(program):
-                if kind == "fanout":
+                if kind in ("fanout", "boom"):
                     sim.post_fanout(
                         list(arg), _targets(*(f"r{i}" for i in range(len(arg)))),
-                        rec.deliver, f"b{step}", "m")
+                        rec.deliver, f"b{step}",
+                        "boom" if kind == "boom" else "m")
                 elif kind == "post":
                     sim.post_at(arg, rec.note(f"post{step}"))
                 elif kind == "timer":
                     sim.schedule(arg, rec.note(f"timer{step}"))
                 elif kind == "cancelled":
                     sim.schedule(arg, rec.note(f"dead{step}")).cancel()
+                elif kind == "run":
+                    drive(lambda: sim.run(until_ms=sim.now + arg))
+                elif kind == "events":
+                    drive(lambda: sim.run(max_events=arg))
                 else:
-                    sim.run(until_ms=sim.now + arg)
-                    rec.log.append(("horizon", sim.now, sim.next_event_time()))
-            sim.run_until_idle()
+                    drive(sim.step)
+            while sim.next_event_time() is not None:
+                drive(sim.run_until_idle)
             outcomes.append((rec.log, sim.now, sim.processed_events,
                              sim.schedule(0.0, lambda: None).seq))
         assert outcomes[0] == outcomes[1]
