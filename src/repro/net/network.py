@@ -33,6 +33,7 @@ from repro.protocols.base import (
     CancelTimer,
     ClientNode,
     Message,
+    Node,
     ProtocolNode,
     Send,
     SetTimer,
@@ -77,6 +78,30 @@ class NodeHandle:
     behavior: Optional[ByzantineBehavior] = None
 
 
+class _ForeignNode(Node):
+    """Runs an object that is not a :class:`Node` as one.
+
+    The benchmark's network drive registers a bare stub with ``node_id``,
+    ``start(now_ms) -> StepOutput`` and ``deliver_into(sender, message,
+    now_ms, actions) -> cpu_ms`` (append to a list the caller passes).
+    Wrapped once at registration, it is driven like every other node.
+    """
+
+    def __init__(self, inner: object) -> None:
+        super().__init__()
+        self.inner = inner
+        self.node_id = inner.node_id
+
+    def on_start(self, now_ms: float) -> None:
+        output = self.inner.start(now_ms)
+        self._pending_actions.extend(output.actions)
+        self._pending_cpu_ms += output.cpu_ms
+
+    def on_message(self, sender: str, message: Message, now_ms: float) -> None:
+        self._pending_cpu_ms += self.inner.deliver_into(
+            sender, message, now_ms, self._pending_actions)
+
+
 class SimNetwork:
     """Connects protocol nodes through simulated, possibly faulty links."""
 
@@ -114,15 +139,12 @@ class SimNetwork:
         #: network.  ``None`` (the single-network default) costs one
         #: attribute load per transmit.
         self.boundary: Optional[object] = None
-        # Driver-owned action buffer, reused across delivery and timer
-        # steps so a step that produces nothing allocates nothing.  Taken
-        # (set to None) while a step runs so re-entrant use falls back to a
-        # fresh list.
-        self._action_buffer: Optional[List[object]] = []
 
     # -- registration ----------------------------------------------------------
     def add_replica(self, node: ProtocolNode) -> None:
         """Register a replica node (targets of ``Broadcast`` actions)."""
+        if not isinstance(node, Node):
+            node = _ForeignNode(node)
         handle = NodeHandle(
             node=node, is_replica=True, deliver_into=node.deliver_into)
         self._nodes[node.node_id] = handle
@@ -334,16 +356,9 @@ class SimNetwork:
             node = handle.node
             if node.crashed:
                 return
-            buffer = self._action_buffer
-            if buffer is None:
-                buffer = []
-            else:
-                self._action_buffer = None
             cpu_ms = node.timer_fired_into(action.name, action.payload,
-                                           self.sim.now, buffer)
-            self._finish_step(handle, node_id, cpu_ms, buffer)
-            buffer.clear()
-            self._action_buffer = buffer
+                                           self.sim.now)
+            self._finish_step(handle, node_id, cpu_ms, node.take_actions())
 
         handle.timers[action.name] = self.sim.set_timer(node_id, action.name, fire_delay, fire)
 
@@ -491,34 +506,30 @@ class SimNetwork:
         *handle* was resolved when the message was transmitted —
         registration only grows, so it cannot go stale.
         """
-        if handle.node.crashed:
+        node = handle.node
+        if node.crashed:
             self.dropped_count += 1
             return
         now = self.sim._now
         faults = self.faults
         if faults.has_crashes and faults.crashed_at(receiver, now):
-            handle.node.crashed = True
+            node.crashed = True
             self.dropped_count += 1
             return
         observers = self._observers
         if observers:
             for observer in observers:
                 observer(sender, receiver, message, now)
-        buffer = self._action_buffer
-        if buffer is None:
-            buffer = []
-        else:
-            self._action_buffer = None
-        cpu_ms = handle.deliver_into(sender, message, now, buffer)
+        cpu_ms = handle.deliver_into(sender, message, now)
         # Inline of _finish_step (one call per delivery).
         free_at = handle.cpu_free_at
         start = now if now > free_at else free_at
         ready_at = start + cpu_ms if cpu_ms > 0.0 else start
         handle.cpu_free_at = ready_at
-        if buffer:
-            self._apply_actions(receiver, buffer, ready_at)
-            buffer.clear()
-        self._action_buffer = buffer
+        actions = node._pending_actions
+        if actions:
+            node._pending_actions = []
+            self._apply_actions(receiver, actions, ready_at)
 
     def deliver_boundary(self, sender: str, receiver: str, message: Message,
                          send_time_ms: float, deliver_at_ms: float) -> None:

@@ -94,19 +94,14 @@ class AsyncTransport:
     async def _pump(self, node_id: str) -> None:
         wrapper = self._nodes[node_id]
         node = wrapper.node
-        # Each pump task owns one reusable action buffer (the same
-        # zero-allocation protocol the simulated network uses); applying
-        # actions only calls put_nowait, so the buffer never re-enters.
-        buffer: List[object] = []
         while True:
             sender, message = await wrapper.inbox.get()
             if node.crashed:
                 continue
             self.delivered_count += 1
-            node.deliver_into(sender, message, self._now_ms(), buffer)
-            if buffer:
-                self._apply_actions(node_id, wrapper, buffer)
-                buffer.clear()
+            output = node.deliver(sender, message, self._now_ms())
+            if output.actions:
+                self._apply_actions(node_id, wrapper, output.actions)
 
     def _apply_actions(self, node_id: str, wrapper: AsyncNode,
                        actions: List[object]) -> None:
@@ -148,10 +143,9 @@ class AsyncTransport:
             wrapper.timers.pop(action.name, None)
             if wrapper.node.crashed or not self._running:
                 return
-            actions: List[object] = []
-            wrapper.node.timer_fired_into(action.name, action.payload,
-                                          self._now_ms(), actions)
-            if actions:
-                self._apply_actions(node_id, wrapper, actions)
+            output = wrapper.node.timer_fired(action.name, action.payload,
+                                              self._now_ms())
+            if output.actions:
+                self._apply_actions(node_id, wrapper, output.actions)
 
         wrapper.timers[action.name] = loop.call_later(action.delay_ms / 1000.0, fire)

@@ -8,16 +8,21 @@ through exactly three entry points, all defined once on :class:`Node`:
 
 ``start(now_ms) -> StepOutput``
     boot; called once (again only after a crash that preceded the boot);
-``deliver_into(sender, message, now_ms, actions) -> cpu_ms``
+``deliver_into(sender, message, now_ms) -> cpu_ms``
     one message arrived from the transport-level *sender*;
-``timer_fired_into(name, payload, now_ms, actions) -> cpu_ms``
+``timer_fired_into(name, payload, now_ms) -> cpu_ms``
     a timer the node armed earlier expired.
 
-The ``*_into`` forms append the step's actions to a list the driver owns
-and return the modelled CPU milliseconds the step consumed, so a step
-that does nothing allocates nothing.  ``deliver`` / ``timer_fired`` wrap
-them into a fresh :class:`StepOutput` for tests and ad-hoc drivers.  A
-crashed node produces no actions and no CPU time.
+The ``*_into`` forms return the modelled CPU milliseconds the step
+consumed and leave the step's actions in the node's own
+``_pending_actions`` list — the same list whichever driver runs the step
+and whether or not a step is in progress.  The driver drains it after the
+step, swapping in a fresh list only when there is something to take, so a
+step that does nothing allocates nothing.  ``deliver`` / ``timer_fired``
+do both and return a :class:`StepOutput`, for tests and drivers that are
+not in a hurry.  A crashed node produces no actions and no CPU time.  A
+handler that raises leaves what it had produced so far pending: drivers
+treat a raising step as fatal to the run.
 
 A step leaves the node as a sequence of four action types, which are
 final (a driver may match them by exact class; a subclass is an error):
@@ -107,8 +112,8 @@ class StepOutput:
     """Everything one protocol step produced.
 
     Returned by :meth:`Node.start`, and by :meth:`Node.deliver` /
-    :meth:`Node.timer_fired` for callers that do not bring their own
-    action buffer.
+    :meth:`Node.timer_fired` for callers that do not drain the node's
+    action list themselves.
 
     Attributes:
         actions: ordered network/timer actions.
@@ -145,10 +150,10 @@ class Node(abc.ABC):
 
     Handlers express their effects through ``send`` / ``broadcast`` /
     ``set_timer`` / ``cancel_timer`` and ``add_cpu``, which accumulate
-    into the step in progress.  During a delivery or timer step that is
-    the driver's buffer, swapped in for the duration of the step;
-    outside one (boot, or a test calling a handler directly) it is the
-    node's own list, drained by :meth:`_collect`.
+    into ``_pending_actions`` / ``_pending_cpu_ms`` — always the node's
+    own, inside a driver's step or outside one (boot, or a test calling a
+    handler directly).  Whoever ran the handlers drains them: the driver
+    after a ``*_into`` step, :meth:`_collect` everywhere else.
     """
 
     #: CPU charged to every delivery before its handler runs.
@@ -175,9 +180,14 @@ class Node(abc.ABC):
     def add_cpu(self, cost_ms: float) -> None:
         self._pending_cpu_ms += max(0.0, cost_ms)
 
-    def _collect(self) -> StepOutput:
-        output = StepOutput(actions=self._pending_actions, cpu_ms=self._pending_cpu_ms)
+    def take_actions(self) -> List[Action]:
+        """Hand over the actions accumulated so far; the node starts afresh."""
+        actions = self._pending_actions
         self._pending_actions = []
+        return actions
+
+    def _collect(self) -> StepOutput:
+        output = StepOutput(actions=self.take_actions(), cpu_ms=self._pending_cpu_ms)
         self._pending_cpu_ms = 0.0
         return output
 
@@ -187,45 +197,33 @@ class Node(abc.ABC):
         self.on_start(now_ms)
         return self._collect()
 
-    def deliver_into(self, sender: str, message: Message, now_ms: float,
-                     actions: List[Action]) -> float:
-        """Deliver *message* from *sender*: append actions, return CPU ms."""
+    def deliver_into(self, sender: str, message: Message, now_ms: float) -> float:
+        """Deliver *message* from *sender*: returns CPU ms, actions stay pending."""
         if self.crashed:
             return 0.0
-        own = self._pending_actions
-        self._pending_actions = actions
         self._pending_cpu_ms = self._base_processing_ms
-        try:
-            self.on_message(sender, message, now_ms)
-            return self._pending_cpu_ms
-        finally:
-            self._pending_actions = own
-            self._pending_cpu_ms = 0.0
+        self.on_message(sender, message, now_ms)
+        cpu_ms = self._pending_cpu_ms
+        self._pending_cpu_ms = 0.0
+        return cpu_ms
 
-    def timer_fired_into(self, name: str, payload: Any, now_ms: float,
-                         actions: List[Action]) -> float:
-        """A previously armed timer expired: append actions, return CPU ms."""
+    def timer_fired_into(self, name: str, payload: Any, now_ms: float) -> float:
+        """A previously armed timer expired: returns CPU ms, actions stay pending."""
         if self.crashed:
             return 0.0
-        own = self._pending_actions
-        self._pending_actions = actions
         self._pending_cpu_ms = 0.0
-        try:
-            self.on_timer(name, payload, now_ms)
-            return self._pending_cpu_ms
-        finally:
-            self._pending_actions = own
-            self._pending_cpu_ms = 0.0
+        self.on_timer(name, payload, now_ms)
+        cpu_ms = self._pending_cpu_ms
+        self._pending_cpu_ms = 0.0
+        return cpu_ms
 
     def deliver(self, sender: str, message: Message, now_ms: float) -> StepOutput:
-        output = StepOutput()
-        output.cpu_ms = self.deliver_into(sender, message, now_ms, output.actions)
-        return output
+        cpu_ms = self.deliver_into(sender, message, now_ms)
+        return StepOutput(actions=self.take_actions(), cpu_ms=cpu_ms)
 
     def timer_fired(self, name: str, payload: Any, now_ms: float) -> StepOutput:
-        output = StepOutput()
-        output.cpu_ms = self.timer_fired_into(name, payload, now_ms, output.actions)
-        return output
+        cpu_ms = self.timer_fired_into(name, payload, now_ms)
+        return StepOutput(actions=self.take_actions(), cpu_ms=cpu_ms)
 
     # -- protocol hooks --------------------------------------------------------
     def on_start(self, now_ms: float) -> None:  # pragma: no cover - default no-op

@@ -240,8 +240,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         return self.executor.last_executed_sequence
 
     # ---------------------------------------------------------------- dispatch
-    def deliver_into(self, sender: str, message: Message, now_ms: float,
-                     actions) -> float:
+    def deliver_into(self, sender: str, message: Message, now_ms: float) -> float:
         """:meth:`Node.deliver_into` with the handler looked up in place.
 
         Same step, one Python frame fewer on every delivery than going
@@ -249,17 +248,13 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         """
         if self.crashed:
             return 0.0
-        own = self._pending_actions
-        self._pending_actions = actions
         self._pending_cpu_ms = self._base_processing_ms
-        try:
-            handler = self._dispatch.get(message.__class__)
-            if handler is not None:
-                handler(sender, message, now_ms)
-            return self._pending_cpu_ms
-        finally:
-            self._pending_actions = own
-            self._pending_cpu_ms = 0.0
+        handler = self._dispatch.get(message.__class__)
+        if handler is not None:
+            handler(sender, message, now_ms)
+        cpu_ms = self._pending_cpu_ms
+        self._pending_cpu_ms = 0.0
+        return cpu_ms
 
     def on_message(self, sender: str, message: Message, now_ms: float) -> None:
         """Route *message* inside the step already in progress.
