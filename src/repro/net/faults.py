@@ -64,7 +64,9 @@ class FaultSchedule:
     properties: the network reads them once per transmitted/delivered
     message, and every mutation funnels through the ``add_*`` methods,
     which refresh them — together with the per-node crash index the
-    queries below read instead of scanning ``crashes``.
+    queries below read instead of scanning ``crashes`` — and bump
+    ``version``, which is how the network knows to recompile the per-node
+    :meth:`safe_until` times it keeps on its handles.
     """
 
     crashes: List[CrashFault] = field(default_factory=list)
@@ -72,9 +74,11 @@ class FaultSchedule:
     dark_replicas: List[DarkReplicaFault] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self.version = 0
         self._refresh_flags()
 
     def _refresh_flags(self) -> None:
+        self.version += 1
         #: Whether any fault is configured (fast-path gate for ``drops``).
         self.active = bool(self.crashes or self.partitions or self.dark_replicas)
         #: Whether any crash fault is configured (gate for ``crashed_at``).
@@ -138,6 +142,14 @@ class FaultSchedule:
                 continue
             return True
         return False
+
+    def safe_until(self, node_id: str) -> float:
+        """The time before which *node_id* is certainly not crashed: the
+        start of its earliest crash window, infinity if it has none."""
+        windows = self._crashes_by_node.get(node_id)
+        if windows is None:
+            return float("inf")
+        return min(crash.at_ms for crash in windows)
 
     def crashed_nodes(self, now_ms: float) -> Set[str]:
         """All nodes crashed at *now_ms*."""

@@ -44,6 +44,8 @@ AnyNode = Union[ProtocolNode, ClientNode]
 #: Observer signature: (sender, receiver, message, deliver_time_ms).
 MessageObserver = Callable[[str, str, Message, float], None]
 
+_NEVER = float("inf")
+
 
 @dataclass(slots=True)
 class DeliveredMessage:
@@ -76,6 +78,11 @@ class NodeHandle:
     uplink_free_at: float = 0.0
     #: What the node sends passes through this (:meth:`SimNetwork.set_byzantine`).
     behavior: Optional[ByzantineBehavior] = None
+    #: The node is certainly not crashed before this time: the start of its
+    #: earliest crash window, infinity if the schedule has none for it.
+    #: The per-message fault checks compare against it and ask the schedule
+    #: only from then on (:meth:`SimNetwork._compile_faults`).
+    safe_until: float = _NEVER
 
 
 class _ForeignNode(Node):
@@ -139,6 +146,21 @@ class SimNetwork:
         #: network.  ``None`` (the single-network default) costs one
         #: attribute load per transmit.
         self.boundary: Optional[object] = None
+        self._compile_faults()
+
+    def _compile_faults(self) -> None:
+        """Compile the schedule into what the per-message checks compare:
+        each handle's ``safe_until`` and whether any fault severs links.
+
+        Redone whenever ``faults.version`` has moved (``add_*`` on the
+        schedule, :meth:`crash`), which those checks test before trusting
+        either.
+        """
+        faults = self.faults
+        self._fault_version = faults.version
+        self._link_faults = bool(faults.partitions or faults.dark_replicas)
+        for node_id, handle in self._nodes.items():
+            handle.safe_until = faults.safe_until(node_id)
 
     # -- registration ----------------------------------------------------------
     def add_replica(self, node: ProtocolNode) -> None:
@@ -146,7 +168,8 @@ class SimNetwork:
         if not isinstance(node, Node):
             node = _ForeignNode(node)
         handle = NodeHandle(
-            node=node, is_replica=True, deliver_into=node.deliver_into)
+            node=node, is_replica=True, deliver_into=node.deliver_into,
+            safe_until=self.faults.safe_until(node.node_id))
         self._nodes[node.node_id] = handle
         self._replica_ids.append(node.node_id)
         self._replica_handles.append((node.node_id, handle))
@@ -154,7 +177,8 @@ class SimNetwork:
     def add_client(self, node: ClientNode) -> None:
         """Register a client node."""
         self._nodes[node.node_id] = NodeHandle(
-            node=node, is_replica=False, deliver_into=node.deliver_into)
+            node=node, is_replica=False, deliver_into=node.deliver_into,
+            safe_until=self.faults.safe_until(node.node_id))
 
     def add_observer(self, observer: MessageObserver) -> None:
         """Register a callback invoked for every delivered message."""
@@ -400,9 +424,17 @@ class SimNetwork:
                 send_time = start + serialization_ms
                 sender_handle.uplink_free_at = send_time
         faults = self.faults
-        if faults.active and faults.drops(sender, receiver, send_time):
-            self.dropped_count += 1
-            return
+        if faults.active:
+            if faults.version != self._fault_version:
+                self._compile_faults()
+            # Both ends before their first crash window and no link fault:
+            # nothing in the schedule can drop this message.
+            if ((self._link_faults or sender_handle is None
+                 or send_time >= sender_handle.safe_until
+                 or send_time >= receiver_handle.safe_until)
+                    and faults.drops(sender, receiver, send_time)):
+                self.dropped_count += 1
+                return
         propagation = self.conditions.propagation_ms(sender, receiver, send_time)
         if propagation is None:
             self.dropped_count += 1
@@ -446,6 +478,12 @@ class SimNetwork:
         uplink_free = sender_handle.uplink_free_at if pays_uplink else 0.0
         faults = self.faults
         faults_active = faults.active
+        if faults_active and faults.version != self._fault_version:
+            self._compile_faults()
+        # The time from which every receiver needs the schedule's verdict;
+        # before it, only a receiver past its own ``safe_until`` does.
+        ask_from = (-_NEVER if self._link_faults or sender_handle is None
+                    else sender_handle.safe_until)
         fast_conditions = (not conditions.overrides and conditions.loss_rate == 0.0
                            and conditions.topology is None)
         latency = conditions.latency_ms
@@ -465,7 +503,10 @@ class SimNetwork:
                     continue
                 sent += 1
                 send_time = send_base
-                if faults_active and faults.drops(sender, receiver, send_time):
+                if (faults_active
+                        and (send_time >= ask_from
+                             or send_time >= target[1].safe_until)
+                        and faults.drops(sender, receiver, send_time)):
                     dropped += 1
                     continue
                 propagation = local_ms
@@ -477,7 +518,10 @@ class SimNetwork:
                     uplink_free = send_time
                 else:
                     send_time = send_base
-                if faults_active and faults.drops(sender, receiver, send_time):
+                if (faults_active
+                        and (send_time >= ask_from
+                             or send_time >= target[1].safe_until)
+                        and faults.drops(sender, receiver, send_time)):
                     dropped += 1
                     continue
                 if fast_conditions:
@@ -512,10 +556,13 @@ class SimNetwork:
             return
         now = self.sim._now
         faults = self.faults
-        if faults.has_crashes and faults.crashed_at(receiver, now):
-            node.crashed = True
-            self.dropped_count += 1
-            return
+        if faults.has_crashes:
+            if faults.version != self._fault_version:
+                self._compile_faults()
+            if now >= handle.safe_until and faults.crashed_at(receiver, now):
+                node.crashed = True
+                self.dropped_count += 1
+                return
         observers = self._observers
         if observers:
             for observer in observers:

@@ -3,6 +3,7 @@
 import asyncio
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.authenticator import make_authenticators
 from repro.crypto.cost import CryptoOp
@@ -226,6 +227,148 @@ class TestCpuAccounting:
         assert (shard._nodes["replica:0"].cpu_free_at
                 == hub._nodes["replica:2"].cpu_free_at > 10.0)
         assert "replica:2" not in shard._nodes and "replica:0" not in hub._nodes
+
+
+class Note(Message):
+    pass
+
+
+class ChatterNode(ProtocolNode):
+    """Every millisecond: one broadcast (to itself too, every other round)
+    and one unicast to the next replica; logs what reaches it."""
+
+    ROUNDS = 24
+
+    def __init__(self, node_id, config, authenticator):
+        super().__init__(node_id, config, authenticator)
+        self.received = []
+        self.round = 0
+
+    def on_start(self, now_ms):
+        self.set_timer("tick", 1.0)
+
+    def on_timer(self, name, payload, now_ms):
+        self.round += 1
+        self.broadcast(Note(), include_self=self.round % 2 == 0)
+        peer = REPLICAS[(REPLICAS.index(self.node_id) + 1) % len(REPLICAS)]
+        self.send(peer, Note())
+        if self.round < self.ROUNDS:
+            self.set_timer("tick", 1.0)
+
+    def on_message(self, sender, message, now_ms):
+        self.received.append((sender, now_ms))
+
+
+class AlwaysAskNetwork(SimNetwork):
+    """The network as it was before crash windows were compiled onto the
+    handles: every transmit and every delivery asks the schedule."""
+
+    def _compile_faults(self):
+        super()._compile_faults()
+        self._link_faults = True
+        for handle in self._nodes.values():
+            handle.safe_until = float("-inf")
+
+
+_REPLICA = st.sampled_from(REPLICAS)
+_AT = st.sampled_from([0.0, 2.0, 3.5, 7.0, 11.0])
+_UNTIL = st.one_of(st.none(), st.sampled_from([5.0, 9.0, 14.0, 30.0]))
+_FAULT = st.one_of(
+    st.tuples(st.just("crash"), _REPLICA, _AT, _UNTIL),
+    st.tuples(st.just("partition"), _REPLICA, _REPLICA, _AT, _UNTIL),
+    st.tuples(st.just("dark"), _REPLICA, _REPLICA, _AT, _UNTIL))
+#: What happens to a running network: the driver's own crash() (now, or at
+#: a later time), or the schedule object mutated behind its back.
+_MID_RUN = st.one_of(
+    st.tuples(st.just("network.crash"), _REPLICA,
+              st.one_of(st.none(), st.sampled_from([0.5, 4.0]))),
+    _FAULT)
+
+
+def _add_fault(faults, fault, offset_ms=0.0):
+    kind = fault[0]
+    at_ms = fault[-2] + offset_ms
+    until_ms = None if fault[-1] is None else fault[-1] + offset_ms
+    if kind == "crash":
+        faults.add_crash(fault[1], at_ms=at_ms, until_ms=until_ms)
+    elif kind == "partition":
+        faults.add_partition([fault[1]], [fault[2]], at_ms=at_ms,
+                             until_ms=until_ms)
+    else:
+        faults.add_dark_replicas(fault[1], [fault[2]], at_ms=at_ms,
+                                 until_ms=until_ms)
+
+
+def _chatter_run(network_cls, initial, mid_run):
+    faults = FaultSchedule()
+    for fault in initial:
+        _add_fault(faults, fault)
+    config = NodeConfig(replica_ids=list(REPLICAS))
+    auths = make_authenticators(REPLICAS, seed=b"net-faults")
+    simulator = Simulator()
+    network = network_cls(simulator, faults=faults,
+                          conditions=NetworkConditions(jitter_ms=0.3, seed=3))
+    nodes = [ChatterNode(rid, config, auths[rid]) for rid in REPLICAS]
+    for node in nodes:
+        network.add_replica(node)
+    network._compile_faults()  # AlwaysAskNetwork: cover the new handles
+    network.start_all()
+    for step, change in enumerate(mid_run):
+        network.run(until_ms=2.6 * (step + 1))
+        if change[0] == "network.crash":
+            _, node_id, delay_ms = change
+            network.crash(node_id, at_ms=None if delay_ms is None
+                          else simulator.now + delay_ms)
+        else:
+            # Not before now: a fault cannot be scheduled into the past.
+            _add_fault(network.faults, change, offset_ms=simulator.now)
+    network.run_until_idle()
+    return ([node.received for node in nodes],
+            [node.crashed for node in nodes],
+            network.sent_count, network.dropped_count,
+            simulator.processed_events, simulator.now)
+
+
+class TestFaultThresholds:
+    """Crash windows compiled onto the handles (``safe_until``) against the
+    schedule asked about every message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(initial=st.lists(_FAULT, max_size=3),
+           mid_run=st.lists(_MID_RUN, max_size=4))
+    def test_threshold_path_agrees_with_the_schedule(self, initial, mid_run):
+        compiled = _chatter_run(SimNetwork, initial, mid_run)
+        asked = _chatter_run(AlwaysAskNetwork, initial, mid_run)
+        assert compiled == asked
+
+    def test_direct_mutation_reaches_a_delivery_already_in_flight(self):
+        # No transmit happens between the mutation and the delivery: the
+        # delivery itself must notice that the schedule moved.
+        simulator, network, nodes = build_ping_network(
+            NetworkConditions(latency_ms=2.0, jitter_ms=0.0,
+                              bandwidth_mbps=None),
+            faults=FaultSchedule().add_crash("replica:3", at_ms=50.0))
+        network.start_all()
+        network.inject("replica:0", "replica:1", PingMessage())
+        network.run(until_ms=1.0)
+        network.faults.add_crash("replica:1", at_ms=1.5)
+        network.run_until_idle()
+        assert nodes[1].received == [] and nodes[1].crashed
+        assert network._nodes["replica:1"].safe_until == 1.5
+        assert network._nodes["replica:0"].safe_until == float("inf")
+
+    def test_recovered_node_is_asked_about_from_its_first_window_on(self):
+        faults = FaultSchedule().add_crash("replica:1", at_ms=2.0, until_ms=4.0)
+        simulator, network, nodes = build_ping_network(
+            NetworkConditions(latency_ms=1.0, jitter_ms=0.0,
+                              bandwidth_mbps=None), faults=faults)
+        network.start_all()
+        for delay_ms in (0.0, 2.0, 5.0):
+            network.inject("replica:0", "replica:1", PingMessage(),
+                           delay_ms=delay_ms)
+        network.run_until_idle()
+        assert [at for _, _, at in nodes[1].received] == [1.0, 6.0]
+        assert network.dropped_count == 1
 
 
 class TestAsyncTransport:

@@ -496,6 +496,20 @@ class TestFaultSchedule:
         assert faults.drops("a", "b", 5.0)
         assert not faults.drops("a", "b", 15.0)
 
+    def test_every_mutation_moves_the_version(self):
+        faults = FaultSchedule()
+        seen = [faults.version]
+        faults.add_crash("x", at_ms=3.0)
+        seen.append(faults.version)
+        faults.add_partition(["x"], ["y"])
+        seen.append(faults.version)
+        faults.add_dark_replicas("x", ["y"])
+        seen.append(faults.version)
+        assert len(set(seen)) == 4
+        assert faults.safe_until("x") == 3.0
+        faults.add_crash("x", at_ms=1.0, until_ms=2.0)
+        assert faults.safe_until("x") == 1.0  # the earliest window's start
+
     def test_crashed_nodes_listing(self):
         faults = FaultSchedule()
         faults.add_crash("x", at_ms=0.0)
@@ -570,12 +584,17 @@ class TestFaultScheduleIndex:
             faults.add_partition([side_a], [side_b], at_ms=at_ms,
                                  until_ms=until_ms)
         assert faults.has_crashes == bool(crashes)
+        assert faults.safe_until("stranger") == float("inf")
         for now_ms in (0.0, 4.9, 5.0, 12.0, 19.9, 20.0, 50.0):
             crashed = {node for node in _NODES
                        if _scan_crashed_at(faults, node, now_ms)}
             assert faults.crashed_nodes(now_ms) == crashed
             for node in _NODES + ["stranger"]:
                 assert faults.crashed_at(node, now_ms) == (node in crashed)
+                # What the network compiles onto its handles: before this
+                # time the node is not crashed, whatever else is scheduled.
+                if now_ms < faults.safe_until(node):
+                    assert node not in crashed
             for sender in _NODES:
                 for receiver in _NODES:
                     assert (faults.drops(sender, receiver, now_ms)
