@@ -61,14 +61,15 @@ class DeliveredMessage:
 class NodeHandle:
     """Book-keeping the network keeps per registered node.
 
-    ``deliver_into`` caches the node's bound hot-path delivery method so
-    the per-message dispatch is one attribute load instead of two.
+    ``dispatch`` is the node's own message-class -> handler table, held
+    here so a delivery resolves its handler with one attribute load and
+    one dict probe, in the network's frame.
     """
 
     node: AnyNode
     is_replica: bool
+    dispatch: Dict[type, Callable]
     timers: Dict[str, Timer] = field(default_factory=dict)
-    deliver_into: Optional[Callable] = None
     #: Whether the node's ``start`` hook has run — a node crashed at boot
     #: has not started, and a later recovery must boot it first.
     started: bool = False
@@ -168,7 +169,7 @@ class SimNetwork:
         if not isinstance(node, Node):
             node = _ForeignNode(node)
         handle = NodeHandle(
-            node=node, is_replica=True, deliver_into=node.deliver_into,
+            node=node, is_replica=True, dispatch=node._dispatch,
             safe_until=self.faults.safe_until(node.node_id))
         self._nodes[node.node_id] = handle
         self._replica_ids.append(node.node_id)
@@ -177,7 +178,7 @@ class SimNetwork:
     def add_client(self, node: ClientNode) -> None:
         """Register a client node."""
         self._nodes[node.node_id] = NodeHandle(
-            node=node, is_replica=False, deliver_into=node.deliver_into,
+            node=node, is_replica=False, dispatch=node._dispatch,
             safe_until=self.faults.safe_until(node.node_id))
 
     def add_observer(self, observer: MessageObserver) -> None:
@@ -236,7 +237,7 @@ class SimNetwork:
         """Book a step's CPU on the node's worker and apply its actions as of
         the time the work is done.  Work is serialised per node: one busy
         until ``t`` runs the step over ``[t, t + cpu_ms]``.  (:meth:`_deliver`
-        inlines this.)"""
+        does the same in its own frame.)"""
         now = self.sim.now
         free_at = handle.cpu_free_at
         start = now if now > free_at else free_at
@@ -380,9 +381,8 @@ class SimNetwork:
             node = handle.node
             if node.crashed:
                 return
-            cpu_ms = node.timer_fired_into(action.name, action.payload,
-                                           self.sim.now)
-            self._finish_step(handle, node_id, cpu_ms, node.take_actions())
+            output = node.timer_fired(action.name, action.payload, self.sim.now)
+            self._finish_step(handle, node_id, output.cpu_ms, output.actions)
 
         handle.timers[action.name] = self.sim.set_timer(node_id, action.name, fire_delay, fire)
 
@@ -545,10 +545,11 @@ class SimNetwork:
 
     def _deliver(self, sender: str, receiver: str, handle: NodeHandle,
                  message: Message) -> None:
-        """Deliver one scheduled message (callback target of the heap).
+        """Deliver one scheduled message (what the run loop calls per delivery).
 
         *handle* was resolved when the message was transmitted —
-        registration only grows, so it cannot go stale.
+        registration only grows, so it cannot go stale.  Between the run
+        loop and the protocol handler this is the only Python frame.
         """
         node = handle.node
         if node.crashed:
@@ -567,8 +568,16 @@ class SimNetwork:
         if observers:
             for observer in observers:
                 observer(sender, receiver, message, now)
-        cpu_ms = handle.deliver_into(sender, message, now)
-        # Inline of _finish_step (one call per delivery).
+        # Node.deliver and _finish_step, in this frame (one call each per
+        # delivery otherwise).
+        node._pending_cpu_ms = node._base_processing_ms
+        handler = handle.dispatch.get(message.__class__)
+        if handler is None:
+            node.on_message(sender, message, now)
+        else:
+            handler(sender, message, now)
+        cpu_ms = node._pending_cpu_ms
+        node._pending_cpu_ms = 0.0
         free_at = handle.cpu_free_at
         start = now if now > free_at else free_at
         ready_at = start + cpu_ms if cpu_ms > 0.0 else start

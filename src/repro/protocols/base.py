@@ -4,25 +4,32 @@ Every protocol participant (replica, client or client pool) is a state
 machine that never touches the network.  A driver — the discrete-event
 :class:`~repro.net.network.SimNetwork`, the asyncio
 :class:`~repro.net.transport.AsyncTransport`, or a test — reaches a node
-through exactly three entry points, all defined once on :class:`Node`:
+through exactly three entry points, all defined once on :class:`Node`,
+each returning the step's :class:`StepOutput`:
 
-``start(now_ms) -> StepOutput``
+``start(now_ms)``
     boot; called once (again only after a crash that preceded the boot);
-``deliver_into(sender, message, now_ms) -> cpu_ms``
+``deliver(sender, message, now_ms)``
     one message arrived from the transport-level *sender*;
-``timer_fired_into(name, payload, now_ms) -> cpu_ms``
+``timer_fired(name, payload, now_ms)``
     a timer the node armed earlier expired.
 
-The ``*_into`` forms return the modelled CPU milliseconds the step
-consumed and leave the step's actions in the node's own
-``_pending_actions`` list — the same list whichever driver runs the step
-and whether or not a step is in progress.  The driver drains it after the
-step, swapping in a fresh list only when there is something to take, so a
-step that does nothing allocates nothing.  ``deliver`` / ``timer_fired``
-do both and return a :class:`StepOutput`, for tests and drivers that are
-not in a hurry.  A crashed node produces no actions and no CPU time.  A
-handler that raises leaves what it had produced so far pending: drivers
-treat a raising step as fatal to the run.
+A step's actions accumulate in the node's own ``_pending_actions`` list
+and its CPU in ``_pending_cpu_ms`` — the same two attributes whichever
+driver runs the step and whether or not a step is in progress — and the
+entry point drains both.  A delivery is routed by the exact class of the
+message through the node's ``_dispatch`` table (message class -> bound
+handler); a class the table does not name goes to ``on_message``.  A
+crashed node produces no actions and no CPU time.  A handler that raises
+leaves what it had produced so far pending: drivers treat a raising step
+as fatal to the run.
+
+``deliver`` is also the specification of the one step a driver may take
+apart: :meth:`SimNetwork._deliver <repro.net.network.SimNetwork._deliver>`
+makes hundreds of thousands of deliveries a second, most of which produce
+no action, so it performs the same four moves in its own frame — charge
+the base cost, look the handler up, call it, read the CPU back — and
+swaps in a fresh action list only when the step left something in it.
 
 A step leaves the node as a sequence of four action types, which are
 final (a driver may match them by exact class; a subclass is an error):
@@ -111,9 +118,8 @@ class CancelTimer(Action):
 class StepOutput:
     """Everything one protocol step produced.
 
-    Returned by :meth:`Node.start`, and by :meth:`Node.deliver` /
-    :meth:`Node.timer_fired` for callers that do not drain the node's
-    action list themselves.
+    Returned by :meth:`Node.start`, :meth:`Node.deliver` and
+    :meth:`Node.timer_fired`.
 
     Attributes:
         actions: ordered network/timer actions.
@@ -151,13 +157,17 @@ class Node(abc.ABC):
     Handlers express their effects through ``send`` / ``broadcast`` /
     ``set_timer`` / ``cancel_timer`` and ``add_cpu``, which accumulate
     into ``_pending_actions`` / ``_pending_cpu_ms`` — always the node's
-    own, inside a driver's step or outside one (boot, or a test calling a
-    handler directly).  Whoever ran the handlers drains them: the driver
-    after a ``*_into`` step, :meth:`_collect` everywhere else.
+    own, inside a driver's step or outside one (a test calling a handler
+    directly).  Whoever ran the handlers drains them: the entry points
+    through :meth:`_collect`, the simulated network in its own frame.
     """
 
     #: CPU charged to every delivery before its handler runs.
     _base_processing_ms = 0.0
+    #: Message class -> bound handler ``(sender, message, now_ms)``; a class
+    #: not named here is handled by :meth:`on_message`.  Empty unless a
+    #: subclass builds one per instance (replicas do).
+    _dispatch: Dict[type, Any] = {}
 
     def __init__(self) -> None:
         self.crashed = False
@@ -180,14 +190,9 @@ class Node(abc.ABC):
     def add_cpu(self, cost_ms: float) -> None:
         self._pending_cpu_ms += max(0.0, cost_ms)
 
-    def take_actions(self) -> List[Action]:
-        """Hand over the actions accumulated so far; the node starts afresh."""
-        actions = self._pending_actions
-        self._pending_actions = []
-        return actions
-
     def _collect(self) -> StepOutput:
-        output = StepOutput(actions=self.take_actions(), cpu_ms=self._pending_cpu_ms)
+        output = StepOutput(actions=self._pending_actions, cpu_ms=self._pending_cpu_ms)
+        self._pending_actions = []
         self._pending_cpu_ms = 0.0
         return output
 
@@ -197,33 +202,25 @@ class Node(abc.ABC):
         self.on_start(now_ms)
         return self._collect()
 
-    def deliver_into(self, sender: str, message: Message, now_ms: float) -> float:
-        """Deliver *message* from *sender*: returns CPU ms, actions stay pending."""
-        if self.crashed:
-            return 0.0
-        self._pending_cpu_ms = self._base_processing_ms
-        self.on_message(sender, message, now_ms)
-        cpu_ms = self._pending_cpu_ms
-        self._pending_cpu_ms = 0.0
-        return cpu_ms
-
-    def timer_fired_into(self, name: str, payload: Any, now_ms: float) -> float:
-        """A previously armed timer expired: returns CPU ms, actions stay pending."""
-        if self.crashed:
-            return 0.0
-        self._pending_cpu_ms = 0.0
-        self.on_timer(name, payload, now_ms)
-        cpu_ms = self._pending_cpu_ms
-        self._pending_cpu_ms = 0.0
-        return cpu_ms
-
     def deliver(self, sender: str, message: Message, now_ms: float) -> StepOutput:
-        cpu_ms = self.deliver_into(sender, message, now_ms)
-        return StepOutput(actions=self.take_actions(), cpu_ms=cpu_ms)
+        """Deliver *message* from *sender*."""
+        if self.crashed:
+            return StepOutput()
+        self._pending_cpu_ms = self._base_processing_ms
+        handler = self._dispatch.get(message.__class__)
+        if handler is None:
+            self.on_message(sender, message, now_ms)
+        else:
+            handler(sender, message, now_ms)
+        return self._collect()
 
     def timer_fired(self, name: str, payload: Any, now_ms: float) -> StepOutput:
-        cpu_ms = self.timer_fired_into(name, payload, now_ms)
-        return StepOutput(actions=self.take_actions(), cpu_ms=cpu_ms)
+        """A previously armed timer expired."""
+        if self.crashed:
+            return StepOutput()
+        self._pending_cpu_ms = 0.0
+        self.on_timer(name, payload, now_ms)
+        return self._collect()
 
     # -- protocol hooks --------------------------------------------------------
     def on_start(self, now_ms: float) -> None:  # pragma: no cover - default no-op

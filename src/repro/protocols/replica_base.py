@@ -240,27 +240,13 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         return self.executor.last_executed_sequence
 
     # ---------------------------------------------------------------- dispatch
-    def deliver_into(self, sender: str, message: Message, now_ms: float) -> float:
-        """:meth:`Node.deliver_into` with the handler looked up in place.
-
-        Same step, one Python frame fewer on every delivery than going
-        through :meth:`on_message`.
-        """
-        if self.crashed:
-            return 0.0
-        self._pending_cpu_ms = self._base_processing_ms
-        handler = self._dispatch.get(message.__class__)
-        if handler is not None:
-            handler(sender, message, now_ms)
-        cpu_ms = self._pending_cpu_ms
-        self._pending_cpu_ms = 0.0
-        return cpu_ms
-
     def on_message(self, sender: str, message: Message, now_ms: float) -> None:
         """Route *message* inside the step already in progress.
 
-        Deliveries do not come through here (see :meth:`deliver_into`);
-        this is for handlers re-dispatching a message they parked earlier.
+        Deliveries of the types the table names do not come through here
+        (the driver looks the handler up itself); this is for handlers
+        re-dispatching a message they parked earlier, and it ignores a
+        message of a type the table does not name.
         """
         handler = self._dispatch.get(message.__class__)
         if handler is not None:
