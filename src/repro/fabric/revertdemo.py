@@ -73,7 +73,7 @@ def buggy_adopt_new_view(self, proposal, requests, now_ms):
         if sequence > self.last_executed_sequence:
             break
         mine = self.executor.executed(sequence)
-        if mine is not None and (mine.batch.digest()
+        if mine is not None and (mine.batch_digest
                                  != prefix[sequence].batch.digest()):
             rollback_target = max(sequence - 1,
                                   self.checkpoints.stable_sequence)

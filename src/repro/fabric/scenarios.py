@@ -815,8 +815,10 @@ BY_DESIGN_GROWTH: Dict[str, str] = {
     "repair_log": "audit trail: one entry per same-height repair",
     "reconfig_refusals": "audit trail: one entry per refused reconfiguration",
     "executor._executed": "rollback_target and Zyzzyva's certificate admission "
-                          "read records below the stable checkpoint, so "
-                          "bounding it is a behaviour decision (see ROADMAP)",
+                          "read a record's batch id and digest below the "
+                          "stable checkpoint (its transactions and undo log "
+                          "are dropped there), so bounding the count is a "
+                          "behaviour decision (see ROADMAP)",
 }
 
 _CONTAINERS = (dict, set, list, deque)

@@ -33,28 +33,40 @@ def modelled_result_digest(sequence: int, batch: RequestBatch) -> bytes:
 class ExecutedBatch:
     """Record of one speculatively executed batch.
 
-    A record holds what a later step reads: the batch (a view change
-    compares an adopted prefix with it), the digest the replies carried,
-    and the undo log a rollback replays, which ``prune_before`` empties
-    once a checkpoint at or above the sequence is stable.  The
-    per-transaction results are not in it: each is folded into
-    ``result_digest`` as the batch executes and nothing reads it again,
-    so keeping them held one object tree per transaction per replica
-    alive for the whole run.
+    A record holds what a later step reads: the batch's identity (its id,
+    digest and control phase — what a view change or a commit certificate
+    is compared with, at any depth), the digest the replies carried, and,
+    while the slot can still be rolled back, the batch itself and the undo
+    log a rollback replays.  ``prune_before`` empties the undo log and lets
+    go of an ordinary batch once a checkpoint at or above the sequence is
+    stable, so a record below the checkpoint does not keep a hundred
+    transactions alive.  The per-transaction results are not in it either:
+    each is folded into ``result_digest`` as the batch executes and nothing
+    reads it again.
 
     Attributes:
         sequence: consensus sequence number ``k``.
         view: view in which the batch was certified.
-        batch: the executed request batch.
+        batch: the executed request batch; ``None`` once pruned (control
+            batches are kept).
         result_digest: digest of the results, included in INFORM messages.
         undo: undo entries needed to revert this batch.
+        batch_id, batch_digest, control_phase: the batch's, kept for good.
     """
 
     sequence: int
     view: int
-    batch: RequestBatch
+    batch: Optional[RequestBatch]
     result_digest: bytes
     undo: List[UndoEntry] = field(default_factory=list)
+    batch_id: str = field(init=False)
+    batch_digest: bytes = field(init=False)
+    control_phase: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.batch_id = self.batch.batch_id
+        self.batch_digest = self.batch.digest()
+        self.control_phase = self.batch.control_phase
 
 
 class SpeculativeExecutor:
@@ -206,11 +218,15 @@ class SpeculativeExecutor:
 
         Called once a checkpoint is stable: those batches can no longer be
         rolled back (they are durable system-wide), so their undo logs are
-        garbage-collected — this is what keeps view-change messages small.
+        garbage-collected — this is what keeps view-change messages small —
+        and with them the transactions of every ordinary batch: below a
+        checkpoint a record is only ever asked for its identity.
         """
         through = min(sequence, self.last_executed_sequence)
         for seq in range(self._pruned_through + 1, through + 1):
             record = self._executed.get(seq)
             if record is not None:
                 record.undo = []
+                if not record.control_phase:
+                    record.batch = None
         self._pruned_through = max(self._pruned_through, through)

@@ -300,7 +300,7 @@ class PrimaryBackupReplica(BatchingReplica):
             if sequence > self.last_executed_sequence:
                 break
             mine = self.executor.executed(sequence)
-            if mine is not None and (mine.batch.digest()
+            if mine is not None and (mine.batch_digest
                                      != prefix[sequence].batch.digest()):
                 return max(sequence - 1, self.checkpoints.stable_sequence)
         return kmax

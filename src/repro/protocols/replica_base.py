@@ -464,13 +464,13 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         reverted = self.executor.rollback_to(kmax)
         self.rolled_back_batches += len(reverted)
         for record in reverted:
-            self._replied.pop(record.batch.batch_id, None)
+            self._replied.pop(record.batch_id, None)
             # A rolled-back batch must be acceptable again when the client
             # retransmits it.
-            self._seen_batch_ids.discard(record.batch.batch_id)
-            self._batch_sequence.pop(record.batch.batch_id, None)
+            self._seen_batch_ids.discard(record.batch_id)
+            self._batch_sequence.pop(record.batch_id, None)
             self.on_rolled_back(record)
-            if (record.batch.control_phase == RECONFIG_PHASE
+            if (record.control_phase == RECONFIG_PHASE
                     and self._pending_epochs):
                 # An executed reconfiguration that did not survive must
                 # not activate; the shared registry entry stays (it is

@@ -207,7 +207,7 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
             return
         executed = self.executor.executed(message.sequence)
         if executed is not None:
-            if executed.batch.batch_id != message.batch_id:
+            if executed.batch_id != message.batch_id:
                 return
             if executed.result_digest != message.result_digest:
                 return
@@ -405,7 +405,7 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         if certificate.sequence <= self.checkpoints.stable_sequence:
             executed = self.executor.executed(certificate.sequence)
             if (executed is not None
-                    and executed.batch.batch_id != certificate.batch_id):
+                    and executed.batch_id != certificate.batch_id):
                 return False
         return True
 

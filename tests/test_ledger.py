@@ -211,6 +211,28 @@ class TestSpeculativeExecutor:
         executor.prune_before(0)
         assert executor.executed(0).undo == []
 
+    def test_prune_lets_go_of_the_batch_and_keeps_its_identity(self):
+        class ControlRecord(RequestBatch):
+            control_phase = "decide"
+
+        executor, _, _ = self._executor()
+        ordinary = make_batch("b0", [make_txn("t0", writes=[("x", "1")])])
+        control = ControlRecord(batch_id="c1", transactions=())
+        executor.execute(0, 0, ordinary)
+        executor.execute(1, 0, control)
+        executor.execute(2, 0, make_batch("b2", [make_txn("t2")]))
+        executor.prune_before(1)
+        below, kept, above = (executor.executed(k) for k in range(3))
+        assert below.batch is None
+        assert (below.batch_id, below.batch_digest, below.control_phase) == (
+            "b0", ordinary.digest(), "")
+        assert below.result_digest
+        # A control record keeps its batch; so does anything above the
+        # checkpoint, which a view change may still roll back.
+        assert kept.batch is control and kept.control_phase == "decide"
+        assert above.batch is not None and above.batch_id == "b2"
+        assert [r.batch_id for r in executor.rollback_to(1)] == ["b2"]
+
     def _write_batches(self, executor, sequences):
         for seq in sequences:
             executor.execute(seq, 0, make_batch(
@@ -341,13 +363,17 @@ def test_executor_rollback_property(num_batches, rollback_to):
 
 def _journal_table_states(executor, checked):
     """Wrap *executor* so every rollback is compared with the journalled
-    table of its target; appends ``(target, writes undone, matches)``."""
+    table of its target; appends ``(target, writes undone, matches)``.
+    Returns the batch last executed at each sequence (a record lets go of
+    its batch below a stable checkpoint)."""
     after = {-1: executor.store.snapshot_digest()}
+    batches = {}
     execute, rollback_to = executor.execute, executor.rollback_to
 
     def journalling_execute(sequence, view, batch, proof=None):
         record = execute(sequence, view, batch, proof)
         after[sequence] = executor.store.snapshot_digest()
+        batches[sequence] = batch
         return record
 
     def checking_rollback(sequence):
@@ -359,6 +385,7 @@ def _journal_table_states(executor, checked):
 
     executor.execute = journalling_execute
     executor.rollback_to = checking_rollback
+    return batches
 
 
 @pytest.mark.parametrize("protocol,scenario", [
@@ -387,8 +414,9 @@ def test_real_execution_rollback_converges(protocol, scenario):
     honest = [replica for replica in cluster.replicas
               if replica.node_id not in cluster.byzantine_ids]
     rollbacks = []
-    for replica in honest:
-        _journal_table_states(replica.executor, rollbacks)
+    executed_batches = {
+        replica.node_id: _journal_table_states(replica.executor, rollbacks)
+        for replica in honest}
     cluster.start()
     cluster.run_until_done(max_ms=params.max_ms)
 
@@ -412,7 +440,8 @@ def test_real_execution_rollback_converges(protocol, scenario):
                    if all(r.executor.executed(k) for k in range(height + 1)))
     replayed = KeyValueStore(cluster._initial_table())
     for sequence in range(height + 1):
-        batch = witness.executor.executed(sequence).batch
+        batch = executed_batches[witness.node_id][sequence]
+        assert batch.digest() == witness.executor.executed(sequence).batch_digest
         assert batch.digest() == witness.blockchain.block_at(sequence).batch_digest
         for txn in batch.transactions:
             replayed.apply(txn)
