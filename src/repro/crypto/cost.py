@@ -37,6 +37,12 @@ class CryptoOp(enum.Enum):
     THRESHOLD_VERIFY = "threshold_verify"
 
 
+# A member's position, as a plain attribute: a node flattens its cost model
+# into a tuple and indexes it with ``op.ordinal`` on every charge — hashing
+# a member (``Enum.__hash__``) or reading ``.value`` is a Python-level call.
+for _ordinal, _op in enumerate(CryptoOp):
+    _op.ordinal = _ordinal
+
 #: Default per-operation CPU costs in milliseconds.
 DEFAULT_COSTS_MS: Dict[CryptoOp, float] = {
     CryptoOp.HASH: 0.002,

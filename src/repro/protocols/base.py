@@ -414,13 +414,14 @@ class ProtocolNode(Node):
         self.auth = authenticator
         self.costs = cost_model or CryptoCostModel()
         # The cost model is immutable for the lifetime of a node; flatten it
-        # to plain floats so charging (done several times per message) is a
-        # dict lookup and a multiply instead of two method calls.
-        self._op_cost_ms = {op: self.costs.cost(op) for op in CryptoOp}
+        # to plain floats, indexed by the operation's ordinal, so charging
+        # (done several times per message) is a tuple index and a multiply:
+        # no method call, and no hashing of an enum member.
+        self._op_cost_ms = tuple(self.costs.cost(op) for op in CryptoOp)
         self._base_processing_ms = config.base_processing_ms
         # The MAC-verify charge sits on the n² vote-flood hot path; resolve
-        # it to a float once so handlers can add it without the enum lookup.
-        self._mac_verify_ms = self._op_cost_ms[CryptoOp.MAC_VERIFY]
+        # it to a float once so handlers can add it without any lookup.
+        self._mac_verify_ms = self._op_cost_ms[CryptoOp.MAC_VERIFY.ordinal]
 
     # -- convenience ----------------------------------------------------------
     @property
@@ -429,7 +430,7 @@ class ProtocolNode(Node):
 
     def charge(self, op: CryptoOp, count: int = 1) -> None:
         """Charge the CPU cost of *count* crypto operations to this step."""
-        cost = self._op_cost_ms[op] * count
+        cost = self._op_cost_ms[op.ordinal] * count
         if cost > 0.0:
             self._pending_cpu_ms += cost
 

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.crypto.cost import CryptoCostModel, CryptoOp
 from repro.protocols.base import (
     BASE_MESSAGE_SIZE,
     Broadcast,
     CancelTimer,
     Message,
     NodeConfig,
+    ProtocolNode,
     Send,
     SetTimer,
     StepOutput,
@@ -72,6 +74,74 @@ class TestStepOutput:
         assert len(output.broadcasts()) == 1
         assert len(output.timers()) == 1
         assert output.cpu_ms == 1.0
+
+
+class _Ping(Message):
+    pass
+
+
+class _Pong(Message):
+    pass
+
+
+class _TableNode(ProtocolNode):
+    """Routes ``_Ping`` through the dispatch table, the rest to on_message."""
+
+    def __init__(self, config, cost_model=None):
+        super().__init__("replica:0", config, authenticator=None,
+                         cost_model=cost_model)
+        self._dispatch = {_Ping: self.handle_ping}
+        self.seen = []
+
+    def handle_ping(self, sender, message, now_ms):
+        self.seen.append("table")
+        self.send(sender, _Pong())
+        self.charge(CryptoOp.MAC_VERIFY, 3)
+
+    def on_message(self, sender, message, now_ms):
+        self.seen.append("on_message")
+
+    def on_timer(self, name, payload, now_ms):
+        self.set_timer(name, 2.0, payload)
+        self.add_cpu(0.5)
+
+
+class TestNodeEntryPoints:
+    def test_deliver_routes_by_exact_class_and_drains_the_step(self):
+        node = _TableNode(make_config(4))
+        output = node.deliver("replica:1", _Ping(), 1.0)
+        assert [type(a) for a in output.actions] == [Send]
+        assert output.cpu_ms == pytest.approx(
+            node.config.base_processing_ms
+            + 3 * node.costs.cost(CryptoOp.MAC_VERIFY))
+        other = node.deliver("replica:1", _Pong(), 2.0)
+        assert node.seen == ["table", "on_message"]
+        # Each step owns its output; the node starts the next one clean.
+        assert other.actions == [] and other.actions is not output.actions
+        assert other.cpu_ms == node.config.base_processing_ms
+        assert node._pending_actions == [] and node._pending_cpu_ms == 0.0
+
+    def test_timer_step_charges_no_base_cost(self):
+        node = _TableNode(make_config(4))
+        output = node.timer_fired("tick", "p", 1.0)
+        assert [(a.name, a.payload) for a in output.timers()] == [("tick", "p")]
+        assert output.cpu_ms == 0.5
+
+    def test_crashed_node_does_nothing(self):
+        node = _TableNode(make_config(4))
+        node.crashed = True
+        assert node.deliver("replica:1", _Ping(), 1.0) == StepOutput()
+        assert node.timer_fired("tick", None, 1.0) == StepOutput()
+        assert node.seen == []
+
+    def test_charge_reads_every_operation_of_the_model(self):
+        costs = {op: 0.001 * (position + 1)
+                 for position, op in enumerate(CryptoOp)}
+        node = _TableNode(make_config(4), CryptoCostModel(costs_ms=costs))
+        assert [op.ordinal for op in CryptoOp] == list(range(len(CryptoOp)))
+        for op in CryptoOp:
+            node.charge(op, 2)
+            assert node._collect().cpu_ms == pytest.approx(2 * costs[op])
 
 
 class TestBatcher:
