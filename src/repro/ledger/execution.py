@@ -33,22 +33,21 @@ def modelled_result_digest(sequence: int, batch: RequestBatch) -> bytes:
 class ExecutedBatch:
     """Record of one speculatively executed batch.
 
-    A record holds what a later step reads: the batch's identity (its id,
-    digest and control phase — what a view change or a commit certificate
-    is compared with, at any depth), the digest the replies carried, and,
+    A record holds what a later step reads: the batch's identity (id,
+    digest, control phase — what a view change or a commit certificate is
+    compared with, at any depth), the digest the replies carried and,
     while the slot can still be rolled back, the batch itself and the undo
-    log a rollback replays.  ``prune_before`` empties the undo log and lets
-    go of an ordinary batch once a checkpoint at or above the sequence is
-    stable, so a record below the checkpoint does not keep a hundred
-    transactions alive.  The per-transaction results are not in it either:
-    each is folded into ``result_digest`` as the batch executes and nothing
-    reads it again.
+    log.  ``prune_before`` empties the undo log and lets go of an ordinary
+    batch once a checkpoint at or above the sequence is stable, so a
+    record below it does not keep a hundred transactions alive.  The
+    per-transaction results are not in it either: each is folded into
+    ``result_digest`` as the batch executes and nothing reads it again.
 
     Attributes:
         sequence: consensus sequence number ``k``.
         view: view in which the batch was certified.
-        batch: the executed request batch; ``None`` once pruned (control
-            batches are kept).
+        batch: the executed batch; ``None`` once pruned (control batches
+            are kept).
         result_digest: digest of the results, included in INFORM messages.
         undo: undo entries needed to revert this batch.
         batch_id, batch_digest, control_phase: the batch's, kept for good.
@@ -59,14 +58,9 @@ class ExecutedBatch:
     batch: Optional[RequestBatch]
     result_digest: bytes
     undo: List[UndoEntry] = field(default_factory=list)
-    batch_id: str = field(init=False)
-    batch_digest: bytes = field(init=False)
-    control_phase: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.batch_id = self.batch.batch_id
-        self.batch_digest = self.batch.digest()
-        self.control_phase = self.batch.control_phase
+    batch_id: str = ""
+    batch_digest: bytes = b""
+    control_phase: str = ""
 
 
 class SpeculativeExecutor:
@@ -130,13 +124,15 @@ class SpeculativeExecutor:
             result_digest = shared_digest("results", tuple(result_digests))
         else:
             result_digest = modelled_result_digest(sequence, batch)
+        batch_digest = batch.digest()
         block = self.blockchain.append(
-            sequence=sequence, batch_digest=batch.digest(), view=view, proof=proof,
+            sequence=sequence, batch_digest=batch_digest, view=view, proof=proof,
             payload=batch.batch_id,
         )
         record = ExecutedBatch(
             sequence=sequence, view=view, batch=batch,
-            result_digest=result_digest, undo=undo,
+            result_digest=result_digest, undo=undo, batch_id=batch.batch_id,
+            batch_digest=batch_digest, control_phase=batch.control_phase,
         )
         self._executed[sequence] = record
         self.last_executed_sequence = sequence

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.net.byzantine import ByzantineBehavior, Delivery
 from repro.net.conditions import NetworkConditions
@@ -68,7 +68,7 @@ class NodeHandle:
 
     node: AnyNode
     is_replica: bool
-    dispatch: Dict[type, Callable]
+    dispatch: Mapping[type, Callable]
     timers: Dict[str, Timer] = field(default_factory=dict)
     #: Whether the node's ``start`` hook has run — a node crashed at boot
     #: has not started, and a later recovery must boot it first.
@@ -79,21 +79,16 @@ class NodeHandle:
     uplink_free_at: float = 0.0
     #: What the node sends passes through this (:meth:`SimNetwork.set_byzantine`).
     behavior: Optional[ByzantineBehavior] = None
-    #: The node is certainly not crashed before this time: the start of its
-    #: earliest crash window, infinity if the schedule has none for it.
-    #: The per-message fault checks compare against it and ask the schedule
-    #: only from then on (:meth:`SimNetwork._compile_faults`).
+    #: The node is certainly not crashed before this time (the start of its
+    #: earliest crash window); the per-message fault checks ask the schedule
+    #: about it only from then on (:meth:`SimNetwork._compile_faults`).
     safe_until: float = _NEVER
 
 
 class _ForeignNode(Node):
-    """Runs an object that is not a :class:`Node` as one.
-
-    The benchmark's network drive registers a bare stub with ``node_id``,
-    ``start(now_ms) -> StepOutput`` and ``deliver_into(sender, message,
-    now_ms, actions) -> cpu_ms`` (append to a list the caller passes).
-    Wrapped once at registration, it is driven like every other node.
-    """
+    """Drives an object that is not a :class:`Node` as one: poebench's
+    network drive registers a stub with ``node_id``, ``start(now_ms)`` and
+    ``deliver_into(sender, message, now_ms, actions) -> cpu_ms``."""
 
     def __init__(self, inner: object) -> None:
         super().__init__()
@@ -152,11 +147,8 @@ class SimNetwork:
     def _compile_faults(self) -> None:
         """Compile the schedule into what the per-message checks compare:
         each handle's ``safe_until`` and whether any fault severs links.
-
-        Redone whenever ``faults.version`` has moved (``add_*`` on the
-        schedule, :meth:`crash`), which those checks test before trusting
-        either.
-        """
+        Those checks redo it when ``faults.version`` has moved (``add_*``
+        on the schedule, :meth:`crash`)."""
         faults = self.faults
         self._fault_version = faults.version
         self._link_faults = bool(faults.partitions or faults.dark_replicas)
@@ -568,8 +560,7 @@ class SimNetwork:
         if observers:
             for observer in observers:
                 observer(sender, receiver, message, now)
-        # Node.deliver and _finish_step, in this frame (one call each per
-        # delivery otherwise).
+        # Node.deliver and _finish_step, in this frame.
         node._pending_cpu_ms = node._base_processing_ms
         handler = handle.dispatch.get(message.__class__)
         if handler is None:

@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
@@ -165,9 +166,9 @@ class Node(abc.ABC):
     #: CPU charged to every delivery before its handler runs.
     _base_processing_ms = 0.0
     #: Message class -> bound handler ``(sender, message, now_ms)``; a class
-    #: not named here is handled by :meth:`on_message`.  Empty unless a
-    #: subclass builds one per instance (replicas do).
-    _dispatch: Dict[type, Any] = {}
+    #: not named here is handled by :meth:`on_message`.  Empty (and shared,
+    #: so read-only) unless a subclass builds one per instance: replicas do.
+    _dispatch: Mapping[type, Any] = MappingProxyType({})
 
     def __init__(self) -> None:
         self.crashed = False
