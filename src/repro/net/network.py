@@ -13,9 +13,18 @@ every step output it
 * materialises and cancels named timers.
 
 What the network keeps per node — its timers, when its CPU and uplink are
-next free, the Byzantine behaviour its traffic passes through — is one
+next free, the Byzantine behaviour its traffic passes through, its handler
+table and the time its first crash window opens — is one
 :class:`NodeHandle` in ``_nodes``.  Registration only grows, so nothing is
 pruned; a crash resets the handle's timers and CPU in place.
+
+One delivered message is three Python frames: the simulator's run loop,
+:meth:`SimNetwork._deliver`, and the protocol handler it looks up in the
+node's table.  On the way in it cost one float comparison per end against
+the handles' ``safe_until`` (the schedule is asked only about a node at
+or past a crash window, or when links can be cut) and a share of one heap
+entry per broadcast; on the way out the node's action list is looked at,
+and replaced only if the step put something in it.
 """
 
 from __future__ import annotations

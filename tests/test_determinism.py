@@ -62,7 +62,7 @@ def test_check_determinism_reports_ok():
 @pytest.mark.parametrize("protocol,num_replicas", [
     # The zero-allocation step path at both deployment sizes: n=4 (the
     # paper's MAC sweet spot) and n=32, where the n² SUPPORT/PREPARE
-    # floods dominate and the driver reuses its action buffer hardest.
+    # floods dominate and almost every step leaves no action to take.
     ("poe-mac", 4),
     ("poe-mac", 32),
     ("pbft", 32),
