@@ -1,14 +1,15 @@
 """Bytecode proxy: opcodes and Python calls per workload shape.
 
 A host-independent reading of "how much Python does one run execute":
-every poebench workload shape at 1/20 budget is set up and run under a
-``sys.settrace`` tracer with per-opcode events on, and the number of
-bytecode instructions and of Python-level calls is printed for each phase.
+every poebench workload shape at 1/20 budget, seed 3, is set up and run
+under a ``sys.settrace`` tracer with per-opcode events on, and the number
+of bytecode instructions and of Python-level calls is printed for each
+phase.
 Under ``PYTHONHASHSEED=0`` (the script re-executes itself with it) the
 counts repeat exactly, so a one-opcode change to a hot path is visible
 where wall-clock pairs need a few percent to rise above the host's noise.
 
-    python benchmarks/opcode_proxy.py [--scale 0.05] [--seed 3] [WORKLOAD ...]
+    python benchmarks/opcode_proxy.py [WORKLOAD ...]
 
 What it cannot see: anything that happens below the bytecode.  One
 ``CALL`` is one opcode whether it enters a Python frame, a ``tp_call``
@@ -26,13 +27,15 @@ pairs decide anything that changes what the C level does.  CI prints it
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
 from typing import Callable, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Fixed, not options: counts are comparable only at one budget and seed.
+SCALE = 0.05
+SEED = 3
 
 
 def counted(fn: Callable[[], object]) -> Tuple[object, int, int]:
@@ -58,22 +61,17 @@ def counted(fn: Callable[[], object]) -> Tuple[object, int, int]:
     return result, counts[0], counts[1]
 
 
-def measure(name: str, seed: int, scale: float) -> List[Tuple[str, int, int]]:
+def measure(name: str) -> List[Tuple[str, int, int]]:
     """``(phase, opcodes, python_calls)`` for set-up and run of one shape."""
     from workloads import WORKLOADS, build
 
-    configs = WORKLOADS[name].configs(seed, scale)
+    configs = WORKLOADS[name].configs(SEED, SCALE)
     deployments, *setup = counted(lambda: [build(config) for config in configs])
     _, *run = counted(lambda: [d.run_until_done() for d in deployments])
     return [("setup", *setup), ("run", *run)]
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workloads", nargs="*")
-    parser.add_argument("--scale", type=float, default=0.05)
-    parser.add_argument("--seed", type=int, default=3)
-    args = parser.parse_args()
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv],
                   {**os.environ, "PYTHONHASHSEED": "0"})
@@ -81,8 +79,8 @@ def main() -> None:
     from workloads import WORKLOADS
 
     print(f"{'workload':<20}{'phase':<7}{'opcodes':>14}{'python calls':>14}")
-    for name in args.workloads or WORKLOADS:
-        for phase, opcodes, calls in measure(name, args.seed, args.scale):
+    for name in sys.argv[1:] or WORKLOADS:
+        for phase, opcodes, calls in measure(name):
             print(f"{name:<20}{phase:<7}{opcodes:>14,}{calls:>14,}", flush=True)
 
 
