@@ -227,15 +227,9 @@ class PoeReplica(PrimaryBackupReplica):
         # replica can lie about who it is inside the payload but cannot forge
         # the channel it sends on.  Counting the claimed id would let one
         # faulty replica vote once per forged identity.
-        votes = slot.support_votes
-        index = self._vote_index.get(sender)
-        if index is None:
-            votes.add(sender)
-        elif not votes.mask >> index & 1:  # VoteSet.add, in this frame
-            votes.mask |= 1 << index
-            votes.count += 1
+        slot.support_votes.add(sender)
         # Below nf nothing can change; skip the call on most of the flood.
-        if votes.count >= self._nf_quorum:
+        if slot.support_votes.count >= self._nf_quorum:
             self._check_mac_commit(view, message.sequence, slot, now_ms)
 
     def _handle_threshold_support(self, sender: str, message: PoeSupport,

@@ -166,14 +166,8 @@ class PbftReplica(PrimaryBackupReplica):
         # Vote identity is the transport-level sender: the claimed
         # ``message.replica_id`` is spoofable, and counting it would let one
         # Byzantine replica cast a PREPARE vote per forged identity.
-        votes = slot.prepare_votes
-        index = self._vote_index.get(sender)
-        if index is None:
-            votes.add(sender)
-        elif not votes.mask >> index & 1:  # VoteSet.add, in this frame
-            votes.mask |= 1 << index
-            votes.count += 1
-        if slot.batch is None or votes.count < self._2f_plus_1:
+        slot.prepare_votes.add(sender)
+        if slot.batch is None or slot.prepare_votes.count < self._2f_plus_1:
             return
         self._check_prepared(message.view, message.sequence, slot, now_ms)
 
@@ -212,15 +206,9 @@ class PbftReplica(PrimaryBackupReplica):
             return
         # Transport-level sender, not the spoofable message.replica_id.
         # Commit votes accumulate even before the slot prepares locally.
-        votes = slot.commit_votes
-        index = self._vote_index.get(sender)
-        if index is None:
-            votes.add(sender)
-        elif not votes.mask >> index & 1:  # VoteSet.add, in this frame
-            votes.mask |= 1 << index
-            votes.count += 1
+        slot.commit_votes.add(sender)
         if (not slot.prepared or slot.batch is None
-                or votes.count < self._2f_plus_1):
+                or slot.commit_votes.count < self._2f_plus_1):
             return
         self._check_committed(message.view, message.sequence, slot, now_ms)
 
