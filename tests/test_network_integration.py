@@ -141,6 +141,31 @@ class TestSimNetwork:
         assert any(record.message.type_name == "PingMessage"
                    for record in network.delivered)
 
+    def test_a_raising_step_leaves_its_actions_to_the_next_one(self):
+        # What the Node contract documents: a raising step is fatal to the
+        # run.  A caller that catches the error and runs on finds the pong
+        # of the interrupted step leaving with the node's next step.
+        simulator, network, nodes = build_ping_network()
+        network.start_all()
+        charge = nodes[1].charge
+
+        def failing(*args):
+            nodes[1].charge = charge
+            raise RuntimeError("handler bug")
+
+        nodes[1].charge = failing
+        network.inject("replica:0", "replica:1", PingMessage())
+        with pytest.raises(RuntimeError):
+            network.run_until_idle()
+        assert nodes[0].received == []
+        network.inject("replica:2", "replica:1", PingMessage())
+        network.run_until_idle()
+        second_ping_at = nodes[1].received[1][2]
+        for node in (nodes[0], nodes[2]):
+            (sender, type_name, at), = node.received
+            assert (sender, type_name) == ("replica:1", "PongMessage")
+            assert at > second_ping_at
+
 
 class BusyNode(PingNode):
     """Every delivery costs at least 10 ms of this node's CPU."""

@@ -134,6 +134,25 @@ class TestNodeEntryPoints:
         assert node.timer_fired("tick", None, 1.0) == StepOutput()
         assert node.seen == []
 
+    def test_a_raising_handler_leaves_its_partial_step_pending(self):
+        # The documented contract: nothing unwinds a step that raises, so
+        # a caller that catches the error and keeps driving the same node
+        # gets the partial actions with the next step's output.
+        node = _TableNode(make_config(4))
+
+        def failing(sender, message, now_ms):
+            node.send(sender, _Pong())
+            raise RuntimeError("handler failed")
+
+        node._dispatch = {_Ping: failing}
+        with pytest.raises(RuntimeError):
+            node.deliver("replica:1", _Ping(), 1.0)
+        assert [type(a) for a in node._pending_actions] == [Send]
+        output = node.deliver("replica:1", _Pong(), 2.0)
+        assert [type(a) for a in output.actions] == [Send]
+        assert output.cpu_ms == node.config.base_processing_ms
+        assert node._pending_actions == []
+
     def test_charge_reads_every_operation_of_the_model(self):
         costs = {op: 0.001 * (position + 1)
                  for position, op in enumerate(CryptoOp)}
