@@ -212,6 +212,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         self._2f_plus_1 = 2 * config.f + 1
         self._nf_quorum = config.nf
         self._fanout = config.n - 1
+        #: The view ``_primary`` is the primary of (see :attr:`primary_id`).
+        self._primary_view: Optional[int] = None
+        self._primary = ""
         # Bind the merged handler table once; routing a delivery is then
         # one dict lookup on the message's exact type.
         self._dispatch = {
@@ -222,8 +225,17 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     # ------------------------------------------------------------------ utils
     @property
     def primary_id(self) -> str:
-        """Identifier of the primary of the current view."""
-        return self.primary_for_view(self.view)
+        """Identifier of the primary of the current view.
+
+        Memoised with the view it was computed for, so assigning
+        ``self.view`` needs no hook; an epoch activation, the one other
+        thing the answer depends on, drops it in
+        :meth:`_refresh_epoch_caches`.
+        """
+        if self._primary_view != self.view:
+            self._primary = self.primary_for_view(self.view)
+            self._primary_view = self.view
+        return self._primary
 
     def primary_for_view(self, view: int) -> str:
         """Primary of *view* under this replica's active epoch's membership."""
@@ -233,7 +245,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         return config.primary_of_view_in_epoch(view, self.epoch)
 
     def is_primary(self) -> bool:
-        return self.node_id == self.primary_id
+        if self._primary_view != self.view:
+            return self.node_id == self.primary_id
+        return self.node_id == self._primary
 
     @property
     def last_executed_sequence(self) -> int:
@@ -794,6 +808,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         self._2f_plus_1 = 2 * f_e + 1
         self._nf_quorum = len(members) - f_e
         self._fanout = len(members) - 1
+        self._primary_view = None
         checkpoints = self.checkpoints
         checkpoints.quorum = self._2f_plus_1
         if checkpoints.quorum_fn is None:
