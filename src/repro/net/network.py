@@ -388,8 +388,7 @@ class SimNetwork:
         handle.timers[action.name] = self.sim.set_timer(node_id, action.name, fire_delay, fire)
 
     def _transmit(self, sender: str, receiver: str, message: Message,
-                  ready_at: float,
-                  serialization_ms: Optional[float] = None) -> None:
+                  ready_at: float) -> None:
         """Schedule delivery of one message, applying faults and delays.
 
         Replica senders pay serialization time on their uplink: broadcasting
@@ -397,8 +396,14 @@ class SimNetwork:
         bandwidth once per receiver, which is what makes the primary the
         bandwidth bottleneck under standard payloads (paper, Section IV-E).
 
-        *serialization_ms* lets broadcast fan-outs reuse one size-dependent
-        delay computation for all receivers.
+        On lossless conditions with no link override and no topology the
+        propagation delay is drawn here, ``latency + jitter * random()``:
+        the same draw from the same generator, bit for bit, as
+        :meth:`NetworkConditions.propagation_ms` makes on those conditions
+        (and as :meth:`_transmit_broadcast` makes per receiver), so which
+        path a message took cannot be told from its delivery time.  Any
+        other conditions, and a node's message to itself, go through
+        ``propagation_ms``.
         """
         self.sent_count += 1
         nodes = self._nodes
@@ -410,14 +415,14 @@ class SimNetwork:
                 return
             self.dropped_count += 1
             return
-        now = self.sim.now
+        now = self.sim._now
         send_time = ready_at if ready_at > now else now
+        conditions = self.conditions
         sender_handle = nodes.get(sender)
         if (sender_handle is not None and sender_handle.is_replica
                 and sender != receiver):
-            if serialization_ms is None:
-                serialization_ms = self.conditions.serialization_delay_ms(
-                    message.size_bytes)
+            serialization_ms = conditions.serialization_delay_ms(
+                message.size_bytes)
             if serialization_ms > 0:
                 start = sender_handle.uplink_free_at
                 if send_time > start:
@@ -436,10 +441,17 @@ class SimNetwork:
                     and faults.drops(sender, receiver, send_time)):
                 self.dropped_count += 1
                 return
-        propagation = self.conditions.propagation_ms(sender, receiver, send_time)
-        if propagation is None:
-            self.dropped_count += 1
-            return
+        if (sender != receiver and not conditions.overrides
+                and conditions.loss_rate == 0.0 and conditions.topology is None):
+            # uniform(0, j) evaluates to 0.0 + j * random().
+            jitter = conditions.jitter_ms
+            propagation = (conditions.latency_ms + jitter * conditions._rng.random()
+                           if jitter > 0 else conditions.latency_ms)
+        else:
+            propagation = conditions.propagation_ms(sender, receiver, send_time)
+            if propagation is None:
+                self.dropped_count += 1
+                return
         # functools.partial instead of a lambda: no closure cell allocation
         # per message, and a cheaper call on the other end.  The receiver
         # handle is resolved now — registration only ever grows — so the
