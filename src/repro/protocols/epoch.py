@@ -77,7 +77,7 @@ def activation_boundary(sequence: int, checkpoint_interval: int) -> int:
     """The checkpoint boundary at or after *sequence* where an epoch activates.
 
     Boundaries are the sequences ``b`` with ``(b + 1) % interval == 0``
-    (the same rule ``maybe_checkpoint`` uses).  A record committed *at* a
+    (the same rule ``try_execute`` checkpoints by).  A record committed *at* a
     boundary activates at that boundary: the boundary's own checkpoint
     votes still count under the old epoch, and every sequence after it
     belongs to the new one.

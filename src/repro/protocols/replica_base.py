@@ -342,7 +342,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     # ---------------------------------------------------------------- proposing
     def in_flight(self) -> int:
         """Slots proposed by this primary but not yet executed locally."""
-        return self.next_sequence - (self.last_executed_sequence + 1)
+        return self.next_sequence - (self.executor.last_executed_sequence + 1)
 
     def proposal_window_open(self) -> bool:
         if self.config.out_of_order:
@@ -385,7 +385,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
                     proof: object = None, now_ms: float = 0.0,
                     speculative: bool = False) -> None:
         """Mark a slot ready for execution and execute any in-order prefix."""
-        if sequence <= self.last_executed_sequence:
+        if sequence <= self.executor.last_executed_sequence:
             return
         if sequence not in self._committed:
             self._committed[sequence] = CommittedSlot(
@@ -395,44 +395,63 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         self.try_execute(now_ms)
 
     def try_execute(self, now_ms: float) -> None:
-        """Execute committed slots strictly in sequence order."""
-        while (self.last_executed_sequence + 1) in self._committed:
-            slot = self._committed.pop(self.last_executed_sequence + 1)
-            control = self.control_layer
-            phase = slot.batch.control_phase
+        """Execute committed slots strictly in sequence order.
+
+        Once per replica per batch, so what does not change inside the
+        loop is read before it and the checkpoint and proposal steps are
+        entered only at a boundary or with a batch queued.  A batch is
+        charged as ``charge_execution(len(batch))`` then
+        ``charge(CryptoOp.HASH)`` would charge it: two additions to the
+        step's CPU, in that order (one merged sum rounds differently and
+        moves every virtual clock).
+        """
+        executor = self.executor
+        committed = self._committed
+        control = self.control_layer
+        interval = self.config.checkpoint_interval
+        execution_ms = self.config.execution_ms_per_txn
+        hash_ms = self._op_cost_ms[CryptoOp.HASH.ordinal]
+        while (executor.last_executed_sequence + 1) in committed:
+            slot = committed.pop(executor.last_executed_sequence + 1)
+            sequence = slot.sequence
+            batch = slot.batch
+            phase = batch.control_phase
             if phase == RECONFIG_PHASE:
                 # Reconfiguration records execute like ordinary (empty)
                 # batches — the block lands on every honest chain at the
                 # same sequence — then the membership delta is admitted or
                 # refused by the epoch machinery.
-                record = self.executor.execute(
-                    sequence=slot.sequence, view=slot.view, batch=slot.batch,
+                record = executor.execute(
+                    sequence=sequence, view=slot.view, batch=batch,
                     proof=slot.proof,
                 )
                 self._execute_reconfig(slot, now_ms)
             elif control is not None and phase:
                 record = control.execute_control(self, slot, now_ms)
             else:
-                record = self.executor.execute(
-                    sequence=slot.sequence, view=slot.view, batch=slot.batch,
+                record = executor.execute(
+                    sequence=sequence, view=slot.view, batch=batch,
                     proof=slot.proof,
                 )
-            self.charge_execution(len(slot.batch))
-            self.charge(CryptoOp.HASH)
+            num_txns = len(batch)
+            self._pending_cpu_ms += execution_ms * num_txns
+            self._pending_cpu_ms += hash_ms
             self.executed_batches += 1
-            self.executed_txns += len(slot.batch)
-            self._batch_sequence[slot.batch.batch_id] = (slot.sequence, now_ms)
+            self.executed_txns += num_txns
+            self._batch_sequence[batch.batch_id] = (sequence, now_ms)
             self.after_execution(slot, record, now_ms)
             self.send_replies(slot, record, now_ms)
-            self.maybe_checkpoint(slot.sequence, now_ms)
+            if interval > 0 and (sequence + 1) % interval == 0:
+                self.take_checkpoint(sequence, now_ms)
         if self._refresh_parked and self.in_flight() == 0:
             # The log gap that parked the post-view-change refresh has
             # filled: now re-proposal decisions can be made safely.
             self._refresh_parked = False
             if self.is_primary() and not self.view_change_in_progress:
                 self.refresh_pending_requests(now_ms)
-        # Executing may have opened the proposal window again.
-        self.maybe_propose(now_ms)
+        if self._batch_queue:
+            # Executing may have opened the proposal window again.
+            self.maybe_propose(now_ms)
 
     def after_execution(self, slot: CommittedSlot, record: ExecutedBatch,
                         now_ms: float) -> None:
@@ -442,9 +461,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
                      now_ms: float) -> None:
         """Send the execution reply for *slot* to the issuing client(s)."""
         batch = slot.batch
-        targets = self.reply_targets_for(batch)
+        batch_id = batch.batch_id
         reply = ClientReplyMessage(
-            batch_id=batch.batch_id,
+            batch_id=batch_id,
             view=slot.view,
             sequence=slot.sequence,
             result_digest=record.result_digest,
@@ -452,11 +471,18 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             speculative=slot.speculative,
             size_bytes=self.config.reply_size_bytes(len(batch)),
         )
-        self._replied[batch.batch_id] = reply
-        self.charge(CryptoOp.MAC_SIGN, max(1, len(targets)))
-        for target in targets:
+        self._replied[batch_id] = reply
+        target = self._reply_targets.get(batch_id) or batch.reply_to
+        if target:
+            self.charge(CryptoOp.MAC_SIGN)
             self.send(target, reply)
-        self.stop_progress_timer(batch.batch_id)
+        else:
+            targets = batch.client_ids
+            self.charge(CryptoOp.MAC_SIGN, max(1, len(targets)))
+            for target in targets:
+                self.send(target, reply)
+        if self._progress_timers or self._forwarded_requests:
+            self.stop_progress_timer(batch_id)
 
     def reply_targets_for(self, batch: RequestBatch) -> List[str]:
         explicit = self._reply_targets.get(batch.batch_id) or batch.reply_to
@@ -501,10 +527,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         """Hook invoked per batch reverted by :meth:`rollback_speculation`."""
 
     # --------------------------------------------------------------- checkpoints
-    def maybe_checkpoint(self, sequence: int, now_ms: float) -> None:
-        interval = self.config.checkpoint_interval
-        if interval <= 0 or (sequence + 1) % interval != 0:
-            return
+    def take_checkpoint(self, sequence: int, now_ms: float) -> None:
+        """Vote for this replica's state at *sequence*, a checkpoint
+        boundary it just executed through (:meth:`try_execute` decides)."""
         state_digest = self.executor.state_digest()
         self.charge(CryptoOp.HASH)
         self.charge(CryptoOp.MAC_SIGN, self._fanout)
@@ -765,7 +790,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     def _activate_epochs(self, sequence: int, now_ms: float) -> None:
         """Switch into every pending epoch whose boundary is behind us.
 
-        Runs at the activation boundary itself (``maybe_checkpoint``) or
+        Runs at the activation boundary itself (``take_checkpoint``) or
         when a state transfer lands past one.  Activation refreshes every
         cached quorum size, purges an evicted replica's votes from all
         not-yet-certified quorums (its vote must never complete a commit
