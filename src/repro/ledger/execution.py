@@ -114,6 +114,7 @@ class SpeculativeExecutor:
                 f"got {sequence}"
             )
         undo: List[UndoEntry] = []
+        batch_digest = batch.digest()
         if self.apply_operations:
             apply = self.store.apply
             result_digests: List[bytes] = []
@@ -123,8 +124,10 @@ class SpeculativeExecutor:
                 undo += txn_undo
             result_digest = shared_digest("results", tuple(result_digests))
         else:
-            result_digest = modelled_result_digest(sequence, batch)
-        batch_digest = batch.digest()
+            # modelled_result_digest(sequence, batch), over the digest
+            # already in hand.
+            result_digest = shared_digest("results-modelled", sequence,
+                                          batch_digest)
         block = self.blockchain.append(
             sequence=sequence, batch_digest=batch_digest, view=view, proof=proof,
             payload=batch.batch_id,
