@@ -31,7 +31,7 @@ they are built from — is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.messages import PoeCertify, PoeCommitVote, PoePropose, PoeSupport
@@ -63,25 +63,31 @@ class _SlotState:
     :meth:`PoeReplica.new_slot` with the deployment's index map) rather
     than per-slot ``set`` objects: in MAC mode every replica counts the n²
     SUPPORT flood, and the bitset makes each counted vote integer work.
+    A slot holds only the tallies its replica's scheme counts — ``shares``
+    in threshold mode, ``support_votes`` in MAC mode, ``commit_votes``
+    without speculation — and the others stay ``None``.
     """
 
     batch: Optional[RequestBatch] = None
     proposal_digest: bytes = b""
     supported: bool = False
-    shares: Dict[int, object] = field(default_factory=dict)
-    support_votes: VoteSet = None
+    shares: Optional[Dict[int, object]] = None
+    support_votes: Optional[VoteSet] = None
     certified: bool = False
-    commit_votes: VoteSet = None
+    commit_votes: Optional[VoteSet] = None
     commit_vote_sent: bool = False
     committed: bool = False
 
     def open_tallies(self) -> Tuple[VoteSet, ...]:
         if not self.certified:
-            return (self.support_votes, self.commit_votes)
-        # Without speculation a certified slot casts its commit vote and
-        # goes on counting until it commits.
-        return ((self.commit_votes,)
-                if self.commit_vote_sent and not self.committed else ())
+            tallies = (self.support_votes, self.commit_votes)
+        elif self.commit_vote_sent and not self.committed:
+            # Without speculation a certified slot casts its commit vote
+            # and goes on counting until it commits.
+            tallies = (self.commit_votes,)
+        else:
+            return ()
+        return tuple(tally for tally in tallies if tally is not None)
 
 
 class PoeReplica(PrimaryBackupReplica):
@@ -133,9 +139,13 @@ class PoeReplica(PrimaryBackupReplica):
         self.speculative = speculative
 
     def new_slot(self) -> _SlotState:
-        index_map = self._vote_index
-        return _SlotState(support_votes=VoteSet(index_map),
-                          commit_votes=VoteSet(index_map))
+        if self._is_threshold:
+            slot = _SlotState(shares={})
+        else:
+            slot = _SlotState(support_votes=VoteSet(self._vote_index))
+        if not self.speculative:
+            slot.commit_votes = VoteSet(self._vote_index)
+        return slot
 
     # -------------------------------------------------------------- proposing
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
@@ -153,7 +163,7 @@ class PoeReplica(PrimaryBackupReplica):
         self.broadcast(proposal)
         # Optimisation from the paper (Section II-E): the primary generates
         # one support itself, so it only needs nf - 1 shares from others.
-        if self.scheme is SchemeKind.THRESHOLD:
+        if self._is_threshold:
             self.charge(CryptoOp.THRESHOLD_SHARE)
             share = self.auth.threshold_share(digest_h)
             slot.shares[share.index] = share
@@ -175,7 +185,7 @@ class PoeReplica(PrimaryBackupReplica):
         slot.batch = message.batch
         slot.proposal_digest = digest_h
         slot.supported = True
-        if self.scheme is SchemeKind.THRESHOLD:
+        if self._is_threshold:
             self.charge(CryptoOp.THRESHOLD_SHARE)
             share = self.auth.threshold_share(digest_h)
             support = PoeSupport(
@@ -329,6 +339,8 @@ class PoeReplica(PrimaryBackupReplica):
         if message.view != self.view:
             return
         self.charge(CryptoOp.MAC_VERIFY)
+        if self.speculative:
+            return  # no commit phase here: nothing counts the vote
         slot = self._slot(message.view, message.sequence)
         if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
             return

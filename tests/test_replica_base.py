@@ -59,12 +59,12 @@ class TestDeferredMessages:
 
 
 #: protocol -> (proposal message class, [(slot tally, flags that close it)]).
-#: A tally stays open until the last of its flags is set.
-_POE_LAYER = (PoePropose, [("support_votes", ("certified",)),
-                           ("commit_votes", ("certified",))])
+#: A tally stays open until the last of its flags is set.  A PoE slot holds
+#: the tallies its scheme counts and no other: the threshold primary's
+#: ``shares`` are not a tally ``open_tallies`` names.
 PRIMARY_BACKUP_LAYER = {
-    "poe-mac": _POE_LAYER,
-    "poe-ts": _POE_LAYER,
+    "poe-mac": (PoePropose, [("support_votes", ("certified",))]),
+    "poe-ts": (PoePropose, []),
     # Without speculation a certified slot votes to commit and keeps
     # counting commit votes until it does.
     "poe-nospec": (PoePropose, [
@@ -74,9 +74,10 @@ PRIMARY_BACKUP_LAYER = {
                               ("commit_votes", ("prepared", "committed"))]),
     "sbft": (SbftPrePrepare, [("commit_shares", ("commit_proof_sent",)),
                               ("state_shares", ("execute_ack_sent",))]),
-    # No votes between replicas: the slot table stays empty.
     "zyzzyva": (ZyzzyvaOrderRequest, []),
 }
+#: No votes between Zyzzyva's replicas: its slot table stays empty.
+HAS_SLOTS = {protocol: protocol != "zyzzyva" for protocol in PRIMARY_BACKUP_LAYER}
 
 
 @pytest.mark.parametrize("protocol", sorted(PRIMARY_BACKUP_LAYER))
@@ -140,7 +141,7 @@ class TestPrimaryBackupLayer:
 
     def test_stable_checkpoint_prunes_slots_accepted_and_log(self, auths, protocol):
         replica = self.build(auths, protocol)
-        has_slots = bool(PRIMARY_BACKUP_LAYER[protocol][1])
+        has_slots = HAS_SLOTS[protocol]
         log = replica._log
         for sequence in range(10):
             log[sequence] = object()
