@@ -11,9 +11,13 @@ corresponding state changes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import Any, Iterator, List, Optional
 
 from repro.ledger.block import Block
+
+_SEQUENCE_OF = attrgetter("sequence")
 
 
 class InvalidBlockError(Exception):
@@ -44,10 +48,16 @@ class Blockchain:
         return self._blocks[-1]
 
     def block_at(self, sequence: int) -> Optional[Block]:
-        """Return the block for consensus sequence *sequence*, if present."""
-        for block in self._blocks[1:]:
-            if block.sequence == sequence:
-                return block
+        """Return the block for consensus sequence *sequence*, if present.
+
+        Sequences strictly increase along the chain (across a
+        checkpoint-sync gap too; :meth:`verify_chain` checks it), so this
+        is a bisection over the blocks after genesis.
+        """
+        blocks = self._blocks
+        index = bisect_left(blocks, sequence, lo=1, key=_SEQUENCE_OF)
+        if index < len(blocks) and blocks[index].sequence == sequence:
+            return blocks[index]
         return None
 
     def blocks(self) -> List[Block]:

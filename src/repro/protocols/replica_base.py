@@ -142,6 +142,12 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         #: enough below the stable checkpoint *and* out of the client
         #: retransmission window (see :meth:`on_stable_checkpoint`).
         self._batch_sequence: Dict[str, Tuple[int, float]] = {}
+        #: No entry of ``_batch_sequence`` was executed before this: the
+        #: oldest survivor of the last scan in :meth:`on_stable_checkpoint`
+        #: (virtual time only moves forward, so nothing inserted since is
+        #: older).  Until a full retention window has passed since then,
+        #: a stable checkpoint has nothing to age out and does not scan.
+        self._oldest_executed_at = 0.0
         #: Set when a post-view-change refresh ran while the adopted log
         #: still had unexecutable gaps; re-armed by try_execute once the
         #: gap fills so parked forwarded requests get their re-proposal
@@ -717,7 +723,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         horizon = sequence - (self.config.checkpoint_interval
                               * self.REPLY_RETENTION_INTERVALS)
         age_ms = self.config.request_timeout_ms * self.REPLY_RETENTION_TIMEOUTS
-        if horizon >= 0:
+        if horizon >= 0 and now_ms - self._oldest_executed_at >= age_ms:
             batch_sequence = self._batch_sequence
             for batch_id in [
                     b for b, (s, executed_at) in batch_sequence.items()
@@ -726,6 +732,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
                 self._replied.pop(batch_id, None)
                 self._reply_targets.pop(batch_id, None)
                 self._seen_batch_ids.discard(batch_id)
+            self._oldest_executed_at = min(
+                (executed_at for _, executed_at in batch_sequence.values()),
+                default=now_ms)
         for stale in [s for s in self._committed if s <= sequence]:
             del self._committed[stale]
         for stale in [s for s in self._transfer_rerequested if s <= sequence]:

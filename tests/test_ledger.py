@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.hashing import digest
 from repro.ledger.block import Block, GENESIS_PARENT
 from repro.ledger.blockchain import Blockchain, InvalidBlockError
-from repro.ledger.execution import SpeculativeExecutor
+from repro.ledger.execution import SpeculativeExecutor, modelled_result_digest
 from repro.ledger.store import KeyValueStore
 from repro.workload.transactions import Operation, OpType, RequestBatch, Transaction
 
@@ -60,6 +60,35 @@ class TestBlockchain:
         chain.append(1, b"one", view=0)
         assert chain.block_at(1).batch_digest == b"one"
         assert chain.block_at(5) is None
+
+    def test_block_lookup_across_a_sync_gap_and_a_truncated_suffix(self):
+        """``block_at`` bisects on the sequence: every block is found where
+        the scan from genesis found it, a sequence inside a checkpoint-sync
+        gap, below genesis or past the head is absent, and so is one the
+        chain lost to a truncation."""
+        chain = Blockchain("replica:0")
+        for sequence in range(3):
+            chain.append(sequence, f"b{sequence}".encode(), view=0)
+        chain.append_checkpoint(9, b"state", view=1)
+        for sequence in range(10, 14):
+            chain.append(sequence, f"b{sequence}".encode(), view=1)
+
+        def scan(sequence):
+            return next((block for block in chain.blocks()
+                         if block.sequence == sequence), None)
+
+        present = [0, 1, 2, 9, 10, 11, 12, 13]
+        for sequence in range(-2, 16):
+            assert chain.block_at(sequence) is scan(sequence)
+            assert (chain.block_at(sequence) is not None) == (sequence in present)
+        assert chain.block_at(9).payload == "checkpoint-sync"
+        chain.truncate_after(10)
+        for sequence in range(-2, 16):
+            assert chain.block_at(sequence) is scan(sequence)
+        assert chain.block_at(10).batch_digest == b"b10"
+        assert chain.block_at(11) is None and chain.block_at(13) is None
+        chain.truncate_after(-1)
+        assert chain.block_at(0) is None and chain.block_at(-1) is None
 
     def test_truncate_after_removes_suffix(self):
         chain = Blockchain("replica:0")
@@ -329,9 +358,13 @@ class TestSpeculativeExecutor:
         store = KeyValueStore({"x": "0"})
         chain = Blockchain("replica:0")
         executor = SpeculativeExecutor(store, chain, apply_operations=False)
-        executor.execute(0, 0, make_batch("b0", [make_txn("t0", writes=[("x", "1")])]))
+        batch = make_batch("b0", [make_txn("t0", writes=[("x", "1")])])
+        record = executor.execute(0, 0, batch)
         assert store.get("x") == "0"
         assert len(chain) == 1
+        # What a commit certificate's admission check re-derives.
+        assert record.result_digest == modelled_result_digest(0, batch)
+        assert record.batch_digest == chain.head.batch_digest == batch.digest()
 
 
 @settings(max_examples=25, deadline=None)
