@@ -4,7 +4,10 @@ A host-independent reading of "how much Python does one run execute":
 every poebench workload shape at 1/20 budget, seed 3, is set up and run
 under a ``sys.settrace`` tracer with per-opcode events on, and the number
 of bytecode instructions and of Python-level calls is printed for each
-phase.
+phase, and for the run phase the Python calls per *executed
+replica-batch* (run calls over the sum of every replica's
+``executed_batches``): what one batch costs one replica, handlers,
+deliveries and client pools included.
 Under ``PYTHONHASHSEED=0`` (the script re-executes itself with it) the
 counts repeat exactly, so a one-opcode change to a hot path is visible
 where wall-clock pairs need a few percent to rise above the host's noise.
@@ -61,14 +64,20 @@ def counted(fn: Callable[[], object]) -> Tuple[object, int, int]:
     return result, counts[0], counts[1]
 
 
-def measure(name: str) -> List[Tuple[str, int, int]]:
-    """``(phase, opcodes, python_calls)`` for set-up and run of one shape."""
+def measure(name: str) -> List[Tuple[str, int, int, str]]:
+    """``(phase, opcodes, python_calls, calls per executed replica-batch)``
+    for set-up and run of one shape."""
+    from measure import groups
     from workloads import WORKLOADS, build
 
     configs = WORKLOADS[name].configs(SEED, SCALE)
     deployments, *setup = counted(lambda: [build(config) for config in configs])
-    _, *run = counted(lambda: [d.run_until_done() for d in deployments])
-    return [("setup", *setup), ("run", *run)]
+    _, opcodes, calls = counted(
+        lambda: [d.run_until_done() for d in deployments])
+    executed = sum(replica.executed_batches for d in deployments
+                   for group in groups(d) for replica in group.replicas)
+    return [("setup", *setup, "-"),
+            ("run", opcodes, calls, f"{calls / executed:.1f}")]
 
 
 def main() -> None:
@@ -78,10 +87,12 @@ def main() -> None:
     sys.path[0:0] = [str(ROOT / "src"), str(ROOT / "poebench")]
     from workloads import WORKLOADS
 
-    print(f"{'workload':<20}{'phase':<7}{'opcodes':>14}{'python calls':>14}")
+    print(f"{'workload':<20}{'phase':<7}{'opcodes':>14}{'python calls':>14}"
+          f"{'calls/batch':>13}")
     for name in sys.argv[1:] or WORKLOADS:
-        for phase, opcodes, calls in measure(name):
-            print(f"{name:<20}{phase:<7}{opcodes:>14,}{calls:>14,}", flush=True)
+        for phase, opcodes, calls, per_batch in measure(name):
+            print(f"{name:<20}{phase:<7}{opcodes:>14,}{calls:>14,}"
+                  f"{per_batch:>13}", flush=True)
 
 
 if __name__ == "__main__":
