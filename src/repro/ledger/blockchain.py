@@ -17,8 +17,6 @@ from typing import Any, Iterator, List, Optional
 
 from repro.ledger.block import Block
 
-_SEQUENCE_OF = attrgetter("sequence")
-
 
 class InvalidBlockError(Exception):
     """Raised when appending a block that does not extend the chain."""
@@ -48,14 +46,11 @@ class Blockchain:
         return self._blocks[-1]
 
     def block_at(self, sequence: int) -> Optional[Block]:
-        """Return the block for consensus sequence *sequence*, if present.
-
-        Sequences strictly increase along the chain (across a
-        checkpoint-sync gap too; :meth:`verify_chain` checks it), so this
-        is a bisection over the blocks after genesis.
-        """
+        """Return the block for consensus sequence *sequence*, if present:
+        a bisection, since sequences strictly increase along the chain
+        (across a checkpoint-sync gap too; :meth:`verify_chain` checks it)."""
         blocks = self._blocks
-        index = bisect_left(blocks, sequence, lo=1, key=_SEQUENCE_OF)
+        index = bisect_left(blocks, sequence, lo=1, key=attrgetter("sequence"))
         if index < len(blocks) and blocks[index].sequence == sequence:
             return blocks[index]
         return None

@@ -24,7 +24,9 @@ node's table.  On the way in it cost one float comparison per end against
 the handles' ``safe_until`` (the schedule is asked only about a node at
 or past a crash window, or when links can be cut) and a share of one heap
 entry per broadcast; on the way out the node's action list is looked at,
-and replaced only if the step put something in it.
+and replaced only if the step put something in it.  On lossless,
+override-free, topology-free conditions both send paths draw the jitter
+themselves: the one ``random()`` ``propagation_ms`` would have drawn.
 """
 
 from __future__ import annotations
@@ -397,13 +399,10 @@ class SimNetwork:
         bandwidth bottleneck under standard payloads (paper, Section IV-E).
 
         On lossless conditions with no link override and no topology the
-        propagation delay is drawn here, ``latency + jitter * random()``:
-        the same draw from the same generator, bit for bit, as
-        :meth:`NetworkConditions.propagation_ms` makes on those conditions
-        (and as :meth:`_transmit_broadcast` makes per receiver), so which
-        path a message took cannot be told from its delivery time.  Any
-        other conditions, and a node's message to itself, go through
-        ``propagation_ms``.
+        propagation delay is drawn here as ``latency + jitter * random()``,
+        bit for bit the draw :meth:`NetworkConditions.propagation_ms` makes
+        there (and :meth:`_transmit_broadcast` per receiver); any other
+        conditions, and a node's message to itself, go through it.
         """
         self.sent_count += 1
         nodes = self._nodes

@@ -142,11 +142,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         #: enough below the stable checkpoint *and* out of the client
         #: retransmission window (see :meth:`on_stable_checkpoint`).
         self._batch_sequence: Dict[str, Tuple[int, float]] = {}
-        #: No entry of ``_batch_sequence`` was executed before this: the
-        #: oldest survivor of the last scan in :meth:`on_stable_checkpoint`
-        #: (virtual time only moves forward, so nothing inserted since is
-        #: older).  Until a full retention window has passed since then,
-        #: a stable checkpoint has nothing to age out and does not scan.
+        #: No entry of ``_batch_sequence`` was executed before this (the
+        #: oldest survivor of the last scan; time only moves forward): a
+        #: stable checkpoint less than a retention window later scans nothing.
         self._oldest_executed_at = 0.0
         #: Set when a post-view-change refresh ran while the adopted log
         #: still had unexecutable gaps; re-armed by try_execute once the
@@ -218,8 +216,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         self._2f_plus_1 = 2 * config.f + 1
         self._nf_quorum = config.nf
         self._fanout = config.n - 1
-        #: The view ``_primary`` is the primary of (see :attr:`primary_id`).
-        self._primary_view: Optional[int] = None
+        self._primary_view: Optional[int] = None  # see primary_id
         self._primary = ""
         # Bind the merged handler table once; routing a delivery is then
         # one dict lookup on the message's exact type.
@@ -231,13 +228,10 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     # ------------------------------------------------------------------ utils
     @property
     def primary_id(self) -> str:
-        """Identifier of the primary of the current view.
-
-        Memoised with the view it was computed for, so assigning
-        ``self.view`` needs no hook; an epoch activation, the one other
-        thing the answer depends on, drops it in
-        :meth:`_refresh_epoch_caches`.
-        """
+        """Identifier of the primary of the current view: memoised with
+        the view it was computed for (assigning ``self.view`` needs no
+        hook) and dropped by an epoch activation, the one other thing it
+        depends on (:meth:`_refresh_epoch_caches`)."""
         if self._primary_view != self.view:
             self._primary = self.primary_for_view(self.view)
             self._primary_view = self.view
@@ -403,13 +397,12 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     def try_execute(self, now_ms: float) -> None:
         """Execute committed slots strictly in sequence order.
 
-        Once per replica per batch, so what does not change inside the
-        loop is read before it and the checkpoint and proposal steps are
-        entered only at a boundary or with a batch queued.  A batch is
-        charged as ``charge_execution(len(batch))`` then
-        ``charge(CryptoOp.HASH)`` would charge it: two additions to the
-        step's CPU, in that order (one merged sum rounds differently and
-        moves every virtual clock).
+        Every replica runs this for every batch, so the loop reads its
+        invariants once and enters the checkpoint and proposal steps only
+        at a boundary or with a batch queued.  A batch is charged what
+        ``charge_execution(len(batch))`` then ``charge(CryptoOp.HASH)``
+        charge: two additions, in that order (a merged sum rounds
+        differently and moves every virtual clock).
         """
         executor = self.executor
         committed = self._committed
@@ -422,23 +415,19 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             sequence = slot.sequence
             batch = slot.batch
             phase = batch.control_phase
-            if phase == RECONFIG_PHASE:
-                # Reconfiguration records execute like ordinary (empty)
-                # batches — the block lands on every honest chain at the
-                # same sequence — then the membership delta is admitted or
-                # refused by the epoch machinery.
-                record = executor.execute(
-                    sequence=sequence, view=slot.view, batch=batch,
-                    proof=slot.proof,
-                )
-                self._execute_reconfig(slot, now_ms)
-            elif control is not None and phase:
+            if control is not None and phase and phase != RECONFIG_PHASE:
                 record = control.execute_control(self, slot, now_ms)
             else:
                 record = executor.execute(
                     sequence=sequence, view=slot.view, batch=batch,
                     proof=slot.proof,
                 )
+                if phase == RECONFIG_PHASE:
+                    # Reconfiguration records execute like ordinary (empty)
+                    # batches — the block lands on every honest chain at the
+                    # same sequence — then the membership delta is admitted
+                    # or refused by the epoch machinery.
+                    self._execute_reconfig(slot, now_ms)
             num_txns = len(batch)
             self._pending_cpu_ms += execution_ms * num_txns
             self._pending_cpu_ms += hash_ms
@@ -478,15 +467,12 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             size_bytes=self.config.reply_size_bytes(len(batch)),
         )
         self._replied[batch_id] = reply
+        # reply_targets_for(batch), in this frame.
         target = self._reply_targets.get(batch_id) or batch.reply_to
-        if target:
-            self.charge(CryptoOp.MAC_SIGN)
+        targets = (target,) if target else batch.client_ids
+        self.charge(CryptoOp.MAC_SIGN, max(1, len(targets)))
+        for target in targets:
             self.send(target, reply)
-        else:
-            targets = batch.client_ids
-            self.charge(CryptoOp.MAC_SIGN, max(1, len(targets)))
-            for target in targets:
-                self.send(target, reply)
         if self._progress_timers or self._forwarded_requests:
             self.stop_progress_timer(batch_id)
 
