@@ -289,9 +289,8 @@ class PoeReplica(PrimaryBackupReplica):
             return
         if message.view != self.view or sender != self.primary_id:
             return
-        slot = self._slots.get((message.view << 32) | message.sequence)
-        if slot is None or slot.certified or not slot.supported \
-                or slot.batch is None:
+        slot = self._slot(message.view, message.sequence)
+        if slot.certified or not slot.supported or slot.batch is None:
             return
         if message.proposal_digest != slot.proposal_digest:
             return

@@ -68,8 +68,7 @@ class Blockchain:
             InvalidBlockError: if *sequence* does not directly follow the
                 head block's sequence number.
         """
-        head = self._blocks[-1]
-        expected = head.sequence + 1
+        expected = self.head.sequence + 1
         if sequence != expected:
             raise InvalidBlockError(
                 f"expected block sequence {expected}, got {sequence}"
@@ -78,7 +77,7 @@ class Blockchain:
             sequence=sequence,
             batch_digest=batch_digest,
             view=view,
-            parent_hash=head.block_hash,
+            parent_hash=self.head.block_hash,
             proof=proof,
             payload=payload,
         )

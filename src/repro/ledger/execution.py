@@ -114,7 +114,6 @@ class SpeculativeExecutor:
                 f"got {sequence}"
             )
         undo: List[UndoEntry] = []
-        batch_digest = batch.digest()
         if self.apply_operations:
             apply = self.store.apply
             result_digests: List[bytes] = []
@@ -124,10 +123,8 @@ class SpeculativeExecutor:
                 undo += txn_undo
             result_digest = shared_digest("results", tuple(result_digests))
         else:
-            # modelled_result_digest(sequence, batch), over the digest
-            # already in hand.
-            result_digest = shared_digest("results-modelled", sequence,
-                                          batch_digest)
+            result_digest = modelled_result_digest(sequence, batch)
+        batch_digest = batch.digest()
         block = self.blockchain.append(
             sequence=sequence, batch_digest=batch_digest, view=view, proof=proof,
             payload=batch.batch_id,
