@@ -14,7 +14,7 @@ silently dropped.
 import pytest
 
 from repro.core.replica import PoeReplica
-from repro.core.messages import PoeSupport
+from repro.core.messages import PoeCommitVote, PoeSupport
 from repro.crypto.authenticator import SchemeKind, make_authenticators
 from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
@@ -146,6 +146,40 @@ class TestPoeMacSupportCounting:
             replica_id="replica:3"), 2.0)
         assert replica.executed_batches == executed_before
         assert output.actions == []  # a pure no-op delivery
+
+
+class TestPoeSlotTallies:
+    """A PoE slot allocates the tallies its replica's scheme counts."""
+
+    @pytest.mark.parametrize("scheme,speculative,present", [
+        (SchemeKind.MACS, True, {"support_votes"}),
+        (SchemeKind.THRESHOLD, True, {"shares"}),
+        (SchemeKind.MACS, False, {"support_votes", "commit_votes"}),
+        (SchemeKind.THRESHOLD, False, {"shares", "commit_votes"}),
+    ])
+    def test_a_slot_holds_only_what_its_scheme_counts(self, auths, scheme,
+                                                      speculative, present):
+        replica = PoeReplica("replica:1", make_config(), auths["replica:1"],
+                             scheme=scheme, speculative=speculative)
+        slot = replica._slot(0, 0)
+        for name in ("shares", "support_votes", "commit_votes"):
+            assert (getattr(slot, name) is not None) == (name in present)
+        # ``shares`` is the threshold primary's and never a tally to purge.
+        assert {id(tally) for tally in slot.open_tallies()} == {
+            id(getattr(slot, name)) for name in present - {"shares"}}
+        slot.certified = True
+        assert slot.open_tallies() == ()
+
+    def test_a_speculative_replica_charges_and_drops_a_commit_vote(self, auths):
+        """No commit phase, no commit tally: the vote costs its MAC check
+        and leaves no slot behind."""
+        replica = PoeReplica("replica:1", make_config(), auths["replica:1"],
+                             scheme=SchemeKind.MACS)
+        output = replica.deliver("replica:2", PoeCommitVote(
+            view=0, sequence=5, proposal_digest=b"d", replica_id="replica:2"), 1.0)
+        assert output.actions == [] and not replica._slots
+        assert output.cpu_ms == (replica.config.base_processing_ms
+                                 + replica._mac_verify_ms)
 
 
 class TestPbftVoteCounting:
