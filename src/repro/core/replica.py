@@ -349,7 +349,7 @@ class PoeReplica(PrimaryBackupReplica):
 
     def _check_non_speculative_commit(self, view: int, sequence: int,
                                       slot: _SlotState, now_ms: float) -> None:
-        if self.speculative or not slot.certified or slot.batch is None:
+        if not slot.certified or slot.batch is None:
             return
         if sequence in self._committed or sequence <= self.last_executed_sequence:
             return

@@ -33,8 +33,9 @@ AUTHS = make_authenticators(REPLICAS, ["client:0"], seed=b"handler-path")
 
 
 def make_replica(rid="replica:2", cost_model=None, **config_kwargs):
+    config_kwargs.setdefault("checkpoint_interval", 4)
     config = NodeConfig(replica_ids=list(REPLICAS), batch_size=2,
-                        **{"checkpoint_interval": 4, **config_kwargs})
+                        **config_kwargs)
     return PoeReplica(rid, config, AUTHS[rid], cost_model=cost_model,
                       scheme=SchemeKind.MACS)
 
