@@ -32,7 +32,7 @@ they are built from — is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.messages import PoeCertify, PoeCommitVote, PoePropose, PoeSupport
 from repro.core.view_change import (
@@ -78,9 +78,10 @@ class _SlotState:
     commit_vote_sent: bool = False
     committed: bool = False
 
-    def open_tallies(self) -> Tuple[VoteSet, ...]:
+    def open_tallies(self) -> Tuple[Union[VoteSet, Dict[int, object]], ...]:
         if not self.certified:
-            tallies = (self.support_votes, self.commit_votes)
+            # The threshold primary's shares aggregate into the certificate.
+            tallies = (self.shares, self.support_votes, self.commit_votes)
         elif self.commit_vote_sent and not self.committed:
             # Without speculation a certified slot casts its commit vote
             # and goes on counting until it commits.

@@ -164,9 +164,8 @@ class TestPoeSlotTallies:
         slot = replica._slot(0, 0)
         for name in ("shares", "support_votes", "commit_votes"):
             assert (getattr(slot, name) is not None) == (name in present)
-        # ``shares`` is the threshold primary's and never a tally to purge.
         assert {id(tally) for tally in slot.open_tallies()} == {
-            id(getattr(slot, name)) for name in present - {"shares"}}
+            id(getattr(slot, name)) for name in present}
         slot.certified = True
         assert slot.open_tallies() == ()
 

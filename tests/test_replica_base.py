@@ -3,7 +3,7 @@ and the primary-backup layer's slot table, admission, pruning and purge."""
 
 import pytest
 
-from repro.core.messages import PoePropose
+from repro.core.messages import PoeCertify, PoePropose, PoeSupport
 from repro.core.replica import PoeReplica
 from repro.crypto.authenticator import SchemeKind, make_authenticators
 from repro.fabric.cluster import Cluster, ClusterConfig
@@ -60,11 +60,10 @@ class TestDeferredMessages:
 
 #: protocol -> (proposal message class, [(slot tally, flags that close it)]).
 #: A tally stays open until the last of its flags is set.  A PoE slot holds
-#: the tallies its scheme counts and no other: the threshold primary's
-#: ``shares`` are not a tally ``open_tallies`` names.
+#: the tallies its scheme counts and no other.
 PRIMARY_BACKUP_LAYER = {
     "poe-mac": (PoePropose, [("support_votes", ("certified",))]),
-    "poe-ts": (PoePropose, []),
+    "poe-ts": (PoePropose, [("shares", ("certified",))]),
     # Without speculation a certified slot votes to commit and keeps
     # counting commit votes until it does.
     "poe-nospec": (PoePropose, [
@@ -209,6 +208,41 @@ class TestPrimaryBackupLayer:
         # n = 3 tolerates no fault: every quorum cache followed the epoch.
         assert (replica._f_plus_1, replica._2f_plus_1, replica._nf_quorum) == (1, 1, 3)
         assert replica.view_change_quorum() == (3 if protocol.startswith("poe") else 1)
+
+
+def test_an_evicted_share_never_aggregates_into_a_certificate(auths):
+    """A PoE-TS primary drops an evicted replica's share from an uncertified
+    slot at activation: the certificate then takes nf shares of members."""
+    config = NodeConfig(replica_ids=list(REPLICAS), batch_size=2,
+                        checkpoint_interval=4)
+    primary = PoeReplica("replica:0", config, auths["replica:0"],
+                         scheme=SchemeKind.THRESHOLD)
+    batch = make_no_op_batch("b", "client:0", 2)
+    primary.deliver("client:0", ClientRequestMessage(batch=batch,
+                                                     reply_to="client:0"), 1.0)
+    slot = primary._slot(0, 0)
+
+    def support(rid, now_ms):
+        share = auths[rid].threshold_share(slot.proposal_digest)
+        output = primary.deliver(rid, PoeSupport(
+            view=0, sequence=0, proposal_digest=slot.proposal_digest,
+            share=share, replica_id=rid), now_ms)
+        return [b.message.certificate for b in output.broadcasts()
+                if isinstance(b.message, PoeCertify)]
+
+    evicted = "replica:3"
+    assert support(evicted, 2.0) == [] and sorted(slot.shares) == [1, 4]
+    members = tuple(REPLICAS[:3])
+    primary._refresh_epoch_caches(members)
+    primary.on_epoch_activated(
+        EpochEntry(epoch=1, activation_sequence=0, members=members,
+                   removed=(evicted,), committed_at=0),
+        (evicted,), now_ms=3.0)
+    # n = 3: nf = 3, and the scheme's threshold of 3 would accept the
+    # evicted share as the third.
+    assert support("replica:1", 4.0) == [] and not slot.certified
+    [certificate] = support("replica:2", 5.0)
+    assert certificate.contributors == (1, 2, 3)
 
 
 class TestStateTransfer:
