@@ -10,7 +10,7 @@ executed batch.
 
 from repro.ledger.block import Block, GENESIS_PARENT
 from repro.ledger.blockchain import Blockchain
-from repro.ledger.store import KeyValueStore, ExecutionResult
+from repro.ledger.store import KeyValueStore, result_digest
 from repro.ledger.execution import SpeculativeExecutor, ExecutedBatch
 
 __all__ = [
@@ -18,7 +18,7 @@ __all__ = [
     "GENESIS_PARENT",
     "Blockchain",
     "KeyValueStore",
-    "ExecutionResult",
+    "result_digest",
     "SpeculativeExecutor",
     "ExecutedBatch",
 ]

@@ -113,16 +113,11 @@ class SpeculativeExecutor:
                 f"out-of-order execution: expected {self.last_executed_sequence + 1}, "
                 f"got {sequence}"
             )
-        undo: List[UndoEntry] = []
         if self.apply_operations:
-            apply = self.store.apply
-            result_digests: List[bytes] = []
-            for txn in batch.transactions:
-                result, txn_undo = apply(txn)
-                result_digests.append(result.digest())
-                undo += txn_undo
-            result_digest = shared_digest("results", tuple(result_digests))
+            result_digests, undo = self.store.apply(batch.transactions)
+            result_digest = shared_digest("results", result_digests)
         else:
+            undo = []
             result_digest = modelled_result_digest(sequence, batch)
         batch_digest = batch.digest()
         block = self.blockchain.append(

@@ -3,47 +3,36 @@
 This is the execution substrate: each replica holds an identical copy of
 the YCSB table (the paper initialises every replica with the same half a
 million records) and applies transactions deterministically, so all
-non-faulty replicas produce identical results.  Every applied transaction
-records undo entries, which :class:`~repro.ledger.execution.SpeculativeExecutor`
-uses to roll back speculation during a view-change.
+non-faulty replicas produce identical results.  A batch is applied in one
+call, which returns its result digests and the undo entries
+:class:`~repro.ledger.execution.SpeculativeExecutor` uses to roll back
+speculation during a view-change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto.hashing import digest, shared_digest
 from repro.workload.transactions import OpType, Transaction
 
 
-@dataclass(frozen=True, slots=True)
-class ExecutionResult:
-    """Deterministic result of executing one transaction.
+def result_digest(txn_id: str, reads: Tuple[Tuple[str, Optional[str]], ...],
+                  writes_applied: int) -> bytes:
+    """Digest of one executed transaction's result.
 
-    Attributes:
-        txn_id: the executed transaction's identifier.
-        reads: key/value pairs observed by read operations.
-        writes_applied: number of write operations applied.
+    *reads* holds the key/value pairs its read operations observed
+    (``None`` for an absent key) and *writes_applied* counts its writes.
+    Every replica asks for the same values, so the digest is shared.
     """
-
-    txn_id: str
-    reads: Tuple[Tuple[str, Optional[str]], ...] = ()
-    writes_applied: int = 0
-
-    def digest(self) -> bytes:
-        # ``reads`` goes in as the tuple it is: hashable, so memoisable.
-        return shared_digest("result", self.txn_id, self.reads,
-                             self.writes_applied)
+    # ``reads`` goes in as the tuple it is: hashable, so memoisable.
+    return shared_digest("result", txn_id, reads, writes_applied)
 
 
-@dataclass(slots=True)
-class UndoEntry:
-    """Previous value of one key, captured before a write."""
-
-    key: str
-    previous_value: Optional[str]
-    existed: bool
+#: Previous state of one key, captured before a write: ``(key, previous
+#: value, whether the key existed)``.  A plain tuple, so a write allocates
+#: no object with a constructor frame.
+UndoEntry = Tuple[str, Optional[str], bool]
 
 
 class KeyValueStore:
@@ -76,29 +65,39 @@ class KeyValueStore:
         self._table = dict(table)
 
     # -- transaction execution ----------------------------------------------------
-    def apply(self, transaction: Transaction) -> Tuple[ExecutionResult, List[UndoEntry]]:
-        """Apply *transaction* and return its result plus undo entries."""
+    def apply(self, transactions: Iterable[Transaction]
+              ) -> Tuple[Tuple[bytes, ...], List[UndoEntry]]:
+        """Apply *transactions* in order.
+
+        Returns each transaction's :func:`result_digest` and the undo
+        entries of every write, in the order they were applied.
+        """
         table = self._table
-        read, write = OpType.READ, OpType.WRITE
-        reads: List[Tuple[str, Optional[str]]] = []
+        get = table.get
+        read = OpType.READ
+        digests: List[bytes] = []
         undo: List[UndoEntry] = []
-        for op in transaction.operations:
-            op_type, key = op.op_type, op.key
-            if op_type is read:
-                reads.append((key, table.get(key)))
-            elif op_type is write:
-                previous = table.get(key)
-                undo.append(UndoEntry(
-                    key, previous, previous is not None or key in table))
-                table[key] = op.value if op.value is not None else ""
-        self.applied_transactions += 1
-        # One undo entry per write applied.
-        return ExecutionResult(transaction.txn_id, tuple(reads), len(undo)), undo
+        for transaction in transactions:
+            reads: List[Tuple[str, Optional[str]]] = []
+            writes = 0
+            for op in transaction.operations:
+                key = op.key
+                if op.op_type is read:
+                    reads.append((key, get(key)))
+                else:
+                    previous = get(key)
+                    undo.append((key, previous, previous is not None or key in table))
+                    table[key] = op.value if op.value is not None else ""
+                    writes += 1
+            digests.append(result_digest(transaction.txn_id, tuple(reads), writes))
+        self.applied_transactions += len(digests)
+        return tuple(digests), undo
 
     def revert(self, undo_entries: List[UndoEntry]) -> None:
         """Revert previously applied writes (most recent first)."""
-        for entry in reversed(undo_entries):
-            if entry.existed:
-                self._table[entry.key] = entry.previous_value or ""
+        table = self._table
+        for key, previous, existed in reversed(undo_entries):
+            if existed:
+                table[key] = previous or ""
             else:
-                self._table.pop(entry.key, None)
+                table.pop(key, None)

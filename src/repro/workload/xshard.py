@@ -336,9 +336,8 @@ class ShardTxnManager:
             # The committed transaction's writes for this shard: applied
             # only now — after certificate validation — and journaled into
             # the slot's undo log so view-change rollbacks revert them.
-            for txn_slice in batch.payload_txns:
-                _, undo = replica.executor.store.apply(txn_slice)
-                record.undo.extend(undo)
+            _, undo = replica.executor.store.apply(batch.payload_txns)
+            record.undo.extend(undo)
         record.result_digest = control_result_digest(
             txn, phase, batch.shard, outcome)
         return record

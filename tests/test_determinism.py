@@ -515,7 +515,7 @@ def test_golden_xshard_rows(protocol, scenario):
 def _pinned_values():
     from repro.crypto.keys import generate_system_keys
     from repro.crypto.signatures import SignatureScheme, build_registry
-    from repro.ledger.store import ExecutionResult
+    from repro.ledger.store import result_digest
     from repro.workload.transactions import (
         Operation,
         OpType,
@@ -540,9 +540,9 @@ def _pinned_values():
     values.update({
         "batch": RequestBatch("c:batch:0", tuple(transactions.values())).digest(),
         "batch.empty": RequestBatch("c:batch:1", ()).digest(),
-        "result.no_reads": ExecutionResult("c:txn:1", writes_applied=1).digest(),
-        "result.hit": ExecutionResult("c:txn:0", (("user7", "value-7"),)).digest(),
-        "result.miss": ExecutionResult("c:txn:0", (("user7", None),)).digest(),
+        "result.no_reads": result_digest("c:txn:1", (), 1),
+        "result.hit": result_digest("c:txn:0", (("user7", "value-7"),), 0),
+        "result.miss": result_digest("c:txn:0", (("user7", None),), 0),
         "op.read": read.canonical_bytes(),
         "op.write": write.canonical_bytes(),
         "sign.txn.payload_digest": over_txn.payload_digest,

@@ -7,7 +7,7 @@ from repro.crypto.hashing import digest
 from repro.ledger.block import Block, GENESIS_PARENT
 from repro.ledger.blockchain import Blockchain, InvalidBlockError
 from repro.ledger.execution import SpeculativeExecutor, modelled_result_digest
-from repro.ledger.store import KeyValueStore
+from repro.ledger.store import KeyValueStore, result_digest
 from repro.workload.transactions import Operation, OpType, RequestBatch, Transaction
 
 
@@ -128,25 +128,25 @@ class TestKeyValueStore:
     def test_apply_write_then_read(self):
         store = KeyValueStore()
         txn = make_txn("t1", writes=[("k", "v")])
-        result, undo = store.apply(txn)
+        results, undo = store.apply([txn])
         assert store.get("k") == "v"
-        assert result.writes_applied == 1
-        assert len(undo) == 1
+        assert results == (result_digest("t1", (), 1),)
+        assert undo == [("k", None, False)]
 
     def test_read_returns_current_values(self):
         store = KeyValueStore({"k": "orig"})
-        result, _ = store.apply(make_txn("t1", reads=["k", "missing"]))
-        assert result.reads == (("k", "orig"), ("missing", None))
+        results, _ = store.apply([make_txn("t1", reads=["k", "missing"])])
+        assert results == (result_digest("t1", (("k", "orig"), ("missing", None)), 0),)
 
     def test_revert_restores_previous_value(self):
         store = KeyValueStore({"k": "orig"})
-        _, undo = store.apply(make_txn("t1", writes=[("k", "new")]))
+        _, undo = store.apply([make_txn("t1", writes=[("k", "new")])])
         store.revert(undo)
         assert store.get("k") == "orig"
 
     def test_revert_removes_keys_that_did_not_exist(self):
         store = KeyValueStore()
-        _, undo = store.apply(make_txn("t1", writes=[("fresh", "x")]))
+        _, undo = store.apply([make_txn("t1", writes=[("fresh", "x")])])
         store.revert(undo)
         assert store.get("fresh") is None
 
@@ -166,9 +166,9 @@ class TestKeyValueStore:
     def test_result_digest_is_deterministic(self):
         store_a = KeyValueStore({"k": "v"})
         store_b = KeyValueStore({"k": "v"})
-        result_a, _ = store_a.apply(make_txn("t", writes=[("k", "w")], reads=["k"]))
-        result_b, _ = store_b.apply(make_txn("t", writes=[("k", "w")], reads=["k"]))
-        assert result_a.digest() == result_b.digest()
+        results_a, _ = store_a.apply([make_txn("t", writes=[("k", "w")], reads=["k"])])
+        results_b, _ = store_b.apply([make_txn("t", writes=[("k", "w")], reads=["k"])])
+        assert results_a == results_b
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,7 +181,7 @@ def test_store_apply_revert_roundtrip_property(writes):
     initial = {"k1": "a", "k2": "b"}
     store = KeyValueStore(dict(initial))
     before = store.snapshot_digest()
-    _, undo = store.apply(make_txn("t", writes=writes))
+    _, undo = store.apply([make_txn("t", writes=writes)])
     store.revert(undo)
     assert store.snapshot_digest() == before
 
@@ -476,6 +476,5 @@ def test_real_execution_rollback_converges(protocol, scenario):
         batch = executed_batches[witness.node_id][sequence]
         assert batch.digest() == witness.executor.executed(sequence).batch_digest
         assert batch.digest() == witness.blockchain.block_at(sequence).batch_digest
-        for txn in batch.transactions:
-            replayed.apply(txn)
+        replayed.apply(batch.transactions)
     assert replayed.snapshot() == witness.executor.store.snapshot()
