@@ -8,7 +8,6 @@ by the examples, the tests and the benchmark harness.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -353,8 +352,8 @@ class Cluster:
         )
 
         def source(index: int, now_ms: float) -> object:
-            batch = workload.next_batch(self.config.batch_size, created_at_ms=now_ms)
-            return dataclasses.replace(batch, reply_to=pool_id)
+            return workload.next_batch(self.config.batch_size,
+                                       created_at_ms=now_ms, reply_to=pool_id)
 
         return source
 

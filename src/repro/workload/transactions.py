@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.crypto.hashing import digest
 from repro.crypto.signatures import Signature
@@ -59,7 +59,9 @@ class Operation:
         # key's length says where the key ends, whatever separators key and
         # value hold, and an absent value differs from an empty one.
         value = "" if self.value is None else f"|{self.value}"
-        return f"{self.op_type.value}|{len(self.key)}|{self.key}{value}".encode("utf-8")
+        # ``_value_`` is the member's plain attribute; ``.value`` is a
+        # descriptor that costs a Python frame per call.
+        return f"{self.op_type._value_}|{len(self.key)}|{self.key}{value}".encode("utf-8")
 
     def shard(self, num_shards: int) -> int:
         """The consensus group this operation's key routes to."""
@@ -122,24 +124,6 @@ class Transaction:
             return (0,)
         return tuple(sorted({shard_of_key(op.key, num_shards)
                              for op in self.operations}))
-
-
-def signed_transaction(txn_id: str, client_id: str,
-                       operations: Tuple[Operation, ...],
-                       sign: Callable[[bytes], Signature],
-                       created_at_ms: float = 0.0) -> Transaction:
-    """Build ``<T>_c`` with one pass over its fields.
-
-    The digest *sign* is given is the digest of the transaction returned,
-    so it is kept as that transaction's memo: the primary's batch digest
-    and every replica after it find it ready instead of canonicalising
-    the operations a second time.
-    """
-    signed_over = transaction_digest(txn_id, client_id, operations)
-    transaction = Transaction(txn_id, client_id, operations,
-                              sign(signed_over), created_at_ms)
-    object.__setattr__(transaction, "_digest", signed_over)
-    return transaction
 
 
 @dataclass(frozen=True)

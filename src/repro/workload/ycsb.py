@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.authenticator import Authenticator
 from repro.workload.transactions import (
@@ -20,7 +20,7 @@ from repro.workload.transactions import (
     RequestBatch,
     Transaction,
     shard_of_key,
-    signed_transaction,
+    transaction_digest,
 )
 from repro.workload.zipfian import ZipfianGenerator
 
@@ -108,45 +108,49 @@ class YcsbWorkload:
                 operations.append(Operation(OpType.READ, key))
         return tuple(operations)
 
-    def next_transaction(self, created_at_ms: float = 0.0) -> Transaction:
-        """Generate the next client transaction."""
-        number = next(self._txn_numbers)
-        txn_id = f"{self.client_id}:txn:{number}"
-        operations = self._draw_operations(number)
-        if self.auth is not None:
-            return signed_transaction(txn_id, self.client_id, operations,
-                                      self.auth.sign, created_at_ms)
-        return Transaction(txn_id, self.client_id, operations,
-                           created_at_ms=created_at_ms)
+    def _batch(self, count: int, created_at_ms: float, reply_to: str = "",
+               shard: Optional[int] = None, num_shards: int = 1) -> RequestBatch:
+        """Draw, number and sign *count* transactions in one loop, batched.
 
-    def _batch_of(self, transactions: Iterator[Transaction],
-                  created_at_ms: float) -> RequestBatch:
+        Transactions are signed when the workload has an authenticator.
+        The digest signed is the transaction's own, so it is kept as the
+        transaction's memo: the primary's batch digest and every replica
+        after it find it ready instead of canonicalising the operations a
+        second time.
+        """
+        client_id = self.client_id
+        draw = self._draw_operations
+        sign = self.auth.sign if self.auth is not None else None
+        transactions: List[Transaction] = []
+        append = transactions.append
+        for number in itertools.islice(self._txn_numbers, count):
+            txn_id = f"{client_id}:txn:{number}"
+            operations = draw(number, shard, num_shards)
+            if sign is None:
+                append(Transaction(txn_id, client_id, operations,
+                                   created_at_ms=created_at_ms))
+                continue
+            signed_over = transaction_digest(txn_id, client_id, operations)
+            transaction = Transaction(txn_id, client_id, operations,
+                                      sign(signed_over), created_at_ms)
+            object.__setattr__(transaction, "_digest", signed_over)
+            append(transaction)
         return RequestBatch(
-            batch_id=f"{self.client_id}:batch:{next(self._batch_numbers)}",
-            transactions=tuple(transactions), created_at_ms=created_at_ms)
+            batch_id=f"{client_id}:batch:{next(self._batch_numbers)}",
+            transactions=tuple(transactions), created_at_ms=created_at_ms,
+            reply_to=reply_to)
 
-    def next_batch(self, batch_size: int, created_at_ms: float = 0.0) -> RequestBatch:
+    def next_batch(self, batch_size: int, created_at_ms: float = 0.0,
+                   reply_to: str = "") -> RequestBatch:
         """Generate a batch of *batch_size* transactions."""
-        return self._batch_of(
-            (self.next_transaction(created_at_ms) for _ in range(batch_size)),
-            created_at_ms)
+        return self._batch(batch_size, created_at_ms, reply_to)
 
     # -- sharded generation ---------------------------------------------------------
-    def next_transaction_in_shard(self, shard: int, num_shards: int,
-                                  created_at_ms: float = 0.0) -> Transaction:
-        """Generate a transaction whose every key routes to *shard*."""
-        number = next(self._txn_numbers)
-        return Transaction(f"{self.client_id}:txn:{number}", self.client_id,
-                           self._draw_operations(number, shard, num_shards),
-                           created_at_ms=created_at_ms)
-
     def next_batch_for_shard(self, shard: int, num_shards: int, batch_size: int,
                              created_at_ms: float = 0.0) -> RequestBatch:
         """Generate a single-shard batch: every key routes to *shard*."""
-        return self._batch_of(
-            (self.next_transaction_in_shard(shard, num_shards, created_at_ms)
-             for _ in range(batch_size)),
-            created_at_ms)
+        return self._batch(batch_size, created_at_ms, shard=shard,
+                           num_shards=num_shards)
 
     def next_cross_shard_operations(self, shards: List[int], num_shards: int,
                                     created_at_ms: float = 0.0) -> Dict[int, Transaction]:

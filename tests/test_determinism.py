@@ -555,8 +555,8 @@ def _pinned_values():
     workload = YcsbWorkload(YcsbConfig.small(seed=5), client_id="c")
     drawn = []
     for _ in range(20):
-        drawn.append(workload.next_transaction())
-        drawn.append(workload.next_transaction_in_shard(1, 2))
+        drawn.extend(workload.next_batch(1).transactions)
+        drawn.extend(workload.next_batch_for_shard(1, 2, 1).transactions)
         drawn.extend(workload.next_cross_shard_operations([0, 1], 2).values())
     values["ycsb.draws"] = hashlib.sha256(repr(
         [(txn.txn_id, txn.operations) for txn in drawn]).encode()).digest()

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.authenticator import make_authenticators
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, shared_digest
+from repro.crypto.signatures import SignatureScheme
 from repro.workload.transactions import (
     Operation,
     OpType,
@@ -56,18 +57,18 @@ class TestYcsbWorkload:
     def test_write_fraction_respected(self):
         workload = YcsbWorkload(YcsbConfig(num_records=1000, write_fraction=0.9,
                                            seed=11))
-        operations = [workload.next_transaction().operations[0] for _ in range(500)]
+        operations = [txn.operations[0] for txn in workload.next_batch(500).transactions]
         writes = sum(1 for op in operations if op.op_type is OpType.WRITE)
         assert 0.8 < writes / len(operations) < 1.0
 
     def test_read_only_workload(self):
         workload = YcsbWorkload(YcsbConfig(num_records=100, write_fraction=0.0))
-        operations = [workload.next_transaction().operations[0] for _ in range(100)]
+        operations = [txn.operations[0] for txn in workload.next_batch(100).transactions]
         assert all(op.op_type is OpType.READ for op in operations)
 
     def test_transaction_ids_are_unique(self):
         workload = YcsbWorkload(YcsbConfig.small())
-        ids = {workload.next_transaction().txn_id for _ in range(200)}
+        ids = {txn.txn_id for _ in range(4) for txn in workload.next_batch(50).transactions}
         assert len(ids) == 200
 
     def test_batch_has_requested_size(self):
@@ -79,8 +80,7 @@ class TestYcsbWorkload:
         config = YcsbConfig(num_records=50, seed=5)
         workload = YcsbWorkload(config)
         table = workload.initial_table()
-        for _ in range(100):
-            txn = workload.next_transaction()
+        for txn in workload.next_batch(100).transactions:
             for op in txn.operations:
                 assert op.key in table
 
@@ -89,7 +89,7 @@ class TestYcsbWorkload:
                                      "replica:3"], ["client:0"], seed=b"ycsb")
         workload = YcsbWorkload(YcsbConfig.small(), client_id="client:0",
                                 authenticator=auths["client:0"])
-        txn = workload.next_transaction()
+        [txn] = workload.next_batch(1).transactions
         assert txn.signature is not None
         assert auths["replica:0"].verify(txn.signature, txn.digest())
 
@@ -116,41 +116,58 @@ class TestRealExecutionPaysForEachTransactionOnce:
         from collections import Counter
 
         from repro.fabric.cluster import Cluster, ClusterConfig
-        from repro.workload import transactions
+        from repro.workload import transactions, ycsb
 
         calls = Counter()
-        transaction_digest, raw_digest = \
-            transactions.transaction_digest, transactions.digest
 
-        def counting_transaction_digest(*fields):
-            calls["transaction_digest"] += 1
-            return transaction_digest(*fields)
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+            return counted
+
+        counted_transaction_digest = counting(
+            "transaction_digest", transactions.transaction_digest)
+        for module in (transactions, ycsb):
+            monkeypatch.setattr(module, "transaction_digest",
+                                counted_transaction_digest)
 
         def counting_digest(tag, *values):
             calls[tag] += 1
-            return raw_digest(tag, *values)
+            return digest(tag, *values)
 
-        monkeypatch.setattr(transactions, "transaction_digest",
-                            counting_transaction_digest)
         monkeypatch.setattr(transactions, "digest", counting_digest)
+        monkeypatch.setattr(SignatureScheme, "sign", counting(
+            "sign", SignatureScheme.sign))
+        shared_digest.cache_clear()
         cluster = Cluster(ClusterConfig(
             protocol="poe-mac", num_replicas=4, batch_size=20, total_batches=10,
             use_ycsb_payload=True, execute_operations=True, seed=3))
         cluster.start()
         cluster.run_until_done(max_ms=60_000.0)
         assert [r.last_executed_sequence for r in cluster.replicas] == [9] * 4
-        return cluster, calls
+        return cluster, calls, shared_digest.cache_info()
 
     def test_one_canonicalisation_per_transaction_and_per_batch(self, counted_run):
-        _, calls = counted_run
-        assert calls == {"transaction_digest": 200, "txn": 200, "batch": 10}
+        _, calls, _ = counted_run
+        assert calls == {"transaction_digest": 200, "txn": 200, "sign": 200,
+                         "batch": 10}
+
+    def test_replicas_share_each_result_digest(self, counted_run):
+        """Distinct values through the shared memo: one result digest per
+        transaction plus the proposal, results and block digests of each
+        batch, every one asked for by all four replicas.  A result digest
+        that stops being shared moves both counts though no byte changes."""
+        _, _, memo = counted_run
+        assert memo.misses == 200 + 10 * 3
+        assert memo.hits == 3 * memo.misses
 
     def test_nothing_per_transaction_outlives_its_use(self, counted_run):
         import dataclasses
 
         from repro.ledger.execution import ExecutedBatch
 
-        cluster, _ = counted_run
+        cluster, _, _ = counted_run
         record = cluster.replicas[0].executor.executed(0)
         assert record.undo and len(record.batch.transactions) == 20
         assert "results" not in {f.name for f in dataclasses.fields(ExecutedBatch)}
