@@ -52,13 +52,29 @@ including the signed copy, which is handed the digest it was signed over;
 MACs and signatures bind the sender) and a miss costs half again as much
 as a plain call; memoising it would also hide the cost the hashing
 microbenchmarks exist to measure.
+
+Fixed-shape encoders
+--------------------
+Each client transaction is hashed twice over a shape that never varies:
+:func:`~repro.workload.transactions.transaction_digest` (``("txn", id,
+client, [op bytes])``, also the batch digest's ``("batch", id, [txn
+digests])``) through :func:`digest_fields_and_blobs`, and the client's
+signature over that 32-byte digest through :func:`digest_bytes`
+(:meth:`~repro.crypto.signatures.SignatureScheme.sign_digest`).  Both
+write :func:`digest`'s bytes directly rather than dispatch per element;
+they are not a second encoding.  ``tests/test_crypto_hashing.py::
+TestFixedShapes`` holds each to ``digest`` over arbitrary unicode and
+payloads past the cached length prefixes, ``tests/test_crypto_primitives.py``
+holds ``sign_digest`` to ``sign``, and ``GOLDEN_BYTES`` in
+``tests/test_determinism.py`` pins the bytes themselves.  The generic
+``digest`` and ``SignatureScheme.sign`` do no type sniffing for them.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, List, Tuple
 
 #: Precomputed 8-byte big-endian length prefixes for short payloads.
 _LEN_PREFIX = tuple(i.to_bytes(8, "big") for i in range(512))
@@ -192,6 +208,37 @@ def digest(*values: Any) -> bytes:
     ``D(k || v || <T>_c)`` concatenation notation.
     """
     return hashlib.sha256(_canon_sequence(values)).digest()
+
+
+# -- fixed shapes -------------------------------------------------------------
+# A transaction's digest, its batch's digest and its client's signature over
+# it have shapes that never vary, so these write :func:`digest`'s encoding of
+# the shape directly instead of dispatching on every element's class.  Length
+# prefixes are ``int.to_bytes`` calls: C, not a Python frame each.
+
+#: ``digest`` of a one-element argument tuple holding ``bytes``, up to the
+#: element's length prefix.
+_ONE_BYTES_HEAD = b"T" + _len_prefix(1) + b"B"
+
+
+def digest_bytes(value: bytes) -> bytes:
+    """``digest(value)`` for one ``bytes`` argument, byte for byte."""
+    return hashlib.sha256(
+        _ONE_BYTES_HEAD + len(value).to_bytes(8, "big") + value).digest()
+
+
+def digest_fields_and_blobs(fields: Tuple[str, ...], blobs: List[bytes]) -> bytes:
+    """``digest(*fields, blobs)`` for ``str`` *fields* and a list of ``bytes``,
+    byte for byte."""
+    parts = [b"T", (len(fields) + 1).to_bytes(8, "big")]
+    append = parts.append
+    for field in fields:
+        raw = field.encode("utf-8")
+        append(b"S" + len(raw).to_bytes(8, "big") + raw)
+    append(b"T" + len(blobs).to_bytes(8, "big"))
+    for blob in blobs:
+        append(b"B" + len(blob).to_bytes(8, "big") + blob)
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 #: Entries the :func:`shared_digest` memo holds before the least recently

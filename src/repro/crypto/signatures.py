@@ -17,7 +17,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, digest_bytes
 from repro.crypto.keys import KeyStore
 
 
@@ -68,6 +68,13 @@ class SignatureScheme:
     def sign(self, *values: Any) -> Signature:
         """Sign *values* with the local principal's secret."""
         payload_digest = digest(*values)
+        tag = hmac.digest(self._key, self._owner_bytes + payload_digest, "sha256")
+        return Signature(self.owner, payload_digest, tag)
+
+    def sign_digest(self, value: bytes) -> Signature:
+        """:meth:`sign` over one ``bytes`` value (a client signs its
+        transaction's digest), without the generic canonicalisation."""
+        payload_digest = digest_bytes(value)
         tag = hmac.digest(self._key, self._owner_bytes + payload_digest, "sha256")
         return Signature(self.owner, payload_digest, tag)
 

@@ -22,7 +22,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest_fields_and_blobs
 from repro.crypto.signatures import Signature
 
 
@@ -71,9 +71,13 @@ class Operation:
 def transaction_digest(txn_id: str, client_id: str,
                        operations: Tuple[Operation, ...]) -> bytes:
     """The bytes a client signs and every replica checks: the one
-    definition of a transaction's digest."""
-    return digest("txn", txn_id, client_id,
-                  [op.canonical_bytes() for op in operations])
+    definition of a transaction's digest.
+
+    Equal to ``digest("txn", txn_id, client_id, [op.canonical_bytes() ...])``,
+    written through the fixed-shape encoder.
+    """
+    return digest_fields_and_blobs(("txn", txn_id, client_id),
+                                   list(map(Operation.canonical_bytes, operations)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,8 +167,9 @@ class RequestBatch:
         # phases, and the batch never changes after construction.
         cached = self.__dict__.get("_digest")
         if cached is None:
-            cached = digest("batch", self.batch_id,
-                            [txn.digest() for txn in self.transactions])
+            cached = digest_fields_and_blobs(
+                ("batch", self.batch_id),
+                [txn.digest() for txn in self.transactions])
             object.__setattr__(self, "_digest", cached)
         return cached
 

@@ -120,7 +120,7 @@ class YcsbWorkload:
         """
         client_id = self.client_id
         draw = self._draw_operations
-        sign = self.auth.sign if self.auth is not None else None
+        sign = self.auth.signatures.sign_digest if self.auth is not None else None
         transactions: List[Transaction] = []
         append = transactions.append
         for number in itertools.islice(self._txn_numbers, count):

@@ -2,7 +2,14 @@
 
 from hypothesis import given, strategies as st
 
-from repro.crypto.hashing import chain_hash, digest, digest_hex
+from repro.crypto.hashing import (
+    chain_hash,
+    digest,
+    digest_bytes,
+    digest_fields_and_blobs,
+    digest_hex,
+)
+from repro.workload.transactions import Operation, OpType, transaction_digest
 
 
 class TestDigestBasics:
@@ -80,3 +87,25 @@ def test_distinct_strings_rarely_collide(a, b):
     """Distinct inputs produce distinct digests (collision resistance proxy)."""
     if a != b:
         assert digest(a) != digest(b)
+
+
+class TestFixedShapes:
+    """The fixed-shape encoders write :func:`digest`'s bytes directly; they
+    must be those bytes for every value of their shape, long payloads past
+    the cached length prefixes included."""
+
+    @given(st.binary(max_size=600))
+    def test_digest_bytes_is_digest(self, value):
+        assert digest_bytes(value) == digest(value)
+
+    @given(st.lists(st.text(max_size=600), max_size=4),
+           st.lists(st.binary(max_size=600), max_size=6))
+    def test_fields_and_blobs_is_digest(self, fields, blobs):
+        assert digest_fields_and_blobs(tuple(fields), blobs) == digest(*fields, blobs)
+
+    @given(st.text(), st.text(), st.lists(st.tuples(
+        st.sampled_from(OpType), st.text(), st.none() | st.text()), max_size=6))
+    def test_transaction_digest_is_digest(self, txn_id, client_id, ops):
+        operations = tuple(Operation(*op) for op in ops)
+        assert transaction_digest(txn_id, client_id, operations) == digest(
+            "txn", txn_id, client_id, [op.canonical_bytes() for op in operations])

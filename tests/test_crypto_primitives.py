@@ -105,6 +105,11 @@ class TestSignatures:
         signature = schemes["client:0"].sign("transaction", 7)
         assert schemes["replica:0"].verify(signature, "transaction", 7)
 
+    @given(st.binary(max_size=64))
+    def test_sign_digest_is_sign_over_one_value(self, schemes, value):
+        scheme = schemes["client:0"]
+        assert scheme.sign_digest(value) == scheme.sign(value)
+
     def test_tampered_payload_fails(self, schemes):
         signature = schemes["client:0"].sign("transaction", 7)
         assert not schemes["replica:0"].verify(signature, "transaction", 8)

@@ -186,6 +186,46 @@ def test_store_apply_revert_roundtrip_property(writes):
     assert store.snapshot_digest() == before
 
 
+def _apply_one_at_a_time(table, transactions):
+    """The store's execution written per transaction, as it was before a
+    batch became one call: the reference its batch loop must equal."""
+    digests, undo = [], []
+    for txn in transactions:
+        reads, writes = [], 0
+        for op in txn.operations:
+            if op.op_type is OpType.READ:
+                reads.append((op.key, table.get(op.key)))
+            else:
+                undo.append((op.key, table.get(op.key), op.key in table))
+                table[op.key] = op.value if op.value is not None else ""
+                writes += 1
+        digests.append(digest("result", txn.txn_id, reads, writes))
+    return tuple(digests), undo
+
+
+_OPERATIONS = st.lists(st.tuples(
+    st.sampled_from(OpType), st.sampled_from(["k1", "k2", "k3", "ü"]),
+    st.none() | st.text(max_size=4)), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(["k1", "k2", "ü"]), st.text(max_size=3)),
+       st.lists(_OPERATIONS, max_size=6))
+def test_batch_apply_equals_the_per_transaction_loop(initial, batch):
+    """Property: one batch call leaves the table, the undo log (in order)
+    and the result digests of applying each transaction in turn, and its
+    undo log reverts the table to where it started."""
+    transactions = [
+        Transaction(f"t{i}", "client:0", tuple(Operation(*op) for op in ops))
+        for i, ops in enumerate(batch)]
+    store, table = KeyValueStore(dict(initial)), dict(initial)
+    digests, undo = store.apply(transactions)
+    assert (digests, undo) == _apply_one_at_a_time(table, transactions)
+    assert store.snapshot() == table
+    store.revert(undo)
+    assert store.snapshot() == initial
+
+
 class TestSpeculativeExecutor:
     def _executor(self):
         store = KeyValueStore({"x": "0"})

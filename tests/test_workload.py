@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.authenticator import make_authenticators
-from repro.crypto.hashing import digest, shared_digest
+from repro.crypto.hashing import digest, digest_fields_and_blobs, shared_digest
 from repro.crypto.signatures import SignatureScheme
 from repro.workload.transactions import (
     Operation,
@@ -105,6 +105,7 @@ class TestYcsbWorkload:
             assert by_hand == txn
             assert by_hand.digest() == txn.digest()
             assert txn.signature.payload_digest == digest(txn.digest())
+            assert txn.signature == auths["client:0"].sign(txn.digest())
             assert auths["replica:0"].verify(by_hand.signature, by_hand.digest())
 
 
@@ -132,13 +133,15 @@ class TestRealExecutionPaysForEachTransactionOnce:
             monkeypatch.setattr(module, "transaction_digest",
                                 counted_transaction_digest)
 
-        def counting_digest(tag, *values):
-            calls[tag] += 1
-            return digest(tag, *values)
+        def counting_encoder(fields, blobs):
+            calls[fields[0]] += 1
+            return digest_fields_and_blobs(fields, blobs)
 
-        monkeypatch.setattr(transactions, "digest", counting_digest)
-        monkeypatch.setattr(SignatureScheme, "sign", counting(
-            "sign", SignatureScheme.sign))
+        monkeypatch.setattr(transactions, "digest_fields_and_blobs",
+                            counting_encoder)
+        for name in ("sign", "sign_digest"):
+            monkeypatch.setattr(SignatureScheme, name, counting(
+                name, getattr(SignatureScheme, name)))
         shared_digest.cache_clear()
         cluster = Cluster(ClusterConfig(
             protocol="poe-mac", num_replicas=4, batch_size=20, total_batches=10,
@@ -150,8 +153,8 @@ class TestRealExecutionPaysForEachTransactionOnce:
 
     def test_one_canonicalisation_per_transaction_and_per_batch(self, counted_run):
         _, calls, _ = counted_run
-        assert calls == {"transaction_digest": 200, "txn": 200, "sign": 200,
-                         "batch": 10}
+        assert calls == {"transaction_digest": 200, "txn": 200,
+                         "sign_digest": 200, "batch": 10}
 
     def test_replicas_share_each_result_digest(self, counted_run):
         """Distinct values through the shared memo: one result digest per
