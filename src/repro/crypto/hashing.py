@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Precomputed 8-byte big-endian length prefixes for short payloads.
 _LEN_PREFIX = tuple(i.to_bytes(8, "big") for i in range(512))
@@ -248,25 +248,38 @@ def digest_fields_and_blobs(fields: Tuple[str, ...], blobs: List[bytes]) -> byte
 #: not the run.
 SHARED_DIGEST_MEMO_SIZE = 4096
 
-#: Classes whose equal values always canonicalise to the same bytes.
-#: Numbers qualify only as immediate arguments, where ``typed=True`` keys
-#: the memo on their class: inside a tuple ``1``, ``True`` and ``1.0``
-#: would share a key.  ``float`` never does (``0.0 == -0.0``, but their
-#: ``repr`` differs), nor does a custom object, whose equality need not
-#: cover its ``canonical_bytes()``/``repr``.
-_MEMO_NESTED = frozenset({bytes, str, type(None)})
-_MEMO_ARGUMENTS = _MEMO_NESTED | {bool, int}
+# Memoisable values are those whose equals always canonicalise to the same
+# bytes: ``bytes``, ``str``, ``None`` and tuples of them anywhere, ``bool``
+# and ``int`` only as immediate arguments, where ``typed=True`` keys the
+# memo on their class (inside a tuple ``1``, ``True`` and ``1.0`` would
+# share a key).  ``float`` never is (``0.0 == -0.0``, but their ``repr``
+# differs), nor is a custom object, whose equality need not cover its
+# ``canonical_bytes()``/``repr``.
 
-
-def _memo_safe(values: tuple, leaves: frozenset = _MEMO_ARGUMENTS) -> bool:
+def _memo_canon(values: tuple, nested: bool = False) -> Optional[bytes]:
+    """:func:`digest`'s encoding of *values*, or ``None`` when they are not
+    memoisable: the check and the canonicalisation in one pass."""
+    parts = [b"T", _len_prefix(len(values))]
+    append = parts.append
     for value in values:
         cls = value.__class__
-        if cls is tuple:
-            if not _memo_safe(value, _MEMO_NESTED):
-                return False
-        elif cls not in leaves:
-            return False
-    return True
+        if cls is str:
+            raw = value.encode("utf-8")
+            append(b"S" + _len_prefix(len(raw)) + raw)
+        elif cls is tuple:
+            inner = _memo_canon(value, True)
+            if inner is None:
+                return None
+            append(inner)
+        elif cls is bytes:
+            append(b"B" + _len_prefix(len(value)) + value)
+        elif value is None:
+            append(b"N")
+        elif nested or (cls is not int and cls is not bool):
+            return None
+        else:
+            append(_DISPATCH[cls](value))
+    return b"".join(parts)
 
 
 @lru_cache(maxsize=SHARED_DIGEST_MEMO_SIZE, typed=True)
@@ -275,9 +288,10 @@ def _memoised_digest(*values: Any) -> bytes:
     # for class, arguments that passed this check, and the check admits
     # only values whose equals canonicalise identically - so a hit never
     # returns another value's digest.  A raise is not cached.
-    if not _memo_safe(values):
+    encoded = _memo_canon(values)
+    if encoded is None:
         raise TypeError("not memoisable")
-    return digest(*values)
+    return hashlib.sha256(encoded).digest()
 
 
 def shared_digest(*values: Any) -> bytes:

@@ -56,6 +56,25 @@ class TestExactness:
         assert shared_digest(*values) == digest(*values)
         assert shared_digest(*values) == digest(*values)
 
+    @given(st.lists(st.recursive(
+        st.one_of(st.text(), st.binary(), st.none(), st.integers(),
+                  st.booleans(), st.floats(allow_nan=False)),
+        lambda inner: st.lists(inner, max_size=4).map(tuple),
+        max_leaves=12), max_size=5))
+    def test_equals_digest_and_memoises_by_the_rule_on_nested_values(self, values):
+        """A miss checks and encodes in one pass: ``digest``'s bytes, and a
+        memo entry exactly when the documented rule admits the values."""
+        def admitted(items, leaves):
+            return all(item.__class__ in leaves
+                       or (item.__class__ is tuple and admitted(item, nested))
+                       for item in items)
+        nested = (bytes, str, type(None))
+        shared_digest.cache_clear()
+        assert shared_digest(*values) == digest(*values)
+        assert shared_digest(*values) == digest(*values)
+        memoised = admitted(values, nested + (bool, int))
+        assert shared_digest.cache_info().currsize == int(memoised)
+
     def test_memo_stays_within_its_bound(self):
         shared_digest.cache_clear()
         for i in range(10 * SHARED_DIGEST_MEMO_SIZE):
