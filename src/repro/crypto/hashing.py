@@ -68,6 +68,10 @@ payloads past the cached length prefixes, ``tests/test_crypto_primitives.py``
 holds ``sign_digest`` to ``sign``, and ``GOLDEN_BYTES`` in
 ``tests/test_determinism.py`` pins the bytes themselves.  The generic
 ``digest`` and ``SignatureScheme.sign`` do no type sniffing for them.
+A :func:`shared_digest` miss writes the same bytes through
+``_memo_canon``, which checks memoisability as it encodes;
+``tests/test_hashing.py::TestExactness`` holds it to ``digest`` over
+nested values.
 """
 
 from __future__ import annotations
