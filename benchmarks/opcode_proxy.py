@@ -1,18 +1,34 @@
-"""Bytecode proxy: opcodes and Python calls per workload shape.
+"""Bytecode proxy: opcodes, Python calls and retained bytes per workload shape.
 
-A host-independent reading of "how much Python does one run execute":
-every poebench workload shape at 1/20 budget, seed 3, is set up and run
-under a ``sys.settrace`` tracer with per-opcode events on, and the number
-of bytecode instructions and of Python-level calls is printed for each
-phase, and for the run phase the Python calls per *executed
-replica-batch* (run calls over the sum of every replica's
-``executed_batches``): what one batch costs one replica, handlers,
-deliveries and client pools included.
+A host-independent reading of "how much Python does one run execute, and
+how much memory does it keep": every poebench workload shape at 1/20
+budget, seed 3, is set up and run under a ``sys.settrace`` tracer with
+per-opcode events on, and the number of bytecode instructions and of
+Python-level calls is printed for each phase, and for the run phase the
+Python calls per *executed replica-batch* (run calls over the sum of every
+replica's ``executed_batches``): what one batch costs one replica,
+handlers, deliveries and client pools included.  A second, untraced pass
+builds and runs the shape again under ``tracemalloc`` and prints the
+bytes the run leaves allocated per executed replica-batch (traced memory
+after the run less after set-up, deployments alive, the collector run
+both times): what a ledger block, an execution record, its proof and the
+client's completion record hold once the batch is done.
 Under ``PYTHONHASHSEED=0`` (the script re-executes itself with it) the
 counts repeat exactly, so a one-opcode change to a hot path is visible
 where wall-clock pairs need a few percent to rise above the host's noise.
+Each row is measured in its own child, forked from a process that has run
+nothing, so a row reads the same alone as after the others; the untraced
+pass starts from empty process-wide memos, as the traced one does.
 
     python benchmarks/opcode_proxy.py [WORKLOAD ...]
+
+The run calls, the calls per executed replica-batch and the retained bytes
+per executed replica-batch of every row are pinned in the ``opcode_proxy``
+table of ``benchmarks/PERF_EXPECTATIONS.json``; the script exits non-zero
+when any of them moves, so a change that adds Python to the hot path or
+memory to a finished batch updates that table in the same commit and says
+why.  The counts are exact on one interpreter minor version only: on
+another the table is skipped with a message.
 
 What it cannot see: anything that happens below the bytecode.  One
 ``CALL`` is one opcode whether it enters a Python frame, a ``tp_call``
@@ -24,18 +40,22 @@ heap sifts per delivery: this proxy read -0.84 % for it on
 ``mac_flood_n32`` (7,085,133 -> 7,025,375 run opcodes) where wall-clock
 pairs read +3 % to +9 %.  So: use it to find and to confirm
 bytecode-level savings and to catch ones lost by accident; let wall-clock
-pairs decide anything that changes what the C level does.  CI prints it
-(``perf-smoke``); nothing gates on it.
+pairs decide anything that changes what the C level does.
 """
 
 from __future__ import annotations
 
+import gc
+import json
+import multiprocessing
 import os
 import sys
+import tracemalloc
 from pathlib import Path
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTATIONS = ROOT / "benchmarks" / "PERF_EXPECTATIONS.json"
 #: Fixed, not options: counts are comparable only at one budget and seed.
 SCALE = 0.05
 SEED = 3
@@ -64,36 +84,109 @@ def counted(fn: Callable[[], object]) -> Tuple[object, int, int]:
     return result, counts[0], counts[1]
 
 
-def measure(name: str) -> List[Tuple[str, int, int, str]]:
-    """``(phase, opcodes, python_calls, calls per executed replica-batch)``
-    for set-up and run of one shape."""
+def clear_memos() -> None:
+    """Empty the process-wide memos a run fills."""
+    from repro.crypto import threshold
+    from repro.crypto.hashing import shared_digest
+
+    shared_digest.cache_clear()
+    threshold._field_element.cache_clear()
+    threshold._lagrange_coefficients_at_zero.cache_clear()
+
+
+def executed_batches(deployments) -> int:
     from measure import groups
+
+    return sum(replica.executed_batches for d in deployments
+               for group in groups(d) for replica in group.replicas)
+
+
+def retained_bytes(configs) -> Tuple[int, int]:
+    """``(bytes the run leaves allocated, executed replica-batches)``."""
+    from workloads import build
+
+    clear_memos()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        deployments = [build(config) for config in configs]
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for deployment in deployments:
+            deployment.run_until_done()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained, executed_batches(deployments)
+
+
+def measure(name: str) -> Dict[str, object]:
+    """Set-up and run counts of one shape, and its pinned numbers."""
     from workloads import WORKLOADS, build
 
     configs = WORKLOADS[name].configs(SEED, SCALE)
     deployments, *setup = counted(lambda: [build(config) for config in configs])
     _, opcodes, calls = counted(
         lambda: [d.run_until_done() for d in deployments])
-    executed = sum(replica.executed_batches for d in deployments
-                   for group in groups(d) for replica in group.replicas)
-    return [("setup", *setup, "-"),
-            ("run", opcodes, calls, f"{calls / executed:.1f}")]
+    executed = executed_batches(deployments)
+    del deployments
+    retained, retained_executed = retained_bytes(configs)
+    assert retained_executed == executed, (retained_executed, executed)
+    return {"setup": setup, "run": (opcodes, calls),
+            "pins": {"run_calls": calls,
+                     "calls_per_batch": round(calls / executed, 1),
+                     "retained_bytes_per_batch": round(retained / executed, 1)}}
 
 
-def main() -> None:
+def pin_problems(name: str, pins: Dict[str, object],
+                 expected: Dict[str, Dict[str, object]]) -> List[str]:
+    pinned = expected.get(name)
+    if pinned is None:
+        return [f"{name}: no pin recorded, measured {json.dumps(pins)}"]
+    return [f"{name}: {key} {pins[key]} != pinned {pinned[key]}"
+            for key in pinned if pins[key] != pinned[key]]
+
+
+def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv],
                   {**os.environ, "PYTHONHASHSEED": "0"})
     sys.path[0:0] = [str(ROOT / "src"), str(ROOT / "poebench")]
     from workloads import WORKLOADS
 
+    table = json.loads(EXPECTATIONS.read_text())["opcode_proxy"]
+    python = list(sys.version_info[:2])
+    checked = python == table["python"]
     print(f"{'workload':<20}{'phase':<7}{'opcodes':>14}{'python calls':>14}"
-          f"{'calls/batch':>13}")
-    for name in sys.argv[1:] or WORKLOADS:
-        for phase, opcodes, calls, per_batch in measure(name):
-            print(f"{name:<20}{phase:<7}{opcodes:>14,}{calls:>14,}"
-                  f"{per_batch:>13}", flush=True)
+          f"{'calls/batch':>13}{'bytes/batch':>13}")
+    problems: List[str] = []
+    names = sys.argv[1:] or list(WORKLOADS)
+    # One fresh child per row: nothing an earlier row left in the process
+    # (memos, interned strings, lazily built tables) reaches a later one.
+    with multiprocessing.get_context("fork").Pool(1, maxtasksperchild=1) as pool:
+        for name, row in zip(names, pool.imap(measure, names)):
+            pins = row["pins"]
+            print(f"{name:<20}{'setup':<7}{row['setup'][0]:>14,}"
+                  f"{row['setup'][1]:>14,}{'-':>13}{'-':>13}")
+            print(f"{name:<20}{'run':<7}{row['run'][0]:>14,}{row['run'][1]:>14,}"
+                  f"{pins['calls_per_batch']:>13.1f}"
+                  f"{pins['retained_bytes_per_batch']:>13,.1f}", flush=True)
+            if checked:
+                problems += pin_problems(name, pins, table["rows"])
+    if not checked:
+        print(f"pins are for Python {'.'.join(map(str, table['python']))}, "
+              f"this is {'.'.join(map(str, python))}: not checked")
+        return 0
+    if problems:
+        print(f"moved against {EXPECTATIONS.relative_to(ROOT)}:")
+        for problem in problems:
+            print(f"  - {problem}")
+        return 1
+    print(f"run calls, calls/batch and bytes/batch match "
+          f"{EXPECTATIONS.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
