@@ -33,7 +33,11 @@ class MacTag:
     tag: bytes
 
     def canonical_bytes(self) -> bytes:
-        return b"|".join([self.sender.encode(), self.receiver.encode(), self.tag])
+        # Length-prefixed, so no id can move a field boundary: joined with
+        # ``|``, ("a|b", "c") and ("a", "b|c") encoded alike.
+        sender, receiver = self.sender.encode(), self.receiver.encode()
+        return b"%d|%b%d|%b%b" % (len(sender), sender, len(receiver), receiver,
+                                   self.tag)
 
 
 class MacAuthenticator:

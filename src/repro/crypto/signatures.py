@@ -40,7 +40,11 @@ class Signature:
     tag: bytes
 
     def canonical_bytes(self) -> bytes:
-        return b"|".join([self.signer.encode(), self.payload_digest, self.tag])
+        # Length-prefixed, as ``MacTag``'s: joined with ``|``, a separator in
+        # the signer or the digest could move a field boundary.
+        signer, payload = self.signer.encode(), self.payload_digest
+        return b"%d|%b%d|%b%b" % (len(signer), signer, len(payload), payload,
+                                   self.tag)
 
 
 def verification_key(signing_secret: bytes) -> bytes:
