@@ -65,7 +65,16 @@ from repro.fabric.sharding import (
 
 
 class WorkerCrash(RuntimeError):
-    """A shard worker died or raised; the run cannot continue."""
+    """A shard worker died, raised or hung; the run cannot continue."""
+
+
+#: Seconds every worker has to answer one barrier (start, a window, finish)
+#: before the run fails with :class:`WorkerCrash` naming the shard.  The
+#: slowest honest barrier is ``finish``, which pickles each shard's replicas
+#: back: 0.17 s for the full ``xshard_2sh_x20`` poebench shape on a 2-core
+#: x86 VM, windows at most 0.06 s.  A worker silent this long is hung, and
+#: the driver must not wait on it forever.
+BARRIER_TIMEOUT_S = 60.0
 
 
 # -- artifacts ---------------------------------------------------------------------
@@ -205,7 +214,16 @@ def _worker_main(conn, config: ShardedClusterConfig, shard: int,
 
 # -- parent driver -----------------------------------------------------------------
 
-def _recv(conn, shard: int):
+def _gather(conns) -> list:
+    """Every worker's answer to one barrier, within its deadline."""
+    deadline = time.monotonic() + BARRIER_TIMEOUT_S
+    return [_recv(conn, shard, deadline) for shard, conn in enumerate(conns)]
+
+
+def _recv(conn, shard: int, deadline: float):
+    if not conn.poll(max(0.0, deadline - time.monotonic())):
+        raise WorkerCrash(f"shard {shard} worker missed the "
+                          f"{BARRIER_TIMEOUT_S:g} s barrier deadline")
     try:
         kind, payload = conn.recv()
     except (EOFError, OSError) as exc:
@@ -235,6 +253,7 @@ def run_parallel(config: ShardedClusterConfig,
     ctx = multiprocessing.get_context("fork")
     conns: List = []
     procs: List = []
+    finished = False
     try:
         for shard in range(num):
             parent_conn, child_conn = ctx.Pipe()
@@ -246,18 +265,18 @@ def run_parallel(config: ShardedClusterConfig,
             child_conn.close()
             conns.append(parent_conn)
             procs.append(proc)
-        results: List[WindowResult] = [
-            _recv(conns[shard], shard) for shard in range(num)]
+        results: List[WindowResult] = _gather(conns)
 
         def window_all(edge_ms, inboxes):
             for conn, inbox in zip(conns, inboxes):
                 conn.send(("window", edge_ms, inbox))
-            return [_recv(conns[shard], shard) for shard in range(num)]
+            return _gather(conns)
 
         run_windows(results, window_all, num, lookahead_ms, max_ms)
         for conn in conns:
             conn.send(("finish",))
-        artifacts = [_recv(conns[shard], shard) for shard in range(num)]
+        artifacts = _gather(conns)
+        finished = True
         return ParallelShardedRun(config, artifacts)
     finally:
         for conn in conns:
@@ -266,9 +285,12 @@ def run_parallel(config: ShardedClusterConfig,
             except OSError:
                 pass
         for proc in procs:
-            proc.join(timeout=10.0)
+            # A worker that shipped its artifacts exits on its own; any
+            # other is killed now.  SIGKILL also ends a stopped process,
+            # where SIGTERM would wait for it to be continued.
+            proc.join(timeout=10.0 if finished else 0.0)
             if proc.is_alive():
-                proc.terminate()
+                proc.kill()
                 proc.join()
 
 

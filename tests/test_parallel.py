@@ -5,16 +5,21 @@ events at conservative window barriers; the sequential ``ShardedCluster``
 advances the *same* runtimes through the *same* window loop in-process.
 These tests pin the acceptance criterion — the parallel fingerprint is
 byte-identical to the sequential one for the same config — across the
-canonical cross-shard scenarios and seeds, and that a crashing worker
-surfaces a clean, shard-naming error instead of hanging the barrier.
+canonical cross-shard scenarios and seeds, and that a crashing or hung
+worker surfaces a clean, shard-naming error instead of hanging the
+barrier.
 """
 
+import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
 from repro.bench.perf import parse_sharded_label
 from repro.fabric.audit import ShardedSafetyAuditor
+from repro.fabric import parallel
 from repro.fabric.parallel import WorkerCrash, run_parallel
 from repro.fabric.scenarios import ScenarioParams, run_scenario
 from repro.fabric.sharding import (
@@ -115,6 +120,26 @@ def test_worker_hard_death_surfaces_clean_error(monkeypatch):
     monkeypatch.setattr(ShardRuntime, "window", die)
     with pytest.raises(WorkerCrash, match=r"shard \d+ worker died"):
         run_parallel(_config("xshard-no-fault", seed=3))
+
+
+def test_hung_worker_fails_the_barrier_deadline(monkeypatch):
+    # Shard 1's worker stops itself at its first window and never answers;
+    # the parent must give up at the barrier deadline with the shard named
+    # and leave no child behind, the stopped one included.
+    window = ShardRuntime.window
+
+    def stall(self, edge_ms, inbox):
+        if self.shard == 1:
+            os.kill(os.getpid(), signal.SIGSTOP)
+        return window(self, edge_ms, inbox)
+
+    monkeypatch.setattr(ShardRuntime, "window", stall)
+    monkeypatch.setattr(parallel, "BARRIER_TIMEOUT_S", 1.0)
+    started = time.monotonic()
+    with pytest.raises(WorkerCrash, match=r"shard 1 worker missed the 1 s barrier"):
+        run_parallel(_config("xshard-no-fault", seed=3))
+    assert time.monotonic() - started < 5.0
+    assert multiprocessing.active_children() == []
 
 
 def test_parse_sharded_label_roundtrip():
