@@ -63,6 +63,9 @@ class _SlotState:
     :meth:`PoeReplica.new_slot` with the deployment's index map) rather
     than per-slot ``set`` objects: in MAC mode every replica counts the n²
     SUPPORT flood, and the bitset makes each counted vote integer work.
+    At ``nf`` supports ``support_votes.freeze()`` becomes the slot's
+    proof: a :class:`~repro.protocols.quorum.QuorumProof` of constant size
+    that its log entry and ledger block keep.
     A slot holds only the tallies its replica's scheme counts — ``shares``
     in threshold mode, ``support_votes`` in MAC mode, ``commit_votes``
     without speculation — and the others stay ``None``.
@@ -279,8 +282,7 @@ class PoeReplica(PrimaryBackupReplica):
                 or slot.support_votes.count < self._nf_quorum):
             return
         slot.certified = True
-        proof = frozenset(slot.support_votes)
-        self._view_commit(view, sequence, slot, proof, now_ms)
+        self._view_commit(view, sequence, slot, slot.support_votes.freeze(), now_ms)
 
     # -- CERTIFY -----------------------------------------------------------------
     def handle_certify(self, sender: str, message: PoeCertify, now_ms: float) -> None:

@@ -28,8 +28,11 @@ class Block:
         batch_digest: digest ``d`` of the batch of client requests.
         view: view number ``v`` in which the batch was certified.
         parent_hash: hash of the previous block.
-        proof: protocol-specific acceptance proof (e.g. the PoE threshold
-            signature); not included in the block hash so that replicas
+        proof: protocol-specific acceptance proof: the PoE-TS threshold
+            signature, or in MAC mode the
+            :class:`~repro.protocols.quorum.QuorumProof` snapshot of the
+            voters (a bitmask: kept for good, so it must not grow with
+            n); not included in the block hash so that replicas
             aggregating different-but-valid share subsets still agree.
         payload: optional opaque payload (the batch itself, results, ...).
     """

@@ -219,7 +219,7 @@ class PbftReplica(PrimaryBackupReplica):
         if slot.commit_votes.count < self._2f_plus_1:
             return
         slot.committed = True
-        committers = tuple(sorted(slot.commit_votes))
+        committers = slot.commit_votes.freeze()
         self._log[sequence] = LogEntry(
             sequence=sequence, view=view, digest=slot.batch_digest,
             batch=slot.batch, proof=committers,

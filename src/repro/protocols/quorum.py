@@ -14,17 +14,94 @@ are added by their **transport-level sender id** (the rule PR 2 made
 load-bearing), duplicates never double-count, and identifiers that do not
 resolve to a replica index (spoofed ids replayed by tests, clients,
 future reconfiguration members) fall back to an overflow set so nothing
-is silently dropped.  Iteration yields the same voter-id strings a plain
-``set`` held, so ``frozenset(votes)`` / ``tuple(sorted(votes))`` proof
-construction is byte-compatible with the pre-bitset representation.
+is silently dropped.
+
+A tally that reaches its quorum becomes the slot's proof through
+:meth:`VoteSet.freeze`: a :class:`QuorumProof` holds the tally's index map
+(shared, not copied), its mask and its overflow ids (a ``frozenset``, only
+when there are any), so a ledger block, which keeps its proof for good,
+retains a constant number of bytes whatever ``n`` is, where a
+``frozenset`` of voter ids grew with it.  Both types read their voters
+through one base: same ids, same membership order, same ``len`` and
+``in``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Set
+from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Set
 
 
-class VoteSet:
+class _Voters:
+    """The read side of a voter bitset: ``len``, ``in``, iteration."""
+
+    __slots__ = ("_index", "mask", "count", "extra")
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __contains__(self, voter: str) -> bool:
+        index = self._index.get(voter)
+        if index is None:
+            return self.extra is not None and voter in self.extra
+        return bool(self.mask & (1 << index))
+
+    def __iter__(self) -> Iterator[str]:
+        """Yield voter ids: indexed voters in index order, then overflow
+        ids sorted (a tally and its snapshot hold them in different sets)."""
+        mask = self.mask
+        if mask:
+            for voter, index in self._index.items():
+                if mask & (1 << index):
+                    yield voter
+        if self.extra:
+            yield from sorted(self.extra)
+
+    def __bool__(self) -> bool:
+        return self.count > 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({sorted(self)!r})"
+
+
+class QuorumProof(_Voters):
+    """The immutable voter snapshot a completed tally leaves as its proof.
+
+    Equal (and hashing alike) exactly when the voter sets are equal; it
+    pickles.  The index map is the tally's, shared: the map only ever
+    grows (joiners are appended), so the voters a snapshot names never
+    change.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, index_map: Mapping[str, int], mask: int, count: int,
+                extra: Optional[FrozenSet[str]]) -> "QuorumProof":
+        proof = object.__new__(cls)
+        _set_slot = object.__setattr__
+        _set_slot(proof, "_index", index_map)
+        _set_slot(proof, "mask", mask)
+        _set_slot(proof, "count", count)
+        _set_slot(proof, "extra", extra)
+        return proof
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("a quorum proof is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return QuorumProof, (self._index, self.mask, self.count, self.extra)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuorumProof):
+            return NotImplemented
+        return frozenset(self) == frozenset(other)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self))
+
+
+class VoteSet(_Voters):
     """First-seen voter bitset with an O(1) distinct-voter count.
 
     Args:
@@ -34,7 +111,7 @@ class VoteSet:
             replacement for ``Set[str]``.
     """
 
-    __slots__ = ("_index", "mask", "count", "extra")
+    __slots__ = ()
 
     def __init__(self, index_map: Optional[Mapping[str, int]] = None) -> None:
         self._index = index_map if index_map is not None else {}
@@ -84,30 +161,12 @@ class VoteSet:
         self.count -= 1
         return True
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __contains__(self, voter: str) -> bool:
-        index = self._index.get(voter)
-        if index is None:
-            return self.extra is not None and voter in self.extra
-        return bool(self.mask & (1 << index))
-
-    def __iter__(self) -> Iterator[str]:
-        """Yield voter ids: indexed voters in index order, then overflow."""
-        mask = self.mask
-        if mask:
-            for voter, index in self._index.items():
-                if mask & (1 << index):
-                    yield voter
-        if self.extra:
-            yield from self.extra
-
-    def __bool__(self) -> bool:
-        return self.count > 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VoteSet({sorted(self)!r})"
+    def freeze(self) -> QuorumProof:
+        """This tally's voters as an immutable :class:`QuorumProof`; later
+        ``add``/``discard`` calls do not reach it."""
+        extra = self.extra
+        return QuorumProof(self._index, self.mask, self.count,
+                           frozenset(extra) if extra else None)
 
 
 def build_index_map(replica_ids) -> Dict[str, int]:

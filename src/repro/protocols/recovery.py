@@ -88,8 +88,10 @@ class LogEntry:
     SBFT: the proposal digest shares are signed over; PBFT: the
     PRE-PREPARE digest; Zyzzyva: the history digest).  ``proof`` is what
     made the slot final at the sender: a threshold certificate (PoE-TS,
-    SBFT), the supporter set (PoE-MAC), the committers (PBFT), or the
-    client commit certificate the sender acknowledged for it (Zyzzyva).
+    SBFT), the supporters (PoE-MAC) or the committers (PBFT) as the
+    :class:`~repro.protocols.quorum.QuorumProof` their tally froze into,
+    or the client commit certificate the sender acknowledged for it
+    (Zyzzyva).
     """
 
     sequence: int
