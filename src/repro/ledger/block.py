@@ -19,9 +19,10 @@ from repro.crypto.hashing import digest, shared_digest
 GENESIS_PARENT = b"\x00" * 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
-    """One block in the replicated ledger.
+    """One block in the replicated ledger (slotted: a replica keeps one per
+    executed batch for good).
 
     Attributes:
         sequence: consensus sequence number ``k`` of the batch.

@@ -11,7 +11,7 @@ of any earlier sequence number (ingredient I2, "safe rollbacks").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.hashing import digest, shared_digest
 from repro.ledger.blockchain import Blockchain
@@ -29,7 +29,7 @@ def modelled_result_digest(sequence: int, batch: RequestBatch) -> bytes:
     return shared_digest("results-modelled", sequence, batch.digest())
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutedBatch:
     """Record of one speculatively executed batch.
 
@@ -37,9 +37,10 @@ class ExecutedBatch:
     digest, control phase — what a view change or a commit certificate is
     compared with, at any depth), the digest the replies carried and,
     while the slot can still be rolled back, the batch itself and the undo
-    log.  ``prune_before`` empties the undo log and lets go of an ordinary
-    batch once a checkpoint at or above the sequence is stable, so a
-    record below it does not keep a hundred transactions alive.  The
+    log.  ``prune_before`` empties the undo log (every pruned record shares
+    the one empty tuple) and lets go of an ordinary batch once a
+    checkpoint at or above the sequence is stable, so a record below it
+    does not keep a hundred transactions alive.  The
     per-transaction results are not in it either: each is folded into
     ``result_digest`` as the batch executes and nothing reads it again.
 
@@ -57,7 +58,7 @@ class ExecutedBatch:
     view: int
     batch: Optional[RequestBatch]
     result_digest: bytes
-    undo: List[UndoEntry] = field(default_factory=list)
+    undo: Sequence[UndoEntry] = field(default_factory=list)
     batch_id: str = ""
     batch_digest: bytes = b""
     control_phase: str = ""
@@ -217,7 +218,7 @@ class SpeculativeExecutor:
         for seq in range(self._pruned_through + 1, through + 1):
             record = self._executed.get(seq)
             if record is not None:
-                record.undo = []
+                record.undo = ()
                 if not record.control_phase:
                     record.batch = None
         self._pruned_through = max(self._pruned_through, through)

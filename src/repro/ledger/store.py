@@ -11,7 +11,7 @@ speculation during a view-change.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import digest, shared_digest
 from repro.workload.transactions import OpType, Transaction
@@ -93,7 +93,7 @@ class KeyValueStore:
         self.applied_transactions += len(digests)
         return tuple(digests), undo
 
-    def revert(self, undo_entries: List[UndoEntry]) -> None:
+    def revert(self, undo_entries: Sequence[UndoEntry]) -> None:
         """Revert previously applied writes (most recent first)."""
         table = self._table
         for key, previous, existed in reversed(undo_entries):

@@ -278,7 +278,7 @@ class TestSpeculativeExecutor:
             0, 0, make_batch("b0", [make_txn("t0", writes=[("x", "1")])]))
         assert record.undo
         executor.prune_before(0)
-        assert executor.executed(0).undo == []
+        assert not executor.executed(0).undo
 
     def test_prune_lets_go_of_the_batch_and_keeps_its_identity(self):
         class ControlRecord(RequestBatch):
@@ -306,6 +306,19 @@ class TestSpeculativeExecutor:
         for seq in sequences:
             executor.execute(seq, 0, make_batch(
                 f"b{seq}", [make_txn(f"t{seq}", writes=[("x", str(seq))])]))
+
+    def test_what_a_replica_keeps_per_batch_holds_no_instance_dict(self):
+        """A block and an execution record outlive their batch on every
+        replica: neither carries a ``__dict__``, and pruned records share
+        one empty undo log rather than each holding a fresh list."""
+        executor, _, chain = self._executor()
+        self._write_batches(executor, range(4))
+        executor.prune_before(2)
+        records = [executor.executed(seq) for seq in range(4)]
+        assert len({id(record.undo) for record in records[:3]}) == 1
+        assert not records[0].undo and records[3].undo
+        for instance in (*records, *chain):
+            assert not hasattr(instance, "__dict__"), type(instance)
 
     def test_prune_visits_each_record_once_over_a_run(self):
         """GC at every stable checkpoint is linear in the run, not quadratic."""
@@ -335,8 +348,8 @@ class TestSpeculativeExecutor:
             before = CountingDict.visited
             executor.prune_before(stable)
             visited_by_prune += CountingDict.visited - before
-            assert all(executor.executed(seq).undo == []
-                       for seq in range(stable + 1))
+            assert not any(executor.executed(seq).undo
+                           for seq in range(stable + 1))
         assert visited_by_prune == length  # was ~ checkpoints * length / 2
 
     def test_prune_resumes_correctly_after_rollback_resync_and_fast_forward(self):
@@ -349,7 +362,7 @@ class TestSpeculativeExecutor:
         self._write_batches(executor, range(2, 8))
         assert executor.executed(2).undo and executor.executed(3).undo
         executor.prune_before(5)
-        assert all(executor.executed(seq).undo == [] for seq in range(6))
+        assert not any(executor.executed(seq).undo for seq in range(6))
         assert executor.executed(6).undo and executor.executed(7).undo
         # A checkpoint ahead of execution prunes only what exists; batches
         # executed afterwards below it are still collected later.
@@ -357,17 +370,17 @@ class TestSpeculativeExecutor:
         self._write_batches(executor, range(8, 10))
         assert executor.executed(8).undo
         executor.prune_before(20)
-        assert executor.executed(8).undo == [] == executor.executed(9).undo
+        assert not executor.executed(8).undo and not executor.executed(9).undo
         # Resync excises 5.. and installs a checkpoint at 12; fast-forward
         # jumps to 30.  Execution and pruning continue from each.
         executor.resync(12, view=1, state_digest=b"d", divergent_from=5)
         self._write_batches(executor, range(13, 15))
         executor.prune_before(13)
-        assert executor.executed(13).undo == [] and executor.executed(14).undo
+        assert not executor.executed(13).undo and executor.executed(14).undo
         assert executor.fast_forward(30, view=1, state_digest=b"d")
         self._write_batches(executor, range(31, 33))
         executor.prune_before(31)
-        assert executor.executed(14).undo == [] == executor.executed(31).undo
+        assert not executor.executed(14).undo and not executor.executed(31).undo
         assert executor.executed(32).undo
 
     def test_state_digest_identical_across_replicas(self):

@@ -211,7 +211,7 @@ class TestNewViewSelection:
                 sequence=9, state_digest=replica._own_digest_at(9),
                 replica_id=voter), 2.0)
         assert replica.checkpoints.stable_sequence == 9
-        assert replica.executor.executed(9).undo == []  # pruned: irreversible
+        assert not replica.executor.executed(9).undo  # pruned: irreversible
         requests = tuple(
             ViewChangeRequest(view=0, replica_id=f"replica:{i}",
                               stable_checkpoint=-1, executed=tuple(entries[:2]))
