@@ -16,9 +16,9 @@ client's completion record hold once the batch is done.
 Under ``PYTHONHASHSEED=0`` (the script re-executes itself with it) the
 counts repeat exactly, so a one-opcode change to a hot path is visible
 where wall-clock pairs need a few percent to rise above the host's noise.
-Each row is measured in its own child, forked from a process that has run
-nothing, so a row reads the same alone as after the others; the untraced
-pass starts from empty process-wide memos, as the traced one does.
+Each row is measured in a fresh interpreter of its own, so a row reads the
+same alone as after the others; the untraced pass starts from empty
+process-wide memos, as the traced one does.
 
     python benchmarks/opcode_proxy.py [WORKLOAD ...]
 
@@ -162,9 +162,10 @@ def main() -> int:
           f"{'calls/batch':>13}{'bytes/batch':>13}")
     problems: List[str] = []
     names = sys.argv[1:] or list(WORKLOADS)
-    # One fresh child per row: nothing an earlier row left in the process
-    # (memos, interned strings, lazily built tables) reaches a later one.
-    with multiprocessing.get_context("fork").Pool(1, maxtasksperchild=1) as pool:
+    # One fresh interpreter per row: nothing an earlier row left in the
+    # process (memos, interned strings, lazily built tables) reaches a later
+    # one.
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
         for name, row in zip(names, pool.imap(measure, names)):
             pins = row["pins"]
             print(f"{name:<20}{'setup':<7}{row['setup'][0]:>14,}"
