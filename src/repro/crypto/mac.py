@@ -33,8 +33,8 @@ class MacTag:
     tag: bytes
 
     def canonical_bytes(self) -> bytes:
-        # Length-prefixed, so no id can move a field boundary: joined with
-        # ``|``, ("a|b", "c") and ("a", "b|c") encoded alike.
+        # Length-prefixed, so a ``|`` inside an id cannot move a field
+        # boundary: ("a|b", "c") and ("a", "b|c") must encode apart.
         sender, receiver = self.sender.encode(), self.receiver.encode()
         return b"%d|%b%d|%b%b" % (len(sender), sender, len(receiver), receiver,
                                    self.tag)

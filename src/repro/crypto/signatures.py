@@ -40,8 +40,8 @@ class Signature:
     tag: bytes
 
     def canonical_bytes(self) -> bytes:
-        # Length-prefixed, as ``MacTag``'s: joined with ``|``, a separator in
-        # the signer or the digest could move a field boundary.
+        # Length-prefixed, as ``MacTag``'s, so a ``|`` inside the signer or
+        # the digest cannot move a field boundary.
         signer, payload = self.signer.encode(), self.payload_digest
         return b"%d|%b%d|%b%b" % (len(signer), signer, len(payload), payload,
                                    self.tag)

@@ -77,11 +77,10 @@ class QuorumProof(_Voters):
     def __new__(cls, index_map: Mapping[str, int], mask: int, count: int,
                 extra: Optional[FrozenSet[str]]) -> "QuorumProof":
         proof = object.__new__(cls)
-        _set_slot = object.__setattr__
-        _set_slot(proof, "_index", index_map)
-        _set_slot(proof, "mask", mask)
-        _set_slot(proof, "count", count)
-        _set_slot(proof, "extra", extra)
+        object.__setattr__(proof, "_index", index_map)
+        object.__setattr__(proof, "mask", mask)
+        object.__setattr__(proof, "count", count)
+        object.__setattr__(proof, "extra", extra)
         return proof
 
     def __setattr__(self, *_: object) -> None:
