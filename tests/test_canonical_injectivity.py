@@ -88,8 +88,8 @@ class TestRequests:
     @settings(max_examples=100, deadline=None)
     @_many(_batch)
     def test_request_batch(self, fields):
-        def encode(fields):
-            batch_id, transactions = fields
+        def encode(batch_fields):
+            batch_id, transactions = batch_fields
             return RequestBatch(batch_id, tuple(
                 map(_make_transaction, transactions))).canonical_bytes()
 
