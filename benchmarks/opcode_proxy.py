@@ -7,12 +7,15 @@ per-opcode events on, and the number of bytecode instructions and of
 Python-level calls is printed for each phase, and for the run phase the
 Python calls per *executed replica-batch* (run calls over the sum of every
 replica's ``executed_batches``): what one batch costs one replica,
-handlers, deliveries and client pools included.  A second, untraced pass
-builds and runs the shape again under ``tracemalloc`` and prints the
-bytes the run leaves allocated per executed replica-batch (traced memory
-after the run less after set-up, deployments alive, the collector run
-both times): what a ledger block, an execution record, its proof and the
-client's completion record hold once the batch is done.
+handlers, deliveries and client pools included.  The run's calls are also
+split by layer, the layers of poebench's ``layers`` module (its map is
+read, never changed), so a change that moves the run calls says which
+layer gained or lost them.  A second, untraced pass builds and runs the
+shape again under ``tracemalloc`` and prints the bytes the run leaves
+allocated per executed replica-batch (traced memory after the run less
+after set-up, deployments alive, the collector run both times): what a
+ledger block, an execution record, its proof and the client's completion
+record hold once the batch is done.
 Under ``PYTHONHASHSEED=0`` (the script re-executes itself with it) the
 counts repeat exactly, so a one-opcode change to a hot path is visible
 where wall-clock pairs need a few percent to rise above the host's noise.
@@ -22,13 +25,13 @@ process-wide memos, as the traced one does.
 
     python benchmarks/opcode_proxy.py [WORKLOAD ...]
 
-The run calls, the calls per executed replica-batch and the retained bytes
-per executed replica-batch of every row are pinned in the ``opcode_proxy``
-table of ``benchmarks/PERF_EXPECTATIONS.json``; the script exits non-zero
-when any of them moves, so a change that adds Python to the hot path or
-memory to a finished batch updates that table in the same commit and says
-why.  The counts are exact on one interpreter minor version only: on
-another the table is skipped with a message.
+The run calls, their split by layer, the calls per executed replica-batch
+and the retained bytes per executed replica-batch of every row are pinned
+in the ``opcode_proxy`` table of ``benchmarks/PERF_EXPECTATIONS.json``;
+the script exits non-zero when any of them moves, so a change that adds
+Python to the hot path or memory to a finished batch updates that table in
+the same commit and says why.  The counts are exact on one interpreter
+minor version only: on another the table is skipped with a message.
 
 What it cannot see: anything that happens below the bytecode.  One
 ``CALL`` is one opcode whether it enters a Python frame, a ``tp_call``
@@ -50,7 +53,9 @@ import json
 import multiprocessing
 import os
 import sys
+import textwrap
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
@@ -61,9 +66,33 @@ SCALE = 0.05
 SEED = 3
 
 
-def counted(fn: Callable[[], object]) -> Tuple[object, int, int]:
-    """Run *fn* under the tracer: ``(result, opcodes, python_calls)``."""
+def counted(fn: Callable[[], object]
+            ) -> Tuple[object, int, int, Dict[str, int]]:
+    """Run *fn* under the tracer: ``(result, opcodes, python_calls,
+    python calls by layer)``.
+
+    A call's layer is its source file's in poebench's ``layers`` map.  A
+    call outside ``src/repro`` (the standard library, a dataclass's
+    generated ``__init__``) is charged to the layer of the nearest
+    ``repro`` frame beneath it, as poebench's roll-up charges built-in time
+    to its caller; with none beneath it, to ``other``.
+    """
+    from layers import _layer_of
+
     counts = [0, 0]
+    by_layer: Counter = Counter()
+    file_layers: Dict[str, object] = {}
+
+    def layer_of(frame) -> str:
+        while frame is not None:
+            filename = frame.f_code.co_filename
+            layer = file_layers.get(filename, False)
+            if layer is False:
+                layer = file_layers[filename] = _layer_of(filename)
+            if layer is not None:
+                return layer
+            frame = frame.f_back
+        return "other"
 
     def local(frame, event, arg):
         if event == "opcode":
@@ -72,6 +101,7 @@ def counted(fn: Callable[[], object]) -> Tuple[object, int, int]:
 
     def on_call(frame, event, arg):
         counts[1] += 1
+        by_layer[layer_of(frame)] += 1
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
         return local
@@ -81,7 +111,7 @@ def counted(fn: Callable[[], object]) -> Tuple[object, int, int]:
         result = fn()
     finally:
         sys.settrace(None)
-    return result, counts[0], counts[1]
+    return result, counts[0], counts[1], dict(sorted(by_layer.items()))
 
 
 def clear_memos() -> None:
@@ -126,8 +156,9 @@ def measure(name: str) -> Dict[str, object]:
     from workloads import WORKLOADS, build
 
     configs = WORKLOADS[name].configs(SEED, SCALE)
-    deployments, *setup = counted(lambda: [build(config) for config in configs])
-    _, opcodes, calls = counted(
+    deployments, *setup, _ = counted(
+        lambda: [build(config) for config in configs])
+    _, opcodes, calls, layer_calls = counted(
         lambda: [d.run_until_done() for d in deployments])
     executed = executed_batches(deployments)
     del deployments
@@ -136,7 +167,8 @@ def measure(name: str) -> Dict[str, object]:
     return {"setup": setup, "run": (opcodes, calls),
             "pins": {"run_calls": calls,
                      "calls_per_batch": round(calls / executed, 1),
-                     "retained_bytes_per_batch": round(retained / executed, 1)}}
+                     "retained_bytes_per_batch": round(retained / executed, 1),
+                     "layer_calls": layer_calls}}
 
 
 def pin_problems(name: str, pins: Dict[str, object],
@@ -144,8 +176,15 @@ def pin_problems(name: str, pins: Dict[str, object],
     pinned = expected.get(name)
     if pinned is None:
         return [f"{name}: no pin recorded, measured {json.dumps(pins)}"]
-    return [f"{name}: {key} {pins[key]} != pinned {pinned[key]}"
-            for key in pinned if pins[key] != pinned[key]]
+    problems = [f"{name}: {key} {pins[key]} != pinned {pinned[key]}"
+                for key in pinned
+                if key != "layer_calls" and pins[key] != pinned[key]]
+    layers, pinned_layers = pins["layer_calls"], pinned.get("layer_calls", {})
+    problems += [f"{name}: layer_calls[{layer}] {layers.get(layer, 0)} "
+                 f"!= pinned {pinned_layers.get(layer, 0)}"
+                 for layer in sorted(set(layers) | set(pinned_layers))
+                 if layers.get(layer, 0) != pinned_layers.get(layer, 0)]
+    return problems
 
 
 def main() -> int:
@@ -172,7 +211,12 @@ def main() -> int:
                   f"{row['setup'][1]:>14,}{'-':>13}{'-':>13}")
             print(f"{name:<20}{'run':<7}{row['run'][0]:>14,}{row['run'][1]:>14,}"
                   f"{pins['calls_per_batch']:>13.1f}"
-                  f"{pins['retained_bytes_per_batch']:>13,.1f}", flush=True)
+                  f"{pins['retained_bytes_per_batch']:>13,.1f}")
+            print(textwrap.fill(
+                "  ".join(f"{layer}={calls:,}"
+                          for layer, calls in pins["layer_calls"].items()),
+                width=81, initial_indent=" " * 7, subsequent_indent=" " * 7,
+                break_on_hyphens=False), flush=True)
             if checked:
                 problems += pin_problems(name, pins, table["rows"])
     if not checked:
@@ -184,7 +228,7 @@ def main() -> int:
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print(f"run calls, calls/batch and bytes/batch match "
+    print(f"run calls, layer calls, calls/batch and bytes/batch match "
           f"{EXPECTATIONS.relative_to(ROOT)}")
     return 0
 
