@@ -8,6 +8,18 @@ is derived from the signing secret via one-way hashing and the signature
 binds the message digest to that key, so signatures can be checked by
 anyone holding the registry but not forged without the signing secret
 (within the limits of a pure-Python, non-production construction).
+
+The tag is ``HMAC-SHA256(key, signer || digest)``.  A client tags every
+transaction it issues, and a replica that checks a client's transactions
+tags each under that client's key, so each key's HMAC state is kept:
+:class:`HmacSha256` hashes the key's inner and outer padded blocks once
+and tags a message by copying those two SHA-256 states (RFC 2104 without
+re-deriving the pads per call; ``tests/test_crypto_primitives.py`` holds
+it to ``hmac.digest`` over keys on both sides of the 64-byte block).  A
+:class:`SignatureScheme` builds the state of a key on its first use, so a
+principal that never signs or verifies pays nothing for it, and drops it
+when pickled: a SHA-256 state does not pickle, and the parallel driver
+ships deployments to worker processes.
 """
 
 from __future__ import annotations
@@ -15,10 +27,42 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.crypto.hashing import digest, digest_bytes
 from repro.crypto.keys import KeyStore
+
+#: SHA-256's block size, and the byte maps that XOR a padded key with
+#: RFC 2104's inner and outer pad bytes.
+_BLOCK = 64
+_INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
+_OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
+class HmacSha256:
+    """HMAC-SHA256 under one key, its padded key blocks hashed once.
+
+    ``HmacSha256(key).tag(message) == hmac.digest(key, message, "sha256")``
+    for every key and message: a key longer than the block is hashed
+    first, as RFC 2104 says, and the per-call work is two state copies and
+    two SHA-256 finalisations.
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes) -> None:
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\0")
+        self._inner = hashlib.sha256(key.translate(_INNER_PAD))
+        self._outer = hashlib.sha256(key.translate(_OUTER_PAD))
+
+    def tag(self, message: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 class InvalidSignature(Exception):
@@ -65,21 +109,35 @@ class SignatureScheme:
     def __init__(self, keystore: KeyStore, registry: Dict[str, bytes]):
         self.owner = keystore.owner
         self._registry = registry
-        # Derived once: a client signs every transaction it issues.
-        self._key = verification_key(keystore.signing_secret)
+        self._signing_secret = keystore.signing_secret
         self._owner_bytes = keystore.owner.encode()
+        #: The HMAC state of this principal's own key and of each key it
+        #: verified under (keyed by the key, so a registry entry that
+        #: changes is a new key); built on first use.
+        self._signer: Optional[HmacSha256] = None
+        self._verifiers: Dict[bytes, HmacSha256] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # SHA-256 states do not pickle; the copy rebuilds them on first use.
+        return {**self.__dict__, "_signer": None, "_verifiers": {}}
+
+    def _own_hmac(self) -> HmacSha256:
+        self._signer = HmacSha256(verification_key(self._signing_secret))
+        return self._signer
 
     def sign(self, *values: Any) -> Signature:
         """Sign *values* with the local principal's secret."""
         payload_digest = digest(*values)
-        tag = hmac.digest(self._key, self._owner_bytes + payload_digest, "sha256")
+        tag = (self._signer or self._own_hmac()).tag(
+            self._owner_bytes + payload_digest)
         return Signature(self.owner, payload_digest, tag)
 
     def sign_digest(self, value: bytes) -> Signature:
         """:meth:`sign` over one ``bytes`` value (a client signs its
         transaction's digest), without the generic canonicalisation."""
         payload_digest = digest_bytes(value)
-        tag = hmac.digest(self._key, self._owner_bytes + payload_digest, "sha256")
+        tag = (self._signer or self._own_hmac()).tag(
+            self._owner_bytes + payload_digest)
         return Signature(self.owner, payload_digest, tag)
 
     def verify(self, signature: Signature, *values: Any) -> bool:
@@ -90,8 +148,10 @@ class SignatureScheme:
         payload_digest = digest(*values)
         if payload_digest != signature.payload_digest:
             return False
-        expected = hmac.digest(
-            key, signature.signer.encode() + payload_digest, "sha256")
+        keyed = self._verifiers.get(key)
+        if keyed is None:
+            keyed = self._verifiers[key] = HmacSha256(key)
+        expected = keyed.tag(signature.signer.encode() + payload_digest)
         return hmac.compare_digest(expected, signature.tag)
 
     def require_valid(self, signature: Signature, *values: Any) -> None:

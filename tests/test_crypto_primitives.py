@@ -11,6 +11,7 @@ from repro.crypto.hashing import digest
 from repro.crypto.keys import generate_system_keys
 from repro.crypto.mac import MacAuthenticator
 from repro.crypto.signatures import (
+    HmacSha256,
     InvalidSignature,
     Signature,
     SignatureScheme,
@@ -140,8 +141,8 @@ class TestSignatures:
     def test_matches_the_written_definition(self, schemes, keystores,
                                             signer, values):
         """``tag = HMAC-SHA256(verification_key(secret), owner || D(values))``:
-        the scheme derives the key once and uses the one-shot HMAC, which
-        must stay this construction byte for byte."""
+        the scheme keeps each key's HMAC state, which must stay this
+        construction byte for byte."""
         signature = schemes[signer].sign(*values)
         payload_digest = digest(*values)
         tag = hmac.new(verification_key(keystores[signer].signing_secret),
@@ -157,6 +158,53 @@ class TestSignatures:
         assert not verifier.verify(signature, *values, 0)
         assert not verifier.verify(Signature("replica:2", payload_digest, tag),
                                    *values)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["client:0", "replica:1"]), st.binary(max_size=48))
+    def test_sign_digest_sign_and_verify_agree(self, schemes, signer, value):
+        """The client's path, the generic path and the checker's path tag
+        through the same kept state: one signature, accepted by every
+        verifier, its own signer's included, and rejected with one bit of
+        its tag or its digest flipped or under another signer's name."""
+        signature = schemes[signer].sign_digest(value)
+        assert signature == schemes[signer].sign(value)
+        for verifier in (schemes[signer], schemes["replica:0"]):
+            assert verifier.verify(signature, value)
+            tag, payload = signature.tag, signature.payload_digest
+            for forged in (
+                    Signature(signer, payload, bytes([tag[0] ^ 1]) + tag[1:]),
+                    Signature(signer, bytes([payload[0] ^ 1]) + payload[1:], tag),
+                    Signature("replica:2", payload, tag)):
+                assert not verifier.verify(forged, value)
+
+    def test_a_pickled_scheme_signs_and_verifies_identically(self, keystores):
+        """The parallel driver pickles deployments, schemes included, after
+        they may have signed; the copy rebuilds the HMAC state it needs."""
+        import pickle
+
+        registry = build_registry(keystores)
+        client = SignatureScheme(keystores["client:0"], registry)
+        replica = SignatureScheme(keystores["replica:0"], registry)
+        signature = client.sign_digest(b"txn")
+        assert replica.verify(signature, b"txn")
+        client_copy, replica_copy = pickle.loads(pickle.dumps((client, replica)))
+        assert client_copy.sign_digest(b"txn") == signature
+        assert client_copy.sign("payload", 1) == client.sign("payload", 1)
+        assert replica_copy.verify(signature, b"txn")
+        assert not replica_copy.verify(signature, b"other")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=200), st.binary(max_size=300))
+def test_kept_hmac_state_is_hmac_sha256(key, message):
+    """RFC 2104 over keys shorter than, equal to and longer than SHA-256's
+    64-byte block (a longer key is hashed first) and arbitrary messages;
+    a state tags many messages without being consumed."""
+    keyed = HmacSha256(key)
+    expected = hmac.digest(key, message, "sha256")
+    assert keyed.tag(message) == expected
+    assert keyed.tag(message[::-1]) == hmac.digest(key, message[::-1], "sha256")
+    assert keyed.tag(message) == expected
 
 
 class TestCostModel:
