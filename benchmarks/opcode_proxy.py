@@ -118,8 +118,10 @@ def clear_memos() -> None:
     """Empty the process-wide memos a run fills."""
     from repro.crypto import threshold
     from repro.crypto.hashing import shared_digest
+    from repro.ledger.execution import batch_result_digest
 
     shared_digest.cache_clear()
+    batch_result_digest.cache_clear()
     threshold._field_element.cache_clear()
     threshold._lagrange_coefficients_at_zero.cache_clear()
 

@@ -6,17 +6,42 @@ system as a whole is guaranteed to keep it (paper, ingredient I1).  The
 number, the undo entries and the ledger block it created, so a
 view-change can call :meth:`rollback_to` and restore the exact state as
 of any earlier sequence number (ingredient I2, "safe rollbacks").
+
+A really executed batch's result digest is ``digest("results", (result
+digest of each transaction, ...))``.  Every replica executes the batch
+and asks for the same digest, so :func:`batch_result_digest` keeps it in
+one process-wide memo keyed on the batch's outcomes — the values the
+digest covers, never the replica or the sequence, so a replica whose
+table diverged gets the digest of what it really read.  A replica pays
+one memo lookup per batch; the first to execute the batch hashes its
+transactions' results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from itertools import starmap
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import digest, shared_digest
 from repro.ledger.blockchain import Blockchain
-from repro.ledger.store import KeyValueStore, UndoEntry
+from repro.ledger.store import KeyValueStore, Outcome, UndoEntry, result_digest
 from repro.workload.transactions import RequestBatch
+
+#: Batches whose result digest :func:`batch_result_digest` keeps before
+#: the least recently used one is evicted.  A batch is asked for by every
+#: replica within a few virtual milliseconds of the first and then never
+#: again, so the working set is the batches in flight (a client pool keeps
+#: 16 outstanding), not the run; an entry holds the batch's outcomes.
+BATCH_RESULT_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=BATCH_RESULT_MEMO_SIZE)
+def batch_result_digest(outcomes: Tuple[Outcome, ...]) -> bytes:
+    """The result digest of a batch whose transactions had *outcomes*:
+    the fold of each transaction's :func:`result_digest`."""
+    return digest("results", tuple(starmap(result_digest, outcomes)))
 
 
 def modelled_result_digest(sequence: int, batch: RequestBatch) -> bytes:
@@ -115,8 +140,8 @@ class SpeculativeExecutor:
                 f"got {sequence}"
             )
         if self.apply_operations:
-            result_digests, undo = self.store.apply(batch.transactions)
-            result_digest = shared_digest("results", result_digests)
+            outcomes, undo = self.store.apply(batch.transactions)
+            result_digest = batch_result_digest(outcomes)
         else:
             undo = []
             result_digest = modelled_result_digest(sequence, batch)

@@ -4,29 +4,42 @@ This is the execution substrate: each replica holds an identical copy of
 the YCSB table (the paper initialises every replica with the same half a
 million records) and applies transactions deterministically, so all
 non-faulty replicas produce identical results.  A batch is applied in one
-call, which returns its result digests and the undo entries
+call, which returns each transaction's outcome and the undo entries
 :class:`~repro.ledger.execution.SpeculativeExecutor` uses to roll back
-speculation during a view-change.
+speculation during a view-change.  The store hashes nothing: an outcome
+is the plain values its :func:`result_digest` covers, and the executor
+turns a batch's outcomes into one result digest through a memo every
+replica of a process shares
+(:func:`~repro.ledger.execution.batch_result_digest`), so only the first
+replica to execute a batch hashes its transactions' results.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import digest, shared_digest
+from repro.crypto.hashing import digest
 from repro.workload.transactions import OpType, Transaction
 
+#: The key/value pairs a transaction's reads observed, ``None`` for an
+#: absent key.
+Reads = Tuple[Tuple[str, Optional[str]], ...]
 
-def result_digest(txn_id: str, reads: Tuple[Tuple[str, Optional[str]], ...],
-                  writes_applied: int) -> bytes:
+#: One executed transaction's outcome: ``(txn_id, reads, writes applied)``.
+#: Built from ``str``, ``None`` and ``int`` only, so equal outcomes encode
+#: to equal bytes and a batch's outcomes can key a memo.
+Outcome = Tuple[str, Reads, int]
+
+
+def result_digest(txn_id: str, reads: Reads, writes_applied: int) -> bytes:
     """Digest of one executed transaction's result.
 
     *reads* holds the key/value pairs its read operations observed
     (``None`` for an absent key) and *writes_applied* counts its writes.
-    Every replica asks for the same values, so the digest is shared.
+    Computed once per process per batch, on a miss of the batch memo, so
+    it goes to :func:`digest`, not through the shared memo.
     """
-    # ``reads`` goes in as the tuple it is: hashable, so memoisable.
-    return shared_digest("result", txn_id, reads, writes_applied)
+    return digest("result", txn_id, reads, writes_applied)
 
 
 #: Previous state of one key, captured before a write: ``(key, previous
@@ -66,16 +79,16 @@ class KeyValueStore:
 
     # -- transaction execution ----------------------------------------------------
     def apply(self, transactions: Iterable[Transaction]
-              ) -> Tuple[Tuple[bytes, ...], List[UndoEntry]]:
+              ) -> Tuple[Tuple[Outcome, ...], List[UndoEntry]]:
         """Apply *transactions* in order.
 
-        Returns each transaction's :func:`result_digest` and the undo
-        entries of every write, in the order they were applied.
+        Returns each transaction's :data:`Outcome` and the undo entries of
+        every write, in the order they were applied.
         """
         table = self._table
         get = table.get
         read = OpType.READ
-        digests: List[bytes] = []
+        outcomes: List[Outcome] = []
         undo: List[UndoEntry] = []
         for transaction in transactions:
             reads: List[Tuple[str, Optional[str]]] = []
@@ -89,9 +102,9 @@ class KeyValueStore:
                     undo.append((key, previous, previous is not None or key in table))
                     table[key] = op.value if op.value is not None else ""
                     writes += 1
-            digests.append(result_digest(transaction.txn_id, tuple(reads), writes))
-        self.applied_transactions += len(digests)
-        return tuple(digests), undo
+            outcomes.append((transaction.txn_id, tuple(reads), writes))
+        self.applied_transactions += len(outcomes)
+        return tuple(outcomes), undo
 
     def revert(self, undo_entries: Sequence[UndoEntry]) -> None:
         """Revert previously applied writes (most recent first)."""

@@ -3,10 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, shared_digest
 from repro.ledger.block import Block, GENESIS_PARENT
 from repro.ledger.blockchain import Blockchain, InvalidBlockError
-from repro.ledger.execution import SpeculativeExecutor, modelled_result_digest
+from repro.ledger.execution import (
+    SpeculativeExecutor,
+    batch_result_digest,
+    modelled_result_digest,
+)
 from repro.ledger.store import KeyValueStore, result_digest
 from repro.workload.transactions import Operation, OpType, RequestBatch, Transaction
 
@@ -128,15 +132,15 @@ class TestKeyValueStore:
     def test_apply_write_then_read(self):
         store = KeyValueStore()
         txn = make_txn("t1", writes=[("k", "v")])
-        results, undo = store.apply([txn])
+        outcomes, undo = store.apply([txn])
         assert store.get("k") == "v"
-        assert results == (result_digest("t1", (), 1),)
+        assert outcomes == (("t1", (), 1),)
         assert undo == [("k", None, False)]
 
     def test_read_returns_current_values(self):
         store = KeyValueStore({"k": "orig"})
-        results, _ = store.apply([make_txn("t1", reads=["k", "missing"])])
-        assert results == (result_digest("t1", (("k", "orig"), ("missing", None)), 0),)
+        outcomes, _ = store.apply([make_txn("t1", reads=["k", "missing"])])
+        assert outcomes == (("t1", (("k", "orig"), ("missing", None)), 0),)
 
     def test_revert_restores_previous_value(self):
         store = KeyValueStore({"k": "orig"})
@@ -166,9 +170,10 @@ class TestKeyValueStore:
     def test_result_digest_is_deterministic(self):
         store_a = KeyValueStore({"k": "v"})
         store_b = KeyValueStore({"k": "v"})
-        results_a, _ = store_a.apply([make_txn("t", writes=[("k", "w")], reads=["k"])])
-        results_b, _ = store_b.apply([make_txn("t", writes=[("k", "w")], reads=["k"])])
-        assert results_a == results_b
+        outcomes_a, _ = store_a.apply([make_txn("t", writes=[("k", "w")], reads=["k"])])
+        outcomes_b, _ = store_b.apply([make_txn("t", writes=[("k", "w")], reads=["k"])])
+        assert outcomes_a == outcomes_b == (("t", (("k", "w"),), 1),)
+        assert batch_result_digest(outcomes_a) == batch_result_digest(outcomes_b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,7 +194,7 @@ def test_store_apply_revert_roundtrip_property(writes):
 def _apply_one_at_a_time(table, transactions):
     """The store's execution written per transaction, as it was before a
     batch became one call: the reference its batch loop must equal."""
-    digests, undo = [], []
+    outcomes, undo = [], []
     for txn in transactions:
         reads, writes = [], 0
         for op in txn.operations:
@@ -199,8 +204,8 @@ def _apply_one_at_a_time(table, transactions):
                 undo.append((op.key, table.get(op.key), op.key in table))
                 table[op.key] = op.value if op.value is not None else ""
                 writes += 1
-        digests.append(digest("result", txn.txn_id, reads, writes))
-    return tuple(digests), undo
+        outcomes.append((txn.txn_id, tuple(reads), writes))
+    return tuple(outcomes), undo
 
 
 _OPERATIONS = st.lists(st.tuples(
@@ -213,17 +218,67 @@ _OPERATIONS = st.lists(st.tuples(
        st.lists(_OPERATIONS, max_size=6))
 def test_batch_apply_equals_the_per_transaction_loop(initial, batch):
     """Property: one batch call leaves the table, the undo log (in order)
-    and the result digests of applying each transaction in turn, and its
-    undo log reverts the table to where it started."""
+    and the outcomes of applying each transaction in turn, and its undo
+    log reverts the table to where it started."""
     transactions = [
         Transaction(f"t{i}", "client:0", tuple(Operation(*op) for op in ops))
         for i, ops in enumerate(batch)]
     store, table = KeyValueStore(dict(initial)), dict(initial)
-    digests, undo = store.apply(transactions)
-    assert (digests, undo) == _apply_one_at_a_time(table, transactions)
+    outcomes, undo = store.apply(transactions)
+    assert (outcomes, undo) == _apply_one_at_a_time(table, transactions)
     assert store.snapshot() == table
     store.revert(undo)
     assert store.snapshot() == initial
+
+
+_ID = st.text(alphabet="ab|:/\x00", max_size=4)
+_OUTCOMES = st.lists(st.tuples(
+    _ID, st.lists(st.tuples(_ID, st.none() | _ID), max_size=3).map(tuple),
+    st.integers(min_value=0, max_value=3)), max_size=5).map(tuple)
+
+
+def _fold_per_transaction(outcomes):
+    """A batch's result digest as it was computed before the batch memo:
+    each transaction's result digest through the shared memo, then their
+    tuple through it."""
+    return shared_digest("results", tuple(
+        shared_digest("result", *outcome) for outcome in outcomes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_OUTCOMES)
+def test_batch_result_digest_is_the_per_transaction_fold(outcomes):
+    """Property: over empty batches, absent reads and ids holding
+    separators, the memoised per-batch digest is the per-transaction fold,
+    on the miss and on the hit; ``result_digest`` is each term of it."""
+    batch_result_digest.cache_clear()
+    expected = _fold_per_transaction(outcomes)
+    assert batch_result_digest(outcomes) == expected
+    assert batch_result_digest(outcomes) == expected
+    assert batch_result_digest.cache_info().hits == 1
+    assert tuple(result_digest(*outcome) for outcome in outcomes) == tuple(
+        digest("result", *outcome) for outcome in outcomes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_OUTCOMES.filter(lambda outcomes: any(reads for _, reads, _ in outcomes)),
+       st.data())
+def test_one_read_changes_the_batch_result_digest(outcomes, data):
+    """Property: the memo is keyed on what was read, so a replica that read
+    one other value (or found a key absent) gets another digest, even right
+    after the honest digest was memoised."""
+    batch_result_digest(outcomes)
+    index = data.draw(st.sampled_from(
+        [i for i, (_, reads, _) in enumerate(outcomes) if reads]))
+    txn_id, reads, writes = outcomes[index]
+    at = data.draw(st.integers(min_value=0, max_value=len(reads) - 1))
+    key, value = reads[at]
+    other = data.draw((st.none() | _ID).filter(lambda v: v != value))
+    changed = list(outcomes)
+    changed[index] = (txn_id, reads[:at] + ((key, other),) + reads[at + 1:],
+                      writes)
+    assert batch_result_digest(tuple(changed)) != batch_result_digest(outcomes)
+    assert batch_result_digest(tuple(changed)) == _fold_per_transaction(changed)
 
 
 class TestSpeculativeExecutor:

@@ -117,6 +117,7 @@ class TestRealExecutionPaysForEachTransactionOnce:
         from collections import Counter
 
         from repro.fabric.cluster import Cluster, ClusterConfig
+        from repro.ledger import execution
         from repro.workload import transactions, ycsb
 
         calls = Counter()
@@ -142,28 +143,41 @@ class TestRealExecutionPaysForEachTransactionOnce:
         for name in ("sign", "sign_digest"):
             monkeypatch.setattr(SignatureScheme, name, counting(
                 name, getattr(SignatureScheme, name)))
+        monkeypatch.setattr(execution, "result_digest", counting(
+            "result_digest", execution.result_digest))
         shared_digest.cache_clear()
+        execution.batch_result_digest.cache_clear()
         cluster = Cluster(ClusterConfig(
             protocol="poe-mac", num_replicas=4, batch_size=20, total_batches=10,
             use_ycsb_payload=True, execute_operations=True, seed=3))
         cluster.start()
         cluster.run_until_done(max_ms=60_000.0)
         assert [r.last_executed_sequence for r in cluster.replicas] == [9] * 4
-        return cluster, calls, shared_digest.cache_info()
+        return cluster, calls, (shared_digest.cache_info(),
+                                execution.batch_result_digest.cache_info())
 
     def test_one_canonicalisation_per_transaction_and_per_batch(self, counted_run):
+        """Each transaction is hashed once for its client and its result
+        once for the whole cluster: the first replica to execute a batch
+        folds its 20 result digests, the other three find the fold in the
+        batch memo (before it, each replica hashed or looked up every
+        transaction's result: 800 calls)."""
         _, calls, _ = counted_run
         assert calls == {"transaction_digest": 200, "txn": 200,
-                         "sign_digest": 200, "batch": 10}
+                         "sign_digest": 200, "batch": 10, "result_digest": 200}
 
     def test_replicas_share_each_result_digest(self, counted_run):
-        """Distinct values through the shared memo: one result digest per
-        transaction plus the proposal, results and block digests of each
-        batch, every one asked for by all four replicas.  A result digest
-        that stops being shared moves both counts though no byte changes."""
-        _, _, memo = counted_run
-        assert memo.misses == 200 + 10 * 3
+        """Distinct values through the two memos: the proposal and block
+        digests of each batch through the shared one, and the batch's
+        outcomes through the batch memo, every one asked for by all four
+        replicas.  Per-transaction result digests no longer pass through
+        the shared memo (it held 200 of them), and a batch result digest
+        that stops being shared moves the counts though no byte changes."""
+        _, _, (memo, batch_memo) = counted_run
+        assert memo.misses == 10 * 2
         assert memo.hits == 3 * memo.misses
+        assert batch_memo.misses == 10
+        assert batch_memo.hits == 3 * batch_memo.misses
 
     def test_nothing_per_transaction_outlives_its_use(self, counted_run):
         import dataclasses
