@@ -57,12 +57,16 @@ Fixed-shape encoders
 --------------------
 Each client transaction is hashed twice over a shape that never varies:
 :func:`~repro.workload.transactions.transaction_digest` (``("txn", id,
-client, [op bytes])``, also the batch digest's ``("batch", id, [txn
-digests])``) through :func:`digest_fields_and_blobs`, and the client's
-signature over that 32-byte digest through :func:`digest_bytes`
-(:meth:`~repro.crypto.signatures.SignatureScheme.sign_digest`).  Both
-write :func:`digest`'s bytes directly rather than dispatch per element;
-they are not a second encoding.  ``tests/test_crypto_hashing.py::
+client, [op bytes])``), and the client's signature over that 32-byte
+digest through :func:`digest_bytes`
+(:meth:`~repro.crypto.signatures.SignatureScheme.sign_digest`).  The
+transaction digest writes its constant head once — the tuple head and
+the ``"txn"`` tag (:func:`encode_head`, :func:`encode_str`) — and keeps
+each client's field per client id, so a call encodes only the
+transaction id and the operations.  The batch digest's ``("batch", id,
+[txn digests])`` goes through :func:`digest_fields_and_blobs`.  All of
+them write :func:`digest`'s bytes directly rather than dispatch per
+element; they are not a second encoding.  ``tests/test_crypto_hashing.py::
 TestFixedShapes`` holds each to ``digest`` over arbitrary unicode and
 payloads past the cached length prefixes, ``tests/test_crypto_primitives.py``
 holds ``sign_digest`` to ``sign``, and ``GOLDEN_BYTES`` in
@@ -72,6 +76,11 @@ A :func:`shared_digest` miss writes the same bytes through
 ``_memo_canon``, which checks memoisability as it encodes;
 ``tests/test_hashing.py::TestExactness`` holds it to ``digest`` over
 nested values.
+
+A really executed batch's result digest is not asked of this module per
+transaction: the executor keeps one memo keyed on the batch's outcomes
+(:func:`~repro.ledger.execution.batch_result_digest`), whose miss hashes
+each transaction's result through :func:`digest`, once per process.
 """
 
 from __future__ import annotations
@@ -216,9 +225,21 @@ def digest(*values: Any) -> bytes:
 
 # -- fixed shapes -------------------------------------------------------------
 # A transaction's digest, its batch's digest and its client's signature over
-# it have shapes that never vary, so these write :func:`digest`'s encoding of
-# the shape directly instead of dispatching on every element's class.  Length
-# prefixes are ``int.to_bytes`` calls: C, not a Python frame each.
+# it have shapes that never vary, so their writers produce :func:`digest`'s
+# encoding of the shape directly instead of dispatching on every element's
+# class.  Length prefixes are ``int.to_bytes`` calls: C, not a Python frame
+# each.
+
+#: ``digest``'s encoding of one ``str`` element, for the parts of a fixed
+#: shape its writer encodes once and keeps.
+encode_str = _canon_str
+
+
+def encode_head(length: int) -> bytes:
+    """``digest``'s encoding of a tuple or list of *length* elements, up to
+    its first element."""
+    return b"T" + _len_prefix(length)
+
 
 #: ``digest`` of a one-element argument tuple holding ``bytes``, up to the
 #: element's length prefix.
@@ -248,8 +269,8 @@ def digest_fields_and_blobs(fields: Tuple[str, ...], blobs: List[bytes]) -> byte
 #: Entries the :func:`shared_digest` memo holds before the least recently
 #: used one is evicted.  A value is asked for by every replica within a
 #: few virtual milliseconds and then never again, so the working set is
-#: the client pipeline (16 outstanding batches x ~100 results at most),
-#: not the run.
+#: the few digests of each batch in the client pipeline (16 outstanding
+#: per pool), not the run.
 SHARED_DIGEST_MEMO_SIZE = 4096
 
 # Memoisable values are those whose equals always canonicalise to the same

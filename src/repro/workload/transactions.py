@@ -20,9 +20,11 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, field
+from functools import lru_cache
+from hashlib import sha256
 from typing import Optional, Tuple
 
-from repro.crypto.hashing import digest_fields_and_blobs
+from repro.crypto.hashing import digest_fields_and_blobs, encode_head, encode_str
 from repro.crypto.signatures import Signature
 
 
@@ -68,16 +70,32 @@ class Operation:
         return shard_of_key(self.key, num_shards)
 
 
+#: ``digest("txn", txn_id, client_id, [op bytes])``'s bytes up to the
+#: transaction id: the four-element argument tuple and its constant tag.
+_TXN_HEAD = encode_head(4) + encode_str("txn")
+
+#: The client field of a transaction's digest, encoded once per client id
+#: (a pool issues every transaction under one); bounded so a process that
+#: runs many deployments does not keep every id it ever saw.
+_client_field = lru_cache(maxsize=256)(encode_str)
+
+
 def transaction_digest(txn_id: str, client_id: str,
                        operations: Tuple[Operation, ...]) -> bytes:
     """The bytes a client signs and every replica checks: the one
     definition of a transaction's digest.
 
-    Equal to ``digest("txn", txn_id, client_id, [op.canonical_bytes() ...])``,
-    written through the fixed-shape encoder.
+    Equal to ``digest("txn", txn_id, client_id, [op.canonical_bytes() ...])``
+    byte for byte.  The head and the client field are written once; a call
+    encodes only the transaction id and the operations, in ``digest``'s
+    ``str`` (``S``), list (``T``) and ``bytes`` (``B``) element encodings.
     """
-    return digest_fields_and_blobs(("txn", txn_id, client_id),
-                                   list(map(Operation.canonical_bytes, operations)))
+    raw_id = txn_id.encode("utf-8")
+    parts = [_TXN_HEAD, b"S", len(raw_id).to_bytes(8, "big"), raw_id,
+             _client_field(client_id), b"T", len(operations).to_bytes(8, "big")]
+    for blob in map(Operation.canonical_bytes, operations):
+        parts += (b"B", len(blob).to_bytes(8, "big"), blob)
+    return sha256(b"".join(parts)).digest()
 
 
 @dataclass(frozen=True, slots=True)

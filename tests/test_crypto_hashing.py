@@ -103,9 +103,12 @@ class TestFixedShapes:
     def test_fields_and_blobs_is_digest(self, fields, blobs):
         assert digest_fields_and_blobs(tuple(fields), blobs) == digest(*fields, blobs)
 
-    @given(st.text(), st.text(), st.lists(st.tuples(
+    @given(st.text(max_size=600), st.text(max_size=600), st.lists(st.tuples(
         st.sampled_from(OpType), st.text(), st.none() | st.text()), max_size=6))
     def test_transaction_digest_is_digest(self, txn_id, client_id, ops):
+        """Also on the second call for a client, whose field is kept."""
         operations = tuple(Operation(*op) for op in ops)
-        assert transaction_digest(txn_id, client_id, operations) == digest(
+        expected = digest(
             "txn", txn_id, client_id, [op.canonical_bytes() for op in operations])
+        assert transaction_digest(txn_id, client_id, operations) == expected
+        assert transaction_digest(txn_id, client_id, operations) == expected
