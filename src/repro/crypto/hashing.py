@@ -80,7 +80,9 @@ nested values.
 A really executed batch's result digest is not asked of this module per
 transaction: the executor keeps one memo keyed on the batch's outcomes
 (:func:`~repro.ledger.execution.batch_result_digest`), whose miss hashes
-each transaction's result through :func:`digest`, once per process.
+each transaction's result once per process through the fixed-shape
+:func:`~repro.ledger.store.result_digest` (``("result", id, ((key,
+value), ...), writes)``), held to ``digest`` by the same test class.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from repro.crypto.hashing import (
     digest_fields_and_blobs,
     digest_hex,
 )
+from repro.ledger.store import result_digest
 from repro.workload.transactions import Operation, OpType, transaction_digest
 
 
@@ -112,3 +113,10 @@ class TestFixedShapes:
             "txn", txn_id, client_id, [op.canonical_bytes() for op in operations])
         assert transaction_digest(txn_id, client_id, operations) == expected
         assert transaction_digest(txn_id, client_id, operations) == expected
+
+    @given(st.text(max_size=600), st.lists(st.tuples(
+        st.text(max_size=600), st.none() | st.text(max_size=600)), max_size=4),
+        st.integers(min_value=0, max_value=10**20))
+    def test_result_digest_is_digest(self, txn_id, reads, writes):
+        assert result_digest(txn_id, tuple(reads), writes) == digest(
+            "result", txn_id, tuple(reads), writes)
