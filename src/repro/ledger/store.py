@@ -22,15 +22,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.crypto.hashing import digest, encode_head, encode_str
 from repro.workload.transactions import OpType, Transaction
 
-#: The key/value pairs a transaction's reads observed, ``None`` for an
-#: absent key.
+#: One executed transaction's outcome: ``(txn_id, reads, writes applied)``,
+#: where *reads* are the key/value pairs its reads observed (``None`` for
+#: an absent key).  Built from ``str``, ``None`` and ``int`` only, so equal
+#: outcomes encode to equal bytes and a batch's outcomes can key a memo.
 Reads = Tuple[Tuple[str, Optional[str]], ...]
-
-#: One executed transaction's outcome: ``(txn_id, reads, writes applied)``.
-#: Built from ``str``, ``None`` and ``int`` only, so equal outcomes encode
-#: to equal bytes and a batch's outcomes can key a memo.
 Outcome = Tuple[str, Reads, int]
-
 
 #: ``digest("result", txn_id, reads, writes)``'s bytes up to the transaction
 #: id, and the head of one ``(key, value)`` read.
@@ -44,11 +41,10 @@ def result_digest(txn_id: str, reads: Reads, writes_applied: int) -> bytes:
     *reads* holds the key/value pairs its read operations observed
     (``None`` for an absent key) and *writes_applied* counts its writes.
     Equal to ``digest("result", txn_id, reads, writes_applied)`` byte for
-    byte, written as a fixed shape: it is computed once per transaction per
-    process, on a miss of the batch memo, so it stays off the shared memo,
-    and the generic encoder's per-element dispatch was most of its cost.
-    The parts are ``digest``'s ``str`` (``S``), tuple (``T``), ``None``
-    (``N``) and ``int`` (``I``) element encodings.
+    byte, written as a fixed shape in ``digest``'s ``str`` (``S``), tuple
+    (``T``), ``None`` (``N``) and ``int`` (``I``) encodings.  It runs once
+    per transaction per process, on a batch-memo miss, so it stays off the
+    shared memo.
     """
     raw = txn_id.encode("utf-8")
     parts = [_RESULT_HEAD, b"S", len(raw).to_bytes(8, "big"), raw,
