@@ -7,11 +7,14 @@ per-opcode events on, and the number of bytecode instructions and of
 Python-level calls is printed for each phase, and for the run phase the
 Python calls per *executed replica-batch* (run calls over the sum of every
 replica's ``executed_batches``): what one batch costs one replica,
-handlers, deliveries and client pools included.  The run's calls are also
-split by layer, the layers of poebench's ``layers`` module (its map is
-read, never changed), so a change that moves the run calls says which
-layer gained or lost them.  A second, untraced pass builds and runs the
-shape again under ``tracemalloc`` and prints the bytes the run leaves
+handlers, deliveries and client pools included.  The calls of both phases
+are also split by layer, the layers of poebench's ``layers`` module (its
+map is read, never changed), so a change that moves them says which layer
+gained or lost them.  At this budget a client pool draws, hashes and signs
+every YCSB transaction of the run while it is set up (its outstanding
+batches are all there are), so on ``ycsb_exec_n4`` generation shows in
+the set-up calls, not the run's.  A second, untraced pass builds and runs
+the shape again under ``tracemalloc`` and prints the bytes the run leaves
 allocated per executed replica-batch (traced memory after the run less
 after set-up, deployments alive, the collector run both times): what a
 ledger block, an execution record, its proof and the client's completion
@@ -25,12 +28,12 @@ process-wide memos, as the traced one does.
 
     python benchmarks/opcode_proxy.py [WORKLOAD ...]
 
-The run calls, their split by layer, the calls per executed replica-batch
-and the retained bytes per executed replica-batch of every row are pinned
-in the ``opcode_proxy`` table of ``benchmarks/PERF_EXPECTATIONS.json``;
-the script exits non-zero when any of them moves, so a change that adds
-Python to the hot path or memory to a finished batch updates that table in
-the same commit and says why.  The counts are exact on one interpreter
+The set-up and run calls, the split of each by layer, the calls per
+executed replica-batch and the retained bytes per executed replica-batch
+of every row are pinned in the ``opcode_proxy`` table of
+``benchmarks/PERF_EXPECTATIONS.json``; the script exits non-zero when any
+of them moves, so a change that adds Python to the hot path or memory to a
+finished batch updates that table in the same commit and says why.  The counts are exact on one interpreter
 minor version only: on another the table is skipped with a message.
 
 What it cannot see: anything that happens below the bytecode.  One
@@ -158,7 +161,7 @@ def measure(name: str) -> Dict[str, object]:
     from workloads import WORKLOADS, build
 
     configs = WORKLOADS[name].configs(SEED, SCALE)
-    deployments, *setup, _ = counted(
+    deployments, setup_opcodes, setup_calls, setup_layer_calls = counted(
         lambda: [build(config) for config in configs])
     _, opcodes, calls, layer_calls = counted(
         lambda: [d.run_until_done() for d in deployments])
@@ -166,11 +169,17 @@ def measure(name: str) -> Dict[str, object]:
     del deployments
     retained, retained_executed = retained_bytes(configs)
     assert retained_executed == executed, (retained_executed, executed)
-    return {"setup": setup, "run": (opcodes, calls),
-            "pins": {"run_calls": calls,
+    return {"setup": (setup_opcodes, setup_calls), "run": (opcodes, calls),
+            "pins": {"setup_calls": setup_calls,
+                     "setup_layer_calls": setup_layer_calls,
+                     "run_calls": calls,
                      "calls_per_batch": round(calls / executed, 1),
                      "retained_bytes_per_batch": round(retained / executed, 1),
                      "layer_calls": layer_calls}}
+
+
+#: The pins that split a phase's calls by layer, compared layer by layer.
+LAYER_SPLITS = ("setup_layer_calls", "layer_calls")
 
 
 def pin_problems(name: str, pins: Dict[str, object],
@@ -178,15 +187,23 @@ def pin_problems(name: str, pins: Dict[str, object],
     pinned = expected.get(name)
     if pinned is None:
         return [f"{name}: no pin recorded, measured {json.dumps(pins)}"]
-    problems = [f"{name}: {key} {pins[key]} != pinned {pinned[key]}"
-                for key in pinned
-                if key != "layer_calls" and pins[key] != pinned[key]]
-    layers, pinned_layers = pins["layer_calls"], pinned.get("layer_calls", {})
-    problems += [f"{name}: layer_calls[{layer}] {layers.get(layer, 0)} "
-                 f"!= pinned {pinned_layers.get(layer, 0)}"
-                 for layer in sorted(set(layers) | set(pinned_layers))
-                 if layers.get(layer, 0) != pinned_layers.get(layer, 0)]
+    problems = [f"{name}: {key} {pins[key]} != pinned {pinned.get(key)}"
+                for key in pins
+                if key not in LAYER_SPLITS and pins[key] != pinned.get(key)]
+    for key in LAYER_SPLITS:
+        layers, pinned_layers = pins[key], pinned.get(key, {})
+        problems += [f"{name}: {key}[{layer}] {layers.get(layer, 0)} "
+                     f"!= pinned {pinned_layers.get(layer, 0)}"
+                     for layer in sorted(set(layers) | set(pinned_layers))
+                     if layers.get(layer, 0) != pinned_layers.get(layer, 0)]
     return problems
+
+
+def print_layers(layer_calls: Dict[str, int]) -> None:
+    print(textwrap.fill(
+        "  ".join(f"{layer}={calls:,}" for layer, calls in layer_calls.items()),
+        width=81, initial_indent=" " * 7, subsequent_indent=" " * 7,
+        break_on_hyphens=False), flush=True)
 
 
 def main() -> int:
@@ -211,14 +228,11 @@ def main() -> int:
             pins = row["pins"]
             print(f"{name:<20}{'setup':<7}{row['setup'][0]:>14,}"
                   f"{row['setup'][1]:>14,}{'-':>13}{'-':>13}")
+            print_layers(pins["setup_layer_calls"])
             print(f"{name:<20}{'run':<7}{row['run'][0]:>14,}{row['run'][1]:>14,}"
                   f"{pins['calls_per_batch']:>13.1f}"
                   f"{pins['retained_bytes_per_batch']:>13,.1f}")
-            print(textwrap.fill(
-                "  ".join(f"{layer}={calls:,}"
-                          for layer, calls in pins["layer_calls"].items()),
-                width=81, initial_indent=" " * 7, subsequent_indent=" " * 7,
-                break_on_hyphens=False), flush=True)
+            print_layers(pins["layer_calls"])
             if checked:
                 problems += pin_problems(name, pins, table["rows"])
     if not checked:
@@ -230,7 +244,8 @@ def main() -> int:
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print(f"run calls, layer calls, calls/batch and bytes/batch match "
+    print(f"set-up and run calls, their layer splits, calls/batch and "
+          f"bytes/batch match "
           f"{EXPECTATIONS.relative_to(ROOT)}")
     return 0
 
