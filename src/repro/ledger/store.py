@@ -19,7 +19,7 @@ from __future__ import annotations
 from hashlib import sha256
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import digest, encode_head, encode_str
+from repro.crypto.hashing import encode_head, encode_str
 from repro.workload.transactions import OpType, Transaction
 
 #: One executed transaction's outcome: ``(txn_id, reads, writes applied)``,
@@ -30,9 +30,9 @@ Reads = Tuple[Tuple[str, Optional[str]], ...]
 Outcome = Tuple[str, Reads, int]
 
 #: ``digest("result", txn_id, reads, writes)``'s bytes up to the transaction
-#: id, and the head of one ``(key, value)`` read.
+#: id, and the head of one ``(key, value)`` pair (a read, or a table row).
 _RESULT_HEAD = encode_head(4) + encode_str("result")
-_READ_HEAD = encode_head(2)
+_PAIR_HEAD = encode_head(2)
 
 
 def result_digest(txn_id: str, reads: Reads, writes_applied: int) -> bytes:
@@ -51,7 +51,7 @@ def result_digest(txn_id: str, reads: Reads, writes_applied: int) -> bytes:
              b"T", len(reads).to_bytes(8, "big")]
     for key, value in reads:
         raw = key.encode("utf-8")
-        parts += (_READ_HEAD, b"S", len(raw).to_bytes(8, "big"), raw)
+        parts += (_PAIR_HEAD, b"S", len(raw).to_bytes(8, "big"), raw)
         if value is None:
             parts.append(b"N")
         else:
@@ -59,6 +59,26 @@ def result_digest(txn_id: str, reads: Reads, writes_applied: int) -> bytes:
             parts += (b"S", len(raw).to_bytes(8, "big"), raw)
     raw = b"%d" % writes_applied
     parts += (b"I", len(raw).to_bytes(8, "big"), raw)
+    return sha256(b"".join(parts)).digest()
+
+
+#: ``digest("store", sorted(table.items()))``'s bytes up to the pair count.
+_TABLE_HEAD = encode_head(2) + encode_str("store") + b"T"
+
+
+def table_digest(table: Dict[str, str]) -> bytes:
+    """Digest of a whole table: what a checkpoint's state digest covers.
+
+    Equal to ``digest("store", sorted(table.items()))`` byte for byte,
+    written as a fixed shape in ``digest``'s ``str`` (``S``) and tuple
+    (``T``) encodings.  Keys are distinct, so sorting the keys orders the
+    pairs as sorting the pairs does.
+    """
+    parts = [_TABLE_HEAD, len(table).to_bytes(8, "big")]
+    for key in sorted(table):
+        raw_key, raw_value = key.encode("utf-8"), table[key].encode("utf-8")
+        parts += (_PAIR_HEAD, b"S", len(raw_key).to_bytes(8, "big"), raw_key,
+                  b"S", len(raw_value).to_bytes(8, "big"), raw_value)
     return sha256(b"".join(parts)).digest()
 
 
@@ -87,7 +107,7 @@ class KeyValueStore:
 
     def snapshot_digest(self) -> bytes:
         """Digest of the full table (used by checkpoint messages)."""
-        return digest("store", sorted(self._table.items()))
+        return table_digest(self._table)
 
     def snapshot(self) -> Dict[str, str]:
         """A copy of the full table (used by checkpoint state transfer)."""

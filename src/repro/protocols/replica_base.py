@@ -35,7 +35,7 @@ from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.execution import ExecutedBatch, SpeculativeExecutor
-from repro.ledger.store import KeyValueStore
+from repro.ledger.store import KeyValueStore, table_digest
 from repro.protocols.base import Message, NodeConfig, ProtocolNode
 from repro.protocols.batching import Batcher
 from repro.crypto.hashing import digest
@@ -1056,8 +1056,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         them.
         """
         if self.config.execute_operations:
-            snapshot_digest = digest(
-                "store", sorted((message.table_snapshot or {}).items()))
+            snapshot_digest = table_digest(message.table_snapshot or {})
         else:
             snapshot_digest = b""
         recomputed = digest("state", message.sequence, message.head_hash,

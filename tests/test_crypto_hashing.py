@@ -1,6 +1,6 @@
 """Tests for repro.crypto.hashing: canonical digests over structured values."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.crypto.hashing import (
     chain_hash,
@@ -9,7 +9,7 @@ from repro.crypto.hashing import (
     digest_fields_and_blobs,
     digest_hex,
 )
-from repro.ledger.store import result_digest
+from repro.ledger.store import result_digest, table_digest
 from repro.workload.transactions import Operation, OpType, transaction_digest
 
 
@@ -113,6 +113,16 @@ class TestFixedShapes:
             "txn", txn_id, client_id, [op.canonical_bytes() for op in operations])
         assert transaction_digest(txn_id, client_id, operations) == expected
         assert transaction_digest(txn_id, client_id, operations) == expected
+
+    @given(st.dictionaries(st.text(max_size=600), st.text(max_size=600), max_size=6))
+    @example({})
+    @example({"k" * 600: "ü" * 300, "user1": ""})
+    @example({f"user{i}": f"value-{i}" for i in range(600)})
+    def test_table_digest_is_digest(self, table):
+        """Over unicode tables, empty ones and keys or values past the cached
+        length prefixes included: the one digest of a table, which a
+        checkpoint's state digest and a state-transfer check both use."""
+        assert table_digest(table) == digest("store", sorted(table.items()))
 
     @given(st.text(max_size=600), st.lists(st.tuples(
         st.text(max_size=600), st.none() | st.text(max_size=600)), max_size=4),
