@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import digest, shared_digest
+from repro.crypto.hashing import digest, digest_fields_and_blobs, shared_digest
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.store import KeyValueStore, Outcome, UndoEntry, result_digest
 from repro.workload.transactions import RequestBatch
@@ -40,8 +40,10 @@ BATCH_RESULT_MEMO_SIZE = 64
 @lru_cache(maxsize=BATCH_RESULT_MEMO_SIZE)
 def batch_result_digest(outcomes: Tuple[Outcome, ...]) -> bytes:
     """The result digest of a batch whose transactions had *outcomes*:
-    the fold of each transaction's :func:`result_digest`."""
-    return digest("results", tuple(starmap(result_digest, outcomes)))
+    the fold of each transaction's :func:`result_digest`, written as the
+    fixed shape ``digest("results", [result digests])``."""
+    return digest_fields_and_blobs(
+        ("results",), list(starmap(result_digest, outcomes)))
 
 
 def modelled_result_digest(sequence: int, batch: RequestBatch) -> bytes:
