@@ -55,21 +55,25 @@ microbenchmarks exist to measure.
 
 Fixed-shape encoders
 --------------------
-Each client transaction is hashed twice over a shape that never varies:
-:func:`~repro.workload.transactions.transaction_digest` (``("txn", id,
-client, [op bytes])``), and the client's signature over that 32-byte
-digest through :func:`digest_bytes`
-(:meth:`~repro.crypto.signatures.SignatureScheme.sign_digest`).  The
+Each client transaction is hashed twice over a shape that never varies,
+and a client pool hashes a whole batch's transactions at each stage:
+:func:`~repro.workload.transactions.transaction_digests` (``("txn", id,
+client, [op bytes])`` for each transaction), then the client's signatures
+over those 32-byte digests through :func:`digests_of_bytes`
+(:meth:`~repro.crypto.signatures.SignatureScheme.sign_digests`).  The
 transaction digest writes its constant head once — the tuple head and
-the ``"txn"`` tag (:func:`encode_head`, :func:`encode_str`) — and keeps
-each client's field per client id, so a call encodes only the
-transaction id and the operations.  The batch digest's ``("batch", id,
-[txn digests])`` goes through :func:`digest_fields_and_blobs`.  All of
-them write :func:`digest`'s bytes directly rather than dispatch per
-element; they are not a second encoding.  ``tests/test_crypto_hashing.py::
+the ``"txn"`` tag (:func:`encode_head`, :func:`encode_str`) — and its
+client field once per batch, so each transaction encodes only its id and
+its operations.  The batch digest's ``("batch", id, [txn digests])`` and
+a batch's result fold, ``("results", [result digests])``, go through
+:func:`digest_fields_and_blobs`; a whole table's ``("store", sorted
+((key, value), ...))``, which a checkpoint's state digest covers, through
+:func:`~repro.ledger.store.table_digest`.  All of them write
+:func:`digest`'s bytes directly rather than dispatch per element; they
+are not a second encoding.  ``tests/test_crypto_hashing.py::
 TestFixedShapes`` holds each to ``digest`` over arbitrary unicode and
 payloads past the cached length prefixes, ``tests/test_crypto_primitives.py``
-holds ``sign_digest`` to ``sign``, and ``GOLDEN_BYTES`` in
+holds ``sign_digests`` to ``sign``, and ``GOLDEN_BYTES`` in
 ``tests/test_determinism.py`` pins the bytes themselves.  The generic
 ``digest`` and ``SignatureScheme.sign`` do no type sniffing for them.
 A :func:`shared_digest` miss writes the same bytes through
@@ -89,7 +93,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Precomputed 8-byte big-endian length prefixes for short payloads.
 _LEN_PREFIX = tuple(i.to_bytes(8, "big") for i in range(512))
@@ -248,10 +252,12 @@ def encode_head(length: int) -> bytes:
 _ONE_BYTES_HEAD = b"T" + _len_prefix(1) + b"B"
 
 
-def digest_bytes(value: bytes) -> bytes:
-    """``digest(value)`` for one ``bytes`` argument, byte for byte."""
-    return hashlib.sha256(
-        _ONE_BYTES_HEAD + len(value).to_bytes(8, "big") + value).digest()
+def digests_of_bytes(values: Iterable[bytes]) -> List[bytes]:
+    """``[digest(value) for value in values]`` for ``bytes`` values, byte for
+    byte, in one loop."""
+    sha256, head = hashlib.sha256, _ONE_BYTES_HEAD
+    return [sha256(head + len(value).to_bytes(8, "big") + value).digest()
+            for value in values]
 
 
 def digest_fields_and_blobs(fields: Tuple[str, ...], blobs: List[bytes]) -> bytes:

@@ -16,6 +16,10 @@ tags each under that client's key, so each key's HMAC state is kept:
 and tags a message by copying those two SHA-256 states (RFC 2104 without
 re-deriving the pads per call; ``tests/test_crypto_primitives.py`` holds
 it to ``hmac.digest`` over keys on both sides of the 64-byte block).  A
+client signs a whole batch's transaction digests in one
+:meth:`SignatureScheme.sign_digests` call, which hashes the digests and
+tags them in one loop each (:meth:`HmacSha256.tags`); signing one value
+is the one-element case.  A
 :class:`SignatureScheme` builds the state of a key on its first use, so a
 principal that never signs or verifies pays nothing for it, and drops it
 when pickled: a SHA-256 state does not pickle, and the parallel driver
@@ -27,9 +31,10 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.crypto.hashing import digest, digest_bytes
+from repro.crypto.hashing import digest, digests_of_bytes
 from repro.crypto.keys import KeyStore
 
 #: SHA-256's block size, and the byte maps that XOR a padded key with
@@ -57,12 +62,21 @@ class HmacSha256:
         self._inner = hashlib.sha256(key.translate(_INNER_PAD))
         self._outer = hashlib.sha256(key.translate(_OUTER_PAD))
 
+    def tags(self, messages: Iterable[bytes]) -> List[bytes]:
+        """The tag of each message, the kept states read once."""
+        kept_inner, kept_outer = self._inner, self._outer
+        tags: List[bytes] = []
+        append = tags.append
+        for message in messages:
+            inner = kept_inner.copy()
+            inner.update(message)
+            outer = kept_outer.copy()
+            outer.update(inner.digest())
+            append(outer.digest())
+        return tags
+
     def tag(self, message: bytes) -> bytes:
-        inner = self._inner.copy()
-        inner.update(message)
-        outer = self._outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()
+        return self.tags((message,))[0]
 
 
 class InvalidSignature(Exception):
@@ -132,13 +146,15 @@ class SignatureScheme:
             self._owner_bytes + payload_digest)
         return Signature(self.owner, payload_digest, tag)
 
-    def sign_digest(self, value: bytes) -> Signature:
-        """:meth:`sign` over one ``bytes`` value (a client signs its
-        transaction's digest), without the generic canonicalisation."""
-        payload_digest = digest_bytes(value)
-        tag = (self._signer or self._own_hmac()).tag(
-            self._owner_bytes + payload_digest)
-        return Signature(self.owner, payload_digest, tag)
+    def sign_digests(self, values: Sequence[bytes]) -> List[Signature]:
+        """:meth:`sign` over each one ``bytes`` value (a client signs its
+        transactions' digests), without the generic canonicalisation and
+        with the key's kept HMAC state read once for the whole list."""
+        payload_digests = digests_of_bytes(values)
+        owner = self._owner_bytes
+        tags = (self._signer or self._own_hmac()).tags(
+            [owner + payload_digest for payload_digest in payload_digests])
+        return list(map(Signature, repeat(self.owner), payload_digests, tags))
 
     def verify(self, signature: Signature, *values: Any) -> bool:
         """Return ``True`` iff *signature* is valid for *values*."""

@@ -22,7 +22,7 @@ import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import sha256
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import digest_fields_and_blobs, encode_head, encode_str
 from repro.crypto.signatures import Signature
@@ -80,22 +80,35 @@ _TXN_HEAD = encode_head(4) + encode_str("txn")
 _client_field = lru_cache(maxsize=256)(encode_str)
 
 
-def transaction_digest(txn_id: str, client_id: str,
-                       operations: Tuple[Operation, ...]) -> bytes:
-    """The bytes a client signs and every replica checks: the one
-    definition of a transaction's digest.
+def transaction_digests(txn_ids: Sequence[str], client_id: str,
+                        operations: Sequence[Tuple[Operation, ...]]) -> List[bytes]:
+    """The bytes a client signs and every replica checks, for each of one
+    client's transactions: the one definition of a transaction's digest.
 
-    Equal to ``digest("txn", txn_id, client_id, [op.canonical_bytes() ...])``
-    byte for byte.  The head and the client field are written once; a call
-    encodes only the transaction id and the operations, in ``digest``'s
+    The digest of ``txn_ids[i]`` with ``operations[i]`` equals
+    ``digest("txn", txn_id, client_id, [op.canonical_bytes() ...])`` byte
+    for byte.  The head and the client field are written once; each
+    transaction encodes only its id and its operations, in ``digest``'s
     ``str`` (``S``), list (``T``) and ``bytes`` (``B``) element encodings.
     """
-    raw_id = txn_id.encode("utf-8")
-    parts = [_TXN_HEAD, b"S", len(raw_id).to_bytes(8, "big"), raw_id,
-             _client_field(client_id), b"T", len(operations).to_bytes(8, "big")]
-    for blob in map(Operation.canonical_bytes, operations):
-        parts += (b"B", len(blob).to_bytes(8, "big"), blob)
-    return sha256(b"".join(parts)).digest()
+    client = _client_field(client_id)
+    canonical = Operation.canonical_bytes
+    digests: List[bytes] = []
+    append = digests.append
+    for txn_id, ops in zip(txn_ids, operations):
+        raw_id = txn_id.encode("utf-8")
+        parts = [_TXN_HEAD, b"S", len(raw_id).to_bytes(8, "big"), raw_id,
+                 client, b"T", len(ops).to_bytes(8, "big")]
+        for blob in map(canonical, ops):
+            parts += (b"B", len(blob).to_bytes(8, "big"), blob)
+        append(sha256(b"".join(parts)).digest())
+    return digests
+
+
+def transaction_digest(txn_id: str, client_id: str,
+                       operations: Tuple[Operation, ...]) -> bytes:
+    """One transaction's :func:`transaction_digests`."""
+    return transaction_digests((txn_id,), client_id, (operations,))[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,6 +4,16 @@ Reproduces the paper's benchmarking configuration (Section IV,
 "Configuration and Benchmarking"): a table holding 500 000 active
 records, requests that are 90 % writes, keys drawn from a heavily skewed
 Zipfian distribution (theta = 0.9), and request batches of 100.
+
+A batch is generated one stage at a time, each stage taking the whole
+batch: :meth:`~repro.workload.zipfian.ZipfianGenerator.sample_many` draws
+its ranks, one loop draws the write coins and builds the keys and
+operations, :func:`~repro.workload.transactions.transaction_digests`
+hashes its transactions and, for a signing client,
+:meth:`~repro.crypto.signatures.SignatureScheme.sign_digests` signs their
+digests.  Single-shard batches and cross-shard slices go through the same
+stages.  ``tests/test_workload.py`` holds the stages to a generator that
+draws, hashes and signs one transaction at a time (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.crypto.authenticator import Authenticator
 from repro.workload.transactions import (
@@ -20,7 +30,7 @@ from repro.workload.transactions import (
     RequestBatch,
     Transaction,
     shard_of_key,
-    transaction_digest,
+    transaction_digests,
 )
 from repro.workload.zipfian import ZipfianGenerator
 
@@ -80,61 +90,63 @@ class YcsbWorkload:
         count = num_records if num_records is not None else self.config.num_records
         return {self.key_for(i): f"value-{i}" for i in range(count)}
 
-    @staticmethod
-    def key_for(rank: int) -> str:
-        return f"user{rank}"
+    #: A rank's key, ``user{rank}``: the key format's one definition, and a
+    #: C-level call (``str.format``), not a Python frame.
+    key_for = staticmethod("user{}".format)
 
     # -- transaction generation -------------------------------------------------------
-    def _draw_operations(self, tag: int, shard: Optional[int] = None,
-                         num_shards: int = 1) -> Tuple[Operation, ...]:
-        """Draw one transaction's operations; writes carry ``w{tag}-``.
+    def _transactions(self, numbers: List[int], created_at_ms: float,
+                      shard: Optional[int] = None, num_shards: int = 1,
+                      suffix: str = "", signed: bool = True) -> List[Transaction]:
+        """Draw, hash and sign one transaction per number, a stage at a time.
 
-        With *shard* given every key routes to it and keeps its Zipfian
-        popularity *within* the shard: the draw is the normal skewed draw,
-        rejected until it lands there.
+        Each stage takes the whole list: the Zipfian ranks, then the write
+        coins, keys and operations in one loop (writes carry
+        ``w{number}-``), then the transaction digests, then - when the
+        workload has an authenticator and *signed* holds - the signatures
+        over them.  Ranks and coins come from two RNGs, so drawing every
+        rank before the first coin draws each stream in the order one
+        transaction at a time did.  With *shard* given every key routes to
+        it and keeps its Zipfian popularity *within* the shard: the rank is
+        the normal skewed draw, rejected until it lands there.  Each digest
+        is kept as its transaction's memo: the signature covers it, and the
+        primary's batch digest and every replica after it find it ready
+        instead of canonicalising the operations again.
         """
-        operations: List[Operation] = []
-        for _ in range(self.config.operations_per_txn):
-            if shard is None:
-                rank = self._zipf.sample()
-            else:
-                rank = self._zipf.sample_where(
-                    lambda r: shard_of_key(self.key_for(r), num_shards) == shard)
-            key = self.key_for(rank)
-            if self._rng.random() < self.config.write_fraction:
-                value = f"w{tag}-" + "x" * self.config.value_size
-                operations.append(Operation(OpType.WRITE, key, value))
-            else:
-                operations.append(Operation(OpType.READ, key))
-        return tuple(operations)
+        config, client_id, key_for = self.config, self.client_id, self.key_for
+        per_txn = config.operations_per_txn
+        where = None
+        if shard is not None:
+            def where(rank: int) -> bool:
+                return shard_of_key(key_for(rank), num_shards) == shard
+        keys = map(key_for, self._zipf.sample_many(len(numbers) * per_txn, where))
+        coin, write_fraction = self._rng.random, config.write_fraction
+        write, read, padding = OpType.WRITE, OpType.READ, "x" * config.value_size
+        # ``zip(*[xs] * k)`` repeats each number once per operation of its
+        # transaction; ``zip(*[iter(xs)] * k)`` groups the operations back.
+        drawn = [Operation(write, key, f"w{number}-{padding}")
+                 if coin() < write_fraction else Operation(read, key)
+                 for number, key in zip(
+                     itertools.chain.from_iterable(zip(*[numbers] * per_txn)), keys)]
+        operations = list(zip(*[iter(drawn)] * per_txn))
+        txn_ids = [f"{client_id}:txn:{number}{suffix}" for number in numbers]
+        digests = transaction_digests(txn_ids, client_id, operations)
+        signatures = (self.auth.signatures.sign_digests(digests)
+                      if signed and self.auth is not None else itertools.repeat(None))
+        transactions = list(map(
+            Transaction, txn_ids, itertools.repeat(client_id), operations,
+            signatures, itertools.repeat(created_at_ms)))
+        for transaction, signed_over in zip(transactions, digests):
+            object.__setattr__(transaction, "_digest", signed_over)
+        return transactions
 
     def _batch(self, count: int, created_at_ms: float, reply_to: str = "",
                shard: Optional[int] = None, num_shards: int = 1) -> RequestBatch:
-        """Draw, number and sign *count* transactions in one loop, batched.
-
-        Transactions are signed when the workload has an authenticator.
-        The digest signed is the transaction's own, so it is kept as the
-        transaction's memo: the primary's batch digest and every replica
-        after it find it ready instead of canonicalising the operations a
-        second time.
-        """
+        """*count* fresh transactions, numbered in order, as one batch."""
         client_id = self.client_id
-        draw = self._draw_operations
-        sign = self.auth.signatures.sign_digest if self.auth is not None else None
-        transactions: List[Transaction] = []
-        append = transactions.append
-        for number in itertools.islice(self._txn_numbers, count):
-            txn_id = f"{client_id}:txn:{number}"
-            operations = draw(number, shard, num_shards)
-            if sign is None:
-                append(Transaction(txn_id, client_id, operations,
-                                   created_at_ms=created_at_ms))
-                continue
-            signed_over = transaction_digest(txn_id, client_id, operations)
-            transaction = Transaction(txn_id, client_id, operations,
-                                      sign(signed_over), created_at_ms)
-            object.__setattr__(transaction, "_digest", signed_over)
-            append(transaction)
+        transactions = self._transactions(
+            list(itertools.islice(self._txn_numbers, count)), created_at_ms,
+            shard, num_shards)
         return RequestBatch(
             batch_id=f"{client_id}:batch:{next(self._batch_numbers)}",
             transactions=tuple(transactions), created_at_ms=created_at_ms,
@@ -160,12 +172,12 @@ class YcsbWorkload:
         the shape 2PC needs, since each shard consensus-commits only its
         own slice of the transaction.  The slices share a transaction
         counter so their ids correlate (``...:txn:N/s0``, ``...:txn:N/s1``).
+        They are drawn and hashed like a batch's transactions, and left
+        unsigned.
         """
         base = next(self._txn_numbers)
         return {
-            shard: Transaction(f"{self.client_id}:txn:{base}/s{shard}",
-                               self.client_id,
-                               self._draw_operations(base, shard, num_shards),
-                               created_at_ms=created_at_ms)
+            shard: self._transactions([base], created_at_ms, shard, num_shards,
+                                      suffix=f"/s{shard}", signed=False)[0]
             for shard in shards
         }

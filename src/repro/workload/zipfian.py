@@ -7,12 +7,13 @@ also used by the reference YCSB generator: it precomputes the harmonic
 normalisation constant ``zeta(n, theta)`` and maps uniform samples to
 ranks, so sampling is O(1) per request after O(n) setup (the setup is
 cached per (n, theta) pair because the scaling experiments reuse it).
+A workload asks for a whole batch's ranks in one call.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 _ZETA_CACHE: Dict[Tuple[int, float], float] = {}
 
@@ -51,9 +52,12 @@ class ZipfianGenerator:
         self._zeta_n = _zeta(num_items, theta)
         self._zeta_2 = _zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta) if theta > 0 else 1.0
+        #: A uniform ``u`` with ``u * zeta_n`` below 1.0 draws rank 0, below
+        #: this rank 1.
+        self._second_rank_below = 1.0 + 0.5 ** theta
         # For num_items <= 2 the eta expression degenerates to 0/0 (both the
         # numerator and ``1 - zeta_2/zeta_n`` vanish); any finite value works
-        # because sample() resolves ranks 0 and 1 before eta is consulted.
+        # because sample_many() resolves ranks 0 and 1 before eta is consulted.
         eta_denominator = 1.0 - self._zeta_2 / self._zeta_n
         self._eta = (
             (1.0 - (2.0 / num_items) ** (1.0 - theta)) / eta_denominator
@@ -61,38 +65,49 @@ class ZipfianGenerator:
             else 1.0
         )
 
-    def sample(self) -> int:
-        """Draw one rank; rank 0 is the most popular item."""
-        if self.theta == 0.0:
-            return self._rng.randrange(self.num_items)
-        u = self._rng.random()
-        uz = u * self._zeta_n
-        if uz < 1.0:
-            return 0
-        if uz < 1.0 + 0.5 ** self.theta:
-            return 1
-        rank = int(self.num_items * ((self._eta * u - self._eta + 1.0) ** self._alpha))
-        return min(rank, self.num_items - 1)
+    def sample_many(self, count: int,
+                    where: Optional[Callable[[int], bool]] = None,
+                    max_tries: int = 64) -> List[int]:
+        """Draw *count* ranks in one loop; rank 0 is the most popular item.
 
-    def sample_many(self, count: int) -> list:
-        """Draw *count* ranks."""
-        return [self.sample() for _ in range(count)]
-
-    def sample_where(self, predicate, max_tries: int = 64) -> int:
-        """Draw a rank satisfying *predicate*, by rejection sampling.
-
-        Sharded workloads use this to draw a popular key that routes to a
-        specific consensus group: with S shards roughly 1/S of draws
-        qualify, so the expected number of tries is S.  Falls back to a
-        linear scan from the most popular rank if *max_tries* rejections
-        occur (possible only for tiny keyspaces where a shard owns very
-        few ranks), which keeps the draw count bounded and deterministic.
+        With *where* given, each rank is drawn again until it satisfies the
+        predicate (rejection sampling): sharded workloads draw a popular key
+        that routes to one consensus group this way, and with S shards
+        roughly 1/S of draws qualify.  After *max_tries* rejections in a row
+        the rank is the most popular one that satisfies it (possible only
+        for tiny keyspaces where a shard owns very few ranks), which keeps
+        the draw count bounded and deterministic.
         """
-        for _ in range(max_tries):
-            rank = self.sample()
-            if predicate(rank):
-                return rank
-        for rank in range(self.num_items):
-            if predicate(rank):
-                return rank
-        raise ValueError("no rank satisfies the predicate")
+        num_items, last = self.num_items, self.num_items - 1
+        uniform = self.theta == 0.0
+        random, randrange = self._rng.random, self._rng.randrange
+        zeta_n, second, eta, alpha = (self._zeta_n, self._second_rank_below,
+                                      self._eta, self._alpha)
+        ranks: List[int] = []
+        append = ranks.append
+        tries = 0
+        while len(ranks) < count:
+            if uniform:
+                rank = randrange(num_items)
+            else:
+                u = random()
+                uz = u * zeta_n
+                if uz < 1.0:
+                    rank = 0
+                elif uz < second:
+                    rank = 1
+                else:
+                    rank = min(int(num_items * ((eta * u - eta + 1.0) ** alpha)),
+                               last)
+            if where is None or where(rank):
+                append(rank)
+                tries = 0
+            elif (tries := tries + 1) == max_tries:
+                for rank in range(num_items):
+                    if where(rank):
+                        break
+                else:
+                    raise ValueError("no rank satisfies the predicate")
+                append(rank)
+                tries = 0
+        return ranks

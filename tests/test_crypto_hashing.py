@@ -5,12 +5,17 @@ from hypothesis import example, given, strategies as st
 from repro.crypto.hashing import (
     chain_hash,
     digest,
-    digest_bytes,
     digest_fields_and_blobs,
     digest_hex,
+    digests_of_bytes,
 )
 from repro.ledger.store import result_digest, table_digest
-from repro.workload.transactions import Operation, OpType, transaction_digest
+from repro.workload.transactions import (
+    Operation,
+    OpType,
+    transaction_digest,
+    transaction_digests,
+)
 
 
 class TestDigestBasics:
@@ -95,9 +100,9 @@ class TestFixedShapes:
     must be those bytes for every value of their shape, long payloads past
     the cached length prefixes included."""
 
-    @given(st.binary(max_size=600))
-    def test_digest_bytes_is_digest(self, value):
-        assert digest_bytes(value) == digest(value)
+    @given(st.lists(st.binary(max_size=600), max_size=4))
+    def test_digests_of_bytes_is_digest(self, values):
+        assert digests_of_bytes(values) == [digest(value) for value in values]
 
     @given(st.lists(st.text(max_size=600), max_size=4),
            st.lists(st.binary(max_size=600), max_size=6))
@@ -113,6 +118,18 @@ class TestFixedShapes:
             "txn", txn_id, client_id, [op.canonical_bytes() for op in operations])
         assert transaction_digest(txn_id, client_id, operations) == expected
         assert transaction_digest(txn_id, client_id, operations) == expected
+
+    @given(st.text(max_size=600), st.lists(st.tuples(st.text(max_size=600), st.lists(
+        st.tuples(st.sampled_from(OpType), st.text(max_size=600),
+                  st.none() | st.text(max_size=600)), max_size=3)), max_size=4))
+    def test_transaction_digests_are_each_digest(self, client_id, transactions):
+        """A batch of one client's transactions, hashed in one call, is each
+        transaction's digest in order; none of them is a batch-wide value."""
+        txn_ids = [txn_id for txn_id, _ in transactions]
+        operations = [tuple(Operation(*op) for op in ops) for _, ops in transactions]
+        assert transaction_digests(txn_ids, client_id, operations) == [
+            digest("txn", txn_id, client_id, [op.canonical_bytes() for op in ops])
+            for txn_id, ops in zip(txn_ids, operations)]
 
     @given(st.dictionaries(st.text(max_size=600), st.text(max_size=600), max_size=6))
     @example({})

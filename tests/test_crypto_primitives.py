@@ -106,10 +106,10 @@ class TestSignatures:
         signature = schemes["client:0"].sign("transaction", 7)
         assert schemes["replica:0"].verify(signature, "transaction", 7)
 
-    @given(st.binary(max_size=64))
-    def test_sign_digest_is_sign_over_one_value(self, schemes, value):
+    @given(st.lists(st.binary(max_size=64), max_size=5))
+    def test_sign_digests_is_sign_over_each_value(self, schemes, values):
         scheme = schemes["client:0"]
-        assert scheme.sign_digest(value) == scheme.sign(value)
+        assert scheme.sign_digests(values) == [scheme.sign(v) for v in values]
 
     def test_tampered_payload_fails(self, schemes):
         signature = schemes["client:0"].sign("transaction", 7)
@@ -161,12 +161,12 @@ class TestSignatures:
 
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(["client:0", "replica:1"]), st.binary(max_size=48))
-    def test_sign_digest_sign_and_verify_agree(self, schemes, signer, value):
+    def test_sign_digests_sign_and_verify_agree(self, schemes, signer, value):
         """The client's path, the generic path and the checker's path tag
         through the same kept state: one signature, accepted by every
         verifier, its own signer's included, and rejected with one bit of
         its tag or its digest flipped or under another signer's name."""
-        signature = schemes[signer].sign_digest(value)
+        [signature] = schemes[signer].sign_digests([value])
         assert signature == schemes[signer].sign(value)
         for verifier in (schemes[signer], schemes["replica:0"]):
             assert verifier.verify(signature, value)
@@ -185,10 +185,10 @@ class TestSignatures:
         registry = build_registry(keystores)
         client = SignatureScheme(keystores["client:0"], registry)
         replica = SignatureScheme(keystores["replica:0"], registry)
-        signature = client.sign_digest(b"txn")
+        [signature] = client.sign_digests([b"txn"])
         assert replica.verify(signature, b"txn")
         client_copy, replica_copy = pickle.loads(pickle.dumps((client, replica)))
-        assert client_copy.sign_digest(b"txn") == signature
+        assert client_copy.sign_digests([b"txn"]) == [signature]
         assert client_copy.sign("payload", 1) == client.sign("payload", 1)
         assert replica_copy.verify(signature, b"txn")
         assert not replica_copy.verify(signature, b"other")
@@ -200,11 +200,14 @@ class TestSignatures:
 def test_kept_hmac_state_is_hmac_sha256(key, message):
     """RFC 2104 over keys shorter than, equal to and longer than SHA-256's
     64-byte block (a longer key is hashed first) and arbitrary messages;
-    a state tags many messages without being consumed."""
+    a state tags many messages, one at a time or as a list, without being
+    consumed."""
     keyed = HmacSha256(key)
     expected = hmac.digest(key, message, "sha256")
+    reversed_expected = hmac.digest(key, message[::-1], "sha256")
     assert keyed.tag(message) == expected
-    assert keyed.tag(message[::-1]) == hmac.digest(key, message[::-1], "sha256")
+    assert keyed.tags([message[::-1], message, b""]) == [
+        reversed_expected, expected, hmac.digest(key, b"", "sha256")]
     assert keyed.tag(message) == expected
 
 

@@ -16,6 +16,7 @@ from repro.workload.transactions import (
 )
 from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 from repro.workload.zipfian import ZipfianGenerator
+from tests.helpers import PerTransactionYcsb
 
 
 class TestZipfian:
@@ -128,21 +129,24 @@ class TestRealExecutionPaysForEachTransactionOnce:
                 return function(*args)
             return counted
 
-        counted_transaction_digest = counting(
-            "transaction_digest", transactions.transaction_digest)
+        counted_transaction_digests = counting(
+            "transaction_digests", transactions.transaction_digests)
         for module in (transactions, ycsb):
-            monkeypatch.setattr(module, "transaction_digest",
-                                counted_transaction_digest)
+            monkeypatch.setattr(module, "transaction_digests",
+                                counted_transaction_digests)
 
         def counting_encoder(fields, blobs):
             calls[fields[0]] += 1
             return digest_fields_and_blobs(fields, blobs)
 
-        monkeypatch.setattr(transactions, "digest_fields_and_blobs",
-                            counting_encoder)
-        for name in ("sign", "sign_digest"):
+        for module in (transactions, execution):
+            monkeypatch.setattr(module, "digest_fields_and_blobs",
+                                counting_encoder)
+        for name in ("sign", "sign_digests"):
             monkeypatch.setattr(SignatureScheme, name, counting(
                 name, getattr(SignatureScheme, name)))
+        monkeypatch.setattr(ZipfianGenerator, "sample_many", counting(
+            "sample_many", ZipfianGenerator.sample_many))
         monkeypatch.setattr(execution, "result_digest", counting(
             "result_digest", execution.result_digest))
         shared_digest.cache_clear()
@@ -157,16 +161,21 @@ class TestRealExecutionPaysForEachTransactionOnce:
                                 execution.batch_result_digest.cache_info())
 
     def test_one_canonicalisation_per_transaction_and_per_batch(self, counted_run):
-        """Each transaction is hashed once for its client and its result
-        once for the whole cluster: the first replica to execute a batch
-        folds its 20 result digests, the other three find the fold in the
-        batch memo (before it, each replica hashed or looked up every
-        transaction's result: 800 calls).  The transaction digest writes
-        its own bytes, so the generic encoder now sees only batches (it
-        saw 200 ``"txn"`` shapes too)."""
+        """Each transaction is drawn, hashed and signed once for its client,
+        and each stage takes the whole batch: one Zipfian call, one
+        hashing call and one signing call per batch of twenty (before, 200
+        per-transaction ``transaction_digest`` and ``sign_digest`` calls,
+        and a draw per rank).  No replica hashes a transaction again: the
+        digest each was signed over is its memo.  Each transaction's result
+        is hashed once for the whole cluster: the first replica to execute
+        a batch folds its 20 result digests, the other three find the fold
+        in the batch memo (before it, each replica hashed or looked up every
+        transaction's result: 800 calls).  Batches and their result folds
+        go through the fixed-shape encoder, never the generic one."""
         _, calls, _ = counted_run
-        assert calls == {"transaction_digest": 200, "sign_digest": 200,
-                         "batch": 10, "result_digest": 200}
+        assert calls == {"sample_many": 10, "transaction_digests": 10,
+                         "sign_digests": 10, "batch": 10, "results": 10,
+                         "result_digest": 200}
 
     def test_replicas_share_each_result_digest(self, counted_run):
         """Distinct values through the two memos: the proposal and block
@@ -265,4 +274,84 @@ class TestBatches:
 def test_zipfian_sample_range_property(num_items, seed):
     """Property: every sample is a valid rank for any table size and seed."""
     generator = ZipfianGenerator(num_items=num_items, theta=0.9, seed=seed)
-    assert all(0 <= generator.sample() < num_items for _ in range(50))
+    assert all(0 <= rank < num_items for rank in generator.sample_many(50))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**16), st.sampled_from([0.0, 0.9]),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=50),
+       st.integers(min_value=0, max_value=49), st.sampled_from([0, 1, 2, 17]))
+def test_rejected_ranks_equal_the_per_rank_draw(seed, theta, max_tries, modulus,
+                                                 residue, count):
+    """Property: a batch of ranks drawn under a predicate - rejection, and
+    after *max_tries* rejections the most popular rank that satisfies it -
+    is what drawing one rank at a time gave, and leaves the RNG where it
+    did.  Few tries and rare predicates reach the fallback."""
+    config = YcsbConfig(num_records=50, zipf_theta=theta, seed=seed)
+    reference = PerTransactionYcsb(config, "client:0")
+    generator = ZipfianGenerator(config.num_records, theta, seed)
+
+    def where(rank):
+        return rank % modulus == residue % modulus
+
+    expected = [reference._sample_where(where, max_tries) for _ in range(count)]
+    assert generator.sample_many(count, where, max_tries) == expected
+    assert generator._rng.random() == reference.next_draws()[0]
+
+
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("batch"), st.sampled_from([0, 1, 2, 17, 100])),
+    st.tuples(st.just("shard"), st.sampled_from([0, 1, 2, 17, 100]),
+              st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("cross"), st.integers(min_value=2, max_value=4),
+              st.integers(min_value=0, max_value=3))), min_size=1, max_size=5)
+
+
+def _generate(generator, step, created_at_ms):
+    """One step of *generator*, as ``(the batch or slices, their digests)``."""
+    kind, *args = step
+    if kind == "batch":
+        batch = generator.next_batch(args[0], created_at_ms, reply_to="r")
+    elif kind == "shard":
+        size, num_shards, shard = args
+        batch = generator.next_batch_for_shard(shard % num_shards, num_shards, size,
+                                               created_at_ms)
+    else:
+        num_shards, first = args
+        shards = sorted({first % num_shards, (first + 1) % num_shards})
+        slices = generator.next_cross_shard_operations(shards, num_shards,
+                                                       created_at_ms)
+        return slices, {shard: txn.digest() for shard, txn in slices.items()}
+    return batch, (batch.digest(), [txn.digest() for txn in batch.transactions])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**16), st.booleans(),
+       st.sampled_from([0.0, 0.9]), st.sampled_from([5, 1000]), _STEPS)
+def test_batch_stages_equal_the_per_transaction_generator(seed, signed, theta,
+                                                          num_records, steps):
+    """Property: every stage taking the whole batch - the Zipfian ranks,
+    the coins, keys and operations, the digests, the signatures - yields
+    what drawing, hashing and signing one transaction at a time did: the
+    same ids, operations, signatures, transaction and batch digests, for
+    batches of 0, 1, 2, 17 and 100, signed and unsigned, sharded and not,
+    with cross-shard slices in between; and both RNGs are left where the
+    per-transaction generator leaves them.  A stage that reorders a draw
+    fails here."""
+    config = YcsbConfig(num_records=num_records, zipf_theta=theta, seed=seed)
+    auth = None
+    if signed:
+        auth = make_authenticators(["replica:0"], ["client:0"], seed=b"ycsb")["client:0"]
+    workload = YcsbWorkload(config, client_id="client:0", authenticator=auth)
+    reference = PerTransactionYcsb(config, "client:0", auth)
+    for at, step in enumerate(steps):
+        try:
+            expected = _generate(reference, step, float(at))
+        except ValueError:
+            # A tiny table where no key routes to the shard.
+            with pytest.raises(ValueError):
+                _generate(workload, step, float(at))
+            return
+        assert _generate(workload, step, float(at)) == expected
+    assert (workload._zipf._rng.random(), workload._rng.random()) == \
+        reference.next_draws()
