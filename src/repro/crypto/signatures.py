@@ -151,9 +151,9 @@ class SignatureScheme:
         transactions' digests), without the generic canonicalisation and
         with the key's kept HMAC state read once for the whole list."""
         payload_digests = digests_of_bytes(values)
-        owner = self._owner_bytes
+        owner_bytes = self._owner_bytes
         tags = (self._signer or self._own_hmac()).tags(
-            [owner + payload_digest for payload_digest in payload_digests])
+            [owner_bytes + payload_digest for payload_digest in payload_digests])
         return list(map(Signature, repeat(self.owner), payload_digests, tags))
 
     def verify(self, signature: Signature, *values: Any) -> bool:

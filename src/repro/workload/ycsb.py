@@ -102,8 +102,8 @@ class YcsbWorkload:
 
         Each stage takes the whole list: the Zipfian ranks, then the write
         coins, keys and operations in one loop (writes carry
-        ``w{number}-``), then the transaction digests, then - when the
-        workload has an authenticator and *signed* holds - the signatures
+        ``w{number}-``), then the transaction digests, then — when the
+        workload has an authenticator and *signed* holds — the signatures
         over them.  Ranks and coins come from two RNGs, so drawing every
         rank before the first coin draws each stream in the order one
         transaction at a time did.  With *shard* given every key routes to
