@@ -18,7 +18,8 @@ State/transition counts are deterministic; ``--expected`` diffs them
 against the checked-in ``MCK_EXPECTATIONS.json`` so a state-space change
 shows up as a reviewable diff.
 
-Any violation is serialized as a replayable JSON trace.  ``--replay``
+Any violation is cut to a shortest trace (``modelcheck.check`` re-explores
+breadth-first) and serialized as replayable JSON.  ``--replay``
 re-executes such a trace event by event, validating each step against
 the recorded labels.  ``--revert-demo`` re-introduces a fixed recovery
 bug (stale-slot eviction in ``adopt_new_view``, PR 3) under a
@@ -46,7 +47,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.fabric.modelcheck import (
     EXTRA_CELLS,
     MODEL_CHECK_CELLS,
-    explore,
+    check,
     load_trace,
     replay_trace,
     write_counterexample,
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
     failures = 0
     for name, config in cells.items():
         start = time.time()
-        result = explore(config)
+        result = check(config)
         elapsed = time.time() - start
         print(f"{name:24s} {result.summary().splitlines()[0]}  "
               f"min_qview={result.min_quiescent_view}  [{elapsed:.1f}s]")

@@ -23,14 +23,10 @@ recorded baseline rather than folklore.  Scale is selected with the same
 
 from __future__ import annotations
 
-import cProfile
 import gc
-import io
 import json
 import os
 import platform
-import pstats
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -47,15 +43,12 @@ from repro.fabric.fingerprint import run_fingerprint  # noqa: F401
 
 from repro.net.simulator import Simulator
 
-#: Version 2 added the large-n rows (MAC-mode PoE vs PBFT at n=32/64/128)
-#: and the same-host HEAD-vs-baseline delta mode (``compare_reports``).
+#: Version 2 added the large-n rows (MAC-mode PoE vs PBFT at n=32/64/128).
 #: Version 3 added the sharded rows: multi-group clusters with cross-shard
 #: 2PC, reported under synthetic protocol labels like ``poe-2sh-x20``
 #: (two PoE shards, 20% cross-shard transactions).
-#: Version 4 records, on every sharded row, the ``driver`` that executed
-#: it (``sequential`` in-process vs ``parallel`` worker processes) and the
-#: per-shard ``shard_processed_events`` breakdown; the parallel compare
-#: mode (``measure_parallel_speedup``) emits rows of both drivers.
+#: Version 4 records, on every sharded row, the per-shard
+#: ``shard_processed_events`` breakdown.
 #: Version 5 adds the first deterministic work counters next to
 #: ``processed_events``: ``digest_memo_misses`` / ``digest_memo_hits`` of
 #: the shared digest memo (``repro.crypto.hashing.shared_digest``), read
@@ -69,13 +62,12 @@ from repro.net.simulator import Simulator
 #: most entries the event heap held at once, read over one extra untimed
 #: ``step()``-driven pass.  One entry per broadcast in flight keeps it
 #: O(n x outstanding), not O(n² x outstanding).
-SCHEMA_VERSION = 6
+#: Version 7 drops the sharded rows' ``driver`` field: every row runs
+#: in-process (``python -m repro.fabric.parallel`` times the two drivers).
+SCHEMA_VERSION = 7
 
 #: Rows at or above this replica count record ``peak_heap_entries``.
 PEAK_HEAP_MIN_REPLICAS = 32
-
-#: Default output file name; the benchmark driver writes it at the repo root.
-DEFAULT_REPORT_NAME = "BENCH_simperf.json"
 
 
 @dataclass(frozen=True)
@@ -333,30 +325,10 @@ def sharded_row_label(protocol: str, num_shards: int,
     return f"{protocol}-{num_shards}sh-x{int(round(cross_fraction * 100))}"
 
 
-def parse_sharded_label(label: str) -> Optional[Tuple[str, int, float]]:
-    """Invert :func:`sharded_row_label`; ``None`` for single-group labels.
-
-    ``"poe-2sh-x20"`` -> ``("poe", 2, 0.2)``.  Lets ``--profile`` and
-    other row-addressed tools accept sharded rows by their recorded
-    protocol label.
-    """
-    parts = label.rsplit("-", 2)
-    if len(parts) != 3:
-        return None
-    protocol, shards_part, cross_part = parts
-    if not (shards_part.endswith("sh") and cross_part.startswith("x")):
-        return None
-    if not (shards_part[:-2].isdigit() and cross_part[1:].isdigit()):
-        return None
-    return protocol, int(shards_part[:-2]), int(cross_part[1:]) / 100.0
-
-
 def measure_sharded_cluster(protocol: str, num_shards: int,
                             cross_shard_fraction: float, total_batches: int,
                             num_replicas: int = 4, batch_size: int = 16,
-                            num_pools: int = 1, client_outstanding: int = 4,
-                            seed: int = 3, repeats: int = 2,
-                            driver: str = "sequential") -> Dict[str, object]:
+                            seed: int = 3, repeats: int = 2) -> Dict[str, object]:
     """Wall-clock cost of one multi-group run with cross-shard 2PC.
 
     Mirrors :func:`measure_cluster` (best-of-*repeats*, with the same
@@ -364,10 +336,7 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
     *num_shards* consensus groups of *protocol*, each on its own
     per-shard simulator, with *cross_shard_fraction* of the client
     batches spanning two shards.  ``n`` reports the total replica count
-    across all shards.  *driver* picks the execution engine —
-    ``"sequential"`` advances the shard runtimes in-process,
-    ``"parallel"`` forks one worker per shard; event counts and virtual
-    clocks are identical either way, only wall time differs.
+    across all shards.
     """
     from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig
 
@@ -380,24 +349,14 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
         config = ShardedClusterConfig(
             num_shards=num_shards, protocols=protocol,
             num_replicas=num_replicas, batch_size=batch_size,
-            num_pools=num_pools, client_outstanding=client_outstanding,
             total_batches=total_batches,
             cross_shard_fraction=cross_shard_fraction, seed=seed,
         )
-        if driver == "parallel":
-            from repro.fabric.parallel import run_parallel
-
-            start = time.perf_counter()
-            run = run_parallel(config, record_wire=False)
-            wall = time.perf_counter() - start
-        elif driver == "sequential":
-            run = ShardedCluster(config)
-            run.start()
-            start = time.perf_counter()
-            run.run_until_done()
-            wall = time.perf_counter() - start
-        else:
-            raise ValueError(f"unknown driver {driver!r}")
+        run = ShardedCluster(config)
+        run.start()
+        start = time.perf_counter()
+        run.run_until_done()
+        wall = time.perf_counter() - start
         shard_events = tuple(run.shard_processed_events)
         completed = sum(pool.completed_txns for pool in run.pools)
         virtual_ms = run.now
@@ -409,15 +368,11 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
         elif signature != reference:
             raise AssertionError(
                 f"non-deterministic sharded run for {protocol} "
-                f"shards={num_shards} driver={driver}: "
-                f"{signature} != {reference}")
+                f"shards={num_shards}: {signature} != {reference}")
         if wall < best_wall:
             best_wall = wall
     shard_events, completed_txns, virtual_ms, memo_counters = reference
     events = sum(shard_events)
-    if driver == "parallel":
-        # The workers hash, each with a memo this process cannot read.
-        memo_counters = {}
     return {
         "protocol": sharded_row_label(protocol, num_shards,
                                       cross_shard_fraction),
@@ -427,7 +382,6 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
         "batch_size": batch_size,
         "total_batches": total_batches,
         "seed": seed,
-        "driver": driver,
         "wall_s": round(best_wall, 4),
         "processed_events": events,
         "shard_processed_events": list(shard_events),
@@ -437,63 +391,6 @@ def measure_sharded_cluster(protocol: str, num_shards: int,
         "txns_per_wall_sec": round(completed_txns / best_wall, 1),
         "virtual_ms": round(virtual_ms, 3),
         "virtual_throughput_txn_per_s": round(throughput, 1),
-    }
-
-
-#: Rows for the ``--parallel`` same-host comparison: (num_shards,
-#: total_batches).  Pools and outstanding are boosted so each shard
-#: carries enough events for the per-window pipe round-trips to
-#: amortise; parallel wins require real cores — a single-core host
-#: (common in CI sandboxes) runs the workers time-sliced and the
-#: comparison degrades to measuring IPC overhead.
-PARALLEL_COMPARE_ROWS: Tuple[Tuple[int, int], ...] = ((2, 40), (4, 40), (8, 40))
-
-
-def measure_parallel_speedup(
-        protocol: str = "poe-mac",
-        rows: Sequence[Tuple[int, int]] = PARALLEL_COMPARE_ROWS,
-        cross_shard_fraction: float = 0.2,
-        num_pools: int = 4, client_outstanding: int = 8,
-        repeats: int = 2) -> Dict[str, object]:
-    """Same-host sequential-vs-parallel comparison over sharded rows.
-
-    For each (num_shards, total_batches) row, runs the identical config
-    under both drivers and reports the wall-clock speedup.  Hard-fails if
-    the per-shard event counts differ — a parallel run that changes what
-    the shards *do* is a bug, not a speedup.
-    """
-    comparisons: List[Dict[str, object]] = []
-    behaviour_ok = True
-    for num_shards, total_batches in rows:
-        kwargs = dict(
-            cross_shard_fraction=cross_shard_fraction,
-            total_batches=total_batches, num_pools=num_pools,
-            client_outstanding=client_outstanding, repeats=repeats,
-        )
-        sequential = measure_sharded_cluster(
-            protocol, num_shards, driver="sequential", **kwargs)
-        parallel = measure_sharded_cluster(
-            protocol, num_shards, driver="parallel", **kwargs)
-        unchanged = (sequential["shard_processed_events"]
-                     == parallel["shard_processed_events"])
-        behaviour_ok = behaviour_ok and unchanged
-        comparisons.append({
-            "row": row_key(sequential),
-            "num_shards": num_shards,
-            "behaviour_unchanged": unchanged,
-            "processed_events": sequential["processed_events"],
-            "shard_processed_events": sequential["shard_processed_events"],
-            "sequential_wall_s": sequential["wall_s"],
-            "parallel_wall_s": parallel["wall_s"],
-            "sequential_events_per_wall_sec": sequential["events_per_wall_sec"],
-            "parallel_events_per_wall_sec": parallel["events_per_wall_sec"],
-            "speedup": round(sequential["wall_s"] / parallel["wall_s"], 3),
-        })
-    return {
-        "protocol": protocol,
-        "cpu_count": os.cpu_count(),
-        "behaviour_unchanged": behaviour_ok,
-        "rows": comparisons,
     }
 
 
@@ -529,70 +426,11 @@ def check_determinism(protocols: Sequence[str] = ("poe", "poe-mac"),
     return {"ok": all_ok, "checks": checks}
 
 
-# ----------------------------------------------------------------- compare
+# ------------------------------------------------------------------- pins
 def row_key(row: Dict[str, object]) -> str:
     """Stable identity of one cluster row (the like-for-like fields)."""
     return (f"{row['protocol']}:n{row['n']}:b{row['batch_size']}"
             f":t{row['total_batches']}:s{row['seed']}")
-
-
-def compare_reports(baseline: Dict[str, object],
-                    current: Dict[str, object]) -> Dict[str, object]:
-    """Same-host HEAD-vs-baseline delta over two suite reports.
-
-    Wall-clock numbers recorded in ``BENCH_simperf.json`` are
-    host-relative — containers bench 40% apart on identical code — so
-    cross-host absolute comparisons are noise.  This delta mode matches
-    rows by :func:`row_key` and reports the events/sec speedup next to a
-    ``behaviour_unchanged`` flag (``processed_events`` equality): a row
-    whose event count moved changed behaviour, not just speed, and its
-    speedup must not be trusted before that is understood.
-    """
-    base_rows = {row_key(row): row for row in baseline.get("clusters", [])}
-    deltas: List[Dict[str, object]] = []
-    behaviour_ok = True
-    seen = set()
-    for row in current.get("clusters", []):
-        key = row_key(row)
-        seen.add(key)
-        base = base_rows.get(key)
-        if base is None:
-            deltas.append({"row": key, "status": "new",
-                           "events_per_wall_sec": row["events_per_wall_sec"]})
-            continue
-        unchanged = row["processed_events"] == base["processed_events"]
-        behaviour_ok = behaviour_ok and unchanged
-        deltas.append({
-            "row": key,
-            "status": "compared",
-            "behaviour_unchanged": unchanged,
-            "baseline_processed_events": base["processed_events"],
-            "processed_events": row["processed_events"],
-            "baseline_events_per_wall_sec": base["events_per_wall_sec"],
-            "events_per_wall_sec": row["events_per_wall_sec"],
-            "speedup": round(
-                row["events_per_wall_sec"] / base["events_per_wall_sec"], 3),
-        })
-    for key in sorted(set(base_rows) - seen):
-        # A baseline row the current suite no longer produces is behaviour
-        # drift too (scale mismatch, dropped/renamed row) — flag it rather
-        # than letting a vanished row pass as "unchanged".
-        behaviour_ok = False
-        deltas.append({"row": key, "status": "missing",
-                       "baseline_events_per_wall_sec":
-                           base_rows[key]["events_per_wall_sec"]})
-    loop_speedup = None
-    base_loop = baseline.get("event_loop")
-    cur_loop = current.get("event_loop")
-    if base_loop and cur_loop:
-        loop_speedup = round(
-            cur_loop["events_per_sec"] / base_loop["events_per_sec"], 3)
-    return {
-        "baseline_recorded_at_unix": baseline.get("recorded_at_unix"),
-        "event_loop_speedup": loop_speedup,
-        "behaviour_unchanged": behaviour_ok,
-        "rows": deltas,
-    }
 
 
 #: Deterministic per-row counters pinned next to ``processed_events``,
@@ -647,99 +485,6 @@ def check_processed_events(
     return problems
 
 
-# ----------------------------------------------------------------- profile
-def row_batch_budget(protocol: str, num_replicas: int,
-                     scale: Optional[PerfScale] = None) -> int:
-    """Batch budget the suite uses for (*protocol*, *num_replicas*).
-
-    Large-n rows shrink their budget with n; resolving it here keeps
-    ``--profile`` profiling the same workload the recorded row measures.
-    """
-    scale = scale or current_perf_scale()
-    for row_protocol, n, total_batches in scale.large_n_rows:
-        if row_protocol == protocol and n == num_replicas:
-            return total_batches
-    return scale.cluster_batches
-
-
-def profile_row(protocol: str, num_replicas: int,
-                total_batches: Optional[int] = None,
-                batch_size: int = 100, seed: int = 3, top: int = 25) -> str:
-    """cProfile one cluster row; returns the top-*top* cumulative report.
-
-    Exists so the next perf PR reads its hot list off
-    ``bench_perf_fabric.py --profile`` instead of re-deriving it by hand.
-    *total_batches* defaults to the batch budget the current scale's
-    suite uses for this (protocol, n) row.
-
-    *protocol* also accepts a sharded row label (``poe-2sh-x20``); the
-    profile then covers a sequential sharded run — the per-shard event
-    loops plus the 2PC/boundary plumbing, i.e. exactly the work one
-    parallel worker would execute — with *num_replicas* read as the
-    per-shard replica count, and appends the per-shard
-    ``processed_events`` breakdown so hot-spot reads can be weighted by
-    where the events actually ran.
-    """
-    sharded = parse_sharded_label(protocol)
-    if sharded is not None:
-        return _profile_sharded_row(sharded, num_replicas, total_batches,
-                                    seed=seed, top=top)
-    if total_batches is None:
-        total_batches = row_batch_budget(protocol, num_replicas)
-    config = ClusterConfig(
-        protocol=protocol, num_replicas=num_replicas,
-        batch_size=batch_size, total_batches=total_batches, seed=seed,
-    )
-    profiler = cProfile.Profile()
-    cluster = Cluster(config)
-    cluster.start()
-    profiler.enable()
-    cluster.run_until_done()
-    profiler.disable()
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats("cumulative").print_stats(top)
-    return stream.getvalue()
-
-
-def _profile_sharded_row(sharded: Tuple[str, int, float], num_replicas: int,
-                         total_batches: Optional[int],
-                         batch_size: int = 16, seed: int = 3,
-                         top: int = 25) -> str:
-    from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig
-
-    protocol, num_shards, cross_fraction = sharded
-    scale = current_perf_scale()
-    if total_batches is None:
-        total_batches = scale.cluster_batches
-        for row_protocol, row_shards, row_cross, row_batches in scale.sharded_rows:
-            if (row_protocol == protocol and row_shards == num_shards
-                    and row_cross == cross_fraction):
-                total_batches = row_batches
-                break
-    cluster = ShardedCluster(ShardedClusterConfig(
-        num_shards=num_shards, protocols=protocol,
-        num_replicas=num_replicas, batch_size=batch_size,
-        total_batches=total_batches,
-        cross_shard_fraction=cross_fraction, seed=seed,
-    ))
-    profiler = cProfile.Profile()
-    cluster.start()
-    profiler.enable()
-    cluster.run_until_done()
-    profiler.disable()
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats("cumulative").print_stats(top)
-    breakdown = ", ".join(
-        f"s{shard}={events}"
-        for shard, events in enumerate(cluster.shard_processed_events))
-    stream.write(
-        f"\nper-shard processed_events: {breakdown} "
-        f"(total {cluster.processed_events})\n")
-    return stream.getvalue()
-
-
 # ------------------------------------------------------------------- suite
 def run_suite(scale: Optional[PerfScale] = None) -> Dict[str, object]:
     """Run the full perf suite at *scale* (default: env-selected)."""
@@ -792,25 +537,3 @@ def write_report(results: Dict[str, object], path: str) -> str:
         handle.write("\n")
     return path
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point: run the suite and write the JSON report."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    path = argv[0] if argv else DEFAULT_REPORT_NAME
-    results = run_suite()
-    write_report(results, path)
-    loop = results["event_loop"]
-    print(f"event loop: {loop['events_per_sec']:,.0f} events/s")
-    for row in results["clusters"]:
-        print(f"{row['protocol']} n={row['n']}: "
-              f"{row['events_per_wall_sec']:,.0f} events/s, "
-              f"{row['txns_per_wall_sec']:,.0f} txn/s (wall)")
-    print(f"determinism ok: {results['determinism']['ok']}")
-    print(f"wrote {path}")
-    # Determinism is load-bearing: a divergence must fail CI smoke runs,
-    # not just be recorded in the report.
-    return 0 if results["determinism"]["ok"] else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())

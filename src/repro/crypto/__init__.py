@@ -21,10 +21,10 @@ functional, pure-Python equivalents with the same API shape:
   (calibrated against the paper's Figure 8).
 """
 
-from repro.crypto.hashing import digest, digest_hex, chain_hash
+from repro.crypto.hashing import digest
 from repro.crypto.keys import KeyStore, generate_system_keys
 from repro.crypto.mac import MacAuthenticator, MacTag
-from repro.crypto.signatures import SignatureScheme, Signature, InvalidSignature
+from repro.crypto.signatures import SignatureScheme, Signature
 from repro.crypto.threshold import (
     ThresholdScheme,
     SignatureShare,
@@ -40,15 +40,12 @@ from repro.crypto.cost import CryptoCostModel, CryptoOp
 
 __all__ = [
     "digest",
-    "digest_hex",
-    "chain_hash",
     "KeyStore",
     "generate_system_keys",
     "MacAuthenticator",
     "MacTag",
     "SignatureScheme",
     "Signature",
-    "InvalidSignature",
     "ThresholdScheme",
     "SignatureShare",
     "ThresholdSignature",

@@ -19,7 +19,7 @@ literature the paper cites.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 
@@ -75,10 +75,6 @@ class CryptoCostModel:
     def cost(self, op: CryptoOp, count: int = 1) -> float:
         """Milliseconds of CPU time for *count* executions of *op*."""
         return self.costs_ms.get(op, 0.0) * self.scale * count
-
-    def scaled(self, scale: float) -> "CryptoCostModel":
-        """Return a copy with the global multiplier replaced."""
-        return replace(self, scale=scale)
 
     @classmethod
     def none(cls) -> "CryptoCostModel":

@@ -348,13 +348,3 @@ def shared_digest(*values: Any) -> bytes:
 #: work counter (``repro.bench.perf`` records it per row).
 shared_digest.cache_info = _memoised_digest.cache_info
 shared_digest.cache_clear = _memoised_digest.cache_clear
-
-
-def digest_hex(*values: Any) -> str:
-    """Hex form of :func:`digest`, convenient for logs and block identifiers."""
-    return digest(*values).hex()
-
-
-def chain_hash(previous_hash: bytes, *values: Any) -> bytes:
-    """Hash used to chain ledger blocks: ``H(prev || payload)``."""
-    return digest(previous_hash, *values)

@@ -46,10 +46,6 @@ class MacAuthenticator:
     def __init__(self, keystore: KeyStore):
         self._keys = keystore
 
-    @property
-    def owner(self) -> str:
-        return self._keys.owner
-
     def sign(self, receiver: str, *values: Any) -> MacTag:
         """Authenticate *values* for *receiver*."""
         secret = self._keys.mac_secret_for(receiver)

@@ -79,10 +79,6 @@ class HmacSha256:
         return self.tags((message,))[0]
 
 
-class InvalidSignature(Exception):
-    """Raised when strict verification of a signature fails."""
-
-
 @dataclass(frozen=True, slots=True)
 class Signature:
     """A digital signature over a message digest.
@@ -169,14 +165,6 @@ class SignatureScheme:
             keyed = self._verifiers[key] = HmacSha256(key)
         expected = keyed.tag(signature.signer.encode() + payload_digest)
         return hmac.compare_digest(expected, signature.tag)
-
-    def require_valid(self, signature: Signature, *values: Any) -> None:
-        """Verify and raise :class:`InvalidSignature` on failure."""
-        if not self.verify(signature, *values):
-            raise InvalidSignature(
-                f"invalid signature from {signature.signer!r} "
-                f"verified by {self.owner!r}"
-            )
 
 
 def build_registry(keystores: Dict[str, KeyStore]) -> Dict[str, bytes]:

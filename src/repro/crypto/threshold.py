@@ -174,10 +174,6 @@ class ThresholdScheme:
         return cls(num_shares=num_shares, threshold=threshold, coefficients=coefficients)
 
     @property
-    def num_shares(self) -> int:
-        return self._num_shares
-
-    @property
     def threshold(self) -> int:
         return self._threshold
 

@@ -66,9 +66,6 @@ class AuditViolation:
     kind: str
     detail: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"[{self.kind}] {self.detail}"
-
 
 @dataclass
 class AuditReport:

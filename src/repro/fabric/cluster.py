@@ -340,7 +340,7 @@ class Cluster:
 
             playbook = ColludingPlaybook()
             for behavior in conspirators:
-                behavior.playbook = playbook
+                behavior.join(playbook)
 
     def _batch_source_for(self, pool_id: str) -> Optional[BatchSource]:
         if not self.config.use_ycsb_payload:

@@ -11,7 +11,7 @@ fabric, returning a :class:`~repro.fabric.metrics.RunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.crypto.cost import CryptoCostModel
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
@@ -128,41 +128,12 @@ def run_experiment(config: ExperimentConfig,
     return cluster.result(warmup_fraction=warmup_fraction, metadata=metadata)
 
 
-def _selected(protocols: Optional[Iterable[str]]) -> List[str]:
-    return list(protocols) if protocols is not None else protocol_names()
-
-
 def run_protocol_comparison(
     base: ExperimentConfig,
     protocols: Optional[Iterable[str]] = None,
     max_ms: float = 600_000.0,
 ) -> Dict[str, RunResult]:
     """Run the same experiment point for several protocols."""
+    names = protocols if protocols is not None else protocol_names()
     return {name: run_experiment(replace(base, protocol=name), max_ms=max_ms)
-            for name in _selected(protocols)}
-
-
-def scaling_sweep(
-    base: ExperimentConfig,
-    replica_counts: Iterable[int],
-    protocols: Optional[Iterable[str]] = None,
-    max_ms: float = 600_000.0,
-) -> List[RunResult]:
-    """Sweep the number of replicas for several protocols (Figure 9 style)."""
-    names = _selected(protocols)
-    return [run_experiment(replace(base, protocol=name, num_replicas=n),
-                           max_ms=max_ms)
-            for n in replica_counts for name in names]
-
-
-def batching_sweep(
-    base: ExperimentConfig,
-    batch_sizes: Iterable[int],
-    protocols: Optional[Iterable[str]] = None,
-    max_ms: float = 600_000.0,
-) -> List[RunResult]:
-    """Sweep the batch size (Figures 9(i), 9(j))."""
-    names = _selected(protocols)
-    return [run_experiment(replace(base, protocol=name, batch_size=batch_size),
-                           max_ms=max_ms)
-            for batch_size in batch_sizes for name in names]
+            for name in names}

@@ -130,17 +130,10 @@ def cluster_state_fingerprint(cluster: Cluster,
     return hashlib.sha256(repr(state).encode("utf-8")).hexdigest()
 
 
-def state_fingerprints_equal(first: Cluster, second: Cluster) -> bool:
-    """Whether two clusters are in the same consensus-visible state."""
-    return (cluster_state_fingerprint(first, digest=False)
-            == cluster_state_fingerprint(second, digest=False))
-
-
 __all__ = [
     "completion_records",
     "run_fingerprint",
     "replica_fingerprint",
     "pool_fingerprint",
     "cluster_state_fingerprint",
-    "state_fingerprints_equal",
 ]

@@ -37,10 +37,6 @@ class Blockchain:
         return iter(self._blocks)
 
     @property
-    def genesis(self) -> Block:
-        return self._blocks[0]
-
-    @property
     def head(self) -> Block:
         """The most recently appended block (genesis if the chain is empty)."""
         return self._blocks[-1]

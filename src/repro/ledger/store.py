@@ -96,9 +96,6 @@ class KeyValueStore:
         self.applied_transactions = 0
 
     # -- basic access -----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._table)
-
     def get(self, key: str) -> Optional[str]:
         return self._table.get(key)
 

@@ -534,15 +534,11 @@ class ColludingBehavior(AdaptiveBehavior):
         super().__init__()
         self._playbook: Optional[ColludingPlaybook] = None
 
-    @property
-    def playbook(self) -> Optional[ColludingPlaybook]:
-        return self._playbook
-
-    @playbook.setter
-    def playbook(self, value: Optional[ColludingPlaybook]) -> None:
-        self._playbook = value
-        if value is not None and self.node_id:
-            value.enroll(self.node_id)
+    def join(self, playbook: ColludingPlaybook) -> None:
+        """Share *playbook* with the other conspirators."""
+        self._playbook = playbook
+        if self.node_id:
+            playbook.enroll(self.node_id)
 
     def observed_primary(self) -> str:
         # Epoch-aware: after a reconfiguration the primary rotation runs

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.net.byzantine import ByzantineBehavior, Delivery
 from repro.net.conditions import NetworkConditions
@@ -208,15 +208,8 @@ class SimNetwork:
         behavior.attach_network(self)
         self._nodes[node_id].behavior = behavior
 
-    @property
-    def replica_ids(self) -> List[str]:
-        return list(self._replica_ids)
-
     def node(self, node_id: str) -> AnyNode:
         return self._nodes[node_id].node
-
-    def nodes(self) -> Iterable[AnyNode]:
-        return (handle.node for handle in self._nodes.values())
 
     # -- lifecycle --------------------------------------------------------------
     def start_all(self) -> None:

@@ -72,10 +72,6 @@ class Message:
 
     size_bytes: int = field(default=BASE_MESSAGE_SIZE, kw_only=True)
 
-    @property
-    def type_name(self) -> str:
-        return type(self).__name__
-
 
 class Action:
     """Marker base class for protocol outputs."""
@@ -316,9 +312,6 @@ class NodeConfig:
         """Identifier of the primary for *view* (``id = view mod n``)."""
         return self.replica_ids[view % self.n]
 
-    def replica_index(self, replica_id: str) -> int:
-        return self.replica_index_map[replica_id]
-
     # -- epoch-indexed membership ------------------------------------------
     def membership(self, epoch: int) -> Tuple[str, ...]:
         """The ordered replica membership of *epoch*."""
@@ -425,10 +418,6 @@ class ProtocolNode(Node):
         self._mac_verify_ms = self._op_cost_ms[CryptoOp.MAC_VERIFY.ordinal]
 
     # -- convenience ----------------------------------------------------------
-    @property
-    def replica_index(self) -> int:
-        return self.config.replica_index(self.node_id)
-
     def charge(self, op: CryptoOp, count: int = 1) -> None:
         """Charge the CPU cost of *count* crypto operations to this step."""
         cost = self._op_cost_ms[op.ordinal] * count
@@ -448,13 +437,3 @@ class ClientNode(Node):
         self.node_id = node_id
         self.config = config
         self.auth = authenticator
-
-
-def quorum_2f_plus_1(config: NodeConfig) -> int:
-    """The classic BFT quorum ``2f + 1`` for a configuration."""
-    return 2 * config.f + 1
-
-
-def quorum_nf(config: NodeConfig) -> int:
-    """The paper's ``nf = n - f`` quorum."""
-    return config.nf

@@ -59,9 +59,6 @@ class _Voters:
     def __bool__(self) -> bool:
         return self.count > 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({sorted(self)!r})"
-
 
 class QuorumProof(_Voters):
     """The immutable voter snapshot a completed tally leaves as its proof.

@@ -65,10 +65,6 @@ class Operation:
         # descriptor that costs a Python frame per call.
         return f"{self.op_type._value_}|{len(self.key)}|{self.key}{value}".encode("utf-8")
 
-    def shard(self, num_shards: int) -> int:
-        """The consensus group this operation's key routes to."""
-        return shard_of_key(self.key, num_shards)
-
 
 #: ``digest("txn", txn_id, client_id, [op bytes])``'s bytes up to the
 #: transaction id: the four-element argument tuple and its constant tag.
@@ -149,17 +145,6 @@ class Transaction:
     def canonical_bytes(self) -> bytes:
         return self.digest()
 
-    def touched_shards(self, num_shards: int) -> Tuple[int, ...]:
-        """Sorted distinct shards this transaction's keys route to.
-
-        A transaction with no operations (zero-payload workloads) touches
-        shard 0 by convention, so routing never has to special-case it.
-        """
-        if not self.operations:
-            return (0,)
-        return tuple(sorted({shard_of_key(op.key, num_shards)
-                             for op in self.operations}))
-
 
 @dataclass(frozen=True)
 class RequestBatch:
@@ -211,13 +196,6 @@ class RequestBatch:
     def client_ids(self) -> Tuple[str, ...]:
         """Distinct client identifiers appearing in the batch (order kept)."""
         return tuple(dict.fromkeys(txn.client_id for txn in self.transactions))
-
-    def touched_shards(self, num_shards: int) -> Tuple[int, ...]:
-        """Sorted distinct shards touched by any transaction in the batch."""
-        shards = set()
-        for txn in self.transactions:
-            shards.update(txn.touched_shards(num_shards))
-        return tuple(sorted(shards)) if shards else (0,)
 
 
 def make_no_op_batch(batch_id: str, client_id: str, size: int,

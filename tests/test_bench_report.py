@@ -112,43 +112,13 @@ class TestFigureExpectations:
         assert len(differences) == 1 and differences[0].startswith("scale:")
 
 
-class TestPerfDeltaMode:
-    """compare_reports / check_processed_events (the same-host delta mode)."""
+class TestPerfEventPins:
+    """check_processed_events: the per-row behaviour pins of perf-smoke."""
 
     def _row(self, protocol="poe-mac", n=32, events=1000, eps=100000.0):
         return {"protocol": protocol, "n": n, "batch_size": 100,
                 "total_batches": 60, "seed": 3, "processed_events": events,
                 "events_per_wall_sec": eps}
-
-    def test_compare_matches_rows_and_reports_speedup(self):
-        from repro.bench.perf import compare_reports
-        baseline = {"clusters": [self._row(eps=100000.0)],
-                    "event_loop": {"events_per_sec": 200000.0}}
-        current = {"clusters": [self._row(eps=250000.0)],
-                   "event_loop": {"events_per_sec": 400000.0}}
-        delta = compare_reports(baseline, current)
-        assert delta["event_loop_speedup"] == 2.0
-        assert delta["behaviour_unchanged"] is True
-        row = delta["rows"][0]
-        assert row["speedup"] == 2.5
-        assert row["behaviour_unchanged"] is True
-
-    def test_compare_flags_processed_events_drift(self):
-        from repro.bench.perf import compare_reports
-        baseline = {"clusters": [self._row(events=1000)]}
-        current = {"clusters": [self._row(events=999)]}
-        delta = compare_reports(baseline, current)
-        assert delta["behaviour_unchanged"] is False
-        assert delta["rows"][0]["behaviour_unchanged"] is False
-
-    def test_compare_reports_new_rows(self):
-        from repro.bench.perf import compare_reports
-        baseline = {"clusters": []}
-        current = {"clusters": [self._row(n=128)]}
-        delta = compare_reports(baseline, current)
-        assert delta["rows"][0]["status"] == "new"
-        # New rows cannot regress behaviour by definition.
-        assert delta["behaviour_unchanged"] is True
 
     def test_check_processed_events_passes_on_match(self):
         from repro.bench.perf import check_processed_events, row_key
@@ -195,20 +165,6 @@ class TestPerfDeltaMode:
         assert problems == [
             f"{row_key(large)}: peak_heap_entries 3637 != expected 274",
             f"{row_key(small)}: peak_heap_entries 12 != expected None"]
-
-    def test_compare_flags_baseline_rows_missing_from_current(self):
-        from repro.bench.perf import compare_reports
-        baseline = {"clusters": [self._row(), self._row(protocol="pbft")]}
-        current = {"clusters": [self._row(eps=120000.0)]}
-        delta = compare_reports(baseline, current)
-        missing = [r for r in delta["rows"] if r["status"] == "missing"]
-        assert len(missing) == 1 and missing[0]["row"].startswith("pbft")
-        assert delta["behaviour_unchanged"] is False
-
-    def test_profile_batch_budget_tracks_the_suite_rows(self):
-        from repro.bench.perf import QUICK, row_batch_budget
-        assert row_batch_budget("poe-mac", 128, QUICK) == 12
-        assert row_batch_budget("poe-mac", 4, QUICK) == QUICK.cluster_batches
 
     def test_check_processed_events_reports_scale_mismatch_clearly(self):
         from repro.bench.perf import check_processed_events

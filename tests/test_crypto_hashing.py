@@ -3,10 +3,8 @@
 from hypothesis import example, given, strategies as st
 
 from repro.crypto.hashing import (
-    chain_hash,
     digest,
     digest_fields_and_blobs,
-    digest_hex,
     digests_of_bytes,
 )
 from repro.ledger.store import result_digest, table_digest
@@ -21,9 +19,6 @@ from repro.workload.transactions import (
 class TestDigestBasics:
     def test_digest_is_32_bytes(self):
         assert len(digest("hello")) == 32
-
-    def test_digest_hex_matches_digest(self):
-        assert digest_hex("abc", 1) == digest("abc", 1).hex()
 
     def test_same_input_same_digest(self):
         assert digest("a", 1, b"x") == digest("a", 1, b"x")
@@ -68,17 +63,6 @@ class TestTypeTagging:
                 return b"thing-bytes"
 
         assert digest(Thing()) == digest(Thing())
-
-
-class TestChainHash:
-    def test_chain_hash_depends_on_parent(self):
-        parent_a = digest("parent-a")
-        parent_b = digest("parent-b")
-        assert chain_hash(parent_a, "payload") != chain_hash(parent_b, "payload")
-
-    def test_chain_hash_depends_on_payload(self):
-        parent = digest("parent")
-        assert chain_hash(parent, "x") != chain_hash(parent, "y")
 
 
 @given(st.lists(st.one_of(st.integers(), st.text(), st.binary(), st.booleans(),

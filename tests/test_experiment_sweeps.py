@@ -1,12 +1,7 @@
-"""Tests for the experiment sweep helpers and auxiliary fabric pieces."""
+"""Tests for auxiliary fabric pieces: registry variants, the echo replica."""
 
 
 from repro.crypto.authenticator import make_authenticators
-from repro.fabric.experiments import (
-    ExperimentConfig,
-    batching_sweep,
-    scaling_sweep,
-)
 from repro.fabric.registry import HotStuffClientPool, get_spec
 from repro.fabric.upper_bound import EchoReplica
 from repro.protocols.base import NodeConfig
@@ -14,24 +9,6 @@ from repro.protocols.client_messages import ClientReplyMessage, ClientRequestMes
 from repro.workload.transactions import make_no_op_batch
 
 REPLICAS = [f"replica:{i}" for i in range(4)]
-
-
-class TestSweepHelpers:
-    def test_scaling_sweep_covers_grid(self):
-        base = ExperimentConfig(num_batches=10, batch_size=10)
-        results = scaling_sweep(base, replica_counts=[4, 7],
-                                protocols=["poe", "pbft"])
-        assert len(results) == 4
-        assert {result.n for result in results} == {4, 7}
-        assert {result.protocol for result in results} == {"PoE", "PBFT"}
-
-    def test_batching_sweep_reports_batch_sizes(self):
-        base = ExperimentConfig(num_replicas=4, num_batches=10)
-        results = batching_sweep(base, batch_sizes=[5, 20], protocols=["poe"])
-        assert [result.metadata["batch_size"] for result in results] == [5, 20]
-        # Larger batches carry more transactions through the same number of
-        # consensus slots.
-        assert results[1].completed_txns > results[0].completed_txns
 
 
 class TestRegistryVariants:

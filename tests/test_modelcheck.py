@@ -11,6 +11,7 @@ the fixed code.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.fabric.modelcheck import (
     ModelCheckConfig,
     TraceMismatch,
     build_cluster,
+    check,
     counterexample_to_json,
     explore,
     hunt,
@@ -107,6 +109,30 @@ class TestStallAndDeadlock:
         assert not result.ok
         assert result.counterexample.kind == "deadlock"
         assert "incomplete" in result.counterexample.violations[0].detail
+
+
+class TestCounterexampleMinimisation:
+    """``check``, which ``examples/model_check.py`` runs on every cell."""
+
+    def test_safe_cells_keep_the_depth_first_result(self):
+        for name in ("poe-nofault", "poe-crash-interleaved"):
+            assert check(MODEL_CHECK_CELLS[name]) == explore(MODEL_CHECK_CELLS[name])
+
+    def test_counterexample_is_the_breadth_first_depth(self):
+        # Three replicas tolerate no fault, so the crash is a stall wherever
+        # it lands: depth-first fires the deliveries timed before it first,
+        # breadth-first finds the crash as the first event.
+        config = ModelCheckConfig(protocol="poe-mac", num_replicas=3,
+                                  crash_replica=2, crash_at_ms=6.5)
+        found = explore(config).counterexample
+        shortest = check(config).counterexample
+        bounded = replace(config, max_depth=len(found.trace))
+        breadth_first = explore(bounded, order="bfs").counterexample
+        assert shortest.kind == found.kind == "stall"
+        assert len(shortest.trace) == len(breadth_first.trace) < len(found.trace)
+        entries = counterexample_to_json(shortest)["trace"]
+        cluster, _violations = replay_trace(config, entries)
+        assert not modelcheck._quorum_reachable(cluster)
 
 
 class TestTraceReplay:

@@ -33,8 +33,8 @@ class PingNode(ProtocolNode):
             self.set_timer("tick", 5.0)
 
     def on_message(self, sender, message, now_ms):
-        self.received.append((sender, message.type_name, now_ms))
-        if message.type_name == "PingMessage":
+        self.received.append((sender, type(message).__name__, now_ms))
+        if type(message).__name__ == "PingMessage":
             self.send(sender, PongMessage())
         self.charge(CryptoOp.MAC_VERIFY)
 
@@ -127,7 +127,7 @@ class TestSimNetwork:
     def test_observer_sees_every_delivery(self):
         simulator, network, nodes = build_ping_network()
         seen = []
-        network.add_observer(lambda s, r, m, t: seen.append((s, r, m.type_name)))
+        network.add_observer(lambda s, r, m, t: seen.append((s, r, type(m).__name__)))
         network.start_all()
         network.inject("replica:0", "replica:1", PingMessage())
         network.run_until_idle()
@@ -138,7 +138,7 @@ class TestSimNetwork:
         network.start_all()
         network.inject("replica:0", "replica:1", PingMessage())
         network.run_until_idle()
-        assert any(record.message.type_name == "PingMessage"
+        assert any(type(record.message).__name__ == "PingMessage"
                    for record in network.delivered)
 
     def test_a_raising_step_leaves_its_actions_to_the_next_one(self):

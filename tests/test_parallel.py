@@ -5,9 +5,9 @@ events at conservative window barriers; the sequential ``ShardedCluster``
 advances the *same* runtimes through the *same* window loop in-process.
 These tests pin the acceptance criterion — the parallel fingerprint is
 byte-identical to the sequential one for the same config — across the
-canonical cross-shard scenarios and seeds, and that a crashing or hung
+canonical cross-shard scenarios and seeds, that a crashing or hung
 worker surfaces a clean, shard-naming error instead of hanging the
-barrier.
+barrier, and that the windows' lookahead never exceeds a boundary delay.
 """
 
 import multiprocessing
@@ -16,8 +16,8 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.bench.perf import parse_sharded_label
 from repro.fabric.audit import ShardedSafetyAuditor
 from repro.fabric import parallel
 from repro.fabric.parallel import WorkerCrash, run_parallel
@@ -27,6 +27,12 @@ from repro.fabric.sharding import (
     ShardedClusterConfig,
     coordinator_id,
     sharded_fingerprint,
+)
+from repro.net.conditions import (
+    DriftPhase,
+    LatencyTopology,
+    LinkOverride,
+    NetworkConditions,
 )
 from repro.net.faults import FaultSchedule
 
@@ -142,8 +148,47 @@ def test_hung_worker_fails_the_barrier_deadline(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_parse_sharded_label_roundtrip():
-    assert parse_sharded_label("poe-2sh-x20") == ("poe", 2, 0.2)
-    assert parse_sharded_label("poe-mac-8sh-x0") == ("poe-mac", 8, 0.0)
-    assert parse_sharded_label("poe-mac") is None
-    assert parse_sharded_label("pbft") is None
+_NODES = ("s0/replica:0", "s0/replica:1", "s1/replica:0", "s1/replica:1",
+          "pool:0", "coord:0")
+_REGIONS = ("eu", "us", "ap")
+_LATENCY = st.floats(min_value=0.01, max_value=80.0)
+_SCALE = st.floats(min_value=0.05, max_value=6.0)
+_REGION_PAIR = st.tuples(st.sampled_from(_REGIONS), st.sampled_from(_REGIONS))
+
+
+@st.composite
+def _conditions(draw):
+    topology = LatencyTopology(
+        regions=draw(st.dictionaries(st.sampled_from(_NODES),
+                                     st.sampled_from(_REGIONS))),
+        intra_ms=draw(_LATENCY),
+        link_ms=draw(st.dictionaries(_REGION_PAIR, _LATENCY, max_size=6)),
+        default_inter_ms=draw(_LATENCY),
+        default_region=draw(st.sampled_from(_REGIONS)),
+        drift=tuple(draw(st.lists(st.builds(
+            DriftPhase, at_ms=st.floats(min_value=0.0, max_value=1_000.0),
+            scale=_SCALE,
+            link_scale=st.dictionaries(_REGION_PAIR, _SCALE, max_size=4)),
+            max_size=4))))
+    conditions = NetworkConditions(topology=topology)
+    links = st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES))
+    for link, latency in draw(st.dictionaries(
+            links, st.one_of(st.none(), _LATENCY), max_size=3)).items():
+        conditions.override_link(*link, LinkOverride(latency_ms=latency))
+    return conditions
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conditions(), st.lists(st.tuples(
+    st.sampled_from(_NODES), st.sampled_from(_NODES),
+    st.floats(min_value=0.0, max_value=2_000.0)), min_size=1, max_size=12))
+def test_lookahead_never_exceeds_a_boundary_latency(conditions, sends):
+    """The windows are safe only if no boundary message outruns the
+    lookahead: under any topology, drift schedule and link override, every
+    link at every time is at least ``min_propagation_ms()`` long."""
+    lookahead = conditions.min_propagation_ms()
+    assert lookahead > 0
+    for sender, receiver, now_ms in sends:
+        latency = conditions.boundary_latency_ms(sender, receiver, now_ms)
+        # The two products round separately: allow one part in 10^12.
+        assert lookahead <= latency * (1 + 1e-12), (sender, receiver, now_ms)

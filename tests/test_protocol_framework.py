@@ -13,8 +13,6 @@ from repro.protocols.base import (
     Send,
     SetTimer,
     StepOutput,
-    quorum_2f_plus_1,
-    quorum_nf,
 )
 from repro.protocols.batching import Batcher
 from repro.protocols.checkpoint import CheckpointTracker
@@ -32,18 +30,12 @@ class TestNodeConfig:
         config = make_config(n)
         assert config.f == f
         assert config.nf == nf
-        assert quorum_nf(config) == nf
-        assert quorum_2f_plus_1(config) == 2 * f + 1
 
     def test_primary_rotates_with_view(self):
         config = make_config(4)
         assert config.primary_of_view(0) == "replica:0"
         assert config.primary_of_view(1) == "replica:1"
         assert config.primary_of_view(5) == "replica:1"
-
-    def test_replica_index_lookup(self):
-        config = make_config(4)
-        assert config.replica_index("replica:2") == 2
 
     def test_proposal_size_scales_with_batch(self):
         config = make_config(4, batch_size=100)

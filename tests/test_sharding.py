@@ -30,6 +30,7 @@ from repro.fabric.scenarios import (
     default_matrix_scenarios,
     run_scenario,
 )
+from repro.fabric import sharding
 from repro.fabric.sharding import (
     ShardCoordinator,
     ShardedCluster,
@@ -38,7 +39,9 @@ from repro.fabric.sharding import (
     hub_node_config,
     layout_for_config,
     pool_id,
+    sharded_fingerprint,
 )
+from repro.ledger.store import KeyValueStore
 from repro.net.faults import FaultSchedule
 from repro.protocols.client_messages import ClientReplyMessage
 from repro.workload.clients import ShardedClientPool
@@ -114,6 +117,62 @@ def test_three_shards_with_coordinator():
     # The coordinator journals every decision it certified.
     assert cluster.coordinator is not None
     assert cluster.coordinator.journal
+
+
+def test_ycsb_payload_slices_apply_on_commit_only(monkeypatch):
+    """Real YCSB payload across two shards: a committed cross-shard
+    transaction's slice is written on every replica of both touched shards,
+    an aborted one's on none, and the replicas of a shard end on one state."""
+    config = ShardedClusterConfig(
+        num_shards=2, num_replicas=4, total_batches=20,
+        cross_shard_fraction=0.2, execute_operations=True,
+        use_ycsb_payload=True, seed=3)
+    plans = {}
+    make_source = sharding.ycsb_sharded_source
+
+    def recording_source(*args, **kwargs):
+        factory = make_source(*args, **kwargs)
+
+        def draw(index, now_ms):
+            item = factory(index, now_ms)
+            if isinstance(item, CrossShardPlan):
+                plans[item.txn] = item
+            return item
+        return draw
+
+    applied = {}
+    apply = KeyValueStore.apply
+
+    def recording_apply(store, transactions):
+        transactions = tuple(transactions)
+        applied.setdefault(id(store), set()).update(
+            txn.txn_id for txn in transactions)
+        return apply(store, transactions)
+
+    monkeypatch.setattr(sharding, "ycsb_sharded_source", recording_source)
+    monkeypatch.setattr(KeyValueStore, "apply", recording_apply)
+    cluster = _run(config)
+    assert all(pool.is_done() for pool in cluster.pools)
+
+    journal = cluster.coordinator.journal
+    assert set(journal) == set(plans)
+    assert COMMIT in {entry["decision"] for entry in journal.values()}
+    for txn, entry in journal.items():
+        plan = plans[txn]
+        for shard in plan.shards:
+            slice_ids = {t.txn_id for t in plan.slice_for(shard)}
+            assert slice_ids
+            for replica in cluster.shard_clusters[shard].replicas:
+                written = slice_ids <= applied.get(id(replica.store), set())
+                assert written == (entry["decision"] == COMMIT), (
+                    txn, shard, replica.node_id)
+    for shard_cluster in cluster.shard_clusters:
+        digests = {replica.executor.state_digest()
+                   for replica in shard_cluster.replicas}
+        assert len(digests) == 1
+    monkeypatch.undo()
+    assert (sharded_fingerprint(config)
+            == sharded_fingerprint(config, driver="parallel"))
 
 
 def test_sbft_shards_are_rejected():
