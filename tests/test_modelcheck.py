@@ -114,9 +114,10 @@ class TestStallAndDeadlock:
 class TestCounterexampleMinimisation:
     """``check``, which ``examples/model_check.py`` runs on every cell."""
 
-    def test_safe_cells_keep_the_depth_first_result(self):
-        for name in ("poe-nofault", "poe-crash-interleaved"):
-            assert check(MODEL_CHECK_CELLS[name]) == explore(MODEL_CHECK_CELLS[name])
+    def test_safe_cell_keeps_the_depth_first_result(self):
+        # mck-smoke holds every pinned cell's counts through check().
+        cell = MODEL_CHECK_CELLS["poe-nofault"]
+        assert check(cell) == explore(cell)
 
     def test_counterexample_is_the_breadth_first_depth(self):
         # Three replicas tolerate no fault, so the crash is a stall wherever
