@@ -115,10 +115,9 @@ class TestFigureExpectations:
 class TestPerfEventPins:
     """check_processed_events: the per-row behaviour pins of perf-smoke."""
 
-    def _row(self, protocol="poe-mac", n=32, events=1000, eps=100000.0):
+    def _row(self, protocol="poe-mac", n=32, events=1000):
         return {"protocol": protocol, "n": n, "batch_size": 100,
-                "total_batches": 60, "seed": 3, "processed_events": events,
-                "events_per_wall_sec": eps}
+                "total_batches": 60, "seed": 3, "processed_events": events}
 
     def test_check_processed_events_passes_on_match(self):
         from repro.bench.perf import check_processed_events, row_key
