@@ -112,8 +112,8 @@ class TestFigureExpectations:
         assert len(differences) == 1 and differences[0].startswith("scale:")
 
 
-class TestPerfEventPins:
-    """check_processed_events: the per-row behaviour pins of perf-smoke."""
+class TestPerfDeltaMode:
+    """check_processed_events: perf-smoke's per-row deltas from the pins."""
 
     def _row(self, protocol="poe-mac", n=32, events=1000):
         return {"protocol": protocol, "n": n, "batch_size": 100,
@@ -172,6 +172,31 @@ class TestPerfEventPins:
         problems = check_processed_events(results, expectations)
         assert problems == ["scale mismatch: expectations are for 'quick', "
                             "run is 'paper'"]
+
+
+class TestPerfCommandLine:
+    """``bench_perf_fabric.py`` takes ``--check-events`` and ``--output`` only."""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                            "bench_perf_fabric.py")
+        spec = importlib.util.spec_from_file_location("bench_perf_fabric", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("flag", ["--profile", "--parallel", "--compare",
+                                      "--shards"])
+    def test_a_removed_mode_is_rejected_before_the_suite_runs(
+            self, bench, flag, monkeypatch, capsys):
+        def run_suite(scale):
+            raise AssertionError("the suite ran")
+        monkeypatch.setattr(bench, "run_suite", run_suite)
+        with pytest.raises(SystemExit) as exit_info:
+            bench.main([flag, "x"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
 
 class TestCollectorAndHeapVisibility:
