@@ -104,8 +104,6 @@ KEPT: Dict[str, str] = {
         "walks the chain; the ledger tests check its links through it",
     "repro.ledger.store:KeyValueStore.get":
         "point read of the table, what tests read a store through",
-    "repro.ledger.store:KeyValueStore.put":
-        "point write of the table, what tests seed a store through",
     "repro.ledger.store:KeyValueStore.replace_all":
         "installs a transferred real table; no entry point does before the matrix-executes item",
     "repro.ledger.store:KeyValueStore.revert":
@@ -194,20 +192,10 @@ KEPT: Dict[str, str] = {
         "abstract hook both client pools implement",
     "repro.workload.clients:ClientPool.on_other_message":
         "hook for protocol-specific client messages; no run sends a pool one",
-    "repro.workload.transactions:shard_of_key":
-        "sharded real-payload path the matrix-executes item needs; test_sharding runs it",
     "repro.workload.transactions:Transaction.canonical_bytes":
         "digest()'s encoding of a transaction; the injectivity tests pin it",
     "repro.workload.transactions:RequestBatch.canonical_bytes":
         "digest()'s encoding of a batch; the injectivity tests pin it",
-    "repro.workload.xshard:ycsb_sharded_source":
-        "sharded real-payload path the matrix-executes item needs; test_sharding runs it",
-    "repro.workload.ycsb:YcsbWorkload._transactions.<locals>.where":
-        "sharded real-payload path the matrix-executes item needs; test_sharding runs it",
-    "repro.workload.ycsb:YcsbWorkload.next_batch_for_shard":
-        "sharded real-payload path the matrix-executes item needs; test_sharding runs it",
-    "repro.workload.ycsb:YcsbWorkload.next_cross_shard_operations":
-        "sharded real-payload path the matrix-executes item needs; test_sharding runs it",
 }
 
 _SITECUSTOMIZE = '''

@@ -2,19 +2,22 @@
 """Multi-group sharding demo: three PoE shards, cross-shard 2PC, audited.
 
 The keyspace is partitioned across three independent PoE consensus
-groups (n=4 each) running on one deterministic simulator.  A client
-pool drives a mixed YCSB-style workload: most batches touch a single
-shard and ride that shard's ordinary consensus path, while a tunable
-fraction span two shards and run two-phase commit — the prepare and
-commit/abort records are themselves consensus-committed inside every
-touched shard, and a decide is only accepted with f+1 matching
-attestations per shard (the guard that holds the line against a
-Byzantine coordinator).
+groups (n=4 each), each on its own deterministic simulator, advanced in
+lock-step windows.  A client pool drives a mixed YCSB workload that
+really executes: most batches touch a single shard and ride that shard's
+ordinary consensus path, while a tunable fraction span two shards and
+run two-phase commit — the prepare and commit/abort records are
+themselves consensus-committed inside every touched shard, a decide is
+only accepted with f+1 matching attestations per shard (the guard that
+holds the line against a Byzantine coordinator), and a committed
+transaction's writes are applied to each touched shard's table only
+then.
 
-After the run, the shard-aware safety auditor replays its independent
-observations: the full single-group audit inside every shard, plus the
-cross-shard invariants (no split commit/abort, certified decides,
-coordinator journal consistency, per-shard reply quorums).
+After the run, every shard's replicas must hold one table, and the
+shard-aware safety auditor replays its independent observations: the
+full single-group audit inside every shard, plus the cross-shard
+invariants (no split commit/abort, certified decides, coordinator
+journal consistency, per-shard reply quorums).
 
 Run with::
 
@@ -43,6 +46,8 @@ def main() -> None:
         batch_size=16,
         total_batches=40,
         cross_shard_fraction=CROSS_FRACTION,
+        use_ycsb_payload=True,
+        execute_operations=True,
         seed=7,
     )
     cluster = ShardedCluster(config)
@@ -56,8 +61,13 @@ def main() -> None:
     for shard, shard_cluster in enumerate(cluster.shard_clusters):
         heads = {replica.blockchain.head.sequence
                  for replica in shard_cluster.replicas}
+        states = {replica.store.snapshot_digest()
+                  for replica in shard_cluster.replicas}
         print(f"  shard {shard}: {config.protocol_for(shard):>8}  "
               f"ledger head sequence(s): {sorted(heads)}")
+        print(f"  shard {shard}: distinct store states: {len(states)} "
+              f"(expected 1)")
+        assert len(states) == 1, f"shard {shard}'s replicas diverged"
 
     summary = cluster.result()
     single, cross = 0, 0

@@ -82,17 +82,21 @@ A :func:`shared_digest` miss writes the same bytes through
 nested values.
 
 A really executed batch's result digest is not asked of this module per
-transaction: the executor keeps one memo keyed on the batch's outcomes
-(:func:`~repro.ledger.execution.batch_result_digest`), whose miss hashes
-each transaction's result once per process through the fixed-shape
+transaction: the replicas of a deployment execute through one memo keyed
+on the table's version and the batch
+(:class:`~repro.ledger.execution.ExecutionMemo`), whose miss hashes each
+transaction's result once through the fixed-shape
 :func:`~repro.ledger.store.result_digest` (``("result", id, ((key,
 value), ...), writes)``), held to ``digest`` by the same test class.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+from collections import deque
 from functools import lru_cache
+from itertools import repeat
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Precomputed 8-byte big-endian length prefixes for short payloads.
@@ -245,6 +249,31 @@ def encode_head(length: int) -> bytes:
     """``digest``'s encoding of a tuple or list of *length* elements, up to
     its first element."""
     return b"T" + _len_prefix(length)
+
+
+def build_columns(cls: type, count: int, **columns: Iterable[Any]) -> List[Any]:
+    """*count* instances of the slotted dataclass *cls*, built column-wise:
+    instance ``i`` holds the ``i``-th value of each column.
+
+    What the digests above cover is generated a batch at a time, and
+    ``cls(...)`` runs an ``__init__`` frame per object (a frozen one
+    through ``object.__setattr__`` per field).  Here each object is an
+    ``object.__new__`` and each field one slot descriptor's ``__set__``
+    mapped over its column, so no default or ``__post_init__`` applies:
+    *columns* must name exactly the fields of ``dataclasses.fields(cls)``,
+    ``init=False`` ones included, and each must yield *count* values.
+
+    Raises:
+        TypeError: if the column names are not exactly *cls*'s fields.
+    """
+    fields = {field.name for field in dataclasses.fields(cls)}
+    if columns.keys() != fields:
+        raise TypeError(f"{cls.__name__} columns {sorted(columns)} are not "
+                        f"its fields {sorted(fields)}")
+    objects = list(map(object.__new__, repeat(cls, count)))
+    for name, column in columns.items():
+        deque(map(cls.__dict__[name].__set__, objects, column), maxlen=0)
+    return objects
 
 
 #: ``digest`` of a one-element argument tuple holding ``bytes``, up to the

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.crypto.hashing import digest, digests_of_bytes
+from repro.crypto.hashing import build_columns, digest, digests_of_bytes
 from repro.crypto.keys import KeyStore
 
 #: SHA-256's block size, and the byte maps that XOR a padded key with
@@ -150,7 +150,8 @@ class SignatureScheme:
         owner_bytes = self._owner_bytes
         tags = (self._signer or self._own_hmac()).tags(
             [owner_bytes + payload_digest for payload_digest in payload_digests])
-        return list(map(Signature, repeat(self.owner), payload_digests, tags))
+        return build_columns(Signature, len(tags), signer=repeat(self.owner),
+                             payload_digest=payload_digests, tag=tags)
 
     def verify(self, signature: Signature, *values: Any) -> bool:
         """Return ``True`` iff *signature* is valid for *values*."""

@@ -21,6 +21,7 @@ from repro.fabric.metrics import (
     warmup_window,
 )
 from repro.fabric.registry import ProtocolSpec, get_spec
+from repro.ledger.execution import ExecutionMemo
 from repro.net.byzantine import ByzantineBehavior, ByzantineSpec, make_behavior
 from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
@@ -320,6 +321,12 @@ class Cluster:
                     rid, at_ms=0.0, until_ms=self._join_times[rid])
             self.replicas.append(replica)
             self.network.add_replica(replica)
+        if self.config.execute_operations:
+            # Every replica starts from an equal table, so they execute
+            # through one memo: a batch is applied once per table.
+            memo = ExecutionMemo()
+            for replica in self.replicas:
+                replica.executor.share(memo)
 
     def _attach_byzantine(self) -> None:
         replica_order = self.config.replica_ids() + self._joiner_ids

@@ -7,11 +7,11 @@ non-faulty replicas produce identical results.  A batch is applied in one
 call, which returns each transaction's outcome and the undo entries
 :class:`~repro.ledger.execution.SpeculativeExecutor` uses to roll back
 speculation during a view-change.  The store hashes nothing: an outcome
-is the plain values its :func:`result_digest` covers, and the executor
-turns a batch's outcomes into one result digest through a memo every
-replica of a process shares
-(:func:`~repro.ledger.execution.batch_result_digest`), so only the first
-replica to execute a batch hashes its transactions' results.
+is the plain values its :func:`result_digest` covers.  The replicas of a
+deployment execute through one
+:class:`~repro.ledger.execution.ExecutionMemo`, so only the first replica
+to execute a batch on a given table applies it and hashes its results;
+the others take its final writes in one :meth:`KeyValueStore.overwrite`.
 """
 
 from __future__ import annotations
@@ -99,9 +99,6 @@ class KeyValueStore:
     def get(self, key: str) -> Optional[str]:
         return self._table.get(key)
 
-    def put(self, key: str, value: str) -> None:
-        self._table[key] = value
-
     def snapshot_digest(self) -> bytes:
         """Digest of the full table (used by checkpoint messages)."""
         return table_digest(self._table)
@@ -142,6 +139,18 @@ class KeyValueStore:
             outcomes.append((transaction.txn_id, tuple(reads), writes))
         self.applied_transactions += len(outcomes)
         return tuple(outcomes), undo
+
+    def written(self, undo_entries: Sequence[UndoEntry]) -> Dict[str, str]:
+        """The current value of every key *undo_entries* logged a write to:
+        what applying the batch that logged them left in the table."""
+        table = self._table
+        return {key: table[key] for key, _, _ in undo_entries}
+
+    def overwrite(self, writes: Dict[str, str], transactions: int) -> None:
+        """Leave the table as applying a batch of *transactions* whose
+        :meth:`written` values are *writes* did, on an equal table."""
+        self._table.update(writes)
+        self.applied_transactions += transactions
 
     def revert(self, undo_entries: Sequence[UndoEntry]) -> None:
         """Revert previously applied writes (most recent first)."""

@@ -336,8 +336,7 @@ class ShardTxnManager:
             # The committed transaction's writes for this shard: applied
             # only now — after certificate validation — and journaled into
             # the slot's undo log so view-change rollbacks revert them.
-            _, undo = replica.executor.store.apply(batch.payload_txns)
-            record.undo.extend(undo)
+            replica.executor.apply_payload(record, batch.payload_txns)
         record.result_digest = control_result_digest(
             txn, phase, batch.shard, outcome)
         return record

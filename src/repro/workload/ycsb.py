@@ -7,8 +7,8 @@ Zipfian distribution (theta = 0.9), and request batches of 100.
 
 A batch is generated one stage at a time, each stage taking the whole
 batch: :meth:`~repro.workload.zipfian.ZipfianGenerator.sample_many` draws
-its ranks, one loop draws the write coins and builds the keys and
-operations, :func:`~repro.workload.transactions.transaction_digests`
+its ranks, one loop draws the write coins, the operations are built
+column-wise, :func:`~repro.workload.transactions.transaction_digests`
 hashes its transactions and, for a signing client,
 :meth:`~repro.crypto.signatures.SignatureScheme.sign_digests` signs their
 digests.  Single-shard batches and cross-shard slices go through the same
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.crypto.authenticator import Authenticator
+from repro.crypto.hashing import build_columns
 from repro.workload.transactions import (
     Operation,
     OpType,
@@ -101,10 +102,12 @@ class YcsbWorkload:
         """Draw, hash and sign one transaction per number, a stage at a time.
 
         Each stage takes the whole list: the Zipfian ranks, then the write
-        coins, keys and operations in one loop (writes carry
-        ``w{number}-``), then the transaction digests, then — when the
-        workload has an authenticator and *signed* holds — the signatures
-        over them.  Ranks and coins come from two RNGs, so drawing every
+        coins, then the operations (writes carry ``w{number}-``), then the
+        transaction digests, then — when the workload has an authenticator
+        and *signed* holds — the signatures over them.  Operations,
+        transactions and signatures are built column-wise
+        (:func:`~repro.crypto.hashing.build_columns`), not one constructor
+        call each.  Ranks and coins come from two RNGs, so drawing every
         rank before the first coin draws each stream in the order one
         transaction at a time did.  With *shard* given every key routes to
         it and keeps its Zipfian popularity *within* the shard: the rank is
@@ -124,21 +127,23 @@ class YcsbWorkload:
         write, read, padding = OpType.WRITE, OpType.READ, "x" * config.value_size
         # ``zip(*[xs] * k)`` repeats each number once per operation of its
         # transaction; ``zip(*[iter(xs)] * k)`` groups the operations back.
-        drawn = [Operation(write, key, f"w{number}-{padding}")
-                 if coin() < write_fraction else Operation(read, key)
-                 for number, key in zip(
-                     itertools.chain.from_iterable(zip(*[numbers] * per_txn)), keys)]
+        op_numbers = list(itertools.chain.from_iterable(zip(*[numbers] * per_txn)))
+        writes = [coin() < write_fraction for _ in op_numbers]
+        drawn = build_columns(
+            Operation, len(op_numbers), key=keys,
+            op_type=[write if is_write else read for is_write in writes],
+            value=[f"w{number}-{padding}" if is_write else None
+                   for number, is_write in zip(op_numbers, writes)])
         operations = list(zip(*[iter(drawn)] * per_txn))
         txn_ids = [f"{client_id}:txn:{number}{suffix}" for number in numbers]
         digests = transaction_digests(txn_ids, client_id, operations)
         signatures = (self.auth.signatures.sign_digests(digests)
                       if signed and self.auth is not None else itertools.repeat(None))
-        transactions = list(map(
-            Transaction, txn_ids, itertools.repeat(client_id), operations,
-            signatures, itertools.repeat(created_at_ms)))
-        for transaction, signed_over in zip(transactions, digests):
-            object.__setattr__(transaction, "_digest", signed_over)
-        return transactions
+        return build_columns(
+            Transaction, len(numbers), txn_id=txn_ids,
+            client_id=itertools.repeat(client_id), operations=operations,
+            signature=signatures, created_at_ms=itertools.repeat(created_at_ms),
+            _digest=digests)
 
     def _batch(self, count: int, created_at_ms: float, reply_to: str = "",
                shard: Optional[int] = None, num_shards: int = 1) -> RequestBatch:

@@ -1,16 +1,23 @@
 """Tests for repro.crypto.hashing: canonical digests over structured values."""
 
+import dataclasses
+import pickle
+
+import pytest
 from hypothesis import example, given, strategies as st
 
 from repro.crypto.hashing import (
+    build_columns,
     digest,
     digest_fields_and_blobs,
     digests_of_bytes,
 )
+from repro.crypto.signatures import Signature
 from repro.ledger.store import result_digest, table_digest
 from repro.workload.transactions import (
     Operation,
     OpType,
+    Transaction,
     transaction_digest,
     transaction_digests,
 )
@@ -131,3 +138,73 @@ class TestFixedShapes:
     def test_result_digest_is_digest(self, txn_id, reads, writes):
         assert result_digest(txn_id, tuple(reads), writes) == digest(
             "result", txn_id, tuple(reads), writes)
+
+
+_OPERATIONS = st.builds(Operation, st.sampled_from(OpType), st.text(max_size=6),
+                        st.none() | st.text(max_size=6))
+_SIGNATURES = st.builds(Signature, st.text(max_size=6), st.binary(max_size=8),
+                        st.binary(max_size=8))
+_TRANSACTIONS = st.builds(
+    Transaction, st.text(max_size=6), st.text(max_size=6),
+    st.lists(_OPERATIONS, max_size=3).map(tuple), st.none() | _SIGNATURES,
+    st.floats(allow_nan=False))
+
+
+def _columns(objects, cls):
+    """*objects*' values, one column per field of *cls*."""
+    return {name: [getattr(obj, name) for obj in objects]
+            for name in (field.name for field in dataclasses.fields(cls))}
+
+
+def _alike(built, constructed):
+    assert built == constructed and hash(built) == hash(constructed)
+    assert repr(built) == repr(constructed)
+    assert pickle.dumps(built) == pickle.dumps(constructed)
+    assert pickle.loads(pickle.dumps(built)) == constructed
+
+
+class TestBuildColumns:
+    """Objects built column-wise are the objects ``__init__`` builds: they
+    compare, hash, print and pickle alike, the transaction digest memo
+    included."""
+
+    @given(st.lists(_OPERATIONS, max_size=4))
+    def test_operations(self, operations):
+        built = build_columns(Operation, len(operations),
+                              **_columns(operations, Operation))
+        assert len(built) == len(operations)
+        for pair in zip(built, operations):
+            _alike(*pair)
+
+    @given(st.lists(_SIGNATURES, max_size=4))
+    def test_signatures(self, signatures):
+        built = build_columns(Signature, len(signatures),
+                              **_columns(signatures, Signature))
+        for pair in zip(built, signatures):
+            _alike(*pair)
+
+    @given(st.lists(_TRANSACTIONS, max_size=4))
+    def test_transactions_with_their_digest_memo(self, transactions):
+        for transaction in transactions:
+            transaction.digest()
+        built = build_columns(Transaction, len(transactions),
+                              **_columns(transactions, Transaction))
+        for pair in zip(built, transactions):
+            _alike(*pair)
+            assert pair[0].digest() == transaction_digest(
+                pair[1].txn_id, pair[1].client_id, pair[1].operations)
+
+    def test_a_missing_or_an_extra_column_is_refused(self):
+        columns = _columns([Operation(OpType.READ, "k")], Operation)
+        missing = {name: column for name, column in columns.items()
+                   if name != "value"}
+        with pytest.raises(TypeError):
+            build_columns(Operation, 1, **missing)
+        with pytest.raises(TypeError):
+            build_columns(Operation, 1, **columns, extra=[None])
+        # An ``init=False`` field is a column too.
+        transaction = Transaction("t", "c")
+        columns = _columns([transaction], Transaction)
+        del columns["_digest"]
+        with pytest.raises(TypeError):
+            build_columns(Transaction, 1, **columns)

@@ -7,6 +7,7 @@ from repro.crypto.hashing import digest, shared_digest
 from repro.ledger.block import Block, GENESIS_PARENT
 from repro.ledger.blockchain import Blockchain, InvalidBlockError
 from repro.ledger.execution import (
+    ExecutionMemo,
     SpeculativeExecutor,
     batch_result_digest,
     modelled_result_digest,
@@ -155,15 +156,12 @@ class TestKeyValueStore:
         assert store.get("fresh") is None
 
     def test_snapshot_digest_changes_with_content(self):
-        store = KeyValueStore({"a": "1"})
-        before = store.snapshot_digest()
-        store.put("a", "2")
-        assert store.snapshot_digest() != before
+        before = KeyValueStore({"a": "1"}).snapshot_digest()
+        assert KeyValueStore({"a": "2"}).snapshot_digest() != before
 
     def test_snapshot_and_replace_all(self):
-        store = KeyValueStore({"a": "1"})
-        snapshot = store.snapshot()
-        store.put("a", "2")
+        snapshot = KeyValueStore({"a": "1"}).snapshot()
+        store = KeyValueStore({"a": "2"})
         store.replace_all(snapshot)
         assert store.get("a") == "1"
 
@@ -238,9 +236,9 @@ _OUTCOMES = st.lists(st.tuples(
 
 
 def _fold_per_transaction(outcomes):
-    """A batch's result digest as it was computed before the batch memo:
-    each transaction's result digest through the shared memo, then their
-    tuple through it."""
+    """A batch's result digest through the generic encoder: each
+    transaction's result digest through the shared memo, then their tuple
+    through it."""
     return shared_digest("results", tuple(
         shared_digest("result", *outcome) for outcome in outcomes))
 
@@ -249,13 +247,9 @@ def _fold_per_transaction(outcomes):
 @given(_OUTCOMES)
 def test_batch_result_digest_is_the_per_transaction_fold(outcomes):
     """Property: over empty batches, absent reads and ids holding
-    separators, the memoised per-batch digest is the per-transaction fold,
-    on the miss and on the hit; ``result_digest`` is each term of it."""
-    batch_result_digest.cache_clear()
-    expected = _fold_per_transaction(outcomes)
-    assert batch_result_digest(outcomes) == expected
-    assert batch_result_digest(outcomes) == expected
-    assert batch_result_digest.cache_info().hits == 1
+    separators, the per-batch digest is the per-transaction fold;
+    ``result_digest`` is each term of it."""
+    assert batch_result_digest(outcomes) == _fold_per_transaction(outcomes)
     assert tuple(result_digest(*outcome) for outcome in outcomes) == tuple(
         digest("result", *outcome) for outcome in outcomes)
 
@@ -264,10 +258,8 @@ def test_batch_result_digest_is_the_per_transaction_fold(outcomes):
 @given(_OUTCOMES.filter(lambda outcomes: any(reads for _, reads, _ in outcomes)),
        st.data())
 def test_one_read_changes_the_batch_result_digest(outcomes, data):
-    """Property: the memo is keyed on what was read, so a replica that read
-    one other value (or found a key absent) gets another digest, even right
-    after the honest digest was memoised."""
-    batch_result_digest(outcomes)
+    """Property: the digest covers what was read, so a replica that read
+    one other value (or found a key absent) reports another digest."""
     index = data.draw(st.sampled_from(
         [i for i, (_, reads, _) in enumerate(outcomes) if reads]))
     txn_id, reads, writes = outcomes[index]
@@ -408,14 +400,19 @@ class TestSpeculativeExecutor:
         assert visited_by_prune == length  # was ~ checkpoints * length / 2
 
     def test_prune_resumes_correctly_after_rollback_resync_and_fast_forward(self):
-        executor, _, _ = self._executor()
+        executor, store, _ = self._executor()
         self._write_batches(executor, range(6))
         executor.prune_before(3)
-        # A rollback below the pruned mark re-executes 2..3: their new undo
-        # logs must be collected by the next checkpoint, not skipped.
-        executor.rollback_to(1)
-        self._write_batches(executor, range(2, 8))
-        assert executor.executed(2).undo and executor.executed(3).undo
+        # Below the pruned mark the undo logs are gone, so a rollback there
+        # could not revert the table: it raises and changes nothing.
+        with pytest.raises(ValueError):
+            executor.rollback_to(1)
+        assert executor.last_executed_sequence == 5 and store.get("x") == "5"
+        # A rollback at the mark re-executes 4..5: their new undo logs
+        # must be collected by the next checkpoint, not skipped.
+        executor.rollback_to(3)
+        self._write_batches(executor, range(4, 8))
+        assert executor.executed(4).undo and executor.executed(5).undo
         executor.prune_before(5)
         assert not any(executor.executed(seq).undo for seq in range(6))
         assert executor.executed(6).undo and executor.executed(7).undo
@@ -586,3 +583,149 @@ def test_real_execution_rollback_converges(protocol, scenario):
         assert batch.digest() == witness.blockchain.block_at(sequence).batch_digest
         replayed.apply(batch.transactions)
     assert replayed.snapshot() == witness.executor.store.snapshot()
+
+
+# ------------------------------------------- the execution memo
+# Executors that share one memo must end every step exactly where the same
+# executors end with a private memo each: same table, and per record the
+# same result digest and undo log.  Batches come from a small pool over
+# four keys, reading and writing, so stores both share entries and
+# diverge; transferred tables are equal to another store's or different.
+
+_MEMO_BATCHES = tuple(
+    make_batch(f"m{index}", [make_txn(f"m{index}:{n}", writes=writes, reads=reads)
+                             for n, (writes, reads) in enumerate(txns)])
+    for index, txns in enumerate((
+        [([("a", "1")], ["b"])],
+        [([("b", "2"), ("c", "3")], ["a"])],
+        [([], ["a", "b", "c"]), ([("a", "4")], ["a"])],
+        [([("c", "5")], ["c", "d"])],
+    )))
+_MEMO_TABLES = ({"a": "0"}, {"a": "1", "b": "x", "d": "y"})
+
+_MEMO_STEP = st.tuples(
+    st.sampled_from(["execute", "execute", "everyone", "everyone", "transfer",
+                     "resync", "rollback", "prune"]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=7))
+
+
+def _memo_step(executor, step, executors):
+    """Apply one drawn step to *executor*; *executors* are its peers (a
+    transferred table may equal one of theirs)."""
+    kind, _, pick, depth = step
+    last = executor.last_executed_sequence
+    # No rollback or resync reaches below a stable checkpoint (the pruned
+    # mark) or below a transferred one (its sync block).
+    marked = max([executor._pruned_through] + [
+        block.sequence for block in executor.blockchain
+        if block.payload == "checkpoint-sync"])
+    if kind in ("execute", "everyone"):
+        executor.execute(last + 1, 0, _MEMO_BATCHES[pick % len(_MEMO_BATCHES)])
+    elif kind in ("transfer", "resync"):
+        tables = [peer.store.snapshot() for peer in executors] + list(_MEMO_TABLES)
+        table = tables[pick % len(tables)]
+        if kind == "transfer":
+            executor.fast_forward(last + 1 + depth % 2, 0, b"d", table)
+        else:
+            divergent_from = marked + 1 + depth % (last - marked + 1)
+            executor.resync(max(last, divergent_from), 0, b"d", table,
+                            divergent_from=divergent_from)
+    elif kind == "rollback":
+        executor.rollback_to(max(marked, last - 1 - depth % 3))
+    else:
+        executor.prune_before(last - depth % 3)
+
+
+def _memo_view(executor):
+    records = [executor.executed(seq)
+               for seq in range(executor.last_executed_sequence + 1)]
+    return (executor.store.snapshot(),
+            [(record.result_digest, tuple(record.undo))
+             for record in records if record is not None])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=3, max_value=4),
+       st.lists(_MEMO_STEP, min_size=1, max_size=40))
+def test_a_shared_memo_changes_nothing_an_executor_does(count, steps):
+    """Property: executors sharing one memo, driven through any
+    interleaving of executes (by one executor or by all), transferred
+    tables, resyncs, rollbacks at or above the pruned mark and prunes, hold the tables, result digests and
+    undo logs the same executors hold with a private memo each."""
+    initial = {"a": "0", "b": "0"}
+
+    def executors():
+        return [SpeculativeExecutor(KeyValueStore(initial), Blockchain("replica:0"))
+                for _ in range(count)]
+
+    shared, private = executors(), executors()
+    memo = ExecutionMemo()
+    for executor in shared:
+        executor.share(memo)
+    for step in steps:
+        # "everyone" executes one batch on every executor, starting with
+        # the drawn one, as replicas do; any other step runs on one.
+        first = step[1] % count
+        indices = ([(first + k) % count for k in range(count)]
+                   if step[0] == "everyone" else [first])
+        for index in indices:
+            _memo_step(shared[index], step, shared)
+            _memo_step(private[index], step, private)
+        assert ([_memo_view(executor) for executor in shared]
+                == [_memo_view(executor) for executor in private]), step
+
+
+def test_four_replicas_execute_each_batch_once():
+    """Equal tables share: of four executors that run one batch, only the
+    first applies it, and all four hold the one undo log."""
+    memo = ExecutionMemo()
+    executors = [SpeculativeExecutor(KeyValueStore({"b": "0"}), Blockchain("r"))
+                 for _ in range(4)]
+    for executor in executors:
+        executor.share(memo)
+    records = [executor.execute(0, 0, _MEMO_BATCHES[0]) for executor in executors]
+    assert (memo.misses, memo.hits) == (1, 3)
+    assert len({id(record.undo) for record in records}) == 1
+    assert all(executor.store.snapshot() == {"a": "1", "b": "0"}
+               for executor in executors)
+
+
+def test_a_rollback_across_a_transferred_table_takes_a_fresh_version():
+    """A record executed before a transferred table was installed reverts
+    onto that table, not onto the one it executed on: the executor must
+    not claim the version it executed from, or a peer still at that
+    version would hand it entries for another table."""
+    def pair(memo=None):
+        executors = [SpeculativeExecutor(KeyValueStore({"b": "0"}), Blockchain("r"))
+                     for _ in range(2)]
+        for executor in executors if memo is not None else ():
+            executor.share(memo)
+        return executors
+
+    views = []
+    for executors in (pair(ExecutionMemo()), pair()):
+        lagging, peer = executors
+        lagging.execute(0, 0, _MEMO_BATCHES[0])
+        lagging.fast_forward(3, 0, b"d", {"a": "9", "b": "9"})
+        lagging.rollback_to(-1)
+        for executor in (peer, lagging):
+            executor.execute(0, 0, _MEMO_BATCHES[1])
+        views.append([_memo_view(executor) for executor in executors])
+    assert views[0] == views[1]
+
+
+def test_a_memo_is_shared_only_from_the_initial_table():
+    executor = SpeculativeExecutor(KeyValueStore(), Blockchain("r"))
+    executor.execute(0, 0, _MEMO_BATCHES[0])
+    with pytest.raises(ValueError):
+        executor.share(ExecutionMemo())
+
+
+def test_the_memo_lets_go_at_a_stable_checkpoint():
+    executor = SpeculativeExecutor(KeyValueStore(), Blockchain("r"))
+    for sequence, batch in enumerate(_MEMO_BATCHES):
+        executor.execute(sequence, 0, batch)
+    executor.prune_before(1)
+    assert sorted(entry[4] for entry in executor.memo.values()) == [2, 3]

@@ -41,7 +41,7 @@ from repro.fabric.sharding import (
     pool_id,
     sharded_fingerprint,
 )
-from repro.ledger.store import KeyValueStore
+from repro.ledger.execution import SpeculativeExecutor
 from repro.net.faults import FaultSchedule
 from repro.protocols.client_messages import ClientReplyMessage
 from repro.workload.clients import ShardedClientPool
@@ -140,17 +140,20 @@ def test_ycsb_payload_slices_apply_on_commit_only(monkeypatch):
             return item
         return draw
 
+    # A replica that finds a slice in its shard's execution memo applies
+    # no transaction itself, so the slices are recorded where every
+    # replica applies one: the executor's payload step.
     applied = {}
-    apply = KeyValueStore.apply
+    apply_payload = SpeculativeExecutor.apply_payload
 
-    def recording_apply(store, transactions):
-        transactions = tuple(transactions)
-        applied.setdefault(id(store), set()).update(
+    def recording_apply_payload(executor, record, transactions):
+        applied.setdefault(id(executor.store), set()).update(
             txn.txn_id for txn in transactions)
-        return apply(store, transactions)
+        return apply_payload(executor, record, transactions)
 
     monkeypatch.setattr(sharding, "ycsb_sharded_source", recording_source)
-    monkeypatch.setattr(KeyValueStore, "apply", recording_apply)
+    monkeypatch.setattr(SpeculativeExecutor, "apply_payload",
+                        recording_apply_payload)
     cluster = _run(config)
     assert all(pool.is_done() for pool in cluster.pools)
 

@@ -150,7 +150,6 @@ class TestRealExecutionPaysForEachTransactionOnce:
         monkeypatch.setattr(execution, "result_digest", counting(
             "result_digest", execution.result_digest))
         shared_digest.cache_clear()
-        execution.batch_result_digest.cache_clear()
         cluster = Cluster(ClusterConfig(
             protocol="poe-mac", num_replicas=4, batch_size=20, total_batches=10,
             use_ycsb_payload=True, execute_operations=True, seed=3))
@@ -158,7 +157,7 @@ class TestRealExecutionPaysForEachTransactionOnce:
         cluster.run_until_done(max_ms=60_000.0)
         assert [r.last_executed_sequence for r in cluster.replicas] == [9] * 4
         return cluster, calls, (shared_digest.cache_info(),
-                                execution.batch_result_digest.cache_info())
+                                cluster.replicas[0].executor.memo)
 
     def test_one_canonicalisation_per_transaction_and_per_batch(self, counted_run):
         """Each transaction is drawn, hashed and signed once for its client,
@@ -169,7 +168,7 @@ class TestRealExecutionPaysForEachTransactionOnce:
         digest each was signed over is its memo.  Each transaction's result
         is hashed once for the whole cluster: the first replica to execute
         a batch folds its 20 result digests, the other three find the fold
-        in the batch memo (before it, each replica hashed or looked up every
+        in the execution memo (before it, each replica hashed or looked up every
         transaction's result: 800 calls).  Batches and their result folds
         go through the fixed-shape encoder, never the generic one."""
         _, calls, _ = counted_run
@@ -179,16 +178,20 @@ class TestRealExecutionPaysForEachTransactionOnce:
 
     def test_replicas_share_each_result_digest(self, counted_run):
         """Distinct values through the two memos: the proposal and block
-        digests of each batch through the shared one, and the batch's
-        outcomes through the batch memo, every one asked for by all four
-        replicas.  Per-transaction result digests no longer pass through
-        the shared memo (it held 200 of them), and a batch result digest
-        that stops being shared moves the counts though no byte changes."""
-        _, _, (memo, batch_memo) = counted_run
+        digests of each batch through the shared digest memo, and each
+        batch on each table through the cluster's execution memo, every
+        one asked for by all four replicas.  The execution memo took over
+        the count the batch-result memo kept (one miss per batch, keyed on
+        its outcomes): it is keyed on the table's version and the batch,
+        so the three replicas after the first apply no transaction either.
+        Per-transaction result digests no longer pass through the shared
+        memo (it held 200 of them), and a batch that stops being shared
+        moves the counts though no byte changes."""
+        _, _, (memo, execution_memo) = counted_run
         assert memo.misses == 10 * 2
         assert memo.hits == 3 * memo.misses
-        assert batch_memo.misses == 10
-        assert batch_memo.hits == 3 * batch_memo.misses
+        assert execution_memo.misses == 10
+        assert execution_memo.hits == 3 * execution_memo.misses
 
     def test_nothing_per_transaction_outlives_its_use(self, counted_run):
         import dataclasses
