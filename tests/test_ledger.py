@@ -652,8 +652,9 @@ def _memo_view(executor):
 def test_a_shared_memo_changes_nothing_an_executor_does(count, steps):
     """Property: executors sharing one memo, driven through any
     interleaving of executes (by one executor or by all), transferred
-    tables, resyncs, rollbacks at or above the pruned mark and prunes, hold the tables, result digests and
-    undo logs the same executors hold with a private memo each."""
+    tables, resyncs, rollbacks at or above the pruned mark and prunes,
+    hold the tables, result digests and undo logs the same executors hold
+    with a private memo each."""
     initial = {"a": "0", "b": "0"}
 
     def executors():
@@ -697,23 +698,21 @@ def test_a_rollback_across_a_transferred_table_takes_a_fresh_version():
     onto that table, not onto the one it executed on: the executor must
     not claim the version it executed from, or a peer still at that
     version would hand it entries for another table."""
-    def pair(memo=None):
-        executors = [SpeculativeExecutor(KeyValueStore({"b": "0"}), Blockchain("r"))
-                     for _ in range(2)]
-        for executor in executors if memo is not None else ():
-            executor.share(memo)
-        return executors
-
-    views = []
-    for executors in (pair(ExecutionMemo()), pair()):
-        lagging, peer = executors
+    def run(share):
+        lagging, peer = (SpeculativeExecutor(KeyValueStore({"b": "0"}),
+                                             Blockchain("r")) for _ in range(2))
+        if share:
+            memo = ExecutionMemo()
+            lagging.share(memo)
+            peer.share(memo)
         lagging.execute(0, 0, _MEMO_BATCHES[0])
         lagging.fast_forward(3, 0, b"d", {"a": "9", "b": "9"})
         lagging.rollback_to(-1)
         for executor in (peer, lagging):
             executor.execute(0, 0, _MEMO_BATCHES[1])
-        views.append([_memo_view(executor) for executor in executors])
-    assert views[0] == views[1]
+        return [_memo_view(executor) for executor in (lagging, peer)]
+
+    assert run(share=True) == run(share=False)
 
 
 def test_a_memo_is_shared_only_from_the_initial_table():
