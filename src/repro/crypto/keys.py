@@ -4,7 +4,9 @@ A :class:`KeyStore` holds everything one principal (replica or client)
 needs to authenticate messages:
 
 * a private signing secret (for the digital-signature scheme),
-* pairwise MAC secrets shared with every other principal,
+* pairwise MAC secrets shared with every other principal, each derived
+  the first time it is used, so set-up stays O(n) in a deployment of
+  O(n²) pairs,
 * a threshold-signature share of the system-wide threshold key.
 
 :func:`generate_system_keys` performs the trusted-setup step that the
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, Iterable, Optional
 
 from repro.crypto.threshold import ThresholdScheme
 
@@ -30,6 +32,29 @@ def _derive(seed: bytes, *labels: str) -> bytes:
     return material
 
 
+class PairSecrets(Dict[str, bytes]):
+    """One principal's pairwise MAC secrets, derived on first lookup.
+
+    ``table[peer]`` derives the secret from *seed* and the sorted pair the
+    first time *peer* is asked for and keeps it, so both ends of a pair
+    hold the same bytes whichever asks first.  The owner and ids outside
+    *members* raise :class:`KeyError`.
+    """
+
+    def __init__(self, seed: bytes, owner: str, members: AbstractSet[str]):
+        super().__init__()
+        self.seed = seed
+        self.owner = owner
+        self.members = members
+
+    def __missing__(self, peer: str) -> bytes:
+        if peer == self.owner or peer not in self.members:
+            raise KeyError(peer)
+        secret = self[peer] = _derive(self.seed, "mac", min(self.owner, peer),
+                                      max(self.owner, peer))
+        return secret
+
+
 @dataclass
 class KeyStore:
     """Key material held by a single principal.
@@ -37,7 +62,8 @@ class KeyStore:
     Attributes:
         owner: identifier of the principal (e.g. ``"replica:3"``).
         signing_secret: private secret for digital signatures.
-        mac_secrets: map of peer identifier to the shared pairwise secret.
+        mac_secrets: map of peer identifier to the shared pairwise
+            secret, each derived on first lookup.
         threshold: the system threshold scheme (public parameters).
         threshold_index: this principal's share index, or ``None`` for
             principals (clients) that hold no share.
@@ -45,7 +71,7 @@ class KeyStore:
 
     owner: str
     signing_secret: bytes
-    mac_secrets: Dict[str, bytes] = field(default_factory=dict)
+    mac_secrets: PairSecrets
     threshold: Optional[ThresholdScheme] = None
     threshold_index: Optional[int] = None
 
@@ -53,7 +79,8 @@ class KeyStore:
         """Return the pairwise secret shared with *peer*.
 
         Raises:
-            KeyError: if no secret was provisioned for *peer*.
+            KeyError: if *peer* is this principal or outside the
+                deployment.
         """
         return self.mac_secrets[peer]
 
@@ -66,11 +93,15 @@ def generate_system_keys(
 ) -> Dict[str, KeyStore]:
     """Provision key material for a whole system.
 
+    Signing secrets and threshold shares are derived here; a pairwise
+    MAC secret is derived the first time either end of the pair uses it.
+
     Args:
         replica_ids: identifiers of the replicas; each receives a threshold
             share (index assigned in iteration order, starting at 1).
         client_ids: identifiers of clients; clients get signing and MAC
-            secrets but no threshold share.
+            secrets but no threshold share.  Every id, replica or client,
+            must appear once.
         threshold: number of shares needed to aggregate a threshold
             signature.  Defaults to ``n - f`` with ``f = (n - 1) // 3``,
             which is the paper's ``nf`` quorum.
@@ -78,6 +109,9 @@ def generate_system_keys(
 
     Returns:
         Mapping from principal identifier to its :class:`KeyStore`.
+
+    Raises:
+        ValueError: if there is no replica, or an id is listed twice.
     """
     replicas = list(replica_ids)
     clients = list(client_ids)
@@ -85,6 +119,12 @@ def generate_system_keys(
     n = len(replicas)
     if n == 0:
         raise ValueError("at least one replica identifier is required")
+    seen = set()
+    for owner in everyone:
+        if owner in seen:
+            raise ValueError(f"principal {owner!r} is listed more than once")
+        seen.add(owner)
+    members = frozenset(seen)
     if threshold is None:
         f = (n - 1) // 3
         threshold = n - f
@@ -98,14 +138,8 @@ def generate_system_keys(
         stores[owner] = KeyStore(
             owner=owner,
             signing_secret=_derive(seed, "sign", owner),
+            mac_secrets=PairSecrets(seed, owner, members),
             threshold=scheme,
             threshold_index=index + 1 if index < n else None,
         )
-
-    for i, left in enumerate(everyone):
-        for right in everyone[i + 1:]:
-            pair_secret = _derive(seed, "mac", min(left, right), max(left, right))
-            stores[left].mac_secrets[right] = pair_secret
-            stores[right].mac_secrets[left] = pair_secret
-
     return stores

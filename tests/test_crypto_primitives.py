@@ -67,6 +67,110 @@ class TestKeyGeneration:
         # n = 4, f = 1, so nf = 3 shares are needed.
         assert keystores["replica:0"].threshold.threshold == 3
 
+    def test_a_repeated_id_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="'r1'"):
+            generate_system_keys(["r0", "r1", "r1", "r2"], ["r2"])
+        with pytest.raises(ValueError, match="'r2'"):
+            generate_system_keys(["r0", "r1", "r2", "r3"], ["r2"])
+        with pytest.raises(ValueError, match="'c'"):
+            generate_system_keys(["r0", "r1", "r2", "r3"], ["c", "c"])
+
+
+def _eager_pair_secrets(everyone, seed):
+    """The eager set-up's pair loop, kept as the reference: every pair's
+    secret is HMAC-SHA256 chained over ``"mac"``, then the smaller and the
+    larger id, starting from the system seed."""
+    table = {}
+    for i, left in enumerate(everyone):
+        for right in everyone[i + 1:]:
+            material = seed
+            for label in ("mac", min(left, right), max(left, right)):
+                material = hmac.new(material, label.encode(), hashlib.sha256).digest()
+            table[left, right] = table[right, left] = material
+    return table
+
+
+_ids = st.text(alphabet="abc:0123", min_size=1, max_size=6)
+
+
+class TestPairSecretsOnFirstUse:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_ids, min_size=2, max_size=8, unique=True), st.data())
+    def test_first_use_matches_the_eager_formula(self, everyone, data):
+        """Whatever order the pairs are first asked for in, each secret is
+        the eager loop's, both ends hold the same bytes, and the owner and
+        a non-member are refused as a missing entry is."""
+        n = data.draw(st.integers(1, len(everyone)), label="replicas")
+        stranger = data.draw(_ids.filter(lambda i: i not in everyone),
+                             label="stranger")
+        seed = data.draw(st.binary(min_size=1, max_size=16), label="seed")
+        keystores = generate_system_keys(everyone[:n], everyone[n:], seed=seed)
+        reference = _eager_pair_secrets(everyone, seed)
+        order = data.draw(st.permutations(sorted(reference)), label="order")
+        for owner, peer in order:
+            secret = keystores[owner].mac_secret_for(peer)
+            assert secret == reference[owner, peer]
+            assert keystores[peer].mac_secret_for(owner) == secret
+        for owner, store in keystores.items():
+            assert dict(store.mac_secrets) == {
+                peer: reference[owner, peer] for peer in everyone if peer != owner}
+            for refused in (owner, stranger):
+                with pytest.raises(KeyError):
+                    store.mac_secret_for(refused)
+                assert refused not in store.mac_secrets
+        verifier = MacAuthenticator(keystores[everyone[0]])
+        tag = MacAuthenticator(keystores[everyone[1]]).sign(everyone[0], "m")
+        assert verifier.verify(tag, "m")
+        forged = type(tag)(sender=stranger, receiver=everyone[0], tag=tag.tag)
+        assert not verifier.verify(forged, "m")
+
+    @pytest.mark.parametrize("copier", ["pickle", "deepcopy"])
+    def test_a_copied_store_derives_the_same_secrets(self, copier):
+        """The parallel driver pickles each shard's replicas back, key
+        stores included, whether or not a pair was derived; a copy keeps
+        what was derived and derives the rest to the same bytes."""
+        import copy
+        import pickle
+
+        copy_of = {"pickle": lambda store: pickle.loads(pickle.dumps(store)),
+                   "deepcopy": copy.deepcopy}[copier]
+        everyone = ["r0", "r1", "r2", "r3", "c"]
+        reference = _eager_pair_secrets(everyone, b"copy")
+        store = generate_system_keys(everyone[:4], ["c"], seed=b"copy")["r0"]
+        before = copy_of(store)
+        assert dict(before.mac_secrets) == {}
+        assert store.mac_secret_for("r2") == reference["r0", "r2"]
+        after = copy_of(store)
+        assert dict(after.mac_secrets) == {"r2": reference["r0", "r2"]}
+        for copied in (before, after):
+            assert copied.signing_secret == store.signing_secret
+            for peer in everyone[1:]:
+                assert copied.mac_secret_for(peer) == reference["r0", peer]
+            with pytest.raises(KeyError):
+                copied.mac_secret_for("r0")
+            with pytest.raises(KeyError):
+                copied.mac_secret_for("stranger")
+
+    def test_building_a_cluster_derives_no_pair_secret(self, monkeypatch):
+        """Set-up is linear in n: one signing secret per principal and the
+        threshold seed, and not one of the (n + c)(n + c - 1) / 2 pairs."""
+        from repro.crypto import keys
+        from repro.fabric.cluster import Cluster, ClusterConfig
+
+        derived = []
+        derive = keys._derive
+
+        def counted(seed, *labels):
+            derived.append(labels)
+            return derive(seed, *labels)
+
+        monkeypatch.setattr(keys, "_derive", counted)
+        config = ClusterConfig(num_replicas=32, num_clients=2)
+        Cluster(config).start()
+        principals = config.replica_ids() + config.client_ids()
+        assert sorted(derived) == sorted(
+            [("sign", owner) for owner in principals] + [("threshold",)])
+
 
 class TestMacs:
     def test_sign_verify_roundtrip(self, keystores):
