@@ -92,6 +92,10 @@ KEPT: Dict[str, str] = {
         "audits a parallel run from its shipped wire records; test_parallel runs it",
     "repro.fabric.audit:ShardedSafetyAuditor.check":
         "report() that raises on a violation, what the sharded tests assert with",
+    "repro.fabric.fingerprint:completion_records":
+        "the completion rows of run_fingerprint, which the determinism tests pin",
+    "repro.fabric.fingerprint:run_fingerprint":
+        "the whole-run fingerprint the determinism tests and their golden digests pin",
     "repro.fabric.metrics:RunResult.row":
         "the flat row the package docstring's example prints",
     "repro.fabric.modelcheck:HuntResult.ok":
@@ -138,6 +142,8 @@ KEPT: Dict[str, str] = {
         "crashes a node mid-run, for the primary-targeting behaviour's crash mode and tests",
     "repro.net.simulator:Timer.active":
         "whether a timer is still pending; the simulator tests read it",
+    "repro.net.simulator:Simulator.step":
+        "runs one event, for the tests that read the heap between events",
     "repro.net.transport:AsyncTransport.node":
         "net/transport.py goes whole in the re-baseline PR (poebench pins the module set)",
     "repro.net.transport:AsyncTransport._arm_timer.<locals>.fire":
@@ -152,14 +158,16 @@ KEPT: Dict[str, str] = {
         "abstract hook every node implements",
     "repro.protocols.base:Node.on_timer":
         "hook a subclass overrides; no protocol leaves it to the base",
+    "repro.protocols.batching:Batcher.__init__":
+        "no replica builds it; batching.py goes in the re-baseline PR",
     "repro.protocols.batching:Batcher.__len__":
-        "Batcher is built on every replica and never fed; it goes in the re-baseline PR",
+        "no replica builds it; batching.py goes in the re-baseline PR",
     "repro.protocols.batching:Batcher.add_transactions":
-        "Batcher is built on every replica and never fed; it goes in the re-baseline PR",
+        "no replica builds it; batching.py goes in the re-baseline PR",
     "repro.protocols.batching:Batcher.flush":
-        "Batcher is built on every replica and never fed; it goes in the re-baseline PR",
+        "no replica builds it; batching.py goes in the re-baseline PR",
     "repro.protocols.batching:Batcher._pop_batch":
-        "Batcher is built on every replica and never fed; it goes in the re-baseline PR",
+        "no replica builds it; batching.py goes in the re-baseline PR",
     "repro.protocols.hotstuff:HotStuffReplica.create_proposal":
         "guard: closes the base per-batch proposal path, since HotStuff proposes per round",
     "repro.protocols.hotstuff:HotStuffReplica.maybe_propose":
@@ -274,8 +282,7 @@ def entry_points(scratch: str) -> Dict[str, List[List[str]]]:
         "parallel smoke": [["-m", "repro.fabric.parallel", "--shards", "2,4",
                             "--seeds", "3,7", "--json", out("parallel.json")]],
         "perf smoke": [["benchmarks/bench_perf_fabric.py", "--check-events",
-                        "benchmarks/PERF_EXPECTATIONS.json", "--output",
-                        out("simperf.json")]],
+                        "benchmarks/PERF_EXPECTATIONS.json"]],
         "soak": [["-m", "pytest", "tests/test_soak.py", "-q", "-p",
                   "no:cacheprovider"], ["-c", _SOAK_SUMMARY]],
         "figures": [["-m", "pytest", *figures,

@@ -7,9 +7,6 @@ wall-clock:
   suite pins: every completion record (identity, timing, view, sequence),
   the processed-event count, the final virtual clock and the summary
   metrics.  Any divergence in scheduling order shows up as a mismatch.
-  This used to live in ``bench/perf.py``; the perf harness now imports it
-  from here so the determinism tests and the benchmark driver hash runs
-  the same way.
 
 * :func:`replica_fingerprint` / :func:`cluster_state_fingerprint` — the
   *per-state* fingerprint the bounded model checker

@@ -18,7 +18,6 @@ from repro.protocols.base import (
     SetTimer,
     StepOutput,
 )
-from repro.protocols.batching import Batcher
 from repro.protocols.checkpoint import CheckpointMessage, CheckpointTracker
 from repro.protocols.client_messages import ClientReplyMessage, ClientRequestMessage
 from repro.protocols.replica_base import BatchingReplica, CommittedSlot
@@ -39,7 +38,6 @@ __all__ = [
     "Send",
     "SetTimer",
     "StepOutput",
-    "Batcher",
     "CheckpointMessage",
     "CheckpointTracker",
     "ClientReplyMessage",

@@ -1,9 +1,9 @@
 """Request batching, as performed by RESILIENTDB's batch-threads.
 
-The primary aggregates incoming client transactions into batches of a
+RESILIENTDB's primary groups client transactions into batches of a
 configured size before proposing them (paper, Section III "Batching").
-Client pools may also submit pre-built batches (the common case in the
-simulator), which pass through unchanged.
+Here no replica builds a Batcher: client pools submit pre-built batches,
+and a primary proposes each as it came, under the id its client knows.
 """
 
 from __future__ import annotations

@@ -12,10 +12,12 @@ matching replies while protocol-specific clients can inspect the details.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.protocols.base import Message
-from repro.workload.transactions import RequestBatch
+
+if TYPE_CHECKING:  # annotation only: the workload's client pools import this module
+    from repro.workload.transactions import RequestBatch
 
 
 @dataclass(slots=True)

@@ -3,8 +3,8 @@
 PoE and the four baselines share the same replica skeleton, which mirrors
 RESILIENTDB's pipeline (paper, Figure 6):
 
-* client requests arrive, are batched (or pass through pre-batched) and
-  queued for proposal by the primary;
+* client requests arrive as batches and are queued, as they came, for
+  proposal by the primary;
 * the protocol-specific consensus logic decides when a slot *commits*
   locally (for PoE: view-commits; for PBFT: commits; for Zyzzyva:
   speculatively orders);
@@ -37,7 +37,6 @@ from repro.ledger.blockchain import Blockchain
 from repro.ledger.execution import ExecutedBatch, SpeculativeExecutor
 from repro.ledger.store import KeyValueStore, table_digest
 from repro.protocols.base import Message, NodeConfig, ProtocolNode
-from repro.protocols.batching import Batcher
 from repro.crypto.hashing import digest
 from repro.protocols.checkpoint import (
     BoundaryState,
@@ -119,7 +118,6 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         self.executor = SpeculativeExecutor(
             self.store, self.blockchain, apply_operations=config.execute_operations
         )
-        self.batcher = Batcher(config.batch_size, owner_id=node_id)
         self.checkpoints = CheckpointTracker(quorum=2 * config.f + 1,
                                              index_map=config.replica_index_map)
         self.next_sequence = 0
@@ -306,7 +304,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             self.send(reply_to, earlier_reply)
             return
         if self.is_primary() and not self.view_change_in_progress:
-            self.enqueue_batch(batch, now_ms)
+            self.enqueue_batch(batch)
             self.maybe_propose(now_ms)
         elif message.retransmission:
             # A client that timed out broadcasts its request; backups forward
@@ -316,8 +314,13 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             self.send(self.primary_id, message)
             self.start_progress_timer(batch.batch_id, now_ms)
 
-    def enqueue_batch(self, batch: RequestBatch, now_ms: float) -> None:
-        """Queue a batch for proposal, re-batching undersized requests."""
+    def enqueue_batch(self, batch: RequestBatch) -> None:
+        """Queue a client's batch for proposal as it came.
+
+        The batch keeps its id, whatever its size: the client is answered
+        under that id, so a batch proposed under another would never
+        complete.
+        """
         if batch.batch_id in self._seen_batch_ids:
             return
         # A new primary's _seen_batch_ids does not cover batches the *old*
@@ -330,14 +333,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
                for slot in self._committed.values()):
             return
         self._seen_batch_ids.add(batch.batch_id)
-        if len(batch.transactions) and len(batch) < self.config.batch_size:
-            reply_to = self._reply_targets.get(batch.batch_id, batch.reply_to)
-            for full in self.batcher.add_transactions(
-                    batch.transactions, reply_to=reply_to, now_ms=now_ms):
-                self._batch_queue.append(full)
-                self._reply_targets[full.batch_id] = reply_to
-        else:
-            self._batch_queue.append(batch)
+        self._batch_queue.append(batch)
 
     # ---------------------------------------------------------------- proposing
     def in_flight(self) -> int:
@@ -1136,7 +1132,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             self._refresh_parked = True
         for batch_id, message in pending.items():
             if self.is_primary() and not gapped:
-                self.enqueue_batch(message.batch, now_ms)
+                self.enqueue_batch(message.batch)
             elif not self.is_primary():
                 self.send(self.primary_id, message)
             self.start_progress_timer(batch_id, now_ms)

@@ -121,18 +121,17 @@ class TestPerfDeltaMode:
 
     def test_check_processed_events_passes_on_match(self):
         from repro.bench.perf import check_processed_events, row_key
-        results = {"clusters": [self._row(events=1234)]}
-        expectations = {"rows": {row_key(results["clusters"][0]): 1234}}
-        assert check_processed_events(results, expectations) == []
+        row = self._row(events=1234)
+        expectations = {"rows": {row_key(row): 1234}}
+        assert check_processed_events([row], expectations) == []
 
     def test_check_processed_events_reports_all_mismatch_kinds(self):
         from repro.bench.perf import check_processed_events, row_key
         drifted = self._row(events=1234)
         unexpected = self._row(protocol="pbft", events=50)
-        results = {"clusters": [drifted, unexpected]}
         expectations = {"rows": {row_key(drifted): 1200,
                                  "zyzzyva:n4:b100:t60:s3": 77}}
-        problems = check_processed_events(results, expectations)
+        problems = check_processed_events([drifted, unexpected], expectations)
         assert len(problems) == 3  # drift, unexpected row, missing row
         assert any("1234 != expected 1200" in p for p in problems)
         assert any("no expectation recorded" in p for p in problems)
@@ -143,10 +142,9 @@ class TestPerfDeltaMode:
         row = dict(self._row(events=1234), digest_memo_misses=40)
         key = row_key(row)
         pinned = {"rows": {key: 1234}, "digest_memo_misses": {key: 40}}
-        assert check_processed_events({"clusters": [row]}, pinned) == []
+        assert check_processed_events([row], pinned) == []
         per_replica_again = dict(row, digest_memo_misses=160)
-        problems = check_processed_events({"clusters": [per_replica_again]},
-                                          pinned)
+        problems = check_processed_events([per_replica_again], pinned)
         assert problems == [f"{key}: digest_memo_misses 160 != expected 40"]
 
     def test_check_processed_events_pins_peak_heap_entries(self):
@@ -155,27 +153,18 @@ class TestPerfDeltaMode:
         small = self._row(n=4, events=50)  # rows under n=32 record no peak
         pinned = {"rows": {row_key(large): 1234, row_key(small): 50},
                   "peak_heap_entries": {row_key(large): 274}}
-        assert check_processed_events({"clusters": [large, small]},
-                                      pinned) == []
+        assert check_processed_events([large, small], pinned) == []
         per_receiver_again = dict(large, peak_heap_entries=3637)
         unpinned = dict(small, peak_heap_entries=12)
-        problems = check_processed_events(
-            {"clusters": [per_receiver_again, unpinned]}, pinned)
+        problems = check_processed_events([per_receiver_again, unpinned],
+                                          pinned)
         assert problems == [
             f"{row_key(large)}: peak_heap_entries 3637 != expected 274",
             f"{row_key(small)}: peak_heap_entries 12 != expected None"]
 
-    def test_check_processed_events_reports_scale_mismatch_clearly(self):
-        from repro.bench.perf import check_processed_events
-        results = {"scale": "paper", "clusters": [self._row()]}
-        expectations = {"scale": "quick", "rows": {}}
-        problems = check_processed_events(results, expectations)
-        assert problems == ["scale mismatch: expectations are for 'quick', "
-                            "run is 'paper'"]
-
 
 class TestPerfCommandLine:
-    """``bench_perf_fabric.py`` takes ``--check-events`` and ``--output`` only."""
+    """``bench_perf_fabric.py`` takes ``--check-events`` only."""
 
     @pytest.fixture(scope="class")
     def bench(self):
@@ -187,10 +176,10 @@ class TestPerfCommandLine:
         return module
 
     @pytest.mark.parametrize("flag", ["--profile", "--parallel", "--compare",
-                                      "--shards"])
+                                      "--shards", "--output"])
     def test_a_removed_mode_is_rejected_before_the_suite_runs(
             self, bench, flag, monkeypatch, capsys):
-        def run_suite(scale):
+        def run_suite():
             raise AssertionError("the suite ran")
         monkeypatch.setattr(bench, "run_suite", run_suite)
         with pytest.raises(SystemExit) as exit_info:
@@ -199,38 +188,26 @@ class TestPerfCommandLine:
         assert f"unrecognized arguments: {flag} x" in capsys.readouterr().err
 
 
-class TestCollectorAndHeapVisibility:
-    """Schema 6: ``gc_collections``/``gc_pause_s``/``peak_heap_entries``."""
+class TestCountedRow:
+    """``count_cluster``: one run, its exact counts."""
 
-    def test_cluster_row_records_the_collector(self):
-        from repro.bench.perf import measure_cluster
-        row = measure_cluster("poe-mac", 4, total_batches=6, repeats=1)
-        assert len(row["gc_collections"]) == 3
-        assert all(count >= 0 for count in row["gc_collections"])
-        assert row["gc_pause_s"] >= 0.0
+    def test_the_counting_run_is_the_plain_run(self):
+        from repro.bench.perf import count_cluster
+        from repro.fabric.cluster import Cluster, ClusterConfig
+        row = count_cluster("poe-mac", 4, total_batches=6)
         assert "peak_heap_entries" not in row  # recorded from n=32 up
+        cluster = Cluster(ClusterConfig(protocol="poe-mac", num_replicas=4,
+                                        batch_size=100, total_batches=6, seed=3))
+        cluster.start()
+        cluster.run_until_done()
+        assert row["processed_events"] == cluster.simulator.processed_events
 
     def test_peak_heap_is_per_broadcast_not_per_receiver(self, monkeypatch):
         from repro.bench import perf
         monkeypatch.setattr(perf, "PEAK_HEAP_MIN_REPLICAS", 16)
-        row = perf.measure_cluster("pbft", 16, total_batches=6, repeats=1)
-        again = perf.measure_cluster("pbft", 16, total_batches=6, repeats=1)
+        row = perf.count_cluster("pbft", 16, total_batches=6)
+        again = perf.count_cluster("pbft", 16, total_batches=6)
         assert row["peak_heap_entries"] == again["peak_heap_entries"]
         # 16 outstanding slots x 16 senders x 15 receivers would be 3840
         # live deliveries; entries are per broadcast (plus timers).
         assert 0 < row["peak_heap_entries"] < 16 * 16 * 2
-
-    def test_gc_hook_is_removed_even_when_the_block_raises(self):
-        import gc
-
-        from repro.bench.perf import _gc_metered
-        before = list(gc.callbacks)
-        try:
-            with _gc_metered() as readings:
-                gc.collect()
-                raise RuntimeError("run failed")
-        except RuntimeError:
-            pass
-        assert gc.callbacks == before
-        assert readings["gc_collections"][2] == 1
-        assert readings["gc_pause_s"] > 0.0

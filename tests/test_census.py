@@ -248,5 +248,4 @@ def test_entry_points_name_files_that_exist_and_the_benchmark_workloads(
     assert list(census._POEBENCH_WORKLOADS) == workloads
     assert points["perf smoke"] == [[
         "benchmarks/bench_perf_fabric.py", "--check-events",
-        "benchmarks/PERF_EXPECTATIONS.json", "--output",
-        os.path.join(scratch, "simperf.json")]]
+        "benchmarks/PERF_EXPECTATIONS.json"]]

@@ -229,3 +229,24 @@ class TestBatchSources:
         assert len(a) == 42
         assert a.batch_id != b.batch_id
         assert a.created_at_ms == 1.0
+
+
+@pytest.mark.parametrize("protocol", ["poe-mac", "pbft"])
+def test_a_batch_smaller_than_batch_size_completes(protocol):
+    # A primary proposes a client's batch as it came: proposed under
+    # another id, it would never be answered under the client's own id,
+    # and the client's retransmissions would be dropped as already seen.
+    from repro.fabric.cluster import Cluster, ClusterConfig
+    from repro.workload.ycsb import YcsbConfig, YcsbWorkload
+
+    cluster = Cluster(ClusterConfig(
+        protocol=protocol, num_replicas=4, batch_size=10, total_batches=6,
+        use_ycsb_payload=True, seed=3))
+    for pool in cluster.pools:
+        workload = YcsbWorkload(YcsbConfig.small(seed=3), client_id=pool.node_id)
+        pool.batch_source = (
+            lambda index, now_ms, workload=workload, reply_to=pool.node_id:
+            workload.next_batch(5, created_at_ms=now_ms, reply_to=reply_to))
+    cluster.start()
+    cluster.run_until_done(max_ms=5_000)
+    assert [pool.completed_batches for pool in cluster.pools] == [6]

@@ -11,7 +11,6 @@ import hashlib
 
 import pytest
 
-from repro.bench.perf import check_determinism
 from repro.fabric.fingerprint import run_fingerprint
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.net.byzantine import ByzantineSpec
@@ -49,14 +48,6 @@ def test_different_seeds_diverge():
     base = run_fingerprint(_config("poe", seed=13))
     other = run_fingerprint(_config("poe", seed=14))
     assert base != other
-
-
-def test_check_determinism_reports_ok():
-    report = check_determinism(total_batches=15)
-    assert report["ok"] is True
-    assert {check["protocol"] for check in report["checks"]} == {"poe", "poe-mac"}
-    assert all(check["identical"] for check in report["checks"])
-    assert all(check["completed_batches"] == 15 for check in report["checks"])
 
 
 @pytest.mark.parametrize("protocol,num_replicas", [
