@@ -136,8 +136,6 @@ KEPT: Dict[str, str] = {
         "the delay model as one call, which the conditions tests check",
     "repro.net.faults:FaultSchedule.crashed_nodes":
         "the crash set at a time, the oracle of the fault-schedule property test",
-    "repro.net.network:SimNetwork._record_delivery":
-        "the delivery log behind record_deliveries=True, which tests turn on",
     "repro.net.network:SimNetwork.crash":
         "crashes a node mid-run, for the primary-targeting behaviour's crash mode and tests",
     "repro.net.simulator:Timer.active":

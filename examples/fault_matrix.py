@@ -21,17 +21,15 @@ coordinator behaviours (equivocating and stalling decides); the
 shard-aware auditor additionally checks cross-shard atomicity and
 decide-certificate validity in those cells.
 
-Since the baseline recovery subsystem (SBFT and Zyzzyva view changes,
-including Zyzzyva's client proof-of-misbehaviour path) there are **no
-expected deviations left**: every cell must be live *and* safe.  Any cell
-marked ``!!`` deviates and makes the run exit non-zero — that is the
-regression signal CI consumes.
-
-``--json PATH`` additionally writes the outcome table in machine-readable
-form, and ``--expected PATH`` diffs the observed liveness/safety of every
-cell against a checked-in expectations file (``MATRIX_EXPECTATIONS.json``
-at the repository root), so an expectation flip shows up as a reviewable
-diff instead of being buried in an exit code.
+``MATRIX_EXPECTATIONS.json`` at the repository root is the matrix's only
+expectation.  ``--json PATH`` writes the outcome table: per cell, every
+field of :class:`~repro.fabric.scenarios.ScenarioOutcome` but the audit
+report, whose violations are flattened to kind and detail.  ``--expected
+PATH`` diffs that table against a pinned one column by column and decides
+the exit code alone, naming every moved column by cell, so a flip — or a
+cell that stays green but stops doing what it is named for — shows up as
+a reviewable diff instead of being buried in an exit code.  Without
+``--expected`` the run fails on any cell that is not live and safe.
 
 ``--soak STEPS`` switches to the bounded-horizon soak: thousands of
 batches per run with a shortened client timeout, sampling every container
@@ -49,6 +47,7 @@ Run with::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -119,37 +118,27 @@ def run_soak_sweep(protocols, scenarios, steps: int, seed: int) -> int:
 
 def outcome_table(outcomes, params: ScenarioParams) -> dict:
     """The machine-readable form of one matrix sweep."""
+    def row(outcome) -> dict:
+        cell = {field.name: getattr(outcome, field.name)
+                for field in dataclasses.fields(outcome) if field.name != "audit"}
+        cell["violations"] = [{"kind": violation.kind, "detail": violation.detail}
+                              for violation in outcome.audit.violations]
+        return cell
+
     return {
         "n": params.num_replicas,
         "batches": params.total_batches,
         "seed": params.seed,
-        "cells": [
-            {
-                "protocol": outcome.protocol,
-                "scenario": outcome.scenario,
-                "live": outcome.live,
-                "safe": outcome.safe,
-                "expected_live": outcome.expected_live,
-                "expected_safe": outcome.expected_safe,
-                "completed_batches": outcome.completed_batches,
-                "expected_batches": outcome.expected_batches,
-                "view_changes": outcome.view_changes,
-                "epochs": outcome.epochs,
-                "violations": [
-                    {"kind": violation.kind, "detail": violation.detail}
-                    for violation in outcome.audit.violations
-                ],
-            }
-            for outcome in outcomes
-        ],
+        "cells": [row(outcome) for outcome in outcomes],
     }
 
 
 def diff_against_expected(table: dict, expected_path: str) -> list:
-    """Compare observed (live, safe) per cell against the checked-in file.
+    """Compare every column of every cell against the checked-in file.
 
-    Returns human-readable difference lines; an empty list means the sweep
-    reproduced the recorded outcomes exactly.
+    Returns one human-readable line per moved column, and per cell run or
+    pinned on one side only; an empty list means the sweep reproduced the
+    recorded table exactly.
     """
     with open(expected_path, "r", encoding="utf-8") as handle:
         expected = json.load(handle)
@@ -162,24 +151,23 @@ def diff_against_expected(table: dict, expected_path: str) -> list:
                 f"outcomes are not comparable")
     if differences:
         return differences
-    recorded = {
-        (cell["protocol"], cell["scenario"]): (cell["live"], cell["safe"])
-        for cell in expected.get("cells", [])
-    }
-    observed = {
-        (cell["protocol"], cell["scenario"]): (cell["live"], cell["safe"])
-        for cell in table["cells"]
-    }
+    recorded = {(cell["protocol"], cell["scenario"]): cell
+                for cell in expected.get("cells", [])}
+    observed = {(cell["protocol"], cell["scenario"]): cell
+                for cell in table["cells"]}
     for key in sorted(set(recorded) | set(observed)):
         have, want = observed.get(key), recorded.get(key)
-        if have == want:
-            continue
-        def fmt(value):
-            if value is None:
-                return "absent"
-            return f"live={value[0]} safe={value[1]}"
-        differences.append(
-            f"{key[0]} × {key[1]}: observed {fmt(have)}, recorded {fmt(want)}")
+        name = f"{key[0]} × {key[1]}"
+        if want is None:
+            differences.append(f"{name}: not in the expectations file")
+        elif have is None:
+            differences.append(f"{name}: pinned, but this sweep did not run it")
+        else:
+            for column in sorted(set(have) | set(want)):
+                seen, pinned = have.get(column, "absent"), want.get(column, "absent")
+                if seen != pinned:
+                    differences.append(
+                        f"{name}: {column} observed {seen}, recorded {pinned}")
     return differences
 
 
@@ -267,9 +255,7 @@ def main(argv=None) -> int:
     print("=" * 72)
     print(format_matrix(outcomes))
     print()
-    print("cell legend: liveness/safety; '!!' marks deviation from the")
-    print("documented expectation. Since the baseline recovery subsystem")
-    print("(SBFT + Zyzzyva view changes) every cell is expected live+safe.")
+    print("cell legend: liveness/safety")
     print()
 
     if args.json:
@@ -278,36 +264,30 @@ def main(argv=None) -> int:
             handle.write("\n")
         print(f"outcome table written to {args.json}")
 
-    failed = False
-    if args.expected:
-        differences = diff_against_expected(table, args.expected)
-        if differences:
-            failed = True
-            print(f"outcomes differ from {args.expected}:")
-            for line in differences:
-                print(f"  - {line}")
-            print("(an intentional flip must update the expectations file "
-                  "in the same change)")
-        else:
-            print(f"outcomes match {args.expected}")
-
     deviations = unexpected_outcomes(outcomes)
     safe_cells = sum(1 for o in outcomes if o.safe)
     live_cells = sum(1 for o in outcomes if o.live)
-    print()
-    print(f"{len(outcomes)} cells: {live_cells} live, {safe_cells} safe, "
-          f"{len(deviations)} unexpected outcomes")
+    print(f"{len(outcomes)} cells: {live_cells} live, {safe_cells} safe")
+    for outcome in deviations:
+        print(f"NOT LIVE AND SAFE: {outcome.protocol} × {outcome.scenario} -> "
+              f"live={outcome.live} safe={outcome.safe} "
+              f"({outcome.completed_batches}/{outcome.expected_batches} batches)")
+        print(outcome.audit.summary())
+
+    if args.expected:
+        differences = diff_against_expected(table, args.expected)
+        if differences:
+            print(f"outcomes differ from {args.expected}:")
+            for line in differences:
+                print(f"  - {line}")
+            print("(an intentional change must update the expectations file "
+                  "in the same change)")
+            return 1
+        print(f"every column of every cell matches {args.expected}")
+        return 0
     if deviations:
-        print()
-        for outcome in deviations:
-            print(f"UNEXPECTED: {outcome.protocol} × {outcome.scenario} -> "
-                  f"live={outcome.live} safe={outcome.safe} "
-                  f"({outcome.completed_batches}/{outcome.expected_batches} batches)")
-            print(outcome.audit.summary())
         return 1
-    if failed:
-        return 1
-    print("all outcomes match the documented expectations")
+    print("every cell live and safe")
     return 0
 
 

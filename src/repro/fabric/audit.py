@@ -114,6 +114,20 @@ def hotstuff_slot_key(block) -> int:
     return block.view
 
 
+def slot_key_for(cluster) -> Callable[[object], int]:
+    """The slot key *cluster*'s protocol agrees on (HotStuff: rounds)."""
+    if issubclass(cluster.spec.replica_cls, HotStuffReplica):
+        return hotstuff_slot_key
+    return default_slot_key
+
+
+def honest_live_replicas(cluster) -> List[object]:
+    """The replicas the invariants judge: neither crashed nor Byzantine."""
+    excluded = set(getattr(cluster, "byzantine_ids", ()))
+    return [replica for replica in cluster.replicas
+            if not replica.crashed and replica.node_id not in excluded]
+
+
 def check_agreement(honest: List[object],
                     slot_key: Callable[[object], int] = default_slot_key,
                     ) -> Tuple[List[AuditViolation], int]:
@@ -284,22 +298,10 @@ class SafetyAuditor:
         return cls(cluster, attach_recorder(cluster.network, cluster.pools))
 
     # ----------------------------------------------------------------- audit
-    def _honest_live_replicas(self) -> List[object]:
-        excluded = set(getattr(self.cluster, "byzantine_ids", ()))
-        return [replica for replica in self.cluster.replicas
-                if not replica.crashed and replica.node_id not in excluded]
-
-    def _slot_key_fn(self) -> "Callable[[object], int]":
-        # Every protocol but HotStuff agrees on sequence numbers; see the
-        # pure slot-key helpers above.
-        if issubclass(self.cluster.spec.replica_cls, HotStuffReplica):
-            return hotstuff_slot_key
-        return default_slot_key
-
     def report(self) -> AuditReport:
         """Run every invariant check and return the findings."""
         report = AuditReport()
-        honest = self._honest_live_replicas()
+        honest = honest_live_replicas(self.cluster)
         report.replicas_audited = len(honest)
         self._check_agreement(honest, report)
         self._check_ledgers(honest, report)
@@ -320,7 +322,7 @@ class SafetyAuditor:
     # -------------------------------------------------------------- invariants
     def _check_agreement(self, honest: List[object], report: AuditReport) -> None:
         """No divergent batches per slot; no batch at two different slots."""
-        violations, slots_checked = check_agreement(honest, self._slot_key_fn())
+        violations, slots_checked = check_agreement(honest, slot_key_for(self.cluster))
         report.slots_checked = slots_checked
         report.violations.extend(violations)
 

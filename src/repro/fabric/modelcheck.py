@@ -51,8 +51,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.fabric.audit import (
     AuditViolation,
     check_replica_state,
-    default_slot_key,
-    hotstuff_slot_key,
+    honest_live_replicas,
+    slot_key_for,
 )
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.fingerprint import cluster_state_fingerprint
@@ -60,7 +60,6 @@ from repro.net.byzantine import ByzantineSpec
 from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.net.simulator import ControlledScheduler
-from repro.protocols.hotstuff import HotStuffReplica
 
 #: Version tag of the counterexample-trace JSON format.
 TRACE_SCHEMA = 1
@@ -267,27 +266,50 @@ def build_cluster(config: ModelCheckConfig) -> Tuple[Cluster, ControlledSchedule
     return cluster, scheduler
 
 
-def _replay(config: ModelCheckConfig,
-            trace: Sequence[int]) -> Tuple[Cluster, ControlledScheduler]:
+class TraceMismatch(ValueError):
+    """A replayed event is not schedulable, or its label differs from the
+    recorded one."""
+
+
+def _replay(config: ModelCheckConfig, trace: Sequence[int],
+            labelled: bool = False, recorded: Optional[Sequence] = None,
+            ) -> Tuple[Cluster, ControlledScheduler,
+                       Optional[List[Tuple[int, Tuple]]]]:
+    """Fire *trace* (event sequence numbers) on a fresh cluster.
+
+    Returns the cluster, its scheduler and, when asked for with *labelled*
+    or *recorded*, the ``(seq, label)`` of every fired event (else
+    ``None``).  Looking a label up scans the pending events, so
+    :func:`explore`'s replays skip it.  A labelled replay raises
+    :class:`TraceMismatch` at a step whose event is not schedulable or
+    whose label differs from *recorded*'s (one label or ``None`` per step).
+    """
     cluster, scheduler = build_cluster(config)
-    for seq in trace:
+    labels = [] if labelled or recorded is not None else None
+    for index, seq in enumerate(trace):
+        if labels is not None:
+            live = next((label for s, _t, label in scheduler.choices()
+                         if s == seq), None)
+            if live is None:
+                raise TraceMismatch(
+                    f"step {index}: event seq {seq} is not schedulable here")
+            want = recorded[index] if recorded is not None else None
+            if want is not None and _jsonable(live) != want:
+                raise TraceMismatch(
+                    f"step {index}: recorded label {want!r} but the live "
+                    f"event is {_jsonable(live)!r}")
+            labels.append((seq, live))
         scheduler.fire(seq)
-    return cluster, scheduler
+    return cluster, scheduler, labels
+
+
+def _violations(cluster: Cluster) -> List[AuditViolation]:
+    """The replica-state invariants over *cluster*'s honest live replicas."""
+    return check_replica_state(honest_live_replicas(cluster),
+                               slot_key_for(cluster))
 
 
 # ------------------------------------------------------------- state view
-def _slot_key_fn(cluster: Cluster):
-    if issubclass(cluster.spec.replica_cls, HotStuffReplica):
-        return hotstuff_slot_key
-    return default_slot_key
-
-
-def _honest(cluster: Cluster) -> List[object]:
-    excluded = set(cluster.byzantine_ids)
-    return [replica for replica in cluster.replicas
-            if not replica.crashed and replica.node_id not in excluded]
-
-
 def _state_fingerprint(cluster: Cluster, choices) -> str:
     pending = tuple(sorted(repr(label) for _seq, _time, label in choices))
     return cluster_state_fingerprint(cluster, pending)
@@ -365,7 +387,7 @@ def explore(config: ModelCheckConfig, order: str = "dfs") -> ExploreResult:
     pop = frontier.pop if order == "dfs" else frontier.popleft
     while frontier:
         trace = pop()
-        cluster, scheduler = _replay(config, trace)
+        cluster, scheduler, _labels = _replay(config, trace)
         choices = scheduler.choices()
         fingerprint = _state_fingerprint(cluster, choices)
         if fingerprint in visited:
@@ -375,18 +397,18 @@ def explore(config: ModelCheckConfig, order: str = "dfs") -> ExploreResult:
             break
         visited.add(fingerprint)
         result.states_explored += 1
-        honest = _honest(cluster)
+        honest = honest_live_replicas(cluster)
         state_view = 0
         for replica in cluster.replicas:
             if replica.view > state_view:
                 state_view = replica.view
         if state_view > result.max_view:
             result.max_view = state_view
-        violations = check_replica_state(honest, _slot_key_fn(cluster))
+        violations = check_replica_state(honest, slot_key_for(cluster))
         if violations:
             result.counterexample = Counterexample(
                 kind="invariant", config=config,
-                trace=trace_with_labels(config, trace), violations=violations)
+                trace=_replay(config, trace, labelled=True)[2], violations=violations)
             break
         if all(pool.is_done() for pool in cluster.pools):
             result.quiescent_leaves += 1
@@ -401,7 +423,7 @@ def explore(config: ModelCheckConfig, order: str = "dfs") -> ExploreResult:
                 live = sum(1 for r in cluster.replicas if not r.crashed)
                 result.counterexample = Counterexample(
                     kind="stall", config=config,
-                    trace=trace_with_labels(config, trace),
+                    trace=_replay(config, trace, labelled=True)[2],
                     violations=[AuditViolation(
                         kind="stall",
                         detail=(f"only {live} live replicas; commit quorum "
@@ -417,7 +439,7 @@ def explore(config: ModelCheckConfig, order: str = "dfs") -> ExploreResult:
             if not config.expect_stall:
                 result.counterexample = Counterexample(
                     kind="deadlock", config=config,
-                    trace=trace_with_labels(config, trace),
+                    trace=_replay(config, trace, labelled=True)[2],
                     violations=[AuditViolation(
                         kind="deadlock",
                         detail=("no enabled events but "
@@ -532,7 +554,6 @@ def hunt(config: ModelCheckConfig, walks: int = 500, walk_seed: int = 1,
     for walk_index in range(walks):
         rng = random.Random(1_000_003 * (walk_seed + walk_index))
         cluster, scheduler = build_cluster(config)
-        slot_key = _slot_key_fn(cluster)
         trace: List[Tuple[int, Tuple]] = []
         slow: Dict[Tuple, bool] = {}
         result.walks += 1
@@ -569,7 +590,7 @@ def hunt(config: ModelCheckConfig, walks: int = 500, walk_seed: int = 1,
             trace.append((seq, label))
             scheduler.fire(seq)
             result.steps += 1
-            violations = check_replica_state(_honest(cluster), slot_key)
+            violations = _violations(cluster)
             if violations:
                 result.violating_walk = walk_index
                 result.counterexample = Counterexample(
@@ -594,13 +615,11 @@ def shrink_trace(config: ModelCheckConfig,
     current = [seq for seq, _label in trace]
 
     def _still_violates(seqs: List[int]) -> bool:
-        cluster, scheduler = build_cluster(config)
-        for seq in seqs:
-            if all(s != seq for s, _t, _l in scheduler.choices()):
-                return False
-            scheduler.fire(seq)
-        return bool(check_replica_state(_honest(cluster),
-                                        _slot_key_fn(cluster)))
+        try:
+            cluster, _scheduler, _labels = _replay(config, seqs, labelled=True)
+        except TraceMismatch:
+            return False
+        return bool(_violations(cluster))
 
     shrunk = True
     while shrunk:
@@ -612,23 +631,10 @@ def shrink_trace(config: ModelCheckConfig,
                 current = candidate
                 shrunk = True
             index -= 1
-    return trace_with_labels(config, current)
+    return _replay(config, current, labelled=True)[2]
 
 
 # ---------------------------------------------------------------- tracing
-def trace_with_labels(config: ModelCheckConfig,
-                      trace: Sequence[int]) -> List[Tuple[int, Tuple]]:
-    """Replay *trace* once more, recording each chosen event's label."""
-    cluster, scheduler = build_cluster(config)
-    entries: List[Tuple[int, Tuple]] = []
-    for seq in trace:
-        label = next((lab for s, _t, lab in scheduler.choices() if s == seq),
-                     ("unknown",))
-        entries.append((seq, label))
-        scheduler.fire(seq)
-    return entries
-
-
 def _jsonable(value):
     if isinstance(value, bytes):
         return value.hex()
@@ -667,10 +673,6 @@ def load_trace(path: str) -> Tuple[ModelCheckConfig, List[Dict[str, object]]]:
     return config, list(payload["trace"])
 
 
-class TraceMismatch(ValueError):
-    """A replayed event's label differs from the recorded one."""
-
-
 def replay_trace(config: ModelCheckConfig, entries: Sequence[Dict[str, object]],
                  ) -> Tuple[Cluster, List[AuditViolation]]:
     """Re-execute a recorded trace, validating each step's label.
@@ -679,22 +681,10 @@ def replay_trace(config: ModelCheckConfig, entries: Sequence[Dict[str, object]],
     (the recorded ones, if the trace is genuine and the underlying bug is
     still present).
     """
-    cluster, scheduler = build_cluster(config)
-    for index, entry in enumerate(entries):
-        seq = entry["seq"]
-        live = next((lab for s, _t, lab in scheduler.choices() if s == seq),
-                    None)
-        if live is None:
-            raise TraceMismatch(
-                f"step {index}: event seq {seq} is not schedulable here")
-        recorded = entry.get("label")
-        if recorded is not None and _jsonable(live) != recorded:
-            raise TraceMismatch(
-                f"step {index}: recorded label {recorded!r} but the live "
-                f"event is {_jsonable(live)!r}")
-        scheduler.fire(seq)
-    violations = check_replica_state(_honest(cluster), _slot_key_fn(cluster))
-    return cluster, violations
+    cluster, _scheduler, _labels = _replay(
+        config, [entry["seq"] for entry in entries],
+        recorded=[entry.get("label") for entry in entries])
+    return cluster, _violations(cluster)
 
 
 # ----------------------------------------------------------------- cells

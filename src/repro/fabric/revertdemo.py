@@ -4,8 +4,10 @@ PR 3 fixed a stale-slot eviction bug in :meth:`PoeReplica.adopt_new_view`:
 a batch parked in ``_committed`` at its view-0 slot survives the view
 change, and when the new primary re-proposes the same batch at a lower
 slot, ``try_execute`` later drains the stale entry too — the batch
-executes at two slots.  This module re-introduces the bug under a
-monkeypatch (the real code keeps the fix) and drives the model checker's
+executes at two slots.  This module re-introduces the bug by making
+:meth:`PoeReplica.evict_uncovered` a no-op for the duration of the demo
+(the real code keeps the fix, and no copy of the handler exists for a
+patch to miss) and drives the model checker's
 randomized deferral hunt to a minimal, replayable counterexample.
 
 The bug is *structurally unreachable* under the checker's ``global`` and
@@ -25,12 +27,11 @@ found the violation replays alone with ``walks=1``.
 """
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+from unittest import mock
 
-from repro.core.replica import PoeReplica, SchemeKind
-from repro.core.view_change import longest_consecutive_prefix
+from repro.core.replica import PoeReplica
 from repro.fabric.audit import AuditViolation
 from repro.fabric.modelcheck import (
     Counterexample,
@@ -57,50 +58,11 @@ REVERT_DEMO_DEFER_P = 0.15
 REVERT_DEMO_MAX_STEPS = 300
 
 
-def buggy_adopt_new_view(self, proposal, requests, now_ms):
-    """Pre-fix ``PoeReplica.adopt_new_view``: no stale-slot eviction.
-
-    Identical to the current implementation except the loop that evicts
-    ``_committed`` slots beyond ``kmax`` (and slots re-assigned by the
-    adopted prefix) is missing, so a batch parked at its old slot can
-    later execute twice.
-    """
-    prefix, kmax = longest_consecutive_prefix(
-        requests, f=self.config.f,
-        trust_certificates=self.scheme is SchemeKind.THRESHOLD)
-    rollback_target = kmax
-    for sequence in sorted(prefix):
-        if sequence > self.last_executed_sequence:
-            break
-        mine = self.executor.executed(sequence)
-        if mine is not None and (mine.batch_digest
-                                 != prefix[sequence].batch.digest()):
-            rollback_target = max(sequence - 1,
-                                  self.checkpoints.stable_sequence)
-            break
-    self.rollback_speculation(
-        max(self.checkpoints.stable_sequence, min(kmax, rollback_target)), now_ms)
-    # BUG (reverted fix): stale _committed slots are NOT evicted here.
-    for sequence in sorted(prefix):
-        if sequence <= self.last_executed_sequence:
-            continue
-        entry = prefix[sequence]
-        self._log[sequence] = entry
-        self.commit_slot(sequence=sequence, view=entry.view, batch=entry.batch,
-                         proof=entry.proof, now_ms=now_ms,
-                         speculative=False)
-    return kmax
-
-
-@contextlib.contextmanager
 def reverted_stale_slot_fix():
-    """Swap in the pre-fix ``adopt_new_view`` for the duration."""
-    original = PoeReplica.adopt_new_view
-    PoeReplica.adopt_new_view = buggy_adopt_new_view
-    try:
-        yield
-    finally:
-        PoeReplica.adopt_new_view = original
+    """Context manager disabling today's fix: ``adopt_new_view`` keeps
+    calling :meth:`PoeReplica.evict_uncovered`, which evicts nothing."""
+    return mock.patch.object(PoeReplica, "evict_uncovered",
+                             lambda self, prefix, kmax: None)
 
 
 @dataclass

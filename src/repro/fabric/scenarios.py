@@ -15,15 +15,16 @@ authentication schemes (MACs and threshold signatures; the baselines are
 tied to their native scheme) — and :func:`format_matrix` renders the
 liveness/safety table.
 
-Outcomes are judged against *expectations*: every combination must be
-safe and live except the documented ones.  Since the baseline recovery
-subsystem landed (SBFT and Zyzzyva view changes over
+Every cell must be live and safe unless ``MATRIX_EXPECTATIONS.json``
+pins it otherwise; that table, diffed on every column of
+:class:`ScenarioOutcome` by ``examples/fault_matrix.py --expected``, is
+the matrix's only expectation.  Since the baseline recovery subsystem
+landed (SBFT and Zyzzyva view changes over
 :class:`~repro.protocols.recovery.PrimaryBackupReplica`, including
-Zyzzyva's client proof-of-misbehaviour path), there are none: the cells
-that used to be expected-stall (``sbft``/``zyzzyva`` × faulty primary)
-and expected-unsafe (``zyzzyva × equivocate``) now recover and must pass
-the auditor like every other cell.  Any deviation anywhere in the matrix
-is a regression.
+Zyzzyva's client proof-of-misbehaviour path) it pins no deviation: the
+cells that used to be expected-stall (``sbft``/``zyzzyva`` × faulty
+primary) and expected-unsafe (``zyzzyva × equivocate``) now recover and
+must pass the auditor like every other cell.
 """
 
 from __future__ import annotations
@@ -454,30 +455,6 @@ def _colluding_reconfig_abuse(params: ScenarioParams):
     )
 
 
-#: (protocol family, scenario) combinations that are *expected* to violate
-#: safety.  Empty since the baseline recovery subsystem: Zyzzyva's view
-#: change repairs divergent speculation from the highest commit
-#: certificate (a proof of misbehaviour from the client triggers it), so
-#: even the equivocation cell — the paper's Figure 1 reason for calling
-#: Zyzzyva unsafe — must now converge every honest replica onto one
-#: prefix.  Additions require a written justification in SCENARIOS.md.
-EXPECTED_UNSAFE: frozenset = frozenset()
-
-#: (protocol family, scenario) combinations that are *expected* to stall.
-#: Empty since the baseline recovery subsystem: SBFT rotates its
-#: collector/executor through the shared view-change engine and Zyzzyva's
-#: clients trigger one via proofs of misbehaviour, so a faulty primary no
-#: longer halts either baseline.  Additions require a written
-#: justification in SCENARIOS.md.
-EXPECTED_STALLED: frozenset = frozenset()
-
-
-def protocol_family(protocol: str) -> str:
-    """Collapse scheme variants onto the paper's protocol name."""
-    key = protocol.lower()
-    return "poe" if key.startswith("poe") else key
-
-
 def unknown_name_message(kind: str, value: str,
                          known: Iterable[str]) -> str:
     """Uniform "unknown X" error text that lists the valid names.
@@ -563,26 +540,14 @@ class ScenarioOutcome:
     expected_batches: int
     live: bool
     safe: bool
-    expected_live: bool
-    expected_safe: bool
     view_changes: int
     epochs: int = 0
     audit: AuditReport = field(repr=False, default=None)
 
-    @property
-    def as_expected(self) -> bool:
-        """Liveness and safety both match the documented expectation.
-
-        A stalled-but-expected-stalled cell still requires *some* absence
-        of safety violations unless the cell is expected-unsafe.
-        """
-        return self.live == self.expected_live and self.safe == self.expected_safe
-
     def cell(self) -> str:
         safety = "safe" if self.safe else "UNSAFE"
         liveness = "live" if self.live else "stall"
-        marker = "" if self.as_expected else " !!"
-        return f"{liveness}/{safety}{marker}"
+        return f"{liveness}/{safety}"
 
 
 def _cluster_config(protocol: str, plan: ScenarioPlan, params: ScenarioParams,
@@ -660,7 +625,6 @@ def _outcome(protocol: str, scenario: str, n: int, expected_batches: int,
              replicas: Sequence[object], pools: Sequence[object],
              report: AuditReport) -> ScenarioOutcome:
     """Classify one finished, audited run (single-group or sharded)."""
-    family = protocol_family(protocol)
     return ScenarioOutcome(
         protocol=protocol,
         scenario=scenario,
@@ -669,8 +633,6 @@ def _outcome(protocol: str, scenario: str, n: int, expected_batches: int,
         expected_batches=expected_batches,
         live=all(pool.is_done() for pool in pools),
         safe=report.ok,
-        expected_live=(family, scenario) not in EXPECTED_STALLED,
-        expected_safe=(family, scenario) not in EXPECTED_UNSAFE,
         view_changes=max(
             (getattr(replica, "view_changes_completed", 0)
              for replica in replicas if not replica.crashed),
@@ -799,8 +761,14 @@ def format_matrix(outcomes: Sequence[ScenarioOutcome]) -> str:
 
 
 def unexpected_outcomes(outcomes: Sequence[ScenarioOutcome]) -> List[ScenarioOutcome]:
-    """The cells whose liveness/safety deviates from the documented expectation."""
-    return [outcome for outcome in outcomes if not outcome.as_expected]
+    """The cells that are not live and safe.
+
+    The one rule that holds without a pinned table; a cell expected to
+    stall or to break safety is recorded in ``MATRIX_EXPECTATIONS.json``
+    and judged by ``examples/fault_matrix.py --expected`` instead.
+    """
+    return [outcome for outcome in outcomes
+            if not (outcome.live and outcome.safe)]
 
 
 # ---------------------------------------------------------------------- soak

@@ -17,7 +17,7 @@ provides:
 
 from repro.net.simulator import Simulator, Event, Timer
 from repro.net.conditions import NetworkConditions, LinkOverride
-from repro.net.network import SimNetwork, DeliveredMessage, NodeHandle
+from repro.net.network import SimNetwork, NodeHandle
 from repro.net.faults import FaultSchedule, CrashFault, PartitionFault, DarkReplicaFault
 from repro.net.byzantine import (
     ByzantineBehavior,
@@ -37,7 +37,6 @@ __all__ = [
     "NetworkConditions",
     "LinkOverride",
     "SimNetwork",
-    "DeliveredMessage",
     "NodeHandle",
     "FaultSchedule",
     "CrashFault",

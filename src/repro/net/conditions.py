@@ -144,7 +144,6 @@ class NetworkConditions:
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
-        self._uniform = self._rng.uniform
         # Serialization delay is sampled once per transmitted message; cache
         # the bytes/ms conversion instead of redoing it on every call.
         self._bytes_per_ms = (
@@ -189,14 +188,6 @@ class NetworkConditions:
         """
         if sender == receiver:
             return self.local_delivery_ms
-        if not self.overrides and self.loss_rate == 0.0 and self.topology is None:
-            # Fast path for the common lossless, override-free conditions.
-            # Draws the jitter through the same `uniform` call as the
-            # general path, so the RNG stream (and with it determinism)
-            # is unchanged.
-            if self.jitter_ms > 0:
-                return self.latency_ms + self._uniform(0.0, self.jitter_ms)
-            return self.latency_ms
         override = self.overrides.get((sender, receiver))
         loss = override.loss_rate if override and override.loss_rate is not None else self.loss_rate
         if loss > 0 and self._rng.random() < loss:

@@ -59,16 +59,6 @@ _NEVER = float("inf")
 
 
 @dataclass(slots=True)
-class DeliveredMessage:
-    """Record of one delivered message (kept only with ``trace=True``)."""
-
-    sender: str
-    receiver: str
-    message: Message
-    time_ms: float
-
-
-@dataclass(slots=True)
 class NodeHandle:
     """Book-keeping the network keeps per registered node.
 
@@ -124,13 +114,10 @@ class SimNetwork:
         simulator: Simulator,
         conditions: Optional[NetworkConditions] = None,
         faults: Optional[FaultSchedule] = None,
-        trace: bool = False,
     ) -> None:
         self.sim = simulator
         self.conditions = conditions or NetworkConditions.lan()
         self.faults = faults or FaultSchedule.none()
-        #: Every delivery, in order — filled only with ``trace=True``.
-        self.delivered: List[DeliveredMessage] = []
         self.dropped_count = 0
         self.sent_count = 0
         self._nodes: Dict[str, NodeHandle] = {}
@@ -140,8 +127,6 @@ class SimNetwork:
         #: dict lookups.
         self._replica_handles: List[Tuple[str, NodeHandle]] = []
         self._observers: List[MessageObserver] = []
-        if trace:
-            self.add_observer(self._record_delivery)
         #: Optional shard-boundary hook for multi-network (sharded)
         #: deployments.  A send whose receiver is not registered here is
         #: offered to ``boundary.transmit(origin, sender, receiver,
@@ -187,11 +172,6 @@ class SimNetwork:
     def add_observer(self, observer: MessageObserver) -> None:
         """Register a callback invoked for every delivered message."""
         self._observers.append(observer)
-
-    def _record_delivery(self, sender: str, receiver: str, message: Message,
-                         time_ms: float) -> None:
-        self.delivered.append(DeliveredMessage(
-            sender=sender, receiver=receiver, message=message, time_ms=time_ms))
 
     def set_byzantine(self, node_id: str, behavior: ByzantineBehavior,
                       seed: object = 0) -> None:

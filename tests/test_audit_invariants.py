@@ -146,6 +146,5 @@ class TestMatrixRegression:
             params=params)
         assert len(outcomes) == 6
         for outcome in outcomes:
-            assert outcome.as_expected, (
+            assert outcome.live and outcome.safe, (
                 f"{outcome.protocol}:{outcome.scenario} -> {outcome.cell()}")
-            assert outcome.live and outcome.safe

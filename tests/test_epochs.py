@@ -185,7 +185,6 @@ def test_new_matrix_rows_are_live_and_safe(protocol, scenario):
         f"{protocol} × {scenario}: stalled at "
         f"{outcome.completed_batches}/{outcome.expected_batches}")
     assert outcome.safe, outcome.audit.summary()
-    assert outcome.as_expected
 
 
 @pytest.mark.parametrize("seed", (3, 7, 42, 99))

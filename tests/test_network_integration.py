@@ -54,7 +54,7 @@ def build_ping_network(conditions=None, faults=None):
     config = NodeConfig(replica_ids=list(REPLICAS))
     auths = make_authenticators(REPLICAS, seed=b"net-tests")
     simulator = Simulator()
-    network = SimNetwork(simulator, conditions=conditions, faults=faults, trace=True)
+    network = SimNetwork(simulator, conditions=conditions, faults=faults)
     nodes = []
     for rid in REPLICAS:
         node = PingNode(rid, config, auths[rid])
@@ -133,13 +133,20 @@ class TestSimNetwork:
         network.run_until_idle()
         assert ("replica:0", "replica:1", "PingMessage") in seen
 
-    def test_trace_records_delivered_messages(self):
-        simulator, network, nodes = build_ping_network()
+    def test_observer_records_each_delivery_at_its_arrival_time(self):
+        conditions = NetworkConditions(latency_ms=2.0, jitter_ms=0.0,
+                                       bandwidth_mbps=None)
+        simulator, network, nodes = build_ping_network(conditions)
+        log = []
+        network.add_observer(lambda *delivery: log.append(delivery))
         network.start_all()
         network.inject("replica:0", "replica:1", PingMessage())
         network.run_until_idle()
-        assert any(type(record.message).__name__ == "PingMessage"
-                   for record in network.delivered)
+        pings = [(sender, receiver, time_ms)
+                 for sender, receiver, message, time_ms in log
+                 if isinstance(message, PingMessage)]
+        assert pings == [("replica:0", "replica:1", nodes[1].received[0][2])]
+        assert [time_ms for *_, time_ms in log] == sorted(time_ms for *_, time_ms in log)
 
     def test_a_raising_step_leaves_its_actions_to_the_next_one(self):
         # What the Node contract documents: a raising step is fatal to the

@@ -70,7 +70,6 @@ class TestFlippedMatrixCells:
             f"{protocol}×{scenario} stalled: "
             f"{outcome.completed_batches}/{outcome.expected_batches}")
         assert outcome.safe, outcome.audit.summary()
-        assert outcome.as_expected
         assert outcome.view_changes >= 1
 
     def test_sbft_threshold_view_change_at_n32(self):
