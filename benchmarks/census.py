@@ -1,4 +1,5 @@
-"""Census: which definitions in ``src/repro`` does any entry point run?
+"""Census: which definitions in ``src/repro`` does any entry point run,
+and which configuration fields does any entry point set?
 
 Every command below that is not a test (the CI jobs' commands, the
 examples a user runs, and both passes of each poebench workload) runs in
@@ -8,7 +9,11 @@ that no entry point called, with its physical line count and whether a
 tier-1 test calls it (a def nested in a listed def is folded into it).
 It exits 1 unless every listed def has an entry in :data:`KEPT` with the
 reason it stays, so a def that no entry point runs is either cut or
-explained.
+explained.  It does the same for the fields of the deployment config
+classes in :data:`CONFIG_CLASSES`: it prints each field with the entry
+points that construct its class with the field at a non-default value,
+and exits 1 unless every field no entry point sets has an entry in
+:data:`KEPT_FIELDS`.
 
     python benchmarks/census.py
 
@@ -24,7 +29,14 @@ first on ``PYTHONPATH``, so every interpreter an entry point starts
 (the parallel driver's forked workers leave through it), it writes the
 ``(realpath(co_filename), co_firstlineno)`` pairs it saw.
 ``realpath`` matters: the examples reach ``src`` through
-``examples/../src``.  The figure benches run with ``--benchmark-disable``
+``examples/../src``.  The hook also watches the ``__init__`` that
+``dataclasses`` generates (its ``co_filename`` is ``"<string>"``) for the
+classes named in ``REPRO_CENSUS_CLASSES``: on its call event it compares
+each argument in ``frame.f_locals`` with the field's default and records
+the fields that differ.  ``dataclasses.replace`` goes through the same
+``__init__``, so it is caught too; an omitted ``default_factory`` field
+arrives as dataclasses' ``_HAS_DEFAULT_FACTORY`` sentinel and counts as
+not set.  The figure benches run with ``--benchmark-disable``
 because pytest-benchmark clears the hook around timed calls.  The opcode
 proxy is not an entry point here: it installs its own tracer over the
 poebench shapes, which poebench's own two passes already cover.
@@ -204,17 +216,99 @@ KEPT: Dict[str, str] = {
         "digest()'s encoding of a batch; the injectivity tests pin it",
 }
 
-_SITECUSTOMIZE = '''
-import os, sys, threading
+#: The deployment config classes whose fields the census lists.
+CONFIG_CLASSES: Tuple[str, ...] = (
+    "repro.fabric.cluster:ClusterConfig",
+    "repro.fabric.sharding:ShardedClusterConfig",
+    "repro.fabric.modelcheck:ModelCheckConfig",
+    "repro.fabric.experiments:ExperimentConfig",
+    "repro.fabric.scenarios:ScenarioParams",
+    "repro.protocols.base:NodeConfig",
+    "repro.workload.ycsb:YcsbConfig",
+)
 
-def _install(out=os.environ.get("REPRO_CENSUS_OUT")):
+#: Config fields no entry point sets that stay anyway, keyed
+#: ``module:Class.field``.  A field that is cut must leave this table too.
+KEPT_FIELDS: Dict[str, str] = {
+    "repro.fabric.sharding:ShardedClusterConfig.num_replicas":
+        "replicas per shard; fault_matrix.py --replicas sets it and the sharded tests vary it",
+    "repro.fabric.sharding:ShardedClusterConfig.shard_byzantine":
+        "a per-shard recipe's one Byzantine spec, which sharded_cluster_config maps; "
+        "no xshard scenario names one yet",
+    "repro.fabric.modelcheck:ModelCheckConfig.num_replicas":
+        "an n=3 cell tolerates no fault; the minimisation test builds one",
+    "repro.fabric.modelcheck:ModelCheckConfig.request_timeout_ms":
+        "liveness calibration (b) sets a client timer below SBFT's 50 ms collector wait",
+    "repro.fabric.modelcheck:ModelCheckConfig.crash_at_ms":
+        "when an interleaved crash becomes enabled; the minimisation test moves it",
+    "repro.fabric.modelcheck:ModelCheckConfig.max_depth":
+        "check() caps it to minimise a violation, which no pinned cell has; a test does",
+    "repro.fabric.modelcheck:ModelCheckConfig.expect_stall":
+        "marks a cell that crashes more than f replicas; the stall test sets it",
+    "repro.fabric.scenarios:ScenarioParams.num_replicas":
+        "fault_matrix.py --replicas sets it; the n=7 and n=32 tests vary it",
+    "repro.workload.ycsb:YcsbConfig.write_fraction":
+        "the YCSB mix (paper: 90 % writes); the workload tests vary it",
+    "repro.workload.ycsb:YcsbConfig.zipf_theta":
+        "the Zipfian skew (paper: 0.9); the workload tests vary it",
+}
+
+_SITECUSTOMIZE = '''
+import dataclasses, os, sys, threading
+
+def _install(out=os.environ.get("REPRO_CENSUS_OUT"),
+             classes=os.environ.get("REPRO_CENSUS_CLASSES", "")):
     if not out:
         return
     seen = set()
     add = seen.add
+    wanted = set(classes.split(",")) - {""}
+    inits = {}  # code of a "<string>" function -> (class key, fields) or None
+    miss = object()
+    fields_set = set()
+
+    def target(frame):
+        """(key, fields) if *frame* runs the generated __init__ of a wanted class."""
+        code = frame.f_code
+        if code.co_name != "__init__" or not code.co_varnames:
+            return None
+        owner = frame.f_locals.get(code.co_varnames[0])
+        for cls in type(owner).__mro__:
+            if getattr(cls.__dict__.get("__init__"), "__code__", None) is code:
+                key = f"{cls.__module__}:{cls.__qualname__}"
+                if key in wanted:
+                    return key, dataclasses.fields(cls)
+                return None
+        return None
+
+    def record(frame, key, fields):
+        args = frame.f_locals
+        for field in fields:
+            if field.name not in args:
+                continue
+            value = args[field.name]
+            if value is dataclasses._HAS_DEFAULT_FACTORY:
+                continue
+            if field.default_factory is not dataclasses.MISSING:
+                default = field.default_factory()
+            else:
+                default = field.default
+            try:
+                same = value is default or bool(value == default)
+            except Exception:
+                same = False
+            if not same:
+                fields_set.add(f"{key}.{field.name}")
 
     def tracer(frame, event, arg):
-        add(frame.f_code)
+        code = frame.f_code
+        add(code)
+        if code.co_filename == "<string>":
+            found = inits.get(code, miss)
+            if found is miss:
+                found = inits[code] = target(frame)
+            if found is not None:
+                record(frame, *found)
 
     def dump():
         sys.settrace(None)
@@ -224,7 +318,10 @@ def _install(out=os.environ.get("REPRO_CENSUS_OUT")):
                  for code in list(seen)}
         with open(os.path.join(out, f"{os.getpid()}.txt"), "a") as handle:
             handle.writelines(lines)
+        with open(os.path.join(out, f"{os.getpid()}.fields"), "a") as handle:
+            handle.writelines(f"{name}\\n" for name in sorted(fields_set))
         seen.clear()
+        fields_set.clear()
 
     real_exit = os._exit
 
@@ -297,19 +394,21 @@ def entry_points(scratch: str) -> Dict[str, List[List[str]]]:
     return points
 
 
-def _trace(name: str, commands: List[List[str]], boot: str,
-           scratch: str) -> Tuple[str, Set[Tuple[str, int]]]:
-    """Run *commands* under the tracer; the (file, first line) pairs seen."""
+def _trace(name: str, commands: List[List[str]], boot: str, scratch: str
+           ) -> Tuple[str, Tuple[Set[Tuple[str, int]], Set[str]]]:
+    """Run *commands* under the tracer: the (file, first line) pairs seen
+    and the config fields set at a non-default value."""
     dump = tempfile.mkdtemp(dir=scratch)
     env = dict(os.environ, REPRO_CENSUS_OUT=dump,
+               REPRO_CENSUS_CLASSES=",".join(CONFIG_CLASSES),
                PYTHONPATH=os.pathsep.join([boot, SRC]))
     for argv in commands:
         done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
-                              stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
         if done.returncode != 0:
             raise SystemExit(f"census: {name}: {' '.join(argv[:3])} exited "
-                             f"{done.returncode}\n{done.stderr[-2000:]}")
+                             f"{done.returncode}\n{done.stdout[-2000:]}")
     seen: Set[Tuple[str, int]] = set()
     for path in glob.glob(os.path.join(dump, "*.txt")):
         with open(path, encoding="utf-8") as handle:
@@ -317,7 +416,11 @@ def _trace(name: str, commands: List[List[str]], boot: str,
                 filename, first = line.rstrip("\n").split("\t")
                 if filename.startswith(PACKAGE + os.sep):
                     seen.add((filename, int(first)))
-    return name, seen
+    fields: Set[str] = set()
+    for path in glob.glob(os.path.join(dump, "*.fields")):
+        with open(path, encoding="utf-8") as handle:
+            fields.update(handle.read().split())
+    return name, (seen, fields)
 
 
 # ------------------------------------------------------------------- defs
@@ -373,6 +476,26 @@ def unreached(reached: Set[Tuple[str, int]], tested: Set[Tuple[str, int]]
     return rows
 
 
+# ----------------------------------------------------------------- fields
+def iter_fields() -> Iterator[str]:
+    """``module:Class.field`` of every field of :data:`CONFIG_CLASSES`."""
+    import dataclasses
+    import importlib
+
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    for key in CONFIG_CLASSES:
+        module, name = key.split(":")
+        cls = getattr(importlib.import_module(module), name)
+        for field in dataclasses.fields(cls):
+            yield f"{key}.{field.name}"
+
+
+def field_count() -> int:
+    """Field definitions across :data:`CONFIG_CLASSES` (CI prints it)."""
+    return sum(1 for _ in iter_fields())
+
+
 def _longest_first(item: Tuple[str, List[List[str]]]) -> int:
     """Start tier-1 and the figure benches first so the pool drains evenly."""
     return {"tier-1": 0, "figures": 1}.get(item[0], 2)
@@ -390,8 +513,8 @@ def main() -> int:
         with ThreadPoolExecutor(max_workers=2) as pool:
             traced = dict(pool.map(lambda item: _trace(*item, boot, scratch),
                                    sorted(jobs.items(), key=_longest_first)))
-    tested = traced.pop("tier-1")
-    reached = set().union(*traced.values())
+    tested, tested_fields = traced.pop("tier-1")
+    reached = set().union(*(defs for defs, _ in traced.values()))
     rows = unreached(reached, tested)
     total_defs = sum(1 for _ in iter_defs())
     print(f"{len(traced)} entry points; {total_defs} defs in src/repro; "
@@ -408,7 +531,29 @@ def main() -> int:
     for key in sorted(set(KEPT) - listed):
         print(f"note: KEPT names {key}, which an entry point now runs")
     print(f"{missing} listed def(s) without a KEPT reason")
-    return 1 if missing else 0
+
+    set_by: Dict[str, List[str]] = {}
+    for name, (_defs, set_here) in sorted(traced.items()):
+        for key in set_here:
+            set_by.setdefault(key, []).append(name)
+    fields = [(key, set_by.get(key, []), key in tested_fields)
+              for key in iter_fields()]
+    unset = [key for key, names, _ in fields if not names]
+    print(f"\n{len(fields)} fields in {len(CONFIG_CLASSES)} config classes; "
+          f"{len(unset)} set by no entry point")
+    print(f"{'field':66s} {'set by':>6s}  {'tests':5s}  entry points, or kept because")
+    missing_fields = 0
+    for key, names, by_test in fields:
+        if names:
+            note = ", ".join(names)
+        else:
+            note = KEPT_FIELDS.get(key) or "-- NOT KEPT: cut it or give a reason --"
+            missing_fields += key not in KEPT_FIELDS
+        print(f"{key:66s} {len(names):6d}  {'yes' if by_test else 'no':5s}  {note}")
+    for key in sorted(set(KEPT_FIELDS) - set(unset)):
+        print(f"note: KEPT_FIELDS names {key}, which an entry point now sets")
+    print(f"{missing_fields} unset field(s) without a KEPT_FIELDS reason")
+    return 1 if missing or missing_fields else 0
 
 
 if __name__ == "__main__":

@@ -42,10 +42,11 @@ class ExperimentConfig:
         latency_ms: one-way network delay between replicas.
         bandwidth_mbps: effective per-node uplink goodput; the primary's
             broadcast of standard-payload proposals is charged against it.
-        request_timeout_ms: client/replica timeout.
         cost_model: CPU time charged per cryptographic operation (CMAC
             by default; Figure 8 compares three, Figure 11 charges nothing).
-        seed: RNG seed.
+
+    Every point runs at seed 1 with the paper's 3 s client/replica
+    timeout, the :class:`~repro.fabric.cluster.ClusterConfig` defaults.
     """
 
     protocol: str = "poe"
@@ -58,9 +59,7 @@ class ExperimentConfig:
     client_outstanding: int = 32
     latency_ms: float = 1.0
     bandwidth_mbps: float = 2000.0
-    request_timeout_ms: float = 3000.0
     cost_model: CryptoCostModel = field(default_factory=CryptoCostModel.cmac)
-    seed: int = 1
 
     def describe(self) -> str:
         failure = "1 backup crashed" if self.single_backup_failure else "no failures"
@@ -83,7 +82,6 @@ def build_cluster(config: ExperimentConfig) -> Cluster:
         latency_ms=config.latency_ms,
         jitter_ms=config.latency_ms * 0.1,
         bandwidth_mbps=config.bandwidth_mbps,
-        seed=config.seed,
     )
     outstanding = config.client_outstanding if config.out_of_order else 1
     if not config.out_of_order and config.protocol == "hotstuff":
@@ -100,11 +98,9 @@ def build_cluster(config: ExperimentConfig) -> Cluster:
         zero_payload=config.zero_payload,
         out_of_order=config.out_of_order,
         execute_operations=False,
-        request_timeout_ms=config.request_timeout_ms,
         conditions=conditions,
         faults=_fault_schedule(config),
         cost_model=config.cost_model,
-        seed=config.seed,
     )
     return Cluster(cluster_config)
 

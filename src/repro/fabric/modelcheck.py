@@ -61,8 +61,8 @@ from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.net.simulator import ControlledScheduler
 
-#: Version tag of the counterexample-trace JSON format.
-TRACE_SCHEMA = 1
+#: Version tag of the counterexample-trace JSON format (2: four config fields became constants).
+TRACE_SCHEMA = 2
 
 #: An exploration stops (``state bound hit``) after this many distinct states.
 MAX_STATES = 120_000
@@ -85,19 +85,17 @@ class ModelCheckConfig:
 
     ``crash_replica`` schedules a crash transition that the checker
     interleaves at every position like any other event — a crash choice
-    point.  ``byzantine_behavior`` routes one replica through a
-    network-boundary behaviour (e.g. ``"equivocate"``), whose forged
+    point.  ``byzantine_behavior`` routes replica 0, the view-0 primary,
+    through a network-boundary behaviour (e.g. ``"equivocate"``), whose forged
     deliveries become ordinary delivery choice points.
     """
 
     protocol: str = "poe-mac"
     num_replicas: int = 4
     num_batches: int = 2
-    batch_size: int = 1
     client_outstanding: int = 2
     checkpoint_interval: int = 2
     request_timeout_ms: float = 100.0
-    delay_ms: float = 1.0
     crash_replica: Optional[int] = None
     crash_at_ms: float = 2.0
     #: Fire the crash transition as a mandatory first step instead of
@@ -107,8 +105,6 @@ class ModelCheckConfig:
     #: forces every completing ordering through a view change.
     crash_at_start: bool = False
     byzantine_behavior: Optional[str] = None
-    byzantine_replica: int = 0
-    seed: int = 11
     max_depth: int = 240
     #: States where any replica's view exceeds this become leaves.  Timer
     #: chains make the view dimension unbounded (every timeout round can
@@ -142,6 +138,17 @@ class ModelCheckConfig:
     #: event.
     persistent_sets: bool = True
     expect_stall: bool = False
+
+    #: Batch size, network delay, seed, corrupted replica: constants, not fields.
+    batch_size = 1
+    delay_ms = 1.0
+    seed = 11
+    byzantine_replica = 0
+
+    def __post_init__(self) -> None:
+        if self.timer_gate not in ("global", "owner", "eager"):
+            raise ValueError(f"unknown timer_gate {self.timer_gate!r}; "
+                             f"expected global, owner or eager")
 
 
 @dataclass
@@ -716,11 +723,11 @@ MODEL_CHECK_CELLS: Dict[str, ModelCheckConfig] = {
     # the conflicting proposals.
     "poe-equivocate-vc": ModelCheckConfig(
         protocol="poe-mac", byzantine_behavior="equivocate",
-        byzantine_replica=0, crash_replica=3, crash_at_start=True,
+        crash_replica=3, crash_at_start=True,
         num_batches=1, client_outstanding=1, view_bound=1),
     "pbft-equivocate-vc": ModelCheckConfig(
         protocol="pbft", byzantine_behavior="equivocate",
-        byzantine_replica=0, crash_replica=3, crash_at_start=True,
+        crash_replica=3, crash_at_start=True,
         num_batches=1, client_outstanding=1, view_bound=1),
 }
 

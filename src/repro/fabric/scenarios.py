@@ -66,14 +66,16 @@ class ScenarioParams:
     """
 
     num_replicas: int = 4
-    batch_size: int = 10
     total_batches: int = 20
-    client_outstanding: int = 4
     request_timeout_ms: float = 100.0
-    checkpoint_interval: int = 5
     max_ms: float = 60_000.0
     seed: int = 11
     namespace: str = ""
+
+    #: Batch size, batches in flight, checkpoint interval: constants, not fields.
+    batch_size = 10
+    client_outstanding = 4
+    checkpoint_interval = 5
 
     @property
     def f(self) -> int:
@@ -550,16 +552,23 @@ class ScenarioOutcome:
         return f"{liveness}/{safety}"
 
 
-def _cluster_config(protocol: str, plan: ScenarioPlan, params: ScenarioParams,
-                    total_batches: int) -> ClusterConfig:
-    """The single-group deployment *plan* describes under *params*."""
+def scenario_cluster_config(protocol: str, scenario: str,
+                            params: ScenarioParams) -> ClusterConfig:
+    """The single-group deployment *scenario* describes under *params*,
+    with its recipe's plan applied, resizes and batch budget included."""
+    try:
+        sdef = SCENARIO_DEFS[scenario]
+    except KeyError:
+        raise KeyError(f"unknown scenario {scenario!r}; "
+                       f"known: {sorted(SCENARIO_DEFS) + sorted(SHARDED_SCENARIOS)}") from None
+    plan = sdef.recipe(params)
     return ClusterConfig(
         protocol=protocol,
         num_replicas=plan.num_replicas or params.num_replicas,
         batch_size=params.batch_size,
         num_clients=1,
         client_outstanding=params.client_outstanding,
-        total_batches=total_batches,
+        total_batches=plan.total_batches or params.total_batches,
         request_timeout_ms=params.request_timeout_ms,
         checkpoint_interval=params.checkpoint_interval,
         conditions=plan.conditions,
@@ -661,20 +670,13 @@ def run_scenario(protocol: str, scenario: str,
         raise ValueError(
             f"scenario {scenario!r} is single-group and sequential-only; "
             f"driver={driver!r} applies to sharded scenarios")
-    try:
-        sdef = SCENARIO_DEFS[scenario]
-    except KeyError:
-        raise KeyError(f"unknown scenario {scenario!r}; "
-                       f"known: {sorted(SCENARIO_DEFS) + sorted(SHARDED_SCENARIOS)}") from None
-    plan = sdef.recipe(params)
-    total_batches = plan.total_batches or params.total_batches
-    config = _cluster_config(protocol, plan, params, total_batches)
+    config = scenario_cluster_config(protocol, scenario, params)
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()
     cluster.run_until_done(max_ms=params.max_ms)
     return _outcome(protocol, scenario, config.num_replicas,
-                    total_batches * config.num_clients,
+                    config.total_batches * config.num_clients,
                     cluster.replicas, cluster.pools, auditor.report())
 
 
@@ -876,8 +878,8 @@ def run_soak(protocol: str, scenario: str = "no-fault", steps: int = 2000,
                          f"is a sharded scenario")
     # A recipe may resize the deployment, but the soak horizon always wins
     # over its total_batches override: *steps* is the point of the run.
-    config = _cluster_config(protocol, SCENARIO_DEFS[scenario].recipe(params),
-                             params, total_batches=steps)
+    config = dataclasses.replace(
+        scenario_cluster_config(protocol, scenario, params), total_batches=steps)
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()

@@ -38,7 +38,7 @@ runtimes through the same conservative time windows
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.fabric.cluster import Cluster, ClusterConfig, attach_byzantine, replica_id
@@ -229,15 +229,12 @@ class ShardedClusterConfig:
     cross_shard_fraction: float = 0.2
     execute_operations: bool = False
     use_ycsb_payload: bool = False
-    out_of_order: bool = True
     request_timeout_ms: float = 3000.0
     checkpoint_interval: int = 50
-    conditions: Optional[NetworkConditions] = None
     shard_faults: Dict[int, FaultSchedule] = field(default_factory=dict)
     shard_byzantine: Dict[int, ByzantineSpec] = field(default_factory=dict)
     hub_faults: Optional[FaultSchedule] = None
     coordinator_behavior: Optional[str] = None
-    ycsb: Optional[YcsbConfig] = None
     seed: int = 1
 
     def protocol_for(self, shard: int) -> str:
@@ -378,6 +375,9 @@ class ShardBoundary:
 # -- configuration helpers ---------------------------------------------------------
 
 def _validate_config(config: ShardedClusterConfig) -> None:
+    if not isinstance(config.protocols, str) and len(config.protocols) != config.num_shards:
+        raise ValueError(f"protocols names {len(config.protocols)} protocol(s) for "
+                         f"num_shards={config.num_shards}; give one per shard")
     for shard in range(config.num_shards):
         if config.protocol_for(shard) == "sbft":
             raise ValueError(
@@ -387,19 +387,14 @@ def _validate_config(config: ShardedClusterConfig) -> None:
 
 
 def _hub_conditions(config: ShardedClusterConfig) -> NetworkConditions:
-    # dataclasses.replace re-runs __post_init__, so a shared config object
-    # yields per-runtime conditions with *independent but identically
-    # seeded* RNGs — each runtime draws the same stream under every driver.
-    if config.conditions is not None:
-        return replace(config.conditions)
+    # A fresh object per call: each runtime draws its own identically
+    # seeded stream, the same under every driver.
     return NetworkConditions.lan(seed=config.seed)
 
 
 def _shard_conditions(config: ShardedClusterConfig, shard: int) -> NetworkConditions:
     # Every shard draws from its own conditions RNG so shard k's traffic
     # cannot perturb shard j's latency stream.
-    if config.conditions is not None:
-        return replace(config.conditions)
     return NetworkConditions.lan(seed=config.seed * 101 + shard)
 
 
@@ -408,7 +403,7 @@ def _ycsb_config(config: ShardedClusterConfig) -> Optional[YcsbConfig]:
         return None
     # One shared YCSB universe: every shard's replicas hold the same
     # initial table, and the sharded sources route keys by crc32.
-    return config.ycsb or YcsbConfig.small(seed=config.seed)
+    return YcsbConfig.small(seed=config.seed)
 
 
 def _pool_source(config: ShardedClusterConfig, pid: str):
@@ -430,7 +425,6 @@ def _shard_cluster_config(config: ShardedClusterConfig, shard: int) -> ClusterCo
         batch_size=config.batch_size,
         num_clients=0,
         total_batches=None,
-        out_of_order=config.out_of_order,
         execute_operations=config.execute_operations,
         request_timeout_ms=config.request_timeout_ms,
         checkpoint_interval=config.checkpoint_interval,
@@ -473,7 +467,6 @@ def hub_node_config(config: ShardedClusterConfig,
         request_timeout_ms=config.request_timeout_ms,
         checkpoint_interval=config.checkpoint_interval,
         execute_operations=config.execute_operations,
-        out_of_order=config.out_of_order,
     )
 
 

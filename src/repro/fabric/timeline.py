@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.crypto.cost import CryptoCostModel
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.metrics import ThroughputTimeline
 from repro.net.conditions import NetworkConditions
@@ -49,8 +48,6 @@ def run_view_change_timeline(
     request_timeout_ms: float = 500.0,
     bucket_ms: float = 250.0,
     client_outstanding: int = 16,
-    latency_ms: float = 0.5,
-    seed: int = 1,
 ) -> ViewChangeTimeline:
     """Run a primary-crash experiment and return the throughput timeline.
 
@@ -69,11 +66,9 @@ def run_view_change_timeline(
         client_outstanding=client_outstanding,
         total_batches=None,
         request_timeout_ms=request_timeout_ms,
-        conditions=NetworkConditions(latency_ms=latency_ms,
-                                     jitter_ms=latency_ms * 0.1, seed=seed),
+        # The defaults: 0.5 ms one-way, 0.05 ms jitter, 1 Gbit/s, seed 1.
+        conditions=NetworkConditions(),
         faults=faults,
-        cost_model=CryptoCostModel.cmac(),
-        seed=seed,
     )
     cluster = Cluster(config)
     cluster.start()

@@ -31,9 +31,9 @@ from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.scenarios import (
     MATRIX_PROTOCOLS,
-    SCENARIO_DEFS,
     ScenarioParams,
     geo_topology,
+    scenario_cluster_config,
 )
 from repro.net.byzantine import (
     ByzantineSpec,
@@ -60,18 +60,7 @@ def run_cell(protocol, scenario, total_batches=20, seed=11, num_replicas=4,
     """Run one fault-matrix cell and return (cluster, auditor)."""
     params = ScenarioParams(num_replicas=num_replicas,
                             total_batches=total_batches, seed=seed)
-    plan = SCENARIO_DEFS[scenario].recipe(params)
-    config = ClusterConfig(
-        protocol=protocol, num_replicas=params.num_replicas,
-        batch_size=params.batch_size, num_clients=1,
-        client_outstanding=params.client_outstanding,
-        total_batches=total_batches,
-        request_timeout_ms=params.request_timeout_ms,
-        checkpoint_interval=params.checkpoint_interval,
-        conditions=plan.conditions, faults=plan.faults,
-        byzantine=plan.byzantine, seed=seed,
-    )
-    cluster = Cluster(config)
+    cluster = Cluster(scenario_cluster_config(protocol, scenario, params))
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()
     cluster.run_until_done(max_ms=max_ms)

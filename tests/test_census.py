@@ -1,4 +1,5 @@
-"""The census's ``KEPT`` table, its def index, its tracer and its verdict.
+"""The census's ``KEPT`` tables, its def and field indexes, its tracer and
+its verdict.
 
 ``benchmarks/census.py`` lists every def in ``src/repro`` that no entry
 point runs and fails unless ``KEPT`` gives it a reason to stay.  A def
@@ -6,7 +7,10 @@ that is deleted must leave the table too, or the table fills with reasons
 for code that is gone.  The census matches the tracer's
 ``(realpath(co_filename), co_firstlineno)`` records against the defs it
 reads from the source, so these tests pin that the two sides spell a def
-the same way.  None of them runs an entry point.
+the same way.  Its config-field census rests on the tracer telling a field
+passed at a non-default value from one left at its default, which the
+tracer tests pin for ``__init__``, ``dataclasses.replace`` and an omitted
+``default_factory``.  None of them runs an entry point.
 """
 
 import ast
@@ -46,6 +50,22 @@ def test_every_kept_key_names_a_def():
 def test_every_kept_reason_is_one_line():
     for key, reason in _census().KEPT.items():
         assert reason.strip() and "\n" not in reason, key
+
+
+def test_every_kept_field_names_a_field_of_a_listed_class():
+    census = _census()
+    fields = set(census.iter_fields())
+    assert set(census.KEPT_FIELDS) <= fields, sorted(set(census.KEPT_FIELDS) - fields)
+    for key, reason in census.KEPT_FIELDS.items():
+        assert reason.strip() and "\n" not in reason, key
+
+
+def test_the_field_index_lists_every_field_of_every_config_class(census):
+    fields = list(census.iter_fields())
+    assert len(fields) == len(set(fields)) == census.field_count()
+    classes = {key.rsplit(".", 1)[0] for key in fields}
+    assert classes == set(census.CONFIG_CLASSES)
+    assert "repro.fabric.cluster:ClusterConfig.protocol" in fields
 
 
 # ------------------------------------------------------------- def index
@@ -165,59 +185,123 @@ def test_a_def_only_a_test_calls_is_marked(census, monkeypatch):
 
 
 # ----------------------------------------------------------------- tracer
+_MOD = """\
+import dataclasses
+
+
+def called():
+    return 1
+
+
+def never():
+    return 2
+
+
+@dataclasses.dataclass(frozen=True)
+class Box:
+    size: int = 1
+    label: str = "box"
+    items: list = dataclasses.field(default_factory=list)
+
+
+@dataclasses.dataclass
+class Other:
+    size: int = 1
+"""
+
+
 def _run_traced(tmp_path, census, body):
-    """Run *body* under the census tracer; the dumped (file, line) pairs."""
+    """Run *body* under the census tracer, watching ``mod:Box``: the
+    subprocess, the dumped (file, line) pairs, the module's path and the
+    fields recorded as set."""
     boot = tmp_path / "boot"
     boot.mkdir()
     (boot / "sitecustomize.py").write_text(census._SITECUSTOMIZE)
     package = tmp_path / "pkg"
     package.mkdir()
-    (package / "mod.py").write_text(
-        "def called():\n    return 1\n\n\ndef never():\n    return 2\n")
+    (package / "mod.py").write_text(_MOD)
     dump = tmp_path / "dump"
     dump.mkdir()
     # Reach the module through "pkg/../pkg", as the examples reach src.
     detour = os.path.join(str(package), "..", "pkg")
     script = f"import sys; sys.path.insert(0, {detour!r}); import mod; {body}"
-    env = dict(os.environ, REPRO_CENSUS_OUT=str(dump), PYTHONPATH=str(boot))
+    env = dict(os.environ, REPRO_CENSUS_OUT=str(dump), PYTHONPATH=str(boot),
+               REPRO_CENSUS_CLASSES="mod:Box")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     seen = set()
-    for path in dump.iterdir():
+    for path in dump.glob("*.txt"):
         for line in path.read_text().splitlines():
             filename, first = line.split("\t")
             seen.add((filename, int(first)))
-    return done, seen, os.path.realpath(package / "mod.py")
+    fields = set()
+    for path in dump.glob("*.fields"):
+        fields.update(path.read_text().split())
+    return done, seen, os.path.realpath(package / "mod.py"), fields
 
 
 def test_the_tracer_records_called_defs_at_exit(census, tmp_path):
-    done, seen, mod = _run_traced(tmp_path, census, "mod.called()")
+    done, seen, mod, _fields = _run_traced(tmp_path, census, "mod.called()")
     assert done.returncode == 0, done.stderr
-    assert (mod, 1) in seen and (mod, 5) not in seen
+    assert (mod, 4) in seen and (mod, 8) not in seen
 
 
 def test_the_tracer_records_before_os_exit(census, tmp_path):
-    done, seen, mod = _run_traced(
-        tmp_path, census, "mod.called(); import os; os._exit(3)")
+    done, seen, mod, fields = _run_traced(
+        tmp_path, census, "mod.called(); mod.Box(size=2); import os; os._exit(3)")
     assert done.returncode == 3, done.stderr
-    assert (mod, 1) in seen and (mod, 5) not in seen
+    assert (mod, 4) in seen and (mod, 8) not in seen
+    assert fields == {"mod:Box.size"}
+
+
+def test_the_tracer_records_a_field_set_through_init(census, tmp_path):
+    done, _seen, _mod, fields = _run_traced(
+        tmp_path, census, "mod.Box(size=2, label='box', items=[])")
+    assert done.returncode == 0, done.stderr
+    # label and items are passed, but at their defaults.
+    assert fields == {"mod:Box.size"}
+
+
+def test_the_tracer_records_a_field_set_through_replace(census, tmp_path):
+    done, _seen, _mod, fields = _run_traced(
+        tmp_path, census,
+        "import dataclasses; dataclasses.replace(mod.Box(), items=[3])")
+    assert done.returncode == 0, done.stderr
+    assert fields == {"mod:Box.items"}
+
+
+def test_the_tracer_skips_defaults_and_unwatched_classes(census, tmp_path):
+    done, _seen, _mod, fields = _run_traced(
+        tmp_path, census, "mod.Box(); mod.Box(label='box'); mod.Other(size=5)")
+    assert done.returncode == 0, done.stderr
+    # An omitted default_factory field arrives as a sentinel, not its value.
+    assert fields == set()
 
 
 # ---------------------------------------------------------------- verdict
-def _fake_trace(reached):
+def _fake_trace(reached, fields):
+    reached, fields = set(reached), set(fields)
+
     def trace(name, commands, boot, scratch):
-        return name, set(reached)
+        return name, (set(reached), set(fields))
     return trace
 
 
+def _every_def(census):
+    return {(path, first) for _key, path, first, *_ in census.iter_defs()}
+
+
 def test_census_passes_when_every_def_is_reached(census, monkeypatch, capsys):
-    every = {(path, first) for _key, path, first, *_ in census.iter_defs()}
-    monkeypatch.setattr(census, "_trace", _fake_trace(every))
+    monkeypatch.setattr(census, "_trace", _fake_trace(
+        _every_def(census), census.iter_fields()))
     assert census.main() == 0
     out = capsys.readouterr().out
     assert "0 reached by no entry point" in out
     assert ("note: KEPT names repro.fabric.scenarios:unknown_name_message"
             in out)
+    assert f"{census.field_count()} fields in 7 config classes; 0 set by" in out
+    assert ("note: KEPT_FIELDS names "
+            "repro.fabric.modelcheck:ModelCheckConfig.request_timeout_ms" in out)
 
 
 def test_census_fails_on_an_unreached_def_without_a_reason(
@@ -225,12 +309,26 @@ def test_census_fails_on_an_unreached_def_without_a_reason(
     defs = list(census.iter_defs())
     key, path, first, _lines, _nested = next(
         row for row in defs if row[0] not in census.KEPT)
-    every = {(p, f) for _key, p, f, *_ in defs}
-    monkeypatch.setattr(census, "_trace", _fake_trace(every - {(path, first)}))
+    monkeypatch.setattr(census, "_trace", _fake_trace(
+        _every_def(census) - {(path, first)}, census.iter_fields()))
     assert census.main() == 1
     out = capsys.readouterr().out
     assert key in out and "NOT KEPT" in out
     assert "1 listed def(s) without a KEPT reason" in out
+
+
+def test_census_fails_on_an_unset_field_without_a_reason(
+        census, monkeypatch, capsys):
+    fields = set(census.iter_fields())
+    unset = "repro.fabric.cluster:ClusterConfig.protocol"
+    kept = set(census.KEPT_FIELDS)
+    monkeypatch.setattr(census, "_trace", _fake_trace(
+        _every_def(census), fields - kept - {unset}))
+    assert census.main() == 1
+    out = capsys.readouterr().out
+    assert f"{len(kept) + 1} set by no entry point" in out
+    assert unset in out and "NOT KEPT" in out
+    assert "1 unset field(s) without a KEPT_FIELDS reason" in out
 
 
 # ------------------------------------------------------------ entry points

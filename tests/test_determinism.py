@@ -443,13 +443,12 @@ MATRIX_CELL_BUDGETS = {
 
 @pytest.mark.parametrize("protocol,scenario", sorted(GOLDEN_MATRIX_CELLS))
 def test_golden_matrix_cells(protocol, scenario):
-    from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams, _cluster_config
+    from repro.fabric.scenarios import ScenarioParams, scenario_cluster_config
 
     params = ScenarioParams(
         seed=11, total_batches=MATRIX_CELL_BUDGETS.get((protocol, scenario), 20))
-    plan = SCENARIO_DEFS[scenario].recipe(params)
-    fingerprint = run_fingerprint(_cluster_config(
-        protocol, plan, params, plan.total_batches or params.total_batches))
+    fingerprint = run_fingerprint(
+        scenario_cluster_config(protocol, scenario, params))
     assert _fingerprint_digest(fingerprint) == GOLDEN_MATRIX_CELLS[(protocol, scenario)]
 
 

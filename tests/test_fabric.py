@@ -212,8 +212,7 @@ class TestExperiments:
         """The paper's headline: with one crashed backup PoE beats PBFT, and
         Zyzzyva collapses."""
         base = ExperimentConfig(num_replicas=4, num_batches=25, batch_size=50,
-                                single_backup_failure=True,
-                                request_timeout_ms=200.0)
+                                single_backup_failure=True)
         results = run_protocol_comparison(base, protocols=["poe", "pbft", "zyzzyva"])
         poe = results["poe"].throughput_txn_per_s
         pbft = results["pbft"].throughput_txn_per_s

@@ -541,12 +541,11 @@ def test_real_execution_rollback_converges(protocol, scenario):
 
     from repro.fabric.audit import SafetyAuditor
     from repro.fabric.cluster import Cluster
-    from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams, _cluster_config
+    from repro.fabric.scenarios import ScenarioParams, scenario_cluster_config
 
     params = ScenarioParams(seed=11, total_batches=60)
-    plan = SCENARIO_DEFS[scenario].recipe(params)
     cluster = Cluster(dataclasses.replace(
-        _cluster_config(protocol, plan, params, params.total_batches),
+        scenario_cluster_config(protocol, scenario, params),
         use_ycsb_payload=True, execute_operations=True))
     auditor = SafetyAuditor.attach(cluster)
     honest = [replica for replica in cluster.replicas

@@ -158,7 +158,34 @@ class TestTraceReplay:
         config, entries = load_trace(str(path))
         assert config == REVERT_DEMO_CONFIG
         assert len(entries) == len(demo.minimal_trace)
-        assert counterexample_to_json(demo.counterexample)["schema"] == 1
+        payload = counterexample_to_json(demo.counterexample)
+        assert payload["schema"] == 2
+        assert "seed" not in payload["config"]
+        # A schema-1 trace carries config fields that are now constants.
+        old = dict(payload, schema=1,
+                   config=dict(payload["config"], batch_size=1, delay_ms=1.0, seed=11,
+                               byzantine_replica=0))
+        path.write_text(json.dumps(old))
+        with pytest.raises(ValueError, match="unsupported trace schema 1"):
+            load_trace(str(path))
+
+
+class TestConfigValidation:
+    def test_an_unknown_timer_gate_is_rejected(self):
+        with pytest.raises(ValueError, match="expected global, owner or eager"):
+            ModelCheckConfig(timer_gate="ower")
+
+    def test_an_unknown_timer_gate_in_a_trace_file_is_rejected(self, tmp_path):
+        config = dict(vars(ModelCheckConfig()), timer_gate="eagre")
+        payload = {"schema": modelcheck.TRACE_SCHEMA, "config": config, "trace": []}
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unknown timer_gate 'eagre'"):
+            load_trace(str(path))
+
+    def test_every_timer_gate_is_accepted(self):
+        for gate in ("global", "owner", "eager"):
+            assert ModelCheckConfig(timer_gate=gate).timer_gate == gate
 
 
 class TestRevertDemo:

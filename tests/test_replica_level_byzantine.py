@@ -21,7 +21,11 @@ from repro.crypto.hashing import digest
 from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.registry import get_spec
-from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams, run_scenario
+from repro.fabric.scenarios import (
+    ScenarioParams,
+    run_scenario,
+    scenario_cluster_config,
+)
 from repro.net.byzantine import (
     Delivery,
     ForgedHistoryReplica,
@@ -63,17 +67,7 @@ REPLICAS = [f"replica:{i}" for i in range(4)]
 def run_cell(protocol, scenario, total_batches=10, seed=11, max_ms=60_000.0):
     """Run one fault-matrix cell and return (cluster, auditor)."""
     params = ScenarioParams(total_batches=total_batches, seed=seed)
-    plan = SCENARIO_DEFS[scenario].recipe(params)
-    config = ClusterConfig(
-        protocol=protocol, num_replicas=params.num_replicas,
-        batch_size=params.batch_size, num_clients=1,
-        client_outstanding=params.client_outstanding,
-        total_batches=total_batches,
-        request_timeout_ms=params.request_timeout_ms,
-        checkpoint_interval=params.checkpoint_interval,
-        faults=plan.faults, byzantine=plan.byzantine, seed=seed,
-    )
-    cluster = Cluster(config)
+    cluster = Cluster(scenario_cluster_config(protocol, scenario, params))
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()
     cluster.run_until_done(max_ms=max_ms)

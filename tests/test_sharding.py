@@ -185,6 +185,17 @@ def test_sbft_shards_are_rejected():
         ShardedCluster(ShardedClusterConfig(num_shards=2, protocols="sbft"))
 
 
+@pytest.mark.parametrize("protocols", [
+    ("poe-mac", "pbft"),                     # one short: was an IndexError
+    ("poe-mac", "pbft", "poe-mac", "pbft"),  # one over: was silently ignored
+])
+def test_a_protocols_tuple_names_one_protocol_per_shard(protocols):
+    config = ShardedClusterConfig(num_shards=3, protocols=protocols)
+    match = f"{len(protocols)} protocol\\(s\\) for num_shards=3"
+    with pytest.raises(ValueError, match=match):
+        ShardedCluster(config)
+
+
 def test_coordinator_crash_mid_2pc_presumed_abort():
     """Crashing the coordinator right after startup forces every pool
     onto the probe path: unprepared txns are presumed aborted, prepared
