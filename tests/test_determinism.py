@@ -7,7 +7,9 @@ identical seeded deployments twice and demanding byte-identical outcomes
 Any hot-path rewrite that silently perturbs tie-breaking fails here.
 """
 
+import dataclasses
 import hashlib
+from typing import Tuple
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.fabric.fingerprint import run_fingerprint
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.net.byzantine import ByzantineSpec
 from repro.net.faults import FaultSchedule
+from repro.net.network import SimNetwork
 
 
 def _config(protocol: str, seed: int = 13) -> ClusterConfig:
@@ -494,6 +497,230 @@ def test_golden_xshard_rows(protocol, scenario):
 
     fingerprint = sharded_fingerprint(_xshard_scenario_config(protocol, scenario))
     assert _fingerprint_digest(fingerprint) == GOLDEN_XSHARD[(protocol, scenario)]
+
+
+# ------------------------------------------------------------ adversary pins
+# What each Byzantine behaviour sends, pinned apart from what the run does
+# with it.  Every ``transform`` call of a deployment is tapped: a row counts
+# the fan-outs the behaviours transformed and the ones they altered (a
+# receiver, delay or message differs, or deliveries were added or dropped),
+# and folds into one digest the run fingerprint and, per call, the virtual
+# time, the sender and the input and output deliveries.  Messages are
+# folded by value; no behaviour's class name is, so a rename keeps a row.
+# A behaviour that stops firing moves ``altered`` before it moves anything
+# else.
+
+def _canonical(value):
+    """*value* as nested tuples of primitives, equal across processes
+    (sets are sorted, objects without a ``repr`` of their own walked)."""
+    if value is None or isinstance(value, (str, bytes, int, float)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_canonical, value))
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted(repr(_canonical(item)) for item in value))
+    if isinstance(value, dict):
+        return tuple(sorted((repr(_canonical(key)), _canonical(item))
+                            for key, item in value.items()))
+    if dataclasses.is_dataclass(value):
+        names = [f.name for f in dataclasses.fields(value)]
+    else:
+        names = sorted(set(getattr(value, "__dict__", ()))
+                       | {slot for cls in type(value).__mro__
+                          for slot in getattr(cls, "__slots__", ())})
+    return (type(value).__name__,) + tuple(
+        _canonical(getattr(value, name)) for name in names)
+
+
+class _AdversaryTap:
+    """Wraps the ``transform`` of every behaviour a network binds."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.transformed = 0
+        self.altered = 0
+        self.hash = hashlib.sha256()
+        set_byzantine = SimNetwork.set_byzantine
+        tap = self
+
+        def tapped_set_byzantine(network, node_id, behavior, *args, **kwargs):
+            set_byzantine(network, node_id, behavior, *args, **kwargs)
+            transform = behavior.transform
+
+            def tapped(deliveries, now_ms):
+                before = [(d.receiver, d.message, d.delay_ms) for d in deliveries]
+                after = transform(deliveries, now_ms)
+                tap.record(now_ms, node_id, before,
+                           [(d.receiver, d.message, d.delay_ms) for d in after])
+                return after
+
+            behavior.transform = tapped
+
+        monkeypatch.setattr(SimNetwork, "set_byzantine", tapped_set_byzantine)
+
+    def record(self, now_ms, sender, before, after) -> None:
+        self.transformed += 1
+        if len(before) != len(after) or any(
+                a[0] != b[0] or a[1] is not b[1] or a[2] != b[2]
+                for a, b in zip(before, after)):
+            self.altered += 1
+        folded = {}
+
+        def fold(deliveries):
+            out = []
+            for receiver, message, delay_ms in deliveries:
+                if id(message) not in folded:
+                    folded[id(message)] = _canonical(message)
+                out.append((receiver, folded[id(message)], delay_ms))
+            return out
+
+        self.hash.update(repr((now_ms, sender, fold(before),
+                               fold(after))).encode("utf-8"))
+
+    def row(self, fingerprint) -> Tuple[int, int, str]:
+        self.hash.update(repr(fingerprint).encode("utf-8"))
+        return self.transformed, self.altered, self.hash.hexdigest()[:16]
+
+
+def _adversary_config(protocol: str, deployment: str):
+    """The deployment a ``GOLDEN_ADVERSARY`` row names: a matrix cell, an
+    xshard coordinator cell, or one of ``ADVERSARY_EXTRAS`` on the
+    matrix's no-fault cell."""
+    from repro.fabric.scenarios import (
+        SHARDED_SCENARIOS,
+        ScenarioParams,
+        scenario_cluster_config,
+    )
+
+    if deployment in SHARDED_SCENARIOS:
+        return _xshard_scenario_config(protocol, deployment)
+    params = ScenarioParams(seed=11)
+    if deployment not in ADVERSARY_EXTRAS:
+        return scenario_cluster_config(protocol, deployment, params)
+    scenario, spec = ADVERSARY_EXTRAS[deployment]
+    config = scenario_cluster_config(protocol, scenario, params)
+    return dataclasses.replace(config, byzantine=(spec,))
+
+
+#: Deployments for the behaviours and options no matrix scenario names:
+#: (the matrix cell they run on, the spec they run with).
+ADVERSARY_EXTRAS = {
+    "delay-jitter": ("no-fault", ByzantineSpec(
+        behavior="delay", replica_index=1,
+        options={"delay_ms": 5.0, "jitter_ms": 1.0})),
+    "replay": ("no-fault", ByzantineSpec(behavior="replay", replica_index=0)),
+    "stale-certify": ("no-fault", ByzantineSpec(
+        behavior="stale-certify", replica_index=0)),
+    "forge-certificates": ("forge-history", ByzantineSpec(
+        behavior="forge-history", replica_index=2,
+        options={"pom_at_ms": 150.0, "forge_certificates": True})),
+}
+
+GOLDEN_ADVERSARY = {
+    # The 60 matrix cells whose scenario names a behaviour, at the
+    # matrix's own deployment (seed 11, 20 batches).
+    ('poe-mac', 'equivocate'): (53, 4, '0b3ea140ad9098ab'),
+    ('poe-mac', 'forge-history'): (44, 0, 'e2eb143bba5e6418'),
+    ('poe-mac', 'lying-checkpoint'): (49, 9, 'da950086afa44ba9'),
+    ('poe-mac', 'wrong-exec'): (44, 0, '0f073ded7add48c3'),
+    ('poe-mac', 'adaptive-primary'): (44, 0, '557c0569cc0b5113'),
+    ('poe-mac', 'checkpoint-equivocate'): (54, 2, '3ce852542f1bebb9'),
+    ('poe-mac', 'timeout-stall'): (57, 1, '7f07030805f4c32e'),
+    ('poe-mac', 'forge-history-vc'): (44, 0, '02c11013bc15e85c'),
+    ('poe-mac', 'colluding-equivocate'): (114, 4, '517687ba4883e7c6'),
+    ('poe-mac', 'colluding-reconfig-abuse'): (104, 6, '005bc5f3a41c529e'),
+    ('poe-ts', 'equivocate'): (49, 4, 'cd6ac722cf707e1c'),
+    ('poe-ts', 'forge-history'): (44, 0, 'b8d239853040603e'),
+    ('poe-ts', 'lying-checkpoint'): (52, 12, 'fd4515287fee1919'),
+    ('poe-ts', 'wrong-exec'): (44, 0, '58410c6d69aca2ab'),
+    ('poe-ts', 'adaptive-primary'): (73, 0, '9fff28694064a198'),
+    ('poe-ts', 'checkpoint-equivocate'): (54, 2, '9b37b6d4606cb786'),
+    ('poe-ts', 'timeout-stall'): (61, 1, 'c793ab21259c0d79'),
+    ('poe-ts', 'forge-history-vc'): (44, 0, '1d6545dd36de622e'),
+    ('poe-ts', 'colluding-equivocate'): (106, 4, '5fffc54e38a6c8c4'),
+    ('poe-ts', 'colluding-reconfig-abuse'): (126, 7, '56e354e24db58479'),
+    ('pbft', 'equivocate'): (73, 8, '0d2fdc2ceeb5dced'),
+    ('pbft', 'forge-history'): (64, 0, '42f44cbea57dcf00'),
+    ('pbft', 'lying-checkpoint'): (68, 8, '99e57d16b473a07f'),
+    ('pbft', 'wrong-exec'): (64, 0, '96530e10eac370b0'),
+    ('pbft', 'adaptive-primary'): (75, 0, '5473b2c71328561c'),
+    ('pbft', 'checkpoint-equivocate'): (84, 4, '600a2ad38ad4d149'),
+    ('pbft', 'timeout-stall'): (77, 1, '2d5b6c7efef119b3'),
+    ('pbft', 'forge-history-vc'): (64, 0, '683318d3df17e473'),
+    ('pbft', 'colluding-equivocate'): (150, 8, '07bb45c12d025b5a'),
+    ('pbft', 'colluding-reconfig-abuse'): (170, 6, 'ad5677825f9051f3'),
+    ('sbft', 'equivocate'): (49, 4, 'b82532f1f918216b'),
+    ('sbft', 'forge-history'): (46, 0, '9791b5a4eb64cb85'),
+    ('sbft', 'lying-checkpoint'): (69, 9, '9572c30779095c53'),
+    ('sbft', 'wrong-exec'): (44, 0, '745dc48efc466bb9'),
+    ('sbft', 'adaptive-primary'): (81, 0, '89b385553e3331ab'),
+    ('sbft', 'checkpoint-equivocate'): (54, 2, '3b55f1a520da26cb'),
+    ('sbft', 'timeout-stall'): (81, 1, 'd9f8872d1fb25beb'),
+    ('sbft', 'forge-history-vc'): (71, 0, '818f4dea15cf2ad2'),
+    ('sbft', 'colluding-equivocate'): (126, 4, '64cdaaabd220afe0'),
+    ('sbft', 'colluding-reconfig-abuse'): (126, 7, '6daac3ee1506d1d5'),
+    ('zyzzyva', 'equivocate'): (33, 4, 'b441110fe53dc11c'),
+    ('zyzzyva', 'forge-history'): (37, 2, 'fdb9af3c1376cfa5'),
+    ('zyzzyva', 'lying-checkpoint'): (49, 9, 'b4850e68fa215dab'),
+    ('zyzzyva', 'wrong-exec'): (31, 0, '9ada59fc245ef1e9'),
+    ('zyzzyva', 'adaptive-primary'): (24, 0, 'e6bd8266c1259dd5'),
+    ('zyzzyva', 'checkpoint-equivocate'): (42, 2, '7bda616391cf666e'),
+    ('zyzzyva', 'timeout-stall'): (53, 1, 'b51c101706f6c03e'),
+    ('zyzzyva', 'forge-history-vc'): (55, 2, '7cf7d8ad35454c77'),
+    ('zyzzyva', 'colluding-equivocate'): (78, 4, '8bf7f459fce0e149'),
+    ('zyzzyva', 'colluding-reconfig-abuse'): (94, 4, '84050076b063ec05'),
+    ('hotstuff', 'equivocate'): (66, 10, '6a021badc9a214e5'),
+    ('hotstuff', 'forge-history'): (58, 0, 'e415809eabf87b31'),
+    ('hotstuff', 'lying-checkpoint'): (68, 5, 'd9889678e13fce8a'),
+    ('hotstuff', 'wrong-exec'): (49, 0, '1741fe4e5cb51742'),
+    ('hotstuff', 'adaptive-primary'): (56, 0, '285dff1376d61cef'),
+    ('hotstuff', 'checkpoint-equivocate'): (60, 2, '8c1a7a4287eddc60'),
+    ('hotstuff', 'timeout-stall'): (73, 0, 'e2247937608aee8c'),
+    ('hotstuff', 'forge-history-vc'): (78, 0, '6c42e1a2e13462d2'),
+    ('hotstuff', 'colluding-equivocate'): (124, 13, '235a252db4c5e2e9'),
+    ('hotstuff', 'colluding-reconfig-abuse'): (154, 7, '6939c13e38bc96f6'),
+    # The xshard coordinator cells: the behaviour sits on the hub.
+    ('poe-mac', 'xshard-coordinator-equivocate'): (12, 3, 'bffdc64255e3bbe0'),
+    ('poe-mac', 'xshard-coordinator-stall'): (48, 40, 'aeb0583fac17d233'),
+    ('pbft', 'xshard-coordinator-equivocate'): (12, 3, '5313eb3048a3e3e4'),
+    ('pbft', 'xshard-coordinator-stall'): (48, 40, 'cec89d06c863ca49'),
+    # ADVERSARY_EXTRAS: behaviours and options no scenario names.
+    ('poe-mac', 'delay-jitter'): (44, 44, '1361a198491503dc'),
+    ('poe-mac', 'replay'): (44, 11, 'ea9e1e14ad3db8d7'),
+    ('poe-ts', 'stale-certify'): (65, 4, '97edf172a35751cd'),
+    ('zyzzyva', 'forge-certificates'): (37, 2, '33af84ec21802508'),
+}
+
+
+@pytest.mark.parametrize("protocol,deployment", sorted(GOLDEN_ADVERSARY))
+def test_golden_adversary_rows(protocol, deployment, monkeypatch):
+    from repro.fabric.sharding import ShardedClusterConfig, sharded_fingerprint
+
+    config = _adversary_config(protocol, deployment)
+    tap = _AdversaryTap(monkeypatch)
+    fingerprint = (sharded_fingerprint(config)
+                   if isinstance(config, ShardedClusterConfig)
+                   else run_fingerprint(config))
+    assert tap.row(fingerprint) == GOLDEN_ADVERSARY[(protocol, deployment)]
+
+
+def test_golden_adversary_covers_every_behaviour_cell():
+    from repro.fabric.scenarios import (
+        MATRIX_PROTOCOLS,
+        SCENARIO_DEFS,
+        SHARDED_MATRIX_PROTOCOLS,
+        SHARDED_SCENARIOS,
+        ScenarioParams,
+    )
+
+    params = ScenarioParams(seed=11)
+    cells = {(protocol, scenario) for protocol in MATRIX_PROTOCOLS
+             for scenario, sdef in SCENARIO_DEFS.items()
+             if sdef.recipe(params).byzantine}
+    cells |= {(protocol, scenario) for protocol in SHARDED_MATRIX_PROTOCOLS
+              for scenario, sdef in SHARDED_SCENARIOS.items()
+              if sdef.coordinator_behavior}
+    assert len(cells) == 64
+    assert cells <= set(GOLDEN_ADVERSARY)
 
 
 # ------------------------------------------------- digest and state pins
