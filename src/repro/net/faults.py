@@ -66,7 +66,8 @@ class FaultSchedule:
     which refresh them — together with the per-node crash index the
     queries below read instead of scanning ``crashes`` — and bump
     ``version``, which is how the network knows to recompile the per-node
-    :meth:`safe_until` times it keeps on its handles.
+    :meth:`safe_until` times it keeps on its handles.  The refresh also
+    rejects a window whose ``until_ms`` is before its ``at_ms``.
     """
 
     crashes: List[CrashFault] = field(default_factory=list)
@@ -78,6 +79,10 @@ class FaultSchedule:
         self._refresh_flags()
 
     def _refresh_flags(self) -> None:
+        for window in (*self.crashes, *self.partitions, *self.dark_replicas):
+            if window.until_ms is not None and window.until_ms < window.at_ms:
+                raise ValueError(f"{window}: until_ms {window.until_ms} is before "
+                                 f"at_ms {window.at_ms}")
         self.version += 1
         #: Whether any fault is configured (fast-path gate for ``drops``).
         self.active = bool(self.crashes or self.partitions or self.dark_replicas)

@@ -304,11 +304,14 @@ class AlwaysAskNetwork(SimNetwork):
 
 _REPLICA = st.sampled_from(REPLICAS)
 _AT = st.sampled_from([0.0, 2.0, 3.5, 7.0, 11.0])
-_UNTIL = st.one_of(st.none(), st.sampled_from([5.0, 9.0, 14.0, 30.0]))
+#: A window's (start, end): the end, when there is one, is above the start
+#: (the schedule rejects a window that ends before it starts).
+_WINDOW = _AT.flatmap(lambda at: st.tuples(st.just(at), st.one_of(
+    st.none(), st.sampled_from([u for u in (5.0, 9.0, 14.0, 30.0) if u > at]))))
 _FAULT = st.one_of(
-    st.tuples(st.just("crash"), _REPLICA, _AT, _UNTIL),
-    st.tuples(st.just("partition"), _REPLICA, _REPLICA, _AT, _UNTIL),
-    st.tuples(st.just("dark"), _REPLICA, _REPLICA, _AT, _UNTIL))
+    st.tuples(st.just("crash"), _REPLICA, _WINDOW),
+    st.tuples(st.just("partition"), _REPLICA, _REPLICA, _WINDOW),
+    st.tuples(st.just("dark"), _REPLICA, _REPLICA, _WINDOW))
 #: What happens to a running network: the driver's own crash() (now, or at
 #: a later time), or the schedule object mutated behind its back.
 _MID_RUN = st.one_of(
@@ -319,8 +322,9 @@ _MID_RUN = st.one_of(
 
 def _add_fault(faults, fault, offset_ms=0.0):
     kind = fault[0]
-    at_ms = fault[-2] + offset_ms
-    until_ms = None if fault[-1] is None else fault[-1] + offset_ms
+    at_ms, until_ms = fault[-1]
+    at_ms += offset_ms
+    until_ms = None if until_ms is None else until_ms + offset_ms
     if kind == "crash":
         faults.add_crash(fault[1], at_ms=at_ms, until_ms=until_ms)
     elif kind == "partition":
@@ -401,6 +405,25 @@ class TestFaultThresholds:
         network.run_until_idle()
         assert [at for _, _, at in nodes[1].received] == [1.0, 6.0]
         assert network.dropped_count == 1
+
+    @pytest.mark.parametrize("add", [
+        lambda faults: faults.add_crash("replica:3", at_ms=10.0, until_ms=5.0),
+        lambda faults: faults.add_partition(["replica:0"], ["replica:3"],
+                                            at_ms=10.0, until_ms=5.0),
+        lambda faults: faults.add_dark_replicas("replica:0", ["replica:3"],
+                                                at_ms=10.0, until_ms=5.0),
+    ], ids=["crash", "partition", "dark"])
+    def test_a_window_ending_before_it_starts_is_rejected(self, add):
+        # Accepted, an inverted crash window crashed the node at 10 ms for
+        # good while crashed_at() reported it never crashed.
+        with pytest.raises(ValueError, match="until_ms 5.0 is before at_ms 10.0"):
+            add(FaultSchedule())
+
+    def test_an_inverted_window_is_rejected_at_construction(self):
+        from repro.net.faults import CrashFault
+
+        with pytest.raises(ValueError, match="CrashFault"):
+            FaultSchedule(crashes=[CrashFault("replica:3", at_ms=10.0, until_ms=5.0)])
 
 
 class TestAsyncTransport:

@@ -550,8 +550,11 @@ def _scan_drops(faults, sender, receiver, now_ms):
 
 
 _NODES = ["n0", "n1", "n2", "n3"]
-_TIMES = st.sampled_from([0.0, 5.0, 10.0, 15.0, 20.0, 30.0])
-_WINDOWS = st.tuples(_TIMES, st.one_of(st.none(), _TIMES))
+_TIMES = (0.0, 5.0, 10.0, 15.0, 20.0, 30.0)
+#: (start, end) with the end, when there is one, not before the start (the
+#: schedule rejects a window that ends before it starts).
+_WINDOWS = st.sampled_from(_TIMES).flatmap(lambda at: st.tuples(
+    st.just(at), st.one_of(st.none(), st.sampled_from([u for u in _TIMES if u >= at]))))
 
 
 class TestFaultScheduleIndex:
