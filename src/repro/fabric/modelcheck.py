@@ -24,9 +24,8 @@ How it works:
 * timers are *choice-gated*: by default a timer may only fire when no
   message delivery is enabled.  Orderings of in-flight messages are
   explored exhaustively; timeout storms are not, which is what keeps
-  exhaustive n=4 runs inside CI minutes.  ``timer_gate="owner"`` relaxes
-  the gate per node (a timeout may race other nodes' in-flight
-  messages), ``"eager"`` lifts it entirely;
+  exhaustive n=4 runs inside CI minutes.  ``timer_gate="eager"`` lifts
+  the gate entirely;
 * a state with no enabled event and unfinished clients is a **deadlock**
   (distinguished from normal quiescence, where every pool completed its
   budget); a state where fewer than a commit quorum of replicas are
@@ -115,13 +114,8 @@ class ModelCheckConfig:
     #: When timers become choice points.  ``"global"`` (default): only at
     #: delivery quiescence — no message at all is in flight; the smallest
     #: space, but it excludes every schedule where a timeout races an
-    #: undelivered message.  ``"owner"``: a node's timer is enabled once
-    #: *that node* has no pending deliveries — other nodes' in-flight
-    #: messages no longer hold its timeout hostage, which is exactly the
-    #: corner where view changes race stragglers (a lagging replica still
-    #: joins the view change via f+1 VIEW-CHANGE messages).  ``"eager"``:
-    #: timers are always choices; the full asynchronous space, usually
-    #: only tractable for :func:`hunt`.
+    #: undelivered message.  ``"eager"``: timers are always choices; the
+    #: full asynchronous space, usually only tractable for :func:`hunt`.
     timer_gate: str = "global"
     #: Partial-order reduction over *deliveries only*.  Deliveries to
     #: different receivers commute: each touches only its receiver's
@@ -146,9 +140,9 @@ class ModelCheckConfig:
     byzantine_replica = 0
 
     def __post_init__(self) -> None:
-        if self.timer_gate not in ("global", "owner", "eager"):
+        if self.timer_gate not in ("global", "eager"):
             raise ValueError(f"unknown timer_gate {self.timer_gate!r}; "
-                             f"expected global, owner or eager")
+                             f"expected global or eager")
 
 
 @dataclass
@@ -343,7 +337,6 @@ def _enabled(choices, cluster: Cluster, config: ModelCheckConfig):
     nodes = {replica.node_id: replica for replica in cluster.replicas}
     immediate = []
     timers = []
-    busy_receivers = set()
     for seq, time_ms, label in choices:
         kind = label[0]
         if kind == "timer":
@@ -355,16 +348,11 @@ def _enabled(choices, cluster: Cluster, config: ModelCheckConfig):
             receiver = nodes.get(label[2])
             if receiver is not None and receiver.crashed:
                 continue
-            busy_receivers.add(label[2])
             immediate.append((seq, time_ms, label))
         else:  # crash/recover transitions, opaque events
             immediate.append((seq, time_ms, label))
-    gate = config.timer_gate
-    if gate == "eager":
+    if config.timer_gate == "eager":
         enabled = immediate + timers
-    elif gate == "owner":
-        enabled = immediate + [entry for entry in timers
-                               if entry[2][1] not in busy_receivers]
     else:  # "global"
         enabled = immediate if immediate else timers
     enabled.sort(key=lambda entry: (entry[1], entry[0]))

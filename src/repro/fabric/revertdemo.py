@@ -10,9 +10,9 @@ executes at two slots.  This module re-introduces the bug by making
 patch to miss) and drives the model checker's
 randomized deferral hunt to a minimal, replayable counterexample.
 
-The bug is *structurally unreachable* under the checker's ``global`` and
-``owner`` timer gates: any replica whose view-change timer fires under
-those gates has already drained its inbound deliveries, and with three
+The bug is *structurally unreachable* under the checker's ``global``
+timer gate: any replica whose view-change timer fires under that gate
+has already drained its inbound deliveries, and with three
 live replicas the second backup to time out always completes the gapped
 slot before joining the view change.  The demo therefore runs with
 ``timer_gate="eager"`` — timers race deliveries freely — where

@@ -172,7 +172,7 @@ class TestTraceReplay:
 
 class TestConfigValidation:
     def test_an_unknown_timer_gate_is_rejected(self):
-        with pytest.raises(ValueError, match="expected global, owner or eager"):
+        with pytest.raises(ValueError, match="expected global or eager"):
             ModelCheckConfig(timer_gate="ower")
 
     def test_an_unknown_timer_gate_in_a_trace_file_is_rejected(self, tmp_path):
@@ -184,7 +184,7 @@ class TestConfigValidation:
             load_trace(str(path))
 
     def test_every_timer_gate_is_accepted(self):
-        for gate in ("global", "owner", "eager"):
+        for gate in ("global", "eager"):
             assert ModelCheckConfig(timer_gate=gate).timer_gate == gate
 
 
