@@ -134,7 +134,7 @@ KEPT: Dict[str, str] = {
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
     "repro.net.byzantine:StaleCertifier.__init__":
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
-    "repro.net.byzantine:StaleCertifier.on_bind":
+    "repro.net.byzantine:StaleCertifier.bind":
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
     "repro.net.byzantine:StaleCertifier.transform":
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
@@ -148,8 +148,10 @@ KEPT: Dict[str, str] = {
         "the delay model as one call, which the conditions tests check",
     "repro.net.faults:FaultSchedule.crashed_nodes":
         "the crash set at a time, the oracle of the fault-schedule property test",
+    "repro.net.network:SimNetwork.node":
+        "a registered node by id, which tests read replicas back through",
     "repro.net.network:SimNetwork.crash":
-        "crashes a node mid-run, for the primary-targeting behaviour's crash mode and tests",
+        "tests crash a running network through it",
     "repro.net.simulator:Timer.active":
         "whether a timer is still pending; the simulator tests read it",
     "repro.net.simulator:Simulator.step":

@@ -78,10 +78,6 @@ def attach_byzantine(network: SimNetwork, node_id: str, behavior_name: str,
     routed through a fresh *behavior_name* behaviour seeded with *seed*."""
     behavior = make_behavior(behavior_name, **options)
     network.set_byzantine(node_id, behavior, seed=seed)
-    # Replica-level behaviours additionally corrupt the state machine
-    # itself (wrong execution, forged histories); the default install
-    # hook is a no-op for network-boundary behaviours.
-    behavior.install(network.node(node_id))
     return behavior
 
 
@@ -110,9 +106,9 @@ class ClusterConfig:
         byzantine: active-misbehaviour specs, one per corrupted replica:
             its outgoing traffic is routed through a
             :class:`~repro.net.byzantine.ByzantineBehavior`.  A colluding
-            adversary lists up to ``f`` of them; behaviours that declare
-            ``wants_playbook`` are linked through one shared
-            :class:`~repro.net.byzantine.ColludingPlaybook`.
+            adversary lists up to ``f`` of them; each behaviour gets the
+            list of every spec's replica id as its ``playbook``.  Two
+            specs may not name one replica.
         reconfig: optional epoch-reconfiguration plan.  Each step injects
             a signed :class:`~repro.protocols.epoch.ReconfigRecord` into
             the ordering path at its scheduled time; joiner replicas are
@@ -220,7 +216,6 @@ class Cluster:
         self.authenticators: Dict[str, Authenticator] = authenticators
         self.replicas = []
         self.pools: List[ClientPool] = []
-        self.byzantine_ids: List[str] = []
         self._build_replicas()
         self._build_clients()
         self._attach_byzantine()
@@ -332,24 +327,26 @@ class Cluster:
 
     def _attach_byzantine(self) -> None:
         replica_order = self.config.replica_ids() + self._joiner_ids
-        behaviors = []
+        indices: List[int] = []
+        for spec in self.config.byzantine:
+            if not 0 <= spec.replica_index < len(replica_order):
+                raise ValueError(
+                    f"{spec}: replica_index must name one of the "
+                    f"{len(replica_order)} replicas (0..{len(replica_order) - 1})")
+            if spec.replica_index in indices:
+                raise ValueError(f"{spec}: replica {spec.replica_index} already "
+                                 f"has a byzantine spec (one per replica)")
+            indices.append(spec.replica_index)
+        self.byzantine_ids: List[str] = [replica_order[index] for index in indices]
         for offset, spec in enumerate(self.config.byzantine):
-            node_id = replica_order[spec.replica_index]
             # The first spec keeps the historical seed so single-adversary
             # rows reproduce byte-identically; the others get distinct streams.
             seed = self.config.seed if offset == 0 \
                 else self.config.seed + 7919 * offset
-            behaviors.append(attach_byzantine(
-                self.network, node_id, spec.behavior, seed, **spec.options))
-            self.byzantine_ids.append(node_id)
-        conspirators = [b for b in behaviors
-                        if getattr(b, "wants_playbook", False)]
-        if conspirators:
-            from repro.net.byzantine import ColludingPlaybook
-
-            playbook = ColludingPlaybook()
-            for behavior in conspirators:
-                behavior.join(playbook)
+            behavior = attach_byzantine(self.network, self.byzantine_ids[offset],
+                                        spec.behavior, seed, **spec.options)
+            # The playbook a cabal shares: every Byzantine replica id.
+            behavior.playbook = self.byzantine_ids
 
     def _batch_source_for(self, pool_id: str) -> Optional[BatchSource]:
         if not self.config.use_ycsb_payload:

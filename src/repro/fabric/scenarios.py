@@ -242,9 +242,7 @@ def _adaptive_primary(params: ScenarioParams):
     # primaries, so the third view's primary runs unmolested.
     return ScenarioPlan(byzantine=(ByzantineSpec(
         behavior="adaptive-primary", replica_index=2,
-        options={"mode": "partition",
-                 "window_ms": params.request_timeout_ms * 1.5,
-                 "max_targets": 2},
+        options={"window_ms": params.request_timeout_ms * 1.5},
     ),))
 
 
@@ -255,8 +253,7 @@ def _checkpoint_equivocate(params: ScenarioParams):
     # would be laundered into a stable checkpoint if checkpoint votes did
     # not require f + 1 matching digests.
     return ScenarioPlan(byzantine=(ByzantineSpec(
-        behavior="checkpoint-equivocate", replica_index=0,
-        options={"window": 2}),))
+        behavior="checkpoint-equivocate", replica_index=0),))
 
 
 @register_scenario("timeout-stall", "quorum-critical view-change vote withheld to the deadline", tier="adaptive")

@@ -63,56 +63,88 @@ class Delivery:
 class ByzantineBehavior:
     """Base class: transforms the fan-outs a Byzantine node transmits.
 
-    Subclasses override :meth:`transform` (and optionally :meth:`on_bind`).
-    The identity transform makes the node behave honestly.
+    Subclasses override :meth:`transform`, and :meth:`bind` (calling
+    ``super()``) when they derive state from the deployment.  The identity
+    transform makes the node behave honestly.
 
-    *Replica-level* behaviours additionally override :meth:`install`,
-    which receives the replica object itself at cluster build time: unlike
-    the network-boundary transforms, an installed behaviour can corrupt
-    the replica's *state machine* (execute a wrong batch, journal a forged
-    history) — the class of misbehaviour the speculative-consensus
+    :meth:`SimNetwork.set_byzantine` hands the behaviour its ``node`` (the
+    corrupted replica or coordinator object) and the live ``network``,
+    then calls :meth:`bind`.  A behaviour reads live protocol state through
+    the node — the node keeps running its honest state machine, so its view
+    tracks the cluster's — and may mount reactive faults on the network.  A
+    *replica-level* behaviour goes further and corrupts the node's state
+    machine in :meth:`bind` (execute a wrong batch, journal a forged
+    history): the class of misbehaviour the speculative-consensus
     correctness literature dissects and the wire-level repertoire cannot
-    reach.  Installed behaviours must stay deterministic: derive anything
-    random from ``self.rng``, never from global randomness.
+    reach.  ``playbook`` is the cabal's out-of-band channel: the shared
+    list of every Byzantine replica id of the deployment, which the
+    cluster builder hands all of them, so a conspirator can ask "does one
+    of us hold the seat right now?" without any in-band (auditable)
+    traffic.  Every decision must stay deterministic: a function of
+    virtual time, the node's own deterministic state and ``self.rng``,
+    never of global randomness.
     """
 
     def __init__(self) -> None:
         self.node_id: str = ""
         self.replica_ids: List[str] = []
         self.rng: Random = Random(0)
+        self.node = None
         self.network = None
+        self.playbook: Optional[List[str]] = None
 
     def bind(self, node_id: str, replica_ids: Sequence[str], seed: object) -> None:
-        """Attach the behaviour to *node_id* in a deployment (idempotent)."""
+        """Attach the behaviour to *node_id* in a deployment."""
         self.node_id = node_id
         self.replica_ids = list(replica_ids)
         self.rng = Random(f"byzantine:{node_id}:{seed}")
-        self.on_bind()
 
-    def on_bind(self) -> None:
-        """Hook for subclasses needing derived state (groups, targets...)."""
+    def observed_primary(self) -> str:
+        """Who the behaviour's own (honest) replica believes is primary in
+        its current view: after a reconfiguration the rotation runs over
+        the active epoch's membership, not the boot membership."""
+        node = self.node
+        return node.primary_for_view(node.view) if node is not None else ""
 
-    def attach_network(self, network) -> None:
-        """Hook giving the behaviour a handle on the live network fabric.
-
-        Called by :meth:`SimNetwork.set_byzantine` right after
-        :meth:`bind`.  Adaptive behaviours use it to mount reactive
-        attacks (crash/partition the *current* primary) that static fault
-        schedules cannot express.  The default just stores the handle.
-        """
-        self.network = network
-
-    def install(self, replica) -> None:
-        """Hook for replica-level behaviours: corrupt the state machine.
-
-        Called once by the cluster builder with the Byzantine node's
-        replica object, after :meth:`bind`.  The default does nothing —
-        network-boundary behaviours never touch the replica.
-        """
+    def cabal_holds_seat(self) -> bool:
+        """Whether the primary this conspirator observes is a conspirator."""
+        return self.playbook is not None and self.observed_primary() in self.playbook
 
     def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
         """Rewrite one outgoing fan-out (a unicast is a one-element list)."""
         return deliveries
+
+
+def fabricated_batch(owner: str, batch_id: str, txn_prefix: str,
+                     like: Optional[RequestBatch] = None) -> RequestBatch:
+    """A batch *owner* made up, of no-op transactions ``{txn_prefix}:{i}``.
+
+    Shaped like *like* (one transaction per transaction of it, its time,
+    reply-to and logical size) when given, else a single transaction at
+    time 0.  A Byzantine node cannot forge client signatures, so it never
+    tampers a client batch in place: it fabricates one under fresh ids.
+    """
+    count, created_at_ms, reply_to, logical_size = (
+        (len(like.transactions), like.created_at_ms, like.reply_to,
+         like.logical_size) if like is not None else (1, 0.0, "", 0))
+    return RequestBatch(
+        batch_id=batch_id,
+        transactions=tuple(
+            Transaction(txn_id=f"{txn_prefix}:{i}", client_id=owner,
+                        operations=(), created_at_ms=created_at_ms)
+            for i in range(count)),
+        created_at_ms=created_at_ms,
+        reply_to=reply_to,
+        logical_size=logical_size,
+    )
+
+
+def _slot(proposal: Message) -> Tuple[int, int]:
+    """The (view, sequence) slot of a proposal; a HotStuff block's is
+    (0, round)."""
+    if isinstance(proposal, HotStuffProposal):
+        return 0, proposal.round_number
+    return proposal.view, proposal.sequence
 
 
 class EquivocatingPrimary(ByzantineBehavior):
@@ -122,9 +154,7 @@ class EquivocatingPrimary(ByzantineBehavior):
     real proposals; the dark half (``group_b``, ``nf - 1`` replicas, so
     that together with the primary it can reach an ``nf`` quorum) receives
     a *forged* batch under the same (view, sequence) slot.  Forged batches
-    carry fresh batch ids, modelling requests the primary fabricated
-    itself — it cannot forge client signatures, so tampering an existing
-    client batch in place is not an available attack.
+    carry fresh batch ids (:func:`fabricated_batch`).
 
     With ``spoof_votes`` the primary additionally fabricates the vote
     messages of ``group_b`` (PoE MAC SUPPORTs, PBFT PREPARE/COMMITs) and
@@ -135,15 +165,46 @@ class EquivocatingPrimary(ByzantineBehavior):
     vote identity correctly bound to the transport sender the forged
     votes all collapse onto the primary and the honest half can never
     complete its quorum.
+
+    Without a ``trigger`` every slot is forked, which is loud: the first
+    vote round already exposes it.  A trigger forks only some slots:
+
+    * ``"checkpoint"`` forks only the last ``WINDOW`` slots before each
+      checkpoint boundary — exactly where a divergent batch would be
+      laundered into a stable checkpoint if the checkpoint vote did not
+      require ``f + 1`` *matching* digests.  The boundary position is read
+      live from the replica's own configuration.
+    * ``"cabal"`` forks a slot only while the primary this conspirator's
+      replica observes is in the playbook (usually itself), and only the
+      first ``MAX_SLOTS`` slots: a lone equivocator keeps forking after a
+      view change strips it of the seat, which unmasks it, while the cabal
+      goes permanently covert after its budget and the cell terminates
+      with honest progress.
+
+    A slot already forked stays forked for its retransmissions; flipping
+    back mid-slot would hand the dark half a digest mismatch that exposes
+    the attack in one message.  Zyzzyva note: between forked slots the
+    dark half accepts the *real* orderings, so forged slots chain from the
+    real predecessor history (``_real_history``) — each forged message
+    stays locally coherent and only the vote round catches the fork.
     """
 
     #: Message types that carry a proposal (per-protocol equivocation points).
     PROPOSAL_TYPES = (PoePropose, PbftPrePrepare, SbftPrePrepare,
                       ZyzzyvaOrderRequest, HotStuffProposal)
+    #: ``"checkpoint"`` trigger: slots forked before each boundary.
+    WINDOW = 2
+    #: ``"cabal"`` trigger: slots forked before the cabal goes covert.
+    MAX_SLOTS = 6
 
-    def __init__(self, spoof_votes: bool = True) -> None:
+    def __init__(self, spoof_votes: bool = False,
+                 trigger: Optional[str] = None) -> None:
         super().__init__()
+        if trigger not in (None, "checkpoint", "cabal"):
+            raise ValueError(f"unknown equivocation trigger {trigger!r}; "
+                             f"expected 'checkpoint' or 'cabal'")
         self.spoof_votes = spoof_votes
+        self.trigger = trigger
         self.group_a: Set[str] = set()
         self.group_b: Set[str] = set()
         self._forged: Dict[Tuple[int, int], RequestBatch] = {}
@@ -156,14 +217,12 @@ class EquivocatingPrimary(ByzantineBehavior):
         #: is trivially detectable from one message.
         self._forged_history: Dict[Tuple[int, int], bytes] = {}
         #: (view, sequence) -> the *real* Zyzzyva history digest observed on
-        #: the wire.  A windowed equivocator (``CheckpointEquivocator``)
-        #: sends the dark half honest orderings between windows, so a forged
-        #: slot must chain from the real history of its predecessor — not
-        #: from a forged entry that was never sent.
+        #: the wire, which a forged slot after an honest one chains from.
         self._real_history: Dict[Tuple[int, int], bytes] = {}
         self._spoofed_slots: Set[Tuple[type, int, int]] = set()
 
-    def on_bind(self) -> None:
+    def bind(self, node_id: str, replica_ids: Sequence[str], seed: object) -> None:
+        super().bind(node_id, replica_ids, seed)
         others = [r for r in self.replica_ids if r != self.node_id]
         n = len(self.replica_ids)
         f = (n - 1) // 3
@@ -178,20 +237,9 @@ class EquivocatingPrimary(ByzantineBehavior):
         key = (view, sequence)
         forged = self._forged.get(key)
         if forged is None:
-            transactions = tuple(
-                Transaction(txn_id=f"byz:{view}:{sequence}:{i}",
-                            client_id=self.node_id, operations=(),
-                            created_at_ms=real.created_at_ms)
-                for i in range(len(real.transactions))
-            )
-            forged = RequestBatch(
-                batch_id=f"byz:{self.node_id}:{view}:{sequence}",
-                transactions=transactions,
-                created_at_ms=real.created_at_ms,
-                reply_to=real.reply_to,
-                logical_size=real.logical_size,
-            )
-            self._forged[key] = forged
+            forged = self._forged[key] = fabricated_batch(
+                self.node_id, f"byz:{self.node_id}:{view}:{sequence}",
+                f"byz:{view}:{sequence}", like=real)
         return forged
 
     def _pbft_digest_pair(self, view: int, sequence: int,
@@ -248,8 +296,7 @@ class EquivocatingPrimary(ByzantineBehavior):
         """Fabricate group_b's votes for the *real* proposal, addressed to
         group_a under forged identities."""
         votes: List[Delivery] = []
-        slot_key = (type(message), getattr(message, "view", 0),
-                    getattr(message, "sequence", getattr(message, "round_number", 0)))
+        slot_key = (type(message),) + _slot(message)
         if slot_key in self._spoofed_slots:
             return votes
         self._spoofed_slots.add(slot_key)
@@ -284,8 +331,19 @@ class EquivocatingPrimary(ByzantineBehavior):
         return message
 
     def _equivocation_active(self, message: Message) -> bool:
-        """Whether *this* proposal is equivocated (hook for windowed
-        variants such as :class:`CheckpointEquivocator`)."""
+        """Whether the ``trigger`` forks *this* proposal's slot."""
+        if self.trigger == "checkpoint":
+            node = self.node
+            interval = node.config.checkpoint_interval if node is not None else 0
+            if interval <= 0:
+                return True
+            # Distance (in slots) from this sequence to its checkpoint
+            # boundary; boundaries sit at (sequence + 1) % interval == 0.
+            return interval - 1 - (_slot(message)[1] % interval) < self.WINDOW
+        if self.trigger == "cabal":
+            if _slot(message) in self._forged:
+                return True
+            return len(self._forged) < self.MAX_SLOTS and self.cabal_holds_seat()
         return True
 
     # ------------------------------------------------------------ transform
@@ -314,74 +372,29 @@ class EquivocatingPrimary(ByzantineBehavior):
         return out
 
 
-class AdaptiveBehavior(ByzantineBehavior):
-    """Base for behaviours that *react* to live protocol state.
-
-    Static behaviours fix their strategy at t = 0; the reactive strategies
-    the speculative-consensus correctness literature dissects (target the
-    current primary, misbehave only near recovery boundaries) need to
-    observe the system as it runs.  An adaptive behaviour reads that state
-    from two handles it already gets for free: the replica object passed
-    to :meth:`install` (live view number, checkpoint state — the replica
-    keeps running its honest state machine, so its view tracks the
-    cluster's) and the network fabric from :meth:`attach_network` (to
-    mount crash/partition attacks mid-run).
-
-    Determinism is preserved because every decision is a function of
-    virtual time and the replica's own deterministic state; ``self.rng``
-    remains the only randomness source.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.replica = None
-
-    def install(self, replica) -> None:
-        self.replica = replica
-
-    def observed_view(self) -> int:
-        """The view the behaviour's own (honest) replica is currently in."""
-        return getattr(self.replica, "view", 0) if self.replica is not None else 0
-
-    def observed_primary(self) -> str:
-        """Who the behaviour's replica believes is primary right now."""
-        if self.replica is None:
-            return ""
-        return self.replica.config.primary_of_view(self.observed_view())
-
-
-class PrimaryTargeter(AdaptiveBehavior):
+class PrimaryTargeter(ByzantineBehavior):
     """Attacks whoever is primary *now*, re-targeting after view changes.
 
     A static schedule can only crash the primary of view 0; this adaptive
     attacker follows the leadership as it moves — each time its own
     replica's view advances past an attacked primary, the *new* primary
-    becomes the target.  Two modes:
+    becomes the target.  It severs all replica links to the current
+    primary for ``window_ms``, then heals.  The isolated primary keeps
+    serving clients into a void; the backups' progress timers fire and
+    drive a view change.  Healed primaries rejoin via checkpoints.
 
-    * ``partition`` (default): sever all replica links to the current
-      primary for ``window_ms``, then heal.  The isolated primary keeps
-      serving clients into a void; the backups' progress timers fire and
-      drive a view change.  Healed primaries rejoin via checkpoints.
-    * ``crash``: crash the primary outright (permanent).  The attack
-      budget must then stay within ``f`` or the attacker trades its own
-      liveness away with everyone else's.
-
-    ``max_targets`` bounds the campaign so targeted cells terminate: after
+    ``MAX_TARGETS`` bounds the campaign so targeted cells terminate: after
     the budget is spent the behaviour goes silent and the last elected
     primary makes progress.
     """
 
     #: No attack before this much virtual time has passed.
     INITIAL_DELAY_MS = 10.0
+    MAX_TARGETS = 2
 
-    def __init__(self, mode: str = "partition", window_ms: float = 60.0,
-                 max_targets: int = 2) -> None:
+    def __init__(self, window_ms: float = 60.0) -> None:
         super().__init__()
-        if mode not in ("partition", "crash"):
-            raise ValueError(f"unknown PrimaryTargeter mode {mode!r}")
-        self.mode = mode
         self.window_ms = window_ms
-        self.max_targets = max_targets
         self.attacked: List[str] = []
 
     def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
@@ -389,7 +402,7 @@ class PrimaryTargeter(AdaptiveBehavior):
         return deliveries
 
     def _maybe_attack(self, now_ms: float) -> None:
-        if self.network is None or len(self.attacked) >= self.max_targets:
+        if self.network is None or len(self.attacked) >= self.MAX_TARGETS:
             return
         if now_ms < self.INITIAL_DELAY_MS:
             return
@@ -397,61 +410,21 @@ class PrimaryTargeter(AdaptiveBehavior):
         if not primary or primary == self.node_id or primary in self.attacked:
             return
         self.attacked.append(primary)
-        if self.mode == "crash":
-            self.network.crash(primary, at_ms=now_ms)
-        else:
-            others = [r for r in self.replica_ids if r != primary]
-            self.network.faults.add_partition(
-                [primary], others, at_ms=now_ms,
-                until_ms=now_ms + self.window_ms)
+        others = [r for r in self.replica_ids if r != primary]
+        self.network.faults.add_partition(
+            [primary], others, at_ms=now_ms, until_ms=now_ms + self.window_ms)
 
 
-class CheckpointEquivocator(EquivocatingPrimary, AdaptiveBehavior):
-    """Equivocates only within a window of checkpoint boundaries.
-
-    An always-on equivocator is loud: every slot disagrees, so the first
-    vote round already exposes it.  This variant behaves honestly for most
-    slots and forks only the last ``window`` slots before each checkpoint
-    boundary — exactly where a divergent batch would be laundered into a
-    stable checkpoint if the checkpoint vote did not require ``f + 1``
-    *matching* digests.  The boundary position is read live from the
-    replica's own configuration, so the attack tracks whatever interval
-    the deployment runs with.
-
-    Zyzzyva note: between windows the dark half accepts the *real*
-    orderings, so forged slots chain from the real predecessor history
-    (see ``EquivocatingPrimary._real_history``) — each forged message
-    stays locally coherent and only the vote round catches the fork.
-    """
-
-    def __init__(self, spoof_votes: bool = False, window: int = 2) -> None:
-        super().__init__(spoof_votes=spoof_votes)
-        self.window = max(1, window)
-
-    def _equivocation_active(self, message: Message) -> bool:
-        replica = self.replica
-        interval = replica.config.checkpoint_interval if replica is not None else 0
-        if interval <= 0:
-            return True
-        sequence = getattr(message, "sequence", None)
-        if sequence is None:
-            sequence = getattr(message, "round_number", 0)
-        # Distance (in slots) from this sequence to its checkpoint
-        # boundary; boundaries sit at (sequence + 1) % interval == 0.
-        distance = interval - 1 - (sequence % interval)
-        return distance < self.window
-
-
-class TimeoutStaller(AdaptiveBehavior):
+class TimeoutStaller(ByzantineBehavior):
     """Withholds its view-change vote until just before the retry deadline.
 
     The recovery protocol retries an unfinished view change after an
     exponential backoff.  A replica that simply never votes is eventually
     routed around; this one *rides the schedule*: it joins each view
     change it is needed for, but delays its VIEW-CHANGE broadcast so it
-    lands ``lead_ms`` before the honest replicas' retry deadline — the
+    lands ``LEAD_MS`` before the honest replicas' retry deadline — the
     maximum stall that still lets the view change complete, repeated for
-    ``max_stalls`` views before the budget forces honesty.  Nothing it
+    ``MAX_STALLS`` views before the budget forces honesty.  Nothing it
     does is provably faulty (the messages are well-formed and honest),
     which is what makes the timing attack a pure liveness probe: the
     auditor must find every cell safe, just slower.
@@ -460,26 +433,27 @@ class TimeoutStaller(AdaptiveBehavior):
     recovery protocol, so the behaviour is a no-op there.
     """
 
-    def __init__(self, lead_ms: float = 10.0, max_stalls: int = 2) -> None:
+    LEAD_MS = 10.0
+    MAX_STALLS = 2
+
+    def __init__(self) -> None:
         super().__init__()
-        self.lead_ms = lead_ms
-        self.max_stalls = max_stalls
         self.stalls = 0
         self._stalled_views: Set[int] = set()
 
     def _stall_delay(self) -> float:
-        replica = self.replica
+        replica = self.node
         backoff = replica.config.request_timeout_ms * 2 * (
             2 ** min(replica._vc_failed_attempts, replica.VC_BACKOFF_CAP))
-        return max(0.0, backoff - self.lead_ms)
+        return max(0.0, backoff - self.LEAD_MS)
 
     def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
-        if self.replica is None or not deliveries:
+        if self.node is None or not deliveries:
             return deliveries
         message = deliveries[0].message
         if not isinstance(message, ViewChangeRequest):
             return deliveries
-        if message.view in self._stalled_views or self.stalls >= self.max_stalls:
+        if message.view in self._stalled_views or self.stalls >= self.MAX_STALLS:
             return deliveries
         self._stalled_views.add(message.view)
         self.stalls += 1
@@ -494,101 +468,7 @@ class TimeoutStaller(AdaptiveBehavior):
 # The colluding tier: up to ``f`` conspirators sharing one playbook.
 
 
-@dataclass
-class ColludingPlaybook:
-    """Shared strategy state for a cabal of up to ``f`` conspirators.
-
-    Independent Byzantine replicas each fight alone; the reconfiguration
-    attack surface (epoch-activation windows, membership churn) rewards
-    *coordination* — equivocate only while the cabal holds the primary
-    seat, park a poisoned vote until the activation boundary.  The
-    playbook is the cabal's out-of-band channel: one shared object the
-    cluster builder links into every conspirator of a deployment, so a
-    behaviour can ask "does one of us hold the seat right now?" without
-    any in-band (auditable) traffic.  It holds only replica ids, so
-    determinism is inherited from the deterministic protocol state the
-    conspirators observe.
-    """
-
-    members: List[str] = field(default_factory=list)
-
-    def enroll(self, node_id: str) -> None:
-        if node_id and node_id not in self.members:
-            self.members.append(node_id)
-
-    def is_conspirator(self, replica_id: str) -> bool:
-        return replica_id in self.members
-
-
-class ColludingBehavior(AdaptiveBehavior):
-    """Base for conspirators: adaptive behaviours linked to a playbook.
-
-    The cluster builder recognises the ``wants_playbook`` marker and
-    assigns one shared :class:`ColludingPlaybook` to every conspirator
-    (after :meth:`bind`, so enrolment sees the real ``node_id``).
-    """
-
-    wants_playbook = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._playbook: Optional[ColludingPlaybook] = None
-
-    def join(self, playbook: ColludingPlaybook) -> None:
-        """Share *playbook* with the other conspirators."""
-        self._playbook = playbook
-        if self.node_id:
-            playbook.enroll(self.node_id)
-
-    def observed_primary(self) -> str:
-        # Epoch-aware: after a reconfiguration the primary rotation runs
-        # over the active epoch's membership, not the boot membership.
-        replica = self.replica
-        if replica is not None and hasattr(replica, "primary_for_view"):
-            return replica.primary_for_view(self.observed_view())
-        return super().observed_primary()
-
-    def cabal_holds_seat(self) -> bool:
-        """Whether the primary this conspirator observes is a conspirator."""
-        playbook = self._playbook
-        return (playbook is not None
-                and playbook.is_conspirator(self.observed_primary()))
-
-
-class ColludingEquivocator(EquivocatingPrimary, ColludingBehavior):
-    """Equivocates only while the cabal holds the primary seat.
-
-    A lone always-on equivocator keeps forking slots even after a view
-    change strips it of the seat, so its forged traffic is pure noise
-    that unmasks it.  The playbook rule is tighter: fork a slot only
-    while the primary this conspirator's own replica observes is a
-    cabal member (usually itself), and only for the first ``MAX_SLOTS``
-    forged slots — after the budget the cabal goes permanently covert
-    and the cell terminates with honest progress.  A slot already forged
-    stays forked for its retransmissions; flipping back mid-slot would
-    hand the dark half a digest mismatch that exposes the attack in one
-    message.
-    """
-
-    MAX_SLOTS = 6
-
-    def __init__(self, spoof_votes: bool = False) -> None:
-        super().__init__(spoof_votes=spoof_votes)
-
-    def _slot_key(self, message: Message) -> Tuple[int, int]:
-        if isinstance(message, HotStuffProposal):
-            return (0, message.round_number)
-        return (getattr(message, "view", 0), getattr(message, "sequence", 0))
-
-    def _equivocation_active(self, message: Message) -> bool:
-        if self._slot_key(message) in self._forged:
-            return True
-        if len(self._forged) >= self.MAX_SLOTS:
-            return False
-        return self.cabal_holds_seat()
-
-
-class ColludingVoteParker(ColludingBehavior):
+class ColludingVoteParker(ByzantineBehavior):
     """Parks its checkpoint votes while the cabal holds the primary seat.
 
     Checkpoint votes are the only commitment a backup makes about
@@ -621,7 +501,7 @@ class ColludingVoteParker(ColludingBehavior):
     def _release_due(self, now_ms: float) -> bool:
         if not self._parked:
             return False
-        if getattr(self.replica, "_pending_epochs", None):
+        if getattr(self.node, "_pending_epochs", None):
             return True  # the epoch-activation window is open
         if not self.cabal_holds_seat():
             return True
@@ -654,7 +534,7 @@ class ColludingVoteParker(ColludingBehavior):
         return out
 
 
-class ColludingReconfigAbuser(ColludingBehavior):
+class ColludingReconfigAbuser(ByzantineBehavior):
     """Proposes a membership change that would strand the honest quorum.
 
     At ``at_ms`` the conspirator fabricates a
@@ -680,13 +560,12 @@ class ColludingReconfigAbuser(ColludingBehavior):
     def _unsafe_record(self, now_ms: float):
         from repro.protocols.epoch import make_reconfig_record
 
-        replica = self.replica
+        replica = self.node
         if replica is None:
             return None, ()
         epoch = getattr(replica, "epoch", 0)
         members = list(replica.config.membership(epoch))
-        cabal = (set(self._playbook.members) if self._playbook is not None
-                 else {self.node_id})
+        cabal = set(self.playbook) if self.playbook is not None else {self.node_id}
         honest = [rid for rid in members if rid not in cabal]
         f_old = (len(members) - 1) // 3
         victims = honest[: f_old + 1]
@@ -792,7 +671,8 @@ class StaleCertifier(ByzantineBehavior):
         self._stale_for_slot = None
         self._tampered_slots: Set[Tuple[int, int]] = set()
 
-    def on_bind(self) -> None:
+    def bind(self, node_id: str, replica_ids: Sequence[str], seed: object) -> None:
+        super().bind(node_id, replica_ids, seed)
         others = sorted(r for r in self.replica_ids if r != self.node_id)
         self.victim = others[self.rng.randrange(len(others))] if others else ""
 
@@ -814,17 +694,6 @@ class StaleCertifier(ByzantineBehavior):
         return out
 
 
-def _forged_vc_batch(owner: str, sequence: int) -> RequestBatch:
-    """A deterministic fabricated batch for a forged view-change history."""
-    return RequestBatch(
-        batch_id=f"byzvc:{owner}:{sequence}",
-        transactions=(Transaction(txn_id=f"byzvc:{owner}:{sequence}:0",
-                                  client_id=owner, operations=(),
-                                  created_at_ms=0.0),),
-        created_at_ms=0.0,
-    )
-
-
 class ForgedHistoryReplica(ByzantineBehavior):
     """A replica that forges view-change histories it never held.
 
@@ -839,8 +708,8 @@ class ForgedHistoryReplica(ByzantineBehavior):
     honest replica fabricated batches for slots the quorum had already
     settled differently: a divergent prefix the auditor flags.
 
-    The behaviour is replica-level: :meth:`install` keeps a reference to
-    the replica, so the forgery tracks its live view and checkpoint state,
+    The behaviour is replica-level: it reads its replica (``node``), so
+    the forgery tracks the live view and checkpoint state,
     and — for Zyzzyva — fabricates the proof of misbehaviour that starts
     the view change in the first place (replicas accept a structurally
     conflicting POM from any sender; a forged one is the documented
@@ -861,11 +730,7 @@ class ForgedHistoryReplica(ByzantineBehavior):
         super().__init__()
         self.forge_certificates = forge_certificates
         self.pom_at_ms = pom_at_ms
-        self.replica = None
         self._pom_sent = False
-
-    def install(self, replica) -> None:
-        self.replica = replica
 
     # ------------------------------------------------------------- forgeries
     def _forged_commit_certificate(self, sequence: int,
@@ -888,7 +753,7 @@ class ForgedHistoryReplica(ByzantineBehavior):
         entry needs a threshold commit proof no lone replica can fabricate:
         SBFT requests go out as they are.
         """
-        replica = self.replica
+        replica = self.node
         if isinstance(replica, SbftReplica):
             return message
         top = min(self.DEPTH,
@@ -896,7 +761,8 @@ class ForgedHistoryReplica(ByzantineBehavior):
         entries = []
         history = digest("zyzzyva-history", "genesis")
         for sequence in range(top + 1):
-            batch = _forged_vc_batch(self.node_id, sequence)
+            batch = fabricated_batch(self.node_id, f"byzvc:{self.node_id}:{sequence}",
+                                     f"byzvc:{self.node_id}:{sequence}")
             view, proof = message.view, None
             if isinstance(replica, ZyzzyvaReplica):
                 history = slot_digest = digest("zyzzyva-history", history,
@@ -914,7 +780,7 @@ class ForgedHistoryReplica(ByzantineBehavior):
             certificate=None, executed=tuple(entries))
 
     def _fabricated_pom(self) -> Optional[ZyzzyvaProofOfMisbehaviour]:
-        replica = self.replica
+        replica = self.node
         if not isinstance(replica, ZyzzyvaReplica):
             return None  # only Zyzzyva replicas have a POM to forge
         if replica.checkpoints.stable_sequence < 0:
@@ -1016,7 +882,7 @@ class LyingCheckpointer(ByzantineBehavior):
 class WrongExecutionReplica(ByzantineBehavior):
     """A replica that executes a divergent batch at one consensus slot.
 
-    The replica's network behaviour stays honest; :meth:`install` wraps
+    The replica's network behaviour stays honest; :meth:`bind` wraps
     its ``commit_slot`` so that exactly one slot (``TARGET_SLOT``) commits
     a fabricated batch in place of the agreed one.  From then on its
     ledger, replies and checkpoint digests diverge while its *height*
@@ -1033,8 +899,9 @@ class WrongExecutionReplica(ByzantineBehavior):
         super().__init__()
         self.forged_executions = 0
 
-    def install(self, replica) -> None:
-        behavior = self
+    def bind(self, node_id: str, replica_ids: Sequence[str], seed: object) -> None:
+        super().bind(node_id, replica_ids, seed)
+        behavior, replica = self, self.node
         original = replica.commit_slot
 
         def wrong_commit_slot(sequence, view, batch, proof=None, now_ms=0.0,
@@ -1043,19 +910,9 @@ class WrongExecutionReplica(ByzantineBehavior):
                     and behavior.forged_executions == 0
                     and sequence > replica.last_executed_sequence):
                 behavior.forged_executions += 1
-                transactions = tuple(
-                    Transaction(txn_id=f"byzexec:{behavior.node_id}:{i}",
-                                client_id=behavior.node_id, operations=(),
-                                created_at_ms=batch.created_at_ms)
-                    for i in range(len(batch.transactions))
-                )
-                batch = RequestBatch(
-                    batch_id=f"byzexec:{behavior.node_id}:{sequence}",
-                    transactions=transactions,
-                    created_at_ms=batch.created_at_ms,
-                    reply_to=batch.reply_to,
-                    logical_size=batch.logical_size,
-                )
+                batch = fabricated_batch(
+                    node_id, f"byzexec:{node_id}:{sequence}",
+                    f"byzexec:{node_id}", like=batch)
             return original(sequence=sequence, view=view, batch=batch,
                             proof=proof, now_ms=now_ms, speculative=speculative)
 
@@ -1148,7 +1005,7 @@ class StallingCoordinator(ByzantineBehavior):
 #: Registry used by the declarative :class:`ByzantineSpec` in cluster
 #: configurations (string keys keep configs picklable and seed-stable).
 BEHAVIORS: Dict[str, Callable[..., ByzantineBehavior]] = {
-    "equivocate": lambda **kw: EquivocatingPrimary(spoof_votes=False, **kw),
+    "equivocate": EquivocatingPrimary,
     "equivocate-spoof": lambda **kw: EquivocatingPrimary(spoof_votes=True, **kw),
     "delay": MessageDelayer,
     "replay": MessageReplayer,
@@ -1158,10 +1015,11 @@ BEHAVIORS: Dict[str, Callable[..., ByzantineBehavior]] = {
     "wrong-exec": WrongExecutionReplica,
     # The adaptive tier: behaviours reacting to live protocol state.
     "adaptive-primary": PrimaryTargeter,
-    "checkpoint-equivocate": CheckpointEquivocator,
+    "checkpoint-equivocate":
+        lambda **kw: EquivocatingPrimary(trigger="checkpoint", **kw),
     "timeout-stall": TimeoutStaller,
     # The colluding tier: up to f conspirators coordinating via a playbook.
-    "colluding-equivocate": ColludingEquivocator,
+    "colluding-equivocate": lambda **kw: EquivocatingPrimary(trigger="cabal", **kw),
     "colluding-parker": ColludingVoteParker,
     "colluding-reconfig-abuse": ColludingReconfigAbuser,
     # Cross-shard 2PC coordinator behaviours (sharded clusters only).
@@ -1187,7 +1045,7 @@ class ByzantineSpec:
     Attributes:
         behavior: key into :data:`BEHAVIORS`.
         replica_index: index of the misbehaving replica (0 = the primary
-            of view 0).
+            of view 0); at most one spec per replica.
         options: keyword arguments forwarded to the behaviour factory.
     """
 

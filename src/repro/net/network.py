@@ -180,13 +180,16 @@ class SimNetwork:
         The node itself keeps running its honest state machine; the
         behaviour tampers at the network boundary.  Must be called after
         every replica is registered (the behaviour needs the membership to
-        derive its target groups).  Fabricated messages still leave the
+        derive its target groups).  The behaviour is handed the node and
+        this network, then bound.  Fabricated messages still leave the
         Byzantine node's own transport, so receivers observe the true
         sender regardless of any identity claimed in the payload.
         """
+        handle = self._nodes[node_id]
+        behavior.node = handle.node
+        behavior.network = self
         behavior.bind(node_id, self._replica_ids, seed)
-        behavior.attach_network(self)
-        self._nodes[node_id].behavior = behavior
+        handle.behavior = behavior
 
     def node(self, node_id: str) -> AnyNode:
         return self._nodes[node_id].node

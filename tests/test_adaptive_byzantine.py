@@ -37,7 +37,6 @@ from repro.fabric.scenarios import (
 )
 from repro.net.byzantine import (
     ByzantineSpec,
-    CheckpointEquivocator,
     Delivery,
     EquivocatingPrimary,
     PrimaryTargeter,
@@ -132,19 +131,20 @@ def _old_prefix_selector(requests, f=0, trust_certificates=False):
 class TestAdaptiveBehaviourLayer:
     def test_registry_knows_adaptive_behaviors(self):
         assert isinstance(make_behavior("adaptive-primary"), PrimaryTargeter)
-        assert isinstance(make_behavior("checkpoint-equivocate"),
-                          CheckpointEquivocator)
+        equivocator = make_behavior("checkpoint-equivocate")
+        assert isinstance(equivocator, EquivocatingPrimary)
+        assert equivocator.trigger == "checkpoint"
         assert isinstance(make_behavior("timeout-stall"), TimeoutStaller)
 
-    def test_primary_targeter_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            PrimaryTargeter(mode="bribe")
+    def test_equivocating_primary_rejects_unknown_trigger(self):
+        with pytest.raises(ValueError, match="unknown equivocation trigger"):
+            EquivocatingPrimary(trigger="bribe")
 
     def test_checkpoint_equivocator_forks_only_the_boundary_window(self):
-        behavior = CheckpointEquivocator(window=2)
-        behavior.replica = SimpleNamespace(
+        behavior = EquivocatingPrimary(trigger="checkpoint")
+        behavior.node = SimpleNamespace(
             config=SimpleNamespace(checkpoint_interval=5))
-        active = [behavior._equivocation_active(SimpleNamespace(sequence=s))
+        active = [behavior._equivocation_active(SimpleNamespace(view=0, sequence=s))
                   for s in range(10)]
         # Boundaries close at sequences 4 and 9; the last two slots of
         # each interval (3, 4 and 8, 9) are inside the window.
@@ -152,26 +152,26 @@ class TestAdaptiveBehaviourLayer:
                           False, False, False, True, True]
 
     def test_checkpoint_equivocator_without_interval_is_always_active(self):
-        behavior = CheckpointEquivocator(window=2)
-        behavior.replica = SimpleNamespace(
+        behavior = EquivocatingPrimary(trigger="checkpoint")
+        behavior.node = SimpleNamespace(
             config=SimpleNamespace(checkpoint_interval=0))
-        assert behavior._equivocation_active(SimpleNamespace(sequence=1))
+        assert behavior._equivocation_active(SimpleNamespace(view=0, sequence=1))
 
     def test_timeout_staller_delays_vc_broadcast_by_the_backoff(self):
-        behavior = TimeoutStaller(lead_ms=10.0, max_stalls=2)
-        behavior.replica = SimpleNamespace(
+        behavior = TimeoutStaller()
+        behavior.node = SimpleNamespace(
             config=SimpleNamespace(request_timeout_ms=100.0),
             _vc_failed_attempts=0, VC_BACKOFF_CAP=5)
         request = ViewChangeRequest(view=0, replica_id="replica:2")
         out = behavior.transform([Delivery("replica:1", request)], 50.0)
         # First failed attempt retries after 2 * timeout = 200ms; the
-        # stalled vote lands lead_ms before that deadline.
+        # stalled vote lands LEAD_MS before that deadline.
         assert [d.delay_ms for d in out] == [190.0]
         assert behavior.stalls == 1
 
     def test_timeout_staller_stalls_each_view_once_within_budget(self):
-        behavior = TimeoutStaller(lead_ms=10.0, max_stalls=2)
-        behavior.replica = SimpleNamespace(
+        behavior = TimeoutStaller()
+        behavior.node = SimpleNamespace(
             config=SimpleNamespace(request_timeout_ms=100.0),
             _vc_failed_attempts=0, VC_BACKOFF_CAP=5)
         v0 = ViewChangeRequest(view=0, replica_id="replica:2")
@@ -181,12 +181,12 @@ class TestAdaptiveBehaviourLayer:
         # Same view again: already stalled, passes through untouched.
         assert behavior.transform([Delivery("replica:1", v0)], 0.0)[0].delay_ms == 0
         assert behavior.transform([Delivery("replica:1", v1)], 0.0)[0].delay_ms > 0
-        # Budget (max_stalls = 2) spent: the third view is voted honestly.
+        # Budget (MAX_STALLS = 2) spent: the third view is voted honestly.
         assert behavior.transform([Delivery("replica:1", v2)], 0.0)[0].delay_ms == 0
 
     def test_timeout_staller_leaves_other_messages_alone(self):
         behavior = TimeoutStaller()
-        behavior.replica = SimpleNamespace(
+        behavior.node = SimpleNamespace(
             config=SimpleNamespace(request_timeout_ms=100.0),
             _vc_failed_attempts=0, VC_BACKOFF_CAP=5)
         message = SimpleNamespace(view=0)
@@ -431,7 +431,7 @@ class TestRevertDemos:
         # recovery with the staller finishes a large fraction of a backoff
         # window later than without it.  (No revert-demo exists for this
         # behaviour by construction: reverting the retry machinery does
-        # not break the cell, because the stalled vote lands ``lead_ms``
+        # not break the cell, because the stalled vote lands ``LEAD_MS``
         # before the deadline by design.)
         cluster, auditor = run_cell("sbft", "timeout-stall")
         assert completed(cluster) == 20

@@ -29,6 +29,7 @@ from repro.fabric.scenarios import (
     run_scenario,
 )
 from repro.net.byzantine import (
+    BEHAVIORS,
     ByzantineSpec,
     Delivery,
     EquivocatingPrimary,
@@ -78,6 +79,36 @@ class TestBehaviorLayer:
             assert make_behavior(name) is not None
         with pytest.raises(KeyError):
             make_behavior("does-not-exist")
+
+    @pytest.mark.parametrize("name", sorted(BEHAVIORS))
+    def test_every_behavior_binds_and_transforms_a_fanout(self, name):
+        cluster = Cluster(ClusterConfig(protocol="poe-mac", num_replicas=4,
+                                        total_batches=1, seed=3))
+        replicas = [replica_id(i) for i in range(4)]
+        behavior = make_behavior(name)
+        cluster.network.set_byzantine(replicas[0], behavior, seed=1)
+        assert behavior.node is cluster.network.node(replicas[0])
+        assert behavior.network is cluster.network
+        assert behavior.replica_ids == replicas
+        propose = PoePropose(view=0, sequence=0,
+                             batch=make_no_op_batch("batch-0", "client:0", 3))
+        out = behavior.transform([Delivery(r, propose) for r in replicas[1:]],
+                                 now_ms=50.0)
+        assert all(isinstance(d, Delivery) and d.delay_ms >= 0.0 for d in out)
+        assert {d.receiver for d in out} <= set(replicas)
+
+    @pytest.mark.parametrize("indices", [(2, 2), (-1,), (4,)],
+                             ids=["same-replica", "negative", "past-membership"])
+    def test_a_spec_naming_no_free_replica_is_rejected(self, indices):
+        # Accepted, two specs on one replica were both attached (the second
+        # replacing the first's wire behaviour, the first's replica-level
+        # corruption staying installed), -1 silently picked replica:3 and
+        # an index past the membership died with a bare IndexError.
+        specs = tuple(ByzantineSpec(behavior=behavior, replica_index=index)
+                      for behavior, index in zip(("wrong-exec", "delay"), indices))
+        with pytest.raises(ValueError, match=r"ByzantineSpec\(behavior="):
+            Cluster(ClusterConfig(protocol="poe-mac", num_replicas=4,
+                                  total_batches=1, byzantine=specs))
 
     def test_equivocation_groups_sum_to_the_backups(self):
         behavior = EquivocatingPrimary()

@@ -83,8 +83,8 @@ def forger_on(auths, protocol, **options):
         spec.replica_cls(rid, config, auths[rid], **spec.replica_kwargs)
         for rid in ("replica:2", "replica:1"))
     behavior = ForgedHistoryReplica(**options)
+    behavior.node = forging
     behavior.bind("replica:2", REPLICAS, seed=5)
-    behavior.install(forging)
     return behavior, honest
 
 
@@ -165,7 +165,7 @@ class TestBehaviourLayer:
         ))
         behavior = cluster.network._nodes[replica_id(2)].behavior
         assert isinstance(behavior, WrongExecutionReplica)
-        # install() wrapped the replica's commit_slot with the forging shim.
+        # bind() wrapped the replica's commit_slot with the forging shim.
         replica = cluster.network.node(replica_id(2))
         assert replica.commit_slot.__name__ == "wrong_commit_slot"
 
