@@ -107,7 +107,7 @@ class ClusterConfig:
             its outgoing traffic is routed through a
             :class:`~repro.net.byzantine.ByzantineBehavior`.  A colluding
             adversary lists up to ``f`` of them; each behaviour gets the
-            list of every spec's replica id as its ``playbook``.  Two
+            tuple of every spec's replica id as its ``playbook``.  Two
             specs may not name one replica.
         reconfig: optional epoch-reconfiguration plan.  Each step injects
             a signed :class:`~repro.protocols.epoch.ReconfigRecord` into
@@ -338,6 +338,9 @@ class Cluster:
                                  f"has a byzantine spec (one per replica)")
             indices.append(spec.replica_index)
         self.byzantine_ids: List[str] = [replica_order[index] for index in indices]
+        # The playbook a cabal shares: every Byzantine replica id, copied so
+        # that editing the audit's ``byzantine_ids`` leaves the cabal alone.
+        playbook = tuple(self.byzantine_ids)
         for offset, spec in enumerate(self.config.byzantine):
             # The first spec keeps the historical seed so single-adversary
             # rows reproduce byte-identically; the others get distinct streams.
@@ -345,8 +348,7 @@ class Cluster:
                 else self.config.seed + 7919 * offset
             behavior = attach_byzantine(self.network, self.byzantine_ids[offset],
                                         spec.behavior, seed, **spec.options)
-            # The playbook a cabal shares: every Byzantine replica id.
-            behavior.playbook = self.byzantine_ids
+            behavior.playbook = playbook
 
     def _batch_source_for(self, pool_id: str) -> Optional[BatchSource]:
         if not self.config.use_ycsb_payload:

@@ -76,9 +76,9 @@ class ByzantineBehavior:
     machine in :meth:`bind` (execute a wrong batch, journal a forged
     history): the class of misbehaviour the speculative-consensus
     correctness literature dissects and the wire-level repertoire cannot
-    reach.  ``playbook`` is the cabal's out-of-band channel: the shared
-    list of every Byzantine replica id of the deployment, which the
-    cluster builder hands all of them, so a conspirator can ask "does one
+    reach.  ``playbook`` is the cabal's out-of-band channel: the tuple of
+    every Byzantine replica id of the deployment, which the cluster
+    builder hands all of them, so a conspirator can ask "does one
     of us hold the seat right now?" without any in-band (auditable)
     traffic.  Every decision must stay deterministic: a function of
     virtual time, the node's own deterministic state and ``self.rng``,
@@ -91,7 +91,7 @@ class ByzantineBehavior:
         self.rng: Random = Random(0)
         self.node = None
         self.network = None
-        self.playbook: Optional[List[str]] = None
+        self.playbook: Optional[Tuple[str, ...]] = None
 
     def bind(self, node_id: str, replica_ids: Sequence[str], seed: object) -> None:
         """Attach the behaviour to *node_id* in a deployment."""
@@ -1005,8 +1005,10 @@ class StallingCoordinator(ByzantineBehavior):
 #: Registry used by the declarative :class:`ByzantineSpec` in cluster
 #: configurations (string keys keep configs picklable and seed-stable).
 BEHAVIORS: Dict[str, Callable[..., ByzantineBehavior]] = {
-    "equivocate": EquivocatingPrimary,
-    "equivocate-spoof": lambda **kw: EquivocatingPrimary(spoof_votes=True, **kw),
+    # The four equivocators take no options: the trigger and vote spoofing
+    # are fixed by the key.
+    "equivocate": lambda: EquivocatingPrimary(),
+    "equivocate-spoof": lambda: EquivocatingPrimary(spoof_votes=True),
     "delay": MessageDelayer,
     "replay": MessageReplayer,
     "stale-certify": StaleCertifier,
@@ -1015,11 +1017,10 @@ BEHAVIORS: Dict[str, Callable[..., ByzantineBehavior]] = {
     "wrong-exec": WrongExecutionReplica,
     # The adaptive tier: behaviours reacting to live protocol state.
     "adaptive-primary": PrimaryTargeter,
-    "checkpoint-equivocate":
-        lambda **kw: EquivocatingPrimary(trigger="checkpoint", **kw),
+    "checkpoint-equivocate": lambda: EquivocatingPrimary(trigger="checkpoint"),
     "timeout-stall": TimeoutStaller,
     # The colluding tier: up to f conspirators coordinating via a playbook.
-    "colluding-equivocate": lambda **kw: EquivocatingPrimary(trigger="cabal", **kw),
+    "colluding-equivocate": lambda: EquivocatingPrimary(trigger="cabal"),
     "colluding-parker": ColludingVoteParker,
     "colluding-reconfig-abuse": ColludingReconfigAbuser,
     # Cross-shard 2PC coordinator behaviours (sharded clusters only).

@@ -97,6 +97,15 @@ class TestBehaviorLayer:
         assert all(isinstance(d, Delivery) and d.delay_ms >= 0.0 for d in out)
         assert {d.receiver for d in out} <= set(replicas)
 
+    @pytest.mark.parametrize("name", ["equivocate", "equivocate-spoof",
+                                      "checkpoint-equivocate",
+                                      "colluding-equivocate"])
+    @pytest.mark.parametrize("option", ["spoof_votes", "trigger"])
+    def test_the_equivocators_take_no_options(self, name, option):
+        # The key fixes the trigger and vote spoofing; neither is settable.
+        with pytest.raises(TypeError):
+            make_behavior(name, **{option: True})
+
     @pytest.mark.parametrize("indices", [(2, 2), (-1,), (4,)],
                              ids=["same-replica", "negative", "past-membership"])
     def test_a_spec_naming_no_free_replica_is_rejected(self, indices):
