@@ -10,8 +10,11 @@ replica's ``executed_batches``): what one batch costs one replica,
 handlers, deliveries and client pools included.  The calls of both phases
 are also split by layer, the layers of poebench's ``layers`` module (its
 map is read, never changed), so a change that moves them says which layer
-gained or lost them.  At this budget a client pool draws, hashes and signs
-every YCSB transaction of the run while it is set up (its outstanding
+gained or lost them.  Under each run row the script also lists the twelve
+functions with the most calls per executed replica-batch (unpinned): the
+inventory a change to the per-batch path starts from.  At this budget a
+client pool draws, hashes and signs every YCSB transaction of the run
+while it is set up (its outstanding
 batches are all there are), so on ``ycsb_exec_n4`` generation shows in
 the set-up calls, not the run's.  A second, untraced pass builds and runs
 the shape again under ``tracemalloc`` and prints the bytes the run leaves
@@ -70,9 +73,11 @@ SEED = 3
 
 
 def counted(fn: Callable[[], object]
-            ) -> Tuple[object, int, int, Dict[str, int]]:
+            ) -> Tuple[object, int, int, Dict[str, int], Counter]:
     """Run *fn* under the tracer: ``(result, opcodes, python_calls,
-    python calls by layer)``.
+    python calls by layer, python calls by code object)``.  A dataclass's
+    generated method, whose code is named after no class, is keyed
+    ``(code, class)``.
 
     A call's layer is its source file's in poebench's ``layers`` map.  A
     call outside ``src/repro`` (the standard library, a dataclass's
@@ -84,6 +89,7 @@ def counted(fn: Callable[[], object]
 
     counts = [0, 0]
     by_layer: Counter = Counter()
+    by_code: Counter = Counter()
     file_layers: Dict[str, object] = {}
 
     def layer_of(frame) -> str:
@@ -105,6 +111,11 @@ def counted(fn: Callable[[], object]
     def on_call(frame, event, arg):
         counts[1] += 1
         by_layer[layer_of(frame)] += 1
+        code = frame.f_code
+        if code.co_filename == "<string>" and "self" in frame.f_locals:
+            # A dataclass's generated method: name it by its class.
+            code = (code, frame.f_locals["self"].__class__)
+        by_code[code] += 1
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
         return local
@@ -114,7 +125,32 @@ def counted(fn: Callable[[], object]
         result = fn()
     finally:
         sys.settrace(None)
-    return result, counts[0], counts[1], dict(sorted(by_layer.items()))
+    return (result, counts[0], counts[1], dict(sorted(by_layer.items())),
+            by_code)
+
+
+#: How many functions the inventory under each run row names.
+TOP_FUNCTIONS = 12
+
+
+def top_functions(by_code: Counter, executed: int) -> List[Tuple[str, float]]:
+    """The :data:`TOP_FUNCTIONS` functions with the most calls per executed
+    replica-batch, as ``(module.qualname, calls per batch)``, most first
+    (ties by name, so the list repeats exactly)."""
+    by_name: Counter = Counter()
+    for code, calls in by_code.items():
+        if isinstance(code, tuple):
+            code, cls = code
+            name = f"{cls.__module__.removeprefix('repro.')}.{cls.__qualname__}"
+            by_name[f"{name}.{code.co_name}"] += calls
+            continue
+        path = Path(code.co_filename)
+        parts = path.with_suffix("").parts
+        module = (".".join(parts[parts.index("repro") + 1:])
+                  if "repro" in parts else path.stem)
+        by_name[f"{module}.{code.co_qualname}"] += calls
+    ranked = sorted(by_name.items(), key=lambda item: (-item[1], item[0]))
+    return [(name, calls / executed) for name, calls in ranked[:TOP_FUNCTIONS]]
 
 
 def clear_memos() -> None:
@@ -159,15 +195,16 @@ def measure(name: str) -> Dict[str, object]:
     from workloads import WORKLOADS, build
 
     configs = WORKLOADS[name].configs(SEED, SCALE)
-    deployments, setup_opcodes, setup_calls, setup_layer_calls = counted(
+    deployments, setup_opcodes, setup_calls, setup_layer_calls, _ = counted(
         lambda: [build(config) for config in configs])
-    _, opcodes, calls, layer_calls = counted(
+    _, opcodes, calls, layer_calls, by_code = counted(
         lambda: [d.run_until_done() for d in deployments])
     executed = executed_batches(deployments)
     del deployments
     retained, retained_executed = retained_bytes(configs)
     assert retained_executed == executed, (retained_executed, executed)
     return {"setup": (setup_opcodes, setup_calls), "run": (opcodes, calls),
+            "top": top_functions(by_code, executed),
             "pins": {"setup_calls": setup_calls,
                      "setup_layer_calls": setup_layer_calls,
                      "run_calls": calls,
@@ -204,6 +241,13 @@ def print_layers(layer_calls: Dict[str, int]) -> None:
         break_on_hyphens=False), flush=True)
 
 
+def print_top(top: List[Tuple[str, float]]) -> None:
+    print(f"{'':7}top {len(top)} functions, calls per executed replica-batch:",
+          flush=True)
+    for name, per_batch in top:
+        print(f"{'':9}{per_batch:>7.2f}  {name}", flush=True)
+
+
 def main() -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, *sys.argv],
@@ -231,6 +275,7 @@ def main() -> int:
                   f"{pins['calls_per_batch']:>13.1f}"
                   f"{pins['retained_bytes_per_batch']:>13,.1f}")
             print_layers(pins["layer_calls"])
+            print_top(row["top"])
             if checked:
                 problems += pin_problems(name, pins, table["rows"])
     if not checked:

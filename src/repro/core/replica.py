@@ -80,6 +80,7 @@ class _SlotState:
     commit_votes: Optional[VoteSet] = None
     commit_vote_sent: bool = False
     committed: bool = False
+    parked: Optional[list] = None  # PrimaryBackupReplica.park_vote
 
     def open_tallies(self) -> Tuple[Union[VoteSet, Dict[int, object]], ...]:
         if not self.certified:
@@ -155,10 +156,12 @@ class PoeReplica(PrimaryBackupReplica):
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
         """Primary: broadcast PROPOSE and record its own support."""
         digest_h = proposal_digest(sequence, self.view, batch.digest())
-        self.charge(CryptoOp.HASH)
+        self._pending_cpu_ms += self._op_cost_ms[CryptoOp.HASH.ordinal]
         slot = self._slot(self.view, sequence)
         slot.batch = batch
         slot.proposal_digest = digest_h
+        if slot.parked:
+            self.count_parked(slot, digest_h)
         self._accepted[(self.view, sequence)] = digest_h
         proposal = PoePropose(
             view=self.view, sequence=sequence, batch=batch,
@@ -168,8 +171,8 @@ class PoeReplica(PrimaryBackupReplica):
         # Optimisation from the paper (Section II-E): the primary generates
         # one support itself, so it only needs nf - 1 shares from others.
         if self._is_threshold:
-            self.charge(CryptoOp.THRESHOLD_SHARE)
-            share = self.auth.threshold_share(digest_h)
+            self._pending_cpu_ms += self._op_cost_ms[CryptoOp.THRESHOLD_SHARE.ordinal]
+            share = self.auth.threshold.sign_share(self.auth.threshold_index, digest_h)
             slot.shares[share.index] = share
         else:
             slot.support_votes.add(self.node_id)
@@ -181,26 +184,27 @@ class PoeReplica(PrimaryBackupReplica):
         key = self.admit_proposal(sender, message)
         if key is None:
             return
-        digest_h = proposal_digest(message.sequence, message.view,
-                                   message.batch.digest())
-        self.charge(CryptoOp.HASH)
+        view, sequence = key
+        digest_h = proposal_digest(sequence, view, message.batch.digest())
+        self._pending_cpu_ms += self._op_cost_ms[CryptoOp.HASH.ordinal]
         self._accepted[key] = digest_h
-        slot = self._slot(message.view, message.sequence)
+        slot = self._slot(view, sequence)
         slot.batch = message.batch
         slot.proposal_digest = digest_h
         slot.supported = True
+        if slot.parked:
+            self.count_parked(slot, digest_h)
         if self._is_threshold:
-            self.charge(CryptoOp.THRESHOLD_SHARE)
-            share = self.auth.threshold_share(digest_h)
-            support = PoeSupport(
-                view=message.view, sequence=message.sequence,
-                proposal_digest=digest_h, share=share, replica_id=self.node_id,
-            )
-            self.send(self.primary_id, support)
+            self._pending_cpu_ms += self._op_cost_ms[CryptoOp.THRESHOLD_SHARE.ordinal]
+            self.send(sender, PoeSupport(  # admission checked: the primary
+                view=view, sequence=sequence, proposal_digest=digest_h,
+                share=self.auth.threshold.sign_share(self.auth.threshold_index, digest_h),
+                replica_id=self.node_id,
+            ))
         else:
             self.charge(CryptoOp.MAC_SIGN, self._fanout)
             support = PoeSupport(
-                view=message.view, sequence=message.sequence,
+                view=view, sequence=sequence,
                 proposal_digest=digest_h, replica_id=self.node_id,
             )
             self.broadcast(support)
@@ -208,14 +212,14 @@ class PoeReplica(PrimaryBackupReplica):
             # The primary's PROPOSE doubles as its SUPPORT for the slot, so
             # backups count it without waiting for an extra message.
             slot.support_votes.add(sender)
-            self._check_mac_commit(message.view, message.sequence, slot, now_ms)
+            self._check_mac_commit(view, sequence, slot, now_ms)
 
     # -- SUPPORT -----------------------------------------------------------------
     def handle_support(self, sender: str, message: PoeSupport, now_ms: float) -> None:
         """Count one SUPPORT: a share at the primary, a vote in MAC mode.
 
         In MAC mode this is the n²-per-slot path, so the whole vote is
-        handled in this one frame.
+        handled in this one frame; so is a share, at the primary.
         """
         view = message.view
         if view != self.view:
@@ -226,7 +230,34 @@ class PoeReplica(PrimaryBackupReplica):
         if slot is None:
             slot = self._slot(view, message.sequence)
         if self._is_threshold:
-            self._handle_threshold_support(sender, message, slot, now_ms)
+            # Primary: collect shares, certify at nf (is_primary(), from its memo).
+            if (self.node_id != (self._primary if self._primary_view == view
+                                 else self.primary_id)
+                    or slot.certified or message.share is None):
+                return
+            if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
+                return
+            # Shares are not individually verified on the hot path:
+            # aggregation validates the combined signature once, and a
+            # corrupt share shows up there (RESILIENTDB defers share
+            # verification the same way).
+            if not self.auth.threshold.verify_share(message.share,
+                                                    slot.proposal_digest):
+                return
+            slot.shares[message.share.index] = message.share
+            if len(slot.shares) < self._nf_quorum:
+                return
+            self.charge(CryptoOp.THRESHOLD_AGGREGATE)
+            try:
+                certificate = self.auth.threshold.aggregate(slot.shares.values())
+            except ThresholdError:
+                return
+            slot.certified = True
+            self.broadcast(PoeCertify(
+                view=view, sequence=message.sequence,
+                proposal_digest=slot.proposal_digest, certificate=certificate,
+            ))
+            self._view_commit(view, message.sequence, slot, certificate, now_ms)
             return
         self._pending_cpu_ms += self._mac_verify_ms  # charge(MAC_VERIFY)
         if slot.certified:
@@ -234,7 +265,8 @@ class PoeReplica(PrimaryBackupReplica):
             # and nothing reads the vote set afterwards — recording the
             # voter would be dead work on ~(n - nf)/n of the flood.
             return
-        if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
+        if not slot.proposal_digest or message.proposal_digest != slot.proposal_digest:
+            self.park_vote(slot, slot.support_votes, sender, message.proposal_digest)
             return
         # Vote identity is the transport-level sender, never the claimed
         # ``message.replica_id``: a MAC authenticates the link, so a Byzantine
@@ -245,34 +277,6 @@ class PoeReplica(PrimaryBackupReplica):
         # Below nf nothing can change; skip the call on most of the flood.
         if slot.support_votes.count >= self._nf_quorum:
             self._check_mac_commit(view, message.sequence, slot, now_ms)
-
-    def _handle_threshold_support(self, sender: str, message: PoeSupport,
-                                  slot: _SlotState, now_ms: float) -> None:
-        """Primary: collect shares and broadcast the certificate at nf."""
-        if not self.is_primary() or slot.certified or message.share is None:
-            return
-        if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
-            return
-        # Shares are not individually verified on the hot path: aggregation
-        # validates the combined signature once, and a corrupt share shows
-        # up there (RESILIENTDB defers share verification the same way).
-        if not self.auth.threshold_verify_share(message.share, slot.proposal_digest):
-            return
-        slot.shares[message.share.index] = message.share
-        if len(slot.shares) < self._nf_quorum:
-            return
-        self.charge(CryptoOp.THRESHOLD_AGGREGATE)
-        try:
-            certificate = self.auth.threshold_aggregate(slot.shares.values())
-        except ThresholdError:
-            return
-        slot.certified = True
-        certify = PoeCertify(
-            view=message.view, sequence=message.sequence,
-            proposal_digest=slot.proposal_digest, certificate=certificate,
-        )
-        self.broadcast(certify)
-        self._view_commit(message.view, message.sequence, slot, certificate, now_ms)
 
     def _check_mac_commit(self, view: int, sequence: int, slot: _SlotState,
                           now_ms: float) -> None:
@@ -287,23 +291,27 @@ class PoeReplica(PrimaryBackupReplica):
     # -- CERTIFY -----------------------------------------------------------------
     def handle_certify(self, sender: str, message: PoeCertify, now_ms: float) -> None:
         """Backup: view-commit on a valid certificate for a supported slot."""
-        if message.view > self.view:
-            self.defer_message(message.view, sender, message)
+        view = message.view
+        if view > self.view:
+            self.defer_message(view, sender, message)
             return
-        if message.view != self.view or sender != self.primary_id:
+        if view != self.view or sender != (
+                self._primary if self._primary_view == view else self.primary_id):
             return
-        slot = self._slot(message.view, message.sequence)
-        if slot.certified or not slot.supported or slot.batch is None:
+        # A probe, not _slot(): a slot never proposed has nothing to certify.
+        slot = self._slots.get((view << 32) | message.sequence)
+        if (slot is None or slot.certified or not slot.supported
+                or slot.batch is None):
             return
         if message.proposal_digest != slot.proposal_digest:
             return
-        self.charge(CryptoOp.THRESHOLD_VERIFY)
-        if message.certificate is None or not self.auth.threshold_verify(
-                message.certificate, slot.proposal_digest):
+        self._pending_cpu_ms += self._op_cost_ms[CryptoOp.THRESHOLD_VERIFY.ordinal]
+        certificate = message.certificate
+        if certificate is None or not self.auth.threshold.verify(
+                certificate, slot.proposal_digest):
             return
         slot.certified = True
-        self._view_commit(message.view, message.sequence, slot,
-                          message.certificate, now_ms)
+        self._view_commit(view, message.sequence, slot, certificate, now_ms)
 
     def _view_commit(self, view: int, sequence: int, slot: _SlotState,
                      proof: object, now_ms: float) -> None:
@@ -344,7 +352,8 @@ class PoeReplica(PrimaryBackupReplica):
         if self.speculative:
             return  # no commit phase here: nothing counts the vote
         slot = self._slot(message.view, message.sequence)
-        if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
+        if not slot.proposal_digest or message.proposal_digest != slot.proposal_digest:
+            self.park_vote(slot, slot.commit_votes, sender, message.proposal_digest)
             return
         # Transport-level sender, not the spoofable message.replica_id.
         slot.commit_votes.add(sender)

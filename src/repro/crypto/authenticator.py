@@ -6,7 +6,9 @@ communication), larger ones use threshold signatures to linearise the
 communication.  The :class:`Authenticator` bundles the three primitive
 schemes behind one object per principal, so protocol code simply asks its
 authenticator for the primitive it needs and the deployment decides the
-configuration.
+configuration.  Threshold signatures are the scheme's own calls
+(``auth.threshold.sign_share(auth.threshold_index, ...)``, ``verify``,
+``aggregate``): every principal holds the one system scheme.
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ from typing import Any, Dict, Iterable, Optional
 from repro.crypto.keys import generate_system_keys
 from repro.crypto.mac import MacAuthenticator, MacTag
 from repro.crypto.signatures import Signature, SignatureScheme, build_registry
-from repro.crypto.threshold import (
-    SignatureShare,
-    ThresholdScheme,
-    ThresholdSignature,
-)
+from repro.crypto.threshold import ThresholdScheme
 
 
 class SchemeKind(enum.Enum):
@@ -46,15 +44,14 @@ class Authenticator:
         owner: principal identifier.
         mac: pairwise MAC authenticator.
         signatures: digital-signature scheme (sign as owner, verify anyone).
-        threshold: the system threshold scheme (``None`` only in reduced
-            test setups).
+        threshold: the system threshold scheme.
         threshold_index: this principal's share index, ``None`` for clients.
     """
 
     owner: str
     mac: MacAuthenticator
     signatures: SignatureScheme
-    threshold: Optional[ThresholdScheme] = None
+    threshold: ThresholdScheme
     threshold_index: Optional[int] = None
 
     # -- digital signatures -------------------------------------------------
@@ -74,33 +71,6 @@ class Authenticator:
     def mac_verify(self, tag: MacTag, *values: Any) -> bool:
         """Verify a MAC tag addressed to this principal."""
         return self.mac.verify(tag, *values)
-
-    # -- threshold signatures -----------------------------------------------
-    def threshold_share(self, *values: Any) -> SignatureShare:
-        """Produce this replica's signature share over *values*."""
-        if self.threshold is None or self.threshold_index is None:
-            raise ValueError(f"{self.owner} holds no threshold share")
-        return self.threshold.sign_share(self.threshold_index, *values)
-
-    def threshold_verify_share(self, share: SignatureShare, *values: Any) -> bool:
-        """Verify another replica's signature share."""
-        if self.threshold is None:
-            return False
-        return self.threshold.verify_share(share, *values)
-
-    def threshold_aggregate(
-        self, shares: Iterable[SignatureShare]
-    ) -> ThresholdSignature:
-        """Aggregate shares into a full threshold signature."""
-        if self.threshold is None:
-            raise ValueError(f"{self.owner} has no threshold scheme configured")
-        return self.threshold.aggregate(shares)
-
-    def threshold_verify(self, signature: ThresholdSignature, *values: Any) -> bool:
-        """Verify an aggregated threshold signature."""
-        if self.threshold is None:
-            return False
-        return self.threshold.verify(signature, *values)
 
 
 def make_authenticators(

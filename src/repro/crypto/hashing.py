@@ -345,7 +345,9 @@ def _memo_canon(values: tuple, nested: bool = False) -> Optional[bytes]:
 
 
 @lru_cache(maxsize=SHARED_DIGEST_MEMO_SIZE, typed=True)
-def _memoised_digest(*values: Any) -> bytes:
+def flat_digest(*values: Any) -> bytes:
+    """:func:`shared_digest` of values known to be memoisable (else it
+    raises ``TypeError``): the memo itself, so a hit runs no Python frame."""
     # Runs on a miss only.  A hit is a call whose arguments equal, class
     # for class, arguments that passed this check, and the check admits
     # only values whose equals canonicalise identically - so a hit never
@@ -367,7 +369,7 @@ def shared_digest(*values: Any) -> bytes:
     through to :func:`digest`.
     """
     try:
-        return _memoised_digest(*values)
+        return flat_digest(*values)
     except TypeError:
         return digest(*values)
 
@@ -375,5 +377,5 @@ def shared_digest(*values: Any) -> bytes:
 #: ``functools`` statistics and reset of the one memo.  ``misses`` counts
 #: the distinct values hashed since the last clear: a host-independent
 #: work counter (``repro.bench.perf`` records it per row).
-shared_digest.cache_info = _memoised_digest.cache_info
-shared_digest.cache_clear = _memoised_digest.cache_clear
+shared_digest.cache_info = flat_digest.cache_info
+shared_digest.cache_clear = flat_digest.cache_clear

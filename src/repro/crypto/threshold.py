@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, Iterable, Optional, Sequence
 
-from repro.crypto.hashing import digest, shared_digest
+from repro.crypto.hashing import digest, flat_digest
 
 # secp256k1's field prime: any 256-bit prime works, this one is well known.
 _PRIME = 2**256 - 2**32 - 977
@@ -40,7 +40,7 @@ class ThresholdError(Exception):
     """Raised when share aggregation or verification cannot proceed."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: built per batch, so without a setattr call per field
 class SignatureShare:
     """One replica's share of a threshold signature.
 
@@ -146,7 +146,8 @@ class ThresholdScheme:
 
     Use :meth:`setup` to create a scheme, then hand each replica its share
     index.  Replicas call :meth:`sign_share`; the aggregator (the primary
-    in PoE) calls :meth:`aggregate`; anyone calls :meth:`verify`.
+    in PoE) calls :meth:`aggregate`; anyone calls :meth:`verify`.  Signed
+    *values* are flat: :func:`~repro.crypto.hashing.flat_digest` hashes them.
     """
 
     def __init__(self, num_shares: int, threshold: int, coefficients: Sequence[int]):
@@ -184,24 +185,20 @@ class ThresholdScheme:
             result = (result * x + coefficient) % _PRIME
         return result
 
-    def share_value(self, index: int) -> int:
-        """Return the raw secret share of replica *index* (1-based)."""
-        if index not in self._shares:
-            raise ThresholdError(f"share index {index} out of range 1..{self._num_shares}")
-        return self._shares[index]
-
     def sign_share(self, index: int, *values: Any) -> SignatureShare:
-        """Produce replica *index*'s signature share over *values*."""
-        payload_digest = shared_digest(*values)
-        message_element = _field_element(payload_digest)
-        value = (self.share_value(index) * message_element) % _PRIME
+        """Produce replica *index*'s (1-based) signature share over *values*."""
+        secret = self._shares.get(index)
+        if secret is None:
+            raise ThresholdError(f"share index {index} out of range 1..{self._num_shares}")
+        payload_digest = flat_digest(*values)
+        value = (secret * _field_element(payload_digest)) % _PRIME
         return SignatureShare(index=index, payload_digest=payload_digest, value=value)
 
     def verify_share(self, share: SignatureShare, *values: Any) -> bool:
         """Check that *share* is a valid share over *values*."""
         if not 1 <= share.index <= self._num_shares:
             return False
-        payload_digest = shared_digest(*values)
+        payload_digest = flat_digest(*values)
         if payload_digest != share.payload_digest:
             return False
         message_element = _field_element(payload_digest)
@@ -234,24 +231,20 @@ class ThresholdScheme:
         value = 0
         for index, coefficient in zip(indices, coefficients):
             value = (value + coefficient * by_index[index].value) % _PRIME
-        signature = ThresholdSignature(
-            payload_digest=payload_digest, value=value, contributors=tuple(indices)
-        )
-        if not self._verify_value(signature):
+        if value != (self._secret_at_zero * _field_element(payload_digest)) % _PRIME:
             raise ThresholdError("aggregation produced an invalid signature "
                                  "(corrupt share detected)")
-        return signature
-
-    def _verify_value(self, signature: ThresholdSignature) -> bool:
-        message_element = _field_element(signature.payload_digest)
-        expected = (self._secret_at_zero * message_element) % _PRIME
-        return expected == signature.value
+        return ThresholdSignature(
+            payload_digest=payload_digest, value=value, contributors=tuple(indices)
+        )
 
     def verify(self, signature: ThresholdSignature, *values: Any) -> bool:
         """Return ``True`` iff *signature* is a valid aggregate over *values*."""
-        if shared_digest(*values) != signature.payload_digest:
+        payload_digest = flat_digest(*values)
+        if payload_digest != signature.payload_digest:
             return False
-        return self._verify_value(signature)
+        return signature.value == (
+            self._secret_at_zero * _field_element(payload_digest)) % _PRIME
 
     def forge_without_quorum(self, indices: Sequence[int], *values: Any) -> Optional[ThresholdSignature]:
         """Best-effort forgery helper used by adversarial tests.

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.crypto.hashing import digest, shared_digest
+from repro.crypto.hashing import digest, flat_digest
 
 #: Parent hash used by the genesis block.
 GENESIS_PARENT = b"\x00" * 32
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)  # not frozen: built per batch, so without a setattr call per field
 class Block:
     """One block in the replicated ledger (slotted: a replica keeps one per
     executed batch for good).
@@ -56,8 +56,8 @@ class Block:
         """Hash chaining this block to its parent."""
         if self.adopted_hash is not None:
             return self.adopted_hash
-        return shared_digest("block", self.sequence, self.batch_digest,
-                             self.view, self.parent_hash)
+        return flat_digest("block", self.sequence, self.batch_digest,
+                           self.view, self.parent_hash)
 
     @classmethod
     def genesis(cls, initial_primary: str) -> "Block":

@@ -64,16 +64,16 @@ class Blockchain:
             InvalidBlockError: if *sequence* does not directly follow the
                 head block's sequence number.
         """
-        expected = self.head.sequence + 1
-        if sequence != expected:
+        head = self._blocks[-1]
+        if sequence != head.sequence + 1:
             raise InvalidBlockError(
-                f"expected block sequence {expected}, got {sequence}"
+                f"expected block sequence {head.sequence + 1}, got {sequence}"
             )
         block = Block(
             sequence=sequence,
             batch_digest=batch_digest,
             view=view,
-            parent_hash=self.head.block_hash,
+            parent_hash=head.block_hash,
             proof=proof,
             payload=payload,
         )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import digest, digest_fields_and_blobs, shared_digest
+from repro.crypto.hashing import digest, digest_fields_and_blobs, flat_digest
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.store import KeyValueStore, Outcome, UndoEntry, result_digest
 from repro.workload.transactions import RequestBatch, Transaction
@@ -128,7 +128,7 @@ def modelled_result_digest(sequence: int, batch: RequestBatch) -> bytes:
     check) can re-derive what executing *batch* at *sequence* must have
     produced when operations are not really applied.
     """
-    return shared_digest("results-modelled", sequence, batch.digest())
+    return flat_digest("results-modelled", sequence, batch.digest())
 
 
 @dataclass(slots=True)
@@ -246,7 +246,8 @@ class SpeculativeExecutor:
             self._versions_before[sequence] = before
         else:
             undo = []
-            result_digest = modelled_result_digest(sequence, batch)
+            # modelled_result_digest(sequence, batch), in this frame.
+            result_digest = flat_digest("results-modelled", sequence, batch_digest)
         block = self.blockchain.append(
             sequence=sequence, batch_digest=batch_digest, view=view, proof=proof,
             payload=batch.batch_id,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from heapq import heappush
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.net.byzantine import ByzantineBehavior, Delivery
@@ -378,7 +379,8 @@ class SimNetwork:
         propagation delay is drawn here as ``latency + jitter * random()``,
         bit for bit the draw :meth:`NetworkConditions.propagation_ms` makes
         there (and :meth:`_transmit_broadcast` per receiver); any other
-        conditions, and a node's message to itself, go through it.
+        conditions, and a node's message to itself, go through it.  So are
+        ``serialization_delay_ms`` and ``Simulator.post_at``'s clamped push.
         """
         self.sent_count += 1
         nodes = self._nodes
@@ -394,10 +396,10 @@ class SimNetwork:
         send_time = ready_at if ready_at > now else now
         conditions = self.conditions
         sender_handle = nodes.get(sender)
-        if (sender_handle is not None and sender_handle.is_replica
-                and sender != receiver):
-            serialization_ms = conditions.serialization_delay_ms(
-                message.size_bytes)
+        bytes_per_ms = conditions._bytes_per_ms
+        if (bytes_per_ms and sender_handle is not None
+                and sender_handle.is_replica and sender != receiver):
+            serialization_ms = message.size_bytes / bytes_per_ms
             if serialization_ms > 0:
                 start = sender_handle.uplink_free_at
                 if send_time > start:
@@ -431,9 +433,12 @@ class SimNetwork:
         # per message, and a cheaper call on the other end.  The receiver
         # handle is resolved now — registration only ever grows — so the
         # delivery callback skips the per-message node lookup.
-        self.sim.post_at(send_time + propagation,
-                         partial(self._deliver, sender, receiver,
-                                 receiver_handle, message))
+        sim = self.sim
+        delay = send_time + propagation - now
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._queue, (now + (0.0 if delay < 0.0 else delay), seq, partial(
+            self._deliver, sender, receiver, receiver_handle, message)))
 
     def _transmit_broadcast(self, sender: str, message: Message,
                             include_self: bool, ready_at: float) -> None:

@@ -314,7 +314,7 @@ class HotStuffReplica(BatchingReplica):
         if justify.round_number >= 0:
             self.charge(CryptoOp.THRESHOLD_VERIFY)
             if justify.signature is not None:
-                if not self.auth.threshold_verify(justify.signature,
+                if not self.auth.threshold.verify(justify.signature,
                                                   justify.block_digest):
                     return
                 # A verified signed QC certifies its round's block: record it
@@ -336,7 +336,7 @@ class HotStuffReplica(BatchingReplica):
         if not state.voted:
             state.voted = True
             self.charge(CryptoOp.THRESHOLD_SHARE)
-            share = self.auth.threshold_share(message.block_digest)
+            share = self.auth.threshold.sign_share(self.auth.threshold_index, message.block_digest)
             vote = HotStuffVote(
                 round_number=round_number, block_digest=message.block_digest,
                 share=share, replica_id=self.node_id,
@@ -358,19 +358,19 @@ class HotStuffReplica(BatchingReplica):
         if state.qc_formed or message.share is None:
             return
         # Share verification is deferred to aggregation (see PoeReplica).
-        if not self.auth.threshold_verify_share(message.share, message.block_digest):
+        if not self.auth.threshold.verify_share(message.share, message.block_digest):
             return
         state.votes[message.share.index] = message.share
         if len(state.votes) < self._nf_quorum:
             return
         self.charge(CryptoOp.THRESHOLD_AGGREGATE)
         try:
-            signature = self.auth.threshold_aggregate(state.votes.values())
+            signature = self.auth.threshold.aggregate(state.votes.values())
         except ThresholdError:
             return
         state.qc_formed = True
         self.charge(CryptoOp.THRESHOLD_VERIFY)
-        if not self.auth.threshold_verify(signature, message.block_digest):
+        if not self.auth.threshold.verify(signature, message.block_digest):
             # The shares did not all sign the same block (an equivocating
             # leader split the voters): no QC exists for this round.  Leave
             # it to the pacemaker; proposing with a garbage QC would only be
@@ -519,7 +519,7 @@ class HotStuffReplica(BatchingReplica):
             if certificate.signature is None:
                 return
             self.charge(CryptoOp.THRESHOLD_VERIFY)
-            if not self.auth.threshold_verify(certificate.signature,
+            if not self.auth.threshold.verify(certificate.signature,
                                               certificate.block_digest):
                 return
             self._learn_certificate(certificate, now_ms)
@@ -548,7 +548,7 @@ class HotStuffReplica(BatchingReplica):
                 and (known is None
                      or known.block_digest != justify.block_digest):
             self.charge(CryptoOp.THRESHOLD_VERIFY)
-            if self.auth.threshold_verify(justify.signature,
+            if self.auth.threshold.verify(justify.signature,
                                           justify.block_digest):
                 self._learn_certificate(justify, now_ms)
         self._store_proposal(proposal)

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 from repro.core.view_change import longest_consecutive_prefix
 from repro.crypto.cost import CryptoOp
-from repro.crypto.hashing import shared_digest
+from repro.crypto.hashing import flat_digest, shared_digest
 from repro.protocols.base import Message, ProtocolInfo
 from repro.protocols.quorum import VoteSet
 from repro.protocols.recovery import LogEntry, NewView, PrimaryBackupReplica
@@ -72,6 +72,7 @@ class _PbftSlot:
     prepared: bool = False
     committed: bool = False
     commit_sent: bool = False
+    parked: Optional[list] = None  # PrimaryBackupReplica.park_vote
 
     def open_tallies(self) -> Tuple[VoteSet, ...]:
         # Commit votes accumulate before the slot prepares; committed
@@ -106,12 +107,14 @@ class PbftReplica(PrimaryBackupReplica):
     # ---------------------------------------------------------------- proposing
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
         """Primary: broadcast PRE-PREPARE and cast its own PREPARE vote."""
-        batch_digest = shared_digest("pbft", self.view, sequence, batch.digest())
+        batch_digest = flat_digest("pbft", self.view, sequence, batch.digest())
         self.charge(CryptoOp.HASH)
         self.charge(CryptoOp.MAC_SIGN, self._fanout)
         slot = self._slot(self.view, sequence)
         slot.batch = batch
         slot.batch_digest = batch_digest
+        if slot.parked:
+            self.count_parked(slot, batch_digest)
         self._accepted[(self.view, sequence)] = batch_digest
         self.broadcast(PbftPrePrepare(
             view=self.view, sequence=sequence, batch=batch,
@@ -127,12 +130,14 @@ class PbftReplica(PrimaryBackupReplica):
             return
         self.charge(CryptoOp.MAC_VERIFY)
         self.charge(CryptoOp.HASH)
-        batch_digest = shared_digest("pbft", message.view, message.sequence,
-                                     message.batch.digest())
+        batch_digest = flat_digest("pbft", message.view, message.sequence,
+                                   message.batch.digest())
         self._accepted[key] = batch_digest
         slot = self._slot(message.view, message.sequence)
         slot.batch = message.batch
         slot.batch_digest = batch_digest
+        if slot.parked:
+            self.count_parked(slot, batch_digest)
         self._cast_prepare(message.view, message.sequence, slot, now_ms)
 
     def _cast_prepare(self, view: int, sequence: int, slot: _PbftSlot,
@@ -161,7 +166,8 @@ class PbftReplica(PrimaryBackupReplica):
             # set once the slot is prepared — skip the dead bookkeeping on
             # this half of the ~2n²-per-slot vote flood.
             return
-        if slot.batch_digest and message.batch_digest != slot.batch_digest:
+        if not slot.batch_digest or message.batch_digest != slot.batch_digest:
+            self.park_vote(slot, slot.prepare_votes, sender, message.batch_digest)
             return
         # Vote identity is the transport-level sender: the claimed
         # ``message.replica_id`` is spoofable, and counting it would let one
@@ -202,7 +208,8 @@ class PbftReplica(PrimaryBackupReplica):
             # Late vote after the commit quorum: the committers snapshot
             # was taken at commit time, so recording the voter is dead work.
             return
-        if slot.batch_digest and message.batch_digest != slot.batch_digest:
+        if not slot.batch_digest or message.batch_digest != slot.batch_digest:
+            self.park_vote(slot, slot.commit_votes, sender, message.batch_digest)
             return
         # Transport-level sender, not the spoofable message.replica_id.
         # Commit votes accumulate even before the slot prepares locally.

@@ -24,7 +24,8 @@ What a protocol declares
     :meth:`new_slot`
         a fresh instance of its slot dataclass, for :meth:`_slot`.  The
         dataclass defines ``open_tallies()``: the vote sets or share dicts
-        an evicted replica must still be purged from.
+        an evicted replica must still be purged from, and ``parked`` if
+        its protocol calls :meth:`park_vote`.
     one write to ``_log``
         ``self._log[sequence] = LogEntry(...)`` at the point the slot is
         certified (PoE, SBFT), committed (PBFT) or speculatively executed
@@ -78,7 +79,7 @@ from repro.protocols.replica_base import BatchingReplica
 from repro.workload.transactions import RequestBatch
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: built per batch, so without a setattr call per field
 class LogEntry:
     """One ordered slot, as the log holds it and a view-change request
     reports it: the paper's ``(CERTIFY(<h>, w, k), <T>_c)`` pair (Figure 5,
@@ -182,6 +183,23 @@ class PrimaryBackupReplica(BatchingReplica):
             slot = self._slots[key] = self.new_slot()
         return slot
 
+    def park_vote(self, slot, tally, sender: str, digest: bytes) -> None:
+        """A vote counts only for the digest it names, whenever it arrives:
+        one that does not name *slot*'s proposal is dropped, or, before the
+        proposal lands, held (the first per sender and tally)."""
+        parked = slot.parked or []
+        if slot.batch is None and not any(
+                held is tally and voter == sender for held, voter, _ in parked):
+            slot.parked = parked + [(tally, sender, digest)]
+
+    def count_parked(self, slot, digest: bytes) -> None:
+        """*slot*'s proposal landed with *digest*: count the held votes that
+        name it, before the slot's first quorum check; drop the rest."""
+        for tally, sender, named in slot.parked:
+            if named == digest:
+                tally.add(sender)
+        slot.parked = None
+
     # -------------------------------------------------------------- admission
     def admit_proposal(self, sender: str,
                        message: Message) -> Optional[Tuple[int, int]]:
@@ -201,9 +219,11 @@ class PrimaryBackupReplica(BatchingReplica):
             return None
         if self.view_change_in_progress:
             return None
-        if message.view != self.view or sender != self.primary_id:
+        view = self.view
+        if message.view != view or sender != (  # primary_id, from its memo
+                self._primary if self._primary_view == view else self.primary_id):
             return None
-        key = (message.view, message.sequence)
+        key = (view, message.sequence)
         if key in self._accepted:
             return None
         batch = message.batch
@@ -507,7 +527,7 @@ class PrimaryBackupReplica(BatchingReplica):
         completes with the new epoch's quorum counted over the new
         epoch's membership only, never with a stale evicted vote topping
         up the count — and so are their votes and shares in every slot
-        tally that is still open.
+        tally that is still open, and the votes they parked.
         """
         super().on_epoch_activated(entry, evicted, now_ms)
         if not evicted:
@@ -516,6 +536,9 @@ class PrimaryBackupReplica(BatchingReplica):
             for rid in evicted:
                 votes.pop(rid, None)
         self.purge_evicted(self._slots.values(), evicted)
+        for slot in self._slots.values():
+            if getattr(slot, "parked", None):
+                slot.parked = [vote for vote in slot.parked if vote[1] not in evicted]
 
     # ------------------------------------------------------------------ timers
     def handle_view_change_timer(self, name: str, payload, now_ms: float) -> bool:

@@ -36,7 +36,7 @@ from repro.crypto.cost import CryptoCostModel, CryptoOp
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.execution import ExecutedBatch, SpeculativeExecutor
 from repro.ledger.store import KeyValueStore, table_digest
-from repro.protocols.base import Message, NodeConfig, ProtocolNode
+from repro.protocols.base import BASE_MESSAGE_SIZE, Message, NodeConfig, ProtocolNode
 from repro.crypto.hashing import digest
 from repro.protocols.checkpoint import (
     BoundaryState,
@@ -424,13 +424,12 @@ class BatchingReplica(ProtocolNode, abc.ABC):
                     # same sequence — then the membership delta is admitted
                     # or refused by the epoch machinery.
                     self._execute_reconfig(slot, now_ms)
-            num_txns = len(batch)
+            num_txns = len(batch.transactions) or batch.logical_size  # len(batch)
             self._pending_cpu_ms += execution_ms * num_txns
             self._pending_cpu_ms += hash_ms
             self.executed_batches += 1
             self.executed_txns += num_txns
             self._batch_sequence[batch.batch_id] = (sequence, now_ms)
-            self.after_execution(slot, record, now_ms)
             self.send_replies(slot, record, now_ms)
             if interval > 0 and (sequence + 1) % interval == 0:
                 self.take_checkpoint(sequence, now_ms)
@@ -444,10 +443,6 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             # Executing may have opened the proposal window again.
             self.maybe_propose(now_ms)
 
-    def after_execution(self, slot: CommittedSlot, record: ExecutedBatch,
-                        now_ms: float) -> None:
-        """Hook for protocols needing extra work after execution."""
-
     def send_replies(self, slot: CommittedSlot, record: ExecutedBatch,
                      now_ms: float) -> None:
         """Send the execution reply for *slot* to the issuing client(s)."""
@@ -460,23 +455,21 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             result_digest=record.result_digest,
             replica_id=self.node_id,
             speculative=slot.speculative,
-            size_bytes=self.config.reply_size_bytes(len(batch)),
+            # config.reply_size_bytes(len(batch)), in this frame.
+            size_bytes=(BASE_MESSAGE_SIZE if self.config.zero_payload else int(
+                BASE_MESSAGE_SIZE + self.config.reply_bytes_per_txn
+                * (len(batch.transactions) or batch.logical_size))),
         )
         self._replied[batch_id] = reply
-        # reply_targets_for(batch), in this frame.
+        # Whoever sent the request, else every client in the batch.
         target = self._reply_targets.get(batch_id) or batch.reply_to
         targets = (target,) if target else batch.client_ids
-        self.charge(CryptoOp.MAC_SIGN, max(1, len(targets)))
+        # charge(MAC_SIGN, max(1, len(targets))), in this frame.
+        self._pending_cpu_ms += self._op_cost_ms[CryptoOp.MAC_SIGN.ordinal] * max(1, len(targets))
         for target in targets:
             self.send(target, reply)
         if self._progress_timers or self._forwarded_requests:
             self.stop_progress_timer(batch_id)
-
-    def reply_targets_for(self, batch: RequestBatch) -> List[str]:
-        explicit = self._reply_targets.get(batch.batch_id) or batch.reply_to
-        if explicit:
-            return [explicit]
-        return list(batch.client_ids)
 
     # ----------------------------------------------------------------- rollback
     def rollback_speculation(self, kmax: int, now_ms: float) -> List[ExecutedBatch]:

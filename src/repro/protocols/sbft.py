@@ -36,7 +36,7 @@ from typing import Dict, Optional, Set, Tuple
 from repro.core.view_change import longest_consecutive_prefix
 from repro.crypto.authenticator import Authenticator
 from repro.crypto.cost import CryptoCostModel, CryptoOp
-from repro.crypto.hashing import shared_digest
+from repro.crypto.hashing import flat_digest
 from repro.crypto.threshold import ThresholdError
 from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.client_messages import ClientReplyMessage
@@ -48,7 +48,7 @@ from repro.workload.transactions import RequestBatch
 
 def sbft_proposal_digest(view: int, sequence: int, batch: RequestBatch) -> bytes:
     """The digest replicas sign shares over for slot (*view*, *sequence*)."""
-    return shared_digest("sbft", view, sequence, batch.digest())
+    return flat_digest("sbft", view, sequence, batch.digest())
 
 
 @dataclass
@@ -188,7 +188,7 @@ class SbftReplica(PrimaryBackupReplica):
         # The primary contributes its own share and, as collector, arms the
         # fast-path timer for this slot.
         self.charge(CryptoOp.THRESHOLD_SHARE)
-        share = self.auth.threshold_share(proposal_digest)
+        share = self.auth.threshold.sign_share(self.auth.threshold_index, proposal_digest)
         slot.commit_shares[share.index] = share
         self._collector_timers.add((self.view, sequence))
         self.set_timer(f"collector:{self.view}:{sequence}", self.COLLECTOR_TIMEOUT_MS,
@@ -209,7 +209,7 @@ class SbftReplica(PrimaryBackupReplica):
         slot.batch = message.batch
         slot.proposal_digest = proposal_digest
         self.charge(CryptoOp.THRESHOLD_SHARE)
-        share = self.auth.threshold_share(proposal_digest)
+        share = self.auth.threshold.sign_share(self.auth.threshold_index, proposal_digest)
         self.send(self.collector_id, SbftSignShare(
             view=message.view, sequence=message.sequence,
             proposal_digest=proposal_digest, share=share, replica_id=self.node_id,
@@ -229,7 +229,7 @@ class SbftReplica(PrimaryBackupReplica):
         if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
             return
         # Share verification is deferred to aggregation (see PoeReplica).
-        if not self.auth.threshold_verify_share(message.share, slot.proposal_digest):
+        if not self.auth.threshold.verify_share(message.share, slot.proposal_digest):
             return
         slot.commit_shares[message.share.index] = message.share
         fast_quorum = self._fanout + 1  # all n of the current epoch
@@ -244,7 +244,7 @@ class SbftReplica(PrimaryBackupReplica):
                            slow_path: bool, now_ms: float) -> None:
         self.charge(CryptoOp.THRESHOLD_AGGREGATE)
         try:
-            certificate = self.auth.threshold_aggregate(
+            certificate = self.auth.threshold.aggregate(
                 list(slot.commit_shares.values())[: self._nf_quorum])
         except ThresholdError:
             return
@@ -280,7 +280,7 @@ class SbftReplica(PrimaryBackupReplica):
             # Extra verification round of the slow path.
             self.charge(CryptoOp.THRESHOLD_SHARE)
             self.charge(CryptoOp.THRESHOLD_VERIFY)
-        if message.certificate is None or not self.auth.threshold_verify(
+        if message.certificate is None or not self.auth.threshold.verify(
                 message.certificate, slot.proposal_digest):
             return
         # The verified commit proof makes this slot certifiable to third
@@ -306,7 +306,7 @@ class SbftReplica(PrimaryBackupReplica):
         )
         self.stop_progress_timer(slot.batch.batch_id)
         self.charge(CryptoOp.THRESHOLD_SHARE)
-        share = self.auth.threshold_share(record.result_digest)
+        share = self.auth.threshold.sign_share(self.auth.threshold_index, record.result_digest)
         message = SbftSignState(
             view=slot.view, sequence=slot.sequence, batch_id=slot.batch.batch_id,
             result_digest=record.result_digest, share=share, replica_id=self.node_id,
@@ -328,14 +328,14 @@ class SbftReplica(PrimaryBackupReplica):
         if slot.execute_ack_sent or message.share is None:
             return
         # Share verification is deferred to aggregation (see PoeReplica).
-        if not self.auth.threshold_verify_share(message.share, message.result_digest):
+        if not self.auth.threshold.verify_share(message.share, message.result_digest):
             return
         slot.state_shares[message.share.index] = message.share
         if len(slot.state_shares) < self._nf_quorum:
             return
         self.charge(CryptoOp.THRESHOLD_AGGREGATE)
         try:
-            certificate = self.auth.threshold_aggregate(slot.state_shares.values())
+            certificate = self.auth.threshold.aggregate(slot.state_shares.values())
         except ThresholdError:
             return
         slot.execute_ack_sent = True
@@ -377,7 +377,7 @@ class SbftReplica(PrimaryBackupReplica):
         if entry.digest != expected:
             return False
         self.charge(CryptoOp.THRESHOLD_VERIFY)
-        return entry.proof is not None and self.auth.threshold_verify(
+        return entry.proof is not None and self.auth.threshold.verify(
             entry.proof, expected)
 
     def adopt_new_view(self, proposal: NewView, requests, now_ms: float) -> int:

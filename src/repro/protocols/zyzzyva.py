@@ -261,9 +261,18 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         self.initiate_view_change(now_ms)
 
     def send_replies(self, slot: CommittedSlot, record, now_ms: float) -> None:
-        """Replies carry the speculative history digest (SPEC-RESPONSE)."""
+        """Log the speculatively executed slot, and reply with the
+        speculative history digest (SPEC-RESPONSE).  The slot's proof, the
+        client's commit certificate, arrives later if at all and is
+        attached when a request is built."""
+        history = self._accepted.get((slot.view, slot.sequence), b"")
+        self._log[slot.sequence] = LogEntry(
+            sequence=slot.sequence, view=slot.view, digest=history,
+            batch=slot.batch,
+        )
         batch = slot.batch
-        targets = self.reply_targets_for(batch)
+        target = self._reply_targets.get(batch.batch_id) or batch.reply_to
+        targets = (target,) if target else batch.client_ids
         reply = ClientReplyMessage(
             batch_id=batch.batch_id,
             view=slot.view,
@@ -271,7 +280,7 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
             result_digest=record.result_digest,
             replica_id=self.node_id,
             speculative=True,
-            extra=self._accepted.get((slot.view, slot.sequence), b""),
+            extra=history,
             size_bytes=self.config.reply_size_bytes(len(batch)),
         )
         self._replied[batch.batch_id] = reply
@@ -281,16 +290,6 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         self.stop_progress_timer(batch.batch_id)
 
     # ----------------------------------------------------------- history journal
-    def after_execution(self, slot: CommittedSlot, record, now_ms: float) -> None:
-        """Log the speculatively executed slot.  Its proof, the client's
-        commit certificate, arrives later if at all and is attached when a
-        request is built."""
-        self._log[slot.sequence] = LogEntry(
-            sequence=slot.sequence, view=slot.view,
-            digest=self._accepted.get((slot.view, slot.sequence), b""),
-            batch=slot.batch,
-        )
-
     def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
         """Durable slots need no commit certificates any more, except the
         highest one, which anchors the next view change."""
@@ -459,7 +458,7 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         return kmax
 
     def adopt_entry(self, entry: LogEntry, now_ms: float) -> None:
-        """Execution logs the slot (:meth:`after_execution`), under the
+        """Execution logs the slot (:meth:`send_replies`), under the
         history digest, which is also what its block stores as proof."""
         self._accepted[(entry.view, entry.sequence)] = entry.digest
         if entry.proof is not None:

@@ -255,6 +255,7 @@ class ClientPool(_PoolBase):
                                                        config.f_of(epoch))
         self.broadcast_requests = self.BROADCAST_REQUESTS
         self.current_view = 0
+        self._view_reports: Dict[str, int] = {}  # see report_view
         # Reply voters resolve to replica indices through the shared
         # membership map; replies from senders outside the membership
         # still count via the VoteSet overflow path.
@@ -289,7 +290,8 @@ class ClientPool(_PoolBase):
         pending = self._pending.get(message.batch_id)
         if pending is None:
             return
-        key = message.matching_key()
+        # message.matching_key(), in this frame.
+        key = (message.batch_id, message.view, message.sequence, message.result_digest)
         voters = pending.replies.get(key)
         if voters is None:
             voters = pending.replies[key] = VoteSet(self._replica_index)
@@ -298,9 +300,25 @@ class ClientPool(_PoolBase):
         # whole quorum of matching INFORMs under forged identities.
         voters.add(sender)
         if message.view > self.current_view:
-            self.current_view = message.view
-        if voters.count >= self.quorum_for_sequence(message.sequence):
+            self.report_view(sender, message.view)
+        # quorum_for_sequence(), its fixed-membership answer in this frame.
+        if voters.count >= (self.quorum_for_sequence(message.sequence)
+                            if self.config.reconfigured else self.completion_quorum):
             self._complete(message, pending, now_ms)
+
+    def report_view(self, sender: str, view: int) -> None:
+        """Adopt the highest view ``f + 1`` replicas replied from or above
+        (one is correct: a lone Byzantine reply cannot redirect the pool).
+        A pool completing on one reply follows it: SBFT's executor sends the
+        only, certified, reply, so ``f + 1`` never come."""
+        reports = self._view_reports
+        reports[sender] = max(view, reports.get(sender, view))
+        needed = (1 if self.completion_quorum == 1
+                  else self.config.f_of(self.config.latest_epoch) + 1)
+        if len(reports) >= needed:
+            self.current_view = sorted(reports.values())[-needed]
+            self._view_reports = {replica: reported for replica, reported
+                                  in reports.items() if reported > self.current_view}
 
     def quorum_for_sequence(self, sequence: int) -> int:
         """The completion quorum for a reply certified at *sequence*.

@@ -116,7 +116,23 @@ class TestCompletionRules:
         assert record.num_txns == 10
 
     def test_view_learned_from_replies(self):
+        """A view is adopted once f + 1 = 2 distinct replicas replied from
+        it or above: the highest view two of them vouch for."""
         pool, _ = make_pool(target_outstanding=1)
+        pool.start(0.0)
+        batch_id = list(pool._pending)[0]
+        pool.deliver("replica:1", reply(batch_id, "replica:1", view=5), 1.0)
+        pool.deliver("replica:1", reply(batch_id, "replica:1", view=9), 1.0)
+        assert pool.current_view == 0
+        pool.deliver("replica:2", reply(batch_id, "replica:2", view=3), 1.0)
+        assert pool.current_view == 3
+        pool.deliver("replica:3", reply(batch_id, "replica:3", view=7), 1.0)
+        assert pool.current_view == 7
+
+    def test_a_single_reply_pool_learns_the_view_from_one_reply(self):
+        """SBFT's pool completes on the executor's one certified reply; no
+        f + 1 replicas ever reply, so one reply moves the view."""
+        pool, _ = make_pool(quorum_rule="1", target_outstanding=1)
         pool.start(0.0)
         batch_id = list(pool._pending)[0]
         pool.deliver("replica:1", reply(batch_id, "replica:1", view=3), 1.0)
@@ -229,6 +245,25 @@ class TestBatchSources:
         assert len(a) == 42
         assert a.batch_id != b.batch_id
         assert a.created_at_ms == 1.0
+
+
+def test_one_reply_from_a_higher_view_does_not_redirect_the_pool():
+    """One injected reply from replica:3 claiming view 7: the pool keeps
+    sending to the primary instead of waiting out every request's timeout
+    at a backup."""
+    from repro.fabric.cluster import Cluster, ClusterConfig
+
+    cluster = Cluster(ClusterConfig(protocol="poe-mac", num_replicas=4,
+                                    total_batches=40, seed=1))
+    cluster.start()
+    pool = cluster.pools[0]
+    cluster.network.inject("replica:3", pool.node_id, ClientReplyMessage(
+        batch_id=next(iter(pool._pending)), view=7, sequence=0,
+        result_digest=b"forged", replica_id="replica:3"))
+    end_ms = cluster.run_until_done(max_ms=60_000)
+    assert pool.current_view == 0 and pool.completed_batches == 40
+    assert end_ms <= 1_000.0
+    assert max(record.latency_ms for record in pool.completions) < 100.0
 
 
 @pytest.mark.parametrize("protocol", ["poe-mac", "pbft"])

@@ -20,12 +20,12 @@ class TestSetup:
     def test_setup_is_deterministic(self):
         a = ThresholdScheme.setup(4, 3, seed=b"x")
         b = ThresholdScheme.setup(4, 3, seed=b"x")
-        assert a.share_value(1) == b.share_value(1)
+        assert a.sign_share(1, "m") == b.sign_share(1, "m")
 
     def test_different_seeds_give_different_shares(self):
         a = ThresholdScheme.setup(4, 3, seed=b"x")
         b = ThresholdScheme.setup(4, 3, seed=b"y")
-        assert a.share_value(1) != b.share_value(1)
+        assert a.sign_share(1, "m") != b.sign_share(1, "m")
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -35,9 +35,9 @@ class TestSetup:
 
     def test_share_index_out_of_range(self, scheme):
         with pytest.raises(ThresholdError):
-            scheme.share_value(0)
+            scheme.sign_share(0, "m")
         with pytest.raises(ThresholdError):
-            scheme.share_value(8)
+            scheme.sign_share(8, "m")
 
 
 class TestSignAggregateVerify:
@@ -99,16 +99,17 @@ class TestAuthenticatorIntegration:
     def test_replicas_can_aggregate_through_authenticators(self):
         auths = make_authenticators([f"r{i}" for i in range(4)], ["c0"],
                                     seed=b"auth-threshold")
-        shares = [auths[f"r{i}"].threshold_share("value") for i in range(3)]
-        signature = auths["r0"].threshold_aggregate(shares)
-        assert auths["r3"].threshold_verify(signature, "value")
-        assert auths["c0"].threshold_verify(signature, "value")
+        shares = [auths[f"r{i}"].threshold.sign_share(i + 1, "value") for i in range(3)]
+        signature = auths["r0"].threshold.aggregate(shares)
+        assert auths["r3"].threshold.verify(signature, "value")
+        assert auths["c0"].threshold.verify(signature, "value")
 
     def test_clients_cannot_produce_shares(self):
         auths = make_authenticators(["r0", "r1", "r2", "r3"], ["c0"],
                                     seed=b"auth-threshold-2")
-        with pytest.raises(ValueError):
-            auths["c0"].threshold_share("value")
+        assert auths["c0"].threshold_index is None
+        with pytest.raises(ThresholdError):
+            auths["c0"].threshold.sign_share(auths["c0"].threshold_index, "value")
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,22 +11,48 @@
   produce.
 * A stable checkpoint skips the reply-retention scan while nothing can have
   aged out: the pruned set must be the set the scan prunes.
+* The PoE propose and certify handlers and ``send_replies`` add each
+  charge to the step's CPU themselves: the float must be the one the
+  ``charge`` calls produce, for a count above 1 and for a zero-cost op.
+* ``SimNetwork._transmit`` computes the serialization delay and pushes the
+  heap entry itself: the entries, clock values and uplinks must be those
+  of ``serialization_delay_ms`` and ``Simulator.post_at``.
+* The per-batch path reads a batch's size as ``len(batch.transactions) or
+  batch.logical_size``: it must be ``len(batch)`` for every kind of batch.
+* Modelled execution hashes the result over the batch digest it holds:
+  it must be ``modelled_result_digest``.
+* A threshold share and certificate are over ``flat_digest`` of the
+  proposal digest: it must be ``shared_digest`` of it.
 """
+
+from functools import partial
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.messages import PoeCertify, PoePropose
 from repro.core.replica import PoeReplica
+from repro.core.view_change import proposal_digest
 from repro.crypto.authenticator import SchemeKind, make_authenticators
 from repro.crypto.cost import CryptoCostModel, CryptoOp
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, flat_digest, shared_digest
+from repro.ledger.blockchain import Blockchain
+from repro.ledger.execution import SpeculativeExecutor, modelled_result_digest
+from repro.ledger.store import KeyValueStore
 from repro.net.conditions import LinkOverride, NetworkConditions
 from repro.net.network import SimNetwork
 from repro.net.simulator import Simulator
 from repro.protocols.base import Message, Node, NodeConfig
 from repro.protocols.checkpoint import StateTransferResponse
-from repro.protocols.epoch import EpochEntry
+from repro.protocols.epoch import EpochEntry, make_reconfig_record
 from repro.protocols.recovery import NewView
-from repro.workload.transactions import make_synthetic_batch
+from repro.workload.transactions import (
+    RequestBatch,
+    Transaction,
+    make_no_op_batch,
+    make_synthetic_batch,
+)
+from repro.workload.xshard import make_control_batch
+from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 
 REPLICAS = [f"replica:{i}" for i in range(7)]
 AUTHS = make_authenticators(REPLICAS, ["client:0"], seed=b"handler-path")
@@ -256,3 +282,144 @@ def test_skipping_the_retention_scan_prunes_the_same_set(steps):
         assert all(executed_at >= skipping._oldest_executed_at
                    for _, executed_at in skipping._batch_sequence.values())
     assert len(scanning._batch_sequence) <= sequence
+
+
+# ---------------------------------------------- in-frame charges, PoE path
+@settings(max_examples=60, deadline=None)
+@given(_COST, _COST, _COST, _COST, st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=300))
+def test_in_frame_charges_add_what_charge_adds(hash_ms, share_ms, verify_ms,
+                                                mac_sign_ms, clients, size):
+    """A threshold backup's PROPOSE and CERTIFY steps: each step's CPU is
+    the float the ``charge`` calls make.  A batch with no ``reply_to`` is
+    answered to each of its *clients*, so the reply's MAC charge has that
+    count."""
+    costs = CryptoCostModel(costs_ms={
+        CryptoOp.HASH: hash_ms, CryptoOp.THRESHOLD_SHARE: share_ms,
+        CryptoOp.THRESHOLD_VERIFY: verify_ms, CryptoOp.MAC_SIGN: mac_sign_ms})
+    config = NodeConfig(replica_ids=list(REPLICAS), batch_size=2)
+    backup = PoeReplica("replica:2", config, AUTHS["replica:2"],
+                        cost_model=costs, scheme=SchemeKind.THRESHOLD)
+    reference = PoeReplica("replica:3", config, AUTHS["replica:3"],
+                           cost_model=costs, scheme=SchemeKind.THRESHOLD)
+    batch = RequestBatch(batch_id="b", transactions=tuple(
+        Transaction(txn_id=f"t{index}", client_id=f"client:{index}")
+        for index in range(clients)), logical_size=size)
+
+    def expected(*charges):
+        reference._pending_cpu_ms = config.base_processing_ms
+        for charge in charges:
+            charge()
+        return reference._pending_cpu_ms
+
+    output = backup.deliver("replica:0", PoePropose(view=0, sequence=0,
+                                                    batch=batch), 1.0)
+    assert output.cpu_ms == expected(
+        lambda: reference.charge(CryptoOp.HASH),
+        lambda: reference.charge(CryptoOp.THRESHOLD_SHARE))
+    digest_h = proposal_digest(0, 0, batch.digest())
+    scheme = AUTHS["replica:0"].threshold
+    certificate = scheme.aggregate(scheme.sign_share(index, digest_h)
+                                   for index in range(1, 6))
+    output = backup.deliver("replica:0", PoeCertify(
+        view=0, sequence=0, proposal_digest=digest_h,
+        certificate=certificate), 2.0)
+    assert backup.executed_batches == 1
+    assert len(output.sends()) == clients
+    assert output.cpu_ms == expected(
+        lambda: reference.charge(CryptoOp.THRESHOLD_VERIFY),
+        lambda: reference.charge_execution(len(batch)),
+        lambda: reference.charge(CryptoOp.HASH),
+        lambda: reference.charge(CryptoOp.MAC_SIGN, clients))
+
+
+# ------------------------------------------ unicast serialization and push
+def _transmit_through_the_calls(network, sender, receiver, message, ready_at):
+    """``SimNetwork._transmit`` on lossless, fault-free conditions, written
+    with ``serialization_delay_ms`` and ``Simulator.post_at``."""
+    conditions = network.conditions
+    now = network.sim.now
+    send_time = ready_at if ready_at > now else now
+    handle = network._nodes[sender]
+    if handle.is_replica and sender != receiver:
+        serialization_ms = conditions.serialization_delay_ms(message.size_bytes)
+        if serialization_ms > 0:
+            send_time = max(handle.uplink_free_at, send_time) + serialization_ms
+            handle.uplink_free_at = send_time
+    network.sent_count += 1
+    network.sim.post_at(
+        send_time + conditions.propagation_ms(sender, receiver, send_time),
+        partial(network._deliver, sender, receiver, network._nodes[receiver],
+                message))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0.0, 0.05, 0.3]), st.sampled_from([None, 2000.0, 7.5]),
+       st.lists(st.tuples(_NODE, _NODE, st.floats(min_value=0.0, max_value=3.0),
+                          st.integers(min_value=0, max_value=20_000),
+                          st.floats(min_value=0.0, max_value=2.0)),
+                min_size=1, max_size=30))
+def test_transmit_pushes_what_serialization_delay_and_post_at_push(
+        jitter, bandwidth, sends):
+    def run(transmit):
+        conditions = NetworkConditions(jitter_ms=jitter, seed=5,
+                                       bandwidth_mbps=bandwidth)
+        network, deliveries = _network(conditions)
+        states = []
+        for sender, receiver, ready_at, size, advance_ms in sends:
+            transmit(network, sender, receiver, Message(size_bytes=size),
+                     network.sim.now + ready_at)
+            entries = sorted(entry[:2] for entry in network.sim._queue)
+            network.run(until_ms=network.sim.now + advance_ms)
+            states.append((entries, network.sim.now, tuple(
+                handle.uplink_free_at for handle in network._nodes.values())))
+        network.run_until_idle()
+        return states, deliveries, network.sent_count
+
+    assert (run(SimNetwork._transmit)
+            == run(_transmit_through_the_calls))
+
+
+# ------------------------------------------------------------- batch size
+def _batches_of_every_kind():
+    ycsb = YcsbWorkload(YcsbConfig.small(seed=4), client_id="client:0")
+    return [make_synthetic_batch("s", "client:0", 7),
+            make_synthetic_batch("s0", "client:0", 0),
+            make_no_op_batch("n", "client:0", 3),
+            ycsb.next_batch(5, reply_to="client:0"),
+            make_control_batch("x", "prepare", 0, (0, 1), logical_size=4),
+            make_reconfig_record(1, add=("replica:7",)),
+            RequestBatch(batch_id="both", transactions=(
+                Transaction(txn_id="t", client_id="client:0"),), logical_size=9)]
+
+
+def test_the_batch_size_read_is_len_of_the_batch():
+    for batch in _batches_of_every_kind():
+        assert (len(batch.transactions) or batch.logical_size) == len(batch)
+
+
+# ------------------------------------------------ modelled result digest
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=7))
+def test_modelled_execution_hashes_what_modelled_result_digest_hashes(picks):
+    batches = _batches_of_every_kind()
+    executor = SpeculativeExecutor(KeyValueStore(), Blockchain(),
+                                   apply_operations=False)
+    for sequence, pick in enumerate(picks):
+        batch = batches[pick]
+        record = executor.execute(sequence=sequence, view=0, batch=batch)
+        assert record.result_digest == modelled_result_digest(sequence, batch)
+
+
+# ------------------------------------------------ threshold payload digest
+@settings(max_examples=30, deadline=None)
+@given(st.binary(min_size=0, max_size=64))
+def test_threshold_payloads_are_the_shared_digest_of_the_proposal(digest_h):
+    scheme = AUTHS["replica:0"].threshold
+    shares = [scheme.sign_share(index, digest_h) for index in range(1, 6)]
+    certificate = scheme.aggregate(shares)
+    assert flat_digest(digest_h) == shared_digest(digest_h) == digest(digest_h)
+    assert {share.payload_digest for share in shares} == {shared_digest(digest_h)}
+    assert certificate.payload_digest == shared_digest(digest_h)
+    assert scheme.verify(certificate, digest_h)
+    assert all(scheme.verify_share(share, digest_h) for share in shares)

@@ -226,14 +226,15 @@ class TestPoeByzantinePrimary:
         primary_auth = auths["replica:0"]
         from repro.core.view_change import proposal_digest
         digest_a = proposal_digest(0, 0, batch_a.digest())
-        shares.append(primary_auth.threshold_share(digest_a))
-        certificate_a = primary_auth.threshold_aggregate(shares)
-        assert primary_auth.threshold_verify(certificate_a, digest_a)
+        scheme, index = primary_auth.threshold, primary_auth.threshold_index
+        shares.append(scheme.sign_share(index, digest_a))
+        certificate_a = primary_auth.threshold.aggregate(shares)
+        assert primary_auth.threshold.verify(certificate_a, digest_a)
         digest_b = proposal_digest(0, 0, batch_b.digest())
         from repro.crypto.threshold import ThresholdError
         with pytest.raises(ThresholdError):
-            primary_auth.threshold_aggregate(
-                shares_b + [primary_auth.threshold_share(digest_b)])
+            primary_auth.threshold.aggregate(
+                shares_b + [scheme.sign_share(index, digest_b)])
 
     def test_backup_ignores_certificate_for_unsupported_proposal(self):
         config = NodeConfig(replica_ids=list(REPLICAS), batch_size=2,
@@ -246,9 +247,9 @@ class TestPoeByzantinePrimary:
         # Build a valid certificate for batch A (which this backup never saw).
         from repro.core.view_change import proposal_digest
         digest_a = proposal_digest(0, 0, batch_a.digest())
-        shares = [auths[rid].threshold_share(digest_a)
+        shares = [auths[rid].threshold.sign_share(auths[rid].threshold_index, digest_a)
                   for rid in ["replica:0", "replica:2", "replica:3"]]
-        certificate = auths["replica:0"].threshold_aggregate(shares)
+        certificate = auths["replica:0"].threshold.aggregate(shares)
         backup.deliver("replica:0",
                        PoeCertify(view=0, sequence=0, proposal_digest=digest_a,
                                   certificate=certificate), 2.0)

@@ -23,8 +23,9 @@ REPLICAS = [f"replica:{i}" for i in range(4)]
 def make_entry(auths, sequence, view=0, label=None):
     batch = make_no_op_batch(label or f"batch-{sequence}", "client:0", 2)
     digest_h = proposal_digest(sequence, view, batch.digest())
-    shares = [auths[rid].threshold_share(digest_h) for rid in REPLICAS[:3]]
-    certificate = auths[REPLICAS[0]].threshold_aggregate(shares)
+    shares = [auths[rid].threshold.sign_share(auths[rid].threshold_index, digest_h)
+              for rid in REPLICAS[:3]]
+    certificate = auths[REPLICAS[0]].threshold.aggregate(shares)
     return LogEntry(sequence=sequence, view=view, digest=digest_h,
                     batch=batch, proof=certificate)
 

@@ -19,7 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.replica import PoeReplica
-from repro.core.messages import PoeCommitVote, PoeSupport
+from repro.core.messages import PoeCommitVote, PoePropose, PoeSupport
+from repro.core.view_change import proposal_digest
+from repro.crypto.hashing import shared_digest
 from repro.crypto.authenticator import SchemeKind, make_authenticators
 from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
@@ -30,7 +32,12 @@ from repro.protocols.checkpoint import (
     CheckpointTracker,
     StateTransferRequest,
 )
-from repro.protocols.pbft import PbftCommit, PbftPrepare, PbftReplica
+from repro.protocols.pbft import (
+    PbftCommit,
+    PbftPrepare,
+    PbftPrePrepare,
+    PbftReplica,
+)
 from repro.protocols.quorum import QuorumProof, VoteSet, build_index_map
 from repro.workload.transactions import make_no_op_batch
 
@@ -323,6 +330,158 @@ class TestPbftVoteCounting:
             view=0, sequence=0, batch_digest=slot.batch_digest), 3.0)
         assert replica.executed_batches == 1
         assert output.actions == []
+
+
+class TestVotesBeforeTheProposal:
+    """A vote counts only for the digest it names, whenever it arrives.
+
+    A SUPPORT, PREPARE or COMMIT that reaches a replica before its slot's
+    proposal is parked under the digest it names; when the proposal lands,
+    the parked votes that name its digest are counted before the slot's
+    first quorum check and the rest are dropped.
+    """
+
+    def _batches(self):
+        return (make_no_op_batch("b-A", "client:0", 3),
+                make_no_op_batch("b-B", "client:0", 3))
+
+    def test_poe_mac_supports_for_another_proposal_do_not_certify(self, auths):
+        """replica:1 gets SUPPORT(d_B) from 2 and 3, then PROPOSE(A): only
+        the primary and replica:1 back A, below nf = 3."""
+        replica = PoeReplica("replica:1", make_config(), auths["replica:1"],
+                             scheme=SchemeKind.MACS)
+        batch_a, batch_b = self._batches()
+        digest_b = proposal_digest(0, 0, batch_b.digest())
+        for sender in ("replica:2", "replica:3"):
+            replica.deliver(sender, PoeSupport(
+                view=0, sequence=0, proposal_digest=digest_b,
+                replica_id=sender), 0.5)
+        replica.deliver("replica:0", PoePropose(view=0, sequence=0,
+                                                batch=batch_a), 1.0)
+        slot = replica._slot(0, 0)
+        assert not slot.certified and replica.executed_batches == 0
+        assert set(slot.support_votes) == {"replica:0", "replica:1"}
+        assert slot.parked is None
+        # A SUPPORT that names A completes the quorum, and the proof names
+        # exactly the replicas that backed A.
+        replica.deliver("replica:2", PoeSupport(
+            view=0, sequence=0, proposal_digest=slot.proposal_digest,
+            replica_id="replica:2"), 2.0)
+        assert slot.certified and replica.executed_batches == 1
+        assert set(replica._log[0].proof) == {"replica:0", "replica:1",
+                                               "replica:2"}
+
+    def test_poe_mac_early_supports_for_the_proposal_count(self, auths):
+        replica = PoeReplica("replica:1", make_config(), auths["replica:1"],
+                             scheme=SchemeKind.MACS)
+        batch_a, _ = self._batches()
+        digest_a = proposal_digest(0, 0, batch_a.digest())
+        replica.deliver("replica:2", PoeSupport(
+            view=0, sequence=0, proposal_digest=digest_a,
+            replica_id="replica:2"), 0.5)
+        replica.deliver("replica:0", PoePropose(view=0, sequence=0,
+                                                batch=batch_a), 1.0)
+        assert replica._slot(0, 0).certified
+        assert replica.executed_batches == 1
+
+    def test_one_parked_vote_per_sender(self, auths):
+        replica = PoeReplica("replica:1", make_config(), auths["replica:1"],
+                             scheme=SchemeKind.MACS)
+        for index in range(50):
+            replica.deliver("replica:3", PoeSupport(
+                view=0, sequence=0, proposal_digest=b"d%d" % index,
+                replica_id="replica:3"), 0.5)
+        assert len(replica._slot(0, 0).parked) == 1
+
+    def test_a_parked_vote_of_an_evicted_replica_is_dropped(self, auths):
+        replica = PoeReplica("replica:1", make_config(), auths["replica:1"],
+                             scheme=SchemeKind.MACS)
+        batch_a, _ = self._batches()
+        digest_a = proposal_digest(0, 0, batch_a.digest())
+        replica.deliver("replica:3", PoeSupport(
+            view=0, sequence=0, proposal_digest=digest_a,
+            replica_id="replica:3"), 0.5)
+        replica.on_epoch_activated(None, ("replica:3",), 0.7)
+        replica.deliver("replica:0", PoePropose(view=0, sequence=0,
+                                                batch=batch_a), 1.0)
+        slot = replica._slot(0, 0)
+        assert not slot.certified
+        assert set(slot.support_votes) == {"replica:0", "replica:1"}
+
+    def test_poe_commit_votes_for_another_proposal_do_not_commit(self, auths):
+        """Without speculation: COMMIT(d_B) from 2 and 3 before PROPOSE(A)."""
+        replica = PoeReplica("replica:1", make_config(), auths["replica:1"],
+                             scheme=SchemeKind.MACS, speculative=False)
+        batch_a, batch_b = self._batches()
+        digest_b = proposal_digest(0, 0, batch_b.digest())
+        for sender in ("replica:2", "replica:3"):
+            replica.deliver(sender, PoeCommitVote(
+                view=0, sequence=0, proposal_digest=digest_b,
+                replica_id=sender), 0.5)
+        replica.deliver("replica:0", PoePropose(view=0, sequence=0,
+                                                batch=batch_a), 1.0)
+        slot = replica._slot(0, 0)
+        replica.deliver("replica:2", PoeSupport(
+            view=0, sequence=0, proposal_digest=slot.proposal_digest,
+            replica_id="replica:2"), 2.0)
+        assert slot.certified and slot.commit_vote_sent
+        assert set(slot.commit_votes) == {"replica:1"}
+        assert replica.executed_batches == 0
+
+    def test_pbft_prepares_for_another_proposal_do_not_prepare(self, auths):
+        """PREPARE(d_B) from 2 and 3, then PRE-PREPARE(A): A has the
+        replica's own PREPARE only, so it is not prepared and sends no
+        COMMIT."""
+        replica = PbftReplica("replica:1", make_config(), auths["replica:1"])
+        batch_a, batch_b = self._batches()
+        digest_b = shared_digest("pbft", 0, 0, batch_b.digest())
+        for sender in ("replica:2", "replica:3"):
+            replica.deliver(sender, PbftPrepare(
+                view=0, sequence=0, batch_digest=digest_b,
+                replica_id=sender), 0.5)
+        output = replica.deliver("replica:0", PbftPrePrepare(
+            view=0, sequence=0, batch=batch_a), 1.0)
+        slot = replica._slot(0, 0)
+        assert not slot.prepared
+        assert set(slot.prepare_votes) == {"replica:1"}
+        assert not any(isinstance(action.message, PbftCommit)
+                       for action in output.broadcasts())
+
+    def test_pbft_commits_for_another_proposal_do_not_commit(self, auths):
+        replica = PbftReplica("replica:1", make_config(), auths["replica:1"])
+        batch_a, batch_b = self._batches()
+        digest_b = shared_digest("pbft", 0, 0, batch_b.digest())
+        for sender in ("replica:2", "replica:3"):
+            replica.deliver(sender, PbftCommit(
+                view=0, sequence=0, batch_digest=digest_b,
+                replica_id=sender), 0.5)
+        replica.deliver("replica:0", PbftPrePrepare(
+            view=0, sequence=0, batch=batch_a), 1.0)
+        slot = replica._slot(0, 0)
+        for sender in ("replica:2", "replica:3"):
+            replica.deliver(sender, PbftPrepare(
+                view=0, sequence=0, batch_digest=slot.batch_digest,
+                replica_id=sender), 2.0)
+        assert slot.prepared and not slot.committed
+        assert set(slot.commit_votes) == {"replica:1"}
+        assert replica.executed_batches == 0
+
+    def test_pbft_early_commits_for_the_proposal_count(self, auths):
+        replica = PbftReplica("replica:1", make_config(), auths["replica:1"])
+        batch_a, _ = self._batches()
+        digest_a = shared_digest("pbft", 0, 0, batch_a.digest())
+        for sender in ("replica:2", "replica:3"):
+            replica.deliver(sender, PbftCommit(
+                view=0, sequence=0, batch_digest=digest_a,
+                replica_id=sender), 0.5)
+            replica.deliver(sender, PbftPrepare(
+                view=0, sequence=0, batch_digest=digest_a,
+                replica_id=sender), 0.5)
+        replica.deliver("replica:0", PbftPrePrepare(
+            view=0, sequence=0, batch=batch_a), 1.0)
+        slot = replica._slot(0, 0)
+        assert slot.prepared and slot.committed
+        assert replica.executed_batches == 1
 
 
 class TestCheckpointVoteCounting:

@@ -681,8 +681,9 @@ def _certified_slot(auths, sequence, view=0, label=None, certificate=None):
     batch = make_no_op_batch(label or f"batch-{sequence}", "client:0", 2)
     digest_h = sbft_proposal_digest(view, sequence, batch)
     if certificate is None:
-        shares = [auths[rid].threshold_share(digest_h) for rid in REPLICAS[:3]]
-        certificate = auths[REPLICAS[0]].threshold_aggregate(shares)
+        shares = [auths[rid].threshold.sign_share(auths[rid].threshold_index, digest_h)
+              for rid in REPLICAS[:3]]
+        certificate = auths[REPLICAS[0]].threshold.aggregate(shares)
     return LogEntry(sequence=sequence, view=view, digest=digest_h, batch=batch,
                     proof=certificate)
 
@@ -798,7 +799,7 @@ class TestSbftCollectorTimers:
     def test_commit_proof_clears_timer_bookkeeping(self, auths):
         replica = self._propose_one(auths)
         for rid in ("replica:1", "replica:2", "replica:3"):
-            share = auths[rid].threshold_share(
+            share = auths[rid].threshold.sign_share(auths[rid].threshold_index, 
                 replica._slot(0, 0).proposal_digest)
             from repro.protocols.sbft import SbftSignShare
             replica.deliver(rid, SbftSignShare(

@@ -223,7 +223,8 @@ def test_an_evicted_share_never_aggregates_into_a_certificate(auths):
     slot = primary._slot(0, 0)
 
     def support(rid, now_ms):
-        share = auths[rid].threshold_share(slot.proposal_digest)
+        share = auths[rid].threshold.sign_share(auths[rid].threshold_index,
+                                                slot.proposal_digest)
         output = primary.deliver(rid, PoeSupport(
             view=0, sequence=0, proposal_digest=slot.proposal_digest,
             share=share, replica_id=rid), now_ms)

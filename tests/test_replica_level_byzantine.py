@@ -633,12 +633,13 @@ class TestHotStuffChainSync:
         for voter in ("replica:0", "replica:2", "replica:3"):
             leader.deliver(voter, HotStuffVote(
                 round_number=0, block_digest=block_digest,
-                share=auths[voter].threshold_share(block_digest),
+                share=auths[voter].threshold.sign_share(
+                    auths[voter].threshold_index, block_digest),
                 replica_id=voter), 251.0)
         record = leader._rounds[0]
         assert record.qc_formed and record.certificate is leader.high_qc
         assert leader.high_qc.round_number == 0
-        assert leader.auth.threshold_verify(leader.high_qc.signature, block_digest)
+        assert leader.auth.threshold.verify(leader.high_qc.signature, block_digest)
 
     def test_request_dedup_ages_out_with_the_reply_state(self, auths):
         """The set that recognises an already queued request is the base's
