@@ -124,6 +124,8 @@ KEPT: Dict[str, str] = {
         "installs a transferred real table; no entry point does before the matrix-executes item",
     "repro.ledger.store:KeyValueStore.revert":
         "rolls back real writes, which no entry point does before the matrix-executes item",
+    "repro.ledger.store:result_digest":
+        "one transaction's result_digests, what GOLDEN_BYTES and the fixed-shape tests state",
     "repro.net.byzantine:MessageDelayer.__init__":
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
     "repro.net.byzantine:MessageDelayer.transform":
@@ -212,6 +214,8 @@ KEPT: Dict[str, str] = {
         "abstract hook both client pools implement",
     "repro.workload.clients:ClientPool.on_other_message":
         "hook for protocol-specific client messages; no run sends a pool one",
+    "repro.workload.transactions:Operation.canonical_bytes":
+        "an operation's bytes, which transaction_digests writes inline; GOLDEN_BYTES pins it",
     "repro.workload.transactions:Transaction.canonical_bytes":
         "digest()'s encoding of a transaction; the injectivity tests pin it",
     "repro.workload.transactions:RequestBatch.canonical_bytes":

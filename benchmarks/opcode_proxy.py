@@ -12,7 +12,9 @@ are also split by layer, the layers of poebench's ``layers`` module (its
 map is read, never changed), so a change that moves them says which layer
 gained or lost them.  Under each run row the script also lists the twelve
 functions with the most calls per executed replica-batch (unpinned): the
-inventory a change to the per-batch path starts from.  At this budget a
+inventory a change to the per-batch path starts from; and, above that
+list, how many passes the cyclic collector made while the event loop ran
+(unpinned; 0, since the drives pause the collector).  At this budget a
 client pool draws, hashes and signs every YCSB transaction of the run
 while it is set up (its outstanding
 batches are all there are), so on ``ycsb_exec_n4`` generation shows in
@@ -73,11 +75,12 @@ SEED = 3
 
 
 def counted(fn: Callable[[], object]
-            ) -> Tuple[object, int, int, Dict[str, int], Counter]:
+            ) -> Tuple[object, int, int, Dict[str, int], Counter, int]:
     """Run *fn* under the tracer: ``(result, opcodes, python_calls,
-    python calls by layer, python calls by code object)``.  A dataclass's
-    generated method, whose code is named after no class, is keyed
-    ``(code, class)``.
+    python calls by layer, python calls by code object, passes the cyclic
+    collector made while ``Simulator.run`` was on the stack)``.  A
+    dataclass's generated method, whose code is named after no class, is
+    keyed ``(code, class)``.
 
     A call's layer is its source file's in poebench's ``layers`` map.  A
     call outside ``src/repro`` (the standard library, a dataclass's
@@ -86,6 +89,7 @@ def counted(fn: Callable[[], object]
     to its caller; with none beneath it, to ``other``.
     """
     from layers import _layer_of
+    from repro.net.simulator import Simulator
 
     counts = [0, 0]
     by_layer: Counter = Counter()
@@ -109,6 +113,8 @@ def counted(fn: Callable[[], object]
         return local
 
     def on_call(frame, event, arg):
+        if frame.f_code is on_pass.__code__:
+            return None  # the hook below is no call of the run's
         counts[1] += 1
         by_layer[layer_of(frame)] += 1
         code = frame.f_code
@@ -120,13 +126,29 @@ def counted(fn: Callable[[], object]
         frame.f_trace_lines = False
         return local
 
+    event_loop = Simulator.run.__code__
+    passes = [0]
+
+    def on_pass(phase, info):
+        # A pass the event loop's allocations started.  The one the first
+        # allocation after a paused drive starts (in the driver, or in the
+        # next drive before it pauses) is not one: it would come as well
+        # after a drive that made no pass.
+        if phase == "start":
+            frame = sys._getframe().f_back
+            while frame is not None and frame.f_code is not event_loop:
+                frame = frame.f_back
+            passes[0] += frame is not None
+
     sys.settrace(on_call)
+    gc.callbacks.append(on_pass)
     try:
         result = fn()
     finally:
+        gc.callbacks.remove(on_pass)
         sys.settrace(None)
     return (result, counts[0], counts[1], dict(sorted(by_layer.items())),
-            by_code)
+            by_code, passes[0])
 
 
 #: How many functions the inventory under each run row names.
@@ -195,16 +217,16 @@ def measure(name: str) -> Dict[str, object]:
     from workloads import WORKLOADS, build
 
     configs = WORKLOADS[name].configs(SEED, SCALE)
-    deployments, setup_opcodes, setup_calls, setup_layer_calls, _ = counted(
+    deployments, setup_opcodes, setup_calls, setup_layer_calls, _, _ = counted(
         lambda: [build(config) for config in configs])
-    _, opcodes, calls, layer_calls, by_code = counted(
+    _, opcodes, calls, layer_calls, by_code, passes = counted(
         lambda: [d.run_until_done() for d in deployments])
     executed = executed_batches(deployments)
     del deployments
     retained, retained_executed = retained_bytes(configs)
     assert retained_executed == executed, (retained_executed, executed)
     return {"setup": (setup_opcodes, setup_calls), "run": (opcodes, calls),
-            "top": top_functions(by_code, executed),
+            "top": top_functions(by_code, executed), "passes": passes,
             "pins": {"setup_calls": setup_calls,
                      "setup_layer_calls": setup_layer_calls,
                      "run_calls": calls,
@@ -275,6 +297,8 @@ def main() -> int:
                   f"{pins['calls_per_batch']:>13.1f}"
                   f"{pins['retained_bytes_per_batch']:>13,.1f}")
             print_layers(pins["layer_calls"])
+            print(f"{'':7}cyclic collector passes in the event loop: "
+                  f"{row['passes']}", flush=True)
             print_top(row["top"])
             if checked:
                 problems += pin_problems(name, pins, table["rows"])

@@ -237,10 +237,11 @@ class PoeReplica(PrimaryBackupReplica):
                 return
             if slot.proposal_digest and message.proposal_digest != slot.proposal_digest:
                 return
-            # Shares are not individually verified on the hot path:
-            # aggregation validates the combined signature once, and a
-            # corrupt share shows up there (RESILIENTDB defers share
-            # verification the same way).
+            # Each share is checked on the host before it is kept, so a
+            # corrupt share cannot sit among the lowest indices, which
+            # aggregation combines, and block it.  The check is not
+            # charged: RESILIENTDB defers share verification to the
+            # aggregate, and the aggregate's cost is charged.
             if not self.auth.threshold.verify_share(message.share,
                                                     slot.proposal_digest):
                 return

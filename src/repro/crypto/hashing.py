@@ -59,13 +59,14 @@ Each client transaction is hashed twice over a shape that never varies,
 and a client pool hashes a whole batch's transactions at each stage:
 :func:`~repro.workload.transactions.transaction_digests` (``("txn", id,
 client, [op bytes])`` for each transaction), then the client's signatures
-over those 32-byte digests through :func:`digests_of_bytes`
-(:meth:`~repro.crypto.signatures.SignatureScheme.sign_digests`).  The
-transaction digest writes its constant head once — the tuple head and
-the ``"txn"`` tag (:func:`encode_head`, :func:`encode_str`) — and its
-client field once per batch, so each transaction encodes only its id and
-its operations.  The batch digest's ``("batch", id, [txn digests])`` and
-a batch's result fold, ``("results", [result digests])``, go through
+over those 32-byte digests
+(:meth:`~repro.crypto.signatures.SignatureScheme.sign_digests`, which
+hashes each as ``digest(value)``).  The transaction digest writes its
+constant head once — the tuple head and the ``"txn"`` tag
+(:func:`encode_head`, :func:`encode_str`) — and its client field once
+per batch, so each transaction encodes only its id and its operations.
+The batch digest's ``("batch", id, [txn digests])`` and a batch's result
+fold, ``("results", [result digests])``, go through
 :func:`digest_fields_and_blobs`; a whole table's ``("store", sorted
 ((key, value), ...))``, which a checkpoint's state digest covers, through
 :func:`~repro.ledger.store.table_digest`.  All of them write
@@ -86,7 +87,7 @@ transaction: the replicas of a deployment execute through one memo keyed
 on the table's version and the batch
 (:class:`~repro.ledger.execution.ExecutionMemo`), whose miss hashes each
 transaction's result once through the fixed-shape
-:func:`~repro.ledger.store.result_digest` (``("result", id, ((key,
+:func:`~repro.ledger.store.result_digests` (``("result", id, ((key,
 value), ...), writes)``), held to ``digest`` by the same test class.
 """
 
@@ -244,6 +245,12 @@ def digest(*values: Any) -> bytes:
 #: shape its writer encodes once and keeps.
 encode_str = _canon_str
 
+#: ``digest``'s 8-byte length prefix of each length the table covers, and
+#: its encoding of each small non-negative ``int``, for a fixed-shape
+#: writer's loop to index instead of encoding.
+LEN_PREFIX = _LEN_PREFIX
+INT_FIELD = _INT_CACHE
+
 
 def encode_head(length: int) -> bytes:
     """``digest``'s encoding of a tuple or list of *length* elements, up to
@@ -274,19 +281,6 @@ def build_columns(cls: type, count: int, **columns: Iterable[Any]) -> List[Any]:
     for name, column in columns.items():
         deque(map(cls.__dict__[name].__set__, objects, column), maxlen=0)
     return objects
-
-
-#: ``digest`` of a one-element argument tuple holding ``bytes``, up to the
-#: element's length prefix.
-_ONE_BYTES_HEAD = b"T" + _len_prefix(1) + b"B"
-
-
-def digests_of_bytes(values: Iterable[bytes]) -> List[bytes]:
-    """``[digest(value) for value in values]`` for ``bytes`` values, byte for
-    byte, in one loop."""
-    sha256, head = hashlib.sha256, _ONE_BYTES_HEAD
-    return [sha256(head + len(value).to_bytes(8, "big") + value).digest()
-            for value in values]
 
 
 def digest_fields_and_blobs(fields: Tuple[str, ...], blobs: List[bytes]) -> bytes:

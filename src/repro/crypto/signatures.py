@@ -17,9 +17,8 @@ and tags a message by copying those two SHA-256 states (RFC 2104 without
 re-deriving the pads per call; ``tests/test_crypto_primitives.py`` holds
 it to ``hmac.digest`` over keys on both sides of the 64-byte block).  A
 client signs a whole batch's transaction digests in one
-:meth:`SignatureScheme.sign_digests` call, which hashes the digests and
-tags them in one loop each (:meth:`HmacSha256.tags`); signing one value
-is the one-element case.  A
+:meth:`SignatureScheme.sign_digests` call, which hashes and tags each
+digest in one loop.  A
 :class:`SignatureScheme` builds the state of a key on its first use, so a
 principal that never signs or verifies pays nothing for it, and drops it
 when pickled: a SHA-256 state does not pickle, and the parallel driver
@@ -32,9 +31,9 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.crypto.hashing import build_columns, digest, digests_of_bytes
+from repro.crypto.hashing import build_columns, digest, encode_head
 from repro.crypto.keys import KeyStore
 
 #: SHA-256's block size, and the byte maps that XOR a padded key with
@@ -42,6 +41,9 @@ from repro.crypto.keys import KeyStore
 _BLOCK = 64
 _INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
 _OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
+
+#: ``digest(value)``'s bytes for one ``bytes`` value, up to its length.
+_PAYLOAD_HEAD = encode_head(1) + b"B"
 
 
 class HmacSha256:
@@ -62,21 +64,12 @@ class HmacSha256:
         self._inner = hashlib.sha256(key.translate(_INNER_PAD))
         self._outer = hashlib.sha256(key.translate(_OUTER_PAD))
 
-    def tags(self, messages: Iterable[bytes]) -> List[bytes]:
-        """The tag of each message, the kept states read once."""
-        kept_inner, kept_outer = self._inner, self._outer
-        tags: List[bytes] = []
-        append = tags.append
-        for message in messages:
-            inner = kept_inner.copy()
-            inner.update(message)
-            outer = kept_outer.copy()
-            outer.update(inner.digest())
-            append(outer.digest())
-        return tags
-
     def tag(self, message: bytes) -> bytes:
-        return self.tags((message,))[0]
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,12 +137,29 @@ class SignatureScheme:
 
     def sign_digests(self, values: Sequence[bytes]) -> List[Signature]:
         """:meth:`sign` over each one ``bytes`` value (a client signs its
-        transactions' digests), without the generic canonicalisation and
-        with the key's kept HMAC state read once for the whole list."""
-        payload_digests = digests_of_bytes(values)
-        owner_bytes = self._owner_bytes
-        tags = (self._signer or self._own_hmac()).tags(
-            [owner_bytes + payload_digest for payload_digest in payload_digests])
+        transactions' digests), without the generic canonicalisation.
+
+        One loop hashes each payload, ``digest(value)``, from a SHA-256
+        state that absorbed its constant head once, and tags it from an
+        inner HMAC state that absorbed the signer's name once."""
+        hasher = self._signer or self._own_hmac()
+        signer_inner = hasher._inner.copy()
+        signer_inner.update(self._owner_bytes)
+        kept_outer = hasher._outer
+        kept_head = hashlib.sha256(_PAYLOAD_HEAD)
+        payload_digests: List[bytes] = []
+        tags: List[bytes] = []
+        add_payload, add_tag = payload_digests.append, tags.append
+        for value in values:
+            payload = kept_head.copy()
+            payload.update(len(value).to_bytes(8, "big") + value)
+            payload_digest = payload.digest()
+            add_payload(payload_digest)
+            inner = signer_inner.copy()
+            inner.update(payload_digest)
+            outer = kept_outer.copy()
+            outer.update(inner.digest())
+            add_tag(outer.digest())
         return build_columns(Signature, len(tags), signer=repeat(self.owner),
                              payload_digest=payload_digests, tag=tags)
 

@@ -8,6 +8,7 @@ by the examples, the tests and the benchmark harness.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -70,6 +71,32 @@ def replica_id(index: int) -> str:
 def client_id(index: int) -> str:
     """Canonical client-pool identifier for *index*."""
     return f"client:{index}"
+
+
+class CollectorPaused:
+    """A drive's context: the cyclic collector is off inside it.
+
+    No run allocates a reference cycle (``tests/test_collector.py`` drives
+    every matrix cell and every poebench shape and finds ``gc.collect()``
+    has nothing to free afterwards), so every pass the collector would
+    make during a drive walks live objects and frees none; the ``gc``
+    module's documentation sanctions disabling it for such a program.
+    Reference counting frees everything a run drops.  The collector is
+    disabled only if it was enabled, and enabled again on the way out,
+    also when the drive raises.  The drives enter it, not
+    :meth:`Simulator.run`: the sharded window loop calls ``run`` once per
+    window per shard, and a pass would run between windows.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._was_enabled:
+            gc.enable()
 
 
 def attach_byzantine(network: SimNetwork, node_id: str, behavior_name: str,
@@ -385,7 +412,8 @@ class Cluster:
 
     def run_for(self, duration_ms: float) -> float:
         """Run the cluster for *duration_ms* of virtual time."""
-        return self.network.run(until_ms=self.simulator.now + duration_ms)
+        with CollectorPaused():
+            return self.network.run(until_ms=self.simulator.now + duration_ms)
 
     def run_until_done(self, max_ms: float = 600_000.0) -> float:
         """Run until every client pool completed its batch budget.
@@ -399,16 +427,17 @@ class Cluster:
         """
         deadline = self.simulator.now + max_ms
         check_completion = True
-        while self.simulator.now < deadline:
-            if check_completion and all(pool.is_done() for pool in self.pools):
-                break
-            next_stop = min(deadline, self.simulator.now + self.RUN_CHUNK_MS)
-            before = self.simulator.processed_events
-            self.network.run(until_ms=next_stop)
-            check_completion = self.simulator.processed_events != before
-            if (not check_completion
-                    and self.simulator.now >= next_stop >= deadline):
-                break
+        with CollectorPaused():
+            while self.simulator.now < deadline:
+                if check_completion and all(pool.is_done() for pool in self.pools):
+                    break
+                next_stop = min(deadline, self.simulator.now + self.RUN_CHUNK_MS)
+                before = self.simulator.processed_events
+                self.network.run(until_ms=next_stop)
+                check_completion = self.simulator.processed_events != before
+                if (not check_completion
+                        and self.simulator.now >= next_stop >= deadline):
+                    break
         return self.simulator.now
 
     # ------------------------------------------------------------------ results

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.fabric.audit import WireRecord, attach_recorder
+from repro.fabric.cluster import CollectorPaused
 from repro.fabric.registry import get_spec
 from repro.fabric.scenarios import (
     SHARDED_SCENARIOS,
@@ -193,16 +194,17 @@ def _worker_main(conn, config: ShardedClusterConfig, shard: int,
             if runtime.hub is not None:
                 hub_wire = attach_recorder(runtime.hub, runtime.pools)
         conn.send(("ok", runtime.start()))
-        while True:
-            command = conn.recv()
-            op = command[0]
-            if op == "window":
-                conn.send(("ok", runtime.window(command[1], command[2])))
-            elif op == "finish":
-                conn.send(("ok", _collect_artifacts(runtime, wire, hub_wire)))
-                return
-            else:
-                raise ValueError(f"unknown worker command {op!r}")
+        with CollectorPaused():
+            while True:
+                command = conn.recv()
+                op = command[0]
+                if op == "window":
+                    conn.send(("ok", runtime.window(command[1], command[2])))
+                elif op == "finish":
+                    break
+                else:
+                    raise ValueError(f"unknown worker command {op!r}")
+        conn.send(("ok", _collect_artifacts(runtime, wire, hub_wire)))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))

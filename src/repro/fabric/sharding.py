@@ -41,7 +41,13 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.fabric.cluster import Cluster, ClusterConfig, attach_byzantine, replica_id
+from repro.fabric.cluster import (
+    Cluster,
+    ClusterConfig,
+    CollectorPaused,
+    attach_byzantine,
+    replica_id,
+)
 from repro.fabric.metrics import (
     MetricsWindow,
     RunResult,
@@ -740,9 +746,10 @@ class ShardedCluster(ShardedRunView):
             return [runtime.window(edge_ms, inbox)
                     for runtime, inbox in zip(self.runtimes, inboxes)]
 
-        self._results = run_windows(
-            self._results, window_all, len(self.runtimes),
-            self.lookahead_ms, self.now + max_ms)
+        with CollectorPaused():
+            self._results = run_windows(
+                self._results, window_all, len(self.runtimes),
+                self.lookahead_ms, self.now + max_ms)
         return self.now
 
 

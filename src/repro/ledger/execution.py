@@ -25,21 +25,19 @@ module outside the ledger sees a version.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import digest, digest_fields_and_blobs, flat_digest
 from repro.ledger.blockchain import Blockchain
-from repro.ledger.store import KeyValueStore, Outcome, UndoEntry, result_digest
+from repro.ledger.store import KeyValueStore, Outcome, UndoEntry, result_digests
 from repro.workload.transactions import RequestBatch, Transaction
 
 
 def batch_result_digest(outcomes: Sequence[Outcome]) -> bytes:
     """The result digest of a batch whose transactions had *outcomes*:
-    the fold of each transaction's :func:`result_digest`, written as the
-    fixed shape ``digest("results", [result digests])``."""
-    return digest_fields_and_blobs(
-        ("results",), list(starmap(result_digest, outcomes)))
+    the fold of their :func:`result_digests`, written as the fixed shape
+    ``digest("results", [result digests])``."""
+    return digest_fields_and_blobs(("results",), result_digests(outcomes))
 
 
 #: What executing one batch on one table left: ``(final value of each key
@@ -61,7 +59,9 @@ class ExecutionMemo(dict):
     that batch takes it with one ``dict.update`` of its own table and
     shares the undo log and result digest.  Equal versions mean equal
     tables by construction: a store whose table diverged is at another
-    version and executes for itself.
+    version and executes for itself.  For the same reason a checkpoint's
+    digest of the whole table is hashed once per version
+    (:meth:`table_digest`).
 
     Bounded by the checkpoint window, like the undo logs it shares: a
     stable checkpoint at ``s`` lets go of every entry first executed at
@@ -77,6 +77,9 @@ class ExecutionMemo(dict):
     issued = 0
     hits = 0
     misses = 0
+    #: ``version -> (sequence, table digest)`` for each version a
+    #: checkpoint hashed, built on first use (:meth:`table_digest`).
+    tables: Optional[Dict[int, Tuple[int, bytes]]] = None
 
     def fresh(self) -> int:
         """A version no entry leads to, for a table no entry describes."""
@@ -108,10 +111,27 @@ class ExecutionMemo(dict):
         self.misses += 1
         return after, undo, result
 
+    def table_digest(self, store: KeyValueStore, version: int,
+                     sequence: int) -> bytes:
+        """The digest of *store*'s table, at *version*, for a checkpoint
+        at *sequence*: hashed by the first store to ask at that version,
+        and read by the others.  A diverged store is at a version of its
+        own and hashes its own table."""
+        tables = self.tables
+        if tables is None:
+            tables = self.tables = {}
+        known = tables.get(version)
+        if known is not None:
+            return known[1]
+        table = store.snapshot_digest()
+        tables[version] = (sequence, table)
+        return table
+
     def forget_through(self, sequence: int) -> None:
         """Let go of the entries first executed at or below *sequence*,
         oldest first; one a rollback had re-executed is entered behind
-        later ones and goes at a later checkpoint."""
+        later ones and goes at a later checkpoint.  The table digests of
+        checkpoints at or below it go too."""
         stale = []
         for key, entry in self.items():
             if entry[4] > sequence:
@@ -119,6 +139,11 @@ class ExecutionMemo(dict):
             stale.append(key)
         for key in stale:
             del self[key]
+        tables = self.tables
+        if tables:
+            for version in [version for version, (at, _) in tables.items()
+                            if at <= sequence]:
+                del tables[version]
 
 
 def modelled_result_digest(sequence: int, batch: RequestBatch) -> bytes:
@@ -220,9 +245,10 @@ class SpeculativeExecutor:
 
     def state_digest(self) -> bytes:
         """Digest summarising store state and ledger head (checkpoints)."""
-        return digest("state", self.last_executed_sequence,
-                      self.blockchain.head.block_hash,
-                      self.store.snapshot_digest() if self.apply_operations else b"")
+        sequence = self.last_executed_sequence
+        return digest("state", sequence, self.blockchain.head.block_hash,
+                      self.memo.table_digest(self.store, self._version, sequence)
+                      if self.apply_operations else b"")
 
     # -- execution ----------------------------------------------------------------
     def execute(self, sequence: int, view: int, batch: RequestBatch,

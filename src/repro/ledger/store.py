@@ -7,7 +7,7 @@ non-faulty replicas produce identical results.  A batch is applied in one
 call, which returns each transaction's outcome and the undo entries
 :class:`~repro.ledger.execution.SpeculativeExecutor` uses to roll back
 speculation during a view-change.  The store hashes nothing: an outcome
-is the plain values its :func:`result_digest` covers.  The replicas of a
+is the plain values its :func:`result_digests` covers.  The replicas of a
 deployment execute through one
 :class:`~repro.ledger.execution.ExecutionMemo`, so only the first replica
 to execute a batch on a given table applies it and hashes its results;
@@ -19,7 +19,7 @@ from __future__ import annotations
 from hashlib import sha256
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import encode_head, encode_str
+from repro.crypto.hashing import INT_FIELD, LEN_PREFIX, encode_head, encode_str
 from repro.workload.transactions import OpType, Transaction
 
 #: One executed transaction's outcome: ``(txn_id, reads, writes applied)``,
@@ -29,37 +29,61 @@ from repro.workload.transactions import OpType, Transaction
 Reads = Tuple[Tuple[str, Optional[str]], ...]
 Outcome = Tuple[str, Reads, int]
 
-#: ``digest("result", txn_id, reads, writes)``'s bytes up to the transaction
-#: id, and the head of one ``(key, value)`` pair (a read, or a table row).
-_RESULT_HEAD = encode_head(4) + encode_str("result")
+#: ``digest("result", txn_id, reads, writes)``'s bytes up to the length of
+#: the transaction id, the head of one ``(key, value)`` pair (a read, or a
+#: table row), and an empty tuple of reads.
+_RESULT_HEAD = encode_head(4) + encode_str("result") + b"S"
 _PAIR_HEAD = encode_head(2)
+_NO_READS = encode_head(0)
+
+
+def result_digests(outcomes: Iterable[Outcome]) -> List[bytes]:
+    """Digest of each executed transaction's result: the one definition.
+
+    An outcome ``(txn_id, reads, writes_applied)`` holds the key/value
+    pairs its read operations observed (``None`` for an absent key) and
+    counts its writes.  Its digest equals ``digest("result", txn_id, reads,
+    writes_applied)`` byte for byte, written as a fixed shape in
+    ``digest``'s ``str`` (``S``), tuple (``T``), ``None`` (``N``) and
+    ``int`` (``I``) encodings.  An outcome without reads (a write-only
+    transaction, nine in ten of YCSB's) is a single bytes format.  It
+    runs once per transaction per deployment, on an execution-memo miss,
+    so it stays off the shared memo.
+    """
+    lengths, ints = LEN_PREFIX, INT_FIELD
+    cached_lengths, cached_ints = len(lengths), len(ints)
+    digests: List[bytes] = []
+    append = digests.append
+    for txn_id, reads, writes_applied in outcomes:
+        raw = txn_id.encode("utf-8")
+        size = len(raw)
+        id_length = lengths[size] if size < cached_lengths else size.to_bytes(8, "big")
+        if writes_applied < cached_ints:
+            writes = ints[writes_applied]
+        else:
+            count = b"%d" % writes_applied
+            writes = b"I" + len(count).to_bytes(8, "big") + count
+        if not reads:
+            append(sha256(b"%b%b%b%b%b" % (_RESULT_HEAD, id_length, raw, _NO_READS,
+                                           writes)).digest())
+            continue
+        parts = [_RESULT_HEAD, id_length, raw, b"T", len(reads).to_bytes(8, "big")]
+        for key, value in reads:
+            raw = key.encode("utf-8")
+            parts += (_PAIR_HEAD, b"S", len(raw).to_bytes(8, "big"), raw)
+            if value is None:
+                parts.append(b"N")
+            else:
+                raw = value.encode("utf-8")
+                parts += (b"S", len(raw).to_bytes(8, "big"), raw)
+        parts.append(writes)
+        append(sha256(b"".join(parts)).digest())
+    return digests
 
 
 def result_digest(txn_id: str, reads: Reads, writes_applied: int) -> bytes:
-    """Digest of one executed transaction's result.
-
-    *reads* holds the key/value pairs its read operations observed
-    (``None`` for an absent key) and *writes_applied* counts its writes.
-    Equal to ``digest("result", txn_id, reads, writes_applied)`` byte for
-    byte, written as a fixed shape in ``digest``'s ``str`` (``S``), tuple
-    (``T``), ``None`` (``N``) and ``int`` (``I``) encodings.  It runs once
-    per transaction per process, on a batch-memo miss, so it stays off the
-    shared memo.
-    """
-    raw = txn_id.encode("utf-8")
-    parts = [_RESULT_HEAD, b"S", len(raw).to_bytes(8, "big"), raw,
-             b"T", len(reads).to_bytes(8, "big")]
-    for key, value in reads:
-        raw = key.encode("utf-8")
-        parts += (_PAIR_HEAD, b"S", len(raw).to_bytes(8, "big"), raw)
-        if value is None:
-            parts.append(b"N")
-        else:
-            raw = value.encode("utf-8")
-            parts += (b"S", len(raw).to_bytes(8, "big"), raw)
-    raw = b"%d" % writes_applied
-    parts += (b"I", len(raw).to_bytes(8, "big"), raw)
-    return sha256(b"".join(parts)).digest()
+    """One transaction's :func:`result_digests`."""
+    return result_digests(((txn_id, reads, writes_applied),))[0]
 
 
 #: ``digest("store", sorted(table.items()))``'s bytes up to the pair count.

@@ -16,7 +16,15 @@ The queue holds plain ``(time_ms, seq, callback)`` tuples rather than
 comparable event objects: tuple comparison happens entirely in C, which is
 what makes ``heappush``/``heappop`` the cheap part of the hot loop.
 Cancellation uses a side table of sequence numbers (lazy deletion): a
-cancelled entry stays in the heap and is skipped when it surfaces.
+cancelled entry stays in the heap and is skipped when it surfaces, unless
+cancelled entries come to outnumber live ones first.  A protocol that
+re-arms a timer on every step (a pacemaker, a client's request timeout)
+would otherwise keep thousands of dead entries, and their callbacks,
+alive until they are due; so, by asyncio's rule, once the cancel table
+holds more than half as many entries as the heap, and the heap at least
+:data:`COMPACT_MIN_ENTRIES`, :meth:`Simulator.schedule` rebuilds the heap
+without them and empties the table.  Keys are unique, so the rebuilt heap
+pops in the same order.
 
 A heap entry is one timer, one unicast delivery, or one *broadcast*
 (:meth:`Simulator.post_fanout`).  A broadcast to k receivers reserves k
@@ -43,6 +51,10 @@ from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Dict, List, Optional, Set, Tuple
+
+
+#: The fewest heap entries at which cancelled ones are compacted away.
+COMPACT_MIN_ENTRIES = 100
 
 
 class Event:
@@ -159,8 +171,21 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         time_ms = self._now + delay_ms
-        heappush(self._queue, (time_ms, seq, callback))
+        queue = self._queue
+        heappush(queue, (time_ms, seq, callback))
+        if len(self._cancelled) * 2 > len(queue) >= COMPACT_MIN_ENTRIES:
+            self._compact()
         return Event(time_ms, seq, self._cancelled)
+
+    def _compact(self) -> None:
+        """Rebuild the heap without its cancelled entries and empty the
+        cancel table (what it still holds then is only the sequence
+        numbers of events that fired before they were cancelled).  In
+        place: :meth:`run` holds both, and a callback it runs schedules."""
+        queue, cancelled = self._queue, self._cancelled
+        queue[:] = [entry for entry in queue if entry[1] not in cancelled]
+        heapify(queue)
+        cancelled.clear()
 
     def schedule_at(self, time_ms: float, callback: Callable[[], None]) -> Event:
         """Schedule *callback* at an absolute virtual time (clamped to now)."""

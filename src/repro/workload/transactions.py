@@ -24,7 +24,12 @@ from functools import lru_cache
 from hashlib import sha256
 from typing import List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import digest_fields_and_blobs, encode_head, encode_str
+from repro.crypto.hashing import (
+    LEN_PREFIX,
+    digest_fields_and_blobs,
+    encode_head,
+    encode_str,
+)
 from repro.crypto.signatures import Signature
 
 
@@ -60,15 +65,18 @@ class Operation:
         # Injective, since a client's signature covers these bytes: the
         # key's length says where the key ends, whatever separators key and
         # value hold, and an absent value differs from an empty one.
+        # :func:`transaction_digests` writes the same bytes inline.
         value = "" if self.value is None else f"|{self.value}"
-        # ``_value_`` is the member's plain attribute; ``.value`` is a
-        # descriptor that costs a Python frame per call.
         return f"{self.op_type._value_}|{len(self.key)}|{self.key}{value}".encode("utf-8")
 
 
 #: ``digest("txn", txn_id, client_id, [op bytes])``'s bytes up to the
-#: transaction id: the four-element argument tuple and its constant tag.
-_TXN_HEAD = encode_head(4) + encode_str("txn")
+#: transaction id's length: the four-element argument tuple, its constant
+#: tag and the id's ``str`` tag.
+_TXN_HEAD = encode_head(4) + encode_str("txn") + b"S"
+
+#: The list of one operation's bytes, up to the operation's length.
+_ONE_OP = encode_head(1) + b"B"
 
 #: The client field of a transaction's digest, encoded once per client id
 #: (a pool issues every transaction under one); bounded so a process that
@@ -85,19 +93,42 @@ def transaction_digests(txn_ids: Sequence[str], client_id: str,
     ``digest("txn", txn_id, client_id, [op.canonical_bytes() ...])`` byte
     for byte.  The head and the client field are written once; each
     transaction encodes only its id and its operations, in ``digest``'s
-    ``str`` (``S``), list (``T``) and ``bytes`` (``B``) element encodings.
+    ``str`` (``S``), list (``T``) and ``bytes`` (``B``) element encodings,
+    each operation's canonical bytes written here rather than through
+    :meth:`Operation.canonical_bytes`.  A one-operation transaction (every
+    YCSB one) is a single bytes format.
     """
     client = _client_field(client_id)
-    canonical = Operation.canonical_bytes
+    one_op = client + _ONE_OP
+    lengths = LEN_PREFIX
+    cached = len(lengths)
     digests: List[bytes] = []
     append = digests.append
     for txn_id, ops in zip(txn_ids, operations):
         raw_id = txn_id.encode("utf-8")
-        parts = [_TXN_HEAD, b"S", len(raw_id).to_bytes(8, "big"), raw_id,
-                 client, b"T", len(ops).to_bytes(8, "big")]
-        for blob in map(canonical, ops):
-            parts += (b"B", len(blob).to_bytes(8, "big"), blob)
-        append(sha256(b"".join(parts)).digest())
+        size = len(raw_id)
+        id_length = lengths[size] if size < cached else size.to_bytes(8, "big")
+        if len(ops) == 1:
+            (op,) = ops
+            key, value = op.key, op.value
+            # ``_value_`` is the member's plain attribute; ``.value`` is a
+            # descriptor that costs a Python frame per call.
+            blob = (f"{op.op_type._value_}|{len(key)}|{key}" if value is None else
+                    f"{op.op_type._value_}|{len(key)}|{key}|{value}").encode("utf-8")
+            size = len(blob)
+            append(sha256(b"%b%b%b%b%b%b" % (
+                _TXN_HEAD, id_length, raw_id, one_op,
+                lengths[size] if size < cached else size.to_bytes(8, "big"),
+                blob)).digest())
+            continue
+        encoded = b"%b%b%b%bT%b" % (_TXN_HEAD, id_length, raw_id, client,
+                                    len(ops).to_bytes(8, "big"))
+        for op in ops:
+            key, value = op.key, op.value
+            blob = (f"{op.op_type._value_}|{len(key)}|{key}" if value is None else
+                    f"{op.op_type._value_}|{len(key)}|{key}|{value}").encode("utf-8")
+            encoded += b"B%b%b" % (len(blob).to_bytes(8, "big"), blob)
+        append(sha256(encoded).digest())
     return digests
 
 

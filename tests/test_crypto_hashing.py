@@ -10,9 +10,9 @@ from repro.crypto.hashing import (
     build_columns,
     digest,
     digest_fields_and_blobs,
-    digests_of_bytes,
 )
-from repro.crypto.signatures import Signature
+from repro.crypto.keys import generate_system_keys
+from repro.crypto.signatures import Signature, SignatureScheme, build_registry
 from repro.ledger.store import result_digest, table_digest
 from repro.workload.transactions import (
     Operation,
@@ -92,8 +92,13 @@ class TestFixedShapes:
     the cached length prefixes included."""
 
     @given(st.lists(st.binary(max_size=600), max_size=4))
-    def test_digests_of_bytes_is_digest(self, values):
-        assert digests_of_bytes(values) == [digest(value) for value in values]
+    def test_signed_payloads_are_digests(self, values):
+        """A client's signatures cover ``digest(value)`` of each value."""
+        keystores = generate_system_keys(["replica:0"], ["c"], seed=b"pin")
+        scheme = SignatureScheme(keystores["c"], build_registry(keystores))
+        assert [signature.payload_digest
+                for signature in scheme.sign_digests(values)] == [
+            digest(value) for value in values]
 
     @given(st.lists(st.text(max_size=600), max_size=4),
            st.lists(st.binary(max_size=600), max_size=6))
@@ -135,7 +140,11 @@ class TestFixedShapes:
     @given(st.text(max_size=600), st.lists(st.tuples(
         st.text(max_size=600), st.none() | st.text(max_size=600)), max_size=4),
         st.integers(min_value=0, max_value=10**20))
+    @example("t" * 600, [], 10**6)
+    @example("ü" * 300, [], 1)
     def test_result_digest_is_digest(self, txn_id, reads, writes):
+        """Write-only outcomes (one bytes format) and ones with reads, ids
+        and write counts past the cached prefixes and integers included."""
         assert result_digest(txn_id, tuple(reads), writes) == digest(
             "result", txn_id, tuple(reads), writes)
 

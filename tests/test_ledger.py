@@ -12,7 +12,7 @@ from repro.ledger.execution import (
     batch_result_digest,
     modelled_result_digest,
 )
-from repro.ledger.store import KeyValueStore, result_digest
+from repro.ledger.store import KeyValueStore, result_digest, table_digest
 from repro.workload.transactions import Operation, OpType, RequestBatch, Transaction
 
 
@@ -640,7 +640,13 @@ def _memo_step(executor, step, executors):
 def _memo_view(executor):
     records = [executor.executed(seq)
                for seq in range(executor.last_executed_sequence + 1)]
-    return (executor.store.snapshot(),
+    # A checkpoint's state digest, whose table digest the memo keeps per
+    # version, must be that of the table the store holds.
+    state = digest("state", executor.last_executed_sequence,
+                   executor.blockchain.head.block_hash,
+                   table_digest(executor.store.snapshot()))
+    assert executor.state_digest() == state
+    return (executor.store.snapshot(), state,
             [(record.result_digest, tuple(record.undo))
              for record in records if record is not None])
 
@@ -652,8 +658,9 @@ def test_a_shared_memo_changes_nothing_an_executor_does(count, steps):
     """Property: executors sharing one memo, driven through any
     interleaving of executes (by one executor or by all), transferred
     tables, resyncs, rollbacks at or above the pruned mark and prunes,
-    hold the tables, result digests and undo logs the same executors hold
-    with a private memo each."""
+    hold the tables, state digests, result digests and undo logs the same
+    executors hold with a private memo each, and every state digest is
+    that of the table its store holds."""
     initial = {"a": "0", "b": "0"}
 
     def executors():
@@ -690,6 +697,35 @@ def test_four_replicas_execute_each_batch_once():
     assert len({id(record.undo) for record in records}) == 1
     assert all(executor.store.snapshot() == {"a": "1", "b": "0"}
                for executor in executors)
+
+
+def test_a_table_is_hashed_once_per_version(monkeypatch):
+    """Four executors at one version hash their table once for their state
+    digests; one that diverged hashes its own; a stable checkpoint lets go
+    of the digests of the tables at or below it."""
+    hashed = []
+    snapshot_digest = KeyValueStore.snapshot_digest
+
+    def counted(store):
+        hashed.append(store)
+        return snapshot_digest(store)
+
+    monkeypatch.setattr(KeyValueStore, "snapshot_digest", counted)
+    memo = ExecutionMemo()
+    executors = [SpeculativeExecutor(KeyValueStore({"b": "0"}), Blockchain("r"))
+                 for _ in range(4)]
+    for executor in executors:
+        executor.share(memo)
+        executor.execute(0, 0, _MEMO_BATCHES[0])
+    assert len({executor.state_digest() for executor in executors}) == 1
+    assert len(hashed) == 1
+    for executor in executors:
+        executor.execute(1, 0, _MEMO_BATCHES[1 if executor is executors[0] else 2])
+    assert len({executor.state_digest() for executor in executors}) == 2
+    assert len(hashed) == 3
+    for executor in executors:
+        executor.prune_before(1)
+    assert memo.tables == {}
 
 
 def test_a_rollback_across_a_transferred_table_takes_a_fresh_version():

@@ -426,6 +426,65 @@ class TestSimulatorTimers:
         assert sim.processed_events == 0
 
 
+class _LazyOnly(Simulator):
+    """The simulator with compaction off: a cancelled entry stays in the
+    heap until it is due."""
+
+    __slots__ = ()
+
+    def _compact(self) -> None:
+        pass
+
+
+class TestCancelledTimersCompact:
+    """Once cancelled entries outnumber live ones in a heap of at least
+    ``COMPACT_MIN_ENTRIES``, the heap is rebuilt without them."""
+
+    @staticmethod
+    def _cancel_storm(sim):
+        """1,000 re-armed timers (each cancelling the last), a live timer
+        every tenth, a broadcast every fiftieth, and a timer that is
+        cancelled after it fired; returns the heap size after arming, the
+        firing log and the end state."""
+        rec = _Recorder(sim)
+        fired = sim.schedule(0.0, rec.note("fired"))
+        sim.run_until_idle()
+        fired.cancel()  # its sequence number stays in the cancel table
+        armed = None
+        for i in range(1000):
+            if armed is not None:
+                armed.cancel()
+            armed = sim.schedule(50.0 + i % 7, rec.note(f"pacemaker{i}"))
+            if i % 10 == 0:
+                sim.schedule((i * 37 % 101) / 10, rec.note(f"live{i}"))
+            if i % 50 == 0:
+                sim.post_fanout([i / 100, 3.0, 1.5], _targets("a", "b", "c"),
+                                rec.deliver, f"x{i}", "m")
+        armed_entries = sim.pending_events
+        sim.run_until_idle()
+        return armed_entries, rec.log, sim.now, sim.processed_events
+
+    def test_a_thousand_cancelled_timers_compact(self):
+        compacted, log, now, processed = self._cancel_storm(Simulator())
+        lazy, lazy_log, lazy_now, lazy_processed = self._cancel_storm(_LazyOnly())
+        assert lazy == 1000 + 100 + 20
+        # Live: 100 timers, 20 broadcasts, the last pacemaker; at most as
+        # many dead entries again.
+        assert compacted <= 2 * (100 + 20 + 1)
+        assert (log, now, processed) == (lazy_log, lazy_now, lazy_processed)
+        assert log[-1] == ("pacemaker999", 50.0 + 999 % 7)
+        assert processed == 1 + 100 + 20 * 3 + 1
+
+    def test_a_small_heap_is_not_compacted(self):
+        sim = Simulator()
+        for _ in range(40):
+            sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule(2.0, lambda: None)
+        assert sim.pending_events == 41
+        sim.run_until_idle()
+        assert sim.processed_events == 1
+
+
 class TestNetworkConditions:
     def test_delay_includes_latency(self):
         conditions = NetworkConditions(latency_ms=5.0, jitter_ms=0.0,

@@ -147,8 +147,14 @@ class TestRealExecutionPaysForEachTransactionOnce:
                 name, getattr(SignatureScheme, name)))
         monkeypatch.setattr(ZipfianGenerator, "sample_many", counting(
             "sample_many", ZipfianGenerator.sample_many))
-        monkeypatch.setattr(execution, "result_digest", counting(
-            "result_digest", execution.result_digest))
+        result_digests = counting("result_digests", execution.result_digests)
+
+        def counting_results(outcomes):
+            # One call per batch; each outcome in it is one result hashed.
+            calls["result_digest"] += len(outcomes)
+            return result_digests(outcomes)
+
+        monkeypatch.setattr(execution, "result_digests", counting_results)
         shared_digest.cache_clear()
         cluster = Cluster(ClusterConfig(
             protocol="poe-mac", num_replicas=4, batch_size=20, total_batches=10,
@@ -167,14 +173,15 @@ class TestRealExecutionPaysForEachTransactionOnce:
         and a draw per rank).  No replica hashes a transaction again: the
         digest each was signed over is its memo.  Each transaction's result
         is hashed once for the whole cluster: the first replica to execute
-        a batch folds its 20 result digests, the other three find the fold
-        in the execution memo (before it, each replica hashed or looked up every
-        transaction's result: 800 calls).  Batches and their result folds
+        a batch hashes its 20 results in one ``result_digests`` call and
+        folds them, the other three find the fold in the execution memo
+        (before it, each replica hashed or looked up every transaction's
+        result: 800 calls).  Batches and their result folds
         go through the fixed-shape encoder, never the generic one."""
         _, calls, _ = counted_run
         assert calls == {"sample_many": 10, "transaction_digests": 10,
                          "sign_digests": 10, "batch": 10, "results": 10,
-                         "result_digest": 200}
+                         "result_digests": 10, "result_digest": 200}
 
     def test_replicas_share_each_result_digest(self, counted_run):
         """Distinct values through the two memos: the proposal and block
