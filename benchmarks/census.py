@@ -126,9 +126,7 @@ KEPT: Dict[str, str] = {
         "rolls back real writes, which no entry point does before the matrix-executes item",
     "repro.ledger.store:result_digest":
         "one transaction's result_digests, what GOLDEN_BYTES and the fixed-shape tests state",
-    "repro.net.byzantine:MessageDelayer.__init__":
-        "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
-    "repro.net.byzantine:MessageDelayer.transform":
+    "repro.net.byzantine:MessageDelayer.rewrite":
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
     "repro.net.byzantine:MessageReplayer.__init__":
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
@@ -138,10 +136,10 @@ KEPT: Dict[str, str] = {
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
     "repro.net.byzantine:StaleCertifier.bind":
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
-    "repro.net.byzantine:StaleCertifier.transform":
+    "repro.net.byzantine:StaleCertifier.rewrite":
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
     "repro.net.byzantine:ForgedHistoryReplica._forged_commit_certificate":
-        "the forged Zyzzyva certificate of the forge_certificates variant, which tests run",
+        "the forged Zyzzyva certificate of the forge-certificates key, which tests run",
     "repro.net.conditions:LatencyTopology.min_latency_ms":
         "the lookahead under a topology; no sharded entry point sets one, a property test pins it",
     "repro.net.conditions:NetworkConditions.override_link":
@@ -228,7 +226,6 @@ CONFIG_CLASSES: Tuple[str, ...] = (
     "repro.fabric.sharding:ShardedClusterConfig",
     "repro.fabric.modelcheck:ModelCheckConfig",
     "repro.fabric.experiments:ExperimentConfig",
-    "repro.fabric.scenarios:ScenarioParams",
     "repro.protocols.base:NodeConfig",
     "repro.workload.ycsb:YcsbConfig",
 )
@@ -238,9 +235,6 @@ CONFIG_CLASSES: Tuple[str, ...] = (
 KEPT_FIELDS: Dict[str, str] = {
     "repro.fabric.sharding:ShardedClusterConfig.num_replicas":
         "replicas per shard; fault_matrix.py --replicas sets it and the sharded tests vary it",
-    "repro.fabric.sharding:ShardedClusterConfig.shard_byzantine":
-        "a per-shard recipe's one Byzantine spec, which sharded_cluster_config maps; "
-        "no xshard scenario names one yet",
     "repro.fabric.modelcheck:ModelCheckConfig.num_replicas":
         "an n=3 cell tolerates no fault; the minimisation test builds one",
     "repro.fabric.modelcheck:ModelCheckConfig.request_timeout_ms":
@@ -251,8 +245,6 @@ KEPT_FIELDS: Dict[str, str] = {
         "check() caps it to minimise a violation, which no pinned cell has; a test does",
     "repro.fabric.modelcheck:ModelCheckConfig.expect_stall":
         "marks a cell that crashes more than f replicas; the stall test sets it",
-    "repro.fabric.scenarios:ScenarioParams.num_replicas":
-        "fault_matrix.py --replicas sets it; the n=7 and n=32 tests vary it",
     "repro.workload.ycsb:YcsbConfig.write_fraction":
         "the YCSB mix (paper: 90 % writes); the workload tests vary it",
     "repro.workload.ycsb:YcsbConfig.zipf_theta":
@@ -500,6 +492,19 @@ def iter_fields() -> Iterator[str]:
 def field_count() -> int:
     """Field definitions across :data:`CONFIG_CLASSES` (CI prints it)."""
     return sum(1 for _ in iter_fields())
+
+
+def option_count() -> int:
+    """Settable behaviour options: the parameters of every factory in
+    ``repro.net.byzantine.BEHAVIORS`` (CI prints it)."""
+    import inspect
+
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    from repro.net.byzantine import BEHAVIORS
+
+    return sum(len(inspect.signature(factory).parameters)
+               for factory in BEHAVIORS.values())
 
 
 def _longest_first(item: Tuple[str, List[List[str]]]) -> int:

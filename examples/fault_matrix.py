@@ -56,11 +56,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.fabric.scenarios import (
     BY_DESIGN_GROWTH,
+    MATRIX_DEPLOYMENT,
     MATRIX_PROTOCOLS,
     SCENARIO_DEFS,
     SHARDED_MATRIX_PROTOCOLS,
     SHARDED_SCENARIOS,
-    ScenarioParams,
+    SOAK_DEPLOYMENT,
     default_matrix_scenarios,
     format_matrix,
     run_matrix,
@@ -72,20 +73,18 @@ from repro.fabric.scenarios import (
 
 def run_soak_sweep(protocols, scenarios, steps: int, seed: int) -> int:
     """Long-horizon soak over the selected cells; non-zero on any leak."""
-    from repro.fabric.scenarios import soak_params
-
+    base = dataclasses.replace(SOAK_DEPLOYMENT, seed=seed)
     failures = 0
     for protocol in protocols:
         for scenario in scenarios:
-            params = soak_params(steps, seed=seed)
-            report = run_soak(protocol, scenario, steps=steps, params=params)
+            report = run_soak(protocol, scenario, steps=steps, base=base)
             baseline = report.samples[1] if len(report.samples) > 1 \
                 else report.samples[0]
             final = report.samples[-1]
             # Reply-state GC runs on a time horizon (32 timeouts); a run
             # that never crosses two of those windows cannot tell a leak
             # from a not-yet-pruned map.
-            window_ms = 32 * params.request_timeout_ms
+            window_ms = 32 * base.request_timeout_ms
             if final.now_ms < 2 * window_ms:
                 print(f"{protocol:>10} × {scenario:<22} SKIP  run spans "
                       f"{final.now_ms:.0f}ms < two retention windows "
@@ -116,7 +115,7 @@ def run_soak_sweep(protocols, scenarios, steps: int, seed: int) -> int:
     return 0
 
 
-def outcome_table(outcomes, params: ScenarioParams) -> dict:
+def outcome_table(outcomes, base) -> dict:
     """The machine-readable form of one matrix sweep."""
     def row(outcome) -> dict:
         cell = {field.name: getattr(outcome, field.name)
@@ -126,9 +125,9 @@ def outcome_table(outcomes, params: ScenarioParams) -> dict:
         return cell
 
     return {
-        "n": params.num_replicas,
-        "batches": params.total_batches,
-        "seed": params.seed,
+        "n": base.num_replicas,
+        "batches": base.total_batches,
+        "seed": base.seed,
         "cells": [row(outcome) for outcome in outcomes],
     }
 
@@ -173,11 +172,14 @@ def diff_against_expected(table: dict, expected_path: str) -> list:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--replicas", type=int, default=4,
-                        help="replicas per cluster (default 4)")
-    parser.add_argument("--batches", type=int, default=20,
-                        help="client batch budget per cell (default 20)")
-    parser.add_argument("--seed", type=int, default=11, help="base RNG seed")
+    parser.add_argument("--replicas", type=int,
+                        default=MATRIX_DEPLOYMENT.num_replicas,
+                        help="replicas per cluster (default %(default)s)")
+    parser.add_argument("--batches", type=int,
+                        default=MATRIX_DEPLOYMENT.total_batches,
+                        help="client batch budget per cell (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=MATRIX_DEPLOYMENT.seed,
+                        help="base RNG seed (default %(default)s)")
     parser.add_argument("--protocols", nargs="*", default=list(MATRIX_PROTOCOLS),
                         help=f"protocol keys (default: {' '.join(MATRIX_PROTOCOLS)})")
     parser.add_argument("--scenarios", nargs="*", default=None,
@@ -245,10 +247,10 @@ def main(argv=None) -> int:
         return run_soak_sweep(args.protocols, args.scenarios,
                               steps=args.soak, seed=args.seed)
 
-    params = ScenarioParams(num_replicas=args.replicas,
-                            total_batches=args.batches, seed=args.seed)
-    outcomes = run_matrix(args.protocols, args.scenarios, params)
-    table = outcome_table(outcomes, params)
+    base = dataclasses.replace(MATRIX_DEPLOYMENT, num_replicas=args.replicas,
+                               total_batches=args.batches, seed=args.seed)
+    outcomes = run_matrix(args.protocols, args.scenarios, base)
+    table = outcome_table(outcomes, base)
 
     print(f"Fault matrix (n={args.replicas}, {args.batches} batches/cell, "
           f"seed {args.seed}) — every cell audited for safety")

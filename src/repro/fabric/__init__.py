@@ -17,10 +17,10 @@ from repro.fabric.audit import (
     audit_cluster,
 )
 from repro.fabric.scenarios import (
+    MATRIX_DEPLOYMENT,
     MATRIX_PROTOCOLS,
     SCENARIO_DEFS,
     ScenarioOutcome,
-    ScenarioParams,
     format_matrix,
     run_matrix,
     run_scenario,
@@ -48,10 +48,10 @@ __all__ = [
     "SafetyAuditor",
     "SafetyViolation",
     "audit_cluster",
+    "MATRIX_DEPLOYMENT",
     "MATRIX_PROTOCOLS",
     "SCENARIO_DEFS",
     "ScenarioOutcome",
-    "ScenarioParams",
     "format_matrix",
     "run_matrix",
     "run_scenario",

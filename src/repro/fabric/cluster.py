@@ -100,10 +100,10 @@ class CollectorPaused:
 
 
 def attach_byzantine(network: SimNetwork, node_id: str, behavior_name: str,
-                     seed: int, **options) -> ByzantineBehavior:
+                     seed: int) -> ByzantineBehavior:
     """Make *node_id* on *network* Byzantine: its outgoing traffic is
     routed through a fresh *behavior_name* behaviour seeded with *seed*."""
-    behavior = make_behavior(behavior_name, **options)
+    behavior = make_behavior(behavior_name)
     network.set_byzantine(node_id, behavior, seed=seed)
     return behavior
 
@@ -215,7 +215,7 @@ class Cluster:
         self.network = SimNetwork(
             self.simulator,
             conditions=config.conditions or NetworkConditions.lan(seed=config.seed),
-            faults=config.faults or FaultSchedule.none(),
+            faults=config.faults,
         )
         self.node_config = NodeConfig(
             replica_ids=config.replica_ids(),
@@ -341,7 +341,7 @@ class Cluster:
                 # and ``join_epoch`` keeps them passive (no primary
                 # suspicion) while they bootstrap via state transfer.
                 replica.join_epoch = join_epoch
-                self.network.faults.add_crash(
+                self.network.own_faults().add_crash(
                     rid, at_ms=0.0, until_ms=self._join_times[rid])
             self.replicas.append(replica)
             self.network.add_replica(replica)
@@ -374,7 +374,7 @@ class Cluster:
             seed = self.config.seed if offset == 0 \
                 else self.config.seed + 7919 * offset
             behavior = attach_byzantine(self.network, self.byzantine_ids[offset],
-                                        spec.behavior, seed, **spec.options)
+                                        spec.behavior, seed)
             behavior.playbook = playbook
 
     def _batch_source_for(self, pool_id: str) -> Optional[BatchSource]:

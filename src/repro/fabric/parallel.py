@@ -46,8 +46,8 @@ from repro.fabric.audit import WireRecord, attach_recorder
 from repro.fabric.cluster import CollectorPaused
 from repro.fabric.registry import get_spec
 from repro.fabric.scenarios import (
+    MATRIX_DEPLOYMENT,
     SHARDED_SCENARIOS,
-    ScenarioParams,
     sharded_cluster_config,
 )
 from repro.fabric.sharding import (
@@ -314,8 +314,8 @@ def _smoke_config(scenario: str, num_shards: int, seed: int, total_batches: int,
     sdef = dataclasses.replace(
         SHARDED_SCENARIOS[scenario], num_shards=num_shards,
         cross_shard_fraction=cross_shard_fraction)
-    return sharded_cluster_config(
-        "poe-mac", sdef, ScenarioParams(total_batches=total_batches, seed=seed))
+    return sharded_cluster_config("poe-mac", sdef, dataclasses.replace(
+        MATRIX_DEPLOYMENT, total_batches=total_batches, seed=seed))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

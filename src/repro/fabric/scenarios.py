@@ -3,8 +3,11 @@
 The ROADMAP's north star asks for "as many scenarios as you can
 imagine"; this module is the harness that makes those scenarios cheap to
 add and impossible to run without a safety check.  A *scenario* is a
-named recipe producing a fault schedule and/or a Byzantine behaviour for
-a deployment; :func:`run_scenario` wires it into a cluster, attaches the
+named recipe that maps a deployment (a
+:class:`~repro.fabric.cluster.ClusterConfig`, by default
+:data:`MATRIX_DEPLOYMENT`) to the same deployment with its fault
+schedule, Byzantine replicas, network or reconfiguration plan;
+:func:`run_scenario` builds that cluster, attaches the
 :class:`~repro.fabric.audit.SafetyAuditor`, runs to completion (or a
 virtual-time bound, for combinations that are expected to stall) and
 returns a structured outcome.
@@ -31,17 +34,11 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.fabric.audit import AuditReport, SafetyAuditor, ShardedSafetyAuditor
-from repro.fabric.cluster import (
-    Cluster,
-    ClusterConfig,
-    ReconfigPlan,
-    ReconfigStep,
-    replica_id,
-)
+from repro.fabric.cluster import Cluster, ClusterConfig, ReconfigPlan, ReconfigStep
 from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig, coordinator_id
 from repro.net.byzantine import ByzantineSpec
 from repro.net.conditions import DriftPhase, LatencyTopology, NetworkConditions
@@ -55,59 +52,21 @@ MATRIX_PROTOCOLS: Tuple[str, ...] = (
 )
 
 
-@dataclass
-class ScenarioParams:
-    """Deployment knobs shared by every scenario run.
+#: The deployment every matrix cell starts from: n = 4, 10-transaction
+#: batches with 4 in flight, 20 of them, a 100 ms timeout and a checkpoint
+#: every 5 slots.  A cell is this with its protocol and its recipe applied;
+#: ``fault_matrix.py --replicas/--batches/--seed`` and the tests replace
+#: fields of it.
+MATRIX_DEPLOYMENT = ClusterConfig(
+    num_replicas=4, batch_size=10, client_outstanding=4, total_batches=20,
+    request_timeout_ms=100.0, checkpoint_interval=5, seed=11)
 
-    ``namespace`` makes a recipe shard-aware: a sharded scenario re-runs a
-    single-group recipe with ``namespace="s2/"`` and every replica id the
-    recipe derives lands inside shard 2 — the whole single-group scenario
-    library is reusable per shard without modification.
-    """
-
-    num_replicas: int = 4
-    total_batches: int = 20
-    request_timeout_ms: float = 100.0
-    max_ms: float = 60_000.0
-    seed: int = 11
-    namespace: str = ""
-
-    #: Batch size, batches in flight, checkpoint interval: constants, not fields.
-    batch_size = 10
-    client_outstanding = 4
-    checkpoint_interval = 5
-
-    @property
-    def f(self) -> int:
-        return (self.num_replicas - 1) // 3
-
-    def replica(self, index: int) -> str:
-        """Namespaced replica identifier for *index*."""
-        return self.namespace + replica_id(index)
-
-
-@dataclass
-class ScenarioPlan:
-    """What one scenario asks of a deployment; every field is optional.
-
-    ``num_replicas`` and ``total_batches`` override the
-    :class:`ScenarioParams` values: the colluding scenarios need n = 7 so
-    a two-member cabal stays within f, and the reconfiguration scenarios
-    need enough batches left *after* the record lands for the activation
-    boundary to be reached on every protocol (Zyzzyva speculatively orders
-    the default 20 in under 10 ms).
-    """
-
-    faults: Optional[FaultSchedule] = None
-    #: One spec per corrupted replica; a cabal lists its co-conspirators.
-    byzantine: Tuple[ByzantineSpec, ...] = ()
-    conditions: Optional[NetworkConditions] = None
-    reconfig: Optional[ReconfigPlan] = None
-    num_replicas: Optional[int] = None
-    total_batches: Optional[int] = None
-
-
-ScenarioRecipe = Callable[[ScenarioParams], ScenarioPlan]
+#: A recipe maps a deployment to the deployment its scenario describes:
+#: ``dataclasses.replace(base, faults=..., byzantine=..., ...)``.  Replica
+#: ids come from ``base.replica_ids()``, so a recipe run on a shard's
+#: namespace (``namespace="s2/"``) names shard 2's replicas: the whole
+#: single-group library is reusable per shard without modification.
+ScenarioRecipe = Callable[[ClusterConfig], ClusterConfig]
 
 
 @dataclass(frozen=True)
@@ -117,7 +76,6 @@ class ScenarioDef:
     name: str
     recipe: ScenarioRecipe
     description: str = ""
-    tier: str = "core"  # "core" | "adaptive" | "reconfig" | "topology"
 
 
 #: The scenario registry, populated by :func:`register_scenario` in
@@ -125,171 +83,155 @@ class ScenarioDef:
 SCENARIO_DEFS: Dict[str, ScenarioDef] = {}
 
 
-def register_scenario(name: str, description: str = "",
-                      tier: str = "core") -> Callable[[ScenarioRecipe], ScenarioRecipe]:
+def register_scenario(name: str, description: str = ""
+                      ) -> Callable[[ScenarioRecipe], ScenarioRecipe]:
     """Register a scenario recipe under *name* (decorator)."""
 
     def wrap(recipe: ScenarioRecipe) -> ScenarioRecipe:
         SCENARIO_DEFS[name] = ScenarioDef(
-            name=name, recipe=recipe, description=description, tier=tier)
+            name=name, recipe=recipe, description=description)
         return recipe
 
     return wrap
 
 
-@register_scenario("no-fault", "clean run, LAN conditions", tier="core")
-def _no_fault(params: ScenarioParams):
-    return ScenarioPlan()
+def _f(base: ClusterConfig) -> int:
+    return (base.num_replicas - 1) // 3
 
 
-@register_scenario("backup-crash", "one backup crashes at start", tier="core")
-def _backup_crash(params: ScenarioParams):
+@register_scenario("no-fault", "clean run, LAN conditions")
+def _no_fault(base: ClusterConfig) -> ClusterConfig:
+    return base
+
+
+@register_scenario("backup-crash", "one backup crashes at start")
+def _backup_crash(base: ClusterConfig) -> ClusterConfig:
     # The paper's standard single-backup-failure configuration.
-    victim = params.replica(params.num_replicas - 1)
-    return ScenarioPlan(
-        faults=FaultSchedule.single_backup_crash(victim, at_ms=0.0))
+    return replace(base, faults=FaultSchedule.single_backup_crash(
+        base.replica_ids()[-1], at_ms=0.0))
 
 
-@register_scenario("primary-crash", "primary crashes mid-workload; view change required", tier="core")
-def _primary_crash(params: ScenarioParams):
+@register_scenario("primary-crash", "primary crashes mid-workload; view change required")
+def _primary_crash(base: ClusterConfig) -> ClusterConfig:
     # Crash the primary with most of the workload still outstanding, so
     # recovery requires a view change (paper, Figure 10).
-    return ScenarioPlan(
-        faults=FaultSchedule.primary_crash(params.replica(0), at_ms=2.0))
+    return replace(base, faults=FaultSchedule.primary_crash(
+        base.replica_ids()[0], at_ms=2.0))
 
 
-@register_scenario("dark-replicas", "malicious primary keeps f replicas in the dark", tier="core")
-def _dark_replicas(params: ScenarioParams):
+@register_scenario("dark-replicas", "malicious primary keeps f replicas in the dark")
+def _dark_replicas(base: ClusterConfig) -> ClusterConfig:
     # A malicious primary keeps f replicas in the dark (paper, Example 3
     # case 2); they must catch up through checkpoint state transfer.
-    dark = [params.replica(i) for i in
-            range(params.num_replicas - params.f, params.num_replicas)]
-    return ScenarioPlan(
-        faults=FaultSchedule().add_dark_replicas(params.replica(0), dark))
+    ids = base.replica_ids()
+    return replace(base, faults=FaultSchedule().add_dark_replicas(
+        ids[0], ids[len(ids) - _f(base):]))
 
 
-@register_scenario("equivocate", "primary equivocates with forged votes", tier="core")
-def _equivocate(params: ScenarioParams):
+@register_scenario("equivocate", "primary equivocates with forged votes")
+def _equivocate(base: ClusterConfig) -> ClusterConfig:
     # The primary proposes conflicting batches to disjoint halves and
     # fabricates the dark half's votes under forged identities.
-    return ScenarioPlan(
-        byzantine=(ByzantineSpec(behavior="equivocate-spoof", replica_index=0),))
+    return replace(base, byzantine=(ByzantineSpec("equivocate-spoof", 0),))
 
 
-@register_scenario("partition-heal", "f replicas partitioned away, then healed", tier="core")
-def _partition_heal(params: ScenarioParams):
+@register_scenario("partition-heal", "f replicas partitioned away, then healed")
+def _partition_heal(base: ClusterConfig) -> ClusterConfig:
     # Sever f replicas from the majority for a window, then heal; the
     # majority retains an nf quorum throughout.
-    minority = [params.replica(i) for i in
-                range(params.num_replicas - params.f, params.num_replicas)]
-    majority = [params.replica(i) for i in
-                range(params.num_replicas - params.f)]
-    faults = FaultSchedule().add_partition(majority, minority,
-                                           at_ms=50.0, until_ms=600.0)
-    return ScenarioPlan(faults=faults)
+    ids = base.replica_ids()
+    split = len(ids) - _f(base)
+    return replace(base, faults=FaultSchedule().add_partition(
+        ids[:split], ids[split:], at_ms=50.0, until_ms=600.0))
 
 
-@register_scenario("forge-history", "backup forges view-change histories below the anchor", tier="core")
-def _forge_history(params: ScenarioParams):
+@register_scenario("forge-history", "backup forges view-change histories below the anchor")
+def _forge_history(base: ClusterConfig) -> ClusterConfig:
     # Replica-level: a backup forges view-change histories below the
     # durable anchor (and, for Zyzzyva, fabricates the POM that starts the
-    # view change).  The last replica is partitioned away for an initial
-    # window, so when the forged view change fires right after the heal a
-    # lagging honest replica exists that has not yet heard enough
-    # checkpoint votes to self-heal — the exact shape the forged
-    # sub-anchor entries prey on.  The window is bounded (unlike a
-    # permanent double-dark link, which would silence half of HotStuff's
-    # leadership line and push every protocol outside the fault model the
-    # matrix is designed around).
-    lagging = [params.replica(params.num_replicas - 1)]
-    rest = [params.replica(i) for i in range(params.num_replicas - 1)]
-    window_ms = params.request_timeout_ms * 1.5
-    faults = FaultSchedule().add_partition(rest, lagging,
-                                           at_ms=0.0, until_ms=window_ms)
-    return ScenarioPlan(faults=faults, byzantine=(ByzantineSpec(
-        behavior="forge-history", replica_index=2,
-        options={"pom_at_ms": window_ms},
-    ),))
+    # view change once the partition heals).  The last replica is
+    # partitioned away for an initial window, so when the forged view
+    # change fires right after the heal a lagging honest replica exists
+    # that has not yet heard enough checkpoint votes to self-heal — the
+    # exact shape the forged sub-anchor entries prey on.  The window is
+    # bounded (unlike a permanent double-dark link, which would silence
+    # half of HotStuff's leadership line and push every protocol outside
+    # the fault model the matrix is designed around).
+    ids = base.replica_ids()
+    faults = FaultSchedule().add_partition(
+        ids[:-1], ids[-1:], at_ms=0.0, until_ms=base.request_timeout_ms * 1.5)
+    return replace(base, faults=faults,
+                   byzantine=(ByzantineSpec("forge-history", 2),))
 
 
-@register_scenario("lying-checkpoint", "backup poisons state transfers and fabricates checkpoints", tier="core")
-def _lying_checkpoint(params: ScenarioParams):
+@register_scenario("lying-checkpoint", "backup poisons state transfers and fabricates checkpoints")
+def _lying_checkpoint(base: ClusterConfig) -> ClusterConfig:
     # Replica-level: an up-to-date backup poisons the state transfers it
     # serves and pushes fabricated future checkpoints at every peer; the
     # dark replica guarantees real transfer traffic exists to poison.
-    dark = [params.replica(params.num_replicas - 1)]
-    faults = FaultSchedule().add_dark_replicas(params.replica(0), dark)
-    return ScenarioPlan(faults=faults, byzantine=(ByzantineSpec(
-        behavior="lying-checkpoint", replica_index=1),))
+    ids = base.replica_ids()
+    return replace(base, faults=FaultSchedule().add_dark_replicas(ids[0], ids[-1:]),
+                   byzantine=(ByzantineSpec("lying-checkpoint", 1),))
 
 
-@register_scenario("wrong-exec", "backup executes a fabricated batch and must resync", tier="core")
-def _wrong_exec(params: ScenarioParams):
+@register_scenario("wrong-exec", "backup executes a fabricated batch and must resync")
+def _wrong_exec(base: ClusterConfig) -> ClusterConfig:
     # Replica-level: one backup executes a fabricated batch at one slot —
     # same height as the quorum, divergent state — and must detect the
     # stable checkpoint contradicting its own digest and resync.
-    return ScenarioPlan(
-        byzantine=(ByzantineSpec(behavior="wrong-exec", replica_index=2),))
+    return replace(base, byzantine=(ByzantineSpec("wrong-exec", 2),))
 
 
-@register_scenario("adaptive-primary", "adversary re-targets whoever is primary now", tier="adaptive")
-def _adaptive_primary(params: ScenarioParams):
+@register_scenario("adaptive-primary", "adversary re-targets whoever is primary now")
+def _adaptive_primary(base: ClusterConfig) -> ClusterConfig:
     # Adaptive: a backup partitions whoever is primary *now*, re-targeting
     # after each view change it observes through its own replica's state.
-    # The partition windows are bounded (1.5 timeouts: long enough that
-    # honest replicas suspect the isolated primary, short enough that the
-    # deposed primary rejoins as a backup), and the attack budget is two
-    # primaries, so the third view's primary runs unmolested.
-    return ScenarioPlan(byzantine=(ByzantineSpec(
-        behavior="adaptive-primary", replica_index=2,
-        options={"window_ms": params.request_timeout_ms * 1.5},
-    ),))
+    # The partition windows are bounded (1.5 timeouts), and the attack
+    # budget is two primaries, so the third view's primary runs unmolested.
+    return replace(base, byzantine=(ByzantineSpec("adaptive-primary", 2),))
 
 
-@register_scenario("checkpoint-equivocate", "equivocation aimed at checkpoint boundaries", tier="adaptive")
-def _checkpoint_equivocate(params: ScenarioParams):
+@register_scenario("checkpoint-equivocate", "equivocation aimed at checkpoint boundaries")
+def _checkpoint_equivocate(base: ClusterConfig) -> ClusterConfig:
     # Adaptive: the primary equivocates only on the last two slots before
     # each checkpoint boundary — the exact window where a divergent batch
     # would be laundered into a stable checkpoint if checkpoint votes did
     # not require f + 1 matching digests.
-    return ScenarioPlan(byzantine=(ByzantineSpec(
-        behavior="checkpoint-equivocate", replica_index=0),))
+    return replace(base, byzantine=(ByzantineSpec("checkpoint-equivocate", 0),))
 
 
-@register_scenario("timeout-stall", "quorum-critical view-change vote withheld to the deadline", tier="adaptive")
-def _timeout_stall(params: ScenarioParams):
+@register_scenario("timeout-stall", "quorum-critical view-change vote withheld to the deadline")
+def _timeout_stall(base: ClusterConfig) -> ClusterConfig:
     # Adaptive: the primary crashes, and one backup withholds its
     # VIEW-CHANGE vote until just before the honest replicas' retry
     # deadline — riding the exponential backoff schedule it reads off its
     # own replica.  With n = 4 the stalled vote is quorum-critical, so
     # recovery is delayed by almost a full retry period but must still
     # complete (the stall budget is bounded).
-    faults = FaultSchedule.primary_crash(params.replica(0), at_ms=2.0)
-    return ScenarioPlan(faults=faults, byzantine=(ByzantineSpec(
-        behavior="timeout-stall", replica_index=2),))
+    return replace(base,
+                   faults=FaultSchedule.primary_crash(base.replica_ids()[0], at_ms=2.0),
+                   byzantine=(ByzantineSpec("timeout-stall", 2),))
 
 
-@register_scenario("churn", "bounded leave/rejoin membership churn", tier="reconfig")
-def _churn(params: ScenarioParams):
+@register_scenario("churn", "bounded leave/rejoin membership churn")
+def _churn(base: ClusterConfig) -> ClusterConfig:
     # Membership churn: bounded leave/rejoin windows.  A backup leaves
     # almost immediately and the primary follows, so the cluster drops to
     # n - 2 live replicas (below quorum — progress stalls) until the
     # backup rejoins mid-view-change; the deposed primary rejoins last,
     # behind both the view and the checkpoint horizon, and must catch up
     # through deferred messages and checkpoint state transfer.
-    timeout = params.request_timeout_ms
+    ids, timeout = base.replica_ids(), base.request_timeout_ms
     faults = (FaultSchedule()
-              .add_crash(params.replica(params.num_replicas - 1),
-                         at_ms=5.0, until_ms=5.0 + 0.9 * timeout)
-              .add_crash(params.replica(0), at_ms=2.0,
-                         until_ms=2.0 + 1.6 * timeout))
-    return ScenarioPlan(faults=faults)
+              .add_crash(ids[-1], at_ms=5.0, until_ms=5.0 + 0.9 * timeout)
+              .add_crash(ids[0], at_ms=2.0, until_ms=2.0 + 1.6 * timeout))
+    return replace(base, faults=faults)
 
 
 GEO_REGIONS: Tuple[str, ...] = ("us-east", "eu-west", "ap-south")
 
 
-def geo_topology(params: ScenarioParams) -> LatencyTopology:
+def geo_topology(base: ClusterConfig) -> LatencyTopology:
     """Three-region WAN topology with a scheduled mid-run drift.
 
     Replicas round-robin across three regions; links are directional (and
@@ -297,8 +239,8 @@ def geo_topology(params: ScenarioParams) -> LatencyTopology:
     latency early in the run, then eases off while tripling one specific
     link, then heals — all deterministic functions of virtual time.
     """
-    regions = {params.replica(i): GEO_REGIONS[i % len(GEO_REGIONS)]
-               for i in range(params.num_replicas)}
+    regions = {rid: GEO_REGIONS[i % len(GEO_REGIONS)]
+               for i, rid in enumerate(base.replica_ids())}
     return LatencyTopology(
         regions=regions,
         intra_ms=0.3,
@@ -320,21 +262,20 @@ def geo_topology(params: ScenarioParams) -> LatencyTopology:
     )
 
 
-@register_scenario("geo-drift", "three-region WAN with scheduled latency drift", tier="topology")
-def _geo_drift(params: ScenarioParams):
+@register_scenario("geo-drift", "three-region WAN with scheduled latency drift")
+def _geo_drift(base: ClusterConfig) -> ClusterConfig:
     # Topology: no faults, no Byzantine replica — the adversary is the
     # network itself.  Inter-region latencies double mid-run and one link
     # degrades 3x before healing; the protocols must absorb the drift
     # without spurious view changes turning into safety violations.
-    conditions = NetworkConditions(
+    return replace(base, conditions=NetworkConditions(
         latency_ms=0.5, jitter_ms=0.05, bandwidth_mbps=2000.0,
-        topology=geo_topology(params), seed=params.seed,
-    )
-    return ScenarioPlan(conditions=conditions)
+        topology=geo_topology(base), seed=base.seed,
+    ))
 
 
-@register_scenario("forge-history-vc", "forged history competing inside a real view change", tier="core")
-def _forge_history_vc(params: ScenarioParams):
+@register_scenario("forge-history-vc", "forged history competing inside a real view change")
+def _forge_history_vc(base: ClusterConfig) -> ClusterConfig:
     # The forged-history corner, aimed at the view change itself: the
     # partition creates a lagging honest replica, and the primary crashes
     # permanently the moment the partition heals — so every protocol runs
@@ -343,115 +284,106 @@ def _forge_history_vc(params: ScenarioParams):
     # against honest requests while one participant is still behind.
     # Support-ranked selection must keep the forged sub-anchor entries
     # out of the adopted prefix.
-    lagging = [params.replica(params.num_replicas - 1)]
-    rest = [params.replica(i) for i in range(params.num_replicas - 1)]
-    window_ms = params.request_timeout_ms * 1.5
+    ids = base.replica_ids()
+    window_ms = base.request_timeout_ms * 1.5
     faults = (FaultSchedule()
-              .add_partition(rest, lagging, at_ms=0.0, until_ms=window_ms)
-              .add_crash(params.replica(0), at_ms=window_ms))
-    return ScenarioPlan(faults=faults, byzantine=(ByzantineSpec(
-        behavior="forge-history", replica_index=2,
-        options={"pom_at_ms": window_ms},
-    ),))
+              .add_partition(ids[:-1], ids[-1:], at_ms=0.0, until_ms=window_ms)
+              .add_crash(ids[0], at_ms=window_ms))
+    return replace(base, faults=faults,
+                   byzantine=(ByzantineSpec("forge-history", 2),))
 
 
+# The reconfiguration scenarios set total_batches: they need enough
+# batches left *after* the record lands for the activation boundary to be
+# reached on every protocol (Zyzzyva speculatively orders the default 20
+# in under 10 ms).
 
-@register_scenario("epoch-grow", "consensus-committed growth: two fresh replicas join mid-run", tier="reconfig")
-def _epoch_grow(params: ScenarioParams):
+@register_scenario("epoch-grow", "consensus-committed growth: two fresh replicas join mid-run")
+def _epoch_grow(base: ClusterConfig) -> ClusterConfig:
     # Reconfiguration: a signed ReconfigRecord adding two never-before-seen
     # replicas is ordered through the normal batch path and activates at
     # the next checkpoint boundary; the joiners bootstrap via vouched
     # state transfer carrying the epoch log and then vote.  The record is
-    # injected early (2 ms) with 30 batches of runway so every protocol —
-    # including Zyzzyva, which speculatively orders the default workload
-    # in under 10 ms — still has batches left to cross the boundary.
-    n = params.num_replicas
+    # injected early (2 ms) with 30 batches of runway.
+    n = base.num_replicas
     plan = ReconfigPlan(steps=(ReconfigStep(at_ms=2.0, add=(n, n + 1)),))
-    return ScenarioPlan(reconfig=plan, total_batches=30)
+    return replace(base, reconfig=plan, total_batches=30)
 
 
-@register_scenario("epoch-shrink", "grow then shrink back: evicted replicas self-halt at the boundary", tier="reconfig")
-def _epoch_shrink(params: ScenarioParams):
+@register_scenario("epoch-shrink", "grow then shrink back: evicted replicas self-halt at the boundary")
+def _epoch_shrink(base: ClusterConfig) -> ClusterConfig:
     # Two chained reconfigurations: grow n -> n+2, then remove one joiner
     # and one founding member.  The second record must validate against
     # the *post-grow* membership (new_epoch = 2), the evicted replicas
     # self-halt at the activation boundary, and the auditor re-validates
     # every stable checkpoint against the quorum of its epoch.
-    n = params.num_replicas
+    n = base.num_replicas
     plan = ReconfigPlan(steps=(
         ReconfigStep(at_ms=2.0, add=(n, n + 1)),
         ReconfigStep(at_ms=8.0, remove=(n + 1, n - 1)),
     ))
-    return ScenarioPlan(reconfig=plan, total_batches=30)
+    return replace(base, reconfig=plan, total_batches=30)
 
 
-@register_scenario("epoch-under-vc", "primary crashes while a membership change is in flight", tier="reconfig")
-def _epoch_under_vc(params: ScenarioParams):
+@register_scenario("epoch-under-vc", "primary crashes while a membership change is in flight")
+def _epoch_under_vc(base: ClusterConfig) -> ClusterConfig:
     # Reconfiguration under recovery: the primary crashes with most of
     # the workload outstanding, and the grow record arrives while the
     # cluster is (or has just finished) view-changing.  The record must
     # survive the view change — either carried in a new-view history or
     # re-proposed from retransmission — and activate exactly once.
-    n = params.num_replicas
-    faults = FaultSchedule.primary_crash(params.replica(0), at_ms=2.0)
+    n = base.num_replicas
     plan = ReconfigPlan(steps=(ReconfigStep(at_ms=50.0, add=(n, n + 1)),))
-    return ScenarioPlan(faults=faults, reconfig=plan, total_batches=40)
+    return replace(base,
+                   faults=FaultSchedule.primary_crash(base.replica_ids()[0], at_ms=2.0),
+                   reconfig=plan, total_batches=40)
 
 
-@register_scenario("epoch-cycle", "repeated grow/shrink cycles; per-epoch bookkeeping must plateau", tier="reconfig")
-def _epoch_cycle(params: ScenarioParams):
+@register_scenario("epoch-cycle", "repeated grow/shrink cycles; per-epoch bookkeeping must plateau")
+def _epoch_cycle(base: ClusterConfig) -> ClusterConfig:
     # Churn-style reconfiguration: two full grow/shrink cycles, each
     # admitting fresh replica identities and then evicting them.  On a
     # soak run this is the leak check for the epoch registry: the epoch
     # log grows by exactly one entry per activated record and then
     # plateaus — nothing per-epoch may scale with run length.
-    n = params.num_replicas
+    n = base.num_replicas
     plan = ReconfigPlan(steps=(
         ReconfigStep(at_ms=2.0, add=(n, n + 1)),
         ReconfigStep(at_ms=60.0, remove=(n, n + 1)),
         ReconfigStep(at_ms=120.0, add=(n + 2, n + 3)),
         ReconfigStep(at_ms=180.0, remove=(n + 2, n + 3)),
     ))
-    return ScenarioPlan(reconfig=plan, total_batches=60)
+    return replace(base, reconfig=plan, total_batches=60)
 
 
-@register_scenario("colluding-equivocate", "cabal equivocates only while a co-conspirator holds the seat", tier="adaptive")
-def _colluding_equivocate(params: ScenarioParams):
+@register_scenario("colluding-equivocate", "cabal equivocates only while a co-conspirator holds the seat")
+def _colluding_equivocate(base: ClusterConfig) -> ClusterConfig:
     # Colluding tier: two behaviours share a playbook.  The equivocator
     # forks slots only while the cabal holds the primary seat (so the
     # attack is aimed, not random), and the vote-parker withholds its
     # checkpoint votes over the same windows to starve the boundary the
     # forked slot would have to be laundered through.  n = 7 keeps the
     # two-member cabal within f = 2.
-    return ScenarioPlan(
-        byzantine=(
-            ByzantineSpec(behavior="colluding-equivocate", replica_index=0),
-            ByzantineSpec(behavior="colluding-parker", replica_index=2),
-        ),
-        num_replicas=max(params.num_replicas, 7),
-    )
+    return replace(base, num_replicas=max(base.num_replicas, 7), byzantine=(
+        ByzantineSpec("colluding-equivocate", 0),
+        ByzantineSpec("colluding-parker", 2),
+    ))
 
 
-@register_scenario("colluding-reconfig-abuse", "Byzantine proposer's unsafe membership change must be refused", tier="reconfig")
-def _colluding_reconfig_abuse(params: ScenarioParams):
+@register_scenario("colluding-reconfig-abuse", "Byzantine proposer's unsafe membership change must be refused")
+def _colluding_reconfig_abuse(base: ClusterConfig) -> ClusterConfig:
     # Colluding tier meets reconfiguration: a conspirator fabricates a
     # membership change evicting f+1 honest replicas (breaking quorum
     # continuity) while its partner parks poisoned checkpoint votes
     # around the activation window.  Every honest replica must refuse
     # the unsafe record (journalling why) yet still order and activate
     # the legitimate grow that follows.
-    n = max(params.num_replicas, 7)
+    n = max(base.num_replicas, 7)
     plan = ReconfigPlan(steps=(ReconfigStep(at_ms=10.0, add=(n, n + 1)),))
-    return ScenarioPlan(
-        byzantine=(
-            ByzantineSpec(behavior="colluding-reconfig-abuse", replica_index=0,
-                          options={"at_ms": 4.0}),
-            ByzantineSpec(behavior="colluding-parker", replica_index=2,
-                          options={"poison": True}),
-        ),
-        reconfig=plan,
-        num_replicas=n,
-    )
+    return replace(base, num_replicas=n, reconfig=plan, byzantine=(
+        ByzantineSpec("colluding-reconfig-abuse", 0),
+        ByzantineSpec("colluding-parker-poison", 2),
+    ))
 
 
 def unknown_name_message(kind: str, value: str,
@@ -550,61 +482,39 @@ class ScenarioOutcome:
 
 
 def scenario_cluster_config(protocol: str, scenario: str,
-                            params: ScenarioParams) -> ClusterConfig:
-    """The single-group deployment *scenario* describes under *params*,
-    with its recipe's plan applied, resizes and batch budget included."""
+                            base: ClusterConfig = MATRIX_DEPLOYMENT) -> ClusterConfig:
+    """The single-group deployment *scenario* describes over *base*, run
+    with *protocol*."""
     try:
         sdef = SCENARIO_DEFS[scenario]
     except KeyError:
         raise KeyError(f"unknown scenario {scenario!r}; "
                        f"known: {sorted(SCENARIO_DEFS) + sorted(SHARDED_SCENARIOS)}") from None
-    plan = sdef.recipe(params)
-    return ClusterConfig(
-        protocol=protocol,
-        num_replicas=plan.num_replicas or params.num_replicas,
-        batch_size=params.batch_size,
-        num_clients=1,
-        client_outstanding=params.client_outstanding,
-        total_batches=plan.total_batches or params.total_batches,
-        request_timeout_ms=params.request_timeout_ms,
-        checkpoint_interval=params.checkpoint_interval,
-        conditions=plan.conditions,
-        faults=plan.faults,
-        byzantine=plan.byzantine,
-        reconfig=plan.reconfig,
-        seed=params.seed,
-    )
+    return sdef.recipe(replace(base, protocol=protocol))
 
 
 def sharded_cluster_config(protocol: str, sdef: ShardedScenarioDef,
-                           params: ScenarioParams) -> ShardedClusterConfig:
-    """The sharded deployment *sdef* describes under *params*.
+                           base: ClusterConfig = MATRIX_DEPLOYMENT) -> ShardedClusterConfig:
+    """The sharded deployment *sdef* describes, each shard sized like *base*.
 
     Every shard runs *protocol*; per-shard recipes come from the
-    single-group registry, re-run under the shard's namespace.  A shard
-    takes a recipe's fault schedule and one Byzantine spec; a recipe that
-    asks for anything else is rejected rather than run truncated.
+    single-group registry, run on *base* under the shard's namespace.  A
+    shard takes a recipe's fault schedule; a recipe that changes anything
+    else is rejected rather than run truncated.
     """
     shard_faults: Dict[int, FaultSchedule] = {}
-    shard_byzantine: Dict[int, ByzantineSpec] = {}
     for shard, recipe_name in sdef.per_shard:
-        shard_params = dataclasses.replace(params, namespace=f"s{shard}/")
-        plan = SCENARIO_DEFS[recipe_name].recipe(shard_params)
-        for unsupported, asked in (
-                ("conditions", plan.conditions),
-                ("more than one byzantine spec", plan.byzantine[1:]),
-                ("reconfig", plan.reconfig),
-                ("num_replicas", plan.num_replicas),
-                ("total_batches", plan.total_batches)):
-            if asked:
-                raise ValueError(
-                    f"sharded scenario {sdef.name!r}: per-shard recipe "
-                    f"{recipe_name!r} sets {unsupported}, which a shard cannot "
-                    f"take (only faults and one byzantine spec apply per shard)")
-        if plan.faults is not None:
-            shard_faults[shard] = plan.faults
-        if plan.byzantine:
-            shard_byzantine[shard] = plan.byzantine[0]
+        shard_base = replace(base, namespace=f"s{shard}/")
+        planned = SCENARIO_DEFS[recipe_name].recipe(shard_base)
+        changed = [f.name for f in dataclasses.fields(planned) if f.name != "faults"
+                   and getattr(planned, f.name) != getattr(shard_base, f.name)]
+        if changed:
+            raise ValueError(
+                f"sharded scenario {sdef.name!r}: per-shard recipe "
+                f"{recipe_name!r} sets {', '.join(changed)}, which a shard "
+                f"cannot take (only faults apply per shard)")
+        if planned.faults is not None:
+            shard_faults[shard] = planned.faults
     hub_faults = None
     if sdef.coordinator_crash_at_ms is not None:
         hub_faults = FaultSchedule().add_crash(
@@ -612,18 +522,17 @@ def sharded_cluster_config(protocol: str, sdef: ShardedScenarioDef,
     return ShardedClusterConfig(
         num_shards=sdef.num_shards,
         protocols=protocol,
-        num_replicas=params.num_replicas,
-        batch_size=params.batch_size,
-        client_outstanding=params.client_outstanding,
-        total_batches=params.total_batches,
+        num_replicas=base.num_replicas,
+        batch_size=base.batch_size,
+        client_outstanding=base.client_outstanding,
+        total_batches=base.total_batches,
         cross_shard_fraction=sdef.cross_shard_fraction,
-        request_timeout_ms=params.request_timeout_ms,
-        checkpoint_interval=params.checkpoint_interval,
+        request_timeout_ms=base.request_timeout_ms,
+        checkpoint_interval=base.checkpoint_interval,
         shard_faults=shard_faults,
-        shard_byzantine=shard_byzantine,
         hub_faults=hub_faults,
         coordinator_behavior=sdef.coordinator_behavior,
-        seed=params.seed,
+        seed=base.seed,
     )
 
 
@@ -651,68 +560,70 @@ def _outcome(protocol: str, scenario: str, n: int, expected_batches: int,
 
 
 def run_scenario(protocol: str, scenario: str,
-                 params: Optional[ScenarioParams] = None,
-                 driver: str = "sequential") -> ScenarioOutcome:
-    """Run one audited (protocol, scenario) cell and classify the outcome.
+                 base: ClusterConfig = MATRIX_DEPLOYMENT,
+                 driver: str = "sequential",
+                 max_ms: float = 60_000.0) -> ScenarioOutcome:
+    """Run one audited (protocol, scenario) cell over *base* for at most
+    *max_ms* of virtual time, and classify the outcome.
 
     *driver* selects the execution engine for sharded scenarios:
     ``"sequential"`` (in-process reference) or ``"parallel"`` (one forked
     worker per shard, identical fingerprints).  Single-group scenarios
     run on one simulator and are sequential-only.
     """
-    params = params or ScenarioParams()
     if scenario in SHARDED_SCENARIOS:
-        return run_sharded_scenario(protocol, scenario, params, driver=driver)
+        return run_sharded_scenario(protocol, scenario, base, driver=driver,
+                                    max_ms=max_ms)
     if driver != "sequential":
         raise ValueError(
             f"scenario {scenario!r} is single-group and sequential-only; "
             f"driver={driver!r} applies to sharded scenarios")
-    config = scenario_cluster_config(protocol, scenario, params)
+    config = scenario_cluster_config(protocol, scenario, base)
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()
-    cluster.run_until_done(max_ms=params.max_ms)
+    cluster.run_until_done(max_ms=max_ms)
     return _outcome(protocol, scenario, config.num_replicas,
                     config.total_batches * config.num_clients,
                     cluster.replicas, cluster.pools, auditor.report())
 
 
 def run_sharded_scenario(protocol: str, scenario: str,
-                         params: Optional[ScenarioParams] = None,
-                         driver: str = "sequential") -> ScenarioOutcome:
+                         base: ClusterConfig = MATRIX_DEPLOYMENT,
+                         driver: str = "sequential",
+                         max_ms: float = 60_000.0) -> ScenarioOutcome:
     """Run one audited (shard protocol, sharded scenario) cell.
 
     The deployment is :func:`sharded_cluster_config`'s.  With
     ``driver="parallel"`` the shards execute on forked worker processes
     and the auditor runs over the recorded wire artifacts; the outcome
     (completions, liveness, audit verdict, view changes) is identical to
-    the sequential reference for the same params.
+    the sequential reference for the same *base*.
     """
-    params = params or ScenarioParams()
     try:
         sdef = SHARDED_SCENARIOS[scenario]
     except KeyError:
         raise KeyError(f"unknown sharded scenario {scenario!r}; "
                        f"known: {sorted(SHARDED_SCENARIOS)}") from None
-    config = sharded_cluster_config(protocol, sdef, params)
+    config = sharded_cluster_config(protocol, sdef, base)
     if driver == "parallel":
         from repro.fabric.parallel import run_parallel
 
-        run = run_parallel(config, max_ms=params.max_ms)
+        run = run_parallel(config, max_ms=max_ms)
         report = ShardedSafetyAuditor.from_recorded(run).report()
     elif driver == "sequential":
         run = ShardedCluster(config)
         auditor = ShardedSafetyAuditor.attach(run)
         run.start()
-        run.run_until_done(max_ms=params.max_ms)
+        run.run_until_done(max_ms=max_ms)
         report = auditor.report()
     else:
         raise ValueError(f"unknown driver {driver!r}; "
                          f"expected 'sequential' or 'parallel'")
     replicas = [replica for shard_cluster in run.shard_clusters
                 for replica in shard_cluster.replicas]
-    return _outcome(protocol, scenario, sdef.num_shards * params.num_replicas,
-                    params.total_batches * config.num_pools,
+    return _outcome(protocol, scenario, sdef.num_shards * config.num_replicas,
+                    config.total_batches * config.num_pools,
                     replicas, run.pools, report)
 
 
@@ -723,8 +634,9 @@ def default_matrix_scenarios() -> Tuple[str, ...]:
 
 def run_matrix(protocols: Sequence[str] = MATRIX_PROTOCOLS,
                scenarios: Optional[Sequence[str]] = None,
-               params: Optional[ScenarioParams] = None) -> List[ScenarioOutcome]:
-    """Sweep protocols × scenarios, each cell audited.
+               base: ClusterConfig = MATRIX_DEPLOYMENT,
+               max_ms: float = 60_000.0) -> List[ScenarioOutcome]:
+    """Sweep protocols × scenarios over *base*, each cell audited.
 
     Sharded scenario columns only run for the protocols in
     :data:`SHARDED_MATRIX_PROTOCOLS`; the other (protocol, sharded
@@ -738,7 +650,8 @@ def run_matrix(protocols: Sequence[str] = MATRIX_PROTOCOLS,
             if (scenario in SHARDED_SCENARIOS
                     and protocol not in SHARDED_MATRIX_PROTOCOLS):
                 continue
-            outcomes.append(run_scenario(protocol, scenario, params))
+            outcomes.append(run_scenario(protocol, scenario, base,
+                                         max_ms=max_ms))
     return outcomes
 
 
@@ -844,16 +757,12 @@ class SoakReport:
                 and size > plateau.get(name, 0) * 1.5 + 64]
 
 
-def soak_params(steps: int, seed: int = 11) -> ScenarioParams:
-    """Deployment knobs for soak runs.
-
-    The client timeout is shortened so the run spans several reply
-    retention windows (``request_timeout_ms * REPLY_RETENTION_TIMEOUTS``)
-    of virtual time — a soak that finishes inside one window could not
-    observe the reply-state GC at all.
-    """
-    return ScenarioParams(total_batches=steps, request_timeout_ms=25.0,
-                          max_ms=600_000.0, seed=seed)
+#: The deployment soak runs start from: the matrix's, with the client
+#: timeout shortened so the run spans several reply retention windows
+#: (``request_timeout_ms * REPLY_RETENTION_TIMEOUTS``) of virtual time — a
+#: soak that finishes inside one window could not observe the reply-state
+#: GC at all.  :func:`run_soak` sets the batch budget.
+SOAK_DEPLOYMENT = replace(MATRIX_DEPLOYMENT, request_timeout_ms=25.0)
 
 
 #: Snapshots a soak run takes, evenly spaced over its batch budget.
@@ -861,22 +770,22 @@ SOAK_SAMPLES = 5
 
 
 def run_soak(protocol: str, scenario: str = "no-fault", steps: int = 2000,
-             params: Optional[ScenarioParams] = None) -> SoakReport:
-    """Run *steps* batches, sampling container sizes along the way.
+             base: ClusterConfig = SOAK_DEPLOYMENT,
+             max_ms: float = 600_000.0) -> SoakReport:
+    """Run *steps* batches over *base*, for at most *max_ms* of virtual
+    time, sampling container sizes along the way.
 
     The samples let callers assert (:meth:`SoakReport.growers`) that every
     container is bounded by the checkpoint/retention window rather than
     the number of executed batches.
     """
-    params = params or soak_params(steps)
-    params = dataclasses.replace(params, total_batches=steps)
     if scenario in SHARDED_SCENARIOS:
         raise ValueError(f"soak runs are single-group only; {scenario!r} "
                          f"is a sharded scenario")
-    # A recipe may resize the deployment, but the soak horizon always wins
-    # over its total_batches override: *steps* is the point of the run.
-    config = dataclasses.replace(
-        scenario_cluster_config(protocol, scenario, params), total_batches=steps)
+    # A recipe may set the batch budget, but the soak horizon always wins
+    # over it: *steps* is the point of the run.
+    config = replace(scenario_cluster_config(protocol, scenario, base),
+                     total_batches=steps)
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()
@@ -893,7 +802,7 @@ def run_soak(protocol: str, scenario: str = "no-fault", steps: int = 2000,
                 sizes[name] = max(size, sizes.get(name, 0))
         samples.append(SoakSample(cluster.simulator.now, completed(), sizes))
 
-    while (cluster.simulator.now < params.max_ms
+    while (cluster.simulator.now < max_ms
            and not all(pool.is_done() for pool in cluster.pools)):
         cluster.run_for(25.0)
         while marks and completed() >= marks[0]:

@@ -56,7 +56,6 @@ from repro.fabric.metrics import (
     warmup_window,
 )
 from repro.fabric.registry import ProtocolSpec, get_spec
-from repro.net.byzantine import ByzantineSpec
 from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.net.network import SimNetwork
@@ -216,8 +215,7 @@ class ShardedClusterConfig:
         num_replicas: replicas per shard.
         cross_shard_fraction: probability that a generated request is a
             two-shard transaction instead of a single-shard batch.
-        shard_faults / shard_byzantine: per-shard fault schedule and
-            Byzantine replica spec, keyed by shard index.
+        shard_faults: per-shard fault schedule, keyed by shard index.
         hub_faults: fault schedule of the client/coordinator network —
             crash ``coord:0`` here for the crash-mid-2PC scenarios.
         coordinator_behavior: optional Byzantine behaviour name installed
@@ -238,7 +236,6 @@ class ShardedClusterConfig:
     request_timeout_ms: float = 3000.0
     checkpoint_interval: int = 50
     shard_faults: Dict[int, FaultSchedule] = field(default_factory=dict)
-    shard_byzantine: Dict[int, ByzantineSpec] = field(default_factory=dict)
     hub_faults: Optional[FaultSchedule] = None
     coordinator_behavior: Optional[str] = None
     seed: int = 1
@@ -424,7 +421,6 @@ def _pool_source(config: ShardedClusterConfig, pid: str):
 
 
 def _shard_cluster_config(config: ShardedClusterConfig, shard: int) -> ClusterConfig:
-    byzantine = config.shard_byzantine.get(shard)
     return ClusterConfig(
         protocol=config.protocol_for(shard),
         num_replicas=config.num_replicas,
@@ -436,7 +432,6 @@ def _shard_cluster_config(config: ShardedClusterConfig, shard: int) -> ClusterCo
         checkpoint_interval=config.checkpoint_interval,
         conditions=_shard_conditions(config, shard),
         faults=config.shard_faults.get(shard),
-        byzantine=(byzantine,) if byzantine else (),
         ycsb=_ycsb_config(config),
         seed=config.seed,
         namespace=f"s{shard}/",
@@ -526,7 +521,7 @@ class ShardRuntime:
         self.hub = SimNetwork(
             self.simulator,
             conditions=_hub_conditions(config),
-            faults=config.hub_faults or FaultSchedule.none(),
+            faults=config.hub_faults,
         )
         self.boundary.attach(self.hub)
         self.coordinator = ShardCoordinator(

@@ -28,7 +28,7 @@ messages.  Two properties are load-bearing:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -63,9 +63,13 @@ class Delivery:
 class ByzantineBehavior:
     """Base class: transforms the fan-outs a Byzantine node transmits.
 
-    Subclasses override :meth:`transform`, and :meth:`bind` (calling
-    ``super()``) when they derive state from the deployment.  The identity
-    transform makes the node behave honestly.
+    Subclasses override :meth:`rewrite`, which sees one delivery at a
+    time, or :meth:`transform` when a decision is about a whole fan-out,
+    and :meth:`bind` (calling ``super()``) when they derive state from the
+    deployment.  The identity rewrite makes the node behave honestly.  No
+    behaviour takes an option: a variant is a registry key of its own, and
+    a timing is a class constant or derived from the replica's own
+    ``request_timeout_ms``.
 
     :meth:`SimNetwork.set_byzantine` hands the behaviour its ``node`` (the
     corrupted replica or coordinator object) and the live ``network``,
@@ -92,6 +96,9 @@ class ByzantineBehavior:
         self.node = None
         self.network = None
         self.playbook: Optional[Tuple[str, ...]] = None
+        #: Deliveries :meth:`rewrite` made up; :meth:`transform` sends them
+        #: at the tail of the fan-out being rewritten.
+        self.fabricated: List[Delivery] = []
 
     def bind(self, node_id: str, replica_ids: Sequence[str], seed: object) -> None:
         """Attach the behaviour to *node_id* in a deployment."""
@@ -111,8 +118,24 @@ class ByzantineBehavior:
         return self.playbook is not None and self.observed_primary() in self.playbook
 
     def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
-        """Rewrite one outgoing fan-out (a unicast is a one-element list)."""
-        return deliveries
+        """Rewrite one outgoing fan-out (a unicast is a one-element list):
+        each delivery through :meth:`rewrite`, then what the rewrites
+        fabricated, in the order they fabricated it."""
+        out: List[Delivery] = []
+        for delivery in deliveries:
+            delivery = self.rewrite(delivery, now_ms)
+            if delivery is not None:
+                out.append(delivery)
+        if self.fabricated:
+            out.extend(self.fabricated)
+            self.fabricated.clear()
+        return out
+
+    def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
+        """One delivery of a fan-out: itself, its replacement, or ``None``
+        to drop it.  A message made up on the side goes to
+        :attr:`fabricated`."""
+        return delivery
 
 
 def fabricated_batch(owner: str, batch_id: str, txn_prefix: str,
@@ -346,30 +369,23 @@ class EquivocatingPrimary(ByzantineBehavior):
             return len(self._forged) < self.MAX_SLOTS and self.cabal_holds_seat()
         return True
 
-    # ------------------------------------------------------------ transform
-    def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
-        out: List[Delivery] = []
-        spoofed: List[Delivery] = []
-        for delivery in deliveries:
-            message = delivery.message
-            if isinstance(message, self.PROPOSAL_TYPES):
-                if isinstance(message, ZyzzyvaOrderRequest):
-                    self._real_history.setdefault(
-                        (message.view, message.sequence), message.history_digest)
-                if self._equivocation_active(message):
-                    if delivery.receiver in self.group_b:
-                        forged = self._equivocate(message)
-                        if forged is not None:
-                            out.append(Delivery(delivery.receiver, forged,
-                                                delivery.delay_ms))
-                            continue
-                    elif self.spoof_votes:
-                        spoofed.extend(self._spoofed_votes(message))
-            out.append(Delivery(delivery.receiver,
-                                self._consistent_vote(message, delivery.receiver),
-                                delivery.delay_ms))
-        out.extend(spoofed)
-        return out
+    # -------------------------------------------------------------- rewrite
+    def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
+        message = delivery.message
+        if isinstance(message, self.PROPOSAL_TYPES):
+            if isinstance(message, ZyzzyvaOrderRequest):
+                self._real_history.setdefault(
+                    (message.view, message.sequence), message.history_digest)
+            if self._equivocation_active(message):
+                if delivery.receiver in self.group_b:
+                    forged = self._equivocate(message)
+                    if forged is not None:
+                        return Delivery(delivery.receiver, forged, delivery.delay_ms)
+                elif self.spoof_votes:
+                    self.fabricated.extend(self._spoofed_votes(message))
+        return Delivery(delivery.receiver,
+                        self._consistent_vote(message, delivery.receiver),
+                        delivery.delay_ms)
 
 
 class PrimaryTargeter(ByzantineBehavior):
@@ -379,9 +395,12 @@ class PrimaryTargeter(ByzantineBehavior):
     attacker follows the leadership as it moves — each time its own
     replica's view advances past an attacked primary, the *new* primary
     becomes the target.  It severs all replica links to the current
-    primary for ``window_ms``, then heals.  The isolated primary keeps
-    serving clients into a void; the backups' progress timers fire and
-    drive a view change.  Healed primaries rejoin via checkpoints.
+    primary for ``WINDOW_TIMEOUTS`` of its replica's request timeouts
+    (long enough that honest replicas suspect the isolated primary, short
+    enough that the deposed primary rejoins as a backup), then heals.  The
+    isolated primary keeps serving clients into a void; the backups'
+    progress timers fire and drive a view change.  Healed primaries rejoin
+    via checkpoints.
 
     ``MAX_TARGETS`` bounds the campaign so targeted cells terminate: after
     the budget is spent the behaviour goes silent and the last elected
@@ -391,28 +410,24 @@ class PrimaryTargeter(ByzantineBehavior):
     #: No attack before this much virtual time has passed.
     INITIAL_DELAY_MS = 10.0
     MAX_TARGETS = 2
+    WINDOW_TIMEOUTS = 1.5
 
-    def __init__(self, window_ms: float = 60.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.window_ms = window_ms
         self.attacked: List[str] = []
 
-    def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
-        self._maybe_attack(now_ms)
-        return deliveries
-
-    def _maybe_attack(self, now_ms: float) -> None:
-        if self.network is None or len(self.attacked) >= self.MAX_TARGETS:
-            return
-        if now_ms < self.INITIAL_DELAY_MS:
-            return
+    def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
+        if (self.network is None or len(self.attacked) >= self.MAX_TARGETS
+                or now_ms < self.INITIAL_DELAY_MS):
+            return delivery
         primary = self.observed_primary()
-        if not primary or primary == self.node_id or primary in self.attacked:
-            return
-        self.attacked.append(primary)
-        others = [r for r in self.replica_ids if r != primary]
-        self.network.faults.add_partition(
-            [primary], others, at_ms=now_ms, until_ms=now_ms + self.window_ms)
+        if primary and primary != self.node_id and primary not in self.attacked:
+            self.attacked.append(primary)
+            others = [r for r in self.replica_ids if r != primary]
+            window_ms = self.WINDOW_TIMEOUTS * self.node.config.request_timeout_ms
+            self.network.own_faults().add_partition(
+                [primary], others, at_ms=now_ms, until_ms=now_ms + window_ms)
+        return delivery
 
 
 class TimeoutStaller(ByzantineBehavior):
@@ -482,11 +497,11 @@ class ColludingVoteParker(ByzantineBehavior):
     loses the seat (staying covert), or (c) ``MAX_PARK_MS`` passes,
     bounding the stall so every cell terminates.
 
-    With ``poison=True`` each release also fabricates a corrupted
-    duplicate (garbage state digest) of the released vote.  Per-digest
-    vote buckets mean the poison lands in a bucket of its own and must
-    change nothing — a probe for the auditor's quorum-at-the-time
-    re-validation, not a liveness attack.
+    The ``colluding-parker-poison`` key's parker (``poison=True``) also
+    fabricates, with each release, a corrupted duplicate (garbage state
+    digest) of the released vote.  Per-digest vote buckets mean the poison
+    lands in a bucket of its own and must change nothing — a probe for the
+    auditor's quorum-at-the-time re-validation, not a liveness attack.
     """
 
     MAX_PARK_MS = 120.0
@@ -537,7 +552,7 @@ class ColludingVoteParker(ByzantineBehavior):
 class ColludingReconfigAbuser(ByzantineBehavior):
     """Proposes a membership change that would strand the honest quorum.
 
-    At ``at_ms`` the conspirator fabricates a
+    At ``AT_MS`` the conspirator fabricates a
     :class:`~repro.protocols.epoch.ReconfigRecord` removing ``f + 1``
     honest (non-cabal) members of the epoch its own replica currently
     sits in — a change that leaves fewer than ``2 f_old + 1`` old
@@ -552,9 +567,10 @@ class ColludingReconfigAbuser(ByzantineBehavior):
     records in the same run must still activate.
     """
 
-    def __init__(self, at_ms: float = 20.0) -> None:
+    AT_MS = 4.0
+
+    def __init__(self) -> None:
         super().__init__()
-        self.at_ms = at_ms
         self.sent_records = 0
 
     def _unsafe_record(self, now_ms: float):
@@ -575,22 +591,20 @@ class ColludingReconfigAbuser(ByzantineBehavior):
                                       created_at_ms=now_ms)
         return record, tuple(members)
 
-    def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
-        if self.sent_records or now_ms < self.at_ms:
-            return deliveries
+    def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
+        if self.sent_records or now_ms < self.AT_MS:
+            return delivery
         record, members = self._unsafe_record(now_ms)
         if record is None:
-            return deliveries
+            return delivery
         from repro.protocols.client_messages import ClientRequestMessage
 
         self.sent_records += 1
         request = ClientRequestMessage(batch=record,
                                        reply_to=f"byz:{self.node_id}",
                                        retransmission=True)
-        out = list(deliveries)
-        for receiver in members:
-            out.append(Delivery(receiver, request))
-        return out
+        self.fabricated.extend(Delivery(receiver, request) for receiver in members)
+        return delivery
 
 
 class MessageDelayer(ByzantineBehavior):
@@ -600,20 +614,12 @@ class MessageDelayer(ByzantineBehavior):
     into timeout-driven paths without ever being provably faulty.
     """
 
-    def __init__(self, delay_ms: float = 40.0, jitter_ms: float = 0.0) -> None:
-        super().__init__()
-        self.delay_ms = delay_ms
-        self.jitter_ms = jitter_ms
+    DELAY_MS = 5.0
+    JITTER_MS = 1.0
 
-    def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
-        out = []
-        for delivery in deliveries:
-            extra = self.delay_ms
-            if self.jitter_ms > 0:
-                extra += self.rng.random() * self.jitter_ms
-            out.append(Delivery(delivery.receiver, delivery.message,
-                                delivery.delay_ms + extra))
-        return out
+    def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
+        return Delivery(delivery.receiver, delivery.message, delivery.delay_ms
+                        + (self.DELAY_MS + self.rng.random() * self.JITTER_MS))
 
 
 class MessageReplayer(ByzantineBehavior):
@@ -676,22 +682,20 @@ class StaleCertifier(ByzantineBehavior):
         others = sorted(r for r in self.replica_ids if r != self.node_id)
         self.victim = others[self.rng.randrange(len(others))] if others else ""
 
-    def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
-        out: List[Delivery] = []
-        for delivery in deliveries:
-            message = delivery.message
-            if isinstance(message, PoeCertify) and delivery.receiver != self.victim:
-                slot = (message.view, message.sequence)
-                if slot not in self._tampered_slots:
-                    self._tampered_slots.add(slot)
-                    self._previous_certificate, stale = (
-                        message.certificate, self._previous_certificate)
-                    self._stale_for_slot = (stale if len(self._tampered_slots) % 2
-                                            else None)
-                message = dataclasses.replace(message,
-                                              certificate=self._stale_for_slot)
-            out.append(Delivery(delivery.receiver, message, delivery.delay_ms))
-        return out
+    def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
+        message = delivery.message
+        if not isinstance(message, PoeCertify) or delivery.receiver == self.victim:
+            return delivery
+        slot = (message.view, message.sequence)
+        if slot not in self._tampered_slots:
+            self._tampered_slots.add(slot)
+            self._previous_certificate, stale = (
+                message.certificate, self._previous_certificate)
+            self._stale_for_slot = (stale if len(self._tampered_slots) % 2
+                                    else None)
+        return Delivery(delivery.receiver,
+                        dataclasses.replace(message, certificate=self._stale_for_slot),
+                        delivery.delay_ms)
 
 
 class ForgedHistoryReplica(ByzantineBehavior):
@@ -715,21 +719,24 @@ class ForgedHistoryReplica(ByzantineBehavior):
     conflicting POM from any sender; a forged one is the documented
     spurious-view-change liveness nuisance).
 
-    With ``forge_certificates`` the forged entries additionally carry
-    fabricated commit certificates naming real replicas: these pass the
-    structural checks but collide with what up-to-date honest replicas
-    know about the slots (at most one genuine certificate can exist per
-    slot), so certificate-carrying admission rejects the whole request.
+    The ``forge-certificates`` key's forger (``forge_certificates=True``)
+    additionally gives the forged entries fabricated commit certificates
+    naming real replicas: these pass the structural checks but collide
+    with what up-to-date honest replicas know about the slots (at most one
+    genuine certificate can exist per slot), so certificate-carrying
+    admission rejects the whole request.
     """
 
     #: Longest fabricated run, in slots.
     DEPTH = 64
+    #: The forged POM goes out from this many of the replica's request
+    #: timeouts on: the matrix's forged-history scenarios heal their
+    #: lagging replica's partition then.
+    POM_AT_TIMEOUTS = 1.5
 
-    def __init__(self, forge_certificates: bool = False,
-                 pom_at_ms: float = 40.0) -> None:
+    def __init__(self, forge_certificates: bool = False) -> None:
         super().__init__()
         self.forge_certificates = forge_certificates
-        self.pom_at_ms = pom_at_ms
         self._pom_sent = False
 
     # ------------------------------------------------------------- forgeries
@@ -779,10 +786,12 @@ class ForgedHistoryReplica(ByzantineBehavior):
             message, stable_checkpoint=-1, checkpoint_digest=b"",
             certificate=None, executed=tuple(entries))
 
-    def _fabricated_pom(self) -> Optional[ZyzzyvaProofOfMisbehaviour]:
+    def _fabricated_pom(self, now_ms: float) -> Optional[ZyzzyvaProofOfMisbehaviour]:
         replica = self.node
         if not isinstance(replica, ZyzzyvaReplica):
             return None  # only Zyzzyva replicas have a POM to forge
+        if now_ms < self.POM_AT_TIMEOUTS * replica.config.request_timeout_ms:
+            return None
         if replica.checkpoints.stable_sequence < 0:
             # The forgery targets slots *below* the durable anchor; firing
             # the view change before any checkpoint stabilised would leave
@@ -796,24 +805,22 @@ class ForgedHistoryReplica(ByzantineBehavior):
             client_id=f"byz:{self.node_id}",
         )
 
-    # ------------------------------------------------------------- transform
-    def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
-        out: List[Delivery] = []
-        for delivery in deliveries:
-            message = delivery.message
-            if isinstance(message, ViewChangeRequest):
-                message = self._forge_request(message)
-            out.append(Delivery(delivery.receiver, message, delivery.delay_ms))
-        if not self._pom_sent and now_ms >= self.pom_at_ms:
-            pom = self._fabricated_pom()
+    # -------------------------------------------------------------- rewrite
+    def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
+        if not self._pom_sent:
+            pom = self._fabricated_pom(now_ms)
             if pom is not None:
                 self._pom_sent = True
                 # Including itself makes the forger join the view change
                 # it provoked immediately, so its forged request is on the
                 # wire in the same window as the honest requests.
-                for receiver in sorted(self.replica_ids):
-                    out.append(Delivery(receiver, pom))
-        return out
+                self.fabricated.extend(Delivery(receiver, pom)
+                                       for receiver in sorted(self.replica_ids))
+        message = delivery.message
+        if not isinstance(message, ViewChangeRequest):
+            return delivery
+        return Delivery(delivery.receiver, self._forge_request(message),
+                        delivery.delay_ms)
 
 
 class LyingCheckpointer(ByzantineBehavior):
@@ -859,24 +866,20 @@ class LyingCheckpointer(ByzantineBehavior):
             table_snapshot=None,
         )
 
-    def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
-        out: List[Delivery] = []
-        fabricated: List[Delivery] = []
-        for delivery in deliveries:
-            message = delivery.message
-            if isinstance(message, StateTransferResponse):
-                message = self._poison(message)
-            elif isinstance(message, CheckpointMessage):
-                claimed = message.sequence + self.LIE_AHEAD
-                if claimed not in self._poisoned_sequences:
-                    self._poisoned_sequences.add(claimed)
+    def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
+        message = delivery.message
+        if isinstance(message, StateTransferResponse):
+            return Delivery(delivery.receiver, self._poison(message),
+                            delivery.delay_ms)
+        if isinstance(message, CheckpointMessage):
+            claimed = message.sequence + self.LIE_AHEAD
+            if claimed not in self._poisoned_sequences:
+                self._poisoned_sequences.add(claimed)
+                self.fabricated.extend(
+                    Delivery(receiver, self._fabricated_response(claimed))
                     for receiver in sorted(r for r in self.replica_ids
-                                           if r != self.node_id):
-                        fabricated.append(Delivery(
-                            receiver, self._fabricated_response(claimed)))
-            out.append(Delivery(delivery.receiver, message, delivery.delay_ms))
-        out.extend(fabricated)
-        return out
+                                           if r != self.node_id))
+        return delivery
 
 
 class WrongExecutionReplica(ByzantineBehavior):
@@ -940,34 +943,28 @@ class EquivocatingCoordinator(ByzantineBehavior):
         super().__init__()
         self.forged_aborts = 0
 
-    def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
+    def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
         from repro.protocols.client_messages import ClientRequestMessage
         from repro.workload.xshard import ABORT, COMMIT, make_control_batch
 
-        out: List[Delivery] = []
-        for delivery in deliveries:
-            message = delivery.message
-            if isinstance(message, ClientRequestMessage):
-                batch = message.batch
-                if (batch is not None and batch.control_phase == COMMIT
-                        and len(batch.shards) > 1
-                        and batch.shard == max(batch.shards)):
-                    self.forged_aborts += 1
-                    forged = make_control_batch(
-                        txn=batch.txn, phase=ABORT, shard=batch.shard,
-                        shards=batch.shards, cert=(),
-                        reply_to=batch.reply_to,
-                        created_at_ms=batch.created_at_ms,
-                        logical_size=batch.logical_size,
-                    )
-                    out.append(Delivery(
-                        delivery.receiver,
+        message = delivery.message
+        if not isinstance(message, ClientRequestMessage):
+            return delivery
+        batch = message.batch
+        if (batch is None or batch.control_phase != COMMIT
+                or len(batch.shards) < 2 or batch.shard != max(batch.shards)):
+            return delivery
+        self.forged_aborts += 1
+        forged = make_control_batch(
+            txn=batch.txn, phase=ABORT, shard=batch.shard,
+            shards=batch.shards, cert=(),
+            reply_to=batch.reply_to,
+            created_at_ms=batch.created_at_ms,
+            logical_size=batch.logical_size,
+        )
+        return Delivery(delivery.receiver,
                         dataclasses.replace(message, batch=forged),
-                        delivery.delay_ms,
-                    ))
-                    continue
-            out.append(delivery)
-        return out
+                        delivery.delay_ms)
 
 
 class StallingCoordinator(ByzantineBehavior):
@@ -986,33 +983,32 @@ class StallingCoordinator(ByzantineBehavior):
         super().__init__()
         self.stalled_decides = 0
 
-    def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
+    def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
         from repro.protocols.client_messages import ClientRequestMessage
         from repro.workload.xshard import DECIDE_PHASES
 
-        out: List[Delivery] = []
-        for delivery in deliveries:
-            message = delivery.message
-            if isinstance(message, ClientRequestMessage):
-                batch = message.batch
-                if batch is not None and batch.control_phase in DECIDE_PHASES:
-                    self.stalled_decides += 1
-                    continue
-            out.append(delivery)
-        return out
+        message = delivery.message
+        if isinstance(message, ClientRequestMessage):
+            batch = message.batch
+            if batch is not None and batch.control_phase in DECIDE_PHASES:
+                self.stalled_decides += 1
+                return None
+        return delivery
 
 
 #: Registry used by the declarative :class:`ByzantineSpec` in cluster
 #: configurations (string keys keep configs picklable and seed-stable).
-BEHAVIORS: Dict[str, Callable[..., ByzantineBehavior]] = {
-    # The four equivocators take no options: the trigger and vote spoofing
-    # are fixed by the key.
+#: No key takes an option: a variant of a behaviour (the equivocators'
+#: trigger and vote spoofing, the parker's poison, the forger's
+#: certificates) is fixed by a key of its own.
+BEHAVIORS: Dict[str, Callable[[], ByzantineBehavior]] = {
     "equivocate": lambda: EquivocatingPrimary(),
     "equivocate-spoof": lambda: EquivocatingPrimary(spoof_votes=True),
     "delay": MessageDelayer,
     "replay": MessageReplayer,
     "stale-certify": StaleCertifier,
-    "forge-history": ForgedHistoryReplica,
+    "forge-history": lambda: ForgedHistoryReplica(),
+    "forge-certificates": lambda: ForgedHistoryReplica(forge_certificates=True),
     "lying-checkpoint": LyingCheckpointer,
     "wrong-exec": WrongExecutionReplica,
     # The adaptive tier: behaviours reacting to live protocol state.
@@ -1021,7 +1017,8 @@ BEHAVIORS: Dict[str, Callable[..., ByzantineBehavior]] = {
     "timeout-stall": TimeoutStaller,
     # The colluding tier: up to f conspirators coordinating via a playbook.
     "colluding-equivocate": lambda: EquivocatingPrimary(trigger="cabal"),
-    "colluding-parker": ColludingVoteParker,
+    "colluding-parker": lambda: ColludingVoteParker(),
+    "colluding-parker-poison": lambda: ColludingVoteParker(poison=True),
     "colluding-reconfig-abuse": ColludingReconfigAbuser,
     # Cross-shard 2PC coordinator behaviours (sharded clusters only).
     "equivocate-coordinator": EquivocatingCoordinator,
@@ -1029,14 +1026,14 @@ BEHAVIORS: Dict[str, Callable[..., ByzantineBehavior]] = {
 }
 
 
-def make_behavior(name: str, **options) -> ByzantineBehavior:
+def make_behavior(name: str) -> ByzantineBehavior:
     """Instantiate a registered behaviour by name."""
     try:
         factory = BEHAVIORS[name]
     except KeyError:
         raise KeyError(f"unknown byzantine behavior {name!r}; "
                        f"known: {sorted(BEHAVIORS)}") from None
-    return factory(**options)
+    return factory()
 
 
 @dataclass
@@ -1047,9 +1044,7 @@ class ByzantineSpec:
         behavior: key into :data:`BEHAVIORS`.
         replica_index: index of the misbehaving replica (0 = the primary
             of view 0); at most one spec per replica.
-        options: keyword arguments forwarded to the behaviour factory.
     """
 
     behavior: str = "equivocate-spoof"
     replica_index: int = 0
-    options: Dict[str, object] = field(default_factory=dict)

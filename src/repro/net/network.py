@@ -119,6 +119,8 @@ class SimNetwork:
         self.sim = simulator
         self.conditions = conditions or NetworkConditions.lan()
         self.faults = faults or FaultSchedule.none()
+        #: Whether :attr:`faults` is this network's to write (see :meth:`own_faults`).
+        self._owns_faults = faults is None
         self.dropped_count = 0
         self.sent_count = 0
         self._nodes: Dict[str, NodeHandle] = {}
@@ -151,6 +153,20 @@ class SimNetwork:
         self._link_faults = bool(faults.partitions or faults.dark_replicas)
         for node_id, handle in self._nodes.items():
             handle.safe_until = faults.safe_until(node_id)
+
+    def own_faults(self) -> FaultSchedule:
+        """The schedule, for adding a window to it.  One the caller passed
+        in is copied at the first write, so a run never writes into the
+        caller's schedule and one config can be run twice.  The copy
+        carries on the schedule's ``version``, so the write still makes
+        the per-message checks recompile."""
+        if not self._owns_faults:
+            given = self.faults
+            self.faults = FaultSchedule(list(given.crashes), list(given.partitions),
+                                        list(given.dark_replicas))
+            self.faults.version = given.version
+            self._owns_faults = True
+        return self.faults
 
     # -- registration ----------------------------------------------------------
     def add_replica(self, node: ProtocolNode) -> None:
@@ -229,7 +245,7 @@ class SimNetwork:
     def crash(self, node_id: str, at_ms: Optional[float] = None) -> None:
         """Crash a node immediately or at a future time."""
         when = self.sim.now if at_ms is None else at_ms
-        self.faults.add_crash(node_id, at_ms=when)
+        self.own_faults().add_crash(node_id, at_ms=when)
         if when <= self.sim.now:
             self._apply_crash(node_id)
         else:

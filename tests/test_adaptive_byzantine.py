@@ -30,8 +30,8 @@ from repro.core.view_change import _best_supported_entry
 from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.scenarios import (
+    MATRIX_DEPLOYMENT,
     MATRIX_PROTOCOLS,
-    ScenarioParams,
     geo_topology,
     scenario_cluster_config,
 )
@@ -57,9 +57,9 @@ NEW_SCENARIOS = ("adaptive-primary", "checkpoint-equivocate", "timeout-stall",
 def run_cell(protocol, scenario, total_batches=20, seed=11, num_replicas=4,
              max_ms=60_000.0):
     """Run one fault-matrix cell and return (cluster, auditor)."""
-    params = ScenarioParams(num_replicas=num_replicas,
-                            total_batches=total_batches, seed=seed)
-    cluster = Cluster(scenario_cluster_config(protocol, scenario, params))
+    base = dataclasses.replace(MATRIX_DEPLOYMENT, num_replicas=num_replicas,
+                               total_batches=total_batches, seed=seed)
+    cluster = Cluster(scenario_cluster_config(protocol, scenario, base))
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()
     cluster.run_until_done(max_ms=max_ms)
@@ -81,8 +81,7 @@ def run_early_crash_forged_vc(protocol, seed=11, total_batches=20):
         client_outstanding=4, total_batches=total_batches,
         request_timeout_ms=100.0, checkpoint_interval=5,
         faults=faults,
-        byzantine=(ByzantineSpec(behavior="forge-history", replica_index=2,
-                                 options={"pom_at_ms": 150.0}),),
+        byzantine=(ByzantineSpec(behavior="forge-history", replica_index=2),),
         seed=seed,
     )
     cluster = Cluster(config)
@@ -265,23 +264,23 @@ class TestChurnAndTopology:
         assert heights[-1] - heights[0] <= 2 * interval
 
     def test_topology_intra_region_is_cheap(self):
-        topology = geo_topology(ScenarioParams())
+        topology = geo_topology(MATRIX_DEPLOYMENT)
         # replicas 0 and 3 share us-east (round-robin over three regions).
         assert topology.latency_ms("replica:0", "replica:3", 0.0) == 0.3
 
     def test_topology_links_are_directional_and_asymmetric(self):
-        topology = geo_topology(ScenarioParams())
+        topology = geo_topology(MATRIX_DEPLOYMENT)
         # us-east -> eu-west is 7ms while the reverse is 8ms.
         assert topology.latency_ms("replica:0", "replica:1", 0.0) == 7.0
         assert topology.latency_ms("replica:1", "replica:0", 0.0) == 8.0
 
     def test_topology_missing_direction_falls_back_to_reverse(self):
-        topology = geo_topology(ScenarioParams())
+        topology = geo_topology(MATRIX_DEPLOYMENT)
         # Only us-east -> ap-south is configured; the reverse reuses it.
         assert topology.latency_ms("replica:2", "replica:0", 0.0) == 11.0
 
     def test_topology_unknown_nodes_use_the_default_region(self):
-        topology = geo_topology(ScenarioParams())
+        topology = geo_topology(MATRIX_DEPLOYMENT)
         # Clients are unmapped, hence us-east: reaching eu-west costs the
         # configured 7ms, and another default-region node is intra.
         assert topology.latency_ms("client:0", "replica:1", 0.0) == 7.0
@@ -293,7 +292,7 @@ class TestChurnAndTopology:
         assert topology.latency_ms("a", "b", 0.0) == 42.0
 
     def test_drift_phases_scale_latencies_deterministically(self):
-        topology = geo_topology(ScenarioParams())
+        topology = geo_topology(MATRIX_DEPLOYMENT)
         base = topology.latency_ms("replica:0", "replica:1", 0.0)
         assert topology.latency_ms("replica:0", "replica:1", 50.0) == base * 2.0
         # Phase three eases the global scale but triples one specific
@@ -317,7 +316,7 @@ class TestChurnAndTopology:
     def test_conditions_route_propagation_through_the_topology(self):
         conditions = NetworkConditions(
             latency_ms=0.5, jitter_ms=0.0, bandwidth_mbps=None,
-            topology=geo_topology(ScenarioParams()), seed=1)
+            topology=geo_topology(MATRIX_DEPLOYMENT), seed=1)
         early = conditions.propagation_ms("replica:0", "replica:1", now_ms=0.0)
         drifted = conditions.propagation_ms("replica:0", "replica:1", now_ms=50.0)
         assert early == 7.0
@@ -334,10 +333,11 @@ def test_new_cells_live_and_safe_across_seeds(protocol, scenario):
     from repro.fabric.scenarios import run_scenario
 
     for seed in (3, 7, 42, 99):
-        outcome = run_scenario(protocol, scenario, ScenarioParams(seed=seed))
+        outcome = run_scenario(protocol, scenario,
+                               dataclasses.replace(MATRIX_DEPLOYMENT, seed=seed))
         assert outcome.live and outcome.safe, (protocol, scenario, seed)
     outcome = run_scenario(protocol, scenario,
-                           ScenarioParams(num_replicas=7, seed=11))
+                           dataclasses.replace(MATRIX_DEPLOYMENT, num_replicas=7))
     assert outcome.live and outcome.safe, (protocol, scenario, "n=7")
 
 

@@ -8,6 +8,7 @@ and then a matrix regression proves the auditor's verdicts on real runs
 did not move when the invariants were factored out.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 from repro.fabric.audit import (
@@ -18,7 +19,7 @@ from repro.fabric.audit import (
     default_slot_key,
     hotstuff_slot_key,
 )
-from repro.fabric.scenarios import ScenarioParams, run_matrix
+from repro.fabric.scenarios import MATRIX_DEPLOYMENT, run_matrix
 
 
 def block(sequence, payload, digest, view=0):
@@ -139,11 +140,10 @@ class TestMatrixRegression:
         verdicts (no expected deviations remain in the matrix since the
         baseline-recovery PR).
         """
-        params = ScenarioParams(total_batches=10)
         outcomes = run_matrix(
             protocols=("poe-mac", "pbft"),
             scenarios=("no-fault", "primary-crash", "equivocate"),
-            params=params)
+            base=dataclasses.replace(MATRIX_DEPLOYMENT, total_batches=10))
         assert len(outcomes) == 6
         for outcome in outcomes:
             assert outcome.live and outcome.safe, (

@@ -13,7 +13,9 @@ same scenario makes honest replicas execute divergent batches at the same
 sequence numbers — and the safety auditor must catch it.
 """
 
+import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 
@@ -24,12 +26,13 @@ from repro.crypto.cost import CryptoOp
 from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.scenarios import (
-    ScenarioParams,
+    MATRIX_DEPLOYMENT,
     run_matrix,
     run_scenario,
 )
 from repro.net.byzantine import (
     BEHAVIORS,
+    ByzantineBehavior,
     ByzantineSpec,
     Delivery,
     EquivocatingPrimary,
@@ -97,14 +100,15 @@ class TestBehaviorLayer:
         assert all(isinstance(d, Delivery) and d.delay_ms >= 0.0 for d in out)
         assert {d.receiver for d in out} <= set(replicas)
 
-    @pytest.mark.parametrize("name", ["equivocate", "equivocate-spoof",
-                                      "checkpoint-equivocate",
-                                      "colluding-equivocate"])
-    @pytest.mark.parametrize("option", ["spoof_votes", "trigger"])
-    def test_the_equivocators_take_no_options(self, name, option):
-        # The key fixes the trigger and vote spoofing; neither is settable.
+    @pytest.mark.parametrize("name", sorted(BEHAVIORS))
+    def test_no_behavior_takes_an_option(self, name):
+        # A variant of a behaviour is a key of its own and a timing is a
+        # constant or derived from the replica's timeout: nothing is settable.
+        factory = BEHAVIORS[name]
+        assert not inspect.signature(factory).parameters
+        assert isinstance(factory(), ByzantineBehavior)
         with pytest.raises(TypeError):
-            make_behavior(name, **{option: True})
+            make_behavior(name, x=1)
 
     @pytest.mark.parametrize("indices", [(2, 2), (-1,), (4,)],
                              ids=["same-replica", "negative", "past-membership"])
@@ -307,9 +311,9 @@ class TestScenarioMatrix:
         gains one the pinned table lacks — is a difference, named by cell
         and column."""
         cli = _fault_matrix_cli()
-        params = ScenarioParams(total_batches=4)
-        outcomes = run_matrix(("pbft",), ("no-fault", "primary-crash"), params)
-        table = cli.outcome_table(outcomes, params)
+        base = dataclasses.replace(MATRIX_DEPLOYMENT, total_batches=4)
+        outcomes = run_matrix(("pbft",), ("no-fault", "primary-crash"), base)
+        table = cli.outcome_table(outcomes, base)
         pinned = json.loads(json.dumps(table))
         pinned["cells"][0]["epochs"] = 4
         del pinned["cells"][0]["expected_batches"]
@@ -330,6 +334,7 @@ class TestScenarioMatrix:
         faulty primary) recover through their view changes and the formerly
         expected-unsafe cell (zyzzyva × equivocate) converges after the
         proof-of-misbehaviour view change."""
-        outcomes = run_matrix(params=ScenarioParams(total_batches=10))
+        outcomes = run_matrix(
+            base=dataclasses.replace(MATRIX_DEPLOYMENT, total_batches=10))
         assert [(o.protocol, o.scenario) for o in outcomes if not o.safe] == []
         assert [(o.protocol, o.scenario) for o in outcomes if not o.live] == []

@@ -29,7 +29,6 @@ from repro.fabric.scenarios import (
     SCENARIO_DEFS,
     SHARDED_MATRIX_PROTOCOLS,
     SHARDED_SCENARIOS,
-    ScenarioParams,
     scenario_cluster_config,
     sharded_cluster_config,
 )
@@ -163,16 +162,15 @@ def test_the_census_covers_the_whole_matrix():
 @pytest.mark.parametrize("protocol,scenario", _matrix_cells())
 def test_a_matrix_cell_makes_no_cycle(protocol, scenario):
     """Each cell built and audited as ``run_scenario`` builds it."""
-    params = ScenarioParams()
     if scenario in SHARDED_SCENARIOS:
         run = ShardedCluster(sharded_cluster_config(
-            protocol, SHARDED_SCENARIOS[scenario], params))
+            protocol, SHARDED_SCENARIOS[scenario]))
         ShardedSafetyAuditor.attach(run)
     else:
-        run = Cluster(scenario_cluster_config(protocol, scenario, params))
+        run = Cluster(scenario_cluster_config(protocol, scenario))
         SafetyAuditor.attach(run)
     run.start()
-    garbage = _cyclic_garbage(lambda: run.run_until_done(max_ms=params.max_ms))
+    garbage = _cyclic_garbage(lambda: run.run_until_done(max_ms=60_000.0))
     assert not garbage, (f"{protocol} x {scenario}: the drive left reference "
                          f"cycles of {dict(garbage.most_common())}")
 

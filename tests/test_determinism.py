@@ -100,17 +100,12 @@ def test_byzantine_scenarios_are_deterministic(protocol, behavior):
 
 
 def _scenario_config(protocol: str, scenario: str, seed: int = 11) -> ClusterConfig:
-    """A cluster config mirroring one fault-matrix cell (faults + spec +
-    network conditions)."""
-    from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams
+    """A cluster config mirroring one fault-matrix cell: the scenario's
+    recipe over the matrix deployment at 10 batches, 16 of them in flight."""
+    from repro.fabric.scenarios import MATRIX_DEPLOYMENT, scenario_cluster_config
 
-    plan = SCENARIO_DEFS[scenario].recipe(ScenarioParams(seed=seed))
-    return ClusterConfig(
-        protocol=protocol, num_replicas=4, batch_size=10,
-        total_batches=10, request_timeout_ms=100.0, checkpoint_interval=5,
-        conditions=plan.conditions, faults=plan.faults,
-        byzantine=plan.byzantine, seed=seed,
-    )
+    return scenario_cluster_config(protocol, scenario, dataclasses.replace(
+        MATRIX_DEPLOYMENT, total_batches=10, client_outstanding=16, seed=seed))
 
 
 @pytest.mark.parametrize("protocol,scenario", [
@@ -156,26 +151,6 @@ def test_adaptive_churn_and_drift_runs_are_deterministic(protocol, scenario):
     assert events > 0
 
 
-def _scenario_config_ex(protocol: str, scenario: str, seed: int = 11) -> ClusterConfig:
-    """Like :func:`_scenario_config`, also honouring the plan's
-    reconfiguration steps and deployment resizes."""
-    from repro.fabric.scenarios import SCENARIO_DEFS, ScenarioParams
-
-    params = ScenarioParams(seed=seed)
-    plan = SCENARIO_DEFS[scenario].recipe(params)
-    return ClusterConfig(
-        protocol=protocol,
-        num_replicas=plan.num_replicas or params.num_replicas,
-        batch_size=10,
-        total_batches=plan.total_batches or 10,
-        request_timeout_ms=100.0, checkpoint_interval=5,
-        conditions=plan.conditions, faults=plan.faults,
-        byzantine=plan.byzantine,
-        reconfig=plan.reconfig,
-        seed=seed,
-    )
-
-
 @pytest.mark.parametrize("protocol,scenario", [
     # The reconfiguration tier: a mid-run membership grow (joiner
     # provisioning, vouched state transfer with the epoch log, boundary
@@ -189,8 +164,8 @@ def _scenario_config_ex(protocol: str, scenario: str, seed: int = 11) -> Cluster
     ("pbft", "colluding-equivocate"),
 ])
 def test_reconfig_and_colluding_runs_are_deterministic(protocol, scenario):
-    first = run_fingerprint(_scenario_config_ex(protocol, scenario))
-    second = run_fingerprint(_scenario_config_ex(protocol, scenario))
+    first = run_fingerprint(_scenario_config(protocol, scenario))
+    second = run_fingerprint(_scenario_config(protocol, scenario))
     assert first == second
     records, events, now, throughput, latency = first
     assert records, "the run must complete batches across the epoch change"
@@ -214,6 +189,29 @@ def test_baseline_view_change_runs_are_deterministic(protocol):
     assert first == second
     records, events, now, throughput, latency = first
     assert records, "the run must complete batches through the view change"
+
+
+@pytest.mark.parametrize("protocol,scenario", [
+    ("poe-mac", "epoch-under-vc"),
+    ("pbft", "epoch-under-vc"),
+    ("poe-mac", "adaptive-primary"),
+])
+def test_one_config_object_runs_twice_alike(protocol, scenario):
+    """The windows a run adds — the joiners' boot crashes, the adaptive
+    adversary's partitions — go into the network's copy of the schedule,
+    never into the config's: the same object runs twice to one fingerprint
+    and keeps its schedule.  (Written into the config, a second run would
+    add every joiner's window again.)"""
+    from repro.fabric.scenarios import scenario_cluster_config
+
+    config = scenario_cluster_config(protocol, scenario)
+    if config.faults is None:
+        config.faults = FaultSchedule()
+    windows = repr(config.faults)
+    first = run_fingerprint(config)
+    assert repr(config.faults) == windows
+    assert run_fingerprint(config) == first
+    assert repr(config.faults) == windows
 
 
 def test_byzantine_different_seeds_diverge():
@@ -371,7 +369,7 @@ GOLDEN_SCENARIOS = {
 
 @pytest.mark.parametrize("protocol,scenario", sorted(GOLDEN_SCENARIOS))
 def test_golden_scenario_rows(protocol, scenario):
-    fingerprint = run_fingerprint(_scenario_config_ex(protocol, scenario))
+    fingerprint = run_fingerprint(_scenario_config(protocol, scenario))
     assert _fingerprint_digest(fingerprint) == GOLDEN_SCENARIOS[(protocol, scenario)]
 
 
@@ -446,25 +444,26 @@ MATRIX_CELL_BUDGETS = {
 
 @pytest.mark.parametrize("protocol,scenario", sorted(GOLDEN_MATRIX_CELLS))
 def test_golden_matrix_cells(protocol, scenario):
-    from repro.fabric.scenarios import ScenarioParams, scenario_cluster_config
+    from repro.fabric.scenarios import MATRIX_DEPLOYMENT, scenario_cluster_config
 
-    params = ScenarioParams(
-        seed=11, total_batches=MATRIX_CELL_BUDGETS.get((protocol, scenario), 20))
+    base = dataclasses.replace(
+        MATRIX_DEPLOYMENT,
+        total_batches=MATRIX_CELL_BUDGETS.get((protocol, scenario), 20))
     fingerprint = run_fingerprint(
-        scenario_cluster_config(protocol, scenario, params))
+        scenario_cluster_config(protocol, scenario, base))
     assert _fingerprint_digest(fingerprint) == GOLDEN_MATRIX_CELLS[(protocol, scenario)]
 
 
 def _xshard_scenario_config(protocol: str, scenario: str, seed: int = 11):
     """A sharded config mirroring one xshard fault-matrix cell."""
     from repro.fabric.scenarios import (
+        MATRIX_DEPLOYMENT,
         SHARDED_SCENARIOS,
-        ScenarioParams,
         sharded_cluster_config,
     )
 
-    return sharded_cluster_config(
-        protocol, SHARDED_SCENARIOS[scenario], ScenarioParams(seed=seed))
+    return sharded_cluster_config(protocol, SHARDED_SCENARIOS[scenario],
+                                  dataclasses.replace(MATRIX_DEPLOYMENT, seed=seed))
 
 
 GOLDEN_XSHARD_CRASH_2PC = "0b0c7db90d254b75"
@@ -585,34 +584,26 @@ def _adversary_config(protocol: str, deployment: str):
     """The deployment a ``GOLDEN_ADVERSARY`` row names: a matrix cell, an
     xshard coordinator cell, or one of ``ADVERSARY_EXTRAS`` on the
     matrix's no-fault cell."""
-    from repro.fabric.scenarios import (
-        SHARDED_SCENARIOS,
-        ScenarioParams,
-        scenario_cluster_config,
-    )
+    from repro.fabric.scenarios import SHARDED_SCENARIOS, scenario_cluster_config
 
     if deployment in SHARDED_SCENARIOS:
         return _xshard_scenario_config(protocol, deployment)
-    params = ScenarioParams(seed=11)
     if deployment not in ADVERSARY_EXTRAS:
-        return scenario_cluster_config(protocol, deployment, params)
+        return scenario_cluster_config(protocol, deployment)
     scenario, spec = ADVERSARY_EXTRAS[deployment]
-    config = scenario_cluster_config(protocol, scenario, params)
+    config = scenario_cluster_config(protocol, scenario)
     return dataclasses.replace(config, byzantine=(spec,))
 
 
-#: Deployments for the behaviours and options no matrix scenario names:
-#: (the matrix cell they run on, the spec they run with).
+#: Deployments for the behaviours no matrix scenario names: (the matrix
+#: cell they run on, the spec they run with).
 ADVERSARY_EXTRAS = {
-    "delay-jitter": ("no-fault", ByzantineSpec(
-        behavior="delay", replica_index=1,
-        options={"delay_ms": 5.0, "jitter_ms": 1.0})),
+    "delay-jitter": ("no-fault", ByzantineSpec(behavior="delay", replica_index=1)),
     "replay": ("no-fault", ByzantineSpec(behavior="replay", replica_index=0)),
     "stale-certify": ("no-fault", ByzantineSpec(
         behavior="stale-certify", replica_index=0)),
     "forge-certificates": ("forge-history", ByzantineSpec(
-        behavior="forge-history", replica_index=2,
-        options={"pom_at_ms": 150.0, "forge_certificates": True})),
+        behavior="forge-certificates", replica_index=2)),
 }
 
 GOLDEN_ADVERSARY = {
@@ -683,7 +674,7 @@ GOLDEN_ADVERSARY = {
     ('poe-mac', 'xshard-coordinator-stall'): (48, 40, 'aeb0583fac17d233'),
     ('pbft', 'xshard-coordinator-equivocate'): (12, 3, '5313eb3048a3e3e4'),
     ('pbft', 'xshard-coordinator-stall'): (48, 40, 'cec89d06c863ca49'),
-    # ADVERSARY_EXTRAS: behaviours and options no scenario names.
+    # ADVERSARY_EXTRAS: behaviours no scenario names.
     ('poe-mac', 'delay-jitter'): (44, 44, '1361a198491503dc'),
     ('poe-mac', 'replay'): (44, 11, 'ea9e1e14ad3db8d7'),
     ('poe-ts', 'stale-certify'): (65, 4, '97edf172a35751cd'),
@@ -705,17 +696,16 @@ def test_golden_adversary_rows(protocol, deployment, monkeypatch):
 
 def test_golden_adversary_covers_every_behaviour_cell():
     from repro.fabric.scenarios import (
+        MATRIX_DEPLOYMENT,
         MATRIX_PROTOCOLS,
         SCENARIO_DEFS,
         SHARDED_MATRIX_PROTOCOLS,
         SHARDED_SCENARIOS,
-        ScenarioParams,
     )
 
-    params = ScenarioParams(seed=11)
     cells = {(protocol, scenario) for protocol in MATRIX_PROTOCOLS
              for scenario, sdef in SCENARIO_DEFS.items()
-             if sdef.recipe(params).byzantine}
+             if sdef.recipe(MATRIX_DEPLOYMENT).byzantine}
     cells |= {(protocol, scenario) for protocol in SHARDED_MATRIX_PROTOCOLS
               for scenario, sdef in SHARDED_SCENARIOS.items()
               if sdef.coordinator_behavior}

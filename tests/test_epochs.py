@@ -17,6 +17,8 @@ Three layers of coverage:
   while the unreverted control runs stay SAFE.
 """
 
+import dataclasses
+
 import pytest
 
 import repro.protocols.replica_base as replica_base
@@ -29,8 +31,8 @@ from repro.fabric.cluster import (
     replica_id,
 )
 from repro.fabric.scenarios import (
+    MATRIX_DEPLOYMENT,
     MATRIX_PROTOCOLS,
-    ScenarioParams,
     run_scenario,
 )
 from repro.net.byzantine import ByzantineSpec
@@ -191,7 +193,8 @@ def test_new_matrix_rows_are_live_and_safe(protocol, scenario):
 @pytest.mark.parametrize("protocol", MATRIX_PROTOCOLS)
 @pytest.mark.parametrize("scenario", NEW_ROWS)
 def test_new_matrix_rows_survive_a_seed_sweep(scenario, protocol, seed):
-    outcome = run_scenario(protocol, scenario, ScenarioParams(seed=seed))
+    outcome = run_scenario(protocol, scenario,
+                           dataclasses.replace(MATRIX_DEPLOYMENT, seed=seed))
     assert outcome.live and outcome.safe, (
         f"{protocol} × {scenario} @ seed {seed}: live={outcome.live} "
         f"{outcome.audit.summary()}")
@@ -266,8 +269,7 @@ def test_joiners_catch_up_and_vote():
 
 def test_unsafe_record_is_refused_and_journaled():
     plan = ReconfigPlan(steps=(ReconfigStep(at_ms=10.0, add=(7, 8)),))
-    byz = ByzantineSpec(behavior="colluding-reconfig-abuse",
-                        replica_index=0, options={"at_ms": 4.0})
+    byz = ByzantineSpec(behavior="colluding-reconfig-abuse", replica_index=0)
     cluster, report = run_plan("poe-mac", 7, plan, total_batches=20,
                                byzantine=(byz,))
     assert report.ok, report.summary()

@@ -75,9 +75,7 @@ def _byzantine_sender(n):
     """A delaying backup: its traffic takes the unicast path, interleaved
     with everyone else's fan-outs."""
     return dict(protocol="poe-mac",
-                byzantine=(ByzantineSpec(behavior="delay", replica_index=1,
-                                         options={"delay_ms": 2.0,
-                                                  "jitter_ms": 1.0}),))
+                byzantine=(ByzantineSpec(behavior="delay", replica_index=1),))
 
 
 def _include_self(n):

@@ -6,6 +6,7 @@ replica (sharing), and a replica whose input differs never receives
 another replica's digest (divergence).
 """
 
+import dataclasses
 import json
 import os
 
@@ -14,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from repro.crypto.hashing import SHARED_DIGEST_MEMO_SIZE, digest, shared_digest
 from repro.fabric.cluster import Cluster, ClusterConfig
-from repro.fabric.scenarios import MATRIX_PROTOCOLS, ScenarioParams, run_scenario
+from repro.fabric.scenarios import MATRIX_DEPLOYMENT, MATRIX_PROTOCOLS, run_scenario
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.execution import SpeculativeExecutor
 from repro.ledger.store import KeyValueStore, result_digest
@@ -160,15 +161,15 @@ class TestDivergence:
     @pytest.mark.parametrize("protocol", MATRIX_PROTOCOLS)
     def test_byzantine_matrix_cells_keep_their_outcomes_on_a_warm_memo(
             self, protocol, scenario):
-        params = ScenarioParams(num_replicas=_MATRIX["n"],
-                                total_batches=_MATRIX["batches"],
-                                seed=_MATRIX["seed"])
+        base = dataclasses.replace(MATRIX_DEPLOYMENT, num_replicas=_MATRIX["n"],
+                                   total_batches=_MATRIX["batches"],
+                                   seed=_MATRIX["seed"])
         # The honest run of the same seed fills the memo with the digests
         # the Byzantine replica's divergent inputs must not be handed.
         shared_digest.cache_clear()
-        run_scenario(protocol, "no-fault", params)
+        run_scenario(protocol, "no-fault", base)
         assert shared_digest.cache_info().currsize > 0
-        outcome = run_scenario(protocol, scenario, params)
+        outcome = run_scenario(protocol, scenario, base)
         expected = _MATRIX_CELLS[(protocol, scenario)]
         assert (outcome.live, outcome.safe, outcome.completed_batches,
                 outcome.view_changes) == (

@@ -541,12 +541,11 @@ def test_real_execution_rollback_converges(protocol, scenario):
 
     from repro.fabric.audit import SafetyAuditor
     from repro.fabric.cluster import Cluster
-    from repro.fabric.scenarios import ScenarioParams, scenario_cluster_config
+    from repro.fabric.scenarios import MATRIX_DEPLOYMENT, scenario_cluster_config
 
-    params = ScenarioParams(seed=11, total_batches=60)
-    cluster = Cluster(dataclasses.replace(
-        scenario_cluster_config(protocol, scenario, params),
-        use_ycsb_payload=True, execute_operations=True))
+    base = dataclasses.replace(MATRIX_DEPLOYMENT, total_batches=60,
+                               use_ycsb_payload=True, execute_operations=True)
+    cluster = Cluster(scenario_cluster_config(protocol, scenario, base))
     auditor = SafetyAuditor.attach(cluster)
     honest = [replica for replica in cluster.replicas
               if replica.node_id not in cluster.byzantine_ids]
@@ -555,7 +554,7 @@ def test_real_execution_rollback_converges(protocol, scenario):
         replica.node_id: _journal_table_states(replica.executor, rollbacks)
         for replica in honest}
     cluster.start()
-    cluster.run_until_done(max_ms=params.max_ms)
+    cluster.run_until_done(max_ms=60_000.0)
 
     assert any(writes for _, writes, _ in rollbacks), \
         "the cell must actually undo writes"
@@ -564,7 +563,7 @@ def test_real_execution_rollback_converges(protocol, scenario):
     assert auditor.report().ok, auditor.report().summary()
 
     height = max(replica.last_executed_sequence for replica in honest)
-    assert height >= params.total_batches - 1
+    assert height >= base.total_batches - 1
     at_height = [r for r in honest if r.last_executed_sequence == height]
     assert len(at_height) >= 2
     assert len({r.blockchain.head.block_hash for r in at_height}) == 1

@@ -10,6 +10,7 @@ worker surfaces a clean, shard-naming error instead of hanging the
 barrier, and that the windows' lookahead never exceeds a boundary delay.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -21,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fabric.audit import ShardedSafetyAuditor
 from repro.fabric import parallel
 from repro.fabric.parallel import WorkerCrash, run_parallel
-from repro.fabric.scenarios import ScenarioParams, run_scenario
+from repro.fabric.scenarios import MATRIX_DEPLOYMENT, run_scenario
 from repro.fabric.sharding import (
     ShardRuntime,
     ShardedClusterConfig,
@@ -90,9 +91,9 @@ def test_parallel_run_audits_clean_from_artifacts():
 
 
 def test_parallel_scenario_outcome_matches_sequential():
-    params = ScenarioParams(total_batches=10)
-    sequential = run_scenario("poe-mac", "xshard-crash-2pc", params)
-    parallel = run_scenario("poe-mac", "xshard-crash-2pc", params,
+    base = dataclasses.replace(MATRIX_DEPLOYMENT, total_batches=10)
+    sequential = run_scenario("poe-mac", "xshard-crash-2pc", base)
+    parallel = run_scenario("poe-mac", "xshard-crash-2pc", base,
                             driver="parallel")
     assert parallel.live == sequential.live
     assert parallel.safe == sequential.safe

@@ -25,7 +25,7 @@ from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.fingerprint import replica_fingerprint
 from repro.fabric.registry import PROTOCOLS
-from repro.fabric.scenarios import ScenarioParams, run_scenario
+from repro.fabric.scenarios import MATRIX_DEPLOYMENT, run_scenario
 from repro.net.byzantine import ByzantineSpec
 from repro.protocols.base import NodeConfig
 from repro.protocols.client_messages import ClientReplyMessage
@@ -75,8 +75,8 @@ class TestFlippedMatrixCells:
     def test_sbft_threshold_view_change_at_n32(self):
         """The SBFT view change at deployment scale: n=32 runs the
         threshold scheme with 2f+1 = 21 view-change votes."""
-        outcome = run_scenario("sbft", "primary-crash",
-                               ScenarioParams(num_replicas=32, total_batches=6))
+        outcome = run_scenario("sbft", "primary-crash", dataclasses.replace(
+            MATRIX_DEPLOYMENT, num_replicas=32, total_batches=6))
         assert outcome.live and outcome.safe, outcome.audit.summary()
         assert outcome.view_changes >= 1
 

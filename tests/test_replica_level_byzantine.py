@@ -22,7 +22,7 @@ from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.registry import get_spec
 from repro.fabric.scenarios import (
-    ScenarioParams,
+    MATRIX_DEPLOYMENT,
     run_scenario,
     scenario_cluster_config,
 )
@@ -66,23 +66,24 @@ REPLICAS = [f"replica:{i}" for i in range(4)]
 
 def run_cell(protocol, scenario, total_batches=10, seed=11, max_ms=60_000.0):
     """Run one fault-matrix cell and return (cluster, auditor)."""
-    params = ScenarioParams(total_batches=total_batches, seed=seed)
-    cluster = Cluster(scenario_cluster_config(protocol, scenario, params))
+    base = dataclasses.replace(MATRIX_DEPLOYMENT, total_batches=total_batches,
+                               seed=seed)
+    cluster = Cluster(scenario_cluster_config(protocol, scenario, base))
     auditor = SafetyAuditor.attach(cluster)
     cluster.start()
     cluster.run_until_done(max_ms=max_ms)
     return cluster, auditor
 
 
-def forger_on(auths, protocol, **options):
-    """A forger installed in replica 2 of a *protocol* deployment, and an
-    honest peer to judge what it sends."""
+def forger_on(auths, protocol, behavior="forge-history"):
+    """A *behavior* forger installed in replica 2 of a *protocol*
+    deployment, and an honest peer to judge what it sends."""
     spec = get_spec(protocol)
     config = NodeConfig(replica_ids=list(REPLICAS), batch_size=2)
     forging, honest = (
         spec.replica_cls(rid, config, auths[rid], **spec.replica_kwargs)
         for rid in ("replica:2", "replica:1"))
-    behavior = ForgedHistoryReplica(**options)
+    behavior = make_behavior(behavior)
     behavior.node = forging
     behavior.bind("replica:2", REPLICAS, seed=5)
     return behavior, honest
@@ -153,6 +154,7 @@ def _old_transfer_handler(self, sender, message, now_ms):
 class TestBehaviourLayer:
     def test_registry_knows_replica_level_behaviors(self):
         assert isinstance(make_behavior("forge-history"), ForgedHistoryReplica)
+        assert make_behavior("forge-certificates").forge_certificates
         assert isinstance(make_behavior("lying-checkpoint"), LyingCheckpointer)
         assert isinstance(make_behavior("wrong-exec"), WrongExecutionReplica)
 
@@ -210,8 +212,8 @@ class TestWrongExecution:
     @pytest.mark.parametrize("protocol", ["poe-mac", "pbft", "zyzzyva",
                                           "hotstuff"])
     def test_row_is_live_and_safe(self, protocol):
-        outcome = run_scenario(protocol, "wrong-exec",
-                               ScenarioParams(total_batches=10))
+        outcome = run_scenario(protocol, "wrong-exec", dataclasses.replace(
+            MATRIX_DEPLOYMENT, total_batches=10))
         assert outcome.live and outcome.safe, outcome.audit.summary()
 
     def test_divergent_replica_detects_and_repairs_itself(self):
@@ -263,8 +265,8 @@ def auths():
 class TestLyingCheckpointer:
     @pytest.mark.parametrize("protocol", ["poe-mac", "pbft", "hotstuff"])
     def test_row_is_live_and_safe(self, protocol):
-        outcome = run_scenario(protocol, "lying-checkpoint",
-                               ScenarioParams(total_batches=10))
+        outcome = run_scenario(protocol, "lying-checkpoint", dataclasses.replace(
+            MATRIX_DEPLOYMENT, total_batches=10))
         assert outcome.live and outcome.safe, outcome.audit.summary()
 
     def test_fabricated_responses_are_never_installed(self):
@@ -394,7 +396,7 @@ class TestForgedHistory:
         assert "divergent-prefix" in kinds
 
     def test_forged_certificates_collide_with_local_knowledge(self, auths):
-        """With ``forge_certificates`` the fabricated entries carry
+        """Under the ``forge-certificates`` key the fabricated entries carry
         structurally valid certificates; an honest replica that executed
         the real slots below its stable checkpoint rejects the request on
         admission (at most one genuine certificate can exist per slot)."""
@@ -415,7 +417,7 @@ class TestForgedHistory:
                 sequence=1, state_digest=replica._own_digest_at(1),
                 replica_id=voter), 2.0)
         assert replica.checkpoints.stable_sequence == 1
-        behavior, _ = forger_on(auths, "zyzzyva", forge_certificates=True)
+        behavior, _ = forger_on(auths, "zyzzyva", "forge-certificates")
         forged = behavior._forge_request(ViewChangeRequest(
             view=0, replica_id="replica:2", stable_checkpoint=1, executed=()))
         assert forged.executed[0].proof is not None

@@ -18,14 +18,16 @@ every touched shard.  These tests pin:
   together with the runtime one.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.fabric.audit import ShardedSafetyAuditor, audit_sharded_cluster
 from repro.fabric.scenarios import (
+    MATRIX_DEPLOYMENT,
     SCENARIO_DEFS,
     SHARDED_MATRIX_PROTOCOLS,
     SHARDED_SCENARIOS,
-    ScenarioParams,
     ShardedScenarioDef,
     default_matrix_scenarios,
     run_scenario,
@@ -223,8 +225,8 @@ def test_sharded_matrix_cells_across_seeds(protocol, seed):
     acceptance seeds (the matrix itself runs one seed; this is the sweep
     behind the recorded expectations)."""
     for scenario in SHARDED_SCENARIOS:
-        outcome = run_scenario(protocol, scenario, ScenarioParams(
-            total_batches=12, request_timeout_ms=100.0, seed=seed))
+        outcome = run_scenario(protocol, scenario, replace(
+            MATRIX_DEPLOYMENT, total_batches=12, seed=seed))
         assert outcome.live, (
             f"{protocol} × {scenario} seed={seed} stalled at "
             f"{outcome.completed_batches}/{outcome.expected_batches}")
@@ -235,8 +237,7 @@ def test_sharded_matrix_cells_across_seeds(protocol, seed):
 
 def test_shard_primary_crash_triggers_view_change():
     outcome = run_scenario("poe-mac", "xshard-shard-primary-crash",
-                           ScenarioParams(total_batches=12,
-                                          request_timeout_ms=100.0, seed=7))
+                           replace(MATRIX_DEPLOYMENT, total_batches=12, seed=7))
     assert outcome.live and outcome.safe
     assert outcome.view_changes >= 1, (
         "the reused primary-crash recipe must force a real view change "
@@ -255,8 +256,7 @@ def test_revert_demo_auditor_catches_split_decision(monkeypatch):
     monkeypatch.setattr(xshard, "decide_record_valid",
                         lambda batch, layout: True)
     outcome = run_scenario("poe-mac", "xshard-coordinator-equivocate",
-                           ScenarioParams(total_batches=12,
-                                          request_timeout_ms=100.0, seed=42))
+                           replace(MATRIX_DEPLOYMENT, total_batches=12, seed=42))
     assert not outcome.safe, (
         "with certificate validation reverted, the equivocating "
         "coordinator must produce an audit violation")
@@ -269,8 +269,7 @@ def test_equivocating_coordinator_is_contained_by_validation():
     behaviour is harmless — the forged abort is rejected, pools recover
     through probes, and the audit stays clean."""
     outcome = run_scenario("poe-mac", "xshard-coordinator-equivocate",
-                           ScenarioParams(total_batches=12,
-                                          request_timeout_ms=100.0, seed=42))
+                           replace(MATRIX_DEPLOYMENT, total_batches=12, seed=42))
     assert outcome.live and outcome.safe, outcome.audit.summary()
 
 
@@ -394,17 +393,20 @@ def test_both_drivers_decide_through_the_shared_round(monkeypatch):
 
 
 # ------------------------------------------------- per-shard recipe coverage
-def test_per_shard_recipe_asking_for_more_than_a_shard_takes_is_rejected(monkeypatch):
-    """A per-shard recipe may set ``faults`` and one ``byzantine`` spec; one
-    that also wants co-conspirators, a resize, a reconfiguration or its own
-    network used to run silently truncated."""
+@pytest.mark.parametrize("recipe,asked", [
+    ("wrong-exec", "sets byzantine, which"),
+    ("colluding-equivocate", "sets num_replicas, byzantine, which"),
+    ("epoch-grow", "sets total_batches, reconfig, which"),
+    ("geo-drift", "sets conditions, which"),
+])
+def test_per_shard_recipe_asking_for_more_than_a_shard_takes_is_rejected(
+        monkeypatch, recipe, asked):
+    """A per-shard recipe may set ``faults`` only; one that also wants a
+    Byzantine replica, a resize, a reconfiguration or its own network is
+    rejected, naming every field it set, instead of running truncated."""
     monkeypatch.setitem(SHARDED_SCENARIOS, "xshard-throwaway", ShardedScenarioDef(
-        name="xshard-throwaway", per_shard=((0, "colluding-equivocate"),)))
-    with pytest.raises(ValueError, match="more than one byzantine spec"):
-        run_scenario("poe-mac", "xshard-throwaway")
-    monkeypatch.setitem(SHARDED_SCENARIOS, "xshard-throwaway", ShardedScenarioDef(
-        name="xshard-throwaway", per_shard=((1, "epoch-grow"),)))
-    with pytest.raises(ValueError, match="reconfig"):
+        name="xshard-throwaway", per_shard=((1, recipe),)))
+    with pytest.raises(ValueError, match=f"{asked} a shard cannot take"):
         run_scenario("poe-mac", "xshard-throwaway")
 
 

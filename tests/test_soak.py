@@ -19,16 +19,17 @@ dedup entries forever would show up as a grower here.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
 from repro.fabric.scenarios import (
     BY_DESIGN_GROWTH,
     MATRIX_PROTOCOLS,
+    SOAK_DEPLOYMENT,
     SoakReport,
     node_state_sizes,
     run_soak,
-    soak_params,
 )
 from repro.protocols.replica_base import BatchingReplica
 
@@ -70,11 +71,9 @@ def test_crashed_backup_soak_at_a_timeout_above_the_protocols_own(protocol):
     # livelock there (SCENARIOS.md, "State stays bounded"), and finish at
     # 300 ms.
     timeout_ms = 300.0
-    params = dataclasses.replace(soak_params(SOAK_STEPS),
-                                 request_timeout_ms=timeout_ms,
-                                 max_ms=24_000.0 * timeout_ms)
+    base = dataclasses.replace(SOAK_DEPLOYMENT, request_timeout_ms=timeout_ms)
     assert_bounded(run_soak(protocol, "backup-crash", steps=SOAK_STEPS,
-                            params=params), timeout_ms)
+                            base=base, max_ms=24_000.0 * timeout_ms), timeout_ms)
 
 
 @pytest.mark.parametrize("protocol", ["poe-mac", "pbft"])
@@ -150,9 +149,9 @@ def test_a_grower_is_reported_unless_it_is_exempt():
     assert [name for name, _, _ in report.growers()] == ["_leak"]
 
 
-def test_soak_params_span_several_retention_windows():
-    params = soak_params(steps=SOAK_STEPS)
+def test_soak_deployment_spans_several_retention_windows():
     # 25ms timeouts put the reply-retention window at 800ms of virtual
     # time; the deadline must leave room for several of them.
-    assert params.request_timeout_ms == 25.0
-    assert params.max_ms >= 100 * params.request_timeout_ms
+    assert SOAK_DEPLOYMENT.request_timeout_ms == 25.0
+    max_ms = inspect.signature(run_soak).parameters["max_ms"].default
+    assert max_ms >= 100 * SOAK_DEPLOYMENT.request_timeout_ms
