@@ -13,9 +13,11 @@ contribution of linear communication:
 """
 
 
+from dataclasses import replace
+
 from figure_rows import figure_row
 from repro.bench.report import print_results
-from repro.fabric.experiments import ExperimentConfig, run_experiment
+from repro.fabric.experiments import FIGURE_DEPLOYMENT, backup_crash, run_experiment
 
 PROTOCOLS = ["poe", "poe-nospec", "pbft"]
 
@@ -25,14 +27,9 @@ def run_ablation(scale):
     results = {}
     for n in scale.replica_counts:
         for protocol in PROTOCOLS:
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_replicas=n,
-                batch_size=100,
-                num_batches=scale.num_batches,
-                single_backup_failure=True,
-            )
-            result = run_experiment(config)
+            result = run_experiment(backup_crash(replace(
+                FIGURE_DEPLOYMENT, protocol=protocol, num_replicas=n,
+                total_batches=scale.num_batches)))
             results[(protocol, n)] = result
             rows.append(figure_row(result, protocol=result.protocol, n=n))
     return rows, results

@@ -7,10 +7,12 @@ reproduce: None > CMAC > ED in throughput, reversed for latency.
 """
 
 
+from dataclasses import replace
+
 from figure_rows import figure_row
 from repro.bench.report import print_results
 from repro.crypto.cost import CryptoCostModel
-from repro.fabric.experiments import ExperimentConfig, run_experiment
+from repro.fabric.experiments import FIGURE_DEPLOYMENT, run_experiment
 
 CONFIGURATIONS = {
     "None": CryptoCostModel.none(),
@@ -20,9 +22,9 @@ CONFIGURATIONS = {
 
 
 def run_pbft_with(cost_model, num_batches):
-    return run_experiment(ExperimentConfig(
-        protocol="pbft", num_replicas=16, batch_size=100,
-        num_batches=num_batches, cost_model=cost_model))
+    return run_experiment(replace(
+        FIGURE_DEPLOYMENT, protocol="pbft", total_batches=num_batches,
+        cost_model=cost_model))
 
 
 def test_figure8_signature_schemes(benchmark, scale):

@@ -8,9 +8,11 @@ timeout-bound regardless of the batch size.
 """
 
 
+from dataclasses import replace
+
 from figure_rows import figure_row
 from repro.bench.report import print_results
-from repro.fabric.experiments import ExperimentConfig, run_experiment
+from repro.fabric.experiments import FIGURE_DEPLOYMENT, backup_crash, run_experiment
 
 PROTOCOLS = ["poe", "pbft", "sbft", "hotstuff", "zyzzyva"]
 
@@ -21,14 +23,9 @@ def run_sweep(scale):
     results = {}
     for batch_size in scale.batch_sizes:
         for protocol in PROTOCOLS:
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_replicas=num_replicas,
-                batch_size=batch_size,
-                num_batches=scale.num_batches,
-                single_backup_failure=True,
-            )
-            result = run_experiment(config)
+            result = run_experiment(backup_crash(replace(
+                FIGURE_DEPLOYMENT, protocol=protocol, num_replicas=num_replicas,
+                batch_size=batch_size, total_batches=scale.num_batches)))
             results[(protocol, batch_size)] = result
             rows.append(figure_row(result, protocol=result.protocol, batch_size=batch_size))
     return rows, results

@@ -10,9 +10,11 @@ its own Figure 9(c) numbers.
 """
 
 
+from dataclasses import replace
+
 from figure_rows import figure_row
 from repro.bench.report import print_results
-from repro.fabric.experiments import ExperimentConfig, run_experiment
+from repro.fabric.experiments import FIGURE_DEPLOYMENT, run_experiment, sequential
 
 PROTOCOLS = ["poe", "pbft", "sbft", "hotstuff", "zyzzyva"]
 
@@ -22,14 +24,9 @@ def run_sweep(scale):
     results = {}
     for n in scale.replica_counts:
         for protocol in PROTOCOLS:
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_replicas=n,
-                batch_size=100,
-                num_batches=min(scale.num_batches, 60),
-                out_of_order=False,
-            )
-            result = run_experiment(config)
+            result = run_experiment(sequential(replace(
+                FIGURE_DEPLOYMENT, protocol=protocol, num_replicas=n,
+                total_batches=min(scale.num_batches, 60))))
             results[(protocol, n)] = result
             rows.append(figure_row(result, protocol=result.protocol, n=n))
     return rows, results
@@ -46,9 +43,9 @@ def test_figure9kl_out_of_order_disabled(benchmark, scale):
         assert hotstuff_closed > poe_closed
     # Closed-loop throughput is orders of magnitude below the out-of-order
     # numbers of Figure 9(c): a few thousand txn/s at most.
-    poe_open = run_experiment(ExperimentConfig(
-        protocol="poe", num_replicas=scale.replica_counts[0], batch_size=100,
-        num_batches=min(scale.num_batches, 60)))
+    poe_open = run_experiment(replace(
+        FIGURE_DEPLOYMENT, num_replicas=scale.replica_counts[0],
+        total_batches=min(scale.num_batches, 60)))
     slowest_n = scale.replica_counts[0]
     assert (results[("poe", slowest_n)].throughput_txn_per_s
             < poe_open.throughput_txn_per_s / 5)

@@ -14,9 +14,11 @@ Shapes to reproduce:
 """
 
 
+from dataclasses import replace
+
 from figure_rows import figure_row
 from repro.bench.report import print_results
-from repro.fabric.experiments import ExperimentConfig, run_experiment
+from repro.fabric.experiments import FIGURE_DEPLOYMENT, backup_crash, run_experiment
 from repro.fabric.registry import protocol_names
 
 
@@ -25,13 +27,10 @@ def run_sweep(scale, single_backup_failure: bool):
     results = {}
     for n in scale.replica_counts:
         for protocol in protocol_names():
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_replicas=n,
-                batch_size=100,
-                num_batches=scale.num_batches,
-                single_backup_failure=single_backup_failure,
-            )
+            config = replace(FIGURE_DEPLOYMENT, protocol=protocol,
+                             num_replicas=n, total_batches=scale.num_batches)
+            if single_backup_failure:
+                config = backup_crash(config)
             result = run_experiment(config)
             results[(protocol, n)] = result
             rows.append(figure_row(result, protocol=result.protocol, n=n))

@@ -8,25 +8,22 @@ primary.  This benchmark reproduces that timeline for both PoE and PBFT
 them, and HotStuff because it changes primaries every round).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.report import print_results, print_series
-from repro.fabric.timeline import run_view_change_timeline
+from repro.fabric.timeline import TIMELINE_DEPLOYMENT, run_view_change_timeline
 
 
 def run_timeline(protocol: str, scale):
     num_replicas = 32 if 32 in scale.replica_counts else max(scale.replica_counts)
     duration = scale.view_change_duration_ms
-    return run_view_change_timeline(
-        protocol=protocol,
-        num_replicas=num_replicas,
-        batch_size=100,
-        crash_at_ms=duration * 0.25,
-        duration_ms=duration,
-        request_timeout_ms=duration * 0.075,
-        bucket_ms=duration / 16,
-        client_outstanding=8,
-    )
+    config = replace(TIMELINE_DEPLOYMENT, protocol=protocol,
+                     num_replicas=num_replicas, client_outstanding=8,
+                     request_timeout_ms=duration * 0.075)
+    return run_view_change_timeline(config, crash_at_ms=duration * 0.25,
+                                    duration_ms=duration, bucket_ms=duration / 16)
 
 
 @pytest.mark.parametrize("protocol", ["poe", "pbft"])

@@ -225,7 +225,6 @@ CONFIG_CLASSES: Tuple[str, ...] = (
     "repro.fabric.cluster:ClusterConfig",
     "repro.fabric.sharding:ShardedClusterConfig",
     "repro.fabric.modelcheck:ModelCheckConfig",
-    "repro.fabric.experiments:ExperimentConfig",
     "repro.protocols.base:NodeConfig",
     "repro.workload.ycsb:YcsbConfig",
 )
@@ -235,12 +234,6 @@ CONFIG_CLASSES: Tuple[str, ...] = (
 KEPT_FIELDS: Dict[str, str] = {
     "repro.fabric.sharding:ShardedClusterConfig.num_replicas":
         "replicas per shard; fault_matrix.py --replicas sets it and the sharded tests vary it",
-    "repro.fabric.modelcheck:ModelCheckConfig.num_replicas":
-        "an n=3 cell tolerates no fault; the minimisation test builds one",
-    "repro.fabric.modelcheck:ModelCheckConfig.request_timeout_ms":
-        "liveness calibration (b) sets a client timer below SBFT's 50 ms collector wait",
-    "repro.fabric.modelcheck:ModelCheckConfig.crash_at_ms":
-        "when an interleaved crash becomes enabled; the minimisation test moves it",
     "repro.fabric.modelcheck:ModelCheckConfig.max_depth":
         "check() caps it to minimise a violation, which no pinned cell has; a test does",
     "repro.fabric.modelcheck:ModelCheckConfig.expect_stall":

@@ -21,23 +21,18 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.fabric.timeline import run_view_change_timeline
+from repro.fabric.timeline import TIMELINE_DEPLOYMENT, run_view_change_timeline
 
 
 def main() -> None:
     timeline = run_view_change_timeline(
-        protocol="poe",
-        num_replicas=8,
-        batch_size=50,
-        crash_at_ms=1_000.0,
-        duration_ms=4_000.0,
-        request_timeout_ms=300.0,
-        bucket_ms=250.0,
-        client_outstanding=8,
-    )
+        replace(TIMELINE_DEPLOYMENT, num_replicas=8, batch_size=50,
+                client_outstanding=8, request_timeout_ms=300.0),
+        crash_at_ms=1_000.0, duration_ms=4_000.0, bucket_ms=250.0)
 
     print("PoE under a primary failure (crash at t = "
           f"{timeline.primary_crash_ms / 1000:.2f}s)")

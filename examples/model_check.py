@@ -62,7 +62,7 @@ from repro.fabric.scenarios import unknown_name_message
 
 def run_replay(path: str, reverted_fix: bool) -> int:
     config, entries = load_trace(path)
-    print(f"replaying {len(entries)} events against {config.protocol} "
+    print(f"replaying {len(entries)} events against {config.deployment.protocol} "
           f"(timer_gate={config.timer_gate})")
     if reverted_fix:
         with reverted_stale_slot_fix():

@@ -16,26 +16,25 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.bench.report import print_results
-from repro.fabric.experiments import ExperimentConfig, run_protocol_comparison
+from repro.fabric.experiments import (
+    FIGURE_DEPLOYMENT,
+    backup_crash,
+    run_protocol_comparison,
+)
 
 
 def main() -> None:
     num_replicas = int(sys.argv[1]) if len(sys.argv) > 1 else 16
-    base = ExperimentConfig(
-        num_replicas=num_replicas,
-        batch_size=100,
-        num_batches=60,
-    )
+    base = replace(FIGURE_DEPLOYMENT, num_replicas=num_replicas, total_batches=60)
 
-    for failure in (False, True):
-        label = ("single backup failure" if failure else "no failures")
-        results = run_protocol_comparison(
-            ExperimentConfig(**{**base.__dict__,
-                                "single_backup_failure": failure}))
+    for label, config in (("no failures", base),
+                          ("single backup failure", backup_crash(base))):
+        results = run_protocol_comparison(config)
         rows = [
             {
                 "protocol": result.protocol,

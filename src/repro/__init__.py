@@ -10,10 +10,12 @@ HotStuff) and an evaluation fabric that reproduces the paper's figures.
 
 Quickstart::
 
-    from repro import ExperimentConfig, run_experiment
+    from dataclasses import replace
 
-    result = run_experiment(ExperimentConfig(protocol="poe", num_replicas=4,
-                                             num_batches=50))
+    from repro import FIGURE_DEPLOYMENT, run_experiment
+
+    result = run_experiment(replace(FIGURE_DEPLOYMENT, num_replicas=4,
+                                    total_batches=50))
     print(result.row())
 """
 
@@ -22,7 +24,7 @@ from repro.crypto import Authenticator, CryptoCostModel, SchemeKind, make_authen
 from repro.fabric import (
     Cluster,
     ClusterConfig,
-    ExperimentConfig,
+    FIGURE_DEPLOYMENT,
     RunResult,
     run_experiment,
     run_protocol_comparison,
@@ -59,7 +61,7 @@ __all__ = [
     "FaultSchedule",
     "Cluster",
     "ClusterConfig",
-    "ExperimentConfig",
+    "FIGURE_DEPLOYMENT",
     "RunResult",
     "run_experiment",
     "run_protocol_comparison",

@@ -27,11 +27,13 @@ from repro.fabric.scenarios import (
     unexpected_outcomes,
 )
 from repro.fabric.experiments import (
-    ExperimentConfig,
+    FIGURE_DEPLOYMENT,
+    backup_crash,
     run_experiment,
     run_protocol_comparison,
+    sequential,
 )
-from repro.fabric.timeline import run_view_change_timeline
+from repro.fabric.timeline import TIMELINE_DEPLOYMENT, run_view_change_timeline
 from repro.fabric.upper_bound import run_upper_bound
 
 __all__ = [
@@ -56,9 +58,12 @@ __all__ = [
     "run_matrix",
     "run_scenario",
     "unexpected_outcomes",
-    "ExperimentConfig",
+    "FIGURE_DEPLOYMENT",
+    "backup_crash",
     "run_experiment",
     "run_protocol_comparison",
+    "sequential",
+    "TIMELINE_DEPLOYMENT",
     "run_view_change_timeline",
     "run_upper_bound",
 ]

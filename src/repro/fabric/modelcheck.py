@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fabric.audit import (
@@ -53,15 +53,16 @@ from repro.fabric.audit import (
     honest_live_replicas,
     slot_key_for,
 )
-from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
+from repro.fabric.cluster import Cluster, ClusterConfig, own_conditions, replica_id
 from repro.fabric.fingerprint import cluster_state_fingerprint
 from repro.net.byzantine import ByzantineSpec
 from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.net.simulator import ControlledScheduler
 
-#: Version tag of the counterexample-trace JSON format (2: four config fields became constants).
-TRACE_SCHEMA = 2
+#: Version tag of the counterexample-trace JSON format (3: the config is a
+#: deployment plus search bounds).
+TRACE_SCHEMA = 3
 
 #: An exploration stops (``state bound hit``) after this many distinct states.
 MAX_STATES = 120_000
@@ -70,40 +71,41 @@ MAX_STATES = 120_000
 #: transition over a delivery.
 HUNT_FAULT_BIAS = 0.5
 
+#: The deployment every model-checking cell starts from: the smallest
+#: interesting instance.  n=4, one client, two single-transaction
+#: consensus slots both in flight, a checkpoint boundary inside the
+#: explored window, a 100 ms timeout, seed 11, and fixed-delay lossless
+#: network conditions so no RNG is consumed anywhere on a path
+#: (fingerprint deduplication then collapses commuting deliveries
+#: exactly).  A cell replaces fields of it; a crash in its ``faults`` is
+#: a crash choice point and a ``byzantine`` spec routes that replica's
+#: traffic through a network-boundary behaviour (e.g. ``"equivocate"``),
+#: whose forged deliveries become ordinary delivery choice points.
+MODEL_CHECK_DEPLOYMENT = ClusterConfig(
+    protocol="poe-mac", num_replicas=4, batch_size=1, client_outstanding=2,
+    total_batches=2, request_timeout_ms=100.0, checkpoint_interval=2,
+    conditions=NetworkConditions.uniform_delay(1.0, seed=11), seed=11)
+
+
+def crashing(index: int, at_ms: float = 2.0, **changes) -> ClusterConfig:
+    """:data:`MODEL_CHECK_DEPLOYMENT` with *changes* and replica *index*
+    crashing at *at_ms*: the checker interleaves the crash at every
+    position like any other event."""
+    return replace(MODEL_CHECK_DEPLOYMENT, **changes,
+                   faults=FaultSchedule().add_crash(replica_id(index), at_ms=at_ms))
+
 
 @dataclass(frozen=True)
 class ModelCheckConfig:
-    """One model-checking cell: a tiny deployment plus exploration bounds.
+    """One model-checking cell: a tiny deployment plus exploration bounds."""
 
-    The deployment fields mirror :class:`~repro.fabric.cluster.ClusterConfig`
-    but default to the smallest interesting instance: n=4, one client,
-    two single-transaction consensus slots, a checkpoint boundary inside
-    the explored window, and fixed-delay lossless network conditions so
-    no RNG is consumed anywhere on a path (fingerprint deduplication
-    then collapses commuting deliveries exactly).
-
-    ``crash_replica`` schedules a crash transition that the checker
-    interleaves at every position like any other event — a crash choice
-    point.  ``byzantine_behavior`` routes replica 0, the view-0 primary,
-    through a network-boundary behaviour (e.g. ``"equivocate"``), whose forged
-    deliveries become ordinary delivery choice points.
-    """
-
-    protocol: str = "poe-mac"
-    num_replicas: int = 4
-    num_batches: int = 2
-    client_outstanding: int = 2
-    checkpoint_interval: int = 2
-    request_timeout_ms: float = 100.0
-    crash_replica: Optional[int] = None
-    crash_at_ms: float = 2.0
-    #: Fire the crash transition as a mandatory first step instead of
-    #: interleaving it as a choice point.  With an interleaved crash the
-    #: checker also explores orderings that finish all slots before the
-    #: crash lands (no view change on those paths); crashing up front
-    #: forces every completing ordering through a view change.
+    deployment: ClusterConfig = field(default_factory=lambda: MODEL_CHECK_DEPLOYMENT)
+    #: Fire the deployment's crash transitions as mandatory first steps
+    #: instead of interleaving them as choice points.  With an interleaved
+    #: crash the checker also explores orderings that finish all slots
+    #: before the crash lands (no view change on those paths); crashing
+    #: up front forces every completing ordering through a view change.
     crash_at_start: bool = False
-    byzantine_behavior: Optional[str] = None
     max_depth: int = 240
     #: States where any replica's view exceeds this become leaves.  Timer
     #: chains make the view dimension unbounded (every timeout round can
@@ -132,12 +134,6 @@ class ModelCheckConfig:
     #: event.
     persistent_sets: bool = True
     expect_stall: bool = False
-
-    #: Batch size, network delay, seed, corrupted replica: constants, not fields.
-    batch_size = 1
-    delay_ms = 1.0
-    seed = 11
-    byzantine_replica = 0
 
     def __post_init__(self) -> None:
         if self.timer_gate not in ("global", "eager"):
@@ -185,7 +181,7 @@ class ExploreResult:
         return self.counterexample is None
 
     def summary(self) -> str:
-        head = (f"{self.config.protocol}: {self.states_explored} states, "
+        head = (f"{self.config.deployment.protocol}: {self.states_explored} states, "
                 f"{self.transitions} transitions, "
                 f"{self.quiescent_leaves} quiescent / "
                 f"{self.stall_leaves} stalled / "
@@ -228,42 +224,21 @@ def _authenticators_for(cluster_config: ClusterConfig):
 
 
 def build_cluster(config: ModelCheckConfig) -> Tuple[Cluster, ControlledScheduler]:
-    """One fresh, started cluster on a controlled scheduler."""
-    faults = FaultSchedule()
-    if config.crash_replica is not None:
-        faults.add_crash(replica_id(config.crash_replica),
-                         at_ms=config.crash_at_ms)
-    byzantine = ()
-    if config.byzantine_behavior is not None:
-        byzantine = (ByzantineSpec(behavior=config.byzantine_behavior,
-                                   replica_index=config.byzantine_replica),)
+    """One fresh, started cluster on a controlled scheduler; with
+    ``crash_at_start`` the deployment's crashes have fired."""
+    deployment = own_conditions(config.deployment)
     scheduler = ControlledScheduler()
-    cluster_config = ClusterConfig(
-        protocol=config.protocol,
-        num_replicas=config.num_replicas,
-        batch_size=config.batch_size,
-        num_clients=1,
-        client_outstanding=config.client_outstanding,
-        total_batches=config.num_batches,
-        request_timeout_ms=config.request_timeout_ms,
-        checkpoint_interval=config.checkpoint_interval,
-        conditions=NetworkConditions.uniform_delay(config.delay_ms,
-                                                   seed=config.seed),
-        faults=faults,
-        byzantine=byzantine,
-        seed=config.seed,
-    )
-    cluster = Cluster(cluster_config, simulator=scheduler,
-                      authenticators=_authenticators_for(cluster_config))
+    cluster = Cluster(deployment, simulator=scheduler,
+                      authenticators=_authenticators_for(deployment))
     cluster.start()
-    if config.crash_at_start and config.crash_replica is not None:
-        target = ("crash", replica_id(config.crash_replica))
-        for seq, _time, label in scheduler.choices():
-            if label == target:
-                scheduler.fire(seq)
-                break
-        else:
-            raise RuntimeError("crash_at_start: no pending crash transition")
+    if config.crash_at_start and deployment.faults is not None:
+        for crash in deployment.faults.crashes:
+            target = ("crash", crash.node_id)
+            seq = next((seq for seq, _time, label in scheduler.choices()
+                        if label == target), None)
+            if seq is None:
+                raise RuntimeError(f"crash_at_start: no pending crash of {crash.node_id}")
+            scheduler.fire(seq)
     return cluster, scheduler
 
 
@@ -638,12 +613,60 @@ def _jsonable(value):
     return value
 
 
+#: The deployment fields a trace does not write: it writes the other
+#: (scalar) fields, the crashes and the Byzantine specs, and refuses a
+#: deployment whose value of one of these differs from the preset's.
+_PRESET_FIELDS = ("conditions", "reconfig", "cost_model", "ycsb")
+
+
+def _deployment_to_json(deployment: ClusterConfig) -> Dict[str, object]:
+    faults = deployment.faults or FaultSchedule()
+    unwritable = [name for name in _PRESET_FIELDS
+                  if getattr(deployment, name) != getattr(MODEL_CHECK_DEPLOYMENT, name)]
+    if faults.partitions:
+        unwritable.append("partitions")
+    if faults.dark_replicas:
+        unwritable.append("dark replicas")
+    if any(crash.until_ms is not None for crash in faults.crashes):
+        unwritable.append("crash recoveries")
+    if unwritable:
+        raise ValueError(f"a trace cannot record the deployment's "
+                         f"{', '.join(unwritable)}")
+    written = {f.name: getattr(deployment, f.name) for f in fields(deployment)
+               if f.name not in _PRESET_FIELDS + ("faults", "byzantine")}
+    written["crashes"] = [[crash.node_id, crash.at_ms] for crash in faults.crashes]
+    written["byzantine"] = [[spec.behavior, spec.replica_index]
+                            for spec in deployment.byzantine]
+    return written
+
+
+def _deployment_from_json(written: Dict[str, object]) -> ClusterConfig:
+    scalars = dict(written)
+    faults = None
+    crashes = scalars.pop("crashes")
+    if crashes:
+        faults = FaultSchedule()
+        for node_id, at_ms in crashes:
+            faults.add_crash(node_id, at_ms=at_ms)
+    byzantine = tuple(ByzantineSpec(behavior, index)
+                      for behavior, index in scalars.pop("byzantine"))
+    return replace(MODEL_CHECK_DEPLOYMENT, **scalars, faults=faults,
+                   byzantine=byzantine)
+
+
 def counterexample_to_json(counterexample: Counterexample) -> Dict[str, object]:
-    """The replayable JSON form of one counterexample."""
+    """The replayable JSON form of one counterexample.
+
+    Raises :class:`ValueError` if the deployment holds what a trace does
+    not record (see ``_PRESET_FIELDS``), rather than write part of it.
+    """
+    config = counterexample.config
+    written = {f.name: getattr(config, f.name) for f in fields(config)}
+    written["deployment"] = _deployment_to_json(config.deployment)
     return {
         "schema": TRACE_SCHEMA,
         "kind": counterexample.kind,
-        "config": asdict(counterexample.config),
+        "config": written,
         "trace": [{"seq": seq, "label": _jsonable(label)}
                   for seq, label in counterexample.trace],
         "violations": [{"kind": violation.kind, "detail": violation.detail}
@@ -662,10 +685,11 @@ def load_trace(path: str) -> Tuple[ModelCheckConfig, List[Dict[str, object]]]:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if payload.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"unsupported trace schema {payload.get('schema')!r}")
-    config_fields = dict(payload["config"])
-    config = ModelCheckConfig(**config_fields)
-    return config, list(payload["trace"])
+        raise ValueError(f"unsupported trace schema {payload.get('schema')!r} "
+                         f"(this reader reads schema {TRACE_SCHEMA})")
+    written = dict(payload["config"])
+    deployment = _deployment_from_json(written.pop("deployment"))
+    return ModelCheckConfig(deployment=deployment, **written), list(payload["trace"])
 
 
 def replay_trace(config: ModelCheckConfig, entries: Sequence[Dict[str, object]],
@@ -690,40 +714,38 @@ def replay_trace(config: ModelCheckConfig, entries: Sequence[Dict[str, object]],
 #: of examples/model_check.py.
 MODEL_CHECK_CELLS: Dict[str, ModelCheckConfig] = {
     # Fault-free baseline: one batch, every interleaving of the happy path.
-    "poe-nofault": ModelCheckConfig(
-        protocol="poe-mac", num_batches=1, client_outstanding=1),
+    "poe-nofault": ModelCheckConfig(replace(
+        MODEL_CHECK_DEPLOYMENT, total_batches=1, client_outstanding=1)),
     # Primary may crash at any point relative to the protocol messages;
     # schedules that stay in view 0 and schedules that force a view change
     # are both inside the bound.
     "poe-crash-interleaved": ModelCheckConfig(
-        protocol="poe-mac", crash_replica=0, num_batches=1,
-        client_outstanding=1, view_bound=1),
+        crashing(0, total_batches=1, client_outstanding=1), view_bound=1),
     # Primary down from the start: every schedule must recover through at
     # least one view change before the two batches can quiesce.
     "poe-crash-vc": ModelCheckConfig(
-        protocol="poe-mac", crash_replica=0, crash_at_start=True,
-        num_batches=2, client_outstanding=1, view_bound=1),
+        crashing(0, client_outstanding=1), crash_at_start=True, view_bound=1),
     "pbft-crash-vc": ModelCheckConfig(
-        protocol="pbft", crash_replica=0, crash_at_start=True,
-        num_batches=2, client_outstanding=1, view_bound=1),
+        crashing(0, protocol="pbft", client_outstanding=1),
+        crash_at_start=True, view_bound=1),
     # Equivocating primary plus a crashed backup: the three live replicas
     # are exactly nf, so any split vote forces the view change to sort out
     # the conflicting proposals.
     "poe-equivocate-vc": ModelCheckConfig(
-        protocol="poe-mac", byzantine_behavior="equivocate",
-        crash_replica=3, crash_at_start=True,
-        num_batches=1, client_outstanding=1, view_bound=1),
+        crashing(3, total_batches=1, client_outstanding=1,
+                 byzantine=(ByzantineSpec("equivocate", 0),)),
+        crash_at_start=True, view_bound=1),
     "pbft-equivocate-vc": ModelCheckConfig(
-        protocol="pbft", byzantine_behavior="equivocate",
-        crash_replica=3, crash_at_start=True,
-        num_batches=1, client_outstanding=1, view_bound=1),
+        crashing(3, protocol="pbft", total_batches=1, client_outstanding=1,
+                 byzantine=(ByzantineSpec("equivocate", 0),)),
+        crash_at_start=True, view_bound=1),
 }
 
 EXTRA_CELLS: Dict[str, ModelCheckConfig] = {
     "zyzzyva-crash-vc": ModelCheckConfig(
-        protocol="zyzzyva", crash_replica=0, crash_at_start=True,
-        num_batches=2, client_outstanding=1, view_bound=1),
+        crashing(0, protocol="zyzzyva", client_outstanding=1),
+        crash_at_start=True, view_bound=1),
     "sbft-crash-vc": ModelCheckConfig(
-        protocol="sbft", crash_replica=0, crash_at_start=True,
-        num_batches=2, client_outstanding=1, view_bound=1),
+        crashing(0, protocol="sbft", client_outstanding=1),
+        crash_at_start=True, view_bound=1),
 }

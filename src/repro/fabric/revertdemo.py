@@ -37,6 +37,7 @@ from repro.fabric.modelcheck import (
     Counterexample,
     ModelCheckConfig,
     counterexample_to_json,
+    crashing,
     hunt,
     replay_trace,
     shrink_trace,
@@ -47,9 +48,8 @@ from repro.fabric.modelcheck import (
 #: all of them.  Two outstanding batches give the new primary something
 #: to re-propose at a shifted slot.
 REVERT_DEMO_CONFIG = ModelCheckConfig(
-    protocol="poe-mac", num_batches=2, client_outstanding=2,
-    crash_replica=3, crash_at_start=True, checkpoint_interval=10,
-    view_bound=1, timer_gate="eager")
+    crashing(3, checkpoint_interval=10), crash_at_start=True, view_bound=1,
+    timer_gate="eager")
 
 #: ``walk_seed`` of the known violating walk (found once with a 20k-walk
 #: hunt at the same ``defer_p``; CI replays just this walk).

@@ -39,6 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.fabric.audit import AuditReport, SafetyAuditor, ShardedSafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, ReconfigPlan, ReconfigStep
+from repro.fabric.experiments import backup_crash
 from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig, coordinator_id
 from repro.net.byzantine import ByzantineSpec
 from repro.net.conditions import DriftPhase, LatencyTopology, NetworkConditions
@@ -104,11 +105,8 @@ def _no_fault(base: ClusterConfig) -> ClusterConfig:
     return base
 
 
-@register_scenario("backup-crash", "one backup crashes at start")
-def _backup_crash(base: ClusterConfig) -> ClusterConfig:
-    # The paper's standard single-backup-failure configuration.
-    return replace(base, faults=FaultSchedule.single_backup_crash(
-        base.replica_ids()[-1], at_ms=0.0))
+# The paper's standard single-backup-failure configuration.
+register_scenario("backup-crash", "one backup crashes at start")(backup_crash)
 
 
 @register_scenario("primary-crash", "primary crashes mid-workload; view change required")
@@ -495,7 +493,8 @@ def scenario_cluster_config(protocol: str, scenario: str,
 
 def sharded_cluster_config(protocol: str, sdef: ShardedScenarioDef,
                            base: ClusterConfig = MATRIX_DEPLOYMENT) -> ShardedClusterConfig:
-    """The sharded deployment *sdef* describes, each shard sized like *base*.
+    """The sharded deployment *sdef* describes, each shard sized and
+    executing like *base*.
 
     Every shard runs *protocol*; per-shard recipes come from the
     single-group registry, run on *base* under the shard's namespace.  A
@@ -529,6 +528,8 @@ def sharded_cluster_config(protocol: str, sdef: ShardedScenarioDef,
         cross_shard_fraction=sdef.cross_shard_fraction,
         request_timeout_ms=base.request_timeout_ms,
         checkpoint_interval=base.checkpoint_interval,
+        execute_operations=base.execute_operations,
+        use_ycsb_payload=base.use_ycsb_payload,
         shard_faults=shard_faults,
         hub_faults=hub_faults,
         coordinator_behavior=sdef.coordinator_behavior,

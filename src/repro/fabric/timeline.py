@@ -14,10 +14,10 @@ with the observed view-change markers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
-from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
+from repro.fabric.cluster import Cluster, ClusterConfig, own_conditions
 from repro.fabric.metrics import ThroughputTimeline
 from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
@@ -39,37 +39,31 @@ class ViewChangeTimeline:
         return self.timeline.series()
 
 
+#: The Figure 10 deployment: PoE at n = 32, batches of 100 with 16 in
+#: flight and no batch budget (the run is time-bounded), on the
+#: :class:`~repro.net.conditions.NetworkConditions` defaults (0.5 ms
+#: one-way, 0.05 ms jitter, 1 Gbit/s, seed 1) with a 500 ms timeout.
+TIMELINE_DEPLOYMENT = ClusterConfig(
+    protocol="poe", num_replicas=32, batch_size=100, client_outstanding=16,
+    total_batches=None, request_timeout_ms=500.0, conditions=NetworkConditions())
+
+
 def run_view_change_timeline(
-    protocol: str = "poe",
-    num_replicas: int = 32,
-    batch_size: int = 100,
+    config: ClusterConfig = TIMELINE_DEPLOYMENT,
     crash_at_ms: float = 2_000.0,
     duration_ms: float = 8_000.0,
-    request_timeout_ms: float = 500.0,
     bucket_ms: float = 250.0,
-    client_outstanding: int = 16,
 ) -> ViewChangeTimeline:
-    """Run a primary-crash experiment and return the throughput timeline.
+    """Crash *config*'s primary at *crash_at_ms* and return the throughput
+    timeline of the first *duration_ms*.
 
     The defaults compress the paper's 10-second-plus run into a few
     simulated seconds (with a correspondingly smaller request timeout) so
     the benchmark stays laptop-sized; the shape — steady throughput, dip
     at the crash, recovery after the view-change — is preserved.
     """
-    primary = replica_id(0)
-    faults = FaultSchedule.primary_crash(primary, at_ms=crash_at_ms)
-    config = ClusterConfig(
-        protocol=protocol,
-        num_replicas=num_replicas,
-        batch_size=batch_size,
-        num_clients=1,
-        client_outstanding=client_outstanding,
-        total_batches=None,
-        request_timeout_ms=request_timeout_ms,
-        # The defaults: 0.5 ms one-way, 0.05 ms jitter, 1 Gbit/s, seed 1.
-        conditions=NetworkConditions(),
-        faults=faults,
-    )
+    config = replace(own_conditions(config), faults=FaultSchedule.primary_crash(
+        config.replica_ids()[0], at_ms=crash_at_ms))
     cluster = Cluster(config)
     cluster.start()
     cluster.run_for(duration_ms)
@@ -84,7 +78,7 @@ def run_view_change_timeline(
     new_view = max((replica.view for replica in cluster.replicas), default=0)
     return ViewChangeTimeline(
         protocol=cluster.spec.name,
-        n=num_replicas,
+        n=config.num_replicas,
         timeline=timeline,
         primary_crash_ms=crash_at_ms,
         view_changes_completed=view_changes,

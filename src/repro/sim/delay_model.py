@@ -4,7 +4,8 @@ The paper's simulation "processes every message send/receive but replaces
 computation with a fixed delay".  That is this repository's engine with no
 crypto cost, one-transaction batches and an uplink nobody waits for, so a
 point of the figure is one :func:`~repro.fabric.experiments.run_experiment`
-call.  Nothing here knows how many rounds or messages a protocol needs:
+call over :data:`~repro.fabric.experiments.FIGURE_DEPLOYMENT` with the
+conditions and cost model set here.  Nothing here knows how many rounds or messages a protocol needs:
 both are read off the run.
 
 The module keeps its path because ``poebench/test_poebench.py::
@@ -14,11 +15,12 @@ test_every_module_has_a_layer`` pins the module set both ways; deleting the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List
 
 from repro.crypto.cost import CryptoCostModel
-from repro.fabric.experiments import ExperimentConfig, run_experiment
+from repro.fabric.experiments import FIGURE_DEPLOYMENT, run_experiment, sequential
+from repro.net.conditions import NetworkConditions
 
 #: PoE as deployed (MACs up to 16 replicas, threshold signatures above),
 #: its MAC-only mode, and the four baselines.
@@ -61,11 +63,14 @@ def delay_point(protocol: str, num_replicas: int, message_delay_ms: float,
     its chained pipeline spans); above one the primary proposes out of
     order, up to ``NodeConfig.max_in_flight`` (128) slots ahead.
     """
-    result = run_experiment(ExperimentConfig(
-        protocol=protocol, num_replicas=num_replicas, batch_size=1,
-        num_batches=decisions, out_of_order=window > 1,
-        client_outstanding=window, latency_ms=message_delay_ms,
-        bandwidth_mbps=1e9, cost_model=CryptoCostModel.none()))
+    config = replace(
+        FIGURE_DEPLOYMENT, protocol=protocol, num_replicas=num_replicas,
+        batch_size=1, total_batches=decisions, client_outstanding=window,
+        conditions=NetworkConditions(latency_ms=message_delay_ms,
+                                     jitter_ms=message_delay_ms * 0.1,
+                                     bandwidth_mbps=1e9),
+        cost_model=CryptoCostModel.none())
+    result = run_experiment(config if window > 1 else sequential(config))
     return DelaySimulationResult(
         protocol=protocol, num_replicas=num_replicas,
         message_delay_ms=message_delay_ms, out_of_order_window=window,

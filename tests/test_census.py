@@ -60,6 +60,12 @@ def test_every_kept_field_names_a_field_of_a_listed_class():
         assert reason.strip() and "\n" not in reason, key
 
 
+def test_the_config_and_option_counts_are_pinned(census):
+    """A config field or a behaviour option added or cut edits these."""
+    assert census.field_count() == 54
+    assert census.option_count() == 0
+
+
 def test_the_field_index_lists_every_field_of_every_config_class(census):
     fields = list(census.iter_fields())
     assert len(fields) == len(set(fields)) == census.field_count()
@@ -299,9 +305,9 @@ def test_census_passes_when_every_def_is_reached(census, monkeypatch, capsys):
     assert "0 reached by no entry point" in out
     assert ("note: KEPT names repro.fabric.scenarios:unknown_name_message"
             in out)
-    assert f"{census.field_count()} fields in 6 config classes; 0 set by" in out
+    assert f"{census.field_count()} fields in 5 config classes; 0 set by" in out
     assert ("note: KEPT_FIELDS names "
-            "repro.fabric.modelcheck:ModelCheckConfig.request_timeout_ms" in out)
+            "repro.fabric.modelcheck:ModelCheckConfig.max_depth" in out)
 
 
 def test_census_fails_on_an_unreached_def_without_a_reason(

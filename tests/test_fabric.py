@@ -1,14 +1,17 @@
 """Tests for the evaluation fabric: metrics, registry, cluster, experiments."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.cost import CryptoCostModel
-from repro.fabric.cluster import Cluster, ClusterConfig, client_id, replica_id
+from repro.fabric.cluster import Cluster, ClusterConfig, client_id, own_conditions, replica_id
 from repro.fabric.experiments import (
-    ExperimentConfig,
-    build_cluster,
+    FIGURE_DEPLOYMENT,
+    backup_crash,
     run_experiment,
     run_protocol_comparison,
+    sequential,
 )
 from repro.fabric.metrics import (
     MetricsWindow,
@@ -18,7 +21,8 @@ from repro.fabric.metrics import (
     summarize,
 )
 from repro.fabric.registry import PROTOCOLS, get_spec, protocol_names
-from repro.fabric.timeline import run_view_change_timeline
+from repro.fabric.scenarios import SCENARIO_DEFS
+from repro.fabric.timeline import TIMELINE_DEPLOYMENT, run_view_change_timeline
 from repro.fabric.upper_bound import run_upper_bound
 from repro.workload.clients import CompletionRecord
 
@@ -151,17 +155,20 @@ class TestCluster:
         assert result.metadata["note"] == "test"
 
 
+def figure_point(**changes):
+    return replace(FIGURE_DEPLOYMENT, **changes)
+
+
 class TestExperiments:
-    def test_experiment_config_description(self):
-        config = ExperimentConfig(protocol="poe", num_replicas=16,
-                                  single_backup_failure=True, zero_payload=True)
-        text = config.describe()
+    def test_run_describes_its_point(self):
+        result = run_experiment(backup_crash(figure_point(
+            num_replicas=4, total_batches=5, zero_payload=True)))
+        text = result.metadata["description"]
         assert "poe" in text and "zero payload" in text and "crashed" in text
 
     def test_single_backup_failure_crashes_exactly_one_backup(self):
-        config = ExperimentConfig(protocol="poe", num_replicas=4,
-                                  single_backup_failure=True, num_batches=5)
-        cluster = build_cluster(config)
+        cluster = Cluster(own_conditions(backup_crash(
+            figure_point(num_replicas=4, total_batches=5))))
         cluster.start()
         cluster.run_until_done(max_ms=60_000)
         crashed = [replica for replica in cluster.replicas if replica.crashed]
@@ -169,34 +176,41 @@ class TestExperiments:
         assert crashed[0].node_id == replica_id(3)
         assert all(pool.is_done() for pool in cluster.pools)
 
+    def test_the_matrix_crashes_the_same_backup(self):
+        assert SCENARIO_DEFS["backup-crash"].recipe is backup_crash
+
     def test_out_of_order_disabled_uses_closed_loop_clients(self):
-        config = ExperimentConfig(protocol="poe", num_replicas=4,
-                                  out_of_order=False, num_batches=5)
-        cluster = build_cluster(config)
+        cluster = Cluster(sequential(figure_point(num_replicas=4, total_batches=5)))
+        assert not cluster.node_config.out_of_order
         assert cluster.pools[0].target_outstanding == 1
-        hotstuff = build_cluster(ExperimentConfig(protocol="hotstuff",
-                                                  num_replicas=4,
-                                                  out_of_order=False,
-                                                  num_batches=5))
+        hotstuff = Cluster(sequential(figure_point(
+            protocol="hotstuff", num_replicas=4, total_batches=5)))
         assert hotstuff.pools[0].target_outstanding == 4
 
     def test_cost_model_is_part_of_the_experiment_point(self):
-        default = build_cluster(ExperimentConfig(num_replicas=4, num_batches=5))
+        default = Cluster(figure_point(num_replicas=4, total_batches=5))
         assert default.config.cost_model == CryptoCostModel.cmac()
-        free = build_cluster(ExperimentConfig(num_replicas=4, num_batches=5,
-                                              cost_model=CryptoCostModel.none()))
+        free = Cluster(figure_point(num_replicas=4, total_batches=5,
+                                    cost_model=CryptoCostModel.none()))
         assert free.config.cost_model.scale == 0.0
 
     def test_run_experiment_produces_result(self):
-        result = run_experiment(ExperimentConfig(protocol="poe", num_replicas=4,
-                                                 num_batches=20, batch_size=20))
+        result = run_experiment(figure_point(num_replicas=4, total_batches=20,
+                                             batch_size=20))
         assert result.protocol == "PoE"
         assert result.completed_txns > 0
         assert result.throughput_txn_per_s > 0
 
+    def test_one_preset_runs_alike_twice(self):
+        """The preset's conditions hold a jitter RNG; each run draws afresh."""
+        config = figure_point(num_replicas=4, total_batches=20)
+        first, second = run_experiment(config), run_experiment(config)
+        assert first.avg_latency_ms == second.avg_latency_ms
+        assert first.metadata["messages_sent"] == second.metadata["messages_sent"]
+
     def test_result_says_whether_the_batch_budget_was_met(self):
         """Regression: a run cut short by ``max_ms`` read like a finished one."""
-        config = ExperimentConfig(protocol="poe", num_replicas=4, num_batches=50)
+        config = figure_point(num_replicas=4, total_batches=50)
         finished = run_experiment(config)
         assert finished.metadata["budget_met"] is True
         assert finished.metadata["completed_batches"] == 50
@@ -211,8 +225,8 @@ class TestExperiments:
     def test_protocol_comparison_shapes_under_failure(self):
         """The paper's headline: with one crashed backup PoE beats PBFT, and
         Zyzzyva collapses."""
-        base = ExperimentConfig(num_replicas=4, num_batches=25, batch_size=50,
-                                single_backup_failure=True)
+        base = backup_crash(figure_point(num_replicas=4, total_batches=25,
+                                         batch_size=50))
         results = run_protocol_comparison(base, protocols=["poe", "pbft", "zyzzyva"])
         poe = results["poe"].throughput_txn_per_s
         pbft = results["pbft"].throughput_txn_per_s
@@ -221,9 +235,8 @@ class TestExperiments:
         assert pbft > zyzzyva * 2
 
     def test_zero_payload_shrinks_proposals(self):
-        config = ExperimentConfig(protocol="poe", num_replicas=4, num_batches=5,
-                                  zero_payload=True)
-        cluster = build_cluster(config)
+        cluster = Cluster(figure_point(num_replicas=4, total_batches=5,
+                                       zero_payload=True))
         assert cluster.node_config.zero_payload
         assert cluster.node_config.proposal_size_bytes(100) == 250
 
@@ -239,17 +252,17 @@ class TestUpperBound:
         """Figure 7's point: the fabric without consensus is faster than any
         consensus protocol running on it."""
         bound = run_upper_bound(execute=True, num_batches=100, batch_size=50)
-        poe = run_experiment(ExperimentConfig(protocol="poe", num_replicas=4,
-                                              num_batches=25, batch_size=50))
+        poe = run_experiment(figure_point(num_replicas=4, total_batches=25,
+                                          batch_size=50))
         assert bound.throughput_txn_per_s > poe.throughput_txn_per_s
 
 
 class TestViewChangeTimeline:
     def test_timeline_shows_dip_and_recovery(self):
         timeline = run_view_change_timeline(
-            protocol="poe", num_replicas=4, batch_size=20,
-            crash_at_ms=500.0, duration_ms=2500.0, request_timeout_ms=200.0,
-            bucket_ms=250.0, client_outstanding=4)
+            replace(TIMELINE_DEPLOYMENT, num_replicas=4, batch_size=20,
+                    request_timeout_ms=200.0, client_outstanding=4),
+            crash_at_ms=500.0, duration_ms=2500.0, bucket_ms=250.0)
         buckets = timeline.timeline.buckets
         assert timeline.view_changes_completed >= 1
         assert timeline.new_view >= 1

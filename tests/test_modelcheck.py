@@ -18,16 +18,23 @@ import pytest
 from repro.fabric import modelcheck
 from repro.fabric.modelcheck import (
     MODEL_CHECK_CELLS,
+    MODEL_CHECK_DEPLOYMENT,
+    TRACE_SCHEMA,
+    Counterexample,
     ModelCheckConfig,
     TraceMismatch,
     build_cluster,
     check,
     counterexample_to_json,
+    crashing,
     explore,
     hunt,
     load_trace,
     replay_trace,
+    write_counterexample,
 )
+from repro.net.byzantine import ByzantineSpec
+from repro.net.faults import FaultSchedule
 from repro.fabric.revertdemo import (
     REVERT_DEMO_CONFIG,
     REVERT_DEMO_DEFER_P,
@@ -76,8 +83,7 @@ class TestExhaustiveCells:
     def test_persistent_sets_preserve_the_verdict(self):
         """The partial-order reduction may shrink the space, not the answer."""
         reduced = MODEL_CHECK_CELLS["poe-nofault"]
-        full = explore(ModelCheckConfig(
-            **{**reduced.__dict__, "persistent_sets": False}))
+        full = explore(replace(reduced, persistent_sets=False))
         assert full.ok
         assert full.states_explored >= explore(reduced).states_explored
 
@@ -94,9 +100,7 @@ class TestStallAndDeadlock:
     def test_expected_stall_is_tolerated(self, monkeypatch):
         monkeypatch.setattr(modelcheck, "_quorum_reachable",
                             lambda cluster: False)
-        config = ModelCheckConfig(
-            **{**MODEL_CHECK_CELLS["poe-nofault"].__dict__,
-               "expect_stall": True})
+        config = replace(MODEL_CHECK_CELLS["poe-nofault"], expect_stall=True)
         result = explore(config)
         assert result.ok
         assert result.stall_leaves > 0
@@ -123,8 +127,7 @@ class TestCounterexampleMinimisation:
         # Three replicas tolerate no fault, so the crash is a stall wherever
         # it lands: depth-first fires the deliveries timed before it first,
         # breadth-first finds the crash as the first event.
-        config = ModelCheckConfig(protocol="poe-mac", num_replicas=3,
-                                  crash_replica=2, crash_at_ms=6.5)
+        config = ModelCheckConfig(crashing(2, at_ms=6.5, num_replicas=3))
         found = explore(config).counterexample
         shortest = check(config).counterexample
         bounded = replace(config, max_depth=len(found.trace))
@@ -159,14 +162,38 @@ class TestTraceReplay:
         assert config == REVERT_DEMO_CONFIG
         assert len(entries) == len(demo.minimal_trace)
         payload = counterexample_to_json(demo.counterexample)
-        assert payload["schema"] == 2
-        assert "seed" not in payload["config"]
-        # A schema-1 trace carries config fields that are now constants.
-        old = dict(payload, schema=1,
-                   config=dict(payload["config"], batch_size=1, delay_ms=1.0, seed=11,
-                               byzantine_replica=0))
-        path.write_text(json.dumps(old))
-        with pytest.raises(ValueError, match="unsupported trace schema 1"):
+        assert payload["schema"] == TRACE_SCHEMA == 3
+        assert payload["config"]["deployment"]["crashes"] == [["replica:3", 2.0]]
+
+    def test_a_crash_and_an_equivocator_write_and_load_back_equal(self, tmp_path):
+        config = replace(MODEL_CHECK_CELLS["pbft-equivocate-vc"], max_depth=17)
+        assert config.deployment.byzantine == (ByzantineSpec("equivocate", 0),)
+        path = str(tmp_path / "trace.json")
+        write_counterexample(
+            Counterexample(kind="invariant", config=config, trace=[], violations=[]),
+            path)
+        loaded, entries = load_trace(path)
+        assert loaded == config
+        assert entries == []
+
+    def test_a_deployment_a_trace_cannot_express_is_refused(self):
+        ids = MODEL_CHECK_DEPLOYMENT.replica_ids()
+        partitioned = ModelCheckConfig(replace(
+            MODEL_CHECK_DEPLOYMENT,
+            faults=FaultSchedule().add_partition(ids[:1], ids[1:], until_ms=5.0)))
+        with pytest.raises(ValueError, match="cannot record the deployment's partitions"):
+            counterexample_to_json(Counterexample(
+                kind="invariant", config=partitioned, trace=[], violations=[]))
+
+    def test_a_schema_2_trace_is_refused_by_name(self, tmp_path):
+        # Schema 2 wrote protocol, num_replicas, crash_replica, ... as
+        # fields of the config itself.
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({
+            "schema": 2, "kind": "invariant", "trace": [], "violations": [],
+            "config": {"protocol": "poe-mac", "num_replicas": 4,
+                       "crash_replica": 3, "crash_at_ms": 2.0}}))
+        with pytest.raises(ValueError, match="unsupported trace schema 2"):
             load_trace(str(path))
 
 
@@ -176,8 +203,9 @@ class TestConfigValidation:
             ModelCheckConfig(timer_gate="ower")
 
     def test_an_unknown_timer_gate_in_a_trace_file_is_rejected(self, tmp_path):
-        config = dict(vars(ModelCheckConfig()), timer_gate="eagre")
-        payload = {"schema": modelcheck.TRACE_SCHEMA, "config": config, "trace": []}
+        payload = counterexample_to_json(Counterexample(
+            kind="invariant", config=ModelCheckConfig(), trace=[], violations=[]))
+        payload["config"]["timer_gate"] = "eagre"
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unknown timer_gate 'eagre'"):

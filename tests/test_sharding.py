@@ -31,6 +31,7 @@ from repro.fabric.scenarios import (
     ShardedScenarioDef,
     default_matrix_scenarios,
     run_scenario,
+    sharded_cluster_config,
 )
 from repro.fabric import sharding
 from repro.fabric.sharding import (
@@ -242,6 +243,19 @@ def test_shard_primary_crash_triggers_view_change():
     assert outcome.view_changes >= 1, (
         "the reused primary-crash recipe must force a real view change "
         "inside shard 0")
+
+
+def test_a_sharded_cell_takes_real_execution_from_its_base():
+    """Regression: the sharded deployment dropped the base's
+    ``execute_operations`` and ``use_ycsb_payload``."""
+    base = replace(MATRIX_DEPLOYMENT, execute_operations=True, use_ycsb_payload=True)
+    sdef = SHARDED_SCENARIOS["xshard-shard-primary-crash"]
+    config = sharded_cluster_config("poe-mac", sdef, base)
+    assert config.execute_operations and config.use_ycsb_payload
+    outcome = run_scenario("poe-mac", sdef.name, base)
+    assert outcome.live and outcome.safe
+    assert outcome.completed_batches == outcome.expected_batches == 20
+    assert outcome.view_changes == 1
 
 
 # ------------------------------------------------------------- revert demo
