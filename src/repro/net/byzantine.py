@@ -539,10 +539,10 @@ class ColludingVoteParker(ByzantineBehavior):
                                         delivery.delay_ms))
             self.released += len(self._parked)
             self._parked.clear()
-        parking = (self.cabal_holds_seat()
-                   and len(self._parked) < self.MAX_PARKED)
+        holds_seat = self.cabal_holds_seat()
         for delivery in deliveries:
-            if parking and isinstance(delivery.message, CheckpointMessage):
+            if (holds_seat and len(self._parked) < self.MAX_PARKED
+                    and isinstance(delivery.message, CheckpointMessage)):
                 self._parked.append((now_ms, delivery))
             else:
                 out.append(delivery)

@@ -27,6 +27,7 @@ from repro.fabric.audit import SafetyAuditor
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.scenarios import (
     MATRIX_DEPLOYMENT,
+    MATRIX_PROTOCOLS,
     run_matrix,
     run_scenario,
 )
@@ -34,6 +35,7 @@ from repro.net.byzantine import (
     BEHAVIORS,
     ByzantineBehavior,
     ByzantineSpec,
+    ColludingVoteParker,
     Delivery,
     EquivocatingPrimary,
     make_behavior,
@@ -276,6 +278,23 @@ class TestAuxiliaryBehaviors:
                 if replica.node_id != replica_id(0)]
         # Garbage/stale certificates stall view 0; the view change recovers.
         assert max(replica.view for replica in live) >= 1
+
+    @pytest.mark.parametrize("protocol", MATRIX_PROTOCOLS)
+    def test_the_vote_parker_holds_no_more_than_its_cap(self, protocol, monkeypatch):
+        """Regression: the cap was checked once per fan-out, and every
+        checkpoint vote of that fan-out was parked (16 against 12)."""
+        transform = ColludingVoteParker.transform
+        peak = [0]
+
+        def watched(self, deliveries, now_ms):
+            out = transform(self, deliveries, now_ms)
+            peak[0] = max(peak[0], len(self._parked))
+            return out
+
+        monkeypatch.setattr(ColludingVoteParker, "transform", watched)
+        outcome = run_scenario(protocol, "colluding-reconfig-abuse")
+        assert outcome.live and outcome.safe
+        assert peak[0] == ColludingVoteParker.MAX_PARKED
 
 
 class TestDarkReplicaRecovery:

@@ -618,7 +618,7 @@ GOLDEN_ADVERSARY = {
     ('poe-mac', 'timeout-stall'): (57, 1, '7f07030805f4c32e'),
     ('poe-mac', 'forge-history-vc'): (44, 0, '02c11013bc15e85c'),
     ('poe-mac', 'colluding-equivocate'): (114, 4, '517687ba4883e7c6'),
-    ('poe-mac', 'colluding-reconfig-abuse'): (104, 6, '005bc5f3a41c529e'),
+    ('poe-mac', 'colluding-reconfig-abuse'): (104, 6, '59e3d4f74174f0aa'),
     ('poe-ts', 'equivocate'): (49, 4, 'cd6ac722cf707e1c'),
     ('poe-ts', 'forge-history'): (44, 0, 'b8d239853040603e'),
     ('poe-ts', 'lying-checkpoint'): (52, 12, 'fd4515287fee1919'),
@@ -628,7 +628,7 @@ GOLDEN_ADVERSARY = {
     ('poe-ts', 'timeout-stall'): (61, 1, 'c793ab21259c0d79'),
     ('poe-ts', 'forge-history-vc'): (44, 0, '1d6545dd36de622e'),
     ('poe-ts', 'colluding-equivocate'): (106, 4, '5fffc54e38a6c8c4'),
-    ('poe-ts', 'colluding-reconfig-abuse'): (126, 7, '56e354e24db58479'),
+    ('poe-ts', 'colluding-reconfig-abuse'): (126, 7, '468590992c1c8b26'),
     ('pbft', 'equivocate'): (73, 8, '0d2fdc2ceeb5dced'),
     ('pbft', 'forge-history'): (64, 0, '42f44cbea57dcf00'),
     ('pbft', 'lying-checkpoint'): (68, 8, '99e57d16b473a07f'),
@@ -638,7 +638,7 @@ GOLDEN_ADVERSARY = {
     ('pbft', 'timeout-stall'): (77, 1, '2d5b6c7efef119b3'),
     ('pbft', 'forge-history-vc'): (64, 0, '683318d3df17e473'),
     ('pbft', 'colluding-equivocate'): (150, 8, '07bb45c12d025b5a'),
-    ('pbft', 'colluding-reconfig-abuse'): (170, 6, 'ad5677825f9051f3'),
+    ('pbft', 'colluding-reconfig-abuse'): (171, 6, 'a2e1da48f9cbad7b'),
     ('sbft', 'equivocate'): (49, 4, 'b82532f1f918216b'),
     ('sbft', 'forge-history'): (46, 0, '9791b5a4eb64cb85'),
     ('sbft', 'lying-checkpoint'): (69, 9, '9572c30779095c53'),
@@ -648,7 +648,7 @@ GOLDEN_ADVERSARY = {
     ('sbft', 'timeout-stall'): (81, 1, 'd9f8872d1fb25beb'),
     ('sbft', 'forge-history-vc'): (71, 0, '818f4dea15cf2ad2'),
     ('sbft', 'colluding-equivocate'): (126, 4, '64cdaaabd220afe0'),
-    ('sbft', 'colluding-reconfig-abuse'): (126, 7, '6daac3ee1506d1d5'),
+    ('sbft', 'colluding-reconfig-abuse'): (126, 7, '336e031891895c3a'),
     ('zyzzyva', 'equivocate'): (33, 4, 'b441110fe53dc11c'),
     ('zyzzyva', 'forge-history'): (37, 2, 'fdb9af3c1376cfa5'),
     ('zyzzyva', 'lying-checkpoint'): (49, 9, 'b4850e68fa215dab'),
@@ -658,7 +658,7 @@ GOLDEN_ADVERSARY = {
     ('zyzzyva', 'timeout-stall'): (53, 1, 'b51c101706f6c03e'),
     ('zyzzyva', 'forge-history-vc'): (55, 2, '7cf7d8ad35454c77'),
     ('zyzzyva', 'colluding-equivocate'): (78, 4, '8bf7f459fce0e149'),
-    ('zyzzyva', 'colluding-reconfig-abuse'): (94, 4, '84050076b063ec05'),
+    ('zyzzyva', 'colluding-reconfig-abuse'): (94, 4, '5d761af461469ae6'),
     ('hotstuff', 'equivocate'): (66, 10, '6a021badc9a214e5'),
     ('hotstuff', 'forge-history'): (58, 0, 'e415809eabf87b31'),
     ('hotstuff', 'lying-checkpoint'): (68, 5, 'd9889678e13fce8a'),
@@ -668,7 +668,7 @@ GOLDEN_ADVERSARY = {
     ('hotstuff', 'timeout-stall'): (73, 0, 'e2247937608aee8c'),
     ('hotstuff', 'forge-history-vc'): (78, 0, '6c42e1a2e13462d2'),
     ('hotstuff', 'colluding-equivocate'): (124, 13, '235a252db4c5e2e9'),
-    ('hotstuff', 'colluding-reconfig-abuse'): (154, 7, '6939c13e38bc96f6'),
+    ('hotstuff', 'colluding-reconfig-abuse'): (154, 7, '699cddb19381a4d9'),
     # The xshard coordinator cells: the behaviour sits on the hub.
     ('poe-mac', 'xshard-coordinator-equivocate'): (12, 3, 'bffdc64255e3bbe0'),
     ('poe-mac', 'xshard-coordinator-stall'): (48, 40, 'aeb0583fac17d233'),
