@@ -142,10 +142,6 @@ KEPT: Dict[str, str] = {
         "the forged Zyzzyva certificate of the forge-certificates key, which tests run",
     "repro.net.conditions:LatencyTopology.min_latency_ms":
         "the lookahead under a topology; no sharded entry point sets one, a property test pins it",
-    "repro.net.conditions:NetworkConditions.override_link":
-        "installs a per-link override; tests build slow links with it",
-    "repro.net.conditions:NetworkConditions.sample_delay_ms":
-        "the delay model as one call, which the conditions tests check",
     "repro.net.faults:FaultSchedule.crashed_nodes":
         "the crash set at a time, the oracle of the fault-schedule property test",
     "repro.net.network:SimNetwork.node":
@@ -227,6 +223,7 @@ CONFIG_CLASSES: Tuple[str, ...] = (
     "repro.fabric.modelcheck:ModelCheckConfig",
     "repro.protocols.base:NodeConfig",
     "repro.workload.ycsb:YcsbConfig",
+    "repro.net.conditions:NetworkConditions",
 )
 
 #: Config fields no entry point sets that stay anyway, keyed

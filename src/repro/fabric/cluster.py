@@ -9,7 +9,7 @@ by the examples, the tests and the benchmark harness.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.authenticator import Authenticator, make_authenticators
@@ -176,19 +176,6 @@ class ClusterConfig:
 
     def client_ids(self) -> List[str]:
         return [self.namespace + client_id(i) for i in range(self.num_clients)]
-
-
-def own_conditions(config: ClusterConfig) -> ClusterConfig:
-    """*config* with a fresh copy of its network conditions.
-
-    Conditions hold the RNG a run draws its jitter from, so two runs of
-    one preset's conditions object would not be alike: the second would
-    start where the first left the stream.  The runners over a preset
-    build each cluster from this copy.
-    """
-    if config.conditions is None:
-        return config
-    return replace(config, conditions=replace(config.conditions))
 
 
 class Cluster:

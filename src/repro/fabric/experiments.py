@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Dict, Iterable, Optional
 
 from repro.crypto.cost import CryptoCostModel
-from repro.fabric.cluster import Cluster, ClusterConfig, own_conditions
+from repro.fabric.cluster import Cluster, ClusterConfig
 from repro.fabric.metrics import RunResult
 from repro.fabric.registry import protocol_names
 from repro.net.conditions import NetworkConditions
@@ -54,7 +54,7 @@ def run_experiment(config: ClusterConfig,
                    max_ms: float = 600_000.0,
                    warmup_fraction: float = 0.1) -> RunResult:
     """Run one experiment point and summarise it."""
-    cluster = Cluster(own_conditions(config))
+    cluster = Cluster(config)
     cluster.start()
     cluster.run_until_done(max_ms=max_ms)
     crashed = len(config.faults.crashes) if config.faults else 0

@@ -53,7 +53,7 @@ from repro.fabric.audit import (
     honest_live_replicas,
     slot_key_for,
 )
-from repro.fabric.cluster import Cluster, ClusterConfig, own_conditions, replica_id
+from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.fabric.fingerprint import cluster_state_fingerprint
 from repro.net.byzantine import ByzantineSpec
 from repro.net.conditions import NetworkConditions
@@ -74,8 +74,8 @@ HUNT_FAULT_BIAS = 0.5
 #: The deployment every model-checking cell starts from: the smallest
 #: interesting instance.  n=4, one client, two single-transaction
 #: consensus slots both in flight, a checkpoint boundary inside the
-#: explored window, a 100 ms timeout, seed 11, and fixed-delay lossless
-#: network conditions so no RNG is consumed anywhere on a path
+#: explored window, a 100 ms timeout, seed 11, and fixed-delay network
+#: conditions so no RNG is consumed anywhere on a path
 #: (fingerprint deduplication then collapses commuting deliveries
 #: exactly).  A cell replaces fields of it; a crash in its ``faults`` is
 #: a crash choice point and a ``byzantine`` spec routes that replica's
@@ -226,7 +226,7 @@ def _authenticators_for(cluster_config: ClusterConfig):
 def build_cluster(config: ModelCheckConfig) -> Tuple[Cluster, ControlledScheduler]:
     """One fresh, started cluster on a controlled scheduler; with
     ``crash_at_start`` the deployment's crashes have fired."""
-    deployment = own_conditions(config.deployment)
+    deployment = config.deployment
     scheduler = ControlledScheduler()
     cluster = Cluster(deployment, simulator=scheduler,
                       authenticators=_authenticators_for(deployment))

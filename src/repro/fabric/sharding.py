@@ -304,8 +304,8 @@ class ShardBoundary:
     Attached as ``network.boundary`` to every network the runtime hosts.
     A send whose receiver is not registered on the origin network lands
     here; the boundary stamps it with an RNG-free delay (base latency —
-    overrides and topology apply, jitter and loss do not — plus
-    serialization, :meth:`NetworkConditions.boundary_delay_ms`) and either
+    the topology applies, jitter does not — plus serialization,
+    :meth:`NetworkConditions.boundary_delay_ms`) and either
 
     * delivers it directly when the receiver lives on a *sibling network
       of the same runtime* (the hub and shard 0 share the home simulator —
@@ -390,14 +390,14 @@ def _validate_config(config: ShardedClusterConfig) -> None:
 
 
 def _hub_conditions(config: ShardedClusterConfig) -> NetworkConditions:
-    # A fresh object per call: each runtime draws its own identically
-    # seeded stream, the same under every driver.
+    # The conditions of the hub network and of every runtime's boundary;
+    # the boundary's lookahead is their minimum propagation delay.
     return NetworkConditions.lan(seed=config.seed)
 
 
 def _shard_conditions(config: ShardedClusterConfig, shard: int) -> NetworkConditions:
-    # Every shard draws from its own conditions RNG so shard k's traffic
-    # cannot perturb shard j's latency stream.
+    # Every shard's network seeds its jitter stream apart, so shard k's
+    # traffic cannot perturb shard j's latency stream.
     return NetworkConditions.lan(seed=config.seed * 101 + shard)
 
 
@@ -520,7 +520,7 @@ class ShardRuntime:
         config = self.config
         self.hub = SimNetwork(
             self.simulator,
-            conditions=_hub_conditions(config),
+            conditions=self.boundary.conditions,
             faults=config.hub_faults,
         )
         self.boundary.attach(self.hub)

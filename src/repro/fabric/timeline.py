@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
-from repro.fabric.cluster import Cluster, ClusterConfig, own_conditions
+from repro.fabric.cluster import Cluster, ClusterConfig
 from repro.fabric.metrics import ThroughputTimeline
 from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
@@ -62,7 +62,7 @@ def run_view_change_timeline(
     the benchmark stays laptop-sized; the shape — steady throughput, dip
     at the crash, recovery after the view-change — is preserved.
     """
-    config = replace(own_conditions(config), faults=FaultSchedule.primary_crash(
+    config = replace(config, faults=FaultSchedule.primary_crash(
         config.replica_ids()[0], at_ms=crash_at_ms))
     cluster = Cluster(config)
     cluster.start()

@@ -7,7 +7,7 @@ provides:
 
 * :mod:`repro.net.simulator` -- a deterministic discrete-event scheduler
   with a virtual clock, timers and per-node CPU accounting;
-* :mod:`repro.net.conditions` -- configurable latency, bandwidth, loss and
+* :mod:`repro.net.conditions` -- configurable latency, bandwidth and
   jitter models;
 * :mod:`repro.net.network` -- the simulated message fabric connecting
   protocol nodes, with crash/partition/dark-replica fault injection;
@@ -16,7 +16,7 @@ provides:
 """
 
 from repro.net.simulator import Simulator, Event, Timer
-from repro.net.conditions import NetworkConditions, LinkOverride
+from repro.net.conditions import NetworkConditions
 from repro.net.network import SimNetwork, NodeHandle
 from repro.net.faults import FaultSchedule, CrashFault, PartitionFault, DarkReplicaFault
 from repro.net.byzantine import (
@@ -35,7 +35,6 @@ __all__ = [
     "Event",
     "Timer",
     "NetworkConditions",
-    "LinkOverride",
     "SimNetwork",
     "NodeHandle",
     "FaultSchedule",

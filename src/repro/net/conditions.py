@@ -1,4 +1,4 @@
-"""Network condition models: latency, jitter, bandwidth and loss.
+"""Network condition models: latency, jitter and bandwidth.
 
 The evaluation fabric charges every message a delivery delay of
 
@@ -8,21 +8,17 @@ where serialisation is ``size_bytes / bandwidth``.  This captures the two
 effects the paper leans on: message *count* (propagation-bound protocols,
 Figure 11) and message *size* (the PROPOSE payload dominating bandwidth,
 Figures 9(e)-(h) zero-payload experiments).
+
+A :class:`NetworkConditions` is a value: it holds no run state.  The
+jitter stream is the network's (``SimNetwork`` seeds it from
+:attr:`NetworkConditions.seed`), a dropped message is the fault
+schedule's decision, and a link's latency is the topology's.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class LinkOverride:
-    """Per-link override of latency/loss (e.g. a slow or lossy replica)."""
-
-    latency_ms: Optional[float] = None
-    loss_rate: Optional[float] = None
+from typing import Callable, Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,7 @@ class LatencyTopology:
         return base * min(scales)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConditions:
     """Cluster-wide network model.
 
@@ -124,32 +120,27 @@ class NetworkConditions:
         jitter_ms: uniform jitter added to each delivery, ``[0, jitter_ms]``.
         bandwidth_mbps: per-link bandwidth used for serialisation delay;
             ``None`` disables size-dependent delay.
-        loss_rate: probability that a message is silently dropped.
         local_delivery_ms: delay for a node sending a message to itself.
-        overrides: per-(sender, receiver) link overrides.
         topology: optional region-structured latency model; when set, it
-            replaces ``latency_ms`` (link overrides still win) and may
-            drift deterministically over virtual time.
-        seed: seed for the conditions' private RNG.
+            replaces ``latency_ms`` and may drift deterministically over
+            virtual time.
+        seed: seed of the jitter stream a network running on these
+            conditions draws from.
     """
 
     latency_ms: float = 0.5
     jitter_ms: float = 0.05
     bandwidth_mbps: Optional[float] = 1000.0
-    loss_rate: float = 0.0
     local_delivery_ms: float = 0.01
-    overrides: Dict[Tuple[str, str], LinkOverride] = field(default_factory=dict)
     topology: Optional[LatencyTopology] = None
     seed: int = 1
 
     def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
         # Serialization delay is sampled once per transmitted message; cache
         # the bytes/ms conversion instead of redoing it on every call.
-        self._bytes_per_ms = (
+        object.__setattr__(self, "_bytes_per_ms", (
             self.bandwidth_mbps * 1_000_000 / 8 / 1000.0
-            if self.bandwidth_mbps else 0.0
-        )
+            if self.bandwidth_mbps else 0.0))
 
     @classmethod
     def lan(cls, seed: int = 1) -> "NetworkConditions":
@@ -166,11 +157,7 @@ class NetworkConditions:
     def uniform_delay(cls, delay_ms: float, seed: int = 1) -> "NetworkConditions":
         """Fixed delay, no jitter, no bandwidth limit (pure Figure 11 model)."""
         return cls(latency_ms=delay_ms, jitter_ms=0.0, bandwidth_mbps=None,
-                   loss_rate=0.0, local_delivery_ms=0.0, seed=seed)
-
-    def override_link(self, sender: str, receiver: str, override: LinkOverride) -> None:
-        """Install a per-link override (both directions must be set separately)."""
-        self.overrides[(sender, receiver)] = override
+                   local_delivery_ms=0.0, seed=seed)
 
     def serialization_delay_ms(self, size_bytes: int) -> float:
         """Delay attributable to pushing *size_bytes* through the link."""
@@ -178,9 +165,10 @@ class NetworkConditions:
             return 0.0
         return size_bytes / self._bytes_per_ms
 
-    def propagation_ms(self, sender: str, receiver: str,
-                       now_ms: float = 0.0) -> Optional[float]:
-        """Propagation delay (latency + jitter) for one message, ``None`` if lost.
+    def propagation_ms(self, sender: str, receiver: str, now_ms: float,
+                       random: Callable[[], float]) -> float:
+        """Propagation delay (latency + jitter) for one message, its jitter
+        drawn from *random* (the network's stream).
 
         Serialization is *not* included; the network driver accounts for it
         on the sender's uplink so that large broadcasts (e.g. a PROPOSE to
@@ -188,44 +176,24 @@ class NetworkConditions:
         """
         if sender == receiver:
             return self.local_delivery_ms
-        override = self.overrides.get((sender, receiver))
-        loss = override.loss_rate if override and override.loss_rate is not None else self.loss_rate
-        if loss > 0 and self._rng.random() < loss:
-            return None
-        if override and override.latency_ms is not None:
-            latency = override.latency_ms
-        elif self.topology is not None:
+        if self.topology is not None:
             latency = self.topology.latency_ms(sender, receiver, now_ms)
         else:
             latency = self.latency_ms
-        jitter = self._rng.uniform(0.0, self.jitter_ms) if self.jitter_ms > 0 else 0.0
-        return latency + jitter
-
-    def sample_delay_ms(self, sender: str, receiver: str, size_bytes: int,
-                        now_ms: float = 0.0) -> Optional[float]:
-        """Total delivery delay (propagation + serialization), ``None`` if lost."""
-        propagation = self.propagation_ms(sender, receiver, now_ms)
-        if propagation is None:
-            return None
-        if sender == receiver:
-            return propagation
-        return propagation + self.serialization_delay_ms(size_bytes)
+        # uniform(0, j) evaluates to 0.0 + j * random().
+        return latency + self.jitter_ms * random() if self.jitter_ms > 0 else latency
 
     # -- Deterministic boundary model (parallel sharded runs) ------------
     #
     # Cross-shard traffic must carry send->deliver timestamps that every
     # driver (sequential reference, multiprocessing workers) computes
     # identically without sharing an RNG stream.  The boundary therefore
-    # charges the *base* latency only: overrides and (drifting) topology
-    # still apply, jitter and loss do not.
+    # charges the *base* latency only: the (drifting) topology still
+    # applies, jitter does not.
 
     def boundary_latency_ms(self, sender: str, receiver: str,
                             now_ms: float = 0.0) -> float:
         """RNG-free propagation latency for a cross-boundary message."""
-        if self.overrides:
-            override = self.overrides.get((sender, receiver))
-            if override is not None and override.latency_ms is not None:
-                return override.latency_ms
         if self.topology is not None:
             return self.topology.latency_ms(sender, receiver, now_ms)
         return self.latency_ms
@@ -245,10 +213,5 @@ class NetworkConditions:
         simulators may safely advance that far between exchanges.
         """
         if self.topology is not None:
-            candidates = [self.topology.min_latency_ms()]
-        else:
-            candidates = [self.latency_ms]
-        for override in self.overrides.values():
-            if override.latency_ms is not None:
-                candidates.append(override.latency_ms)
-        return min(candidates)
+            return self.topology.min_latency_ms()
+        return self.latency_ms

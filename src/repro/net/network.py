@@ -24,9 +24,12 @@ node's table.  On the way in it cost one float comparison per end against
 the handles' ``safe_until`` (the schedule is asked only about a node at
 or past a crash window, or when links can be cut) and a share of one heap
 entry per broadcast; on the way out the node's action list is looked at,
-and replaced only if the step put something in it.  On lossless,
-override-free, topology-free conditions both send paths draw the jitter
-themselves: the one ``random()`` ``propagation_ms`` would have drawn.
+and replaced only if the step put something in it.  On topology-free
+conditions both send paths draw the jitter themselves: the one
+``random()`` ``propagation_ms`` would have drawn.
+
+The jitter stream is the network's own ``Random(conditions.seed)``, so
+one :class:`NetworkConditions` value run twice draws the same delays.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappush
+from random import Random
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.net.byzantine import ByzantineBehavior, Delivery
@@ -118,6 +122,8 @@ class SimNetwork:
     ) -> None:
         self.sim = simulator
         self.conditions = conditions or NetworkConditions.lan()
+        #: The jitter stream every delivery delay is drawn from.
+        self._rng = Random(self.conditions.seed)
         self.faults = faults or FaultSchedule.none()
         #: Whether :attr:`faults` is this network's to write (see :meth:`own_faults`).
         self._owns_faults = faults is None
@@ -391,11 +397,11 @@ class SimNetwork:
         bandwidth once per receiver, which is what makes the primary the
         bandwidth bottleneck under standard payloads (paper, Section IV-E).
 
-        On lossless conditions with no link override and no topology the
-        propagation delay is drawn here as ``latency + jitter * random()``,
-        bit for bit the draw :meth:`NetworkConditions.propagation_ms` makes
-        there (and :meth:`_transmit_broadcast` per receiver); any other
-        conditions, and a node's message to itself, go through it.  So are
+        On conditions with no topology the propagation delay is drawn here
+        as ``latency + jitter * random()``, bit for bit the draw
+        :meth:`NetworkConditions.propagation_ms` makes there (and
+        :meth:`_transmit_broadcast` per receiver); a topology, and a node's
+        message to itself, go through it.  So are
         ``serialization_delay_ms`` and ``Simulator.post_at``'s clamped push.
         """
         self.sent_count += 1
@@ -434,17 +440,14 @@ class SimNetwork:
                     and faults.drops(sender, receiver, send_time)):
                 self.dropped_count += 1
                 return
-        if (sender != receiver and not conditions.overrides
-                and conditions.loss_rate == 0.0 and conditions.topology is None):
+        if sender != receiver and conditions.topology is None:
             # uniform(0, j) evaluates to 0.0 + j * random().
             jitter = conditions.jitter_ms
-            propagation = (conditions.latency_ms + jitter * conditions._rng.random()
+            propagation = (conditions.latency_ms + jitter * self._rng.random()
                            if jitter > 0 else conditions.latency_ms)
         else:
-            propagation = conditions.propagation_ms(sender, receiver, send_time)
-            if propagation is None:
-                self.dropped_count += 1
-                return
+            propagation = conditions.propagation_ms(sender, receiver, send_time,
+                                                    self._rng.random)
         # functools.partial instead of a lambda: no closure cell allocation
         # per message, and a cheaper call on the other end.  The receiver
         # handle is resolved now — registration only ever grows — so the
@@ -464,8 +467,8 @@ class SimNetwork:
         receiver (the MAC-mode protocols do this n² times per slot), but
         with the per-fan-out invariants hoisted out of the loop: the
         serialization delay, the sender's uplink cursor (read once,
-        written once), the fault-schedule gate and the lossless-conditions
-        fast path for the jitter draw.  RNG draw order — one ``random()``
+        written once), the fault-schedule gate and the topology-free fast
+        path for the jitter draw.  RNG draw order — one ``random()``
         per non-self receiver, in membership order — matches the generic
         path exactly, so delivery timestamps are bit-identical.
 
@@ -493,11 +496,10 @@ class SimNetwork:
         # before it, only a receiver past its own ``safe_until`` does.
         ask_from = (-_NEVER if self._link_faults or sender_handle is None
                     else sender_handle.safe_until)
-        fast_conditions = (not conditions.overrides and conditions.loss_rate == 0.0
-                           and conditions.topology is None)
+        fast_conditions = conditions.topology is None
         latency = conditions.latency_ms
         jitter = conditions.jitter_ms
-        random = conditions._rng.random
+        random = self._rng.random
         local_ms = conditions.local_delivery_ms
         times: List[float] = []
         targets: List[Tuple[str, NodeHandle]] = []
@@ -539,11 +541,8 @@ class SimNetwork:
                     propagation = (latency + jitter * random() if jitter > 0
                                    else latency)
                 else:
-                    sampled = conditions.propagation_ms(sender, receiver, send_time)
-                    if sampled is None:
-                        dropped += 1
-                        continue
-                    propagation = sampled
+                    propagation = conditions.propagation_ms(
+                        sender, receiver, send_time, random)
             add_time(send_time + propagation)
             add_target(target)
         self.sim.post_fanout(times, targets, self._deliver, sender, message)

@@ -20,6 +20,7 @@ pbft executing fabricated batches without it.
 """
 
 import dataclasses
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -317,8 +318,8 @@ class TestChurnAndTopology:
         conditions = NetworkConditions(
             latency_ms=0.5, jitter_ms=0.0, bandwidth_mbps=None,
             topology=geo_topology(MATRIX_DEPLOYMENT), seed=1)
-        early = conditions.propagation_ms("replica:0", "replica:1", now_ms=0.0)
-        drifted = conditions.propagation_ms("replica:0", "replica:1", now_ms=50.0)
+        early = conditions.propagation_ms("replica:0", "replica:1", 0.0, random.random)
+        drifted = conditions.propagation_ms("replica:0", "replica:1", 50.0, random.random)
         assert early == 7.0
         assert drifted == 14.0
 

@@ -16,6 +16,7 @@ import pytest
 from repro.fabric.fingerprint import run_fingerprint
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
 from repro.net.byzantine import ByzantineSpec
+from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.net.network import SimNetwork
 
@@ -212,6 +213,17 @@ def test_one_config_object_runs_twice_alike(protocol, scenario):
     assert repr(config.faults) == windows
     assert run_fingerprint(config) == first
     assert repr(config.faults) == windows
+
+
+def test_one_conditions_object_runs_twice_alike():
+    """The jitter stream is the network's, seeded from the conditions: one
+    config with jittered conditions, built into two clusters with no
+    runner copying anything, runs to one fingerprint.  (Drawn from a
+    stream the conditions held, the second run would start where the
+    first left it.)"""
+    config = dataclasses.replace(
+        _config("poe"), conditions=NetworkConditions(jitter_ms=0.2, seed=5))
+    assert run_fingerprint(config) == run_fingerprint(config)
 
 
 def test_byzantine_different_seeds_diverge():

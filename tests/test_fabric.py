@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.crypto.cost import CryptoCostModel
-from repro.fabric.cluster import Cluster, ClusterConfig, client_id, own_conditions, replica_id
+from repro.fabric.cluster import Cluster, ClusterConfig, client_id, replica_id
 from repro.fabric.experiments import (
     FIGURE_DEPLOYMENT,
     backup_crash,
@@ -167,8 +167,8 @@ class TestExperiments:
         assert "poe" in text and "zero payload" in text and "crashed" in text
 
     def test_single_backup_failure_crashes_exactly_one_backup(self):
-        cluster = Cluster(own_conditions(backup_crash(
-            figure_point(num_replicas=4, total_batches=5))))
+        cluster = Cluster(backup_crash(
+            figure_point(num_replicas=4, total_batches=5)))
         cluster.start()
         cluster.run_until_done(max_ms=60_000)
         crashed = [replica for replica in cluster.replicas if replica.crashed]
@@ -202,7 +202,8 @@ class TestExperiments:
         assert result.throughput_txn_per_s > 0
 
     def test_one_preset_runs_alike_twice(self):
-        """The preset's conditions hold a jitter RNG; each run draws afresh."""
+        """Each run draws its jitter from its own network's stream, seeded
+        from the preset's conditions, so a second run repeats the first."""
         config = figure_point(num_replicas=4, total_batches=20)
         first, second = run_experiment(config), run_experiment(config)
         assert first.avg_latency_ms == second.avg_latency_ms

@@ -21,17 +21,13 @@ import pytest
 from repro.fabric.cluster import Cluster, ClusterConfig
 from repro.fabric.fingerprint import completion_records
 from repro.net.byzantine import ByzantineSpec
-from repro.net.conditions import (
-    LatencyTopology,
-    LinkOverride,
-    NetworkConditions,
-)
+from repro.net.conditions import LatencyTopology, NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.net.simulator import ControlledScheduler, Simulator
 
 
 def _lan(n):
-    """The lossless LAN fast path of the broadcast loop."""
+    """The topology-free LAN fast path of the broadcast loop."""
     return dict(protocol="poe-mac")
 
 
@@ -42,15 +38,8 @@ def _all_tied(n):
                 conditions=NetworkConditions.uniform_delay(1.0, seed=5))
 
 
-def _lossy(n):
-    """``loss_rate > 0``: per-receiver loss draws, dropped receivers
-    consume no sequence number, retransmission timers fill the gaps."""
-    return dict(protocol="poe-mac", request_timeout_ms=200.0,
-                conditions=NetworkConditions(loss_rate=0.02, seed=5))
-
-
-def _topology_and_override(n):
-    """Region latencies plus a slow link: the slow branch of the loop
+def _topology(n):
+    """Asymmetric region latencies: the slow branch of the loop
     (``propagation_ms`` per receiver), widely spread delivery times."""
     conditions = NetworkConditions(
         jitter_ms=0.2, seed=5,
@@ -58,8 +47,6 @@ def _topology_and_override(n):
             regions={f"replica:{i}": "east" if i % 2 else "west"
                      for i in range(n)},
             link_ms={("east", "west"): 4.0, ("west", "east"): 6.0}))
-    conditions.override_link("replica:0", "replica:1",
-                             LinkOverride(latency_ms=9.0))
     return dict(protocol="pbft", conditions=conditions)
 
 
@@ -83,10 +70,10 @@ def _include_self(n):
     return dict(protocol="hotstuff")
 
 
-CASES = [_lan, _all_tied, _lossy, _topology_and_override, _crash_window,
-         _byzantine_sender, _include_self]
+CASES = [_lan, _all_tied, _topology, _crash_window, _byzantine_sender,
+         _include_self]
 #: Cases that must actually lose messages to be testing what they claim.
-DROPPING = (_lossy, _crash_window)
+DROPPING = (_crash_window,)
 
 
 def _run(case, n, simulator):

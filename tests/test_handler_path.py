@@ -3,9 +3,9 @@
 * ``primary_id`` / ``is_primary()`` answer from a memo keyed on the view:
   every way a replica's view or membership changes must leave them equal
   to ``primary_for_view(view)``.
-* ``SimNetwork._transmit`` draws the lossless delay in its own frame: the
-  delivery times must be those of the general ``propagation_ms`` path, bit
-  for bit and draw for draw.
+* ``SimNetwork._transmit`` draws a topology-free delay in its own frame:
+  the delivery times must be those of the general ``propagation_ms`` path,
+  bit for bit and draw for draw.
 * ``try_execute`` adds a batch's execution and hash cost to the step's CPU
   itself: the float must be the one ``charge_execution`` then ``charge``
   produce.
@@ -38,7 +38,7 @@ from repro.crypto.hashing import digest, flat_digest, shared_digest
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.execution import SpeculativeExecutor, modelled_result_digest
 from repro.ledger.store import KeyValueStore
-from repro.net.conditions import LinkOverride, NetworkConditions
+from repro.net.conditions import LatencyTopology, NetworkConditions
 from repro.net.network import SimNetwork
 from repro.net.simulator import Simulator
 from repro.protocols.base import Message, Node, NodeConfig
@@ -196,13 +196,13 @@ _SEND = st.tuples(st.booleans(), _NODE, _NODE, st.booleans(),
 def test_unicast_fast_path_draws_what_propagation_ms_draws(jitter, bandwidth,
                                                            sends):
     def run(force_general_path):
+        # One region at the default latency: every draw goes through
+        # NetworkConditions.propagation_ms's general branch, to the same delay.
+        topology = (LatencyTopology(intra_ms=NetworkConditions.latency_ms)
+                    if force_general_path else None)
         conditions = NetworkConditions(jitter_ms=jitter, seed=11,
-                                       bandwidth_mbps=bandwidth)
-        if force_general_path:
-            # An override on a link nobody uses: every draw now goes through
-            # NetworkConditions.propagation_ms's general branch.
-            conditions.override_link("ghost:a", "ghost:b",
-                                     LinkOverride(latency_ms=9.0))
+                                       bandwidth_mbps=bandwidth,
+                                       topology=topology)
         network, log = _network(conditions)
         for broadcast, sender, receiver, include_self, ready_at, size in sends:
             message = Message(size_bytes=size)
@@ -212,11 +212,11 @@ def test_unicast_fast_path_draws_what_propagation_ms_draws(jitter, bandwidth,
             else:
                 network._transmit(sender, receiver, message, ready_at)
         network.run_until_idle()
-        return log, network.sent_count, conditions._rng.random()
+        return log, network.sent_count, network._rng.random()
 
     fast, general = run(False), run(True)
     assert fast == general
-    assert fast[1] == len(fast[0])  # lossless: everything sent arrived
+    assert fast[1] == len(fast[0])  # no faults: everything sent arrived
 
 
 # ---------------------------------------------------- execution CPU charge
@@ -335,8 +335,8 @@ def test_in_frame_charges_add_what_charge_adds(hash_ms, share_ms, verify_ms,
 
 # ------------------------------------------ unicast serialization and push
 def _transmit_through_the_calls(network, sender, receiver, message, ready_at):
-    """``SimNetwork._transmit`` on lossless, fault-free conditions, written
-    with ``serialization_delay_ms`` and ``Simulator.post_at``."""
+    """``SimNetwork._transmit`` on fault-free conditions, written with
+    ``serialization_delay_ms`` and ``Simulator.post_at``."""
     conditions = network.conditions
     now = network.sim.now
     send_time = ready_at if ready_at > now else now
@@ -348,7 +348,8 @@ def _transmit_through_the_calls(network, sender, receiver, message, ready_at):
             handle.uplink_free_at = send_time
     network.sent_count += 1
     network.sim.post_at(
-        send_time + conditions.propagation_ms(sender, receiver, send_time),
+        send_time + conditions.propagation_ms(sender, receiver, send_time,
+                                              network._rng.random),
         partial(network._deliver, sender, receiver, network._nodes[receiver],
                 message))
 

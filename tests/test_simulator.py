@@ -1,9 +1,12 @@
 """Tests for the discrete-event simulator and network condition models."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.conditions import LinkOverride, NetworkConditions
+from repro.net.conditions import NetworkConditions
 from repro.net.faults import CrashFault, FaultSchedule
 from repro.net.simulator import ControlledScheduler, Simulator, _FanOut
 
@@ -489,36 +492,37 @@ class TestNetworkConditions:
     def test_delay_includes_latency(self):
         conditions = NetworkConditions(latency_ms=5.0, jitter_ms=0.0,
                                        bandwidth_mbps=None)
-        delay = conditions.sample_delay_ms("a", "b", 1000)
-        assert delay == pytest.approx(5.0)
+        assert conditions.propagation_ms("a", "b", 0.0, random.random) == 5.0
+        assert conditions.serialization_delay_ms(1000) == 0.0
+
+    def test_jitter_is_drawn_from_the_given_stream(self):
+        conditions = NetworkConditions(latency_ms=5.0, jitter_ms=0.5)
+        delay = conditions.propagation_ms("a", "b", 0.0, lambda: 0.25)
+        assert delay == 5.0 + 0.5 * 0.25
 
     def test_serialization_delay_scales_with_size(self):
         conditions = NetworkConditions(latency_ms=0.0, jitter_ms=0.0,
                                        bandwidth_mbps=8.0)  # 1000 bytes/ms
-        small = conditions.sample_delay_ms("a", "b", 1_000)
-        large = conditions.sample_delay_ms("a", "b", 10_000)
+        small = conditions.serialization_delay_ms(1_000)
+        large = conditions.serialization_delay_ms(10_000)
         assert large > small
         assert large == pytest.approx(10.0)
 
     def test_local_delivery_uses_local_delay(self):
         conditions = NetworkConditions(latency_ms=5.0, local_delivery_ms=0.01)
-        assert conditions.sample_delay_ms("a", "a", 100) == pytest.approx(0.01)
-
-    def test_loss_rate_drops_messages(self):
-        conditions = NetworkConditions(latency_ms=1.0, jitter_ms=0.0, loss_rate=1.0)
-        assert conditions.sample_delay_ms("a", "b", 100) is None
-
-    def test_link_override_changes_latency(self):
-        conditions = NetworkConditions(latency_ms=1.0, jitter_ms=0.0,
-                                       bandwidth_mbps=None)
-        conditions.override_link("a", "b", LinkOverride(latency_ms=50.0))
-        assert conditions.sample_delay_ms("a", "b", 100) == pytest.approx(50.0)
-        assert conditions.sample_delay_ms("b", "a", 100) == pytest.approx(1.0)
+        assert conditions.propagation_ms("a", "a", 0.0, random.random) == 0.01
 
     def test_uniform_delay_preset_has_no_jitter(self):
         conditions = NetworkConditions.uniform_delay(20.0)
-        samples = {conditions.sample_delay_ms("a", "b", 10_000) for _ in range(10)}
+        samples = {conditions.propagation_ms("a", "b", 0.0, random.random)
+                   + conditions.serialization_delay_ms(10_000) for _ in range(10)}
         assert samples == {20.0}
+
+    def test_conditions_are_a_frozen_value(self):
+        conditions = NetworkConditions.lan(seed=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            conditions.jitter_ms = 0.0
+        assert conditions == NetworkConditions.lan(seed=3)
 
 
 class TestFaultSchedule:
