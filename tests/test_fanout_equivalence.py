@@ -38,6 +38,20 @@ def _all_tied(n):
                 conditions=NetworkConditions.uniform_delay(1.0, seed=5))
 
 
+def _lossy(n):
+    """Scattered drops owned by the fault schedule: the primary keeps one
+    backup in the dark and two backups are cut off from each other for a
+    while, so fan-outs lose some receivers and not others, dropped
+    receivers consume no sequence number, and retransmission timers fill
+    the gaps."""
+    faults = (FaultSchedule()
+              .add_dark_replicas("replica:0", ["replica:1"], at_ms=2.0,
+                                 until_ms=9.0)
+              .add_partition(["replica:2"], ["replica:3"], at_ms=4.0,
+                             until_ms=15.0))
+    return dict(protocol="poe-mac", request_timeout_ms=200.0, faults=faults)
+
+
 def _topology(n):
     """Asymmetric region latencies: the slow branch of the loop
     (``propagation_ms`` per receiver), widely spread delivery times."""
@@ -70,10 +84,10 @@ def _include_self(n):
     return dict(protocol="hotstuff")
 
 
-CASES = [_lan, _all_tied, _topology, _crash_window, _byzantine_sender,
-         _include_self]
+CASES = [_lan, _all_tied, _lossy, _topology, _crash_window,
+         _byzantine_sender, _include_self]
 #: Cases that must actually lose messages to be testing what they claim.
-DROPPING = (_crash_window,)
+DROPPING = (_lossy, _crash_window)
 
 
 def _run(case, n, simulator):

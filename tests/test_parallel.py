@@ -7,7 +7,7 @@ These tests pin the acceptance criterion — the parallel fingerprint is
 byte-identical to the sequential one for the same config — across the
 canonical cross-shard scenarios and seeds, that a crashing or hung
 worker surfaces a clean, shard-naming error instead of hanging the
-barrier.
+barrier, and that the windows' lookahead never exceeds a boundary delay.
 """
 
 import dataclasses
@@ -17,6 +17,7 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fabric.audit import ShardedSafetyAuditor
 from repro.fabric import parallel
@@ -28,6 +29,7 @@ from repro.fabric.sharding import (
     coordinator_id,
     sharded_fingerprint,
 )
+from repro.net.conditions import DriftPhase, LatencyTopology, NetworkConditions
 from repro.net.faults import FaultSchedule
 
 SEEDS = (3, 7, 42)
@@ -141,3 +143,43 @@ def test_hung_worker_fails_the_barrier_deadline(monkeypatch):
     assert time.monotonic() - started < 5.0
     assert multiprocessing.active_children() == []
 
+
+_NODES = ("s0/replica:0", "s0/replica:1", "s1/replica:0", "s1/replica:1",
+          "pool:0", "coord:0")
+_REGIONS = ("eu", "us", "ap")
+_LATENCY = st.floats(min_value=0.01, max_value=80.0)
+_SCALE = st.floats(min_value=0.05, max_value=6.0)
+_REGION_PAIR = st.tuples(st.sampled_from(_REGIONS), st.sampled_from(_REGIONS))
+
+
+@st.composite
+def _topologies(draw):
+    return LatencyTopology(
+        regions=draw(st.dictionaries(st.sampled_from(_NODES),
+                                     st.sampled_from(_REGIONS))),
+        intra_ms=draw(_LATENCY),
+        link_ms=draw(st.dictionaries(_REGION_PAIR, _LATENCY, max_size=6)),
+        default_inter_ms=draw(_LATENCY),
+        default_region=draw(st.sampled_from(_REGIONS)),
+        drift=tuple(draw(st.lists(st.builds(
+            DriftPhase, at_ms=st.floats(min_value=0.0, max_value=1_000.0),
+            scale=_SCALE,
+            link_scale=st.dictionaries(_REGION_PAIR, _SCALE, max_size=4)),
+            max_size=4))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_topologies(), st.lists(st.tuples(
+    st.sampled_from(_NODES), st.sampled_from(_NODES),
+    st.floats(min_value=0.0, max_value=2_000.0)), min_size=1, max_size=12))
+def test_lookahead_never_exceeds_a_boundary_latency(topology, sends):
+    """The windows are safe only if no boundary message outruns the
+    lookahead: under any topology and drift schedule, every link at every
+    time is at least ``min_propagation_ms()`` long."""
+    conditions = NetworkConditions(topology=topology)
+    lookahead = conditions.min_propagation_ms()
+    assert lookahead > 0
+    for sender, receiver, now_ms in sends:
+        latency = conditions.boundary_latency_ms(sender, receiver, now_ms)
+        # The two products round separately: allow one part in 10^12.
+        assert lookahead <= latency * (1 + 1e-12), (sender, receiver, now_ms)

@@ -11,7 +11,6 @@ every touched shard.  These tests pin:
   a mixed deployment), including uniform cross-shard outcomes;
 * every sharded fault-matrix scenario across the acceptance seeds;
 * the presumed-abort recovery path when the coordinator crashes mid-2PC;
-* the conservative windows' lookahead: no boundary latency is shorter;
 * the revert demo: with the replicas' decide-certificate validation
   knocked out (the guard an equivocating coordinator is held back by),
   the shard-aware auditor still detects the split commit/abort — its own
@@ -22,7 +21,6 @@ every touched shard.  These tests pin:
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.fabric.audit import ShardedSafetyAuditor, audit_sharded_cluster
 from repro.fabric.scenarios import (
@@ -47,7 +45,6 @@ from repro.fabric.sharding import (
     sharded_fingerprint,
 )
 from repro.ledger.execution import SpeculativeExecutor
-from repro.net.conditions import DriftPhase, LatencyTopology, NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.protocols.client_messages import ClientReplyMessage
 from repro.workload.clients import ShardedClientPool
@@ -454,45 +451,3 @@ def test_completion_stamped_before_its_reply_quorum_is_flagged():
         pool.completions[:] = honest
         assert {v.kind for v in report.violations} == {"inform-quorum"}
         assert all(record.batch_id in v.detail for v in report.violations)
-
-
-# ------------------------------------------------------------------ lookahead
-_NODES = ("s0/replica:0", "s0/replica:1", "s1/replica:0", "s1/replica:1",
-          "pool:0", "coord:0")
-_REGIONS = ("eu", "us", "ap")
-_LATENCY = st.floats(min_value=0.01, max_value=80.0)
-_SCALE = st.floats(min_value=0.05, max_value=6.0)
-_REGION_PAIR = st.tuples(st.sampled_from(_REGIONS), st.sampled_from(_REGIONS))
-
-
-@st.composite
-def _topologies(draw):
-    return LatencyTopology(
-        regions=draw(st.dictionaries(st.sampled_from(_NODES),
-                                     st.sampled_from(_REGIONS))),
-        intra_ms=draw(_LATENCY),
-        link_ms=draw(st.dictionaries(_REGION_PAIR, _LATENCY, max_size=6)),
-        default_inter_ms=draw(_LATENCY),
-        default_region=draw(st.sampled_from(_REGIONS)),
-        drift=tuple(draw(st.lists(st.builds(
-            DriftPhase, at_ms=st.floats(min_value=0.0, max_value=1_000.0),
-            scale=_SCALE,
-            link_scale=st.dictionaries(_REGION_PAIR, _SCALE, max_size=4)),
-            max_size=4))))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_topologies(), st.lists(st.tuples(
-    st.sampled_from(_NODES), st.sampled_from(_NODES),
-    st.floats(min_value=0.0, max_value=2_000.0)), min_size=1, max_size=12))
-def test_lookahead_never_exceeds_a_boundary_latency(topology, sends):
-    """The windows are safe only if no boundary message outruns the
-    lookahead: under any topology and drift schedule, every link at every
-    time is at least ``min_propagation_ms()`` long."""
-    conditions = NetworkConditions(topology=topology)
-    lookahead = conditions.min_propagation_ms()
-    assert lookahead > 0
-    for sender, receiver, now_ms in sends:
-        latency = conditions.boundary_latency_ms(sender, receiver, now_ms)
-        # The two products round separately: allow one part in 10^12.
-        assert lookahead <= latency * (1 + 1e-12), (sender, receiver, now_ms)
