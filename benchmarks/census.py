@@ -13,7 +13,10 @@ explained.  It does the same for the fields of the deployment config
 classes in :data:`CONFIG_CLASSES`: it prints each field with the entry
 points that construct its class with the field at a non-default value,
 and exits 1 unless every field no entry point sets has an entry in
-:data:`KEPT_FIELDS`.
+:data:`KEPT_FIELDS`.  An entry point that exits non-zero does not stop
+the census: both tables still print, over what each entry point ran
+before it failed, and the census names each failed entry point with its
+exit code and output tail and exits 1.
 
     python benchmarks/census.py
 
@@ -52,7 +55,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -84,6 +87,8 @@ KEPT: Dict[str, str] = {
         "the one-message form SignatureScheme.sign and verify tag through",
     "repro.crypto.signatures:Signature.canonical_bytes":
         "digest()'s encoding of a signature; GOLDEN_BYTES and the injectivity tests pin it",
+    "repro.crypto.signatures:SignatureScheme.__getstate__":
+        "lets a replica pickle (a SHA-256 state does not); tests copy replicas through pickle",
     "repro.crypto.signatures:SignatureScheme.sign":
         "signs a generic value; the validity item needs it",
     "repro.crypto.signatures:SignatureScheme.verify":
@@ -100,8 +105,6 @@ KEPT: Dict[str, str] = {
         "the under-quorum coalition the tests prove can never verify",
     "repro.fabric.audit:SafetyAuditor.check":
         "report() that raises on a violation, what the auditor tests assert with",
-    "repro.fabric.audit:ShardedSafetyAuditor.from_recorded":
-        "audits a parallel run from its shipped wire records; test_parallel runs it",
     "repro.fabric.audit:ShardedSafetyAuditor.check":
         "report() that raises on a violation, what the sharded tests assert with",
     "repro.fabric.fingerprint:completion_records":
@@ -182,6 +185,8 @@ KEPT: Dict[str, str] = {
         "guard: closes the base proposal queue, since certificates drive HotStuff's proposals",
     "repro.protocols.quorum:_Voters.__bool__":
         "an empty voter set is false, which tests rely on",
+    "repro.protocols.quorum:QuorumProof.__reduce__":
+        "lets an immutable proof pickle; tests copy proofs and the replicas holding them",
     "repro.protocols.quorum:QuorumProof.__setattr__":
         "keeps a proof immutable; a test asserts the raise",
     "repro.protocols.quorum:QuorumProof.__eq__":
@@ -383,20 +388,24 @@ def entry_points(scratch: str) -> Dict[str, List[List[str]]]:
 
 
 def _trace(name: str, commands: List[List[str]], boot: str, scratch: str
-           ) -> Tuple[str, Tuple[Set[Tuple[str, int]], Set[str]]]:
-    """Run *commands* under the tracer: the (file, first line) pairs seen
-    and the config fields set at a non-default value."""
+           ) -> Tuple[str, Tuple[Set[Tuple[str, int]], Set[str], Optional[str]]]:
+    """Run *commands* under the tracer, stopping at the first that exits
+    non-zero: the (file, first line) pairs seen, the config fields set at
+    a non-default value, and the failure (its command, exit code and
+    output tail), ``None`` when every command ran clean."""
     dump = tempfile.mkdtemp(dir=scratch)
     env = dict(os.environ, REPRO_CENSUS_OUT=dump,
                REPRO_CENSUS_CLASSES=",".join(CONFIG_CLASSES),
                PYTHONPATH=os.pathsep.join([boot, SRC]))
+    failure = None
     for argv in commands:
         done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                               stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT, text=True)
         if done.returncode != 0:
-            raise SystemExit(f"census: {name}: {' '.join(argv[:3])} exited "
-                             f"{done.returncode}\n{done.stdout[-2000:]}")
+            failure = (f"{' '.join(argv[:3])} exited {done.returncode}\n"
+                       f"{done.stdout[-2000:]}")
+            break
     seen: Set[Tuple[str, int]] = set()
     for path in glob.glob(os.path.join(dump, "*.txt")):
         with open(path, encoding="utf-8") as handle:
@@ -408,7 +417,7 @@ def _trace(name: str, commands: List[List[str]], boot: str, scratch: str
     for path in glob.glob(os.path.join(dump, "*.fields")):
         with open(path, encoding="utf-8") as handle:
             fields.update(handle.read().split())
-    return name, (seen, fields)
+    return name, (seen, fields, failure)
 
 
 # ------------------------------------------------------------------- defs
@@ -514,8 +523,10 @@ def main() -> int:
         with ThreadPoolExecutor(max_workers=2) as pool:
             traced = dict(pool.map(lambda item: _trace(*item, boot, scratch),
                                    sorted(jobs.items(), key=_longest_first)))
-    tested, tested_fields = traced.pop("tier-1")
-    reached = set().union(*(defs for defs, _ in traced.values()))
+    failed = {name: failure for name, (_defs, _fields, failure) in traced.items()
+              if failure is not None}
+    tested, tested_fields, _failure = traced.pop("tier-1")
+    reached = set().union(*(defs for defs, _fields, _failure in traced.values()))
     rows = unreached(reached, tested)
     total_defs = sum(1 for _ in iter_defs())
     print(f"{len(traced)} entry points; {total_defs} defs in src/repro; "
@@ -534,7 +545,7 @@ def main() -> int:
     print(f"{missing} listed def(s) without a KEPT reason")
 
     set_by: Dict[str, List[str]] = {}
-    for name, (_defs, set_here) in sorted(traced.items()):
+    for name, (_defs, set_here, _failure) in sorted(traced.items()):
         for key in set_here:
             set_by.setdefault(key, []).append(name)
     fields = [(key, set_by.get(key, []), key in tested_fields)
@@ -554,7 +565,12 @@ def main() -> int:
     for key in sorted(set(KEPT_FIELDS) - set(unset)):
         print(f"note: KEPT_FIELDS names {key}, which an entry point now sets")
     print(f"{missing_fields} unset field(s) without a KEPT_FIELDS reason")
-    return 1 if missing or missing_fields else 0
+    for name, failure in sorted(failed.items()):
+        print(f"\nFAILED {name}: {failure}")
+    if failed:
+        print(f"{len(failed)} entry point(s) failed; the tables count what "
+              f"each ran before its failure")
+    return 1 if missing or missing_fields or failed else 0
 
 
 if __name__ == "__main__":

@@ -21,8 +21,7 @@ client signs a whole batch's transaction digests in one
 digest in one loop.  A
 :class:`SignatureScheme` builds the state of a key on its first use, so a
 principal that never signs or verifies pays nothing for it, and drops it
-when pickled: a SHA-256 state does not pickle, and the parallel driver
-ships deployments to worker processes.
+when pickled or copied, because a SHA-256 state does not pickle.
 """
 
 from __future__ import annotations

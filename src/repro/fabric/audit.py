@@ -220,14 +220,11 @@ def check_replica_state(honest: List[object],
 
 
 class WireRecord:
-    """Picklable wire observations: the auditors' only view of the wire.
+    """Wire observations: the auditors' only view of the wire.
 
     One recorder observes one network — a shard's, or a sharded
-    deployment's hub — through :func:`attach_recorder`.  The recording logic
-    lives here, not on the auditor, so a worker process can attach a bare
-    recorder, ship it back with the run artifacts, and have the parent
-    build the auditor around it: a live attach and a recorded run audit
-    the exact same input.
+    deployment's hub — through :func:`attach_recorder`, and the auditor
+    reads only what it recorded, never the network itself.
     """
 
     def __init__(self, pool_ids: Iterable[str] = ()) -> None:
@@ -273,10 +270,7 @@ class SafetyAuditor:
     The recorder holds every client-bound reply the network delivered, so
     the inform-quorum check is grounded in what actually crossed the
     wire, not in client bookkeeping.  :meth:`attach` starts one on a live
-    cluster (before ``cluster.start()``); a parallel worker records its
-    own and ships it back, and *cluster* may then be any object exposing
-    the same attributes (``replicas``, ``pools``, ``spec``,
-    ``node_config``, ``byzantine_ids``).  Without a recorder only the
+    cluster (before ``cluster.start()``).  Without a recorder only the
     replica-state invariants run.
     """
 
@@ -550,21 +544,6 @@ class ShardedSafetyAuditor:
                    [attach_recorder(shard_cluster.network)
                     for shard_cluster in cluster.shard_clusters],
                    attach_recorder(cluster.hub, cluster.pools))
-
-    @classmethod
-    def from_recorded(cls, run) -> "ShardedSafetyAuditor":
-        """Audit a finished run from worker-collected artifacts.
-
-        *run* duck-types a finished :class:`ShardedCluster` (notably
-        ``shard_clusters`` built from shipped replica objects, ``pools``,
-        ``coordinator``, ``layout``, ``byzantine_ids``) and additionally
-        carries the wire recorders every worker attached during the run
-        (``shard_wires``, ``hub_wire``) — the parallel driver's
-        :class:`~repro.fabric.parallel.ParallelShardedRun`.  The exact
-        same invariants run over the exact same ground truth as a live
-        attach.
-        """
-        return cls(run, list(run.shard_wires), run.hub_wire)
 
     # ----------------------------------------------------------------- audit
     def _honest_managers(self) -> List[List[Tuple[str, object]]]:

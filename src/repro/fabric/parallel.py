@@ -1,33 +1,29 @@
-"""Conservative parallel driver: shard runtimes on worker processes.
+"""Forked fingerprint check: shard runtimes on worker processes.
 
-The sequential :class:`~repro.fabric.sharding.ShardedCluster` advances its
-per-shard runtimes through :func:`~repro.fabric.sharding.run_windows`
-in-process; this module runs the *same* runtimes, through the *same*
-window loop, on forked ``multiprocessing`` workers — one per shard.  Each
-barrier is one pipe round-trip per worker: the parent collects every
-runtime's outbox and horizon, picks the next conservative window edge
+The in-process :class:`~repro.fabric.sharding.ShardedCluster` advances its
+per-shard runtimes through :func:`~repro.fabric.sharding.run_windows`;
+this module runs the *same* runtimes, through the *same* window loop, on
+forked ``multiprocessing`` workers — one per shard.  Each barrier is one
+pipe round-trip per worker: the parent collects every runtime's outbox
+and horizon, picks the next conservative window edge
 (``min(horizons) + lookahead``), and broadcasts the per-runtime inboxes.
 
-Determinism is by construction, not by luck: a runtime is built from the
-(picklable) config identically in a worker and in-process, every boundary
-timestamp is RNG-free, and the canonical inbox order is fixed by
-:func:`~repro.fabric.sharding.boundary_event_order` — so each runtime
-executes a byte-identical event sequence under either driver, and
-``sharded_fingerprint(config, driver="parallel")`` equals the sequential
-fingerprint.  The payoff is wall-clock: on a multi-core host the per-shard
-event processing — the bulk of large sharded runs — happens concurrently.
-
-After the final barrier each worker ships its run artifacts back: replica
-objects (ledgers, 2PC managers), pools and coordinator (home shard), the
-wire recorders the safety auditor needs, and per-runtime event counts.
-:class:`ParallelShardedRun` wraps them to duck-type a finished
-``ShardedCluster`` for :func:`~repro.fabric.sharding.fingerprint_state`,
-:meth:`~repro.fabric.audit.ShardedSafetyAuditor.from_recorded` and the
-scenario/bench plumbing.
+A runtime is built from the config identically in a worker and
+in-process, every boundary timestamp is RNG-free, and the canonical inbox
+order is fixed by :func:`~repro.fabric.sharding.boundary_event_order` —
+so each runtime executes a byte-identical event sequence either way.  At
+the finish barrier a worker sends back only its share of the
+fingerprint (:meth:`~repro.fabric.sharding.ShardRuntime.fingerprint_parts`),
+plain values; its event count and clock came with its last window
+result.  :func:`run_parallel` folds them with the same
+:func:`~repro.fabric.sharding.fingerprint_state` the in-process run uses,
+so its fingerprint must equal :func:`~repro.fabric.sharding.sharded_fingerprint`.
+The forked run is no faster on the hosts measured, so this is all it
+is: a check that, within a window, no runtime reads another's state.
 
 ``python -m repro.fabric.parallel`` is the CI smoke entry point: it
-cross-checks parallel-vs-sequential fingerprints over a small grid of
-shard counts, seeds and fault shapes and writes a JSON artifact.
+cross-checks the two fingerprints over a small grid of shard counts,
+seeds and fault shapes and writes a JSON artifact.
 """
 
 from __future__ import annotations
@@ -39,27 +35,22 @@ import multiprocessing
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.fabric.audit import WireRecord, attach_recorder
 from repro.fabric.cluster import CollectorPaused
-from repro.fabric.registry import get_spec
 from repro.fabric.scenarios import (
     MATRIX_DEPLOYMENT,
     SHARDED_SCENARIOS,
     sharded_cluster_config,
 )
 from repro.fabric.sharding import (
-    HOME_SHARD,
     ShardRuntime,
     ShardedClusterConfig,
-    ShardedRunView,
     WindowResult,
     _hub_conditions,
     _validate_config,
     fingerprint_state,
-    layout_for_config,
     run_windows,
     sharded_fingerprint,
 )
@@ -71,114 +62,26 @@ class WorkerCrash(RuntimeError):
 
 #: Seconds every worker has to answer one barrier (start, a window, finish)
 #: before the run fails with :class:`WorkerCrash` naming the shard.  The
-#: slowest honest barrier is ``finish``, which pickles each shard's replicas
-#: back: 0.17 s for the full ``xshard_2sh_x20`` poebench shape on a 2-core
-#: x86 VM, windows at most 0.06 s.  A worker silent this long is hung, and
-#: the driver must not wait on it forever.
+#: slowest honest barrier is ``finish``, where each worker gathers its
+#: fingerprint parts: 0.02–0.05 s for the full ``xshard_2sh_x20`` poebench
+#: shape on a 2-core x86 VM, start and windows at most 0.012 s.  A worker
+#: silent this long is hung, and the driver must not wait on it forever.
 BARRIER_TIMEOUT_S = 60.0
 
 
-# -- artifacts ---------------------------------------------------------------------
-
-@dataclass
-class ShardArtifacts:
-    """Everything one worker ships back after its final barrier."""
-
-    shard: int
-    protocol: str
-    replicas: List[object]
-    byzantine_ids: List[str]
-    processed_events: int
-    now_ms: float
-    wire: Optional[WireRecord] = None
-    # Home shard only:
-    pools: List[object] = field(default_factory=list)
-    coordinator: Optional[object] = None
-    hub_wire: Optional[WireRecord] = None
-
-
-class _RecordedShardCluster:
-    """Duck-typed stand-in for one shard's ``Cluster`` built from artifacts.
-
-    Exposes exactly what :class:`~repro.fabric.audit.SafetyAuditor` and
-    the scenario plumbing read from a live shard cluster: ``replicas``
-    (with their 2PC managers attached), ``spec``, ``node_config``,
-    ``byzantine_ids`` and an empty ``pools`` list (shard networks host no
-    clients).
-    """
-
-    def __init__(self, artifacts: ShardArtifacts) -> None:
-        self.replicas = artifacts.replicas
-        self.spec = get_spec(artifacts.protocol)
-        self.byzantine_ids = list(artifacts.byzantine_ids)
-        self.node_config = artifacts.replicas[0].config
-        self.pools: List[object] = []
-        self.config = _RecordedShardConfig(artifacts.protocol)
-
-
 @dataclass(frozen=True)
-class _RecordedShardConfig:
-    protocol: str
+class ParallelRun:
+    """What a forked run returns: per-runtime event counts and clocks, in
+    shard order, and the fingerprint of the finished state."""
 
-
-class ParallelShardedRun(ShardedRunView):
-    """A finished parallel run, assembled from per-worker artifacts.
-
-    Stands in for a finished :class:`ShardedCluster` for
-    :func:`~repro.fabric.sharding.fingerprint_state`,
-    :meth:`~repro.fabric.audit.ShardedSafetyAuditor.from_recorded`,
-    scenario outcome assembly and the bench plumbing.
-    """
-
-    def __init__(self, config: ShardedClusterConfig,
-                 artifacts: List[ShardArtifacts]) -> None:
-        self.config = config
-        self.layout = layout_for_config(config)
-        self.artifacts = artifacts
-        self.shard_clusters = [_RecordedShardCluster(a) for a in artifacts]
-        home = artifacts[HOME_SHARD]
-        self.pools = home.pools
-        self.coordinator = home.coordinator
-        self.hub_wire = home.hub_wire
-        self.shard_wires = [a.wire for a in artifacts]
-        self.byzantine_ids: List[str] = [
-            rid for a in artifacts for rid in a.byzantine_ids]
-
-    # -- the fingerprint/bench surface -------------------------------------------
-    @property
-    def shard_processed_events(self) -> List[int]:
-        return [a.processed_events for a in self.artifacts]
-
-    @property
-    def shard_clocks(self) -> List[float]:
-        return [a.now_ms for a in self.artifacts]
+    shard_processed_events: List[int]
+    shard_clocks: List[float]
+    fingerprint: str
 
 
 # -- worker ------------------------------------------------------------------------
 
-def _collect_artifacts(runtime: ShardRuntime,
-                       wire: Optional[WireRecord],
-                       hub_wire: Optional[WireRecord]) -> ShardArtifacts:
-    for pool in runtime.pools:
-        # The batch source is a closure (unpicklable) and the run is over:
-        # the pool will never draw another batch.
-        pool.batch_source = None
-    return ShardArtifacts(
-        shard=runtime.shard,
-        protocol=runtime.cluster.config.protocol,
-        replicas=runtime.cluster.replicas,
-        byzantine_ids=runtime.byzantine_ids,
-        processed_events=runtime.simulator.processed_events,
-        now_ms=runtime.simulator.now,
-        wire=wire,
-        pools=runtime.pools,
-        coordinator=runtime.coordinator,
-        hub_wire=hub_wire,
-    )
-
-
-def _worker_main(conn, config: ShardedClusterConfig, shard: int,
-                 record_wire: bool) -> None:
+def _worker_main(conn, config: ShardedClusterConfig, shard: int) -> None:
     """One shard worker: build the runtime, obey barrier commands.
 
     Any exception is reported over the pipe as ``("error", traceback)``
@@ -187,12 +90,6 @@ def _worker_main(conn, config: ShardedClusterConfig, shard: int,
     """
     try:
         runtime = ShardRuntime(config, shard)
-        wire: Optional[WireRecord] = None
-        hub_wire: Optional[WireRecord] = None
-        if record_wire:
-            wire = attach_recorder(runtime.cluster.network)
-            if runtime.hub is not None:
-                hub_wire = attach_recorder(runtime.hub, runtime.pools)
         conn.send(("ok", runtime.start()))
         with CollectorPaused():
             while True:
@@ -204,7 +101,7 @@ def _worker_main(conn, config: ShardedClusterConfig, shard: int,
                     break
                 else:
                     raise ValueError(f"unknown worker command {op!r}")
-        conn.send(("ok", _collect_artifacts(runtime, wire, hub_wire)))
+        conn.send(("ok", runtime.fingerprint_parts()))
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -239,15 +136,14 @@ def _recv(conn, shard: int, deadline: float):
 
 def run_parallel(config: ShardedClusterConfig,
                  max_ms: float = 600_000.0,
-                 record_wire: bool = True) -> ParallelShardedRun:
+                 record_wire: bool = True) -> ParallelRun:
     """Run a sharded deployment on one forked worker per shard.
 
-    Returns a :class:`ParallelShardedRun` whose fingerprint, audit
-    report, completions and event counts are byte-identical to the
-    sequential driver's for the same config.  ``record_wire=False`` skips
-    attaching wire recorders in the workers (benchmarks that never audit
-    pay no observer overhead — matching a bare sequential
-    ``ShardedCluster`` run).
+    Returns the per-runtime event counts and clocks and the fingerprint,
+    each equal to the in-process run's for the same config.  The workers
+    record nothing, whatever *record_wire* says: the keyword stays only
+    because poebench passes ``record_wire=False``, and it goes with this
+    module when the benchmark is re-baselined.
     """
     _validate_config(config)
     lookahead_ms = _hub_conditions(config).min_propagation_ms()
@@ -261,7 +157,7 @@ def run_parallel(config: ShardedClusterConfig,
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, config, shard, record_wire),
+                args=(child_conn, config, shard),
                 daemon=True)
             proc.start()
             child_conn.close()
@@ -274,12 +170,15 @@ def run_parallel(config: ShardedClusterConfig,
                 conn.send(("window", edge_ms, inbox))
             return _gather(conns)
 
-        run_windows(results, window_all, num, lookahead_ms, max_ms)
+        results = run_windows(results, window_all, num, lookahead_ms, max_ms)
         for conn in conns:
             conn.send(("finish",))
-        artifacts = _gather(conns)
+        parts = _gather(conns)
         finished = True
-        return ParallelShardedRun(config, artifacts)
+        events = [result.processed_events for result in results]
+        clocks = [result.now_ms for result in results]
+        return ParallelRun(events, clocks,
+                           fingerprint_state(events, clocks, parts))
     finally:
         for conn in conns:
             try:
@@ -287,7 +186,7 @@ def run_parallel(config: ShardedClusterConfig,
             except OSError:
                 pass
         for proc in procs:
-            # A worker that shipped its artifacts exits on its own; any
+            # A worker that sent its parts exits on its own; any
             # other is killed now.  SIGKILL also ends a stopped process,
             # where SIGTERM would wait for it to be continued.
             proc.join(timeout=10.0 if finished else 0.0)
@@ -345,8 +244,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 sequential = sharded_fingerprint(config, max_ms=args.max_ms)
                 seq_s = time.perf_counter() - started
                 started = time.perf_counter()
-                parallel = fingerprint_state(
-                    run_parallel(config, max_ms=args.max_ms))
+                parallel = run_parallel(config, max_ms=args.max_ms).fingerprint
                 par_s = time.perf_counter() - started
                 match = sequential == parallel
                 ok = ok and match

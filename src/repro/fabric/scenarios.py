@@ -562,23 +562,11 @@ def _outcome(protocol: str, scenario: str, n: int, expected_batches: int,
 
 def run_scenario(protocol: str, scenario: str,
                  base: ClusterConfig = MATRIX_DEPLOYMENT,
-                 driver: str = "sequential",
                  max_ms: float = 60_000.0) -> ScenarioOutcome:
     """Run one audited (protocol, scenario) cell over *base* for at most
-    *max_ms* of virtual time, and classify the outcome.
-
-    *driver* selects the execution engine for sharded scenarios:
-    ``"sequential"`` (in-process reference) or ``"parallel"`` (one forked
-    worker per shard, identical fingerprints).  Single-group scenarios
-    run on one simulator and are sequential-only.
-    """
+    *max_ms* of virtual time, and classify the outcome."""
     if scenario in SHARDED_SCENARIOS:
-        return run_sharded_scenario(protocol, scenario, base, driver=driver,
-                                    max_ms=max_ms)
-    if driver != "sequential":
-        raise ValueError(
-            f"scenario {scenario!r} is single-group and sequential-only; "
-            f"driver={driver!r} applies to sharded scenarios")
+        return run_sharded_scenario(protocol, scenario, base, max_ms=max_ms)
     config = scenario_cluster_config(protocol, scenario, base)
     cluster = Cluster(config)
     auditor = SafetyAuditor.attach(cluster)
@@ -591,41 +579,24 @@ def run_scenario(protocol: str, scenario: str,
 
 def run_sharded_scenario(protocol: str, scenario: str,
                          base: ClusterConfig = MATRIX_DEPLOYMENT,
-                         driver: str = "sequential",
                          max_ms: float = 60_000.0) -> ScenarioOutcome:
-    """Run one audited (shard protocol, sharded scenario) cell.
-
-    The deployment is :func:`sharded_cluster_config`'s.  With
-    ``driver="parallel"`` the shards execute on forked worker processes
-    and the auditor runs over the recorded wire artifacts; the outcome
-    (completions, liveness, audit verdict, view changes) is identical to
-    the sequential reference for the same *base*.
-    """
+    """Run one audited (shard protocol, sharded scenario) cell over
+    :func:`sharded_cluster_config`'s deployment."""
     try:
         sdef = SHARDED_SCENARIOS[scenario]
     except KeyError:
         raise KeyError(f"unknown sharded scenario {scenario!r}; "
                        f"known: {sorted(SHARDED_SCENARIOS)}") from None
     config = sharded_cluster_config(protocol, sdef, base)
-    if driver == "parallel":
-        from repro.fabric.parallel import run_parallel
-
-        run = run_parallel(config, max_ms=max_ms)
-        report = ShardedSafetyAuditor.from_recorded(run).report()
-    elif driver == "sequential":
-        run = ShardedCluster(config)
-        auditor = ShardedSafetyAuditor.attach(run)
-        run.start()
-        run.run_until_done(max_ms=max_ms)
-        report = auditor.report()
-    else:
-        raise ValueError(f"unknown driver {driver!r}; "
-                         f"expected 'sequential' or 'parallel'")
+    run = ShardedCluster(config)
+    auditor = ShardedSafetyAuditor.attach(run)
+    run.start()
+    run.run_until_done(max_ms=max_ms)
     replicas = [replica for shard_cluster in run.shard_clusters
                 for replica in shard_cluster.replicas]
     return _outcome(protocol, scenario, sdef.num_shards * config.num_replicas,
                     config.total_batches * config.num_pools,
-                    replicas, run.pools, report)
+                    replicas, run.pools, auditor.report())
 
 
 def default_matrix_scenarios() -> Tuple[str, ...]:

@@ -29,10 +29,12 @@ Each shard's simulator lives in a :class:`ShardRuntime`; the client pools
 and the coordinator live on a hub network hosted by the home runtime
 (shard 0, sharing its simulator).  All cross-runtime traffic crosses an
 explicit :class:`ShardBoundary` with deterministic, RNG-free send→deliver
-timestamps, and every driver — the in-process sequential reference here,
-the multiprocessing driver in :mod:`repro.fabric.parallel` — advances the
-runtimes through the same conservative time windows
-(:func:`run_windows`), which is why their fingerprints are byte-identical.
+timestamps.  :class:`ShardedCluster` advances the runtimes in-process
+through conservative time windows (:func:`run_windows`); the forked
+fingerprint check in :mod:`repro.fabric.parallel` runs the same loop over
+one worker per runtime.  Each runtime produces its own share of the run's
+fingerprint (:meth:`ShardRuntime.fingerprint_parts`), and
+:func:`fingerprint_state` folds the shares the same way under both.
 """
 
 from __future__ import annotations
@@ -490,9 +492,10 @@ class ShardRuntime:
     client pools and the 2PC coordinator.
 
     A runtime is built identically from the config whether it lives
-    in-process (sequential driver) or in a forked worker (parallel
-    driver); everything it does between window barriers is a
-    deterministic function of its config and the injected inbox.
+    in-process (:class:`ShardedCluster`) or in a forked worker
+    (:mod:`repro.fabric.parallel`); everything it does between window
+    barriers is a deterministic function of its config and the injected
+    inbox.
     """
 
     def __init__(self, config: ShardedClusterConfig, shard: int,
@@ -581,6 +584,38 @@ class ShardRuntime:
             processed_events=self.simulator.processed_events,
         )
 
+    def fingerprint_parts(self) -> Tuple[List[object], List[object]]:
+        """This runtime's share of :func:`fingerprint_state`, as plain values.
+
+        The first list holds each replica's ledger head and 2PC journal;
+        the second, on the home runtime only, each pool's completions and
+        cross-shard outcomes and the coordinator's journal.
+        """
+        replicas: List[object] = []
+        for replica in self.cluster.replicas:
+            replicas += [replica.node_id, replica.crashed,
+                         replica.last_executed_sequence]
+            if not replica.crashed:
+                head = replica.blockchain.head
+                replicas += [head.sequence, head.block_hash.hex()]
+            manager = replica.control_layer
+            replicas += [
+                sorted(manager.status.items()),
+                sorted((txn, entry[0])
+                       for txn, entry in manager.accepted_decides.items()),
+                sorted(manager.rejected_decides)]
+        hub: List[object] = []
+        for pool in self.pools:
+            hub += [pool.node_id,
+                    [(r.batch_id, r.view, r.sequence, r.completed_at_ms)
+                     for r in pool.completions],
+                    sorted((txn, sorted(outcomes.items()))
+                           for txn, outcomes in pool.xshard_outcomes.items())]
+        if self.coordinator is not None:
+            hub.append(sorted((txn, entry["decision"], entry["shards"])
+                              for txn, entry in self.coordinator.journal.items()))
+        return replicas, hub
+
 
 def run_windows(results: List[WindowResult], window_all,
                 num_runtimes: int, lookahead_ms: float,
@@ -630,16 +665,51 @@ def run_windows(results: List[WindowResult], window_all,
     return results
 
 
-# -- the sharded cluster (sequential reference driver) -----------------------------
+# -- the sharded cluster -----------------------------------------------------------
 
-class ShardedRunView:
-    """The results surface of a sharded run, shared by both drivers.
+class ShardedCluster:
+    """S per-shard runtimes, a coordinator and sharded client pools.
 
-    The sequential :class:`ShardedCluster` and the parallel driver's
-    :class:`~repro.fabric.parallel.ParallelShardedRun` provide ``config``,
-    ``pools``, ``shard_clusters``, ``shard_processed_events`` and
-    ``shard_clocks``; the totals and the summary derive from those.
+    Each shard advances on its **own** :class:`Simulator` inside a
+    :class:`ShardRuntime`; the client pools and the coordinator live on a
+    hub network hosted by the home runtime.  Cross-runtime traffic crosses
+    the deterministic :class:`ShardBoundary`, and :meth:`run_until_done`
+    advances all runtimes through the conservative window loop
+    (:func:`run_windows`) — in-process, in shard order.
     """
+
+    def __init__(self, config: ShardedClusterConfig) -> None:
+        _validate_config(config)
+        self.config = config
+        self.layout = layout_for_config(config)
+        self.runtimes: List[ShardRuntime] = [
+            ShardRuntime(config, shard, layout=self.layout)
+            for shard in range(config.num_shards)]
+        home = self.runtimes[HOME_SHARD]
+        self.shard_clusters: List[Cluster] = [
+            runtime.cluster for runtime in self.runtimes]
+        self.hub = home.hub
+        self.node_config = home.node_config
+        self.coordinator = home.coordinator
+        self.pools = home.pools
+        self.byzantine_ids: List[str] = [
+            rid for runtime in self.runtimes for rid in runtime.byzantine_ids]
+        self._results: Optional[List[WindowResult]] = None
+
+    # -- introspection -----------------------------------------------------------
+    @property
+    def lookahead_ms(self) -> float:
+        return self.runtimes[0].lookahead_ms
+
+    @property
+    def shard_processed_events(self) -> List[int]:
+        """Per-runtime event counts, in shard order (home runtime first)."""
+        return [runtime.simulator.processed_events
+                for runtime in self.runtimes]
+
+    @property
+    def shard_clocks(self) -> List[float]:
+        return [runtime.simulator.now for runtime in self.runtimes]
 
     @property
     def now(self) -> float:
@@ -677,53 +747,6 @@ class ShardedRunView:
             metadata=info,
         )
 
-
-class ShardedCluster(ShardedRunView):
-    """S per-shard runtimes, a coordinator and sharded client pools.
-
-    Each shard advances on its **own** :class:`Simulator` inside a
-    :class:`ShardRuntime`; the client pools and the coordinator live on a
-    hub network hosted by the home runtime.  Cross-runtime traffic crosses
-    the deterministic :class:`ShardBoundary`, and :meth:`run_until_done`
-    advances all runtimes through the shared conservative window loop
-    (:func:`run_windows`) — in-process, in shard order.  This is the
-    reference implementation the multiprocessing driver
-    (:mod:`repro.fabric.parallel`) must match byte for byte.
-    """
-
-    def __init__(self, config: ShardedClusterConfig) -> None:
-        _validate_config(config)
-        self.config = config
-        self.layout = layout_for_config(config)
-        self.runtimes: List[ShardRuntime] = [
-            ShardRuntime(config, shard, layout=self.layout)
-            for shard in range(config.num_shards)]
-        home = self.runtimes[HOME_SHARD]
-        self.shard_clusters: List[Cluster] = [
-            runtime.cluster for runtime in self.runtimes]
-        self.hub = home.hub
-        self.node_config = home.node_config
-        self.coordinator = home.coordinator
-        self.pools = home.pools
-        self.byzantine_ids: List[str] = [
-            rid for runtime in self.runtimes for rid in runtime.byzantine_ids]
-        self._results: Optional[List[WindowResult]] = None
-
-    # -- introspection -----------------------------------------------------------
-    @property
-    def lookahead_ms(self) -> float:
-        return self.runtimes[0].lookahead_ms
-
-    @property
-    def shard_processed_events(self) -> List[int]:
-        """Per-runtime event counts, in shard order (home runtime first)."""
-        return [runtime.simulator.processed_events
-                for runtime in self.runtimes]
-
-    @property
-    def shard_clocks(self) -> List[float]:
-        return [runtime.simulator.now for runtime in self.runtimes]
-
     # -- running -----------------------------------------------------------------
     def start(self) -> None:
         """Boot every runtime (shards, then hub nodes on the home shard)."""
@@ -748,67 +771,41 @@ class ShardedCluster(ShardedRunView):
         return self.now
 
 
-def fingerprint_state(run) -> str:
+def fingerprint_state(shard_processed_events: Sequence[int],
+                      shard_clocks: Sequence[float],
+                      runtime_parts: Sequence[Tuple[List[object], List[object]]]
+                      ) -> str:
     """Hash everything observable about a finished sharded run.
 
-    *run* is a :class:`ShardedRunView` — a :class:`ShardedCluster` or the
-    parallel driver's artifact view — read through
-    ``shard_processed_events``, ``shard_clocks``, ``shard_clusters`` (each
-    with ``replicas``), ``pools`` and ``coordinator``.  Both drivers fold
-    the exact same state, which is what the byte-identical acceptance test
-    compares.
+    Folds the per-runtime event counts and clocks, then every runtime's
+    replica parts in shard order, then the hub parts (pools and
+    coordinator), each from :meth:`ShardRuntime.fingerprint_parts`.  The
+    in-process cluster and the forked workers hand in the same parts.
     """
     hasher = hashlib.sha256()
-
-    def fold(*parts: object) -> None:
-        for part in parts:
-            hasher.update(repr(part).encode())
-            hasher.update(b"|")
-
-    fold("events", tuple(run.shard_processed_events), tuple(run.shard_clocks))
-    for shard_cluster in run.shard_clusters:
-        for replica in shard_cluster.replicas:
-            fold(replica.node_id, replica.crashed,
-                 replica.last_executed_sequence)
-            if not replica.crashed:
-                fold(replica.blockchain.head.sequence,
-                     replica.blockchain.head.block_hash.hex())
-            manager = replica.control_layer
-            if manager is not None:
-                fold(sorted(manager.status.items()),
-                     sorted((txn, entry[0])
-                            for txn, entry in manager.accepted_decides.items()),
-                     sorted(manager.rejected_decides))
-    for pool in run.pools:
-        fold(pool.node_id,
-             [(r.batch_id, r.view, r.sequence, r.completed_at_ms)
-              for r in pool.completions],
-             sorted((txn, sorted(outcomes.items()))
-                    for txn, outcomes in pool.xshard_outcomes.items()))
-    fold(sorted((txn, entry["decision"], entry["shards"])
-                for txn, entry in run.coordinator.journal.items()))
+    parts = ["events", tuple(shard_processed_events), tuple(shard_clocks)]
+    for replicas, _hub in runtime_parts:
+        parts += replicas
+    for _replicas, hub in runtime_parts:
+        parts += hub
+    for part in parts:
+        hasher.update(repr(part).encode())
+        hasher.update(b"|")
     return hasher.hexdigest()
 
 
 def sharded_fingerprint(config: ShardedClusterConfig,
-                        max_ms: float = 600_000.0,
-                        driver: str = "sequential") -> str:
+                        max_ms: float = 600_000.0) -> str:
     """Run a sharded deployment and hash everything observable about it.
 
     Folds per-replica ledger heads and 2PC journals, pool completions and
     cross-shard outcomes, the coordinator journal and per-runtime event
-    counts into one digest.  Two runs of the same config must produce the
-    same fingerprint — under *either* driver (``"sequential"`` or
-    ``"parallel"``): that cross-driver equality is the acceptance test of
-    the parallel executor.
+    counts into one digest (:func:`fingerprint_state`).  Two runs of the
+    same config must produce the same fingerprint.
     """
-    if driver == "parallel":
-        from repro.fabric.parallel import run_parallel
-
-        return fingerprint_state(run_parallel(config, max_ms=max_ms))
-    if driver != "sequential":
-        raise ValueError(f"unknown sharded driver {driver!r}")
     cluster = ShardedCluster(config)
     cluster.start()
     cluster.run_until_done(max_ms=max_ms)
-    return fingerprint_state(cluster)
+    return fingerprint_state(
+        cluster.shard_processed_events, cluster.shard_clocks,
+        [runtime.fingerprint_parts() for runtime in cluster.runtimes])

@@ -289,7 +289,7 @@ def _fake_trace(reached, fields):
     reached, fields = set(reached), set(fields)
 
     def trace(name, commands, boot, scratch):
-        return name, (set(reached), set(fields))
+        return name, (set(reached), set(fields), None)
     return trace
 
 
@@ -335,6 +335,39 @@ def test_census_fails_on_an_unset_field_without_a_reason(
     assert f"{len(kept) + 1} set by no entry point" in out
     assert unset in out and "NOT KEPT" in out
     assert "1 unset field(s) without a KEPT_FIELDS reason" in out
+
+
+def test_a_failing_entry_point_comes_back_as_a_value(census, tmp_path):
+    """A command that exits non-zero ends its entry point's run, and
+    ``_trace`` returns the failure instead of raising, so one broken entry
+    point cannot hide the census of the others."""
+    boot = tmp_path / "boot"
+    boot.mkdir()
+    (boot / "sitecustomize.py").write_text(census._SITECUSTOMIZE)
+    name, (_seen, fields, failure) = census._trace(
+        "broken", [["-c", "raise SystemExit(3)"], ["-c", "pass"]],
+        str(boot), str(tmp_path))
+    assert name == "broken" and fields == set()
+    assert failure is not None and "-c raise SystemExit(3) exited 3" in failure
+
+
+def test_census_prints_both_tables_and_fails_on_a_failed_entry_point(
+        census, monkeypatch, capsys):
+    every = _every_def(census)
+    fields = set(census.iter_fields())
+
+    def trace(name, commands, boot, scratch):
+        failure = "examples/quickstart.py exited 2\nboom" if name == (
+            "examples/quickstart.py") else None
+        return name, (set(every), set(fields), failure)
+
+    monkeypatch.setattr(census, "_trace", trace)
+    assert census.main() == 1
+    out = capsys.readouterr().out
+    assert "0 reached by no entry point" in out
+    assert "0 unset field(s) without a KEPT_FIELDS reason" in out
+    assert "FAILED examples/quickstart.py: examples/quickstart.py exited 2\nboom" in out
+    assert "1 entry point(s) failed" in out
 
 
 # ------------------------------------------------------------ entry points

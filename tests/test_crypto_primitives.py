@@ -126,9 +126,9 @@ class TestPairSecretsOnFirstUse:
 
     @pytest.mark.parametrize("copier", ["pickle", "deepcopy"])
     def test_a_copied_store_derives_the_same_secrets(self, copier):
-        """The parallel driver pickles each shard's replicas back, key
-        stores included, whether or not a pair was derived; a copy keeps
-        what was derived and derives the rest to the same bytes."""
+        """A replica may be pickled or deep-copied (tests copy replicas
+        so), key store included, whether or not a pair was derived; a copy
+        keeps what was derived and derives the rest to the same bytes."""
         import copy
         import pickle
 
@@ -276,8 +276,8 @@ class TestSignatures:
                 assert not verifier.verify(forged, value)
 
     def test_a_pickled_scheme_signs_and_verifies_identically(self, keystores):
-        """The parallel driver pickles deployments, schemes included, after
-        they may have signed; the copy rebuilds the HMAC state it needs."""
+        """A pickled replica carries its schemes, which may already have
+        signed; the copy rebuilds the HMAC state it needs."""
         import pickle
 
         registry = build_registry(keystores)

@@ -1,16 +1,15 @@
-"""Parallel sharded driver: fingerprint equality and failure behaviour.
+"""Forked fingerprint check: fingerprint equality and failure behaviour.
 
-The parallel driver forks one worker per shard and exchanges boundary
-events at conservative window barriers; the sequential ``ShardedCluster``
-advances the *same* runtimes through the *same* window loop in-process.
-These tests pin the acceptance criterion — the parallel fingerprint is
-byte-identical to the sequential one for the same config — across the
-canonical cross-shard scenarios and seeds, that a crashing or hung
-worker surfaces a clean, shard-naming error instead of hanging the
-barrier, and that the windows' lookahead never exceeds a boundary delay.
+``run_parallel`` forks one worker per shard and exchanges boundary events
+at conservative window barriers; the in-process ``ShardedCluster``
+advances the *same* runtimes through the *same* window loop.  These tests
+pin that the fingerprint the workers' parts fold to is byte-identical to
+``sharded_fingerprint`` for the same config, across the canonical
+cross-shard scenarios and seeds, that a crashing or hung worker surfaces
+a clean, shard-naming error instead of hanging the barrier, and that the
+windows' lookahead never exceeds a boundary delay.
 """
 
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -19,12 +18,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fabric.audit import ShardedSafetyAuditor
 from repro.fabric import parallel
 from repro.fabric.parallel import WorkerCrash, run_parallel
-from repro.fabric.scenarios import MATRIX_DEPLOYMENT, run_scenario
 from repro.fabric.sharding import (
     ShardRuntime,
+    ShardedCluster,
     ShardedClusterConfig,
     coordinator_id,
     sharded_fingerprint,
@@ -60,45 +58,32 @@ def _config(scenario: str, seed: int, num_shards: int = 2) -> ShardedClusterConf
 ])
 def test_parallel_fingerprint_matches_sequential(scenario, seed):
     config = _config(scenario, seed)
-    sequential = sharded_fingerprint(config)
-    parallel = sharded_fingerprint(config, driver="parallel")
-    assert sequential == parallel
+    assert sharded_fingerprint(config) == run_parallel(config).fingerprint
 
 
 def test_parallel_fingerprint_four_shards():
     config = _config("xshard-no-fault", seed=3, num_shards=4)
-    assert (sharded_fingerprint(config)
-            == sharded_fingerprint(config, driver="parallel"))
+    assert sharded_fingerprint(config) == run_parallel(config).fingerprint
 
 
-def test_unknown_driver_rejected():
-    with pytest.raises(ValueError, match="driver"):
-        sharded_fingerprint(_config("xshard-no-fault", 3), driver="threads")
+def test_a_worker_sends_back_plain_values():
+    """What a worker sends at the finish barrier is its fingerprint parts:
+    builtin values only, no replica, pool or coordinator object."""
+    cluster = ShardedCluster(_config("xshard-crash-2pc", seed=3))
+    cluster.start()
+    cluster.run_until_done()
 
+    def walk(value):
+        if isinstance(value, (tuple, list)):
+            for item in value:
+                walk(item)
+        else:
+            assert type(value) in (str, int, float, bool, type(None)), value
 
-def test_parallel_run_audits_clean_from_artifacts():
-    # The workers record wire observations; the parent-side auditor built
-    # over the shipped artifacts must reach the live auditor's verdict.
-    run = run_parallel(_config("xshard-coordinator-equivocate", seed=7))
-    report = ShardedSafetyAuditor.from_recorded(run).report()
-    assert report.ok, report.summary()
-    assert report.completions_checked > 0
-
-
-def test_parallel_scenario_outcome_matches_sequential():
-    base = dataclasses.replace(MATRIX_DEPLOYMENT, total_batches=10)
-    sequential = run_scenario("poe-mac", "xshard-crash-2pc", base)
-    parallel = run_scenario("poe-mac", "xshard-crash-2pc", base,
-                            driver="parallel")
-    assert parallel.live == sequential.live
-    assert parallel.safe == sequential.safe
-    assert parallel.completed_batches == sequential.completed_batches
-    assert parallel.view_changes == sequential.view_changes
-
-
-def test_single_group_scenarios_are_sequential_only():
-    with pytest.raises(ValueError, match="sequential-only"):
-        run_scenario("poe", "steady-state", driver="parallel")
+    for runtime in cluster.runtimes:
+        replicas, hub = runtime.fingerprint_parts()
+        assert replicas and bool(hub) == (runtime.shard == 0)
+        walk((replicas, hub))
 
 
 def test_worker_exception_surfaces_clean_error(monkeypatch):

@@ -23,6 +23,7 @@ from dataclasses import replace
 import pytest
 
 from repro.fabric.audit import ShardedSafetyAuditor, audit_sharded_cluster
+from repro.fabric.parallel import run_parallel
 from repro.fabric.scenarios import (
     MATRIX_DEPLOYMENT,
     SCENARIO_DEFS,
@@ -177,8 +178,7 @@ def test_ycsb_payload_slices_apply_on_commit_only(monkeypatch):
                    for replica in shard_cluster.replicas}
         assert len(digests) == 1
     monkeypatch.undo()
-    assert (sharded_fingerprint(config)
-            == sharded_fingerprint(config, driver="parallel"))
+    assert sharded_fingerprint(config) == run_parallel(config).fingerprint
 
 
 def test_sbft_shards_are_rejected():
