@@ -66,6 +66,21 @@ def test_parallel_fingerprint_four_shards():
     assert sharded_fingerprint(config) == run_parallel(config).fingerprint
 
 
+def test_a_forked_run_counts_what_the_in_process_run_counts():
+    """The per-shard event counts and clocks are what a forked run's
+    caller reads apart from the fingerprint; they must be the in-process
+    run's, in shard order, with or without ``record_wire``."""
+    config = _config("xshard-crash-2pc", seed=7)
+    cluster = ShardedCluster(config)
+    cluster.start()
+    cluster.run_until_done()
+    for record_wire in (True, False):
+        run = run_parallel(config, record_wire=record_wire)
+        assert run.shard_processed_events == cluster.shard_processed_events
+        assert run.shard_clocks == cluster.shard_clocks
+        assert all(events > 0 for events in run.shard_processed_events)
+
+
 def test_a_worker_sends_back_plain_values():
     """What a worker sends at the finish barrier is its fingerprint parts:
     builtin values only, no replica, pool or coordinator object."""
