@@ -87,8 +87,6 @@ KEPT: Dict[str, str] = {
         "the one-message form SignatureScheme.sign and verify tag through",
     "repro.crypto.signatures:Signature.canonical_bytes":
         "digest()'s encoding of a signature; GOLDEN_BYTES and the injectivity tests pin it",
-    "repro.crypto.signatures:SignatureScheme.__getstate__":
-        "lets a replica pickle (a SHA-256 state does not); tests copy replicas through pickle",
     "repro.crypto.signatures:SignatureScheme.sign":
         "signs a generic value; the validity item needs it",
     "repro.crypto.signatures:SignatureScheme.verify":
@@ -143,6 +141,12 @@ KEPT: Dict[str, str] = {
         "network-boundary behaviour outside the matrix's scenarios; tests and goldens run it",
     "repro.net.byzantine:ForgedHistoryReplica._forged_commit_certificate":
         "the forged Zyzzyva certificate of the forge-certificates key, which tests run",
+    "repro.net.conditions:FrozenDict.__hash__":
+        "what lets conditions holding a topology hash; no entry point hashes one, a test does",
+    "repro.net.conditions:FrozenDict.__reduce__":
+        "lets a topology pickle and deep-copy as it did with plain dicts; no entry point copies one, a test does",
+    "repro.net.conditions:FrozenDict._refuse":
+        "refuses an in-place edit of a topology's mappings; no entry point tries one, a test does",
     "repro.net.conditions:LatencyTopology.min_latency_ms":
         "the lookahead under a topology; no sharded entry point sets one, a property test pins it",
     "repro.net.faults:FaultSchedule.crashed_nodes":
@@ -185,8 +189,6 @@ KEPT: Dict[str, str] = {
         "guard: closes the base proposal queue, since certificates drive HotStuff's proposals",
     "repro.protocols.quorum:_Voters.__bool__":
         "an empty voter set is false, which tests rely on",
-    "repro.protocols.quorum:QuorumProof.__reduce__":
-        "lets an immutable proof pickle; tests copy proofs and the replicas holding them",
     "repro.protocols.quorum:QuorumProof.__setattr__":
         "keeps a proof immutable; a test asserts the raise",
     "repro.protocols.quorum:QuorumProof.__eq__":

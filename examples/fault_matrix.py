@@ -37,6 +37,11 @@ found on every node along the way — one still growing late in the run
 (past the checkpoint/retention plateau) is a leak and fails the run,
 unless ``BY_DESIGN_GROWTH`` names it with a reason.
 
+The last line of output is the process's peak resident set size
+(``resource.getrusage``), a reading and not a pin: the matrix builds,
+runs and drops 136 deployments, so the peak shows whether a dropped one
+is freed at once or waits for the cyclic collector.
+
 Run with::
 
     python examples/fault_matrix.py [--replicas N] [--batches B] [--seed S]
@@ -50,6 +55,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -293,5 +299,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def peak_rss_line() -> str:
+    # ru_maxrss is in KiB on Linux.
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return f"peak RSS: {peak_mib:.1f} MiB"
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    status = main()
+    print(peak_rss_line())
+    raise SystemExit(status)

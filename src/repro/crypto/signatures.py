@@ -20,8 +20,7 @@ client signs a whole batch's transaction digests in one
 :meth:`SignatureScheme.sign_digests` call, which hashes and tags each
 digest in one loop.  A
 :class:`SignatureScheme` builds the state of a key on its first use, so a
-principal that never signs or verifies pays nothing for it, and drops it
-when pickled or copied, because a SHA-256 state does not pickle.
+principal that never signs or verifies pays nothing for it.
 """
 
 from __future__ import annotations
@@ -118,10 +117,6 @@ class SignatureScheme:
         #: changes is a new key); built on first use.
         self._signer: Optional[HmacSha256] = None
         self._verifiers: Dict[bytes, HmacSha256] = {}
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # SHA-256 states do not pickle; the copy rebuilds them on first use.
-        return {**self.__dict__, "_signer": None, "_verifiers": {}}
 
     def _own_hmac(self) -> HmacSha256:
         self._signer = HmacSha256(verification_key(self._signing_secret))

@@ -76,12 +76,14 @@ def client_id(index: int) -> str:
 class CollectorPaused:
     """A drive's context: the cyclic collector is off inside it.
 
-    No run allocates a reference cycle (``tests/test_collector.py`` drives
-    every matrix cell and every poebench shape and finds ``gc.collect()``
-    has nothing to free afterwards), so every pass the collector would
-    make during a drive walks live objects and frees none; the ``gc``
-    module's documentation sanctions disabling it for such a program.
-    Reference counting frees everything a run drops.  The collector is
+    No run allocates a reference cycle, and no deployment is one once its
+    root is dropped (``tests/test_collector.py`` drives every matrix cell
+    and every poebench shape, drops it finished and drops a fresh one
+    started, and finds ``gc.collect()`` has nothing to free after each),
+    so every pass the collector would make during a drive walks live
+    objects and frees none; the ``gc`` module's documentation sanctions
+    disabling it for such a program.  Reference counting frees everything
+    a run drops, and a dropped deployment with it.  The collector is
     disabled only if it was enabled, and enabled again on the way out,
     also when the drive raises.  The drives enter it, not
     :meth:`Simulator.run`: the sharded window loop calls ``run`` once per
@@ -181,6 +183,12 @@ class ClusterConfig:
 class Cluster:
     """A fully wired deployment, ready to run.
 
+    A dropped cluster frees itself by reference counting: nothing it
+    builds is a reference cycle but one, pending events referencing the
+    network that scheduled them while the network references its
+    simulator, and :meth:`__del__` breaks that one by emptying the
+    simulator's event queue.
+
     Args:
         config: the deployment parameters.
         simulator: optional externally owned simulator.  Each
@@ -188,7 +196,11 @@ class Cluster:
             :class:`~repro.net.simulator.Simulator` and passes it to its
             shard's cluster; on the home shard the hub network (client
             pools, 2PC coordinator) advances on the same one.  Defaults
-            to a private simulator.
+            to a private simulator.  The rule for a caller's simulator:
+            the cluster drives it exactly as a private one for as long as
+            the caller holds the cluster, and dropping the cluster empties
+            its event queue (clock and event count stay), so a caller
+            holds the cluster for as long as it runs the simulator.
         authenticators: optional pre-provisioned authenticator map.  The
             trusted setup (:func:`make_authenticators`) is deterministic
             in the config, pair secrets included (derived on first use,
@@ -247,6 +259,11 @@ class Cluster:
         self._build_clients()
         self._attach_byzantine()
         self._schedule_reconfig()
+
+    def __del__(self) -> None:
+        simulator = getattr(self, "simulator", None)
+        if simulator is not None:
+            simulator._queue.clear()
 
     # ------------------------------------------------------------------ build
     def _plan_reconfig(self) -> Optional[int]:
@@ -385,10 +402,13 @@ class Cluster:
             ycsb_config, client_id=pool_id,
             authenticator=self.authenticators.get(pool_id),
         )
+        batch_size = self.config.batch_size
 
         def source(index: int, now_ms: float) -> object:
-            return workload.next_batch(self.config.batch_size,
-                                       created_at_ms=now_ms, reply_to=pool_id)
+            # Captures the batch size, not the cluster: the pool holds the
+            # source, and the cluster holds the pool.
+            return workload.next_batch(batch_size, created_at_ms=now_ms,
+                                       reply_to=pool_id)
 
         return source
 

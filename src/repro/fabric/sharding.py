@@ -696,6 +696,15 @@ class ShardedCluster:
             rid for runtime in self.runtimes for rid in runtime.byzantine_ids]
         self._results: Optional[List[WindowResult]] = None
 
+    def __del__(self) -> None:
+        # A runtime's pending events reference the networks that scheduled
+        # them, each network references the simulator and the boundary,
+        # and the boundary lists its networks: emptying the queue and the
+        # list leaves nothing cyclic, so reference counting frees the rest.
+        for runtime in getattr(self, "runtimes", ()):
+            runtime.simulator._queue.clear()
+            runtime.boundary._networks.clear()
+
     # -- introspection -----------------------------------------------------------
     @property
     def lookahead_ms(self) -> float:

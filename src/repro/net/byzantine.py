@@ -28,6 +28,7 @@ messages.  Two properties are load-bearing:
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -72,8 +73,9 @@ class ByzantineBehavior:
     ``request_timeout_ms``.
 
     :meth:`SimNetwork.set_byzantine` hands the behaviour its ``node`` (the
-    corrupted replica or coordinator object) and the live ``network``,
-    then calls :meth:`bind`.  A behaviour reads live protocol state through
+    corrupted replica or coordinator object) and the live ``network``
+    (held weakly: the network holds the behaviour), then calls
+    :meth:`bind`.  A behaviour reads live protocol state through
     the node — the node keeps running its honest state machine, so its view
     tracks the cluster's — and may mount reactive faults on the network.  A
     *replica-level* behaviour goes further and corrupts the node's state
@@ -94,11 +96,23 @@ class ByzantineBehavior:
         self.replica_ids: List[str] = []
         self.rng: Random = Random(0)
         self.node = None
-        self.network = None
+        self._network: Optional[weakref.ref] = None
         self.playbook: Optional[Tuple[str, ...]] = None
         #: Deliveries :meth:`rewrite` made up; :meth:`transform` sends them
         #: at the tail of the fan-out being rewritten.
         self.fabricated: List[Delivery] = []
+
+    @property
+    def network(self):
+        """The network the node sends on (``None`` before it is handed
+        one).  A weak reference: a strong one back to the network that
+        holds the behaviour would be a reference cycle."""
+        network = self._network
+        return None if network is None else network()
+
+    @network.setter
+    def network(self, network) -> None:
+        self._network = None if network is None else weakref.ref(network)
 
     def bind(self, node_id: str, replica_ids: Sequence[str], seed: object) -> None:
         """Attach the behaviour to *node_id* in a deployment."""
@@ -904,11 +918,16 @@ class WrongExecutionReplica(ByzantineBehavior):
 
     def bind(self, node_id: str, replica_ids: Sequence[str], seed: object) -> None:
         super().bind(node_id, replica_ids, seed)
-        behavior, replica = self, self.node
-        original = replica.commit_slot
+        # The replica holds the shim and the behaviour holds the replica,
+        # so the shim reaches both through a weak reference to the
+        # behaviour; a strong one would close a reference cycle.
+        behavior_ref = weakref.ref(self)
+        honest_commit_slot = type(self.node).commit_slot
 
         def wrong_commit_slot(sequence, view, batch, proof=None, now_ms=0.0,
                               speculative=False):
+            behavior = behavior_ref()
+            replica = behavior.node
             if (sequence == behavior.TARGET_SLOT and batch is not None
                     and behavior.forged_executions == 0
                     and sequence > replica.last_executed_sequence):
@@ -916,10 +935,11 @@ class WrongExecutionReplica(ByzantineBehavior):
                 batch = fabricated_batch(
                     node_id, f"byzexec:{node_id}:{sequence}",
                     f"byzexec:{node_id}", like=batch)
-            return original(sequence=sequence, view=view, batch=batch,
-                            proof=proof, now_ms=now_ms, speculative=speculative)
+            return honest_commit_slot(
+                replica, sequence=sequence, view=view, batch=batch,
+                proof=proof, now_ms=now_ms, speculative=speculative)
 
-        replica.commit_slot = wrong_commit_slot
+        self.node.commit_slot = wrong_commit_slot
 
 
 class EquivocatingCoordinator(ByzantineBehavior):

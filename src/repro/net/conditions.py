@@ -12,13 +12,37 @@ Figures 9(e)-(h) zero-payload experiments).
 A :class:`NetworkConditions` is a value: it holds no run state.  The
 jitter stream is the network's (``SimNetwork`` seeds it from
 :attr:`NetworkConditions.seed`), a dropped message is the fault
-schedule's decision, and a link's latency is the topology's.
+schedule's decision, and a link's latency is the topology's.  Its
+topology is a value too: frozen, its mappings held as :class:`FrozenDict`,
+so conditions with one hash, compare by value, and a topology two configs
+share cannot be changed under either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Mapping, Optional, Tuple
+
+
+class FrozenDict(dict):
+    """A dict that hashes by value and refuses every in-place change.
+    A lookup is a plain dict probe."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        # Rebuilt from a plain dict: pickle and copy would otherwise refill
+        # the new one item by item, which it refuses.
+        return FrozenDict, (dict(self),)
+
+    def _refuse(self, *args: object, **kwargs: object) -> None:
+        raise TypeError(f"{type(self).__name__} cannot be changed in place")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
 
 
 @dataclass(frozen=True)
@@ -34,10 +58,13 @@ class DriftPhase:
 
     at_ms: float = 0.0
     scale: float = 1.0
-    link_scale: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    link_scale: Mapping[Tuple[str, str], float] = field(default_factory=FrozenDict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "link_scale", FrozenDict(self.link_scale))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatencyTopology:
     """Region-structured propagation latencies with scheduled drift.
 
@@ -58,15 +85,18 @@ class LatencyTopology:
         drift: :class:`DriftPhase` schedule, sorted by ``at_ms``.
     """
 
-    regions: Dict[str, str] = field(default_factory=dict)
+    regions: Mapping[str, str] = field(default_factory=FrozenDict)
     intra_ms: float = 0.3
-    link_ms: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    link_ms: Mapping[Tuple[str, str], float] = field(default_factory=FrozenDict)
     default_inter_ms: float = 10.0
     default_region: str = ""
     drift: Tuple[DriftPhase, ...] = ()
 
     def __post_init__(self) -> None:
-        self.drift = tuple(sorted(self.drift, key=lambda phase: phase.at_ms))
+        object.__setattr__(self, "regions", FrozenDict(self.regions))
+        object.__setattr__(self, "link_ms", FrozenDict(self.link_ms))
+        object.__setattr__(self, "drift", tuple(
+            sorted(self.drift, key=lambda phase: phase.at_ms)))
 
     def region_of(self, node_id: str) -> str:
         return self.regions.get(node_id, self.default_region)

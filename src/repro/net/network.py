@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappush
 from random import Random
+from types import MethodType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.net.byzantine import ByzantineBehavior, Delivery
@@ -67,9 +68,11 @@ _NEVER = float("inf")
 class NodeHandle:
     """Book-keeping the network keeps per registered node.
 
-    ``dispatch`` is the node's own message-class -> handler table, held
-    here so a delivery resolves its handler with one attribute load and
-    one dict probe, in the network's frame.
+    ``dispatch`` is the node's own message-class -> handler table with
+    each function bound to the node (:func:`_bound_dispatch`), held here so
+    a delivery resolves its handler with one attribute load and one dict
+    probe, in the network's frame.  The handle owns the bound methods; the
+    node keeps plain functions, so it holds no reference to itself.
     """
 
     node: AnyNode
@@ -89,6 +92,12 @@ class NodeHandle:
     #: earliest crash window); the per-message fault checks ask the schedule
     #: about it only from then on (:meth:`SimNetwork._compile_faults`).
     safe_until: float = _NEVER
+
+
+def _bound_dispatch(node: Node) -> Dict[type, Callable]:
+    """*node*'s handler table with every function bound to *node*."""
+    return {message_cls: MethodType(handler, node)
+            for message_cls, handler in node._dispatch.items()}
 
 
 class _ForeignNode(Node):
@@ -180,7 +189,7 @@ class SimNetwork:
         if not isinstance(node, Node):
             node = _ForeignNode(node)
         handle = NodeHandle(
-            node=node, is_replica=True, dispatch=node._dispatch,
+            node=node, is_replica=True, dispatch=_bound_dispatch(node),
             safe_until=self.faults.safe_until(node.node_id))
         self._nodes[node.node_id] = handle
         self._replica_ids.append(node.node_id)
@@ -189,7 +198,7 @@ class SimNetwork:
     def add_client(self, node: ClientNode) -> None:
         """Register a client node."""
         self._nodes[node.node_id] = NodeHandle(
-            node=node, is_replica=False, dispatch=node._dispatch,
+            node=node, is_replica=False, dispatch=_bound_dispatch(node),
             safe_until=self.faults.safe_until(node.node_id))
 
     def add_observer(self, observer: MessageObserver) -> None:

@@ -18,11 +18,11 @@ A step's actions accumulate in the node's own ``_pending_actions`` list
 and its CPU in ``_pending_cpu_ms`` — the same two attributes whichever
 driver runs the step and whether or not a step is in progress — and the
 entry point drains both.  A delivery is routed by the exact class of the
-message through the node's ``_dispatch`` table (message class -> bound
-handler); a class the table does not name goes to ``on_message``.  A
-crashed node produces no actions and no CPU time.  A handler that raises
-leaves what it had produced so far pending: drivers treat a raising step
-as fatal to the run.
+message through the node's ``_dispatch`` table (message class -> handler
+function, called with the node); a class the table does not name goes to
+``on_message``.  A crashed node produces no actions and no CPU time.  A
+handler that raises leaves what it had produced so far pending: drivers
+treat a raising step as fatal to the run.
 
 ``deliver`` is also the specification of the one step a driver may take
 apart: :meth:`SimNetwork._deliver <repro.net.network.SimNetwork._deliver>`
@@ -161,9 +161,12 @@ class Node(abc.ABC):
 
     #: CPU charged to every delivery before its handler runs.
     _base_processing_ms = 0.0
-    #: Message class -> bound handler ``(sender, message, now_ms)``; a class
-    #: not named here is handled by :meth:`on_message`.  Empty (and shared,
-    #: so read-only) unless a subclass builds one per instance: replicas do.
+    #: Message class -> handler function ``(node, sender, message, now_ms)``;
+    #: a class not named here is handled by :meth:`on_message`.  Empty (and
+    #: shared, so read-only) unless a subclass builds one per instance:
+    #: replicas do.  Functions, not bound methods, so the table references
+    #: no node; a driver that wants bound handlers binds its own copy
+    #: (:meth:`SimNetwork.add_replica <repro.net.network.SimNetwork.add_replica>`).
     _dispatch: Mapping[type, Any] = MappingProxyType({})
 
     def __init__(self) -> None:
@@ -208,7 +211,7 @@ class Node(abc.ABC):
         if handler is None:
             self.on_message(sender, message, now_ms)
         else:
-            handler(sender, message, now_ms)
+            handler(self, sender, message, now_ms)
         return self._collect()
 
     def timer_fired(self, name: str, payload: Any, now_ms: float) -> StepOutput:
@@ -326,6 +329,10 @@ class NodeConfig:
     def quorum_of(self, epoch: int) -> int:
         """The ``2 f + 1`` quorum of *epoch*."""
         return 2 * self.f_of(epoch) + 1
+
+    def quorum_of_sequence(self, sequence: int) -> int:
+        """The ``2 f + 1`` quorum of the epoch *sequence* belongs to."""
+        return self.quorum_of(self.epoch_of_sequence(sequence))
 
     def primary_of_view_in_epoch(self, view: int, epoch: int) -> str:
         """Primary rotation over the membership of *epoch*."""

@@ -125,7 +125,8 @@ class CheckpointTracker:
                  index_map: Optional[Mapping[str, int]] = None) -> None:
         self.quorum = quorum
         #: Optional per-sequence quorum override for reconfigured
-        #: deployments: called with the sequence number and returns the
+        #: deployments (``NodeConfig.quorum_of_sequence``, which holds no
+        #: replica): called with the sequence number and returns the
         #: ``2 f + 1`` of the epoch that sequence belongs to, so a vote
         #: for an old-epoch boundary is still held to the old epoch's
         #: quorum after the membership resizes.  ``None`` (the fixed-

@@ -63,10 +63,9 @@ class _Voters:
 class QuorumProof(_Voters):
     """The immutable voter snapshot a completed tally leaves as its proof.
 
-    Equal (and hashing alike) exactly when the voter sets are equal; it
-    pickles.  The index map is the tally's, shared: the map only ever
-    grows (joiners are appended), so the voters a snapshot names never
-    change.
+    Equal (and hashing alike) exactly when the voter sets are equal.  The
+    index map is the tally's, shared: the map only ever grows (joiners are
+    appended), so the voters a snapshot names never change.
     """
 
     __slots__ = ()
@@ -84,9 +83,6 @@ class QuorumProof(_Voters):
         raise AttributeError("a quorum proof is immutable")
 
     __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return QuorumProof, (self._index, self.mask, self.count, self.extra)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuorumProof):

@@ -77,9 +77,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     Message dispatch is table-driven: every replica class declares a
     ``MESSAGE_HANDLERS`` mapping from message type to handler-method name.
     ``__init_subclass__`` merges the tables along the MRO once per class,
-    and each instance binds the handlers once at construction, so routing
-    one message is a single dict lookup on its exact type.  A message of a
-    type the table does not name is ignored.
+    and each instance resolves the handler functions once at construction
+    (its ``_dispatch``), so routing one message is a single dict lookup on
+    its exact type.  A message of a type the table does not name is ignored.
     """
 
     #: Message-type -> handler-method-name table.  Concrete protocols extend
@@ -216,10 +216,13 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         self._fanout = config.n - 1
         self._primary_view: Optional[int] = None  # see primary_id
         self._primary = ""
-        # Bind the merged handler table once; routing a delivery is then
-        # one dict lookup on the message's exact type.
+        # Resolve the merged handler table once; routing a delivery is
+        # then one dict lookup on the message's exact type.  Plain
+        # functions, not methods bound to this replica: a table of bound
+        # methods in the replica's own dict would be a reference cycle.
+        cls = self.__class__
         self._dispatch = {
-            message_cls: getattr(self, handler_name)
+            message_cls: getattr(cls, handler_name)
             for message_cls, handler_name in self._DISPATCH_TABLE.items()
         }
 
@@ -262,7 +265,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         """
         handler = self._dispatch.get(message.__class__)
         if handler is not None:
-            handler(sender, message, now_ms)
+            handler(self, sender, message, now_ms)
 
     # ------------------------------------------------------- deferred messages
     #: Views ahead of the current one a message may be deferred for.  A
@@ -823,12 +826,10 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         if checkpoints.quorum_fn is None:
             # From now on checkpoint stability is judged per-sequence:
             # votes for an old-epoch boundary stay held to the old
-            # epoch's quorum even after the membership resized.
-            checkpoints.quorum_fn = self._checkpoint_quorum_for
-
-    def _checkpoint_quorum_for(self, sequence: int) -> int:
-        config = self.config
-        return config.quorum_of(config.epoch_of_sequence(sequence))
+            # epoch's quorum even after the membership resized.  The
+            # config's method, not one of this replica's: the replica
+            # holds the tracker.
+            checkpoints.quorum_fn = self.config.quorum_of_sequence
 
     def on_epoch_activated(self, entry: EpochEntry, evicted: Tuple[str, ...],
                            now_ms: float) -> None:

@@ -214,9 +214,12 @@ class RequestBatch:
         # phases, and the batch never changes after construction.
         cached = self.__dict__.get("_digest")
         if cached is None:
+            # Each transaction's memo read in this frame (a digest is never
+            # empty, so ``or`` calls ``digest()`` only for an unset memo):
+            # generated transactions carry theirs already.
             cached = digest_fields_and_blobs(
                 ("batch", self.batch_id),
-                [txn.digest() for txn in self.transactions])
+                [txn._digest or txn.digest() for txn in self.transactions])
             object.__setattr__(self, "_digest", cached)
         return cached
 

@@ -1,16 +1,22 @@
-"""No run allocates a reference cycle; drives pause the cyclic collector.
+"""A deployment is acyclic; drives pause the cyclic collector.
 
 Reference counting frees everything a run drops as long as the run makes
 no cycle, and then every pass of the cyclic collector during a drive walks
 live objects and frees none.  So ``Cluster.run_until_done``,
 ``Cluster.run_for``, ``ShardedCluster.run_until_done`` and the parallel
 worker's window loop run inside :class:`~repro.fabric.cluster.CollectorPaused`.
-The census below is what makes that sound: every fault-matrix cell, at the
-matrix's own deployment, and every poebench shape at 1/20 budget is driven
-with the collector saving what it finds, and ``gc.collect()`` right after
-the drive must find nothing.  A failure names the cell and the types of
-the objects a cycle held; a run that starts making cycles must break them
-(or stop making them) rather than turn the collector back on.
+A deployment itself is acyclic too, but for pending events referencing
+the network that scheduled them, which the root (``Cluster``,
+``ShardedCluster``) empties when it is dropped: so a dropped deployment,
+started or finished, is freed by reference counting, with no collector
+pass.  The census below is what makes both sound: every fault-matrix cell,
+at the matrix's own deployment, and every poebench shape at 1/20 budget is
+driven with the collector saving what it finds, and ``gc.collect()`` right
+after the drive, right after dropping the finished deployment, and right
+after dropping a freshly started one must find nothing.  A failure names
+the cell and the types of the objects a cycle held; a deployment that
+starts making cycles must break them (or stop making them) rather than
+turn the collector back on.
 """
 
 from __future__ import annotations
@@ -130,6 +136,33 @@ class TestThePauseRestoresTheCallersState:
         assert passes == []
 
 
+def test_a_callers_simulator_is_driven_as_a_private_one_and_emptied_on_drop():
+    """The ownership rule of ``Cluster``'s docstring: while the caller
+    holds the cluster, a simulator it handed in runs exactly as the
+    cluster's own would; dropping the cluster empties that simulator's
+    event queue, leaves its clock and event count, and frees the
+    deployment with no collector pass."""
+    config = ClusterConfig(protocol="poe-mac", num_replicas=4, batch_size=10,
+                           total_batches=6, client_outstanding=3, seed=7)
+    private = Cluster(config)
+    simulator = Simulator()
+    held = [Cluster(config, simulator=simulator)]
+    for cluster in (private, held[0]):
+        cluster.start()
+        cluster.run_for(3.0)
+    del cluster
+    assert ((simulator.now, simulator.processed_events, simulator.pending_events)
+            == (private.simulator.now, private.simulator.processed_events,
+                private.simulator.pending_events))
+    assert held[0].completions() == private.completions() != []
+    now, events = simulator.now, simulator.processed_events
+    assert simulator.pending_events > 0
+    garbage = _cyclic_garbage(held.clear)
+    assert simulator.pending_events == 0
+    assert (simulator.now, simulator.processed_events) == (now, events)
+    assert not garbage, dict(garbage.most_common())
+
+
 # -- the census --------------------------------------------------------------
 
 def _cyclic_garbage(drive) -> Counter:
@@ -147,6 +180,21 @@ def _cyclic_garbage(drive) -> Counter:
         gc.set_debug(flags)
 
 
+def _census(name: str, make, max_ms: float) -> None:
+    """The three readings: *make()* (built and started) driven, then
+    dropped finished, and a second one dropped as soon as it started."""
+    held = [make()]
+    garbage = _cyclic_garbage(lambda: held[0].run_until_done(max_ms=max_ms))
+    assert not garbage, (f"{name}: the drive left reference cycles of "
+                         f"{dict(garbage.most_common())}")
+    garbage = _cyclic_garbage(held.clear)
+    assert not garbage, (f"{name}: the dropped finished deployment left "
+                         f"reference cycles of {dict(garbage.most_common())}")
+    garbage = _cyclic_garbage(make)
+    assert not garbage, (f"{name}: the dropped started deployment left "
+                         f"reference cycles of {dict(garbage.most_common())}")
+
+
 def _matrix_cells():
     cells = [(protocol, scenario) for protocol in MATRIX_PROTOCOLS
              for scenario in SCENARIO_DEFS]
@@ -162,17 +210,18 @@ def test_the_census_covers_the_whole_matrix():
 @pytest.mark.parametrize("protocol,scenario", _matrix_cells())
 def test_a_matrix_cell_makes_no_cycle(protocol, scenario):
     """Each cell built and audited as ``run_scenario`` builds it."""
-    if scenario in SHARDED_SCENARIOS:
-        run = ShardedCluster(sharded_cluster_config(
-            protocol, SHARDED_SCENARIOS[scenario]))
-        ShardedSafetyAuditor.attach(run)
-    else:
-        run = Cluster(scenario_cluster_config(protocol, scenario))
-        SafetyAuditor.attach(run)
-    run.start()
-    garbage = _cyclic_garbage(lambda: run.run_until_done(max_ms=60_000.0))
-    assert not garbage, (f"{protocol} x {scenario}: the drive left reference "
-                         f"cycles of {dict(garbage.most_common())}")
+    def make():
+        if scenario in SHARDED_SCENARIOS:
+            run = ShardedCluster(sharded_cluster_config(
+                protocol, SHARDED_SCENARIOS[scenario]))
+            ShardedSafetyAuditor.attach(run)
+        else:
+            run = Cluster(scenario_cluster_config(protocol, scenario))
+            SafetyAuditor.attach(run)
+        run.start()
+        return run
+
+    _census(f"{protocol} x {scenario}", make, max_ms=60_000.0)
 
 
 POEBENCH_SHAPES = ("mac_flood_n32", "ts_linear_n32", "ycsb_exec_n4",
@@ -187,7 +236,4 @@ def test_a_poebench_shape_makes_no_cycle(workload):
 
     assert set(WORKLOADS) == set(POEBENCH_SHAPES)
     for config in WORKLOADS[workload].configs(3, 0.05):
-        deployment = build(config)
-        garbage = _cyclic_garbage(deployment.run_until_done)
-        assert not garbage, (f"{workload}: the drive left reference cycles "
-                             f"of {dict(garbage.most_common())}")
+        _census(workload, lambda: build(config), max_ms=600_000.0)

@@ -82,7 +82,7 @@ class _TableNode(ProtocolNode):
     def __init__(self, config, cost_model=None):
         super().__init__("replica:0", config, authenticator=None,
                          cost_model=cost_model)
-        self._dispatch = {_Ping: self.handle_ping}
+        self._dispatch = {_Ping: _TableNode.handle_ping}
         self.seen = []
 
     def handle_ping(self, sender, message, now_ms):
@@ -132,7 +132,7 @@ class TestNodeEntryPoints:
         # gets the partial actions with the next step's output.
         node = _TableNode(make_config(4))
 
-        def failing(sender, message, now_ms):
+        def failing(node, sender, message, now_ms):
             node.send(sender, _Pong())
             raise RuntimeError("handler failed")
 

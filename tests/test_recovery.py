@@ -13,7 +13,6 @@ commit-certificate anchoring — are unit-tested directly.
 
 import ast
 import dataclasses
-import pickle
 import re
 from pathlib import Path
 
@@ -119,18 +118,24 @@ LAYER_PROTOCOLS = sorted(
     if issubclass(spec.replica_cls, PrimaryBackupReplica))
 
 
-@pytest.fixture(scope="module", params=LAYER_PROTOCOLS)
-def logged_cluster(request):
+def _logged_run(protocol: str) -> Cluster:
     """A finished seven-batch run with a checkpoint every four slots: each
     replica holds a stable checkpoint at 3 and three logged slots above it,
-    written by its own protocol's phases."""
+    written by its own protocol's phases.  Deterministic, so a test that
+    changes a replica runs its own."""
     cluster = Cluster(ClusterConfig(
-        protocol=request.param, num_replicas=4, batch_size=2, total_batches=7,
+        protocol=protocol, num_replicas=4, batch_size=2, total_batches=7,
         client_outstanding=1, checkpoint_interval=4, seed=5))
     cluster.start()
     cluster.run_until_done(max_ms=10_000.0)
     cluster.run_for(20.0)  # let the last checkpoint votes land
     return cluster
+
+
+@pytest.fixture(scope="module", params=LAYER_PROTOCOLS)
+def logged_cluster(request):
+    """:func:`_logged_run`, shared by the tests that only read it."""
+    return _logged_run(request.param)
 
 
 class TestRecoveryWireFormat:
@@ -168,19 +173,16 @@ class TestRecoveryWireFormat:
             request, executed=(request.executed[0], request.executed[2]))
         assert not receiver.validate_view_change_request_message(holed, 0)
 
-    def test_messages_and_a_logging_replica_survive_pickling(self, logged_cluster):
+    def test_a_rerun_replica_holds_the_same_log(self, logged_cluster):
         replica = logged_cluster.replicas[1]
-        request = replica.build_view_change_request(0)
-        new_view = NewView(new_view=1, requests=(request,))
-        assert pickle.loads(pickle.dumps(request)) == request
-        assert pickle.loads(pickle.dumps(new_view)) == new_view
-        clone = pickle.loads(pickle.dumps(replica))
-        assert clone._log == replica._log and len(clone._log) == 3
-        assert clone.build_view_change_request(0) == request
+        rerun = _logged_run(logged_cluster.config.protocol).replicas[1]
+        assert rerun._log == replica._log and len(rerun._log) == 3
+        assert (rerun.build_view_change_request(0)
+                == replica.build_view_change_request(0))
 
     def test_rollback_pops_the_reverted_slots(self, logged_cluster):
-        # On a copy: the fixture's cluster is shared by the whole class.
-        replica = pickle.loads(pickle.dumps(logged_cluster.replicas[3]))
+        # On a run of its own: the fixture's cluster is shared by the class.
+        replica = _logged_run(logged_cluster.config.protocol).replicas[3]
         replica.rollback_speculation(4, now_ms=100.0)
         assert replica.last_executed_sequence == 4
         assert sorted(replica._log) == [4]
@@ -193,8 +195,8 @@ class TestRecoveryWireFormat:
         ``None``: its keys are the voters of the join rule (and what the
         model checker's fingerprint counts), its non-``None`` values what
         the next primary builds a NEW-VIEW from."""
-        # On a copy of replica:1, the primary of view 1.
-        replica = pickle.loads(pickle.dumps(logged_cluster.replicas[1]))
+        # On a run of its own; replica:1 is the primary of view 1.
+        replica = _logged_run(logged_cluster.config.protocol).replicas[1]
         good = {peer.node_id: peer.build_view_change_request(0)
                 for peer in logged_cluster.replicas}
         holed = {sender: dataclasses.replace(request, executed=request.executed[1:])

@@ -1,12 +1,14 @@
 """Tests for the discrete-event simulator and network condition models."""
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.conditions import NetworkConditions
+from repro.net.conditions import DriftPhase, LatencyTopology, NetworkConditions
 from repro.net.faults import CrashFault, FaultSchedule
 from repro.net.simulator import ControlledScheduler, Simulator, _FanOut
 
@@ -523,6 +525,41 @@ class TestNetworkConditions:
         with pytest.raises(dataclasses.FrozenInstanceError):
             conditions.jitter_ms = 0.0
         assert conditions == NetworkConditions.lan(seed=3)
+
+    def test_a_topology_is_a_frozen_value_too(self):
+        def geo():
+            return LatencyTopology(
+                regions={"a": "east", "b": "west"},
+                link_ms={("east", "west"): 4.0},
+                drift=(DriftPhase(at_ms=10.0, scale=2.0,
+                                  link_scale={("east", "west"): 3.0}),))
+
+        shared = geo()
+        first = NetworkConditions(topology=shared)
+        second = NetworkConditions(topology=shared, seed=2)
+        assert hash(first) == hash(NetworkConditions(topology=geo()))
+        assert first == NetworkConditions(topology=geo()) != second
+        assert hash(NetworkConditions(topology=LatencyTopology())) == hash(
+            NetworkConditions(topology=LatencyTopology()))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.intra_ms = 9.0
+        (phase,) = shared.drift
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            phase.scale = 9.0
+        for mapping in (shared.regions, shared.link_ms, phase.link_scale):
+            key = next(iter(mapping))
+            with pytest.raises(TypeError, match="cannot be changed in place"):
+                mapping[key] = mapping[key]
+            with pytest.raises(TypeError, match="cannot be changed in place"):
+                mapping.update({key: mapping[key]})
+            with pytest.raises(TypeError, match="cannot be changed in place"):
+                del mapping[key]
+        assert first.topology == second.topology == geo()
+        for copier in (copy.copy, copy.deepcopy,
+                       lambda value: pickle.loads(pickle.dumps(value))):
+            copied = copier(first)
+            assert copied == first and hash(copied) == hash(first)
+        assert first.propagation_ms("a", "b", 20.0, lambda: 0.0) == 24.0
 
 
 class TestFaultSchedule:
