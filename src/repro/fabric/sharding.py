@@ -198,7 +198,7 @@ class ShardCoordinator(TwoPhaseDriver, ClientNode):
             del self._pending[payload]
             return
         self._send(pending, now_ms, retransmission=True)
-        backoff = self.timeout_ms * (2 ** min(pending.retransmissions, 4))
+        backoff = self.timeout_ms * (2 ** min(pending.retransmissions, self.BACKOFF_CAP))
         self.set_timer(f"txn:{payload}", backoff, payload=payload)
 
 

@@ -23,6 +23,12 @@ messages.  Two properties are load-bearing:
   :class:`random.Random` bound at attach time, so Byzantine runs are
   byte-identical across same-seed executions (pinned by
   ``tests/test_determinism.py``).
+
+A forger attacks the rules the replicas run and restates none of them: a
+slot binding is its protocol module's named one (``proposal_digest``,
+``pbft_batch_digest``, ``zyzzyva_history_link``, ``hotstuff_block_digest``),
+a quorum size comes from the bound replica's ``NodeConfig`` and a timing
+from what the replica armed (``vc_retry_ms``).
 """
 
 from __future__ import annotations
@@ -39,8 +45,14 @@ from repro.crypto.hashing import digest
 from repro.ledger.execution import modelled_result_digest
 from repro.protocols.base import Message
 from repro.protocols.checkpoint import CheckpointMessage, StateTransferResponse
-from repro.protocols.hotstuff import HotStuffProposal
-from repro.protocols.pbft import PbftCommit, PbftPrePrepare, PbftPrepare, PbftReplica
+from repro.protocols.hotstuff import HotStuffProposal, hotstuff_block_digest
+from repro.protocols.pbft import (
+    PbftCommit,
+    PbftPrePrepare,
+    PbftPrepare,
+    PbftReplica,
+    pbft_batch_digest,
+)
 from repro.protocols.recovery import LogEntry, ViewChangeRequest
 from repro.protocols.sbft import SbftPrePrepare, SbftReplica
 from repro.protocols.zyzzyva import (
@@ -48,6 +60,8 @@ from repro.protocols.zyzzyva import (
     ZyzzyvaOrderRequest,
     ZyzzyvaProofOfMisbehaviour,
     ZyzzyvaReplica,
+    zyzzyva_genesis_history,
+    zyzzyva_history_link,
 )
 from repro.workload.transactions import RequestBatch, Transaction
 
@@ -245,10 +259,6 @@ class EquivocatingPrimary(ByzantineBehavior):
         self.group_a: Set[str] = set()
         self.group_b: Set[str] = set()
         self._forged: Dict[Tuple[int, int], RequestBatch] = {}
-        #: (view, sequence) -> (real PBFT digest, forged PBFT digest), used
-        #: to keep the primary's own PREPARE/COMMIT votes consistent with
-        #: whichever proposal each half received.
-        self._pbft_digests: Dict[Tuple[int, int], Tuple[bytes, bytes]] = {}
         #: (view, sequence) -> forged Zyzzyva history digest: the dark half
         #: must see a *coherent* alternative history chain, or the forgery
         #: is trivially detectable from one message.
@@ -261,11 +271,8 @@ class EquivocatingPrimary(ByzantineBehavior):
     def bind(self, node_id: str, replica_ids: Sequence[str], seed: object) -> None:
         super().bind(node_id, replica_ids, seed)
         others = [r for r in self.replica_ids if r != self.node_id]
-        n = len(self.replica_ids)
-        f = (n - 1) // 3
-        nf = n - f
         # group_b must reach nf together with the primary itself.
-        split = max(0, min(len(others), nf - 1))
+        split = max(0, min(len(others), self.node.config.nf - 1))
         self.group_b = set(others[len(others) - split:])
         self.group_a = set(others[: len(others) - split])
 
@@ -279,17 +286,6 @@ class EquivocatingPrimary(ByzantineBehavior):
                 f"byz:{view}:{sequence}", like=real)
         return forged
 
-    def _pbft_digest_pair(self, view: int, sequence: int,
-                          real_batch: RequestBatch) -> Tuple[bytes, bytes]:
-        key = (view, sequence)
-        pair = self._pbft_digests.get(key)
-        if pair is None:
-            forged = self._forged_batch(view, sequence, real_batch)
-            pair = (digest("pbft", view, sequence, real_batch.digest()),
-                    digest("pbft", view, sequence, forged.digest()))
-            self._pbft_digests[key] = pair
-        return pair
-
     def _equivocate(self, message: Message) -> Optional[Message]:
         """Build the conflicting variant of a proposal for ``group_b``."""
         if isinstance(message, HotStuffProposal):
@@ -298,34 +294,25 @@ class EquivocatingPrimary(ByzantineBehavior):
             if message.batch is None:
                 return None
             forged = self._forged_batch(0, message.round_number, message.batch)
-            justify = message.justify
-            parent = justify.block_digest if justify is not None else b"genesis"
-            block_digest = digest("hotstuff-block", message.round_number,
-                                  forged.digest(), parent)
-            return dataclasses.replace(message, batch=forged,
-                                       block_digest=block_digest)
+            return dataclasses.replace(message, batch=forged, block_digest=(
+                hotstuff_block_digest(message.round_number, forged.digest(),
+                                      message.justify.block_digest)))
         if isinstance(message, ZyzzyvaOrderRequest):
             # Zyzzyva orderings chain a history digest; the forged ordering
             # recomputes the chain over the forged batches so the dark half
             # accepts (and echoes) a self-consistent alternative history.
             forged = self._forged_batch(message.view, message.sequence, message.batch)
-            key = (message.view, message.sequence)
-            previous = self._forged_history.get((message.view, message.sequence - 1))
-            if previous is None:
-                previous = self._real_history.get(
-                    (message.view, message.sequence - 1),
-                    digest("zyzzyva-history", "genesis"))
-            forged_history = digest("zyzzyva-history", previous,
-                                    message.sequence, forged.digest())
-            self._forged_history[key] = forged_history
+            before = (message.view, message.sequence - 1)
+            previous = (self._forged_history.get(before)
+                        or self._real_history.get(before)
+                        or zyzzyva_genesis_history())
+            forged_history = zyzzyva_history_link(previous, message.sequence,
+                                                  forged.digest())
+            self._forged_history[(message.view, message.sequence)] = forged_history
             return dataclasses.replace(message, batch=forged,
                                        history_digest=forged_history)
         if isinstance(message, (PoePropose, PbftPrePrepare, SbftPrePrepare)):
             forged = self._forged_batch(message.view, message.sequence, message.batch)
-            if isinstance(message, PbftPrePrepare):
-                # Cache the digest pair so the primary's own PREPARE/COMMIT
-                # votes can be kept consistent with each half's proposal.
-                self._pbft_digest_pair(message.view, message.sequence, message.batch)
             return dataclasses.replace(message, batch=forged)
         return None
 
@@ -347,8 +334,8 @@ class EquivocatingPrimary(ByzantineBehavior):
                 for receiver in sorted(self.group_a):
                     votes.append(Delivery(receiver, support))
         elif isinstance(message, PbftPrePrepare):
-            real_digest, _ = self._pbft_digest_pair(message.view, message.sequence,
-                                                    message.batch)
+            real_digest = pbft_batch_digest(message.view, message.sequence,
+                                            message.batch.digest())
             for forged_id in sorted(self.group_b):
                 prepare = PbftPrepare(view=message.view, sequence=message.sequence,
                                       batch_digest=real_digest, replica_id=forged_id)
@@ -360,11 +347,13 @@ class EquivocatingPrimary(ByzantineBehavior):
         return votes
 
     def _consistent_vote(self, message: Message, receiver: str) -> Message:
-        """Keep the primary's own PBFT votes consistent per half."""
+        """Keep the primary's own PBFT votes consistent per half: the dark
+        half gets them for the forged batch it was proposed."""
         if receiver in self.group_b and isinstance(message, (PbftPrepare, PbftCommit)):
-            digests = self._pbft_digests.get((message.view, message.sequence))
-            if digests is not None and message.batch_digest == digests[0]:
-                return dataclasses.replace(message, batch_digest=digests[1])
+            forged = self._forged.get((message.view, message.sequence))
+            if forged is not None:
+                return dataclasses.replace(message, batch_digest=pbft_batch_digest(
+                    message.view, message.sequence, forged.digest()))
         return message
 
     def _equivocation_active(self, message: Message) -> bool:
@@ -451,9 +440,10 @@ class TimeoutStaller(ByzantineBehavior):
     exponential backoff.  A replica that simply never votes is eventually
     routed around; this one *rides the schedule*: it joins each view
     change it is needed for, but delays its VIEW-CHANGE broadcast so it
-    lands ``LEAD_MS`` before the honest replicas' retry deadline — the
-    maximum stall that still lets the view change complete, repeated for
-    ``MAX_STALLS`` views before the budget forces honesty.  Nothing it
+    lands ``LEAD_MS`` before the retry deadline its own replica armed with
+    it (``vc_retry_ms``) — the maximum stall that still lets the view
+    change complete, repeated for ``MAX_STALLS`` views before the budget
+    forces honesty.  Nothing it
     does is provably faulty (the messages are well-formed and honest),
     which is what makes the timing attack a pure liveness probe: the
     auditor must find every cell safe, just slower.
@@ -467,14 +457,7 @@ class TimeoutStaller(ByzantineBehavior):
 
     def __init__(self) -> None:
         super().__init__()
-        self.stalls = 0
         self._stalled_views: Set[int] = set()
-
-    def _stall_delay(self) -> float:
-        replica = self.node
-        backoff = replica.config.request_timeout_ms * 2 * (
-            2 ** min(replica._vc_failed_attempts, replica.VC_BACKOFF_CAP))
-        return max(0.0, backoff - self.LEAD_MS)
 
     def transform(self, deliveries: List[Delivery], now_ms: float) -> List[Delivery]:
         if self.node is None or not deliveries:
@@ -482,11 +465,12 @@ class TimeoutStaller(ByzantineBehavior):
         message = deliveries[0].message
         if not isinstance(message, ViewChangeRequest):
             return deliveries
-        if message.view in self._stalled_views or self.stalls >= self.MAX_STALLS:
+        if (message.view in self._stalled_views
+                or len(self._stalled_views) >= self.MAX_STALLS):
             return deliveries
         self._stalled_views.add(message.view)
-        self.stalls += 1
-        extra = self._stall_delay()
+        # The replica armed its retry timer with this request.
+        extra = self.node.vc_retry_ms - self.LEAD_MS
         if extra <= 0.0:
             return deliveries
         return [Delivery(d.receiver, d.message, d.delay_ms + extra)
@@ -524,7 +508,6 @@ class ColludingVoteParker(ByzantineBehavior):
     def __init__(self, poison: bool = False) -> None:
         super().__init__()
         self.poison = poison
-        self.released = 0
         self._parked: List[Tuple[float, Delivery]] = []
 
     def _release_due(self, now_ms: float) -> bool:
@@ -551,7 +534,6 @@ class ColludingVoteParker(ByzantineBehavior):
                     out.append(Delivery(delivery.receiver,
                                         self._poisoned(delivery.message),
                                         delivery.delay_ms))
-            self.released += len(self._parked)
             self._parked.clear()
         holds_seat = self.cabal_holds_seat()
         for delivery in deliveries:
@@ -597,8 +579,7 @@ class ColludingReconfigAbuser(ByzantineBehavior):
         members = list(replica.config.membership(epoch))
         cabal = set(self.playbook) if self.playbook is not None else {self.node_id}
         honest = [rid for rid in members if rid not in cabal]
-        f_old = (len(members) - 1) // 3
-        victims = honest[: f_old + 1]
+        victims = honest[: replica.config.f_of(epoch) + 1]
         if not victims:
             return None, ()
         record = make_reconfig_record(new_epoch=epoch + 1, remove=victims,
@@ -756,8 +737,7 @@ class ForgedHistoryReplica(ByzantineBehavior):
     # ------------------------------------------------------------- forgeries
     def _forged_commit_certificate(self, sequence: int,
                                    batch: RequestBatch) -> ZyzzyvaCommitCertificate:
-        responders = tuple(sorted(self.replica_ids)[: max(
-            1, 2 * ((len(self.replica_ids) - 1) // 3) + 1)])
+        responders = tuple(sorted(self.replica_ids)[: 2 * self.node.config.f + 1])
         return ZyzzyvaCommitCertificate(
             batch_id=batch.batch_id, view=0, sequence=sequence,
             result_digest=modelled_result_digest(sequence, batch),
@@ -780,19 +760,19 @@ class ForgedHistoryReplica(ByzantineBehavior):
         top = min(self.DEPTH,
                   max(message.stable_checkpoint + len(message.executed), 0))
         entries = []
-        history = digest("zyzzyva-history", "genesis")
+        history = zyzzyva_genesis_history()
         for sequence in range(top + 1):
             batch = fabricated_batch(self.node_id, f"byzvc:{self.node_id}:{sequence}",
                                      f"byzvc:{self.node_id}:{sequence}")
             view, proof = message.view, None
             if isinstance(replica, ZyzzyvaReplica):
-                history = slot_digest = digest("zyzzyva-history", history,
-                                               sequence, batch.digest())
+                history = slot_digest = zyzzyva_history_link(
+                    history, sequence, batch.digest())
                 if self.forge_certificates:
                     proof = self._forged_commit_certificate(sequence, batch)
             elif isinstance(replica, PbftReplica):
                 view, proof = 0, ()
-                slot_digest = digest("pbft", 0, sequence, batch.digest())
+                slot_digest = pbft_batch_digest(0, sequence, batch.digest())
             else:
                 slot_digest = poe_proposal_digest(sequence, view, batch.digest())
             entries.append(LogEntry(sequence, view, slot_digest, batch, proof))
@@ -864,7 +844,9 @@ class LyingCheckpointer(ByzantineBehavior):
         super().__init__()
         self._poisoned_sequences: Set[int] = set()
 
-    def _poison(self, message: StateTransferResponse) -> StateTransferResponse:
+    def _lie(self, message: StateTransferResponse) -> StateTransferResponse:
+        """*message* with garbage state: made-up digest and head hash, no
+        snapshot."""
         return dataclasses.replace(
             message,
             state_digest=digest("byz-checkpoint", self.node_id, message.sequence),
@@ -872,25 +854,18 @@ class LyingCheckpointer(ByzantineBehavior):
             table_snapshot=None,
         )
 
-    def _fabricated_response(self, sequence: int) -> StateTransferResponse:
-        return StateTransferResponse(
-            sequence=sequence, view=0,
-            state_digest=digest("byz-checkpoint", self.node_id, sequence),
-            head_hash=digest("byz-head", self.node_id, sequence),
-            table_snapshot=None,
-        )
-
     def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
         message = delivery.message
         if isinstance(message, StateTransferResponse):
-            return Delivery(delivery.receiver, self._poison(message),
+            return Delivery(delivery.receiver, self._lie(message),
                             delivery.delay_ms)
         if isinstance(message, CheckpointMessage):
             claimed = message.sequence + self.LIE_AHEAD
             if claimed not in self._poisoned_sequences:
                 self._poisoned_sequences.add(claimed)
                 self.fabricated.extend(
-                    Delivery(receiver, self._fabricated_response(claimed))
+                    Delivery(receiver,
+                             self._lie(StateTransferResponse(sequence=claimed)))
                     for receiver in sorted(r for r in self.replica_ids
                                            if r != self.node_id))
         return delivery
@@ -959,10 +934,6 @@ class EquivocatingCoordinator(ByzantineBehavior):
     to flag (see the revert demo in ``tests/test_sharding.py``).
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.forged_aborts = 0
-
     def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
         from repro.protocols.client_messages import ClientRequestMessage
         from repro.workload.xshard import ABORT, COMMIT, make_control_batch
@@ -974,7 +945,6 @@ class EquivocatingCoordinator(ByzantineBehavior):
         if (batch is None or batch.control_phase != COMMIT
                 or len(batch.shards) < 2 or batch.shard != max(batch.shards)):
             return delivery
-        self.forged_aborts += 1
         forged = make_control_batch(
             txn=batch.txn, phase=ABORT, shard=batch.shard,
             shards=batch.shards, cert=(),
@@ -999,10 +969,6 @@ class StallingCoordinator(ByzantineBehavior):
     replies as the certificate.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.stalled_decides = 0
-
     def rewrite(self, delivery: Delivery, now_ms: float) -> Optional[Delivery]:
         from repro.protocols.client_messages import ClientRequestMessage
         from repro.workload.xshard import DECIDE_PHASES
@@ -1011,7 +977,6 @@ class StallingCoordinator(ByzantineBehavior):
         if isinstance(message, ClientRequestMessage):
             batch = message.batch
             if batch is not None and batch.control_phase in DECIDE_PHASES:
-                self.stalled_decides += 1
                 return None
         return delivery
 

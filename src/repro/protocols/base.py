@@ -438,6 +438,10 @@ class ProtocolNode(Node):
 class ClientNode(Node):
     """Base class for client state machines (single clients and pools)."""
 
+    #: A request's retransmission timer doubles per retransmission, up to
+    #: ``2 ** BACKOFF_CAP`` times its base timeout.
+    BACKOFF_CAP = 4
+
     def __init__(self, node_id: str, config: NodeConfig,
                  authenticator: Optional[Authenticator] = None) -> None:
         super().__init__()

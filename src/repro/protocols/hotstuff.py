@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.crypto.authenticator import Authenticator
@@ -29,6 +30,11 @@ from repro.protocols.base import Message, NodeConfig, ProtocolInfo
 from repro.protocols.client_messages import ClientRequestMessage
 from repro.protocols.replica_base import BatchingReplica
 from repro.workload.transactions import RequestBatch
+
+
+#: The digest binding a block's round, batch digest (``b"empty"`` without a
+#: batch) and parent: ``hotstuff_block_digest(round, batch_digest, parent)``.
+hotstuff_block_digest = partial(shared_digest, "hotstuff-block")
 
 
 @dataclass
@@ -268,8 +274,8 @@ class HotStuffReplica(BatchingReplica):
         batch = self._next_batch_to_propose()
         if batch is None and not self._unexecuted_rounds_pending():
             return  # Nothing to order and nothing in the pipeline to flush.
-        block_digest = shared_digest(
-            "hotstuff-block", round_number,
+        block_digest = hotstuff_block_digest(
+            round_number,
             batch.digest() if batch is not None else b"empty",
             self.high_qc.block_digest)
         self.charge(CryptoOp.HASH)
@@ -529,8 +535,8 @@ class HotStuffReplica(BatchingReplica):
         justify = proposal.justify
         if justify is None:
             return
-        content_digest = shared_digest(
-            "hotstuff-block", round_number,
+        content_digest = hotstuff_block_digest(
+            round_number,
             proposal.batch.digest() if proposal.batch is not None else b"empty",
             justify.block_digest)
         self.charge(CryptoOp.HASH)

@@ -14,16 +14,23 @@ phases avoid.  Everything around the three phases is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Tuple
 
 from repro.core.view_change import longest_consecutive_prefix
 from repro.crypto.cost import CryptoOp
-from repro.crypto.hashing import flat_digest, shared_digest
+from repro.crypto.hashing import flat_digest
 from repro.protocols.base import Message, ProtocolInfo
 from repro.protocols.quorum import VoteSet
 from repro.protocols.recovery import LogEntry, NewView, PrimaryBackupReplica
 from repro.workload.clients import ClientPool
 from repro.workload.transactions import RequestBatch
+
+
+#: The digest a PRE-PREPARE binds to its slot, which votes and view-change
+#: entries carry: ``pbft_batch_digest(view, sequence, batch.digest())``,
+#: the shared memo itself (a hit runs no Python frame).
+pbft_batch_digest = partial(flat_digest, "pbft")
 
 
 @dataclass(slots=True)
@@ -107,7 +114,7 @@ class PbftReplica(PrimaryBackupReplica):
     # ---------------------------------------------------------------- proposing
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
         """Primary: broadcast PRE-PREPARE and cast its own PREPARE vote."""
-        batch_digest = flat_digest("pbft", self.view, sequence, batch.digest())
+        batch_digest = pbft_batch_digest(self.view, sequence, batch.digest())
         self.charge(CryptoOp.HASH)
         self.charge(CryptoOp.MAC_SIGN, self._fanout)
         slot = self._slot(self.view, sequence)
@@ -130,8 +137,8 @@ class PbftReplica(PrimaryBackupReplica):
             return
         self.charge(CryptoOp.MAC_VERIFY)
         self.charge(CryptoOp.HASH)
-        batch_digest = flat_digest("pbft", message.view, message.sequence,
-                                   message.batch.digest())
+        batch_digest = pbft_batch_digest(message.view, message.sequence,
+                                         message.batch.digest())
         self._accepted[key] = batch_digest
         slot = self._slot(message.view, message.sequence)
         slot.batch = message.batch
@@ -245,8 +252,8 @@ class PbftReplica(PrimaryBackupReplica):
         a forger to at least fabricate *self-consistent* entries, which
         support-ranked selection then outvotes.
         """
-        return entry.batch is not None and entry.digest == shared_digest(
-            "pbft", entry.view, entry.sequence, entry.batch.digest())
+        return entry.batch is not None and entry.digest == pbft_batch_digest(
+            entry.view, entry.sequence, entry.batch.digest())
 
     def adopt_new_view(self, proposal: NewView, requests, now_ms: float) -> int:
         # Support-ranked selection (shared with PoE): below the durable

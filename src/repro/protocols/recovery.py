@@ -166,6 +166,9 @@ class PrimaryBackupReplica(BatchingReplica):
         self._vc_votes: Dict[int, Dict[str, Optional[ViewChangeRequest]]] = {}
         self._entered_views: Set[int] = {0}
         self._vc_failed_attempts = 0
+        #: The retry delay :meth:`initiate_view_change` last armed, cleared
+        #: with ``_vc_failed_attempts``: what a timing attack rides.
+        self.vc_retry_ms = 0.0
         self.view_changes_completed = 0
 
     # ------------------------------------------------------------------ slots
@@ -370,7 +373,7 @@ class PrimaryBackupReplica(BatchingReplica):
         # Exponential back-off: if the next primary is also faulty, move on.
         # The delay doubles per consecutive failed view change (capped) so a
         # run of faulty primaries does not retry at a flat cadence.
-        delay = self.config.request_timeout_ms * 2 * (
+        self.vc_retry_ms = delay = self.config.request_timeout_ms * 2 * (
             2 ** min(self._vc_failed_attempts, self.VC_BACKOFF_CAP))
         self.set_timer(self.VIEW_CHANGE_TIMER, delay, payload=self.view + 1)
 
@@ -473,6 +476,7 @@ class PrimaryBackupReplica(BatchingReplica):
         self.view_change_in_progress = False
         self.view_changes_completed += 1
         self._vc_failed_attempts = 0
+        self.vc_retry_ms = 0.0
         self._prune_view_change_state()
         self.cancel_timer(self.VIEW_CHANGE_TIMER)
         self.next_sequence = max(self.next_sequence, kmax + 1)
@@ -560,6 +564,7 @@ class PrimaryBackupReplica(BatchingReplica):
                 # if the primary really is faulty, client retransmissions
                 # re-arm the progress timers and re-open the case.
                 self._vc_failed_attempts = 0
+                self.vc_retry_ms = 0.0
                 return True
             self.view = target_view
             self._entered_views.add(target_view)

@@ -36,7 +36,7 @@ from repro.crypto.cost import CryptoCostModel, CryptoOp
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.execution import ExecutedBatch, SpeculativeExecutor
 from repro.ledger.store import KeyValueStore, table_digest
-from repro.protocols.base import BASE_MESSAGE_SIZE, Message, NodeConfig, ProtocolNode
+from repro.protocols.base import BASE_MESSAGE_SIZE, ClientNode, Message, NodeConfig, ProtocolNode
 from repro.crypto.hashing import digest
 from repro.protocols.checkpoint import (
     BoundaryState,
@@ -682,13 +682,13 @@ class BatchingReplica(ProtocolNode, abc.ABC):
     #: Reply/dedup state also ages out in *time*, not just sequence
     #: distance: a burst can sink a batch far below the stable checkpoint
     #: within milliseconds, while the client that lost the reply only
-    #: retransmits after its timeout (backed off up to 2**4 timeouts in
-    #: :class:`~repro.workload.clients.ClientPool`).  Pruning the stored
-    #: reply before that retransmission lands would make the primary
-    #: re-propose an executed batch.  2**5 covers the maximum client
-    #: backoff with a 2x margin; memory stays bounded by throughput x
-    #: this window, independent of run length.
-    REPLY_RETENTION_TIMEOUTS = 2 ** 5
+    #: retransmits after its timeout (backed off up to
+    #: ``2 ** ClientNode.BACKOFF_CAP`` timeouts).  Pruning the stored reply
+    #: before that retransmission lands would make the primary re-propose
+    #: an executed batch.  Twice the maximum client backoff is a 2x margin
+    #: that follows the cap; memory stays bounded by throughput x this
+    #: window, independent of run length.
+    REPLY_RETENTION_TIMEOUTS = 2 ** (ClientNode.BACKOFF_CAP + 1)
 
     def on_stable_checkpoint(self, sequence: int, now_ms: float) -> None:
         """Hook invoked when a checkpoint becomes stable.

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core.view_change import (
@@ -52,6 +53,14 @@ from repro.protocols.recovery import (
 from repro.protocols.replica_base import CommittedSlot
 from repro.workload.clients import ClientPool, _PendingBatch
 from repro.workload.transactions import RequestBatch
+
+
+_HISTORY = "zyzzyva-history"
+#: A link of the history chain ORDER-REQs carry, ``zyzzyva_history_link(
+#: previous, sequence, batch.digest())``: only the primary computes one.
+zyzzyva_history_link = partial(digest, _HISTORY)
+#: The chain's root at boot, which every replica computes alike.
+zyzzyva_genesis_history = partial(shared_digest, _HISTORY, "genesis")
 
 
 @dataclass
@@ -139,7 +148,7 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         initial_table: Optional[Dict[str, str]] = None,
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model, initial_table)
-        self._history_digest = shared_digest("zyzzyva-history", "genesis")
+        self._history_digest = zyzzyva_genesis_history()
         #: Validated client commit certificates, by sequence; the highest one
         #: anchors history reconciliation in a view change.
         self._commit_certs: Dict[int, ZyzzyvaCommitCertificate] = {}
@@ -149,9 +158,8 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
     # ---------------------------------------------------------------- proposing
     def create_proposal(self, sequence: int, batch: RequestBatch, now_ms: float) -> None:
         """Primary: extend the speculative history and broadcast the ordering."""
-        # Plain ``digest``: only the primary computes this, once per slot.
-        self._history_digest = digest("zyzzyva-history", self._history_digest,
-                                      sequence, batch.digest())
+        self._history_digest = zyzzyva_history_link(self._history_digest,
+                                                    sequence, batch.digest())
         self.charge(CryptoOp.HASH)
         self.charge(CryptoOp.MAC_SIGN, self._fanout)
         message = ZyzzyvaOrderRequest(
@@ -453,7 +461,7 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         # History reconciliation: every replica re-bases the speculative
         # history chain at the same deterministic value, so the new
         # primary's ORDER-REQs extend a chain all replicas share.
-        self._history_digest = shared_digest("zyzzyva-history", "new-view",
+        self._history_digest = shared_digest(_HISTORY, "new-view",
                                              proposal.new_view, kmax)
         return kmax
 

@@ -196,8 +196,8 @@ class _PoolBase(ClientNode):
         raise NotImplementedError
 
     def _rearm(self, key: str, base_ms: float, retransmissions: int) -> None:
-        self.set_timer(f"request:{key}", base_ms * (2 ** min(retransmissions, 4)),
-                       payload=key)
+        self.set_timer(f"request:{key}",
+                       base_ms * (2 ** min(retransmissions, self.BACKOFF_CAP)), payload=key)
 
 
 class ClientPool(_PoolBase):

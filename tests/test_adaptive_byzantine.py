@@ -38,7 +38,6 @@ from repro.fabric.scenarios import (
 )
 from repro.net.byzantine import (
     ByzantineSpec,
-    Delivery,
     EquivocatingPrimary,
     PrimaryTargeter,
     TimeoutStaller,
@@ -48,7 +47,7 @@ from repro.net.conditions import DriftPhase, LatencyTopology, NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.protocols.checkpoint import CheckpointTracker
 from repro.protocols.hotstuff import HotStuffReplica
-from repro.protocols.recovery import ViewChangeRequest
+from repro.protocols.recovery import PrimaryBackupReplica, ViewChangeRequest
 from repro.protocols.replica_base import BatchingReplica
 
 NEW_SCENARIOS = ("adaptive-primary", "checkpoint-equivocate", "timeout-stall",
@@ -157,42 +156,6 @@ class TestAdaptiveBehaviourLayer:
             config=SimpleNamespace(checkpoint_interval=0))
         assert behavior._equivocation_active(SimpleNamespace(view=0, sequence=1))
 
-    def test_timeout_staller_delays_vc_broadcast_by_the_backoff(self):
-        behavior = TimeoutStaller()
-        behavior.node = SimpleNamespace(
-            config=SimpleNamespace(request_timeout_ms=100.0),
-            _vc_failed_attempts=0, VC_BACKOFF_CAP=5)
-        request = ViewChangeRequest(view=0, replica_id="replica:2")
-        out = behavior.transform([Delivery("replica:1", request)], 50.0)
-        # First failed attempt retries after 2 * timeout = 200ms; the
-        # stalled vote lands LEAD_MS before that deadline.
-        assert [d.delay_ms for d in out] == [190.0]
-        assert behavior.stalls == 1
-
-    def test_timeout_staller_stalls_each_view_once_within_budget(self):
-        behavior = TimeoutStaller()
-        behavior.node = SimpleNamespace(
-            config=SimpleNamespace(request_timeout_ms=100.0),
-            _vc_failed_attempts=0, VC_BACKOFF_CAP=5)
-        v0 = ViewChangeRequest(view=0, replica_id="replica:2")
-        v1 = ViewChangeRequest(view=1, replica_id="replica:2")
-        v2 = ViewChangeRequest(view=2, replica_id="replica:2")
-        assert behavior.transform([Delivery("replica:1", v0)], 0.0)[0].delay_ms > 0
-        # Same view again: already stalled, passes through untouched.
-        assert behavior.transform([Delivery("replica:1", v0)], 0.0)[0].delay_ms == 0
-        assert behavior.transform([Delivery("replica:1", v1)], 0.0)[0].delay_ms > 0
-        # Budget (MAX_STALLS = 2) spent: the third view is voted honestly.
-        assert behavior.transform([Delivery("replica:1", v2)], 0.0)[0].delay_ms == 0
-
-    def test_timeout_staller_leaves_other_messages_alone(self):
-        behavior = TimeoutStaller()
-        behavior.node = SimpleNamespace(
-            config=SimpleNamespace(request_timeout_ms=100.0),
-            _vc_failed_attempts=0, VC_BACKOFF_CAP=5)
-        message = SimpleNamespace(view=0)
-        out = behavior.transform([Delivery("replica:1", message)], 0.0)
-        assert out[0].delay_ms == 0
-
 
 # --------------------------------------------------------------------------
 # Engagement: the adaptive attacks really fire inside their cells.
@@ -234,14 +197,47 @@ class TestAdaptiveEngagement:
         # Every forked slot sits in the two-slot window before a boundary.
         assert all(interval - 1 - (s % interval) < 2 for s in forked)
 
-    def test_timeout_staller_spends_its_stall_budget(self):
-        cluster, auditor = run_cell("sbft", "timeout-stall")
-        behavior = cluster.network._nodes[replica_id(2)].behavior
+    @pytest.mark.parametrize("protocol", [protocol for protocol in MATRIX_PROTOCOLS
+                                          if protocol != "hotstuff"])
+    def test_timeout_staller_rides_the_retry_delay_its_replica_armed(
+            self, protocol, monkeypatch):
+        """Each stalled VIEW-CHANGE is held back by the retry delay its
+        replica armed with it, less ``LEAD_MS``; every other fan-out passes
+        untouched, and each view is stalled once, within the budget."""
+        armed = {}
+        set_timer = PrimaryBackupReplica.set_timer
+
+        def arming(self, name, delay_ms, payload=None):
+            if name == PrimaryBackupReplica.VIEW_CHANGE_TIMER:
+                armed[self.node_id] = delay_ms
+            set_timer(self, name, delay_ms, payload)
+
+        transform = TimeoutStaller.transform
+        stalls = []
+
+        def watched(self, deliveries, now_ms):
+            out = transform(self, deliveries, now_ms)
+            if out is not deliveries:
+                message = deliveries[0].message
+                assert isinstance(message, ViewChangeRequest)
+                assert ([(d.receiver, d.message) for d in out]
+                        == [(d.receiver, d.message) for d in deliveries])
+                stalls.append((message.view, armed[self.node_id],
+                               {after.delay_ms - before.delay_ms
+                                for before, after in zip(deliveries, out)}))
+            return out
+
+        monkeypatch.setattr(PrimaryBackupReplica, "set_timer", arming)
+        monkeypatch.setattr(TimeoutStaller, "transform", watched)
+        cluster, auditor = run_cell(protocol, "timeout-stall")
         assert completed(cluster) == 20
         assert auditor.report().ok
-        assert behavior.stalls >= 1
         assert any(replica.view > 0 for replica in cluster.replicas
                    if not replica.crashed)
+        assert 1 <= len(stalls) <= TimeoutStaller.MAX_STALLS
+        assert len({view for view, _, _ in stalls}) == len(stalls)
+        for _, retry_ms, held_ms in stalls:
+            assert held_ms == {retry_ms - TimeoutStaller.LEAD_MS}
 
 
 # --------------------------------------------------------------------------
