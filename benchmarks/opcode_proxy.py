@@ -4,7 +4,11 @@ A host-independent reading of "how much Python does one run execute, and
 how much memory does it keep": every poebench workload shape at 1/20
 budget, seed 3, is set up and run under a ``sys.settrace`` tracer with
 per-opcode events on, and the number of bytecode instructions and of
-Python-level calls is printed for each phase, and for the run phase the
+Python-level calls is printed for each phase, for the set-up phase the
+Python calls per *built replica* (set-up calls over the replicas of every
+deployment of the shape): what one replica costs a deployment's
+construction and ``start()``, key material, client pools and first
+requests included, and for the run phase the
 Python calls per *executed replica-batch* (run calls over the sum of every
 replica's ``executed_batches``): what one batch costs one replica,
 handlers, deliveries and client pools included.  The calls of both phases
@@ -33,9 +37,9 @@ process-wide memos, as the traced one does.
 
     python benchmarks/opcode_proxy.py [WORKLOAD ...]
 
-The set-up and run calls, the split of each by layer, the calls per
-executed replica-batch and the retained bytes per executed replica-batch
-of every row are pinned in the ``opcode_proxy`` table of
+The set-up and run calls, the split of each by layer, the set-up calls per
+built replica, the calls per executed replica-batch and the retained bytes
+per executed replica-batch of every row are pinned in the ``opcode_proxy`` table of
 ``benchmarks/PERF_EXPECTATIONS.json``; the script exits non-zero when any
 of them moves, so a change that adds Python to the hot path or memory to a
 finished batch updates that table in the same commit and says why.  The counts are exact on one interpreter
@@ -130,10 +134,9 @@ def counted(fn: Callable[[], object]
     passes = [0]
 
     def on_pass(phase, info):
-        # A pass the event loop's allocations started.  The one the first
-        # allocation after a paused drive starts (in the driver, or in the
-        # next drive before it pauses) is not one: it would come as well
-        # after a drive that made no pass.
+        # A pass the event loop's allocations started.  None starts as a
+        # paused drive leaves: the pause tenures what the drive left, so
+        # the young generation is empty again.
         if phase == "start":
             frame = sys._getframe().f_back
             while frame is not None and frame.f_code is not event_loop:
@@ -179,10 +182,18 @@ def clear_memos() -> None:
     """Empty the process-wide memos a run fills."""
     from repro.crypto import threshold
     from repro.crypto.hashing import shared_digest
+    from repro.ledger import block
 
     shared_digest.cache_clear()
     threshold._field_element.cache_clear()
     threshold._lagrange_coefficients_at_zero.cache_clear()
+    block._genesis_digest.cache_clear()
+
+
+def built_replicas(deployments) -> int:
+    from measure import groups
+
+    return sum(len(group.replicas) for d in deployments for group in groups(d))
 
 
 def executed_batches(deployments) -> int:
@@ -221,6 +232,7 @@ def measure(name: str) -> Dict[str, object]:
         lambda: [build(config) for config in configs])
     _, opcodes, calls, layer_calls, by_code, passes = counted(
         lambda: [d.run_until_done() for d in deployments])
+    replicas = built_replicas(deployments)
     executed = executed_batches(deployments)
     del deployments
     retained, retained_executed = retained_bytes(configs)
@@ -229,6 +241,7 @@ def measure(name: str) -> Dict[str, object]:
             "top": top_functions(by_code, executed), "passes": passes,
             "pins": {"setup_calls": setup_calls,
                      "setup_layer_calls": setup_layer_calls,
+                     "setup_calls_per_replica": round(setup_calls / replicas, 1),
                      "run_calls": calls,
                      "calls_per_batch": round(calls / executed, 1),
                      "retained_bytes_per_batch": round(retained / executed, 1),
@@ -291,7 +304,8 @@ def main() -> int:
         for name, row in zip(names, pool.imap(measure, names)):
             pins = row["pins"]
             print(f"{name:<20}{'setup':<7}{row['setup'][0]:>14,}"
-                  f"{row['setup'][1]:>14,}{'-':>13}{'-':>13}")
+                  f"{row['setup'][1]:>14,}{'-':>13}{'-':>13}"
+                  f"  {pins['setup_calls_per_replica']:.1f} calls/replica")
             print_layers(pins["setup_layer_calls"])
             print(f"{name:<20}{'run':<7}{row['run'][0]:>14,}{row['run'][1]:>14,}"
                   f"{pins['calls_per_batch']:>13.1f}"
@@ -311,8 +325,8 @@ def main() -> int:
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print(f"set-up and run calls, their layer splits, calls/batch and "
-          f"bytes/batch match "
+    print(f"set-up and run calls, their layer splits, set-up calls/replica, "
+          f"calls/batch and bytes/batch match "
           f"{EXPECTATIONS.relative_to(ROOT)}")
     return 0
 

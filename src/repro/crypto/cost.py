@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 
 class CryptoOp(enum.Enum):
@@ -37,9 +38,9 @@ class CryptoOp(enum.Enum):
     THRESHOLD_VERIFY = "threshold_verify"
 
 
-# A member's position, as a plain attribute: a node flattens its cost model
-# into a tuple and indexes it with ``op.ordinal`` on every charge — hashing
-# a member (``Enum.__hash__``) or reading ``.value`` is a Python-level call.
+# A member's position, as a plain attribute: a node charges from its cost
+# model's ``op_costs_ms`` tuple, indexed with ``op.ordinal`` — hashing a
+# member (``Enum.__hash__``) or reading ``.value`` is a Python-level call.
 for _ordinal, _op in enumerate(CryptoOp):
     _op.ordinal = _ordinal
 
@@ -62,15 +63,28 @@ class CryptoCostModel:
     """Per-operation CPU cost table used by the simulator.
 
     Attributes:
-        costs_ms: milliseconds of CPU time charged per operation.
+        costs_ms: milliseconds of CPU time charged per operation; held as
+            a read-only copy, so the model cannot change once built.
         scale: global multiplier (e.g. 0 to model the paper's "None"
             configuration where no signatures are used).
+        op_costs_ms: :meth:`cost` of each operation, indexed by
+            ``op.ordinal`` and computed once: every replica of a
+            deployment charges from its model's one tuple.
     """
 
-    costs_ms: Dict[CryptoOp, float] = field(
+    costs_ms: Mapping[CryptoOp, float] = field(
         default_factory=lambda: dict(DEFAULT_COSTS_MS)
     )
     scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "costs_ms", MappingProxyType(dict(self.costs_ms)))
+        object.__setattr__(self, "op_costs_ms",
+                           tuple(self.cost(op) for op in CryptoOp))
+
+    def __reduce__(self):
+        # Rebuilt from a plain dict: a read-only mapping does not pickle.
+        return type(self), (dict(self.costs_ms), self.scale)
 
     def cost(self, op: CryptoOp, count: int = 1) -> float:
         """Milliseconds of CPU time for *count* executions of *op*."""

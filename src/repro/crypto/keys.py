@@ -16,7 +16,6 @@ deterministic given a seed so simulations are reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, Iterable, Optional
@@ -25,10 +24,11 @@ from repro.crypto.threshold import ThresholdScheme
 
 
 def _derive(seed: bytes, *labels: str) -> bytes:
-    """Derive a 32-byte secret from *seed* and a label path."""
+    """Derive a 32-byte secret from *seed* and a label path: an HMAC-SHA256
+    chain, one link per label."""
     material = seed
     for label in labels:
-        material = hmac.new(material, label.encode("utf-8"), hashlib.sha256).digest()
+        material = hmac.digest(material, label.encode("utf-8"), "sha256")
     return material
 
 

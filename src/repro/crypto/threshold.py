@@ -179,11 +179,13 @@ class ThresholdScheme:
         return self._threshold
 
     def _evaluate(self, x: int) -> int:
-        """Evaluate the secret polynomial at *x* (Horner's rule)."""
+        """Evaluate the secret polynomial at *x* (Horner's rule), reduced
+        once at the end: *x* is a share index, so the unreduced value has
+        only about ``threshold * log2(x)`` bits more than the prime."""
         result = 0
         for coefficient in reversed(self._coefficients):
-            result = (result * x + coefficient) % _PRIME
-        return result
+            result = result * x + coefficient
+        return result % _PRIME
 
     def sign_share(self, index: int, *values: Any) -> SignatureShare:
         """Produce replica *index*'s (1-based) signature share over *values*."""

@@ -74,20 +74,32 @@ def client_id(index: int) -> str:
 
 
 class CollectorPaused:
-    """A drive's context: the cyclic collector is off inside it.
+    """A deployment's context: the cyclic collector is off inside it.
 
     No run allocates a reference cycle, and no deployment is one once its
     root is dropped (``tests/test_collector.py`` drives every matrix cell
     and every poebench shape, drops it finished and drops a fresh one
     started, and finds ``gc.collect()`` has nothing to free after each),
-    so every pass the collector would make during a drive walks live
-    objects and frees none; the ``gc`` module's documentation sanctions
-    disabling it for such a program.  Reference counting frees everything
-    a run drops, and a dropped deployment with it.  The collector is
-    disabled only if it was enabled, and enabled again on the way out,
-    also when the drive raises.  The drives enter it, not
-    :meth:`Simulator.run`: the sharded window loop calls ``run`` once per
-    window per shard, and a pass would run between windows.
+    so every pass the collector would make while a deployment is built,
+    started or driven walks live objects and frees none; the ``gc``
+    module's documentation sanctions disabling it for such a program.
+    Reference counting frees everything a run drops, and a dropped
+    deployment with it.  Construction, ``start()`` and the drives of
+    :class:`Cluster` and :class:`~repro.fabric.sharding.ShardedCluster`
+    enter it, not :meth:`Simulator.run`: the sharded window loop calls
+    ``run`` once per window per shard, and a pass would run between
+    windows.
+
+    The collector is disabled only if it was enabled, and enabled again
+    on the way out, also when the region raises; a nested region leaves
+    both to the outer one.  Before enabling it, the exit tenures what the
+    region left alive: ``gc.freeze()`` moves every tracked object into
+    the permanent generation and zeroes the young generation's count,
+    ``gc.unfreeze()`` moves them all into the oldest generation.  Both are
+    O(1) list splices and nothing stays frozen, so a full ``gc.collect()``
+    still examines everything, but no young or middle pass walks a fresh
+    or a finished deployment, and none starts on the way out.  Objects a
+    caller froze stay frozen, and then nothing is tenured.
     """
 
     __slots__ = ("_was_enabled",)
@@ -98,6 +110,9 @@ class CollectorPaused:
 
     def __exit__(self, *exc_info: object) -> None:
         if self._was_enabled:
+            if not gc.get_freeze_count():  # a caller's frozen set stays frozen
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -221,44 +236,49 @@ class Cluster:
     def __init__(self, config: ClusterConfig,
                  simulator: Optional[Simulator] = None,
                  authenticators: Optional[Dict[str, Authenticator]] = None) -> None:
-        self.config = config
-        self.spec: ProtocolSpec = get_spec(config.protocol)
-        self.simulator = simulator if simulator is not None else Simulator()
-        self.network = SimNetwork(
-            self.simulator,
-            conditions=config.conditions or NetworkConditions.lan(seed=config.seed),
-            faults=config.faults,
-        )
-        self.node_config = NodeConfig(
-            replica_ids=config.replica_ids(),
-            batch_size=config.batch_size,
-            request_timeout_ms=config.request_timeout_ms,
-            checkpoint_interval=config.checkpoint_interval,
-            execute_operations=config.execute_operations,
-            out_of_order=config.out_of_order,
-            zero_payload=config.zero_payload,
-        )
-        #: Reconfiguration bookkeeping (empty without a plan): scheduled
-        #: records, joiner ids with the epoch and time they join at.
-        self._reconfig_records: List[Tuple[float, object]] = []
-        self._joiner_ids: List[str] = []
-        self._join_epochs: Dict[str, int] = {}
-        self._join_times: Dict[str, float] = {}
-        threshold = self._plan_reconfig()
-        if authenticators is None:
-            authenticators = make_authenticators(
-                replica_ids=config.replica_ids() + self._joiner_ids,
-                client_ids=config.client_ids(),
-                threshold=threshold,
-                seed=f"cluster-seed-{config.seed}".encode(),
+        with CollectorPaused():
+            self.config = config
+            self.spec: ProtocolSpec = get_spec(config.protocol)
+            self.simulator = simulator if simulator is not None else Simulator()
+            #: The boot membership, built once per cluster.
+            self._boot_ids: Tuple[str, ...] = tuple(config.replica_ids())
+            self.network = SimNetwork(
+                self.simulator,
+                conditions=config.conditions or NetworkConditions.lan(seed=config.seed),
+                faults=config.faults,
             )
-        self.authenticators: Dict[str, Authenticator] = authenticators
-        self.replicas = []
-        self.pools: List[ClientPool] = []
-        self._build_replicas()
-        self._build_clients()
-        self._attach_byzantine()
-        self._schedule_reconfig()
+            self.node_config = NodeConfig(
+                replica_ids=list(self._boot_ids),
+                batch_size=config.batch_size,
+                request_timeout_ms=config.request_timeout_ms,
+                checkpoint_interval=config.checkpoint_interval,
+                execute_operations=config.execute_operations,
+                out_of_order=config.out_of_order,
+                zero_payload=config.zero_payload,
+            )
+            #: Reconfiguration bookkeeping (empty without a plan): scheduled
+            #: records, joiner ids with the epoch and time they join at.
+            self._reconfig_records: List[Tuple[float, object]] = []
+            self._joiner_ids: List[str] = []
+            self._join_epochs: Dict[str, int] = {}
+            self._join_times: Dict[str, float] = {}
+            threshold = self._plan_reconfig()
+            #: Every replica the deployment builds, boot members first.
+            self._replica_order = [*self._boot_ids, *self._joiner_ids]
+            if authenticators is None:
+                authenticators = make_authenticators(
+                    replica_ids=self._replica_order,
+                    client_ids=config.client_ids(),
+                    threshold=threshold,
+                    seed=f"cluster-seed-{config.seed}".encode(),
+                )
+            self.authenticators: Dict[str, Authenticator] = authenticators
+            self.replicas = []
+            self.pools: List[ClientPool] = []
+            self._build_replicas()
+            self._build_clients()
+            self._attach_byzantine()
+            self._schedule_reconfig()
 
     def __del__(self) -> None:
         simulator = getattr(self, "simulator", None)
@@ -279,7 +299,7 @@ class Cluster:
         if plan is None or not plan.steps:
             return None
         namespace = self.config.namespace
-        members = tuple(self.config.replica_ids())
+        members = self._boot_ids
         nf_min = len(members) - (len(members) - 1) // 3
         boot = set(members)
         for step_index, step in enumerate(plan.steps):
@@ -322,7 +342,7 @@ class Cluster:
         spacing = max(10.0, self.config.request_timeout_ms / 2.0)
         for at_ms, record in self._reconfig_records:
             for attempt in range(1 + self.RECONFIG_RETRANSMITS):
-                for rid in self.config.replica_ids():
+                for rid in self._boot_ids:
                     self.network.inject(
                         RECONFIG_ADMIN, rid,
                         ClientRequestMessage(batch=record,
@@ -341,7 +361,7 @@ class Cluster:
     def _build_replicas(self) -> None:
         cost_model = self.config.cost_model or CryptoCostModel.cmac()
         initial_table = self._initial_table()
-        for rid in self.config.replica_ids() + self._joiner_ids:
+        for rid in self._replica_order:
             replica = self.spec.replica_cls(
                 node_id=rid,
                 config=self.node_config,
@@ -370,7 +390,7 @@ class Cluster:
                 replica.executor.share(memo)
 
     def _attach_byzantine(self) -> None:
-        replica_order = self.config.replica_ids() + self._joiner_ids
+        replica_order = self._replica_order
         indices: List[int] = []
         for spec in self.config.byzantine:
             if not 0 <= spec.replica_index < len(replica_order):
@@ -428,7 +448,8 @@ class Cluster:
     # ------------------------------------------------------------------ running
     def start(self) -> None:
         """Boot every node (idempotent only if called once)."""
-        self.network.start_all()
+        with CollectorPaused():
+            self.network.start_all()
 
     def run_for(self, duration_ms: float) -> float:
         """Run the cluster for *duration_ms* of virtual time."""

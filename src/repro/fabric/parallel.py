@@ -89,9 +89,9 @@ def _worker_main(conn, config: ShardedClusterConfig, shard: int) -> None:
     of hanging on a dead pipe.
     """
     try:
-        runtime = ShardRuntime(config, shard)
-        conn.send(("ok", runtime.start()))
         with CollectorPaused():
+            runtime = ShardRuntime(config, shard)
+            conn.send(("ok", runtime.start()))
             while True:
                 command = conn.recv()
                 op = command[0]

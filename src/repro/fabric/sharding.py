@@ -679,22 +679,23 @@ class ShardedCluster:
     """
 
     def __init__(self, config: ShardedClusterConfig) -> None:
-        _validate_config(config)
-        self.config = config
-        self.layout = layout_for_config(config)
-        self.runtimes: List[ShardRuntime] = [
-            ShardRuntime(config, shard, layout=self.layout)
-            for shard in range(config.num_shards)]
-        home = self.runtimes[HOME_SHARD]
-        self.shard_clusters: List[Cluster] = [
-            runtime.cluster for runtime in self.runtimes]
-        self.hub = home.hub
-        self.node_config = home.node_config
-        self.coordinator = home.coordinator
-        self.pools = home.pools
-        self.byzantine_ids: List[str] = [
-            rid for runtime in self.runtimes for rid in runtime.byzantine_ids]
-        self._results: Optional[List[WindowResult]] = None
+        with CollectorPaused():
+            _validate_config(config)
+            self.config = config
+            self.layout = layout_for_config(config)
+            self.runtimes: List[ShardRuntime] = [
+                ShardRuntime(config, shard, layout=self.layout)
+                for shard in range(config.num_shards)]
+            home = self.runtimes[HOME_SHARD]
+            self.shard_clusters: List[Cluster] = [
+                runtime.cluster for runtime in self.runtimes]
+            self.hub = home.hub
+            self.node_config = home.node_config
+            self.coordinator = home.coordinator
+            self.pools = home.pools
+            self.byzantine_ids: List[str] = [
+                rid for runtime in self.runtimes for rid in runtime.byzantine_ids]
+            self._results: Optional[List[WindowResult]] = None
 
     def __del__(self) -> None:
         # A runtime's pending events reference the networks that scheduled
@@ -759,7 +760,8 @@ class ShardedCluster:
     # -- running -----------------------------------------------------------------
     def start(self) -> None:
         """Boot every runtime (shards, then hub nodes on the home shard)."""
-        self._results = [runtime.start() for runtime in self.runtimes]
+        with CollectorPaused():
+            self._results = [runtime.start() for runtime in self.runtimes]
 
     def run_until_done(self, max_ms: float = 600_000.0) -> float:
         """Advance conservative windows until every pool is done, all

@@ -11,12 +11,22 @@ lets the chain be audited without re-running consensus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Optional
 
 from repro.crypto.hashing import digest, flat_digest
 
 #: Parent hash used by the genesis block.
 GENESIS_PARENT = b"\x00" * 32
+
+
+@lru_cache(maxsize=64)
+def _genesis_digest(initial_primary: str) -> bytes:
+    """``digest("genesis", initial_primary)``, once per primary: every
+    replica of a deployment starts its chain from it.  A memo of its own,
+    not :func:`~repro.crypto.hashing.flat_digest`'s, whose miss count is a
+    pinned per-run work counter."""
+    return digest("genesis", initial_primary)
 
 
 @dataclass(slots=True)  # not frozen: built per batch, so without a setattr call per field
@@ -69,7 +79,7 @@ class Block:
         """
         return cls(
             sequence=-1,
-            batch_digest=digest("genesis", initial_primary),
+            batch_digest=_genesis_digest(initial_primary),
             view=0,
             parent_hash=GENESIS_PARENT,
         )

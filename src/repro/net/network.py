@@ -229,9 +229,10 @@ class SimNetwork:
     # -- lifecycle --------------------------------------------------------------
     def start_all(self) -> None:
         """Boot every registered node at the current virtual time."""
+        now = self.sim.now
         for node_id in list(self._nodes):
             handle = self._nodes[node_id]
-            if self.faults.crashed_at(node_id, self.sim.now):
+            if self.faults.crashed_at(node_id, now):
                 handle.node.crashed = True
                 continue
             self._boot(node_id, handle)

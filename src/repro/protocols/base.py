@@ -414,11 +414,11 @@ class ProtocolNode(Node):
         self.config = config
         self.auth = authenticator
         self.costs = cost_model or CryptoCostModel()
-        # The cost model is immutable for the lifetime of a node; flatten it
-        # to plain floats, indexed by the operation's ordinal, so charging
-        # (done several times per message) is a tuple index and a multiply:
-        # no method call, and no hashing of an enum member.
-        self._op_cost_ms = tuple(self.costs.cost(op) for op in CryptoOp)
+        # The model's costs as plain floats, indexed by the operation's
+        # ordinal, so charging (done several times per message) is a tuple
+        # index and a multiply: no method call, and no hashing of an enum
+        # member.  The model computed the tuple once; it cannot change.
+        self._op_cost_ms = self.costs.op_costs_ms
         self._base_processing_ms = config.base_processing_ms
         # The MAC-verify charge sits on the n² vote-flood hot path; resolve
         # it to a float once so handlers can add it without any lookup.

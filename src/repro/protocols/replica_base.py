@@ -112,13 +112,14 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         initial_table: Optional[Dict[str, str]] = None,
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model)
+        n, f = config.n, config.f  # properties: read each once
         self.view = 0
         self.store = KeyValueStore(initial_table)
         self.blockchain = Blockchain(initial_primary=config.replica_ids[0])
         self.executor = SpeculativeExecutor(
             self.store, self.blockchain, apply_operations=config.execute_operations
         )
-        self.checkpoints = CheckpointTracker(quorum=2 * config.f + 1,
+        self.checkpoints = CheckpointTracker(quorum=2 * f + 1,
                                              index_map=config.replica_index_map)
         self.next_sequence = 0
         self.view_change_in_progress = False
@@ -210,10 +211,10 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         # activates) instead of walking the NodeConfig property chain
         # (n -> len(replica_ids)) on every delivered vote.
         self._vote_index = config.replica_index_map
-        self._f_plus_1 = config.f + 1
-        self._2f_plus_1 = 2 * config.f + 1
-        self._nf_quorum = config.nf
-        self._fanout = config.n - 1
+        self._f_plus_1 = f + 1
+        self._2f_plus_1 = 2 * f + 1
+        self._nf_quorum = n - f
+        self._fanout = n - 1
         self._primary_view: Optional[int] = None  # see primary_id
         self._primary = ""
         # Resolve the merged handler table once; routing a delivery is

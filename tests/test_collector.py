@@ -1,10 +1,14 @@
-"""A deployment is acyclic; drives pause the cyclic collector.
+"""A deployment is acyclic; building, starting and driving it pause the
+cyclic collector.
 
 Reference counting frees everything a run drops as long as the run makes
 no cycle, and then every pass of the cyclic collector during a drive walks
-live objects and frees none.  So ``Cluster.run_until_done``,
+live objects and frees none.  So construction and ``start()`` of
+``Cluster`` and ``ShardedCluster``, ``Cluster.run_until_done``,
 ``Cluster.run_for``, ``ShardedCluster.run_until_done`` and the parallel
-worker's window loop run inside :class:`~repro.fabric.cluster.CollectorPaused`.
+worker's build and window loop run inside
+:class:`~repro.fabric.cluster.CollectorPaused`, which tenures what the
+region left alive on its way out, so no later young pass walks it either.
 A deployment itself is acyclic too, but for pending events referencing
 the network that scheduled them, which the root (``Cluster``,
 ``ShardedCluster``) empties when it is dropped: so a dropped deployment,
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 import gc
 import sys
+import weakref
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -39,6 +45,7 @@ from repro.fabric.scenarios import (
     sharded_cluster_config,
 )
 from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig
+from repro.net.byzantine import ByzantineSpec
 from repro.net.simulator import Simulator
 
 POEBENCH = str(Path(__file__).resolve().parent.parent / "poebench")
@@ -112,28 +119,132 @@ class TestThePauseRestoresTheCallersState:
 
     def test_a_drive_makes_no_collector_pass(self, collector_on):
         """No pass starts while the event loop runs (unpaused, this drive
-        makes six).  One may start as a drive enters or leaves, when the
-        first allocation after set-up or after the pause finds the young
-        generation full; that pass is not the drive's."""
+        makes six), nor as the drive enters or leaves: set-up and the
+        pause both tenure what they leave, so the first allocation after
+        either finds the young generation empty."""
         cluster = _ycsb_cluster()
-        passes = []
-        event_loop = Simulator.run.__code__
-
-        def on_pass(phase, info):
-            if phase == "start":
-                frame = sys._getframe().f_back
-                while frame is not None and frame.f_code is not event_loop:
-                    frame = frame.f_back
-                if frame is not None:
-                    passes.append(info["generation"])
-
-        gc.callbacks.append(on_pass)
-        try:
+        with _collector_passes() as passes:
             cluster.run_until_done(max_ms=60_000.0)
-        finally:
-            gc.callbacks.remove(on_pass)
+            [[] for _ in range(10)]  # the first allocations after the drive
         assert all(pool.is_done() for pool in cluster.pools)
         assert passes == []
+
+
+@contextmanager
+def _collector_passes():
+    """The generation of every collector pass that starts inside."""
+    passes = []
+
+    def on_pass(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(on_pass)
+    try:
+        yield passes
+    finally:
+        gc.callbacks.remove(on_pass)
+
+
+def _bad_byzantine_index() -> Cluster:
+    return Cluster(ClusterConfig(protocol="pbft", num_replicas=4,
+                                 byzantine=(ByzantineSpec("equivocate", 4),)))
+
+
+def _sbft_shard() -> ShardedCluster:
+    return ShardedCluster(ShardedClusterConfig(num_shards=2, protocols="sbft"))
+
+
+CONSTRUCTIONS = {
+    "Cluster": lambda: Cluster(ClusterConfig(
+        protocol="poe-mac", num_replicas=32, total_batches=6)).start(),
+    "ShardedCluster": lambda: ShardedCluster(ShardedClusterConfig(
+        num_shards=2, num_replicas=16, total_batches=6, seed=3)).start(),
+}
+
+FAILING_CONSTRUCTIONS = {
+    "byzantine index out of range": _bad_byzantine_index,
+    "sbft shard": _sbft_shard,
+}
+
+
+class TestConstructionRunsPaused:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("build", sorted(CONSTRUCTIONS))
+    def test_it_restores_the_callers_state(self, collector_on, build, enabled):
+        if not enabled:
+            gc.disable()
+        CONSTRUCTIONS[build]()
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("build", sorted(FAILING_CONSTRUCTIONS))
+    def test_a_constructor_that_raises_restores_it(self, collector_on, build,
+                                                   enabled):
+        if not enabled:
+            gc.disable()
+        with pytest.raises(ValueError):
+            FAILING_CONSTRUCTIONS[build]()
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("build", sorted(CONSTRUCTIONS))
+    def test_no_pass_starts_inside_construction_and_start(self, collector_on,
+                                                          build):
+        """An n = 32 deployment allocates well past the young generation's
+        threshold; unpaused, its construction and start make passes."""
+        with _collector_passes() as passes:
+            CONSTRUCTIONS[build]()
+            [[] for _ in range(10)]  # the first allocations after start()
+        assert passes == []
+
+
+class TestTenureHidesNothing:
+    def test_nothing_stays_frozen_after_a_paused_region(self, collector_on):
+        cluster = _ycsb_cluster()
+        assert gc.get_freeze_count() == 0
+        cluster.run_for(50.0)
+        assert gc.get_freeze_count() == 0
+        cluster.run_until_done(max_ms=60_000.0)
+        assert gc.get_freeze_count() == 0
+        _sharded_cluster().run_until_done(max_ms=60_000.0)
+        assert gc.get_freeze_count() == 0
+
+    def test_a_cycle_made_inside_a_drive_is_still_freed(self, collector_on,
+                                                        monkeypatch):
+        """Tenured is not exempt: the oldest generation, where tenure puts
+        a cycle the drive left, is what a full collection examines."""
+        class Node:
+            pass
+
+        cluster = _ycsb_cluster()
+        run = cluster.network.run
+        made = []
+
+        def run_making_a_cycle(until_ms=None, max_events=None):
+            if not made:
+                node = Node()
+                node.self = node
+                made.append(weakref.ref(node))
+            return run(until_ms=until_ms, max_events=max_events)
+
+        monkeypatch.setattr(cluster.network, "run", run_making_a_cycle)
+        cluster.run_until_done(max_ms=60_000.0)
+        assert made[0]() is not None  # no pass ran since the drive
+        gc.collect()
+        assert made[0]() is None
+
+    def test_a_callers_frozen_objects_stay_frozen(self, collector_on):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            with CollectorPaused():
+                pass
+            assert gc.get_freeze_count() == frozen > 0
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
 
 
 def test_a_callers_simulator_is_driven_as_a_private_one_and_emptied_on_drop():

@@ -292,7 +292,63 @@ def test_kept_hmac_state_is_hmac_sha256(key, message):
     assert keyed.tag(message) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=80), st.lists(st.text(max_size=12), max_size=4))
+def test_derive_is_the_hmac_chain(seed, labels):
+    """One-shot ``hmac.digest`` links give the ``hmac.new`` chain's bytes."""
+    from repro.crypto.keys import _derive
+
+    expected = seed
+    for label in labels:
+        expected = hmac.new(expected, label.encode("utf-8"), hashlib.sha256).digest()
+    assert _derive(seed, *labels) == expected
+
+
+COST_MODELS = {"none": CryptoCostModel.none, "cmac": CryptoCostModel.cmac,
+               "digital_signatures": CryptoCostModel.digital_signatures}
+
+
 class TestCostModel:
+    @pytest.mark.parametrize("name", sorted(COST_MODELS))
+    def test_every_replica_holds_its_models_one_tuple(self, name):
+        from repro.fabric.cluster import Cluster, ClusterConfig
+
+        model = COST_MODELS[name]()
+        cluster = Cluster(ClusterConfig(num_replicas=7, cost_model=model))
+        assert model.op_costs_ms == tuple(model.cost(op) for op in CryptoOp)
+        assert all(replica._op_cost_ms is model.op_costs_ms
+                   for replica in cluster.replicas)
+
+    def test_a_cluster_shares_its_default_model(self):
+        from repro.fabric.cluster import Cluster, ClusterConfig
+
+        replicas = Cluster(ClusterConfig(num_replicas=7)).replicas
+        assert len({id(replica._op_cost_ms) for replica in replicas}) == 1
+        assert replicas[0]._op_cost_ms == CryptoCostModel.cmac().op_costs_ms
+
+    def test_costs_cannot_change_after_the_tuple_is_taken(self):
+        costs = {CryptoOp.HASH: 0.5}
+        model = CryptoCostModel(costs_ms=costs)
+        costs[CryptoOp.HASH] = 9.0
+        with pytest.raises(TypeError):
+            model.costs_ms[CryptoOp.HASH] = 9.0
+        with pytest.raises(AttributeError):
+            model.scale = 2.0
+        assert model.cost(CryptoOp.HASH) == 0.5
+        assert model.op_costs_ms[CryptoOp.HASH.ordinal] == 0.5
+
+    @pytest.mark.parametrize("name", sorted(COST_MODELS))
+    def test_a_model_pickles_and_deep_copies(self, name):
+        import copy
+        import pickle
+
+        model = COST_MODELS[name]()
+        for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert copied == model
+            assert copied.op_costs_ms == model.op_costs_ms
+            with pytest.raises(TypeError):
+                copied.costs_ms[CryptoOp.HASH] = 9.0
+
     def test_default_costs_positive(self):
         model = CryptoCostModel()
         for op in CryptoOp:

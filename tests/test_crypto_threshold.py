@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.authenticator import make_authenticators
 from repro.crypto.threshold import (
+    _PRIME,
     SignatureShare,
     ThresholdError,
     ThresholdScheme,
@@ -151,3 +152,19 @@ def test_threshold_property_below_quorum_fails(data):
     forged = scheme.forge_without_quorum(indices, "m")
     if forged is not None and subset_size < threshold:
         assert not scheme.verify(forged, "m")
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficients=st.lists(st.integers(min_value=0, max_value=_PRIME - 1),
+                             min_size=1, max_size=43),
+       x=st.integers(min_value=0, max_value=300))
+def test_one_reduction_equals_reducing_every_step(coefficients, x):
+    """Horner's rule reduced once at the end gives the per-step-reduced
+    value: every share and the secret at zero are unchanged."""
+    scheme = ThresholdScheme(num_shares=len(coefficients),
+                             threshold=len(coefficients),
+                             coefficients=coefficients)
+    expected = 0
+    for coefficient in reversed(coefficients):
+        expected = (expected * x + coefficient) % _PRIME
+    assert scheme._evaluate(x) == expected
