@@ -69,6 +69,8 @@ KEPT: Dict[str, str] = {
         "a principal's signature; the validity item signs client requests through it",
     "repro.crypto.authenticator:Authenticator.verify":
         "a principal's check; the validity item verifies client requests through it",
+    "repro.crypto.cost:CryptoCostModel.__reduce__":
+        "lets a model with a read-only cost mapping pickle and deep-copy; no entry point copies one, a test does",
     "repro.crypto.hashing:_canon_bool":
         "digest()'s encoding of a bool; the injectivity tests pin it",
     "repro.crypto.hashing:_canon_float":

@@ -440,7 +440,6 @@ class Cluster:
                 batch_source=self._batch_source_for(pool_id),
                 target_outstanding=self.config.client_outstanding,
                 total_batches=self.config.total_batches,
-                timeout_ms=self.config.request_timeout_ms,
             )
             self.pools.append(pool)
             self.network.add_client(pool)

@@ -119,10 +119,9 @@ class ShardCoordinator(TwoPhaseDriver, ClientNode):
     #: to the pool's probe-based recovery.
     MAX_RETRIES = 8
 
-    def __init__(self, node_id: str, config: NodeConfig, layout: ShardLayout,
-                 timeout_ms: Optional[float] = None) -> None:
+    def __init__(self, node_id: str, config: NodeConfig, layout: ShardLayout) -> None:
         super().__init__(node_id, config, layout)
-        self.timeout_ms = timeout_ms if timeout_ms is not None else config.request_timeout_ms
+        self.timeout_ms = config.request_timeout_ms
         #: txn -> {"decision", "cert", "shards", "decided_at_ms"}.
         self.journal: Dict[str, Dict[str, object]] = {}
         self._pending: Dict[str, _CoordTxn] = {}
@@ -528,8 +527,7 @@ class ShardRuntime:
         )
         self.boundary.attach(self.hub)
         self.coordinator = ShardCoordinator(
-            coordinator_id(), self.node_config, self.layout,
-            timeout_ms=config.request_timeout_ms)
+            coordinator_id(), self.node_config, self.layout)
         self.hub.add_client(self.coordinator)
         if config.coordinator_behavior:
             attach_byzantine(self.hub, self.coordinator.node_id,
@@ -544,7 +542,6 @@ class ShardRuntime:
                 coordinator_id=self.coordinator.node_id,
                 target_outstanding=config.client_outstanding,
                 total_batches=config.total_batches,
-                timeout_ms=config.request_timeout_ms,
             )
             self.pools.append(pool)
             self.hub.add_client(pool)

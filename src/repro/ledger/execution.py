@@ -20,6 +20,11 @@ read.  Every other change of a table — a revert, an installed transferred
 table, a committed cross-shard transaction's writes — restores the version
 it undoes or takes another one, so equal versions mean equal tables; no
 module outside the ledger sees a version.
+
+A quorum-vouched checkpoint shipped by state transfer is installed by one
+method, :meth:`SpeculativeExecutor.install_checkpoint`, for a replica that
+fell behind it and for one whose executed suffix diverged from it alike:
+the two differ only in where the excised suffix starts.
 """
 
 from __future__ import annotations
@@ -217,9 +222,9 @@ class SpeculativeExecutor:
         #: Every record at or below this sequence has an empty undo log:
         #: ``prune_before`` resumes above it, so it visits each record
         #: once over a whole run.  Never above ``last_executed_sequence``
-        #: (no rollback goes below it), and lowered when a resync removes
-        #: records at or below it, so a batch executed later is never
-        #: skipped.
+        #: (no rollback goes below it), and lowered when an installed
+        #: checkpoint excises records at or below it, so a batch executed
+        #: later is never skipped.
         self._pruned_through = -1
         self.memo = ExecutionMemo()
         #: The memo's version of the store's table, and the version each
@@ -304,50 +309,26 @@ class SpeculativeExecutor:
         record.undo = (*record.undo, *undo)
 
     # -- state transfer ------------------------------------------------------------
-    def fast_forward(self, sequence: int, view: int, state_digest: bytes,
-                     table_snapshot: Optional[Dict[str, str]] = None,
-                     head_hash: Optional[bytes] = None) -> bool:
-        """Install a transferred checkpoint, skipping missed sequences.
+    def install_checkpoint(self, sequence: int, view: int, state_digest: bytes,
+                           table_snapshot: Optional[Dict[str, str]],
+                           head_hash: Optional[bytes],
+                           divergent_from: int) -> None:
+        """Install a transferred, quorum-vouched checkpoint at *sequence*.
 
-        Used when a replica fell behind (e.g. it was kept in the dark by a
-        malicious primary) and the checkpoint protocol proves that the
-        system as a whole progressed to *sequence*.  Returns ``False`` if
-        the checkpoint does not advance this replica's state.
-        """
-        if sequence <= self.last_executed_sequence:
-            return False
-        if self.apply_operations and table_snapshot is not None:
-            # A table no memo entry describes takes a new version.
-            self.store.replace_all(table_snapshot)
-            self._version = self.memo.fresh()
-        self.blockchain.append_checkpoint(sequence, state_digest, view,
-                                          adopted_hash=head_hash)
-        for stale in [s for s in self._executed if s > sequence]:
-            # Anything recorded above the checkpoint was speculative and is
-            # superseded by the transferred state.
-            del self._executed[stale]
-        # Below a transfer no revert restores a known table.
-        self._versions_before.clear()
-        self.last_executed_sequence = sequence
-        return True
-
-    def resync(self, sequence: int, view: int, state_digest: bytes,
-               table_snapshot: Optional[Dict[str, str]] = None,
-               divergent_from: int = 0,
-               head_hash: Optional[bytes] = None) -> None:
-        """Replace a divergent executed suffix with a transferred checkpoint.
-
-        :meth:`fast_forward` only helps a replica that is *behind*; a
-        replica that executed a **wrong** batch sits at the same height as
-        the stable checkpoint it disagrees with, so repair must excise the
-        divergent suffix (everything from *divergent_from* upward — blocks,
-        journal entries and, when operations are applied, table state) and
-        install the quorum-vouched checkpoint in its place.  The divergent
-        blocks are removed rather than merely superseded: the ledger must
-        not retain an executed batch the system never agreed on.
+        Everything from *divergent_from* upward is excised first — records,
+        blocks and, when operations are applied, table state — because the
+        system never agreed on it: a replica that executed a **wrong**
+        batch sits at or above the checkpoint it disagrees with, and its
+        divergent blocks must not stay in the ledger.  A replica that only
+        fell *behind* (kept in the dark by a malicious primary, say) passes
+        ``divergent_from = last_executed_sequence + 1``: nothing it
+        executed is excised, and the checkpoint's sync block skips the
+        sequences it missed.  The caller checks that *sequence* is above
+        what survives the excision.
         """
         for stale in [s for s in self._executed if s >= divergent_from]:
             del self._executed[stale]
+        # Below a transfer no revert restores a known table.
         self._versions_before.clear()
         self._pruned_through = min(self._pruned_through, divergent_from - 1)
         self.blockchain.truncate_after(divergent_from - 1)

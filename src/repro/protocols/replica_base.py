@@ -139,7 +139,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         #: batch_id -> (executed sequence, executed-at ms), so reply/dedup
         #: bookkeeping can be garbage-collected once the batch sinks far
         #: enough below the stable checkpoint *and* out of the client
-        #: retransmission window (see :meth:`on_stable_checkpoint`).
+        #: retransmission window (see :meth:`on_stable_checkpoint`).  Holds
+        #: every id ``_replied`` holds: a reply follows the execution that
+        #: writes here, and a rollback or that collection drops both.
         self._batch_sequence: Dict[str, Tuple[int, float]] = {}
         #: No entry of ``_batch_sequence`` was executed before this (the
         #: oldest survivor of the last scan; time only moves forward): a
@@ -960,6 +962,12 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         digest *contradicts* the vouched one is a lying peer and is
         rejected — the transfer is re-requested from the whole membership
         so an honest replica serves it instead.
+
+        One install serves both reasons to transfer.  A replica *behind*
+        the checkpoint keeps everything it executed; a replica repairing a
+        divergence (:meth:`_begin_divergence_repair`) has its suffix from
+        the first divergent sequence excised, boundary journal included,
+        even when it already sits at the checkpoint's height.
         """
         repairing = (self._repair_divergent_from is not None
                      and message.sequence >= self._repair_divergent_from)
@@ -977,28 +985,25 @@ class BatchingReplica(ProtocolNode, abc.ABC):
                 self.broadcast(StateTransferRequest(
                     sequence=message.sequence, replica_id=self.node_id))
             return
+        # A lagging replica excises nothing; a repairing one everything
+        # from its first divergent sequence up.
+        divergent_from = self.last_executed_sequence + 1
         if repairing:
             divergent_from = self._repair_divergent_from
             self._repair_divergent_from = None
             self.divergence_repairs += 1
-            # Excised boundaries reflected wrong state; the installed
-            # checkpoint, journaled below, is this replica's state now.
-            for stale in [s for s in self._boundaries if s >= divergent_from]:
-                del self._boundaries[stale]
-            self.executor.resync(
-                sequence=message.sequence, view=message.view,
-                state_digest=message.state_digest,
-                table_snapshot=message.table_snapshot,
-                divergent_from=divergent_from,
-                head_hash=message.head_hash or None,
-            )
-        else:
-            self.executor.fast_forward(
-                sequence=message.sequence, view=message.view,
-                state_digest=message.state_digest,
-                table_snapshot=message.table_snapshot,
-                head_hash=message.head_hash or None,
-            )
+        # Boundaries journaled above the excision point reflect state the
+        # install replaces; the installed checkpoint, journaled below, is
+        # this replica's state now.
+        for stale in [s for s in self._boundaries if s >= divergent_from]:
+            del self._boundaries[stale]
+        self.executor.install_checkpoint(
+            sequence=message.sequence, view=message.view,
+            state_digest=message.state_digest,
+            table_snapshot=message.table_snapshot,
+            head_hash=message.head_hash or None,
+            divergent_from=divergent_from,
+        )
         self._journal_boundary_state(message.sequence, message.state_digest)
         self._adopt_epoch_log(message.epoch_log, message.sequence, now_ms)
         self.charge_execution(self.config.batch_size)
@@ -1074,8 +1079,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         over served batches escalates view changes nobody joins and drifts
         itself out of the quorum's view.
         """
-        if batch_id in self._progress_timers or batch_id in self._replied \
-                or batch_id in self._batch_sequence:
+        if batch_id in self._progress_timers or batch_id in self._batch_sequence:
             return
         if self.join_epoch is not None and self.epoch < self.join_epoch:
             # Still bootstrapping into the epoch that admits this replica:
@@ -1097,8 +1101,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         Grounds for (continued) primary suspicion: a batch this replica
         relayed that has neither been replied to nor learned executed.
         """
-        return any(batch_id not in self._replied
-                   and batch_id not in self._batch_sequence
+        return any(batch_id not in self._batch_sequence
                    for batch_id in self._forwarded_requests)
 
     def refresh_pending_requests(self, now_ms: float) -> None:
@@ -1111,8 +1114,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         pending = {
             batch_id: message
             for batch_id, message in self._forwarded_requests.items()
-            if batch_id not in self._replied
-            and batch_id not in self._batch_sequence
+            if batch_id not in self._batch_sequence
         }
         for batch_id in list(self._progress_timers):
             self._progress_timers.discard(batch_id)

@@ -105,13 +105,12 @@ class _PoolBase(ClientNode):
     """
 
     def __init__(self, node_id: str, config: NodeConfig, batch_source,
-                 target_outstanding: int, total_batches: Optional[int],
-                 timeout_ms: Optional[float]) -> None:
+                 target_outstanding: int, total_batches: Optional[int]) -> None:
         super().__init__(node_id, config)
         self.batch_source = batch_source
         self.target_outstanding = target_outstanding
         self.total_batches = total_batches
-        self.timeout_ms = timeout_ms if timeout_ms is not None else config.request_timeout_ms
+        self.timeout_ms = config.request_timeout_ms
         self.completions: List[CompletionRecord] = []
         self._pending: Dict[str, object] = {}
         self._submitted = 0
@@ -211,7 +210,9 @@ class ClientPool(_PoolBase):
 
     Args:
         node_id: identifier of the pool.
-        config: the shared deployment configuration.
+        config: the shared deployment configuration; its
+            ``request_timeout_ms`` is the retransmission timeout (3 s in
+            the paper).
         batch_source: factory producing the next batch to submit.
         target_outstanding: batches kept in flight concurrently; 1 gives
             the closed-loop behaviour of the out-of-order-disabled
@@ -220,8 +221,6 @@ class ClientPool(_PoolBase):
             response for its previous query".
         total_batches: stop submitting after this many completions
             (``None`` = unbounded, for timed runs).
-        timeout_ms: retransmission timeout (defaults to the config's
-            request timeout, 3 s in the paper).
         quorum_rule: overrides the class's ``QUORUM_RULE``.
 
     ``completion_quorum`` is the rule applied to the boot membership;
@@ -242,13 +241,12 @@ class ClientPool(_PoolBase):
         batch_source: Optional[BatchSource] = None,
         target_outstanding: int = 8,
         total_batches: Optional[int] = None,
-        timeout_ms: Optional[float] = None,
         quorum_rule: Optional[str] = None,
     ) -> None:
         super().__init__(
             node_id, config,
             batch_source or synthetic_batch_source(node_id, config.batch_size),
-            target_outstanding, total_batches, timeout_ms)
+            target_outstanding, total_batches)
         rule = QUORUM_RULES[quorum_rule or self.QUORUM_RULE]
         self.completion_quorum = rule(config.n, config.f)
         self.completion_quorum_fn = lambda epoch: rule(config.n_of(epoch),
@@ -401,11 +399,10 @@ class ShardedClientPool(TwoPhaseDriver, _PoolBase):
         coordinator_id: str,
         target_outstanding: int = 8,
         total_batches: Optional[int] = None,
-        timeout_ms: Optional[float] = None,
     ) -> None:
         super().__init__(node_id, config, layout, batch_source=batch_source,
                          target_outstanding=target_outstanding,
-                         total_batches=total_batches, timeout_ms=timeout_ms)
+                         total_batches=total_batches)
         # A delegated 2PC needs two consensus rounds (prepare, decide), so
         # the pool gives the coordinator twice the single-shard budget
         # before presuming it dead and probing.

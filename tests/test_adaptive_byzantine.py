@@ -239,6 +239,70 @@ class TestAdaptiveEngagement:
         for _, retry_ms, held_ms in stalls:
             assert held_ms == {retry_ms - TimeoutStaller.LEAD_MS}
 
+    @staticmethod
+    def _run_two_primaries_down(protocol, num_replicas, staller, monkeypatch):
+        """The first two primaries crash at 2 ms and a backup runs the
+        staller, so the view change to view 1 fails and the one to view 2
+        retries on a doubled delay.  Returns ``(cluster, auditor,
+        behaviour, fan-outs)``: per VIEW-CHANGE fan-out the staller saw,
+        its view, how long it was held, and the replica's ``vc_retry_ms``
+        and ``_vc_failed_attempts`` then."""
+        transform = TimeoutStaller.transform
+        fanouts = []
+
+        def watched(self, deliveries, now_ms):
+            out = transform(self, deliveries, now_ms)
+            if deliveries and isinstance(deliveries[0].message, ViewChangeRequest):
+                held_ms = {after.delay_ms - before.delay_ms
+                           for before, after in zip(deliveries, out)}
+                fanouts.append((deliveries[0].message.view, held_ms,
+                                self.node.vc_retry_ms, self.node._vc_failed_attempts))
+            return out
+
+        monkeypatch.setattr(TimeoutStaller, "transform", watched)
+        faults = (FaultSchedule().add_crash(replica_id(0), at_ms=2.0)
+                  .add_crash(replica_id(1), at_ms=2.0))
+        config = dataclasses.replace(
+            MATRIX_DEPLOYMENT, protocol=protocol, num_replicas=num_replicas,
+            faults=faults, byzantine=(ByzantineSpec("timeout-stall", staller),))
+        cluster = Cluster(config)
+        auditor = SafetyAuditor.attach(cluster)
+        cluster.start()
+        cluster.run_until_done(max_ms=60_000.0)
+        behavior = cluster.network._nodes[replica_id(staller)].behavior
+        return cluster, auditor, behavior, fanouts
+
+    @pytest.mark.parametrize("protocol", [protocol for protocol in MATRIX_PROTOCOLS
+                                          if protocol != "hotstuff"])
+    def test_timeout_staller_rides_the_doubled_retry_delay(self, protocol,
+                                                          monkeypatch):
+        """n = 10 (f = 3) with two crashed primaries and the staller: both
+        view changes are stalled, the second on the 400 ms delay its
+        replica armed after one failed attempt, and the cell stays live
+        and safe."""
+        cluster, auditor, behavior, fanouts = self._run_two_primaries_down(
+            protocol, 10, 3, monkeypatch)
+        assert completed(cluster) == 20
+        assert auditor.report().ok
+        assert behavior._stalled_views == {0, 1}
+        retry_ms = 2 * MATRIX_DEPLOYMENT.request_timeout_ms
+        lead_ms = TimeoutStaller.LEAD_MS
+        assert fanouts == [(0, {retry_ms - lead_ms}, retry_ms, 0),
+                           (1, {2 * retry_ms - lead_ms}, 2 * retry_ms, 1)]
+
+    def test_timeout_staller_turns_honest_past_its_budget(self, monkeypatch):
+        """At n = 7 (f = 2) the staller is a third fault on top of two
+        crashed primaries, outside the envelope, so only safety is owed:
+        it stalls views 0 and 1, then its budget of two is spent and its
+        view-2 and view-3 requests leave undelayed."""
+        cluster, auditor, behavior, fanouts = self._run_two_primaries_down(
+            "pbft", 7, 2, monkeypatch)
+        assert auditor.report().ok
+        assert behavior._stalled_views == {0, 1}
+        assert len(behavior._stalled_views) == TimeoutStaller.MAX_STALLS
+        assert [(view, held_ms != {0.0}) for view, held_ms, _, _ in fanouts] == [
+            (0, True), (1, True), (2, False), (3, False)]
+
 
 # --------------------------------------------------------------------------
 # Churn and topology.

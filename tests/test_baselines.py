@@ -156,7 +156,7 @@ class TestZyzzyva:
         config = NodeConfig(replica_ids=list(REPLICAS), batch_size=1,
                             request_timeout_ms=50.0)
         pool = ZyzzyvaClientPool("client:0", config, total_batches=1,
-                                 target_outstanding=1, timeout_ms=50.0)
+                                 target_outstanding=1)
         output = pool.start(0.0)
         batch_id = list(pool._pending)[0]
         for i in range(3):

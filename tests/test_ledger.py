@@ -399,7 +399,7 @@ class TestSpeculativeExecutor:
                            for seq in range(stable + 1))
         assert visited_by_prune == length  # was ~ checkpoints * length / 2
 
-    def test_prune_resumes_correctly_after_rollback_resync_and_fast_forward(self):
+    def test_prune_resumes_correctly_after_rollback_and_installs(self):
         executor, store, _ = self._executor()
         self._write_batches(executor, range(6))
         executor.prune_before(3)
@@ -423,13 +423,13 @@ class TestSpeculativeExecutor:
         assert executor.executed(8).undo
         executor.prune_before(20)
         assert not executor.executed(8).undo and not executor.executed(9).undo
-        # Resync excises 5.. and installs a checkpoint at 12; fast-forward
-        # jumps to 30.  Execution and pruning continue from each.
-        executor.resync(12, view=1, state_digest=b"d", divergent_from=5)
+        # A repair excises 5.. and installs a checkpoint at 12; a lagging
+        # install jumps to 30.  Execution and pruning continue from each.
+        executor.install_checkpoint(12, 1, b"d", None, None, divergent_from=5)
         self._write_batches(executor, range(13, 15))
         executor.prune_before(13)
         assert not executor.executed(13).undo and executor.executed(14).undo
-        assert executor.fast_forward(30, view=1, state_digest=b"d")
+        executor.install_checkpoint(30, 1, b"d", None, None, divergent_from=15)
         self._write_batches(executor, range(31, 33))
         executor.prune_before(31)
         assert not executor.executed(14).undo and not executor.executed(31).undo
@@ -443,21 +443,36 @@ class TestSpeculativeExecutor:
         exec_b.execute(0, 0, batch)
         assert exec_a.state_digest() == exec_b.state_digest()
 
-    def test_fast_forward_installs_checkpoint(self):
+    def test_a_lagging_install_keeps_what_was_executed(self):
+        """``divergent_from = last + 1``: the replica is only behind, so its
+        records and blocks stay and the sync block skips the gap."""
         executor, store, chain = self._executor()
-        assert executor.fast_forward(9, view=1, state_digest=b"d",
-                                     table_snapshot={"x": "99"})
+        executor.execute(0, 0, make_batch("b0", [make_txn("t0", writes=[("x", "1")])]))
+        executor.install_checkpoint(9, 1, b"d", {"x": "99"}, b"head",
+                                    divergent_from=1)
         assert executor.last_executed_sequence == 9
+        assert executor.executed(0) is not None
         assert store.get("x") == "99"
-        assert chain.head.sequence == 9
+        assert [block.sequence for block in chain.blocks()] == [0, 9]
+        assert chain.head.payload == "checkpoint-sync"
+        assert chain.head.adopted_hash == b"head"
+        assert chain.verify_chain()
         # Further execution continues after the checkpoint.
         executor.execute(10, 1, make_batch("b10", [make_txn("t", writes=[("x", "10")])]))
         assert store.get("x") == "10"
 
-    def test_fast_forward_ignores_stale_checkpoints(self):
-        executor, _, _ = self._executor()
-        executor.execute(0, 0, make_batch("b0", [make_txn("t0")]))
-        assert not executor.fast_forward(0, view=0, state_digest=b"d")
+    def test_a_repair_excises_the_divergent_suffix(self):
+        """A replica at the checkpoint's height whose suffix from 1 diverged
+        loses those records and blocks; the sync block replaces them."""
+        executor, store, chain = self._executor()
+        self._write_batches(executor, range(4))
+        executor.install_checkpoint(3, 1, b"d", {"x": "vouched"}, None,
+                                    divergent_from=1)
+        assert executor.last_executed_sequence == 3
+        assert executor.executed(0) is not None
+        assert [executor.executed(seq) for seq in (1, 2, 3)] == [None] * 3
+        assert [block.sequence for block in chain.blocks()] == [0, 3]
+        assert store.get("x") == "vouched"
 
     def test_modelled_execution_skips_store_changes(self):
         store = KeyValueStore({"x": "0"})
@@ -602,8 +617,8 @@ _MEMO_BATCHES = tuple(
 _MEMO_TABLES = ({"a": "0"}, {"a": "1", "b": "x", "d": "y"})
 
 _MEMO_STEP = st.tuples(
-    st.sampled_from(["execute", "execute", "everyone", "everyone", "transfer",
-                     "resync", "rollback", "prune"]),
+    st.sampled_from(["execute", "execute", "everyone", "everyone", "install",
+                     "install", "rollback", "prune"]),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=5),
     st.integers(min_value=0, max_value=7))
@@ -614,22 +629,22 @@ def _memo_step(executor, step, executors):
     transferred table may equal one of theirs)."""
     kind, _, pick, depth = step
     last = executor.last_executed_sequence
-    # No rollback or resync reaches below a stable checkpoint (the pruned
+    # No rollback or install reaches below a stable checkpoint (the pruned
     # mark) or below a transferred one (its sync block).
     marked = max([executor._pruned_through] + [
         block.sequence for block in executor.blockchain
         if block.payload == "checkpoint-sync"])
     if kind in ("execute", "everyone"):
         executor.execute(last + 1, 0, _MEMO_BATCHES[pick % len(_MEMO_BATCHES)])
-    elif kind in ("transfer", "resync"):
+    elif kind == "install":
         tables = [peer.store.snapshot() for peer in executors] + list(_MEMO_TABLES)
         table = tables[pick % len(tables)]
-        if kind == "transfer":
-            executor.fast_forward(last + 1 + depth % 2, 0, b"d", table)
-        else:
-            divergent_from = marked + 1 + depth % (last - marked + 1)
-            executor.resync(max(last, divergent_from), 0, b"d", table,
-                            divergent_from=divergent_from)
+        # From a repair of the whole unmarked suffix up to a lagging
+        # install (``last + 1``: nothing excised), at or past the height.
+        divergent_from = marked + 1 + depth % (last - marked + 1)
+        executor.install_checkpoint(max(last, divergent_from) + depth // 4, 0,
+                                    b"d", table, None,
+                                    divergent_from=divergent_from)
     elif kind == "rollback":
         executor.rollback_to(max(marked, last - 1 - depth % 3))
     else:
@@ -655,8 +670,8 @@ def _memo_view(executor):
        st.lists(_MEMO_STEP, min_size=1, max_size=40))
 def test_a_shared_memo_changes_nothing_an_executor_does(count, steps):
     """Property: executors sharing one memo, driven through any
-    interleaving of executes (by one executor or by all), transferred
-    tables, resyncs, rollbacks at or above the pruned mark and prunes,
+    interleaving of executes (by one executor or by all), installed
+    checkpoints, rollbacks at or above the pruned mark and prunes,
     hold the tables, state digests, result digests and undo logs the same
     executors hold with a private memo each, and every state digest is
     that of the table its store holds."""
@@ -740,7 +755,8 @@ def test_a_rollback_across_a_transferred_table_takes_a_fresh_version():
             lagging.share(memo)
             peer.share(memo)
         lagging.execute(0, 0, _MEMO_BATCHES[0])
-        lagging.fast_forward(3, 0, b"d", {"a": "9", "b": "9"})
+        lagging.install_checkpoint(3, 0, b"d", {"a": "9", "b": "9"}, None,
+                                   divergent_from=1)
         lagging.rollback_to(-1)
         for executor in (peer, lagging):
             executor.execute(0, 0, _MEMO_BATCHES[1])

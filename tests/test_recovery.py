@@ -629,7 +629,7 @@ class TestZyzzyvaClientDetection:
         config = NodeConfig(replica_ids=list(REPLICAS), batch_size=1,
                             request_timeout_ms=50.0)
         pool = ZyzzyvaClientPool("client:0", config, total_batches=1,
-                                 target_outstanding=1, timeout_ms=50.0)
+                                 target_outstanding=1)
         pool.start(0.0)
         batch_id = list(pool._pending)[0]
         pool.deliver("replica:1", ClientReplyMessage(
@@ -656,7 +656,7 @@ class TestZyzzyvaClientDetection:
         config = NodeConfig(replica_ids=list(REPLICAS), batch_size=1,
                             request_timeout_ms=50.0)
         pool = ZyzzyvaClientPool("client:0", config, total_batches=1,
-                                 target_outstanding=1, timeout_ms=50.0)
+                                 target_outstanding=1)
         pool.start(0.0)
         batch_id = list(pool._pending)[0]
         for i in (1, 2):

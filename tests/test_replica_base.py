@@ -314,6 +314,34 @@ class TestStateTransfer:
         assert replica.store.get("user1") == "value"
         assert replica.next_sequence >= 10
 
+    def test_a_lagging_install_after_a_rollback_drops_journal_entries_above(
+            self, auths):
+        """A rollback leaves the boundary journaled at 7 above the executed
+        height 5; the install at 11 replaces that state, so the journal
+        keeps 3 and the installed 11 only."""
+        from repro.crypto.hashing import digest
+        replica = make_replica(auths, rid="replica:3")
+        for seq in range(8):
+            replica.commit_slot(seq, 0, make_no_op_batch(f"b{seq}", "client:0", 2),
+                                proof=None, now_ms=1.0)
+        replica.rollback_speculation(5, 2.0)
+        assert replica.last_executed_sequence == 5
+        assert sorted(replica._boundaries) == [3, 7]
+        snapshot = replica.store.snapshot()
+        head_hash = b"source-head"
+        state_digest = digest("state", 11, head_hash,
+                              digest("store", sorted(snapshot.items())))
+        for voter in ["replica:1", "replica:2"]:
+            replica.deliver(voter, CheckpointMessage(
+                sequence=11, state_digest=state_digest, replica_id=voter), 3.0)
+        replica.deliver("replica:1", StateTransferResponse(
+            sequence=11, view=0, state_digest=state_digest,
+            table_snapshot=snapshot, head_hash=head_hash), 4.0)
+        assert replica.last_executed_sequence == 11
+        assert replica.divergence_repairs == 0
+        assert sorted(replica._boundaries) == [3, 11]
+        assert replica.executor.executed(5) is not None
+
     def test_stale_responses_are_ignored(self, auths):
         replica = make_replica(auths, rid="replica:3")
         batch = make_no_op_batch("b0", "client:0", 2)

@@ -130,10 +130,11 @@ def _old_transfer_handler(self, sender, message, now_ms):
     """The pre-validation handler: install any response unconditionally."""
     if message.sequence <= self.last_executed_sequence:
         return
-    self.executor.fast_forward(
+    self.executor.install_checkpoint(
         sequence=message.sequence, view=message.view,
         state_digest=message.state_digest,
-        table_snapshot=message.table_snapshot,
+        table_snapshot=message.table_snapshot, head_hash=None,
+        divergent_from=self.last_executed_sequence + 1,
     )
     self.charge_execution(self.config.batch_size)
     for stale in [s for s in self._committed if s <= message.sequence]:
@@ -779,9 +780,10 @@ class TestUnvouchedStateTransferCheck:
     def test_fabricated_sync_block_is_flagged(self):
         cluster, auditor = run_cell("pbft", "no-fault")
         victim = cluster.replicas[3]
-        victim.executor.fast_forward(
+        victim.executor.install_checkpoint(
             sequence=victim.last_executed_sequence + 7, view=0,
-            state_digest=b"never-vouched")
+            state_digest=b"never-vouched", table_snapshot=None, head_hash=None,
+            divergent_from=victim.last_executed_sequence + 1)
         report = auditor.report()
         kinds = {violation.kind for violation in report.violations}
         assert "unvouched-state-transfer" in kinds
