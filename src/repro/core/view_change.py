@@ -190,13 +190,16 @@ class SpeculativeAnchor(NamedTuple):
       be able to claim an arbitrary digest for the quorum's durable
       state); ``None`` otherwise;
     * ``witness`` — the ``replica_id`` of a request proving the anchor, a
-      peer a lagging replica can request a state transfer from.
+      peer a lagging replica can request a state transfer from;
+    * ``certified`` — the :func:`corroborated_certificates` the anchor was
+      computed from, which reconciliation reuses.
     """
 
     anchor: int
     checkpoint: int
     checkpoint_digest: Optional[bytes]
     witness: Optional[str]
+    certified: Dict[int, Tuple[str, bytes]]
 
 
 def corroborated_certificates(
@@ -283,12 +286,14 @@ def speculative_anchor(
             if stable == best_checkpoint and count >= f + 1:
                 checkpoint_digest = digest_claim
                 break
-    return SpeculativeAnchor(anchor, best_checkpoint, checkpoint_digest, witness)
+    return SpeculativeAnchor(anchor, best_checkpoint, checkpoint_digest, witness,
+                             certified)
 
 
 def reconcile_speculative_histories(
     requests: Sequence[ViewChangeRequest],
     f: int,
+    anchor_info: Optional[SpeculativeAnchor] = None,
 ) -> Tuple[Dict[int, LogEntry], int]:
     """Select the new-view history from speculative VC requests (Zyzzyva).
 
@@ -316,11 +321,15 @@ def reconcile_speculative_histories(
       a slot **above** the anchor with no adoptable entry ends the prefix.
 
     A request's ``certificate`` is its anchor commit certificate and an
-    entry's ``proof`` its per-slot one, either may be ``None``.  Returns
-    the adopted prefix and ``kmax``, its last sequence number.
+    entry's ``proof`` its per-slot one, either may be ``None``.
+    *anchor_info* is ``speculative_anchor(requests, f)``, computed here
+    unless the caller already holds it.  Returns the adopted prefix and
+    ``kmax``, its last sequence number.
     """
-    anchor = speculative_anchor(requests, f).anchor
-    certificates = corroborated_certificates(requests, f)
+    if anchor_info is None:
+        anchor_info = speculative_anchor(requests, f)
+    anchor = anchor_info.anchor
+    certificates = anchor_info.certified
     support: Dict[int, Dict[bytes, List[LogEntry]]] = {}
     certified: Dict[int, Dict[bytes, bool]] = {}
     for request in requests:

@@ -126,6 +126,8 @@ def generate_system_keys(
         seen.add(owner)
     members = frozenset(seen)
     if threshold is None:
+        # protocols.base.fault_bound, written out: crypto sits below the
+        # protocols, which import it.
         f = (n - 1) // 3
         threshold = n - f
 

@@ -35,6 +35,7 @@ from repro.protocols.checkpoint import CheckpointMessage
 from repro.protocols.client_messages import ClientReplyMessage
 from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.zyzzyva import ZyzzyvaClientPool, ZyzzyvaLocalCommit
+from repro.workload.clients import QUORUM_RULES
 
 # Bound at import time on purpose: the auditor's certificate re-validation
 # must stay correct even if the replicas' runtime validator is broken or
@@ -277,14 +278,6 @@ class SafetyAuditor:
     def __init__(self, cluster, wire: Optional[WireRecord] = None) -> None:
         self.cluster = cluster
         self.wire = wire
-        #: Per-pool completion rule captured at attach time (base quorum
-        #: plus the per-epoch quorum function): the auditor re-derives
-        #: per-epoch inform quorums itself, so reverting the pools'
-        #: epoch awareness at runtime is still flagged.
-        self._completion_rules: Dict[str, Tuple[int, object]] = {
-            pool.node_id: (pool.completion_quorum,
-                           getattr(pool, "completion_quorum_fn", None))
-            for pool in cluster.pools}
 
     @classmethod
     def attach(cls, cluster) -> "SafetyAuditor":
@@ -297,9 +290,12 @@ class SafetyAuditor:
         report = AuditReport()
         honest = honest_live_replicas(self.cluster)
         report.replicas_audited = len(honest)
-        self._check_agreement(honest, report)
-        self._check_ledgers(honest, report)
-        self._check_rollbacks(honest, report)
+        violations, report.slots_checked = check_agreement(
+            honest, slot_key_for(self.cluster))
+        report.violations.extend(violations)
+        report.violations.extend(check_ledgers(honest))
+        violations, report.rollbacks_checked = check_rollbacks(honest)
+        report.violations.extend(violations)
         self._check_epochs(honest, report)
         if self.wire is not None:
             self._check_inform_quorum(report)
@@ -314,20 +310,6 @@ class SafetyAuditor:
         return report
 
     # -------------------------------------------------------------- invariants
-    def _check_agreement(self, honest: List[object], report: AuditReport) -> None:
-        """No divergent batches per slot; no batch at two different slots."""
-        violations, slots_checked = check_agreement(honest, slot_key_for(self.cluster))
-        report.slots_checked = slots_checked
-        report.violations.extend(violations)
-
-    def _check_ledgers(self, honest: List[object], report: AuditReport) -> None:
-        report.violations.extend(check_ledgers(honest))
-
-    def _check_rollbacks(self, honest: List[object], report: AuditReport) -> None:
-        violations, checked = check_rollbacks(honest)
-        report.rollbacks_checked += checked
-        report.violations.extend(violations)
-
     def _check_epochs(self, honest: List[object], report: AuditReport) -> None:
         """Epoch-log validity, prefix agreement and quorum-at-the-time.
 
@@ -347,7 +329,9 @@ class SafetyAuditor:
           boundary to stability.
         """
         config = self.cluster.node_config
-        if not getattr(config, "reconfigured", False):
+        # Kept gate: it chooses which checks apply, not a quorum size.
+        # Without a registered epoch there is no epoch log to validate.
+        if not config.reconfigured:
             return
         epoch_views: Dict[int, Dict[Tuple[int, Tuple[str, ...]], List[str]]] = {}
         for replica in honest:
@@ -415,8 +399,7 @@ class SafetyAuditor:
             for block in replica.blockchain.blocks():
                 if block.payload != "checkpoint-sync":
                     continue
-                f = (config.f_of(config.epoch_of_sequence(block.sequence))
-                     if config.reconfigured else config.f)
+                f = config.f_of(config.epoch_of_sequence(block.sequence))
                 voters = self.wire.checkpoint_votes.get(
                     (block.sequence, block.batch_digest), set())
                 if len(voters) < f + 1:
@@ -429,30 +412,32 @@ class SafetyAuditor:
                     ))
 
     def _check_inform_quorum(self, report: AuditReport) -> None:
+        """Every completion had its quorum of matching replies on the wire.
+
+        The quorum is the pool's class rule applied to the deployment's
+        membership for the epoch of each replied sequence, derived here and
+        not asked of the pool: a pool whose own counting was reverted at
+        runtime is still flagged.
+        """
         config = self.cluster.node_config
-        reconfigured = getattr(config, "reconfigured", False)
         for pool in self.cluster.pools:
-            base_quorum, quorum_fn = self._completion_rules.get(
-                pool.node_id, (pool.completion_quorum, None))
+            rule = QUORUM_RULES[pool.QUORUM_RULE]
 
             def quorum_for(sequence: int) -> int:
-                if not reconfigured or quorum_fn is None:
-                    return base_quorum
-                return quorum_fn(config.epoch_of_sequence(sequence))
+                epoch = config.epoch_of_sequence(sequence)
+                return rule(config.n_of(epoch), config.f_of(epoch))
 
-            fallback_fn = None
-            if isinstance(pool, ZyzzyvaClientPool):
-                # Zyzzyva's slow path completes with 2f+1 matching replies
-                # plus 2f+1 local-commit acknowledgements (per the epoch
-                # governing the certified slot).
-                fallback_fn = pool._slot_quorum
+            # Zyzzyva's slow path completes with 2f+1 matching replies plus
+            # 2f+1 local-commit acknowledgements (per the epoch governing
+            # the certified slot).
+            slow_path = isinstance(pool, ZyzzyvaClientPool)
             for record in pool.completions:
                 report.completions_checked += 1
                 votes = self.wire.reply_votes.get((pool.node_id, record.batch_id), {})
                 # Matching keys are (batch_id, view, sequence, digest):
                 # after a reconfiguration the required quorum depends on
                 # the epoch the replied sequence belongs to.
-                best, needed, satisfied = 0, base_quorum, False
+                best, needed, satisfied = 0, rule(config.n, config.f), False
                 for key, senders in votes.items():
                     count = sum(1 for at_ms in senders.values()
                                 if at_ms <= record.completed_at_ms)
@@ -465,8 +450,8 @@ class SafetyAuditor:
                 if satisfied:
                     continue
                 acks = self.wire.commit_acks.get((pool.node_id, record.batch_id), set())
-                if fallback_fn is not None:
-                    fallback_quorum = fallback_fn(record.sequence)
+                if slow_path:
+                    fallback_quorum = config.quorum_of_sequence(record.sequence)
                     if best >= fallback_quorum and len(acks) >= fallback_quorum:
                         continue
                 report.violations.append(AuditViolation(

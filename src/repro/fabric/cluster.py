@@ -28,7 +28,7 @@ from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.net.network import SimNetwork
 from repro.net.simulator import Simulator
-from repro.protocols.base import NodeConfig
+from repro.protocols.base import NodeConfig, fault_bound
 from repro.protocols.client_messages import ClientRequestMessage
 from repro.protocols.epoch import apply_reconfig, make_reconfig_record
 from repro.workload.clients import BatchSource, ClientPool, CompletionRecord
@@ -300,7 +300,7 @@ class Cluster:
             return None
         namespace = self.config.namespace
         members = self._boot_ids
-        nf_min = len(members) - (len(members) - 1) // 3
+        nf_min = len(members) - fault_bound(len(members))
         boot = set(members)
         for step_index, step in enumerate(plan.steps):
             add_ids = tuple(namespace + replica_id(i) for i in step.add)
@@ -316,7 +316,7 @@ class Cluster:
                     self._join_epochs[rid] = step_index + 1
                     self._join_times[rid] = step.at_ms
             members = apply_reconfig(members, add_ids, remove_ids)
-            nf_min = min(nf_min, len(members) - (len(members) - 1) // 3)
+            nf_min = min(nf_min, len(members) - fault_bound(len(members)))
         for rid in self._joiner_ids:
             self.node_config.register_replica(rid)
         return nf_min

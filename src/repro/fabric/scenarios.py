@@ -44,6 +44,7 @@ from repro.fabric.sharding import ShardedCluster, ShardedClusterConfig, coordina
 from repro.net.byzantine import ByzantineSpec
 from repro.net.conditions import DriftPhase, LatencyTopology, NetworkConditions
 from repro.net.faults import FaultSchedule
+from repro.protocols.base import fault_bound
 
 #: Protocol keys swept by default: the paper's five protocols, with PoE in
 #: both authentication schemes (ingredient I3).  PBFT is MAC-native; SBFT
@@ -96,10 +97,6 @@ def register_scenario(name: str, description: str = ""
     return wrap
 
 
-def _f(base: ClusterConfig) -> int:
-    return (base.num_replicas - 1) // 3
-
-
 @register_scenario("no-fault", "clean run, LAN conditions")
 def _no_fault(base: ClusterConfig) -> ClusterConfig:
     return base
@@ -123,7 +120,7 @@ def _dark_replicas(base: ClusterConfig) -> ClusterConfig:
     # case 2); they must catch up through checkpoint state transfer.
     ids = base.replica_ids()
     return replace(base, faults=FaultSchedule().add_dark_replicas(
-        ids[0], ids[len(ids) - _f(base):]))
+        ids[0], ids[len(ids) - fault_bound(base.num_replicas):]))
 
 
 @register_scenario("equivocate", "primary equivocates with forged votes")
@@ -138,7 +135,7 @@ def _partition_heal(base: ClusterConfig) -> ClusterConfig:
     # Sever f replicas from the majority for a window, then heal; the
     # majority retains an nf quorum throughout.
     ids = base.replica_ids()
-    split = len(ids) - _f(base)
+    split = len(ids) - fault_bound(base.num_replicas)
     return replace(base, faults=FaultSchedule().add_partition(
         ids[:split], ids[split:], at_ms=50.0, until_ms=600.0))
 

@@ -62,7 +62,7 @@ from repro.net.conditions import NetworkConditions
 from repro.net.faults import FaultSchedule
 from repro.net.network import SimNetwork
 from repro.net.simulator import Simulator
-from repro.protocols.base import ClientNode, NodeConfig
+from repro.protocols.base import ClientNode, NodeConfig, fault_bound
 from repro.protocols.client_messages import ClientReplyMessage
 from repro.workload.clients import QUORUM_RULES, CompletionRecord, ShardedClientPool
 from repro.workload.xshard import (
@@ -451,7 +451,7 @@ def layout_for_config(config: ShardedClusterConfig) -> ShardLayout:
         n = config.num_replicas
         members.append(tuple(
             f"s{shard}/" + replica_id(i) for i in range(n)))
-        quorums.append(QUORUM_RULES[spec.client_quorum](n, (n - 1) // 3))
+        quorums.append(QUORUM_RULES[spec.client_quorum](n, fault_bound(n)))
         broadcast.append(spec.broadcast_requests)
     return ShardLayout(
         members=tuple(members),

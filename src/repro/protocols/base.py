@@ -59,6 +59,12 @@ from repro.crypto.cost import CryptoCostModel, CryptoOp
 BASE_MESSAGE_SIZE = 250
 
 
+def fault_bound(n: int) -> int:
+    """The largest ``f`` with ``n >= 3 f + 1``: the faults *n* replicas
+    tolerate (paper, §II-A).  Every membership's quorums derive from it."""
+    return (n - 1) // 3
+
+
 @dataclass(slots=True)
 class Message:
     """Base class for all protocol messages.
@@ -288,9 +294,12 @@ class NodeConfig:
         # the first sequence.  Committed reconfiguration records register
         # later epochs idempotently (every honest replica executes the
         # same record, so the shared config converges on one schedule).
-        # ``reconfigured`` stays False until an epoch beyond 0 is
-        # registered — every epoch-aware code path gates on it, so a
-        # fixed-membership deployment runs the exact pre-epoch fast path.
+        # The methods below answer every membership question (fault
+        # bound, quorums, primary) for any epoch, epoch 0 included, so no
+        # caller needs to know whether an epoch was ever registered.
+        # ``reconfigured`` (False until one is) is read only where that
+        # is the question: two hot-path fast paths and the auditor's
+        # choice of checks.
         self.epoch_memberships: Dict[int, Tuple[str, ...]] = {
             0: tuple(self.replica_ids)
         }
@@ -304,16 +313,12 @@ class NodeConfig:
 
     @property
     def f(self) -> int:
-        return (self.n - 1) // 3
+        return fault_bound(self.n)
 
     @property
     def nf(self) -> int:
         """The paper's ``nf`` quorum: number of non-faulty replicas assumed."""
         return self.n - self.f
-
-    def primary_of_view(self, view: int) -> str:
-        """Identifier of the primary for *view* (``id = view mod n``)."""
-        return self.replica_ids[view % self.n]
 
     # -- epoch-indexed membership ------------------------------------------
     def membership(self, epoch: int) -> Tuple[str, ...]:
@@ -324,7 +329,7 @@ class NodeConfig:
         return len(self.epoch_memberships[epoch])
 
     def f_of(self, epoch: int) -> int:
-        return (len(self.epoch_memberships[epoch]) - 1) // 3
+        return fault_bound(len(self.epoch_memberships[epoch]))
 
     def quorum_of(self, epoch: int) -> int:
         """The ``2 f + 1`` quorum of *epoch*."""
@@ -334,8 +339,9 @@ class NodeConfig:
         """The ``2 f + 1`` quorum of the epoch *sequence* belongs to."""
         return self.quorum_of(self.epoch_of_sequence(sequence))
 
-    def primary_of_view_in_epoch(self, view: int, epoch: int) -> str:
-        """Primary rotation over the membership of *epoch*."""
+    def primary_of_view(self, view: int, epoch: int) -> str:
+        """The primary of *view* under the membership of *epoch*
+        (``id = view mod n``, paper §II-C)."""
         members = self.epoch_memberships[epoch]
         return members[view % len(members)]
 
@@ -346,8 +352,6 @@ class NodeConfig:
         greater than ``A`` — the boundary itself (and its checkpoint
         votes) still belongs to the previous epoch.
         """
-        if not self.reconfigured:
-            return 0
         epoch = 0
         for candidate in range(1, self.latest_epoch + 1):
             if sequence > self.epoch_activations[candidate]:

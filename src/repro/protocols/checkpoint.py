@@ -158,6 +158,8 @@ class CheckpointTracker:
         if voters is None:
             voters = self._votes[key] = VoteSet(self._index_map)
         voters.add(replica_id)
+        # Kept fast path, one attribute read per checkpoint vote: until an
+        # epoch activates, ``quorum_fn`` would answer ``quorum`` anyway.
         quorum_fn = self.quorum_fn
         quorum = self.quorum if quorum_fn is None else quorum_fn(sequence)
         if voters.count >= quorum:

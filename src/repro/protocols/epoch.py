@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+from repro.protocols.base import fault_bound
 from repro.workload.transactions import RequestBatch
 
 #: ``RequestBatch.control_phase`` marker for reconfiguration records.
@@ -128,7 +129,7 @@ def reconfig_record_valid(record: ReconfigRecord, current_epoch: int,
     if len(new_members) < MIN_MEMBERSHIP:
         return False, (f"new membership {len(new_members)} below minimum "
                        f"{MIN_MEMBERSHIP}")
-    f_old = (len(membership) - 1) // 3
+    f_old = fault_bound(len(membership))
     survivors = len(members - removes)
     if survivors < 2 * f_old + 1:
         return False, (f"quorum continuity broken: {survivors} survivors of "

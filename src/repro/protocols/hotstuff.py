@@ -13,6 +13,12 @@ leaders make consensus *sequential*: the leader of round ``i + 1`` cannot
 propose before it has the quorum certificate for round ``i``, so requests
 cannot be processed out-of-order and throughput is bounded by message
 delay rather than bandwidth (Figures 9 and 11).
+
+The leader of round ``r`` is the primary of view ``r``
+(:meth:`~repro.protocols.replica_base.BatchingReplica.primary_for_view`):
+HotStuff rotates over the active membership with the rotation every
+protocol here shares, only once per round instead of once per view
+change.
 """
 
 from __future__ import annotations
@@ -136,7 +142,8 @@ _UNSEEN = _RoundState()
 
 
 class HotStuffReplica(BatchingReplica):
-    """A chained-HotStuff replica with round-robin leaders."""
+    """A chained-HotStuff replica whose round ``r`` is led by the primary
+    of view ``r`` (``primary_for_view(r)``)."""
 
     PROTOCOL_INFO = ProtocolInfo(
         name="HotStuff",
@@ -181,17 +188,6 @@ class HotStuffReplica(BatchingReplica):
         self.pacemaker_timeouts = 0
         self.proposals_fetched = 0
         self.chain_resyncs = 0
-
-    # ------------------------------------------------------------------ leaders
-    def leader_of(self, round_number: int) -> str:
-        config = self.config
-        if not config.reconfigured:
-            return config.replica_ids[round_number % config.n]
-        members = config.membership(self.epoch)
-        return members[round_number % len(members)]
-
-    def is_leader_of(self, round_number: int) -> bool:
-        return self.leader_of(round_number) == self.node_id
 
     def _round(self, round_number: int) -> _RoundState:
         """The round's record, created on first use: for paths that write."""
@@ -250,7 +246,7 @@ class HotStuffReplica(BatchingReplica):
             # execution dedupes on ``_replied``.
             self._pending_batches.append(batch)
         # If the chain is paused and it is our turn, kick it off.
-        if self.is_leader_of(self.current_round):
+        if self.primary_for_view(self.current_round) == self.node_id:
             self._maybe_lead_round(self.current_round, now_ms)
         self._arm_pacemaker(now_ms)
 
@@ -265,7 +261,7 @@ class HotStuffReplica(BatchingReplica):
     # ---------------------------------------------------------------- proposing
     def _maybe_lead_round(self, round_number: int, now_ms: float) -> None:
         """Propose the block for *round_number* if this replica leads it."""
-        if not self.is_leader_of(round_number):
+        if self.primary_for_view(round_number) != self.node_id:
             return
         if self._rounds.get(round_number, _UNSEEN).proposal is not None:
             return
@@ -310,7 +306,7 @@ class HotStuffReplica(BatchingReplica):
         round_number = message.round_number
         # Leadership is checked against the transport-level sender: the
         # ``leader_id`` field is a spoofable payload claim.
-        if sender != self.leader_of(round_number):
+        if sender != self.primary_for_view(round_number):
             return
         if self._rounds.get(round_number, _UNSEEN).proposal is not None:
             return
@@ -347,7 +343,7 @@ class HotStuffReplica(BatchingReplica):
                 round_number=round_number, block_digest=message.block_digest,
                 share=share, replica_id=self.node_id,
             )
-            next_leader = self.leader_of(round_number + 1)
+            next_leader = self.primary_for_view(round_number + 1)
             if next_leader == self.node_id:
                 self.handle_vote(self.node_id, vote, now_ms)
             else:
@@ -358,7 +354,7 @@ class HotStuffReplica(BatchingReplica):
 
     def handle_vote(self, sender: str, message: HotStuffVote, now_ms: float) -> None:
         round_number = message.round_number
-        if not self.is_leader_of(round_number + 1):
+        if self.primary_for_view(round_number + 1) != self.node_id:
             return
         state = self._round(round_number)
         if state.qc_formed or message.share is None:

@@ -36,7 +36,9 @@ from repro.crypto.cost import CryptoCostModel, CryptoOp
 from repro.ledger.blockchain import Blockchain
 from repro.ledger.execution import ExecutedBatch, SpeculativeExecutor
 from repro.ledger.store import KeyValueStore, table_digest
-from repro.protocols.base import BASE_MESSAGE_SIZE, ClientNode, Message, NodeConfig, ProtocolNode
+from repro.protocols.base import (
+    BASE_MESSAGE_SIZE, ClientNode, Message, NodeConfig, ProtocolNode, fault_bound,
+)
 from repro.crypto.hashing import digest
 from repro.protocols.checkpoint import (
     BoundaryState,
@@ -112,7 +114,8 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         initial_table: Optional[Dict[str, str]] = None,
     ) -> None:
         super().__init__(node_id, config, authenticator, cost_model)
-        n, f = config.n, config.f  # properties: read each once
+        n = config.n  # a property: read once
+        f = fault_bound(n)
         self.view = 0
         self.store = KeyValueStore(initial_table)
         self.blockchain = Blockchain(initial_primary=config.replica_ids[0])
@@ -242,11 +245,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         return self._primary
 
     def primary_for_view(self, view: int) -> str:
-        """Primary of *view* under this replica's active epoch's membership."""
-        config = self.config
-        if not config.reconfigured:
-            return config.primary_of_view(view)
-        return config.primary_of_view_in_epoch(view, self.epoch)
+        """Primary of *view* under this replica's active epoch's membership
+        (HotStuff's round leader too: the primary of the round's number)."""
+        return self.config.primary_of_view(view, self.epoch)
 
     def is_primary(self) -> bool:
         if self._primary_view != self.view:
@@ -818,7 +819,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
 
     def _refresh_epoch_caches(self, members: Tuple[str, ...]) -> None:
         """Re-derive every cached quorum size from the active membership."""
-        f_e = (len(members) - 1) // 3
+        f_e = fault_bound(len(members))
         self._f_plus_1 = f_e + 1
         self._2f_plus_1 = 2 * f_e + 1
         self._nf_quorum = len(members) - f_e
@@ -866,8 +867,6 @@ class BatchingReplica(ProtocolNode, abc.ABC):
 
     def _epoch_log_wire(self, sequence: int) -> Tuple[Tuple, ...]:
         """Wire form of every non-genesis epoch committed by *sequence*."""
-        if not self.config.reconfigured:
-            return ()
         entries = [e for e in self.epoch_log if e.epoch > 0]
         entries.extend(self._pending_epochs.values())
         return tuple(e.as_wire() for e in sorted(entries, key=lambda e: e.epoch)

@@ -367,8 +367,6 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         when it was ordered, not the current epoch's.
         """
         config = self.config
-        if not config.reconfigured:
-            return set(config.replica_ids), 2 * config.f + 1
         epoch = config.epoch_of_sequence(sequence)
         return set(config.membership(epoch)), config.quorum_of(epoch)
 
@@ -432,9 +430,9 @@ class ZyzzyvaReplica(PrimaryBackupReplica):
         the ``f + 1``-backed anchor digest — same height, wrong batch —
         starts a same-height divergence repair.
         """
-        prefix, kmax = reconcile_speculative_histories(requests,
-                                                       self._f_plus_1 - 1)
         anchor_info = speculative_anchor(requests, self._f_plus_1 - 1)
+        prefix, kmax = reconcile_speculative_histories(
+            requests, self._f_plus_1 - 1, anchor_info)
         self.rollback_speculation(self.rollback_target(prefix, kmax), now_ms)
         self.evict_uncovered(prefix, kmax)
         self.commit_adopted(prefix, now_ms)
@@ -524,13 +522,6 @@ class ZyzzyvaClientPool(ClientPool):
         self.commit_certificates_sent = 0
         self.proofs_of_misbehaviour_sent = 0
 
-    def _slot_quorum(self, sequence: int) -> int:
-        """The ``2f + 1`` of the epoch that governs *sequence*'s slot."""
-        config = self.config
-        if not config.reconfigured:
-            return 2 * config.f + 1
-        return config.quorum_of(config.epoch_of_sequence(sequence))
-
     def on_message(self, sender: str, message, now_ms: float) -> None:
         if isinstance(message, ClientReplyMessage) and message.speculative:
             observations = self._slot_observations.setdefault(
@@ -596,8 +587,8 @@ class ZyzzyvaClientPool(ClientPool):
             if (len(voters), key[1]) > (len(best_voters),
                                         best_key[1] if best_key else -1):
                 best_key, best_voters = key, voters
-        if best_key is not None and len(best_voters) >= self._slot_quorum(
-                best_key[2]):
+        if best_key is not None and \
+                len(best_voters) >= self.config.quorum_of_sequence(best_key[2]):
             if pending.cert_attempted == best_key:
                 # The previous certificate round built from this same
                 # evidence passed a full timeout without 2f+1 local
@@ -637,5 +628,5 @@ class ZyzzyvaClientPool(ClientPool):
         # Byzantine replica must not acknowledge a commit certificate 2f+1
         # times under forged identities.
         pending.commit_acks.add(sender)
-        if len(pending.commit_acks) >= self._slot_quorum(message.sequence):
+        if len(pending.commit_acks) >= self.config.quorum_of_sequence(message.sequence):
             self._complete(pending.commit_reply, pending, now_ms)

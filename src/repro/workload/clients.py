@@ -221,10 +221,9 @@ class ClientPool(_PoolBase):
             response for its previous query".
         total_batches: stop submitting after this many completions
             (``None`` = unbounded, for timed runs).
-        quorum_rule: overrides the class's ``QUORUM_RULE``.
 
     ``completion_quorum`` is the rule applied to the boot membership;
-    ``completion_quorum_fn`` applies it to the epoch that governs a
+    :meth:`quorum_for_sequence` applies it to the epoch that governs a
     reply's sequence, so a batch committed under a grown (or shrunk) epoch
     is completed against that epoch's quorum.
     """
@@ -241,16 +240,12 @@ class ClientPool(_PoolBase):
         batch_source: Optional[BatchSource] = None,
         target_outstanding: int = 8,
         total_batches: Optional[int] = None,
-        quorum_rule: Optional[str] = None,
     ) -> None:
         super().__init__(
             node_id, config,
             batch_source or synthetic_batch_source(node_id, config.batch_size),
             target_outstanding, total_batches)
-        rule = QUORUM_RULES[quorum_rule or self.QUORUM_RULE]
-        self.completion_quorum = rule(config.n, config.f)
-        self.completion_quorum_fn = lambda epoch: rule(config.n_of(epoch),
-                                                       config.f_of(epoch))
+        self.completion_quorum = QUORUM_RULES[self.QUORUM_RULE](config.n, config.f)
         self.broadcast_requests = self.BROADCAST_REQUESTS
         self.current_view = 0
         self._view_reports: Dict[str, int] = {}  # see report_view
@@ -272,13 +267,12 @@ class ClientPool(_PoolBase):
             # The paper: a client that gets no timely response broadcasts
             # its request to all replicas, which forward it to the primary.
             self.broadcast(message)
-        elif self.config.reconfigured:
+        else:
             # Best-effort latest-epoch primary; a stale guess is repaired
             # by the retransmission broadcast like any other dark primary.
-            self.send(self.config.primary_of_view_in_epoch(
-                self.current_view, self.config.latest_epoch), message)
-        else:
-            self.send(self.config.primary_of_view(self.current_view), message)
+            config = self.config
+            self.send(config.primary_of_view(self.current_view, config.latest_epoch),
+                      message)
 
     # -- replies -----------------------------------------------------------------
     def on_message(self, sender: str, message, now_ms: float) -> None:
@@ -299,7 +293,9 @@ class ClientPool(_PoolBase):
         voters.add(sender)
         if message.view > self.current_view:
             self.report_view(sender, message.view)
-        # quorum_for_sequence(), its fixed-membership answer in this frame.
+        # Kept fast path, one attribute read per reply: until an epoch is
+        # registered quorum_for_sequence() answers completion_quorum, so
+        # ask it only after a reconfiguration.
         if voters.count >= (self.quorum_for_sequence(message.sequence)
                             if self.config.reconfigured else self.completion_quorum):
             self._complete(message, pending, now_ms)
@@ -319,17 +315,13 @@ class ClientPool(_PoolBase):
                                   in reports.items() if reported > self.current_view}
 
     def quorum_for_sequence(self, sequence: int) -> int:
-        """The completion quorum for a reply certified at *sequence*.
-
-        Fixed-membership deployments answer from the cached constant; once
-        a reconfiguration registered, the per-epoch rule is consulted so a
-        batch committed under a grown (or shrunk) epoch is completed
-        against that epoch's quorum.
-        """
+        """The completion quorum for a reply certified at *sequence*: the
+        class's rule applied to the epoch that governs it, so a batch
+        committed under a grown (or shrunk) epoch is completed against that
+        epoch's quorum."""
         config = self.config
-        if not config.reconfigured:
-            return self.completion_quorum
-        return self.completion_quorum_fn(config.epoch_of_sequence(sequence))
+        epoch = config.epoch_of_sequence(sequence)
+        return QUORUM_RULES[self.QUORUM_RULE](config.n_of(epoch), config.f_of(epoch))
 
     def on_other_message(self, sender: str, message, now_ms: float) -> None:
         """Hook for protocol-specific client messages (default: ignore)."""

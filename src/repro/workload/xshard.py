@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.crypto.hashing import shared_digest
-from repro.protocols.base import Message
+from repro.protocols.base import Message, fault_bound
 from repro.protocols.client_messages import ClientReplyMessage, ClientRequestMessage
 from repro.protocols.quorum import VoteSet
 from repro.workload.transactions import (
@@ -185,6 +185,8 @@ class ShardLayout:
         object.__setattr__(self, "_index_maps", tuple(
             {rid: index for index, rid in enumerate(ids)}
             for ids in self.members))
+        object.__setattr__(self, "_cert_quorums", tuple(
+            fault_bound(len(ids)) + 1 for ids in self.members))
 
     @property
     def num_shards(self) -> int:
@@ -193,15 +195,12 @@ class ShardLayout:
     def replicas(self, shard: int) -> Tuple[str, ...]:
         return self.members[shard]
 
-    def f(self, shard: int) -> int:
-        return (len(self.members[shard]) - 1) // 3
-
     def reply_quorum(self, shard: int) -> int:
         return self.reply_quorums[shard]
 
     def cert_quorum(self, shard: int) -> int:
         """Attestations needed for a certificate claim: f+1 (one honest)."""
-        return self.f(shard) + 1
+        return self._cert_quorums[shard]
 
     def index_map(self, shard: int) -> Dict[str, int]:
         return self._index_maps[shard]

@@ -9,6 +9,12 @@ from repro.workload.clients import QUORUM_RULES, ClientPool, synthetic_batch_sou
 REPLICAS = [f"replica:{i}" for i in range(4)]
 
 
+class SingleReplyPool(ClientPool):
+    """A pool that completes on one reply (SBFT's rule)."""
+
+    QUORUM_RULE = "1"
+
+
 def make_pool(pool_cls=ClientPool, **kwargs):
     config = NodeConfig(replica_ids=list(REPLICAS), batch_size=10,
                         request_timeout_ms=100.0)
@@ -71,7 +77,7 @@ class TestLoadGeneration:
         """``target_outstanding=1`` is the closed-loop client of the
         out-of-order-disabled experiments: the next request goes out only
         when the previous one was accepted."""
-        pool, _ = make_pool(quorum_rule="1", target_outstanding=1)
+        pool, _ = make_pool(SingleReplyPool, target_outstanding=1)
         pool.start(0.0)
         assert pool.outstanding == 1
         first = list(pool._pending)[0]
@@ -132,7 +138,7 @@ class TestCompletionRules:
     def test_a_single_reply_pool_learns_the_view_from_one_reply(self):
         """SBFT's pool completes on the executor's one certified reply; no
         f + 1 replicas ever reply, so one reply moves the view."""
-        pool, _ = make_pool(quorum_rule="1", target_outstanding=1)
+        pool, _ = make_pool(SingleReplyPool, target_outstanding=1)
         pool.start(0.0)
         batch_id = list(pool._pending)[0]
         pool.deliver("replica:1", reply(batch_id, "replica:1", view=3), 1.0)
@@ -199,13 +205,6 @@ class TestCompletionRuleTable:
                     num_shards=1, protocols=name, num_replicas=7))
                 assert layout.reply_quorum(0) == pool.completion_quorum
                 assert layout.wants_broadcast(0) is spec.broadcast_requests
-
-    def test_quorum_rule_overrides_the_class_rule(self):
-        pool, config = make_pool(quorum_rule="f+1")
-        assert pool.completion_quorum == config.f + 1
-        assert pool.completion_quorum_fn(0) == config.f + 1
-        with pytest.raises(KeyError):
-            make_pool(quorum_rule="2f+1")
 
 
 class TestRetransmission:

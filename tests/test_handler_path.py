@@ -44,6 +44,7 @@ from repro.net.simulator import Simulator
 from repro.protocols.base import Message, Node, NodeConfig
 from repro.protocols.checkpoint import StateTransferResponse
 from repro.protocols.epoch import EpochEntry, make_reconfig_record
+from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.recovery import NewView
 from repro.workload.transactions import (
     RequestBatch,
@@ -161,6 +162,31 @@ def test_an_epoch_activation_moves_the_primary_of_an_unchanged_view():
     assert replica.primary_id == replica.primary_for_view(6) == "replica:1"
     replica.view = 1
     assert replica.primary_id == "replica:2" and replica.is_primary()
+
+
+def test_a_grown_membership_rotates_hotstuff_leaders_like_poe_primaries():
+    """Right after an activation grows 4 -> 7, a HotStuff replica's round
+    leaders and a PoE replica's primaries both rotate over the seven."""
+    config = NodeConfig(replica_ids=REPLICAS[:4], batch_size=2,
+                        checkpoint_interval=4)
+    poe = PoeReplica("replica:1", config, AUTHS["replica:1"],
+                     scheme=SchemeKind.MACS)
+    hotstuff = HotStuffReplica("replica:2", config, AUTHS["replica:2"])
+    grown = tuple(REPLICAS)
+    config.register_epoch(1, 3, grown)
+    for replica in (poe, hotstuff):
+        assert replica.primary_for_view(5) == "replica:1"
+        replica._pending_epochs[1] = EpochEntry(
+            epoch=1, activation_sequence=3, members=grown,
+            added=grown[4:], committed_at=1)
+        replica._activate_epochs(3, now_ms=1.0)
+        assert replica.epoch == 1
+        assert [replica.primary_for_view(view) for view in range(4, 9)] == [
+            "replica:4", "replica:5", "replica:6", "replica:0", "replica:1"]
+    poe.view = 8
+    assert poe.primary_id == "replica:1" and poe.is_primary()
+    # Round 9 was replica:1's on four replicas; on seven it is replica:2's.
+    assert hotstuff.primary_for_view(9) == hotstuff.node_id
 
 
 # ------------------------------------------------- unicast delay fast path

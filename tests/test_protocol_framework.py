@@ -13,6 +13,7 @@ from repro.protocols.base import (
     Send,
     SetTimer,
     StepOutput,
+    fault_bound,
 )
 from repro.protocols.batching import Batcher
 from repro.protocols.checkpoint import CheckpointTracker
@@ -33,9 +34,39 @@ class TestNodeConfig:
 
     def test_primary_rotates_with_view(self):
         config = make_config(4)
-        assert config.primary_of_view(0) == "replica:0"
-        assert config.primary_of_view(1) == "replica:1"
-        assert config.primary_of_view(5) == "replica:1"
+        assert config.primary_of_view(0, 0) == "replica:0"
+        assert config.primary_of_view(1, 0) == "replica:1"
+        assert config.primary_of_view(5, 0) == "replica:1"
+
+    def test_primary_rotates_over_the_membership_of_the_epoch(self):
+        config = make_config(4)
+        grown = [f"replica:{i}" for i in range(7)]
+        config.register_epoch(1, 9, grown)
+        assert config.primary_of_view(5, 1) == "replica:5"
+        assert config.primary_of_view(9, 1) == "replica:2"
+        # An earlier epoch keeps its own rotation.
+        assert config.primary_of_view(5, 0) == "replica:1"
+
+    def test_fault_bound_is_the_one_answer_for_every_membership(self):
+        """n in 1..256: ``fault_bound`` is the largest f with n >= 3f + 1,
+        and the config, its epochs and a shard layout all agree with it."""
+        from repro.fabric.sharding import ShardedClusterConfig, layout_for_config
+        from repro.workload.clients import QUORUM_RULES
+
+        config = make_config(1)
+        for n in range(1, 257):
+            f = fault_bound(n)
+            assert n >= 3 * f + 1 and n < 3 * (f + 1) + 1
+            sized = make_config(n)
+            assert sized.f == f and sized.nf == n - f
+            config.register_epoch(n, n, [f"replica:{i}" for i in range(n)])
+            assert config.f_of(n) == f
+            assert config.quorum_of(n) == 2 * f + 1
+            for protocol, rule in (("poe-mac", "nf"), ("pbft", "f+1")):
+                layout = layout_for_config(ShardedClusterConfig(
+                    num_shards=1, protocols=protocol, num_replicas=n))
+                assert layout.cert_quorum(0) == f + 1
+                assert layout.reply_quorum(0) == QUORUM_RULES[rule](n, f)
 
     def test_proposal_size_scales_with_batch(self):
         config = make_config(4, batch_size=100)

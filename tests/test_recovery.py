@@ -513,6 +513,36 @@ def _zyzzyva_replica(seed, rid="replica:3"):
 
 
 class TestZyzzyvaViewChange:
+    def test_an_adoption_computes_its_evidence_once(self, monkeypatch):
+        """Each adoption runs the anchor, the corroborated certificates
+        and reconciliation once each over the same requests."""
+        from repro.core import view_change
+        from repro.protocols import zyzzyva
+
+        calls = dict.fromkeys(("adopt", "anchor", "corroborated", "reconcile"), 0)
+
+        def counting(key, function):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ZyzzyvaReplica, "adopt_new_view", counting(
+            "adopt", ZyzzyvaReplica.adopt_new_view))
+        # Patched where each is looked up: the replica's module and, for
+        # the calls the view-change functions make of each other, theirs.
+        for key, name in (("anchor", "speculative_anchor"),
+                          ("corroborated", "corroborated_certificates"),
+                          ("reconcile", "reconcile_speculative_histories")):
+            wrapper = counting(key, getattr(view_change, name))
+            monkeypatch.setattr(view_change, name, wrapper)
+            if hasattr(zyzzyva, name):
+                monkeypatch.setattr(zyzzyva, name, wrapper)
+        outcome = run_scenario("zyzzyva", "primary-crash")
+        assert outcome.live and outcome.safe and outcome.view_changes >= 1
+        assert calls["adopt"] >= 1
+        assert calls == dict.fromkeys(calls, calls["adopt"])
+
     def test_divergent_history_is_rolled_back_to_the_adopted_prefix(self):
         """A replica that speculatively executed a different batch at an
         adopted slot (the equivocation victim) must roll back to the last

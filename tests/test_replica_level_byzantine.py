@@ -89,8 +89,9 @@ def forger_on(auths, protocol, behavior="forge-history"):
     return behavior, honest
 
 
-def _old_reconcile(requests, f):
-    """The pre-certificate reconciliation: bare plurality below the anchor."""
+def _old_reconcile(requests, f, anchor_info=None):
+    """The pre-certificate reconciliation: bare plurality below the anchor
+    (it recomputes its own anchor, ignoring the caller's *anchor_info*)."""
     anchor = -1
     for request in requests:
         anchor = max(anchor, request.stable_checkpoint)

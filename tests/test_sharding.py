@@ -23,7 +23,7 @@ from dataclasses import replace
 import pytest
 
 from repro.fabric.audit import ShardedSafetyAuditor, audit_sharded_cluster
-from repro.fabric.parallel import run_parallel
+from repro.fabric.parallel import SMOKE_SCENARIOS, run_parallel
 from repro.fabric.scenarios import (
     MATRIX_DEPLOYMENT,
     SCENARIO_DEFS,
@@ -451,3 +451,34 @@ def test_completion_stamped_before_its_reply_quorum_is_flagged():
         pool.completions[:] = honest
         assert {v.kind for v in report.violations} == {"inform-quorum"}
         assert all(record.batch_id in v.detail for v in report.violations)
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("scenario", [scenario for scenario, _ in SMOKE_SCENARIOS])
+def test_stepping_runtimes_in_reverse_order_changes_nothing(num_shards, seed,
+                                                            scenario):
+    """Within a window the runtimes are independent: stepping them last
+    shard first reproduces the in-process (shard order) fingerprint, on
+    parallel-smoke's grid.  A runtime that read what another wrote during
+    the same window — the coupling a forked driver would silently break —
+    fails here."""
+    config = sharded_cluster_config("poe-mac", replace(
+        SHARDED_SCENARIOS[scenario], num_shards=num_shards,
+        cross_shard_fraction=0.2), replace(MATRIX_DEPLOYMENT, seed=seed))
+    cluster = ShardedCluster(config)
+    runtimes = cluster.runtimes
+    results = [runtime.start() for runtime in runtimes]
+
+    def window_all(edge_ms, inboxes):
+        stepped = {}
+        for index in reversed(range(len(runtimes))):
+            stepped[index] = runtimes[index].window(edge_ms, inboxes[index])
+        return [stepped[index] for index in range(len(runtimes))]
+
+    sharding.run_windows(results, window_all, len(runtimes),
+                         cluster.lookahead_ms, 600_000.0)
+    reverse = sharding.fingerprint_state(
+        cluster.shard_processed_events, cluster.shard_clocks,
+        [runtime.fingerprint_parts() for runtime in runtimes])
+    assert reverse == sharded_fingerprint(config)
