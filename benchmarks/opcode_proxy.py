@@ -35,15 +35,18 @@ Each row is measured in a fresh interpreter of its own, so a row reads the
 same alone as after the others; the untraced pass starts from empty
 process-wide memos, as the traced one does.
 
-    python benchmarks/opcode_proxy.py [WORKLOAD ...]
+    python benchmarks/opcode_proxy.py [--write] [WORKLOAD ...]
 
 The set-up and run calls, the split of each by layer, the set-up calls per
 built replica, the calls per executed replica-batch and the retained bytes
 per executed replica-batch of every row are pinned in the ``opcode_proxy`` table of
 ``benchmarks/PERF_EXPECTATIONS.json``; the script exits non-zero when any
 of them moves, so a change that adds Python to the hot path or memory to a
-finished batch updates that table in the same commit and says why.  The counts are exact on one interpreter
-minor version only: on another the table is skipped with a message.
+finished batch updates that table in the same commit and says why.
+``--write`` is that update: it lists what moved, rewrites the measured rows
+in the table's own layout and leaves the rest of the file as it was.  The
+counts are exact on one interpreter minor version only: on another the
+table is skipped with a message, and ``--write`` refuses.
 
 What it cannot see: anything that happens below the bytecode.  One
 ``CALL`` is one opcode whether it enters a Python frame, a ``tp_call``
@@ -60,6 +63,7 @@ pairs decide anything that changes what the C level does.
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import multiprocessing
@@ -269,6 +273,46 @@ def pin_problems(name: str, pins: Dict[str, object],
     return problems
 
 
+#: A row's pins in the table's layout, one line each: a run of scalars, or
+#: one layer split written out a layer per line.
+ROW_LINES = (("setup_calls", "setup_calls_per_replica"), ("setup_layer_calls",),
+             ("run_calls", "calls_per_batch", "retained_bytes_per_batch"),
+             ("layer_calls",))
+
+
+def render_table(table: Dict[str, object]) -> str:
+    """The ``opcode_proxy`` table as ``PERF_EXPECTATIONS.json`` lays it out,
+    from its ``"opcode_proxy"`` key to its closing brace."""
+    def row_lines(row: Dict[str, object]) -> str:
+        assert sorted(row) == sorted(key for line in ROW_LINES for key in line), row
+        lines = []
+        for keys in ROW_LINES:
+            if keys[0] in LAYER_SPLITS:
+                layers = ",\n".join(f"{'':10}{json.dumps(layer)}: {calls}"
+                                    for layer, calls in row[keys[0]].items())
+                lines.append(f"{'':8}{json.dumps(keys[0])}: {{\n{layers}\n{'':8}}}")
+            else:
+                lines.append(f"{'':8}" + ", ".join(
+                    f"{json.dumps(key)}: {json.dumps(row[key])}" for key in keys))
+        return ",\n".join(lines)
+
+    rows = ",\n".join(f"{'':6}{json.dumps(name)}: {{\n{row_lines(row)}\n{'':6}}}"
+                      for name, row in table["rows"].items())
+    return (f'  "opcode_proxy": {{\n'
+            f'    "description": {json.dumps(table["description"])},\n'
+            f'    "python": {json.dumps(table["python"])},\n'
+            f'    "rows": {{\n{rows}\n    }}\n  }}')
+
+
+def write_table(table: Dict[str, object]) -> None:
+    """Rewrite the ``opcode_proxy`` table, the file's last key, in place."""
+    text = EXPECTATIONS.read_text()
+    head = text[:text.index('  "opcode_proxy": ')]
+    written = head + render_table(table) + "\n}\n"
+    assert json.loads(written) == {**json.loads(text), "opcode_proxy": table}
+    EXPECTATIONS.write_text(written)
+
+
 def print_layers(layer_calls: Dict[str, int]) -> None:
     print(textwrap.fill(
         "  ".join(f"{layer}={calls:,}" for layer, calls in layer_calls.items()),
@@ -290,13 +334,25 @@ def main() -> int:
     sys.path[0:0] = [str(ROOT / "src"), str(ROOT / "poebench")]
     from workloads import WORKLOADS
 
+    parser = argparse.ArgumentParser(
+        description="Opcodes, Python calls and retained bytes per workload shape")
+    parser.add_argument("workloads", nargs="*", metavar="WORKLOAD",
+                        help=f"rows to measure (default: all of {', '.join(WORKLOADS)})")
+    parser.add_argument("--write", action="store_true",
+                        help="re-pin the measured rows in "
+                             f"{EXPECTATIONS.relative_to(ROOT)}")
+    args = parser.parse_args()
     table = json.loads(EXPECTATIONS.read_text())["opcode_proxy"]
     python = list(sys.version_info[:2])
     checked = python == table["python"]
+    if args.write and not checked:
+        print(f"pins are for Python {'.'.join(map(str, table['python']))}, "
+              f"this is {'.'.join(map(str, python))}: not written")
+        return 1
     print(f"{'workload':<20}{'phase':<7}{'opcodes':>14}{'python calls':>14}"
           f"{'calls/batch':>13}{'bytes/batch':>13}")
     problems: List[str] = []
-    names = sys.argv[1:] or list(WORKLOADS)
+    names = args.workloads or list(WORKLOADS)
     # One fresh interpreter per row: nothing an earlier row left in the
     # process (memos, interned strings, lazily built tables) reaches a later
     # one.
@@ -316,6 +372,14 @@ def main() -> int:
             print_top(row["top"])
             if checked:
                 problems += pin_problems(name, pins, table["rows"])
+            table["rows"][name] = pins
+    if args.write:
+        for problem in problems:
+            print(f"  - {problem}")
+        write_table(table)
+        print(f"wrote {EXPECTATIONS.relative_to(ROOT)}: {len(names)} rows "
+              f"measured, {len(problems)} pins moved")
+        return 0
     if not checked:
         print(f"pins are for Python {'.'.join(map(str, table['python']))}, "
               f"this is {'.'.join(map(str, python))}: not checked")

@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import multiprocessing
 import sys
 import time
 import traceback
@@ -145,6 +144,7 @@ def run_parallel(config: ShardedClusterConfig,
     because poebench passes ``record_wire=False``, and it goes with this
     module when the benchmark is re-baselined.
     """
+    import multiprocessing  # here, so a simulated run never loads it
     _validate_config(config)
     lookahead_ms = _hub_conditions(config).min_propagation_ms()
     num = config.num_shards

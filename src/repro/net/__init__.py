@@ -1,4 +1,4 @@
-"""Network substrate: discrete-event simulation and live asyncio transport.
+"""Network substrate: discrete-event simulation and fault injection.
 
 The paper evaluates PoE on a Google Cloud deployment plus a pure
 message-delay simulation (Figure 11).  Neither a 91-VM cluster nor its
@@ -10,9 +10,10 @@ provides:
 * :mod:`repro.net.conditions` -- configurable latency, bandwidth and
   jitter models;
 * :mod:`repro.net.network` -- the simulated message fabric connecting
-  protocol nodes, with crash/partition/dark-replica fault injection;
-* :mod:`repro.net.transport` -- an asyncio in-process transport that runs
-  the very same sans-IO protocol state machines live (used by examples).
+  protocol nodes, with crash/partition/dark-replica fault injection.
+
+The live asyncio transport (:mod:`repro.net.transport`) is imported by
+its module path only, so a simulated run never loads ``asyncio``.
 """
 
 from repro.net.simulator import Simulator, Event, Timer
@@ -28,7 +29,6 @@ from repro.net.byzantine import (
     StaleCertifier,
     make_behavior,
 )
-from repro.net.transport import AsyncTransport, AsyncNode
 
 __all__ = [
     "Simulator",
@@ -48,6 +48,4 @@ __all__ = [
     "MessageReplayer",
     "StaleCertifier",
     "make_behavior",
-    "AsyncTransport",
-    "AsyncNode",
 ]

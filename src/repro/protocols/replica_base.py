@@ -135,6 +135,9 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         self._batch_queue: Deque[RequestBatch] = deque()
         self._committed: Dict[int, CommittedSlot] = {}
         self._replied: Dict[str, ClientReplyMessage] = {}
+        #: Batch length -> reply size: one int per length, not one per
+        #: reply that ``_replied`` then keeps (see :meth:`send_replies`).
+        self._reply_sizes: Dict[int, int] = {}
         self._reply_targets: Dict[str, str] = {}
         self._progress_timers: Set[str] = set()
         self._forwarded_requests: Dict[str, ClientRequestMessage] = {}
@@ -455,6 +458,13 @@ class BatchingReplica(ProtocolNode, abc.ABC):
         """Send the execution reply for *slot* to the issuing client(s)."""
         batch = slot.batch
         batch_id = batch.batch_id
+        # config.reply_size_bytes(len(batch)), once per length, in this frame.
+        length = len(batch.transactions) or batch.logical_size
+        size_bytes = self._reply_sizes.get(length)
+        if size_bytes is None:
+            size_bytes = self._reply_sizes[length] = (
+                BASE_MESSAGE_SIZE if self.config.zero_payload else int(
+                    BASE_MESSAGE_SIZE + self.config.reply_bytes_per_txn * length))
         reply = ClientReplyMessage(
             batch_id=batch_id,
             view=slot.view,
@@ -462,10 +472,7 @@ class BatchingReplica(ProtocolNode, abc.ABC):
             result_digest=record.result_digest,
             replica_id=self.node_id,
             speculative=slot.speculative,
-            # config.reply_size_bytes(len(batch)), in this frame.
-            size_bytes=(BASE_MESSAGE_SIZE if self.config.zero_payload else int(
-                BASE_MESSAGE_SIZE + self.config.reply_bytes_per_txn
-                * (len(batch.transactions) or batch.logical_size))),
+            size_bytes=size_bytes,
         )
         self._replied[batch_id] = reply
         # Whoever sent the request, else every client in the batch.

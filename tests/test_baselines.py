@@ -1,13 +1,16 @@
 """Tests for the baseline protocols: PBFT, Zyzzyva, SBFT and HotStuff."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.authenticator import make_authenticators
 from repro.fabric.cluster import Cluster, ClusterConfig, replica_id
+from repro.fabric.scenarios import MATRIX_DEPLOYMENT
 from repro.net.faults import FaultSchedule
 from repro.protocols.base import NodeConfig
 from repro.protocols.client_messages import ClientReplyMessage, ClientRequestMessage
-from repro.protocols.hotstuff import HotStuffReplica
+from repro.protocols.hotstuff import HotStuffProposal, HotStuffReplica
 from repro.protocols.pbft import (
     PbftCommit,
     PbftClientPool,
@@ -321,6 +324,27 @@ class TestHotStuff:
         assert all(pool.is_done() for pool in cluster.pools)
         live = [replica for replica in cluster.replicas if not replica.crashed]
         assert any(replica.pacemaker_timeouts > 0 for replica in live)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP finding 5: the leader records its proposal only when its own "
+        "broadcast comes back, so each request that lands first proposes "
+        "round 0 again (4 blocks today); the chain-commit fix records it "
+        "on broadcast"))
+    @pytest.mark.parametrize("seed", [11, 3])
+    def test_an_honest_leader_proposes_one_block_for_round_0(self, seed):
+        cluster = Cluster(replace(MATRIX_DEPLOYMENT, protocol="hotstuff",
+                                  seed=seed))
+        blocks = set()
+
+        def observe(sender, receiver, message, time_ms):
+            if (sender == "replica:0" and isinstance(message, HotStuffProposal)
+                    and message.round_number == 0):
+                blocks.add(message.block_digest)
+
+        cluster.network.add_observer(observe)
+        cluster.start()
+        cluster.run_until_done(max_ms=60_000)
+        assert len(blocks) == 1
 
 
 class TestNoFaultRunsNeverNeedTheRetransmitTimer:
